@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use robustmap_core::{build_map2d, Grid2D, MeasureConfig};
 use robustmap_executor::{
-    execute_count, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig, IndexRangeSpec, KeyRange,
-    PlanSpec, Predicate, Projection, SpillMode,
+    run_count, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig, IndexRangeSpec, KeyRange,
+    PlanSpec, Predicate, Projection, RunOpts, SpillMode,
 };
 use robustmap_storage::btree::{BTree, Key};
 use robustmap_storage::heap::Rid;
@@ -91,7 +91,7 @@ fn bench_fetch_disciplines(c: &mut Criterion) {
             b.iter(|| {
                 let s = Session::with_pool_pages(256);
                 let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-                execute_count(&plan, &ctx).unwrap().rows_out
+                run_count(&plan, &ctx, RunOpts::default()).unwrap().rows_out
             })
         });
     }
@@ -117,7 +117,7 @@ fn bench_sort_modes(c: &mut Criterion) {
             b.iter(|| {
                 let s = Session::with_pool_pages(256);
                 let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-                execute_count(&plan, &ctx).unwrap().rows_out
+                run_count(&plan, &ctx, RunOpts::default()).unwrap().rows_out
             })
         });
     }

@@ -13,7 +13,6 @@
 //! execution trace of the whole run and writes Chrome trace-event JSON,
 //! an operator-profile CSV, and a metrics dump next to `PATH` at exit.
 
-use robustmap_bench::baseline::{delta_summary, load_baseline};
 use robustmap_bench::{run_figure, Harness, HarnessConfig, ALL_FIGURES};
 use robustmap_obs::{progress, verbose, warn};
 
@@ -104,25 +103,13 @@ fn main() {
         }
     }
 
-    // Per-figure sweep wall times: the numbers BENCH_*.json trajectories
-    // track (docs/EXPERIMENTS.md records the current landmarks).
+    // Per-figure sweep wall times, for orientation only: `benchmark/` is
+    // the performance ledger.
     progress!("\nsweep wall time per figure:");
     for (name, secs) in &timings {
         progress!("  {name:<16} {secs:>8.2}s");
     }
     progress!("  {:<16} {:>8.2}s (incl. workload)", "total", total.elapsed().as_secs_f64());
-    // The machine-checked trajectory: deltas against the committed
-    // baseline, with WARN markers past the 20% budget (skipped with a note
-    // when the run is not at the baseline's scale).
-    match load_baseline() {
-        Some(base) => {
-            progress!(
-                "\n{}",
-                delta_summary(&base, harness.config.rows, harness.config.grid_exp, &timings)
-            );
-        }
-        None => progress!("\n(no parseable wall-time baseline at crates/bench/baselines/walltime.json)"),
-    }
     // Flush the process-wide trace, if one was installed (--trace or
     // ROBUSTMAP_TRACE).
     match robustmap_obs::trace::flush_global() {

@@ -58,7 +58,7 @@ fn ansi_opts() -> AsciiOptions {
 /// and a fine sweep brackets the memory threshold so the "merely a single
 /// record" jump is visible.
 pub fn ext_sort_spill(h: &Harness) -> FigureOutput {
-    use robustmap_executor::{execute_count, ExecCtx};
+    use robustmap_executor::{run_count, ExecCtx, RunOpts};
     use robustmap_storage::{BufferPool, Session};
 
     let w = &h.w;
@@ -84,7 +84,7 @@ pub fn ext_sort_spill(h: &Harness) -> FigureOutput {
             BufferPool::new(h.config.measure.pool_pages, h.config.measure.policy),
         );
         let ctx = ExecCtx::new(&w.db, &session, h.config.measure.memory_bytes);
-        let stats = execute_count(plan, &ctx).expect("well-formed plan");
+        let stats = run_count(plan, &ctx, RunOpts::default()).expect("well-formed plan");
         let child = stats.operators.iter().find(|o| o.depth == 1).expect("child").seconds;
         let root = stats.operators.iter().find(|o| o.depth == 0).expect("root").seconds;
         (root - child, stats.io.page_writes, stats.rows_out)
@@ -1739,8 +1739,7 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
     use robustmap_core::render::sanitize;
     use robustmap_core::{build_map2d, Grid2D, RegressionSuite};
     use robustmap_executor::{
-        execute_adaptive_count_batched, AdaptiveStats, ExecConfig, ExecCtx, NeverSwitch,
-        SwitchController,
+        run_count, ExecConfig, ExecCtx, ExecStats, NeverSwitch, RunOpts, SwitchController,
     };
     use robustmap_storage::{BufferPool, Database, Session};
     use robustmap_systems::choice::{Exact, Joint};
@@ -1798,10 +1797,11 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
     // static maps use: fresh session (bit-identical to `SweepArena`'s
     // reset one), same pool, same model, same batched executor.
     let run_adaptive =
-        |db: &Database, spec: &PlanSpec, ctrl: &dyn SwitchController| -> AdaptiveStats {
+        |db: &Database, spec: &PlanSpec, ctrl: &dyn SwitchController| -> ExecStats {
             let s = Session::new(mcfg.model.clone(), BufferPool::new(mcfg.pool_pages, mcfg.policy));
             let ctx = ExecCtx::new(db, &s, mcfg.memory_bytes);
-            execute_adaptive_count_batched(spec, &ctx, &ec, ctrl).expect("well-formed plan")
+            run_count(spec, &ctx, RunOpts { batch: ec, controller: Some(ctrl) })
+                .expect("well-formed plan")
         };
 
     let mut report = String::from(
@@ -1883,12 +1883,12 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
             switches += switched as usize;
             let (pq, aq) = tally.add(&secs, point.plan, final_plan);
             let best = secs.iter().copied().fold(f64::INFINITY, f64::min).max(1e-12);
-            let total_q = astats.exec.seconds / best;
+            let total_q = astats.seconds / best;
             worst_total = worst_total.max(total_q);
-            accounting_ok &= astats.exec.seconds >= secs[final_plan] - 1e-12;
+            accounting_ok &= astats.seconds >= secs[final_plan] - 1e-12;
             if pct == 0 {
                 rho0_identity &= !switched
-                    && astats.exec.seconds.to_bits() == secs[point.plan].to_bits();
+                    && astats.seconds.to_bits() == secs[point.plan].to_bits();
             }
             csv.push_str(&format!(
                 "diagonal,{},{s:e},{s:e},{},{},,{},{},{pq:e},{aq:e},{total_q:e}\n",
@@ -1982,13 +1982,13 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
             robust_tally.add(&secs, point.plan, robust.plan);
             let (pq, aq) = adapt_tally.add(&secs, point.plan, final_plan);
             let best = secs.iter().copied().fold(f64::INFINITY, f64::min).max(1e-12);
-            let total_q = astats.exec.seconds / best;
+            let total_q = astats.seconds / best;
             worst_total = worst_total.max(total_q);
             sum_total += total_q;
-            accounting_ok &= astats.exec.seconds >= secs[final_plan] - 1e-12;
+            accounting_ok &= astats.seconds >= secs[final_plan] - 1e-12;
             if !switched {
                 unswitched_identity &=
-                    astats.exec.seconds.to_bits() == secs[point.plan].to_bits();
+                    astats.seconds.to_bits() == secs[point.plan].to_bits();
             }
             let c = ia * nb + ib;
             point_regret[c] = pq;
@@ -2486,7 +2486,7 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
     use robustmap_core::render::{timeline_svg, TimelineMark, TimelineSpan};
     use robustmap_core::{serve_concurrent, ServeConfig};
     use robustmap_executor::{
-        execute_adaptive_count_batched, CheckpointKind, ExecConfig, ExecCtx, Observation,
+        run_count, CheckpointKind, ExecConfig, ExecCtx, Observation, RunOpts,
         SwitchController, SwitchDirective,
     };
     use robustmap_obs::chrome::{parse_chrome_trace, parse_json, to_chrome_json};
@@ -2698,7 +2698,8 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
             s.attach_tracer(Arc::clone(sk), "q0: forced bail");
         }
         let ctx = ExecCtx::new(&w.db, &s, mcfg.memory_bytes);
-        execute_adaptive_count_batched(&victim, &ctx, &ec, &ctrl).expect("well-formed plan")
+        run_count(&victim, &ctx, RunOpts { batch: ec, controller: Some(&ctrl) })
+            .expect("well-formed plan")
     };
     let plain = run_bail(None);
     let bail_sink = Arc::new(TraceSink::memory(TraceDetail::Spans));
@@ -2709,15 +2710,15 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
         "\nforced bail: {} -> {:?} in {:.6}s, {} trace events\n",
         victim.synopsis(),
         traced.switches.iter().map(|s| s.action.as_str()).collect::<Vec<_>>(),
-        traced.exec.seconds,
+        traced.seconds,
         bail_events.len(),
     ));
     suite.check_named(
         "tracing is charge-free: the traced forced bail is bit-identical to the untraced run",
-        plain.exec.seconds.to_bits() == traced.exec.seconds.to_bits()
-            && plain.exec.io == traced.exec.io
+        plain.seconds.to_bits() == traced.seconds.to_bits()
+            && plain.io == traced.io
             && plain.switches == traced.switches,
-        format!("{:.6}s both ways", plain.exec.seconds),
+        format!("{:.6}s both ways", plain.seconds),
     );
     let checkpoints =
         bail_events.iter().filter(|e| matches!(e.kind, TraceEventKind::Checkpoint { .. })).count();

@@ -15,7 +15,6 @@
 //! `benches/` exercise the same code paths at reduced scale so `cargo
 //! bench` regenerates every figure and times the substrate.
 
-pub mod baseline;
 pub mod figures_ext;
 pub mod figures_paper;
 pub mod harness;

@@ -18,7 +18,7 @@
 //! that the two paths produce identical [`Measurement`]s; the design
 //! argument is recorded in `docs/DESIGN.md`.
 
-use robustmap_executor::{execute_count_batched, ExecConfig, ExecCtx, PlanSpec};
+use robustmap_executor::{run_count, ExecConfig, ExecCtx, PlanSpec, RunOpts};
 use robustmap_storage::{BufferPool, CostModel, Database, EvictionPolicy, IoStats, Session};
 use robustmap_systems::{SinglePredPlan, TwoPredPlan};
 use robustmap_workload::Workload;
@@ -109,14 +109,12 @@ impl SweepArena {
     }
 
     /// Execute `plan` under cold-session conditions and return its
-    /// measurement.  Plans run through the batched executor; the simulated
-    /// charges are bit-identical to the row path's (see
-    /// `tests/batch_equivalence.rs`), so sweeps are faster but never
-    /// different.
+    /// measurement.  The batch size comes from the environment and is not
+    /// observable in the measurement (see `tests/batch_equivalence.rs`).
     pub fn measure(&mut self, db: &Database, plan: &PlanSpec) -> Measurement {
         self.session.reset();
         let ctx = ExecCtx::new(db, &self.session, self.memory_bytes);
-        let stats = execute_count_batched(plan, &ctx, &self.exec_cfg)
+        let stats = run_count(plan, &ctx, RunOpts { batch: self.exec_cfg, controller: None })
             .expect("measured plans must be well-formed");
         Measurement {
             seconds: stats.seconds,
@@ -334,7 +332,7 @@ mod tests {
                 let session = cfg.session();
                 let ctx =
                     robustmap_executor::ExecCtx::new(&w.db, &session, cfg.memory_bytes);
-                let stats = robustmap_executor::execute_count(spec, &ctx).unwrap();
+                let stats = robustmap_executor::run_count(spec, &ctx, RunOpts::default()).unwrap();
                 Measurement {
                     seconds: stats.seconds,
                     io: stats.io,

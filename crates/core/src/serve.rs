@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use robustmap_executor::{execute_count_batched, ExecConfig, ExecCtx, ExecStats, PlanSpec};
+use robustmap_executor::{run_count, ExecConfig, ExecCtx, ExecStats, PlanSpec, RunOpts};
 use robustmap_obs::trace::{TraceEventKind, TraceSink};
 use robustmap_storage::{
     CostModel, Database, EvictionPolicy, QueryShare, Session, SharedBufferPool,
@@ -276,8 +276,9 @@ pub fn serve_concurrent(db: &Database, specs: &[PlanSpec], cfg: &ServeConfig) ->
                     spec.clone()
                 };
                 let ctx = ExecCtx::new(db, &session, grant);
-                let stats = execute_count_batched(&spec, &ctx, &ExecConfig::from_env())
-                    .expect("served plans must be well-formed");
+                let opts = RunOpts { batch: ExecConfig::from_env(), controller: None };
+                let stats =
+                    run_count(&spec, &ctx, opts).expect("served plans must be well-formed");
                 let share = session.query_pool_counters();
                 let elapsed = session.elapsed();
                 session.clear_yield_hook();

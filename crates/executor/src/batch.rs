@@ -1,34 +1,34 @@
 //! Batched (vectorized) execution primitives.
 //!
-//! The row-at-a-time Volcano loop in [`crate::exec`] is the *reference*
-//! semantics of this crate: every simulated charge a plan makes on its
-//! [`Session`](robustmap_storage::Session) is defined by that path.  The
-//! batch executor re-implements the same plans over columnar
-//! [`RowBatch`] chunks so the real-time interpreter overhead (per-row
-//! `Row` materialisation, virtual sink dispatch, full-row decoding) is
-//! amortised — while replaying **bit-identical** charge sequences.
-//!
-//! Bit-identity is stricter than "the same total": the simulated clock
-//! accumulates `f64` seconds, and floating-point addition is not
-//! associative, so the batch path must issue the *same charge calls with
-//! the same arguments in the same order* as the row path.  Concretely:
+//! The interpreter in [`crate::exec`] moves rows between operators in
+//! columnar [`RowBatch`] chunks, so the real-time interpreter overhead
+//! (per-row `Row` materialisation, virtual sink dispatch, full-row
+//! decoding) is amortised.  The batch size must never be observable on the
+//! simulated clock — and because that clock accumulates `f64` seconds, and
+//! floating-point addition is not associative, "not observable" means every
+//! batch size issues the *same charge calls with the same arguments in the
+//! same order*.  Concretely:
 //!
 //! * per-row charges (predicate comparisons, per-entry `charge_rows`)
 //!   stay per-row — batching never coalesces them;
 //! * batching only moves work that is *free* on the simulated clock:
 //!   decoding, projection, sink dispatch, and intermediate-row copies;
-//! * operators whose `push` interleaves charges with their producer's
-//!   (external sort, hash aggregation) keep a row-lockstep input edge.
+//! * every operator emits through a [`BatchEmitter`], which hands a row to
+//!   the sink the moment the batch is full — so at `batch_rows = 1` each
+//!   row reaches its consumer before the next row's charges are issued.
+//!   Operators whose `push` interleaves charges with their producer's
+//!   (external sort, hash aggregation) run their input at that size.
 //!
-//! `tests/batch_equivalence.rs` pins the equivalence cell-for-cell and
-//! bit-for-bit across all fifteen catalog plans.
+//! `tests/exec_ledger.rs` pins the charge stream itself, bit for bit, at
+//! batch sizes 1, 513 and 1024; `tests/batch_equivalence.rs` pins
+//! batch-size invariance across all fifteen catalog plans.
 
 use robustmap_storage::Row;
 
 /// Environment variable overriding [`ExecConfig::batch_rows`].
 pub const ENV_BATCH_ROWS: &str = "ROBUSTMAP_BATCH_ROWS";
 
-/// Knobs of the batch executor.
+/// Knobs of batched execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Rows per [`RowBatch`] flowing between operators.  `1` degenerates
@@ -110,16 +110,6 @@ impl RowBatch {
         &self.cols[c]
     }
 
-    /// Append one row given as a value slice (must match the arity).
-    #[inline]
-    pub fn push_row(&mut self, vals: &[i64]) {
-        debug_assert_eq!(vals.len(), self.cols.len());
-        for (col, &v) in self.cols.iter_mut().zip(vals) {
-            col.push(v);
-        }
-        self.rows += 1;
-    }
-
     /// Materialise row `i` (gathers across columns).
     #[inline]
     pub fn row(&self, i: usize) -> Row {
@@ -137,22 +127,12 @@ impl RowBatch {
         }
         self.rows = 0;
     }
-
-    /// Append all rows of `other` (an accumulation buffer for operators
-    /// that materialise a whole input, e.g. join sides).
-    pub fn append(&mut self, other: &RowBatch) {
-        debug_assert_eq!(self.arity(), other.arity());
-        for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
-            dst.extend_from_slice(src);
-        }
-        self.rows += other.rows;
-    }
 }
 
 /// A selection bitmap over the rows of one batch (or one heap page).
 ///
 /// Stored as 64-bit words; bit `i` set means row `i` survives.  The
-/// branch-free predicate evaluator ([`crate::expr::Predicate::eval_batch`])
+/// branch-free predicate evaluator ([`crate::expr::Predicate::eval_batch_free`])
 /// clears bits with masked stores instead of conditional jumps.
 #[derive(Debug, Default)]
 pub struct Selection {
@@ -376,24 +356,6 @@ mod tests {
         assert_eq!(ExecConfig::from_env().batch_rows, 513);
         std::env::remove_var(ENV_BATCH_ROWS);
         assert_eq!(ExecConfig::from_env().batch_rows, ExecConfig::DEFAULT_BATCH_ROWS);
-    }
-
-    #[test]
-    fn row_batch_roundtrip() {
-        let mut b = RowBatch::new(3);
-        assert!(b.is_empty());
-        b.push_row(&[1, 2, 3]);
-        b.push_row(&[4, 5, 6]);
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.col(1), &[2, 5]);
-        assert_eq!(b.row(1).values(), &[4, 5, 6]);
-        let mut acc = RowBatch::new(3);
-        acc.append(&b);
-        acc.append(&b);
-        assert_eq!(acc.len(), 4);
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.arity(), 3);
     }
 
     #[test]

@@ -1,10 +1,27 @@
-//! Plan execution: the driver that turns a [`PlanSpec`] into rows.
+//! Plan execution: the one interpreter that turns a [`PlanSpec`] into rows.
 //!
-//! [`execute`] interprets the plan tree, wiring the physical operators in
-//! [`crate::ops`] together and pushing output rows into a caller-provided
-//! sink.  All costs land on the [`Session`]'s simulated clock; the caller
-//! reads elapsed time and I/O statistics from the session afterwards —
-//! exactly the measurement the paper's robustness maps are built from.
+//! [`run`] walks the plan tree, wiring the physical operators in
+//! [`crate::ops`] together and pushing output [`RowBatch`]es into a
+//! caller-provided sink.  All costs land on the [`Session`]'s simulated
+//! clock; the caller reads elapsed time and I/O statistics from the
+//! returned [`ExecStats`] (or the session) — exactly the measurement the
+//! paper's robustness maps are built from.
+//!
+//! There is one driver and [`RunOpts`] selects how it runs:
+//!
+//! * `batch.batch_rows` sets the rows per emitted batch.  It is never
+//!   observable on the simulated clock (see [`crate::batch`]), and
+//!   `batch_rows = 1` *is* row-at-a-time execution: every row reaches the
+//!   sink before the next row's charges are issued.  Sort and hash
+//!   aggregation rely on that — they run their input subtree through this
+//!   same interpreter at `batch_rows = 1`, because their per-push charges
+//!   interleave with the child's production charges.
+//! * `controller` arms the cardinality checkpoints of
+//!   [`crate::ops::adaptive`].  A static run is `controller: None`; the
+//!   checkpoints are wedges inside the single arm of each plan shape.
+//!
+//! The charge stream itself is pinned by the golden ledger
+//! (`tests/golden/exec_ledger.txt`, asserted by `tests/exec_ledger.rs`).
 
 use std::cell::{Cell, RefCell};
 
@@ -12,10 +29,12 @@ use robustmap_obs::trace::TraceEventKind;
 use robustmap_storage::{AccessKind, Database, FileId, IoStats, Row, Session, StorageError};
 
 use crate::batch::{BatchEmitter, ExecConfig, RowBatch};
-use crate::expr::Predicate;
 use crate::ops;
+use crate::ops::adaptive::{
+    observe, Observation, SwitchController, SwitchDirective, SwitchEvent,
+};
 use crate::ops::sort::PackedRows;
-use crate::plan::{FetchKind, PlanSpec};
+use crate::plan::{CheckpointKind, IndexRangeSpec, JoinAlgo, PlanSpec};
 
 /// Errors raised during plan execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,12 +87,17 @@ pub struct ExecStats {
     pub io: IoStats,
     /// Whether any operator spilled to disk.
     pub spilled: bool,
-    /// Per-operator breakdown, preorder.
+    /// Per-operator breakdown, in completion order.
     pub operators: Vec<OpStats>,
+    /// Acted-upon switch directives, in firing order.  Empty for a static
+    /// run and for a controller that never tripped — such a run is
+    /// charge-identical to the static one.
+    pub switches: Vec<SwitchEvent>,
 }
 
 /// Execution context: the database, the charging session, the query's
-/// memory grant, and run-time bookkeeping (temp files, spill flag).
+/// memory grant, and per-run bookkeeping (spill flag, operator records,
+/// switch events), which [`run`] resets on entry.
 pub struct ExecCtx<'a> {
     /// The (read-only) database.
     pub db: &'a Database,
@@ -85,6 +109,7 @@ pub struct ExecCtx<'a> {
     temp_base: u32,
     spilled: Cell<bool>,
     op_stats: RefCell<Vec<OpStats>>,
+    switches: RefCell<Vec<SwitchEvent>>,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -97,6 +122,7 @@ impl<'a> ExecCtx<'a> {
             temp_base: db.temp_file_base(),
             spilled: Cell::new(false),
             op_stats: RefCell::new(Vec::new()),
+            switches: RefCell::new(Vec::new()),
         }
     }
 
@@ -115,340 +141,92 @@ impl<'a> ExecCtx<'a> {
         self.spilled.set(true);
     }
 
-    /// Whether any operator spilled so far.
+    /// Whether any operator spilled so far in the current run.
     pub fn spilled(&self) -> bool {
         self.spilled.get()
     }
 
-    pub(crate) fn record_op(&self, label: String, depth: usize, rows_out: u64, seconds: f64) {
+    fn record_op(&self, label: String, depth: usize, rows_out: u64, seconds: f64) {
         self.op_stats.borrow_mut().push(OpStats { label, depth, rows_out, seconds });
     }
 
-    /// Drain the per-operator records accumulated so far (the execution
-    /// drivers call this once, when assembling [`ExecStats`]).
-    pub(crate) fn take_op_stats(&self) -> Vec<OpStats> {
-        std::mem::take(&mut *self.op_stats.borrow_mut())
+    pub(crate) fn record_switch(&self, event: SwitchEvent) {
+        self.switches.borrow_mut().push(event);
     }
 }
 
-/// Execute `plan`, pushing every output row into `sink`.  Returns the
+/// How [`run`] executes a plan.  The default is a static run at the
+/// default batch size.
+#[derive(Clone, Copy, Default)]
+pub struct RunOpts<'c> {
+    /// Rows per output batch — never observable on the simulated clock.
+    pub batch: ExecConfig,
+    /// The controller consulted at cardinality checkpoints; `None` is a
+    /// static run.
+    pub controller: Option<&'c dyn SwitchController>,
+}
+
+/// Execute `plan`, pushing every output batch into `sink`.  Returns the
 /// execution summary; timings/IO are also observable on the session.
-pub fn execute(
+pub fn run(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
-    sink: &mut dyn FnMut(&Row),
+    opts: RunOpts<'_>,
+    sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<ExecStats, ExecError> {
+    // A context may be reused; a previous run (failed ones included) must
+    // not leak its records into this one.
+    ctx.spilled.set(false);
+    ctx.op_stats.borrow_mut().clear();
+    ctx.switches.borrow_mut().clear();
     let t0 = ctx.session.elapsed();
     let io0 = ctx.session.stats();
-    let rows = execute_node(plan, ctx, 0, sink)?;
-    let mut operators = ctx.op_stats.borrow_mut();
-    let stats = ExecStats {
+    let rows = node(plan, ctx, &opts, 0, sink)?;
+    Ok(ExecStats {
         rows_out: rows,
         seconds: ctx.session.elapsed() - t0,
         io: ctx.session.stats().since(&io0),
         spilled: ctx.spilled(),
-        operators: std::mem::take(&mut *operators),
-    };
-    Ok(stats)
+        operators: ctx.op_stats.take(),
+        switches: ctx.switches.take(),
+    })
 }
 
-/// Execute and count output rows, discarding them.
-pub fn execute_count(plan: &PlanSpec, ctx: &ExecCtx<'_>) -> Result<ExecStats, ExecError> {
-    execute(plan, ctx, &mut |_| {})
-}
-
-/// Execute and collect all output rows (tests and small results only).
-pub fn execute_collect(
+/// [`run`], counting and discarding the output — the entry point the
+/// sweep arenas measure through.
+pub fn run_count(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
+    opts: RunOpts<'_>,
+) -> Result<ExecStats, ExecError> {
+    run(plan, ctx, opts, &mut |_| {})
+}
+
+/// [`run`], collecting all output rows (tests and small results only).
+pub fn run_collect(
+    plan: &PlanSpec,
+    ctx: &ExecCtx<'_>,
+    opts: RunOpts<'_>,
 ) -> Result<(ExecStats, Vec<Row>), ExecError> {
     let mut rows = Vec::new();
-    let stats = execute(plan, ctx, &mut |r| rows.push(*r))?;
+    let stats = run(plan, ctx, opts, &mut |b| rows.extend((0..b.len()).map(|i| b.row(i))))?;
     Ok((stats, rows))
 }
 
-/// Execute `plan` on the batch path, pushing output [`RowBatch`]es into
-/// `sink`.  The simulated clock, I/O counters, and per-operator stats are
-/// bit-identical to [`execute`]'s — `tests/batch_equivalence.rs` pins this
-/// across the whole plan catalog.
-pub fn execute_batched(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    cfg: &ExecConfig,
-    sink: &mut dyn FnMut(&RowBatch),
-) -> Result<ExecStats, ExecError> {
-    let t0 = ctx.session.elapsed();
-    let io0 = ctx.session.stats();
-    let rows = execute_node_batched(plan, ctx, cfg, 0, sink)?;
-    let mut operators = ctx.op_stats.borrow_mut();
-    let stats = ExecStats {
-        rows_out: rows,
-        seconds: ctx.session.elapsed() - t0,
-        io: ctx.session.stats().since(&io0),
-        spilled: ctx.spilled(),
-        operators: std::mem::take(&mut *operators),
-    };
-    Ok(stats)
-}
-
-/// Batched [`execute_count`]: the entry point the sweep arenas measure
-/// through.
-pub fn execute_count_batched(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    cfg: &ExecConfig,
-) -> Result<ExecStats, ExecError> {
-    execute_batched(plan, ctx, cfg, &mut |_| {})
-}
-
-/// Batched [`execute_collect`] (tests and small results only).
-pub fn execute_collect_batched(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    cfg: &ExecConfig,
-) -> Result<(ExecStats, Vec<Row>), ExecError> {
-    let mut rows = Vec::new();
-    let stats = execute_batched(plan, ctx, cfg, &mut |b| {
-        for i in 0..b.len() {
-            rows.push(b.row(i));
-        }
-    })?;
-    Ok((stats, rows))
-}
-
-pub(crate) fn run_fetch(
-    heap: &robustmap_storage::HeapFile,
-    rids: Vec<robustmap_storage::heap::Rid>,
-    fetch: &FetchKind,
-    residual: &Predicate,
-    project: &crate::plan::Projection,
-    ctx: &ExecCtx<'_>,
-    sink: &mut dyn FnMut(&Row),
-) -> Result<u64, ExecError> {
-    match fetch {
-        FetchKind::Traditional => {
-            ops::fetch::traditional(heap, &rids, residual, project, ctx.session, sink)
-        }
-        FetchKind::Improved(cfg) => {
-            ops::fetch::improved(heap, rids, cfg, residual, project, ctx.session, sink)
-        }
-        FetchKind::BitmapSorted => {
-            ops::fetch::bitmap_sorted(heap, &rids, residual, project, ctx.session, sink)
-        }
-    }
-}
-
-pub(crate) fn execute_node(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    depth: usize,
-    sink: &mut dyn FnMut(&Row),
-) -> Result<u64, ExecError> {
-    // Charge-free operator span: tracing reads the clock, never advances
-    // it.  The end event is emitted on the error path too (rows = 0), so
-    // an adaptive bail's unwind leaves every span closed.
-    let traced = ctx.session.is_traced();
-    if traced {
-        ctx.session.flush_io_window();
-        ctx.session
-            .trace_event(TraceEventKind::OpBegin { name: plan.synopsis(), depth: depth as u32 });
-    }
-    let t0 = ctx.session.elapsed();
-    let result = execute_node_inner(plan, ctx, depth, sink);
-    if traced {
-        ctx.session.flush_io_window();
-        ctx.session.trace_event(TraceEventKind::OpEnd {
-            name: plan.synopsis(),
-            depth: depth as u32,
-            rows: *result.as_ref().unwrap_or(&0),
-        });
-    }
-    let rows = result?;
-    ctx.record_op(plan.synopsis(), depth, rows, ctx.session.elapsed() - t0);
-    Ok(rows)
-}
-
-fn execute_node_inner(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    depth: usize,
-    sink: &mut dyn FnMut(&Row),
-) -> Result<u64, ExecError> {
-    let rows = match plan {
-        PlanSpec::TableScan { table, pred, project } => {
-            ops::table_scan::run(ctx.db.table(*table), pred, project, ctx.session, sink)
-        }
-        PlanSpec::IndexFetch { scan, key_filter, fetch, residual, project } => {
-            let index = ctx.db.index(scan.index);
-            let rids = ops::index_scan::collect_rids_filtered(
-                index,
-                &scan.range,
-                key_filter,
-                ctx.session,
-                AccessKind::Sequential,
-            );
-            let heap = &ctx.db.table(index.table).heap;
-            run_fetch(heap, rids, fetch, residual, project, ctx, sink)?
-        }
-        PlanSpec::CoveringIndexScan { scan, residual, project } => {
-            let index = ctx.db.index(scan.index);
-            ops::index_scan::run_covering(index, &scan.range, residual, project, ctx.session, sink)
-        }
-        PlanSpec::Mdam { index, col_ranges, project } => {
-            ops::mdam::run(ctx.db.index(*index), col_ranges, project, ctx.session, sink)?
-        }
-        PlanSpec::IndexIntersect { left, right, algo, fetch, residual, project } => {
-            let li = ctx.db.index(left.index);
-            let ri = ctx.db.index(right.index);
-            if li.table != ri.table {
-                return Err(ExecError::BadPlan(
-                    "index intersection across different tables".into(),
-                ));
-            }
-            let lrids =
-                ops::index_scan::collect_rids(li, &left.range, ctx.session, AccessKind::Sequential);
-            let rrids =
-                ops::index_scan::collect_rids(ri, &right.range, ctx.session, AccessKind::Sequential);
-            let surviving = ops::rid_join::intersect_rids(lrids, rrids, *algo, ctx);
-            let heap = &ctx.db.table(li.table).heap;
-            run_fetch(heap, surviving, fetch, residual, project, ctx, sink)?
-        }
-        PlanSpec::CoveringRidJoin { left, right, algo, project } => {
-            let li = ctx.db.index(left.index);
-            let ri = ctx.db.index(right.index);
-            if li.table != ri.table {
-                return Err(ExecError::BadPlan("covering rid join across different tables".into()));
-            }
-            let lentries =
-                ops::index_scan::collect_entries(li, &left.range, ctx.session, AccessKind::Sequential);
-            let rentries =
-                ops::index_scan::collect_entries(ri, &right.range, ctx.session, AccessKind::Sequential);
-            let mut produced = 0u64;
-            ops::rid_join::covering_join(lentries, rentries, *algo, ctx, &mut |row| {
-                let out = project.apply(row);
-                sink(&out);
-                produced += 1;
-            });
-            produced
-        }
-        PlanSpec::Join { left, right, left_key, right_key, algo, memory_bytes, project } => {
-            // Materialise the (fixed-arity) inputs packed; collection is
-            // charge-free either way.
-            let mut lrows = PackedRows::default();
-            execute_node(left, ctx, depth + 1, &mut |r| lrows.push(r.values()))?;
-            let mut rrows = PackedRows::default();
-            execute_node(right, ctx, depth + 1, &mut |r| rrows.push(r.values()))?;
-            let mut produced = 0u64;
-            let mut project_sink = |row: &Row| {
-                let out = project.apply(row);
-                sink(&out);
-                produced += 1;
-            };
-            match algo {
-                crate::plan::JoinAlgo::SortMerge => {
-                    ops::join::sort_merge_join(
-                        lrows,
-                        rrows,
-                        *left_key,
-                        *right_key,
-                        *memory_bytes,
-                        ctx,
-                        &mut project_sink,
-                    )?;
-                }
-                crate::plan::JoinAlgo::Hash { build_left } => {
-                    let (b, p, bk, pk, swap) = if *build_left {
-                        (lrows, rrows, *left_key, *right_key, false)
-                    } else {
-                        (rrows, lrows, *right_key, *left_key, true)
-                    };
-                    ops::join::hash_join(b, p, bk, pk, *memory_bytes, swap, ctx, &mut project_sink)?;
-                }
-            }
-            produced
-        }
-        PlanSpec::ParallelTableScan { table, pred, project, dop, skew_permille } => {
-            ops::parallel_scan::run(
-                ctx.db.table(*table),
-                pred,
-                project,
-                *dop,
-                *skew_permille as f64 / 1000.0,
-                ctx.session,
-                sink,
-            )?
-        }
-        PlanSpec::Sort { input, key_cols, mode, memory_bytes } => {
-            let mut sorter =
-                ops::sort::ExternalSorter::new(ctx, key_cols.clone(), *mode, *memory_bytes);
-            execute_node(input, ctx, depth + 1, &mut |row| sorter.push(row))?;
-            sorter.finish(sink)
-        }
-        PlanSpec::HashAgg { input, group_cols, aggs, mode, memory_bytes } => {
-            let mut agg = ops::agg::HashAggregator::new(
-                ctx,
-                group_cols.clone(),
-                aggs.clone(),
-                *mode,
-                *memory_bytes,
-            );
-            execute_node(input, ctx, depth + 1, &mut |row| agg.push(row))?;
-            agg.finish(sink)
-        }
-    };
-    Ok(rows)
-}
-
-pub(crate) fn run_fetch_batched(
-    heap: &robustmap_storage::HeapFile,
-    rids: Vec<robustmap_storage::heap::Rid>,
-    fetch: &FetchKind,
-    residual: &Predicate,
-    project: &crate::plan::Projection,
-    cfg: &ExecConfig,
-    ctx: &ExecCtx<'_>,
-    sink: &mut dyn FnMut(&RowBatch),
-) -> Result<u64, ExecError> {
-    match fetch {
-        FetchKind::Traditional => {
-            ops::fetch::traditional_batched(heap, &rids, residual, project, cfg, ctx.session, sink)
-        }
-        FetchKind::Improved(fcfg) => ops::fetch::improved_batched(
-            heap,
-            rids,
-            fcfg,
-            residual,
-            project,
-            cfg,
-            ctx.session,
-            sink,
-        ),
-        FetchKind::BitmapSorted => {
-            ops::fetch::bitmap_sorted_batched(heap, &rids, residual, project, cfg, ctx.session, sink)
-        }
-    }
-}
-
-/// Output arity of a plan (what its sink receives per row) — the batch
-/// driver sizes [`RowBatch`] columns with it.
-pub(crate) fn plan_out_arity(plan: &PlanSpec, db: &Database) -> Result<usize, ExecError> {
-    Ok(match plan {
+/// Output arity of a plan (what its sink receives per row) — sizes the
+/// [`RowBatch`] columns of operators that re-emit a child's rows.
+fn plan_out_arity(plan: &PlanSpec, db: &Database) -> usize {
+    match plan {
         PlanSpec::TableScan { table, project, .. }
         | PlanSpec::ParallelTableScan { table, project, .. } => {
             project.resolve(db.table(*table).heap.schema().arity()).len()
         }
-        PlanSpec::IndexFetch { scan, project, .. } => {
-            let index = db.index(scan.index);
-            project.resolve(db.table(index.table).heap.schema().arity()).len()
+        PlanSpec::IndexFetch { scan: IndexRangeSpec { index, .. }, project, .. }
+        | PlanSpec::IndexIntersect { left: IndexRangeSpec { index, .. }, project, .. } => {
+            project.resolve(db.table(db.index(*index).table).heap.schema().arity()).len()
         }
-        PlanSpec::IndexIntersect { left, project, .. } => {
-            let index = db.index(left.index);
-            project.resolve(db.table(index.table).heap.schema().arity()).len()
-        }
-        PlanSpec::CoveringIndexScan { scan, project, .. } => {
-            project.resolve(db.index(scan.index).tree.key_arity()).len()
-        }
-        PlanSpec::Mdam { index, project, .. } => {
+        PlanSpec::CoveringIndexScan { scan: IndexRangeSpec { index, .. }, project, .. }
+        | PlanSpec::Mdam { index, project, .. } => {
             project.resolve(db.index(*index).tree.key_arity()).len()
         }
         PlanSpec::CoveringRidJoin { left, right, project, .. } => {
@@ -457,60 +235,138 @@ pub(crate) fn plan_out_arity(plan: &PlanSpec, db: &Database) -> Result<usize, Ex
             project.resolve(arity).len()
         }
         PlanSpec::Join { left, right, project, .. } => {
-            project.resolve(plan_out_arity(left, db)? + plan_out_arity(right, db)?).len()
+            project.resolve(plan_out_arity(left, db) + plan_out_arity(right, db)).len()
         }
-        PlanSpec::Sort { input, .. } => plan_out_arity(input, db)?,
+        PlanSpec::Sort { input, .. } => plan_out_arity(input, db),
         PlanSpec::HashAgg { group_cols, aggs, .. } => group_cols.len() + aggs.len(),
-    })
+    }
 }
 
-/// The batched twin of [`execute_node`].  Every arm issues the same charge
-/// calls in the same order as its row twin; only row materialisation, sink
-/// granularity, and (for scans and fetches) column decoding differ.
-///
-/// Two operators keep row-at-a-time *input* edges on purpose: sort and
-/// hash aggregation interleave their own per-push charges with the child's
-/// production charges, so their subtrees run through [`execute_node`]
-/// unchanged and only their (charge-free) output emission is batched.
-pub(crate) fn execute_node_batched(
+/// What running one plan shape came to.
+enum Outcome {
+    /// The shape ran to completion and emitted this many rows.
+    Rows(u64),
+    /// A controller abandoned the shape before it emitted anything; run
+    /// this plan in its place.
+    Bail(PlanSpec),
+}
+
+/// Run one plan node: the operator span, the per-operator record, and —
+/// when a controller bails — the hand-over to the replacement plan.
+fn node(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
-    cfg: &ExecConfig,
+    opts: &RunOpts<'_>,
     depth: usize,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
-    // Same charge-free span protocol as [`execute_node`].
+    // Charge-free operator span: tracing reads the clock, never advances
+    // it.  The end event is emitted on the error and bail paths too
+    // (rows = 0), so every span closes.
     let traced = ctx.session.is_traced();
+    let name = plan.synopsis();
     if traced {
         ctx.session.flush_io_window();
         ctx.session
-            .trace_event(TraceEventKind::OpBegin { name: plan.synopsis(), depth: depth as u32 });
+            .trace_event(TraceEventKind::OpBegin { name: name.clone(), depth: depth as u32 });
     }
     let t0 = ctx.session.elapsed();
-    let result = execute_node_batched_inner(plan, ctx, cfg, depth, sink);
+    let result = shape(plan, ctx, opts, depth, sink);
     if traced {
         ctx.session.flush_io_window();
         ctx.session.trace_event(TraceEventKind::OpEnd {
-            name: plan.synopsis(),
+            name: name.clone(),
             depth: depth as u32,
-            rows: *result.as_ref().unwrap_or(&0),
+            rows: if let Ok(Outcome::Rows(n)) = &result { *n } else { 0 },
         });
     }
-    let rows = result?;
-    ctx.record_op(plan.synopsis(), depth, rows, ctx.session.elapsed() - t0);
+    match result? {
+        Outcome::Rows(rows) => {
+            ctx.record_op(name, depth, rows, ctx.session.elapsed() - t0);
+            Ok(rows)
+        }
+        Outcome::Bail(alt) => {
+            // Nothing is rolled back: the sunk prefix stays on the clock,
+            // recorded under the abandoned operator's label with zero
+            // output.  The replacement is the hedge — there is nothing
+            // left to hedge with — so it runs with switching disabled.
+            ctx.record_op(format!("{name} [abandoned]"), depth, 0, ctx.session.elapsed() - t0);
+            node(&alt, ctx, &RunOpts { controller: None, ..*opts }, depth, sink)
+        }
+    }
+}
+
+/// Run `plan` to completion and materialise its output packed (collection
+/// is charge-free).
+fn materialise(
+    plan: &PlanSpec,
+    ctx: &ExecCtx<'_>,
+    opts: &RunOpts<'_>,
+    depth: usize,
+) -> Result<PackedRows, ExecError> {
+    let mut rows = PackedRows::default();
+    node(plan, ctx, opts, depth, &mut |b| {
+        for i in 0..b.len() {
+            rows.push(b.row(i).values());
+        }
+    })?;
     Ok(rows)
 }
 
-fn execute_node_batched_inner(
+/// Feed `input`'s rows to `push` in row lockstep and return how many were
+/// fed.  Sort and hash aggregation charge per pushed row, and those
+/// charges interleave with the child's production charges, so the subtree
+/// runs at `batch_rows = 1`: each row is pushed before the next is
+/// produced, whatever the batch size of the run.
+fn feed_lockstep(
+    input: &PlanSpec,
+    ctx: &ExecCtx<'_>,
+    opts: &RunOpts<'_>,
+    depth: usize,
+    push: &mut dyn FnMut(&Row),
+) -> Result<u64, ExecError> {
+    let lockstep = RunOpts { batch: ExecConfig::with_batch_rows(1), ..*opts };
+    let mut fed = 0u64;
+    node(input, ctx, &lockstep, depth, &mut |b| {
+        for i in 0..b.len() {
+            fed += 1;
+            push(&b.row(i));
+        }
+    })?;
+    Ok(fed)
+}
+
+/// Re-emit the rows a blocking operator's `finish` produces as batches of
+/// `arity` columns.
+fn emit_rows(
+    arity: usize,
+    opts: &RunOpts<'_>,
+    sink: &mut dyn FnMut(&RowBatch),
+    finish: impl FnOnce(&mut dyn FnMut(&Row)) -> u64,
+) -> u64 {
+    let identity: Vec<usize> = (0..arity).collect();
+    let mut emitter = BatchEmitter::new(arity, opts.batch.batch_rows);
+    let produced =
+        finish(&mut |row| emitter.push_projected_slice(row.values(), &identity, sink));
+    emitter.flush(sink);
+    produced
+}
+
+/// The interpreter proper: one arm per plan shape.  Every charge a plan
+/// makes is issued here or in the operator the arm calls, in an order
+/// that does not depend on `opts`; checkpoints sit between the charge
+/// that produced a materialisation and the charge that consumes it.
+fn shape(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
-    cfg: &ExecConfig,
+    opts: &RunOpts<'_>,
     depth: usize,
     sink: &mut dyn FnMut(&RowBatch),
-) -> Result<u64, ExecError> {
+) -> Result<Outcome, ExecError> {
+    let cfg = &opts.batch;
     let rows = match plan {
         PlanSpec::TableScan { table, pred, project } => {
-            ops::table_scan::run_batched(ctx.db.table(*table), pred, project, cfg, ctx.session, sink)
+            ops::table_scan::run(ctx.db.table(*table), pred, project, cfg, ctx.session, sink)
         }
         PlanSpec::IndexFetch { scan, key_filter, fetch, residual, project } => {
             let index = ctx.db.index(scan.index);
@@ -521,12 +377,18 @@ fn execute_node_batched_inner(
                 ctx.session,
                 AccessKind::Sequential,
             );
+            let mut fetch_eff = *fetch;
+            match observe(ctx, opts.controller, CheckpointKind::RidFeed, rids.len() as u64) {
+                SwitchDirective::SwitchFetch(f) => fetch_eff = f,
+                SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
+                _ => {}
+            }
             let heap = &ctx.db.table(index.table).heap;
-            run_fetch_batched(heap, rids, fetch, residual, project, cfg, ctx, sink)?
+            ops::fetch::run(heap, rids, &fetch_eff, residual, project, cfg, ctx.session, sink)?
         }
         PlanSpec::CoveringIndexScan { scan, residual, project } => {
             let index = ctx.db.index(scan.index);
-            ops::index_scan::run_covering_batched(
+            ops::index_scan::run_covering(
                 index,
                 &scan.range,
                 residual,
@@ -537,7 +399,43 @@ fn execute_node_batched_inner(
             )
         }
         PlanSpec::Mdam { index, col_ranges, project } => {
-            ops::mdam::run_batched(ctx.db.index(*index), col_ranges, project, cfg, ctx.session, sink)?
+            let idx = ctx.db.index(*index);
+            let proj = project.resolve(idx.tree.key_arity());
+            let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
+            if opts.controller.is_none() {
+                // Nobody can abandon the scan: stream, hold nothing.
+                ops::mdam::run(idx, col_ranges, ctx.session, &mut |key| {
+                    emitter.push_projected_slice(key.values(), &proj, sink);
+                    true
+                })?;
+            } else {
+                // Hold the output back (charge-free, like every emission)
+                // so a bail discards it instead of duplicating rows ahead
+                // of the fallback plan's own output.
+                let mut held = PackedRows::default();
+                let mut alt: Option<PlanSpec> = None;
+                ops::mdam::run(idx, col_ranges, ctx.session, &mut |key| {
+                    held.push(key.values());
+                    let n = held.len() as u64;
+                    if n.is_power_of_two() {
+                        if let SwitchDirective::Bail(a) =
+                            observe(ctx, opts.controller, CheckpointKind::ScanOut, n)
+                        {
+                            alt = Some(a);
+                            return false;
+                        }
+                    }
+                    true
+                })?;
+                if let Some(a) = alt {
+                    return Ok(Outcome::Bail(a));
+                }
+                for i in 0..held.len() {
+                    emitter.push_projected_slice(held.row(i), &proj, sink);
+                }
+            }
+            emitter.flush(sink);
+            emitter.produced()
         }
         PlanSpec::IndexIntersect { left, right, algo, fetch, residual, project } => {
             let li = ctx.db.index(left.index);
@@ -549,11 +447,41 @@ fn execute_node_batched_inner(
             }
             let lrids =
                 ops::index_scan::collect_rids(li, &left.range, ctx.session, AccessKind::Sequential);
+            if let SwitchDirective::Bail(alt) = observe(
+                ctx,
+                opts.controller,
+                CheckpointKind::IntersectFeed { right: false },
+                lrids.len() as u64,
+            ) {
+                return Ok(Outcome::Bail(alt));
+            }
             let rrids =
                 ops::index_scan::collect_rids(ri, &right.range, ctx.session, AccessKind::Sequential);
-            let surviving = ops::rid_join::intersect_rids(lrids, rrids, *algo, ctx);
+            let mut algo_eff = *algo;
+            match observe(
+                ctx,
+                opts.controller,
+                CheckpointKind::IntersectFeed { right: true },
+                rrids.len() as u64,
+            ) {
+                SwitchDirective::SwitchIntersect(a) => algo_eff = a,
+                SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
+                _ => {}
+            }
+            let surviving = ops::rid_join::intersect_rids(lrids, rrids, algo_eff, ctx);
+            let mut fetch_eff = *fetch;
+            match observe(
+                ctx,
+                opts.controller,
+                CheckpointKind::IntersectOut,
+                surviving.len() as u64,
+            ) {
+                SwitchDirective::SwitchFetch(f) => fetch_eff = f,
+                SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
+                _ => {}
+            }
             let heap = &ctx.db.table(li.table).heap;
-            run_fetch_batched(heap, surviving, fetch, residual, project, cfg, ctx, sink)?
+            ops::fetch::run(heap, surviving, &fetch_eff, residual, project, cfg, ctx.session, sink)?
         }
         PlanSpec::CoveringRidJoin { left, right, algo, project } => {
             let li = ctx.db.index(left.index);
@@ -563,40 +491,68 @@ fn execute_node_batched_inner(
             }
             let lentries =
                 ops::index_scan::collect_entries(li, &left.range, ctx.session, AccessKind::Sequential);
+            if let SwitchDirective::Bail(alt) = observe(
+                ctx,
+                opts.controller,
+                CheckpointKind::IntersectFeed { right: false },
+                lentries.len() as u64,
+            ) {
+                return Ok(Outcome::Bail(alt));
+            }
             let rentries =
                 ops::index_scan::collect_entries(ri, &right.range, ctx.session, AccessKind::Sequential);
+            let mut algo_eff = *algo;
+            match observe(
+                ctx,
+                opts.controller,
+                CheckpointKind::IntersectFeed { right: true },
+                rentries.len() as u64,
+            ) {
+                SwitchDirective::SwitchIntersect(a) => algo_eff = a,
+                SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
+                _ => {}
+            }
             let proj = project.resolve(li.tree.key_arity() + ri.tree.key_arity());
             let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
-            ops::rid_join::covering_join(lentries, rentries, *algo, ctx, &mut |row| {
+            ops::rid_join::covering_join(lentries, rentries, algo_eff, ctx, &mut |row| {
                 emitter.push_projected_slice(row.values(), &proj, sink);
             });
             emitter.flush(sink);
             emitter.produced()
         }
         PlanSpec::Join { left, right, left_key, right_key, algo, memory_bytes, project } => {
-            // Children run batched; the join joins materialised inputs, so
-            // accumulating their batches into packed rows is the row
-            // path's sink in columnar clothing (both are charge-free).
-            let mut lrows = PackedRows::default();
-            execute_node_batched(left, ctx, cfg, depth + 1, &mut |b| {
-                for i in 0..b.len() {
-                    lrows.push(b.row(i).values());
-                }
-            })?;
-            let mut rrows = PackedRows::default();
-            execute_node_batched(right, ctx, cfg, depth + 1, &mut |b| {
-                for i in 0..b.len() {
-                    rrows.push(b.row(i).values());
-                }
-            })?;
+            // The left input always materialises first; which checkpoint
+            // it is depends on the planned build side.
+            let build_left = match algo {
+                JoinAlgo::SortMerge => true,
+                JoinAlgo::Hash { build_left } => *build_left,
+            };
+            let (first, second) = if build_left {
+                (CheckpointKind::JoinBuild, CheckpointKind::JoinProbe)
+            } else {
+                (CheckpointKind::JoinProbe, CheckpointKind::JoinBuild)
+            };
+            let lrows = materialise(left, ctx, opts, depth + 1)?;
+            if let SwitchDirective::Bail(alt) =
+                observe(ctx, opts.controller, first, lrows.len() as u64)
+            {
+                return Ok(Outcome::Bail(alt));
+            }
+            let rrows = materialise(right, ctx, opts, depth + 1)?;
+            let mut algo_eff = *algo;
+            match observe(ctx, opts.controller, second, rrows.len() as u64) {
+                SwitchDirective::SwitchJoin(a) => algo_eff = a,
+                SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
+                _ => {}
+            }
             let proj =
-                project.resolve(plan_out_arity(left, ctx.db)? + plan_out_arity(right, ctx.db)?);
+                project.resolve(plan_out_arity(left, ctx.db) + plan_out_arity(right, ctx.db));
             let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
             let mut project_sink = |row: &Row| {
                 emitter.push_projected_slice(row.values(), &proj, sink);
             };
-            match algo {
-                crate::plan::JoinAlgo::SortMerge => {
+            match algo_eff {
+                JoinAlgo::SortMerge => {
                     ops::join::sort_merge_join(
                         lrows,
                         rrows,
@@ -607,8 +563,8 @@ fn execute_node_batched_inner(
                         &mut project_sink,
                     )?;
                 }
-                crate::plan::JoinAlgo::Hash { build_left } => {
-                    let (b, p, bk, pk, swap) = if *build_left {
+                JoinAlgo::Hash { build_left } => {
+                    let (b, p, bk, pk, swap) = if build_left {
                         (lrows, rrows, *left_key, *right_key, false)
                     } else {
                         (rrows, lrows, *right_key, *left_key, true)
@@ -620,7 +576,7 @@ fn execute_node_batched_inner(
             emitter.produced()
         }
         PlanSpec::ParallelTableScan { table, pred, project, dop, skew_permille } => {
-            ops::parallel_scan::run_batched(
+            ops::parallel_scan::run(
                 ctx.db.table(*table),
                 pred,
                 project,
@@ -634,16 +590,13 @@ fn execute_node_batched_inner(
         PlanSpec::Sort { input, key_cols, mode, memory_bytes } => {
             let mut sorter =
                 ops::sort::ExternalSorter::new(ctx, key_cols.clone(), *mode, *memory_bytes);
-            // Row-lockstep input edge (see the function doc).
-            execute_node(input, ctx, depth + 1, &mut |row| sorter.push(row))?;
-            let arity = plan_out_arity(input, ctx.db)?;
-            let identity: Vec<usize> = (0..arity).collect();
-            let mut emitter = BatchEmitter::new(arity, cfg.batch_rows);
-            let produced = sorter.finish(&mut |row| {
-                emitter.push_projected_slice(row.values(), &identity, sink);
-            });
-            emitter.flush(sink);
-            produced
+            let fed = feed_lockstep(input, ctx, opts, depth + 1, &mut |row| sorter.push(row))?;
+            // Observe-only: once the sorter holds the input there is nothing
+            // downstream to re-plan, so directives are not acted upon.
+            if let Some(ctrl) = opts.controller {
+                let _ = ctrl.decide(&Observation { kind: CheckpointKind::SortInput, rows: fed });
+            }
+            emit_rows(plan_out_arity(input, ctx.db), opts, sink, |out| sorter.finish(out))
         }
         PlanSpec::HashAgg { input, group_cols, aggs, mode, memory_bytes } => {
             let mut agg = ops::agg::HashAggregator::new(
@@ -653,19 +606,15 @@ fn execute_node_batched_inner(
                 *mode,
                 *memory_bytes,
             );
-            // Row-lockstep input edge (see the function doc).
-            execute_node(input, ctx, depth + 1, &mut |row| agg.push(row))?;
-            let arity = group_cols.len() + aggs.len();
-            let identity: Vec<usize> = (0..arity).collect();
-            let mut emitter = BatchEmitter::new(arity, cfg.batch_rows);
-            let produced = agg.finish(&mut |row| {
-                emitter.push_projected_slice(row.values(), &identity, sink);
-            });
-            emitter.flush(sink);
-            produced
+            let fed = feed_lockstep(input, ctx, opts, depth + 1, &mut |row| agg.push(row))?;
+            // Observe-only, as for Sort.
+            if let Some(ctrl) = opts.controller {
+                let _ = ctrl.decide(&Observation { kind: CheckpointKind::AggInput, rows: fed });
+            }
+            emit_rows(group_cols.len() + aggs.len(), opts, sink, |out| agg.finish(out))
         }
     };
-    Ok(rows)
+    Ok(Outcome::Rows(rows))
 }
 
 #[cfg(test)]
@@ -673,8 +622,9 @@ mod tests {
     use super::*;
     use crate::expr::ColRange;
     use crate::ops::testutil::demo_db;
+    use crate::expr::Predicate;
     use crate::plan::{
-        AggFn, ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, KeyRange, Projection, SpillMode,
+        AggFn, FetchKind, ImprovedFetchConfig, IntersectAlgo, KeyRange, Projection, SpillMode,
     };
 
     /// Two contexts spilling against one shared pool must never receive
@@ -756,7 +706,7 @@ mod tests {
         for plan in &plans {
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (stats, rows) = execute_collect(plan, &ctx).unwrap();
+            let (stats, rows) = run_collect(plan, &ctx, RunOpts::default()).unwrap();
             let mut rows: Vec<Vec<i64>> = rows.iter().map(|r| r.values().to_vec()).collect();
             rows.sort();
             assert_eq!(stats.rows_out as usize, rows.len());
@@ -773,7 +723,7 @@ mod tests {
             residual: Predicate::single(ColRange::at_most(1, cb)),
             project: Projection::All,
         };
-        let (stats, _) = execute_collect(&covering, &ctx).unwrap();
+        let (stats, _) = run_collect(&covering, &ctx, RunOpts::default()).unwrap();
         assert_eq!(stats.rows_out as usize, reference.unwrap().len());
         // MDAM over the same index agrees too.
         let mdam = PlanSpec::Mdam {
@@ -782,7 +732,7 @@ mod tests {
             project: Projection::All,
         };
         let ctx2 = ExecCtx::new(&db, &s, 1 << 20);
-        let (mstats, _) = execute_collect(&mdam, &ctx2).unwrap();
+        let (mstats, _) = run_collect(&mdam, &ctx2, RunOpts::default()).unwrap();
         assert_eq!(mstats.rows_out, stats.rows_out);
     }
 
@@ -801,7 +751,7 @@ mod tests {
         };
         let s = Session::with_pool_pages(256);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (stats, rows) = execute_collect(&plan, &ctx).unwrap();
+        let (stats, rows) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
         assert_eq!(stats.rows_out, 100);
         // Verify against the base table: c = 7 * row_number and matches a.
         let truth: std::collections::BTreeSet<(i64, i64)> = {
@@ -835,7 +785,7 @@ mod tests {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (stats, rows) = execute_collect(&plan, &ctx).unwrap();
+        let (stats, rows) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
         assert_eq!(stats.rows_out, 512);
         assert!(rows.windows(2).all(|w| w[0].get(0) <= w[1].get(0)));
         // Two operators recorded: Sort and its child TableScan.
@@ -860,7 +810,7 @@ mod tests {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (_, rows) = execute_collect(&plan, &ctx).unwrap();
+        let (_, rows) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].values(), &[1000, 999]);
     }
@@ -878,7 +828,7 @@ mod tests {
         s.charge_rows(1_000_000);
         let before = s.elapsed();
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let stats = execute_count(&plan, &ctx).unwrap();
+        let stats = run_count(&plan, &ctx, RunOpts::default()).unwrap();
         assert_eq!(stats.rows_out, 256);
         assert!((stats.seconds - (s.elapsed() - before)).abs() < 1e-12);
         assert_eq!(stats.io.cpu_rows, 256);
@@ -905,6 +855,63 @@ mod tests {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        assert!(matches!(execute_count(&plan, &ctx), Err(ExecError::BadPlan(_))));
+        assert!(matches!(run_count(&plan, &ctx, RunOpts::default()), Err(ExecError::BadPlan(_))));
+    }
+
+    /// Per-run bookkeeping must not leak across runs on one context: not
+    /// the operator records of a run that failed half-way, not the spill
+    /// flag of a run that spilled.
+    #[test]
+    fn a_reused_context_starts_every_run_clean() {
+        let (mut db, t1) = demo_db(512);
+        let schema = robustmap_storage::Schema::new(vec![("x", robustmap_storage::ColumnType::Int)]);
+        let t2 = db.create_table("other", schema);
+        db.insert_row(t2, &Row::from_slice(&[0])).unwrap();
+        let i1 = db.create_index("i1", t1, &[0]).unwrap();
+        let i2 = db.create_index("i2", t2, &[0]).unwrap();
+        let scan = PlanSpec::TableScan {
+            table: t1,
+            pred: Predicate::always_true(),
+            project: Projection::All,
+        };
+        let s = Session::with_pool_pages(64);
+        let ctx = ExecCtx::new(&db, &s, 1 << 20);
+
+        // Fails in the right child, after the left child recorded itself.
+        let failing = PlanSpec::Join {
+            left: Box::new(scan.clone()),
+            right: Box::new(PlanSpec::IndexIntersect {
+                left: IndexRangeSpec { index: i1, range: KeyRange::full(1) },
+                right: IndexRangeSpec { index: i2, range: KeyRange::full(1) },
+                algo: IntersectAlgo::MergeJoin,
+                fetch: FetchKind::Traditional,
+                residual: Predicate::always_true(),
+                project: Projection::All,
+            }),
+            left_key: 0,
+            right_key: 0,
+            algo: JoinAlgo::SortMerge,
+            memory_bytes: 1 << 20,
+            project: Projection::All,
+        };
+        assert!(matches!(
+            run_count(&failing, &ctx, RunOpts::default()),
+            Err(ExecError::BadPlan(_))
+        ));
+
+        let spilling = PlanSpec::Sort {
+            input: Box::new(scan.clone()),
+            key_cols: vec![1],
+            mode: SpillMode::Abrupt,
+            memory_bytes: 4096,
+        };
+        let stats = run_count(&spilling, &ctx, RunOpts::default()).unwrap();
+        assert!(stats.spilled);
+        assert_eq!(stats.operators.len(), 2, "the failed run's records leaked");
+
+        let stats = run_count(&scan, &ctx, RunOpts::default()).unwrap();
+        assert_eq!(stats.operators.len(), 1);
+        assert_eq!(stats.operators[0].label, scan.synopsis());
+        assert!(!stats.spilled, "the previous run's spill flag leaked");
     }
 }

@@ -140,55 +140,13 @@ impl Predicate {
         ok
     }
 
-    /// Evaluate a whole batch into a selection bitmap, branch-free, then
-    /// replay [`Predicate::eval`]'s charges row by row.
+    /// Evaluate a whole batch into a selection bitmap, branch-free and
+    /// without any charges (the parallel-scan workers charge per row under
+    /// their own model).
     ///
     /// `term_cols[i]` holds the values of `terms()[i]`'s column for every
     /// row in the batch (column-major, so `term_cols.len() == terms().len()`
-    /// and each inner slice has length `n`).  The bitmap pass runs without
-    /// conditional jumps in the row loop; the charge pass then issues one
-    /// `charge_compares(examined_i)` per row where `examined_i` counts the
-    /// terms a short-circuiting evaluator would have looked at — which is
-    /// `1 + number of leading satisfied terms` capped at the term count,
-    /// recovered from the per-term bitmaps without re-evaluating anything.
-    /// Rows with zero terms charge nothing, exactly like `eval`.
-    pub fn eval_batch(
-        &self,
-        term_cols: &[&[i64]],
-        n: usize,
-        session: &Session,
-        sel: &mut crate::batch::Selection,
-    ) -> u64 {
-        debug_assert_eq!(term_cols.len(), self.terms.len());
-        sel.reset_ones(n);
-        if self.terms.is_empty() || n == 0 {
-            return 0;
-        }
-        // `examined[i]` counts terms a short-circuit evaluator inspects for
-        // row i: a term is inspected iff every earlier term passed.
-        let mut examined = vec![0u8; n];
-        let mut alive = vec![1u8; n];
-        for (t, col) in self.terms.iter().zip(term_cols) {
-            debug_assert_eq!(col.len(), n);
-            for i in 0..n {
-                let v = col[i];
-                let pass = (t.lo <= v) & (v <= t.hi);
-                examined[i] += alive[i];
-                sel.mask(i, pass);
-                alive[i] &= pass as u8;
-            }
-        }
-        let mut total = 0u64;
-        for &e in &examined {
-            // Every row examines at least the first term, so e >= 1 here.
-            session.charge_compares(u64::from(e));
-            total += u64::from(e);
-        }
-        total
-    }
-
-    /// The bitmap pass of [`Predicate::eval_batch`] without any charges
-    /// (the parallel-scan workers charge per row under their own model).
+    /// and each inner slice has length `n`).
     pub fn eval_batch_free(
         &self,
         term_cols: &[&[i64]],
@@ -305,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_batch_matches_eval_rows_and_charges() {
+    fn eval_batch_free_matches_eval_free() {
         use crate::batch::Selection;
         let p = Predicate::all_of(vec![
             ColRange::at_most(0, 10),
@@ -318,25 +276,13 @@ mod tests {
         let c1: Vec<i64> = rows.iter().map(|r| r[1]).collect();
         // terms: col0, col1, col0 again.
         let term_cols: Vec<&[i64]> = vec![&c0, &c1, &c0];
-        let row_s = quiet();
-        let batch_s = quiet();
         let mut sel = Selection::new();
-        p.eval_batch(&term_cols, rows.len(), &batch_s, &mut sel);
+        p.eval_batch_free(&term_cols, rows.len(), &mut sel);
         for (i, r) in rows.iter().enumerate() {
-            assert_eq!(sel.get(i), p.eval(&row(r), &row_s), "row {i}");
+            assert_eq!(sel.get(i), p.eval_free(&row(r)), "row {i}");
         }
-        assert_eq!(batch_s.stats().cpu_compares, row_s.stats().cpu_compares);
-        // eval_batch_free agrees on the bitmap.
-        let mut free = Selection::new();
-        p.eval_batch_free(&term_cols, rows.len(), &mut free);
-        for i in 0..rows.len() {
-            assert_eq!(free.get(i), sel.get(i));
-        }
-        // Empty batch and empty predicate charge nothing.
-        let s = quiet();
-        assert_eq!(p.eval_batch(&term_cols.iter().map(|c| &c[..0]).collect::<Vec<_>>(), 0, &s, &mut sel), 0);
-        assert_eq!(Predicate::always_true().eval_batch(&[], 3, &s, &mut sel), 0);
-        assert_eq!(s.stats().cpu_compares, 0);
+        // An empty predicate selects everything.
+        Predicate::always_true().eval_batch_free(&[], 3, &mut sel);
         assert_eq!(sel.count(), 3);
     }
 

@@ -26,19 +26,20 @@
 //! * [`ops::parallel_scan`] — parallel table scans with a skew knob
 //!   (critical-path timing, summed work).
 //!
-//! Plans are described by [`plan::PlanSpec`] trees and executed by
-//! [`exec::execute`], which pushes rows into a caller-provided sink and
-//! charges all work to a [`robustmap_storage::Session`].  A vectorized
-//! twin, [`exec::execute_batched`], runs the same plans over columnar
-//! [`batch::RowBatch`] chunks with bit-identical simulated charges (see
-//! [`batch`] for the equivalence rules).
+//! Plans are described by [`plan::PlanSpec`] trees and executed by the one
+//! interpreter, [`exec::run`] (with [`exec::run_count`] and
+//! [`exec::run_collect`] as sink adapters), which pushes columnar
+//! [`batch::RowBatch`] chunks into a caller-provided sink and charges all
+//! work to a [`robustmap_storage::Session`].  [`exec::RunOpts`] picks the
+//! batch size — never observable on the simulated clock, see [`batch`] —
+//! and, optionally, a controller.
 //!
-//! An adaptive layer, [`ops::adaptive`], threads cardinality checkpoints
-//! through both executors: at every materialization point the exact
-//! observed row count is reported to a [`ops::adaptive::SwitchController`],
-//! which may swap the remaining operator choice or bail to a replacement
-//! plan mid-flight.  With switching disabled the adaptive executors are
-//! bit-identical to the static ones (`tests/adaptive_equivalence.rs`).
+//! With a controller, the cardinality checkpoints of [`ops::adaptive`] are
+//! armed: at every materialization point the exact observed row count is
+//! reported to a [`ops::adaptive::SwitchController`], which may swap the
+//! remaining operator choice or bail to a replacement plan mid-flight.  A
+//! controller that never switches is bit-identical to running without one
+//! (`tests/adaptive_equivalence.rs`).
 
 pub mod batch;
 pub mod exec;
@@ -48,14 +49,11 @@ pub mod plan;
 
 pub use batch::{BatchEmitter, ExecConfig, RowBatch, Selection};
 pub use exec::{
-    execute, execute_batched, execute_collect, execute_collect_batched, execute_count,
-    execute_count_batched, ExecCtx, ExecError, ExecStats, OpStats,
+    run, run_collect, run_count, ExecCtx, ExecError, ExecStats, OpStats, RunOpts,
 };
 pub use expr::{ColRange, Predicate};
 pub use ops::adaptive::{
-    execute_adaptive, execute_adaptive_batched, execute_adaptive_collect,
-    execute_adaptive_collect_batched, execute_adaptive_count, execute_adaptive_count_batched,
-    AdaptiveStats, NeverSwitch, Observation, SwitchController, SwitchDirective, SwitchEvent,
+    NeverSwitch, Observation, SwitchController, SwitchDirective, SwitchEvent,
 };
 pub use plan::{
     AggFn, CheckpointKind, FetchKind, ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, JoinAlgo,

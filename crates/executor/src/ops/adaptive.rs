@@ -2,29 +2,40 @@
 //!
 //! The paper's thesis (§1) is that compile-time plan choice inevitably goes
 //! wrong and run-time techniques must absorb the estimation error.  This
-//! module is that run-time layer: [`execute_adaptive`] runs a plan exactly
-//! like [`crate::exec::execute`], but at every *materialization point* —
-//! a collected rid list, an intersection feed or output, a join input, a
-//! sort or aggregation input — it pauses to report the **exact** observed
-//! cardinality to a [`SwitchController`] before the downstream work that
-//! depends on it has been paid for.  The controller may answer with a
-//! [`SwitchDirective`]: keep going, swap the remaining operator choice
-//! (fetch discipline, intersection algorithm, join algorithm), or bail out
-//! to a replacement plan (typically the choice-free MDAM plan).
+//! module is the vocabulary of that run-time layer.  [`crate::exec::run`]
+//! with a `controller` runs a plan exactly like a static run, but at every
+//! *materialization point* — a collected rid list, an intersection feed or
+//! output, a join input, a sort or aggregation input — it pauses to report
+//! the **exact** observed cardinality to the [`SwitchController`] before
+//! the downstream work that depends on it has been paid for.  The
+//! controller may answer with a [`SwitchDirective`]: keep going, swap the
+//! remaining operator choice (fetch discipline, intersection algorithm,
+//! join algorithm), or bail out to a replacement plan (typically the
+//! choice-free MDAM plan).
 //!
 //! # The no-switch equivalence argument
 //!
-//! Observation is free: counting rows that the static executor materialises
+//! Observation is free: counting rows that a static run materialises
 //! anyway issues no charge on the simulated clock, touches no page, and
-//! moves no data.  Every arm below replays the *same* charge calls in the
-//! *same order* as its twin in [`crate::exec`], with the checkpoint wedged
-//! between the charge that produced the materialisation and the charge that
-//! consumes it.  Consequently, when the controller always answers
-//! [`SwitchDirective::Continue`] (e.g. [`NeverSwitch`], or a real policy
-//! whose thresholds never trip), the adaptive executor is **bit-identical**
-//! to the static one — same `SimClock` bits, same `IoStats`, same per-op
-//! stats, same output rows.  `tests/adaptive_equivalence.rs` pins this
-//! across the plan catalog, batch sizes, and both executors.
+//! moves no data.  There is one interpreter, and a checkpoint is a wedge
+//! inside the single arm of each plan shape, between the charge that
+//! produced the materialisation and the charge that consumes it — so the
+//! charge sequence cannot depend on whether a controller is present.
+//! When the controller always answers [`SwitchDirective::Continue`] (e.g.
+//! [`NeverSwitch`], or a real policy whose thresholds never trip), the run
+//! is **bit-identical** to `controller: None` — same `SimClock` bits, same
+//! `IoStats`, same per-op stats, same output rows.
+//! `tests/adaptive_equivalence.rs` pins this across the plan catalog and
+//! batch sizes.
+//!
+//! The one shape whose *emission* differs is MDAM, whose checkpoints fire
+//! mid-scan: under a controller its output is held back until the scan is
+//! past its last possible bail point, so a bail discards it.  Emission is
+//! charge-free, so the MDAM operator's own charges are unaffected — but a
+//! Sort or HashAgg directly above a controlled MDAM receives its input
+//! after the scan instead of interleaved with it.  A static run streams:
+//! holding a whole scan's output back in every map cell would cost memory
+//! for nothing.
 //!
 //! # Switch-cost accounting
 //!
@@ -38,18 +49,9 @@
 //! never less: adaptivity pays for its mistakes in the same currency the
 //! robustness maps measure.
 
-use std::cell::RefCell;
-
-use robustmap_storage::{AccessKind, Row};
-
-use crate::batch::{BatchEmitter, ExecConfig, RowBatch};
-use crate::exec::{
-    execute_node, execute_node_batched, plan_out_arity, run_fetch, run_fetch_batched, ExecCtx,
-    ExecError, ExecStats,
-};
-use crate::ops;
-use crate::ops::sort::PackedRows;
 use robustmap_obs::trace::TraceEventKind;
+
+use crate::exec::ExecCtx;
 use crate::plan::{algo_name, fetch_name, CheckpointKind, FetchKind, IntersectAlgo, JoinAlgo,
     PlanSpec};
 
@@ -142,109 +144,6 @@ pub struct SwitchEvent {
     pub action: String,
 }
 
-/// Summary of one adaptive execution: the usual [`ExecStats`] plus every
-/// switch that actually happened (empty = the run was charge-identical to
-/// the static executor).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveStats {
-    /// The execution summary (same shape as the static executor's).
-    pub exec: ExecStats,
-    /// Acted-upon directives, in firing order.
-    pub switches: Vec<SwitchEvent>,
-}
-
-/// Execute `plan` adaptively on the row path, pushing output rows into
-/// `sink`.  With a controller that never switches this is bit-identical to
-/// [`crate::exec::execute`].
-pub fn execute_adaptive(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    ctrl: &dyn SwitchController,
-    sink: &mut dyn FnMut(&Row),
-) -> Result<AdaptiveStats, ExecError> {
-    let t0 = ctx.session.elapsed();
-    let io0 = ctx.session.stats();
-    let events = RefCell::new(Vec::new());
-    let rows = node(plan, ctx, ctrl, &events, 0, sink)?;
-    let stats = ExecStats {
-        rows_out: rows,
-        seconds: ctx.session.elapsed() - t0,
-        io: ctx.session.stats().since(&io0),
-        spilled: ctx.spilled(),
-        operators: ctx.take_op_stats(),
-    };
-    Ok(AdaptiveStats { exec: stats, switches: events.into_inner() })
-}
-
-/// [`execute_adaptive`], counting and discarding output rows.
-pub fn execute_adaptive_count(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    ctrl: &dyn SwitchController,
-) -> Result<AdaptiveStats, ExecError> {
-    execute_adaptive(plan, ctx, ctrl, &mut |_| {})
-}
-
-/// [`execute_adaptive`], collecting output rows (tests and small results).
-pub fn execute_adaptive_collect(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    ctrl: &dyn SwitchController,
-) -> Result<(AdaptiveStats, Vec<Row>), ExecError> {
-    let mut rows = Vec::new();
-    let stats = execute_adaptive(plan, ctx, ctrl, &mut |r| rows.push(*r))?;
-    Ok((stats, rows))
-}
-
-/// Execute `plan` adaptively on the batch path.  With a controller that
-/// never switches this is bit-identical to [`crate::exec::execute_batched`].
-pub fn execute_adaptive_batched(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    cfg: &ExecConfig,
-    ctrl: &dyn SwitchController,
-    sink: &mut dyn FnMut(&RowBatch),
-) -> Result<AdaptiveStats, ExecError> {
-    let t0 = ctx.session.elapsed();
-    let io0 = ctx.session.stats();
-    let events = RefCell::new(Vec::new());
-    let rows = node_batched(plan, ctx, cfg, ctrl, &events, 0, sink)?;
-    let stats = ExecStats {
-        rows_out: rows,
-        seconds: ctx.session.elapsed() - t0,
-        io: ctx.session.stats().since(&io0),
-        spilled: ctx.spilled(),
-        operators: ctx.take_op_stats(),
-    };
-    Ok(AdaptiveStats { exec: stats, switches: events.into_inner() })
-}
-
-/// Batched [`execute_adaptive_count`].
-pub fn execute_adaptive_count_batched(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    cfg: &ExecConfig,
-    ctrl: &dyn SwitchController,
-) -> Result<AdaptiveStats, ExecError> {
-    execute_adaptive_batched(plan, ctx, cfg, ctrl, &mut |_| {})
-}
-
-/// Batched [`execute_adaptive_collect`].
-pub fn execute_adaptive_collect_batched(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    cfg: &ExecConfig,
-    ctrl: &dyn SwitchController,
-) -> Result<(AdaptiveStats, Vec<Row>), ExecError> {
-    let mut rows = Vec::new();
-    let stats = execute_adaptive_batched(plan, ctx, cfg, ctrl, &mut |b| {
-        for i in 0..b.len() {
-            rows.push(b.row(i));
-        }
-    })?;
-    Ok((stats, rows))
-}
-
 /// Stable name of a checkpoint for trace events.
 fn checkpoint_name(kind: CheckpointKind) -> &'static str {
     match kind {
@@ -259,17 +158,19 @@ fn checkpoint_name(kind: CheckpointKind) -> &'static str {
     }
 }
 
-/// Report one observation and record the directive if it is acted upon.
-/// When the session is traced, every checkpoint emits a (charge-free)
-/// instant event, and an acted-upon directive emits a switch event — the
-/// timeline shows exactly when the cascade fired and when it bailed.
-fn observe(
+/// Report one observation to the run's controller and record the directive
+/// if it is acted upon; a static run (`ctrl` is `None`) continues without
+/// a trace.  When the session is traced, every checkpoint emits a
+/// (charge-free) instant event, and an acted-upon directive emits a switch
+/// event — the timeline shows exactly when the cascade fired and when it
+/// bailed.
+pub(crate) fn observe(
     ctx: &ExecCtx<'_>,
-    ctrl: &dyn SwitchController,
-    events: &RefCell<Vec<SwitchEvent>>,
+    ctrl: Option<&dyn SwitchController>,
     kind: CheckpointKind,
     rows: u64,
 ) -> SwitchDirective {
+    let Some(ctrl) = ctrl else { return SwitchDirective::Continue };
     if ctx.session.is_traced() {
         ctx.session
             .trace_event(TraceEventKind::Checkpoint { kind: checkpoint_name(kind), rows });
@@ -283,594 +184,18 @@ fn observe(
                 action: d.describe(),
             });
         }
-        events.borrow_mut().push(SwitchEvent { at: kind, observed: rows, action: d.describe() });
+        ctx.record_switch(SwitchEvent { at: kind, observed: rows, action: d.describe() });
     }
     d
 }
 
-/// Abandon `abandoned` (its sunk charges recorded under its own label with
-/// zero output) and run `alt` in its place on the row path.
-fn bail(
-    abandoned: &PlanSpec,
-    alt: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    depth: usize,
-    t0: f64,
-    sink: &mut dyn FnMut(&Row),
-) -> Result<u64, ExecError> {
-    ctx.record_op(
-        format!("{} [abandoned]", abandoned.synopsis()),
-        depth,
-        0,
-        ctx.session.elapsed() - t0,
-    );
-    execute_node(alt, ctx, depth, sink)
-}
-
-/// Batched twin of [`bail`].
-fn bail_batched(
-    abandoned: &PlanSpec,
-    alt: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    cfg: &ExecConfig,
-    depth: usize,
-    t0: f64,
-    sink: &mut dyn FnMut(&RowBatch),
-) -> Result<u64, ExecError> {
-    ctx.record_op(
-        format!("{} [abandoned]", abandoned.synopsis()),
-        depth,
-        0,
-        ctx.session.elapsed() - t0,
-    );
-    execute_node_batched(alt, ctx, cfg, depth, sink)
-}
-
-/// The adaptive twin of [`execute_node`].  Checkpointed shapes replay the
-/// static arm's charges with observations wedged between materialisation
-/// and consumption; shapes without an internal materialization point
-/// delegate wholesale (they record their own op stats).
-fn node(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    ctrl: &dyn SwitchController,
-    events: &RefCell<Vec<SwitchEvent>>,
-    depth: usize,
-    sink: &mut dyn FnMut(&Row),
-) -> Result<u64, ExecError> {
-    match plan {
-        PlanSpec::TableScan { .. }
-        | PlanSpec::CoveringIndexScan { .. }
-        | PlanSpec::ParallelTableScan { .. } => return execute_node(plan, ctx, depth, sink),
-        _ => {}
-    }
-    let t0 = ctx.session.elapsed();
-    let rows = match plan {
-        PlanSpec::Mdam { index, col_ranges, project } => {
-            let idx = ctx.db.index(*index);
-            // Hold the output back (charge-free, like every emission) so a
-            // bail discards it instead of duplicating rows ahead of the
-            // fallback plan's own output.
-            let mut held: Vec<Row> = Vec::new();
-            let mut alt: Option<PlanSpec> = None;
-            ops::mdam::run_abortable(idx, col_ranges, ctx.session, &mut |key| {
-                held.push(Row::from_slice(key.values()));
-                let n = held.len() as u64;
-                if n.is_power_of_two() {
-                    if let SwitchDirective::Bail(a) =
-                        observe(ctx, ctrl, events, CheckpointKind::ScanOut, n)
-                    {
-                        alt = Some(a);
-                        return false;
-                    }
-                }
-                true
-            })?;
-            if let Some(a) = alt {
-                drop(held);
-                return bail(plan, &a, ctx, depth, t0, sink);
-            }
-            let mut produced = 0u64;
-            for row in &held {
-                let out = project.apply(row);
-                sink(&out);
-                produced += 1;
-            }
-            produced
-        }
-        PlanSpec::IndexFetch { scan, key_filter, fetch, residual, project } => {
-            let index = ctx.db.index(scan.index);
-            let rids = ops::index_scan::collect_rids_filtered(
-                index,
-                &scan.range,
-                key_filter,
-                ctx.session,
-                AccessKind::Sequential,
-            );
-            let mut fetch_eff = *fetch;
-            match observe(ctx, ctrl, events, CheckpointKind::RidFeed, rids.len() as u64) {
-                SwitchDirective::SwitchFetch(f) => fetch_eff = f,
-                SwitchDirective::Bail(alt) => {
-                    drop(rids);
-                    return bail(plan, &alt, ctx, depth, t0, sink);
-                }
-                _ => {}
-            }
-            let heap = &ctx.db.table(index.table).heap;
-            run_fetch(heap, rids, &fetch_eff, residual, project, ctx, sink)?
-        }
-        PlanSpec::IndexIntersect { left, right, algo, fetch, residual, project } => {
-            let li = ctx.db.index(left.index);
-            let ri = ctx.db.index(right.index);
-            if li.table != ri.table {
-                return Err(ExecError::BadPlan(
-                    "index intersection across different tables".into(),
-                ));
-            }
-            let lrids =
-                ops::index_scan::collect_rids(li, &left.range, ctx.session, AccessKind::Sequential);
-            if let SwitchDirective::Bail(alt) = observe(
-                ctx,
-                ctrl,
-                events,
-                CheckpointKind::IntersectFeed { right: false },
-                lrids.len() as u64,
-            ) {
-                drop(lrids);
-                return bail(plan, &alt, ctx, depth, t0, sink);
-            }
-            let rrids =
-                ops::index_scan::collect_rids(ri, &right.range, ctx.session, AccessKind::Sequential);
-            let mut algo_eff = *algo;
-            match observe(
-                ctx,
-                ctrl,
-                events,
-                CheckpointKind::IntersectFeed { right: true },
-                rrids.len() as u64,
-            ) {
-                SwitchDirective::SwitchIntersect(a) => algo_eff = a,
-                SwitchDirective::Bail(alt) => {
-                    drop((lrids, rrids));
-                    return bail(plan, &alt, ctx, depth, t0, sink);
-                }
-                _ => {}
-            }
-            let surviving = ops::rid_join::intersect_rids(lrids, rrids, algo_eff, ctx);
-            let mut fetch_eff = *fetch;
-            match observe(ctx, ctrl, events, CheckpointKind::IntersectOut, surviving.len() as u64) {
-                SwitchDirective::SwitchFetch(f) => fetch_eff = f,
-                SwitchDirective::Bail(alt) => {
-                    drop(surviving);
-                    return bail(plan, &alt, ctx, depth, t0, sink);
-                }
-                _ => {}
-            }
-            let heap = &ctx.db.table(li.table).heap;
-            run_fetch(heap, surviving, &fetch_eff, residual, project, ctx, sink)?
-        }
-        PlanSpec::CoveringRidJoin { left, right, algo, project } => {
-            let li = ctx.db.index(left.index);
-            let ri = ctx.db.index(right.index);
-            if li.table != ri.table {
-                return Err(ExecError::BadPlan("covering rid join across different tables".into()));
-            }
-            let lentries =
-                ops::index_scan::collect_entries(li, &left.range, ctx.session, AccessKind::Sequential);
-            if let SwitchDirective::Bail(alt) = observe(
-                ctx,
-                ctrl,
-                events,
-                CheckpointKind::IntersectFeed { right: false },
-                lentries.len() as u64,
-            ) {
-                drop(lentries);
-                return bail(plan, &alt, ctx, depth, t0, sink);
-            }
-            let rentries =
-                ops::index_scan::collect_entries(ri, &right.range, ctx.session, AccessKind::Sequential);
-            let mut algo_eff = *algo;
-            match observe(
-                ctx,
-                ctrl,
-                events,
-                CheckpointKind::IntersectFeed { right: true },
-                rentries.len() as u64,
-            ) {
-                SwitchDirective::SwitchIntersect(a) => algo_eff = a,
-                SwitchDirective::Bail(alt) => {
-                    drop((lentries, rentries));
-                    return bail(plan, &alt, ctx, depth, t0, sink);
-                }
-                _ => {}
-            }
-            let mut produced = 0u64;
-            ops::rid_join::covering_join(lentries, rentries, algo_eff, ctx, &mut |row| {
-                let out = project.apply(row);
-                sink(&out);
-                produced += 1;
-            });
-            produced
-        }
-        PlanSpec::Join { left, right, left_key, right_key, algo, memory_bytes, project } => {
-            let build_left = match algo {
-                JoinAlgo::SortMerge => true,
-                JoinAlgo::Hash { build_left } => *build_left,
-            };
-            let (first, second) = if build_left {
-                (CheckpointKind::JoinBuild, CheckpointKind::JoinProbe)
-            } else {
-                (CheckpointKind::JoinProbe, CheckpointKind::JoinBuild)
-            };
-            let mut lrows = PackedRows::default();
-            node(left, ctx, ctrl, events, depth + 1, &mut |r| lrows.push(r.values()))?;
-            if let SwitchDirective::Bail(alt) = observe(ctx, ctrl, events, first, lrows.len() as u64) {
-                drop(lrows);
-                return bail(plan, &alt, ctx, depth, t0, sink);
-            }
-            let mut rrows = PackedRows::default();
-            node(right, ctx, ctrl, events, depth + 1, &mut |r| rrows.push(r.values()))?;
-            let mut algo_eff = *algo;
-            match observe(ctx, ctrl, events, second, rrows.len() as u64) {
-                SwitchDirective::SwitchJoin(a) => algo_eff = a,
-                SwitchDirective::Bail(alt) => {
-                    drop((lrows, rrows));
-                    return bail(plan, &alt, ctx, depth, t0, sink);
-                }
-                _ => {}
-            }
-            let mut produced = 0u64;
-            let mut project_sink = |row: &Row| {
-                let out = project.apply(row);
-                sink(&out);
-                produced += 1;
-            };
-            match algo_eff {
-                JoinAlgo::SortMerge => {
-                    ops::join::sort_merge_join(
-                        lrows,
-                        rrows,
-                        *left_key,
-                        *right_key,
-                        *memory_bytes,
-                        ctx,
-                        &mut project_sink,
-                    )?;
-                }
-                JoinAlgo::Hash { build_left } => {
-                    let (b, p, bk, pk, swap) = if build_left {
-                        (lrows, rrows, *left_key, *right_key, false)
-                    } else {
-                        (rrows, lrows, *right_key, *left_key, true)
-                    };
-                    ops::join::hash_join(b, p, bk, pk, *memory_bytes, swap, ctx, &mut project_sink)?;
-                }
-            }
-            produced
-        }
-        PlanSpec::Sort { input, key_cols, mode, memory_bytes } => {
-            let mut sorter =
-                ops::sort::ExternalSorter::new(ctx, key_cols.clone(), *mode, *memory_bytes);
-            let mut fed = 0u64;
-            node(input, ctx, ctrl, events, depth + 1, &mut |row| {
-                fed += 1;
-                sorter.push(row);
-            })?;
-            // Observe-only: once the sorter holds the input there is nothing
-            // downstream to re-plan, so directives are not acted upon.
-            let _ = ctrl.decide(&Observation { kind: CheckpointKind::SortInput, rows: fed });
-            sorter.finish(sink)
-        }
-        PlanSpec::HashAgg { input, group_cols, aggs, mode, memory_bytes } => {
-            let mut agg = ops::agg::HashAggregator::new(
-                ctx,
-                group_cols.clone(),
-                aggs.clone(),
-                *mode,
-                *memory_bytes,
-            );
-            let mut fed = 0u64;
-            node(input, ctx, ctrl, events, depth + 1, &mut |row| {
-                fed += 1;
-                agg.push(row);
-            })?;
-            // Observe-only, as for Sort.
-            let _ = ctrl.decide(&Observation { kind: CheckpointKind::AggInput, rows: fed });
-            agg.finish(sink)
-        }
-        // Delegated shapes returned above.
-        _ => unreachable!("delegated plan shape reached the checkpointed match"),
-    };
-    ctx.record_op(plan.synopsis(), depth, rows, ctx.session.elapsed() - t0);
-    Ok(rows)
-}
-
-/// The adaptive twin of [`execute_node_batched`]: same delegation and
-/// checkpoint placement as [`node`], with the static batch path's emitters
-/// and (for sort / aggregation) its row-lockstep input edges.
-fn node_batched(
-    plan: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    cfg: &ExecConfig,
-    ctrl: &dyn SwitchController,
-    events: &RefCell<Vec<SwitchEvent>>,
-    depth: usize,
-    sink: &mut dyn FnMut(&RowBatch),
-) -> Result<u64, ExecError> {
-    match plan {
-        PlanSpec::TableScan { .. }
-        | PlanSpec::CoveringIndexScan { .. }
-        | PlanSpec::ParallelTableScan { .. } => {
-            return execute_node_batched(plan, ctx, cfg, depth, sink)
-        }
-        _ => {}
-    }
-    let t0 = ctx.session.elapsed();
-    let rows = match plan {
-        PlanSpec::Mdam { index, col_ranges, project } => {
-            let idx = ctx.db.index(*index);
-            // Output held back until the scan is past its last possible
-            // bail point, as in the row path.
-            let mut held: Vec<Row> = Vec::new();
-            let mut alt: Option<PlanSpec> = None;
-            ops::mdam::run_abortable(idx, col_ranges, ctx.session, &mut |key| {
-                held.push(Row::from_slice(key.values()));
-                let n = held.len() as u64;
-                if n.is_power_of_two() {
-                    if let SwitchDirective::Bail(a) =
-                        observe(ctx, ctrl, events, CheckpointKind::ScanOut, n)
-                    {
-                        alt = Some(a);
-                        return false;
-                    }
-                }
-                true
-            })?;
-            if let Some(a) = alt {
-                drop(held);
-                return bail_batched(plan, &a, ctx, cfg, depth, t0, sink);
-            }
-            let proj = project.resolve(idx.tree.key_arity());
-            let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
-            for row in &held {
-                emitter.push_projected_slice(row.values(), &proj, sink);
-            }
-            emitter.flush(sink);
-            emitter.produced()
-        }
-        PlanSpec::IndexFetch { scan, key_filter, fetch, residual, project } => {
-            let index = ctx.db.index(scan.index);
-            let rids = ops::index_scan::collect_rids_filtered(
-                index,
-                &scan.range,
-                key_filter,
-                ctx.session,
-                AccessKind::Sequential,
-            );
-            let mut fetch_eff = *fetch;
-            match observe(ctx, ctrl, events, CheckpointKind::RidFeed, rids.len() as u64) {
-                SwitchDirective::SwitchFetch(f) => fetch_eff = f,
-                SwitchDirective::Bail(alt) => {
-                    drop(rids);
-                    return bail_batched(plan, &alt, ctx, cfg, depth, t0, sink);
-                }
-                _ => {}
-            }
-            let heap = &ctx.db.table(index.table).heap;
-            run_fetch_batched(heap, rids, &fetch_eff, residual, project, cfg, ctx, sink)?
-        }
-        PlanSpec::IndexIntersect { left, right, algo, fetch, residual, project } => {
-            let li = ctx.db.index(left.index);
-            let ri = ctx.db.index(right.index);
-            if li.table != ri.table {
-                return Err(ExecError::BadPlan(
-                    "index intersection across different tables".into(),
-                ));
-            }
-            let lrids =
-                ops::index_scan::collect_rids(li, &left.range, ctx.session, AccessKind::Sequential);
-            if let SwitchDirective::Bail(alt) = observe(
-                ctx,
-                ctrl,
-                events,
-                CheckpointKind::IntersectFeed { right: false },
-                lrids.len() as u64,
-            ) {
-                drop(lrids);
-                return bail_batched(plan, &alt, ctx, cfg, depth, t0, sink);
-            }
-            let rrids =
-                ops::index_scan::collect_rids(ri, &right.range, ctx.session, AccessKind::Sequential);
-            let mut algo_eff = *algo;
-            match observe(
-                ctx,
-                ctrl,
-                events,
-                CheckpointKind::IntersectFeed { right: true },
-                rrids.len() as u64,
-            ) {
-                SwitchDirective::SwitchIntersect(a) => algo_eff = a,
-                SwitchDirective::Bail(alt) => {
-                    drop((lrids, rrids));
-                    return bail_batched(plan, &alt, ctx, cfg, depth, t0, sink);
-                }
-                _ => {}
-            }
-            let surviving = ops::rid_join::intersect_rids(lrids, rrids, algo_eff, ctx);
-            let mut fetch_eff = *fetch;
-            match observe(ctx, ctrl, events, CheckpointKind::IntersectOut, surviving.len() as u64) {
-                SwitchDirective::SwitchFetch(f) => fetch_eff = f,
-                SwitchDirective::Bail(alt) => {
-                    drop(surviving);
-                    return bail_batched(plan, &alt, ctx, cfg, depth, t0, sink);
-                }
-                _ => {}
-            }
-            let heap = &ctx.db.table(li.table).heap;
-            run_fetch_batched(heap, surviving, &fetch_eff, residual, project, cfg, ctx, sink)?
-        }
-        PlanSpec::CoveringRidJoin { left, right, algo, project } => {
-            let li = ctx.db.index(left.index);
-            let ri = ctx.db.index(right.index);
-            if li.table != ri.table {
-                return Err(ExecError::BadPlan("covering rid join across different tables".into()));
-            }
-            let lentries =
-                ops::index_scan::collect_entries(li, &left.range, ctx.session, AccessKind::Sequential);
-            if let SwitchDirective::Bail(alt) = observe(
-                ctx,
-                ctrl,
-                events,
-                CheckpointKind::IntersectFeed { right: false },
-                lentries.len() as u64,
-            ) {
-                drop(lentries);
-                return bail_batched(plan, &alt, ctx, cfg, depth, t0, sink);
-            }
-            let rentries =
-                ops::index_scan::collect_entries(ri, &right.range, ctx.session, AccessKind::Sequential);
-            let mut algo_eff = *algo;
-            match observe(
-                ctx,
-                ctrl,
-                events,
-                CheckpointKind::IntersectFeed { right: true },
-                rentries.len() as u64,
-            ) {
-                SwitchDirective::SwitchIntersect(a) => algo_eff = a,
-                SwitchDirective::Bail(alt) => {
-                    drop((lentries, rentries));
-                    return bail_batched(plan, &alt, ctx, cfg, depth, t0, sink);
-                }
-                _ => {}
-            }
-            let proj = project.resolve(li.tree.key_arity() + ri.tree.key_arity());
-            let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
-            ops::rid_join::covering_join(lentries, rentries, algo_eff, ctx, &mut |row| {
-                emitter.push_projected_slice(row.values(), &proj, sink);
-            });
-            emitter.flush(sink);
-            emitter.produced()
-        }
-        PlanSpec::Join { left, right, left_key, right_key, algo, memory_bytes, project } => {
-            let build_left = match algo {
-                JoinAlgo::SortMerge => true,
-                JoinAlgo::Hash { build_left } => *build_left,
-            };
-            let (first, second) = if build_left {
-                (CheckpointKind::JoinBuild, CheckpointKind::JoinProbe)
-            } else {
-                (CheckpointKind::JoinProbe, CheckpointKind::JoinBuild)
-            };
-            let mut lrows = PackedRows::default();
-            node_batched(left, ctx, cfg, ctrl, events, depth + 1, &mut |b| {
-                for i in 0..b.len() {
-                    lrows.push(b.row(i).values());
-                }
-            })?;
-            if let SwitchDirective::Bail(alt) = observe(ctx, ctrl, events, first, lrows.len() as u64) {
-                drop(lrows);
-                return bail_batched(plan, &alt, ctx, cfg, depth, t0, sink);
-            }
-            let mut rrows = PackedRows::default();
-            node_batched(right, ctx, cfg, ctrl, events, depth + 1, &mut |b| {
-                for i in 0..b.len() {
-                    rrows.push(b.row(i).values());
-                }
-            })?;
-            let mut algo_eff = *algo;
-            match observe(ctx, ctrl, events, second, rrows.len() as u64) {
-                SwitchDirective::SwitchJoin(a) => algo_eff = a,
-                SwitchDirective::Bail(alt) => {
-                    drop((lrows, rrows));
-                    return bail_batched(plan, &alt, ctx, cfg, depth, t0, sink);
-                }
-                _ => {}
-            }
-            let proj =
-                project.resolve(plan_out_arity(left, ctx.db)? + plan_out_arity(right, ctx.db)?);
-            let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
-            let mut project_sink = |row: &Row| {
-                emitter.push_projected_slice(row.values(), &proj, sink);
-            };
-            match algo_eff {
-                JoinAlgo::SortMerge => {
-                    ops::join::sort_merge_join(
-                        lrows,
-                        rrows,
-                        *left_key,
-                        *right_key,
-                        *memory_bytes,
-                        ctx,
-                        &mut project_sink,
-                    )?;
-                }
-                JoinAlgo::Hash { build_left } => {
-                    let (b, p, bk, pk, swap) = if build_left {
-                        (lrows, rrows, *left_key, *right_key, false)
-                    } else {
-                        (rrows, lrows, *right_key, *left_key, true)
-                    };
-                    ops::join::hash_join(b, p, bk, pk, *memory_bytes, swap, ctx, &mut project_sink)?;
-                }
-            }
-            emitter.flush(sink);
-            emitter.produced()
-        }
-        PlanSpec::Sort { input, key_cols, mode, memory_bytes } => {
-            let mut sorter =
-                ops::sort::ExternalSorter::new(ctx, key_cols.clone(), *mode, *memory_bytes);
-            // Row-lockstep input edge, as in the static batch path.
-            let mut fed = 0u64;
-            node(input, ctx, ctrl, events, depth + 1, &mut |row| {
-                fed += 1;
-                sorter.push(row);
-            })?;
-            let _ = ctrl.decide(&Observation { kind: CheckpointKind::SortInput, rows: fed });
-            let arity = plan_out_arity(input, ctx.db)?;
-            let identity: Vec<usize> = (0..arity).collect();
-            let mut emitter = BatchEmitter::new(arity, cfg.batch_rows);
-            let produced = sorter.finish(&mut |row| {
-                emitter.push_projected_slice(row.values(), &identity, sink);
-            });
-            emitter.flush(sink);
-            produced
-        }
-        PlanSpec::HashAgg { input, group_cols, aggs, mode, memory_bytes } => {
-            let mut agg = ops::agg::HashAggregator::new(
-                ctx,
-                group_cols.clone(),
-                aggs.clone(),
-                *mode,
-                *memory_bytes,
-            );
-            // Row-lockstep input edge, as in the static batch path.
-            let mut fed = 0u64;
-            node(input, ctx, ctrl, events, depth + 1, &mut |row| {
-                fed += 1;
-                agg.push(row);
-            })?;
-            let _ = ctrl.decide(&Observation { kind: CheckpointKind::AggInput, rows: fed });
-            let arity = group_cols.len() + aggs.len();
-            let identity: Vec<usize> = (0..arity).collect();
-            let mut emitter = BatchEmitter::new(arity, cfg.batch_rows);
-            let produced = agg.finish(&mut |row| {
-                emitter.push_projected_slice(row.values(), &identity, sink);
-            });
-            emitter.flush(sink);
-            produced
-        }
-        // Delegated shapes returned above.
-        _ => unreachable!("delegated plan shape reached the checkpointed match"),
-    };
-    ctx.record_op(plan.synopsis(), depth, rows, ctx.session.elapsed() - t0);
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
-    use crate::exec::execute_collect;
+    use crate::batch::ExecConfig;
+    use crate::exec::{run_collect, run_count, RunOpts};
     use crate::expr::{ColRange, Predicate};
     use crate::ops::testutil::demo_db;
     use crate::plan::{
@@ -907,31 +232,30 @@ mod tests {
         }
     }
 
-    fn run_all_paths(
-        db: &robustmap_storage::Database,
-        plan: &PlanSpec,
-        cfgs: &[ExecConfig],
-    ) -> Vec<(Vec<(CheckpointKind, u64)>, u64)> {
-        let mut out = Vec::new();
-        // Scalar path.
-        let ctrl = Recording::default();
-        let s = Session::with_pool_pages(256);
-        let ctx = ExecCtx::new(db, &s, 1 << 20);
-        let stats = execute_adaptive_count(plan, &ctx, &ctrl).unwrap();
-        out.push((ctrl.log.into_inner(), stats.exec.rows_out));
-        // Batched paths.
-        for cfg in cfgs {
-            let ctrl = Recording::default();
-            let s = Session::with_pool_pages(256);
-            let ctx = ExecCtx::new(db, &s, 1 << 20);
-            let stats = execute_adaptive_count_batched(plan, &ctx, cfg, &ctrl).unwrap();
-            out.push((ctrl.log.into_inner(), stats.exec.rows_out));
-        }
-        out
+    /// `ctrl` armed at the default batch size.
+    fn under(ctrl: &dyn SwitchController) -> RunOpts<'_> {
+        RunOpts { controller: Some(ctrl), ..RunOpts::default() }
     }
 
-    fn both_cfgs() -> [ExecConfig; 2] {
-        [ExecConfig::default(), ExecConfig::with_batch_rows(513)]
+    /// The observation log and row count of `plan` at each batch size.
+    fn run_all_sizes(
+        db: &robustmap_storage::Database,
+        plan: &PlanSpec,
+    ) -> Vec<(Vec<(CheckpointKind, u64)>, u64)> {
+        [1usize, 513, 1024]
+            .into_iter()
+            .map(|batch_rows| {
+                let ctrl = Recording::default();
+                let s = Session::with_pool_pages(256);
+                let ctx = ExecCtx::new(db, &s, 1 << 20);
+                let opts = RunOpts {
+                    batch: ExecConfig::with_batch_rows(batch_rows),
+                    controller: Some(&ctrl),
+                };
+                let stats = run_count(plan, &ctx, opts).unwrap();
+                (ctrl.log.into_inner(), stats.rows_out)
+            })
+            .collect()
     }
 
     /// Rid-feed placement: the checkpoint observes exactly the rid count
@@ -949,7 +273,7 @@ mod tests {
             residual: Predicate::always_true(),
             project: Projection::All,
         };
-        for (log, rows_out) in run_all_paths(&db, &plan, &both_cfgs()) {
+        for (log, rows_out) in run_all_sizes(&db, &plan) {
             assert_eq!(rows_out, (ca + 1) as u64);
             assert_eq!(log, vec![(CheckpointKind::RidFeed, rows_out)]);
         }
@@ -972,7 +296,7 @@ mod tests {
             residual: Predicate::always_true(),
             project: Projection::All,
         };
-        for (log, rows_out) in run_all_paths(&db, &plan, &both_cfgs()) {
+        for (log, rows_out) in run_all_sizes(&db, &plan) {
             assert_eq!(
                 log,
                 vec![
@@ -1011,7 +335,7 @@ mod tests {
             memory_bytes: 8 << 20,
             project: Projection::All,
         };
-        for (log, rows_out) in run_all_paths(&db, &plan, &both_cfgs()) {
+        for (log, rows_out) in run_all_sizes(&db, &plan) {
             assert_eq!(rows_out, (ca + 1) as u64, "a is a permutation: unique join keys");
             assert_eq!(
                 log,
@@ -1032,7 +356,7 @@ mod tests {
             memory_bytes: 8 << 20,
             project: Projection::All,
         };
-        for (log, _) in run_all_paths(&db, &swapped, &both_cfgs()) {
+        for (log, _) in run_all_sizes(&db, &swapped) {
             assert_eq!(
                 log,
                 vec![
@@ -1060,14 +384,14 @@ mod tests {
             mode: SpillMode::Graceful,
             memory_bytes: 1 << 20,
         };
-        for (log, rows_out) in run_all_paths(&db, &plan, &both_cfgs()) {
+        for (log, rows_out) in run_all_sizes(&db, &plan) {
             assert_eq!(rows_out, (ca + 1) as u64);
             assert_eq!(log, vec![(CheckpointKind::SortInput, rows_out)]);
         }
     }
 
     /// ScanOut placement: MDAM milestones fire at each power of two of
-    /// the produced count, mid-scan, on both executor paths.
+    /// the produced count, mid-scan, at every batch size.
     #[test]
     fn mdam_scan_out_milestones_fire_at_powers_of_two() {
         let n = 1024i64;
@@ -1079,7 +403,7 @@ mod tests {
             col_ranges: vec![(i64::MIN, ca), (i64::MIN, i64::MAX)],
             project: Projection::All,
         };
-        for (log, rows_out) in run_all_paths(&db, &plan, &both_cfgs()) {
+        for (log, rows_out) in run_all_sizes(&db, &plan) {
             assert_eq!(rows_out, (ca + 1) as u64);
             let want: Vec<(CheckpointKind, u64)> = (0..)
                 .map(|k| 1u64 << k)
@@ -1110,7 +434,7 @@ mod tests {
         };
         let s = Session::with_pool_pages(256);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (want_stats, mut want) = execute_collect(&fallback, &ctx).unwrap();
+        let (want_stats, mut want) = run_collect(&fallback, &ctx, RunOpts::default()).unwrap();
         for milestone in [1u64, 16, 256] {
             struct BailPast {
                 milestone: u64,
@@ -1128,7 +452,7 @@ mod tests {
             let ctrl = BailPast { milestone, alt: fallback.clone() };
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (stats, mut got) = execute_adaptive_collect(&plan, &ctx, &ctrl).unwrap();
+            let (stats, mut got) = run_collect(&plan, &ctx, under(&ctrl)).unwrap();
             assert_eq!(stats.switches.len(), 1);
             assert_eq!(stats.switches[0].at, CheckpointKind::ScanOut);
             assert_eq!(stats.switches[0].observed, milestone);
@@ -1137,7 +461,7 @@ mod tests {
             assert_eq!(got.len(), want.len(), "milestone {milestone}");
             assert_eq!(got, want, "milestone {milestone}");
             assert!(
-                stats.exec.seconds >= want_stats.seconds,
+                stats.seconds >= want_stats.seconds,
                 "sunk prefix must stay on the clock"
             );
         }
@@ -1181,7 +505,7 @@ mod tests {
             let ctrl = Recording::default();
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            execute_adaptive_count(plan, &ctx, &ctrl).unwrap();
+            run_count(plan, &ctx, under(&ctrl)).unwrap();
             let fired: Vec<CheckpointKind> =
                 ctrl.log.into_inner().iter().map(|(k, _)| *k).collect();
             assert_eq!(fired, plan.checkpoints(), "plan {}", plan.synopsis());
@@ -1218,13 +542,13 @@ mod tests {
         let s = Session::with_pool_pages(256);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
         let ctrl = BailAt { at: CheckpointKind::IntersectOut, alt: fallback.clone() };
-        let (astats, arows) = execute_adaptive_collect(&chosen, &ctx, &ctrl).unwrap();
+        let (astats, arows) = run_collect(&chosen, &ctx, under(&ctrl)).unwrap();
         assert_eq!(astats.switches.len(), 1);
         assert!(astats.switches[0].action.starts_with("bail -> TableScan"));
 
         let s2 = Session::with_pool_pages(256);
         let ctx2 = ExecCtx::new(&db, &s2, 1 << 20);
-        let (fstats, frows) = execute_collect(&fallback, &ctx2).unwrap();
+        let (fstats, frows) = run_collect(&fallback, &ctx2, RunOpts::default()).unwrap();
 
         let sort = |mut v: Vec<Vec<i64>>| {
             v.sort();
@@ -1234,14 +558,13 @@ mod tests {
         let f = sort(frows.iter().map(|r| r.values().to_vec()).collect());
         assert_eq!(a, f);
         assert!(
-            astats.exec.seconds > fstats.seconds,
+            astats.seconds > fstats.seconds,
             "sunk prefix must stay charged: {} vs {}",
-            astats.exec.seconds,
+            astats.seconds,
             fstats.seconds
         );
         // The abandoned operator is recorded with zero output rows.
         assert!(astats
-            .exec
             .operators
             .iter()
             .any(|op| op.label.ends_with("[abandoned]") && op.rows_out == 0));
@@ -1277,17 +600,17 @@ mod tests {
         let s = Session::with_pool_pages(256);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
         let planned = mk(FetchKind::Traditional);
-        let (astats, arows) = execute_adaptive_collect(&planned, &ctx, &FetchSwitcher).unwrap();
+        let (astats, arows) = run_collect(&planned, &ctx, under(&FetchSwitcher)).unwrap();
         assert_eq!(astats.switches.len(), 1);
 
         let s2 = Session::with_pool_pages(256);
         let ctx2 = ExecCtx::new(&db, &s2, 1 << 20);
-        let (sstats, srows) = execute_collect(&mk(FetchKind::BitmapSorted), &ctx2).unwrap();
+        let (sstats, srows) = run_collect(&mk(FetchKind::BitmapSorted), &ctx2, RunOpts::default()).unwrap();
         let a: Vec<Vec<i64>> = arows.iter().map(|r| r.values().to_vec()).collect();
         let b: Vec<Vec<i64>> = srows.iter().map(|r| r.values().to_vec()).collect();
         assert_eq!(a, b, "switched fetch must emit the static plan's rows in its order");
         assert_eq!(
-            astats.exec.seconds.to_bits(),
+            astats.seconds.to_bits(),
             sstats.seconds.to_bits(),
             "prefix reuse: switching the fetch costs exactly the re-planned pipeline"
         );

@@ -18,12 +18,49 @@
 //! the access kinds they are charged.
 
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{AccessKind, HeapFile, RidBitmap, Row, Session, StorageError};
+use robustmap_storage::{AccessKind, HeapFile, RidBitmap, Session, StorageError};
 
 use crate::batch::{col_from_bytes, radix_sort_by_u64_key, BatchEmitter, ExecConfig, RowBatch};
 use crate::exec::ExecError;
 use crate::expr::Predicate;
-use crate::plan::{ImprovedFetchConfig, Projection};
+use crate::plan::{FetchKind, ImprovedFetchConfig, Projection};
+
+/// Read one record's bytes with exactly [`HeapFile::fetch`]'s charge
+/// sequence (page existence checked before any charge, then a page read of
+/// `kind`, then one row charge) — but without decoding the row.  Residuals
+/// are evaluated and projections gathered straight from these bytes.
+fn record_bytes<'h>(
+    heap: &'h HeapFile,
+    rid: Rid,
+    session: &Session,
+    kind: AccessKind,
+) -> Result<&'h [u8], ExecError> {
+    let page = heap.page(rid.page).ok_or(StorageError::InvalidRid(rid))?;
+    session.read_page(heap.page_id(rid.page), kind);
+    session.charge_rows(1);
+    Ok(page.get(rid.slot as usize).ok_or(StorageError::InvalidRid(rid))?)
+}
+
+/// Fetch `rids` with the discipline `kind` names.  Consumes the rid list
+/// (the improved fetch sorts it in place).
+pub fn run(
+    heap: &HeapFile,
+    rids: Vec<Rid>,
+    kind: &FetchKind,
+    residual: &Predicate,
+    project: &Projection,
+    cfg: &ExecConfig,
+    session: &Session,
+    sink: &mut dyn FnMut(&RowBatch),
+) -> Result<u64, ExecError> {
+    match kind {
+        FetchKind::Traditional => traditional(heap, &rids, residual, project, cfg, session, sink),
+        FetchKind::Improved(icfg) => {
+            improved(heap, rids, icfg, residual, project, cfg, session, sink)
+        }
+        FetchKind::BitmapSorted => bitmap_sorted(heap, &rids, residual, project, cfg, session, sink),
+    }
+}
 
 /// Fetch rows in the order given (key order from the index), one random
 /// page read per row — the traditional index scan.
@@ -32,19 +69,20 @@ pub fn traditional(
     rids: &[Rid],
     residual: &Predicate,
     project: &Projection,
+    cfg: &ExecConfig,
     session: &Session,
-    sink: &mut dyn FnMut(&Row),
+    sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
-    let mut produced = 0u64;
+    let proj = project.resolve(heap.schema().arity());
+    let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
     for &rid in rids {
-        let row = heap.fetch(rid, session, AccessKind::Random)?;
-        if residual.eval(&row, session) {
-            let out = project.apply(&row);
-            sink(&out);
-            produced += 1;
+        let bytes = record_bytes(heap, rid, session, AccessKind::Random)?;
+        if residual.eval_values(|c| col_from_bytes(bytes, c), session) {
+            emitter.push_projected_bytes(bytes, &proj, sink);
         }
     }
-    Ok(produced)
+    emitter.flush(sink);
+    Ok(emitter.produced())
 }
 
 /// The improved index scan's fetch: sort rids into physical order, then
@@ -59,8 +97,9 @@ pub fn improved(
     cfg: &ImprovedFetchConfig,
     residual: &Predicate,
     project: &Projection,
+    exec_cfg: &ExecConfig,
     session: &Session,
-    sink: &mut dyn FnMut(&Row),
+    sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
     let n = rids.len() as u64;
     if n > 0 {
@@ -70,7 +109,7 @@ pub fn improved(
     // The simulated cost above is the contract; the real sort is free to be
     // a radix sort (rids order by their u64 encoding).
     radix_sort_by_u64_key(&mut rids, |r| r.to_u64());
-    fetch_in_physical_order(heap, &rids, Some(cfg), residual, project, session, sink)
+    fetch_in_physical_order(heap, &rids, Some(cfg), residual, project, exec_cfg, session, sink)
 }
 
 /// System B's bitmap-sorted fetch: rids are deduplicated and ordered by a
@@ -82,31 +121,35 @@ pub fn bitmap_sorted(
     rids: &[Rid],
     residual: &Predicate,
     project: &Projection,
+    cfg: &ExecConfig,
     session: &Session,
-    sink: &mut dyn FnMut(&Row),
+    sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
     session.charge_hashes(rids.len() as u64);
     let bitmap = RidBitmap::from_rids(rids.iter().copied());
     let ordered: Vec<Rid> = bitmap.iter_rids().collect();
-    fetch_in_physical_order(heap, &ordered, None, residual, project, session, sink)
+    fetch_in_physical_order(heap, &ordered, None, residual, project, cfg, session, sink)
 }
 
 /// Shared physical-order sweep.  `cfg` enables the improved scan's
 /// sequential read-ahead regime; `None` (bitmap fetch) uses only the short
 /// seek / random distinction with the default prefetch gap.
+#[allow(clippy::too_many_arguments)]
 fn fetch_in_physical_order(
     heap: &HeapFile,
     rids: &[Rid],
     cfg: Option<&ImprovedFetchConfig>,
     residual: &Predicate,
     project: &Projection,
+    exec_cfg: &ExecConfig,
     session: &Session,
-    sink: &mut dyn FnMut(&Row),
+    sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
     debug_assert!(rids.windows(2).all(|w| w[0] <= w[1]), "rids must be in physical order");
     let prefetch_gap = cfg.map_or(ImprovedFetchConfig::default().prefetch_gap, |c| c.prefetch_gap);
     let scan_gap = cfg.map(|c| c.scan_gap);
-    let mut produced = 0u64;
+    let proj = project.resolve(heap.schema().arity());
+    let mut emitter = BatchEmitter::new(proj.len(), exec_cfg.batch_rows);
     let mut prev_page: Option<u32> = None;
     for &rid in rids {
         match prev_page {
@@ -137,134 +180,6 @@ fn fetch_in_physical_order(
             }
         }
         prev_page = Some(rid.page);
-        let row = heap.fetch(rid, session, AccessKind::Random)?;
-        if residual.eval(&row, session) {
-            let out = project.apply(&row);
-            sink(&out);
-            produced += 1;
-        }
-    }
-    Ok(produced)
-}
-
-/// Read one record's bytes with exactly [`HeapFile::fetch`]'s charge
-/// sequence (page existence checked before any charge, then a page read of
-/// `kind`, then one row charge) — but without decoding the row.  The batch
-/// path evaluates residuals and gathers projections straight from these
-/// bytes.
-fn record_bytes<'h>(
-    heap: &'h HeapFile,
-    rid: Rid,
-    session: &Session,
-    kind: AccessKind,
-) -> Result<&'h [u8], ExecError> {
-    let page = heap.page(rid.page).ok_or(StorageError::InvalidRid(rid))?;
-    session.read_page(heap.page_id(rid.page), kind);
-    session.charge_rows(1);
-    Ok(page.get(rid.slot as usize).ok_or(StorageError::InvalidRid(rid))?)
-}
-
-/// Batched twin of [`traditional`].
-pub fn traditional_batched(
-    heap: &HeapFile,
-    rids: &[Rid],
-    residual: &Predicate,
-    project: &Projection,
-    cfg: &ExecConfig,
-    session: &Session,
-    sink: &mut dyn FnMut(&RowBatch),
-) -> Result<u64, ExecError> {
-    let proj = project.resolve(heap.schema().arity());
-    let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
-    for &rid in rids {
-        let bytes = record_bytes(heap, rid, session, AccessKind::Random)?;
-        if residual.eval_values(|c| col_from_bytes(bytes, c), session) {
-            emitter.push_projected_bytes(bytes, &proj, sink);
-        }
-    }
-    emitter.flush(sink);
-    Ok(emitter.produced())
-}
-
-/// Batched twin of [`improved`].
-pub fn improved_batched(
-    heap: &HeapFile,
-    mut rids: Vec<Rid>,
-    cfg: &ImprovedFetchConfig,
-    residual: &Predicate,
-    project: &Projection,
-    exec_cfg: &ExecConfig,
-    session: &Session,
-    sink: &mut dyn FnMut(&RowBatch),
-) -> Result<u64, ExecError> {
-    let n = rids.len() as u64;
-    if n > 0 {
-        session.charge_compares(n * (64 - (n - 1).leading_zeros()) as u64);
-    }
-    radix_sort_by_u64_key(&mut rids, |r| r.to_u64());
-    fetch_in_physical_order_batched(heap, &rids, Some(cfg), residual, project, exec_cfg, session, sink)
-}
-
-/// Batched twin of [`bitmap_sorted`].
-pub fn bitmap_sorted_batched(
-    heap: &HeapFile,
-    rids: &[Rid],
-    residual: &Predicate,
-    project: &Projection,
-    cfg: &ExecConfig,
-    session: &Session,
-    sink: &mut dyn FnMut(&RowBatch),
-) -> Result<u64, ExecError> {
-    session.charge_hashes(rids.len() as u64);
-    let bitmap = RidBitmap::from_rids(rids.iter().copied());
-    let ordered: Vec<Rid> = bitmap.iter_rids().collect();
-    fetch_in_physical_order_batched(heap, &ordered, None, residual, project, cfg, session, sink)
-}
-
-/// Batched twin of [`fetch_in_physical_order`]: the gap-regime page reads
-/// are identical, and each row fetch replays [`HeapFile::fetch`]'s charges
-/// via [`record_bytes`].
-#[allow(clippy::too_many_arguments)]
-fn fetch_in_physical_order_batched(
-    heap: &HeapFile,
-    rids: &[Rid],
-    cfg: Option<&ImprovedFetchConfig>,
-    residual: &Predicate,
-    project: &Projection,
-    exec_cfg: &ExecConfig,
-    session: &Session,
-    sink: &mut dyn FnMut(&RowBatch),
-) -> Result<u64, ExecError> {
-    debug_assert!(rids.windows(2).all(|w| w[0] <= w[1]), "rids must be in physical order");
-    let prefetch_gap = cfg.map_or(ImprovedFetchConfig::default().prefetch_gap, |c| c.prefetch_gap);
-    let scan_gap = cfg.map(|c| c.scan_gap);
-    let proj = project.resolve(heap.schema().arity());
-    let mut emitter = BatchEmitter::new(proj.len(), exec_cfg.batch_rows);
-    let mut prev_page: Option<u32> = None;
-    for &rid in rids {
-        match prev_page {
-            Some(p) if rid.page == p => {}
-            Some(p) => {
-                let gap = rid.page - p;
-                match scan_gap {
-                    Some(sg) if gap <= sg => {
-                        for skipped in p + 1..=rid.page {
-                            session.read_page(heap.page_id(skipped), AccessKind::Sequential);
-                        }
-                    }
-                    _ if gap <= prefetch_gap => {
-                        session.read_page(heap.page_id(rid.page), AccessKind::SinglePage);
-                    }
-                    _ => {
-                        session.read_page(heap.page_id(rid.page), AccessKind::Random);
-                    }
-                }
-            }
-            None => {
-                session.read_page(heap.page_id(rid.page), AccessKind::Random);
-            }
-        }
-        prev_page = Some(rid.page);
         let bytes = record_bytes(heap, rid, session, AccessKind::Random)?;
         if residual.eval_values(|c| col_from_bytes(bytes, c), session) {
             emitter.push_projected_bytes(bytes, &proj, sink);
@@ -279,8 +194,9 @@ mod tests {
     use super::*;
     use crate::expr::ColRange;
     use crate::ops::index_scan::collect_rids;
-    use crate::ops::testutil::demo_db;
+    use crate::ops::testutil::{collect, demo_db};
     use crate::plan::KeyRange;
+    use robustmap_storage::Row;
 
     /// All fetch disciplines over the same rid set: shared setup.
     fn setup(n: i64, hi: i64) -> (robustmap_storage::Database, robustmap_storage::TableId, Vec<Rid>)
@@ -297,37 +213,41 @@ mod tests {
         (db, t, rids)
     }
 
+    fn improved_kind() -> FetchKind {
+        FetchKind::Improved(ImprovedFetchConfig::default())
+    }
+
+    /// Fetch `rids` with `kind` on `s`, collecting the rows.
+    fn fetch(
+        heap: &HeapFile,
+        rids: &[Rid],
+        kind: &FetchKind,
+        residual: &Predicate,
+        project: &Projection,
+        batch_rows: usize,
+        s: &Session,
+    ) -> (u64, Vec<Row>) {
+        let cfg = ExecConfig::with_batch_rows(batch_rows);
+        collect(|sink| run(heap, rids.to_vec(), kind, residual, project, &cfg, s, sink).unwrap())
+    }
+
+    fn fetch_all(heap: &HeapFile, rids: &[Rid], kind: &FetchKind, s: &Session) -> (u64, Vec<Row>) {
+        fetch(heap, rids, kind, &Predicate::always_true(), &Projection::All, 1024, s)
+    }
+
     #[test]
     fn all_disciplines_return_the_same_rows() {
         let (db, t, rids) = setup(512, 199);
         let heap = &db.table(t).heap;
-        type FetchRunner<'a> = dyn Fn(&Session, &mut dyn FnMut(&Row)) -> u64 + 'a;
-        let collect = |f: &FetchRunner| {
-            let s = Session::with_pool_pages(64);
-            let mut rows: Vec<Vec<i64>> = Vec::new();
-            let n = f(&s, &mut |r: &Row| rows.push(r.values().to_vec()));
+        let sorted = |kind: &FetchKind| {
+            let (n, rows) = fetch_all(heap, &rids, kind, &Session::with_pool_pages(64));
+            let mut rows: Vec<Vec<i64>> = rows.iter().map(|r| r.values().to_vec()).collect();
             rows.sort();
             (n, rows)
         };
-        let (n1, r1) = collect(&|s, sink| {
-            traditional(heap, &rids, &Predicate::always_true(), &Projection::All, s, sink).unwrap()
-        });
-        let (n2, r2) = collect(&|s, sink| {
-            improved(
-                heap,
-                rids.clone(),
-                &ImprovedFetchConfig::default(),
-                &Predicate::always_true(),
-                &Projection::All,
-                s,
-                sink,
-            )
-            .unwrap()
-        });
-        let (n3, r3) = collect(&|s, sink| {
-            bitmap_sorted(heap, &rids, &Predicate::always_true(), &Projection::All, s, sink)
-                .unwrap()
-        });
+        let (n1, r1) = sorted(&FetchKind::Traditional);
+        let (n2, r2) = sorted(&improved_kind());
+        let (n3, r3) = sorted(&FetchKind::BitmapSorted);
         assert_eq!(n1, 200);
         assert_eq!(n1, n2);
         assert_eq!(n2, n3);
@@ -341,18 +261,8 @@ mod tests {
         let heap = &db.table(t).heap;
         let s = Session::with_pool_pages(64);
         let residual = Predicate::single(ColRange::at_most(1, 127));
-        let mut count = 0u64;
-        let n = improved(
-            heap,
-            rids,
-            &ImprovedFetchConfig::default(),
-            &residual,
-            &Projection::All,
-            &s,
-            &mut |_| count += 1,
-        )
-        .unwrap();
-        assert_eq!(n, count);
+        let (n, rows) = fetch(heap, &rids, &improved_kind(), &residual, &Projection::All, 1024, &s);
+        assert_eq!(n as usize, rows.len());
         // Both predicates have selectivity 1/2 over permutations of 0..512.
         let truth = {
             let s2 = Session::with_pool_pages(0);
@@ -364,7 +274,7 @@ mod tests {
             });
             c
         };
-        assert_eq!(count, truth);
+        assert_eq!(n, truth);
     }
 
     #[test]
@@ -374,8 +284,7 @@ mod tests {
         let (db, t, rids) = setup(65_536, 2047);
         let heap = &db.table(t).heap;
         let s = Session::with_pool_pages(8); // tiny pool: mostly misses
-        traditional(heap, &rids, &Predicate::always_true(), &Projection::All, &s, &mut |_| {})
-            .unwrap();
+        fetch_all(heap, &rids, &FetchKind::Traditional, &s);
         let stats = s.stats();
         // Key-ordered rids land on scattered pages: overwhelmingly random.
         assert!(stats.random_reads > (rids.len() as u64) / 2, "stats: {stats:?}");
@@ -385,27 +294,13 @@ mod tests {
     fn improved_fetch_is_cheaper_than_traditional_at_high_selectivity() {
         let (db, t, rids) = setup(4096, 2047); // half the table
         let heap = &db.table(t).heap;
-        let cost = |f: &dyn Fn(&Session)| {
+        let cost = |kind: &FetchKind| {
             let s = Session::with_pool_pages(64);
-            f(&s);
+            fetch_all(heap, &rids, kind, &s);
             s.elapsed()
         };
-        let t_trad = cost(&|s| {
-            traditional(heap, &rids, &Predicate::always_true(), &Projection::All, s, &mut |_| {})
-                .unwrap();
-        });
-        let t_impr = cost(&|s| {
-            improved(
-                heap,
-                rids.clone(),
-                &ImprovedFetchConfig::default(),
-                &Predicate::always_true(),
-                &Projection::All,
-                s,
-                &mut |_| {},
-            )
-            .unwrap();
-        });
+        let t_trad = cost(&FetchKind::Traditional);
+        let t_impr = cost(&improved_kind());
         assert!(
             t_impr * 5.0 < t_trad,
             "improved {t_impr} should be much cheaper than traditional {t_trad}"
@@ -417,16 +312,7 @@ mod tests {
         let (db, t, rids) = setup(4096, 4095); // everything qualifies
         let heap = &db.table(t).heap;
         let s = Session::with_pool_pages(64);
-        improved(
-            heap,
-            rids,
-            &ImprovedFetchConfig::default(),
-            &Predicate::always_true(),
-            &Projection::All,
-            &s,
-            &mut |_| {},
-        )
-        .unwrap();
+        fetch_all(heap, &rids, &improved_kind(), &s);
         let stats = s.stats();
         // Dense rid set: nearly all page reads ride the read-ahead regime.
         assert!(stats.seq_reads > stats.random_reads * 10, "stats: {stats:?}");
@@ -438,64 +324,45 @@ mod tests {
         let (db, t, rids) = setup(4096, 4095);
         let heap = &db.table(t).heap;
         let s = Session::with_pool_pages(64);
-        bitmap_sorted(heap, &rids, &Predicate::always_true(), &Projection::All, &s, &mut |_| {})
-            .unwrap();
+        fetch_all(heap, &rids, &FetchKind::BitmapSorted, &s);
         let stats = s.stats();
         // Physical order, but every new page is an individual read.
         assert_eq!(stats.seq_reads, 0, "stats: {stats:?}");
         assert!(stats.single_reads > 0);
     }
 
+    /// Every discipline issues the same charges at every batch size, and
+    /// the traditional fetch's are exactly `HeapFile::fetch` +
+    /// `Predicate::eval` per rid.
     #[test]
-    fn batched_fetch_disciplines_are_bit_identical() {
+    fn fetch_disciplines_are_bit_identical_at_every_batch_size() {
         let (db, t, rids) = setup(4096, 1023);
         let heap = &db.table(t).heap;
         let residual = Predicate::single(ColRange::at_most(1, 2047));
         let proj = Projection::Columns(vec![1, 0]);
-        let bcfg = ExecConfig::with_batch_rows(100); // non-power-of-two
-        let icfg = ImprovedFetchConfig::default();
-        type RowDriver<'a> = &'a dyn Fn(&Session, &mut dyn FnMut(&Row)) -> u64;
-        type BatchDriver<'a> = &'a dyn Fn(&Session, &mut dyn FnMut(&RowBatch)) -> u64;
-        let row_run = |f: RowDriver| {
+        let run_at = |kind: &FetchKind, batch_rows: usize| {
             let s = Session::with_pool_pages(64);
-            let mut rows = Vec::new();
-            let n = f(&s, &mut |r: &Row| rows.push(r.values().to_vec()));
+            let (n, rows) = fetch(heap, &rids, kind, &residual, &proj, batch_rows, &s);
             (n, rows, s.elapsed().to_bits(), s.stats())
         };
-        let batch_run = |f: BatchDriver| {
+        for kind in [FetchKind::Traditional, improved_kind(), FetchKind::BitmapSorted] {
+            let want = run_at(&kind, 1);
+            for batch_rows in [100usize, 1024] {
+                assert_eq!(run_at(&kind, batch_rows), want, "{kind:?} @ batch {batch_rows}");
+            }
+        }
+        let reference = {
             let s = Session::with_pool_pages(64);
             let mut rows = Vec::new();
-            let n = f(&s, &mut |b: &RowBatch| {
-                for i in 0..b.len() {
-                    rows.push(b.row(i).values().to_vec());
+            for &rid in &rids {
+                let row = heap.fetch(rid, &s, AccessKind::Random).unwrap();
+                if residual.eval(&row, &s) {
+                    rows.push(proj.apply(&row));
                 }
-            });
-            (n, rows, s.elapsed().to_bits(), s.stats())
+            }
+            (rows.len() as u64, rows, s.elapsed().to_bits(), s.stats())
         };
-        // Traditional.
-        assert_eq!(
-            row_run(&|s, sink| traditional(heap, &rids, &residual, &proj, s, sink).unwrap()),
-            batch_run(&|s, sink| {
-                traditional_batched(heap, &rids, &residual, &proj, &bcfg, s, sink).unwrap()
-            }),
-        );
-        // Improved.
-        assert_eq!(
-            row_run(&|s, sink| {
-                improved(heap, rids.clone(), &icfg, &residual, &proj, s, sink).unwrap()
-            }),
-            batch_run(&|s, sink| {
-                improved_batched(heap, rids.clone(), &icfg, &residual, &proj, &bcfg, s, sink)
-                    .unwrap()
-            }),
-        );
-        // Bitmap-sorted.
-        assert_eq!(
-            row_run(&|s, sink| bitmap_sorted(heap, &rids, &residual, &proj, s, sink).unwrap()),
-            batch_run(&|s, sink| {
-                bitmap_sorted_batched(heap, &rids, &residual, &proj, &bcfg, s, sink).unwrap()
-            }),
-        );
+        assert_eq!(run_at(&FetchKind::Traditional, 100), reference);
     }
 
     #[test]
@@ -503,16 +370,7 @@ mod tests {
         let (db, t, _) = setup(64, 0);
         let heap = &db.table(t).heap;
         let s = Session::with_pool_pages(64);
-        let n = improved(
-            heap,
-            Vec::new(),
-            &ImprovedFetchConfig::default(),
-            &Predicate::always_true(),
-            &Projection::All,
-            &s,
-            &mut |_| {},
-        )
-        .unwrap();
+        let (n, _) = fetch_all(heap, &[], &improved_kind(), &s);
         assert_eq!(n, 0);
         assert_eq!(s.stats().pages_read(), 0);
     }

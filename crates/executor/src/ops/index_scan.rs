@@ -73,31 +73,12 @@ pub fn key_row(key: &robustmap_storage::Key) -> Row {
 /// Covering (index-only) scan: emit projected key rows for entries in
 /// `range` that satisfy `residual`.  Both `residual` and `project` are in
 /// key-column space.  Returns rows produced.
+///
+/// Residual evaluation reads key values by position (the short-circuit
+/// charges of [`Predicate::eval`] on the materialised key row) and
+/// survivors gather straight into the output batch without an intermediate
+/// [`Row`].
 pub fn run_covering(
-    index: &IndexDef,
-    range: &KeyRange,
-    residual: &Predicate,
-    project: &Projection,
-    session: &Session,
-    sink: &mut dyn FnMut(&Row),
-) -> u64 {
-    let mut produced = 0u64;
-    index.tree.scan_range(&range.lo, &range.hi, session, AccessKind::Sequential, |(key, _)| {
-        let row = key_row(&key);
-        if residual.eval(&row, session) {
-            let out = project.apply(&row);
-            sink(&out);
-            produced += 1;
-        }
-    });
-    produced
-}
-
-/// Batched twin of [`run_covering`]: residual evaluation reads key values
-/// by position (same short-circuit charges as the row path's `eval` on the
-/// materialised key row) and survivors gather straight into the output
-/// batch without an intermediate [`Row`].
-pub fn run_covering_batched(
     index: &IndexDef,
     range: &KeyRange,
     residual: &Predicate,
@@ -121,7 +102,7 @@ pub fn run_covering_batched(
 mod tests {
     use super::*;
     use crate::expr::ColRange;
-    use crate::ops::testutil::demo_db;
+    use crate::ops::testutil::{collect, demo_db};
 
     #[test]
     fn collect_rids_matches_predicate_count() {
@@ -154,18 +135,21 @@ mod tests {
         let (mut db, t) = demo_db(128);
         let idx = db.create_index("idx_ab", t, &[0, 1]).unwrap();
         let s = Session::with_pool_pages(64);
-        let mut rows = Vec::new();
         // Key space: position 0 = a, position 1 = b.  Keep a <= 9, emit b.
-        let n = run_covering(
-            db.index(idx),
-            &KeyRange::on_leading(0, 9, 2),
-            &Predicate::always_true(),
-            &Projection::Columns(vec![1]),
-            &s,
-            &mut |r| rows.push(r.get(0)),
-        );
+        let (n, rows) = collect(|sink| {
+            run_covering(
+                db.index(idx),
+                &KeyRange::on_leading(0, 9, 2),
+                &Predicate::always_true(),
+                &Projection::Columns(vec![1]),
+                &ExecConfig::default(),
+                &s,
+                sink,
+            )
+        });
         assert_eq!(n, 10);
         assert_eq!(rows.len(), 10);
+        assert!(rows.iter().all(|r| r.arity() == 1));
     }
 
     #[test]
@@ -173,15 +157,15 @@ mod tests {
         let (mut db, t) = demo_db(128);
         let idx = db.create_index("idx_ab", t, &[0, 1]).unwrap();
         let s = Session::with_pool_pages(64);
-        let mut count = 0u64;
         // a <= 63 via the range, b <= 31 via the residual (key position 1).
-        run_covering(
+        let count = run_covering(
             db.index(idx),
             &KeyRange::on_leading(0, 63, 2),
             &Predicate::single(ColRange::at_most(1, 31)),
             &Projection::All,
+            &ExecConfig::default(),
             &s,
-            &mut |_| count += 1,
+            &mut |_| {},
         );
         // Independent-ish permutations: count must equal the true count.
         let truth = {

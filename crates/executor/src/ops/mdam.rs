@@ -12,72 +12,16 @@
 //! degrades gracefully in both dimensions.
 
 use robustmap_storage::btree::Cursor;
-use robustmap_storage::{AccessKind, IndexDef, Key, Row, Session};
+use robustmap_storage::{AccessKind, IndexDef, Key, Session};
 
-use crate::batch::{BatchEmitter, ExecConfig, RowBatch};
 use crate::exec::ExecError;
-use crate::plan::Projection;
 
 /// Run MDAM over `index` with one inclusive `(lo, hi)` range per key
-/// column.  Output rows are in key-column space, shaped by `project`.
-/// Returns rows produced.
+/// column.  All charges happen here; `emit` receives each qualifying key
+/// (unprojected, in key-column space), must not charge, and answers
+/// whether to keep scanning (`false` aborts mid-flight — the adaptive
+/// bail).
 pub fn run(
-    index: &IndexDef,
-    col_ranges: &[(i64, i64)],
-    project: &Projection,
-    session: &Session,
-    sink: &mut dyn FnMut(&Row),
-) -> Result<u64, ExecError> {
-    let mut produced = 0u64;
-    run_inner(index, col_ranges, session, &mut |key| {
-        let row = Row::from_slice(key.values());
-        let out = project.apply(&row);
-        sink(&out);
-        produced += 1;
-        true
-    })?;
-    Ok(produced)
-}
-
-/// [`run`] with an abort hook for the adaptive executor: `emit` receives
-/// each qualifying key (unprojected, in key-column space) and answers
-/// whether to keep scanning.  Emission is charge-free, so up to the abort
-/// point the charges are bit-identical to [`run`]'s.
-pub fn run_abortable(
-    index: &IndexDef,
-    col_ranges: &[(i64, i64)],
-    session: &Session,
-    emit: &mut dyn FnMut(&Key) -> bool,
-) -> Result<(), ExecError> {
-    run_inner(index, col_ranges, session, emit)
-}
-
-/// Batched twin of [`run`]: the identical skip/seek driver, with qualifying
-/// keys gathered into output batches instead of materialised one row at a
-/// time.  Emission is charge-free, so the two paths are bit-identical on
-/// the simulated clock by construction.
-pub fn run_batched(
-    index: &IndexDef,
-    col_ranges: &[(i64, i64)],
-    project: &Projection,
-    cfg: &ExecConfig,
-    session: &Session,
-    sink: &mut dyn FnMut(&RowBatch),
-) -> Result<u64, ExecError> {
-    let proj = project.resolve(index.tree.key_arity());
-    let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
-    run_inner(index, col_ranges, session, &mut |key| {
-        emitter.push_projected_slice(key.values(), &proj, sink);
-        true
-    })?;
-    emitter.flush(sink);
-    Ok(emitter.produced())
-}
-
-/// The MDAM driver shared by the row and batch paths.  All charges happen
-/// here; `emit` receives each qualifying key, must not charge, and
-/// answers whether to keep scanning (`false` aborts mid-flight).
-fn run_inner(
     index: &IndexDef,
     col_ranges: &[(i64, i64)],
     session: &Session,
@@ -180,6 +124,20 @@ mod tests {
     use robustmap_storage::Database;
     use robustmap_storage::TableId;
 
+    /// Run MDAM to completion and collect the qualifying keys.
+    fn mdam(
+        index: &IndexDef,
+        col_ranges: &[(i64, i64)],
+        session: &Session,
+    ) -> Result<Vec<Key>, ExecError> {
+        let mut keys = Vec::new();
+        run(index, col_ranges, session, &mut |key| {
+            keys.push(*key);
+            true
+        })?;
+        Ok(keys)
+    }
+
     fn reference_count(db: &Database, t: TableId, ranges: &[(usize, i64, i64)]) -> u64 {
         let s = Session::with_pool_pages(0);
         let mut n = 0;
@@ -202,18 +160,9 @@ mod tests {
         for (alo, ahi, blo, bhi) in
             [(0, 1023, 0, 1023), (100, 199, 0, 1023), (0, 1023, 50, 59), (100, 400, 200, 300), (7, 7, 0, 1023)]
         {
-            let mut count = 0u64;
-            let n = run(
-                db.index(idx),
-                &[(alo, ahi), (blo, bhi)],
-                &Projection::All,
-                &s,
-                &mut |_| count += 1,
-            )
-            .unwrap();
+            let n = mdam(db.index(idx), &[(alo, ahi), (blo, bhi)], &s).unwrap().len() as u64;
             let want = reference_count(&db, t, &[(0, alo, ahi), (1, blo, bhi)]);
             assert_eq!(n, want, "box a[{alo},{ahi}] b[{blo},{bhi}]");
-            assert_eq!(count, want);
         }
     }
 
@@ -222,11 +171,7 @@ mod tests {
         let (mut db, t) = demo_db(64);
         let idx = db.create_index("idx_ab", t, &[0, 1]).unwrap();
         let s = Session::with_pool_pages(64);
-        let n = run(db.index(idx), &[(10, 5), (0, 63)], &Projection::All, &s, &mut |_| {
-            panic!("no rows expected")
-        })
-        .unwrap();
-        assert_eq!(n, 0);
+        assert!(mdam(db.index(idx), &[(10, 5), (0, 63)], &s).unwrap().is_empty());
         assert_eq!(s.stats().pages_read(), 0);
     }
 
@@ -235,7 +180,7 @@ mod tests {
         let (mut db, t) = demo_db(16);
         let idx = db.create_index("idx_ab", t, &[0, 1]).unwrap();
         let s = Session::with_pool_pages(64);
-        assert!(run(db.index(idx), &[(0, 10)], &Projection::All, &s, &mut |_| {}).is_err());
+        assert!(mdam(db.index(idx), &[(0, 10)], &s).is_err());
     }
 
     #[test]
@@ -260,9 +205,7 @@ mod tests {
         // Wide leading range, tiny second range: MDAM should touch far
         // fewer entries than the 8192 the leading range contains.
         let s = Session::with_pool_pages(1024);
-        let mut count = 0u64;
-        run(db.index(idx), &[(0, 15), (0, 63)], &Projection::All, &s, &mut |_| count += 1)
-            .unwrap();
+        let count = mdam(db.index(idx), &[(0, 15), (0, 63)], &s).unwrap().len() as u64;
         let want = reference_count(&db, t, &[(0, 0, 15), (1, 0, 63)]);
         assert_eq!(count, want);
         assert_eq!(count, 64); // b is a permutation: exactly 64 rows qualify
@@ -294,21 +237,13 @@ mod tests {
         }
         let idx = db.create_index("idx_xyz", t, &[0, 1, 2]).unwrap();
         let s = Session::with_pool_pages(256);
-        let mut got = 0u64;
-        run(
-            db.index(idx),
-            &[(2, 5), (3, 8), (10, 40)],
-            &Projection::All,
-            &s,
-            &mut |r| {
-                assert!((2..=5).contains(&r.get(0)));
-                assert!((3..=8).contains(&r.get(1)));
-                assert!((10..=40).contains(&r.get(2)));
-                got += 1;
-            },
-        )
-        .unwrap();
+        let keys = mdam(db.index(idx), &[(2, 5), (3, 8), (10, 40)], &s).unwrap();
+        for k in &keys {
+            assert!((2..=5).contains(&k.get(0)));
+            assert!((3..=8).contains(&k.get(1)));
+            assert!((10..=40).contains(&k.get(2)));
+        }
         let want = reference_count(&db, t, &[(0, 2, 5), (1, 3, 8), (2, 10, 40)]);
-        assert_eq!(got, want);
+        assert_eq!(keys.len() as u64, want);
     }
 }

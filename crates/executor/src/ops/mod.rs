@@ -3,8 +3,9 @@
 //! Each operator is a plain function (or small struct) that really performs
 //! its work against the storage substrate and charges every page access and
 //! unit of CPU to the [`robustmap_storage::Session`].  Rows flow into
-//! caller-provided sinks (`FnMut(&Row)`), so no operator materialises
-//! output it does not need for its own algorithm.
+//! caller-provided sinks — `FnMut(&RowBatch)` out of the scans and
+//! fetches, `FnMut(&Row)` out of the blocking operators — so no operator
+//! materialises output it does not need for its own algorithm.
 
 pub mod adaptive;
 pub mod agg;
@@ -20,6 +21,8 @@ pub mod table_scan;
 #[cfg(test)]
 pub(crate) mod testutil {
     use robustmap_storage::{ColumnType, Database, Row, Schema, TableId};
+
+    use crate::batch::RowBatch;
 
     /// A small three-column table: `a` and `b` are value permutations so a
     /// predicate `col < t` has exactly `t` matches; `c = 7 * row_number`.
@@ -42,6 +45,14 @@ pub(crate) mod testutil {
             db.insert_row(t, &Row::from_slice(&[a, b, i * 7])).unwrap();
         }
         (db, t)
+    }
+
+    /// Run `op` with a batch sink that collects every emitted row; returns
+    /// the operator's result beside the rows.
+    pub fn collect<T>(op: impl FnOnce(&mut dyn FnMut(&RowBatch)) -> T) -> (T, Vec<Row>) {
+        let mut rows = Vec::new();
+        let out = op(&mut |b| rows.extend((0..b.len()).map(|i| b.row(i))));
+        (out, rows)
     }
 
     /// All rows of the table, in physical order, without charging anyone.

@@ -12,7 +12,7 @@
 //! `skew = 0` is an even split, `skew = 1` serialises everything on one
 //! worker (no speedup at all).
 
-use robustmap_storage::{AccessKind, BufferPool, Row, Session, Table};
+use robustmap_storage::{AccessKind, BufferPool, Session, Table};
 
 use crate::batch::{col_from_bytes, BatchEmitter, ExecConfig, RowBatch, Selection};
 use crate::exec::ExecError;
@@ -21,73 +21,13 @@ use crate::plan::Projection;
 
 /// Run a parallel scan of `table` and push matches to `sink`.  Returns
 /// rows produced.
-pub fn run(
-    table: &Table,
-    pred: &Predicate,
-    project: &Projection,
-    dop: u32,
-    skew: f64,
-    session: &Session,
-    sink: &mut dyn FnMut(&Row),
-) -> Result<u64, ExecError> {
-    if dop == 0 {
-        return Err(ExecError::BadPlan("parallel scan with dop = 0".into()));
-    }
-    if !(0.0..=1.0).contains(&skew) {
-        return Err(ExecError::BadPlan(format!("skew {skew} outside [0, 1]")));
-    }
-    let pages = table.heap.page_count();
-    let dop = dop.min(pages.max(1));
-    // Worker 0 takes its fair share plus `skew` of everything else.
-    let fair = pages as f64 / dop as f64;
-    let w0_pages = (fair + skew * (pages as f64 - fair)).round().min(pages as f64) as u32;
-    let rest = pages - w0_pages;
-    let per_rest = if dop > 1 { rest as f64 / (dop - 1) as f64 } else { 0.0 };
-
-    let mut produced = 0u64;
-    let mut makespan = 0.0f64;
-    let mut start = 0u32;
-    for worker in 0..dop {
-        let len = if worker == 0 {
-            w0_pages
-        } else if worker == dop - 1 {
-            pages - start // remainder-exact
-        } else {
-            per_rest.round() as u32
-        };
-        let end = (start + len).min(pages);
-        // Private clock and pool share: the pool is divided among workers.
-        let worker_session = Session::new(
-            session.model().clone(),
-            BufferPool::new(session.pool_capacity() / dop as usize, Default::default()),
-        );
-        table.heap.scan_pages(start..end, &worker_session, robustmap_storage::AccessKind::Sequential, |_, row| {
-            if pred.eval_free(row) {
-                worker_session.charge_compares(pred.terms().len().max(1) as u64);
-                let out = project.apply(row);
-                sink(&out);
-                produced += 1;
-            } else {
-                worker_session.charge_compares(1);
-            }
-        });
-        makespan = makespan.max(worker_session.elapsed());
-        session.clock().add_counters(&worker_session.stats());
-        start = end;
-    }
-    // Critical path + coordination.
-    session.clock().charge(makespan);
-    session.clock().charge(session.model().parallel_startup * dop as f64);
-    Ok(produced)
-}
-
-/// Batched twin of [`run`]: the same worker split and private clocks, with
-/// each worker's partition scanned page-at-a-time through a free selection
-/// bitmap.  The per-row comparison charges (full term count on a match,
-/// one on a miss) are replayed in slot order, so every worker clock — and
-/// therefore the makespan — is bit-identical to the row path's.
+///
+/// Each worker's partition is scanned page-at-a-time through a free
+/// selection bitmap, then charged per row in slot order on the worker's
+/// private clock: the full term count on a match, one comparison on a
+/// miss.
 #[allow(clippy::too_many_arguments)]
-pub fn run_batched(
+pub fn run(
     table: &Table,
     pred: &Predicate,
     project: &Projection,
@@ -169,27 +109,34 @@ pub fn run_batched(
 mod tests {
     use super::*;
     use crate::expr::ColRange;
-    use crate::ops::testutil::{all_rows, demo_db};
+    use crate::ops::testutil::{all_rows, collect, demo_db};
+
+    /// Scan with no output projection games: count rows, discard them.
+    fn scan(table: &Table, pred: &Predicate, dop: u32, skew: f64, s: &Session) -> Result<u64, ExecError> {
+        run(table, pred, &Projection::All, dop, skew, &ExecConfig::default(), s, &mut |_| {})
+    }
 
     #[test]
     fn parallel_scan_returns_the_same_rows_as_serial() {
         let (db, t) = demo_db(3000);
-        let want = all_rows(&db, t).len();
+        let want = all_rows(&db, t);
         for dop in [1, 2, 4, 16] {
             let s = Session::with_pool_pages(64);
-            let mut rows = Vec::new();
-            let n = run(
-                db.table(t),
-                &Predicate::always_true(),
-                &Projection::All,
-                dop,
-                0.0,
-                &s,
-                &mut |r| rows.push(*r),
-            )
-            .unwrap();
-            assert_eq!(n as usize, want, "dop {dop}");
-            assert_eq!(rows.len(), want);
+            let (n, rows) = collect(|sink| {
+                run(
+                    db.table(t),
+                    &Predicate::always_true(),
+                    &Projection::All,
+                    dop,
+                    0.0,
+                    &ExecConfig::default(),
+                    &s,
+                    sink,
+                )
+                .unwrap()
+            });
+            assert_eq!(n as usize, want.len(), "dop {dop}");
+            assert_eq!(rows, want, "dop {dop}");
         }
     }
 
@@ -199,8 +146,7 @@ mod tests {
         let (db, t) = demo_db(300_000);
         let elapsed = |dop| {
             let s = Session::with_pool_pages(64);
-            run(db.table(t), &Predicate::always_true(), &Projection::All, dop, 0.0, &s, &mut |_| {})
-                .unwrap();
+            scan(db.table(t), &Predicate::always_true(), dop, 0.0, &s).unwrap();
             s.elapsed()
         };
         let t1 = elapsed(1);
@@ -214,8 +160,7 @@ mod tests {
         let (db, t) = demo_db(300_000);
         let elapsed = |dop, skew| {
             let s = Session::with_pool_pages(64);
-            run(db.table(t), &Predicate::always_true(), &Projection::All, dop, skew, &s, &mut |_| {})
-                .unwrap();
+            scan(db.table(t), &Predicate::always_true(), dop, skew, &s).unwrap();
             s.elapsed()
         };
         let serial = elapsed(1, 0.0);
@@ -229,37 +174,21 @@ mod tests {
     #[test]
     fn total_io_counters_are_preserved() {
         let (db, t) = demo_db(10_000);
-        let pages_serial = {
+        let pages = |dop| {
             let s = Session::with_pool_pages(0);
-            run(db.table(t), &Predicate::always_true(), &Projection::All, 1, 0.0, &s, &mut |_| {})
-                .unwrap();
-            s.stats().pages_read()
-        };
-        let pages_parallel = {
-            let s = Session::with_pool_pages(0);
-            run(db.table(t), &Predicate::always_true(), &Projection::All, 8, 0.0, &s, &mut |_| {})
-                .unwrap();
+            scan(db.table(t), &Predicate::always_true(), dop, 0.0, &s).unwrap();
             s.stats().pages_read()
         };
         // Work is conserved: the same pages get read, just concurrently.
-        assert_eq!(pages_serial, pages_parallel);
+        assert_eq!(pages(1), pages(8));
     }
 
     #[test]
     fn predicate_applies_in_parallel() {
         let (db, t) = demo_db(2048);
         let s = Session::with_pool_pages(64);
-        let mut count = 0u64;
-        run(
-            db.table(t),
-            &Predicate::single(ColRange::at_most(0, 511)),
-            &Projection::All,
-            4,
-            0.25,
-            &s,
-            &mut |_| count += 1,
-        )
-        .unwrap();
+        let count =
+            scan(db.table(t), &Predicate::single(ColRange::at_most(0, 511)), 4, 0.25, &s).unwrap();
         assert_eq!(count, 512); // a is a permutation of 0..2048
     }
 
@@ -267,9 +196,7 @@ mod tests {
     fn zero_dop_is_rejected() {
         let (db, t) = demo_db(16);
         let s = Session::with_pool_pages(4);
-        assert!(run(db.table(t), &Predicate::always_true(), &Projection::All, 0, 0.0, &s, &mut |_| {})
-            .is_err());
-        assert!(run(db.table(t), &Predicate::always_true(), &Projection::All, 2, 1.5, &s, &mut |_| {})
-            .is_err());
+        assert!(scan(db.table(t), &Predicate::always_true(), 0, 0.0, &s).is_err());
+        assert!(scan(db.table(t), &Predicate::always_true(), 2, 1.5, &s).is_err());
     }
 }

@@ -5,7 +5,7 @@
 //! maps make visible — because it always reads every page sequentially and
 //! evaluates the predicate on every row.
 
-use robustmap_storage::{AccessKind, Row, Session, Table};
+use robustmap_storage::{AccessKind, Session, Table};
 
 use crate::batch::{col_from_bytes, BatchEmitter, ExecConfig, RowBatch};
 use crate::expr::Predicate;
@@ -13,35 +13,18 @@ use crate::plan::Projection;
 
 /// Scan `table`, filter with `pred`, project, and push matches to `sink`.
 /// Returns the number of rows produced.
-pub fn run(
-    table: &Table,
-    pred: &Predicate,
-    project: &Projection,
-    session: &Session,
-    sink: &mut dyn FnMut(&Row),
-) -> u64 {
-    let mut produced = 0u64;
-    table.heap.scan(session, |_, row| {
-        if pred.eval(row, session) {
-            let out = project.apply(row);
-            sink(&out);
-            produced += 1;
-        }
-    });
-    produced
-}
-
-/// Batched twin of [`run`]: scan page by page, evaluate the predicate in a
-/// single branch-free pass over each record's bytes, and gather only the
-/// surviving rows' projected columns (late materialization —
-/// non-qualifying rows are never decoded in full).
+///
+/// Scans page by page, evaluates the predicate in a single branch-free
+/// pass over each record's bytes, and gathers only the surviving rows'
+/// projected columns (late materialization — non-qualifying rows are never
+/// decoded in full).
 ///
 /// The charge sequence per page is exactly [`HeapFile::scan`]'s with
 /// [`Predicate::eval`] inside: one sequential `read_page`, per-row
 /// comparison charges in slot order, then `charge_rows(live)`.
 ///
 /// [`HeapFile::scan`]: robustmap_storage::HeapFile::scan
-pub fn run_batched(
+pub fn run(
     table: &Table,
     pred: &Predicate,
     project: &Projection,
@@ -96,16 +79,25 @@ pub fn run_batched(
 mod tests {
     use super::*;
     use crate::expr::ColRange;
-    use crate::ops::testutil::demo_db;
+    use crate::ops::testutil::{collect, demo_db};
+
+    fn scan(
+        db: &robustmap_storage::Database,
+        t: robustmap_storage::TableId,
+        pred: &Predicate,
+        project: &Projection,
+        batch_rows: usize,
+        s: &Session,
+    ) -> (u64, Vec<robustmap_storage::Row>) {
+        let cfg = ExecConfig::with_batch_rows(batch_rows);
+        collect(|sink| run(db.table(t), pred, project, &cfg, s, sink))
+    }
 
     #[test]
     fn full_scan_returns_everything() {
         let (db, t) = demo_db(500);
         let s = Session::with_pool_pages(16);
-        let mut rows = Vec::new();
-        let n = run(db.table(t), &Predicate::always_true(), &Projection::All, &s, &mut |r| {
-            rows.push(*r)
-        });
+        let (n, rows) = scan(&db, t, &Predicate::always_true(), &Projection::All, 1024, &s);
         assert_eq!(n, 500);
         assert_eq!(rows.len(), 500);
     }
@@ -116,56 +108,41 @@ mod tests {
         let s = Session::with_pool_pages(16);
         // `a < 100` matches exactly 100 rows (a is a permutation of 0..512).
         let pred = Predicate::single(ColRange::at_most(0, 99));
-        let mut count = 0u64;
-        let n = run(db.table(t), &pred, &Projection::All, &s, &mut |_| count += 1);
+        let (n, rows) = scan(&db, t, &pred, &Projection::All, 1024, &s);
         assert_eq!(n, 100);
-        assert_eq!(count, 100);
+        assert_eq!(rows.len(), 100);
     }
 
     #[test]
     fn projection_shapes_output() {
         let (db, t) = demo_db(10);
         let s = Session::with_pool_pages(16);
-        let mut rows = Vec::new();
-        run(
-            db.table(t),
-            &Predicate::always_true(),
-            &Projection::Columns(vec![2]),
-            &s,
-            &mut |r| rows.push(*r),
-        );
+        let (_, rows) =
+            scan(&db, t, &Predicate::always_true(), &Projection::Columns(vec![2]), 1024, &s);
         assert!(rows.iter().all(|r| r.arity() == 1));
         let mut got: Vec<i64> = rows.iter().map(|r| r.get(0)).collect();
         got.sort_unstable();
         assert_eq!(got, (0..10).map(|i| i * 7).collect::<Vec<_>>());
     }
 
+    /// The scan's charges are `HeapFile::scan`'s with `Predicate::eval`
+    /// inside, at every batch size.
     #[test]
-    fn batched_scan_is_bit_identical_to_row_scan() {
+    fn scan_is_bit_identical_to_the_heap_scan_at_every_batch_size() {
         let (db, t) = demo_db(2000);
         let pred = Predicate::all_of(vec![ColRange::at_most(0, 999), ColRange::at_most(1, 1500)]);
         let proj = Projection::Columns(vec![2, 0]);
         let row_s = Session::with_pool_pages(16);
         let mut want = Vec::new();
-        let n_row = run(db.table(t), &pred, &proj, &row_s, &mut |r| {
-            want.push(r.values().to_vec())
+        db.table(t).heap.scan(&row_s, |_, row| {
+            if pred.eval(row, &row_s) {
+                want.push(proj.apply(row));
+            }
         });
         for batch_rows in [1usize, 7, 1024] {
             let batch_s = Session::with_pool_pages(16);
-            let mut got = Vec::new();
-            let n_batch = run_batched(
-                db.table(t),
-                &pred,
-                &proj,
-                &ExecConfig::with_batch_rows(batch_rows),
-                &batch_s,
-                &mut |b| {
-                    for i in 0..b.len() {
-                        got.push(b.row(i).values().to_vec());
-                    }
-                },
-            );
-            assert_eq!(n_batch, n_row, "batch_rows={batch_rows}");
+            let (n, got) = scan(&db, t, &pred, &proj, batch_rows, &batch_s);
+            assert_eq!(n as usize, want.len(), "batch_rows={batch_rows}");
             assert_eq!(got, want, "batch_rows={batch_rows}");
             assert_eq!(batch_s.elapsed().to_bits(), row_s.elapsed().to_bits());
             assert_eq!(batch_s.stats(), row_s.stats());
@@ -179,7 +156,7 @@ mod tests {
         for thresh in [0, 500, 1999] {
             let s = Session::with_pool_pages(16);
             let pred = Predicate::single(ColRange::at_most(0, thresh));
-            run(db.table(t), &pred, &Projection::All, &s, &mut |_| {});
+            scan(&db, t, &pred, &Projection::All, 1024, &s);
             costs.push(s.stats().pages_read());
         }
         // Page traffic identical regardless of selectivity.

@@ -5,12 +5,14 @@
 
 use proptest::prelude::*;
 use robustmap_executor::{
-    execute_adaptive_collect, execute_adaptive_collect_batched, execute_collect,
-    execute_collect_batched, AggFn, CheckpointKind, ColRange, ExecConfig, ExecCtx, FetchKind,
+    run_collect, AggFn, CheckpointKind, ColRange, ExecConfig, ExecCtx, FetchKind,
     ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, KeyRange, Observation, PlanSpec, Predicate,
-    Projection, Selection, SpillMode, SwitchController, SwitchDirective,
+    Projection, RunOpts, Selection, SpillMode, SwitchController, SwitchDirective,
 };
 use robustmap_storage::{ColumnType, Database, Row, Schema, Session, TableId};
+
+/// One row per batch: row-at-a-time execution.
+const ROW_PATH: ExecConfig = ExecConfig { batch_rows: 1 };
 
 /// Build a table with columns (a, b, c) from explicit tuples.
 fn db_from(rows: &[(i64, i64, i64)]) -> (Database, TableId) {
@@ -144,7 +146,7 @@ proptest! {
         for plan in &plans {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (_, got) = execute_collect(plan, &ctx).unwrap();
+            let (_, got) = run_collect(plan, &ctx, RunOpts::default()).unwrap();
             prop_assert_eq!(sorted_rows(got), reference.clone(), "{}", plan.synopsis());
         }
         // Covering and MDAM plans emit (a, b) key rows; compare counts.
@@ -161,7 +163,7 @@ proptest! {
         for plan in [&covering, &mdam] {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (stats, _) = execute_collect(plan, &ctx).unwrap();
+            let (stats, _) = run_collect(plan, &ctx, RunOpts::default()).unwrap();
             prop_assert_eq!(stats.rows_out as usize, reference.len(), "{}", plan.synopsis());
         }
     }
@@ -186,7 +188,7 @@ proptest! {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (stats, got) = execute_collect(&plan, &ctx).unwrap();
+        let (stats, got) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
         prop_assert_eq!(stats.rows_out, want);
         for r in got {
             prop_assert!(alo <= r.get(0) && r.get(0) <= ahi);
@@ -216,7 +218,7 @@ proptest! {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (_, got) = execute_collect(&plan, &ctx).unwrap();
+        let (_, got) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
         let got: Vec<Vec<i64>> = got.iter().map(|r| r.values().to_vec()).collect();
         let mut want: Vec<Vec<i64>> = rows.iter().map(|&(a, b, c)| vec![a, b, c]).collect();
         want.sort_by(|x, y| (x[2], x[0], &x[..]).cmp(&(y[2], y[0], &y[..])));
@@ -249,7 +251,7 @@ proptest! {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (_, got) = execute_collect(&plan, &ctx).unwrap();
+        let (_, got) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
         let mut want: BTreeMap<i64, (i64, i64, i64, i64)> = BTreeMap::new();
         for &(a, b, c) in &rows {
             let e = want.entry(a).or_insert((0, 0, i64::MAX, i64::MIN));
@@ -264,15 +266,12 @@ proptest! {
         }
     }
 
-    /// The branch-free batched predicate evaluation equals per-row
-    /// short-circuit evaluation on arbitrary rows and predicates: the same
-    /// selection bits AND the same number of charged comparisons (the
-    /// batch path must reconstruct exactly how many terms the row path
-    /// would have examined before short-circuiting).  Includes the empty
-    /// batch (`rows` may be filtered to nothing upstream, so n = 0 must
-    /// work) via the 0-row lower bound.
+    /// The branch-free batched predicate evaluation selects exactly the
+    /// rows per-row evaluation accepts, on arbitrary rows and predicates.
+    /// Includes the empty batch (`rows` may be filtered to nothing
+    /// upstream, so n = 0 must work) via the 0-row lower bound.
     #[test]
-    fn batched_predicate_matches_per_row_bits_and_charges(
+    fn batched_predicate_matches_per_row_bits(
         rows in prop::collection::vec((-50i64..50, -50i64..50, -50i64..50), 0..300),
         terms in prop::collection::vec((0usize..3, -60i64..60, -60i64..60), 0..4),
     ) {
@@ -287,28 +286,13 @@ proptest! {
             .map(|t| rows.iter().map(|r| [r.0, r.1, r.2][t.col]).collect())
             .collect();
         let refs: Vec<&[i64]> = term_cols.iter().map(|c| c.as_slice()).collect();
-
-        let row_session = Session::with_pool_pages(0);
         let row_bits: Vec<bool> = rows
             .iter()
-            .map(|&(a, b, c)| pred.eval(&Row::from_slice(&[a, b, c]), &row_session))
+            .map(|&(a, b, c)| pred.eval_free(&Row::from_slice(&[a, b, c])))
             .collect();
-
-        let batch_session = Session::with_pool_pages(0);
         let mut sel = Selection::new();
-        pred.eval_batch(&refs, n, &batch_session, &mut sel);
-        let batch_bits: Vec<bool> = (0..n).map(|i| sel.get(i)).collect();
-
-        prop_assert_eq!(&batch_bits, &row_bits);
-        prop_assert_eq!(
-            batch_session.stats().cpu_compares,
-            row_session.stats().cpu_compares,
-            "comparison charges diverged"
-        );
-        // The charge-free variant selects the same rows.
-        let mut free = Selection::new();
-        pred.eval_batch_free(&refs, n, &mut free);
-        prop_assert_eq!((0..n).map(|i| free.get(i)).collect::<Vec<_>>(), row_bits);
+        pred.eval_batch_free(&refs, n, &mut sel);
+        prop_assert_eq!((0..n).map(|i| sel.get(i)).collect::<Vec<_>>(), row_bits);
     }
 
     /// Row and batch execution agree — stats bit-for-bit, rows
@@ -349,10 +333,11 @@ proptest! {
         for plan in &plans {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (row_stats, row_rows) = execute_collect(plan, &ctx).unwrap();
+            let (row_stats, row_rows) =
+                run_collect(plan, &ctx, RunOpts { batch: ROW_PATH, controller: None }).unwrap();
             let s2 = Session::with_pool_pages(64);
             let ctx2 = ExecCtx::new(&db, &s2, 1 << 20);
-            let (batch_stats, batch_rows_v) = execute_collect_batched(plan, &ctx2, &ec).unwrap();
+            let (batch_stats, batch_rows_v) = run_collect(plan, &ctx2, RunOpts { batch: ec, controller: None }).unwrap();
             prop_assert_eq!(
                 row_stats.seconds.to_bits(),
                 batch_stats.seconds.to_bits(),
@@ -367,8 +352,8 @@ proptest! {
     /// A *triggered* bail never changes the answer: whatever rows the
     /// adaptive executor produces after abandoning the chosen plan
     /// mid-flight, they are exactly the rows either pure plan produces —
-    /// the switch affects cost accounting only, never correctness.  Both
-    /// the scalar and batched adaptive paths, at any batch size.
+    /// the switch affects cost accounting only, never correctness.  One
+    /// row per batch and any other batch size.
     #[test]
     fn triggered_bail_matches_both_pure_plans(
         rows in rows_strategy(),
@@ -408,24 +393,24 @@ proptest! {
             let pure_chosen = {
                 let s = Session::with_pool_pages(64);
                 let ctx = ExecCtx::new(&db, &s, 1 << 20);
-                sorted_rows(execute_collect(plan, &ctx).unwrap().1)
+                sorted_rows(run_collect(plan, &ctx, RunOpts::default()).unwrap().1)
             };
             let pure_fallback = {
                 let s = Session::with_pool_pages(64);
                 let ctx = ExecCtx::new(&db, &s, 1 << 20);
-                sorted_rows(execute_collect(&fallback, &ctx).unwrap().1)
+                sorted_rows(run_collect(&fallback, &ctx, RunOpts::default()).unwrap().1)
             };
             let ctrl = BailAlways { at, fallback: fallback.clone() };
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (stats, got) = execute_adaptive_collect(plan, &ctx, &ctrl).unwrap();
+            let (stats, got) = run_collect(plan, &ctx, RunOpts { batch: ROW_PATH, controller: Some(&ctrl) }).unwrap();
             prop_assert_eq!(stats.switches.len(), 1, "{}: bail must be recorded", plan.synopsis());
             let got = sorted_rows(got);
             prop_assert_eq!(&got, &pure_chosen, "{}: vs chosen plan", plan.synopsis());
             prop_assert_eq!(&got, &pure_fallback, "{}: vs fallback plan", plan.synopsis());
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (bstats, bgot) = execute_adaptive_collect_batched(plan, &ctx, &ec, &ctrl).unwrap();
+            let (bstats, bgot) = run_collect(plan, &ctx, RunOpts { batch: ec, controller: Some(&ctrl) }).unwrap();
             prop_assert_eq!(bstats.switches.len(), 1, "{}: batched bail", plan.synopsis());
             prop_assert_eq!(sorted_rows(bgot), pure_chosen, "{}: batched rows", plan.synopsis());
         }
@@ -457,18 +442,18 @@ proptest! {
         let pure_chosen = {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            sorted_rows(execute_collect(&chosen, &ctx).unwrap().1)
+            sorted_rows(run_collect(&chosen, &ctx, RunOpts::default()).unwrap().1)
         };
         let pure_fallback = {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            sorted_rows(execute_collect(&fallback, &ctx).unwrap().1)
+            sorted_rows(run_collect(&fallback, &ctx, RunOpts::default()).unwrap().1)
         };
         let want_switches = usize::from(!pure_chosen.is_empty());
         let ctrl = BailAlways { at: CheckpointKind::ScanOut, fallback: fallback.clone() };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (stats, got) = execute_adaptive_collect(&chosen, &ctx, &ctrl).unwrap();
+        let (stats, got) = run_collect(&chosen, &ctx, RunOpts { batch: ROW_PATH, controller: Some(&ctrl) }).unwrap();
         prop_assert_eq!(stats.switches.len(), want_switches);
         let got = sorted_rows(got);
         prop_assert_eq!(&got, &pure_chosen, "vs pure MDAM");
@@ -476,7 +461,7 @@ proptest! {
         let ec = ExecConfig::with_batch_rows(batch_rows);
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (bstats, bgot) = execute_adaptive_collect_batched(&chosen, &ctx, &ec, &ctrl).unwrap();
+        let (bstats, bgot) = run_collect(&chosen, &ctx, RunOpts { batch: ec, controller: Some(&ctrl) }).unwrap();
         prop_assert_eq!(bstats.switches.len(), want_switches, "batched bail");
         prop_assert_eq!(sorted_rows(bgot), pure_chosen, "batched rows");
     }
@@ -507,13 +492,13 @@ proptest! {
             .map(|p| {
                 let s = Session::with_pool_pages(64);
                 let ctx = ExecCtx::new(&db, &s, 1 << 20);
-                sorted_rows(execute_collect(p, &ctx).unwrap().1)
+                sorted_rows(run_collect(p, &ctx, RunOpts::default()).unwrap().1)
             })
             .collect();
         let ctrl = SwitchFetchAt { at: CheckpointKind::RidFeed, fetch: FetchKind::BitmapSorted };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (stats, got) = execute_adaptive_collect(&traditional, &ctx, &ctrl).unwrap();
+        let (stats, got) = run_collect(&traditional, &ctx, RunOpts { batch: ROW_PATH, controller: Some(&ctrl) }).unwrap();
         prop_assert_eq!(stats.switches.len(), 1);
         let got = sorted_rows(got);
         prop_assert_eq!(&got, &pure[0], "vs pure traditional");
@@ -522,7 +507,7 @@ proptest! {
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
         let (bstats, bgot) =
-            execute_adaptive_collect_batched(&traditional, &ctx, &ec, &ctrl).unwrap();
+            run_collect(&traditional, &ctx, RunOpts { batch: ec, controller: Some(&ctrl) }).unwrap();
         prop_assert_eq!(bstats.switches.len(), 1);
         prop_assert_eq!(sorted_rows(bgot), pure[1].clone(), "batched vs pure");
     }
@@ -544,9 +529,9 @@ proptest! {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (_, rows_full) = execute_collect(&full, &ctx).unwrap();
+        let (_, rows_full) = run_collect(&full, &ctx, RunOpts::default()).unwrap();
         let ctx2 = ExecCtx::new(&db, &s, 1 << 20);
-        let (_, rows_proj) = execute_collect(&projected, &ctx2).unwrap();
+        let (_, rows_proj) = run_collect(&projected, &ctx2, RunOpts::default()).unwrap();
         let manual: Vec<Vec<i64>> =
             rows_full.iter().map(|r| vec![r.get(2), r.get(1)]).collect();
         let got: Vec<Vec<i64>> = rows_proj.iter().map(|r| r.values().to_vec()).collect();

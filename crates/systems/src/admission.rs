@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn shrunk_grant_forces_sort_spill() {
         use robustmap_executor::{
-            execute_count, ColRange, ExecCtx, PlanSpec, Predicate, Projection, SpillMode,
+            run_count, ColRange, ExecCtx, PlanSpec, Predicate, Projection, RunOpts, SpillMode,
         };
         use robustmap_storage::Session;
         use robustmap_workload::{TableBuilder, WorkloadConfig};
@@ -266,7 +266,7 @@ mod tests {
         let run = |plan: &PlanSpec, memory: usize| {
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&w.db, &s, memory);
-            execute_count(plan, &ctx).expect("well-formed")
+            run_count(plan, &ctx, RunOpts::default()).expect("well-formed")
         };
         // Under the planned grant the sort fits in memory...
         assert!(!run(&spec, 8 << 20).spilled);

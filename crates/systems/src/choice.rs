@@ -14,8 +14,7 @@
 //!   statistics whose region width *scales with observed sample
 //!   variance*, not just the fixed bucket-resolution box);
 //! * a [`ChoicePolicy`] answers "given those beliefs, which plan" —
-//!   [`ChoicePolicy::Point`] is the textbook argmin of estimated cost
-//!   (bit-identical to the legacy `choose_plan`, pinned by test), and
+//!   [`ChoicePolicy::Point`] is the textbook argmin of estimated cost, and
 //!   [`ChoicePolicy::Robust`] minimizes `expected + penalty * tail` over
 //!   the whole region (the penalty-aware criterion of `crate::robust`);
 //! * a [`Chooser`] binds a plan catalog, catalog statistics, a cost model
@@ -23,10 +22,6 @@
 //!   expected/tail costs, runner-up and margin — instead of a bare index,
 //!   so experiments can map *how close* a decision was, not just what it
 //!   was.
-//!
-//! The legacy free functions (`optimizer::choose_plan`,
-//! `robust::choose_plan_robust`, `robust::choose_plan_with_joint`) are
-//! deprecated shims over this API.
 
 use robustmap_storage::CostModel;
 use robustmap_workload::{
@@ -302,7 +297,7 @@ impl Estimator for Maintained<'_> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChoicePolicy {
     /// Argmin of estimated cost at the point estimate — the textbook
-    /// optimizer, bit-identical to the legacy `choose_plan`.
+    /// optimizer.
     Point,
     /// Argmin of `expected + penalty_weight * tail` over the estimator's
     /// whole uncertainty region — the penalty-aware robust criterion.
@@ -376,8 +371,8 @@ impl Chooser<'_> {
     }
 
     /// Point selection at explicit estimates: argmin of estimated cost,
-    /// ties to the lower index — bit-identical to the legacy
-    /// `choose_plan` (pinned by `tests/prop_choice.rs`).
+    /// ties to the lower index (pinned against a brute-force argmin by
+    /// `tests/prop_choice.rs`).
     pub fn choose_at(&self, est: &SelEstimates, ta: i64, tb: i64) -> Choice {
         self.select(|plan| {
             let c = estimate_cost(&plan.build(ta, tb), self.stats, est, self.model);
@@ -401,8 +396,7 @@ impl Chooser<'_> {
     }
 
     /// Shared selection core: score every plan, pick the strict minimum
-    /// (ties break to the lower index, deterministically — the legacy
-    /// contract), and report the runner-up and margin.
+    /// (ties break to the lower index, deterministically), and report the runner-up and margin.
     fn select(&self, score_of: impl Fn(&TwoPredPlan) -> (f64, f64, f64)) -> Choice {
         assert!(!self.plans.is_empty(), "empty plan catalog");
         let scored: Vec<(f64, f64, f64)> = self.plans.iter().map(score_of).collect();

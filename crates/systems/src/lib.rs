@@ -31,8 +31,7 @@
 //! ChoicePolicy split: estimators say what the catalog believes
 //! (exact, error-injected, histogram, joint statistics), policies say how
 //! to pick under those beliefs (point argmin or penalty-aware robust
-//! hedging), and a [`Chooser`] binds a catalog to both.  The free
-//! functions in [`optimizer`] and [`robust`] are deprecated shims over it.
+//! hedging), and a [`Chooser`] binds a catalog to both.
 //!
 //! Run-time adaptivity lives in [`adaptive`]: a [`SwitchPolicy`] decides
 //! when an observed cardinality discredits the compile-time choice, and a
@@ -62,11 +61,7 @@ pub use adaptive::{
     DEFAULT_BAND_FACTOR,
 };
 pub use choice::{Choice, ChoicePolicy, Chooser, Estimator, Maintained, Stale};
-#[allow(deprecated)] // the legacy shims stay importable while callers migrate
-pub use optimizer::choose_plan;
 pub use optimizer::{estimate_cost, estimate_fetch, CatalogStats, SelEstimates};
-#[allow(deprecated)]
-pub use robust::{choose_plan_robust, choose_plan_with_joint};
 pub use robust::{credible_region, credible_region_around, uncertainty_region, RobustConfig, SelHypothesis};
 pub use single_pred::{single_predicate_plans, SinglePredPlan, SinglePredPlanSet};
 pub use system::{SystemId, SystemInfo};

@@ -18,8 +18,6 @@ use robustmap_executor::{FetchKind, PlanSpec};
 use robustmap_storage::CostModel;
 use robustmap_workload::Workload;
 
-use crate::two_pred::TwoPredPlan;
-
 /// Compile-time selectivity estimates for the two predicate columns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelEstimates {
@@ -303,33 +301,25 @@ pub fn estimate_fetch(
     }
 }
 
-/// The optimizer: estimate every plan and return the index of the cheapest
-/// (ties break to the lower index, deterministically).
-#[deprecated(
-    note = "use `choice::Chooser` with `ChoicePolicy::Point` — this free \
-            function is a thin shim over it (bit-identical, pinned by \
-            `tests/prop_choice.rs`)"
-)]
-pub fn choose_plan(
-    plans: &[TwoPredPlan],
-    ta: i64,
-    tb: i64,
-    stats: &CatalogStats,
-    est: &SelEstimates,
-    model: &CostModel,
-) -> usize {
-    crate::choice::Chooser { plans, stats, model, policy: crate::choice::ChoicePolicy::Point }
-        .choose_at(est, ta, tb)
-        .plan
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shim's behaviour is pinned here
 mod tests {
     use super::*;
-    use crate::two_pred::two_predicate_plans;
+    use crate::choice::{ChoicePolicy, Chooser};
+    use crate::two_pred::{two_predicate_plans, TwoPredPlan};
     use crate::SystemId;
     use robustmap_workload::{TableBuilder, WorkloadConfig};
+
+    /// The point chooser's pick at explicit estimates.
+    fn choose_plan(
+        plans: &[TwoPredPlan],
+        ta: i64,
+        tb: i64,
+        stats: &CatalogStats,
+        est: &SelEstimates,
+        model: &CostModel,
+    ) -> usize {
+        Chooser { plans, stats, model, policy: ChoicePolicy::Point }.choose_at(est, ta, tb).plan
+    }
 
     fn setup() -> (Workload, CatalogStats, CostModel) {
         // Large enough that index plans can beat a (non-trivial) table

@@ -1,7 +1,7 @@
 //! Penalty-aware robust plan selection under estimation uncertainty.
 //!
-//! [`crate::optimizer::choose_plan`] is the textbook chooser: argmin of
-//! estimated cost at the *point* estimate.  The `ext_correlated`
+//! The point policy ([`crate::choice::ChoicePolicy::Point`]) is the
+//! textbook chooser: argmin of estimated cost at the *point* estimate.  The `ext_correlated`
 //! experiment showed how that fails — feed it a cardinality that is wrong
 //! by `rho / s` and it freezes on the wrong join across the whole
 //! correlation sweep.  Modern robust-plan work (PARQO's penalty-aware
@@ -18,8 +18,8 @@
 //! estimate but catastrophic one histogram bucket away carries its
 //! catastrophe into the score, while a flat (robust) plan is scored at
 //! roughly its point cost.  With a single hypothesis and
-//! `penalty_weight = 0` the robust chooser degenerates to `choose_plan`
-//! exactly (unit-tested below).
+//! `penalty_weight = 0` the robust chooser degenerates to the point
+//! chooser exactly (unit-tested below).
 //!
 //! The hypothesis set comes from [`uncertainty_region`]: a 3 × 3 credible
 //! box around the [`JointHistogram`]'s estimate, one marginal-bucket
@@ -147,64 +147,10 @@ pub fn region_cost(
     (expected, tail)
 }
 
-/// The robust chooser: return the index of the plan minimizing
-/// `expected + penalty_weight * tail` over the hypothesis region (ties
-/// break to the lower index, deterministically).
-#[deprecated(
-    note = "use `choice::Chooser` with `ChoicePolicy::Robust` — this free \
-            function is a thin shim over it"
-)]
-pub fn choose_plan_robust(
-    plans: &[TwoPredPlan],
-    ta: i64,
-    tb: i64,
-    stats: &CatalogStats,
-    region: &[SelHypothesis],
-    model: &CostModel,
-    cfg: &RobustConfig,
-) -> usize {
-    crate::choice::Chooser {
-        plans,
-        stats,
-        model,
-        policy: crate::choice::ChoicePolicy::Robust(*cfg),
-    }
-    .choose_over(region, ta, tb)
-    .plan
-}
-
-/// Convenience: build the [`uncertainty_region`] from `joint` at
-/// `(ta, tb)` and choose robustly over it.
-#[deprecated(
-    note = "use `choice::Chooser` with a `choice::Joint` estimator and \
-            `ChoicePolicy::Robust` — this free function is a thin shim \
-            over them (with the fixed bucket-resolution region)"
-)]
-pub fn choose_plan_with_joint(
-    plans: &[TwoPredPlan],
-    ta: i64,
-    tb: i64,
-    stats: &CatalogStats,
-    joint: &JointHistogram,
-    model: &CostModel,
-    cfg: &RobustConfig,
-) -> usize {
-    let region = uncertainty_region(joint, ta, tb);
-    crate::choice::Chooser {
-        plans,
-        stats,
-        model,
-        policy: crate::choice::ChoicePolicy::Robust(*cfg),
-    }
-    .choose_over(&region, ta, tb)
-    .plan
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims' degeneration contracts are pinned here
 mod tests {
     use super::*;
-    use crate::optimizer::choose_plan;
+    use crate::choice::{ChoicePolicy, Chooser};
     use crate::two_pred::two_predicate_plans;
     use crate::SystemId;
     use robustmap_workload::gen::PredicateDistribution;
@@ -225,8 +171,9 @@ mod tests {
             let (ta, tb) = (w.cal_a.threshold(sel), w.cal_b.threshold(sel));
             let est = SelEstimates::exact(sel, sel);
             let region = [SelHypothesis { est, weight: 1.0 }];
-            let point = choose_plan(&plans, ta, tb, &stats, &est, &model);
-            let robust = choose_plan_robust(&plans, ta, tb, &stats, &region, &model, &cfg);
+            let chooser = |policy| Chooser { plans: &plans, stats: &stats, model: &model, policy };
+            let point = chooser(ChoicePolicy::Point).choose_at(&est, ta, tb).plan;
+            let robust = chooser(ChoicePolicy::Robust(cfg)).choose_over(&region, ta, tb).plan;
             assert_eq!(point, robust, "sel {sel}");
         }
     }
@@ -247,8 +194,13 @@ mod tests {
         ];
         let expected_only = RobustConfig { tail_quantile: 0.95, penalty_weight: 0.0 };
         let penalised = RobustConfig { tail_quantile: 0.95, penalty_weight: 10.0 };
-        let lean = choose_plan_robust(&plans, ta, tb, &stats, &region, &model, &expected_only);
-        let hedged = choose_plan_robust(&plans, ta, tb, &stats, &region, &model, &penalised);
+        let robust = |cfg| {
+            Chooser { plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Robust(cfg) }
+                .choose_over(&region, ta, tb)
+                .plan
+        };
+        let lean = robust(expected_only);
+        let hedged = robust(penalised);
         // The hedged choice must never have a worse tail than the lean one
         // (that is the penalty's whole point), and on this region it is a
         // strictly different, tail-safer plan.

@@ -116,7 +116,7 @@ pub fn single_predicate_plans(set: SinglePredPlanSet, w: &Workload) -> Vec<Singl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use robustmap_executor::{execute_collect, ExecCtx};
+    use robustmap_executor::{run_collect, ExecCtx, RunOpts};
     use robustmap_storage::Session;
     use robustmap_workload::{TableBuilder, WorkloadConfig};
 
@@ -136,7 +136,7 @@ mod tests {
             let spec = plan.build(ta);
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-            let (stats, rows) = execute_collect(&spec, &ctx).unwrap();
+            let (stats, rows) = run_collect(&spec, &ctx, RunOpts::default()).unwrap();
             assert_eq!(stats.rows_out, count, "{}", plan.name);
             let mut rows: Vec<Vec<i64>> = rows.iter().map(|r| r.values().to_vec()).collect();
             rows.sort();
@@ -154,7 +154,7 @@ mod tests {
             let spec = plan.build(i64::MIN);
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-            let (stats, rows) = execute_collect(&spec, &ctx).unwrap();
+            let (stats, rows) = run_collect(&spec, &ctx, RunOpts::default()).unwrap();
             assert_eq!(stats.rows_out, 0, "{}", plan.name);
             assert!(rows.is_empty());
         }

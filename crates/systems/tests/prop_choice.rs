@@ -1,16 +1,13 @@
 //! Property-based tests for the `choice` API: the contracts the rest of
 //! the repo leans on.
 //!
-//! * `ChoicePolicy::Point` reproduces the legacy `choose_plan` indices
-//!   bit-identically over the full 15-plan catalog (the pinning test the
-//!   deprecated shim's docs promise);
+//! * `ChoicePolicy::Point` is the argmin of estimated cost over the full
+//!   15-plan catalog, ties to the lower index;
 //! * `ChoicePolicy::Robust` with a single hypothesis and zero penalty
 //!   degenerates to the point policy exactly;
 //! * tie-breaks are deterministic (lower index wins, repeat calls agree);
 //! * every [`Choice`] is internally coherent: `margin >= 0`,
 //!   `runner_up != plan`, the runner-up never scores below the winner.
-
-#![allow(deprecated)] // the legacy shims are the reference implementations here
 
 use std::sync::OnceLock;
 
@@ -18,7 +15,7 @@ use proptest::prelude::*;
 use robustmap_storage::CostModel;
 use robustmap_systems::choice::{Choice, ChoicePolicy, Chooser};
 use robustmap_systems::{
-    choose_plan, estimate_cost, CatalogStats, RobustConfig, SelEstimates, SelHypothesis,
+    estimate_cost, CatalogStats, RobustConfig, SelEstimates, SelHypothesis,
     SwitchPolicy, SystemId, CARDINALITY_NOISE_ROWS,
 };
 use robustmap_workload::{TableBuilder, Workload, WorkloadConfig};
@@ -70,10 +67,11 @@ fn coherent(c: &Choice, plan_count: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Point policy == legacy `choose_plan`, plan index for plan index,
-    /// over the full 15-plan catalog and arbitrary (clamped) estimates.
+    /// Point policy == brute-force argmin of estimated cost (ties to the
+    /// lower index), over the full 15-plan catalog and arbitrary (clamped)
+    /// estimates.
     #[test]
-    fn point_policy_is_bit_identical_to_the_legacy_chooser(
+    fn point_policy_is_the_argmin_of_estimated_cost(
         exp_a in 0u32..=14,
         exp_b in 0u32..=14,
         jitter_a in 0.0f64..1.0,
@@ -89,16 +87,19 @@ proptest! {
         let (ta, tb) = (w.cal_a.threshold(sa), w.cal_b.threshold(sb));
         let err = 2.0f64.powi(err_exp as i32 - 9);
         let est = SelEstimates::with_error(sa, sb, err, 1.0 / err.max(1e-12));
-        let legacy = choose_plan(&plans, ta, tb, &stats, &est, &model);
+        let costs: Vec<f64> = plans
+            .iter()
+            .map(|p| estimate_cost(&p.build(ta, tb), &stats, &est, &model))
+            .collect();
+        let argmin = (0..costs.len()).fold(0, |best, i| if costs[i] < costs[best] { i } else { best });
         let chooser =
             Chooser { plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Point };
         let choice = chooser.choose_at(&est, ta, tb);
-        prop_assert_eq!(choice.plan, legacy);
+        prop_assert_eq!(choice.plan, argmin);
         // And through the trait path with the estimates as the estimator.
-        prop_assert_eq!(chooser.choose(&est, ta, tb).plan, legacy);
+        prop_assert_eq!(chooser.choose(&est, ta, tb).plan, argmin);
         // The reported score is exactly the winner's estimated cost.
-        let cost = estimate_cost(&plans[legacy].build(ta, tb), &stats, &est, &model);
-        prop_assert_eq!(choice.score, cost);
+        prop_assert_eq!(choice.score, costs[argmin]);
         coherent(&choice, plans.len());
     }
 

@@ -23,16 +23,17 @@ run cargo build --release --workspace --all-targets
 run cargo test -q --release --workspace
 run cargo test -q --release --workspace --doc
 
-# The batch-executor, adaptive no-switch and concurrent-serving
-# differential suites run inside the workspace tests above at the default
-# batch size and scheduling quantum; run them again at deliberately odd
-# sizes so partial final batches, mid-page batch boundaries and
-# mid-operator suspension points are exercised too (neither knob may
-# change a single charge: a never-switching adaptive run and a
-# concurrency-1 served run must stay bit-identical to the static
-# executor at any batch size or quantum).
-echo "== batch + adaptive + concurrent equivalence at ROBUSTMAP_BATCH_ROWS=513, ROBUSTMAP_QUANTUM=513"
+# The golden charge ledger and the batch-size, adaptive no-switch and
+# concurrent-serving differential suites run inside the workspace tests
+# above at the default batch size and scheduling quantum; run them again
+# at deliberately odd sizes so partial final batches, mid-page batch
+# boundaries and mid-operator suspension points are exercised too
+# (neither knob may change a single charge: a never-switching controlled
+# run and a concurrency-1 served run must stay bit-identical to a static
+# run at any batch size or quantum).
+echo "== ledger + batch + adaptive + concurrent equivalence at ROBUSTMAP_BATCH_ROWS=513, ROBUSTMAP_QUANTUM=513"
 ROBUSTMAP_BATCH_ROWS=513 ROBUSTMAP_QUANTUM=513 run cargo test -q --release \
+    --test exec_ledger \
     --test batch_equivalence --test warm_sweep_equivalence \
     --test adaptive_equivalence --test concurrent_equivalence \
     --test tombstone_equivalence
@@ -40,10 +41,11 @@ ROBUSTMAP_BATCH_ROWS=513 ROBUSTMAP_QUANTUM=513 run cargo test -q --release \
 # Tracing must be charge-free: re-run the same differential suites with a
 # process-wide trace sink attached (every session auto-attaches and emits
 # page/op/scheduler events).  If observation changes a single charge, the
-# bit-identity assertions inside these suites fail.  Full detail =
-# per-page events, the worst case.
-echo "== the same equivalence suites again, traced (ROBUSTMAP_TRACE, full detail)"
+# ledger comparison and the bit-identity assertions inside these suites
+# fail.  Full detail = per-page events, the worst case.
+echo "== the same suites again, traced (ROBUSTMAP_TRACE, full detail)"
 ROBUSTMAP_TRACE="target/trace-verify.json" ROBUSTMAP_TRACE_DETAIL=full run cargo test -q --release \
+    --test exec_ledger \
     --test batch_equivalence --test warm_sweep_equivalence \
     --test adaptive_equivalence --test concurrent_equivalence \
     --test tombstone_equivalence
@@ -74,8 +76,7 @@ cmp target/figures-verify/fig1.csv target/figures-verify/fig1.cold.csv || {
     exit 1
 }
 # Byte-identity against the committed baseline: simulated costs must not
-# drift, no matter how the executor is rearranged (the batch refactor's
-# contract).  Regenerate crates/bench/baselines/fig1_smoke.csv only for
+# drift, no matter how the executor is rearranged.  Regenerate crates/bench/baselines/fig1_smoke.csv only for
 # a deliberate cost-model change.
 cmp target/figures-verify/fig1.csv crates/bench/baselines/fig1_smoke.csv || {
     echo "fig1 smoke CSV drifted from the committed baseline — simulated costs changed" >&2
@@ -156,9 +157,9 @@ done
 echo "== regression-check count: $total_checks ($checks_reg + $checks_robust + $checks_opt + $checks_adapt + $checks_conc + $checks_trace + $checks_churn, >= 71), verdicts PASS"
 rm -rf "$SMOKE_CACHE"
 
-echo "== deprecated-shim gate: crates/bench must use the Chooser API, not the legacy free functions"
-if grep -rnE '\bchoose_plan(_robust|_with_joint)?\s*\(' crates/bench/src; then
-    echo "deprecated chooser shim called from crates/bench — migrate to systems::choice::Chooser" >&2
+echo "== one-interpreter gate: the executor must not regrow a batched twin or an execute_* entry point"
+if grep -rnE 'fn \w+_batched\b|\bexecute_\w+' crates/executor/src; then
+    echo "crates/executor/src defines a *_batched function or names an execute_* entry point — there is one interpreter, exec::run" >&2
     exit 1
 fi
 

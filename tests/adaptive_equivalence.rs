@@ -1,26 +1,24 @@
-//! Differential no-switch equivalence suite for the adaptive executor.
+//! Differential no-switch equivalence suite for adaptive execution.
 //!
-//! The adaptive layer (`execute_adaptive` and friends) threads cardinality
-//! checkpoints through both executors.  Observation must be free: when the
-//! controller never switches — whether because it is [`NeverSwitch`] or
-//! because it is a real, armed [`BailController`] whose thresholds never
-//! trip — the adaptive executor must be **bit-identical** to the static
-//! one: same `SimClock` bits (f64 addition is not associative, so this
-//! means the exact same charge sequence), same `IoStats`, same spill flag,
-//! same per-operator breakdown, and the same output rows in the same
-//! order.  This mirrors `tests/batch_equivalence.rs`, which pins the same
-//! contract between the row and batch paths; `docs/DESIGN.md` § adaptive
-//! execution records the design argument this suite pins.
+//! A `controller` in `RunOpts` arms cardinality checkpoints inside the one
+//! interpreter.  Observation must be free: when the controller never
+//! switches — whether because it is [`NeverSwitch`] or because it is a
+//! real, armed [`BailController`] whose thresholds never trip — the run
+//! must be **bit-identical** to `controller: None`: same `SimClock` bits
+//! (f64 addition is not associative, so this means the exact same charge
+//! sequence), same `IoStats`, same spill flag, same per-operator
+//! breakdown, and the same output rows in the same order — one row per
+//! batch and batched alike.  This mirrors `tests/batch_equivalence.rs`,
+//! which pins the same contract across batch sizes; `docs/DESIGN.md`
+//! § adaptive execution records the design argument this suite pins.
 
 use robustmap::core::MeasureConfig;
 use robustmap::executor::{
-    execute_adaptive_collect, execute_adaptive_collect_batched, execute_adaptive_count,
-    execute_adaptive_count_batched, execute_collect, execute_collect_batched, execute_count,
-    execute_count_batched, AggFn, ColRange, ExecConfig, ExecCtx, ExecStats, FetchKind,
-    IndexRangeSpec, IntersectAlgo, JoinAlgo, KeyRange, NeverSwitch, PlanSpec, Predicate,
-    Projection, SpillMode, SwitchController,
+    run_collect, run_count, ColRange, ExecConfig, ExecCtx, ExecStats, FetchKind, IndexRangeSpec,
+    IntersectAlgo, KeyRange, NeverSwitch, PlanSpec, Predicate, Projection, RunOpts,
+    SwitchController,
 };
-use robustmap::storage::{BufferPool, CostModel, Session};
+use robustmap::storage::CostModel;
 use robustmap::systems::choice::Exact;
 use robustmap::systems::{
     two_pred_bail_controller, two_predicate_plans, BailController, CatalogStats, ChoicePolicy,
@@ -28,54 +26,29 @@ use robustmap::systems::{
 };
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
 
+mod common;
+use common::{assert_bit_identical, composite_specs, session};
+
 fn workload() -> Workload {
     TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 13))
-}
-
-fn session(cfg: &MeasureConfig) -> Session {
-    Session::new(cfg.model.clone(), BufferPool::new(cfg.pool_pages, cfg.policy))
 }
 
 fn full_catalog(w: &Workload) -> Vec<TwoPredPlan> {
     SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, w)).collect()
 }
 
-/// Static row path on a fresh session.
-fn run_static_row(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig) -> ExecStats {
+/// One row per batch: row-at-a-time execution.
+const ROW_PATH: ExecConfig = ExecConfig { batch_rows: 1 };
+
+/// Static run (`controller: None`) on a fresh session.
+fn run_static(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, ec: &ExecConfig) -> ExecStats {
     let s = session(cfg);
     let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    execute_count(spec, &ctx).expect("static row path")
+    run_count(spec, &ctx, RunOpts { batch: *ec, controller: None }).expect("static run")
 }
 
-/// Static batch path on a fresh session.
-fn run_static_batch(
-    w: &Workload,
-    spec: &PlanSpec,
-    cfg: &MeasureConfig,
-    ec: &ExecConfig,
-) -> ExecStats {
-    let s = session(cfg);
-    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    execute_count_batched(spec, &ctx, ec).expect("static batch path")
-}
-
-/// Adaptive row path on a fresh session; asserts nothing switched.
-fn run_adaptive_row(
-    w: &Workload,
-    spec: &PlanSpec,
-    cfg: &MeasureConfig,
-    ctrl: &dyn SwitchController,
-    label: &str,
-) -> ExecStats {
-    let s = session(cfg);
-    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    let stats = execute_adaptive_count(spec, &ctx, ctrl).expect("adaptive row path");
-    assert!(stats.switches.is_empty(), "{label}: no-switch run recorded a switch");
-    stats.exec
-}
-
-/// Adaptive batch path on a fresh session; asserts nothing switched.
-fn run_adaptive_batch(
+/// Run under `ctrl` on a fresh session; asserts nothing switched.
+fn run_adaptive(
     w: &Workload,
     spec: &PlanSpec,
     cfg: &MeasureConfig,
@@ -85,39 +58,13 @@ fn run_adaptive_batch(
 ) -> ExecStats {
     let s = session(cfg);
     let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    let stats = execute_adaptive_count_batched(spec, &ctx, ec, ctrl).expect("adaptive batch path");
+    let stats = run_count(spec, &ctx, RunOpts { batch: *ec, controller: Some(ctrl) })
+        .expect("controlled run");
     assert!(stats.switches.is_empty(), "{label}: no-switch run recorded a switch");
-    stats.exec
+    stats
 }
 
-/// The equivalence contract, field by field, seconds as raw bits — same
-/// shape as `tests/batch_equivalence.rs`.
-fn assert_bit_identical(want: &ExecStats, got: &ExecStats, label: &str) {
-    assert_eq!(want.rows_out, got.rows_out, "{label}: rows_out");
-    assert_eq!(
-        want.seconds.to_bits(),
-        got.seconds.to_bits(),
-        "{label}: simulated seconds diverged ({} vs {})",
-        want.seconds,
-        got.seconds
-    );
-    assert_eq!(want.io, got.io, "{label}: IoStats");
-    assert_eq!(want.spilled, got.spilled, "{label}: spill flag");
-    assert_eq!(want.operators.len(), got.operators.len(), "{label}: operator count");
-    for (i, (r, b)) in want.operators.iter().zip(&got.operators).enumerate() {
-        assert_eq!(r.label, b.label, "{label}: op #{i} label");
-        assert_eq!(r.depth, b.depth, "{label}: op #{i} ({}) depth", r.label);
-        assert_eq!(r.rows_out, b.rows_out, "{label}: op #{i} ({}) rows_out", r.label);
-        assert_eq!(
-            r.seconds.to_bits(),
-            b.seconds.to_bits(),
-            "{label}: op #{i} ({}) inclusive seconds",
-            r.label
-        );
-    }
-}
-
-/// Adaptive (under `ctrl`) vs static, both paths, one spec.
+/// Under `ctrl` vs static, one row per batch and at `ec`, one spec.
 fn assert_adaptive_equivalent(
     w: &Workload,
     spec: &PlanSpec,
@@ -126,17 +73,17 @@ fn assert_adaptive_equivalent(
     ctrl: &dyn SwitchController,
     label: &str,
 ) {
-    let row = run_static_row(w, spec, cfg);
-    let arow = run_adaptive_row(w, spec, cfg, ctrl, label);
+    let row = run_static(w, spec, cfg, &ROW_PATH);
+    let arow = run_adaptive(w, spec, cfg, &ROW_PATH, ctrl, label);
     assert_bit_identical(&row, &arow, &format!("{label} [row]"));
-    let batch = run_static_batch(w, spec, cfg, ec);
-    let abatch = run_adaptive_batch(w, spec, cfg, ec, ctrl, label);
+    let batch = run_static(w, spec, cfg, ec);
+    let abatch = run_adaptive(w, spec, cfg, ec, ctrl, label);
     assert_bit_identical(&batch, &abatch, &format!("{label} [batch]"));
 }
 
 /// Every plan in the catalog — A1–A7, B1–B4, C1–C4 — over a selectivity
-/// grid, with switching disabled: the adaptive executor is a drop-in
-/// replacement for the static one on both paths.
+/// grid, with switching disabled: a controller that never switches is
+/// indistinguishable from no controller at either batch size.
 #[test]
 fn all_fifteen_catalog_plans_are_bit_identical_with_switching_disabled() {
     let w = workload();
@@ -225,11 +172,11 @@ fn batch_size_is_not_observable_under_adaptive_execution() {
     let (ta, tb) = (w.cal_a.threshold(0.2), w.cal_b.threshold(0.6));
     for plan in &plans {
         let spec = plan.build(ta, tb);
-        let row = run_static_row(&w, &spec, &cfg);
+        let row = run_static(&w, &spec, &cfg, &ROW_PATH);
         for batch_rows in [1usize, 513, 1 << 20] {
             let ec = ExecConfig::with_batch_rows(batch_rows);
             let label = format!("{} @ batch {batch_rows}", plan.name);
-            let abatch = run_adaptive_batch(&w, &spec, &cfg, &ec, &NeverSwitch, &label);
+            let abatch = run_adaptive(&w, &spec, &cfg, &ec, &NeverSwitch, &label);
             assert_bit_identical(&row, &abatch, &label);
         }
     }
@@ -238,118 +185,20 @@ fn batch_size_is_not_observable_under_adaptive_execution() {
 /// The composite shapes beyond the two-predicate catalog: joins on both
 /// build sides with in-memory and spilling grants, sort and aggregation in
 /// both spill modes, parallel scans, the traditional fetch, and the
-/// covering rid join — every checkpointed and delegated arm of the
-/// adaptive drivers.
+/// covering rid join — every arm of the interpreter, checkpointed or
+/// not.
 #[test]
 fn composite_operators_are_bit_identical_with_switching_disabled() {
     let w = workload();
     let cfg = MeasureConfig::default();
     let ec = ExecConfig::default();
-    let idx = w.indexes;
-    let ta = w.cal_a.threshold(0.15);
-    let tb = w.cal_b.threshold(0.4);
-
-    let scan_a = |hi: i64| PlanSpec::TableScan {
-        table: w.table,
-        pred: Predicate::single(ColRange::at_most(0, hi)),
-        project: Projection::Columns(vec![0, 3]),
-    };
-    let covering_b = PlanSpec::CoveringIndexScan {
-        scan: IndexRangeSpec { index: idx.ba, range: KeyRange::on_leading(i64::MIN, tb, 2) },
-        residual: Predicate::always_true(),
-        project: Projection::All,
-    };
-
-    let mut specs: Vec<(String, PlanSpec)> = Vec::new();
-    for (name, algo) in [
-        ("sort-merge", JoinAlgo::SortMerge),
-        ("hash/build-left", JoinAlgo::Hash { build_left: true }),
-        ("hash/build-right", JoinAlgo::Hash { build_left: false }),
-    ] {
-        for memory_bytes in [1 << 14, 8 << 20] {
-            specs.push((
-                format!("join {name} mem={memory_bytes}"),
-                PlanSpec::Join {
-                    left: Box::new(scan_a(ta)),
-                    right: Box::new(covering_b.clone()),
-                    left_key: 1,
-                    right_key: 1,
-                    algo,
-                    memory_bytes,
-                    project: Projection::Columns(vec![0, 2, 3]),
-                },
-            ));
-        }
-    }
-    for mode in [SpillMode::Abrupt, SpillMode::Graceful] {
-        for memory_bytes in [4096usize, 8 << 20] {
-            specs.push((
-                format!("sort {mode:?} mem={memory_bytes}"),
-                PlanSpec::Sort {
-                    input: Box::new(scan_a(w.cal_a.threshold(0.5))),
-                    key_cols: vec![1],
-                    mode,
-                    memory_bytes,
-                },
-            ));
-            specs.push((
-                format!("hashagg {mode:?} mem={memory_bytes}"),
-                PlanSpec::HashAgg {
-                    input: Box::new(PlanSpec::TableScan {
-                        table: w.table,
-                        pred: Predicate::single(ColRange::at_most(1, tb)),
-                        project: Projection::All,
-                    }),
-                    group_cols: vec![2],
-                    aggs: vec![AggFn::CountStar, AggFn::Sum(3), AggFn::Min(0), AggFn::Max(1)],
-                    mode,
-                    memory_bytes,
-                },
-            ));
-        }
-    }
-    for (dop, skew_permille) in [(4, 0), (8, 1000)] {
-        specs.push((
-            format!("parallel scan dop={dop} skew={skew_permille}"),
-            PlanSpec::ParallelTableScan {
-                table: w.table,
-                pred: Predicate::all_of(vec![ColRange::at_most(0, ta), ColRange::at_most(1, tb)]),
-                project: Projection::Columns(vec![3, 0]),
-                dop,
-                skew_permille,
-            },
-        ));
-    }
-    specs.push((
-        "traditional fetch".to_string(),
-        PlanSpec::IndexFetch {
-            scan: IndexRangeSpec {
-                index: idx.a,
-                range: KeyRange::on_leading(i64::MIN, w.cal_a.threshold(0.05), 1),
-            },
-            key_filter: Predicate::always_true(),
-            fetch: FetchKind::Traditional,
-            residual: Predicate::single(ColRange::at_most(1, tb)),
-            project: Projection::Columns(vec![1, 4]),
-        },
-    ));
-    specs.push((
-        "covering rid join hash/build-right".to_string(),
-        PlanSpec::CoveringRidJoin {
-            left: IndexRangeSpec { index: idx.a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
-            right: IndexRangeSpec { index: idx.b, range: KeyRange::on_leading(i64::MIN, tb, 1) },
-            algo: IntersectAlgo::HashJoin { build_left: false },
-            project: Projection::Columns(vec![1, 0]),
-        },
-    ));
-
-    for (label, spec) in &specs {
+    for (label, spec) in &composite_specs(&w) {
         assert_adaptive_equivalent(&w, spec, &cfg, &ec, &NeverSwitch, label);
     }
 }
 
 /// Beyond the counters: the rows themselves — values and order — must
-/// match the static executor's on both paths, including an empty result.
+/// match the static run's at every batch size, including an empty result.
 #[test]
 fn collected_rows_match_static_executor_exactly() {
     let w = workload();
@@ -388,29 +237,32 @@ fn collected_rows_match_static_executor_exactly() {
         let (row_stats, row_rows) = {
             let s = session(&cfg);
             let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-            execute_collect(spec, &ctx).expect("static collect")
+            run_collect(spec, &ctx, RunOpts { batch: ROW_PATH, controller: None })
+                .expect("static collect")
         };
         let (astats, arows) = {
             let s = session(&cfg);
             let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-            execute_adaptive_collect(spec, &ctx, &NeverSwitch).expect("adaptive collect")
+            run_collect(spec, &ctx, RunOpts { batch: ROW_PATH, controller: Some(&NeverSwitch) })
+                .expect("adaptive collect")
         };
-        assert_bit_identical(&row_stats, &astats.exec, &format!("collect #{i} [row]"));
+        assert_bit_identical(&row_stats, &astats, &format!("collect #{i} [row]"));
         assert_eq!(row_rows, arows, "collect #{i} [row]: rows/order");
         for batch_rows in [1usize, 100, 1024] {
             let ec = ExecConfig::with_batch_rows(batch_rows);
             let (bstats, brows) = {
                 let s = session(&cfg);
                 let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-                execute_collect_batched(spec, &ctx, &ec).expect("static batch collect")
+                run_collect(spec, &ctx, RunOpts { batch: ec, controller: None })
+                    .expect("static batch collect")
             };
             let (abstats, abrows) = {
                 let s = session(&cfg);
                 let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-                execute_adaptive_collect_batched(spec, &ctx, &ec, &NeverSwitch)
+                run_collect(spec, &ctx, RunOpts { batch: ec, controller: Some(&NeverSwitch) })
                     .expect("adaptive batch collect")
             };
-            assert_bit_identical(&bstats, &abstats.exec, &format!("collect #{i} [batch]"));
+            assert_bit_identical(&bstats, &abstats, &format!("collect #{i} [batch]"));
             assert_eq!(brows, abrows, "collect #{i} @ batch {batch_rows}: rows/order");
         }
     }

@@ -1,76 +1,54 @@
-//! Differential equivalence suite for the batched executor.
+//! Differential batch-size invariance suite for the executor.
 //!
-//! The batch path (`execute_count_batched` and friends) pushes ~1024-row
-//! columnar chunks instead of single rows, but its *simulated* behaviour
-//! must be indistinguishable from the row path's: the `SimClock`
-//! accumulates `f64` charges whose addition is not associative, so "equal"
-//! here means **bit-identical** elapsed seconds, identical I/O counters,
-//! identical row counts and spill flags, and an identical per-operator
-//! breakdown.  Every plan in the three-system catalog (15 plans) is
-//! checked over a selectivity grid and several batch sizes, and the
-//! composite operators (joins, sort, aggregation, parallel scan) get
-//! dedicated coverage.  `docs/DESIGN.md` records the design argument;
-//! this suite pins it.
+//! The interpreter pushes ~1024-row columnar chunks between operators, and
+//! `batch_rows = 1` *is* row-at-a-time execution (it runs under every sort
+//! and aggregation).  The batch size must never be observable in the
+//! *simulated* behaviour: the `SimClock` accumulates `f64` charges whose
+//! addition is not associative, so "equal" here means **bit-identical**
+//! elapsed seconds, identical I/O counters, identical row counts and spill
+//! flags, and an identical per-operator breakdown.  Every plan in the
+//! three-system catalog (15 plans) is checked over a selectivity grid and
+//! several batch sizes, and the composite operators (joins, sort,
+//! aggregation, parallel scan) get dedicated coverage.  `docs/DESIGN.md`
+//! records the design argument; this suite pins it, and
+//! `tests/exec_ledger.rs` pins the absolute values.
 
 use robustmap::core::MeasureConfig;
 use robustmap::executor::{
-    execute_collect, execute_collect_batched, execute_count, execute_count_batched, AggFn,
-    ColRange, ExecConfig, ExecCtx, ExecStats, FetchKind, IndexRangeSpec, IntersectAlgo, JoinAlgo,
-    KeyRange, PlanSpec, Predicate, Projection, SpillMode,
+    run_collect, run_count, ColRange, ExecConfig, ExecCtx, ExecStats, PlanSpec, Predicate,
+    Projection, RunOpts,
 };
-use robustmap::storage::{BufferPool, Row, Session};
+use robustmap::storage::Row;
 use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
+
+mod common;
+use common::{assert_bit_identical, composite_specs, session};
 
 fn workload() -> Workload {
     TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 13))
 }
 
-fn session(cfg: &MeasureConfig) -> Session {
-    Session::new(cfg.model.clone(), BufferPool::new(cfg.pool_pages, cfg.policy))
+/// A static run at the batch size `ec` names.
+fn opts(ec: &ExecConfig) -> RunOpts<'static> {
+    RunOpts { batch: *ec, controller: None }
 }
 
-/// Execute `spec` on a fresh session through the row-at-a-time path.
+/// The row path: one row per batch.
+fn row_path() -> ExecConfig {
+    ExecConfig::with_batch_rows(1)
+}
+
+/// Execute `spec` on a fresh session, one row per batch.
 fn run_row(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig) -> ExecStats {
-    let s = session(cfg);
-    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    execute_count(spec, &ctx).expect("row path: well-formed plan")
+    run_batch(w, spec, cfg, &row_path())
 }
 
-/// Execute `spec` on a fresh session through the batched path.
+/// Execute `spec` on a fresh session at batch size `ec`.
 fn run_batch(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, ec: &ExecConfig) -> ExecStats {
     let s = session(cfg);
     let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    execute_count_batched(spec, &ctx, ec).expect("batch path: well-formed plan")
-}
-
-/// The equivalence contract, asserted field by field so a divergence names
-/// exactly what broke.  Seconds are compared as raw bits: `f64` addition is
-/// not associative, so anything short of replaying the row path's exact
-/// charge sequence shows up here.
-fn assert_bit_identical(row: &ExecStats, batch: &ExecStats, label: &str) {
-    assert_eq!(row.rows_out, batch.rows_out, "{label}: rows_out");
-    assert_eq!(
-        row.seconds.to_bits(),
-        batch.seconds.to_bits(),
-        "{label}: simulated seconds diverged ({} vs {})",
-        row.seconds,
-        batch.seconds
-    );
-    assert_eq!(row.io, batch.io, "{label}: IoStats");
-    assert_eq!(row.spilled, batch.spilled, "{label}: spill flag");
-    assert_eq!(row.operators.len(), batch.operators.len(), "{label}: operator count");
-    for (i, (r, b)) in row.operators.iter().zip(&batch.operators).enumerate() {
-        assert_eq!(r.label, b.label, "{label}: op #{i} label");
-        assert_eq!(r.depth, b.depth, "{label}: op #{i} ({}) depth", r.label);
-        assert_eq!(r.rows_out, b.rows_out, "{label}: op #{i} ({}) rows_out", r.label);
-        assert_eq!(
-            r.seconds.to_bits(),
-            b.seconds.to_bits(),
-            "{label}: op #{i} ({}) inclusive seconds",
-            r.label
-        );
-    }
+    run_count(spec, &ctx, opts(ec)).expect("well-formed plan")
 }
 
 fn assert_equivalent(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, ec: &ExecConfig, label: &str) {
@@ -80,9 +58,9 @@ fn assert_equivalent(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, ec: &Ex
 }
 
 /// Every plan in the catalog — A1–A7, B1–B4, C1–C4 — over a selectivity
-/// grid, at the default batch size.  This is the suite's core claim: the
-/// batch executor is a drop-in replacement for sweeps over the full
-/// catalog.
+/// grid, at the default batch size against one row per batch.  This is
+/// the suite's core claim: sweeps over the full catalog do not depend on
+/// how rows are chunked.
 #[test]
 fn all_fifteen_catalog_plans_are_bit_identical() {
     let w = workload();
@@ -103,9 +81,9 @@ fn all_fifteen_catalog_plans_are_bit_identical() {
     }
 }
 
-/// Batch size must never be observable: size 1 (degenerate), a
-/// non-power-of-two that never divides the result evenly, and a size far
-/// larger than any intermediate result all produce the same bits.
+/// Batch size must never be observable: against one row per batch, a tiny
+/// size, a non-power-of-two that never divides the result evenly, and a
+/// size far larger than any intermediate result all produce the same bits.
 #[test]
 fn batch_size_is_not_observable() {
     let w = workload();
@@ -116,7 +94,7 @@ fn batch_size_is_not_observable() {
     for plan in &plans {
         let spec = plan.build(ta, tb);
         let row = run_row(&w, &spec, &cfg);
-        for batch_rows in [1usize, 513, 1 << 20] {
+        for batch_rows in [7usize, 513, 1 << 20] {
             let ec = ExecConfig::with_batch_rows(batch_rows);
             let batch = run_batch(&w, &spec, &cfg, &ec);
             assert_bit_identical(&row, &batch, &format!("{} @ batch {batch_rows}", plan.name));
@@ -134,108 +112,7 @@ fn composite_operators_are_bit_identical() {
     let w = workload();
     let cfg = MeasureConfig::default();
     let ec = ExecConfig::default();
-    let idx = w.indexes;
-    let ta = w.cal_a.threshold(0.15);
-    let tb = w.cal_b.threshold(0.4);
-
-    let scan_a = |hi: i64| PlanSpec::TableScan {
-        table: w.table,
-        pred: Predicate::single(ColRange::at_most(0, hi)),
-        project: Projection::Columns(vec![0, 3]),
-    };
-    let covering_b = PlanSpec::CoveringIndexScan {
-        scan: IndexRangeSpec { index: idx.ba, range: KeyRange::on_leading(i64::MIN, tb, 2) },
-        residual: Predicate::always_true(),
-        project: Projection::All,
-    };
-
-    let mut specs: Vec<(String, PlanSpec)> = Vec::new();
-    for (name, algo) in [
-        ("sort-merge", JoinAlgo::SortMerge),
-        ("hash/build-left", JoinAlgo::Hash { build_left: true }),
-        ("hash/build-right", JoinAlgo::Hash { build_left: false }),
-    ] {
-        for memory_bytes in [1 << 14, 8 << 20] {
-            specs.push((
-                format!("join {name} mem={memory_bytes}"),
-                PlanSpec::Join {
-                    left: Box::new(scan_a(ta)),
-                    right: Box::new(covering_b.clone()),
-                    left_key: 1,  // orderkey in the scan's projection
-                    right_key: 1, // a in the (b, a) covering output
-                    algo,
-                    memory_bytes,
-                    project: Projection::Columns(vec![0, 2, 3]),
-                },
-            ));
-        }
-    }
-    for mode in [SpillMode::Abrupt, SpillMode::Graceful] {
-        for memory_bytes in [4096usize, 8 << 20] {
-            specs.push((
-                format!("sort {mode:?} mem={memory_bytes}"),
-                PlanSpec::Sort {
-                    input: Box::new(scan_a(w.cal_a.threshold(0.5))),
-                    key_cols: vec![1],
-                    mode,
-                    memory_bytes,
-                },
-            ));
-            specs.push((
-                format!("hashagg {mode:?} mem={memory_bytes}"),
-                PlanSpec::HashAgg {
-                    input: Box::new(PlanSpec::TableScan {
-                        table: w.table,
-                        pred: Predicate::single(ColRange::at_most(1, tb)),
-                        project: Projection::All,
-                    }),
-                    group_cols: vec![2],
-                    aggs: vec![AggFn::CountStar, AggFn::Sum(3), AggFn::Min(0), AggFn::Max(1)],
-                    mode,
-                    memory_bytes,
-                },
-            ));
-        }
-    }
-    for (dop, skew_permille) in [(1, 0), (4, 0), (4, 250), (8, 1000)] {
-        specs.push((
-            format!("parallel scan dop={dop} skew={skew_permille}"),
-            PlanSpec::ParallelTableScan {
-                table: w.table,
-                pred: Predicate::all_of(vec![
-                    ColRange::at_most(0, ta),
-                    ColRange::at_most(1, tb),
-                ]),
-                project: Projection::Columns(vec![3, 0]),
-                dop,
-                skew_permille,
-            },
-        ));
-    }
-    specs.push((
-        "traditional fetch".to_string(),
-        PlanSpec::IndexFetch {
-            scan: IndexRangeSpec {
-                index: idx.a,
-                range: KeyRange::on_leading(i64::MIN, w.cal_a.threshold(0.05), 1),
-            },
-            key_filter: Predicate::always_true(),
-            fetch: FetchKind::Traditional,
-            residual: Predicate::single(ColRange::at_most(1, tb)),
-            project: Projection::Columns(vec![1, 4]),
-        },
-    ));
-    specs.push((
-        "covering rid join hash/build-right".to_string(),
-        PlanSpec::CoveringRidJoin {
-            left: IndexRangeSpec { index: idx.a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
-            right: IndexRangeSpec { index: idx.b, range: KeyRange::on_leading(i64::MIN, tb, 1) },
-            algo: IntersectAlgo::HashJoin { build_left: false },
-            project: Projection::Columns(vec![1, 0]),
-        },
-    ));
-
-    for (label, spec) in &specs {
+    for (label, spec) in &composite_specs(&w) {
         assert_equivalent(&w, spec, &cfg, &ec, label);
     }
 }
@@ -270,14 +147,14 @@ fn collected_rows_match_row_path_exactly() {
         let (row_stats, row_rows): (ExecStats, Vec<Row>) = {
             let s = session(&cfg);
             let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-            execute_collect(spec, &ctx).expect("row collect")
+            run_collect(spec, &ctx, opts(&row_path())).expect("row collect")
         };
-        for batch_rows in [1usize, 100, 1024] {
+        for batch_rows in [7usize, 100, 1024] {
             let ec = ExecConfig::with_batch_rows(batch_rows);
             let (batch_stats, batch_rows_v): (ExecStats, Vec<Row>) = {
                 let s = session(&cfg);
                 let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-                execute_collect_batched(spec, &ctx, &ec).expect("batch collect")
+                run_collect(spec, &ctx, opts(&ec)).expect("batch collect")
             };
             assert_bit_identical(&row_stats, &batch_stats, &format!("collect #{i}"));
             assert_eq!(row_rows, batch_rows_v, "collect #{i} @ batch {batch_rows}: rows/order");

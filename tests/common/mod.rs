@@ -1,0 +1,152 @@
+//! Fixtures shared by the executor's differential suites.
+
+#![allow(dead_code)] // each suite uses its own subset
+
+use robustmap::core::MeasureConfig;
+use robustmap::executor::{
+    AggFn, ColRange, ExecStats, FetchKind, IndexRangeSpec, IntersectAlgo, JoinAlgo, KeyRange,
+    PlanSpec, Predicate, Projection, SpillMode,
+};
+use robustmap::storage::{BufferPool, Session};
+use robustmap::workload::Workload;
+
+/// A fresh private session under `cfg`'s run-time conditions.
+pub fn session(cfg: &MeasureConfig) -> Session {
+    Session::new(cfg.model.clone(), BufferPool::new(cfg.pool_pages, cfg.policy))
+}
+
+/// The equivalence contract, asserted field by field so a divergence names
+/// exactly what broke.  Seconds are compared as raw bits: `f64` addition is
+/// not associative, so anything short of the exact same charge sequence
+/// shows up here.
+pub fn assert_bit_identical(want: &ExecStats, got: &ExecStats, label: &str) {
+    assert_eq!(want.rows_out, got.rows_out, "{label}: rows_out");
+    assert_eq!(
+        want.seconds.to_bits(),
+        got.seconds.to_bits(),
+        "{label}: simulated seconds diverged ({} vs {})",
+        want.seconds,
+        got.seconds
+    );
+    assert_eq!(want.io, got.io, "{label}: IoStats");
+    assert_eq!(want.spilled, got.spilled, "{label}: spill flag");
+    assert_eq!(want.switches, got.switches, "{label}: switches");
+    assert_eq!(want.operators.len(), got.operators.len(), "{label}: operator count");
+    for (i, (w, g)) in want.operators.iter().zip(&got.operators).enumerate() {
+        assert_eq!(w.label, g.label, "{label}: op #{i} label");
+        assert_eq!(w.depth, g.depth, "{label}: op #{i} ({}) depth", w.label);
+        assert_eq!(w.rows_out, g.rows_out, "{label}: op #{i} ({}) rows_out", w.label);
+        assert_eq!(
+            w.seconds.to_bits(),
+            g.seconds.to_bits(),
+            "{label}: op #{i} ({}) inclusive seconds",
+            w.label
+        );
+    }
+}
+
+/// The composite shapes the two-predicate catalog exercises only
+/// partially: both join algorithms on both build sides and two grants,
+/// sort and hash aggregation in both spill modes with spilling and
+/// in-memory grants, the parallel scan with and without skew, the
+/// traditional fetch and a covering rid join.  The golden ledger
+/// (`tests/golden/exec_ledger.txt`) pins every one of them by label, so a
+/// change here regenerates it.
+pub fn composite_specs(w: &Workload) -> Vec<(String, PlanSpec)> {
+    let idx = w.indexes;
+    let ta = w.cal_a.threshold(0.15);
+    let tb = w.cal_b.threshold(0.4);
+    let scan_a = |hi: i64| PlanSpec::TableScan {
+        table: w.table,
+        pred: Predicate::single(ColRange::at_most(0, hi)),
+        project: Projection::Columns(vec![0, 3]),
+    };
+    let covering_b = PlanSpec::CoveringIndexScan {
+        scan: IndexRangeSpec { index: idx.ba, range: KeyRange::on_leading(i64::MIN, tb, 2) },
+        residual: Predicate::always_true(),
+        project: Projection::All,
+    };
+    let mut specs: Vec<(String, PlanSpec)> = Vec::new();
+    for (name, algo) in [
+        ("sort-merge", JoinAlgo::SortMerge),
+        ("hash/build-left", JoinAlgo::Hash { build_left: true }),
+        ("hash/build-right", JoinAlgo::Hash { build_left: false }),
+    ] {
+        for memory_bytes in [1 << 14, 8 << 20] {
+            specs.push((
+                format!("join {name} mem={memory_bytes}"),
+                PlanSpec::Join {
+                    left: Box::new(scan_a(ta)),
+                    right: Box::new(covering_b.clone()),
+                    left_key: 1,
+                    right_key: 1,
+                    algo,
+                    memory_bytes,
+                    project: Projection::Columns(vec![0, 2, 3]),
+                },
+            ));
+        }
+    }
+    for mode in [SpillMode::Abrupt, SpillMode::Graceful] {
+        for memory_bytes in [4096usize, 8 << 20] {
+            specs.push((
+                format!("sort {mode:?} mem={memory_bytes}"),
+                PlanSpec::Sort {
+                    input: Box::new(scan_a(w.cal_a.threshold(0.5))),
+                    key_cols: vec![1],
+                    mode,
+                    memory_bytes,
+                },
+            ));
+            specs.push((
+                format!("hashagg {mode:?} mem={memory_bytes}"),
+                PlanSpec::HashAgg {
+                    input: Box::new(PlanSpec::TableScan {
+                        table: w.table,
+                        pred: Predicate::single(ColRange::at_most(1, tb)),
+                        project: Projection::All,
+                    }),
+                    group_cols: vec![2],
+                    aggs: vec![AggFn::CountStar, AggFn::Sum(3), AggFn::Min(0), AggFn::Max(1)],
+                    mode,
+                    memory_bytes,
+                },
+            ));
+        }
+    }
+    for (dop, skew_permille) in [(1, 0), (4, 0), (4, 250), (8, 1000)] {
+        specs.push((
+            format!("parallel scan dop={dop} skew={skew_permille}"),
+            PlanSpec::ParallelTableScan {
+                table: w.table,
+                pred: Predicate::all_of(vec![ColRange::at_most(0, ta), ColRange::at_most(1, tb)]),
+                project: Projection::Columns(vec![3, 0]),
+                dop,
+                skew_permille,
+            },
+        ));
+    }
+    specs.push((
+        "traditional fetch".to_string(),
+        PlanSpec::IndexFetch {
+            scan: IndexRangeSpec {
+                index: idx.a,
+                range: KeyRange::on_leading(i64::MIN, w.cal_a.threshold(0.05), 1),
+            },
+            key_filter: Predicate::always_true(),
+            fetch: FetchKind::Traditional,
+            residual: Predicate::single(ColRange::at_most(1, tb)),
+            project: Projection::Columns(vec![1, 4]),
+        },
+    ));
+    specs.push((
+        "covering rid join hash/build-right".to_string(),
+        PlanSpec::CoveringRidJoin {
+            left: IndexRangeSpec { index: idx.a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
+            right: IndexRangeSpec { index: idx.b, range: KeyRange::on_leading(i64::MIN, tb, 1) },
+            algo: IntersectAlgo::HashJoin { build_left: false },
+            project: Projection::Columns(vec![1, 0]),
+        },
+    ));
+    specs
+}

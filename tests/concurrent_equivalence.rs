@@ -24,12 +24,15 @@
 
 use robustmap::core::{serve_concurrent, MeasureConfig, ServeConfig};
 use robustmap::executor::{
-    execute_count, execute_count_batched, ColRange, ExecConfig, ExecCtx, ExecStats, PlanSpec,
-    Predicate, Projection, SpillMode,
+    run_count, ColRange, ExecConfig, ExecCtx, ExecStats, PlanSpec, Predicate, Projection, RunOpts,
+    SpillMode,
 };
-use robustmap::storage::{BufferPool, IoStats, Session};
+use robustmap::storage::IoStats;
 use robustmap::systems::{two_predicate_plans, AdmissionConfig, SystemId, TwoPredPlan};
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
+
+mod common;
+use common::assert_bit_identical;
 
 fn workload() -> Workload {
     TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 13))
@@ -50,43 +53,21 @@ fn serve_cfg() -> ServeConfig {
     ServeConfig::from_env()
 }
 
+/// An isolated static run at `batch` on a fresh private session.
+fn run_alone(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, batch: ExecConfig) -> ExecStats {
+    let s = common::session(cfg);
+    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
+    run_count(spec, &ctx, RunOpts { batch, controller: None }).expect("well-formed plan")
+}
+
+/// One row per batch.
 fn run_row(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig) -> ExecStats {
-    let s = Session::new(cfg.model.clone(), BufferPool::new(cfg.pool_pages, cfg.policy));
-    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    execute_count(spec, &ctx).expect("row path: well-formed plan")
+    run_alone(w, spec, cfg, ExecConfig::with_batch_rows(1))
 }
 
+/// The batch size serving uses.
 fn run_batch(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig) -> ExecStats {
-    let s = Session::new(cfg.model.clone(), BufferPool::new(cfg.pool_pages, cfg.policy));
-    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    execute_count_batched(spec, &ctx, &ExecConfig::from_env()).expect("batch path: well-formed")
-}
-
-/// The full bit-identity contract, field by field (same shape as
-/// `tests/batch_equivalence.rs` so a divergence names what broke).
-fn assert_bit_identical(a: &ExecStats, b: &ExecStats, label: &str) {
-    assert_eq!(a.rows_out, b.rows_out, "{label}: rows_out");
-    assert_eq!(
-        a.seconds.to_bits(),
-        b.seconds.to_bits(),
-        "{label}: simulated seconds diverged ({} vs {})",
-        a.seconds,
-        b.seconds
-    );
-    assert_eq!(a.io, b.io, "{label}: IoStats");
-    assert_eq!(a.spilled, b.spilled, "{label}: spill flag");
-    assert_eq!(a.operators.len(), b.operators.len(), "{label}: operator count");
-    for (i, (x, y)) in a.operators.iter().zip(&b.operators).enumerate() {
-        assert_eq!(x.label, y.label, "{label}: op #{i} label");
-        assert_eq!(x.depth, y.depth, "{label}: op #{i} ({}) depth", x.label);
-        assert_eq!(x.rows_out, y.rows_out, "{label}: op #{i} ({}) rows_out", x.label);
-        assert_eq!(
-            x.seconds.to_bits(),
-            y.seconds.to_bits(),
-            "{label}: op #{i} ({}) inclusive seconds",
-            x.label
-        );
-    }
+    run_alone(w, spec, cfg, ExecConfig::from_env())
 }
 
 /// The interleaving-invariant part of the work: everything except the
@@ -111,8 +92,8 @@ fn sort_spec(w: &Workload, memory_bytes: usize) -> PlanSpec {
 }
 
 /// Satellite (c): a burst of one is bit-identical — seconds bits, I/O,
-/// per-operator stats — to both static executors, for every plan in the
-/// three-system catalog.
+/// per-operator stats — to an isolated static run, one row per batch and
+/// at the serving batch size, for every plan in the three-system catalog.
 #[test]
 fn concurrency_one_matches_static_executor_across_catalog() {
     let w = workload();

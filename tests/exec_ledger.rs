@@ -1,0 +1,189 @@
+//! The golden charge ledger: where the executor's charge stream is defined.
+//!
+//! `tests/golden/exec_ledger.txt` was captured from the row-at-a-time
+//! executor at the last commit that had one.  Each line pins one plan
+//! execution to the bit: output rows, simulated seconds as raw `f64`
+//! bits, every `IoStats` counter, the spill flag, and the per-operator
+//! breakdown.  The single interpreter must reproduce every line at every
+//! batch size — `f64` addition is not associative, so that means issuing
+//! the same charge calls in the same order as the row loop did.
+//!
+//! A deliberate cost-model change regenerates the file: the failing run
+//! writes `target/exec_ledger.actual.txt`; review the diff and copy it
+//! over `tests/golden/exec_ledger.txt`.
+
+use robustmap::core::MeasureConfig;
+use robustmap::executor::{
+    run_count, AggFn, ExecConfig, ExecCtx, ExecStats, PlanSpec, RunOpts, SpillMode,
+};
+use robustmap::storage::Session;
+use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
+use robustmap::workload::{ChurnConfig, ChurnDriver, TableBuilder, Workload, WorkloadConfig};
+
+mod common;
+
+const GOLDEN: &str = include_str!("golden/exec_ledger.txt");
+
+fn exec(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, batch_rows: usize) -> ExecStats {
+    let s = common::session(cfg);
+    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
+    let opts = RunOpts { batch: ExecConfig::with_batch_rows(batch_rows), controller: None };
+    run_count(spec, &ctx, opts).expect("ledger plans are well-formed")
+}
+
+fn workload() -> Workload {
+    TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 13))
+}
+
+/// The tombstoned heap of `tests/tombstone_equivalence.rs`.
+fn churned_workload() -> Workload {
+    let mut w = workload();
+    let cfg = ChurnConfig::for_workload(&w);
+    let mut driver = ChurnDriver::new(&w, cfg);
+    let session = Session::with_pool_pages(64);
+    driver.apply_until_fraction(&mut w, &session, 0.3);
+    w
+}
+
+fn catalog(w: &Workload) -> Vec<TwoPredPlan> {
+    let plans: Vec<TwoPredPlan> =
+        SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, w)).collect();
+    assert_eq!(plans.len(), 15, "catalog size changed; regenerate the ledger");
+    plans
+}
+
+/// The 15-plan catalog over a 3x3 selectivity grid.
+fn catalog_grid(w: &Workload, tag: &str) -> Vec<(String, PlanSpec)> {
+    let sels = [0.02, 0.3, 0.9];
+    let mut out = Vec::new();
+    for plan in catalog(w) {
+        for &sa in &sels {
+            for &sb in &sels {
+                out.push((
+                    format!("{tag} {} @ ({sa}, {sb})", plan.name),
+                    plan.build(w.cal_a.threshold(sa), w.cal_b.threshold(sb)),
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// Sort, HashAgg and Sort-over-HashAgg above every child shape, in both
+/// spill modes with a spilling and an in-memory grant: the row-lockstep
+/// input edges, where the child's charges interleave with the parent's.
+fn blocking_over(children: &[(String, PlanSpec)]) -> Vec<(String, PlanSpec)> {
+    let mut out = Vec::new();
+    for (label, child) in children {
+        for mode in [SpillMode::Abrupt, SpillMode::Graceful] {
+            for memory_bytes in [4096usize, 8 << 20] {
+                let sort = |input: PlanSpec| PlanSpec::Sort {
+                    input: Box::new(input),
+                    key_cols: vec![0],
+                    mode,
+                    memory_bytes,
+                };
+                let agg = PlanSpec::HashAgg {
+                    input: Box::new(child.clone()),
+                    group_cols: vec![0],
+                    aggs: vec![AggFn::CountStar, AggFn::Min(0), AggFn::Max(0)],
+                    mode,
+                    memory_bytes,
+                };
+                let tag = format!("{mode:?} mem={memory_bytes} over {label}");
+                out.push((format!("sort {tag}"), sort(child.clone())));
+                out.push((format!("hashagg {tag}"), agg.clone()));
+                out.push((format!("sort(hashagg) {tag}"), sort(agg)));
+            }
+        }
+    }
+    out
+}
+
+fn ledger_line(label: &str, s: &ExecStats) -> String {
+    let ops: Vec<String> = s
+        .operators
+        .iter()
+        .map(|op| {
+            format!("{}|{}|{}|{:016x}", op.label, op.depth, op.rows_out, op.seconds.to_bits())
+        })
+        .collect();
+    let io = &s.io;
+    format!(
+        "{label}\trows={}\tsecs={:016x}\tio={},{},{},{},{},{},{},{}\tspilled={}\tops={}\n",
+        s.rows_out,
+        s.seconds.to_bits(),
+        io.seq_reads,
+        io.single_reads,
+        io.random_reads,
+        io.page_writes,
+        io.buffer_hits,
+        io.cpu_rows,
+        io.cpu_compares,
+        io.cpu_hashes,
+        s.spilled,
+        ops.join(";"),
+    )
+}
+
+/// Every ledger case, in file order, as `(workload, label, plan)`.
+fn cases<'w>(
+    pristine: &'w Workload,
+    churned: &'w Workload,
+) -> Vec<(&'w Workload, String, PlanSpec)> {
+    let grid = catalog_grid(pristine, "catalog");
+    let composite = common::composite_specs(pristine);
+    // Child shapes for the lockstep edges: the catalog along the grid's
+    // anti-diagonal and centre, plus every composite.
+    let mut children: Vec<(String, PlanSpec)> = Vec::new();
+    for plan in catalog(pristine) {
+        for (sa, sb) in [(0.02, 0.9), (0.3, 0.3), (0.9, 0.02)] {
+            children.push((
+                format!("{} @ ({sa}, {sb})", plan.name),
+                plan.build(pristine.cal_a.threshold(sa), pristine.cal_b.threshold(sb)),
+            ));
+        }
+    }
+    children.extend(composite.iter().cloned());
+    let blocking = blocking_over(&children);
+
+    let mut all = Vec::new();
+    let mut add = |w: &'w Workload, cases: Vec<(String, PlanSpec)>| {
+        all.extend(cases.into_iter().map(|(label, spec)| (w, label, spec)));
+    };
+    add(pristine, grid);
+    add(pristine, composite);
+    add(churned, catalog_grid(churned, "churned"));
+    add(pristine, blocking);
+    all
+}
+
+#[test]
+fn run_reproduces_the_golden_ledger_at_every_batch_size() {
+    let pristine = workload();
+    let churned = churned_workload();
+    let cfg = MeasureConfig::default();
+    let cases = cases(&pristine, &churned);
+    for batch_rows in [1usize, 513, 1024] {
+        let actual: String = cases
+            .iter()
+            .map(|(w, label, spec)| ledger_line(label, &exec(w, spec, &cfg, batch_rows)))
+            .collect();
+        if actual == GOLDEN {
+            continue;
+        }
+        std::fs::create_dir_all("target").expect("create target/");
+        std::fs::write("target/exec_ledger.actual.txt", &actual).expect("write actual ledger");
+        let (line, (want, got)) = GOLDEN
+            .lines()
+            .zip(actual.lines())
+            .enumerate()
+            .find(|(_, (want, got))| want != got)
+            .unwrap_or((GOLDEN.lines().count().min(actual.lines().count()), ("<eof>", "<eof>")));
+        panic!(
+            "charge ledger diverged at batch_rows = {batch_rows}, line {}:\n  golden: {want}\n  \
+             actual: {got}\nfull ledger written to target/exec_ledger.actual.txt",
+            line + 1
+        );
+    }
+}

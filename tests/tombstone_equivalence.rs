@@ -1,9 +1,8 @@
-//! Differential equivalence for the batched executor over a *churned*
-//! heap.
+//! Differential batch-size invariance over a *churned* heap.
 //!
-//! `tests/batch_equivalence.rs` pins the batch path to the row path on
-//! the pristine builder output, where every slot of every heap page is
-//! live.  The churn engine breaks that tidy shape: deletes leave
+//! `tests/batch_equivalence.rs` pins every batch size to one row per
+//! batch on the pristine builder output, where every slot of every heap
+//! page is live.  The churn engine breaks that tidy shape: deletes leave
 //! tombstoned slots that a scan must skip (the pages are never
 //! compacted), updates tombstone one slot and append another, and
 //! inserts grow the heap past the bulk-loaded prefix with partially
@@ -20,13 +19,13 @@
 //! tombstone runs.
 
 use robustmap::core::MeasureConfig;
-use robustmap::executor::{
-    execute_collect, execute_collect_batched, execute_count, execute_count_batched, ExecConfig,
-    ExecCtx, ExecStats,
-};
-use robustmap::storage::{BufferPool, Session};
+use robustmap::executor::{run_collect, run_count, ExecConfig, ExecCtx, RunOpts};
+use robustmap::storage::Session;
 use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap::workload::{ChurnConfig, ChurnDriver, TableBuilder, Workload, WorkloadConfig};
+
+mod common;
+use common::{assert_bit_identical, session};
 
 /// Build a workload and churn 30% of it so the heap carries tombstones,
 /// update-moved rows, and appended tail pages.
@@ -40,36 +39,14 @@ fn churned_workload() -> (Workload, u64) {
     (w, deleted)
 }
 
-fn session(cfg: &MeasureConfig) -> Session {
-    Session::new(cfg.model.clone(), BufferPool::new(cfg.pool_pages, cfg.policy))
-}
-
-fn assert_bit_identical(row: &ExecStats, batch: &ExecStats, label: &str) {
-    assert_eq!(row.rows_out, batch.rows_out, "{label}: rows_out");
-    assert_eq!(
-        row.seconds.to_bits(),
-        batch.seconds.to_bits(),
-        "{label}: simulated seconds diverged ({} vs {})",
-        row.seconds,
-        batch.seconds
-    );
-    assert_eq!(row.io, batch.io, "{label}: IoStats");
-    assert_eq!(row.spilled, batch.spilled, "{label}: spill flag");
-    assert_eq!(row.operators.len(), batch.operators.len(), "{label}: operator count");
-    for (i, (r, b)) in row.operators.iter().zip(&batch.operators).enumerate() {
-        assert_eq!(r.label, b.label, "{label}: op #{i} label");
-        assert_eq!(r.rows_out, b.rows_out, "{label}: op #{i} ({}) rows_out", r.label);
-        assert_eq!(
-            r.seconds.to_bits(),
-            b.seconds.to_bits(),
-            "{label}: op #{i} ({}) inclusive seconds",
-            r.label
-        );
-    }
+/// A static run at `batch_rows` rows per batch; 1 is the row path.
+fn opts(batch_rows: usize) -> RunOpts<'static> {
+    RunOpts { batch: ExecConfig::with_batch_rows(batch_rows), controller: None }
 }
 
 /// Every plan in the three-system catalog over a selectivity grid, on the
-/// tombstoned heap, count path: same bits, row path vs batch path.
+/// tombstoned heap, count path: same bits, one row per batch vs the
+/// configured batch size.
 #[test]
 fn catalog_is_bit_identical_on_tombstoned_heap() {
     let (w, deleted) = churned_workload();
@@ -78,7 +55,7 @@ fn catalog_is_bit_identical_on_tombstoned_heap() {
         SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, &w)).collect();
     assert_eq!(plans.len(), 15, "catalog size changed; update this suite");
     let cfg = MeasureConfig::default();
-    let ec = ExecConfig::default();
+    let ec = RunOpts { batch: ExecConfig::from_env(), controller: None };
     let sels = [0.02, 0.3, 0.9];
     for plan in &plans {
         for &sa in &sels {
@@ -87,10 +64,10 @@ fn catalog_is_bit_identical_on_tombstoned_heap() {
                 let label = format!("churned {} @ ({sa}, {sb})", plan.name);
                 let s = session(&cfg);
                 let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-                let row = execute_count(&spec, &ctx).expect("row path");
+                let row = run_count(&spec, &ctx, opts(1)).expect("row path");
                 let s = session(&cfg);
                 let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-                let batch = execute_count_batched(&spec, &ctx, &ec).expect("batch path");
+                let batch = run_count(&spec, &ctx, ec).expect("batch path");
                 assert_bit_identical(&row, &batch, &label);
             }
         }
@@ -111,13 +88,12 @@ fn collected_rows_are_identical_on_tombstoned_heap() {
         let spec = plan.build(ta, tb);
         let s = session(&cfg);
         let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-        let (row_stats, row_rows) = execute_collect(&spec, &ctx).expect("row path");
-        for batch_rows in [1usize, 513, 1 << 20] {
-            let ec = ExecConfig::with_batch_rows(batch_rows);
+        let (row_stats, row_rows) = run_collect(&spec, &ctx, opts(1)).expect("row path");
+        for batch_rows in [7usize, 513, 1 << 20] {
             let s = session(&cfg);
             let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
             let (batch_stats, batch_rows_out) =
-                execute_collect_batched(&spec, &ctx, &ec).expect("batch path");
+                run_collect(&spec, &ctx, opts(batch_rows)).expect("batch path");
             let label = format!("churned collect {} @ batch {batch_rows}", plan.name);
             assert_bit_identical(&row_stats, &batch_stats, &label);
             assert_eq!(row_rows, batch_rows_out, "{label}: collected rows");

@@ -8,7 +8,7 @@
 use robustmap::core::{
     build_map2d, measure_batch, measure_plan, Grid2D, MeasureConfig, Measurement,
 };
-use robustmap::executor::{ExecCtx, PlanSpec};
+use robustmap::executor::{run_count, ExecCtx, PlanSpec, RunOpts};
 use robustmap::storage::{BufferPool, Session};
 use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
@@ -22,7 +22,7 @@ fn workload() -> Workload {
 fn cold_measure(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig) -> Measurement {
     let session = Session::new(cfg.model.clone(), BufferPool::new(cfg.pool_pages, cfg.policy));
     let ctx = ExecCtx::new(&w.db, &session, cfg.memory_bytes);
-    let stats = robustmap::executor::execute_count(spec, &ctx).expect("well-formed plan");
+    let stats = run_count(spec, &ctx, RunOpts::default()).expect("well-formed plan");
     Measurement {
         seconds: stats.seconds,
         io: stats.io,
