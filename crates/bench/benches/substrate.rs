@@ -1,16 +1,20 @@
 //! Criterion micro-benchmarks of the substrate: the structures and
 //! operators whose (real) speed determines how large a robustness map one
-//! can afford to sweep.
+//! can afford to sweep.  The `pool/*`, `btree/range_scan_full`,
+//! `sort/radix_rids_256k` and `fetch/improved_dense` rows are the micro
+//! view of the run-length storage access path (docs/DESIGN.md): one row
+//! per mechanism, re-runnable without the full `benchmark/run.sh`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use robustmap_core::{build_map2d, Grid2D, MeasureConfig};
+use robustmap_executor::batch::radix_sort_by_u64_key;
 use robustmap_executor::{
     run_count, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig, IndexRangeSpec, KeyRange,
     PlanSpec, Predicate, Projection, RunOpts, SpillMode,
 };
 use robustmap_storage::btree::{BTree, Key};
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{FileId, RidBitmap, Session};
+use robustmap_storage::{AccessKind, FileId, PageId, RidBitmap, Session};
 use robustmap_systems::{two_predicate_plans, SystemId};
 use robustmap_workload::{TableBuilder, WorkloadConfig};
 
@@ -37,10 +41,21 @@ fn bench_btree(c: &mut Criterion) {
                 &Key::single(40_000),
                 &Key::single(40_999),
                 &session,
-                robustmap_storage::AccessKind::Sequential,
+                AccessKind::Sequential,
                 |_| n += 1,
             );
             n
+        })
+    });
+    group.bench_function("range_scan_full", |b| {
+        b.iter(|| {
+            tree.scan_range(
+                &Key::single(i64::MIN),
+                &Key::single(i64::MAX),
+                &session,
+                AccessKind::Sequential,
+                |_| {},
+            )
         })
     });
     group.bench_function("insert_delete_cycle", |b| {
@@ -56,6 +71,25 @@ fn bench_btree(c: &mut Criterion) {
             i += 1;
         })
     });
+    group.finish();
+}
+
+/// Page requests through a private session, 2^20 an iteration: the repeat
+/// of the previous page (answered by the pool's last-page memo) and a cycle
+/// over resident pages (a hash probe and an LRU splice each), neither
+/// taking a lock.
+fn bench_pool(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pool");
+    let session = Session::with_pool_pages(1024);
+    for (name, pages) in [("same_page_hit", 1u32), ("resident_cycle_512", 512)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for i in 0..1u32 << 20 {
+                    session.read_page(PageId::new(FileId(9), i % pages), AccessKind::Random);
+                }
+            })
+        });
+    }
     group.finish();
 }
 
@@ -75,13 +109,16 @@ fn bench_fetch_disciplines(c: &mut Criterion) {
     let t = w.cal_a.threshold(1.0 / 16.0);
     let mut group = c.benchmark_group("fetch");
     group.sample_size(20);
-    for (name, fetch) in [
-        ("traditional", FetchKind::Traditional),
-        ("improved", FetchKind::Improved(ImprovedFetchConfig::default())),
-        ("bitmap", FetchKind::BitmapSorted),
+    let improved = || FetchKind::Improved(ImprovedFetchConfig::default());
+    for (name, fetch, hi) in [
+        ("traditional", FetchKind::Traditional, t),
+        ("improved", improved(), t),
+        ("bitmap", FetchKind::BitmapSorted, t),
+        // Every row qualifies: each heap page is one long run of rids.
+        ("improved_dense", improved(), i64::MAX),
     ] {
         let plan = PlanSpec::IndexFetch {
-            scan: IndexRangeSpec { index: w.indexes.a, range: KeyRange::on_leading(i64::MIN, t, 1) },
+            scan: IndexRangeSpec { index: w.indexes.a, range: KeyRange::on_leading(i64::MIN, hi, 1) },
             key_filter: Predicate::always_true(),
             fetch,
             residual: Predicate::always_true(),
@@ -121,6 +158,24 @@ fn bench_sort_modes(c: &mut Criterion) {
             })
         });
     }
+    // The rid sort on its own: 2^18 rids in index-key order, i.e. pages
+    // and slots scattered (~186 rows a page, as in the benchmark's table).
+    let rids: Vec<Rid> = (0..1u32 << 18)
+        .map(|i| {
+            let at = i.wrapping_mul(2_654_435_761) % (1 << 18);
+            Rid::new(at / 186, at % 186)
+        })
+        .collect();
+    group.bench_function("radix_rids_256k", |b| {
+        b.iter_batched(
+            || rids.clone(),
+            |mut rids| {
+                radix_sort_by_u64_key(&mut rids, |r| r.to_u64());
+                rids
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 
@@ -142,6 +197,7 @@ fn bench_map_builder(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_btree,
+    bench_pool,
     bench_bitmap,
     bench_fetch_disciplines,
     bench_sort_modes,

@@ -9,6 +9,16 @@ fn report(h: &Harness, name: &str) -> String {
     run_figure(h, name).expect("known figure").report
 }
 
+/// A tiny harness writing under a directory of its own.  The tests here run
+/// in parallel and regenerate the same figures, so one that reads artifacts
+/// back must not share files with one that is rewriting them.
+fn tiny_writing_to(dir: &str) -> Harness {
+    let mut h = Harness::tiny();
+    h.config.out_dir.push(dir);
+    std::fs::create_dir_all(&h.config.out_dir).expect("create output directory");
+    h
+}
+
 #[test]
 fn figure_reports_contain_their_key_markers() {
     let h = Harness::tiny();
@@ -65,7 +75,7 @@ fn regression_suite_passes_at_test_scale() {
 
 #[test]
 fn figure_artifacts_exist_and_are_nonempty() {
-    let h = Harness::tiny();
+    let h = tiny_writing_to("artifacts");
     for fig in ["fig1", "fig7", "ext_join"] {
         let out = run_figure(&h, fig).unwrap();
         assert!(!out.files.is_empty(), "{fig} wrote no artifacts");
@@ -78,7 +88,7 @@ fn figure_artifacts_exist_and_are_nonempty() {
 
 #[test]
 fn svg_artifacts_are_well_formed() {
-    let h = Harness::tiny();
+    let h = tiny_writing_to("svg");
     let out = run_figure(&h, "fig7").unwrap();
     let svg_path = out.files.iter().find(|f| f.extension().is_some_and(|e| e == "svg")).unwrap();
     let svg = std::fs::read_to_string(svg_path).unwrap();
@@ -89,7 +99,7 @@ fn svg_artifacts_are_well_formed() {
 
 #[test]
 fn csv_artifacts_have_headers_and_rows() {
-    let h = Harness::tiny();
+    let h = tiny_writing_to("csv");
     let out = run_figure(&h, "fig1").unwrap();
     let csv_path = out.files.iter().find(|f| f.extension().is_some_and(|e| e == "csv")).unwrap();
     let csv = std::fs::read_to_string(csv_path).unwrap();

@@ -283,9 +283,14 @@ impl BatchEmitter {
 /// (counting buffers dominate on small inputs).
 const RADIX_MIN: usize = 1 << 12;
 
-/// Stable LSD radix sort by a `u64` key, 16 bits per pass, skipping
-/// passes in which every key shares the same digit (rid pages and slots
-/// rarely use the upper halves of their words).
+/// Bits per radix pass: 2^11 `u32` counters are an 8 KiB table on the stack.
+const RADIX_BITS: u32 = 11;
+
+/// Stable LSD radix sort by a `u64` key, `RADIX_BITS` (11) bits per pass, with
+/// passes only over bit ranges in which keys differ: one OR/AND pre-pass
+/// finds those bits, and each pass starts at the lowest differing bit not
+/// yet sorted (a rid list differs in some slot bits and some page bits —
+/// two passes, whatever lies between and above them).
 ///
 /// Sorting is *real* work but its simulated cost is charged analytically
 /// (`n log2 n` comparisons) by the callers, so swapping the comparison
@@ -301,21 +306,20 @@ pub fn radix_sort_by_u64_key<T: Copy>(items: &mut Vec<T>, key: impl Fn(&T) -> u6
         items.sort_by_key(&key); // stable, like the radix passes
         return;
     }
+    let (any, all) = items.iter().fold((0u64, u64::MAX), |(any, all), it| {
+        let k = key(it);
+        (any | k, all & k)
+    });
+    let mut differing = any ^ all;
+    let mask = (1u64 << RADIX_BITS) - 1;
     let mut src = std::mem::take(items);
     let mut dst = src.clone();
-    let mut counts = vec![0u32; 1 << 16];
-    for pass in 0..4 {
-        let shift = pass * 16;
-        let first = (key(&src[0]) >> shift) & 0xffff;
-        let mut uniform = true;
-        counts.iter_mut().for_each(|c| *c = 0);
+    while differing != 0 {
+        let shift = differing.trailing_zeros();
+        differing &= !(mask << shift);
+        let mut counts = [0u32; 1 << RADIX_BITS];
         for it in &src {
-            let d = (key(it) >> shift) & 0xffff;
-            counts[d as usize] += 1;
-            uniform &= d == first;
-        }
-        if uniform {
-            continue; // every key agrees on this digit: order unchanged
+            counts[((key(it) >> shift) & mask) as usize] += 1;
         }
         let mut sum = 0u32;
         for c in counts.iter_mut() {
@@ -324,7 +328,7 @@ pub fn radix_sort_by_u64_key<T: Copy>(items: &mut Vec<T>, key: impl Fn(&T) -> u6
             sum = next;
         }
         for it in &src {
-            let d = ((key(it) >> shift) & 0xffff) as usize;
+            let d = ((key(it) >> shift) & mask) as usize;
             dst[counts[d] as usize] = *it;
             counts[d] += 1;
         }
@@ -447,5 +451,38 @@ mod tests {
         let mut small = vec![(3u64, 0u32), (1, 1), (2, 2), (1, 3)];
         radix_sort_by_u64_key(&mut small, |&(k, _)| k);
         assert_eq!(small, vec![(1, 1), (1, 3), (2, 2), (3, 0)]);
+    }
+
+    /// The passes are chosen from the bits in which keys differ; whichever
+    /// bits those are, the order is a stable sort's.
+    #[test]
+    fn radix_sort_is_a_stable_sort_wherever_the_keys_differ() {
+        const BASE: u64 = 0x00a5_0000_1234_5678;
+        /// Maps a random word to a key.
+        type Shape = fn(u64) -> u64;
+        let shapes: [(&str, Shape); 6] = [
+            ("bits >= 53 only", |r| BASE | (r << 53)),
+            ("bit 0 only", |r| (BASE & !1) | (r & 1)),
+            ("two distant ranges", |r| (r & 0xff) | (((r >> 20) & 0x7ff) << 32)),
+            ("one range wider than a pass", |r| (r & 0x3f_ffff) << 20),
+            ("all equal", |_| BASE),
+            ("u64::MAX present", |r| if r % 5 == 0 { u64::MAX } else { r }),
+        ];
+        let mut x = 0x2545f4914f6cdd1du64;
+        let mut word = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for (shape, key_of) in shapes {
+            for n in [RADIX_MIN - 1, RADIX_MIN, RADIX_MIN + 1] {
+                let mut items: Vec<(u64, u32)> = (0..n as u32).map(|i| (key_of(word()), i)).collect();
+                let mut want = items.clone();
+                want.sort_by_key(|&(k, _)| k);
+                radix_sort_by_u64_key(&mut items, |&(k, _)| k);
+                assert!(items == want, "{shape}, n = {n}");
+            }
+        }
     }
 }

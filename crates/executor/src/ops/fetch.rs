@@ -18,7 +18,7 @@
 //! the access kinds they are charged.
 
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{AccessKind, HeapFile, RidBitmap, Session, StorageError};
+use robustmap_storage::{AccessKind, HeapFile, Session, StorageError};
 
 use crate::batch::{col_from_bytes, radix_sort_by_u64_key, BatchEmitter, ExecConfig, RowBatch};
 use crate::exec::ExecError;
@@ -42,7 +42,7 @@ fn record_bytes<'h>(
 }
 
 /// Fetch `rids` with the discipline `kind` names.  Consumes the rid list
-/// (the improved fetch sorts it in place).
+/// (the improved and bitmap fetches sort it in place).
 pub fn run(
     heap: &HeapFile,
     rids: Vec<Rid>,
@@ -58,7 +58,7 @@ pub fn run(
         FetchKind::Improved(icfg) => {
             improved(heap, rids, icfg, residual, project, cfg, session, sink)
         }
-        FetchKind::BitmapSorted => bitmap_sorted(heap, &rids, residual, project, cfg, session, sink),
+        FetchKind::BitmapSorted => bitmap_sorted(heap, rids, residual, project, cfg, session, sink),
     }
 }
 
@@ -116,9 +116,11 @@ pub fn improved(
 /// bitmap (one hash-insert per rid — cheaper than a comparison sort), then
 /// fetched in physical order with short seeks but no sequential read-ahead
 /// regime.
+///
+/// Consumes the rid list, like [`improved`].
 pub fn bitmap_sorted(
     heap: &HeapFile,
-    rids: &[Rid],
+    mut rids: Vec<Rid>,
     residual: &Predicate,
     project: &Projection,
     cfg: &ExecConfig,
@@ -126,9 +128,11 @@ pub fn bitmap_sorted(
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
     session.charge_hashes(rids.len() as u64);
-    let bitmap = RidBitmap::from_rids(rids.iter().copied());
-    let ordered: Vec<Rid> = bitmap.iter_rids().collect();
-    fetch_in_physical_order(heap, &ordered, None, residual, project, cfg, session, sink)
+    // The charge above is the contract; a bitmap enumerates its rids sorted
+    // and without duplicates, and that sequence is all the fetch needs.
+    radix_sort_by_u64_key(&mut rids, |r| r.to_u64());
+    rids.dedup();
+    fetch_in_physical_order(heap, &rids, None, residual, project, cfg, session, sink)
 }
 
 /// Shared physical-order sweep.  `cfg` enables the improved scan's
@@ -151,38 +155,45 @@ fn fetch_in_physical_order(
     let proj = project.resolve(heap.schema().arity());
     let mut emitter = BatchEmitter::new(proj.len(), exec_cfg.batch_rows);
     let mut prev_page: Option<u32> = None;
-    for &rid in rids {
+    // One page transition, page lookup and page id per run of rids on the
+    // same page; the page request and row charge of `record_bytes` stay
+    // per row.
+    for run in rids.chunk_by(|a, b| a.page == b.page) {
+        let page_no = run[0].page;
+        let page_id = heap.page_id(page_no);
         match prev_page {
-            Some(p) if rid.page == p => {
-                // Same page: the fetch below hits the buffer pool.
-            }
             Some(p) => {
-                let gap = rid.page - p;
+                let gap = page_no - p;
                 match scan_gap {
                     Some(sg) if gap <= sg => {
                         // Read-ahead covers the gap: intervening pages are
                         // read too, all at sequential cost.
-                        for skipped in p + 1..=rid.page {
+                        for skipped in p + 1..=page_no {
                             session.read_page(heap.page_id(skipped), AccessKind::Sequential);
                         }
                     }
                     _ if gap <= prefetch_gap => {
-                        session.read_page(heap.page_id(rid.page), AccessKind::SinglePage);
+                        session.read_page(page_id, AccessKind::SinglePage);
                     }
                     _ => {
-                        session.read_page(heap.page_id(rid.page), AccessKind::Random);
+                        session.read_page(page_id, AccessKind::Random);
                     }
                 }
             }
             None => {
                 // First page: a seek.
-                session.read_page(heap.page_id(rid.page), AccessKind::Random);
+                session.read_page(page_id, AccessKind::Random);
             }
         }
-        prev_page = Some(rid.page);
-        let bytes = record_bytes(heap, rid, session, AccessKind::Random)?;
-        if residual.eval_values(|c| col_from_bytes(bytes, c), session) {
-            emitter.push_projected_bytes(bytes, &proj, sink);
+        prev_page = Some(page_no);
+        let page = heap.page(page_no).ok_or(StorageError::InvalidRid(run[0]))?;
+        for &rid in run {
+            session.read_page(page_id, AccessKind::Random);
+            session.charge_rows(1);
+            let bytes = page.get(rid.slot as usize).ok_or(StorageError::InvalidRid(rid))?;
+            if residual.eval_values(|c| col_from_bytes(bytes, c), session) {
+                emitter.push_projected_bytes(bytes, &proj, sink);
+            }
         }
     }
     emitter.flush(sink);
@@ -373,5 +384,30 @@ mod tests {
         let (n, _) = fetch_all(heap, &[], &improved_kind(), &s);
         assert_eq!(n, 0);
         assert_eq!(s.stats().pages_read(), 0);
+    }
+
+    /// The bitmap fetch visits rids in the order a rid bitmap enumerates
+    /// them — sorted, each once — and still charges one hash per rid given.
+    #[test]
+    fn bitmap_fetch_order_is_bitmap_iteration_order() {
+        let (db, t, rids) = setup(8192, 5000);
+        let heap = &db.table(t).heap;
+        // Key order scatters the rids over the heap; repeat every third.
+        let mut given = rids.clone();
+        given.extend(rids.iter().step_by(3));
+        given.extend(rids.iter().rev().step_by(7));
+        assert!(given.len() > 4096 && given.len() > rids.len());
+
+        let s = Session::with_pool_pages(64);
+        let (n, rows) = fetch_all(heap, &given, &FetchKind::BitmapSorted, &s);
+        assert_eq!(s.stats().cpu_hashes, given.len() as u64);
+
+        let quiet = Session::with_pool_pages(0);
+        let want: Vec<Row> = robustmap_storage::RidBitmap::from_rids(given.iter().copied())
+            .iter_rids()
+            .map(|rid| heap.fetch(rid, &quiet, AccessKind::Random).unwrap())
+            .collect();
+        assert_eq!(n as usize, rids.len());
+        assert_eq!(rows, want);
     }
 }

@@ -7,7 +7,7 @@
 
 use robustmap_storage::btree::Entry;
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{AccessKind, IndexDef, Row, Session};
+use robustmap_storage::{AccessKind, IndexDef, Session};
 
 use crate::batch::{BatchEmitter, ExecConfig, RowBatch};
 use crate::expr::Predicate;
@@ -44,8 +44,7 @@ pub fn collect_rids_filtered(
     }
     let mut rids = Vec::new();
     index.tree.scan_range(&range.lo, &range.hi, session, leaf_access, |(key, rid)| {
-        let row = key_row(&key);
-        if key_filter.eval(&row, session) {
+        if key_filter.eval_values(|c| key.get(c), session) {
             rids.push(rid);
         }
     });
@@ -64,12 +63,6 @@ pub fn collect_entries(
     entries
 }
 
-/// Turn an index key into a row in key-column space.
-#[inline]
-pub fn key_row(key: &robustmap_storage::Key) -> Row {
-    Row::from_slice(key.values())
-}
-
 /// Covering (index-only) scan: emit projected key rows for entries in
 /// `range` that satisfy `residual`.  Both `residual` and `project` are in
 /// key-column space.  Returns rows produced.
@@ -77,7 +70,7 @@ pub fn key_row(key: &robustmap_storage::Key) -> Row {
 /// Residual evaluation reads key values by position (the short-circuit
 /// charges of [`Predicate::eval`] on the materialised key row) and
 /// survivors gather straight into the output batch without an intermediate
-/// [`Row`].
+/// [`robustmap_storage::Row`].
 pub fn run_covering(
     index: &IndexDef,
     range: &KeyRange,

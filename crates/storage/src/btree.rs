@@ -687,6 +687,13 @@ impl BTree {
 
     /// Scan all entries with keys in `[lo, hi]` (inclusive, in `(key, rid)`
     /// order), calling `f` for each.  Returns the number of entries visited.
+    ///
+    /// Charges exactly what a [`BTree::seek`] + [`BTree::cursor_next`] loop
+    /// that stops at the first key above `hi` would — one row per entry
+    /// looked at, that first key included, and one `leaf_access` page per
+    /// leaf moved onto — but walks each leaf as a slice: whether a leaf
+    /// lies wholly inside the range is one look at its last key, and only
+    /// the leaf the range ends in is searched for the end.
     pub fn scan_range<F: FnMut(Entry)>(
         &self,
         lo: &Key,
@@ -695,16 +702,33 @@ impl BTree {
         leaf_access: AccessKind,
         mut f: F,
     ) -> u64 {
-        let mut cursor = self.seek(lo, session);
+        let Cursor { mut leaf, idx, .. } = self.seek(lo, session);
+        let mut from = idx;
         let mut n = 0;
-        while let Some((key, rid)) = self.cursor_next(&mut cursor, session, leaf_access) {
-            if key > *hi {
-                break;
+        loop {
+            let Node::Leaf { entries, next } = &self.nodes[leaf as usize] else {
+                unreachable!("cursor not on a leaf")
+            };
+            let rest = &entries[from..];
+            let ends_here = rest.last().is_some_and(|(key, _)| key > hi);
+            let inside =
+                if ends_here { &rest[..rest.partition_point(|(key, _)| key <= hi)] } else { rest };
+            for &entry in inside {
+                session.charge_rows(1);
+                f(entry);
             }
-            f((key, rid));
-            n += 1;
+            n += inside.len() as u64;
+            if ends_here {
+                session.charge_rows(1); // the entry that ended the scan
+                return n;
+            }
+            if *next == NO_NODE {
+                return n;
+            }
+            leaf = *next;
+            from = 0;
+            self.touch(leaf, session, leaf_access);
         }
-        n
     }
 
     /// Collect every entry in order without charging any session (test and

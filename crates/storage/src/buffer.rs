@@ -73,6 +73,11 @@ pub struct BufferPool {
     head: usize, // most-recently-used (LRU) / unused by Clock
     tail: usize, // least-recently-used (LRU) / unused by Clock
     hand: usize, // clock hand (Clock policy)
+    /// The page of the previous access, when that access left it resident
+    /// (capacity > 0): it is referenced and, under LRU, at the list head —
+    /// no access has run since that could evict or displace it — so a
+    /// repeat is a hit that changes nothing but the counter.
+    last: Option<PageId>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -93,6 +98,7 @@ impl BufferPool {
             head: NIL,
             tail: NIL,
             hand: 0,
+            last: None,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -121,19 +127,28 @@ impl BufferPool {
 
     /// Touch `page`: returns `true` on a hit, `false` on a miss.  On a miss
     /// the page becomes resident, evicting another page if at capacity.
+    #[inline]
     pub fn access(&mut self, page: PageId) -> bool {
+        // Fetch loops request the same page for every row on it, so the
+        // repeat is the common case by far: answer it without a hash probe.
+        if self.last == Some(page) {
+            self.hits += 1;
+            return true;
+        }
+        self.access_other(page)
+    }
+
+    /// [`BufferPool::access`] for a page other than the previous one.
+    fn access_other(&mut self, page: PageId) -> bool {
         if self.capacity == 0 {
             self.misses += 1;
             return false;
         }
+        self.last = Some(page);
         if let Some(&slot) = self.map.get(&page) {
             self.hits += 1;
             self.slots[slot].referenced = true;
-            // A hit on the most-recently-used slot would splice it back to
-            // where it already is; skipping the splice leaves the LRU list
-            // identical.  Fetch loops hit the same page for every row on
-            // it, so this is the common case by far.
-            if self.policy == EvictionPolicy::Lru && self.head != slot {
+            if self.policy == EvictionPolicy::Lru {
                 self.unlink(slot);
                 self.push_front(slot);
             }
@@ -163,6 +178,7 @@ impl BufferPool {
         self.head = NIL;
         self.tail = NIL;
         self.hand = 0;
+        self.last = None;
         self.hits = 0;
         self.misses = 0;
         self.evictions = 0;
@@ -171,6 +187,9 @@ impl BufferPool {
     /// Drop every page of `file` from the pool (e.g. a temp file deleted
     /// after a sort run is consumed).
     pub fn invalidate_file(&mut self, file: FileId) {
+        if self.last.is_some_and(|p| p.file == file) {
+            self.last = None;
+        }
         let victims: Vec<PageId> =
             self.map.keys().filter(|p| p.file == file).copied().collect();
         for page in victims {

@@ -3,32 +3,34 @@
 //! A [`Session`] is the per-query half of the execution stack's split: it
 //! owns the query-private state — the cost model, the simulated
 //! [`SimClock`] (and therefore the per-query [`IoStats`]), the memory
-//! grant, and an optional yield hook for cooperative scheduling — and sits
-//! on top of a [`SharedBufferPool`], which owns the state queries share
-//! (page residency, per-query hit/miss attribution, the temp-file
-//! allocator).
-//!
-//! Two construction modes:
+//! grant, and an optional yield hook for cooperative scheduling — and
+//! charges residency against pool state (page residency, per-query
+//! hit/miss attribution, the temp-file allocator) that is either its own
+//! or shared, depending on how it was constructed:
 //!
 //! * **Private pool** ([`Session::new`], [`Session::with_pool_pages`]): the
-//!   session wraps a [`SharedBufferPool`] of its own with exactly one
-//!   registered query.  This is the classic one-session-per-measurement
-//!   mode every map cell uses, and it is a *bit-identical* thin wrapper
-//!   over the shared machinery: the charge sequence (and therefore every
-//!   `f64` clock value), the I/O counters and the pool hit/miss behaviour
-//!   are exactly those of the pre-split private-pool session.
-//!   `tests/concurrent_equivalence.rs` and the storage unit tests pin this
-//!   contract.
+//!   session owns that state directly, in a `RefCell`.  This is the classic
+//!   one-session-per-measurement mode every map cell uses; nothing is
+//!   shared, so no page request takes a lock.
 //! * **Shared pool** ([`Session::on_shared`]): N sessions register on one
-//!   pool and contend for residency; each still owns a private clock, so
-//!   per-query elapsed time and counters stay exact under sharing.
+//!   [`SharedBufferPool`] and contend for residency; each still owns a
+//!   private clock, so per-query elapsed time and counters stay exact under
+//!   sharing.
 //!
-//! Methods take `&self`; interior mutability keeps operator code free of
-//! borrow gymnastics.  A session is still driven by one thread at a time —
-//! the concurrent serving layer in `core::serve` interleaves whole
-//! sessions cooperatively (via the yield hook) rather than sharing one
-//! session across threads — but the session itself is `Send`, so each
-//! query may live on its own worker thread.
+//! Both modes run the same pool code (`shared::PoolInner`) on the same
+//! state, so a private session is *bit-identical* to a session that is the
+//! only registrant of a shared pool: the charge sequence (and therefore
+//! every `f64` clock value), the I/O counters, the pool hit/miss behaviour
+//! and the temp-file numbering.  `tests/prop_storage.rs`
+//! (`private_session_equals_one_owner_shared_pool`) pins that contract and
+//! `tests/concurrent_equivalence.rs` pins it at catalog scale.
+//!
+//! Methods take `&self`; `Cell`/`RefCell` keep operator code free of
+//! borrow gymnastics.  A session is driven by one thread at a time — the
+//! concurrent serving layer in `core::serve` interleaves whole sessions
+//! cooperatively (via the yield hook) rather than sharing one session
+//! across threads — so it is not `Sync`; but it is `Send`, so each query
+//! may live on its own worker thread.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -36,7 +38,7 @@ use std::sync::Arc;
 use robustmap_obs::trace::{TraceDetail, TraceEventKind, TraceHandle, TraceSink};
 
 use crate::buffer::{BufferPool, EvictionPolicy, FileId, PageId};
-use crate::shared::{QueryId, QueryShare, SharedBufferPool};
+use crate::shared::{PoolInner, QueryId, QueryShare, SharedBufferPool};
 use crate::sim::{AccessKind, CostModel, IoStats, SimClock};
 
 /// A cooperative-scheduling callback: invoked between charges, never
@@ -45,11 +47,28 @@ use crate::sim::{AccessKind, CostModel, IoStats, SimClock};
 /// global virtual clock without re-entering the session.
 pub type YieldHook = Box<dyn FnMut(f64) + Send>;
 
+/// Where a session's pool state lives: owned, or behind the shared pool's
+/// lock.  Chosen by the constructor — by whether anything is shared.
+enum PoolHandle {
+    Private(RefCell<PoolInner>),
+    Shared(Arc<SharedBufferPool>),
+}
+
+impl PoolHandle {
+    #[inline]
+    fn with<R>(&self, f: impl FnOnce(&mut PoolInner) -> R) -> R {
+        match self {
+            PoolHandle::Private(inner) => f(&mut inner.borrow_mut()),
+            PoolHandle::Shared(pool) => f(&mut pool.lock()),
+        }
+    }
+}
+
 /// Execution context charging all storage traffic to a simulated clock.
 pub struct Session {
     model: CostModel,
     clock: SimClock,
-    pool: Arc<SharedBufferPool>,
+    pool: PoolHandle,
     query: QueryId,
     /// Memory grant in bytes (informational; `usize::MAX` = ungoverned).
     grant: Cell<usize>,
@@ -71,7 +90,7 @@ pub struct Session {
 impl Session {
     /// Session with an explicit cost model and a private buffer pool.
     pub fn new(model: CostModel, pool: BufferPool) -> Self {
-        Self::on_shared(model, Arc::new(SharedBufferPool::from_pool(pool)))
+        Self::on_pool(model, PoolHandle::Private(RefCell::new(PoolInner::new(pool))))
     }
 
     /// Session with the default HDD model and a private pool of
@@ -87,7 +106,11 @@ impl Session {
     /// binary's `--trace` flag) is enabled, the session attaches to it
     /// automatically on a fresh track labelled by its query id.
     pub fn on_shared(model: CostModel, pool: Arc<SharedBufferPool>) -> Self {
-        let query = pool.register_query();
+        Self::on_pool(model, PoolHandle::Shared(pool))
+    }
+
+    fn on_pool(model: CostModel, pool: PoolHandle) -> Self {
+        let query = pool.with(|p| p.register_query());
         let s = Session {
             model,
             clock: SimClock::new(),
@@ -115,12 +138,7 @@ impl Session {
         &self.model
     }
 
-    /// The shared pool this session charges residency against.
-    pub fn shared_pool(&self) -> &Arc<SharedBufferPool> {
-        &self.pool
-    }
-
-    /// This session's query identity on the shared pool.
+    /// This session's query identity on its pool (0 on a private one).
     pub fn query_id(&self) -> QueryId {
         self.query
     }
@@ -143,7 +161,7 @@ impl Session {
         self.flush_io_window();
         self.trace_event(TraceEventKind::SessionReset);
         self.clock.reset();
-        self.pool.reset();
+        self.pool.with(|p| p.reset());
         self.ticks.set(0);
     }
 
@@ -166,7 +184,7 @@ impl Session {
     /// hit cost, a miss charges the disk cost for `kind`.
     #[inline]
     pub fn read_page(&self, page: PageId, kind: AccessKind) {
-        let hit = self.pool.access(self.query, page);
+        let hit = self.pool.with(|p| p.access(self.query, page));
         if hit {
             self.clock.charge_buffer_hit(&self.model);
         } else {
@@ -189,7 +207,7 @@ impl Session {
     #[inline]
     pub fn write_page(&self, page: PageId) {
         self.clock.charge_write(&self.model);
-        self.pool.access(self.query, page);
+        self.pool.with(|p| p.access(self.query, page));
         if self.traced.get() {
             self.win_writes.set(self.win_writes.get() + 1);
             if self.trace_full.get() {
@@ -201,7 +219,7 @@ impl Session {
 
     /// Drop a whole temp file from the pool (its pages will not be reused).
     pub fn invalidate_file(&self, file: FileId) {
-        self.pool.invalidate_file(file);
+        self.pool.with(|p| p.invalidate_file(file));
     }
 
     /// Allocate a temp-file id above `base` from the pool's central
@@ -209,7 +227,7 @@ impl Session {
     /// concurrent spills can never collide (and a private session numbers
     /// its temp files exactly as before the split: `base + 0, 1, ...`).
     pub fn alloc_temp_file(&self, base: u32) -> FileId {
-        let file = self.pool.alloc_temp_file(base);
+        let file = self.pool.with(|p| p.alloc_temp_file(base));
         if self.traced.get() {
             self.trace_event(TraceEventKind::SpillAlloc { file: file.0 as u64 });
         }
@@ -241,17 +259,17 @@ impl Session {
     /// see the sum over all queries; see [`Session::query_pool_counters`]
     /// for this query's share).
     pub fn pool_counters(&self) -> (u64, u64, u64) {
-        self.pool.counters()
+        self.pool.with(|p| p.counters())
     }
 
     /// This query's share of the pool's hit/miss counters.
     pub fn query_pool_counters(&self) -> QueryShare {
-        self.pool.query_counters(self.query)
+        self.pool.with(|p| p.query_counters(self.query))
     }
 
     /// Buffer pool capacity in pages.
     pub fn pool_capacity(&self) -> usize {
-        self.pool.capacity()
+        self.pool.with(|p| p.capacity())
     }
 
     /// Record this query's memory grant in bytes (admission control sets
@@ -398,7 +416,7 @@ impl std::fmt::Debug for Session {
             .field("query", &self.query)
             .field("elapsed", &self.elapsed())
             .field("stats", &self.stats())
-            .field("pool_resident", &self.pool.resident())
+            .field("pool_resident", &self.pool.with(|p| p.resident()))
             .field("pool_capacity", &self.pool_capacity())
             .finish()
     }
@@ -555,18 +573,17 @@ mod tests {
     #[test]
     fn yield_hook_receives_elapsed_sim_time() {
         let s = Session::with_pool_pages(8);
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
+        let (sink, seen) = std::sync::mpsc::channel();
         s.install_yield_hook(
             2,
             Box::new(move |elapsed| {
-                sink.lock().unwrap().push(elapsed);
+                sink.send(elapsed).unwrap();
             }),
         );
         for _ in 0..4 {
             s.charge_rows(1);
         }
-        let seen = seen.lock().unwrap();
+        let seen: Vec<f64> = seen.try_iter().collect();
         assert_eq!(seen.len(), 2);
         assert!((seen[0] - 2.0 * s.model().cpu_row).abs() < 1e-15);
         assert!((seen[1] - 4.0 * s.model().cpu_row).abs() < 1e-15);

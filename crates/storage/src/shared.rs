@@ -24,11 +24,18 @@
 //!   residency accounting.  The central allocator hands out each id at most
 //!   once per epoch (until [`SharedBufferPool::reset`]).
 //!
-//! Interior mutability uses a [`Mutex`]: sessions on worker threads can
-//! then share the pool without `unsafe`.  The deterministic scheduler in
-//! `core::serve` runs exactly one query at a time (baton passing), so the
-//! lock is never contended there; it exists so the type is `Sync` and the
-//! design stays honest if a truly parallel front end ever appears.
+//! All three live in one `PoolInner`, which has two containers.  A
+//! private [`crate::Session`] owns its `PoolInner` in a `RefCell`: nothing
+//! is shared, so nothing is locked.  [`SharedBufferPool`] is the other: a
+//! [`Mutex`] around the same `PoolInner` plus forwarding, so sessions on
+//! worker threads can share it without `unsafe`.  The deterministic
+//! scheduler in `core::serve` runs exactly one query at a time (baton
+//! passing), so the lock is never contended there; it exists so the type
+//! is `Sync` and the design stays honest if a truly parallel front end ever
+//! appears.  Both containers run the same code on the same state, so a
+//! private session and a shared pool with one registrant charge
+//! identically (`private_session_equals_one_owner_shared_pool` in
+//! `tests/prop_storage.rs`).
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -51,11 +58,70 @@ pub struct QueryShare {
     pub misses: u64,
 }
 
+/// Residency, per-query attribution and the temp-file allocator: the state
+/// behind both a private session's pool and a [`SharedBufferPool`].
 #[derive(Debug)]
-struct PoolInner {
+pub(crate) struct PoolInner {
     pool: BufferPool,
     shares: Vec<QueryShare>,
     temp_next: u32,
+}
+
+impl PoolInner {
+    pub(crate) fn new(pool: BufferPool) -> Self {
+        PoolInner { pool, shares: Vec::new(), temp_next: 0 }
+    }
+
+    pub(crate) fn register_query(&mut self) -> QueryId {
+        self.shares.push(QueryShare::default());
+        QueryId(self.shares.len() as u32 - 1)
+    }
+
+    #[inline]
+    pub(crate) fn access(&mut self, query: QueryId, page: PageId) -> bool {
+        let hit = self.pool.access(page);
+        let share = &mut self.shares[query.0 as usize];
+        if hit {
+            share.hits += 1;
+        } else {
+            share.misses += 1;
+        }
+        hit
+    }
+
+    pub(crate) fn invalidate_file(&mut self, file: FileId) {
+        self.pool.invalidate_file(file);
+    }
+
+    pub(crate) fn alloc_temp_file(&mut self, base: u32) -> FileId {
+        let n = self.temp_next;
+        self.temp_next = n + 1;
+        FileId(base + n)
+    }
+
+    pub(crate) fn counters(&self) -> (u64, u64, u64) {
+        self.pool.counters()
+    }
+
+    pub(crate) fn query_counters(&self, query: QueryId) -> QueryShare {
+        self.shares[query.0 as usize]
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.pool.capacity()
+    }
+
+    pub(crate) fn resident(&self) -> usize {
+        self.pool.resident()
+    }
+
+    pub(crate) fn reset(&mut self) {
+        self.pool.reset();
+        for share in &mut self.shares {
+            *share = QueryShare::default();
+        }
+        self.temp_next = 0;
+    }
 }
 
 /// One buffer pool + temp-file namespace shared by N queries.
@@ -70,75 +136,59 @@ impl SharedBufferPool {
         Self::from_pool(BufferPool::new(capacity_pages, policy))
     }
 
-    /// Wrap an existing pool (the private-pool [`crate::Session`]
-    /// constructors use this).
+    /// Wrap an existing pool.
     pub fn from_pool(pool: BufferPool) -> Self {
-        SharedBufferPool {
-            inner: Mutex::new(PoolInner { pool, shares: Vec::new(), temp_next: 0 }),
-        }
+        SharedBufferPool { inner: Mutex::new(PoolInner::new(pool)) }
     }
 
-    fn lock(&self) -> MutexGuard<'_, PoolInner> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, PoolInner> {
         self.inner.lock().expect("shared buffer pool lock poisoned")
     }
 
     /// Register a new query, returning its identity for attribution.
     pub fn register_query(&self) -> QueryId {
-        let mut g = self.lock();
-        g.shares.push(QueryShare::default());
-        QueryId(g.shares.len() as u32 - 1)
+        self.lock().register_query()
     }
 
     /// Touch `page` on behalf of `query`: returns `true` on a hit, `false`
     /// on a miss (the page becomes resident either way).  Both the
     /// pool-level and the query's counters are updated.
     pub fn access(&self, query: QueryId, page: PageId) -> bool {
-        let mut g = self.lock();
-        let hit = g.pool.access(page);
-        let share = &mut g.shares[query.0 as usize];
-        if hit {
-            share.hits += 1;
-        } else {
-            share.misses += 1;
-        }
-        hit
+        self.lock().access(query, page)
     }
 
     /// Drop every page of `file` from the pool (temp files deleted after a
     /// sort run or spill partition is consumed).
     pub fn invalidate_file(&self, file: FileId) {
-        self.lock().pool.invalidate_file(file);
+        self.lock().invalidate_file(file);
     }
 
     /// Allocate a temp-file id above `base` (the catalog's first free file
     /// id).  Central and monotone: concurrent spilling queries can never
     /// receive the same id, no matter how their allocations interleave.
     pub fn alloc_temp_file(&self, base: u32) -> FileId {
-        let mut g = self.lock();
-        let n = g.temp_next;
-        g.temp_next = n + 1;
-        FileId(base + n)
+        self.lock().alloc_temp_file(base)
     }
 
     /// Pool-level `(hits, misses, evictions)` since construction or the
     /// last [`reset`](Self::reset).
     pub fn counters(&self) -> (u64, u64, u64) {
-        self.lock().pool.counters()
+        self.lock().counters()
     }
 
     /// `query`'s share of the pool-level hit/miss counters.
     pub fn query_counters(&self, query: QueryId) -> QueryShare {
-        self.lock().shares[query.0 as usize]
+        self.lock().query_counters(query)
     }
 
     /// Configured capacity in pages.
     pub fn capacity(&self) -> usize {
-        self.lock().pool.capacity()
+        self.lock().capacity()
     }
 
     /// Number of pages currently resident.
     pub fn resident(&self) -> usize {
-        self.lock().pool.resident()
+        self.lock().resident()
     }
 
     /// Whether `page` is currently resident (does not update recency).
@@ -153,12 +203,7 @@ impl SharedBufferPool {
     /// a query admitted into an idle system starts exactly as cold as a
     /// fresh private session — the concurrency-1 bit-identity contract.
     pub fn reset(&self) {
-        let mut g = self.lock();
-        g.pool.reset();
-        for share in &mut g.shares {
-            *share = QueryShare::default();
-        }
-        g.temp_next = 0;
+        self.lock().reset();
     }
 }
 

@@ -6,13 +6,15 @@
 //! along the way.
 
 use proptest::prelude::*;
-use robustmap_storage::btree::{BTree, Key};
-use robustmap_storage::{
-    AccessKind, ColumnType, EvictionPolicy, FileId, HeapFile, RidBitmap, Row, Schema, Session,
-    SlottedPage,
-};
+use robustmap_storage::btree::{BTree, Entry, Key};
 use robustmap_storage::heap::Rid;
+use robustmap_storage::{
+    AccessKind, BufferPool, ColumnType, CostModel, EvictionPolicy, FileId, HeapFile, IoStats,
+    PageId, QueryShare, RidBitmap, Row, Schema, Session, SharedBufferPool, SlottedPage,
+};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn session() -> Session {
     Session::with_pool_pages(64)
@@ -150,6 +152,18 @@ enum ChurnStep {
     DeleteMissing(i64, i64),
 }
 
+/// The churn driver's op mix over keys in `0..domain`: insert a fresh
+/// (key, rid) pair; delete a *live* entry picked by index — hits the
+/// bulk-loaded population as readily as churn inserts, exactly like the
+/// driver picking victims; delete a (key, rid) that was never inserted.
+fn churn_step(domain: i64) -> impl Strategy<Value = ChurnStep> {
+    prop_oneof![
+        (0..domain, 0..domain, 0u32..64).prop_map(|(a, b, r)| ChurnStep::Insert(a, b, r)),
+        (0usize..4096).prop_map(ChurnStep::DeleteAt),
+        (0..domain, 0..domain).prop_map(|(a, b)| ChurnStep::DeleteMissing(a, b)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -164,19 +178,7 @@ proptest! {
     #[test]
     fn bulk_loaded_btree_survives_mixed_churn(
         base in prop::collection::btree_set((0i64..48, 0i64..48), 1..120),
-        ops in prop::collection::vec(
-            prop_oneof![
-                // Insert a fresh (key, rid) pair.
-                (0i64..48, 0i64..48, 0u32..64).prop_map(|(a, b, r)| ChurnStep::Insert(a, b, r)),
-                // Delete a *live* entry picked by index — hits the
-                // bulk-loaded population as readily as churn inserts,
-                // exactly like the driver picking victims.
-                (0usize..4096).prop_map(ChurnStep::DeleteAt),
-                // Delete a (key, rid) that was never inserted.
-                (0i64..48, 0i64..48).prop_map(|(a, b)| ChurnStep::DeleteMissing(a, b)),
-            ],
-            1..250,
-        ),
+        ops in prop::collection::vec(churn_step(48), 1..250),
         fill in 0.5f64..1.0,
         probe in 0i64..48,
     ) {
@@ -244,6 +246,227 @@ proptest! {
             .collect();
         prop_assert_eq!(got, want);
     }
+}
+
+// ------------------------------------------- leaf walk against the cursor
+
+/// Everything a range scan can be observed to do.
+#[derive(Debug, PartialEq)]
+struct ScanTrace {
+    visited: Vec<Entry>,
+    returned: u64,
+    elapsed_bits: u64,
+    /// The clock after every single charge, in order.
+    charge_points: Vec<u64>,
+    stats: IoStats,
+    pool: (u64, u64, u64),
+}
+
+/// Run `scan` on a fresh session of `pool_pages` pages.  The callback
+/// charges too (every third entry), and a yield hook at quantum 1 reads the
+/// clock after every charge, so the position of each callback between the
+/// scan's own charges is part of the trace.
+fn trace_scan(
+    pool_pages: usize,
+    scan: impl FnOnce(&Session, &mut dyn FnMut(Entry)) -> u64,
+) -> ScanTrace {
+    let s = Session::with_pool_pages(pool_pages);
+    let (points, charge_points) = std::sync::mpsc::channel();
+    s.install_yield_hook(
+        1,
+        Box::new(move |elapsed| points.send(elapsed.to_bits()).expect("receiver outlives scan")),
+    );
+    let mut visited = Vec::new();
+    let returned = scan(&s, &mut |e| {
+        if visited.len() % 3 == 0 {
+            s.charge_compares(1);
+        }
+        visited.push(e);
+    });
+    ScanTrace {
+        visited,
+        returned,
+        elapsed_bits: s.elapsed().to_bits(),
+        charge_points: charge_points.try_iter().collect(),
+        stats: s.stats(),
+        pool: s.pool_counters(),
+    }
+}
+
+/// `scan_range` as first defined: a cursor stepped entry by entry until
+/// the first key above `hi`.
+fn scan_by_cursor(
+    tree: &BTree,
+    lo: &Key,
+    hi: &Key,
+    s: &Session,
+    kind: AccessKind,
+    f: &mut dyn FnMut(Entry),
+) -> u64 {
+    let mut cursor = tree.seek(lo, s);
+    let mut n = 0;
+    while let Some((key, rid)) = tree.cursor_next(&mut cursor, s, kind) {
+        if key > *hi {
+            break;
+        }
+        f((key, rid));
+        n += 1;
+    }
+    n
+}
+
+/// Scan `[lo, hi]` both ways and require one trace; returns it.
+fn scan_both_ways(
+    tree: &BTree,
+    lo: &Key,
+    hi: &Key,
+    kind: AccessKind,
+    pool_pages: usize,
+) -> Result<ScanTrace, TestCaseError> {
+    let walked = trace_scan(pool_pages, |s, f| tree.scan_range(lo, hi, s, kind, f));
+    let stepped = trace_scan(pool_pages, |s, f| scan_by_cursor(tree, lo, hi, s, kind, f));
+    prop_assert_eq!(&walked, &stepped, "range [{:?}, {:?}] {:?} pool {}", lo, hi, kind, pool_pages);
+    Ok(walked)
+}
+
+/// The tree's entries grouped by leaf, found from outside: on a pool of no
+/// pages a cursor pays one sequential read exactly when it moves onto the
+/// next leaf.
+fn leaves_of(tree: &BTree) -> Vec<Vec<Entry>> {
+    let s = Session::with_pool_pages(0);
+    let mut cursor = tree.seek_first(&s);
+    let mut leaves = vec![Vec::new()];
+    let mut seen = s.stats().seq_reads;
+    while let Some(e) = tree.cursor_next(&mut cursor, &s, AccessKind::Sequential) {
+        for _ in seen..s.stats().seq_reads {
+            leaves.push(Vec::new());
+        }
+        seen = s.stats().seq_reads;
+        leaves.last_mut().expect("one leaf at least").push(e);
+    }
+    leaves
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The leaf-at-a-time `scan_range` is the cursor loop, charge for
+    /// charge: on bulk-loaded trees churned into underfull and emptied
+    /// leaves, with one- and two-column keys and so few distinct keys that
+    /// duplicates straddle every leaf boundary, over random ranges and the
+    /// ranges that end or begin exactly at a leaf's edge.
+    #[test]
+    fn scan_range_equals_the_cursor_loop(
+        base in prop::collection::btree_set((0i64..12, 0i64..4, 0u32..64), 0..160),
+        ops in prop::collection::vec(churn_step(12), 0..200),
+        two_columns in any::<bool>(),
+        fill in 0.5f64..1.0,
+        ranges in prop::collection::vec((-2i64..14, -2i64..14), 1..8),
+        pool_pages in 0usize..6,
+    ) {
+        let arity = if two_columns { 2 } else { 1 };
+        // (a, b, slot) orders like the entry it stands for in either shape.
+        let entry = |a: i64, b: i64, slot: u32| -> Entry {
+            if two_columns {
+                (Key::pair(a, b), Rid::new(0, slot))
+            } else {
+                (Key::single(a), Rid::new(b as u32, slot))
+            }
+        };
+        let s = session();
+        let entries: Vec<Entry> = base.iter().map(|&(a, b, slot)| entry(a, b, slot)).collect();
+        let mut tree = BTree::bulk_load_with_caps(FileId(0), arity, &entries, fill, 6, 6);
+        let mut live: BTreeSet<(i64, i64, u32)> = base.clone();
+        for op in ops {
+            match op {
+                ChurnStep::Insert(a, b, r) => {
+                    let (key, rid) = entry(a, b % 4, 1000 + r);
+                    prop_assert_eq!(tree.insert(key, rid, &s), live.insert((a, b % 4, 1000 + r)));
+                }
+                ChurnStep::DeleteAt(i) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let victim = *live.iter().nth(i % live.len()).expect("non-empty");
+                    let (key, rid) = entry(victim.0, victim.1, victim.2);
+                    prop_assert!(tree.delete(key, rid, &s));
+                    live.remove(&victim);
+                }
+                ChurnStep::DeleteMissing(a, b) => {
+                    let (key, rid) = entry(a, b % 4, 5000);
+                    prop_assert!(!tree.delete(key, rid, &s));
+                }
+            }
+        }
+        tree.check_invariants().map_err(TestCaseError::fail)?;
+
+        let prefix = |a: i64| (Key::padded_lo(&[a], arity), Key::padded_hi(&[a], arity));
+        let mut bounds: Vec<(Key, Key)> = Vec::new();
+        for &(x, y) in &ranges {
+            bounds.push((prefix(x).0, prefix(y).1)); // empty when y < x
+            bounds.push((prefix(x.max(y)).0, prefix(i64::MAX).1)); // hi past the last key
+        }
+        let leaves = leaves_of(&tree);
+        for pair in leaves.windows(2) {
+            let (Some(first), Some(last), Some(next)) =
+                (pair[0].first(), pair[0].last(), pair[1].first())
+            else {
+                continue;
+            };
+            bounds.push((first.0, last.0)); // hi is the leaf's last key
+            bounds.push((next.0, next.0)); // lo seeks to the end of the leaf before
+            bounds.push((last.0, next.0));
+        }
+        for (lo, hi) in &bounds {
+            for kind in [AccessKind::Sequential, AccessKind::SinglePage] {
+                let trace = scan_both_ways(&tree, lo, hi, kind, pool_pages)?;
+                let want: Vec<Entry> = live
+                    .iter()
+                    .map(|&(a, b, slot)| entry(a, b, slot))
+                    .filter(|(key, _)| lo <= key && key <= hi)
+                    .collect();
+                prop_assert_eq!(trace.visited, want);
+            }
+        }
+    }
+}
+
+/// The edges the property reaches by chance, pinned on a tree whose leaf
+/// layout is known: sixty-four keys 0, 10, .. in eight full leaves of
+/// eight, so leaf `j` ends at key `80 j + 70` and leaf `j + 1` begins ten
+/// above it.
+#[test]
+fn scan_range_at_leaf_edges_equals_the_cursor_loop() {
+    let entries: Vec<Entry> =
+        (0..64i64).map(|i| (Key::single(i * 10), Rid::new(1, i as u32))).collect();
+    let tree = BTree::bulk_load_with_caps(FileId(0), 1, &entries, 1.0, 8, 8);
+    assert_eq!(leaves_of(&tree).iter().map(Vec::len).collect::<Vec<_>>(), vec![8; 8]);
+    let height = tree.height() as u64;
+    let scan = |lo: i64, hi: i64| {
+        scan_both_ways(&tree, &Key::single(lo), &Key::single(hi), AccessKind::Sequential, 0)
+            .unwrap_or_else(|e| panic!("{e}"))
+    };
+
+    // hi equal to a leaf's last key: the scan cannot know the range ended
+    // until it has moved onto the next leaf and paid for its first entry.
+    let t = scan(0, 70);
+    assert_eq!((t.returned, t.stats.cpu_rows, t.stats.seq_reads), (8, 9, 1));
+    // lo between two leaves: the descent ends past the last entry of the
+    // left one, and the first thing the scan does is move right.
+    let t = scan(75, 90);
+    assert_eq!(t.visited.iter().map(|(k, _)| k.get(0)).collect::<Vec<_>>(), vec![80, 90]);
+    assert_eq!((t.stats.random_reads, t.stats.seq_reads, t.stats.cpu_rows), (height, 1, 3));
+    // hi < lo and an empty range both look at one entry and visit none.
+    for (lo, hi) in [(300, 200), (301, 309)] {
+        let t = scan(lo, hi);
+        assert_eq!((t.returned, t.stats.cpu_rows, t.stats.seq_reads), (0, 1, 0));
+    }
+    // hi past the last key: every entry from lo on, then the chain ends.
+    let t = scan(600, 10_000);
+    assert_eq!((t.returned, t.stats.cpu_rows, t.stats.seq_reads), (4, 4, 0));
+    // lo past the last key: nothing to look at.
+    let t = scan(700, 10_000);
+    assert_eq!((t.returned, t.stats.cpu_rows, t.stats.seq_reads), (0, 0, 0));
 }
 
 // ---------------------------------------------------------------- bitmap
@@ -348,26 +571,299 @@ proptest! {
 
 // ---------------------------------------------------------------- buffer
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[derive(Debug, Clone, Copy)]
+enum PoolOp {
+    Access(PageId),
+    InvalidateFile(FileId),
+    Reset,
+}
 
-    /// Under any access pattern the pool never exceeds capacity, and an
-    /// immediately repeated access always hits (capacity >= 1).
+/// File 2 has one page, so a Clock script can always invalidate it.
+fn pool_page() -> impl Strategy<Value = PageId> {
+    prop_oneof![
+        (0u32..24).prop_map(|p| PageId::new(FileId(0), p)),
+        (0u32..4).prop_map(|p| PageId::new(FileId(1), p)),
+        Just(PageId::new(FileId(2), 0)),
+    ]
+}
+
+/// Six accesses to one invalidation and one reset.
+fn pool_op() -> impl Strategy<Value = PoolOp> {
+    (0u32..8, pool_page(), 0u32..3).prop_map(|(kind, page, file)| match kind {
+        0 => PoolOp::InvalidateFile(FileId(file)),
+        1 => PoolOp::Reset,
+        _ => PoolOp::Access(page),
+    })
+}
+
+/// What a replacement policy is, written the slow way.
+trait PoolModel {
+    fn access(&mut self, page: PageId) -> bool;
+    fn invalidate_file(&mut self, file: FileId);
+    fn resident_of(&self, file: FileId) -> usize;
+    fn evictions(&self) -> u64;
+}
+
+/// Exact LRU: a vector in recency order, most recent first.
+struct NaiveLru {
+    cap: usize,
+    pages: Vec<PageId>,
+    evictions: u64,
+}
+
+impl PoolModel for NaiveLru {
+    fn access(&mut self, page: PageId) -> bool {
+        if self.cap == 0 {
+            return false;
+        }
+        let hit = match self.pages.iter().position(|&p| p == page) {
+            Some(at) => {
+                self.pages.remove(at);
+                true
+            }
+            None => {
+                if self.pages.len() >= self.cap {
+                    self.pages.pop();
+                    self.evictions += 1;
+                }
+                false
+            }
+        };
+        self.pages.insert(0, page);
+        hit
+    }
+
+    fn invalidate_file(&mut self, file: FileId) {
+        self.pages.retain(|p| p.file != file);
+    }
+
+    fn resident_of(&self, file: FileId) -> usize {
+        self.pages.iter().filter(|p| p.file == file).count()
+    }
+
+    fn evictions(&self) -> u64 {
+        self.evictions
+    }
+}
+
+/// Second chance: a ring of frames swept by a hand that clears reference
+/// bits until it meets a clear one; freed frames are reused last-freed
+/// first and new frames are appended while the ring is short.
+struct NaiveClock {
+    cap: usize,
+    frames: Vec<Option<(PageId, bool)>>,
+    free: Vec<usize>,
+    hand: usize,
+    evictions: u64,
+}
+
+impl PoolModel for NaiveClock {
+    fn access(&mut self, page: PageId) -> bool {
+        if self.cap == 0 {
+            return false;
+        }
+        if let Some(frame) = self.frames.iter_mut().flatten().find(|(p, _)| *p == page) {
+            frame.1 = true;
+            return true;
+        }
+        if self.frames.iter().flatten().count() >= self.cap {
+            self.evictions += 1;
+            loop {
+                let at = self.hand % self.frames.len();
+                self.hand = (self.hand + 1) % self.frames.len();
+                match &mut self.frames[at] {
+                    None => {}
+                    Some((_, referenced)) if *referenced => *referenced = false,
+                    victim => {
+                        *victim = None;
+                        self.free.push(at);
+                        break;
+                    }
+                }
+            }
+        }
+        match self.free.pop() {
+            Some(at) => self.frames[at] = Some((page, true)),
+            None => self.frames.push(Some((page, true))),
+        }
+        false
+    }
+
+    fn invalidate_file(&mut self, file: FileId) {
+        for at in 0..self.frames.len() {
+            if self.frames[at].is_some_and(|(p, _)| p.file == file) {
+                self.frames[at] = None;
+                self.free.push(at);
+            }
+        }
+    }
+
+    fn resident_of(&self, file: FileId) -> usize {
+        self.frames.iter().flatten().filter(|(p, _)| p.file == file).count()
+    }
+
+    fn evictions(&self) -> u64 {
+        self.evictions
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The pool answers every request as the naive model of its policy
+    /// does, and ends with the model's counters and residency.  Every
+    /// script opens with the two sequences a stale last-page memo gets
+    /// wrong: a page, then its file invalidated or the pool reset, then the
+    /// page again — a miss both times.
     #[test]
-    fn buffer_pool_capacity_and_rehit(
-        accesses in prop::collection::vec(0u32..64, 1..400),
-        cap in 1usize..32,
+    fn buffer_pool_matches_naive_model(
+        ops in prop::collection::vec(pool_op(), 1..400),
+        cap in 0usize..32,
         use_clock in any::<bool>(),
     ) {
         let policy = if use_clock { EvictionPolicy::Clock } else { EvictionPolicy::Lru };
-        let mut pool = robustmap_storage::BufferPool::new(cap, policy);
-        for &p in &accesses {
-            let pid = robustmap_storage::PageId::new(FileId(0), p);
-            pool.access(pid);
-            prop_assert!(pool.resident() <= cap);
-            prop_assert!(pool.access(pid), "immediate re-access must hit");
+        let new_model = || -> Box<dyn PoolModel> {
+            if use_clock {
+                Box::new(NaiveClock { cap, frames: vec![], free: vec![], hand: 0, evictions: 0 })
+            } else {
+                Box::new(NaiveLru { cap, pages: vec![], evictions: 0 })
+            }
+        };
+        let mut pool = BufferPool::new(cap, policy);
+        let mut model = new_model();
+        let p = PageId::new(FileId(2), 0);
+        let opening = [
+            PoolOp::Access(p),
+            PoolOp::InvalidateFile(p.file),
+            PoolOp::Access(p),
+            PoolOp::Reset,
+            PoolOp::Access(p),
+        ];
+        let (mut hits, mut misses) = (0u64, 0u64);
+        for (step, &op) in opening.iter().chain(&ops).enumerate() {
+            match op {
+                PoolOp::Access(page) => {
+                    let want = model.access(page);
+                    prop_assert!(!want || step >= opening.len(), "opening step {} must miss", step);
+                    prop_assert_eq!(pool.access(page), want, "step {} {:?}", step, op);
+                    if want {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                }
+                PoolOp::InvalidateFile(file) => {
+                    // Clock reuses freed frames last-freed first, and the
+                    // pool frees a file's frames in its hash map's order:
+                    // only a one-frame invalidation has one outcome.
+                    if use_clock && model.resident_of(file) > 1 {
+                        continue;
+                    }
+                    model.invalidate_file(file);
+                    pool.invalidate_file(file);
+                }
+                PoolOp::Reset => {
+                    model = new_model();
+                    pool.reset();
+                    (hits, misses) = (0, 0);
+                }
+            }
+            let resident: usize = (0..3).map(|f| model.resident_of(FileId(f))).sum();
+            prop_assert_eq!(pool.resident(), resident, "step {} {:?}", step, op);
+            prop_assert!(resident <= cap);
         }
-        let (hits, misses, _) = pool.counters();
-        prop_assert_eq!(hits + misses, accesses.len() as u64 * 2);
+        prop_assert_eq!(pool.counters(), (hits, misses, model.evictions()));
+    }
+}
+
+// ---------------------------------------------------------------- session
+
+/// What a session lets its owner see, taken at a point in a script.
+#[derive(Debug, PartialEq)]
+struct SessionView {
+    elapsed_bits: u64,
+    stats: IoStats,
+    pool: (u64, u64, u64),
+    share: QueryShare,
+    temp_files: Vec<FileId>,
+    yields: u64,
+}
+
+/// One script over everything a session forwards to its pool or charges
+/// to its clock, with a yield hook counting its calls at quantum 3; views
+/// are taken before the reset (which zeroes most of one) and at the end.
+fn drive(s: &Session) -> Vec<SessionView> {
+    let yields = Arc::new(AtomicU64::new(0));
+    let counter = Arc::clone(&yields);
+    s.install_yield_hook(
+        3,
+        Box::new(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }),
+    );
+    let mut temp_files = Vec::new();
+    let mut views = Vec::new();
+    let view = |temp_files: &[FileId]| SessionView {
+        elapsed_bits: s.elapsed().to_bits(),
+        stats: s.stats(),
+        pool: s.pool_counters(),
+        share: s.query_pool_counters(),
+        temp_files: temp_files.to_vec(),
+        yields: yields.load(Ordering::Relaxed),
+    };
+    let page = |p: u32| PageId::new(FileId(1), p);
+    for round in 0..3u32 {
+        for i in 0..40u32 {
+            let kind = [AccessKind::Random, AccessKind::Sequential, AccessKind::SinglePage]
+                [(i % 3) as usize];
+            s.read_page(page((i * 7 + round) % 11), kind);
+            s.read_page(page((i * 7 + round) % 11), AccessKind::Random); // the repeat
+            s.charge_rows(u64::from(i % 4));
+            s.charge_compares(2);
+        }
+        let spill = s.alloc_temp_file(100);
+        temp_files.push(spill);
+        for p in 0..6 {
+            s.write_page(PageId::new(spill, p));
+        }
+        for p in 0..6 {
+            s.read_page(PageId::new(spill, p), AccessKind::Sequential);
+            s.charge_hashes(3);
+        }
+        s.invalidate_file(spill);
+        s.read_page(PageId::new(spill, 5), AccessKind::Random); // gone: a miss
+        if round == 1 {
+            views.push(view(&temp_files));
+            s.reset();
+            views.push(view(&temp_files));
+        }
+    }
+    views.push(view(&temp_files));
+    views
+}
+
+/// The contract `session.rs` states: a session on a pool of its own is a
+/// session that is the only registrant of a shared pool — same clock, same
+/// counters, same temp-file numbers, same yield points.
+#[test]
+fn private_session_equals_one_owner_shared_pool() {
+    // `core::serve` moves sessions onto worker threads.
+    fn assert_send<T: Send>() {}
+    assert_send::<Session>();
+
+    for policy in [EvictionPolicy::Lru, EvictionPolicy::Clock] {
+        let private = Session::new(CostModel::hdd_2009(), BufferPool::new(8, policy));
+        let shared = Session::on_shared(
+            CostModel::hdd_2009(),
+            Arc::new(SharedBufferPool::from_pool(BufferPool::new(8, policy))),
+        );
+        let views = drive(&private);
+        assert_eq!(views, drive(&shared), "{policy:?}");
+        // The script did what it claims to compare.
+        let last = views.last().expect("three views");
+        assert!(last.stats.buffer_hits > 0 && last.stats.page_writes > 0 && last.yields > 0);
+        assert!(last.pool.2 > 0, "no eviction under {policy:?}");
+        assert_eq!(views[1].pool, (0, 0, 0), "reset zeroes the pool counters");
+        assert_eq!(last.temp_files, [FileId(100), FileId(101), FileId(100)]);
     }
 }

@@ -23,6 +23,13 @@ run cargo build --release --workspace --all-targets
 run cargo test -q --release --workspace
 run cargo test -q --release --workspace --doc
 
+# `benchmark/` is a package of its own, outside the workspace, bound to the
+# crates' public API by path: nothing above compiles it, so an API edit can
+# break the acceptance pipeline unseen.  Build and unit-test it where
+# `benchmark/run.sh` does (the repository's target/).
+run env CARGO_TARGET_DIR="$PWD/target" cargo build --release --offline --manifest-path benchmark/Cargo.toml
+run env CARGO_TARGET_DIR="$PWD/target" cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 # The golden charge ledger and the batch-size, adaptive no-switch and
 # concurrent-serving differential suites run inside the workspace tests
 # above at the default batch size and scheduling quantum; run them again
