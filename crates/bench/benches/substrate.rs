@@ -3,14 +3,18 @@
 //! can afford to sweep.  The `pool/*`, `btree/range_scan_full`,
 //! `sort/radix_rids_256k` and `fetch/improved_dense` rows are the micro
 //! view of the run-length storage access path (docs/DESIGN.md): one row
-//! per mechanism, re-runnable without the full `benchmark/run.sh`.
+//! per mechanism, re-runnable without the full `benchmark/run.sh`.  The
+//! `sort/*_multipass_64k`, `join/sort_merge_64k` and `exec/materialise_64k`
+//! rows do the same for the sorter that charges for the merge and sorts
+//! once, and for the packed blocking edges.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use robustmap_core::{build_map2d, Grid2D, MeasureConfig};
 use robustmap_executor::batch::radix_sort_by_u64_key;
+use robustmap_executor::ops::sort::PackedRows;
 use robustmap_executor::{
-    run_count, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig, IndexRangeSpec, KeyRange,
-    PlanSpec, Predicate, Projection, RunOpts, SpillMode,
+    run, run_count, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig, IndexRangeSpec, JoinAlgo,
+    KeyRange, PlanSpec, Predicate, Projection, RunOpts, SpillMode,
 };
 use robustmap_storage::btree::{BTree, Key};
 use robustmap_storage::heap::Rid;
@@ -139,16 +143,23 @@ fn bench_sort_modes(c: &mut Criterion) {
     let w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 16));
     let mut group = c.benchmark_group("sort");
     group.sample_size(10);
-    for (name, mode) in [("abrupt", SpillMode::Abrupt), ("graceful", SpillMode::Graceful)] {
+    // A quarter of the table under a 128 KiB grant (a single merge), and
+    // all 2^16 rows under 4 KiB: far more runs than one 64-way merge takes.
+    for (name, mode, sel, memory_bytes) in [
+        ("abrupt", SpillMode::Abrupt, 0.25, 1 << 17),
+        ("graceful", SpillMode::Graceful, 0.25, 1 << 17),
+        ("abrupt_multipass_64k", SpillMode::Abrupt, 1.0, 4096),
+        ("graceful_multipass_64k", SpillMode::Graceful, 1.0, 4096),
+    ] {
         let plan = PlanSpec::Sort {
             input: Box::new(PlanSpec::TableScan {
                 table: w.table,
-                pred: Predicate::single(ColRange::at_most(0, w.cal_a.threshold(0.25))),
+                pred: Predicate::single(ColRange::at_most(0, w.cal_a.threshold(sel))),
                 project: Projection::Columns(vec![2]),
             }),
             key_cols: vec![0],
             mode,
-            memory_bytes: 1 << 17,
+            memory_bytes,
         };
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -179,6 +190,51 @@ fn bench_sort_modes(c: &mut Criterion) {
     group.finish();
 }
 
+/// The blocking edges: both inputs of a sort-merge join materialised,
+/// sorted and merged (2^16 x 2^16 rows, 1:1 on `c`), and one input
+/// materialised on its own — a scan's batches transposed into packed rows,
+/// which is all `exec::materialise` does.
+fn bench_blocking_edges(c: &mut Criterion) {
+    let w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 16));
+    let side = |col: usize| PlanSpec::TableScan {
+        table: w.table,
+        pred: Predicate::always_true(),
+        project: Projection::Columns(vec![2, col]),
+    };
+    let join = PlanSpec::Join {
+        left: Box::new(side(0)),
+        right: Box::new(side(1)),
+        left_key: 0,
+        right_key: 0,
+        algo: JoinAlgo::SortMerge,
+        memory_bytes: 4 << 20,
+        project: Projection::All,
+    };
+    let mut group = c.benchmark_group("join");
+    group.sample_size(10);
+    group.bench_function("sort_merge_64k", |b| {
+        b.iter(|| {
+            let s = Session::with_pool_pages(256);
+            let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
+            run_count(&join, &ctx, RunOpts::default()).unwrap().rows_out
+        })
+    });
+    group.finish();
+    let mut group = c.benchmark_group("exec");
+    group.sample_size(10);
+    let input = side(0);
+    group.bench_function("materialise_64k", |b| {
+        b.iter(|| {
+            let s = Session::with_pool_pages(256);
+            let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
+            let mut rows = PackedRows::default();
+            run(&input, &ctx, RunOpts::default(), &mut |batch| rows.extend_from_batch(batch)).unwrap();
+            rows
+        })
+    });
+    group.finish();
+}
+
 fn bench_map_builder(c: &mut Criterion) {
     let w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 14));
     let plans = two_predicate_plans(SystemId::A, &w);
@@ -201,6 +257,7 @@ criterion_group!(
     bench_bitmap,
     bench_fetch_disciplines,
     bench_sort_modes,
+    bench_blocking_edges,
     bench_map_builder
 );
 criterion_main!(benches);

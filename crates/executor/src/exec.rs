@@ -26,7 +26,9 @@
 use std::cell::{Cell, RefCell};
 
 use robustmap_obs::trace::TraceEventKind;
-use robustmap_storage::{AccessKind, Database, FileId, IoStats, Row, Session, StorageError};
+use robustmap_storage::{
+    AccessKind, Database, FileId, IoStats, Row, Session, StorageError, MAX_COLUMNS,
+};
 
 use crate::batch::{BatchEmitter, ExecConfig, RowBatch};
 use crate::ops;
@@ -34,7 +36,7 @@ use crate::ops::adaptive::{
     observe, Observation, SwitchController, SwitchDirective, SwitchEvent,
 };
 use crate::ops::sort::PackedRows;
-use crate::plan::{CheckpointKind, IndexRangeSpec, JoinAlgo, PlanSpec};
+use crate::plan::{AggFn, CheckpointKind, IndexRangeSpec, JoinAlgo, PlanSpec};
 
 /// Errors raised during plan execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,11 +307,7 @@ fn materialise(
     depth: usize,
 ) -> Result<PackedRows, ExecError> {
     let mut rows = PackedRows::default();
-    node(plan, ctx, opts, depth, &mut |b| {
-        for i in 0..b.len() {
-            rows.push(b.row(i).values());
-        }
-    })?;
+    node(plan, ctx, opts, depth, &mut |b| rows.extend_from_batch(b))?;
     Ok(rows)
 }
 
@@ -323,14 +321,17 @@ fn feed_lockstep(
     ctx: &ExecCtx<'_>,
     opts: &RunOpts<'_>,
     depth: usize,
-    push: &mut dyn FnMut(&Row),
+    push: &mut dyn FnMut(&[i64]),
 ) -> Result<u64, ExecError> {
     let lockstep = RunOpts { batch: ExecConfig::with_batch_rows(1), ..*opts };
     let mut fed = 0u64;
+    let mut row = Vec::new();
     node(input, ctx, &lockstep, depth, &mut |b| {
         for i in 0..b.len() {
+            row.clear();
+            row.extend((0..b.arity()).map(|c| b.col(c)[i]));
             fed += 1;
-            push(&b.row(i));
+            push(&row);
         }
     })?;
     Ok(fed)
@@ -342,14 +343,38 @@ fn emit_rows(
     arity: usize,
     opts: &RunOpts<'_>,
     sink: &mut dyn FnMut(&RowBatch),
-    finish: impl FnOnce(&mut dyn FnMut(&Row)) -> u64,
+    finish: impl FnOnce(&mut dyn FnMut(&[i64])) -> u64,
 ) -> u64 {
     let identity: Vec<usize> = (0..arity).collect();
     let mut emitter = BatchEmitter::new(arity, opts.batch.batch_rows);
-    let produced =
-        finish(&mut |row| emitter.push_projected_slice(row.values(), &identity, sink));
+    let produced = finish(&mut |row| emitter.push_projected_slice(row, &identity, sink));
     emitter.flush(sink);
     produced
+}
+
+/// `Err(BadPlan)` if a blocking operator's column reference does not exist
+/// in the `arity` columns its input produces.
+fn check_cols(
+    what: &str,
+    cols: impl IntoIterator<Item = usize>,
+    arity: usize,
+) -> Result<(), ExecError> {
+    match cols.into_iter().find(|&c| c >= arity) {
+        Some(c) => Err(ExecError::BadPlan(format!(
+            "{what} column {c} does not exist in a {arity}-column input"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// `Err(BadPlan)` if an operator would build rows wider than a [`Row`].
+fn check_width(what: &str, arity: usize) -> Result<(), ExecError> {
+    if arity > MAX_COLUMNS {
+        return Err(ExecError::BadPlan(format!(
+            "{what} builds {arity}-column rows; the limit is {MAX_COLUMNS}"
+        )));
+    }
+    Ok(())
 }
 
 /// The interpreter proper: one arm per plan shape.  Every charge a plan
@@ -521,6 +546,10 @@ fn shape(
             emitter.produced()
         }
         PlanSpec::Join { left, right, left_key, right_key, algo, memory_bytes, project } => {
+            let (larity, rarity) = (plan_out_arity(left, ctx.db), plan_out_arity(right, ctx.db));
+            check_cols("join left key", [*left_key], larity)?;
+            check_cols("join right key", [*right_key], rarity)?;
+            check_width("join", larity + rarity)?;
             // The left input always materialises first; which checkpoint
             // it is depends on the planned build side.
             let build_left = match algo {
@@ -545,11 +574,10 @@ fn shape(
                 SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
                 _ => {}
             }
-            let proj =
-                project.resolve(plan_out_arity(left, ctx.db) + plan_out_arity(right, ctx.db));
+            let proj = project.resolve(larity + rarity);
             let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
-            let mut project_sink = |row: &Row| {
-                emitter.push_projected_slice(row.values(), &proj, sink);
+            let mut project_sink = |row: &[i64]| {
+                emitter.push_projected_slice(row, &proj, sink);
             };
             match algo_eff {
                 JoinAlgo::SortMerge => {
@@ -588,17 +616,31 @@ fn shape(
             )?
         }
         PlanSpec::Sort { input, key_cols, mode, memory_bytes } => {
+            let arity = plan_out_arity(input, ctx.db);
+            if key_cols.is_empty() {
+                return Err(ExecError::BadPlan("sort without key columns".into()));
+            }
+            check_cols("sort key", key_cols.iter().copied(), arity)?;
             let mut sorter =
                 ops::sort::ExternalSorter::new(ctx, key_cols.clone(), *mode, *memory_bytes);
-            let fed = feed_lockstep(input, ctx, opts, depth + 1, &mut |row| sorter.push(row))?;
+            let fed =
+                feed_lockstep(input, ctx, opts, depth + 1, &mut |row| sorter.push_values(row))?;
             // Observe-only: once the sorter holds the input there is nothing
             // downstream to re-plan, so directives are not acted upon.
             if let Some(ctrl) = opts.controller {
                 let _ = ctrl.decide(&Observation { kind: CheckpointKind::SortInput, rows: fed });
             }
-            emit_rows(plan_out_arity(input, ctx.db), opts, sink, |out| sorter.finish(out))
+            emit_rows(arity, opts, sink, |out| sorter.finish(out))
         }
         PlanSpec::HashAgg { input, group_cols, aggs, mode, memory_bytes } => {
+            let arity = plan_out_arity(input, ctx.db);
+            check_cols("group-by", group_cols.iter().copied(), arity)?;
+            let agg_inputs = aggs.iter().filter_map(|agg| match agg {
+                AggFn::CountStar => None,
+                AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => Some(*c),
+            });
+            check_cols("aggregate input", agg_inputs, arity)?;
+            check_width("aggregation", group_cols.len() + aggs.len())?;
             let mut agg = ops::agg::HashAggregator::new(
                 ctx,
                 group_cols.clone(),
@@ -856,6 +898,73 @@ mod tests {
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
         assert!(matches!(run_count(&plan, &ctx, RunOpts::default()), Err(ExecError::BadPlan(_))));
+    }
+
+    /// A blocking operator that names a column its input does not produce
+    /// (or no sort key at all, or rows wider than a `Row`) is a typed
+    /// error raised before the input runs: nothing is charged.
+    #[test]
+    fn malformed_blocking_plans_are_rejected_before_any_charge() {
+        let (db, t) = demo_db(64);
+        let scan = |cols: Vec<usize>| {
+            Box::new(PlanSpec::TableScan {
+                table: t,
+                pred: Predicate::always_true(),
+                project: Projection::Columns(cols),
+            })
+        };
+        let sort = |key_cols: Vec<usize>| PlanSpec::Sort {
+            input: scan(vec![0, 1]),
+            key_cols,
+            mode: SpillMode::Graceful,
+            memory_bytes: 1 << 20,
+        };
+        let join = |left: Vec<usize>, left_key: usize, right_key: usize, algo: JoinAlgo| {
+            PlanSpec::Join {
+                left: scan(left),
+                right: scan(vec![0, 1]),
+                left_key,
+                right_key,
+                algo,
+                memory_bytes: 1 << 20,
+                project: Projection::All,
+            }
+        };
+        let agg = |group_cols: Vec<usize>, aggs: Vec<AggFn>| PlanSpec::HashAgg {
+            input: scan(vec![0, 1]),
+            group_cols,
+            aggs,
+            mode: SpillMode::Graceful,
+            memory_bytes: 1 << 20,
+        };
+        let hash = JoinAlgo::Hash { build_left: true };
+        let bad = [
+            sort(vec![]),
+            sort(vec![2]),
+            sort(vec![0, 7]),
+            join(vec![0, 1], 2, 0, JoinAlgo::SortMerge),
+            join(vec![0, 1], 0, 2, JoinAlgo::SortMerge),
+            join(vec![0, 1], 2, 0, hash),
+            join(vec![0, 1], 0, 2, hash),
+            join(vec![0, 1, 2, 0, 1, 2, 0], 0, 0, hash), // 7 + 2 columns
+            agg(vec![2], vec![AggFn::CountStar]),
+            agg(vec![0], vec![AggFn::Sum(2)]),
+            agg(vec![0], vec![AggFn::Min(9)]),
+            agg(vec![], vec![AggFn::Max(2)]),
+            agg(vec![0, 1], vec![AggFn::CountStar; 7]), // 2 + 7 columns
+        ];
+        for plan in &bad {
+            let s = Session::with_pool_pages(64);
+            let ctx = ExecCtx::new(&db, &s, 1 << 20);
+            let got = run_count(plan, &ctx, RunOpts::default());
+            assert!(matches!(got, Err(ExecError::BadPlan(_))), "{}: {got:?}", plan.synopsis());
+            assert_eq!((s.elapsed(), s.stats()), (0.0, IoStats::default()), "{}", plan.synopsis());
+        }
+        // The widest rows that do fit still run.
+        let s = Session::with_pool_pages(64);
+        let ctx = ExecCtx::new(&db, &s, 1 << 20);
+        let widest = join(vec![0, 1, 2, 0, 1, 2], 5, 1, hash);
+        assert!(run_count(&widest, &ctx, RunOpts::default()).is_ok());
     }
 
     /// Per-run bookkeeping must not leak across runs on one context: not

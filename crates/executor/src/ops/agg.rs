@@ -73,7 +73,6 @@ pub struct HashAggregator<'a, 'b> {
     partitions: Vec<Vec<(Row, Vec<AggState>)>>,
     spill_buffered: usize,
     bypass: bool,
-    input_rows: u64,
 }
 
 impl<'a, 'b> HashAggregator<'a, 'b> {
@@ -95,7 +94,6 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
             partitions: vec![Vec::new(); PARTITIONS],
             spill_buffered: 0,
             bypass: false,
-            input_rows: 0,
         }
     }
 
@@ -104,25 +102,33 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
         self.partitions.iter().any(|p| !p.is_empty()) || self.spill_buffered > 0
     }
 
-    fn agg_inputs(&self, row: &Row) -> Vec<AggState> {
+    fn group_key(&self, row: &[i64]) -> Row {
+        let mut key = Row::empty();
+        for &c in &self.group_cols {
+            key.push(row[c]);
+        }
+        key
+    }
+
+    fn agg_inputs(&self, row: &[i64]) -> Vec<AggState> {
         self.aggs
             .iter()
             .map(|agg| {
                 let mut st = AggState::new();
                 match agg {
                     AggFn::CountStar => st.update(0),
-                    AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => st.update(row.get(*c)),
+                    AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => st.update(row[*c]),
                 }
                 st
             })
             .collect()
     }
 
-    fn update_states(states: &mut [AggState], aggs: &[AggFn], row: &Row) {
+    fn update_states(states: &mut [AggState], aggs: &[AggFn], row: &[i64]) {
         for (st, agg) in states.iter_mut().zip(aggs) {
             match agg {
                 AggFn::CountStar => st.update(0),
-                AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => st.update(row.get(*c)),
+                AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => st.update(row[*c]),
             }
         }
     }
@@ -149,11 +155,10 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
     }
 
     /// Accept one input row.
-    pub fn push(&mut self, row: &Row) {
-        self.input_rows += 1;
+    pub fn push(&mut self, row: &[i64]) {
         let session: &Session = self.ctx.session;
         session.charge_hashes(1);
-        let key = row.project(&self.group_cols);
+        let key = self.group_key(row);
         if self.bypass {
             // Abrupt overflow mode: everything goes straight to partitions.
             let states = self.agg_inputs(row);
@@ -182,7 +187,7 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
                 }
                 // Graceful: resident groups stay; this row spills alone.
                 let states = self.agg_inputs(row);
-                let key = row.project(&self.group_cols);
+                let key = self.group_key(row);
                 self.spill(key, states);
             }
         }
@@ -190,7 +195,7 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
 
     /// Finish: merge spilled partitions and emit `group ++ aggregates`
     /// rows in ascending group order.  Returns rows emitted.
-    pub fn finish(mut self, sink: &mut dyn FnMut(&Row)) -> u64 {
+    pub fn finish(mut self, sink: &mut dyn FnMut(&[i64])) -> u64 {
         let session: &Session = self.ctx.session;
         // Read back what was spilled.
         let spilled_pages = self.spill_buffered.div_ceil(SPILL_ROWS_PER_PAGE) as u32;
@@ -235,7 +240,7 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
                 });
             }
             session.charge_rows(1);
-            sink(&row);
+            sink(row.values());
         }
         n
     }
@@ -259,10 +264,10 @@ mod tests {
         let ctx = ExecCtx::new(&db, &s, memory);
         let mut agg = HashAggregator::new(&ctx, group_cols, aggs, mode, memory);
         for r in rows {
-            agg.push(r);
+            agg.push(r.values());
         }
         let mut out = Vec::new();
-        agg.finish(&mut |r| out.push(r.values().to_vec()));
+        agg.finish(&mut |r| out.push(r.to_vec()));
         (out, s.stats(), ctx.spilled())
     }
 

@@ -105,35 +105,36 @@ pub fn sort_merge_join(
     right_key: usize,
     memory_bytes: usize,
     ctx: &ExecCtx<'_>,
-    sink: &mut dyn FnMut(&Row),
+    sink: &mut dyn FnMut(&[i64]),
 ) -> Result<u64, ExecError> {
     // Each input gets half the grant, as a memory-broker would split it.
     let half = (memory_bytes / 2).max(1);
-    // Sorted inputs land in packed `(values, arity, rows)` buffers — the
-    // merge below walks bare i64 words instead of 72-byte `Row`s.
-    let sort = |rows: PackedRows, key: usize| -> (Vec<i64>, usize, usize) {
+    // Sorted inputs stay packed — the merge below walks bare i64 words.
+    let sort = |rows: PackedRows, key: usize| {
         let mut sorter = ExternalSorter::new(ctx, vec![key], SpillMode::Graceful, half);
         for i in 0..rows.len() {
             sorter.push_values(rows.row(i));
         }
-        let arity = rows.arity();
-        let mut vals = Vec::with_capacity(rows.len() * arity);
-        let n = sorter.finish(&mut |r| vals.extend_from_slice(r.values()));
-        (vals, arity, n as usize)
+        let mut sorted = PackedRows::with_capacity(rows.len(), rows.arity());
+        drop(rows); // the sorter holds its own copy
+        sorter.finish(&mut |r| sorted.push(r));
+        sorted
     };
-    let (lv, la, ln) = sort(left, left_key);
-    let (rv, ra, rn) = sort(right, right_key);
-    let lrow = |i: usize| &lv[i * la..(i + 1) * la];
-    let rrow = |j: usize| &rv[j * ra..(j + 1) * ra];
+    let lrows = sort(left, left_key);
+    let rrows = sort(right, right_key);
+    let (ln, rn) = (lrows.len(), rrows.len());
+    let la = lrows.arity();
 
     let session = ctx.session;
     let mut produced = 0u64;
     let (mut i, mut j) = (0usize, 0usize);
     let mut compares = 0u64;
+    // The output row under construction: `left columns ++ right columns`.
+    let mut out = vec![0i64; la + rrows.arity()];
     while i < ln && j < rn {
         compares += 1;
-        let lk = lrow(i)[left_key];
-        let rk = rrow(j)[right_key];
+        let lk = lrows.row(i)[left_key];
+        let rk = rrows.row(j)[right_key];
         match lk.cmp(&rk) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
@@ -141,19 +142,17 @@ pub fn sort_merge_join(
                 // Emit the cross product of the two equal-key groups.
                 let j_group_end = {
                     let mut e = j;
-                    while e < rn && rrow(e)[right_key] == rk {
+                    while e < rn && rrows.row(e)[right_key] == rk {
                         e += 1;
                     }
                     e
                 };
-                while i < ln && lrow(i)[left_key] == lk {
+                while i < ln && lrows.row(i)[left_key] == lk {
+                    out[..la].copy_from_slice(lrows.row(i));
                     for jj in j..j_group_end {
                         session.charge_rows(1);
-                        let mut row = Row::from_slice(lrow(i));
-                        for &v in rrow(jj) {
-                            row.push(v);
-                        }
-                        sink(&row);
+                        out[la..].copy_from_slice(rrows.row(jj));
+                        sink(&out);
                         produced += 1;
                     }
                     i += 1;
@@ -184,7 +183,7 @@ pub fn hash_join(
     memory_bytes: usize,
     swap_output: bool,
     ctx: &ExecCtx<'_>,
-    sink: &mut dyn FnMut(&Row),
+    sink: &mut dyn FnMut(&[i64]),
 ) -> Result<u64, ExecError> {
     let session = ctx.session;
     // Memory accounting stays per-`Row`-sized (arity * 8 payload + 16
@@ -252,7 +251,7 @@ fn hash_join_indexed(
     probe_key: usize,
     swap_output: bool,
     ctx: &ExecCtx<'_>,
-    sink: &mut dyn FnMut(&Row),
+    sink: &mut dyn FnMut(&[i64]),
 ) -> u64 {
     let session = ctx.session;
     session.charge_hashes(2 * build_idx.len() as u64);
@@ -271,7 +270,7 @@ fn hash_join_indexed(
                 let b = build.row(build_idx[idx as usize] as usize);
                 session.charge_rows(1);
                 let row = if swap_output { combined(p, b) } else { combined(b, p) };
-                sink(&row);
+                sink(row.values());
                 produced += 1;
                 idx = next[idx as usize];
                 if idx == NIL {
@@ -290,7 +289,7 @@ fn hash_join_in_memory(
     probe_key: usize,
     swap_output: bool,
     ctx: &ExecCtx<'_>,
-    sink: &mut dyn FnMut(&Row),
+    sink: &mut dyn FnMut(&[i64]),
 ) -> u64 {
     let session = ctx.session;
     // Build costs double per row (insertion + growth), as in the rid join.
@@ -314,7 +313,7 @@ fn hash_join_in_memory(
                 let b = build.row(idx as usize);
                 session.charge_rows(1);
                 let row = if swap_output { combined(p, b) } else { combined(b, p) };
-                sink(&row);
+                sink(row.values());
                 produced += 1;
                 idx = next[idx as usize];
                 if idx == NIL {
@@ -361,7 +360,7 @@ mod tests {
             let ctx = ExecCtx::new(&db, &s, memory);
             let mut got = Vec::new();
             sort_merge_join(rows_of(left), rows_of(right), 0, 0, memory, &ctx, &mut |r| {
-                got.push(r.values().to_vec())
+                got.push(r.to_vec())
             })
             .unwrap();
             got.sort();
@@ -377,7 +376,7 @@ mod tests {
             } else {
                 (rows_of(right), rows_of(left))
             };
-            hash_join(b, p, 0, 0, memory, swap, &ctx, &mut |r| got.push(r.values().to_vec()))
+            hash_join(b, p, 0, 0, memory, swap, &ctx, &mut |r| got.push(r.to_vec()))
                 .unwrap();
             got.sort();
             assert_eq!(got, want, "hash build_left={build_is_left}");

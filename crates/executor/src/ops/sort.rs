@@ -21,25 +21,36 @@
 //!
 //! ## Internal representation
 //!
-//! Rows order by `(projected key columns, full row)`.  Heaps and sort
-//! buffers hold light `(first key value, row handle)` pairs — 16 bytes —
-//! instead of key-plus-row pairs (144 bytes): heap sifts move 9× less
-//! memory, and only key ties fall back to the full comparison.
+//! Rows order by `(projected key columns, full row)`.  Every sort charge is
+//! analytic — `log2 M` comparisons per push, `n ceil(log2 n)` per run sort,
+//! `log2 k` comparisons and one row per merged row, pages from run lengths
+//! — so a physical merge has two observable outputs, the final order and
+//! the charge stream, and the sorter produces them separately:
 //!
-//! Replacement selection keeps its window as a sorted *base* array
-//! consumed by a cursor (the rows promoted when the previous run closed)
-//! plus a small heap of rows that joined the current run mid-flight.  The
-//! classic all-heap window does a full-depth pop per emission and a
-//! re-heapify per run close; the split form makes the common emission a
-//! cursor advance and the run close one bulk sort.  Both always emit the
-//! minimum of the same window multiset, so run formation is identical.
-//! The order relation is unchanged throughout, and simulated costs are
-//! charged analytically (per-push/per-pop/per-sort formulas), so
-//! measurements are bit-identical to the fat representation; only real
-//! (wall clock) sweep time drops.
+//! * **Accounting.**  A run is two lengths (`SortedRun`), not a copy of
+//!   its rows.  Forming, writing, reading back and merging runs issue the
+//!   charge calls of a k-way external merge sort, call for call and in its
+//!   order — the per-row merge charges stay individual calls, because the
+//!   `f64` clock and the yield-hook tick count depend on the call sequence
+//!   — and move no row.
+//! * **Order.**  Every row that leaves the sorter's memory (Abrupt: every
+//!   row) is appended once to one packed store.  The final pass orders the
+//!   store once (`sorted_order`: a radix sort of 16-byte `(first key
+//!   value, row index)` handles, then a comparison sort inside each group
+//!   of equal first key values) and emits through the handles.  Items that
+//!   compare equal are bit-identical rows, so this is the sequence any
+//!   merge under the same order produces.
+//! * **Physical.**  The replacement-selection window: which row closes a
+//!   run depends on the window's actual minimum, so run *lengths* depend
+//!   on it.  It is a sorted *base* array consumed by a cursor (the rows
+//!   promoted when the previous run closed) plus a small heap of the rows
+//!   that joined the current run mid-flight; it always emits the minimum
+//!   of the same multiset as the classic all-heap window, so run formation
+//!   is the classic algorithm's.
 
-use robustmap_storage::{AccessKind, PageId, Row, Session, PAGE_SIZE};
+use robustmap_storage::{AccessKind, PageId, PAGE_SIZE};
 
+use crate::batch::{radix_sort_by_u64_key, RowBatch};
 use crate::exec::ExecCtx;
 use crate::plan::SpillMode;
 
@@ -59,11 +70,11 @@ fn keyed_cmp(a: &[i64], b: &[i64], key_cols: &[usize]) -> std::cmp::Ordering {
 /// Rows of one fixed arity packed end-to-end as bare `i64` words.  A
 /// sorter or join sees a single operator output, so every row it holds
 /// has the same arity; packing stores and moves `arity * 8` bytes per row
-/// instead of a 72-byte [`Row`], which shrinks the replacement-selection
-/// window (and the runs) by ~4x for typical join inputs — less cache
-/// pressure and less memcpy on every emission.  Purely an in-memory
-/// layout: the rows, their order, and all simulated charges are
-/// unchanged.
+/// instead of a 72-byte [`robustmap_storage::Row`], which shrinks the
+/// replacement-selection window (and the sorter's store) by ~4x for
+/// typical join inputs — less cache pressure and less memcpy on every
+/// emission.  Purely an in-memory layout: the rows, their order, and all
+/// simulated charges are unchanged.
 #[derive(Debug, Default)]
 pub struct PackedRows {
     vals: Vec<i64>,
@@ -72,6 +83,11 @@ pub struct PackedRows {
 }
 
 impl PackedRows {
+    /// An empty set with room for `rows` rows of `arity` columns.
+    pub fn with_capacity(rows: usize, arity: usize) -> Self {
+        PackedRows { vals: Vec::with_capacity(rows * arity), arity, len: 0 }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
@@ -82,7 +98,8 @@ impl PackedRows {
         self.len == 0
     }
 
-    /// Columns per row (0 until the first push).
+    /// Columns per row (0 until the first row, unless preset by
+    /// [`PackedRows::with_capacity`]).
     pub fn arity(&self) -> usize {
         self.arity
     }
@@ -93,6 +110,27 @@ impl PackedRows {
         self.arity = row.len();
         self.vals.extend_from_slice(row);
         self.len += 1;
+    }
+
+    /// Append every row of a columnar batch (a transposition; the same
+    /// rows in the same order as pushing `batch.row(i).values()` one by
+    /// one, without building a `Row` per row).
+    pub fn extend_from_batch(&mut self, batch: &RowBatch) {
+        let (arity, n) = (batch.arity(), batch.len());
+        if n == 0 {
+            return;
+        }
+        debug_assert!(self.len == 0 || arity == self.arity, "mixed-arity packed rows");
+        self.arity = arity;
+        let at = self.vals.len();
+        self.vals.resize(at + n * arity, 0);
+        for c in 0..arity {
+            let cells = self.vals[at + c..].iter_mut().step_by(arity);
+            for (cell, &v) in cells.zip(batch.col(c)) {
+                *cell = v;
+            }
+        }
+        self.len += n;
     }
 
     /// Row `i` as a value slice (compares like `Row::values()`).
@@ -111,6 +149,24 @@ impl PackedRows {
 struct Handle {
     key0: i64,
     slot: u32,
+}
+
+/// The rows of `rows` in the full sort order, as handles into it — the
+/// one place the sorter computes an order.  Sorting moves 16-byte handles
+/// instead of rows: a stable radix sort on the leading key value (its sign
+/// bit flipped, which maps `i64` order onto `u64` order), then the full
+/// comparison only inside groups that tie on it.
+fn sorted_order(rows: &PackedRows, key_cols: &[usize]) -> Vec<Handle> {
+    let mut order: Vec<Handle> = (0..rows.len())
+        .map(|i| Handle { key0: rows.row(i)[key_cols[0]], slot: i as u32 })
+        .collect();
+    radix_sort_by_u64_key(&mut order, |h| h.key0 as u64 ^ (1 << 63));
+    for ties in order.chunk_by_mut(|a, b| a.key0 == b.key0) {
+        ties.sort_unstable_by(|a, b| {
+            keyed_cmp(rows.row(a.slot as usize), rows.row(b.slot as usize), key_cols)
+        });
+    }
+    order
 }
 
 /// Minimal 4-ary min-heap with an external comparator
@@ -189,15 +245,7 @@ impl Slab {
         }
     }
 
-    /// Free `slot` and return its row (copied out into a standalone
-    /// [`Row`], since the slot may be overwritten immediately).
-    fn remove(&mut self, slot: u32) -> Row {
-        self.free.push(slot);
-        Row::from_slice(self.rows.row(slot as usize))
-    }
-
-    /// Free `slot` without copying its row out.  The caller must have
-    /// already consumed the slot's contents.
+    /// Free `slot`.  The caller must have already consumed its contents.
     fn release(&mut self, slot: u32) {
         self.free.push(slot);
     }
@@ -207,25 +255,29 @@ impl Slab {
     }
 }
 
-/// One sorted run.  `rows` is fully sorted; the first `disk_rows` of them
-/// were written to (and must be read back from) the simulated disk.
-#[derive(Debug, Default)]
+/// One sorted run, as the accounting sees it: `rows` rows, of which the
+/// first `disk_rows` were written to (and must be read back from) the
+/// simulated disk.  The rows themselves are in the sorter's store.
+#[derive(Debug)]
 struct SortedRun {
-    rows: PackedRows,
+    rows: usize,
     disk_rows: usize,
 }
 
-/// An external sorter fed row-by-row via [`ExternalSorter::push`] and
-/// drained by [`ExternalSorter::finish`].
+/// An external sorter fed row-by-row via [`ExternalSorter::push_values`]
+/// and drained by [`ExternalSorter::finish`].
 pub struct ExternalSorter<'a, 'b> {
     ctx: &'a ExecCtx<'b>,
     key_cols: Vec<usize>,
     mode: SpillMode,
     memory_rows: usize,
     rows_per_page: usize,
-    input_rows: u64,
-    // Abrupt state: a buffer that sorts and spills wholesale.
-    buffer: PackedRows,
+    // Every row that has left the sorter's memory, in the order it left
+    // (Abrupt: every row, in arrival order).  Ordered once, by `finish`.
+    store: PackedRows,
+    // Abrupt state: how many of the store's last rows form the buffer
+    // that fills and spills wholesale.
+    buffered: usize,
     // Graceful state: replacement selection.  The current run's window is
     // a sorted `base` consumed from `cursor` (rows promoted when the
     // previous run closed) plus a heap of the rows that joined the run in
@@ -235,12 +287,13 @@ pub struct ExternalSorter<'a, 'b> {
     slab: Slab,
     current: Vec<Handle>,
     pending: PackedRows,
-    // Index into `open_run` of the current run's last emitted row.
+    // Index into `store` of the current run's last emitted row.
     last_out: Option<usize>,
-    open_run: PackedRows,
+    // Rows emitted into the open run so far.
+    open_rows: usize,
     // Rows emitted into the open run's current (incomplete) page —
-    // `open_run.len() % rows_per_page` kept incrementally so the hot
-    // emit path avoids a division by a runtime divisor.
+    // `open_rows % rows_per_page` kept incrementally so the hot emit path
+    // avoids a division by a runtime divisor.
     page_fill: usize,
     runs: Vec<SortedRun>,
     spilled: bool,
@@ -257,9 +310,15 @@ pub fn sort_capacity_rows(memory_bytes: usize) -> usize {
     (memory_bytes / ROW_BYTES).max(2)
 }
 
+/// `ceil(log2 n)` for `n >= 1`: comparisons per row of sorting `n` rows or
+/// merging `n` runs.
+fn ceil_log2(n: usize) -> u64 {
+    (usize::BITS - (n - 1).leading_zeros()) as u64
+}
+
 impl<'a, 'b> ExternalSorter<'a, 'b> {
-    /// A sorter ordering rows by `key_cols` under the given spill mode and
-    /// memory grant.
+    /// A sorter ordering rows by `key_cols` (at least one column) under
+    /// the given spill mode and memory grant.
     pub fn new(
         ctx: &'a ExecCtx<'b>,
         key_cols: Vec<usize>,
@@ -273,15 +332,15 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             mode,
             memory_rows,
             rows_per_page: (PAGE_SIZE / ROW_BYTES).max(1),
-            input_rows: 0,
-            buffer: PackedRows::default(),
+            store: PackedRows::default(),
+            buffered: 0,
             base: PackedRows::default(),
             cursor: 0,
             slab: Slab::default(),
             current: Vec::new(),
             pending: PackedRows::default(),
             last_out: None,
-            open_run: PackedRows::default(),
+            open_rows: 0,
             page_fill: 0,
             runs: Vec::new(),
             spilled: false,
@@ -295,7 +354,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
 
     /// Number of runs created so far (in-memory content not included).
     pub fn run_count(&self) -> usize {
-        self.runs.len() + usize::from(!self.open_run.is_empty())
+        self.runs.len() + usize::from(self.open_rows != 0)
     }
 
     #[inline]
@@ -303,44 +362,17 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         row[self.key_cols[0]]
     }
 
-    /// Sort packed `rows` by the full sort order, through light
-    /// `(key0, index)` pairs so the sort moves 16-byte elements instead of
-    /// full rows.
-    fn sort_rows(rows: &mut PackedRows, key_cols: &[usize]) {
-        let mut order: Vec<Handle> = (0..rows.len())
-            .map(|i| Handle { key0: rows.row(i)[key_cols[0]], slot: i as u32 })
-            .collect();
-        order.sort_unstable_by(|a, b| {
-            a.key0.cmp(&b.key0).then_with(|| {
-                keyed_cmp(rows.row(a.slot as usize), rows.row(b.slot as usize), key_cols)
-            })
-        });
-        let mut sorted = PackedRows::default();
-        sorted.vals.reserve_exact(rows.vals.len());
-        for h in &order {
-            sorted.push(rows.row(h.slot as usize));
-        }
-        *rows = sorted;
-    }
-
     /// Accept one input row.
-    pub fn push(&mut self, row: &Row) {
-        self.push_values(row.values());
-    }
-
-    /// Accept one input row as a bare value slice (same charges as
-    /// [`ExternalSorter::push`]; saves the `Row` round-trip for callers
-    /// that already hold packed rows).
     pub fn push_values(&mut self, row: &[i64]) {
-        self.input_rows += 1;
         // Heap / buffer maintenance costs ~log2(M) comparisons per row.
         self.ctx
             .session
             .charge_compares((usize::BITS - self.memory_rows.leading_zeros()) as u64);
         match self.mode {
             SpillMode::Abrupt => {
-                self.buffer.push(row);
-                if self.buffer.len() >= self.memory_rows {
+                self.store.push(row);
+                self.buffered += 1;
+                if self.buffered >= self.memory_rows {
                     self.spill_buffer_as_run();
                 }
             }
@@ -348,18 +380,17 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         }
     }
 
-    /// Abrupt spill: sort the whole buffer and write it out as one run.
+    /// Abrupt spill: the whole buffer is sorted and written out as one
+    /// run — on the clock; its rows already sit in the store.
     fn spill_buffer_as_run(&mut self) {
-        if self.buffer.is_empty() {
+        let rows = std::mem::take(&mut self.buffered);
+        if rows == 0 {
             return;
         }
         self.spilled = true;
-        let n = self.buffer.len() as u64;
-        self.ctx.session.charge_compares(n * (64 - (n - 1).leading_zeros()) as u64);
-        Self::sort_rows(&mut self.buffer, &self.key_cols);
-        let rows = std::mem::take(&mut self.buffer);
-        self.write_run_pages(rows.len());
-        self.runs.push(SortedRun { disk_rows: rows.len(), rows });
+        self.ctx.session.charge_compares(rows as u64 * ceil_log2(rows));
+        self.write_run_pages(rows);
+        self.runs.push(SortedRun { rows, disk_rows: rows });
         self.ctx.note_spill();
     }
 
@@ -415,27 +446,9 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         }
     }
 
-    /// Remove and return the minimum of the window (base head vs joiner
-    /// heap top).
-    fn take_window_min(&mut self) -> Option<Row> {
-        let take_heap = self.window_min_in_heap()?;
-        if take_heap {
-            let top = {
-                let mut less = Self::handle_less(&self.slab, &self.key_cols);
-                heap_pop(&mut self.current, &mut less).expect("heap checked non-empty")
-            };
-            Some(self.slab.remove(top.slot))
-        } else {
-            let row = Row::from_slice(self.base.row(self.cursor));
-            self.cursor += 1;
-            Some(row)
-        }
-    }
-
-    /// Remove the window minimum and append it straight to the open run
-    /// (no intermediate [`Row`]), charging any completed page.  Returns
-    /// the emitted row's index in the open run, or `None` if the window
-    /// was empty.
+    /// Remove the window minimum and append it to the store as the open
+    /// run's next row, charging any completed page.  Returns the emitted
+    /// row's index in the store, or `None` if the window was empty.
     fn emit_window_min(&mut self) -> Option<usize> {
         let take_heap = self.window_min_in_heap()?;
         if take_heap {
@@ -443,18 +456,19 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
                 let mut less = Self::handle_less(&self.slab, &self.key_cols);
                 heap_pop(&mut self.current, &mut less).expect("heap checked non-empty")
             };
-            self.open_run.push(self.slab.get(top.slot));
+            self.store.push(self.slab.get(top.slot));
             self.slab.release(top.slot);
         } else {
-            self.open_run.push(self.base.row(self.cursor));
+            self.store.push(self.base.row(self.cursor));
             self.cursor += 1;
         }
+        self.open_rows += 1;
         self.page_fill += 1;
         if self.page_fill == self.rows_per_page {
             self.page_fill = 0;
             self.charge_run_write(1);
         }
-        Some(self.open_run.len() - 1)
+        Some(self.store.len() - 1)
     }
 
     /// Replacement selection.  The window is the union of `base[cursor..]`
@@ -462,18 +476,16 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     /// common emission — the run's minimum is the base head — is a cursor
     /// advance instead of a full-depth heap pop, and closing a run sorts
     /// the pending rows wholesale instead of re-heapifying them one by
-    /// one.  Which rows land in which run, and the order within each run,
-    /// are exactly the classic algorithm's: both maintain the same window
-    /// multiset and always emit its minimum.  Simulated charges are
-    /// analytic per push, so they are bit-identical too.
+    /// one.  Which rows land in which run is exactly the classic
+    /// algorithm's: both maintain the same window multiset and always
+    /// emit its minimum.  Simulated charges are analytic per push, so
+    /// they are bit-identical too.
     fn push_replacement_selection(&mut self, row: &[i64]) {
         if self.window_len() + self.pending.len() < self.memory_rows {
             // Memory not yet full: rows can always enter the current run
             // unless they sort below the run's last output.
             match self.last_out {
-                Some(last) if self.row_less(row, self.open_run.row(last)) => {
-                    self.pending.push(row)
-                }
+                Some(last) if self.row_less(row, self.store.row(last)) => self.pending.push(row),
                 _ => self.push_current(row),
             }
             return;
@@ -483,7 +495,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         self.spilled = true;
         self.ctx.note_spill();
         if let Some(min) = self.emit_window_min() {
-            if self.row_less(row, self.open_run.row(min)) {
+            if self.row_less(row, self.store.row(min)) {
                 // Newcomer starts the next run: park it.
                 self.pending.push(row);
             } else {
@@ -495,9 +507,11 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             // Window empty: close this run and promote the pending rows
             // to a fresh (sorted) base.
             self.close_open_run();
-            let mut pending = std::mem::take(&mut self.pending);
-            Self::sort_rows(&mut pending, &self.key_cols);
-            self.base = pending;
+            let pending = std::mem::take(&mut self.pending);
+            self.base = PackedRows::with_capacity(pending.len(), pending.arity());
+            for h in sorted_order(&pending, &self.key_cols) {
+                self.base.push(pending.row(h.slot as usize));
+            }
             self.cursor = 0;
             self.last_out = None;
             self.push_current(row);
@@ -505,7 +519,8 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     }
 
     fn close_open_run(&mut self) {
-        if self.open_run.is_empty() {
+        let rows = std::mem::take(&mut self.open_rows);
+        if rows == 0 {
             return;
         }
         // Charge the final partial page of the run.
@@ -513,8 +528,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             self.page_fill = 0;
             self.charge_run_write(1);
         }
-        let rows = std::mem::take(&mut self.open_run);
-        self.runs.push(SortedRun { disk_rows: rows.len(), rows });
+        self.runs.push(SortedRun { rows, disk_rows: rows });
     }
 
     fn charge_run_write(&self, pages: u32) {
@@ -525,33 +539,25 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     }
 
     fn write_run_pages(&self, rows: usize) {
-        let pages = rows.div_ceil(self.rows_per_page) as u32;
-        let file = self.ctx.alloc_temp_file();
-        for p in 0..pages {
-            self.ctx.session.write_page(PageId::new(file, p));
-        }
+        self.charge_run_write(rows.div_ceil(self.rows_per_page) as u32);
     }
 
     /// Finish: produce the fully sorted output into `sink`.  Returns rows
     /// emitted.
-    pub fn finish(mut self, sink: &mut dyn FnMut(&Row)) -> u64 {
+    pub fn finish(mut self, sink: &mut dyn FnMut(&[i64])) -> u64 {
         match self.mode {
             SpillMode::Abrupt => {
                 if !self.spilled {
                     // Everything fit: a single in-memory sort, zero I/O.
-                    let n = self.buffer.len() as u64;
+                    let n = self.buffered;
                     if n > 1 {
-                        self.ctx
-                            .session
-                            .charge_compares(n * (64 - (n - 1).leading_zeros()) as u64);
+                        self.ctx.session.charge_compares(n as u64 * ceil_log2(n));
                     }
-                    let mut buffer = std::mem::take(&mut self.buffer);
-                    Self::sort_rows(&mut buffer, &self.key_cols);
-                    for i in 0..buffer.len() {
+                    for h in sorted_order(&self.store, &self.key_cols) {
                         self.ctx.session.charge_rows(1);
-                        sink(&Row::from_slice(buffer.row(i)));
+                        sink(self.store.row(h.slot as usize));
                     }
-                    return n;
+                    return n as u64;
                 }
                 // The paper's "spill everything" pathology: the last
                 // partial buffer is written out too.
@@ -563,72 +569,78 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
                 self.close_graceful_tails();
             }
         }
-        let runs = std::mem::take(&mut self.runs);
-        self.merge_runs(runs, sink)
+        self.merge_runs(sink)
     }
 
-    /// Graceful finish: the window drains as the (sorted) tail of the open
-    /// run; the pending rows are a final short run.  Neither is written.
+    /// Graceful finish: the window is the (unwritten) tail of the open
+    /// run; the pending rows are a final short run.  Both join the store
+    /// as they are — the final pass orders it.
     fn close_graceful_tails(&mut self) {
-        let disk_rows = self.open_run.len();
+        let disk_rows = self.open_rows;
         if self.page_fill != 0 {
             self.page_fill = 0;
             self.charge_run_write(1);
         }
-        let mut rows = std::mem::take(&mut self.open_run);
-        while let Some(row) = self.take_window_min() {
-            rows.push(row.values());
+        let rows = disk_rows + self.window_len();
+        for i in self.cursor..self.base.len() {
+            self.store.push(self.base.row(i));
         }
-        if !rows.is_empty() {
-            self.runs.push(SortedRun { disk_rows, rows });
+        for h in &self.current {
+            self.store.push(self.slab.get(h.slot));
         }
-        if !self.pending.is_empty() {
-            let n = self.pending.len() as u64;
-            self.ctx
-                .session
-                .charge_compares(n * (64 - (n - 1).leading_zeros()).max(1) as u64);
-            let mut pending = std::mem::take(&mut self.pending);
-            Self::sort_rows(&mut pending, &self.key_cols);
-            self.runs.push(SortedRun { disk_rows: 0, rows: pending });
+        if rows != 0 {
+            self.runs.push(SortedRun { rows, disk_rows });
+        }
+        let n = self.pending.len();
+        if n != 0 {
+            self.ctx.session.charge_compares(n as u64 * ceil_log2(n).max(1));
+            for i in 0..n {
+                self.store.push(self.pending.row(i));
+            }
+            self.runs.push(SortedRun { rows: n, disk_rows: 0 });
         }
     }
 
-    /// Merge runs with a fan-in limit; extra passes rewrite the data.
-    fn merge_runs(&self, mut runs: Vec<SortedRun>, sink: &mut dyn FnMut(&Row)) -> u64 {
-        if runs.is_empty() {
+    /// Merge the runs under the fan-in limit: intermediate passes (which
+    /// rewrite the data) on the clock only, then the final pass, which
+    /// orders the store and emits it.
+    fn merge_runs(mut self, sink: &mut dyn FnMut(&[i64])) -> u64 {
+        if self.runs.is_empty() {
             return 0;
         }
+        let session = self.ctx.session;
         let fan_in = (self.ctx.memory_bytes / PAGE_SIZE).clamp(2, 64);
         // Intermediate passes until one final merge can cover all runs.
-        while runs.len() > fan_in {
-            let mut next: Vec<SortedRun> = Vec::new();
-            for group in runs.chunks_mut(fan_in) {
-                let mut merged = PackedRows::default();
-                let taken: Vec<SortedRun> = group.iter_mut().map(std::mem::take).collect();
-                self.merge_group(taken, &mut |row| merged.push(row.values()));
-                self.write_run_pages(merged.len());
+        while self.runs.len() > fan_in {
+            let mut next = Vec::with_capacity(self.runs.len().div_ceil(fan_in));
+            for group in self.runs.chunks(fan_in) {
+                let log_k = self.charge_group_reads(group);
+                let rows: usize = group.iter().map(|run| run.rows).sum();
+                for _ in 0..rows {
+                    session.charge_compares(log_k);
+                    session.charge_rows(1);
+                }
+                self.write_run_pages(rows);
                 self.ctx.note_spill();
-                next.push(SortedRun { disk_rows: merged.len(), rows: merged });
+                next.push(SortedRun { rows, disk_rows: rows });
             }
-            runs = next;
+            self.runs = next;
         }
-        let mut produced = 0u64;
-        self.merge_group(runs, &mut |row| {
-            produced += 1;
-            sink(row);
-        });
-        produced
+        let log_k = self.charge_group_reads(&self.runs);
+        let order = sorted_order(&self.store, &self.key_cols);
+        for h in &order {
+            session.charge_compares(log_k);
+            session.charge_rows(1);
+            sink(self.store.row(h.slot as usize));
+        }
+        order.len() as u64
     }
 
-    /// K-way merge of sorted runs; charges the reads for each run's disk
-    /// prefix and `log2(k)` comparisons per row.
-    ///
-    /// Heap elements pack `(key0, run, pos)`; ties fall back to the full
-    /// sort order, then run index, then position — the same total order the
-    /// fat-element merge used.
-    fn merge_group(&self, runs: Vec<SortedRun>, sink: &mut dyn FnMut(&Row)) {
-        let session: &Session = self.ctx.session;
-        for run in &runs {
+    /// Charge reading back each run's disk prefix ahead of a k-way merge
+    /// of `group`; returns the `log2(k)` comparisons each merged row costs.
+    fn charge_group_reads(&self, group: &[SortedRun]) -> u64 {
+        let session = self.ctx.session;
+        for run in group {
             let pages = run.disk_rows.div_ceil(self.rows_per_page) as u32;
             let file = self.ctx.alloc_temp_file();
             for p in 0..pages {
@@ -636,51 +648,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             }
             session.invalidate_file(file);
         }
-        let k = runs.len().max(2);
-        let log_k = (usize::BITS - (k - 1).leading_zeros()) as u64;
-        // (run, pos) packed into Handle.slot's 32 bits would overflow for
-        // large runs, so the merge keeps its own element type.
-        #[derive(Clone, Copy)]
-        struct Head {
-            key0: i64,
-            run: u32,
-            pos: u32,
-        }
-        let key_cols = &self.key_cols;
-        let row_at = |h: Head| runs[h.run as usize].rows.row(h.pos as usize);
-        let mut less = |a: Head, b: Head| {
-            a.key0
-                .cmp(&b.key0)
-                .then_with(|| keyed_cmp(row_at(a), row_at(b), key_cols))
-                .then_with(|| a.run.cmp(&b.run))
-                .then_with(|| a.pos.cmp(&b.pos))
-                == std::cmp::Ordering::Less
-        };
-        let mut heads: Vec<Head> = Vec::with_capacity(runs.len());
-        for (i, run) in runs.iter().enumerate() {
-            if let Some(row) = run.rows.get(0) {
-                heap_push(&mut heads, Head { key0: self.key0(row), run: i as u32, pos: 0 }, &mut less);
-            }
-        }
-        while let Some(&head) = heads.first() {
-            session.charge_compares(log_k);
-            session.charge_rows(1);
-            sink(&Row::from_slice(row_at(head)));
-            let next = head.pos as usize + 1;
-            // Replace the root with the run's next row (or shrink), then
-            // sift down — one sift instead of a pop + push.
-            if let Some(next_row) = runs[head.run as usize].rows.get(next) {
-                heads[0] = Head { key0: self.key0(next_row), run: head.run, pos: next as u32 };
-            } else {
-                let last = heads.len() - 1;
-                heads.swap(0, last);
-                heads.pop();
-                if heads.is_empty() {
-                    break;
-                }
-            }
-            sift_down(&mut heads, 0, &mut less);
-        }
+        ceil_log2(group.len().max(2))
     }
 }
 
@@ -689,6 +657,7 @@ mod tests {
     use super::*;
     use crate::exec::ExecCtx;
     use crate::ops::testutil::demo_db;
+    use robustmap_storage::{Row, Session};
 
     fn sort_all(
         rows: &[Row],
@@ -700,10 +669,10 @@ mod tests {
         let ctx = ExecCtx::new(&db, &s, memory_bytes);
         let mut sorter = ExternalSorter::new(&ctx, vec![0], mode, memory_bytes);
         for r in rows {
-            sorter.push(r);
+            sorter.push_values(r.values());
         }
         let mut out = Vec::new();
-        let n = sorter.finish(&mut |r| out.push(r.values().to_vec()));
+        let n = sorter.finish(&mut |r| out.push(r.to_vec()));
         assert_eq!(n as usize, rows.len());
         (out, s.stats(), ctx.spilled())
     }
@@ -755,10 +724,10 @@ mod tests {
             let ctx = ExecCtx::new(&db, &s, 2048);
             let mut sorter = ExternalSorter::new(&ctx, vec![0, 1], mode, 2048);
             for r in &rows {
-                sorter.push(r);
+                sorter.push_values(r.values());
             }
             let mut out: Vec<Vec<i64>> = Vec::new();
-            sorter.finish(&mut |r| out.push(vec![r.get(0), r.get(1), r.get(2)]));
+            sorter.finish(&mut |r| out.push(r.to_vec()));
             assert!(out.windows(2).all(|w| w[0] <= w[1]), "{mode:?}");
             assert_eq!(out.len(), rows.len());
         }
@@ -803,7 +772,7 @@ mod tests {
             let ctx = ExecCtx::new(&db, &s, memory);
             let mut sorter = ExternalSorter::new(&ctx, vec![0], mode, memory);
             for r in &rows {
-                sorter.push(r);
+                sorter.push_values(r.values());
             }
             let rc = sorter.run_count();
             sorter.finish(&mut |_| {});
@@ -815,6 +784,72 @@ mod tests {
             (graceful_runs as f64) < abrupt_runs as f64 * 0.75,
             "graceful {graceful_runs} vs abrupt {abrupt_runs}"
         );
+    }
+
+    /// Charges of sorts whose merges run several levels deep, pinned to
+    /// the bit against constants printed by the row-moving k-way merge
+    /// this sorter's accounting replaced (the golden ledger's spilling
+    /// sorts stop at one intermediate level).  A 160-byte grant holds two
+    /// rows, so 10 000 rows make 5 000 Abrupt runs, merged 64-way in two
+    /// intermediate levels (5 000 -> 79 -> 2).  Replacement selection
+    /// cannot be driven that deep with 10 000 rows (a promoted window
+    /// admits one row more than the grant, so even a descending input
+    /// makes runs of 2, 3, 4, ... rows): its two inputs reach one level
+    /// with about 100 and 140 ragged runs.  The join sorts both inputs
+    /// under a context whose 2 KiB grant merges two-way, which leaves a
+    /// lone run at the end of most of its levels.
+    #[test]
+    fn deep_merge_charges_are_pinned() {
+        let (db, _) = demo_db(4);
+        // (elapsed bits, counters, temp files allocated)
+        let measure = |ctx_bytes: usize, run: &dyn Fn(&ExecCtx<'_>)| {
+            let s = Session::with_pool_pages(64);
+            let ctx = ExecCtx::new(&db, &s, ctx_bytes);
+            run(&ctx);
+            (s.elapsed().to_bits(), s.stats(), ctx.alloc_temp_file().0 - db.temp_file_base())
+        };
+        let io = |pages: u64, cpu_rows: u64, cpu_compares: u64| robustmap_storage::IoStats {
+            seq_reads: pages,
+            page_writes: pages,
+            cpu_rows,
+            cpu_compares,
+            ..Default::default()
+        };
+        let descending: Vec<Row> = (0..10_000).map(|i| Row::from_slice(&[-i, i])).collect();
+        for (name, mode, rows, want) in [
+            ("abrupt", SpillMode::Abrupt, scrambled(10_000), (0x3fe7_9eb1_5b82_623f, io(5256, 30_000, 156_336), 10_162)),
+            ("graceful", SpillMode::Graceful, scrambled(10_000), (0x3fa2_7288_b398_51ee, io(247, 20_000, 90_015), 252)),
+            ("graceful, descending", SpillMode::Graceful, descending, (0x3fa4_9e26_1b47_d3df, io(277, 20_000, 97_816), 323)),
+        ] {
+            let got = measure(1 << 20, &|ctx| {
+                let mut sorter = ExternalSorter::new(ctx, vec![0], mode, 160);
+                for r in &rows {
+                    sorter.push_values(r.values());
+                }
+                assert_eq!(sorter.finish(&mut |_| {}), 10_000);
+            });
+            assert_eq!(got, want, "{name}: {:#x}", got.0);
+        }
+        let side = |n: i64, m: i64| {
+            let mut rows = PackedRows::default();
+            for i in 0..n {
+                rows.push(&[(i * 7919) % m, i]);
+            }
+            rows
+        };
+        let got = measure(2048, &|ctx| {
+            let joined = crate::ops::join::sort_merge_join(
+                side(3000, 97),
+                side(2000, 89),
+                0,
+                0,
+                2048,
+                ctx,
+                &mut |_| {},
+            );
+            assert_eq!(joined, Ok(61_843));
+        });
+        assert_eq!(got, (0x3fad_005c_7145_4a7d, io(370, 91_843, 50_246), 338), "sort-merge join: {:#x}", got.0);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! in-memory equivalents for any grant.
 
 use proptest::prelude::*;
+use robustmap_executor::ops::sort::{sort_capacity_rows, ExternalSorter, PackedRows};
 use robustmap_executor::{
-    run_collect, AggFn, CheckpointKind, ColRange, ExecConfig, ExecCtx, FetchKind,
+    run_collect, BatchEmitter, RowBatch, AggFn, CheckpointKind, ColRange, ExecConfig, ExecCtx, FetchKind,
     ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, KeyRange, Observation, PlanSpec, Predicate,
     Projection, RunOpts, Selection, SpillMode, SwitchController, SwitchDirective,
 };
@@ -536,5 +537,92 @@ proptest! {
             rows_full.iter().map(|r| vec![r.get(2), r.get(1)]).collect();
         let got: Vec<Vec<i64>> = rows_proj.iter().map(|r| r.values().to_vec()).collect();
         prop_assert_eq!(got, manual);
+    }
+}
+
+/// A sort-key cell: the full `i64` range (negative keys exercise the sign
+/// flip in the sorter's radix key), a handful of values (heavy duplicates,
+/// so order falls to the tie pass) and both extremes.
+fn key_cell() -> impl Strategy<Value = i64> {
+    prop_oneof![any::<i64>(), -3i64..3, Just(i64::MIN), Just(i64::MAX)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The sorter's output is `Vec::sort_by` under (key columns, whole
+    /// row) — for both spill modes, a leading key that is or is not column
+    /// 0, grants that fit the input, spill it once and spill it into more
+    /// runs than one merge takes, and lengths on either side of the radix
+    /// sort's threshold.
+    #[test]
+    fn sorter_output_equals_reference_sort(
+        pool in prop::collection::vec((key_cell(), key_cell(), -1000i64..1000), 4097),
+        n in prop_oneof![Just(4095usize), Just(4096usize), Just(4097usize), 0usize..600],
+    ) {
+        let rows: Vec<[i64; 3]> = pool[..n].iter().map(|&(a, b, c)| [a, b, c]).collect();
+        let (db, _) = db_from(&[]);
+        for key_cols in [vec![0], vec![1, 0]] {
+            let mut want = rows.clone();
+            want.sort_by(|x, y| {
+                let key = |r: &[i64; 3]| key_cols.iter().map(|&c| r[c]).collect::<Vec<_>>();
+                key(x).cmp(&key(y)).then_with(|| x.cmp(y))
+            });
+            for mode in [SpillMode::Abrupt, SpillMode::Graceful] {
+                // Fits; three or four runs; 25 rows of memory.
+                for memory_bytes in [1 << 20, n.max(8) * 80 / 3, 2048] {
+                    let s = Session::with_pool_pages(64);
+                    let ctx = ExecCtx::new(&db, &s, 1 << 20);
+                    let mut sorter = ExternalSorter::new(&ctx, key_cols.clone(), mode, memory_bytes);
+                    for r in &rows {
+                        sorter.push_values(r);
+                    }
+                    let case = format!("{mode:?}, keys {key_cols:?}, {memory_bytes} bytes, {n} rows");
+                    // Abrupt spills the buffer the moment it is full,
+                    // Graceful when a row arrives to a full window.
+                    let full = sort_capacity_rows(memory_bytes) + usize::from(mode == SpillMode::Graceful);
+                    prop_assert_eq!(sorter.spilled(), n >= full, "{}", case);
+                    if mode == SpillMode::Abrupt && memory_bytes == 2048 && n >= 4095 {
+                        prop_assert!(sorter.run_count() > 64, "{}: {} runs", case, sorter.run_count());
+                    }
+                    let mut got: Vec<[i64; 3]> = Vec::with_capacity(n);
+                    let emitted = sorter.finish(&mut |r| got.push(r.try_into().expect("three columns")));
+                    prop_assert_eq!(emitted as usize, n, "{}", case);
+                    prop_assert!(got == want, "{}: output is not the reference order", case);
+                }
+            }
+        }
+    }
+
+    /// Transposing a batch into packed rows is the per-row push loop, for
+    /// every arity a `Row` can hold, whatever the batch boundaries, and a
+    /// batch without rows adds nothing.
+    #[test]
+    fn extend_from_batch_equals_per_row_push(
+        cells in prop::collection::vec(any::<i64>(), 0..400),
+        arity in 1usize..=8,
+        batch_rows in 1usize..70,
+    ) {
+        let proj: Vec<usize> = (0..arity).collect();
+        let (mut bulk, mut one_by_one) = (PackedRows::default(), PackedRows::default());
+        let mut sink = |b: &RowBatch| {
+            bulk.extend_from_batch(b);
+            for i in 0..b.len() {
+                one_by_one.push(b.row(i).values());
+            }
+        };
+        sink(&RowBatch::new(arity));
+        let mut emitter = BatchEmitter::new(arity, batch_rows);
+        for row in cells.chunks_exact(arity) {
+            emitter.push_projected_slice(row, &proj, &mut sink);
+        }
+        emitter.flush(&mut sink);
+        sink(&RowBatch::new(arity));
+        prop_assert_eq!(bulk.len(), cells.len() / arity);
+        prop_assert_eq!((bulk.len(), bulk.arity()), (one_by_one.len(), one_by_one.arity()));
+        for i in 0..bulk.len() {
+            prop_assert_eq!(bulk.row(i), one_by_one.row(i));
+            prop_assert_eq!(bulk.row(i), &cells[i * arity..(i + 1) * arity]);
+        }
     }
 }

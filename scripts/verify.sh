@@ -90,11 +90,18 @@ cmp target/figures-verify/fig1.csv crates/bench/baselines/fig1_smoke.csv || {
     exit 1
 }
 
-echo "== smoke 3/3: sort-spill + correlated + chooser + adaptive + concurrency + trace + churn sweeps, and the regression-check gate"
+echo "== smoke 3/3: sort-spill + join + correlated + chooser + adaptive + concurrency + trace + churn sweeps, and the regression-check gate"
 ROBUSTMAP_WORKLOAD_CACHE="$SMOKE_CACHE" run cargo run --release -p robustmap-bench --bin figures -- \
     --rows 16384 --grid 8 --out target/figures-verify \
-    ext_sort_spill ext_correlated ext_optimizer ext_robust_choice ext_adaptive ext_concurrency ext_trace ext_churn ext_regression
-test -s target/figures-verify/ext_sort_spill.csv
+    ext_sort_spill ext_join ext_correlated ext_optimizer ext_robust_choice ext_adaptive ext_concurrency ext_trace ext_churn ext_regression
+# The blocking operators' byte gate, as fig1's above: the sort and join
+# sweeps' simulated seconds and page writes against the committed baselines.
+for csv in ext_sort_spill.csv ext_join.csv; do
+    cmp "target/figures-verify/$csv" "crates/bench/baselines/$csv" || {
+        echo "$csv drifted from the committed baseline — simulated sort/join costs changed" >&2
+        exit 1
+    }
+done
 test -s target/figures-verify/ext_correlated.csv
 test -s target/figures-verify/ext_correlated_regret.svg
 test -s target/figures-verify/ext_optimizer.csv
