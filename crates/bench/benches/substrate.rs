@@ -6,10 +6,13 @@
 //! per mechanism, re-runnable without the full `benchmark/run.sh`.  The
 //! `sort/*_multipass_64k`, `join/sort_merge_64k` and `exec/materialise_64k`
 //! rows do the same for the sorter that charges for the merge and sorts
-//! once, and for the packed blocking edges.
+//! once, and for the packed blocking edges.  The `serve/*` rows are the
+//! scheduler's: the same burst sliced and unsliced (the difference, over the
+//! extra slices, is the price of a baton handoff) and served one query at a
+//! time (every handoff is to the yielder itself, which costs no wake).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use robustmap_core::{build_map2d, Grid2D, MeasureConfig};
+use robustmap_core::{build_map2d, serve_concurrent, Grid2D, MeasureConfig, ServeConfig};
 use robustmap_executor::batch::radix_sort_by_u64_key;
 use robustmap_executor::ops::sort::PackedRows;
 use robustmap_executor::{
@@ -19,7 +22,7 @@ use robustmap_executor::{
 use robustmap_storage::btree::{BTree, Key};
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{AccessKind, FileId, PageId, RidBitmap, Session};
-use robustmap_systems::{two_predicate_plans, SystemId};
+use robustmap_systems::{two_predicate_plans, AdmissionConfig, SystemId};
 use robustmap_workload::{TableBuilder, WorkloadConfig};
 
 fn bench_btree(c: &mut Criterion) {
@@ -235,6 +238,38 @@ fn bench_blocking_edges(c: &mut Criterion) {
     group.finish();
 }
 
+/// The 15-plan catalog at one selectivity point, repeated to the
+/// concurrency level as `ext_concurrency` builds its bursts, served over a
+/// pool that holds the whole table.
+fn bench_serve(c: &mut Criterion) {
+    let w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 16));
+    let specs: Vec<PlanSpec> = SystemId::all()
+        .into_iter()
+        .flat_map(|s| two_predicate_plans(s, &w))
+        .map(|p| p.build(w.cal_a.threshold(0.15), w.cal_b.threshold(0.4)))
+        .collect();
+    let mut group = c.benchmark_group("serve");
+    group.sample_size(10);
+    for (name, level, quantum) in [
+        ("catalog_l64_q1024", 64usize, 1024u64),
+        ("catalog_l64_q0", 64, 0),
+        ("catalog_l1_q1024", 1, 1024),
+    ] {
+        let len = specs.len() * level.div_ceil(specs.len());
+        let burst: Vec<PlanSpec> = (0..len).map(|j| specs[j % specs.len()].clone()).collect();
+        let cfg = ServeConfig {
+            pool_pages: w.heap_pages() as usize * 2,
+            quantum,
+            admission: AdmissionConfig { max_in_flight: level, ..AdmissionConfig::default() },
+            ..ServeConfig::default()
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| serve_concurrent(&w.db, &burst, &cfg).completion_order.len())
+        });
+    }
+    group.finish();
+}
+
 fn bench_map_builder(c: &mut Criterion) {
     let w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 14));
     let plans = two_predicate_plans(SystemId::A, &w);
@@ -258,6 +293,7 @@ criterion_group!(
     bench_fetch_disciplines,
     bench_sort_modes,
     bench_blocking_edges,
+    bench_serve,
     bench_map_builder
 );
 criterion_main!(benches);

@@ -15,22 +15,42 @@
 //! unlikely:
 //!
 //! * **One runnable query at a time.**  Each query runs on its own thread,
-//!   but a thread only executes while it holds the *baton* — a message on
-//!   its private channel.  Everyone else is parked inside their session's
-//!   yield hook waiting for the baton.  Threads exist purely to hold
-//!   suspended executor stacks; there is no parallel execution and hence
-//!   no racing on the shared pool.
+//!   but a thread only executes while it holds the *baton*: its index is
+//!   the value of the burst's `turn` word.  Everyone else is parked —
+//!   inside their session's yield hook, or before their first instruction
+//!   of query work.  Threads exist purely to hold suspended executor
+//!   stacks; there is no parallel execution and hence no racing on the
+//!   shared pool.
 //! * **Yielding at charge granularity.**  The [`Session`] invokes its
 //!   yield hook every `quantum` charge events, *between* charges — never
 //!   in the middle of one.  Suspend/resume therefore cannot split or
 //!   reorder any simulated charge.
-//! * **All decisions from deterministic state.**  Which query runs next
-//!   (round-robin over the admitted set), who is admitted
-//!   ([`AdmissionPolicy`] over a FIFO arrival queue), and with what grant
-//!   are all pure functions of the burst and the config.  The only racy
-//!   moment is the initial "ready" announcement from each thread, which
-//!   happens before any query has charged anything — the order those
-//!   messages arrive in is irrelevant.
+//! * **The baton holder decides.**  There is no scheduler thread.  The
+//!   scheduler is a struct — admission policy, arrival queue, admitted
+//!   set, round-robin cursor, the global virtual clock — that only the
+//!   baton holder touches.  A yielding query accounts its own slice, runs
+//!   the scheduling step (idle reset, admit, next in the ring), writes
+//!   the successor's index to `turn`, wakes that thread and parks itself.
+//!   One step runs at a time and reads nothing but that struct, so which
+//!   query runs next ([`AdmissionPolicy`] over a FIFO arrival queue, then
+//!   round-robin over the admitted set) and with what grant are pure
+//!   functions of the burst and the config.  No thread does anything
+//!   observable before its first baton — it does not even register on the
+//!   pool — so thread start-up order cannot matter.
+//! * **Handing the baton to yourself is free.**  When the step picks the
+//!   yielder itself (every slice at `max_in_flight = 1`, and the tail of
+//!   every burst) the hook just returns: no wake, no park.
+//!
+//! ## Failed queries
+//!
+//! With no central loop, a query that died holding the baton would strand
+//! everyone parked behind it.  So a worker runs its query under
+//! `catch_unwind`: an `Err` from the executor or a panic becomes that
+//! query's [`QueryOutcome::error`], its stats carry what it charged up to
+//! the failure, and it completes like any other query — slice accounted,
+//! grant released, baton handed on.  The burst always drains; the
+//! schedule of a burst with a failing query is still a pure function of
+//! burst and config (the failure just ends that query's charges early).
 //!
 //! ## The concurrency-1 contract
 //!
@@ -44,11 +64,15 @@
 //! across the whole 15-plan catalog, and `ext_concurrency` re-checks it at
 //! figure scale.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::any::Any;
+use std::borrow::Cow;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::{self, Thread};
 
-use robustmap_executor::{run_count, ExecConfig, ExecCtx, ExecStats, PlanSpec, RunOpts};
+use robustmap_executor::{run_count, ExecConfig, ExecCtx, ExecError, ExecStats, PlanSpec, RunOpts};
 use robustmap_obs::trace::{TraceEventKind, TraceSink};
 use robustmap_storage::{
     CostModel, Database, EvictionPolicy, QueryShare, Session, SharedBufferPool,
@@ -111,11 +135,38 @@ impl ServeConfig {
     }
 }
 
+/// Why a served query did not run to completion.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum QueryError {
+    /// The executor rejected the plan or a storage access.
+    Exec(ExecError),
+    /// The query panicked; the panic's message (empty if its payload was
+    /// not a string).
+    Panic(String),
+}
+
+impl std::fmt::Display for QueryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            QueryError::Exec(e) => write!(f, "{e}"),
+            QueryError::Panic(msg) => write!(f, "query panicked: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for QueryError {}
+
 /// What one served query produced.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// Full executor statistics (rows, seconds, I/O, per-operator).
+    /// Full executor statistics (rows, seconds, I/O, per-operator).  For a
+    /// failed query: what it charged up to the failure, no rows and no
+    /// per-operator breakdown.
     pub stats: ExecStats,
+    /// `None` for a query that ran to completion; otherwise why it did
+    /// not.  A failed query still held and released its grant and its
+    /// slices are on the global clock like anyone's.
+    pub error: Option<QueryError>,
     /// The memory grant the query ran under, in bytes.
     pub grant: usize,
     /// Shared-pool hits attributed to this query.
@@ -168,38 +219,275 @@ pub struct ServeReport {
     pub idle_resets: u64,
 }
 
-/// A finished thread's payload, boxed to keep [`Event`] small.
-struct ThreadOutcome {
-    stats: ExecStats,
-    share: QueryShare,
+/// The scheduler's book on one query.
+#[derive(Default)]
+struct Slot {
+    grant: usize,
+    /// The query's session clock at its last yield, so the next slice's
+    /// charge delta can go onto the global virtual clock.
+    last_elapsed: f64,
     yields: u64,
-    /// Final session clock, so the scheduler can account the last slice
-    /// onto the global virtual clock.
+    queue_wait: f64,
+    first_baton: Option<f64>,
+    outcome: Option<QueryOutcome>,
+}
+
+/// The whole scheduler state.  Only the baton holder touches it (and the
+/// caller of [`serve_concurrent`], before the first baton and after the
+/// last), so the mutex around it is never contended: it is there because
+/// the holder changes from slice to slice.
+struct Scheduler {
+    policy: AdmissionPolicy,
+    pending: VecDeque<usize>,
+    running: Vec<usize>,
+    cursor: usize,
+    /// The global virtual clock: it advances by the running query's charge
+    /// delta at every yield — the shared timeline every scheduler trace
+    /// event and latency figure is stamped with.
+    global_sim: f64,
+    slots: Vec<Slot>,
+    completion_order: Vec<usize>,
+    admission_order: Vec<usize>,
+    idle_resets: u64,
+}
+
+/// `turn` while nobody holds the baton: before the first dispatch.
+const NOBODY: usize = usize::MAX;
+
+/// What the threads of one burst share.
+struct Burst {
+    sched: Mutex<Scheduler>,
+    /// The index of the query holding the baton.  Written (`Release`) by
+    /// the previous holder after its scheduling step, read (`Acquire`) by
+    /// a parked thread deciding whether its wake-up is its turn; the pair
+    /// orders everything the previous holder did before the next one runs.
+    turn: AtomicUsize,
+    /// The query threads' handles, set once every thread is spawned and
+    /// before the first dispatch; only a baton holder reads them.
+    threads: OnceLock<Vec<Thread>>,
+    pool: Arc<SharedBufferPool>,
+    /// Charge-free tracing: the explicitly configured sink, else the
+    /// process-wide one.  Tracks are pre-allocated so the scheduler's
+    /// global-clock events and each session's query-clock events land on
+    /// the same lane per query.
+    sink: Option<Arc<TraceSink>>,
+    tracks: Vec<u32>,
+    sched_track: u32,
+}
+
+impl Burst {
+    fn sched(&self) -> MutexGuard<'_, Scheduler> {
+        self.sched.lock().expect("a baton holder panicked inside the scheduling step")
+    }
+
+    fn emit(&self, track: u32, sim: f64, kind: TraceEventKind) {
+        if let Some(s) = &self.sink {
+            s.emit(track, sim, kind);
+        }
+    }
+
+    /// The scheduling step: reset the pool if the server went idle, admit
+    /// whoever the policy lets in, and begin the slice of the next query
+    /// in the ring.  `None` once the burst has drained.
+    fn dispatch(&self, s: &mut Scheduler) -> Option<usize> {
+        if s.running.is_empty() && !s.completion_order.is_empty() && !s.pending.is_empty() {
+            // Idle between admissions: restore cold conditions, so a
+            // serialized burst measures exactly like isolated queries.
+            self.pool.reset();
+            s.idle_resets += 1;
+            self.emit(self.sched_track, s.global_sim, TraceEventKind::IdleReset);
+        }
+        while let Some(&q) = s.pending.front() {
+            match s.policy.admit() {
+                AdmissionDecision::Run { grant } => {
+                    s.pending.pop_front();
+                    s.slots[q].grant = grant;
+                    s.slots[q].queue_wait = s.global_sim;
+                    s.admission_order.push(q);
+                    s.running.push(q);
+                    self.emit(self.tracks[q], s.global_sim, TraceEventKind::Admit {
+                        grant: grant as u64,
+                    });
+                }
+                AdmissionDecision::Queue => break,
+            }
+        }
+        if s.running.is_empty() {
+            // An idle policy always admits, so nothing is queued either.
+            assert!(s.pending.is_empty(), "admission deadlock: nothing running or admissible");
+            return None;
+        }
+        let q = s.running[s.cursor];
+        let now = s.global_sim;
+        s.slots[q].first_baton.get_or_insert(now);
+        self.emit(self.tracks[q], now, TraceEventKind::SliceBegin);
+        Some(q)
+    }
+
+    /// Put the slice `q` just ran, up to its session clock `elapsed`, on
+    /// the global clock.
+    fn end_slice(&self, s: &mut Scheduler, q: usize, elapsed: f64) {
+        debug_assert_eq!(s.running[s.cursor], q, "baton discipline violated");
+        s.global_sim += elapsed - s.slots[q].last_elapsed;
+        s.slots[q].last_elapsed = elapsed;
+        self.emit(self.tracks[q], s.global_sim, TraceEventKind::SliceEnd);
+    }
+
+    /// Give `q` the baton and wake it.
+    fn wake(&self, q: usize) {
+        self.turn.store(q, Ordering::Release);
+        self.threads.get().expect("handles are set before the first dispatch")[q].unpark();
+    }
+
+    /// Park until query `i` holds the baton.  `park` may return early and
+    /// a wake may arrive before the park; the loop on `turn` covers both.
+    fn wait_turn(&self, i: usize) {
+        while self.turn.load(Ordering::Acquire) != i {
+            thread::park();
+        }
+    }
+
+    /// Query `i`'s yield hook: account the slice, move the ring on, run
+    /// the scheduling step and hand the baton to whoever it picked.
+    fn yield_baton(&self, i: usize, elapsed: f64) {
+        let next = {
+            let mut s = self.sched();
+            self.end_slice(&mut s, i, elapsed);
+            s.slots[i].yields += 1;
+            s.cursor = (s.cursor + 1) % s.running.len();
+            self.dispatch(&mut s).expect("the yielder itself is still running")
+        };
+        if next != i {
+            self.wake(next);
+            self.wait_turn(i);
+        }
+    }
+
+    /// Query `i` is over (completed or failed): account its last slice,
+    /// record its outcome, free its slot and grant, and hand the baton on.
+    fn finish(&self, i: usize, done: Finished) {
+        let next = {
+            let mut s = self.sched();
+            self.end_slice(&mut s, i, done.elapsed);
+            let turnaround = s.global_sim;
+            self.emit(self.tracks[i], turnaround, TraceEventKind::QueryDone {
+                rows: done.stats.rows_out,
+            });
+            let slot = &mut s.slots[i];
+            let grant = slot.grant;
+            slot.outcome = Some(QueryOutcome {
+                stats: done.stats,
+                error: done.error,
+                grant,
+                pool_hits: done.share.hits,
+                pool_misses: done.share.misses,
+                yields: slot.yields,
+                queue_wait: slot.queue_wait,
+                first_baton: slot.first_baton.unwrap_or(0.0),
+                turnaround,
+            });
+            s.completion_order.push(i);
+            s.policy.release(grant);
+            let at = s.cursor;
+            s.running.remove(at);
+            if s.cursor >= s.running.len() {
+                s.cursor = 0;
+            }
+            self.dispatch(&mut s)
+        };
+        if let Some(next) = next {
+            self.wake(next);
+        }
+    }
+}
+
+/// What a query thread hands in when its query is over.
+struct Finished {
+    stats: ExecStats,
+    error: Option<QueryError>,
+    share: QueryShare,
+    /// Final session clock, so the last slice can go onto the global clock.
     elapsed: f64,
 }
 
-enum Event {
-    /// Query `i` yielded the baton (or announced readiness, before its
-    /// first slice), with its session clock at the yield point.
-    Yield(usize, f64),
-    /// Query `i` completed.
-    Done(usize, Box<ThreadOutcome>),
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+    }
+}
+
+/// The body of query `i`'s thread: park until first scheduled, run the
+/// query under the granted memory, hand in the outcome.
+fn serve_query(
+    burst: &Arc<Burst>,
+    i: usize,
+    db: &Database,
+    spec: &PlanSpec,
+    cfg: &ServeConfig,
+    batch: ExecConfig,
+) {
+    // Nothing observable happens before the first baton: the session
+    // registers on the pool only now, in first-slice order.
+    burst.wait_turn(i);
+    let grant = burst.sched().slots[i].grant;
+    let session = Session::on_shared(cfg.model.clone(), Arc::clone(&burst.pool));
+    if let Some(s) = &burst.sink {
+        // Replace any auto-attached global track with the scheduler's
+        // pre-allocated, synopsis-labelled one.
+        session.attach_tracer_track(Arc::clone(s), burst.tracks[i]);
+    }
+    let hook = {
+        let burst = Arc::clone(burst);
+        Box::new(move |elapsed: f64| burst.yield_baton(i, elapsed))
+    };
+    session.install_yield_hook(cfg.quantum, hook);
+    session.set_memory_grant(grant);
+    let ctx = ExecCtx::new(db, &session, grant);
+    // A panic in here unwinds between scheduling steps, never inside one
+    // (the hook parks or returns), so the scheduler state stays whole.
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        // A shrunk grant reshapes the plan (operators clamp to the grant
+        // and may now spill); a full grant leaves the plan and its
+        // charges byte-for-byte untouched.
+        let spec = if grant < cfg.admission.default_grant {
+            Cow::Owned(apply_grant(spec, grant))
+        } else {
+            Cow::Borrowed(spec)
+        };
+        run_count(&spec, &ctx, RunOpts { batch, controller: None })
+    }));
+    // The session is this query's alone, so its totals are what a failed
+    // query charged before it failed.
+    let charged = || ExecStats {
+        rows_out: 0,
+        seconds: session.elapsed(),
+        io: session.stats(),
+        spilled: ctx.spilled(),
+        operators: Vec::new(),
+        switches: Vec::new(),
+    };
+    let (stats, error) = match ran {
+        Ok(Ok(stats)) => (stats, None),
+        Ok(Err(e)) => (charged(), Some(QueryError::Exec(e))),
+        Err(payload) => (charged(), Some(QueryError::Panic(panic_message(payload)))),
+    };
+    let share = session.query_pool_counters();
+    let elapsed = session.elapsed();
+    session.clear_yield_hook();
+    session.detach_tracer();
+    burst.finish(i, Finished { stats, error, share, elapsed });
 }
 
 /// Serve a burst of queries concurrently over one shared buffer pool and
 /// return every outcome.  Queries arrive in `specs` order; admission is
 /// FIFO; scheduling is round-robin at `cfg.quantum` charge-event
 /// granularity.  Deterministic: identical inputs produce bit-identical
-/// reports (see module docs for why).
+/// reports (see module docs for why).  A query that fails — the executor
+/// returns an error, or it panics — ends with [`QueryOutcome::error`] set
+/// and the burst carries on without it.
 pub fn serve_concurrent(db: &Database, specs: &[PlanSpec], cfg: &ServeConfig) -> ServeReport {
     let n = specs.len();
-    let pool = Arc::new(SharedBufferPool::new(cfg.pool_pages, cfg.policy));
-    let default_grant = cfg.admission.default_grant;
-
-    // Charge-free tracing: the explicitly configured sink, else the
-    // process-wide one.  Tracks are pre-allocated here so the scheduler's
-    // global-clock events and each session's query-clock events land on
-    // the same lane per query.
     let sink: Option<Arc<TraceSink>> =
         cfg.trace.clone().or_else(robustmap_obs::trace::global_sink);
     let (tracks, sched_track) = match &sink {
@@ -213,193 +501,66 @@ pub fn serve_concurrent(db: &Database, specs: &[PlanSpec], cfg: &ServeConfig) ->
         ),
         None => (vec![0; n], 0),
     };
-    let emit = |track: u32, sim: f64, kind: TraceEventKind| {
-        if let Some(s) = &sink {
-            s.emit(track, sim, kind);
-        }
-    };
+    let burst = Arc::new(Burst {
+        sched: Mutex::new(Scheduler {
+            policy: AdmissionPolicy::new(cfg.admission.clone()),
+            pending: (0..n).collect(),
+            running: Vec::new(),
+            cursor: 0,
+            global_sim: 0.0,
+            slots: (0..n).map(|_| Slot::default()).collect(),
+            completion_order: Vec::with_capacity(n),
+            admission_order: Vec::with_capacity(n),
+            idle_resets: 0,
+        }),
+        turn: AtomicUsize::new(NOBODY),
+        threads: OnceLock::new(),
+        pool: Arc::new(SharedBufferPool::new(cfg.pool_pages, cfg.policy)),
+        sink,
+        tracks,
+        sched_track,
+    });
+    // Per-burst constants, read once rather than by every query thread.
+    let batch = ExecConfig::from_env();
 
-    let (evt_tx, evt_rx) = mpsc::channel::<Event>();
-    let mut batons: Vec<mpsc::Sender<usize>> = Vec::with_capacity(n);
-
-    let mut outcomes: Vec<Option<QueryOutcome>> = (0..n).map(|_| None).collect();
-    let mut completion_order = Vec::with_capacity(n);
-    let mut admission_order = Vec::with_capacity(n);
-    let mut idle_resets = 0u64;
-
-    std::thread::scope(|scope| {
-        for (i, spec) in specs.iter().enumerate() {
-            let (go_tx, go_rx) = mpsc::channel::<usize>();
-            batons.push(go_tx);
-            let evt_tx = evt_tx.clone();
-            let pool = Arc::clone(&pool);
-            let model = cfg.model.clone();
-            let quantum = cfg.quantum;
-            let sink = sink.clone();
-            let track = tracks[i];
-            scope.spawn(move || {
-                let session = Session::on_shared(model, pool);
-                if let Some(s) = sink {
-                    // Replace any auto-attached global track with the
-                    // scheduler's pre-allocated, synopsis-labelled one.
-                    session.attach_tracer_track(s, track);
-                }
-                // The hook parks this thread until the scheduler hands the
-                // baton back; the baton message carries the memory grant
-                // (only the first one matters — later batons repeat it).
-                let granted = Arc::new(AtomicUsize::new(default_grant));
-                let yields = Arc::new(AtomicU64::new(0));
-                let hook = {
-                    let granted = Arc::clone(&granted);
-                    let yields = Arc::clone(&yields);
-                    let evt_tx = evt_tx.clone();
-                    Box::new(move |elapsed: f64| {
-                        yields.fetch_add(1, Ordering::Relaxed);
-                        evt_tx.send(Event::Yield(i, elapsed)).expect("scheduler hung up");
-                        let g = go_rx.recv().expect("scheduler dropped the baton");
-                        granted.store(g, Ordering::Relaxed);
-                    })
-                };
-                session.install_yield_hook(quantum, hook);
-                // Announce readiness and wait to be scheduled.  Nothing has
-                // been charged yet, so the racy arrival order of these
-                // ready events cannot affect any measurement.
-                session.yield_now();
-                let grant = granted.load(Ordering::Relaxed);
-                session.set_memory_grant(grant);
-                // A shrunk grant reshapes the plan (operators clamp to the
-                // grant and may now spill); a full grant leaves the plan
-                // and its charges byte-for-byte untouched.
-                let spec = if grant < default_grant {
-                    apply_grant(spec, grant)
-                } else {
-                    spec.clone()
-                };
-                let ctx = ExecCtx::new(db, &session, grant);
-                let opts = RunOpts { batch: ExecConfig::from_env(), controller: None };
-                let stats =
-                    run_count(&spec, &ctx, opts).expect("served plans must be well-formed");
-                let share = session.query_pool_counters();
-                let elapsed = session.elapsed();
-                session.clear_yield_hook();
-                session.detach_tracer();
-                // The first yield was the ready announcement, not a slice.
-                let yields = yields.load(Ordering::Relaxed).saturating_sub(1);
-                evt_tx
-                    .send(Event::Done(
-                        i,
-                        Box::new(ThreadOutcome { stats, share, yields, elapsed }),
-                    ))
-                    .expect("scheduler hung up");
-            });
-        }
-        drop(evt_tx);
-
-        // Phase 1: wait for every thread to park in its hook.  After this
-        // point exactly one thread runs at a time — the baton holder.
-        for _ in 0..n {
-            match evt_rx.recv().expect("a serving thread died before ready") {
-                Event::Yield(..) => {}
-                Event::Done(i, _) => unreachable!("query {i} finished before being scheduled"),
+    thread::scope(|scope| {
+        let handles: Vec<_> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let burst = &burst;
+                scope.spawn(move || serve_query(burst, i, db, spec, cfg, batch))
+            })
+            .collect();
+        burst
+            .threads
+            .set(handles.iter().map(|h| h.thread().clone()).collect())
+            .expect("the handles are set once");
+        // The first dispatch; every later one is made by a baton holder,
+        // and this thread just waits for the scope to join them.
+        let first = {
+            let mut s = burst.sched();
+            for track in &burst.tracks {
+                burst.emit(*track, 0.0, TraceEventKind::Queued);
             }
-        }
-
-        // Phase 2: admit and round-robin until the burst drains.  The
-        // global virtual clock advances by the running query's charge
-        // delta at every yield — the shared timeline every scheduler
-        // trace event and latency figure is stamped with.
-        let mut global_sim = 0.0f64;
-        let mut last_elapsed = vec![0.0f64; n];
-        let mut queue_wait = vec![0.0f64; n];
-        let mut first_baton = vec![f64::NAN; n];
-        let mut turnaround = vec![0.0f64; n];
-        for track in tracks.iter().take(n) {
-            emit(*track, 0.0, TraceEventKind::Queued);
-        }
-        let mut policy = AdmissionPolicy::new(cfg.admission.clone());
-        let mut pending: std::collections::VecDeque<usize> = (0..n).collect();
-        let mut running: Vec<usize> = Vec::new();
-        let mut grants = vec![0usize; n];
-        let mut cursor = 0usize;
-        let mut completed = 0usize;
-        while completed < n {
-            if running.is_empty() && completed > 0 && !pending.is_empty() {
-                // Idle between admissions: restore cold conditions, so a
-                // serialized burst measures exactly like isolated queries.
-                pool.reset();
-                idle_resets += 1;
-                emit(sched_track, global_sim, TraceEventKind::IdleReset);
-            }
-            while !pending.is_empty() {
-                match policy.admit() {
-                    AdmissionDecision::Run { grant } => {
-                        let q = pending.pop_front().expect("checked non-empty");
-                        grants[q] = grant;
-                        queue_wait[q] = global_sim;
-                        admission_order.push(q);
-                        running.push(q);
-                        emit(tracks[q], global_sim, TraceEventKind::Admit {
-                            grant: grant as u64,
-                        });
-                    }
-                    AdmissionDecision::Queue => break,
-                }
-            }
-            assert!(!running.is_empty(), "admission deadlock: nothing running or admissible");
-            let q = running[cursor];
-            if first_baton[q].is_nan() {
-                first_baton[q] = global_sim;
-            }
-            emit(tracks[q], global_sim, TraceEventKind::SliceBegin);
-            batons[q].send(grants[q]).expect("query thread died holding work");
-            match evt_rx.recv().expect("query thread died mid-slice") {
-                Event::Yield(i, elapsed) => {
-                    debug_assert_eq!(i, q, "baton discipline violated");
-                    global_sim += elapsed - last_elapsed[i];
-                    last_elapsed[i] = elapsed;
-                    emit(tracks[i], global_sim, TraceEventKind::SliceEnd);
-                    cursor = (cursor + 1) % running.len();
-                }
-                Event::Done(i, out) => {
-                    debug_assert_eq!(i, q, "baton discipline violated");
-                    global_sim += out.elapsed - last_elapsed[i];
-                    last_elapsed[i] = out.elapsed;
-                    turnaround[i] = global_sim;
-                    emit(tracks[i], global_sim, TraceEventKind::SliceEnd);
-                    emit(tracks[i], global_sim, TraceEventKind::QueryDone {
-                        rows: out.stats.rows_out,
-                    });
-                    outcomes[i] = Some(QueryOutcome {
-                        stats: out.stats,
-                        grant: grants[i],
-                        pool_hits: out.share.hits,
-                        pool_misses: out.share.misses,
-                        yields: out.yields,
-                        queue_wait: queue_wait[i],
-                        first_baton: if first_baton[i].is_nan() { 0.0 } else { first_baton[i] },
-                        turnaround: turnaround[i],
-                    });
-                    completion_order.push(i);
-                    policy.release(grants[i]);
-                    running.remove(cursor);
-                    if cursor >= running.len() {
-                        cursor = 0;
-                    }
-                    completed += 1;
-                }
-            }
+            burst.dispatch(&mut s)
+        };
+        if let Some(q) = first {
+            burst.wake(q);
         }
     });
 
+    let mut s = burst.sched();
     ServeReport {
-        queries: outcomes
-            .into_iter()
-            .map(|o| o.expect("every query completed"))
+        queries: s
+            .slots
+            .iter_mut()
+            .map(|slot| slot.outcome.take().expect("every query thread hands in an outcome"))
             .collect(),
-        completion_order,
-        admission_order,
-        pool_counters: pool.counters(),
-        idle_resets,
+        completion_order: std::mem::take(&mut s.completion_order),
+        admission_order: std::mem::take(&mut s.admission_order),
+        pool_counters: burst.pool.counters(),
+        idle_resets: s.idle_resets,
     }
 }
 

@@ -37,7 +37,8 @@ run env CARGO_TARGET_DIR="$PWD/target" cargo test -q --release --offline --manif
 # boundaries and mid-operator suspension points are exercised too
 # (neither knob may change a single charge: a never-switching controlled
 # run and a concurrency-1 served run must stay bit-identical to a static
-# run at any batch size or quantum).
+# run at any batch size or quantum).  The concurrent suite's pinned
+# schedule and its failing-query burst ride along in both reruns.
 echo "== ledger + batch + adaptive + concurrent equivalence at ROBUSTMAP_BATCH_ROWS=513, ROBUSTMAP_QUANTUM=513"
 ROBUSTMAP_BATCH_ROWS=513 ROBUSTMAP_QUANTUM=513 run cargo test -q --release \
     --test exec_ledger \
@@ -96,9 +97,11 @@ ROBUSTMAP_WORKLOAD_CACHE="$SMOKE_CACHE" run cargo run --release -p robustmap-ben
     ext_sort_spill ext_join ext_correlated ext_optimizer ext_robust_choice ext_adaptive ext_concurrency ext_trace ext_churn ext_regression
 # The blocking operators' byte gate, as fig1's above: the sort and join
 # sweeps' simulated seconds and page writes against the committed baselines.
-for csv in ext_sort_spill.csv ext_join.csv; do
+# The two concurrency CSVs are the scheduler's: every served query's
+# simulated seconds at every level, so a schedule that moves moves them.
+for csv in ext_sort_spill.csv ext_join.csv ext_concurrency.csv ext_concurrency_sweep.csv; do
     cmp "target/figures-verify/$csv" "crates/bench/baselines/$csv" || {
-        echo "$csv drifted from the committed baseline — simulated sort/join costs changed" >&2
+        echo "$csv drifted from the committed baseline — simulated sort/join costs or the served schedule changed" >&2
         exit 1
     }
 done
@@ -174,6 +177,12 @@ rm -rf "$SMOKE_CACHE"
 echo "== one-interpreter gate: the executor must not regrow a batched twin or an execute_* entry point"
 if grep -rnE 'fn \w+_batched\b|\bexecute_\w+' crates/executor/src; then
     echo "crates/executor/src defines a *_batched function or names an execute_* entry point — there is one interpreter, exec::run" >&2
+    exit 1
+fi
+
+echo "== one-scheduler gate: core::serve passes the baton directly, with no channel hub beside it"
+if grep -n 'mpsc' crates/core/src/serve.rs; then
+    echo "crates/core/src/serve.rs names mpsc — the hub-and-spoke scheduler is gone, not kept beside the baton" >&2
     exit 1
 fi
 

@@ -16,18 +16,27 @@
 //! 3. **Serving is deterministic and accountable.**  Rerunning a burst
 //!    reproduces every bit; per-query pool shares partition the pool's
 //!    counters; admission is FIFO and starvation-free; shrunk grants
-//!    force spills.
+//!    force spills; and the whole schedule of thirteen bursts is pinned to
+//!    digests printed by the scheduler this suite was written against.
+//! 4. **A failing query cannot strand the burst.**  A query that returns
+//!    an error or panics while holding the baton ends with a per-query
+//!    error; everyone else finishes with the work they do alone.
 //!
 //! `scripts/verify.sh` re-runs this suite with `ROBUSTMAP_QUANTUM=513`
 //! (and an odd batch size) to prove the contracts hold at a quantum that
 //! never divides anything evenly.
 
-use robustmap::core::{serve_concurrent, MeasureConfig, ServeConfig};
-use robustmap::executor::{
-    run_count, ColRange, ExecConfig, ExecCtx, ExecStats, PlanSpec, Predicate, Projection, RunOpts,
-    SpillMode,
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+use robustmap::core::{
+    measure_plan, serve_concurrent, MeasureConfig, QueryError, ServeConfig, ServeReport,
 };
-use robustmap::storage::IoStats;
+use robustmap::executor::{
+    run_count, AggFn, ColRange, ExecConfig, ExecCtx, ExecError, ExecStats, JoinAlgo, PlanSpec,
+    Predicate, Projection, RunOpts, SpillMode,
+};
+use robustmap::storage::{IoStats, TableId};
 use robustmap::systems::{two_predicate_plans, AdmissionConfig, SystemId, TwoPredPlan};
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
 
@@ -287,5 +296,275 @@ fn interleaved_spills_do_static_work() {
             "query {i}: interleaving changed its total work"
         );
         assert_eq!(isolated.rows_out, q.stats.rows_out, "query {i} rows");
+    }
+}
+
+/// FNV-1a over the words fed to it: the digest of one pinned schedule.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn words(&mut self, ws: impl IntoIterator<Item = u64>) {
+        for w in ws {
+            self.word(w);
+        }
+    }
+}
+
+/// Everything the scheduler decided, in one word: the orders, the idle
+/// resets, the pool's counters, and per query its slices, grant, pool
+/// share, clock bits and the three global-clock latencies.
+fn report_digest(r: &robustmap::core::ServeReport) -> u64 {
+    let mut d = Digest::new();
+    d.word(r.queries.len() as u64);
+    d.words(r.admission_order.iter().map(|&q| q as u64));
+    d.words(r.completion_order.iter().map(|&q| q as u64));
+    d.word(r.idle_resets);
+    d.words([r.pool_counters.0, r.pool_counters.1, r.pool_counters.2]);
+    for q in &r.queries {
+        d.words([q.yields, q.grant as u64, q.pool_hits, q.pool_misses]);
+        d.word(q.stats.seconds.to_bits());
+        d.words([q.queue_wait.to_bits(), q.first_baton.to_bits(), q.turnaround.to_bits()]);
+    }
+    d.0
+}
+
+/// The recorded timeline as `(track, kind, sim bits)` in emission order;
+/// the kind goes in by its `Debug` form, payload and all.
+fn trace_digest(events: &[robustmap::obs::trace::TraceEvent]) -> u64 {
+    let mut d = Digest::new();
+    d.word(events.len() as u64);
+    for e in events {
+        d.word(u64::from(e.track));
+        d.words(format!("{:?}", e.kind).bytes().map(u64::from));
+        d.word(e.sim.to_bits());
+    }
+    d.0
+}
+
+/// The schedule golden: `(case, report digest, trace digest)`, printed by
+/// the hub-and-spoke scheduler this suite was first written against and
+/// never edited since.  Every admission, slice, idle reset, latency and
+/// trace event of these bursts is a pure function of burst and config; a
+/// scheduler rewrite that moves one of them moves a digest.
+const SCHEDULE_GOLDEN: &[(&str, u64, u64)] = &[
+    ("l1_q257_thrash", 0xb2bcafc43a21b94c, 0x80b684def0f7e522),
+    ("l1_q257_fit", 0xc2e453c5db42c16d, 0x80b684def0f7e522),
+    ("l1_q1024_thrash", 0x49f917c3eea5174c, 0xbbb84c330b3922a1),
+    ("l1_q1024_fit", 0x4d3ecb22f4f6ec8d, 0xbbb84c330b3922a1),
+    ("l8_q257_thrash", 0x23ed28fb5a09e274, 0x66d373a888799d53),
+    ("l8_q257_fit", 0x20cc2aa4f635662c, 0x797190ac17e27076),
+    ("l8_q1024_thrash", 0xf59ba4a3358842a7, 0x83f845b4117d1cc8),
+    ("l8_q1024_fit", 0x60724eba02953da0, 0x24157f8f5296a7a4),
+    ("l64_q257_thrash", 0xc6a5994c3a80aeee, 0x6868fef01678c930),
+    ("l64_q257_fit", 0xec5a3e6bf09c0484, 0x18077995525e2d86),
+    ("l64_q1024_thrash", 0x9f6626d8005764cd, 0xdcfaae8c8d44881e),
+    ("l64_q1024_fit", 0xb16e769bfebd1e2a, 0xe313bf78cfba4cd3),
+    ("admission_cliff", 0x0fb6027b8ddf393b, 0x936d63f41fb09250),
+];
+
+#[test]
+fn schedule_is_pinned() {
+    use robustmap::obs::trace::{TraceDetail, TraceSink};
+    use std::sync::Arc;
+
+    let w = workload();
+    let plans = catalog(&w);
+    let specs: Vec<PlanSpec> =
+        plans.iter().map(|p| p.build(w.cal_a.threshold(0.15), w.cal_b.threshold(0.4))).collect();
+    let heap = w.heap_pages() as usize;
+    let mut cases: Vec<(String, Vec<PlanSpec>, ServeConfig)> = Vec::new();
+    for level in [1usize, 8, 64] {
+        // The catalog repeated to the level, as `ext_concurrency` builds it.
+        let len = specs.len() * level.div_ceil(specs.len());
+        let burst: Vec<PlanSpec> = (0..len).map(|j| specs[j % specs.len()].clone()).collect();
+        for quantum in [257u64, 1024] {
+            for (pool, pool_pages) in [("thrash", (heap / 4).max(8)), ("fit", heap * 2)] {
+                cases.push((
+                    format!("l{level}_q{quantum}_{pool}"),
+                    burst.clone(),
+                    ServeConfig {
+                        pool_pages,
+                        quantum,
+                        admission: AdmissionConfig {
+                            max_in_flight: level,
+                            ..AdmissionConfig::default()
+                        },
+                        ..ServeConfig::default()
+                    },
+                ));
+            }
+        }
+    }
+    cases.push((
+        "admission_cliff".into(),
+        vec![sort_spec(&w, 8 << 20), sort_spec(&w, 8 << 20), sort_spec(&w, 8 << 20)],
+        ServeConfig {
+            admission: AdmissionConfig {
+                memory_budget: (8 << 20) + (64 << 10),
+                ..AdmissionConfig::default()
+            },
+            ..ServeConfig::default()
+        },
+    ));
+
+    let mut actual = Vec::new();
+    for (name, burst, cfg) in &cases {
+        let plain = report_digest(&serve_concurrent(&w.db, burst, cfg));
+        let sink = Arc::new(TraceSink::memory(TraceDetail::Spans));
+        let traced_cfg = ServeConfig { trace: Some(Arc::clone(&sink)), ..cfg.clone() };
+        let traced = report_digest(&serve_concurrent(&w.db, burst, &traced_cfg));
+        assert_eq!(plain, traced, "{name}: tracing moved the schedule");
+        assert_eq!(sink.dropped(), 0, "{name}: the sink dropped events");
+        actual.push((name.clone(), plain, trace_digest(&sink.events())));
+    }
+    let golden: Vec<(String, u64, u64)> =
+        SCHEDULE_GOLDEN.iter().map(|&(n, r, t)| (n.to_string(), r, t)).collect();
+    if actual != golden {
+        let table: String = actual
+            .iter()
+            .map(|(n, r, t)| format!("    ({n:?}, {r:#018x}, {t:#018x}),\n"))
+            .collect();
+        panic!("the schedule moved; this run's digests:\n{table}");
+    }
+}
+
+/// A scan of column `col` of the whole table (narrow, so two of them join
+/// within the row width limit).
+fn column_scan(table: TableId, col: usize) -> PlanSpec {
+    PlanSpec::TableScan {
+        table,
+        pred: Predicate::always_true(),
+        project: Projection::Columns(vec![col]),
+    }
+}
+
+/// A hash join whose left input is a healthy scan and whose right input is
+/// `right`: the left side materialises first, so whatever is wrong with
+/// `right` strikes mid-run, after the query has charged, yielded and been
+/// resumed.
+fn join_onto(w: &Workload, right: PlanSpec) -> PlanSpec {
+    PlanSpec::Join {
+        left: Box::new(column_scan(w.table, 2)),
+        right: Box::new(right),
+        left_key: 0,
+        right_key: 0,
+        algo: JoinAlgo::Hash { build_left: true },
+        memory_bytes: 8 << 20,
+        project: Projection::All,
+    }
+}
+
+/// Serve `burst` on a thread of its own and wait at most 30 s for it: a
+/// scheduler whose baton is stranded cannot be interrupted, only abandoned.
+fn serve_watched(w: &Arc<Workload>, burst: Vec<PlanSpec>, cfg: ServeConfig) -> ServeReport {
+    let (tx, rx) = mpsc::channel();
+    let table = Arc::clone(w);
+    std::thread::spawn(move || {
+        // The receiver is gone only if the watchdog already gave up.
+        let _ = tx.send(serve_concurrent(&table.db, &burst, &cfg));
+    });
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("the burst did not come back: a failing query stranded the baton")
+}
+
+/// Hardening (a): one query of the burst returns `BadPlan` mid-run (its
+/// right input is a sort without key columns) and one panics mid-run (its
+/// right input aggregates a table the database does not have, and
+/// `Database::table` indexes unchecked).  Served one at a time and eight
+/// at a time, the burst comes back, exactly those two carry an error, and
+/// every other query did the rows and the work it does alone — bit for
+/// bit at level 1.
+#[test]
+fn failing_queries_do_not_strand_the_burst() {
+    const BAD_PLAN: usize = 2;
+    const PANICS: usize = 5;
+    let w = Arc::new(workload());
+    let plans = catalog(&w);
+    let mut burst: Vec<PlanSpec> = (0..8)
+        .map(|i| plans[2 * i].build(w.cal_a.threshold(0.15), w.cal_b.threshold(0.4)))
+        .collect();
+    burst[BAD_PLAN] = join_onto(
+        &w,
+        PlanSpec::Sort {
+            input: Box::new(column_scan(w.table, 2)),
+            key_cols: vec![],
+            mode: SpillMode::Abrupt,
+            memory_bytes: 1 << 20,
+        },
+    );
+    burst[PANICS] = join_onto(
+        &w,
+        PlanSpec::HashAgg {
+            input: Box::new(column_scan(TableId(u32::MAX), 2)),
+            group_cols: vec![0],
+            aggs: vec![AggFn::CountStar],
+            mode: SpillMode::Abrupt,
+            memory_bytes: 1 << 20,
+        },
+    );
+    let mcfg = MeasureConfig::default();
+    // The suite's quantum, and one small enough that both failures strike
+    // after the query has been parked and resumed.
+    let suite_quantum = serve_cfg().quantum;
+    for (level, quantum) in [(1usize, suite_quantum), (8, suite_quantum), (1, 16), (8, 16)] {
+        let mut scfg = ServeConfig { quantum, ..serve_cfg() };
+        scfg.admission = AdmissionConfig { max_in_flight: level, ..AdmissionConfig::default() };
+        let report = serve_watched(&w, burst.clone(), scfg);
+        assert_eq!(report.queries.len(), 8, "level {level}: every query reports");
+        let mut completed = report.completion_order.clone();
+        completed.sort_unstable();
+        assert_eq!(completed, (0..8).collect::<Vec<_>>(), "level {level}: each completes once");
+        if level == 1 {
+            assert_eq!(report.idle_resets, 7, "a failed query leaves the server idle like any");
+        }
+        for (i, q) in report.queries.iter().enumerate() {
+            let label = format!("level {level} quantum {quantum} query {i}");
+            match i {
+                BAD_PLAN => assert!(
+                    matches!(q.error, Some(QueryError::Exec(ExecError::BadPlan(_)))),
+                    "{label}: {:?}",
+                    q.error
+                ),
+                PANICS => assert!(
+                    matches!(&q.error, Some(QueryError::Panic(msg)) if !msg.is_empty()),
+                    "{label}: {:?}",
+                    q.error
+                ),
+                _ => {
+                    assert_eq!(q.error, None, "{label}");
+                    let alone = measure_plan(&w.db, &burst[i], &mcfg);
+                    assert_eq!(q.stats.rows_out, alone.rows, "{label}: rows");
+                    assert_eq!(
+                        work_signature(&q.stats.io),
+                        work_signature(&alone.io),
+                        "{label}: total work"
+                    );
+                    if level == 1 {
+                        assert_eq!(
+                            q.stats.seconds.to_bits(),
+                            alone.seconds.to_bits(),
+                            "{label}: clock"
+                        );
+                        assert_eq!(q.stats.io, alone.io, "{label}: IoStats");
+                    }
+                }
+            }
+            if q.error.is_some() {
+                // Both failures strike after the left input ran: the stats
+                // carry what was charged up to then, and no rows.
+                assert_eq!(q.stats.rows_out, 0, "{label}: a failed query returns no rows");
+                assert!(q.stats.io.page_requests() > 0, "{label}: charged work is reported");
+                assert!(quantum != 16 || q.yields > 0, "{label}: failed before its first yield");
+                assert_eq!(q.stats.seconds.to_bits(), q.measurement().seconds.to_bits());
+            }
+        }
     }
 }
