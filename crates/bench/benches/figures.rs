@@ -6,16 +6,16 @@
 //! artifacts come from `cargo run --release --bin figures -- all`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use robustmap_bench::{run_figure, Harness, ALL_FIGURES};
+use robustmap_bench::{run_figure, Harness, FIGURES};
 
 fn bench_figures(c: &mut Criterion) {
     let harness = Harness::tiny();
     let mut group = c.benchmark_group("figures");
     group.sample_size(10);
-    for name in ALL_FIGURES {
-        group.bench_function(*name, |b| {
+    for fig in FIGURES {
+        group.bench_function(fig.name, |b| {
             b.iter(|| {
-                let out = run_figure(&harness, name).expect("known figure");
+                let out = run_figure(&harness, fig.name).expect("known figure");
                 criterion::black_box(out.report.len())
             })
         });

@@ -1,4 +1,5 @@
-//! Regenerate the paper's figures (and the extension experiments).
+//! Regenerate the paper's figures (and the extension experiments), then
+//! gate the run: every artifact non-empty, every named check PASS.
 //!
 //! ```text
 //! cargo run --release -p robustmap-bench --bin figures -- all
@@ -12,37 +13,31 @@
 //! `--trace PATH` (or `ROBUSTMAP_TRACE=PATH`) records a charge-free
 //! execution trace of the whole run and writes Chrome trace-event JSON,
 //! an operator-profile CSV, and a metrics dump next to `PATH` at exit.
+//! The last line of stdout is the gate's summary; the exit status is 0
+//! when it is green, 1 when it is not, 2 on a usage error.
 
-use robustmap_bench::{run_figure, Harness, HarnessConfig, ALL_FIGURES};
+use robustmap_bench::{figure, gate, run_figure, Harness, HarnessConfig, FIGURES};
 use robustmap_obs::{progress, verbose, warn};
 
 fn main() {
     let mut config = HarnessConfig::default();
     let mut wanted: Vec<String> = Vec::new();
+    let all = || FIGURES.iter().map(|f| f.name.to_string());
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--rows" => {
-                config.rows = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--rows needs a number"));
+                // Smaller tables cannot be calibrated (the builder asserts).
+                config.rows = number(&mut args, "--rows needs a number, at least 4");
+                if config.rows < 4 {
+                    die("--rows needs a number, at least 4");
+                }
             }
-            "--grid" => {
-                config.grid_exp = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--grid needs an exponent"));
-            }
+            "--grid" => config.grid_exp = number(&mut args, "--grid needs an exponent"),
             "--out" => {
                 config.out_dir = args.next().unwrap_or_else(|| die("--out needs a path")).into();
             }
-            "--threads" => {
-                config.measure.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs a number"));
-            }
+            "--threads" => config.measure.threads = number(&mut args, "--threads needs a number"),
             "--trace" => {
                 let path = args.next().unwrap_or_else(|| die("--trace needs a path"));
                 let detail = robustmap_obs::trace::detail_from_env();
@@ -50,12 +45,14 @@ fn main() {
                     warn!("--trace {path}: a trace sink is already installed; flag ignored");
                 }
             }
-            "all" => wanted.extend(ALL_FIGURES.iter().map(|s| s.to_string())),
+            "all" => wanted.extend(all()),
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--rows N] [--grid EXP] [--out DIR] [--threads N] \
-                     [--trace PATH] <all | {}>",
-                    ALL_FIGURES.join(" | ")
+                     [--trace PATH] <all | {}>\n\
+                     exit status: 0 every artifact written and every check PASS, \
+                     1 the gate failed, 2 usage error",
+                    all().collect::<Vec<_>>().join(" | ")
                 );
                 return;
             }
@@ -63,12 +60,14 @@ fn main() {
         }
     }
     if wanted.is_empty() {
-        wanted.extend(ALL_FIGURES.iter().map(|s| s.to_string()));
+        wanted.extend(all());
     }
-    wanted.dedup();
+    // Each figure runs once, wherever else the command line repeats it.
+    let mut seen = std::collections::HashSet::new();
+    wanted.retain(|name| seen.insert(name.clone()));
     // Reject typos before spending seconds building the workload.
     for name in &wanted {
-        if !ALL_FIGURES.contains(&name.as_str()) {
+        if figure(name).is_none() {
             die(&format!("unknown figure: {name} (see --help)"));
         }
     }
@@ -80,34 +79,31 @@ fn main() {
         config.out_dir.display()
     );
     let total = std::time::Instant::now();
-    let t0 = std::time::Instant::now();
-    let harness = Harness::new(config);
-    progress!("workload ready in {:.1?}\n", t0.elapsed());
+    let out_dir = config.out_dir.clone();
+    let harness = Harness::new(config)
+        .unwrap_or_else(|e| die(&format!("--out {}: {e}", out_dir.display())));
+    progress!("workload ready in {:.1?}\n", total.elapsed());
     // Announce the run so shared sweeps (System A map carved from the
     // all-systems map) kick in.
     harness.plan_for(&wanted);
 
-    let mut timings: Vec<(String, f64)> = Vec::new();
+    let mut outputs = Vec::new();
     for name in &wanted {
-        match run_figure(&harness, name) {
-            Some(out) => {
-                println!("================================================================");
-                println!("{}", out.report);
-                for f in &out.files {
-                    verbose!("  wrote {}", f.display());
-                }
-                progress!("[{name}] done in {:.1}s ({} artifacts)", out.wall_seconds, out.files.len());
-                timings.push((out.name, out.wall_seconds));
-            }
-            None => unreachable!("names were validated against ALL_FIGURES"),
+        let out = run_figure(&harness, name).expect("names were validated against FIGURES");
+        println!("================================================================");
+        println!("{}", out.report);
+        for f in &out.files {
+            verbose!("  wrote {}", f.display());
         }
+        progress!("[{name}] done in {:.1}s ({} artifacts)", out.wall_seconds, out.files.len());
+        outputs.push(out);
     }
 
     // Per-figure sweep wall times, for orientation only: `benchmark/` is
     // the performance ledger.
     progress!("\nsweep wall time per figure:");
-    for (name, secs) in &timings {
-        progress!("  {name:<16} {secs:>8.2}s");
+    for out in &outputs {
+        progress!("  {:<16} {:>8.2}s", out.name, out.wall_seconds);
     }
     progress!("  {:<16} {:>8.2}s (incl. workload)", "total", total.elapsed().as_secs_f64());
     // Flush the process-wide trace, if one was installed (--trace or
@@ -121,6 +117,20 @@ fn main() {
         Ok(None) => {}
         Err(e) => warn!("could not write trace artifacts: {e}"),
     }
+
+    let verdict = gate(&outputs);
+    for failure in &verdict.failures {
+        eprintln!("gate: {failure}");
+    }
+    println!("{}", verdict.summary);
+    if !verdict.failures.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// The next argument as a number, or the usage error `what`.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, what: &str) -> T {
+    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| die(what))
 }
 
 fn die(msg: &str) -> ! {

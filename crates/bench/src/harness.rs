@@ -3,14 +3,21 @@
 //! A map, and the System A map itself is carved out of the all-systems map
 //! when both are needed), and artifact output.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell};
 use std::path::{Path, PathBuf};
 
-use robustmap_core::{build_map1d, build_map2d, Grid1D, Grid2D, Map1D, Map2D, MeasureConfig};
-use robustmap_systems::{
-    single_predicate_plans, two_predicate_plans, SinglePredPlanSet, SystemId, TwoPredPlan,
+use robustmap_core::render::AsciiOptions;
+use robustmap_core::{
+    build_map1d, build_map2d, Grid1D, Grid2D, Map1D, Map2D, MeasureConfig, RegressionSuite,
 };
+use robustmap_obs::warn;
+use robustmap_systems::{single_predicate_plans, two_predicate_plans, SinglePredPlanSet, SystemId};
 use robustmap_workload::{TableBuilder, Workload, WorkloadConfig};
+
+use crate::lab::full_catalog;
+
+/// Plain-character 2-D maps for the printed reports.
+pub(crate) const PLAIN_CELLS: AsciiOptions = AsciiOptions { ansi: false, cell_width: 2 };
 
 /// Harness scale parameters.
 #[derive(Debug, Clone)]
@@ -37,26 +44,48 @@ impl Default for HarnessConfig {
     }
 }
 
-/// One regenerated figure: its printed report, written artifact files, and
-/// how long the regeneration took.
+/// One regenerated figure: its printed report, written artifact files, its
+/// named checks, and how long the regeneration took.  [`crate::gate`] reads
+/// `files` and `checks`; nothing declares either a second time.
 #[derive(Debug, Clone)]
 pub struct FigureOutput {
-    /// Figure id, e.g. `"fig7"`.
-    pub name: String,
+    /// Figure id, e.g. `"fig7"` — stamped by [`crate::run_figure`] from the
+    /// [`crate::FIGURES`] table, so figure bodies never spell their own id.
+    pub name: &'static str,
     /// The text the harness prints (series, landmarks, statistics).
     pub report: String,
-    /// Paths of artifacts written (CSV, SVG).
+    /// Paths of artifacts written (CSV, SVG, checks).
     pub files: Vec<PathBuf>,
+    /// The figure's named pass/fail checks, for the figures that have any.
+    pub checks: Option<RegressionSuite>,
     /// Real (wall clock) seconds the sweep + rendering took, filled in by
-    /// [`crate::run_figure`] — the number `BENCH_*.json` trajectories track.
+    /// [`crate::run_figure`].  Orientation only: `benchmark/` is the
+    /// performance ledger.
     pub wall_seconds: f64,
 }
 
 impl FigureOutput {
-    /// A figure output with the wall time still unset (the runner stamps
-    /// it).
-    pub fn new(name: &str, report: String, files: Vec<PathBuf>) -> Self {
-        FigureOutput { name: name.to_string(), report, files, wall_seconds: 0.0 }
+    /// A check-less figure output; the runner stamps name and wall time.
+    pub fn new(report: String, files: Vec<PathBuf>) -> Self {
+        FigureOutput { name: "", report, files, checks: None, wall_seconds: 0.0 }
+    }
+
+    /// The one checks epilogue: close `report` with the "regression checks
+    /// over `<subject>`" section and the suite's verdict, write the same
+    /// text as `<stem>_checks.txt`, and carry the suite for the gate.
+    pub fn with_checks(
+        h: &Harness,
+        stem: &str,
+        subject: &str,
+        suite: RegressionSuite,
+        mut report: String,
+        mut files: Vec<PathBuf>,
+    ) -> Self {
+        let verdict = if suite.passed() { "PASS" } else { "FAIL" };
+        let checks = format!("{}verdict: {verdict}\n", suite.report());
+        report.push_str(&format!("\nregression checks over {subject}:\n{checks}"));
+        files.push(h.write_artifact(&format!("{stem}_checks.txt"), &checks));
+        FigureOutput { checks: Some(suite), ..FigureOutput::new(report, files) }
     }
 }
 
@@ -66,41 +95,27 @@ pub struct Harness {
     pub w: Workload,
     /// Scale parameters.
     pub config: HarnessConfig,
-    map_a: RefCell<Option<Map2D>>,
-    map_all: RefCell<Option<Map2D>>,
-    map1_basic: RefCell<Option<Map1D>>,
+    map_a: OnceCell<Map2D>,
+    map_all: OnceCell<Map2D>,
+    map1_basic: OnceCell<Map1D>,
     want_all_systems: Cell<bool>,
 }
 
-/// Figure ids that need the fifteen-plan all-systems map.  When a run will
-/// touch any of these *and* a System-A-only figure, the harness builds the
-/// all-systems map once and carves the System A map out of it instead of
-/// sweeping the same seven plans twice (cell measurements are independent,
-/// so the subset is identical to a dedicated sweep).
-pub(crate) const NEEDS_ALL_SYSTEMS: &[&str] = &[
-    "fig8",
-    "fig9",
-    "fig10",
-    "ext_worst",
-    "ext_shootout",
-    "ext_optimizer",
-    "ext_regression",
-];
-
 impl Harness {
-    /// Build (or load from the workload cache) the workload and prepare
-    /// the output directory.
-    pub fn new(config: HarnessConfig) -> Self {
+    /// Prepare the output directory, then build (or load from the workload
+    /// cache) the workload.  Fails when the directory cannot be created;
+    /// `config.rows` must be at least 4 (the `figures` binary checks).
+    pub fn new(config: HarnessConfig) -> std::io::Result<Self> {
+        std::fs::create_dir_all(&config.out_dir)?;
         let w = TableBuilder::build_cached(WorkloadConfig::with_rows(config.rows));
-        std::fs::create_dir_all(&config.out_dir).expect("create output directory");
-        Harness {
+        Ok(Harness {
             w,
             config,
-            map_a: RefCell::new(None),
-            map_all: RefCell::new(None),
-            map1_basic: RefCell::new(None),
+            map_a: OnceCell::new(),
+            map_all: OnceCell::new(),
+            map1_basic: OnceCell::new(),
             want_all_systems: Cell::new(false),
-        }
+        })
     }
 
     /// A fast harness for tests and Criterion benches: 2^14 rows, 2^-8
@@ -112,24 +127,27 @@ impl Harness {
             out_dir: PathBuf::from("target/figures-test"),
             ..Default::default()
         })
+        .expect("create target/figures-test")
     }
 
-    /// Announce which figures a run will regenerate, letting the harness
-    /// choose shared sweeps (see `NEEDS_ALL_SYSTEMS` in this module).
-    /// Calling this is optional — figures are correct without it, just
-    /// slower when both the System A and all-systems maps end up being
-    /// built.
+    /// Announce which figures a run will regenerate.  When it will touch a
+    /// figure whose [`crate::Figure::needs_all_systems`] is set *and* a
+    /// System-A-only figure, the harness builds the fifteen-plan map once
+    /// and carves the System A map out of it instead of sweeping the same
+    /// seven plans twice (cell measurements are independent, so the subset
+    /// is identical to a dedicated sweep).  Calling this is optional —
+    /// figures are correct without it, just slower.
     pub fn plan_for<S: AsRef<str>>(&self, names: &[S]) {
-        if names.iter().any(|n| NEEDS_ALL_SYSTEMS.contains(&n.as_ref())) {
+        if names.iter().any(|n| crate::figure(n.as_ref()).is_some_and(|f| f.needs_all_systems)) {
             self.want_all_systems.set(true);
         }
     }
 
     /// Whether the all-systems map has been built — test introspection
-    /// keeping `NEEDS_ALL_SYSTEMS` honest against actual figure behaviour.
+    /// keeping `needs_all_systems` honest against actual figure behaviour.
     #[cfg(test)]
     pub(crate) fn map_all_is_built(&self) -> bool {
-        self.map_all.borrow().is_some()
+        self.map_all.get().is_some()
     }
 
     /// The 2-D grid all two-predicate maps use.
@@ -141,48 +159,44 @@ impl Harness {
     /// subset of the all-systems map whenever that map exists or is known
     /// to be coming ([`Harness::plan_for`]).
     pub fn map_system_a(&self) -> Map2D {
-        if self.map_a.borrow().is_none() {
-            let map = if self.want_all_systems.get() || self.map_all.borrow().is_some() {
+        let build = || {
+            if self.want_all_systems.get() || self.map_all.get().is_some() {
                 self.map_all_systems().subset_by_prefix("A")
             } else {
                 let plans = two_predicate_plans(SystemId::A, &self.w);
                 build_map2d(&self.w, &plans, &self.grid2d(), &self.config.measure)
-            };
-            *self.map_a.borrow_mut() = Some(map);
-        }
-        self.map_a.borrow().clone().expect("just built")
+            }
+        };
+        self.map_a.get_or_init(build).clone()
     }
 
     /// The all-systems fifteen-plan map (Figures 8-10, extensions), built
     /// once.
     pub fn map_all_systems(&self) -> Map2D {
-        if self.map_all.borrow().is_none() {
-            let plans: Vec<TwoPredPlan> = SystemId::all()
-                .into_iter()
-                .flat_map(|s| two_predicate_plans(s, &self.w))
-                .collect();
-            let map = build_map2d(&self.w, &plans, &self.grid2d(), &self.config.measure);
-            *self.map_all.borrow_mut() = Some(map);
-        }
-        self.map_all.borrow().clone().expect("just built")
+        let build =
+            || build_map2d(&self.w, &full_catalog(&self.w), &self.grid2d(), &self.config.measure);
+        self.map_all.get_or_init(build).clone()
     }
 
     /// The Figure 1 single-predicate map (basic plan set over the full
     /// grid), built once and shared with the regression suite.
     pub fn map1d_basic(&self) -> Map1D {
-        if self.map1_basic.borrow().is_none() {
+        let build = || {
             let plans = single_predicate_plans(SinglePredPlanSet::Basic, &self.w);
             let grid = Grid1D::pow2(self.config.grid_exp);
-            let map = build_map1d(&self.w, &plans, &grid, &self.config.measure);
-            *self.map1_basic.borrow_mut() = Some(map);
-        }
-        self.map1_basic.borrow().clone().expect("just built")
+            build_map1d(&self.w, &plans, &grid, &self.config.measure)
+        };
+        self.map1_basic.get_or_init(build).clone()
     }
 
-    /// Write an artifact file, returning its path.
+    /// Write an artifact file, returning its path.  A failed write is a
+    /// warning here and a missing artifact to [`crate::gate`]: it fails
+    /// the figure, not the run.
     pub fn write_artifact(&self, name: &str, contents: &str) -> PathBuf {
         let path = self.config.out_dir.join(name);
-        std::fs::write(&path, contents).expect("write artifact");
+        if let Err(e) = std::fs::write(&path, contents) {
+            warn!("cannot write {}: {e}", path.display());
+        }
         path
     }
 

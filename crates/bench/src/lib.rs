@@ -3,7 +3,8 @@
 //! The figure-regeneration harness: one function per figure of the paper
 //! (and per extension experiment), each of which measures the maps, prints
 //! the same series/statistics the paper's figure shows, and writes CSV +
-//! SVG artifacts.
+//! SVG artifacts.  [`FIGURES`] is the one table of them; [`gate`] is the
+//! one definition of "this run is green".
 //!
 //! Run everything with:
 //!
@@ -14,83 +15,123 @@
 //! or a single figure with `-- fig7`, etc.  Criterion benchmarks under
 //! `benches/` exercise the same code paths at reduced scale so `cargo
 //! bench` regenerates every figure and times the substrate.
+//!
+//! The paper's figures live in [`paper`]; the extension experiments — the
+//! opportunities the paper names but does not pursue (§3.3) and the future
+//! work it sketches (§4) — are grouped by what they sweep: [`operators`]
+//! (one operator's knobs and resources), [`systems`] (the fifteen-plan
+//! catalog compared and regression-gated), [`choice`] (plan choice under
+//! estimation error, over the shared [`lab`]) and [`serving`] (concurrent
+//! bursts and their traces).
 
-pub mod figures_ext;
-pub mod figures_paper;
+pub mod choice;
 pub mod harness;
+pub mod lab;
+pub mod operators;
+pub mod paper;
+pub mod serving;
+pub mod systems;
 
 pub use harness::{FigureOutput, Harness, HarnessConfig};
 
-/// All figure names known to the harness, in presentation order.
-pub const ALL_FIGURES: &[&str] = &[
-    "legends",
-    "fig1",
-    "fig2",
-    "fig4",
-    "fig5",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "ext_sort_spill",
-    "ext_memory",
-    "ext_worst",
-    "ext_shootout",
-    "ext_ablation",
-    "ext_buffer",
-    "ext_join",
-    "ext_parallel",
-    "ext_skew",
-    "ext_optimizer",
-    "ext_correlated",
-    "ext_robust_choice",
-    "ext_adaptive",
-    "ext_concurrency",
-    "ext_trace",
-    "ext_churn",
-    "ext_regression",
+/// One row of the figure table.
+pub struct Figure {
+    /// Figure id, as the `figures` binary accepts it.
+    pub name: &'static str,
+    /// Regenerate the figure against a harness.
+    pub run: fn(&Harness) -> FigureOutput,
+    /// Whether the figure reads the fifteen-plan all-systems map (see
+    /// [`Harness::plan_for`]).
+    pub needs_all_systems: bool,
+}
+
+/// Every figure known to the harness, in presentation order.
+pub const FIGURES: &[Figure] = &[
+    Figure { name: "legends", run: paper::legends, needs_all_systems: false },
+    Figure { name: "fig1", run: paper::fig1, needs_all_systems: false },
+    Figure { name: "fig2", run: paper::fig2, needs_all_systems: false },
+    Figure { name: "fig4", run: paper::fig4, needs_all_systems: false },
+    Figure { name: "fig5", run: paper::fig5, needs_all_systems: false },
+    Figure { name: "fig7", run: paper::fig7, needs_all_systems: false },
+    Figure { name: "fig8", run: paper::fig8, needs_all_systems: true },
+    Figure { name: "fig9", run: paper::fig9, needs_all_systems: true },
+    Figure { name: "fig10", run: paper::fig10, needs_all_systems: true },
+    Figure { name: "ext_sort_spill", run: operators::ext_sort_spill, needs_all_systems: false },
+    Figure { name: "ext_memory", run: operators::ext_memory, needs_all_systems: false },
+    Figure { name: "ext_worst", run: systems::ext_worst, needs_all_systems: true },
+    Figure { name: "ext_shootout", run: systems::ext_shootout, needs_all_systems: true },
+    Figure { name: "ext_ablation", run: operators::ext_ablation, needs_all_systems: false },
+    Figure { name: "ext_buffer", run: operators::ext_buffer, needs_all_systems: false },
+    Figure { name: "ext_join", run: operators::ext_join, needs_all_systems: false },
+    Figure { name: "ext_parallel", run: operators::ext_parallel, needs_all_systems: false },
+    Figure { name: "ext_skew", run: operators::ext_skew, needs_all_systems: false },
+    Figure { name: "ext_optimizer", run: choice::ext_optimizer, needs_all_systems: true },
+    Figure { name: "ext_correlated", run: choice::ext_correlated, needs_all_systems: false },
+    Figure { name: "ext_robust_choice", run: choice::ext_robust_choice, needs_all_systems: false },
+    Figure { name: "ext_adaptive", run: choice::ext_adaptive, needs_all_systems: false },
+    Figure { name: "ext_concurrency", run: serving::ext_concurrency, needs_all_systems: false },
+    Figure { name: "ext_trace", run: serving::ext_trace, needs_all_systems: false },
+    Figure { name: "ext_churn", run: choice::ext_churn, needs_all_systems: false },
+    Figure { name: "ext_regression", run: systems::ext_regression, needs_all_systems: true },
 ];
 
+/// Look a figure up by id.
+pub fn figure(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
+
 /// Run one named figure against a harness, stamping
+/// [`FigureOutput::name`] from the table and
 /// [`FigureOutput::wall_seconds`] with the real time the regeneration
 /// took.  Unknown names return `None`.
 pub fn run_figure(h: &Harness, name: &str) -> Option<FigureOutput> {
+    let fig = figure(name)?;
     let t0 = std::time::Instant::now();
-    let mut out = run_figure_inner(h, name)?;
+    let mut out = (fig.run)(h);
+    out.name = fig.name;
     out.wall_seconds = t0.elapsed().as_secs_f64();
     Some(out)
 }
 
-fn run_figure_inner(h: &Harness, name: &str) -> Option<FigureOutput> {
-    Some(match name {
-        "legends" => figures_paper::legends(h),
-        "fig1" => figures_paper::fig1(h),
-        "fig2" => figures_paper::fig2(h),
-        "fig4" => figures_paper::fig4(h),
-        "fig5" => figures_paper::fig5(h),
-        "fig7" => figures_paper::fig7(h),
-        "fig8" => figures_paper::fig8(h),
-        "fig9" => figures_paper::fig9(h),
-        "fig10" => figures_paper::fig10(h),
-        "ext_sort_spill" => figures_ext::ext_sort_spill(h),
-        "ext_memory" => figures_ext::ext_memory(h),
-        "ext_worst" => figures_ext::ext_worst(h),
-        "ext_shootout" => figures_ext::ext_shootout(h),
-        "ext_ablation" => figures_ext::ext_ablation(h),
-        "ext_buffer" => figures_ext::ext_buffer(h),
-        "ext_join" => figures_ext::ext_join(h),
-        "ext_parallel" => figures_ext::ext_parallel(h),
-        "ext_skew" => figures_ext::ext_skew(h),
-        "ext_optimizer" => figures_ext::ext_optimizer(h),
-        "ext_correlated" => figures_ext::ext_correlated(h),
-        "ext_robust_choice" => figures_ext::ext_robust_choice(h),
-        "ext_adaptive" => figures_ext::ext_adaptive(h),
-        "ext_concurrency" => figures_ext::ext_concurrency(h),
-        "ext_trace" => figures_ext::ext_trace(h),
-        "ext_churn" => figures_ext::ext_churn(h),
-        "ext_regression" => figures_ext::ext_regression(h),
-        _ => return None,
-    })
+/// What [`gate`] found over a run's outputs.
+#[derive(Debug)]
+pub struct GateReport {
+    /// The `figures` binary's closing line, e.g. `checks: 88 in 8 reports,
+    /// 0 failed; 65 artifacts`.
+    pub summary: String,
+    /// One line per failed check and per missing or empty artifact, each
+    /// naming its figure; empty when the run is green.
+    pub failures: Vec<String>,
+}
+
+/// The one gate: every artifact a figure says it wrote exists and is
+/// non-empty, and every named check it carries PASSes.  The `figures`
+/// binary exits non-zero on it and the tests assert it.
+pub fn gate(outputs: &[FigureOutput]) -> GateReport {
+    let (mut checks, mut reports, mut failed, mut artifacts) = (0, 0, 0, 0);
+    let mut failures = Vec::new();
+    for out in outputs {
+        for file in &out.files {
+            artifacts += 1;
+            let problem = match std::fs::metadata(file) {
+                Ok(meta) if meta.len() > 0 => continue,
+                Ok(_) => "is empty".to_string(),
+                Err(e) => format!("is missing ({e})"),
+            };
+            failures.push(format!("{}: artifact {} {problem}", out.name, file.display()));
+        }
+        if let Some(suite) = &out.checks {
+            reports += 1;
+            checks += suite.results.len();
+            for r in suite.results.iter().filter(|r| !r.passed) {
+                failed += 1;
+                failures.push(format!("{}: check FAILED: {} — {}", out.name, r.name, r.details));
+            }
+        }
+    }
+    let summary =
+        format!("checks: {checks} in {reports} reports, {failed} failed; {artifacts} artifacts");
+    GateReport { summary, failures }
 }
 
 #[cfg(test)]
@@ -100,9 +141,11 @@ mod tests {
     #[test]
     fn every_listed_figure_is_runnable() {
         let h = Harness::tiny();
-        h.plan_for(ALL_FIGURES);
-        for name in ALL_FIGURES {
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        h.plan_for(&names);
+        for name in names {
             let out = run_figure(&h, name).expect("known figure");
+            assert_eq!(out.name, name, "{name}: id not stamped from the table");
             assert!(!out.report.is_empty(), "{name} produced an empty report");
             assert!(out.wall_seconds > 0.0, "{name} wall time not stamped");
         }
@@ -110,17 +153,18 @@ mod tests {
 
     #[test]
     fn needs_all_systems_list_matches_figure_behaviour() {
-        // The shared-sweep bookkeeping is a hand-maintained list; this
-        // pins it to what the figure bodies actually do.  Each figure runs
-        // on its own harness with nothing announced, so `map_all` is built
-        // exactly when the figure itself asks for it.
-        for name in ALL_FIGURES {
+        // The shared-sweep bookkeeping is a hand-maintained table field;
+        // this pins it to what the figure bodies actually do.  Each figure
+        // runs on its own harness with nothing announced, so `map_all` is
+        // built exactly when the figure itself asks for it.
+        for fig in FIGURES {
             let h = Harness::tiny();
-            run_figure(&h, name).expect("known figure");
+            run_figure(&h, fig.name).expect("known figure");
             assert_eq!(
                 h.map_all_is_built(),
-                crate::harness::NEEDS_ALL_SYSTEMS.contains(name),
-                "{name}: NEEDS_ALL_SYSTEMS out of sync with actual map_all_systems() usage"
+                fig.needs_all_systems,
+                "{}: needs_all_systems out of sync with actual map_all_systems() usage",
+                fig.name
             );
         }
     }

@@ -8,7 +8,7 @@
 use robustmap_core::analysis::symmetry::symmetry_of;
 use robustmap_core::render::{
     absolute_scale, heatmap_svg, line_plot_svg, map1d_to_csv, map2d_to_csv, quotients_to_csv,
-    relative_scale, render_map1d_table, render_map2d_ansi, AsciiOptions,
+    relative_scale, render_map1d_table, render_map2d_ansi,
 };
 use robustmap_core::report::{landmark_report, multi_optimal_report, relative_report};
 use robustmap_core::{build_map1d, Grid1D, Map1D, OptimalityTolerance, RelativeMap2D};
@@ -17,11 +17,7 @@ use robustmap_core::measure::Measurement;
 use robustmap_core::regions::RegionStats;
 use robustmap_systems::{single_predicate_plans, SinglePredPlanSet};
 
-use crate::harness::{FigureOutput, Harness};
-
-fn ansi_opts() -> AsciiOptions {
-    AsciiOptions { ansi: false, cell_width: 2 }
-}
+use crate::harness::{FigureOutput, Harness, PLAIN_CELLS};
 
 /// Figures 3 and 6: the color legends (written as standalone SVGs and
 /// printed as text).
@@ -40,7 +36,7 @@ pub fn legends(h: &Harness) -> FigureOutput {
         let svg = heatmap_svg(&values, &axis, &[1.0], &scale, name);
         files.push(h.write_artifact(&format!("{name}.svg"), &svg));
     }
-    FigureOutput::new("legends", report, files)
+    FigureOutput::new(report, files)
 }
 
 /// Figure 1: single-table single-predicate selection — table scan vs.
@@ -60,7 +56,7 @@ pub fn fig1(h: &Harness) -> FigureOutput {
         h.write_artifact("fig1.csv", &map1d_to_csv(&map)),
         h.write_artifact("fig1.svg", &line_plot_svg(&map, "Figure 1: single-predicate selection", "seconds (log)")),
     ];
-    FigureOutput::new("fig1", report, files)
+    FigureOutput::new(report, files)
 }
 
 /// Figure 2: advanced selection plans — relative performance, adding the
@@ -93,7 +89,7 @@ pub fn fig2(h: &Harness) -> FigureOutput {
             &line_plot_svg(&rel_map, "Figure 2: advanced selection plans", "factor vs best (log)"),
         ),
     ];
-    FigureOutput::new("fig2", report, files)
+    FigureOutput::new(report, files)
 }
 
 /// Figure 4: two-predicate single-index selection — absolute 2-D map of
@@ -109,7 +105,7 @@ pub fn fig4(h: &Harness) -> FigureOutput {
         &map.sel_b,
         &absolute_scale(),
         "Figure 4: two-predicate single-index selection (absolute seconds)",
-        &ansi_opts(),
+        &PLAIN_CELLS,
     );
     report.push_str(&format!(
         "execution time range: {:.3}s .. {:.1}s (paper: 4s .. 890s at 60M rows)\n",
@@ -145,7 +141,7 @@ pub fn fig4(h: &Harness) -> FigureOutput {
             &heatmap_svg(&grid, &map.sel_a, &map.sel_b, &absolute_scale(), "Figure 4: single-index plan, absolute seconds"),
         ),
     ];
-    FigureOutput::new("fig4", report, files)
+    FigureOutput::new(report, files)
 }
 
 /// Figure 5: two-index merge join — absolute 2-D map; symmetric in the two
@@ -161,7 +157,7 @@ pub fn fig5(h: &Harness) -> FigureOutput {
         &map.sel_b,
         &absolute_scale(),
         "Figure 5: two-index merge join (absolute seconds)",
-        &ansi_opts(),
+        &PLAIN_CELLS,
     );
     let n = map.sel_a.len();
     let sym_merge = symmetry_of(&grid, n);
@@ -191,7 +187,7 @@ pub fn fig5(h: &Harness) -> FigureOutput {
             &heatmap_svg(&grid, &map.sel_a, &map.sel_b, &absolute_scale(), "Figure 5: two-index merge join, absolute seconds"),
         ),
     ];
-    FigureOutput::new("fig5", report, files)
+    FigureOutput::new(report, files)
 }
 
 /// Figure 7: the Figure 4 plan relative to the best of System A's seven
@@ -207,7 +203,7 @@ pub fn fig7(h: &Harness) -> FigureOutput {
         &rel.sel_b,
         &relative_scale(),
         "Figure 7: single-index plan vs. best of 7 plans (cost factor)",
-        &ansi_opts(),
+        &PLAIN_CELLS,
     );
     report.push_str(&format!(
         "worst quotient: {:.0}x (paper: ~101,000x at 60M rows; the quotient scales with table size)\n",
@@ -232,7 +228,7 @@ pub fn fig7(h: &Harness) -> FigureOutput {
             &heatmap_svg(&quotients, &rel.sel_a, &rel.sel_b, &relative_scale(), "Figure 7: single-index plan vs best of 7"),
         ),
     ];
-    FigureOutput::new("fig7", report, files)
+    FigureOutput::new(report, files)
 }
 
 /// Figure 8: System B's two-column-index plan (bitmap-sorted fetch),
@@ -249,7 +245,7 @@ pub fn fig8(h: &Harness) -> FigureOutput {
         &rel.sel_b,
         &relative_scale(),
         "Figure 8: System B two-column index + bitmap fetch (cost factor)",
-        &ansi_opts(),
+        &PLAIN_CELLS,
     );
     let region = RegionStats::of(&rel.optimal_region(plan, OptimalityTolerance::Factor(1.2)));
     report.push_str(&format!(
@@ -275,7 +271,7 @@ pub fn fig8(h: &Harness) -> FigureOutput {
             &heatmap_svg(&quotients, &rel.sel_a, &rel.sel_b, &relative_scale(), "Figure 8: System B bitmap-fetch plan vs best of System B"),
         ),
     ];
-    FigureOutput::new("fig8", report, files)
+    FigureOutput::new(report, files)
 }
 
 /// Figure 9: System C's MDAM plan over the covering two-column index,
@@ -292,7 +288,7 @@ pub fn fig9(h: &Harness) -> FigureOutput {
         &rel.sel_b,
         &relative_scale(),
         "Figure 9: System C covering index + MDAM (cost factor)",
-        &ansi_opts(),
+        &PLAIN_CELLS,
     );
     report.push_str(&format!(
         "worst quotient: {:.1}x; within 10x of best over {:.1}% of the space — \"reasonable \
@@ -314,7 +310,7 @@ pub fn fig9(h: &Harness) -> FigureOutput {
             &heatmap_svg(&quotients, &rel.sel_a, &rel.sel_b, &relative_scale(), "Figure 9: System C MDAM plan vs best of System C"),
         ),
     ];
-    FigureOutput::new("fig9", report, files)
+    FigureOutput::new(report, files)
 }
 
 /// Figure 10: the optimal-plans map — most points have several optimal
@@ -356,5 +352,5 @@ pub fn fig10(h: &Harness) -> FigureOutput {
             ),
         ),
     ];
-    FigureOutput::new("fig10", report, files)
+    FigureOutput::new(report, files)
 }

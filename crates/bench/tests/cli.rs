@@ -1,0 +1,75 @@
+//! The `figures` binary's command line: a figure runs once however often
+//! it is named, and bad input is exit 2 with one line on stderr — never a
+//! panic backtrace.
+
+use std::process::{Command, Output};
+
+fn figures(out_dir: &str, args: &[&str]) -> Output {
+    let dir = std::path::Path::new("target/figures-test").join(out_dir);
+    Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--rows", "16384", "--grid", "8", "--out"])
+        .arg(dir)
+        .args(args)
+        .env("ROBUSTMAP_LOG", "quiet")
+        .output()
+        .expect("run the figures binary")
+}
+
+/// Exit 2, exactly one line of stderr, no panic.
+fn assert_usage_error(out: &Output, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(stderr.contains(needle) && !stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+fn reports_printed(out: &Output) -> usize {
+    String::from_utf8_lossy(&out.stdout).lines().filter(|l| l.starts_with("=====")).count()
+}
+
+#[test]
+fn a_repeated_figure_runs_once_and_the_run_is_gated() {
+    let out = figures("cli-dedup", &["legends", "fig1", "legends"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(reports_printed(&out), 2);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().last(), Some("checks: 0 in 0 reports, 0 failed; 4 artifacts"));
+    // `all` after a named figure adds every *other* figure.
+    let out = figures("cli-dedup-all", &["ext_regression", "all"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(reports_printed(&out), robustmap_bench::FIGURES.len());
+}
+
+#[test]
+fn unknown_figure_is_a_usage_error() {
+    assert_usage_error(&figures("cli-unknown", &["fig99"]), "unknown figure: fig99");
+}
+
+#[test]
+fn too_few_rows_is_a_usage_error_not_a_panic() {
+    for rows in ["0", "3", "many"] {
+        let out = figures("cli-rows", &["--rows", rows, "fig1"]);
+        assert_usage_error(&out, "--rows needs a number, at least 4");
+    }
+}
+
+#[test]
+fn an_uncreatable_out_dir_is_a_usage_error_not_a_panic() {
+    // A path below a regular file can never be created.
+    let blocker = std::path::Path::new("target/figures-test/cli-blocker");
+    std::fs::create_dir_all("target/figures-test").expect("create test directory");
+    std::fs::write(blocker, "not a directory").expect("write blocker file");
+    let below = blocker.join("x");
+    let out = figures("cli-unused", &["--out", below.to_str().expect("utf-8 path"), "fig1"]);
+    assert_usage_error(&out, "--out target/figures-test/cli-blocker/x");
+}
+
+#[test]
+fn help_documents_the_exit_codes() {
+    let out = figures("cli-help", &["--help"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0));
+    for needle in ["exit status: 0", "1 the gate failed", "2 usage error", "ext_correlated"] {
+        assert!(stdout.contains(needle), "--help lacks {needle:?}:\n{stdout}");
+    }
+}

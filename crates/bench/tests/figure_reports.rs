@@ -3,7 +3,7 @@
 //! the assertions are about structure and key markers, not full-scale
 //! landmark values (those live in the workspace integration tests).
 
-use robustmap_bench::{run_figure, Harness};
+use robustmap_bench::{run_figure, Harness, FIGURES};
 
 fn report(h: &Harness, name: &str) -> String {
     run_figure(h, name).expect("known figure").report
@@ -51,12 +51,35 @@ fn figure_reports_contain_their_key_markers() {
                 "crossovers along the rho = 1.0 diagonal",
                 "best-plan share",
                 "regression checks over the correlated scenario",
+                "verdict: PASS",
             ],
+        ),
+        (
+            "ext_robust_choice",
+            &["point wrong", "robust wrong", "chooser leaderboard", "skewed", "verdict: PASS"],
+        ),
+        (
+            "ext_adaptive",
+            &["adaptive wrong", "switches", "sunk switch cost included", "verdict: PASS"],
+        ),
+        (
+            "ext_concurrency",
+            &["plan \\ concurrency", "convoys", "interference", "admission cliff", "verdict: PASS"],
+        ),
+        ("ext_trace", &["trace events", "queue wait", "forced bail", "verdict: PASS"]),
+        (
+            "ext_churn",
+            &["frozen wrong", "maint wrong", "fresh wrong", "churn cost charged", "verdict: PASS"],
         ),
         ("ext_regression", &["monotone", "contiguous optimality region", "verdict"]),
     ];
-    for (fig, needles) in expectations {
-        let r = report(&h, fig);
+    for fig in FIGURES {
+        let (_, needles) = expectations
+            .iter()
+            .find(|(name, _)| *name == fig.name)
+            .unwrap_or_else(|| panic!("{}: no key markers listed for this figure", fig.name));
+        let r = report(&h, fig.name);
+        let fig = fig.name;
         for needle in *needles {
             assert!(
                 r.contains(needle),
