@@ -6,7 +6,11 @@
 //! per mechanism, re-runnable without the full `benchmark/run.sh`.  The
 //! `sort/*_multipass_64k`, `join/sort_merge_64k` and `exec/materialise_64k`
 //! rows do the same for the sorter that charges for the merge and sorts
-//! once, and for the packed blocking edges.  The `serve/*` rows are the
+//! once, and for the packed blocking edges.  The `scan/*` rows, with
+//! `fetch/{improved,bitmap}` and `btree/range_scan_full`, are the kernels
+//! that charge per page, leaf or rid run; `fetch/improved_dense_served` is
+//! the same fetch as a served query runs it (shared pool behind its lock,
+//! yield hook armed).  The `serve/*` rows are the
 //! scheduler's: the same burst sliced and unsliced (the difference, over the
 //! extra slices, is the price of a baton handoff) and served one query at a
 //! time (every handoff is to the yielder itself, which costs no wake).
@@ -21,7 +25,9 @@ use robustmap_executor::{
 };
 use robustmap_storage::btree::{BTree, Key};
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{AccessKind, FileId, PageId, RidBitmap, Session};
+use robustmap_storage::{
+    AccessKind, CostModel, EvictionPolicy, FileId, PageId, RidBitmap, Session, SharedBufferPool,
+};
 use robustmap_systems::{two_predicate_plans, AdmissionConfig, SystemId};
 use robustmap_workload::{TableBuilder, WorkloadConfig};
 
@@ -117,12 +123,16 @@ fn bench_fetch_disciplines(c: &mut Criterion) {
     let mut group = c.benchmark_group("fetch");
     group.sample_size(20);
     let improved = || FetchKind::Improved(ImprovedFetchConfig::default());
-    for (name, fetch, hi) in [
-        ("traditional", FetchKind::Traditional, t),
-        ("improved", improved(), t),
-        ("bitmap", FetchKind::BitmapSorted, t),
+    for (name, fetch, hi, served) in [
+        ("traditional", FetchKind::Traditional, t, false),
+        ("improved", improved(), t, false),
+        ("bitmap", FetchKind::BitmapSorted, t, false),
         // Every row qualifies: each heap page is one long run of rids.
-        ("improved_dense", improved(), i64::MAX),
+        ("improved_dense", improved(), i64::MAX, false),
+        // ... on a shared pool with a yield hook armed, as `core::serve`
+        // runs a query: every pool request takes the pool's lock and every
+        // charge call checks the quantum.
+        ("improved_dense_served", improved(), i64::MAX, true),
     ] {
         let plan = PlanSpec::IndexFetch {
             scan: IndexRangeSpec { index: w.indexes.a, range: KeyRange::on_leading(i64::MIN, hi, 1) },
@@ -131,6 +141,58 @@ fn bench_fetch_disciplines(c: &mut Criterion) {
             residual: Predicate::always_true(),
             project: Projection::All,
         };
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let s = if served {
+                    let pool = std::sync::Arc::new(SharedBufferPool::new(256, EvictionPolicy::Lru));
+                    let s = Session::on_shared(CostModel::hdd_2009(), pool);
+                    s.install_yield_hook(1024, Box::new(|_| {}));
+                    s
+                } else {
+                    Session::with_pool_pages(256)
+                };
+                let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
+                run_count(&plan, &ctx, RunOpts::default()).unwrap().rows_out
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The scans that touch every row or entry they pass: a table scan under a
+/// two-term predicate, a covering index scan with a residual, and MDAM
+/// over the two-column index with a selective second column.
+fn bench_scan_kernels(c: &mut Criterion) {
+    let w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 16));
+    let (ta, tb) = (w.cal_a.threshold(0.5), w.cal_b.threshold(1.0 / 16.0));
+    let mut group = c.benchmark_group("scan");
+    group.sample_size(20);
+    for (name, plan) in [
+        (
+            "table_scan_64k",
+            PlanSpec::TableScan {
+                table: w.table,
+                pred: Predicate::all_of(vec![ColRange::at_most(0, ta), ColRange::at_most(1, tb)]),
+                project: Projection::Columns(vec![2]),
+            },
+        ),
+        (
+            "covering_residual_64k",
+            PlanSpec::CoveringIndexScan {
+                scan: IndexRangeSpec { index: w.indexes.ab, range: KeyRange::full(2) },
+                residual: Predicate::single(ColRange::at_most(1, tb)),
+                project: Projection::All,
+            },
+        ),
+        (
+            "mdam_64k",
+            PlanSpec::Mdam {
+                index: w.indexes.ab,
+                col_ranges: vec![(i64::MIN, ta), (i64::MIN, tb)],
+                project: Projection::All,
+            },
+        ),
+    ] {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let s = Session::with_pool_pages(256);
@@ -291,6 +353,7 @@ criterion_group!(
     bench_pool,
     bench_bitmap,
     bench_fetch_disciplines,
+    bench_scan_kernels,
     bench_sort_modes,
     bench_blocking_edges,
     bench_serve,

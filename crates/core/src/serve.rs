@@ -22,9 +22,10 @@
 //!   stacks; there is no parallel execution and hence no racing on the
 //!   shared pool.
 //! * **Yielding at charge granularity.**  The [`Session`] invokes its
-//!   yield hook every `quantum` charge events, *between* charges — never
-//!   in the middle of one.  Suspend/resume therefore cannot split or
-//!   reorder any simulated charge.
+//!   yield hook once per `quantum` charge events, *between* charge calls —
+//!   never in the middle of one, and a call that stands for a page's worth
+//!   of events is not split.  Suspend/resume therefore cannot split any
+//!   simulated charge.
 //! * **The baton holder decides.**  There is no scheduler thread.  The
 //!   scheduler is a struct — admission policy, arrival queue, admitted
 //!   set, round-robin cursor, the global virtual clock — that only the
@@ -57,7 +58,7 @@
 //! Whenever the server goes idle between admissions (nothing running,
 //! queries still queued), it resets the shared pool.  A burst served at
 //! `max_in_flight = 1` therefore degenerates to cold-session-per-query —
-//! bit-identical (`seconds.to_bits()`, [`IoStats`](robustmap_storage::IoStats),
+//! identical (clock ticks, [`IoStats`](robustmap_storage::IoStats),
 //! per-operator stats) to
 //! measuring each query alone with today's static executor.  The
 //! differential suite `tests/concurrent_equivalence.rs` enforces this
@@ -75,7 +76,7 @@ use std::thread::{self, Thread};
 use robustmap_executor::{run_count, ExecConfig, ExecCtx, ExecError, ExecStats, PlanSpec, RunOpts};
 use robustmap_obs::trace::{TraceEventKind, TraceSink};
 use robustmap_storage::{
-    CostModel, Database, EvictionPolicy, QueryShare, Session, SharedBufferPool,
+    ticks_to_seconds, CostModel, Database, EvictionPolicy, QueryShare, Session, SharedBufferPool,
 };
 use robustmap_systems::{apply_grant, AdmissionConfig, AdmissionDecision, AdmissionPolicy};
 
@@ -223,12 +224,13 @@ pub struct ServeReport {
 #[derive(Default)]
 struct Slot {
     grant: usize,
-    /// The query's session clock at its last yield, so the next slice's
-    /// charge delta can go onto the global virtual clock.
-    last_elapsed: f64,
+    /// The query's session clock (ticks) at its last yield, so the next
+    /// slice's charge delta can go onto the global virtual clock.
+    last_elapsed: u64,
     yields: u64,
-    queue_wait: f64,
-    first_baton: Option<f64>,
+    /// Global-clock ticks at admission and at the first baton.
+    queue_wait: u64,
+    first_baton: Option<u64>,
     outcome: Option<QueryOutcome>,
 }
 
@@ -241,10 +243,11 @@ struct Scheduler {
     pending: VecDeque<usize>,
     running: Vec<usize>,
     cursor: usize,
-    /// The global virtual clock: it advances by the running query's charge
-    /// delta at every yield — the shared timeline every scheduler trace
-    /// event and latency figure is stamped with.
-    global_sim: f64,
+    /// The global virtual clock, in ticks: it advances by the running
+    /// query's charge delta at every yield — the shared timeline every
+    /// scheduler trace event and latency figure is stamped with (as
+    /// seconds, converted where it is read).
+    global_sim: u64,
     slots: Vec<Slot>,
     completion_order: Vec<usize>,
     admission_order: Vec<usize>,
@@ -280,9 +283,9 @@ impl Burst {
         self.sched.lock().expect("a baton holder panicked inside the scheduling step")
     }
 
-    fn emit(&self, track: u32, sim: f64, kind: TraceEventKind) {
+    fn emit(&self, track: u32, sim_ticks: u64, kind: TraceEventKind) {
         if let Some(s) = &self.sink {
-            s.emit(track, sim, kind);
+            s.emit(track, ticks_to_seconds(sim_ticks), kind);
         }
     }
 
@@ -326,7 +329,7 @@ impl Burst {
 
     /// Put the slice `q` just ran, up to its session clock `elapsed`, on
     /// the global clock.
-    fn end_slice(&self, s: &mut Scheduler, q: usize, elapsed: f64) {
+    fn end_slice(&self, s: &mut Scheduler, q: usize, elapsed: u64) {
         debug_assert_eq!(s.running[s.cursor], q, "baton discipline violated");
         s.global_sim += elapsed - s.slots[q].last_elapsed;
         s.slots[q].last_elapsed = elapsed;
@@ -349,7 +352,7 @@ impl Burst {
 
     /// Query `i`'s yield hook: account the slice, move the ring on, run
     /// the scheduling step and hand the baton to whoever it picked.
-    fn yield_baton(&self, i: usize, elapsed: f64) {
+    fn yield_baton(&self, i: usize, elapsed: u64) {
         let next = {
             let mut s = self.sched();
             self.end_slice(&mut s, i, elapsed);
@@ -382,9 +385,9 @@ impl Burst {
                 pool_hits: done.share.hits,
                 pool_misses: done.share.misses,
                 yields: slot.yields,
-                queue_wait: slot.queue_wait,
-                first_baton: slot.first_baton.unwrap_or(0.0),
-                turnaround,
+                queue_wait: ticks_to_seconds(slot.queue_wait),
+                first_baton: ticks_to_seconds(slot.first_baton.unwrap_or(0)),
+                turnaround: ticks_to_seconds(turnaround),
             });
             s.completion_order.push(i);
             s.policy.release(grant);
@@ -407,7 +410,7 @@ struct Finished {
     error: Option<QueryError>,
     share: QueryShare,
     /// Final session clock, so the last slice can go onto the global clock.
-    elapsed: f64,
+    elapsed: u64,
 }
 
 fn panic_message(payload: Box<dyn Any + Send>) -> String {
@@ -439,7 +442,7 @@ fn serve_query(
     }
     let hook = {
         let burst = Arc::clone(burst);
-        Box::new(move |elapsed: f64| burst.yield_baton(i, elapsed))
+        Box::new(move |elapsed: u64| burst.yield_baton(i, elapsed))
     };
     session.install_yield_hook(cfg.quantum, hook);
     session.set_memory_grant(grant);
@@ -461,6 +464,7 @@ fn serve_query(
     // query charged before it failed.
     let charged = || ExecStats {
         rows_out: 0,
+        ticks: session.elapsed_ticks(),
         seconds: session.elapsed(),
         io: session.stats(),
         spilled: ctx.spilled(),
@@ -473,7 +477,7 @@ fn serve_query(
         Err(payload) => (charged(), Some(QueryError::Panic(panic_message(payload)))),
     };
     let share = session.query_pool_counters();
-    let elapsed = session.elapsed();
+    let elapsed = session.elapsed_ticks();
     session.clear_yield_hook();
     session.detach_tracer();
     burst.finish(i, Finished { stats, error, share, elapsed });
@@ -507,7 +511,7 @@ pub fn serve_concurrent(db: &Database, specs: &[PlanSpec], cfg: &ServeConfig) ->
             pending: (0..n).collect(),
             running: Vec::new(),
             cursor: 0,
-            global_sim: 0.0,
+            global_sim: 0,
             slots: (0..n).map(|_| Slot::default()).collect(),
             completion_order: Vec::with_capacity(n),
             admission_order: Vec::with_capacity(n),
@@ -541,7 +545,7 @@ pub fn serve_concurrent(db: &Database, specs: &[PlanSpec], cfg: &ServeConfig) ->
         let first = {
             let mut s = burst.sched();
             for track in &burst.tracks {
-                burst.emit(*track, 0.0, TraceEventKind::Queued);
+                burst.emit(*track, 0, TraceEventKind::Queued);
             }
             burst.dispatch(&mut s)
         };
@@ -649,10 +653,10 @@ mod tests {
         // The charge-free contract at the serving layer: recording the
         // full timeline must not move a single bit of simulated cost.
         for (p, t) in plain.queries.iter().zip(traced.queries.iter()) {
-            assert_eq!(p.stats.seconds.to_bits(), t.stats.seconds.to_bits());
+            assert_eq!(p.stats.ticks, t.stats.ticks);
             assert_eq!(p.stats.io, t.stats.io);
             assert_eq!(p.yields, t.yields);
-            assert_eq!(p.turnaround.to_bits(), t.turnaround.to_bits());
+            assert_eq!(p.turnaround, t.turnaround);
         }
         assert_eq!(plain.completion_order, traced.completion_order);
         // The recorded timeline is well-formed and its per-query slice

@@ -4,24 +4,28 @@
 //! columnar [`RowBatch`] chunks, so the real-time interpreter overhead
 //! (per-row `Row` materialisation, virtual sink dispatch, full-row
 //! decoding) is amortised.  The batch size must never be observable on the
-//! simulated clock — and because that clock accumulates `f64` seconds, and
-//! floating-point addition is not associative, "not observable" means every
-//! batch size issues the *same charge calls with the same arguments in the
-//! same order*.  Concretely:
+//! simulated clock.  The clock is an integer, so charges commute and
+//! regroup freely; what a batch size could still move is the *pool*: a
+//! page request that lands on the other side of someone else's page write
+//! can turn a hit into a miss.  So:
 //!
-//! * per-row charges (predicate comparisons, per-entry `charge_rows`)
-//!   stay per-row — batching never coalesces them;
+//! * kernels group their charges by what the *data* gives them — a heap
+//!   page, an index leaf, a run of rids on one page — never by
+//!   [`RowBatch`];
 //! * batching only moves work that is *free* on the simulated clock:
 //!   decoding, projection, sink dispatch, and intermediate-row copies;
 //! * every operator emits through a [`BatchEmitter`], which hands a row to
 //!   the sink the moment the batch is full — so at `batch_rows = 1` each
-//!   row reaches its consumer before the next row's charges are issued.
-//!   Operators whose `push` interleaves charges with their producer's
-//!   (external sort, hash aggregation) run their input at that size.
+//!   row reaches its consumer before the next row is produced.  Operators
+//!   whose `push` writes spill pages into the pool their producer reads
+//!   through (external sort, hash aggregation) run their input at that
+//!   size, which fixes the order of those writes among the producer's
+//!   reads whatever the batch size of the run.
 //!
-//! `tests/exec_ledger.rs` pins the charge stream itself, bit for bit, at
-//! batch sizes 1, 513 and 1024; `tests/batch_equivalence.rs` pins
-//! batch-size invariance across all fifteen catalog plans.
+//! `tests/exec_ledger.rs` pins every plan's charges at batch sizes 1, 513
+//! and 1024; `tests/batch_equivalence.rs` pins batch-size invariance
+//! across all fifteen catalog plans and, for the blocking edges, at small
+//! pools.
 
 use robustmap_storage::Row;
 

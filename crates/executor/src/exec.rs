@@ -12,22 +12,24 @@
 //! * `batch.batch_rows` sets the rows per emitted batch.  It is never
 //!   observable on the simulated clock (see [`crate::batch`]), and
 //!   `batch_rows = 1` *is* row-at-a-time execution: every row reaches the
-//!   sink before the next row's charges are issued.  Sort and hash
-//!   aggregation rely on that — they run their input subtree through this
-//!   same interpreter at `batch_rows = 1`, because their per-push charges
-//!   interleave with the child's production charges.
+//!   sink before the next row is produced.  Sort and hash aggregation
+//!   rely on that — they run their input subtree through this same
+//!   interpreter at `batch_rows = 1`, because their pushes write spill
+//!   pages into the pool the child reads through, and where those writes
+//!   fall among the child's reads decides hits and misses.
 //! * `controller` arms the cardinality checkpoints of
 //!   [`crate::ops::adaptive`].  A static run is `controller: None`; the
 //!   checkpoints are wedges inside the single arm of each plan shape.
 //!
-//! The charge stream itself is pinned by the golden ledger
+//! Every plan's charges are pinned by the golden ledger
 //! (`tests/golden/exec_ledger.txt`, asserted by `tests/exec_ledger.rs`).
 
 use std::cell::{Cell, RefCell};
 
 use robustmap_obs::trace::TraceEventKind;
 use robustmap_storage::{
-    AccessKind, Database, FileId, IoStats, Row, Session, StorageError, MAX_COLUMNS,
+    ticks_to_seconds, AccessKind, Database, FileId, IoStats, Row, Session, StorageError,
+    MAX_COLUMNS,
 };
 
 use crate::batch::{BatchEmitter, ExecConfig, RowBatch};
@@ -74,7 +76,9 @@ pub struct OpStats {
     pub depth: usize,
     /// Rows the operator produced.
     pub rows_out: u64,
-    /// Inclusive simulated seconds (includes children).
+    /// Inclusive clock ticks (includes children): the exact reading.
+    pub ticks: u64,
+    /// Inclusive simulated seconds: `ticks` as seconds.
     pub seconds: f64,
 }
 
@@ -83,7 +87,10 @@ pub struct OpStats {
 pub struct ExecStats {
     /// Rows delivered to the sink.
     pub rows_out: u64,
-    /// Simulated seconds for the whole plan.
+    /// Clock ticks (picoseconds) for the whole plan: the exact reading,
+    /// the one equivalence suites compare.
+    pub ticks: u64,
+    /// Simulated seconds for the whole plan: `ticks` as seconds.
     pub seconds: f64,
     /// I/O and CPU counters for the whole plan.
     pub io: IoStats,
@@ -148,8 +155,9 @@ impl<'a> ExecCtx<'a> {
         self.spilled.get()
     }
 
-    fn record_op(&self, label: String, depth: usize, rows_out: u64, seconds: f64) {
-        self.op_stats.borrow_mut().push(OpStats { label, depth, rows_out, seconds });
+    fn record_op(&self, label: String, depth: usize, rows_out: u64, ticks: u64) {
+        let seconds = ticks_to_seconds(ticks);
+        self.op_stats.borrow_mut().push(OpStats { label, depth, rows_out, ticks, seconds });
     }
 
     pub(crate) fn record_switch(&self, event: SwitchEvent) {
@@ -181,12 +189,14 @@ pub fn run(
     ctx.spilled.set(false);
     ctx.op_stats.borrow_mut().clear();
     ctx.switches.borrow_mut().clear();
-    let t0 = ctx.session.elapsed();
+    let t0 = ctx.session.elapsed_ticks();
     let io0 = ctx.session.stats();
     let rows = node(plan, ctx, &opts, 0, sink)?;
+    let ticks = ctx.session.elapsed_ticks() - t0;
     Ok(ExecStats {
         rows_out: rows,
-        seconds: ctx.session.elapsed() - t0,
+        ticks,
+        seconds: ticks_to_seconds(ticks),
         io: ctx.session.stats().since(&io0),
         spilled: ctx.spilled(),
         operators: ctx.op_stats.take(),
@@ -272,7 +282,7 @@ fn node(
         ctx.session
             .trace_event(TraceEventKind::OpBegin { name: name.clone(), depth: depth as u32 });
     }
-    let t0 = ctx.session.elapsed();
+    let t0 = ctx.session.elapsed_ticks();
     let result = shape(plan, ctx, opts, depth, sink);
     if traced {
         ctx.session.flush_io_window();
@@ -284,7 +294,7 @@ fn node(
     }
     match result? {
         Outcome::Rows(rows) => {
-            ctx.record_op(name, depth, rows, ctx.session.elapsed() - t0);
+            ctx.record_op(name, depth, rows, ctx.session.elapsed_ticks() - t0);
             Ok(rows)
         }
         Outcome::Bail(alt) => {
@@ -292,7 +302,12 @@ fn node(
             // recorded under the abandoned operator's label with zero
             // output.  The replacement is the hedge — there is nothing
             // left to hedge with — so it runs with switching disabled.
-            ctx.record_op(format!("{name} [abandoned]"), depth, 0, ctx.session.elapsed() - t0);
+            ctx.record_op(
+                format!("{name} [abandoned]"),
+                depth,
+                0,
+                ctx.session.elapsed_ticks() - t0,
+            );
             node(&alt, ctx, &RunOpts { controller: None, ..*opts }, depth, sink)
         }
     }
@@ -312,10 +327,11 @@ fn materialise(
 }
 
 /// Feed `input`'s rows to `push` in row lockstep and return how many were
-/// fed.  Sort and hash aggregation charge per pushed row, and those
-/// charges interleave with the child's production charges, so the subtree
-/// runs at `batch_rows = 1`: each row is pushed before the next is
-/// produced, whatever the batch size of the run.
+/// fed.  Sort and hash aggregation write spill pages as rows are pushed,
+/// into the pool the child reads through, so the subtree runs at
+/// `batch_rows = 1`: each row is pushed before the next is produced,
+/// whatever the batch size of the run, and the writes fall among the
+/// child's page requests in one fixed order.
 fn feed_lockstep(
     input: &PlanSpec,
     ctx: &ExecCtx<'_>,
@@ -378,9 +394,9 @@ fn check_width(what: &str, arity: usize) -> Result<(), ExecError> {
 }
 
 /// The interpreter proper: one arm per plan shape.  Every charge a plan
-/// makes is issued here or in the operator the arm calls, in an order
-/// that does not depend on `opts`; checkpoints sit between the charge
-/// that produced a materialisation and the charge that consumes it.
+/// makes is issued here or in the operator the arm calls, and none
+/// depends on `opts`; checkpoints sit between the charge that produced a
+/// materialisation and the charge that consumes it.
 fn shape(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
@@ -868,11 +884,12 @@ mod tests {
         let s = Session::with_pool_pages(64);
         // Pre-charge some unrelated work; stats must only cover the plan.
         s.charge_rows(1_000_000);
-        let before = s.elapsed();
+        let before = s.elapsed_ticks();
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
         let stats = run_count(&plan, &ctx, RunOpts::default()).unwrap();
         assert_eq!(stats.rows_out, 256);
-        assert!((stats.seconds - (s.elapsed() - before)).abs() < 1e-12);
+        assert_eq!(stats.ticks, s.elapsed_ticks() - before);
+        assert_eq!(stats.seconds, ticks_to_seconds(stats.ticks));
         assert_eq!(stats.io.cpu_rows, 256);
         assert!(!stats.spilled);
     }
@@ -958,7 +975,7 @@ mod tests {
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
             let got = run_count(plan, &ctx, RunOpts::default());
             assert!(matches!(got, Err(ExecError::BadPlan(_))), "{}: {got:?}", plan.synopsis());
-            assert_eq!((s.elapsed(), s.stats()), (0.0, IoStats::default()), "{}", plan.synopsis());
+            assert_eq!((s.elapsed_ticks(), s.stats()), (0, IoStats::default()), "{}", plan.synopsis());
         }
         // The widest rows that do fit still run.
         let s = Session::with_pool_pages(64);

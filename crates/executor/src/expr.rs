@@ -94,21 +94,12 @@ impl Predicate {
     }
 
     /// Evaluate against a row, charging one comparison per term examined
-    /// (short-circuiting, as a compiled predicate would).
+    /// (short-circuiting, as a compiled predicate would): a
+    /// [`Predicate::filter_run`] of one.
     #[inline]
     pub fn eval(&self, row: &Row, session: &Session) -> bool {
-        let mut examined = 0u64;
-        let mut ok = true;
-        for t in &self.terms {
-            examined += 1;
-            if !t.matches(row) {
-                ok = false;
-                break;
-            }
-        }
-        if examined > 0 {
-            session.charge_compares(examined);
-        }
+        let mut ok = false;
+        self.filter_run([row], |row, col| row.get(col), session, |_| ok = true);
         ok
     }
 
@@ -118,26 +109,40 @@ impl Predicate {
         self.terms.iter().all(|t| t.matches(row))
     }
 
-    /// Evaluate against values supplied by position (a record's encoded
-    /// bytes, an index key's value slice) with the exact charge behaviour
-    /// of [`Predicate::eval`]: short-circuit term scan, one
-    /// `charge_compares(examined)` per row when any term was examined.
+    /// Evaluate a page's, leaf's or rid run's worth of items in one charge.
+    /// `get(item, col)` reads a column value by position (a record's
+    /// encoded bytes, an index key's value slice); `keep` receives each
+    /// item that passes, in order, and must not charge.  Charges exactly
+    /// what [`Predicate::eval`] on each item would — short-circuit term
+    /// scan, one charge event per item, nothing for the `TRUE` predicate —
+    /// as one call after the run.
     #[inline]
-    pub fn eval_values(&self, get: impl Fn(usize) -> i64, session: &Session) -> bool {
-        let mut examined = 0u64;
-        let mut ok = true;
-        for t in &self.terms {
-            examined += 1;
-            let v = get(t.col);
-            if !(t.lo <= v && v <= t.hi) {
-                ok = false;
-                break;
+    pub fn filter_run<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        get: impl Fn(&T, usize) -> i64,
+        session: &Session,
+        mut keep: impl FnMut(T),
+    ) {
+        let (mut examined, mut n) = (0u64, 0u64);
+        for item in items {
+            n += 1;
+            let mut ok = true;
+            for t in &self.terms {
+                examined += 1;
+                let v = get(&item, t.col);
+                if !(t.lo <= v && v <= t.hi) {
+                    ok = false;
+                    break;
+                }
+            }
+            if ok {
+                keep(item);
             }
         }
-        if examined > 0 {
-            session.charge_compares(examined);
+        if !self.terms.is_empty() {
+            session.charge_compares_as(examined, n);
         }
-        ok
     }
 
     /// Evaluate a whole batch into a selection bitmap, branch-free and
@@ -286,14 +291,24 @@ mod tests {
         assert_eq!(sel.count(), 3);
     }
 
+    /// One charge for the run is `eval` on each item: the same survivors,
+    /// ticks, comparisons and charge events — none at all for `TRUE`.
     #[test]
-    fn eval_values_matches_eval() {
-        let p = Predicate::all_of(vec![ColRange::at_most(0, 0), ColRange::at_most(1, 0)]);
-        for vals in [[5i64, 5], [0, 0], [0, 5], [5, 0]] {
-            let a = quiet();
-            let b = quiet();
-            assert_eq!(p.eval_values(|c| vals[c], &a), p.eval(&row(&vals), &b));
-            assert_eq!(a.stats().cpu_compares, b.stats().cpu_compares);
+    fn filter_run_matches_eval_on_each_item() {
+        let items = [[5i64, 5], [0, 0], [0, 5], [5, 0]];
+        for p in [
+            Predicate::all_of(vec![ColRange::at_most(0, 0), ColRange::at_most(1, 0)]),
+            Predicate::always_true(),
+        ] {
+            let (a, b) = (quiet(), quiet());
+            let mut kept = Vec::new();
+            p.filter_run(items, |vals, c| vals[c], &a, |vals| kept.push(vals));
+            let want: Vec<[i64; 2]> =
+                items.into_iter().filter(|vals| p.eval(&row(vals), &b)).collect();
+            assert_eq!(kept, want);
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(a.elapsed_ticks(), b.elapsed_ticks());
+            assert_eq!(a.charge_events(), b.charge_events());
         }
     }
 

@@ -610,8 +610,7 @@ mod tests {
         let b: Vec<Vec<i64>> = srows.iter().map(|r| r.values().to_vec()).collect();
         assert_eq!(a, b, "switched fetch must emit the static plan's rows in its order");
         assert_eq!(
-            astats.seconds.to_bits(),
-            sstats.seconds.to_bits(),
+            astats.ticks, sstats.ticks,
             "prefix reuse: switching the fetch costs exactly the re-planned pipeline"
         );
     }

@@ -18,27 +18,51 @@
 //! the access kinds they are charged.
 
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{AccessKind, HeapFile, Session, StorageError};
+use robustmap_storage::{AccessKind, HeapFile, PageId, Session, SlottedPage, StorageError};
 
 use crate::batch::{col_from_bytes, radix_sort_by_u64_key, BatchEmitter, ExecConfig, RowBatch};
 use crate::exec::ExecError;
 use crate::expr::Predicate;
 use crate::plan::{FetchKind, ImprovedFetchConfig, Projection};
 
-/// Read one record's bytes with exactly [`HeapFile::fetch`]'s charge
-/// sequence (page existence checked before any charge, then a page read of
-/// `kind`, then one row charge) — but without decoding the row.  Residuals
-/// are evaluated and projections gathered straight from these bytes.
-fn record_bytes<'h>(
-    heap: &'h HeapFile,
-    rid: Rid,
+/// Fetch one run of rids on the same heap page: what [`HeapFile::fetch`]
+/// with the residual evaluated on each row charges — a page request and a
+/// row per rid, the residual's comparisons — in one call each.  The page
+/// requests go first, ahead of any emission, so the run's repeats are hits
+/// on the page its first request left resident, whatever the sink does.
+///
+/// A rid whose slot is empty ends the run with `InvalidRid`: the rows
+/// before it are fetched and charged in full, and the dangling rid itself
+/// is charged its request and its row (the slot is found empty only after
+/// the page was read), nothing after it.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn fetch_run(
+    page: &SlottedPage,
+    page_id: PageId,
+    run: &[Rid],
+    residual: &Predicate,
+    proj: &[usize],
+    emitter: &mut BatchEmitter,
     session: &Session,
-    kind: AccessKind,
-) -> Result<&'h [u8], ExecError> {
-    let page = heap.page(rid.page).ok_or(StorageError::InvalidRid(rid))?;
-    session.read_page(heap.page_id(rid.page), kind);
-    session.charge_rows(1);
-    Ok(page.get(rid.slot as usize).ok_or(StorageError::InvalidRid(rid))?)
+    sink: &mut dyn FnMut(&RowBatch),
+) -> Result<(), ExecError> {
+    let record = |rid: &Rid| page.get(rid.slot as usize);
+    let live = run.iter().position(|rid| record(rid).is_none()).unwrap_or(run.len());
+    let dangling = run.get(live);
+    let requested = (live + usize::from(dangling.is_some())) as u64;
+    session.read_page_run(page_id, AccessKind::Random, requested);
+    session.charge_rows_as(requested, requested);
+    residual.filter_run(
+        run[..live].iter().map(|rid| record(rid).expect("slot checked above")),
+        |bytes, c| col_from_bytes(bytes, c),
+        session,
+        |bytes| emitter.push_projected_bytes(bytes, proj, sink),
+    );
+    match dangling {
+        Some(&rid) => Err(StorageError::InvalidRid(rid).into()),
+        None => Ok(()),
+    }
 }
 
 /// Fetch `rids` with the discipline `kind` names.  Consumes the rid list
@@ -75,11 +99,12 @@ pub fn traditional(
 ) -> Result<u64, ExecError> {
     let proj = project.resolve(heap.schema().arity());
     let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
-    for &rid in rids {
-        let bytes = record_bytes(heap, rid, session, AccessKind::Random)?;
-        if residual.eval_values(|c| col_from_bytes(bytes, c), session) {
-            emitter.push_projected_bytes(bytes, &proj, sink);
-        }
+    // Key order scatters the rids, so most runs are one rid long.
+    for run in rids.chunk_by(|a, b| a.page == b.page) {
+        // A page that does not exist is rejected before any charge.
+        let page = heap.page(run[0].page).ok_or(StorageError::InvalidRid(run[0]))?;
+        let page_id = heap.page_id(run[0].page);
+        fetch_run(page, page_id, run, residual, &proj, &mut emitter, session, sink)?;
     }
     emitter.flush(sink);
     Ok(emitter.produced())
@@ -155,9 +180,8 @@ fn fetch_in_physical_order(
     let proj = project.resolve(heap.schema().arity());
     let mut emitter = BatchEmitter::new(proj.len(), exec_cfg.batch_rows);
     let mut prev_page: Option<u32> = None;
-    // One page transition, page lookup and page id per run of rids on the
-    // same page; the page request and row charge of `record_bytes` stay
-    // per row.
+    // One page transition and one set of charges per run of rids on the
+    // same page.
     for run in rids.chunk_by(|a, b| a.page == b.page) {
         let page_no = run[0].page;
         let page_id = heap.page_id(page_no);
@@ -187,14 +211,7 @@ fn fetch_in_physical_order(
         }
         prev_page = Some(page_no);
         let page = heap.page(page_no).ok_or(StorageError::InvalidRid(run[0]))?;
-        for &rid in run {
-            session.read_page(page_id, AccessKind::Random);
-            session.charge_rows(1);
-            let bytes = page.get(rid.slot as usize).ok_or(StorageError::InvalidRid(rid))?;
-            if residual.eval_values(|c| col_from_bytes(bytes, c), session) {
-                emitter.push_projected_bytes(bytes, &proj, sink);
-            }
-        }
+        fetch_run(page, page_id, run, residual, &proj, &mut emitter, session, sink)?;
     }
     emitter.flush(sink);
     Ok(emitter.produced())
@@ -342,11 +359,11 @@ mod tests {
         assert!(stats.single_reads > 0);
     }
 
-    /// Every discipline issues the same charges at every batch size, and
-    /// the traditional fetch's are exactly `HeapFile::fetch` +
-    /// `Predicate::eval` per rid.
+    /// Every discipline reads the same — clock, charge events, counters —
+    /// at every batch size, and the traditional fetch reads exactly like
+    /// `HeapFile::fetch` + `Predicate::eval` per rid.
     #[test]
-    fn fetch_disciplines_are_bit_identical_at_every_batch_size() {
+    fn fetch_disciplines_are_identical_at_every_batch_size() {
         let (db, t, rids) = setup(4096, 1023);
         let heap = &db.table(t).heap;
         let residual = Predicate::single(ColRange::at_most(1, 2047));
@@ -354,7 +371,7 @@ mod tests {
         let run_at = |kind: &FetchKind, batch_rows: usize| {
             let s = Session::with_pool_pages(64);
             let (n, rows) = fetch(heap, &rids, kind, &residual, &proj, batch_rows, &s);
-            (n, rows, s.elapsed().to_bits(), s.stats())
+            (n, rows, s.elapsed_ticks(), s.charge_events(), s.stats())
         };
         for kind in [FetchKind::Traditional, improved_kind(), FetchKind::BitmapSorted] {
             let want = run_at(&kind, 1);
@@ -371,9 +388,58 @@ mod tests {
                     rows.push(proj.apply(&row));
                 }
             }
-            (rows.len() as u64, rows, s.elapsed().to_bits(), s.stats())
+            (rows.len() as u64, rows, s.elapsed_ticks(), s.charge_events(), s.stats())
         };
         assert_eq!(run_at(&FetchKind::Traditional, 100), reference);
+    }
+
+    /// A rid whose row was deleted under it (a tombstoned slot) fails the
+    /// fetch, and the failed query has been charged what fetching row by
+    /// row charges: the rows before the dangling rid in full, the dangling
+    /// rid's own page request and row (the slot is found empty after the
+    /// page was read), and nothing for the rids after it — wherever in its
+    /// page's run the rid falls, in every discipline.
+    #[test]
+    fn a_dangling_rid_is_not_charged_for_its_successors() {
+        let (pristine, t) = demo_db(2048);
+        let per_page = pristine.table(t).heap.rows_per_page() as u32;
+        // Every row of pages 3 and 4, in physical order.
+        let rids: Vec<Rid> =
+            (3..5).flat_map(|page| (0..per_page).map(move |slot| Rid::new(page, slot))).collect();
+        let n = rids.len() as u64;
+        let residual = Predicate::single(ColRange::at_least(0, 0)); // one comparison a row
+        for dangling_slot in [0, per_page / 2, per_page - 1] {
+            let (mut db, t) = demo_db(2048);
+            let victim = Rid::new(3, dangling_slot);
+            db.table_mut(t).heap.delete(victim).unwrap();
+            let heap = &db.table(t).heap;
+            let fetched = u64::from(dangling_slot);
+            for (kind, sort_compares, hashes) in [
+                (FetchKind::Traditional, 0, 0),
+                (improved_kind(), n * u64::from(64 - (n - 1).leading_zeros()), 0),
+                (FetchKind::BitmapSorted, 0, n),
+            ] {
+                let s = Session::with_pool_pages(64);
+                let cfg = ExecConfig::default();
+                let mut emitted = 0;
+                let mut sink = |b: &RowBatch| emitted += b.len() as u64;
+                let got =
+                    run(heap, rids.clone(), &kind, &residual, &Projection::All, &cfg, &s, &mut sink);
+                assert_eq!(got, Err(StorageError::InvalidRid(victim).into()), "{kind:?}");
+                let want = robustmap_storage::IoStats {
+                    // The page is read once; the traditional fetch's first
+                    // request is that read, the sweeps seek to it first.
+                    random_reads: 1,
+                    buffer_hits: fetched + u64::from(kind != FetchKind::Traditional),
+                    cpu_rows: fetched + 1,
+                    cpu_compares: sort_compares + fetched,
+                    cpu_hashes: hashes,
+                    ..Default::default()
+                };
+                assert_eq!(s.stats(), want, "{kind:?}, slot {dangling_slot} dangling");
+                assert_eq!(s.elapsed_ticks(), s.costs().of(&want));
+            }
+        }
     }
 
     #[test]

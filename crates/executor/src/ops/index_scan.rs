@@ -22,8 +22,8 @@ pub fn collect_rids(
     leaf_access: AccessKind,
 ) -> Vec<Rid> {
     let mut rids = Vec::new();
-    index.tree.scan_range(&range.lo, &range.hi, session, leaf_access, |(_, rid)| {
-        rids.push(rid);
+    index.tree.scan_leaves(&range.lo, &range.hi, session, leaf_access, |leaf| {
+        rids.extend(leaf.iter().map(|&(_, rid)| rid));
     });
     rids
 }
@@ -43,10 +43,8 @@ pub fn collect_rids_filtered(
         return collect_rids(index, range, session, leaf_access);
     }
     let mut rids = Vec::new();
-    index.tree.scan_range(&range.lo, &range.hi, session, leaf_access, |(key, rid)| {
-        if key_filter.eval_values(|c| key.get(c), session) {
-            rids.push(rid);
-        }
+    index.tree.scan_leaves(&range.lo, &range.hi, session, leaf_access, |leaf| {
+        key_filter.filter_run(leaf, |(key, _), c| key.get(c), session, |&(_, rid)| rids.push(rid));
     });
     rids
 }
@@ -59,7 +57,9 @@ pub fn collect_entries(
     leaf_access: AccessKind,
 ) -> Vec<Entry> {
     let mut entries = Vec::new();
-    index.tree.scan_range(&range.lo, &range.hi, session, leaf_access, |e| entries.push(e));
+    index.tree.scan_leaves(&range.lo, &range.hi, session, leaf_access, |leaf| {
+        entries.extend_from_slice(leaf);
+    });
     entries
 }
 
@@ -68,9 +68,9 @@ pub fn collect_entries(
 /// key-column space.  Returns rows produced.
 ///
 /// Residual evaluation reads key values by position (the short-circuit
-/// charges of [`Predicate::eval`] on the materialised key row) and
-/// survivors gather straight into the output batch without an intermediate
-/// [`robustmap_storage::Row`].
+/// charges of [`Predicate::eval`] on the materialised key row, one call a
+/// leaf) and survivors gather straight into the output batch without an
+/// intermediate [`robustmap_storage::Row`].
 pub fn run_covering(
     index: &IndexDef,
     range: &KeyRange,
@@ -82,10 +82,10 @@ pub fn run_covering(
 ) -> u64 {
     let proj = project.resolve(index.tree.key_arity());
     let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
-    index.tree.scan_range(&range.lo, &range.hi, session, AccessKind::Sequential, |(key, _)| {
-        if residual.eval_values(|c| key.get(c), session) {
+    index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
+        residual.filter_run(leaf, |(key, _), c| key.get(c), session, |(key, _)| {
             emitter.push_projected_slice(key.values(), &proj, sink);
-        }
+        });
     });
     emitter.flush(sink);
     emitter.produced()

@@ -11,10 +11,50 @@
 //! warm buffer pool the skip cost is small — which is exactly why the plan
 //! degrades gracefully in both dimensions.
 
-use robustmap_storage::btree::Cursor;
-use robustmap_storage::{AccessKind, IndexDef, Key, Session};
+use robustmap_storage::btree::{Cursor, Entry};
+use robustmap_storage::{AccessKind, BTree, IndexDef, Key, Session};
 
 use crate::exec::ExecError;
+
+/// The scan's cursor walk, charging per leaf: entries stepped over (one
+/// row each) and entries checked against the box (one charge of `arity`
+/// comparisons each) are counted here and charged when the walk leaves
+/// the leaf — for the next one, for a seek, or for good.
+struct Walk<'a> {
+    tree: &'a BTree,
+    session: &'a Session,
+    arity: u64,
+    stepped: u64,
+    checked: u64,
+}
+
+impl Walk<'_> {
+    /// [`BTree::cursor_next`] over sequential leaves, owing the row.
+    fn next(&mut self, cursor: &mut Cursor) -> Option<Entry> {
+        loop {
+            if let Some(entry) = self.tree.cursor_step(cursor) {
+                self.stepped += 1;
+                return Some(entry);
+            }
+            self.settle();
+            if !self.tree.cursor_next_leaf(cursor, self.session, AccessKind::Sequential) {
+                return None;
+            }
+        }
+    }
+
+    fn seek(&mut self, target: &Key) -> Cursor {
+        self.settle();
+        self.tree.seek(target, self.session)
+    }
+
+    /// Charge what the walk owes.
+    fn settle(&mut self) {
+        self.session.charge_rows_as(self.stepped, self.stepped);
+        self.session.charge_compares_as(self.checked * self.arity, self.checked);
+        (self.stepped, self.checked) = (0, 0);
+    }
+}
 
 /// Run MDAM over `index` with one inclusive `(lo, hi)` range per key
 /// column.  All charges happen here; `emit` receives each qualifying key
@@ -48,10 +88,11 @@ pub fn run(
 
     // Start at the low corner of the box.
     let low_corner: Vec<i64> = col_ranges.iter().map(|&(lo, _)| lo).collect();
-    let mut cursor = index.tree.seek(&Key::new(&low_corner), session);
+    let mut walk =
+        Walk { tree: &index.tree, session, arity: arity as u64, stepped: 0, checked: 0 };
+    let mut cursor = walk.seek(&Key::new(&low_corner));
 
-    while let Some((key, _rid)) = index.tree.cursor_next(&mut cursor, session, AccessKind::Sequential)
-    {
+    while let Some((key, _rid)) = walk.next(&mut cursor) {
         // Find the first column that has left its range.
         let mut violation: Option<(usize, bool)> = None; // (col, below_lo)
         for (j, &(lo, hi)) in col_ranges.iter().enumerate() {
@@ -65,12 +106,12 @@ pub fn run(
                 break;
             }
         }
-        session.charge_compares(arity as u64);
+        walk.checked += 1;
 
         match violation {
             None => {
                 if !emit(&key) {
-                    return Ok(()); // aborted by the adaptive layer
+                    break; // aborted by the adaptive layer
                 }
             }
             Some((0, false)) => break, // leading column beyond its range: done
@@ -95,7 +136,7 @@ pub fn run(
                 let mut reached: Option<Cursor> = None;
                 for _ in 0..SKIP_SCAN_LIMIT {
                     let ahead = probe.clone();
-                    match index.tree.cursor_next(&mut probe, session, AccessKind::Sequential) {
+                    match walk.next(&mut probe) {
                         Some((k, _)) if k >= target => {
                             reached = Some(ahead);
                             break;
@@ -109,11 +150,12 @@ pub fn run(
                 }
                 cursor = match reached {
                     Some(c) => c,
-                    None => index.tree.seek(&target, session),
+                    None => walk.seek(&target),
                 };
             }
         }
     }
+    walk.settle();
     Ok(())
 }
 

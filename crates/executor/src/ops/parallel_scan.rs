@@ -23,9 +23,8 @@ use crate::plan::Projection;
 /// rows produced.
 ///
 /// Each worker's partition is scanned page-at-a-time through a free
-/// selection bitmap, then charged per row in slot order on the worker's
-/// private clock: the full term count on a match, one comparison on a
-/// miss.
+/// selection bitmap, then charged per page on the worker's private clock:
+/// for each row the full term count on a match, one comparison on a miss.
 #[allow(clippy::too_many_arguments)]
 pub fn run(
     table: &Table,
@@ -58,7 +57,7 @@ pub fn run(
     let mut term_cols: Vec<Vec<i64>> = vec![Vec::new(); terms.len()];
     let mut slots: Vec<u32> = Vec::new();
     let mut sel = Selection::new();
-    let mut makespan = 0.0f64;
+    let mut makespan = 0u64;
     let mut start = 0u32;
     for worker in 0..dop {
         let len = if worker == 0 {
@@ -86,21 +85,22 @@ pub fn run(
             }
             let refs: Vec<&[i64]> = term_cols.iter().map(|c| c.as_slice()).collect();
             pred.eval_batch_free(&refs, slots.len(), &mut sel);
-            for i in 0..slots.len() {
-                worker_session.charge_compares(if sel.get(i) { match_compares } else { 1 });
-            }
+            let (live, mut matched) = (slots.len() as u64, 0u64);
             sel.for_each_set(|i| {
+                matched += 1;
                 let bytes = page.get(slots[i] as usize).expect("selected slot is live");
                 emitter.push_projected_bytes(bytes, &proj, sink);
             });
-            worker_session.charge_rows(page.live_records() as u64);
+            worker_session
+                .charge_compares_as(matched * match_compares + (live - matched), live);
+            worker_session.charge_rows(live);
         }
-        makespan = makespan.max(worker_session.elapsed());
+        makespan = makespan.max(worker_session.elapsed_ticks());
         session.clock().add_counters(&worker_session.stats());
         start = end;
     }
-    session.clock().charge(makespan);
-    session.clock().charge(session.model().parallel_startup * dop as f64);
+    session.clock().advance(makespan);
+    session.clock().advance(session.costs().parallel_startup * u64::from(dop));
     emitter.flush(sink);
     Ok(emitter.produced())
 }

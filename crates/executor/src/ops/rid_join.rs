@@ -198,7 +198,6 @@ fn covering_merge_join(
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 let row = combined_row(&left[i].0, &right[j].0);
-                session.charge_rows(1);
                 sink(&row);
                 produced += 1;
                 i += 1;
@@ -207,6 +206,8 @@ fn covering_merge_join(
         }
     }
     session.charge_compares(compares);
+    // One row per match.
+    session.charge_rows_as(produced, produced);
     produced
 }
 
@@ -258,11 +259,12 @@ fn covering_hash_join(
             } else {
                 combined_row(build_key, &probe_key)
             };
-            session.charge_rows(1);
             sink(&row);
             produced += 1;
         }
     }
+    // One row per match.
+    session.charge_rows_as(produced, produced);
     produced
 }
 

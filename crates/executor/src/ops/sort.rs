@@ -29,10 +29,9 @@
 //!
 //! * **Accounting.**  A run is two lengths (`SortedRun`), not a copy of
 //!   its rows.  Forming, writing, reading back and merging runs issue the
-//!   charge calls of a k-way external merge sort, call for call and in its
-//!   order — the per-row merge charges stay individual calls, because the
-//!   `f64` clock and the yield-hook tick count depend on the call sequence
-//!   — and move no row.
+//!   charge calls of a k-way external merge sort, call for call — the
+//!   per-row merge charges stay individual calls, one charge event each,
+//!   so served slices keep their length — and move no row.
 //! * **Order.**  Every row that leaves the sorter's memory (Abrupt: every
 //!   row) is appended once to one packed store.  The final pass orders the
 //!   store once (`sorted_order`: a radix sort of 16-byte `(first key
@@ -786,9 +785,9 @@ mod tests {
         );
     }
 
-    /// Charges of sorts whose merges run several levels deep, pinned to
-    /// the bit against constants printed by the row-moving k-way merge
-    /// this sorter's accounting replaced (the golden ledger's spilling
+    /// Charges of sorts whose merges run several levels deep, pinned
+    /// against counters printed by the row-moving k-way merge this sorter's
+    /// accounting replaced — the clock is their closed form — (the golden ledger's spilling
     /// sorts stop at one intermediate level).  A 160-byte grant holds two
     /// rows, so 10 000 rows make 5 000 Abrupt runs, merged 64-way in two
     /// intermediate levels (5 000 -> 79 -> 2).  Replacement selection
@@ -801,12 +800,13 @@ mod tests {
     #[test]
     fn deep_merge_charges_are_pinned() {
         let (db, _) = demo_db(4);
-        // (elapsed bits, counters, temp files allocated)
+        // (counters, temp files allocated)
         let measure = |ctx_bytes: usize, run: &dyn Fn(&ExecCtx<'_>)| {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, ctx_bytes);
             run(&ctx);
-            (s.elapsed().to_bits(), s.stats(), ctx.alloc_temp_file().0 - db.temp_file_base())
+            assert_eq!(s.elapsed_ticks(), s.costs().of(&s.stats()));
+            (s.stats(), ctx.alloc_temp_file().0 - db.temp_file_base())
         };
         let io = |pages: u64, cpu_rows: u64, cpu_compares: u64| robustmap_storage::IoStats {
             seq_reads: pages,
@@ -817,9 +817,9 @@ mod tests {
         };
         let descending: Vec<Row> = (0..10_000).map(|i| Row::from_slice(&[-i, i])).collect();
         for (name, mode, rows, want) in [
-            ("abrupt", SpillMode::Abrupt, scrambled(10_000), (0x3fe7_9eb1_5b82_623f, io(5256, 30_000, 156_336), 10_162)),
-            ("graceful", SpillMode::Graceful, scrambled(10_000), (0x3fa2_7288_b398_51ee, io(247, 20_000, 90_015), 252)),
-            ("graceful, descending", SpillMode::Graceful, descending, (0x3fa4_9e26_1b47_d3df, io(277, 20_000, 97_816), 323)),
+            ("abrupt", SpillMode::Abrupt, scrambled(10_000), (io(5256, 30_000, 156_336), 10_162)),
+            ("graceful", SpillMode::Graceful, scrambled(10_000), (io(247, 20_000, 90_015), 252)),
+            ("graceful, descending", SpillMode::Graceful, descending, (io(277, 20_000, 97_816), 323)),
         ] {
             let got = measure(1 << 20, &|ctx| {
                 let mut sorter = ExternalSorter::new(ctx, vec![0], mode, 160);
@@ -828,7 +828,7 @@ mod tests {
                 }
                 assert_eq!(sorter.finish(&mut |_| {}), 10_000);
             });
-            assert_eq!(got, want, "{name}: {:#x}", got.0);
+            assert_eq!(got, want, "{name}");
         }
         let side = |n: i64, m: i64| {
             let mut rows = PackedRows::default();
@@ -849,7 +849,7 @@ mod tests {
             );
             assert_eq!(joined, Ok(61_843));
         });
-        assert_eq!(got, (0x3fad_005c_7145_4a7d, io(370, 91_843, 50_246), 338), "sort-merge join: {:#x}", got.0);
+        assert_eq!(got, (io(370, 91_843, 50_246), 338), "sort-merge join");
     }
 
     #[test]

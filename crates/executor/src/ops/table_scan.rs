@@ -19,9 +19,10 @@ use crate::plan::Projection;
 /// projected columns (late materialization — non-qualifying rows are never
 /// decoded in full).
 ///
-/// The charge sequence per page is exactly [`HeapFile::scan`]'s with
-/// [`Predicate::eval`] inside: one sequential `read_page`, per-row
-/// comparison charges in slot order, then `charge_rows(live)`.
+/// Charges per page what [`HeapFile::scan`] with [`Predicate::eval`]
+/// inside does — one sequential `read_page`, the rows' short-circuit
+/// comparisons (one charge event a row), `charge_rows(live)` — with the
+/// page's comparisons summed into one call.
 ///
 /// [`HeapFile::scan`]: robustmap_storage::HeapFile::scan
 pub fn run(
@@ -43,6 +44,7 @@ pub fn run(
         // rows `live_records` would count, so a second slot-directory
         // pass is unnecessary.
         let mut live = 0u64;
+        let mut compares = 0u64;
         if terms.is_empty() {
             // `eval` charges nothing for an empty predicate.
             for (_slot, bytes) in page.iter() {
@@ -53,21 +55,20 @@ pub fn run(
             for (_slot, bytes) in page.iter() {
                 live += 1;
                 // Branch-free term walk straight over the record bytes;
-                // `examined` recovers the short-circuit comparison count
+                // `alive` recovers the short-circuit comparison count
                 // `eval` would have charged for this row.
                 let mut alive = 1u8;
-                let mut examined = 0u8;
                 for t in terms {
                     let v = col_from_bytes(bytes, t.col);
                     let pass = (t.lo <= v) & (v <= t.hi);
-                    examined += alive;
+                    compares += u64::from(alive);
                     alive &= u8::from(pass);
                 }
-                session.charge_compares(u64::from(examined));
                 if alive != 0 {
                     emitter.push_projected_bytes(bytes, &proj, sink);
                 }
             }
+            session.charge_compares_as(compares, live);
         }
         session.charge_rows(live);
     }
@@ -125,10 +126,10 @@ mod tests {
         assert_eq!(got, (0..10).map(|i| i * 7).collect::<Vec<_>>());
     }
 
-    /// The scan's charges are `HeapFile::scan`'s with `Predicate::eval`
-    /// inside, at every batch size.
+    /// The scan's clock, counters and charge events are `HeapFile::scan`'s
+    /// with `Predicate::eval` inside, at every batch size.
     #[test]
-    fn scan_is_bit_identical_to_the_heap_scan_at_every_batch_size() {
+    fn scan_equals_the_heap_scan_at_every_batch_size() {
         let (db, t) = demo_db(2000);
         let pred = Predicate::all_of(vec![ColRange::at_most(0, 999), ColRange::at_most(1, 1500)]);
         let proj = Projection::Columns(vec![2, 0]);
@@ -144,7 +145,8 @@ mod tests {
             let (n, got) = scan(&db, t, &pred, &proj, batch_rows, &batch_s);
             assert_eq!(n as usize, want.len(), "batch_rows={batch_rows}");
             assert_eq!(got, want, "batch_rows={batch_rows}");
-            assert_eq!(batch_s.elapsed().to_bits(), row_s.elapsed().to_bits());
+            assert_eq!(batch_s.elapsed_ticks(), row_s.elapsed_ticks());
+            assert_eq!(batch_s.charge_events(), row_s.charge_events());
             assert_eq!(batch_s.stats(), row_s.stats());
         }
     }

@@ -339,11 +339,7 @@ proptest! {
             let s2 = Session::with_pool_pages(64);
             let ctx2 = ExecCtx::new(&db, &s2, 1 << 20);
             let (batch_stats, batch_rows_v) = run_collect(plan, &ctx2, RunOpts { batch: ec, controller: None }).unwrap();
-            prop_assert_eq!(
-                row_stats.seconds.to_bits(),
-                batch_stats.seconds.to_bits(),
-                "{}: seconds", plan.synopsis()
-            );
+            prop_assert_eq!(row_stats.ticks, batch_stats.ticks, "{}: ticks", plan.synopsis());
             prop_assert_eq!(&row_stats.io, &batch_stats.io, "{}: io", plan.synopsis());
             prop_assert_eq!(row_stats.rows_out, batch_stats.rows_out, "{}", plan.synopsis());
             prop_assert_eq!(&row_rows, &batch_rows_v, "{}: rows/order", plan.synopsis());

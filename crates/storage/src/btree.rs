@@ -663,38 +663,83 @@ impl BTree {
         leaf_access: AccessKind,
     ) -> Option<Entry> {
         loop {
-            if cursor.leaf == NO_NODE {
-                return None;
+            if let Some(entry) = self.cursor_step(cursor) {
+                session.charge_rows(1);
+                return Some(entry);
             }
-            match &self.nodes[cursor.leaf as usize] {
-                Node::Leaf { entries, next } => {
-                    if cursor.idx < entries.len() {
-                        let entry = entries[cursor.idx];
-                        cursor.idx += 1;
-                        session.charge_rows(1);
-                        return Some(entry);
-                    }
-                    cursor.leaf = *next;
-                    cursor.idx = 0;
-                    if cursor.leaf != NO_NODE {
-                        self.touch(cursor.leaf, session, leaf_access);
-                    }
-                }
-                _ => unreachable!("cursor not on a leaf"),
+            if !self.cursor_next_leaf(cursor, session, leaf_access) {
+                return None;
             }
         }
     }
 
+    /// [`BTree::cursor_next`] within the cursor's leaf and without the row
+    /// charge: the entry `cursor` was on, or `None` at the end of the leaf
+    /// ([`BTree::cursor_next_leaf`] moves on).  For walks that charge a
+    /// leaf's worth of entries in one call; the caller owes one row per
+    /// entry returned.
+    #[inline]
+    pub fn cursor_step(&self, cursor: &mut Cursor) -> Option<Entry> {
+        if cursor.leaf == NO_NODE {
+            return None;
+        }
+        let Node::Leaf { entries, .. } = &self.nodes[cursor.leaf as usize] else {
+            unreachable!("cursor not on a leaf")
+        };
+        let entry = entries.get(cursor.idx).copied();
+        cursor.idx += usize::from(entry.is_some());
+        entry
+    }
+
+    /// Move `cursor` to the start of the next leaf, charging one page
+    /// access of `leaf_access`; `false` (and nothing charged) when the
+    /// chain has ended.
+    pub fn cursor_next_leaf(
+        &self,
+        cursor: &mut Cursor,
+        session: &Session,
+        leaf_access: AccessKind,
+    ) -> bool {
+        if cursor.leaf == NO_NODE {
+            return false;
+        }
+        let Node::Leaf { next, .. } = &self.nodes[cursor.leaf as usize] else {
+            unreachable!("cursor not on a leaf")
+        };
+        cursor.leaf = *next;
+        cursor.idx = 0;
+        if cursor.leaf == NO_NODE {
+            return false;
+        }
+        self.touch(cursor.leaf, session, leaf_access);
+        true
+    }
+
     /// Scan all entries with keys in `[lo, hi]` (inclusive, in `(key, rid)`
     /// order), calling `f` for each.  Returns the number of entries visited.
+    /// [`BTree::scan_leaves`], entry by entry.
+    pub fn scan_range<F: FnMut(Entry)>(
+        &self,
+        lo: &Key,
+        hi: &Key,
+        session: &Session,
+        leaf_access: AccessKind,
+        mut f: F,
+    ) -> u64 {
+        self.scan_leaves(lo, hi, session, leaf_access, |leaf| leaf.iter().copied().for_each(&mut f))
+    }
+
+    /// Scan all entries with keys in `[lo, hi]`, leaf by leaf: `f` receives
+    /// each leaf's in-range entries as one slice.  Returns the number of
+    /// entries visited.
     ///
-    /// Charges exactly what a [`BTree::seek`] + [`BTree::cursor_next`] loop
-    /// that stops at the first key above `hi` would — one row per entry
-    /// looked at, that first key included, and one `leaf_access` page per
-    /// leaf moved onto — but walks each leaf as a slice: whether a leaf
+    /// Charges what a [`BTree::seek`] + [`BTree::cursor_next`] loop that
+    /// stops at the first key above `hi` would — one row per entry looked
+    /// at, that first key included, and one `leaf_access` page per leaf
+    /// moved onto — but per leaf, in one call ahead of `f`: whether a leaf
     /// lies wholly inside the range is one look at its last key, and only
     /// the leaf the range ends in is searched for the end.
-    pub fn scan_range<F: FnMut(Entry)>(
+    pub fn scan_leaves<F: FnMut(&[Entry])>(
         &self,
         lo: &Key,
         hi: &Key,
@@ -713,16 +758,12 @@ impl BTree {
             let ends_here = rest.last().is_some_and(|(key, _)| key > hi);
             let inside =
                 if ends_here { &rest[..rest.partition_point(|(key, _)| key <= hi)] } else { rest };
-            for &entry in inside {
-                session.charge_rows(1);
-                f(entry);
-            }
+            // The entry that ended the scan was looked at too.
+            let looked_at = inside.len() as u64 + u64::from(ends_here);
+            session.charge_rows_as(looked_at, looked_at);
+            f(inside);
             n += inside.len() as u64;
-            if ends_here {
-                session.charge_rows(1); // the entry that ended the scan
-                return n;
-            }
-            if *next == NO_NODE {
+            if ends_here || *next == NO_NODE {
                 return n;
             }
             leaf = *next;

@@ -138,6 +138,24 @@ impl BufferPool {
         self.access_other(page)
     }
 
+    /// `n >= 1` consecutive accesses to `page` in one: returns whether the
+    /// first hit and how many of the `n` did.  The first is an ordinary
+    /// [`BufferPool::access`]; it leaves the page resident and most
+    /// recent, so each repeat is a hit that moves nothing — unless the
+    /// pool has no capacity, where every access misses.
+    #[inline]
+    pub fn access_run(&mut self, page: PageId, n: u64) -> (bool, u64) {
+        debug_assert!(n >= 1, "an access run has at least one access");
+        let first = self.access(page);
+        if n == 1 {
+            return (first, u64::from(first));
+        }
+        let repeat_hits = if self.capacity > 0 { n - 1 } else { 0 };
+        self.hits += repeat_hits;
+        self.misses += n - 1 - repeat_hits;
+        (first, u64::from(first) + repeat_hits)
+    }
+
     /// [`BufferPool::access`] for a page other than the previous one.
     fn access_other(&mut self, page: PageId) -> bool {
         if self.capacity == 0 {

@@ -18,10 +18,9 @@
 //!   sharing.
 //!
 //! Both modes run the same pool code (`shared::PoolInner`) on the same
-//! state, so a private session is *bit-identical* to a session that is the
-//! only registrant of a shared pool: the charge sequence (and therefore
-//! every `f64` clock value), the I/O counters, the pool hit/miss behaviour
-//! and the temp-file numbering.  `tests/prop_storage.rs`
+//! state, so a private session is *identical* to a session that is the
+//! only registrant of a shared pool: the clock, the I/O counters, the pool
+//! hit/miss behaviour and the temp-file numbering.  `tests/prop_storage.rs`
 //! (`private_session_equals_one_owner_shared_pool`) pins that contract and
 //! `tests/concurrent_equivalence.rs` pins it at catalog scale.
 //!
@@ -39,13 +38,13 @@ use robustmap_obs::trace::{TraceDetail, TraceEventKind, TraceHandle, TraceSink};
 
 use crate::buffer::{BufferPool, EvictionPolicy, FileId, PageId};
 use crate::shared::{PoolInner, QueryId, QueryShare, SharedBufferPool};
-use crate::sim::{AccessKind, CostModel, IoStats, SimClock};
+use crate::sim::{AccessKind, CostModel, CostTicks, IoStats, SimClock};
 
 /// A cooperative-scheduling callback: invoked between charges, never
-/// charging work itself.  The argument is the session's elapsed
-/// simulated seconds at the yield point, so schedulers can advance a
-/// global virtual clock without re-entering the session.
-pub type YieldHook = Box<dyn FnMut(f64) + Send>;
+/// charging work itself.  The argument is the session's elapsed clock
+/// ticks at the yield point, so schedulers can advance a global virtual
+/// clock without re-entering the session.
+pub type YieldHook = Box<dyn FnMut(u64) + Send>;
 
 /// Where a session's pool state lives: owned, or behind the shared pool's
 /// lock.  Chosen by the constructor — by whether anything is shared.
@@ -67,14 +66,20 @@ impl PoolHandle {
 /// Execution context charging all storage traffic to a simulated clock.
 pub struct Session {
     model: CostModel,
+    /// `model` in clock ticks, quantised once here: what is charged.
+    costs: CostTicks,
     clock: SimClock,
     pool: PoolHandle,
     query: QueryId,
     /// Memory grant in bytes (informational; `usize::MAX` = ungoverned).
     grant: Cell<usize>,
-    /// Charge events per scheduling quantum; 0 disables the yield hook.
+    /// Charge events so far (see [`Session::charge_events`]).
+    events: Cell<u64>,
+    /// Charge events per scheduling quantum.
     yield_every: Cell<u64>,
-    ticks: Cell<u64>,
+    /// The event count at which the next yield is due; `u64::MAX` while no
+    /// hook is armed, so an unhooked charge pays one compare.
+    yield_at: Cell<u64>,
     yielder: RefCell<Option<YieldHook>>,
     /// Charge-free tracing: the handle, a cached "am I traced" flag so
     /// the disabled path costs one `Cell` read per charge, a cached
@@ -112,13 +117,15 @@ impl Session {
     fn on_pool(model: CostModel, pool: PoolHandle) -> Self {
         let query = pool.with(|p| p.register_query());
         let s = Session {
+            costs: model.ticks(),
             model,
             clock: SimClock::new(),
             pool,
             query,
             grant: Cell::new(usize::MAX),
+            events: Cell::new(0),
             yield_every: Cell::new(0),
-            ticks: Cell::new(0),
+            yield_at: Cell::new(u64::MAX),
             yielder: RefCell::new(None),
             tracer: RefCell::new(None),
             traced: Cell::new(false),
@@ -136,6 +143,12 @@ impl Session {
     /// The cost model in effect.
     pub fn model(&self) -> &CostModel {
         &self.model
+    }
+
+    /// The cost model as charged: in whole clock ticks, quantised when the
+    /// session was built.
+    pub fn costs(&self) -> &CostTicks {
+        &self.costs
     }
 
     /// This session's query identity on its pool (0 on a private one).
@@ -162,7 +175,8 @@ impl Session {
         self.trace_event(TraceEventKind::SessionReset);
         self.clock.reset();
         self.pool.with(|p| p.reset());
-        self.ticks.set(0);
+        self.events.set(0);
+        self.arm(self.yield_every.get());
     }
 
     /// The clock (for operators charging modelled CPU work directly).
@@ -170,9 +184,26 @@ impl Session {
         &self.clock
     }
 
-    /// Simulated seconds elapsed.
+    /// Simulated seconds elapsed ([`Session::elapsed_ticks`] as seconds).
     pub fn elapsed(&self) -> f64 {
         self.clock.elapsed()
+    }
+
+    /// Clock ticks (picoseconds) elapsed: the exact reading.  For a
+    /// session that ran no parallel scan it equals
+    /// `costs().of(&stats())`.
+    pub fn elapsed_ticks(&self) -> u64 {
+        self.clock.elapsed_ticks()
+    }
+
+    /// Charge events so far: the unit the scheduling quantum counts.  One
+    /// page request, one page write and one CPU charge of any size are one
+    /// event each; a call that stands for several (a run of requests for
+    /// one page, a page's worth of per-row charges) counts the events it
+    /// replaces, so the total is a property of the plan's work, not of how
+    /// the operators group their calls.
+    pub fn charge_events(&self) -> u64 {
+        self.events.get()
     }
 
     /// Snapshot of all work counters.
@@ -184,37 +215,53 @@ impl Session {
     /// hit cost, a miss charges the disk cost for `kind`.
     #[inline]
     pub fn read_page(&self, page: PageId, kind: AccessKind) {
-        let hit = self.pool.with(|p| p.access(self.query, page));
-        if hit {
-            self.clock.charge_buffer_hit(&self.model);
-        } else {
-            self.clock.charge_read(&self.model, kind);
+        self.read_page_run(page, kind, 1);
+    }
+
+    /// `n` consecutive requests for `page` in one: exactly what `n` calls
+    /// of [`Session::read_page`] charge, count and trace when nothing else
+    /// touches the pool between them.  The first is the real access; the
+    /// repeats find the page where the first left it — resident, so hits,
+    /// or on a pool of no capacity, misses of the same `kind`.
+    #[inline]
+    pub fn read_page_run(&self, page: PageId, kind: AccessKind, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let (first_hit, hits) = self.pool.with(|p| p.access_run(self.query, page, n));
+        if hits != 0 {
+            self.clock.charge_buffer_hits(&self.costs, hits);
+        }
+        if hits != n {
+            self.clock.charge_reads(&self.costs, kind, n - hits);
         }
         if self.traced.get() {
-            if hit {
-                self.win_hits.set(self.win_hits.get() + 1);
-            } else {
-                self.win_reads.set(self.win_reads.get() + 1);
-            }
+            self.win_hits.set(self.win_hits.get() + hits);
+            self.win_reads.set(self.win_reads.get() + (n - hits));
             if self.trace_full.get() {
-                self.trace_event(TraceEventKind::PageRead { hit });
+                // The repeats all went the same way: hits, or (no pool) misses.
+                let repeats_hit = hits > u64::from(first_hit);
+                self.trace_event(TraceEventKind::PageRead { hit: first_hit });
+                for _ in 1..n {
+                    self.trace_event(TraceEventKind::PageRead { hit: repeats_hit });
+                }
             }
         }
-        self.tick();
+        self.tick(n);
     }
 
     /// Write `page` (spill files); the page becomes pool-resident.
     #[inline]
     pub fn write_page(&self, page: PageId) {
-        self.clock.charge_write(&self.model);
-        self.pool.with(|p| p.access(self.query, page));
+        self.clock.charge_write(&self.costs);
+        self.pool.with(|p| p.access_run(self.query, page, 1));
         if self.traced.get() {
             self.win_writes.set(self.win_writes.get() + 1);
             if self.trace_full.get() {
                 self.trace_event(TraceEventKind::PageWrite);
             }
         }
-        self.tick();
+        self.tick(1);
     }
 
     /// Drop a whole temp file from the pool (its pages will not be reused).
@@ -237,22 +284,37 @@ impl Session {
     /// Charge CPU for `n` rows.
     #[inline]
     pub fn charge_rows(&self, n: u64) {
-        self.clock.charge_rows(&self.model, n);
-        self.tick();
+        self.charge_rows_as(n, 1);
     }
 
     /// Charge CPU for `n` comparisons.
     #[inline]
     pub fn charge_compares(&self, n: u64) {
-        self.clock.charge_compares(&self.model, n);
-        self.tick();
+        self.charge_compares_as(n, 1);
     }
 
     /// Charge CPU for `n` hash operations.
     #[inline]
     pub fn charge_hashes(&self, n: u64) {
-        self.clock.charge_hashes(&self.model, n);
-        self.tick();
+        self.clock.charge_hashes(&self.costs, n);
+        self.tick(1);
+    }
+
+    /// Charge CPU for `n` rows in place of `events` separate row charges
+    /// (a leaf's entries, a rid run's rows): the same ticks and the same
+    /// event count as those calls.
+    #[inline]
+    pub fn charge_rows_as(&self, n: u64, events: u64) {
+        self.clock.charge_rows(&self.costs, n);
+        self.tick(events);
+    }
+
+    /// Charge CPU for `n` comparisons in place of `events` separate
+    /// comparison charges (one per row of a page, leaf or rid run).
+    #[inline]
+    pub fn charge_compares_as(&self, n: u64, events: u64) {
+        self.clock.charge_compares(&self.costs, n);
+        self.tick(events);
     }
 
     /// Buffer pool hit/miss/eviction counters (pool-level: shared sessions
@@ -286,23 +348,29 @@ impl Session {
         self.grant.get()
     }
 
-    /// Install a cooperative yield hook: after every `every` charge events
-    /// the hook is invoked (between charges, so it can park the calling
-    /// thread without perturbing a single `f64` of simulated time).  The
-    /// scheduler in `core::serve` uses this to interleave N queries at
-    /// quantum granularity.  `every = 0` disables ticking; when no hook is
-    /// installed the per-charge overhead is one counter check.
+    /// Install a cooperative yield hook, invoked once per quantum of
+    /// `every` charge events — between charge calls, so it can park the
+    /// calling thread without touching simulated time.  A call that counts
+    /// several events is never split: the hook fires at the first call
+    /// boundary at or past the quantum, and the overshoot comes off the
+    /// next slice, so slices keep their average length.  The scheduler in
+    /// `core::serve` uses this to interleave N queries at quantum
+    /// granularity.  `every = 0` never yields.
     pub fn install_yield_hook(&self, every: u64, hook: YieldHook) {
-        self.yield_every.set(every);
-        self.ticks.set(0);
+        self.arm(every);
         *self.yielder.borrow_mut() = Some(hook);
     }
 
     /// Remove the yield hook (no further yields occur).
     pub fn clear_yield_hook(&self) {
-        self.yield_every.set(0);
-        self.ticks.set(0);
+        self.arm(0);
         *self.yielder.borrow_mut() = None;
+    }
+
+    /// Start a quantum of `every` events from the current event count.
+    fn arm(&self, every: u64) {
+        self.yield_every.set(every);
+        self.yield_at.set(if every == 0 { u64::MAX } else { self.events.get().saturating_add(every) });
     }
 
     /// Invoke the yield hook immediately, if installed (the serving layer
@@ -312,7 +380,7 @@ impl Session {
     pub fn yield_now(&self) {
         self.flush_io_window();
         if let Some(hook) = self.yielder.borrow_mut().as_mut() {
-            hook(self.clock.elapsed());
+            hook(self.clock.elapsed_ticks());
         }
     }
 
@@ -394,18 +462,14 @@ impl Session {
         self.trace_event(TraceEventKind::IoWindow { reads, hits, writes });
     }
 
+    /// Count `events` charge events and yield if the quantum is up.
     #[inline]
-    fn tick(&self) {
-        let every = self.yield_every.get();
-        if every == 0 {
-            return;
-        }
-        let n = self.ticks.get() + 1;
-        if n >= every {
-            self.ticks.set(0);
+    fn tick(&self, events: u64) {
+        let now = self.events.get() + events;
+        self.events.set(now);
+        if now >= self.yield_at.get() {
+            self.yield_at.set(self.yield_at.get().saturating_add(self.yield_every.get()));
             self.yield_now();
-        } else {
-            self.ticks.set(n);
         }
     }
 }
@@ -434,11 +498,12 @@ mod tests {
     fn miss_then_hit_charges_differently() {
         let s = Session::with_pool_pages(8);
         s.read_page(pid(0), AccessKind::Random);
-        let after_miss = s.elapsed();
+        let costs = s.costs();
+        let after_miss = s.elapsed_ticks();
         s.read_page(pid(0), AccessKind::Random);
-        let after_hit = s.elapsed() - after_miss;
-        assert!((after_miss - s.model().random_page_read).abs() < 1e-12);
-        assert!((after_hit - s.model().cpu_buffer_hit).abs() < 1e-12);
+        let after_hit = s.elapsed_ticks() - after_miss;
+        assert_eq!(after_miss, costs.random_page_read);
+        assert_eq!(after_hit, costs.cpu_buffer_hit);
         assert_eq!(s.stats().random_reads, 1);
         assert_eq!(s.stats().buffer_hits, 1);
     }
@@ -513,8 +578,8 @@ mod tests {
         assert_eq!(b.stats().random_reads, 0);
         assert_eq!(b.stats().buffer_hits, 1);
         // Clocks are private: each query paid only its own charge.
-        assert!((a.elapsed() - a.model().random_page_read).abs() < 1e-12);
-        assert!((b.elapsed() - b.model().cpu_buffer_hit).abs() < 1e-12);
+        assert_eq!(a.elapsed(), a.model().random_page_read);
+        assert_eq!(b.elapsed(), b.model().cpu_buffer_hit);
         // Attribution partitions the pool counters.
         let (hits, misses, _) = pool.counters();
         assert_eq!(hits, 1);
@@ -540,7 +605,8 @@ mod tests {
         assert_eq!(fired.load(std::sync::atomic::Ordering::Relaxed), 2);
         // The hook itself must not have charged anything: 7 row charges.
         assert_eq!(s.stats().cpu_rows, 7);
-        assert!((s.elapsed() - 7.0 * s.model().cpu_row).abs() < 1e-15);
+        assert_eq!(s.elapsed_ticks(), 7 * s.costs().cpu_row);
+        assert_eq!(s.charge_events(), 7);
         s.clear_yield_hook();
         for _ in 0..9 {
             s.charge_rows(1);
@@ -550,9 +616,9 @@ mod tests {
 
     #[test]
     fn hooked_session_charges_identically_to_plain_session() {
-        // The bit-identity half of the scheduling design: ticking and
+        // The identity half of the scheduling design: counting events and
         // yielding sit strictly between charges, so a session with an
-        // armed hook replays the exact f64 sequence of a plain one.
+        // armed hook reads exactly like a plain one.
         let plain = Session::with_pool_pages(4);
         let hooked = Session::with_pool_pages(4);
         hooked.install_yield_hook(2, Box::new(|_| {}));
@@ -565,13 +631,14 @@ mod tests {
             s.write_page(pid(100));
             s.charge_hashes(5);
         }
-        assert_eq!(plain.elapsed().to_bits(), hooked.elapsed().to_bits());
+        assert_eq!(plain.elapsed_ticks(), hooked.elapsed_ticks());
+        assert_eq!(plain.charge_events(), hooked.charge_events());
         assert_eq!(plain.stats(), hooked.stats());
         assert_eq!(plain.pool_counters(), hooked.pool_counters());
     }
 
     #[test]
-    fn yield_hook_receives_elapsed_sim_time() {
+    fn yield_hook_receives_elapsed_ticks() {
         let s = Session::with_pool_pages(8);
         let (sink, seen) = std::sync::mpsc::channel();
         s.install_yield_hook(
@@ -583,18 +650,77 @@ mod tests {
         for _ in 0..4 {
             s.charge_rows(1);
         }
-        let seen: Vec<f64> = seen.try_iter().collect();
-        assert_eq!(seen.len(), 2);
-        assert!((seen[0] - 2.0 * s.model().cpu_row).abs() < 1e-15);
-        assert!((seen[1] - 4.0 * s.model().cpu_row).abs() < 1e-15);
+        let seen: Vec<u64> = seen.try_iter().collect();
+        let row = s.costs().cpu_row;
+        assert_eq!(seen, [2 * row, 4 * row]);
+    }
+
+    /// A call that counts several events is never split: the hook fires at
+    /// the first call boundary at or past the quantum and the overshoot
+    /// carries, so the number of slices is the number of quanta in the
+    /// events, however the calls group them.
+    #[test]
+    fn quantum_counts_events_and_carries_the_overshoot() {
+        let s = Session::with_pool_pages(8);
+        let (sink, seen) = std::sync::mpsc::channel();
+        s.install_yield_hook(10, Box::new(move |_| sink.send(()).unwrap()));
+        let fired = || seen.try_iter().count();
+        s.charge_rows_as(7, 7);
+        assert_eq!(fired(), 0);
+        s.charge_compares_as(14, 7); // 14 events: 4 past the quantum
+        assert_eq!(fired(), 1);
+        s.read_page_run(pid(0), AccessKind::Random, 5); // 19
+        assert_eq!(fired(), 0);
+        s.charge_rows(3); // one call, one event, whatever its size: 20
+        assert_eq!(fired(), 1);
+        // Two quanta in one call: the second fires at the next boundary.
+        s.charge_rows_as(25, 25); // 45
+        assert_eq!(fired(), 1);
+        s.charge_hashes(1); // 46
+        assert_eq!(fired(), 1);
+        s.charge_hashes(1); // 47, next due at 50
+        assert_eq!(fired(), 0);
+        assert_eq!(s.charge_events(), 47);
+        assert_eq!(s.stats().cpu_rows, 7 + 3 + 25);
+    }
+
+    /// A traced `read_page_run` records what `n` traced `read_page` calls
+    /// do — per-page events at full detail, window aggregates — on a pool
+    /// that keeps the page and on one that keeps nothing.  (Clock, counters
+    /// and pool state: `a_run_of_requests_equals_single_requests` in
+    /// `tests/prop_storage.rs`.)
+    #[test]
+    fn a_page_run_traces_like_single_requests() {
+        use robustmap_obs::trace::{validate_trace, TraceDetail, TraceSink};
+        for capacity in [0, 4] {
+            let totals = |run: bool| {
+                let s = Session::with_pool_pages(capacity);
+                let sink = Arc::new(TraceSink::memory(TraceDetail::Full));
+                s.attach_tracer(Arc::clone(&sink), "q0");
+                for (page, n) in [(0u32, 5u64), (1, 1), (0, 3), (2, 0)] {
+                    if run {
+                        s.read_page_run(pid(page), AccessKind::SinglePage, n);
+                    } else {
+                        (0..n).for_each(|_| s.read_page(pid(page), AccessKind::SinglePage));
+                    }
+                }
+                s.detach_tracer();
+                assert!(validate_trace(&sink.events()).is_ok());
+                let m = sink.metrics();
+                let io = ["io.page_reads", "io.window.reads", "io.window.hits"].map(|c| m.counter(c));
+                (io, s.stats())
+            };
+            assert_eq!(totals(true), totals(false), "capacity {capacity}");
+            assert_eq!(totals(true).0[0], 9);
+        }
     }
 
     #[test]
     fn traced_session_charges_identically_to_plain_session() {
         use robustmap_obs::trace::{TraceDetail, TraceSink};
-        // The charge-free contract at the storage layer: attaching a
-        // full-detail tracer replays the exact f64 charge sequence of
-        // an untraced session, while recording every page touch.
+        // The charge-free contract at the storage layer: a session with a
+        // full-detail tracer attached reads exactly like an untraced one,
+        // while recording every page touch.
         let plain = Session::with_pool_pages(4);
         let traced = Session::with_pool_pages(4);
         let sink = Arc::new(TraceSink::memory(TraceDetail::Full));
@@ -610,7 +736,7 @@ mod tests {
             s.charge_hashes(3);
         }
         traced.detach_tracer();
-        assert_eq!(plain.elapsed().to_bits(), traced.elapsed().to_bits());
+        assert_eq!(plain.elapsed_ticks(), traced.elapsed_ticks());
         assert_eq!(plain.stats(), traced.stats());
         assert_eq!(plain.pool_counters(), traced.pool_counters());
         // ... and the trace saw it all.

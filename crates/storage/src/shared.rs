@@ -77,16 +77,20 @@ impl PoolInner {
         QueryId(self.shares.len() as u32 - 1)
     }
 
+    /// `n >= 1` consecutive accesses to `page` by `query`
+    /// ([`BufferPool::access_run`]), attributed to its share: whether the
+    /// first hit, and how many of the `n` did.
     #[inline]
-    pub(crate) fn access(&mut self, query: QueryId, page: PageId) -> bool {
-        let hit = self.pool.access(page);
+    pub(crate) fn access_run(&mut self, query: QueryId, page: PageId, n: u64) -> (bool, u64) {
+        let (first, hits) = self.pool.access_run(page, n);
         let share = &mut self.shares[query.0 as usize];
-        if hit {
-            share.hits += 1;
-        } else {
-            share.misses += 1;
+        if hits != 0 {
+            share.hits += hits;
         }
-        hit
+        if hits != n {
+            share.misses += n - hits;
+        }
+        (first, hits)
     }
 
     pub(crate) fn invalidate_file(&mut self, file: FileId) {
@@ -154,7 +158,7 @@ impl SharedBufferPool {
     /// on a miss (the page becomes resident either way).  Both the
     /// pool-level and the query's counters are updated.
     pub fn access(&self, query: QueryId, page: PageId) -> bool {
-        self.lock().access(query, page)
+        self.lock().access_run(query, page, 1).0
     }
 
     /// Drop every page of `file` from the pool (temp files deleted after a

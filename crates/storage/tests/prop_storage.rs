@@ -255,27 +255,21 @@ proptest! {
 struct ScanTrace {
     visited: Vec<Entry>,
     returned: u64,
-    elapsed_bits: u64,
-    /// The clock after every single charge, in order.
-    charge_points: Vec<u64>,
+    elapsed_ticks: u64,
+    /// Charge events: what a serving quantum would have counted.
+    events: u64,
     stats: IoStats,
     pool: (u64, u64, u64),
 }
 
 /// Run `scan` on a fresh session of `pool_pages` pages.  The callback
-/// charges too (every third entry), and a yield hook at quantum 1 reads the
-/// clock after every charge, so the position of each callback between the
-/// scan's own charges is part of the trace.
+/// charges too (every third entry), so the scan's per-leaf charges and the
+/// caller's per-entry ones land on one clock.
 fn trace_scan(
     pool_pages: usize,
     scan: impl FnOnce(&Session, &mut dyn FnMut(Entry)) -> u64,
 ) -> ScanTrace {
     let s = Session::with_pool_pages(pool_pages);
-    let (points, charge_points) = std::sync::mpsc::channel();
-    s.install_yield_hook(
-        1,
-        Box::new(move |elapsed| points.send(elapsed.to_bits()).expect("receiver outlives scan")),
-    );
     let mut visited = Vec::new();
     let returned = scan(&s, &mut |e| {
         if visited.len() % 3 == 0 {
@@ -286,8 +280,8 @@ fn trace_scan(
     ScanTrace {
         visited,
         returned,
-        elapsed_bits: s.elapsed().to_bits(),
-        charge_points: charge_points.try_iter().collect(),
+        elapsed_ticks: s.elapsed_ticks(),
+        events: s.charge_events(),
         stats: s.stats(),
         pool: s.pool_counters(),
     }
@@ -350,8 +344,9 @@ fn leaves_of(tree: &BTree) -> Vec<Vec<Entry>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The leaf-at-a-time `scan_range` is the cursor loop, charge for
-    /// charge: on bulk-loaded trees churned into underfull and emptied
+    /// The leaf-at-a-time `scan_range` is the cursor loop — entries, clock,
+    /// charge events, counters, pool — with its row charges grouped per
+    /// leaf: on bulk-loaded trees churned into underfull and emptied
     /// leaves, with one- and two-column keys and so few distinct keys that
     /// duplicates straddle every leaf boundary, over random ranges and the
     /// ranges that end or begin exactly at a leaf's edge.
@@ -781,7 +776,7 @@ proptest! {
 /// What a session lets its owner see, taken at a point in a script.
 #[derive(Debug, PartialEq)]
 struct SessionView {
-    elapsed_bits: u64,
+    elapsed_ticks: u64,
     stats: IoStats,
     pool: (u64, u64, u64),
     share: QueryShare,
@@ -804,7 +799,7 @@ fn drive(s: &Session) -> Vec<SessionView> {
     let mut temp_files = Vec::new();
     let mut views = Vec::new();
     let view = |temp_files: &[FileId]| SessionView {
-        elapsed_bits: s.elapsed().to_bits(),
+        elapsed_ticks: s.elapsed_ticks(),
         stats: s.stats(),
         pool: s.pool_counters(),
         share: s.query_pool_counters(),
@@ -865,5 +860,57 @@ fn private_session_equals_one_owner_shared_pool() {
         assert!(last.pool.2 > 0, "no eviction under {policy:?}");
         assert_eq!(views[1].pool, (0, 0, 0), "reset zeroes the pool counters");
         assert_eq!(last.temp_files, [FileId(100), FileId(101), FileId(100)]);
+    }
+}
+
+// --------------------------------------------------------------- page runs
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `k` single requests for one page are one request of `k`: the same
+    /// clock, counters, charge events, pool counters and per-query share
+    /// after every step of a random script of runs — under LRU and Clock,
+    /// on a pool that holds nothing, one page, or everything, owned
+    /// privately or as the only registrant of a shared pool, with writes
+    /// and file invalidations between the runs.
+    #[test]
+    fn a_run_of_requests_equals_single_requests(
+        runs in prop::collection::vec((0u32..6, 0u64..9, 0usize..3, 0u32..8), 1..60),
+        use_clock in any::<bool>(),
+        capacity in prop_oneof![Just(0usize), Just(1), Just(1 << 20)],
+        shared in any::<bool>(),
+    ) {
+        let policy = if use_clock { EvictionPolicy::Clock } else { EvictionPolicy::Lru };
+        let fresh = || {
+            let pool = BufferPool::new(capacity, policy);
+            if shared {
+                Session::on_shared(CostModel::hdd_2009(), Arc::new(SharedBufferPool::from_pool(pool)))
+            } else {
+                Session::new(CostModel::hdd_2009(), pool)
+            }
+        };
+        let (single, run) = (fresh(), fresh());
+        let view = |s: &Session| {
+            (s.elapsed_ticks(), s.charge_events(), s.stats(), s.pool_counters(), s.query_pool_counters())
+        };
+        for (step, &(page, k, kind, between)) in runs.iter().enumerate() {
+            let page = PageId::new(FileId(1), page);
+            let kind =
+                [AccessKind::Random, AccessKind::Sequential, AccessKind::SinglePage][kind];
+            for _ in 0..k {
+                single.read_page(page, kind);
+            }
+            run.read_page_run(page, kind, k);
+            for s in [&single, &run] {
+                match between {
+                    0 => s.write_page(PageId::new(FileId(2), step as u32 % 3)),
+                    1 => s.invalidate_file(FileId(1)),
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(view(&single), view(&run), "step {} {:?}", step, runs[step]);
+        }
+        prop_assert_eq!(run.elapsed_ticks(), run.costs().of(&run.stats()));
     }
 }

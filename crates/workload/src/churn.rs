@@ -23,7 +23,7 @@
 //! plus the clock/I/O cost the batch charged.
 
 use robustmap_obs::TraceEventKind;
-use robustmap_storage::{AccessKind, IndexId, IoStats, Rid, Row, Session};
+use robustmap_storage::{ticks_to_seconds, AccessKind, IndexId, IoStats, Rid, Row, Session};
 
 use crate::gen::{Workload, COL_A, COL_B};
 use crate::stats::draw;
@@ -276,7 +276,7 @@ impl ChurnDriver {
     pub fn apply_batch(&mut self, w: &mut Workload, session: &Session) -> AppliedBatch {
         let ops = self.plan.batch(self.step);
         self.step += 1;
-        let t0 = session.elapsed();
+        let t0 = session.elapsed_ticks();
         let io0 = session.stats();
         let mut out = AppliedBatch::default();
         for op in ops {
@@ -306,7 +306,7 @@ impl ChurnDriver {
                 }
             }
         }
-        out.seconds = session.elapsed() - t0;
+        out.seconds = ticks_to_seconds(session.elapsed_ticks() - t0);
         out.io = session.stats().since(&io0);
         self.rows_touched += out.rows_applied;
         w.config.mutation_epoch += 1;
@@ -491,7 +491,7 @@ mod tests {
         let batch = driver.apply_batch(&mut w, &s);
         assert!(batch.seconds > 0.0, "mutation work must land on the clock");
         assert!(batch.io.page_writes > 0, "mutations dirty pages");
-        assert_eq!(batch.seconds.to_bits(), s.elapsed().to_bits());
+        assert_eq!(batch.seconds, s.elapsed());
         assert_eq!(w.config.mutation_epoch, 1);
         assert_eq!(batch.rows_applied, batch.inserted.len() as u64 + batch.deleted.len() as u64);
         driver.apply_batch(&mut w, &s);
@@ -534,7 +534,7 @@ mod tests {
                 driver.apply_batch(&mut w, &s);
             }
             let idx_entries: Vec<(Key, Rid)> = w.db.index(w.indexes.ab).tree.collect_all();
-            (s.elapsed().to_bits(), s.stats(), w.db.table(w.table).heap.row_count(), idx_entries)
+            (s.elapsed_ticks(), s.stats(), w.db.table(w.table).heap.row_count(), idx_entries)
         };
         assert_eq!(run(build()), run(build()));
     }

@@ -90,6 +90,16 @@ if grep -n 'mpsc' crates/core/src/serve.rs; then
     exit 1
 fi
 
+echo "== integer-clock gate: the clock counts ticks, and equivalence is == on them"
+if grep -n 'Cell<f64>' crates/storage/src/sim.rs; then
+    echo "crates/storage/src/sim.rs holds a Cell<f64> — the clock is u64 picoseconds; seconds exist only where they are read" >&2
+    exit 1
+fi
+if grep -rn 'to_bits' tests/common; then
+    echo "tests/common compares float bits — the equivalence suites compare clock ticks with ==" >&2
+    exit 1
+fi
+
 echo "== one-figure-table gate: one table, one gate, ids spelled once"
 if grep -rnE 'ALL_FIGURES|NEEDS_ALL_SYSTEMS|run_figure_inner|ChooserTally|FigureOutput::new\("' crates/bench/src; then
     echo "crates/bench/src regrew a second figure list, the two-slot tally, or a figure body spelling its own id — FIGURES is the table, the runner stamps names" >&2

@@ -4,11 +4,9 @@
 //! interpreter.  Observation must be free: when the controller never
 //! switches — whether because it is [`NeverSwitch`] or because it is a
 //! real, armed [`BailController`] whose thresholds never trip — the run
-//! must be **bit-identical** to `controller: None`: same `SimClock` bits
-//! (f64 addition is not associative, so this means the exact same charge
-//! sequence), same `IoStats`, same spill flag, same per-operator
-//! breakdown, and the same output rows in the same order — one row per
-//! batch and batched alike.  This mirrors `tests/batch_equivalence.rs`,
+//! must be **identical** to `controller: None`: same clock ticks, same
+//! `IoStats`, same spill flag, same per-operator breakdown, and the same
+//! output rows in the same order — one row per batch and batched alike.  This mirrors `tests/batch_equivalence.rs`,
 //! which pins the same contract across batch sizes; `docs/DESIGN.md`
 //! § adaptive execution records the design argument this suite pins.
 

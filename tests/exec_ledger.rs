@@ -1,12 +1,16 @@
-//! The golden charge ledger: where the executor's charge stream is defined.
+//! The golden charge ledger: where the executor's charges are defined.
 //!
-//! `tests/golden/exec_ledger.txt` was captured from the row-at-a-time
-//! executor at the last commit that had one.  Each line pins one plan
-//! execution to the bit: output rows, simulated seconds as raw `f64`
-//! bits, every `IoStats` counter, the spill flag, and the per-operator
-//! breakdown.  The single interpreter must reproduce every line at every
-//! batch size — `f64` addition is not associative, so that means issuing
-//! the same charge calls in the same order as the row loop did.
+//! Each line of `tests/golden/exec_ledger.txt` pins one plan execution:
+//! output rows, clock ticks (picoseconds), charge events, every `IoStats`
+//! counter, the spill flag, and the per-operator breakdown.  Rows, `io`,
+//! `spilled` and the operator tree are the row-at-a-time executor's, line
+//! for line, from the last commit that had one; `ticks` replaced that
+//! executor's `f64` seconds when the clock became an integer (each within
+//! 1e-9 relative of the value it replaced, and equal to the closed form
+//! `Σ counter × cost`, asserted below).  The interpreter must reproduce
+//! every line at every batch size.  `events` is what the serving quantum
+//! counts: a kernel that groups its charge calls differently must still
+//! count the same events, or served slices would change length.
 //!
 //! A deliberate cost-model change regenerates the file: the failing run
 //! writes `target/exec_ledger.actual.txt`; review the diff and copy it
@@ -24,11 +28,18 @@ mod common;
 
 const GOLDEN: &str = include_str!("golden/exec_ledger.txt");
 
-fn exec(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, batch_rows: usize) -> ExecStats {
+/// Run `spec` on a fresh session: its stats and the charge events it took.
+fn exec(
+    w: &Workload,
+    spec: &PlanSpec,
+    cfg: &MeasureConfig,
+    batch_rows: usize,
+) -> (ExecStats, u64) {
     let s = common::session(cfg);
     let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
     let opts = RunOpts { batch: ExecConfig::with_batch_rows(batch_rows), controller: None };
-    run_count(spec, &ctx, opts).expect("ledger plans are well-formed")
+    let stats = run_count(spec, &ctx, opts).expect("ledger plans are well-formed");
+    (stats, s.charge_events())
 }
 
 fn workload() -> Workload {
@@ -100,19 +111,28 @@ fn blocking_over(children: &[(String, PlanSpec)]) -> Vec<(String, PlanSpec)> {
     out
 }
 
-fn ledger_line(label: &str, s: &ExecStats) -> String {
+/// Whether `spec` runs a parallel scan anywhere: the one operator whose
+/// elapsed time is a critical path, not the sum of its work.
+fn has_parallel_scan(spec: &PlanSpec) -> bool {
+    match spec {
+        PlanSpec::ParallelTableScan { .. } => true,
+        PlanSpec::Join { left, right, .. } => has_parallel_scan(left) || has_parallel_scan(right),
+        PlanSpec::Sort { input, .. } | PlanSpec::HashAgg { input, .. } => has_parallel_scan(input),
+        _ => false,
+    }
+}
+
+fn ledger_line(label: &str, s: &ExecStats, events: u64) -> String {
     let ops: Vec<String> = s
         .operators
         .iter()
-        .map(|op| {
-            format!("{}|{}|{}|{:016x}", op.label, op.depth, op.rows_out, op.seconds.to_bits())
-        })
+        .map(|op| format!("{}|{}|{}|{}", op.label, op.depth, op.rows_out, op.ticks))
         .collect();
     let io = &s.io;
     format!(
-        "{label}\trows={}\tsecs={:016x}\tio={},{},{},{},{},{},{},{}\tspilled={}\tops={}\n",
+        "{label}\trows={}\tticks={}\tevents={events}\tio={},{},{},{},{},{},{},{}\tspilled={}\tops={}\n",
         s.rows_out,
-        s.seconds.to_bits(),
+        s.ticks,
         io.seq_reads,
         io.single_reads,
         io.random_reads,
@@ -167,7 +187,17 @@ fn run_reproduces_the_golden_ledger_at_every_batch_size() {
     for batch_rows in [1usize, 513, 1024] {
         let actual: String = cases
             .iter()
-            .map(|(w, label, spec)| ledger_line(label, &exec(w, spec, &cfg, batch_rows)))
+            .map(|(w, label, spec)| {
+                let (stats, events) = exec(w, spec, &cfg, batch_rows);
+                // The clock's closed form: a serial plan's ticks are its
+                // counters priced by the model, whatever order and
+                // grouping its operators charged them in.
+                if !has_parallel_scan(spec) {
+                    let priced = cfg.model.ticks().of(&stats.io);
+                    assert_eq!(stats.ticks, priced, "{label}: ticks != Σ counter × cost");
+                }
+                ledger_line(label, &stats, events)
+            })
             .collect();
         if actual == GOLDEN {
             continue;

@@ -8,11 +8,11 @@
 //! inserts grow the heap past the bulk-loaded prefix with partially
 //! filled tail pages.  Each of those is a batch-boundary hazard — a
 //! columnar chunk that straddles a run of tombstones must produce the
-//! same rows *and the same charge sequence* as the row-at-a-time loop.
+//! same rows *and the same charges* as the row-at-a-time loop.
 //!
-//! "Equal" is the same contract as the base suite: bit-identical
-//! simulated seconds (`f64` addition is not associative), identical
-//! `IoStats`, row counts, spill flags, and per-operator breakdowns —
+//! "Equal" is the same contract as the base suite: identical clock
+//! ticks, identical `IoStats`, row counts, spill flags, and per-operator
+//! breakdowns —
 //! plus, for the collect path, identical result rows in identical
 //! order.  Honouring `ROBUSTMAP_BATCH_ROWS` (the verify script re-runs
 //! this suite at 513) pushes the chunk boundaries onto different
