@@ -13,7 +13,9 @@
 //! yield hook armed).  The `serve/*` rows are the
 //! scheduler's: the same burst sliced and unsliced (the difference, over the
 //! extra slices, is the price of a baton handoff) and served one query at a
-//! time (every handoff is to the yielder itself, which costs no wake).
+//! time (every handoff is to the yielder itself, which costs no wake).  The
+//! `setup/*` rows are what every binary pays before its first cell: a table
+//! built, its cache file stored, and the file loaded back, at 2^17 rows.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use robustmap_core::{build_map2d, serve_concurrent, Grid2D, MeasureConfig, ServeConfig};
@@ -29,7 +31,7 @@ use robustmap_storage::{
     AccessKind, CostModel, EvictionPolicy, FileId, PageId, RidBitmap, Session, SharedBufferPool,
 };
 use robustmap_systems::{two_predicate_plans, AdmissionConfig, SystemId};
-use robustmap_workload::{TableBuilder, WorkloadConfig};
+use robustmap_workload::{cache, TableBuilder, WorkloadConfig};
 
 fn bench_btree(c: &mut Criterion) {
     let mut group = c.benchmark_group("btree");
@@ -347,8 +349,25 @@ fn bench_map_builder(c: &mut Criterion) {
     group.finish();
 }
 
+/// One set-up round, step by step, on a configuration no other target
+/// uses (its cache file is this group's own, and is removed at the end).
+fn bench_setup(c: &mut Criterion) {
+    let config = WorkloadConfig { seed: 0x5E70_B001, ..WorkloadConfig::with_rows(1 << 17) };
+    let w = TableBuilder::build(config.clone());
+    let mut group = c.benchmark_group("setup");
+    group.sample_size(10);
+    group.bench_function("build_128k", |b| b.iter(|| TableBuilder::build(config.clone())));
+    group.bench_function("store_128k", |b| b.iter(|| cache::store(&w)));
+    group.bench_function("load_128k", |b| b.iter(|| cache::load(&config).map(|w| w.rows())));
+    group.finish();
+    if let Some(path) = cache::cache_path(&config) {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 criterion_group!(
     benches,
+    bench_setup,
     bench_btree,
     bench_pool,
     bench_bitmap,

@@ -120,7 +120,7 @@ pub fn ext_optimizer(h: &Harness) -> FigureOutput {
     // joint statistics' conjunction is sampled, not assumed; the check
     // pins that sampling noise does not degrade the 15-plan choice.
     let jcfg = JointHistogramConfig::default();
-    let joint_u = JointHistogram::build_cached(w, &jcfg);
+    let joint_u = JointHistogram::from_workload(w, &jcfg);
     let (exact_u, joint_est_u) = (Exact::of(w), Joint::new(&joint_u));
     let mut board_u = RegretBoard::new(["indep", "joint"]);
     for cell in &cells {
@@ -156,7 +156,7 @@ pub fn ext_optimizer(h: &Harness) -> FigureOutput {
     let rows_c = family_rows(h);
     let wc = side_table(h, rows_c, CorrelatedHundredths(100));
     let lab_c = Lab::new(h, &wc, full_catalog(&wc));
-    let joint_c = JointHistogram::build_cached(&wc, &jcfg);
+    let joint_c = JointHistogram::from_workload(&wc, &jcfg);
     let (exact_c, joint_est_c) = (Exact::of(&wc), Joint::new(&joint_c));
     let (point_c, robust_c) = (lab_c.point(), lab_c.robust());
     let m2 = lab_c.map();
@@ -522,7 +522,7 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
     for &pct in &RHO_PCT {
         let w = side_table(h, rows, CorrelatedHundredths(pct));
         let lab = Lab::new(h, &w, four_plan_catalog(&w));
-        let joint = JointHistogram::build_cached(&w, &jcfg);
+        let joint = JointHistogram::from_workload(&w, &jcfg);
         let (point_est, robust_est) = (Exact::of(&w), Joint::new(&joint));
         let (point_chooser, robust_chooser) = (lab.point(), lab.robust());
         // The ablation the catalog-wide hedge is judged against: the old
@@ -593,7 +593,7 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
     // the leaderboard.
     let w1 = side_table(h, rows, CorrelatedHundredths(100));
     let lab1 = Lab::new(h, &w1, four_plan_catalog(&w1));
-    let joint1 = JointHistogram::build_cached(&w1, &jcfg);
+    let joint1 = JointHistogram::from_workload(&w1, &jcfg);
     let (point_est1, robust_est1) = (Exact::of(&w1), Joint::new(&joint1));
     let (point_chooser1, robust_chooser1) = (lab1.point(), lab1.robust());
     let m2 = lab1.map();
@@ -665,7 +665,7 @@ pub fn ext_robust_choice(h: &Harness) -> FigureOutput {
     // histogram sharpens both.
     let wz = side_table(h, rows, ZipfHundredths(110));
     let labz = Lab::new(h, &wz, four_plan_catalog(&wz));
-    let jointz = JointHistogram::build_cached(&wz, &jcfg);
+    let jointz = JointHistogram::from_workload(&wz, &jcfg);
     // The coarse catalog the point chooser gets: 8-bucket per-column
     // histograms (the skew-error regime the histogram tests pin).
     let s = Session::with_pool_pages(0);

@@ -12,9 +12,8 @@ use robustmap_systems::{
     two_pred_bail_controller_banded, Choice, Estimator, RobustConfig, SelEstimates, TwoPredPlan,
     CARDINALITY_NOISE_ROWS,
 };
-use robustmap_workload::cache::config_hash;
+use robustmap_workload::cache::{cache_path, config_hash};
 use robustmap_workload::gen::PredicateDistribution::CorrelatedHundredths;
-use robustmap_workload::stats::stats_cache_path;
 use robustmap_workload::{
     ChurnConfig, ChurnDriver, JointHistogram, JointHistogramConfig, MaintainedJoint,
     RebuildPolicy, TableBuilder, Workload, WorkloadConfig,
@@ -189,7 +188,7 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
     // those statistics.
     let w1 = side_table(h, rows, CorrelatedHundredths(100));
     let lab1 = Lab::new(h, &w1, full_catalog(&w1));
-    let joint1 = JointHistogram::build_cached(&w1, &jcfg);
+    let joint1 = JointHistogram::from_workload(&w1, &jcfg);
     let (exact1, joint_est1) = (Exact::of(&w1), Joint::new(&joint1));
     let (point_chooser, robust_chooser) = (lab1.point(), lab1.robust());
     let m2 = lab1.map();
@@ -324,7 +323,7 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
 /// is charged, the staleness meter tracks applied work, the frozen
 /// chooser degrades while the maintained one holds within one grid step
 /// of the fresh rebuild, the staleness-aware estimator widens its
-/// credible region, and the mutation epoch re-keys the stats cache.
+/// credible region, and the mutation epoch re-keys the workload cache.
 pub fn ext_churn(h: &Harness) -> FigureOutput {
     // Pinned scale: the experiment separates choosers by *statistics*
     // error across the hash/scan crossover, which only works where the
@@ -390,7 +389,7 @@ pub fn ext_churn(h: &Harness) -> FigureOutput {
     // The predicate constants are calibrated once, before any churn.
     let thr = lab_of(h, &w_churn).diagonal(&sels);
 
-    let base_joint = JointHistogram::build_cached(&w_churn, &jcfg);
+    let base_joint = JointHistogram::from_workload(&w_churn, &jcfg);
     let mut maint = MaintainedJoint::new(base_joint.clone());
     let churn_cfg = ChurnConfig::for_workload(&w_churn).with_drift_down(drift);
     let mut driver = ChurnDriver::new(&w_churn, churn_cfg);
@@ -523,14 +522,14 @@ pub fn ext_churn(h: &Harness) -> FigureOutput {
     );
     let epoch_rekeys = config_hash(&cfg) != config_hash(&w_churn.config)
         && w_churn.config.mutation_epoch > 0
-        && match (stats_cache_path(&cfg, &jcfg), stats_cache_path(&w_churn.config, &jcfg)) {
+        && match (cache_path(&cfg), cache_path(&w_churn.config)) {
             (Some(a), Some(b)) => a != b,
             (None, None) => true, // caching disabled in this environment
             _ => false,
         };
     suite.check_named(
-        "mutation epoch re-keys the content-addressed statistics cache (a stale wl-jstats-* \
-         entry can never be served for mutated data)",
+        "mutation epoch re-keys the content-addressed workload cache (a churned table is never \
+         stored over, or served as, the pristine wl-* file)",
         epoch_rekeys,
         format!("epoch {}", w_churn.config.mutation_epoch),
     );

@@ -128,12 +128,17 @@ impl HeapFile {
     }
 
     /// Reassemble a heap file from raw pages (inverse of persisting
-    /// [`HeapFile::page`] images).  The row count is recomputed from the
+    /// [`HeapFile::page`] images), or `None` if a page's slot directory
+    /// points outside the page — images come from disk, and every accessor
+    /// indexes by the directory.  The row count is recomputed from the
     /// pages' live records, so a reloaded heap reports exactly what the
     /// original did.
-    pub fn from_pages(file: FileId, schema: Schema, pages: Vec<SlottedPage>) -> Self {
+    pub fn from_pages(file: FileId, schema: Schema, pages: Vec<SlottedPage>) -> Option<Self> {
+        if !pages.iter().all(SlottedPage::is_well_formed) {
+            return None;
+        }
         let row_count = pages.iter().map(|p| p.live_records() as u64).sum();
-        HeapFile { file, schema, pages, row_count, encode_buf: Vec::new() }
+        Some(HeapFile { file, schema, pages, row_count, encode_buf: Vec::new() })
     }
 
     /// Fetch one row by rid, charging `session` one page access of `kind`.
@@ -163,6 +168,19 @@ impl HeapFile {
             session.charge_rows(page.live_records() as u64);
         }
         visited
+    }
+
+    /// Visit every live row in physical order outside any session: nothing
+    /// is charged, and a record that does not decode under the schema is
+    /// an error, not a panic.  The workload cache reads a stored heap back
+    /// through this, which makes it the validation of every cached record.
+    pub fn try_for_each_row<F: FnMut(Rid, &Row)>(&self, mut f: F) -> Result<()> {
+        for (page_no, page) in self.pages.iter().enumerate() {
+            for (slot, bytes) in page.iter() {
+                f(Rid::new(page_no as u32, slot as u32), &self.schema.decode_row(bytes)?);
+            }
+        }
+        Ok(())
     }
 
     /// Scan only pages in `page_range` (used by the improved fetch when it
@@ -305,6 +323,28 @@ mod tests {
         let s = Session::with_pool_pages(0);
         assert!(h.fetch(Rid::new(99, 0), &s, AccessKind::Random).is_err());
         assert!(h.fetch(Rid::new(0, 9999), &s, AccessKind::Random).is_err());
+    }
+
+    #[test]
+    fn try_for_each_row_visits_what_scan_visits_and_rejects_foreign_records() {
+        let mut h = build(500);
+        h.delete(Rid::new(0, 3)).unwrap();
+        let s = Session::with_pool_pages(0);
+        let mut scanned = Vec::new();
+        h.scan(&s, |rid, row| scanned.push((rid, *row)));
+        let mut read = Vec::new();
+        h.try_for_each_row(|rid, row| read.push((rid, *row))).unwrap();
+        assert_eq!(read, scanned);
+        // A page of records of another width decodes under no two-column schema.
+        let mut page = SlottedPage::new();
+        page.insert(&[0u8; 15]).unwrap();
+        let foreign = HeapFile::from_pages(FileId(0), schema2(), vec![page]).unwrap();
+        assert!(foreign.try_for_each_row(|_, _| {}).is_err());
+        // A page whose directory leaves the page makes no heap at all.
+        let mut image = *SlottedPage::new().as_bytes();
+        image[0] = 0xff;
+        let torn = vec![SlottedPage::from_bytes(&image)];
+        assert!(HeapFile::from_pages(FileId(0), schema2(), torn).is_none());
     }
 
     #[test]

@@ -184,9 +184,23 @@ impl SlottedPage {
     }
 
     /// Reconstruct a page from a raw image previously obtained via
-    /// [`SlottedPage::as_bytes`].
+    /// [`SlottedPage::as_bytes`].  Any 8 KiB is accepted; an image that
+    /// did not come from a page of this process is checked with
+    /// [`SlottedPage::is_well_formed`] before anything else reads it
+    /// ([`crate::HeapFile::from_pages`] does).
     pub fn from_bytes(bytes: &[u8; PAGE_SIZE]) -> Self {
         SlottedPage { buf: Box::new(*bytes) }
+    }
+
+    /// Whether the slot directory lies below the record heap and every
+    /// live slot points inside it — what every other accessor assumes.
+    pub fn is_well_formed(&self) -> bool {
+        let (n, low) = (self.n_slots(), self.free_low());
+        HEADER_BYTES + n * SLOT_BYTES <= low
+            && low <= PAGE_SIZE
+            && (0..n).map(|s| self.slot_at(s)).all(|(offset, len)| {
+                len == DEAD || (offset as usize >= low && offset as usize + len as usize <= PAGE_SIZE)
+            })
     }
 }
 
@@ -300,6 +314,28 @@ mod tests {
         let mut p = SlottedPage::new();
         let huge = vec![0u8; PAGE_SIZE];
         assert!(matches!(p.insert(&huge), Err(StorageError::RecordTooLarge { .. })));
+    }
+
+    #[test]
+    fn well_formedness_rejects_directories_that_leave_the_page() {
+        let mut p = SlottedPage::new();
+        assert!(p.is_well_formed());
+        let a = p.insert(b"aaaa").unwrap();
+        p.insert(b"bb").unwrap();
+        p.delete(a).unwrap();
+        p.compact();
+        assert!(p.is_well_formed(), "tombstones and compaction keep a page well formed");
+        let edit = |at: usize, v: u16| {
+            let mut image = *p.as_bytes();
+            image[at..at + 2].copy_from_slice(&v.to_le_bytes());
+            SlottedPage::from_bytes(&image)
+        };
+        assert!(!edit(0, u16::MAX).is_well_formed(), "slot count past the page");
+        assert!(!edit(2, 4).is_well_formed(), "record heap starting inside the directory");
+        assert!(!edit(2, PAGE_SIZE as u16 + 1).is_well_formed(), "record heap past the page");
+        let slot1 = HEADER_BYTES + SLOT_BYTES;
+        assert!(!edit(slot1, 0).is_well_formed(), "record inside the directory");
+        assert!(!edit(slot1 + 2, 9000).is_well_formed(), "record running off the page");
     }
 
     #[test]

@@ -350,7 +350,7 @@ mod tests {
             .map(|p| SlottedPage::from_bytes(heap.page(p).unwrap().as_bytes()))
             .collect();
         let rebuilt_heap =
-            crate::HeapFile::from_pages(heap.file_id(), heap.schema().clone(), pages);
+            crate::HeapFile::from_pages(heap.file_id(), heap.schema().clone(), pages).unwrap();
         assert_eq!(rebuilt_heap.row_count(), heap.row_count());
 
         let mut reloaded = Database::new();

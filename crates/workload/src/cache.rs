@@ -1,123 +1,73 @@
-//! The serialized workload cache.
+//! The workload cache: a built table's heap, kept on disk.
 //!
-//! Building the default workload (2^20 rows, five indexes, two
-//! calibrators) costs seconds of generation, sorting and bulk-loading —
-//! and before this cache existed it was paid again by *every* binary and
-//! test invocation that needed the table.  The cache makes that a one-time
-//! cost per configuration: [`store`] serializes a built [`Workload`] to a
-//! content-addressed file, [`load`] reconstructs it bit-identically.
+//! [`store`] writes the heap pages of a built [`Workload`] to a
+//! content-addressed file; [`load`] reads them back, checks them, and hands
+//! the columns to `gen::finish` — the same function that finishes
+//! [`crate::TableBuilder::build`] — which sorts and bulk-loads the five
+//! indexes and sorts the two calibrators.  Nothing but the heap is stored,
+//! so a loaded workload equals a built one by construction rather than by
+//! a second index-construction path, the file is 44 B/row, and a hit costs
+//! about what a build costs (`docs/DESIGN.md`, "The workload cache", has
+//! the measurements; the benchmark times every set-up through this module).
 //!
 //! ## Layout and addressing
 //!
 //! Files live under `target/workload-cache/` at the workspace root (see
-//! [`cache_dir`]) and are named `wl-<rows>-<hash>.bin`, where `<hash>` is a
-//! 64-bit FNV-1a over the full [`WorkloadConfig`] and the format version —
-//! any config or format change addresses a different file.  The stored
-//! config is compared on load, so even a hash collision cannot serve the
-//! wrong workload.
+//! [`cache_dir`]) and are named `wl-<rows>-<hash>.bin`, where `<hash>` is
+//! FNV-1a over the format version and the full [`WorkloadConfig`] — any
+//! config or format change addresses a different file.  The stored config
+//! is compared on load, so even a hash collision cannot serve the wrong
+//! workload.
 //!
-//! ## Format (version 1, little-endian)
+//! ## Format (version 3, little-endian 64-bit words)
 //!
 //! ```text
-//! magic "RMWLC\x01\0\0" · config (rows, seed, dist tag+param)
-//! heap: file id · page count · raw 8 KiB page images
-//! 5 indexes: name · file id · key columns · sorted (key, rid) entries
-//! calibrators a, b: sorted column values
-//! trailing FNV-1a checksum of everything above
+//! magic "RMWLC\x01\0\0" · version · rows · seed · dist tag · dist param ·
+//! mutation epoch · heap file id · page count · raw 8 KiB page images ·
+//! FNV-1a checksum of every word above
 //! ```
 //!
-//! Heap pages round-trip byte-for-byte; indexes are re-bulk-loaded from
-//! their sorted entries with the same fill factor the builder uses, which
-//! reproduces the exact node layout (bulk loading is deterministic in its
-//! input).  `tests/cache_determinism.rs` asserts the equivalence map-for-map.
-//!
-//! ## Writes are atomic
+//! ## A file that fails validation is a miss
 //!
 //! [`store`] writes a temp file and renames it into place, so concurrent
-//! test binaries never observe a half-written cache; a corrupt or
-//! truncated file fails validation and is rebuilt.
+//! processes never observe a half-written file.  [`load`] trusts nothing it
+//! reads: the checksum, the header against the requested config, the page
+//! count against the pages that follow it, every slot directory against its
+//! page, every record against [`lineitem_schema`] and the row count against
+//! the config — any failure is `None`, and [`crate::TableBuilder::build_cached`]
+//! rebuilds and overwrites.  Files of older versions are misses, not
+//! migrated.
 //!
-//! ## Environment overrides
+//! ## Environment
 //!
 //! * `ROBUSTMAP_WORKLOAD_CACHE=<dir>` — use `<dir>` instead of the default;
 //! * `ROBUSTMAP_WORKLOAD_CACHE=off` (or `0`) — disable the cache entirely
 //!   ([`load`] always misses, [`store`] is a no-op);
-//! * `ROBUSTMAP_WORKLOAD_CACHE_BUDGET=<bytes[K|M|G]>` — the directory's
-//!   size budget (default 4 GiB; `off` disables pruning).  Every [`store`]
-//!   prunes least-recently-used files until the budget holds, so large
-//!   `--rows` sweeps cannot accumulate unbounded multi-GB caches;
-//! * deleting the directory is always safe: `rm -rf target/workload-cache`.
+//! * the directory has no size budget: it lives under `target/`, and
+//!   deleting it is always safe (`rm -rf target/workload-cache`).
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use robustmap_storage::btree::Entry;
 use robustmap_storage::page::PAGE_SIZE;
-use robustmap_storage::{BTree, Database, FileId, HeapFile, Key, Rid, SlottedPage};
+use robustmap_storage::{Database, HeapFile, SlottedPage};
 
-use crate::calib::Calibrator;
-use crate::gen::{
-    lineitem_schema, PredicateDistribution, Workload, WorkloadConfig, WorkloadIndexes,
-    INDEX_DEFS, INDEX_FILL,
-};
+use crate::gen::{finish, lineitem_schema, PredicateDistribution, Workload, WorkloadConfig};
 
 const MAGIC: &[u8; 8] = b"RMWLC\x01\0\0";
 /// Bump on any change that alters what a given [`WorkloadConfig`] produces
 /// — not just file-format changes but *generator semantics* too: the
 /// distributions in `dist.rs`, row assembly or schema in `gen.rs`, heap
-/// page packing, B+-tree bulk-load layout, [`INDEX_FILL`], calibrator
-/// behaviour.  The version is part of the content hash, so a bump makes
-/// every old file miss and rebuild; forgetting one silently serves
-/// pre-change workloads to every binary and test.
+/// page packing.  (Index layout and calibrators are not stored, so they
+/// cannot go stale.)  The version is part of the content hash and the
+/// header, so a bump makes every old file miss and rebuild.
 ///
-/// Version 2: the stored config gained a mutation-epoch word (churned
-/// tables are cached under epoch-specific keys).
-const VERSION: u64 = 2;
-
-/// Default size budget for the cache directory: 4 GiB.
-pub const DEFAULT_CACHE_BUDGET: u64 = 4 << 30;
-
-/// The cache's size budget in bytes, or `None` when pruning is disabled:
-/// `$ROBUSTMAP_WORKLOAD_CACHE_BUDGET` if set (a byte count, optionally
-/// suffixed `K`/`M`/`G`; `off`/`0`/`unlimited` disables pruning), else
-/// [`DEFAULT_CACHE_BUDGET`].
-///
-/// [`store`] enforces the budget after every write by deleting
-/// least-recently-used cache files — LRU by modification time, which
-/// [`load`] refreshes on every hit — until the directory fits.  The file
-/// just written is never pruned, so one workload larger than the whole
-/// budget still caches (and evicts everything else).
-pub fn cache_budget() -> Option<u64> {
-    match std::env::var("ROBUSTMAP_WORKLOAD_CACHE_BUDGET") {
-        Ok(v) => parse_budget(&v),
-        Err(_) => Some(DEFAULT_CACHE_BUDGET),
-    }
-}
-
-fn parse_budget(v: &str) -> Option<u64> {
-    let v = v.trim();
-    if v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("unlimited") || v == "0" {
-        return None;
-    }
-    let (digits, unit) = match v.as_bytes().last() {
-        Some(b'k' | b'K') => (&v[..v.len() - 1], 1u64 << 10),
-        Some(b'm' | b'M') => (&v[..v.len() - 1], 1 << 20),
-        Some(b'g' | b'G') => (&v[..v.len() - 1], 1 << 30),
-        _ => (v, 1),
-    };
-    match digits.trim().parse::<u64>() {
-        // Any spelling of zero ("0", "0K", "0G") disables pruning rather
-        // than setting a 0-byte budget that would evict the whole cache.
-        Ok(0) => None,
-        Ok(n) => Some(n.saturating_mul(unit)),
-        Err(_) => {
-            robustmap_obs::warn!(
-                "workload cache: unparseable ROBUSTMAP_WORKLOAD_CACHE_BUDGET {v:?}; \
-                 using the default ({DEFAULT_CACHE_BUDGET} bytes)"
-            );
-            Some(DEFAULT_CACHE_BUDGET)
-        }
-    }
-}
+/// Version 3: heap pages only; versions 1 and 2 also stored index entries
+/// and calibrator values.
+const VERSION: u64 = 3;
+/// Bytes before the first page image: the magic and eight header words.
+const HEADER_BYTES: usize = MAGIC.len() + 8 * 8;
 
 /// The cache directory: `$ROBUSTMAP_WORKLOAD_CACHE` if set (its value
 /// `off`/`0` disables caching), else `<workspace>/target/workload-cache`.
@@ -135,365 +85,145 @@ pub fn cache_dir() -> Option<PathBuf> {
     }
 }
 
-/// 64-bit FNV-1a (byte-wise; used for the small config hash).
-pub(crate) fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// FNV-1a folded over 64-bit words: the config hash and the file checksum
+/// (every file is a whole number of words).  `state` is [`FNV_SEED`], or a
+/// checksum so far.
+fn fnv1a(state: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(state, |h, w| (h ^ w).wrapping_mul(0x100_0000_01b3))
+}
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
 }
 
-/// FNV-1a folded over 8-byte words — the payload checksum.  The cache file
-/// is hundreds of megabytes at full scale; a byte-wise pass would cost a
-/// noticeable fraction of the build time it is meant to save.
-pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_SEED;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        h ^= u64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    fnv1a(h, chunks.remainder())
-}
-
-pub(crate) const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn dist_code(d: PredicateDistribution) -> (u64, u64) {
-    match d {
+/// The words a configuration is addressed by and a file's header opens with.
+fn config_words(config: &WorkloadConfig) -> [u64; 6] {
+    let (tag, param) = match config.predicate_dist {
         PredicateDistribution::Permutation => (0, 0),
         PredicateDistribution::Uniform => (1, 0),
         PredicateDistribution::ZipfHundredths(h) => (2, h as u64),
         PredicateDistribution::CorrelatedHundredths(rho) => (3, rho as u64),
-    }
+    };
+    [VERSION, config.rows, config.seed, tag, param, config.mutation_epoch]
 }
 
 /// The content hash a configuration is addressed by.
 pub fn config_hash(config: &WorkloadConfig) -> u64 {
-    let (tag, param) = dist_code(config.predicate_dist);
-    let mut h = FNV_SEED;
-    for word in [VERSION, config.rows, config.seed, tag, param, config.mutation_epoch] {
-        h = fnv1a(h, &word.to_le_bytes());
-    }
-    h
+    fnv1a(FNV_SEED, config_words(config))
+}
+
+fn path_in(dir: &Path, config: &WorkloadConfig) -> PathBuf {
+    dir.join(format!("wl-{}-{:016x}.bin", config.rows, config_hash(config)))
 }
 
 /// The file a configuration would be cached at, or `None` when caching is
 /// disabled.
 pub fn cache_path(config: &WorkloadConfig) -> Option<PathBuf> {
-    cache_dir().map(|d| d.join(format!("wl-{}-{:016x}.bin", config.rows, config_hash(config))))
+    cache_dir().map(|dir| path_in(&dir, config))
 }
 
-// ---------------------------------------------------------------- writing
-
-pub(crate) struct Writer {
-    pub(crate) buf: Vec<u8>,
-}
-
-impl Writer {
-    pub(crate) fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-}
-
-/// Serialize `w` into the cache.  No-op when caching is disabled; I/O
-/// errors are reported to stderr and otherwise ignored (the cache is an
+/// Write `w`'s heap into the cache.  No-op when caching is disabled; I/O
+/// errors are warned about and otherwise ignored (the cache is an
 /// accelerator, not a correctness dependency).
 pub fn store(w: &Workload) {
-    let Some(path) = cache_path(&w.config) else { return };
-    let mut out = Writer::new();
-    out.bytes(MAGIC);
-    let (tag, param) = dist_code(w.config.predicate_dist);
-    out.u64(w.config.rows);
-    out.u64(w.config.seed);
-    out.u64(tag);
-    out.u64(param);
-    out.u64(w.config.mutation_epoch);
+    if let Some(dir) = cache_dir() {
+        store_in(&dir, w);
+    }
+}
 
-    // Heap: raw page images.
+fn store_in(dir: &Path, w: &Workload) {
     let heap = &w.db.table(w.table).heap;
-    out.u64(heap.file_id().0 as u64);
-    out.u64(heap.page_count() as u64);
-    for p in 0..heap.page_count() {
-        out.bytes(heap.page(p).expect("page in range").as_bytes());
+    let pages = heap.page_count();
+    let mut out = Vec::with_capacity(HEADER_BYTES + pages as usize * PAGE_SIZE + 8);
+    out.extend_from_slice(MAGIC);
+    for word in config_words(&w.config).into_iter().chain([heap.file_id().0 as u64, pages as u64]) {
+        out.extend_from_slice(&word.to_le_bytes());
     }
-
-    // Indexes: sorted entries, re-bulk-loaded on read.
-    out.u64(INDEX_DEFS.len() as u64);
-    for (slot, (name, cols)) in INDEX_DEFS.iter().enumerate() {
-        let def = w.db.index(index_id_at(w, slot));
-        debug_assert_eq!(&def.name, name);
-        debug_assert_eq!(def.key_columns, *cols);
-        out.u64(def.tree.file_id().0 as u64);
-        out.u64(def.tree.key_arity() as u64);
-        out.u64(def.tree.len());
-        for (key, rid) in def.tree.collect_all() {
-            for &v in key.values() {
-                out.i64(v);
-            }
-            out.u64(rid.to_u64());
-        }
+    for p in 0..pages {
+        out.extend_from_slice(heap.page(p).expect("page in range").as_bytes());
     }
+    let checksum = fnv1a(FNV_SEED, words(&out));
+    out.extend_from_slice(&checksum.to_le_bytes());
 
-    // Calibrators.
-    for cal in [&w.cal_a, &w.cal_b] {
-        out.u64(cal.len());
-        for &v in cal.sorted_values() {
-            out.i64(v);
-        }
-    }
-
-    write_cache_file(&path, out.buf);
-}
-
-/// Append the payload checksum and install `payload` at `path` atomically
-/// (temp file + rename), then prune the directory to the size budget.
-/// Shared by the workload cache and the joint-statistics cache
-/// ([`crate::stats`]); best-effort like every cache write.
-pub(crate) fn write_cache_file(path: &Path, mut payload: Vec<u8>) {
-    let checksum = checksum64(&payload);
-    payload.extend_from_slice(&checksum.to_le_bytes());
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(path.parent().expect("cache file has a directory"))?;
-        // The temp name must be unique per *call*, not just per process:
-        // threads of one test binary can miss on the same config
-        // concurrently, and a shared temp path would interleave their
-        // writes before one rename installs the mixed-content file.
-        static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
-        std::fs::write(&tmp, &payload)?;
-        std::fs::rename(&tmp, path)
-    };
-    if let Err(e) = write() {
+    // The temp name is unique per *call*, not just per process: threads of
+    // one test binary can miss on the same config concurrently, and a
+    // shared temp path would interleave their writes before one rename
+    // installs the mixed-content file.
+    static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
+    let path = path_in(dir, &w.config);
+    let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
+    let installed = std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&tmp, &out))
+        .and_then(|()| std::fs::rename(&tmp, &path));
+    if let Err(e) = installed {
         robustmap_obs::warn!("workload cache: could not write {}: {e}", path.display());
-    } else if let (Some(budget), Some(dir)) = (cache_budget(), path.parent()) {
-        prune_to_budget(dir, budget, path);
+        let _ = std::fs::remove_file(&tmp);
     }
 }
 
-/// Read a cache file written by [`write_cache_file`], validate its
-/// trailing checksum, refresh its LRU recency, and return the payload
-/// (checksum stripped) — or `None` for a missing, truncated or corrupt
-/// file.
-pub(crate) fn read_cache_file(path: &Path) -> Option<Vec<u8>> {
-    let mut data = std::fs::read(path).ok()?;
-    if data.len() < 8 {
-        return None;
-    }
-    let tail_at = data.len() - 8;
-    let tail = u64::from_le_bytes(data[tail_at..].try_into().expect("8 bytes"));
-    if checksum64(&data[..tail_at]) != tail {
-        return None;
-    }
-    data.truncate(tail_at);
-    touch(path); // refresh LRU recency only for files that validated
-    Some(data)
-}
-
-/// Delete least-recently-used cache files (mtime order, ties broken by
-/// name for determinism) until the directory's `wl-*.bin` total fits
-/// `budget`.  `keep` — the file the caller just wrote — is never deleted.
-/// Best-effort: races with concurrent stores or deletions are harmless
-/// (the cache is an accelerator, not a correctness dependency).
-fn prune_to_budget(dir: &Path, budget: u64, keep: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    let now = std::time::SystemTime::now();
-    // Temp files old enough that no in-flight store can still own them
-    // (writes take seconds): an interrupted process would otherwise leave
-    // multi-GB orphans that the budget accounting below never sees.
-    let tmp_grace = std::time::Duration::from_secs(15 * 60);
-    let mut files: Vec<(PathBuf, std::time::SystemTime, u64)> = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if !name.starts_with("wl-") {
-            continue;
-        }
-        let Ok(md) = entry.metadata() else { continue };
-        let mtime = md.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-        if name.contains(".tmp.") {
-            if now.duration_since(mtime).is_ok_and(|age| age > tmp_grace) {
-                let _ = std::fs::remove_file(entry.path());
-            }
-            continue;
-        }
-        if !name.ends_with(".bin") {
-            continue;
-        }
-        files.push((entry.path(), mtime, md.len()));
-    }
-    let mut total: u64 = files.iter().map(|f| f.2).sum();
-    if total <= budget {
-        return;
-    }
-    files.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-    for (path, _, size) in files {
-        if total <= budget {
-            break;
-        }
-        if path == keep {
-            continue;
-        }
-        if std::fs::remove_file(&path).is_ok() {
-            total = total.saturating_sub(size);
-        }
-    }
-}
-
-/// Mark a cache file recently used (LRU bookkeeping for
-/// [`prune_to_budget`]).  Best-effort — a read-only cache directory just
-/// degrades LRU to FIFO.
-fn touch(path: &Path) {
-    let now = std::time::SystemTime::now();
-    let _ = std::fs::File::options()
-        .write(true)
-        .open(path)
-        .and_then(|f| f.set_times(std::fs::FileTimes::new().set_modified(now)));
-}
-
-fn index_id_at(w: &Workload, slot: usize) -> robustmap_storage::IndexId {
-    [w.indexes.a, w.indexes.b, w.indexes.c, w.indexes.ab, w.indexes.ba][slot]
-}
-
-// ---------------------------------------------------------------- reading
-
-pub(crate) struct Reader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) at: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.buf.get(self.at..self.at + n)?;
-        self.at += n;
-        Some(slice)
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn i64(&mut self) -> Option<i64> {
-        Some(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-}
-
-/// Deserialize the workload for `config`, or `None` on a miss (no file,
-/// caching disabled, or a file that fails validation).
+/// The workload for `config` from its cached heap, or `None` on a miss (no
+/// file, caching disabled, or a file that fails validation).
 pub fn load(config: &WorkloadConfig) -> Option<Workload> {
-    let path = cache_path(config)?;
-    // Trailing checksum first: catches truncation and corruption cheaply.
-    let payload = read_cache_file(&path)?;
-    parse(&payload, config)
+    load_from(&cache_dir()?, config)
 }
 
-fn parse(payload: &[u8], config: &WorkloadConfig) -> Option<Workload> {
-    if payload.len() < MAGIC.len() {
-        return None;
-    }
-    let mut r = Reader { buf: payload, at: 0 };
-    if r.take(MAGIC.len())? != MAGIC {
-        return None;
-    }
-    let (tag, param) = dist_code(config.predicate_dist);
-    if [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?]
-        != [config.rows, config.seed, tag, param, config.mutation_epoch]
-    {
-        return None;
-    }
-
-    // Heap.
-    let heap_file = FileId(u32::try_from(r.u64()?).ok()?);
-    let page_count = usize::try_from(r.u64()?).ok()?;
-    let mut pages = Vec::with_capacity(page_count);
-    for _ in 0..page_count {
-        let image: &[u8; PAGE_SIZE] = r.take(PAGE_SIZE)?.try_into().expect("page-sized");
-        pages.push(SlottedPage::from_bytes(image));
-    }
-    let heap = HeapFile::from_pages(heap_file, lineitem_schema(), pages);
-
-    // Indexes: parse entries, then bulk-load all five in parallel.
-    if r.u64()? != INDEX_DEFS.len() as u64 {
-        return None;
-    }
-    let mut parsed: Vec<(FileId, usize, Vec<Entry>)> = Vec::with_capacity(INDEX_DEFS.len());
-    for (_, cols) in INDEX_DEFS {
-        let file = FileId(u32::try_from(r.u64()?).ok()?);
-        let arity = usize::try_from(r.u64()?).ok()?;
-        if arity != cols.len() {
-            return None;
+fn load_from(dir: &Path, config: &WorkloadConfig) -> Option<Workload> {
+    let heap = read_heap(&path_in(dir, config), config)?;
+    // Columns a, b, c and the rids, read back out of the pages — which is
+    // also where every stored record is checked against the schema.
+    let rows = heap.row_count() as usize;
+    let mut cols: [Vec<i64>; 3] = std::array::from_fn(|_| Vec::with_capacity(rows));
+    let mut rids = Vec::with_capacity(rows);
+    heap.try_for_each_row(|rid, row| {
+        for (col, vals) in cols.iter_mut().enumerate() {
+            vals.push(row.get(col));
         }
-        let len = usize::try_from(r.u64()?).ok()?;
-        let mut entries = Vec::with_capacity(len);
-        let mut vals = [0i64; robustmap_storage::btree::MAX_KEY_COLS];
-        for _ in 0..len {
-            for v in vals.iter_mut().take(arity) {
-                *v = r.i64()?;
-            }
-            entries.push((Key::new(&vals[..arity]), Rid::from_u64(r.u64()?)));
-        }
-        if !entries.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        parsed.push((file, arity, entries));
-    }
-    let mut trees: Vec<Option<BTree>> = (0..parsed.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (out, (file, arity, entries)) in trees.iter_mut().zip(&parsed) {
-            scope.spawn(move || {
-                *out = Some(BTree::bulk_load(*file, *arity, entries, INDEX_FILL));
-            });
-        }
-    });
-
-    // Calibrators.
-    let mut cals = Vec::with_capacity(2);
-    for _ in 0..2 {
-        let len = usize::try_from(r.u64()?).ok()?;
-        let mut vals = Vec::with_capacity(len);
-        for _ in 0..len {
-            vals.push(r.i64()?);
-        }
-        if !vals.windows(2).all(|w| w[0] <= w[1]) {
-            return None;
-        }
-        cals.push(Calibrator::from_sorted(vals));
-    }
-    let cal_b = cals.pop().expect("two calibrators");
-    let cal_a = cals.pop().expect("two calibrators");
-    if r.at != r.buf.len() {
-        return None; // trailing garbage
-    }
-
-    // Reassemble the catalog in creation order.
+        rids.push(rid);
+    })
+    .ok()?;
     let mut db = Database::new();
     let table = db.attach_table("lineitem", heap);
-    let mut ids = Vec::with_capacity(INDEX_DEFS.len());
-    for ((name, cols), tree) in INDEX_DEFS.iter().zip(trees) {
-        ids.push(db.attach_index(name, table, cols, tree.expect("worker finished")).ok()?);
+    Some(finish(config.clone(), db, table, &cols, &rids))
+}
+
+/// The heap the file at `path` holds, if the file is one [`store`] wrote
+/// for `config`.  Pages are read straight into place, one at a time, so the
+/// file is never held whole beside the table; nothing read from it sizes
+/// an allocation, and no page is looked into before the checksum over all
+/// of them has matched.
+fn read_heap(path: &Path, config: &WorkloadConfig) -> Option<HeapFile> {
+    let mut file = std::fs::File::open(path).ok()?;
+    let mut header = [0u8; HEADER_BYTES];
+    file.read_exact(&mut header).ok()?;
+    let mut checksum = fnv1a(FNV_SEED, words(&header));
+    let (magic, fields) = header.split_at(MAGIC.len());
+    let mut fields = words(fields);
+    if magic != MAGIC || !config_words(config).iter().all(|&w| fields.next() == Some(w)) {
+        return None; // another version, or another configuration
     }
-    Some(Workload {
-        db,
-        table,
-        indexes: WorkloadIndexes { a: ids[0], b: ids[1], c: ids[2], ab: ids[3], ba: ids[4] },
-        cal_a,
-        cal_b,
-        config: config.clone(),
-    })
+    // The file id a fresh database gives its first table, as `build` does.
+    let file_id = Database::new().alloc_file();
+    if fields.next()? != file_id.0 as u64 {
+        return None;
+    }
+    // The count bounds the loop only: a count past the file ends at the
+    // first short read, and one short of it at the checksum.
+    let mut pages = Vec::new();
+    let mut image = [0u8; PAGE_SIZE];
+    for _ in 0..fields.next()? {
+        file.read_exact(&mut image).ok()?;
+        checksum = fnv1a(checksum, words(&image));
+        pages.push(SlottedPage::from_bytes(&image));
+    }
+    let mut tail = Vec::new();
+    file.take(9).read_to_end(&mut tail).ok()?;
+    if tail != checksum.to_le_bytes() {
+        return None; // truncated, extended or corrupt
+    }
+    // Slot directories are checked here, records by the caller's read-back.
+    HeapFile::from_pages(file_id, lineitem_schema(), pages).filter(|h| h.row_count() == config.rows)
 }
 
 #[cfg(test)]
@@ -501,240 +231,116 @@ mod tests {
     use super::*;
     use crate::gen::TableBuilder;
 
-    /// `ROBUSTMAP_WORKLOAD_CACHE` is process-global; tests that set it
-    /// must not interleave.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn unique_dir(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("robustmap-cache-test-{tag}-{}", std::process::id()))
+    /// A directory of this test's own.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("robustmap-cache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
-    /// Round-trip through serialize + parse (no filesystem, no env vars —
-    /// those stay test-friendly and race-free).
     #[test]
-    fn roundtrip_preserves_workload_exactly() {
-        let _guard = ENV_LOCK.lock().unwrap();
+    fn store_then_load_round_trips_and_leaves_one_file() {
+        let dir = temp_dir("roundtrip");
         let config = WorkloadConfig::small();
+        assert!(load_from(&dir, &config).is_none(), "an empty directory is a miss");
         let built = TableBuilder::build(config.clone());
-
-        // Serialize via the same code path as `store`, in memory.
-        let dir = unique_dir("roundtrip");
-        std::env::set_var("ROBUSTMAP_WORKLOAD_CACHE", &dir);
-        store(&built);
-        let loaded = load(&config).expect("cache hit after store");
-        std::env::remove_var("ROBUSTMAP_WORKLOAD_CACHE");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        assert_eq!(loaded.rows(), built.rows());
-        assert_eq!(loaded.heap_pages(), built.heap_pages());
+        store_in(&dir, &built);
+        let loaded = load_from(&dir, &config).expect("hit after store");
+        assert_eq!((loaded.rows(), loaded.heap_pages()), (built.rows(), built.heap_pages()));
         assert_eq!(loaded.config, built.config);
-        // Heap pages byte-identical.
-        let (h1, h2) = (&built.db.table(built.table).heap, &loaded.db.table(loaded.table).heap);
-        for p in 0..h1.page_count() {
-            assert_eq!(
-                h1.page(p).unwrap().as_bytes().as_slice(),
-                h2.page(p).unwrap().as_bytes().as_slice(),
-                "heap page {p}"
-            );
+        assert_eq!(loaded.indexes, built.indexes);
+        for (id, def) in built.db.indexes_on(built.table) {
+            assert_eq!(def.tree.collect_all(), loaded.db.index(id).tree.collect_all());
         }
-        // Trees entry- and shape-identical.
-        for slot in 0..INDEX_DEFS.len() {
-            let t1 = &built.db.index(index_id_at(&built, slot)).tree;
-            let t2 = &loaded.db.index(index_id_at(&loaded, slot)).tree;
-            assert_eq!(t1.collect_all(), t2.collect_all(), "index {slot} entries");
-            assert_eq!(t1.height(), t2.height(), "index {slot} height");
-            assert_eq!(t1.node_count(), t2.node_count(), "index {slot} nodes");
-            t2.check_invariants().unwrap();
-        }
-        // Calibrators agree on every power-of-two selectivity.
-        for exp in 0..=12 {
-            let sel = 0.5f64.powi(exp);
-            assert_eq!(built.cal_a.threshold_with_count(sel), loaded.cal_a.threshold_with_count(sel));
-            assert_eq!(built.cal_b.threshold_with_count(sel), loaded.cal_b.threshold_with_count(sel));
-        }
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, [path_in(&dir, &config).file_name().unwrap()], "no temp file is left");
+        // 40-byte records and 4-byte slots: the heap and nothing else.
+        let bytes = std::fs::metadata(path_in(&dir, &config)).unwrap().len();
+        assert!(bytes <= 48 * config.rows, "{bytes} bytes for {} rows", config.rows);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_or_mismatched_files_miss() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = unique_dir("corrupt");
-        std::env::set_var("ROBUSTMAP_WORKLOAD_CACHE", &dir);
+        let dir = temp_dir("corrupt");
         let config = WorkloadConfig::small();
-        let built = TableBuilder::build(config.clone());
-        store(&built);
-        let path = cache_path(&config).unwrap();
-        assert!(path.exists());
+        store_in(&dir, &TableBuilder::build(config.clone()));
+        let path = path_in(&dir, &config);
 
         // A different config misses even with a file present.
-        let mut other = config.clone();
-        other.seed ^= 1;
-        assert!(load(&other).is_none());
+        let other = WorkloadConfig { seed: config.seed ^ 1, ..config.clone() };
+        assert!(load_from(&dir, &other).is_none());
+        // ... and so does this config's file sitting at the other's path.
+        std::fs::copy(&path, path_in(&dir, &other)).unwrap();
+        assert!(load_from(&dir, &other).is_none());
 
         // Flip a payload byte: checksum rejects.
         let mut data = std::fs::read(&path).unwrap();
-        data[MAGIC.len() + 3] ^= 0xff;
+        data[HEADER_BYTES + 3] ^= 0xff;
         std::fs::write(&path, &data).unwrap();
-        assert!(load(&config).is_none());
-
-        // Truncate: rejected.
-        std::fs::write(&path, &data[..data.len() / 2]).unwrap();
-        assert!(load(&config).is_none());
-
-        std::env::remove_var("ROBUSTMAP_WORKLOAD_CACHE");
+        assert!(load_from(&dir, &config).is_none());
+        // Truncate, to a whole and to a ragged number of words: rejected.
+        for keep in [data.len() / 2, data.len() / 2 + 3, 7, 0] {
+            std::fs::write(&path, &data[..keep]).unwrap();
+            assert!(load_from(&dir, &config).is_none(), "truncated to {keep} bytes");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The one test that mutates the process environment.  The only other
+    /// reader of the variable in this test binary (`stats_maint`'s epoch
+    /// test, through [`cache_path`]) holds whatever it reads.
     #[test]
-    fn disabled_cache_never_stores() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        std::env::set_var("ROBUSTMAP_WORKLOAD_CACHE", "off");
-        assert!(cache_dir().is_none());
+    fn the_variable_names_the_directory_or_disables_the_cache() {
+        let var = "ROBUSTMAP_WORKLOAD_CACHE";
+        let before = std::env::var_os(var);
         let config = WorkloadConfig::small();
-        assert!(cache_path(&config).is_none());
-        let built = TableBuilder::build(config.clone());
-        store(&built);
-        assert!(load(&config).is_none());
-        std::env::remove_var("ROBUSTMAP_WORKLOAD_CACHE");
+
+        std::env::remove_var(var);
+        let default = cache_dir().expect("enabled by default");
+        assert!(default.ends_with("target/workload-cache"), "{}", default.display());
+
+        let dir = temp_dir("env");
+        std::env::set_var(var, &dir);
+        assert_eq!(cache_dir().as_deref(), Some(dir.as_path()));
+        assert_eq!(cache_path(&config), Some(path_in(&dir, &config)));
+        store(&TableBuilder::build(config.clone()));
+        assert!(load(&config).is_some(), "the public pair resolves the variable");
+
+        for off in ["off", "0"] {
+            std::env::set_var(var, off);
+            assert!(cache_dir().is_none() && cache_path(&config).is_none());
+            store(&TableBuilder::build(config.clone()));
+            assert!(load(&config).is_none(), "{off:?} disables the cache");
+        }
+        match before {
+            Some(v) => std::env::set_var(var, v),
+            None => std::env::remove_var(var),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn config_hash_separates_configs() {
         let base = WorkloadConfig::small();
-        let mut seed = base.clone();
-        seed.seed += 1;
-        let mut rows = base.clone();
-        rows.rows *= 2;
-        let zipf = WorkloadConfig {
-            predicate_dist: PredicateDistribution::ZipfHundredths(110),
-            ..base.clone()
-        };
-        let correlated = WorkloadConfig {
-            predicate_dist: PredicateDistribution::CorrelatedHundredths(75),
-            ..base.clone()
-        };
-        let correlated_other = WorkloadConfig {
-            predicate_dist: PredicateDistribution::CorrelatedHundredths(50),
-            ..base.clone()
-        };
-        let hashes = [&base, &seed, &rows, &zipf, &correlated, &correlated_other]
-            .map(config_hash);
+        let dist = |d| WorkloadConfig { predicate_dist: d, ..base.clone() };
+        let hashes = [
+            base.clone(),
+            WorkloadConfig { seed: base.seed + 1, ..base.clone() },
+            WorkloadConfig { rows: base.rows * 2, ..base.clone() },
+            WorkloadConfig { mutation_epoch: 1, ..base.clone() },
+            dist(PredicateDistribution::Uniform),
+            dist(PredicateDistribution::ZipfHundredths(110)),
+            dist(PredicateDistribution::CorrelatedHundredths(75)),
+            dist(PredicateDistribution::CorrelatedHundredths(50)),
+        ]
+        .map(|c| config_hash(&c));
         for i in 0..hashes.len() {
             for j in i + 1..hashes.len() {
                 assert_ne!(hashes[i], hashes[j], "{i} vs {j}");
             }
         }
-    }
-
-    #[test]
-    fn budget_parsing_handles_units_and_disabling() {
-        assert_eq!(parse_budget("12345"), Some(12345));
-        assert_eq!(parse_budget("64K"), Some(64 << 10));
-        assert_eq!(parse_budget(" 8m "), Some(8 << 20));
-        assert_eq!(parse_budget("2G"), Some(2 << 30));
-        assert_eq!(parse_budget("off"), None);
-        assert_eq!(parse_budget("unlimited"), None);
-        assert_eq!(parse_budget("0"), None);
-        // Any spelling of zero disables pruning; a 0-byte budget would
-        // evict the whole cache on every store.
-        assert_eq!(parse_budget("0K"), None);
-        assert_eq!(parse_budget("0g"), None);
-        // Unparseable values warn and fall back to the default.
-        assert_eq!(parse_budget("lots"), Some(DEFAULT_CACHE_BUDGET));
-    }
-
-    #[test]
-    fn cache_budget_evicts_least_recently_used_on_write() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = unique_dir("budget");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("ROBUSTMAP_WORKLOAD_CACHE", &dir);
-        std::env::remove_var("ROBUSTMAP_WORKLOAD_CACHE_BUDGET");
-
-        let cfg = |s: u64| WorkloadConfig { seed: 0xB0D6_E700 + s, ..WorkloadConfig::small() };
-        store(&TableBuilder::build(cfg(0)));
-        let size = std::fs::metadata(cache_path(&cfg(0)).unwrap()).unwrap().len();
-        // Room for two files and change, not three.
-        let budget = size * 5 / 2;
-        std::env::set_var("ROBUSTMAP_WORKLOAD_CACHE_BUDGET", budget.to_string());
-
-        let tick = || std::thread::sleep(std::time::Duration::from_millis(20));
-        tick();
-        store(&TableBuilder::build(cfg(1)));
-        tick();
-        // Loading cfg(0) refreshes its recency: cfg(1) becomes the LRU file.
-        assert!(load(&cfg(0)).is_some());
-        tick();
-        store(&TableBuilder::build(cfg(2)));
-
-        assert!(cache_path(&cfg(0)).unwrap().exists(), "recently loaded file survives");
-        assert!(!cache_path(&cfg(1)).unwrap().exists(), "least-recently-used file evicted");
-        assert!(cache_path(&cfg(2)).unwrap().exists(), "the just-written file is never evicted");
-        let total: u64 = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".bin"))
-            .map(|e| e.metadata().unwrap().len())
-            .sum();
-        assert!(total <= budget, "total {total} over budget {budget}");
-
-        std::env::remove_var("ROBUSTMAP_WORKLOAD_CACHE_BUDGET");
-        std::env::remove_var("ROBUSTMAP_WORKLOAD_CACHE");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_tmp_files_are_cleaned_up_on_store() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = unique_dir("stale-tmp");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("ROBUSTMAP_WORKLOAD_CACHE", &dir);
-        std::env::remove_var("ROBUSTMAP_WORKLOAD_CACHE_BUDGET");
-
-        // An orphan from an interrupted store (old) and one that could
-        // still be in flight (fresh): only the old one may be reaped.
-        let old_tmp = dir.join("wl-4096-dead.tmp.1.0");
-        let fresh_tmp = dir.join("wl-4096-live.tmp.2.0");
-        for p in [&old_tmp, &fresh_tmp] {
-            std::fs::write(p, b"orphan").unwrap();
-        }
-        let hour_ago = std::time::SystemTime::now() - std::time::Duration::from_secs(3600);
-        std::fs::File::options()
-            .write(true)
-            .open(&old_tmp)
-            .unwrap()
-            .set_times(std::fs::FileTimes::new().set_modified(hour_ago))
-            .unwrap();
-
-        let cfg = WorkloadConfig { seed: 0x7E3A_57A1E, ..WorkloadConfig::small() };
-        store(&TableBuilder::build(cfg.clone()));
-
-        assert!(!old_tmp.exists(), "stale orphan must be reaped");
-        assert!(fresh_tmp.exists(), "a possibly in-flight temp file must survive");
-        assert!(cache_path(&cfg).unwrap().exists());
-
-        std::env::remove_var("ROBUSTMAP_WORKLOAD_CACHE");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn oversized_single_workload_still_caches() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = unique_dir("oversized");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("ROBUSTMAP_WORKLOAD_CACHE", &dir);
-        // A budget smaller than any file: the just-written file must
-        // survive (and evict everything else).
-        std::env::set_var("ROBUSTMAP_WORKLOAD_CACHE_BUDGET", "1K");
-        let a = WorkloadConfig { seed: 0xF00D, ..WorkloadConfig::small() };
-        let b = WorkloadConfig { seed: 0xF00E, ..WorkloadConfig::small() };
-        store(&TableBuilder::build(a.clone()));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        store(&TableBuilder::build(b.clone()));
-        assert!(!cache_path(&a).unwrap().exists(), "older file evicted");
-        assert!(cache_path(&b).unwrap().exists(), "newest file kept despite the tiny budget");
-        std::env::remove_var("ROBUSTMAP_WORKLOAD_CACHE_BUDGET");
-        std::env::remove_var("ROBUSTMAP_WORKLOAD_CACHE");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,20 +22,6 @@ impl Calibrator {
         Calibrator { sorted: values }
     }
 
-    /// Build from already-sorted values (the workload cache's load path).
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if `values` is not sorted.
-    pub fn from_sorted(values: Vec<i64>) -> Self {
-        debug_assert!(values.windows(2).all(|w| w[0] <= w[1]), "values not sorted");
-        Calibrator { sorted: values }
-    }
-
-    /// The sorted values (the workload cache's store path).
-    pub fn sorted_values(&self) -> &[i64] {
-        &self.sorted
-    }
-
     /// Number of rows.
     pub fn len(&self) -> u64 {
         self.sorted.len() as u64

@@ -15,8 +15,8 @@
 //!   B+-tree insert/delete for the five catalog indexes goes through a
 //!   [`Session`], so mutation cost lands on the simulated clock like any
 //!   other work.  Each applied batch bumps the workload's
-//!   `config.mutation_epoch`, which invalidates every content-addressed
-//!   cache key (`wl-*`, `wl-jstats-*`) for the pre-churn table.
+//!   `config.mutation_epoch`, which re-keys the workload cache: the
+//!   churned table no longer addresses the pre-churn table's `wl-*` file.
 //!
 //! The driver reports each batch as an [`AppliedBatch`] — the `(a, b)`
 //! deltas the incremental statistics in [`crate::stats_maint`] fold in,

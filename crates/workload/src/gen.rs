@@ -16,7 +16,7 @@
 //! no-index table scan.  Five indexes cover all thirteen plans measured
 //! across the paper's three systems: `a`, `b`, `c`, `(a,b)`, `(b,a)`.
 
-use robustmap_storage::btree::Entry;
+use robustmap_storage::btree::{Entry, MAX_KEY_COLS};
 use robustmap_storage::{BTree, ColumnType, Database, IndexId, Key, Rid, Row, Schema, TableId};
 
 use crate::calib::Calibrator;
@@ -63,9 +63,9 @@ pub struct WorkloadConfig {
     /// Distribution of predicate columns `a` and `b`.
     pub predicate_dist: PredicateDistribution,
     /// Mutation epoch: 0 for a freshly generated table, bumped by the churn
-    /// driver after every applied batch.  Folded into every content-addressed
-    /// cache key (`wl-*`, `wl-jstats-*`), so an artifact cached for one
-    /// epoch can never be served for a table whose rows have since changed.
+    /// driver after every applied batch.  Folded into the workload cache's
+    /// key and compared on load, so a churned table is neither stored over
+    /// nor served as the pristine table of the same configuration.
     pub mutation_epoch: u64,
 }
 
@@ -186,12 +186,9 @@ pub struct TableBuilder;
 impl TableBuilder {
     /// Generate the table, build all five indexes, and calibrate.
     ///
-    /// Always generates from scratch.  The five index bulk-loads and the
-    /// two calibrator sorts are independent of each other, so they run on
-    /// worker threads; the result is bit-identical to a sequential build
-    /// (each sorts its own entry list with the same algorithm).  Callers
-    /// that rebuild the same configuration repeatedly should prefer
-    /// [`TableBuilder::build_cached`].
+    /// Always generates from scratch; `finish` builds the indexes and
+    /// calibrators.  Callers that rebuild the same configuration repeatedly
+    /// should prefer [`TableBuilder::build_cached`].
     pub fn build(config: WorkloadConfig) -> Workload {
         let n = config.rows;
         assert!(n >= 4, "workload too small");
@@ -202,80 +199,24 @@ impl TableBuilder {
         let mut dist_c = Permutation::new(n, config.seed.wrapping_add(3));
         let mut payload = Uniform::new(1 << 20, config.seed.wrapping_add(4));
 
-        let mut vals_a = Vec::with_capacity(n as usize);
-        let mut vals_b = Vec::with_capacity(n as usize);
-        let mut vals_c = Vec::with_capacity(n as usize);
+        let mut cols: [Vec<i64>; 3] = std::array::from_fn(|_| Vec::with_capacity(n as usize));
         let mut rids: Vec<Rid> = Vec::with_capacity(n as usize);
         for i in 0..n {
-            let a = dist_a.value(i);
-            let b = dist_b.value(i);
-            let c = dist_c.value(i);
-            vals_a.push(a);
-            vals_b.push(b);
-            vals_c.push(c);
+            let (a, b, c) = (dist_a.value(i), dist_b.value(i), dist_c.value(i));
+            cols[COL_A].push(a);
+            cols[COL_B].push(b);
+            cols[COL_C].push(c);
             let row = Row::from_slice(&[a, b, c, i as i64, payload.value(i)]);
             rids.push(db.insert_row(table, &row).expect("generated row must fit schema"));
         }
-
-        // File ids in the order `create_index` would have allocated them,
-        // so a parallel build is catalog-identical to a sequential one.
-        let files: Vec<_> = INDEX_DEFS.iter().map(|_| db.alloc_file()).collect();
-        // Key extractors per index, in INDEX_DEFS order.
-        let key_of: [&(dyn Fn(usize) -> Key + Sync); 5] = [
-            &|i| Key::single(vals_a[i]),
-            &|i| Key::single(vals_b[i]),
-            &|i| Key::single(vals_c[i]),
-            &|i| Key::pair(vals_a[i], vals_b[i]),
-            &|i| Key::pair(vals_b[i], vals_a[i]),
-        ];
-        let mut trees: Vec<Option<BTree>> = (0..INDEX_DEFS.len()).map(|_| None).collect();
-        let mut cal_a = None;
-        let mut cal_b = None;
-        std::thread::scope(|scope| {
-            for (slot, out) in trees.iter_mut().enumerate() {
-                let key_of = key_of[slot];
-                let file = files[slot];
-                let arity = INDEX_DEFS[slot].1.len();
-                let rids = &rids;
-                scope.spawn(move || {
-                    let mut entries: Vec<Entry> =
-                        rids.iter().enumerate().map(|(i, &rid)| (key_of(i), rid)).collect();
-                    entries.sort_unstable();
-                    *out = Some(BTree::bulk_load(file, arity, &entries, INDEX_FILL));
-                });
-            }
-            let (va, vb) = (&vals_a, &vals_b);
-            let ca = &mut cal_a;
-            let cb = &mut cal_b;
-            scope.spawn(move || *ca = Some(Calibrator::new(va.clone())));
-            scope.spawn(move || *cb = Some(Calibrator::new(vb.clone())));
-        });
-
-        let mut ids = Vec::with_capacity(INDEX_DEFS.len());
-        for ((name, cols), tree) in INDEX_DEFS.iter().zip(trees) {
-            ids.push(
-                db.attach_index(name, table, cols, tree.expect("worker finished"))
-                    .expect("valid columns"),
-            );
-        }
-        let indexes =
-            WorkloadIndexes { a: ids[0], b: ids[1], c: ids[2], ab: ids[3], ba: ids[4] };
-
-        Workload {
-            db,
-            table,
-            indexes,
-            cal_a: cal_a.expect("worker finished"),
-            cal_b: cal_b.expect("worker finished"),
-            config,
-        }
+        finish(config, db, table, &cols, &rids)
     }
 
     /// [`TableBuilder::build`] behind the content-addressed workload cache:
-    /// a hit deserializes the workload from `target/workload-cache/`, a
-    /// miss builds fresh and stores the result for every later binary and
-    /// test invocation.  See [`crate::cache`] for the location and
-    /// environment overrides.
+    /// a hit reads the heap from `target/workload-cache/` and finishes it
+    /// as a build would, a miss builds fresh and stores the heap for every
+    /// later binary and test invocation.  See [`crate::cache`] for the
+    /// location, the environment override and what a hit saves.
     pub fn build_cached(config: WorkloadConfig) -> Workload {
         if let Some(w) = crate::cache::load(&config) {
             return w;
@@ -284,6 +225,61 @@ impl TableBuilder {
         crate::cache::store(&w);
         w
     }
+}
+
+/// Everything a workload holds beyond its heap, built from the heap's
+/// columns `a`, `b`, `c` (`cols`, by column position) and rids in physical
+/// order: the one index-construction path.  [`TableBuilder::build`] passes
+/// the values it generated and [`crate::cache::load`] the values it read
+/// back out of the stored pages, so a cached workload equals a built one
+/// by construction.
+///
+/// The five sort + bulk-loads and the two calibrator sorts are independent,
+/// so each runs on its own thread; the result is bit-identical to a
+/// sequential build (each sorts its own entry list with the same algorithm).
+pub(crate) fn finish(
+    config: WorkloadConfig,
+    mut db: Database,
+    table: TableId,
+    cols: &[Vec<i64>; 3],
+    rids: &[Rid],
+) -> Workload {
+    // File ids in the order `create_index` would have allocated them, so a
+    // parallel build is catalog-identical to a sequential one.
+    let files: Vec<_> = INDEX_DEFS.iter().map(|_| db.alloc_file()).collect();
+    let mut trees: Vec<Option<BTree>> = INDEX_DEFS.iter().map(|_| None).collect();
+    let mut cals: [Option<Calibrator>; 2] = [None, None];
+    std::thread::scope(|scope| {
+        for ((out, &file), (_, key_cols)) in trees.iter_mut().zip(&files).zip(INDEX_DEFS) {
+            scope.spawn(move || {
+                let mut vals = [0i64; MAX_KEY_COLS];
+                let mut entries: Vec<Entry> = Vec::with_capacity(rids.len());
+                for (i, &rid) in rids.iter().enumerate() {
+                    for (v, &c) in vals.iter_mut().zip(key_cols) {
+                        *v = cols[c][i];
+                    }
+                    entries.push((Key::new(&vals[..key_cols.len()]), rid));
+                }
+                entries.sort_unstable();
+                *out = Some(BTree::bulk_load(file, key_cols.len(), &entries, INDEX_FILL));
+            });
+        }
+        for (out, col) in cals.iter_mut().zip([COL_A, COL_B]) {
+            scope.spawn(move || *out = Some(Calibrator::new(cols[col].clone())));
+        }
+    });
+
+    let ids: Vec<IndexId> = INDEX_DEFS
+        .iter()
+        .zip(trees)
+        .map(|((name, key_cols), tree)| {
+            db.attach_index(name, table, key_cols, tree.expect("worker finished"))
+                .expect("INDEX_DEFS names columns of lineitem_schema")
+        })
+        .collect();
+    let indexes = WorkloadIndexes { a: ids[0], b: ids[1], c: ids[2], ab: ids[3], ba: ids[4] };
+    let [cal_a, cal_b] = cals.map(|c| c.expect("worker finished"));
+    Workload { db, table, indexes, cal_a, cal_b, config }
 }
 
 /// The generators for predicate columns `a` and `b`.  Most distributions

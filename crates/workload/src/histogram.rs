@@ -101,15 +101,10 @@ impl EquiDepthHistogram {
         self.estimate_at_most(t) * self.rows as f64
     }
 
-    /// The histogram's internals, for the statistics cache's store path.
+    /// The bucket upper bounds, the rows represented and the minimum: what
+    /// the incrementally maintained statistics fold their deltas over.
     pub(crate) fn parts(&self) -> (&[i64], u64, i64) {
         (&self.upper_bounds, self.rows, self.min)
-    }
-
-    /// Reassemble from [`EquiDepthHistogram::parts`] (the statistics
-    /// cache's load path).
-    pub(crate) fn from_parts(upper_bounds: Vec<i64>, rows: u64, min: i64) -> Self {
-        EquiDepthHistogram { upper_bounds, rows, min }
     }
 }
 

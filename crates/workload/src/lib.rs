@@ -24,7 +24,7 @@
 //!
 //! [`stats::JointHistogram`] adds the multi-column catalog statistics a
 //! correlation-aware optimizer estimates from — a sample-backed 2-D
-//! equi-depth histogram over `(a, b)`, cached alongside the workloads.
+//! equi-depth histogram over `(a, b)`.
 
 pub mod cache;
 pub mod calib;

@@ -23,22 +23,16 @@
 //! estimates (and the two agree within bucket resolution — property-tested
 //! in `tests/prop_stats.rs`).
 //!
-//! ## Determinism and caching
+//! ## Determinism
 //!
 //! The row sample is a pure function of `(stats seed, workload seed, row
 //! index)` — a splitmix-style hash draw per row, never a stateful RNG — so
-//! builds are bit-identical across runs and machines.  Like workloads,
-//! built statistics are content-addressed into the workload cache
-//! directory ([`JointHistogram::build_cached`]): the file name hashes the
-//! workload configuration and every statistics parameter, and the `wl-`
-//! prefix keeps the files under the cache's LRU size budget.
-
-use std::path::PathBuf;
+//! builds are bit-identical across runs and machines, and cheap enough
+//! (milliseconds at 2^20 rows) that nothing caches them.
 
 use robustmap_storage::Session;
 
-use crate::cache::{self, Reader, Writer, FNV_SEED};
-use crate::gen::{Workload, WorkloadConfig, COL_A, COL_B};
+use crate::gen::{Workload, COL_A, COL_B};
 use crate::histogram::EquiDepthHistogram;
 
 /// Parameters of a [`JointHistogram`] build.
@@ -154,11 +148,9 @@ impl JointHistogram {
             ));
             at = end;
         }
-        // The marginal `a` histogram is exactly the partition's boundaries
-        // over the same sorted sample — assemble it from parts instead of
-        // paying a second selection pass (`prop_stats.rs` pins the
-        // equivalence against a directly built 1-D histogram).
-        let hist_a = EquiDepthHistogram::from_parts(a_bounds.clone(), m as u64, pairs[0].0);
+        // The same chunking rule over the same sample: its boundaries are
+        // `a_bounds` (`prop_stats.rs` pins that).
+        let hist_a = EquiDepthHistogram::build(pairs.iter().map(|p| p.0).collect(), config.a_buckets);
         JointHistogram {
             config,
             rows,
@@ -188,19 +180,6 @@ impl JointHistogram {
             i += 1;
         });
         Self::build(pairs, n, *config)
-    }
-
-    /// [`JointHistogram::from_workload`] behind the workload cache: a hit
-    /// deserializes the statistics bit-identically, a miss builds and
-    /// stores them.  Same directory, budget and environment overrides as
-    /// the workload cache itself.
-    pub fn build_cached(w: &Workload, config: &JointHistogramConfig) -> Self {
-        if let Some(h) = load(&w.config, config) {
-            return h;
-        }
-        let h = Self::from_workload(w, config);
-        store(&w.config, &h);
-        h
     }
 
     /// Rows the statistics represent (the full table).
@@ -282,132 +261,6 @@ impl JointHistogram {
         }
         p.clamp(0.0, 1.0)
     }
-}
-
-// ------------------------------------------------------------- the cache
-
-const STATS_MAGIC: &[u8; 8] = b"RMJS\x01\0\0\0";
-/// Bump on any change to the sampling rule, the partition rule, or the
-/// serialized layout — the version is part of the content hash, so a bump
-/// makes every old statistics file miss and rebuild.
-const STATS_VERSION: u64 = 1;
-
-/// The file a `(workload, statistics)` configuration pair is cached at, or
-/// `None` when caching is disabled.  The `wl-` prefix keeps statistics
-/// files inside the workload cache's LRU size budget.
-pub fn stats_cache_path(wl: &WorkloadConfig, cfg: &JointHistogramConfig) -> Option<PathBuf> {
-    let mut h = FNV_SEED;
-    for word in [
-        STATS_VERSION,
-        cache::config_hash(wl),
-        cfg.a_buckets as u64,
-        cfg.b_buckets as u64,
-        cfg.sample_target,
-        cfg.seed,
-    ] {
-        h = cache::fnv1a(h, &word.to_le_bytes());
-    }
-    cache::cache_dir().map(|d| d.join(format!("wl-jstats-{}-{h:016x}.bin", wl.rows)))
-}
-
-fn write_hist(out: &mut Writer, h: &EquiDepthHistogram) {
-    let (bounds, rows, min) = h.parts();
-    out.u64(bounds.len() as u64);
-    for &b in bounds {
-        out.i64(b);
-    }
-    out.u64(rows);
-    out.i64(min);
-}
-
-fn read_hist(r: &mut Reader) -> Option<EquiDepthHistogram> {
-    let len = usize::try_from(r.u64()?).ok()?;
-    let mut bounds = Vec::with_capacity(len);
-    for _ in 0..len {
-        bounds.push(r.i64()?);
-    }
-    let rows = r.u64()?;
-    let min = r.i64()?;
-    Some(EquiDepthHistogram::from_parts(bounds, rows, min))
-}
-
-/// Serialize built statistics into the cache (no-op when caching is
-/// disabled; best-effort like the workload cache).
-pub fn store(wl: &WorkloadConfig, h: &JointHistogram) {
-    let Some(path) = stats_cache_path(wl, &h.config) else { return };
-    let mut out = Writer::new();
-    out.bytes(STATS_MAGIC);
-    for word in [
-        h.config.a_buckets as u64,
-        h.config.b_buckets as u64,
-        h.config.sample_target,
-        h.config.seed,
-        h.rows,
-        h.sample_rows,
-    ] {
-        out.u64(word);
-    }
-    out.i64(h.min_a);
-    out.u64(h.a_bounds.len() as u64);
-    for (&bound, &count) in h.a_bounds.iter().zip(&h.a_counts) {
-        out.i64(bound);
-        out.u64(count);
-    }
-    for cond in &h.cond_b {
-        write_hist(&mut out, cond);
-    }
-    write_hist(&mut out, &h.hist_a);
-    write_hist(&mut out, &h.hist_b);
-    cache::write_cache_file(&path, out.buf);
-}
-
-/// Deserialize cached statistics, or `None` on a miss (no file, caching
-/// disabled, or a file that fails validation).
-pub fn load(wl: &WorkloadConfig, cfg: &JointHistogramConfig) -> Option<JointHistogram> {
-    let path = stats_cache_path(wl, cfg)?;
-    let payload = cache::read_cache_file(&path)?;
-    let mut r = Reader { buf: &payload, at: 0 };
-    if r.take(STATS_MAGIC.len())? != STATS_MAGIC {
-        return None;
-    }
-    if [r.u64()?, r.u64()?, r.u64()?, r.u64()?]
-        != [cfg.a_buckets as u64, cfg.b_buckets as u64, cfg.sample_target, cfg.seed]
-    {
-        return None;
-    }
-    let rows = r.u64()?;
-    let sample_rows = r.u64()?;
-    let min_a = r.i64()?;
-    let buckets = usize::try_from(r.u64()?).ok()?;
-    let mut a_bounds = Vec::with_capacity(buckets);
-    let mut a_counts = Vec::with_capacity(buckets);
-    for _ in 0..buckets {
-        a_bounds.push(r.i64()?);
-        a_counts.push(r.u64()?);
-    }
-    if a_counts.iter().sum::<u64>() != sample_rows {
-        return None;
-    }
-    let mut cond_b = Vec::with_capacity(buckets);
-    for _ in 0..buckets {
-        cond_b.push(read_hist(&mut r)?);
-    }
-    let hist_a = read_hist(&mut r)?;
-    let hist_b = read_hist(&mut r)?;
-    if r.at != r.buf.len() {
-        return None; // trailing garbage
-    }
-    Some(JointHistogram {
-        config: *cfg,
-        rows,
-        sample_rows,
-        min_a,
-        a_bounds,
-        a_counts,
-        cond_b,
-        hist_a,
-        hist_b,
-    })
 }
 
 #[cfg(test)]
@@ -540,47 +393,5 @@ mod tests {
         let t = w.cal_a.threshold(0.5);
         let joint = h1.estimate_joint_at_most(t, t);
         assert!(joint > 0.3, "rho 0.75 at sel 0.5: joint {joint:.3} (product would be 0.25)");
-    }
-
-    #[test]
-    fn stats_cache_roundtrip_is_bit_identical() {
-        let wl = crate::gen::WorkloadConfig {
-            rows: 1 << 12,
-            seed: 0x5EED_CAC4E,
-            predicate_dist: PredicateDistribution::CorrelatedHundredths(50),
-            mutation_epoch: 0,
-        };
-        let w = TableBuilder::build(wl.clone());
-        let jcfg = JointHistogramConfig { sample_target: 1 << 10, ..Default::default() };
-        let Some(path) = stats_cache_path(&wl, &jcfg) else { return }; // cache disabled
-        let _ = std::fs::remove_file(&path);
-        let built = JointHistogram::build_cached(&w, &jcfg);
-        assert!(path.exists(), "miss must populate the cache");
-        let loaded = load(&wl, &jcfg).expect("stored statistics must load");
-        assert_eq!(built, loaded);
-        // A different statistics configuration misses.
-        let other = JointHistogramConfig { seed: jcfg.seed ^ 1, ..jcfg };
-        assert!(load(&wl, &other).is_none());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn corrupt_stats_files_miss() {
-        let wl = crate::gen::WorkloadConfig {
-            rows: 1 << 12,
-            seed: 0xBAD_57A75,
-            predicate_dist: PredicateDistribution::Permutation,
-            mutation_epoch: 0,
-        };
-        let w = TableBuilder::build(wl.clone());
-        let jcfg = JointHistogramConfig { sample_target: 1 << 10, ..Default::default() };
-        let Some(path) = stats_cache_path(&wl, &jcfg) else { return };
-        let _ = std::fs::remove_file(&path);
-        store(&wl, &JointHistogram::from_workload(&w, &jcfg));
-        let mut data = std::fs::read(&path).unwrap();
-        data[STATS_MAGIC.len() + 5] ^= 0xff;
-        std::fs::write(&path, &data).unwrap();
-        assert!(load(&wl, &jcfg).is_none(), "corrupt file must miss");
-        let _ = std::fs::remove_file(path);
     }
 }

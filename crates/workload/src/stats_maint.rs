@@ -18,10 +18,10 @@
 //!   the base equi-depth masses.  [`RebuildPolicy`] turns the meter into
 //!   a rebuild decision;
 //! * cache hygiene is structural: the workload's `mutation_epoch` is part
-//!   of every content-addressed key ([`crate::cache::config_hash`]), so a
-//!   `wl-jstats-*` entry written for epoch `e` can never be served for a
-//!   table mutated past `e` (`epoch_invalidates_the_stats_cache_key`
-//!   pins this).
+//!   of the workload cache's key ([`crate::cache::config_hash`]), so a
+//!   table mutated past epoch `e` is never stored over, or served as, the
+//!   file written at `e` (`epoch_rekeys_the_workload_cache` pins this).
+//!   Statistics are not cached at all, so none can go stale on disk.
 //!
 //! The corrected estimate is exact bookkeeping, approximate placement:
 //! `rows_at_most(t) = base_estimate(t) * base_rows + delta(t)`, divided
@@ -322,7 +322,8 @@ mod tests {
     use super::*;
     use crate::churn::{ChurnConfig, ChurnDriver};
     use crate::gen::{TableBuilder, Workload, WorkloadConfig, COL_A, COL_B};
-    use crate::stats::{stats_cache_path, JointHistogramConfig};
+    use crate::cache::{cache_path, config_hash};
+    use crate::stats::JointHistogramConfig;
     use robustmap_storage::Session;
 
     fn workload(seed: u64) -> Workload {
@@ -421,26 +422,20 @@ mod tests {
     }
 
     #[test]
-    fn epoch_invalidates_the_stats_cache_key() {
-        // A drifted `wl-jstats-*` entry can never be served for mutated
-        // data: the mutation epoch is part of the content hash, so the
-        // churned config addresses a different file (and the stored-config
-        // comparison backstops even a hash collision).
+    fn epoch_rekeys_the_workload_cache() {
+        // A churned table can never be stored over, or served as, the
+        // pristine file: the mutation epoch is part of the content hash, so
+        // the churned config addresses a different file (and the
+        // stored-config comparison backstops even a hash collision).
         let mut w = workload(53);
-        let before_wl = crate::cache::config_hash(&w.config);
-        let before = stats_cache_path(&w.config, &jcfg());
+        let pristine = w.config.clone();
         let mut driver = ChurnDriver::new(&w, ChurnConfig::for_workload(&w));
-        let s = Session::with_pool_pages(64);
-        let mut w2 = w;
-        driver.apply_batch(&mut w2, &s);
-        assert_ne!(before_wl, crate::cache::config_hash(&w2.config));
-        let after = stats_cache_path(&w2.config, &jcfg());
-        match (before, after) {
-            (Some(b), Some(a)) => assert_ne!(b, a),
-            (None, None) => {} // caching disabled in this environment
-            _ => panic!("cache enablement changed mid-test"),
+        driver.apply_batch(&mut w, &Session::with_pool_pages(64));
+        assert_eq!(w.config.mutation_epoch, 1);
+        assert_ne!(config_hash(&pristine), config_hash(&w.config));
+        // `None` when caching is disabled in this environment.
+        if let (Some(before), Some(after)) = (cache_path(&pristine), cache_path(&w.config)) {
+            assert_ne!(before.file_name(), after.file_name());
         }
-        w = w2;
-        let _ = &w;
     }
 }

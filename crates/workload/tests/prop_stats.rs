@@ -1,13 +1,12 @@
 //! Property-based tests for the joint (multi-column) statistics: the
 //! invariants the robust chooser leans on, for *any* data — estimates are
 //! probabilities, marginals agree with the 1-D catalog within bucket
-//! resolution, and builds are pure functions of `(seed, workload)` that
-//! round-trip the statistics cache bit-identically.
+//! resolution, and builds are pure functions of `(seed, workload)`.
 
 use proptest::prelude::*;
 use robustmap_workload::gen::PredicateDistribution;
 use robustmap_workload::{
-    stats, EquiDepthHistogram, JointHistogram, JointHistogramConfig, TableBuilder, WorkloadConfig,
+    EquiDepthHistogram, JointHistogram, JointHistogramConfig, TableBuilder, WorkloadConfig,
 };
 
 /// Pair generator: `b` copies `a` with probability `rho_pct`% (hashed by
@@ -157,44 +156,4 @@ proptest! {
         );
         prop_assert_eq!(h3.rows(), h1.rows());
     }
-}
-
-/// The cache round-trip contract, mirroring `tests/cache_determinism.rs`:
-/// store + load reproduces the built statistics bit-identically
-/// (`JointHistogram` is `PartialEq` over every field), and a second build
-/// from scratch agrees too.
-#[test]
-fn stats_cache_roundtrip_is_bit_identical_and_rebuild_agrees() {
-    let wl = WorkloadConfig {
-        rows: 1 << 12,
-        seed: 0x1057_CAFE,
-        predicate_dist: PredicateDistribution::CorrelatedHundredths(80),
-        mutation_epoch: 0,
-    };
-    let w = TableBuilder::build(wl.clone());
-    let jcfg = JointHistogramConfig { sample_target: 1 << 10, ..Default::default() };
-    let Some(path) = stats::stats_cache_path(&wl, &jcfg) else {
-        return; // caching disabled in this environment
-    };
-    let _ = std::fs::remove_file(&path);
-
-    // Miss: builds and stores.
-    let built = JointHistogram::build_cached(&w, &jcfg);
-    assert!(path.exists(), "miss must populate the statistics cache");
-    // Hit: loads the stored bytes, field-for-field identical.
-    let loaded = JointHistogram::build_cached(&w, &jcfg);
-    assert_eq!(built, loaded);
-    // Fresh build from a fresh workload build: also identical (generation
-    // and sampling are deterministic; the cache adds no wobble).
-    let rebuilt = JointHistogram::from_workload(&TableBuilder::build(wl.clone()), &jcfg);
-    assert_eq!(built, rebuilt);
-    // Estimates served from the cache match the built ones exactly.
-    for sel in [0.01f64, 0.25, 0.75] {
-        let (ta, tb) = (w.cal_a.threshold(sel), w.cal_b.threshold(sel));
-        assert_eq!(
-            built.estimate_joint_at_most(ta, tb),
-            loaded.estimate_joint_at_most(ta, tb)
-        );
-    }
-    let _ = std::fs::remove_file(path);
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI-style verification: build, tests (unit + integration + property +
 # doc), clippy, and rustdoc — all with warnings denied — plus the figure
-# smokes only a shell can run: the `figures` binary cold then warm (so a
-# cache regression shows up as a timing regression right here), and once
-# over every figure, where its own exit status is the gate.  Any warning or
-# failure exits non-zero.  Each phase prints its wall time.
+# smokes only a shell can run: the `figures` binary on a cold then a warm
+# workload cache (same bytes either way, and a cache file that holds the
+# heap and nothing else), and once over every figure, where its own exit
+# status is the gate.  Any warning or failure exits non-zero.  Each phase
+# prints its wall time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,10 +58,16 @@ figures=(cargo run --release -p robustmap-bench --bin figures -- --rows 16384 --
 
 echo "== smoke 1/3: regenerate Figure 1 at reduced scale, COLD workload cache"
 run "${figures[@]}" fig1
-test -n "$(ls "$ROBUSTMAP_WORKLOAD_CACHE"/wl-*.bin 2>/dev/null)" || {
+test -n "$(ls "$ROBUSTMAP_WORKLOAD_CACHE"/wl-16384-*.bin 2>/dev/null)" || {
     echo "cold run did not populate the workload cache" >&2
     exit 1
 }
+for f in "$ROBUSTMAP_WORKLOAD_CACHE"/wl-16384-*.bin; do
+    test "$(wc -c <"$f")" -le $((16384 * 64)) || {
+        echo "$f is over 64 B/row — the cache file holds heap pages (44 B/row) and nothing else" >&2
+        exit 1
+    }
+done
 cp target/figures-verify/fig1.csv target/figures-verify/fig1.cold.csv
 
 echo "== smoke 2/3: same figure, WARM workload cache"
@@ -97,6 +104,18 @@ if grep -n 'Cell<f64>' crates/storage/src/sim.rs; then
 fi
 if grep -rn 'to_bits' tests/common; then
     echo "tests/common compares float bits — the equivalence suites compare clock ticks with ==" >&2
+    exit 1
+fi
+
+echo "== heap-only cache gate: one index-construction path, no statistics cache, no size budget"
+if grep -rnE 'WORKLOAD_CACHE_BUDGET|jstats|prune_to_budget|from_sorted' crates/workload/src; then
+    echo "crates/workload/src regrew the cache's size budget, the statistics cache, or a constructor for stored index or calibrator sections" >&2
+    exit 1
+fi
+sites="$(grep -rn 'BTree::bulk_load' crates/workload/src || true)"
+if [ "$(printf '%s' "$sites" | grep -c .)" != 1 ]; then
+    printf '%s\n' "$sites" >&2
+    echo "crates/workload/src must name BTree::bulk_load exactly once (gen::finish, which both build and cache::load end in)" >&2
     exit 1
 fi
 
