@@ -6,7 +6,9 @@
 //! per mechanism, re-runnable without the full `benchmark/run.sh`.  The
 //! `sort/*_multipass_64k`, `join/sort_merge_64k` and `exec/materialise_64k`
 //! rows do the same for the sorter that charges for the merge and sorts
-//! once, and for the packed blocking edges.  The `scan/*` rows, with
+//! once, and for the packed blocking edges; `sort/graceful_{window,fits}_*`
+//! and `agg/hash_*` for the blocking operators' own row path (the handle
+//! window, the packed group table).  The `scan/*` rows, with
 //! `fetch/{improved,bitmap}` and `btree/range_scan_full`, are the kernels
 //! that charge per page, leaf or rid run; `fetch/improved_dense_served` is
 //! the same fetch as a served query runs it (shared pool behind its lock,
@@ -22,7 +24,7 @@ use robustmap_core::{build_map2d, serve_concurrent, Grid2D, MeasureConfig, Serve
 use robustmap_executor::batch::radix_sort_by_u64_key;
 use robustmap_executor::ops::sort::PackedRows;
 use robustmap_executor::{
-    run, run_count, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig, IndexRangeSpec, JoinAlgo,
+    run, run_count, AggFn, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig, IndexRangeSpec, JoinAlgo,
     KeyRange, PlanSpec, Predicate, Projection, RunOpts, SpillMode,
 };
 use robustmap_storage::btree::{BTree, Key};
@@ -257,6 +259,56 @@ fn bench_sort_modes(c: &mut Criterion) {
     group.finish();
 }
 
+/// The blocking operators' own row path over all 2^17 rows of the
+/// benchmark's table: replacement selection at windows of 51, 3 276 and
+/// 52 428 rows (grants of 4 KiB, 256 KiB and 4 MiB — the sort maps' ends
+/// and the grant a sort-merge join's inputs get) and with a grant the input
+/// fits, where no window is ever built; hash aggregation into one group
+/// per row, with a grant that holds every group and with one that holds
+/// 2 048 of them and spills the rest.
+fn bench_blocking_row_path(c: &mut Criterion) {
+    let w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 17));
+    let input = || {
+        Box::new(PlanSpec::TableScan {
+            table: w.table,
+            pred: Predicate::always_true(),
+            project: Projection::Columns(vec![2, 0]),
+        })
+    };
+    let sort = |memory_bytes| PlanSpec::Sort {
+        input: input(),
+        key_cols: vec![0],
+        mode: SpillMode::Graceful,
+        memory_bytes,
+    };
+    let agg = |memory_bytes| PlanSpec::HashAgg {
+        input: input(),
+        group_cols: vec![0],
+        aggs: vec![AggFn::CountStar],
+        mode: SpillMode::Graceful,
+        memory_bytes,
+    };
+    for (group, name, plan) in [
+        ("sort", "graceful_window_51_128k", sort(4 << 10)),
+        ("sort", "graceful_window_3276_128k", sort(256 << 10)),
+        ("sort", "graceful_window_52k_128k", sort(4 << 20)),
+        ("sort", "graceful_fits_128k", sort(16 << 20)),
+        ("agg", "hash_unique_128k", agg(64 << 20)),
+        ("agg", "hash_spill_128k", agg(256 << 10)),
+    ] {
+        let mut group = c.benchmark_group(group);
+        group.sample_size(10);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let s = Session::with_pool_pages(256);
+                let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
+                run_count(&plan, &ctx, RunOpts::default()).unwrap().rows_out
+            })
+        });
+        group.finish();
+    }
+}
+
 /// The blocking edges: both inputs of a sort-merge join materialised,
 /// sorted and merged (2^16 x 2^16 rows, 1:1 on `c`), and one input
 /// materialised on its own — a scan's batches transposed into packed rows,
@@ -374,6 +426,7 @@ criterion_group!(
     bench_fetch_disciplines,
     bench_scan_kernels,
     bench_sort_modes,
+    bench_blocking_row_path,
     bench_blocking_edges,
     bench_serve,
     bench_map_builder

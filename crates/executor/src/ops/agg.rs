@@ -13,12 +13,10 @@
 //! All aggregates here (count/sum/min/max) are combinable, so spilled
 //! partial aggregates and raw rows can be merged on the final pass.
 
-use std::collections::hash_map::Entry as MapEntry;
-use robustmap_storage::FxHashMap;
-
-use robustmap_storage::{AccessKind, PageId, Row, Session, PAGE_SIZE};
+use robustmap_storage::{AccessKind, PageId, Session, PAGE_SIZE};
 
 use crate::exec::ExecCtx;
+use crate::ops::sort::{sorted_order, PackedRows};
 use crate::plan::{AggFn, SpillMode};
 
 /// Accumulator state for one group.
@@ -50,6 +48,14 @@ impl AggState {
     }
 }
 
+/// The value `agg` reads from `row` (`count(*)` reads none).
+fn agg_input(agg: &AggFn, row: &[i64]) -> i64 {
+    match agg {
+        AggFn::CountStar => 0,
+        AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => row[*c],
+    }
+}
+
 /// Bytes one resident group is accounted as (key + per-agg state +
 /// table overhead).
 const GROUP_BYTES: usize = 128;
@@ -57,6 +63,87 @@ const GROUP_BYTES: usize = 128;
 const SPILL_ROWS_PER_PAGE: usize = PAGE_SIZE / 48;
 /// Number of spill partitions.
 const PARTITIONS: usize = 16;
+
+/// Cheap deterministic hash over a group key's values.
+fn hash_key(key: &[i64]) -> u64 {
+    key.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| (h ^ v as u64).wrapping_mul(0x1000_0000_01b3))
+}
+
+/// Partial aggregates: the group keys packed end to end and `width` states
+/// per entry inline in one vector, both in arrival order.  No allocation
+/// per entry and no 72-byte key: purely an in-memory layout.
+struct Partials {
+    keys: PackedRows,
+    states: Vec<AggState>,
+    width: usize,
+}
+
+impl Partials {
+    fn new(width: usize) -> Self {
+        Partials { keys: PackedRows::default(), states: Vec::new(), width }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Append an entry for `key` with empty states; returns its index.
+    fn append(&mut self, key: &[i64]) -> usize {
+        self.keys.push(key);
+        self.states.resize(self.states.len() + self.width, AggState::new());
+        self.len() - 1
+    }
+
+    fn states(&mut self, i: usize) -> &mut [AggState] {
+        &mut self.states[i * self.width..(i + 1) * self.width]
+    }
+}
+
+const NIL: u32 = u32::MAX;
+
+/// The resident groups: partials with distinct keys, under an
+/// open-addressing index of their ids (linear probing, at most half
+/// full).  Hash charges are analytic per-row counts and don't depend on
+/// the table's layout.
+struct GroupTable {
+    groups: Partials,
+    slots: Vec<u32>,
+}
+
+impl GroupTable {
+    fn new(width: usize) -> Self {
+        GroupTable { groups: Partials::new(width), slots: vec![NIL; 16] }
+    }
+
+    /// The group with `key`, or else the empty slot where it would go.
+    fn find(&self, key: &[i64], hash: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut s = (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask;
+        loop {
+            match self.slots[s] {
+                NIL => return Err(s),
+                g if self.groups.keys.row(g as usize) == key => return Ok(g as usize),
+                _ => s = (s + 1) & mask,
+            }
+        }
+    }
+
+    /// Add `key` as a new group at the empty `slot` [`GroupTable::find`]
+    /// returned for it; returns the group's id.
+    fn insert(&mut self, slot: usize, key: &[i64]) -> usize {
+        let g = self.groups.append(key);
+        self.slots[slot] = g as u32;
+        if self.groups.len() * 2 > self.slots.len() {
+            self.slots = vec![NIL; self.slots.len() * 2];
+            for g in 0..self.groups.len() {
+                let key = self.groups.keys.row(g);
+                let slot = self.find(key, hash_key(key)).expect_err("group keys are distinct");
+                self.slots[slot] = g as u32;
+            }
+        }
+        g
+    }
+}
 
 /// A hash aggregator fed row-by-row and drained by
 /// [`HashAggregator::finish`].  Output rows are `group columns ++ one value
@@ -67,11 +154,15 @@ pub struct HashAggregator<'a, 'b> {
     aggs: Vec<AggFn>,
     mode: SpillMode,
     max_groups: usize,
-    table: FxHashMap<Row, Vec<AggState>>,
-    /// Spilled rows, partitioned by group-key hash: `(group key, per-agg
-    /// partial state)`.
-    partitions: Vec<Vec<(Row, Vec<AggState>)>>,
-    spill_buffered: usize,
+    table: GroupTable,
+    /// Spilled partial aggregates, in spill order.
+    spilled: Partials,
+    /// Spilled entries per partition of the group-key hash.  The final
+    /// merge is commutative, so what it is charged per partition is all a
+    /// partition is for.
+    partition_rows: [u64; PARTITIONS],
+    /// The current row's group key.
+    key: Vec<i64>,
     bypass: bool,
 }
 
@@ -86,110 +177,79 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
     ) -> Self {
         HashAggregator {
             ctx,
-            group_cols,
-            aggs,
             mode,
             max_groups: (memory_bytes / GROUP_BYTES).max(1),
-            table: FxHashMap::default(),
-            partitions: vec![Vec::new(); PARTITIONS],
-            spill_buffered: 0,
+            table: GroupTable::new(aggs.len()),
+            spilled: Partials::new(aggs.len()),
+            partition_rows: [0; PARTITIONS],
+            key: Vec::with_capacity(group_cols.len()),
+            group_cols,
+            aggs,
             bypass: false,
         }
     }
 
     /// Whether any data spilled.
     pub fn spilled(&self) -> bool {
-        self.partitions.iter().any(|p| !p.is_empty()) || self.spill_buffered > 0
+        self.spilled.len() > 0
     }
 
-    fn group_key(&self, row: &[i64]) -> Row {
-        let mut key = Row::empty();
-        for &c in &self.group_cols {
-            key.push(row[c]);
-        }
-        key
-    }
-
-    fn agg_inputs(&self, row: &[i64]) -> Vec<AggState> {
-        self.aggs
-            .iter()
-            .map(|agg| {
-                let mut st = AggState::new();
-                match agg {
-                    AggFn::CountStar => st.update(0),
-                    AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => st.update(row[*c]),
-                }
-                st
-            })
-            .collect()
-    }
-
-    fn update_states(states: &mut [AggState], aggs: &[AggFn], row: &[i64]) {
-        for (st, agg) in states.iter_mut().zip(aggs) {
-            match agg {
-                AggFn::CountStar => st.update(0),
-                AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => st.update(row[*c]),
-            }
-        }
-    }
-
-    fn partition_of(key: &Row) -> usize {
-        // Cheap deterministic hash over the key values.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &v in key.values() {
-            h ^= v as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        (h as usize) % PARTITIONS
-    }
-
-    fn spill(&mut self, key: Row, states: Vec<AggState>) {
-        let p = Self::partition_of(&key);
-        self.partitions[p].push((key, states));
-        self.spill_buffered += 1;
-        if self.spill_buffered.is_multiple_of(SPILL_ROWS_PER_PAGE) {
+    /// Account for the entry just appended to the spilled partials.
+    fn charge_spill(&mut self, hash: u64) {
+        self.partition_rows[hash as usize % PARTITIONS] += 1;
+        if self.spilled.len().is_multiple_of(SPILL_ROWS_PER_PAGE) {
             let file = self.ctx.alloc_temp_file();
             self.ctx.session.write_page(PageId::new(file, 0));
         }
         self.ctx.note_spill();
     }
 
-    /// Accept one input row.
-    pub fn push(&mut self, row: &[i64]) {
-        let session: &Session = self.ctx.session;
-        session.charge_hashes(1);
-        let key = self.group_key(row);
+    /// The resident group of the current row's key — admitted if it is new
+    /// and there is room — or `None` if the row must spill.
+    fn resident_group(&mut self, hash: u64) -> Option<usize> {
         if self.bypass {
-            // Abrupt overflow mode: everything goes straight to partitions.
-            let states = self.agg_inputs(row);
-            self.spill(key, states);
-            return;
+            // Abrupt overflow mode: everything goes straight to disk.
+            return None;
         }
-        let have_room = self.table.len() < self.max_groups;
-        match self.table.entry(key) {
-            MapEntry::Occupied(mut e) => {
-                Self::update_states(e.get_mut(), &self.aggs, row);
+        match self.table.find(&self.key, hash) {
+            Ok(g) => Some(g),
+            Err(slot) if self.table.groups.len() < self.max_groups => {
+                Some(self.table.insert(slot, &self.key))
             }
-            MapEntry::Vacant(v) if have_room => {
-                let mut states: Vec<AggState> =
-                    self.aggs.iter().map(|_| AggState::new()).collect();
-                Self::update_states(&mut states, &self.aggs, row);
-                v.insert(states);
-            }
-            MapEntry::Vacant(_) => {
+            Err(_) => {
                 if self.mode == SpillMode::Abrupt {
                     // Dump the entire table and bypass from now on.
-                    let drained: Vec<(Row, Vec<AggState>)> = self.table.drain().collect();
-                    for (k, st) in drained {
-                        self.spill(k, st);
+                    let empty = GroupTable::new(self.aggs.len());
+                    let dumped = std::mem::replace(&mut self.table, empty).groups;
+                    for g in 0..dumped.len() {
+                        self.spilled.keys.push(dumped.keys.row(g));
+                        self.charge_spill(hash_key(dumped.keys.row(g)));
                     }
+                    self.spilled.states.extend(dumped.states);
                     self.bypass = true;
                 }
                 // Graceful: resident groups stay; this row spills alone.
-                let states = self.agg_inputs(row);
-                let key = self.group_key(row);
-                self.spill(key, states);
+                None
             }
+        }
+    }
+
+    /// Accept one input row.
+    pub fn push(&mut self, row: &[i64]) {
+        self.ctx.session.charge_hashes(1);
+        self.key.clear();
+        self.key.extend(self.group_cols.iter().map(|&c| row[c]));
+        let hash = hash_key(&self.key);
+        let states = match self.resident_group(hash) {
+            Some(g) => self.table.groups.states(g),
+            None => {
+                let at = self.spilled.append(&self.key);
+                self.charge_spill(hash);
+                self.spilled.states(at)
+            }
+        };
+        for (st, agg) in states.iter_mut().zip(&self.aggs) {
+            st.update(agg_input(agg, row));
         }
     }
 
@@ -198,49 +258,50 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
     pub fn finish(mut self, sink: &mut dyn FnMut(&[i64])) -> u64 {
         let session: &Session = self.ctx.session;
         // Read back what was spilled.
-        let spilled_pages = self.spill_buffered.div_ceil(SPILL_ROWS_PER_PAGE) as u32;
-        if self.spill_buffered > 0 {
+        if self.spilled.len() > 0 {
             let file = self.ctx.alloc_temp_file();
-            for p in 0..spilled_pages {
+            for p in 0..self.spilled.len().div_ceil(SPILL_ROWS_PER_PAGE) as u32 {
                 session.read_page(PageId::new(file, p), AccessKind::Sequential);
             }
             session.invalidate_file(file);
         }
-        let mut final_groups: FxHashMap<Row, Vec<AggState>> = std::mem::take(&mut self.table);
-        for part in std::mem::take(&mut self.partitions) {
-            session.charge_hashes(part.len() as u64);
-            for (key, states) in part {
-                match final_groups.entry(key) {
-                    MapEntry::Occupied(mut e) => {
-                        for (a, b) in e.get_mut().iter_mut().zip(&states) {
-                            a.merge(b);
-                        }
-                    }
-                    MapEntry::Vacant(v) => {
-                        v.insert(states);
-                    }
-                }
+        for rows in self.partition_rows {
+            session.charge_hashes(rows);
+        }
+        let width = self.aggs.len();
+        for i in 0..self.spilled.len() {
+            let key = self.spilled.keys.row(i);
+            let g = match self.table.find(key, hash_key(key)) {
+                Ok(g) => g,
+                Err(slot) => self.table.insert(slot, key),
+            };
+            let partial = &self.spilled.states[i * width..(i + 1) * width];
+            for (st, other) in self.table.groups.states(g).iter_mut().zip(partial) {
+                st.merge(other);
             }
         }
+        let groups = &self.table.groups;
         // Deterministic output order: sort by group key.
-        let mut out: Vec<(Row, Vec<AggState>)> = final_groups.into_iter().collect();
-        let n = out.len() as u64;
+        let n = groups.len() as u64;
         if n > 1 {
             session.charge_compares(n * (64 - (n - 1).leading_zeros()) as u64);
         }
-        out.sort_unstable_by(|a, b| a.0.values().cmp(b.0.values()));
-        for (key, states) in &out {
-            let mut row = *key;
-            for (st, agg) in states.iter().zip(&self.aggs) {
-                row.push(match agg {
-                    AggFn::CountStar => st.count,
-                    AggFn::Sum(_) => st.sum,
-                    AggFn::Min(_) => st.min,
-                    AggFn::Max(_) => st.max,
-                });
-            }
+        let mut out = Vec::with_capacity(self.group_cols.len() + width);
+        // By the whole key, led by its first column if it has one.
+        let lead: &[usize] = if self.group_cols.is_empty() { &[] } else { &[0] };
+        for h in sorted_order(&groups.keys, lead) {
+            let g = h.slot as usize;
+            out.clear();
+            out.extend_from_slice(groups.keys.row(g));
+            let states = &groups.states[g * width..(g + 1) * width];
+            out.extend(states.iter().zip(&self.aggs).map(|(st, agg)| match agg {
+                AggFn::CountStar => st.count,
+                AggFn::Sum(_) => st.sum,
+                AggFn::Min(_) => st.min,
+                AggFn::Max(_) => st.max,
+            }));
             session.charge_rows(1);
-            sink(row.values());
+            sink(&out);
         }
         n
     }
@@ -251,6 +312,7 @@ mod tests {
     use super::*;
     use crate::exec::ExecCtx;
     use crate::ops::testutil::demo_db;
+    use robustmap_storage::Row;
 
     fn run_agg(
         rows: &[Row],

@@ -17,19 +17,11 @@
 //! [`robustmap_storage::MAX_COLUMNS`] limit); callers project children
 //! accordingly.
 
-use robustmap_storage::{AccessKind, PageId, Row, PAGE_SIZE};
+use robustmap_storage::{AccessKind, PageId, PAGE_SIZE};
 
 use crate::exec::{ExecCtx, ExecError};
 use crate::ops::sort::{ExternalSorter, PackedRows};
 use crate::plan::SpillMode;
-
-fn combined(left: &[i64], right: &[i64]) -> Row {
-    let mut out = Row::from_slice(left);
-    for &v in right {
-        out.push(v);
-    }
-    out
-}
 
 const NIL: u32 = u32::MAX;
 
@@ -165,6 +157,25 @@ pub fn sort_merge_join(
     Ok(produced)
 }
 
+/// One side of a hash join: all of `rows`, or the grace partition `part` of
+/// them as indices (no row copies), joined on column `key`.
+#[derive(Clone, Copy)]
+struct Side<'a> {
+    rows: &'a PackedRows,
+    part: Option<&'a [u32]>,
+    key: usize,
+}
+
+impl<'a> Side<'a> {
+    fn len(&self) -> usize {
+        self.part.map_or(self.rows.len(), <[u32]>::len)
+    }
+
+    fn row(&self, i: usize) -> &'a [i64] {
+        self.rows.row(self.part.map_or(i, |part| part[i] as usize))
+    }
+}
+
 /// Hybrid hash join: build a table on `build`, probe with `probe`.
 /// Asymmetric: the build side determines memory behaviour, and building
 /// costs roughly twice per row what probing does.  When the build side
@@ -186,107 +197,86 @@ pub fn hash_join(
     sink: &mut dyn FnMut(&[i64]),
 ) -> Result<u64, ExecError> {
     let session = ctx.session;
+    let build = Side { rows: &build, part: None, key: build_key };
+    let probe = Side { rows: &probe, part: None, key: probe_key };
     // Memory accounting stays per-`Row`-sized (arity * 8 payload + 16
     // bookkeeping), independent of the packed in-memory layout.
-    let row_bytes = |arity: usize| arity * 8 + 16;
-    let build_bytes: usize = build.len() * row_bytes(build.arity()) * 2;
-    if build_bytes <= memory_bytes || build.is_empty() {
-        return Ok(hash_join_in_memory(&build, &probe, build_key, probe_key, swap_output, ctx, sink));
+    let row_bytes = |side: Side<'_>| side.rows.arity() * 8 + 16;
+    let build_bytes: usize = build.len() * row_bytes(build) * 2;
+    if build_bytes <= memory_bytes || build.len() == 0 {
+        return Ok(build_and_probe(build, probe, swap_output, ctx, sink));
     }
     // Grace partitioning: hash both sides to partitions, write + read both.
     // Partitions hold `u32` indices into the input buffers rather than row
     // copies — the charges are computed from per-partition row counts, so
-    // the representation is invisible to the simulation.
+    // the representation is invisible to the simulation — and only those
+    // that hold a row exist: a grant of a few bytes asks for more
+    // partitions than there are rows, and an empty one has no file to
+    // write and nothing to join.  So the directory has a bucket per
+    // partition only up to about one per row; past that a bucket is a run
+    // of `2^shift` consecutive partitions, its rows ordered by partition.
     ctx.note_spill();
     let partitions = (build_bytes / memory_bytes.max(1) + 1).next_power_of_two();
     session.charge_hashes((build.len() + probe.len()) as u64);
-    let mut build_parts: Vec<Vec<u32>> = vec![Vec::new(); partitions];
-    let mut probe_parts: Vec<Vec<u32>> = vec![Vec::new(); partitions];
-    let hash = |v: i64| (v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) as usize;
-    for i in 0..build.len() {
-        build_parts[hash(build.row(i)[build_key]) & (partitions - 1)].push(i as u32);
-    }
-    for i in 0..probe.len() {
-        probe_parts[hash(probe.row(i)[probe_key]) & (partitions - 1)].push(i as u32);
-    }
-    let part_io = |part: &[u32], rows: &PackedRows| {
-        // One operator's rows all share an arity, so the partition's byte
-        // total is a multiply, not a gather over the partition's rows.
-        let bytes: usize =
-            if part.is_empty() { 0 } else { part.len() * row_bytes(rows.arity()) };
-        let pages = bytes.div_ceil(PAGE_SIZE) as u32;
-        let file = ctx.alloc_temp_file();
-        for p in 0..pages {
-            session.write_page(PageId::new(file, p));
-        }
-        for p in 0..pages {
-            session.read_page(PageId::new(file, p), AccessKind::Sequential);
-        }
-        session.invalidate_file(file);
+    let buckets = partitions.min((build.len() + probe.len()).next_power_of_two());
+    let shift = (partitions / buckets).trailing_zeros();
+    let partition_of = |side: Side<'_>, i: u32| {
+        (side.row(i as usize)[side.key] as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) as usize
+            & (partitions - 1)
     };
-    for part in &build_parts {
-        part_io(part, &build);
+    let directory = |side: Side<'_>| {
+        let mut directory: Vec<Vec<u32>> = vec![Vec::new(); buckets];
+        for i in 0..side.len() as u32 {
+            directory[partition_of(side, i) >> shift].push(i);
+        }
+        if shift != 0 {
+            directory.iter_mut().for_each(|bucket| bucket.sort_by_key(|&i| partition_of(side, i)));
+        }
+        directory
+    };
+    // The non-empty partitions of a side, in partition order, each with
+    // its number.
+    fn parts_of(directory: &[Vec<u32>], one_each: bool, id: impl Fn(u32) -> usize) -> Vec<(usize, &[u32])> {
+        let buckets = directory.iter();
+        let parts = buckets.flat_map(|bucket| bucket.chunk_by(|&i, &j| one_each || id(i) == id(j)));
+        parts.map(|part| (id(part[0]), part)).collect()
     }
-    for part in &probe_parts {
-        part_io(part, &probe);
-    }
+    let (build_dir, probe_dir) = (directory(build), directory(probe));
+    let build_parts = parts_of(&build_dir, shift == 0, |i| partition_of(build, i));
+    let probe_parts = parts_of(&probe_dir, shift == 0, |i| partition_of(probe, i));
+    let part_io = |side: Side<'_>, parts: &[(usize, &[u32])]| {
+        for (_, part) in parts {
+            // One operator's rows all share an arity, so the partition's
+            // byte total is a multiply, not a gather over its rows.
+            let pages = (part.len() * row_bytes(side)).div_ceil(PAGE_SIZE) as u32;
+            let file = ctx.alloc_temp_file();
+            for p in 0..pages {
+                session.write_page(PageId::new(file, p));
+            }
+            for p in 0..pages {
+                session.read_page(PageId::new(file, p), AccessKind::Sequential);
+            }
+            session.invalidate_file(file);
+        }
+    };
+    part_io(build, &build_parts);
+    part_io(probe, &probe_parts);
+    // Join partition by partition, in partition order.
+    let (mut b, mut p) = (build_parts.iter().peekable(), probe_parts.iter().peekable());
     let mut produced = 0u64;
-    for (b, p) in build_parts.into_iter().zip(probe_parts) {
-        produced +=
-            hash_join_indexed(&build, &b, &probe, &p, build_key, probe_key, swap_output, ctx, sink);
+    while let Some(id) = b.peek().into_iter().chain(p.peek()).map(|part| part.0).min() {
+        let b = b.next_if(|part| part.0 == id).map_or(&[][..], |part| part.1);
+        let p = p.next_if(|part| part.0 == id).map_or(&[][..], |part| part.1);
+        let (b, p) = (Side { part: Some(b), ..build }, Side { part: Some(p), ..probe });
+        produced += build_and_probe(b, p, swap_output, ctx, sink);
     }
     Ok(produced)
 }
 
-/// One grace partition's in-memory join, working through index slices into
-/// the original inputs (no row copies).  Charges and output are identical
-/// to running [`hash_join_in_memory`] on materialised partition vectors.
-#[allow(clippy::too_many_arguments)]
-fn hash_join_indexed(
-    build: &PackedRows,
-    build_idx: &[u32],
-    probe: &PackedRows,
-    probe_idx: &[u32],
-    build_key: usize,
-    probe_key: usize,
-    swap_output: bool,
-    ctx: &ExecCtx<'_>,
-    sink: &mut dyn FnMut(&[i64]),
-) -> u64 {
-    let session = ctx.session;
-    session.charge_hashes(2 * build_idx.len() as u64);
-    let mut table = ChainTable::with_capacity(build_idx.len());
-    let mut next: Vec<u32> = vec![NIL; build_idx.len()];
-    for (i, &bi) in build_idx.iter().enumerate() {
-        table.insert(build.row(bi as usize)[build_key], i as u32, &mut next);
-    }
-    session.charge_hashes(probe_idx.len() as u64);
-    let mut produced = 0u64;
-    for &pi in probe_idx {
-        let p = probe.row(pi as usize);
-        if let Some(head) = table.head(p[probe_key]) {
-            let mut idx = head;
-            loop {
-                let b = build.row(build_idx[idx as usize] as usize);
-                session.charge_rows(1);
-                let row = if swap_output { combined(p, b) } else { combined(b, p) };
-                sink(row.values());
-                produced += 1;
-                idx = next[idx as usize];
-                if idx == NIL {
-                    break;
-                }
-            }
-        }
-    }
-    produced
-}
-
-fn hash_join_in_memory(
-    build: &PackedRows,
-    probe: &PackedRows,
-    build_key: usize,
-    probe_key: usize,
+/// The in-memory hash join of two sides.
+fn build_and_probe(
+    build: Side<'_>,
+    probe: Side<'_>,
     swap_output: bool,
     ctx: &ExecCtx<'_>,
     sink: &mut dyn FnMut(&[i64]),
@@ -294,32 +284,34 @@ fn hash_join_in_memory(
     let session = ctx.session;
     // Build costs double per row (insertion + growth), as in the rid join.
     session.charge_hashes(2 * build.len() as u64);
-    // Chained layout: the table holds `(head, tail)` indices into `build`
-    // per key and `next` threads same-key rows in insertion order — one
-    // shared allocation instead of a `Vec` per distinct key, which matters
-    // when a million-row build side has (near-)unique keys.
+    // Chained layout: the table holds `(head, tail)` positions on the build
+    // side per key and `next` threads same-key rows in insertion order —
+    // one shared allocation instead of a `Vec` per distinct key, which
+    // matters when a million-row build side has (near-)unique keys.
     let mut table = ChainTable::with_capacity(build.len());
     let mut next: Vec<u32> = vec![NIL; build.len()];
     for i in 0..build.len() {
-        table.insert(build.row(i)[build_key], i as u32, &mut next);
+        table.insert(build.row(i)[build.key], i as u32, &mut next);
     }
     session.charge_hashes(probe.len() as u64);
     let mut produced = 0u64;
+    // The output row under construction: `left columns ++ right columns`,
+    // the probe row's half written once per probe row.
+    let (build_arity, probe_arity) = (build.rows.arity(), probe.rows.arity());
+    let mut out = vec![0i64; build_arity + probe_arity];
+    let (build_at, probe_at) = if swap_output { (probe_arity, 0) } else { (0, build_arity) };
     for pi in 0..probe.len() {
         let p = probe.row(pi);
-        if let Some(head) = table.head(p[probe_key]) {
-            let mut idx = head;
-            loop {
-                let b = build.row(idx as usize);
-                session.charge_rows(1);
-                let row = if swap_output { combined(p, b) } else { combined(b, p) };
-                sink(row.values());
-                produced += 1;
-                idx = next[idx as usize];
-                if idx == NIL {
-                    break;
-                }
-            }
+        let Some(head) = table.head(p[probe.key]) else { continue };
+        out[probe_at..probe_at + p.len()].copy_from_slice(p);
+        let mut idx = head;
+        while idx != NIL {
+            let b = build.row(idx as usize);
+            session.charge_rows(1);
+            out[build_at..build_at + b.len()].copy_from_slice(b);
+            sink(&out);
+            produced += 1;
+            idx = next[idx as usize];
         }
     }
     produced
@@ -394,7 +386,11 @@ mod tests {
     fn joins_match_reference_when_spilling() {
         let left: Vec<(i64, i64)> = (0..3000).map(|i| (i % 97, i)).collect();
         let right: Vec<(i64, i64)> = (0..2000).map(|i| (i % 89, -i)).collect();
-        run_all_variants(&left, &right, 2048); // tiny grant: everything spills
+        // Tiny grants: everything spills; under the last two the hash join
+        // has more partitions than rows, several to a directory bucket.
+        for memory in [2048, 16, 0] {
+            run_all_variants(&left, &right, memory);
+        }
     }
 
     #[test]

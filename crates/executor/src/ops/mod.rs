@@ -4,8 +4,12 @@
 //! its work against the storage substrate and charges every page access and
 //! unit of CPU to the [`robustmap_storage::Session`].  Rows flow into
 //! caller-provided sinks — `FnMut(&RowBatch)` out of the scans and
-//! fetches, `FnMut(&Row)` out of the blocking operators — so no operator
-//! materialises output it does not need for its own algorithm.
+//! fetches, `FnMut(&[i64])` (one row's values, borrowed from the
+//! operator's packed storage or its one output buffer) out of the blocking
+//! operators — so no operator materialises output it does not need for its
+//! own algorithm.  The blocking operators copy a row once, on arrival,
+//! into packed storage ([`sort::PackedRows`]) and from then on move
+//! handles, group ids or row indices, never the row.
 
 pub mod adaptive;
 pub mod agg;

@@ -32,20 +32,24 @@
 //!   charge calls of a k-way external merge sort, call for call — the
 //!   per-row merge charges stay individual calls, one charge event each,
 //!   so served slices keep their length — and move no row.
-//! * **Order.**  Every row that leaves the sorter's memory (Abrupt: every
-//!   row) is appended once to one packed store.  The final pass orders the
-//!   store once (`sorted_order`: a radix sort of 16-byte `(first key
-//!   value, row index)` handles, then a comparison sort inside each group
-//!   of equal first key values) and emits through the handles.  Items that
-//!   compare equal are bit-identical rows, so this is the sequence any
-//!   merge under the same order produces.
+//! * **Order.**  Every row is appended once, on arrival, to one packed
+//!   store — in both modes.  The final pass orders the store once
+//!   (`sorted_order`: a radix sort of 16-byte `(first key value, row
+//!   index)` handles, then a comparison sort inside each group of equal
+//!   first key values) and emits through the handles.  Items that compare
+//!   equal are bit-identical rows, so this is the sequence any merge under
+//!   the same order produces.
 //! * **Physical.**  The replacement-selection window: which row closes a
 //!   run depends on the window's actual minimum, so run *lengths* depend
-//!   on it.  It is a sorted *base* array consumed by a cursor (the rows
-//!   promoted when the previous run closed) plus a small heap of the rows
-//!   that joined the current run mid-flight; it always emits the minimum
-//!   of the same multiset as the classic all-heap window, so run formation
-//!   is the classic algorithm's.
+//!   on it.  The window holds no rows, only handles into the store: a
+//!   sorted *base* array consumed by a cursor (the handles promoted when
+//!   the previous run closed — for the first run, the rows that filled
+//!   the memory, so a sort that never spills never builds a window) plus
+//!   a small heap of the handles that joined the current run mid-flight,
+//!   whose sift-down picks its way by integer compares on the inline
+//!   first key value instead of branching on them.  It always emits the
+//!   minimum of the same multiset as the classic all-heap window, so run
+//!   formation is the classic algorithm's.
 
 use robustmap_storage::{AccessKind, PageId, PAGE_SIZE};
 
@@ -67,13 +71,12 @@ fn keyed_cmp(a: &[i64], b: &[i64], key_cols: &[usize]) -> std::cmp::Ordering {
 }
 
 /// Rows of one fixed arity packed end-to-end as bare `i64` words.  A
-/// sorter or join sees a single operator output, so every row it holds
-/// has the same arity; packing stores and moves `arity * 8` bytes per row
-/// instead of a 72-byte [`robustmap_storage::Row`], which shrinks the
-/// replacement-selection window (and the sorter's store) by ~4x for
-/// typical join inputs — less cache pressure and less memcpy on every
-/// emission.  Purely an in-memory layout: the rows, their order, and all
-/// simulated charges are unchanged.
+/// sorter, aggregation or join sees a single operator output, so every row
+/// (or group key) it holds has the same arity; packing stores `arity * 8`
+/// bytes per row instead of a 72-byte [`robustmap_storage::Row`], which
+/// shrinks the sorter's store, an aggregation's group keys and a join's
+/// inputs by ~4x for typical inputs.  Purely an in-memory layout: the
+/// rows, their order, and all simulated charges are unchanged.
 #[derive(Debug, Default)]
 pub struct PackedRows {
     vals: Vec<i64>,
@@ -136,122 +139,118 @@ impl PackedRows {
     pub fn row(&self, i: usize) -> &[i64] {
         &self.vals[i * self.arity..(i + 1) * self.arity]
     }
-
-    fn get(&self, i: usize) -> Option<&[i64]> {
-        (i < self.len).then(|| self.row(i))
-    }
 }
 
 /// A light heap/sort element: the leading key value inline (the decisive
-/// comparison in almost every sift) and a handle to the full row.
+/// comparison in almost every sift) and the row's index in its store.
 #[derive(Debug, Clone, Copy)]
-struct Handle {
+pub(crate) struct Handle {
     key0: i64,
-    slot: u32,
+    pub(crate) slot: u32,
 }
 
-/// The rows of `rows` in the full sort order, as handles into it — the
-/// one place the sorter computes an order.  Sorting moves 16-byte handles
-/// instead of rows: a stable radix sort on the leading key value (its sign
-/// bit flipped, which maps `i64` order onto `u64` order), then the full
+/// `a < b` in the full sort order, for handles into `rows`: the inline
+/// leading key values decide; a tie falls to the stored rows.
+fn handle_less<'s>(
+    rows: &'s PackedRows,
+    key_cols: &'s [usize],
+) -> impl Fn(Handle, Handle) -> bool + 's {
+    move |a, b| match a.key0.cmp(&b.key0) {
+        std::cmp::Ordering::Less => true,
+        std::cmp::Ordering::Greater => false,
+        std::cmp::Ordering::Equal => {
+            keyed_cmp(rows.row(a.slot as usize), rows.row(b.slot as usize), key_cols)
+                == std::cmp::Ordering::Less
+        }
+    }
+}
+
+/// Put `order`, handles into `rows`, in the full sort order — the one
+/// place an order is computed.  Sorting moves 16-byte handles instead of
+/// rows: a stable radix sort on the leading key value (its sign bit
+/// flipped, which maps `i64` order onto `u64` order), then the full
 /// comparison only inside groups that tie on it.
-fn sorted_order(rows: &PackedRows, key_cols: &[usize]) -> Vec<Handle> {
-    let mut order: Vec<Handle> = (0..rows.len())
-        .map(|i| Handle { key0: rows.row(i)[key_cols[0]], slot: i as u32 })
-        .collect();
-    radix_sort_by_u64_key(&mut order, |h| h.key0 as u64 ^ (1 << 63));
+fn sort_handles(order: &mut Vec<Handle>, rows: &PackedRows, key_cols: &[usize]) {
+    radix_sort_by_u64_key(order, |h| h.key0 as u64 ^ (1 << 63));
     for ties in order.chunk_by_mut(|a, b| a.key0 == b.key0) {
         ties.sort_unstable_by(|a, b| {
             keyed_cmp(rows.row(a.slot as usize), rows.row(b.slot as usize), key_cols)
         });
     }
+}
+
+/// Every row of `rows` in the full sort order, as handles into it.  With
+/// no key column the order is the whole row's, compared throughout.
+pub(crate) fn sorted_order(rows: &PackedRows, key_cols: &[usize]) -> Vec<Handle> {
+    let mut order: Vec<Handle> = (0..rows.len())
+        .map(|i| Handle { key0: key_cols.first().map_or(0, |&c| rows.row(i)[c]), slot: i as u32 })
+        .collect();
+    sort_handles(&mut order, rows, key_cols);
     order
 }
 
-/// Minimal 4-ary min-heap with an external comparator
+/// Minimal 4-ary min-heap of handles with an external comparator
 /// (`std::collections::BinaryHeap` cannot borrow the row storage its
 /// comparisons need).  Four children per node halves the sift depth of a
-/// binary heap and puts all siblings on one cache line — the win that
-/// matters for a replacement-selection window of tens of thousands of
-/// handles.  Every pop still returns the minimum of the current multiset,
-/// so for the total orders used here the pop *sequence* is independent of
-/// heap arity; elements that compare equal may surface in any order, which
-/// is harmless because fully-equal sort items are bit-identical rows.
-fn sift_up<T: Copy>(heap: &mut [T], mut i: usize, less: &mut impl FnMut(T, T) -> bool) {
+/// binary heap and puts all siblings on one cache line.  Every pop returns
+/// the minimum of the current multiset, so for the total orders used here
+/// the pop *sequence* is independent of the heap's shape; elements that
+/// compare equal may surface in any order, which is harmless because
+/// fully-equal sort items are bit-identical rows.
+fn heap_push(heap: &mut Vec<Handle>, item: Handle, less: &impl Fn(Handle, Handle) -> bool) {
+    heap.push(item);
+    let hole = heap.len() - 1;
+    sift_up(heap, hole, item, less);
+}
+
+/// Fill the hole at `i` with `item`, moved rootwards past every ancestor
+/// it sorts below.
+fn sift_up(heap: &mut [Handle], mut i: usize, item: Handle, less: &impl Fn(Handle, Handle) -> bool) {
     while i > 0 {
         let parent = (i - 1) / 4;
-        if less(heap[i], heap[parent]) {
-            heap.swap(i, parent);
-            i = parent;
-        } else {
+        if !less(item, heap[parent]) {
             break;
         }
+        heap[i] = heap[parent];
+        i = parent;
     }
+    heap[i] = item;
 }
 
-fn sift_down<T: Copy>(heap: &mut [T], mut i: usize, less: &mut impl FnMut(T, T) -> bool) {
+/// Pop the minimum.  A sift-down that asks "is the displaced element
+/// smaller than this child?" at every level mispredicts about once a
+/// level on random keys, and that — not the comparison count — is what a
+/// pop costs.  So the hole left by the root walks to a leaf along the
+/// smallest child without asking: among four siblings the smallest
+/// leading key value is picked by compares used as integers (no branch),
+/// and only a tie on it — rare, and predicted so — falls to `less` on the
+/// stored rows.  The displaced last element then sifts up from the leaf,
+/// where it nearly always belongs.
+fn heap_pop(heap: &mut Vec<Handle>, less: &impl Fn(Handle, Handle) -> bool) -> Option<Handle> {
+    let last = heap.pop()?;
+    let Some(&top) = heap.first() else { return Some(last) };
+    let smallest = |heap: &[Handle], children: std::ops::Range<usize>| {
+        children.reduce(|m, c| if less(heap[c], heap[m]) { c } else { m }).expect("a child")
+    };
+    let mut hole = 0;
     loop {
-        let first = 4 * i + 1;
-        if first >= heap.len() {
-            break;
-        }
-        let mut smallest = i;
-        for c in first..(first + 4).min(heap.len()) {
-            if less(heap[c], heap[smallest]) {
-                smallest = c;
-            }
-        }
-        if smallest == i {
-            break;
-        }
-        heap.swap(i, smallest);
-        i = smallest;
-    }
-}
-
-fn heap_push<T: Copy>(heap: &mut Vec<T>, item: T, less: &mut impl FnMut(T, T) -> bool) {
-    heap.push(item);
-    let last = heap.len() - 1;
-    sift_up(heap, last, less);
-}
-
-fn heap_pop<T: Copy>(heap: &mut Vec<T>, less: &mut impl FnMut(T, T) -> bool) -> Option<T> {
-    if heap.is_empty() {
-        return None;
-    }
-    let top = heap.swap_remove(0);
-    sift_down(heap, 0, less);
-    Some(top)
-}
-
-/// Packed row storage for the in-flight joiners of the current run:
-/// stable `u32` handles, freed slots recycled.
-#[derive(Default)]
-struct Slab {
-    rows: PackedRows,
-    free: Vec<u32>,
-}
-
-impl Slab {
-    fn insert(&mut self, row: &[i64]) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            let at = slot as usize * self.rows.arity;
-            self.rows.vals[at..at + row.len()].copy_from_slice(row);
-            slot
+        let first = 4 * hole + 1;
+        let child = if let Some(&[a, b, c, d]) = heap.get(first..first + 4) {
+            let ab = if b.key0 < a.key0 { (b.key0, 1) } else { (a.key0, 0) };
+            let cd = if d.key0 < c.key0 { (d.key0, 3) } else { (c.key0, 2) };
+            let (min, at) = if cd.0 < ab.0 { cd } else { ab };
+            let tied = [a, b, c, d].iter().filter(|h| h.key0 == min).count();
+            if tied == 1 { first + at } else { smallest(heap, first..first + 4) }
+        } else if first < heap.len() {
+            smallest(heap, first..heap.len())
         } else {
-            self.rows.push(row);
-            (self.rows.len() - 1) as u32
-        }
+            break;
+        };
+        heap[hole] = heap[child];
+        hole = child;
     }
-
-    /// Free `slot`.  The caller must have already consumed its contents.
-    fn release(&mut self, slot: u32) {
-        self.free.push(slot);
-    }
-
-    fn get(&self, slot: u32) -> &[i64] {
-        self.rows.row(slot as usize)
-    }
+    sift_up(heap, hole, last, less);
+    Some(top)
 }
 
 /// One sorted run, as the accounting sees it: `rows` rows, of which the
@@ -271,23 +270,20 @@ pub struct ExternalSorter<'a, 'b> {
     mode: SpillMode,
     memory_rows: usize,
     rows_per_page: usize,
-    // Every row that has left the sorter's memory, in the order it left
-    // (Abrupt: every row, in arrival order).  Ordered once, by `finish`.
+    // Every row, in arrival order.  Ordered once, by `finish`.
     store: PackedRows,
     // Abrupt state: how many of the store's last rows form the buffer
     // that fills and spills wholesale.
     buffered: usize,
-    // Graceful state: replacement selection.  The current run's window is
-    // a sorted `base` consumed from `cursor` (rows promoted when the
-    // previous run closed) plus a heap of the rows that joined the run in
-    // flight; `pending` collects the next run's rows.
-    base: PackedRows,
+    // Graceful state: replacement selection, over handles into the store.
+    // The current run's window is a sorted `base` consumed from `cursor`
+    // (promoted when the previous run closed) plus a heap of the handles
+    // that joined the run in flight; `pending` collects the next run's.
+    // All three stay empty until a row arrives to a full memory.
+    base: Vec<Handle>,
     cursor: usize,
-    slab: Slab,
     current: Vec<Handle>,
-    pending: PackedRows,
-    // Index into `store` of the current run's last emitted row.
-    last_out: Option<usize>,
+    pending: Vec<Handle>,
     // Rows emitted into the open run so far.
     open_rows: usize,
     // Rows emitted into the open run's current (incomplete) page —
@@ -333,12 +329,10 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             rows_per_page: (PAGE_SIZE / ROW_BYTES).max(1),
             store: PackedRows::default(),
             buffered: 0,
-            base: PackedRows::default(),
+            base: Vec::new(),
             cursor: 0,
-            slab: Slab::default(),
             current: Vec::new(),
-            pending: PackedRows::default(),
-            last_out: None,
+            pending: Vec::new(),
             open_rows: 0,
             page_fill: 0,
             runs: Vec::new(),
@@ -356,9 +350,8 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         self.runs.len() + usize::from(self.open_rows != 0)
     }
 
-    #[inline]
-    fn key0(&self, row: &[i64]) -> i64 {
-        row[self.key_cols[0]]
+    fn handle(&self, slot: usize) -> Handle {
+        Handle { key0: self.store.row(slot)[self.key_cols[0]], slot: slot as u32 }
     }
 
     /// Accept one input row.
@@ -367,15 +360,20 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         self.ctx
             .session
             .charge_compares((usize::BITS - self.memory_rows.leading_zeros()) as u64);
+        self.store.push(row);
         match self.mode {
             SpillMode::Abrupt => {
-                self.store.push(row);
                 self.buffered += 1;
                 if self.buffered >= self.memory_rows {
                     self.spill_buffer_as_run();
                 }
             }
-            SpillMode::Graceful => self.push_replacement_selection(row),
+            // Until the memory is full there is no window to maintain.
+            SpillMode::Graceful => {
+                if self.store.len() > self.memory_rows {
+                    self.replace_window_min();
+                }
+            }
         }
     }
 
@@ -393,127 +391,74 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         self.ctx.note_spill();
     }
 
-    /// `a < b` in the full sort order, for rows behind slab handles.
-    fn handle_less<'s>(
-        slab: &'s Slab,
-        key_cols: &'s [usize],
-    ) -> impl FnMut(Handle, Handle) -> bool + 's {
-        move |a, b| match a.key0.cmp(&b.key0) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => {
-                keyed_cmp(slab.get(a.slot), slab.get(b.slot), key_cols)
-                    == std::cmp::Ordering::Less
+    /// The parked handles become the next run's window: a fresh sorted
+    /// base.
+    fn promote_pending(&mut self) {
+        std::mem::swap(&mut self.base, &mut self.pending);
+        self.pending.clear();
+        sort_handles(&mut self.base, &self.store, &self.key_cols);
+        self.cursor = 0;
+    }
+
+    /// Remove the window minimum — the base head or the joiner heap's top;
+    /// a tie between the two means bit-identical rows, so either may win —
+    /// as the open run's next row, charging any completed page.  `None` if
+    /// the window is empty.
+    fn emit_window_min(&mut self) -> Option<Handle> {
+        let less = handle_less(&self.store, &self.key_cols);
+        let min = match (self.base.get(self.cursor), self.current.first()) {
+            (None, None) => return None,
+            (Some(&b), top) if top.is_none_or(|&h| !less(h, b)) => {
+                self.cursor += 1;
+                b
             }
-        }
-    }
-
-    fn row_less(&self, a: &[i64], b: &[i64]) -> bool {
-        keyed_cmp(a, b, &self.key_cols) == std::cmp::Ordering::Less
-    }
-
-    /// Insert `row` into the current run's joiner heap (slab + handle in
-    /// one step).
-    fn push_current(&mut self, row: &[i64]) {
-        let handle = Handle { key0: self.key0(row), slot: self.slab.insert(row) };
-        let mut less = Self::handle_less(&self.slab, &self.key_cols);
-        heap_push(&mut self.current, handle, &mut less);
-    }
-
-    /// Rows currently in the replacement-selection window: the unconsumed
-    /// sorted base plus the in-flight joiners.
-    fn window_len(&self) -> usize {
-        (self.base.len() - self.cursor) + self.current.len()
-    }
-
-    /// Whether the window minimum sits in the joiner heap (vs the base
-    /// head), or `None` if the window is empty.  A tie between the two
-    /// means bit-identical rows, so either side may win.
-    fn window_min_in_heap(&self) -> Option<bool> {
-        match (self.base.get(self.cursor), self.current.first()) {
-            (None, None) => None,
-            (Some(_), None) => Some(false),
-            (None, Some(_)) => Some(true),
-            (Some(b), Some(&h)) => Some(match h.key0.cmp(&self.key0(b)) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => {
-                    keyed_cmp(self.slab.get(h.slot), b, &self.key_cols)
-                        == std::cmp::Ordering::Less
-                }
-            }),
-        }
-    }
-
-    /// Remove the window minimum and append it to the store as the open
-    /// run's next row, charging any completed page.  Returns the emitted
-    /// row's index in the store, or `None` if the window was empty.
-    fn emit_window_min(&mut self) -> Option<usize> {
-        let take_heap = self.window_min_in_heap()?;
-        if take_heap {
-            let top = {
-                let mut less = Self::handle_less(&self.slab, &self.key_cols);
-                heap_pop(&mut self.current, &mut less).expect("heap checked non-empty")
-            };
-            self.store.push(self.slab.get(top.slot));
-            self.slab.release(top.slot);
-        } else {
-            self.store.push(self.base.row(self.cursor));
-            self.cursor += 1;
-        }
+            _ => heap_pop(&mut self.current, &less).expect("heap checked non-empty"),
+        };
         self.open_rows += 1;
         self.page_fill += 1;
         if self.page_fill == self.rows_per_page {
             self.page_fill = 0;
             self.charge_run_write(1);
         }
-        Some(self.store.len() - 1)
+        Some(min)
     }
 
-    /// Replacement selection.  The window is the union of `base[cursor..]`
-    /// (sorted once when the run opened) and the joiner heap, so the
-    /// common emission — the run's minimum is the base head — is a cursor
-    /// advance instead of a full-depth heap pop, and closing a run sorts
-    /// the pending rows wholesale instead of re-heapifying them one by
-    /// one.  Which rows land in which run is exactly the classic
-    /// algorithm's: both maintain the same window multiset and always
-    /// emit its minimum.  Simulated charges are analytic per push, so
-    /// they are bit-identical too.
-    fn push_replacement_selection(&mut self, row: &[i64]) {
-        if self.window_len() + self.pending.len() < self.memory_rows {
-            // Memory not yet full: rows can always enter the current run
-            // unless they sort below the run's last output.
-            match self.last_out {
-                Some(last) if self.row_less(row, self.store.row(last)) => self.pending.push(row),
-                _ => self.push_current(row),
-            }
-            return;
+    /// Replacement selection, for the row just stored, which arrived to a
+    /// full memory: the window's minimum goes to disk and the newcomer is
+    /// admitted.  The window is the union of `base[cursor..]` (sorted once
+    /// when the run opened) and the joiner heap, so the common emission —
+    /// the run's minimum is the base head — is a cursor advance instead
+    /// of a full-depth heap pop, and closing a run sorts the parked
+    /// handles wholesale instead of re-heapifying them one by one.  Which
+    /// rows land in which run is exactly the classic algorithm's: both
+    /// maintain the same window multiset and always emit its minimum.
+    /// Simulated charges are analytic per push, so they are bit-identical
+    /// too.
+    fn replace_window_min(&mut self) {
+        let newcomer = self.handle(self.store.len() - 1);
+        if !self.spilled {
+            // The first row to find the memory full: the rows that fill
+            // it are the first run's window, built like every later one.
+            self.pending = (0..newcomer.slot as usize).map(|i| self.handle(i)).collect();
+            self.promote_pending();
         }
-        // Memory full: emit the current run's minimum to disk, then admit
-        // the newcomer.
         self.spilled = true;
         self.ctx.note_spill();
-        if let Some(min) = self.emit_window_min() {
-            if self.row_less(row, self.store.row(min)) {
-                // Newcomer starts the next run: park it.
-                self.pending.push(row);
-            } else {
-                // Newcomer joins the current run.
-                self.push_current(row);
+        let joins = match self.emit_window_min() {
+            // Below the row just written: it starts the next run.
+            Some(min) => !handle_less(&self.store, &self.key_cols)(newcomer, min),
+            // Window empty: close this run, promote the parked rows, and
+            // admit the newcomer without emitting.
+            None => {
+                self.close_open_run();
+                self.promote_pending();
+                true
             }
-            self.last_out = Some(min);
+        };
+        if joins {
+            heap_push(&mut self.current, newcomer, &handle_less(&self.store, &self.key_cols));
         } else {
-            // Window empty: close this run and promote the pending rows
-            // to a fresh (sorted) base.
-            self.close_open_run();
-            let pending = std::mem::take(&mut self.pending);
-            self.base = PackedRows::with_capacity(pending.len(), pending.arity());
-            for h in sorted_order(&pending, &self.key_cols) {
-                self.base.push(pending.row(h.slot as usize));
-            }
-            self.cursor = 0;
-            self.last_out = None;
-            self.push_current(row);
+            self.pending.push(newcomer);
         }
     }
 
@@ -571,32 +516,25 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         self.merge_runs(sink)
     }
 
-    /// Graceful finish: the window is the (unwritten) tail of the open
-    /// run; the pending rows are a final short run.  Both join the store
-    /// as they are — the final pass orders it.
+    /// Graceful finish: the rows still in memory become runs that merge
+    /// without touching disk — the window as the (unwritten) tail of the
+    /// open run, the parked rows as a final short run.
     fn close_graceful_tails(&mut self) {
         let disk_rows = self.open_rows;
         if self.page_fill != 0 {
             self.page_fill = 0;
             self.charge_run_write(1);
         }
-        let rows = disk_rows + self.window_len();
-        for i in self.cursor..self.base.len() {
-            self.store.push(self.base.row(i));
-        }
-        for h in &self.current {
-            self.store.push(self.slab.get(h.slot));
-        }
+        let parked = self.pending.len();
+        // The open run is every row neither in a closed run nor parked.
+        let closed: usize = self.runs.iter().map(|run| run.rows).sum();
+        let rows = self.store.len() - closed - parked;
         if rows != 0 {
             self.runs.push(SortedRun { rows, disk_rows });
         }
-        let n = self.pending.len();
-        if n != 0 {
-            self.ctx.session.charge_compares(n as u64 * ceil_log2(n).max(1));
-            for i in 0..n {
-                self.store.push(self.pending.row(i));
-            }
-            self.runs.push(SortedRun { rows: n, disk_rows: 0 });
+        if parked != 0 {
+            self.ctx.session.charge_compares(parked as u64 * ceil_log2(parked).max(1));
+            self.runs.push(SortedRun { rows: parked, disk_rows: 0 });
         }
     }
 
@@ -656,6 +594,7 @@ mod tests {
     use super::*;
     use crate::exec::ExecCtx;
     use crate::ops::testutil::demo_db;
+    use proptest::prelude::*;
     use robustmap_storage::{Row, Session};
 
     fn sort_all(
@@ -850,6 +789,119 @@ mod tests {
             assert_eq!(joined, Ok(61_843));
         });
         assert_eq!(got, (io(370, 91_843, 50_246), 338), "sort-merge join");
+    }
+
+    /// Textbook replacement selection — one heap of `(run, key, row)` over a
+    /// memory of `m` rows — with this sorter's one quirk: a row that finds
+    /// the window empty closes the run and is admitted without an emission.
+    /// Returns each run as `(rows, rows on disk)` and how many rows of the
+    /// last one were parked for a run that never opened.
+    fn textbook_runs(rows: &[[i64; 2]], k: usize, m: usize) -> (Vec<(usize, usize)>, usize) {
+        use std::cmp::Reverse;
+        let mut heap = std::collections::BinaryHeap::new();
+        let (mut run, mut written, mut runs) = (0, 0, Vec::new());
+        for &row in rows {
+            match heap.peek() {
+                _ if heap.len() < m => heap.push(Reverse((run, row[k], row))),
+                Some(&Reverse((r, key, min))) if r == run => {
+                    heap.pop();
+                    written += 1;
+                    heap.push(Reverse((run + usize::from((row[k], row) < (key, min)), row[k], row)));
+                }
+                _ => {
+                    runs.push((written, written));
+                    (run, written) = (run + 1, 0);
+                    heap.push(Reverse((run, row[k], row)));
+                }
+            }
+        }
+        let parked = heap.iter().filter(|Reverse((r, ..))| *r != run).count();
+        if written + heap.len() != parked {
+            runs.push((written + heap.len() - parked, written));
+        }
+        if parked != 0 {
+            runs.push((parked, 0));
+        }
+        (runs, parked)
+    }
+
+    /// What those runs cost: a page per 51 rows written, `bits(m)` compares
+    /// a push, a sort of the parked rows, and a 64-way merge.
+    fn textbook_charges(n: usize, m: usize, runs: &[(usize, usize)], parked: usize) -> (u64, u64) {
+        let rpp = PAGE_SIZE / ROW_BYTES;
+        let mut writes: usize = runs.iter().map(|run| run.1.div_ceil(rpp)).sum();
+        let mut compares = n as u64 * (usize::BITS - m.leading_zeros()) as u64;
+        if parked != 0 {
+            compares += parked as u64 * ceil_log2(parked).max(1);
+        }
+        let mut level: Vec<usize> = runs.iter().map(|run| run.0).collect();
+        while level.len() > 64 {
+            let merged = level.chunks(64).map(|group| {
+                let rows: usize = group.iter().sum();
+                compares += rows as u64 * ceil_log2(group.len().max(2));
+                writes += rows.div_ceil(rpp);
+                rows
+            });
+            level = merged.collect();
+        }
+        if !level.is_empty() {
+            compares += n as u64 * ceil_log2(level.len().max(2));
+        }
+        (writes as u64, compares)
+    }
+
+    fn key_cell() -> impl Strategy<Value = i64> {
+        prop_oneof![any::<i64>(), -3i64..3, Just(i64::MIN), Just(i64::MAX)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Run formation — the one part of the sorter that stays physical
+        /// — is the textbook's: run lengths, pages written, comparisons
+        /// charged and output, on keys at both extremes, heavy leading-key
+        /// duplicates, bit-identical rows and leading-key ties with
+        /// different payloads, in arrival, ascending and descending order.
+        #[test]
+        fn run_formation_is_the_textbooks(
+            pool in prop::collection::vec((key_cell(), -2i64..2), 4097),
+        ) {
+            let (db, _) = demo_db(4);
+            let arrival: Vec<[i64; 2]> = pool.iter().map(|&(a, b)| [a, b]).collect();
+            for k in [0, 1] {
+                let mut ascending = arrival.clone();
+                ascending.sort_by_key(|row| (row[k], *row));
+                let descending: Vec<_> = ascending.iter().rev().copied().collect();
+                for (order, input) in [("arrival", &arrival), ("ascending", &ascending), ("descending", &descending)] {
+                    for m in [2, 3, 25, 101, 102, 103] {
+                        for n in [0, 1, m, m + 1, 4097] {
+                            let case = format!("key {k}, {order}, {m} rows of memory, {n} rows");
+                            let s = Session::with_pool_pages(64);
+                            let ctx = ExecCtx::new(&db, &s, 1 << 20);
+                            let mut sorter = ExternalSorter::new(&ctx, vec![k], SpillMode::Graceful, m * ROW_BYTES);
+                            for row in &input[..n] {
+                                sorter.push_values(row);
+                            }
+                            sorter.close_graceful_tails();
+                            let runs: Vec<_> = sorter.runs.iter().map(|run| (run.rows, run.disk_rows)).collect();
+                            let mut out = Vec::with_capacity(n);
+                            sorter.merge_runs(&mut |row| out.push([row[0], row[1]]));
+                            let (want_runs, parked) = textbook_runs(&input[..n], k, m);
+                            prop_assert_eq!(&runs, &want_runs, "{}", case);
+                            let (writes, compares) = textbook_charges(n, m, &runs, parked);
+                            prop_assert_eq!((s.stats().page_writes, s.stats().cpu_compares), (writes, compares), "{}", case);
+                            prop_assert!(out == ascending_prefix(&input[..n], k), "{}: output out of order", case);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn ascending_prefix(rows: &[[i64; 2]], k: usize) -> Vec<[i64; 2]> {
+        let mut sorted = rows.to_vec();
+        sorted.sort_by_key(|row| (row[k], *row));
+        sorted
     }
 
     #[test]

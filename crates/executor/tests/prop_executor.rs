@@ -230,43 +230,6 @@ proptest! {
         }
     }
 
-    /// Hash aggregation equals a reference group-by for any grant and mode.
-    #[test]
-    fn agg_plan_equals_reference(
-        rows in rows_strategy(),
-        memory_kib in 1usize..64,
-        abrupt in any::<bool>(),
-    ) {
-        use std::collections::BTreeMap;
-        let (db, t) = db_from(&rows);
-        let plan = PlanSpec::HashAgg {
-            input: Box::new(PlanSpec::TableScan {
-                table: t,
-                pred: Predicate::always_true(),
-                project: Projection::All,
-            }),
-            group_cols: vec![0],
-            aggs: vec![AggFn::CountStar, AggFn::Sum(2), AggFn::Min(1), AggFn::Max(1)],
-            mode: if abrupt { SpillMode::Abrupt } else { SpillMode::Graceful },
-            memory_bytes: memory_kib * 1024,
-        };
-        let s = Session::with_pool_pages(64);
-        let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (_, got) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
-        let mut want: BTreeMap<i64, (i64, i64, i64, i64)> = BTreeMap::new();
-        for &(a, b, c) in &rows {
-            let e = want.entry(a).or_insert((0, 0, i64::MAX, i64::MIN));
-            e.0 += 1;
-            e.1 += c;
-            e.2 = e.2.min(b);
-            e.3 = e.3.max(b);
-        }
-        prop_assert_eq!(got.len(), want.len());
-        for (row, (&g, &(cnt, sum, mn, mx))) in got.iter().zip(want.iter()) {
-            prop_assert_eq!(row.values(), &[g, cnt, sum, mn, mx]);
-        }
-    }
-
     /// The branch-free batched predicate evaluation selects exactly the
     /// rows per-row evaluation accepts, on arbitrary rows and predicates.
     /// Includes the empty batch (`rows` may be filtered to nothing
@@ -586,6 +549,77 @@ proptest! {
                     prop_assert_eq!(emitted as usize, n, "{}", case);
                     prop_assert!(got == want, "{}: output is not the reference order", case);
                 }
+            }
+        }
+    }
+
+    /// Hash aggregation equals a reference group-by — and charges what
+    /// its overflow discipline says — for no, one, two and three group
+    /// columns over the full `i64` range with heavy duplicates, both
+    /// modes, and grants from one resident group to all of them.  The
+    /// charges are a closed form of the number of partial aggregates
+    /// spilled: a hash per input row and per spilled entry, a page written
+    /// per 170 entries, the pages read back, and a sort of the groups.
+    #[test]
+    fn agg_plan_equals_reference(
+        rows in prop::collection::vec((key_cell(), key_cell(), key_cell()), 1..400),
+        memory_bytes in prop_oneof![Just(128usize), 128usize..8192, 8192usize..(1 << 16)],
+    ) {
+        use std::collections::{BTreeMap, HashSet};
+        let (db, t) = db_from(&rows);
+        let scan = PlanSpec::TableScan { table: t, pred: Predicate::always_true(), project: Projection::All };
+        let stats_of = |plan: &PlanSpec| {
+            let s = Session::with_pool_pages(64);
+            let ctx = ExecCtx::new(&db, &s, 1 << 20);
+            let (_, got) = run_collect(plan, &ctx, RunOpts::default()).unwrap();
+            (got, s.stats())
+        };
+        let (_, scan_stats) = stats_of(&scan);
+        for group_cols in [vec![], vec![0], vec![1, 0], vec![0, 1, 2]] {
+            let key = |&(a, b, c): &(i64, i64, i64)| -> Vec<i64> { group_cols.iter().map(|&g| [a, b, c][g]).collect() };
+            let mut want: BTreeMap<Vec<i64>, [i64; 4]> = BTreeMap::new();
+            for row in &rows {
+                let e = want.entry(key(row)).or_insert([0, 0, i64::MAX, i64::MIN]);
+                *e = [e[0] + 1, e[1].wrapping_add(row.2), e[2].min(row.1), e[3].max(row.1)];
+            }
+            let max_groups = memory_bytes / 128;
+            for mode in [SpillMode::Abrupt, SpillMode::Graceful] {
+                // Partial aggregates spilled: a row whose group is neither
+                // resident nor admissible, plus — Abrupt — the table it
+                // dumps at the first such row and every row after it.
+                let (mut resident, mut spilled, mut bypass) = (HashSet::new(), 0u64, false);
+                for row in &rows {
+                    if bypass || !(resident.contains(&key(row)) || resident.len() < max_groups) {
+                        if mode == SpillMode::Abrupt && !bypass {
+                            spilled += resident.len() as u64;
+                            bypass = true;
+                        }
+                        spilled += 1;
+                    } else {
+                        resident.insert(key(row));
+                    }
+                }
+                let plan = PlanSpec::HashAgg {
+                    input: Box::new(scan.clone()),
+                    group_cols: group_cols.clone(),
+                    aggs: vec![AggFn::CountStar, AggFn::Sum(2), AggFn::Min(1), AggFn::Max(1)],
+                    mode,
+                    memory_bytes,
+                };
+                let case = format!("{mode:?} by {group_cols:?} under {memory_bytes} B");
+                let (got, stats) = stats_of(&plan);
+                let got: Vec<Vec<i64>> = got.iter().map(|r| r.values().to_vec()).collect();
+                let want_rows: Vec<Vec<i64>> =
+                    want.iter().map(|(k, v)| k.iter().chain(v).copied().collect()).collect();
+                prop_assert_eq!(got, want_rows, "{}", case);
+                let (n, g) = (rows.len() as u64, want.len() as u64);
+                let mut expected = scan_stats;
+                expected.cpu_hashes += n + spilled;
+                expected.page_writes += spilled / 170;
+                expected.seq_reads += spilled.div_ceil(170);
+                expected.cpu_compares += if g > 1 { g * (64 - (g - 1).leading_zeros()) as u64 } else { 0 };
+                expected.cpu_rows += g;
+                prop_assert_eq!(stats, expected, "{}: {} spilled", case, spilled);
             }
         }
     }

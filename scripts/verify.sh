@@ -119,6 +119,12 @@ if [ "$(printf '%s' "$sites" | grep -c .)" != 1 ]; then
     exit 1
 fi
 
+echo "== touch-a-row-once gate: blocking operators keep handles and packed keys, not row copies"
+if grep -rnE 'struct Slab|FxHashMap<Row|fn combined\(' crates/executor/src/ops; then
+    echo "crates/executor/src/ops regrew the sorter's row slab, a Row-keyed hash map, or a Row built per join match" >&2
+    exit 1
+fi
+
 echo "== one-figure-table gate: one table, one gate, ids spelled once"
 if grep -rnE 'ALL_FIGURES|NEEDS_ALL_SYSTEMS|run_figure_inner|ChooserTally|FigureOutput::new\("' crates/bench/src; then
     echo "crates/bench/src regrew a second figure list, the two-slot tally, or a figure body spelling its own id — FIGURES is the table, the runner stamps names" >&2

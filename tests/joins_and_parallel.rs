@@ -99,6 +99,37 @@ fn hash_join_build_side_cliff_is_one_sided() {
     );
 }
 
+/// A grant of a few bytes asks for more grace partitions than there are
+/// rows (2^20 here, against 2^14 at 64 B).  `c` is a permutation and the
+/// partition hash a bijection on its low bits, so at all three grants every
+/// row is alone in its partition and the charges have a closed form: one
+/// page written per input row, read back from the pool.  The time must not follow the
+/// partition count — the empty ones used to cost an allocation and a pool
+/// sweep each, 40x the 64 B case at this size (3.7 s unoptimised).
+#[test]
+fn hash_join_with_a_grant_of_bytes_costs_what_its_rows_cost() {
+    let w = workload();
+    let all = (w.cal_a.threshold(1.0), w.cal_b.threshold(1.0));
+    let n = w.rows();
+    let run = |memory: usize| {
+        let plan = join_plan(&w, all.0, all.1, JoinAlgo::Hash { build_left: true }, memory);
+        let started = std::time::Instant::now();
+        let s = Session::with_pool_pages(256);
+        let ctx = ExecCtx::new(&w.db, &s, memory);
+        let (_, rows) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
+        assert_eq!(rows.len() as u64, n, "{memory} B");
+        (s.stats(), started.elapsed())
+    };
+    let (at_64, _) = run(64);
+    assert_eq!(at_64.page_writes, 2 * n);
+    assert_eq!(at_64.cpu_hashes, (n + n) + 2 * n + n);
+    for memory in [0, 1] {
+        let (stats, took) = run(memory);
+        assert_eq!(stats, at_64, "{memory} B");
+        assert!(took.as_secs_f64() < 2.0, "{memory} B grant took {took:?}");
+    }
+}
+
 #[test]
 fn sort_merge_join_cost_ignores_input_order() {
     let w = workload();
