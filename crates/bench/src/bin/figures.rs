@@ -10,18 +10,25 @@
 //!
 //! Reports print to stdout; CSV/SVG artifacts land in `target/figures/`.
 //! Progress lines honor `ROBUSTMAP_LOG` (quiet / normal / verbose);
-//! `--trace PATH` (or `ROBUSTMAP_TRACE=PATH`) records a charge-free
-//! execution trace of the whole run and writes Chrome trace-event JSON,
-//! an operator-profile CSV, and a metrics dump next to `PATH` at exit.
+//! `--trace PATH` records a charge-free, span-level execution trace of
+//! every measured session and served burst of the run — this binary owns
+//! the sink and hands it down in `HarnessConfig::measure` — and writes
+//! Chrome trace-event JSON at `PATH`, with an operator-profile CSV and a
+//! metrics dump next to it, at exit.
 //! The last line of stdout is the gate's summary; the exit status is 0
 //! when it is green, 1 when it is not, 2 on a usage error.
 
+use std::path::PathBuf;
+use std::sync::Arc;
+
 use robustmap_bench::{figure, gate, run_figure, Harness, HarnessConfig, FIGURES};
+use robustmap_obs::trace::{write_artifacts, TraceDetail, TraceSink};
 use robustmap_obs::{progress, verbose, warn};
 
 fn main() {
     let mut config = HarnessConfig::default();
     let mut wanted: Vec<String> = Vec::new();
+    let mut trace_path: Option<PathBuf> = None;
     let all = || FIGURES.iter().map(|f| f.name.to_string());
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -40,10 +47,8 @@ fn main() {
             "--threads" => config.measure.threads = number(&mut args, "--threads needs a number"),
             "--trace" => {
                 let path = args.next().unwrap_or_else(|| die("--trace needs a path"));
-                let detail = robustmap_obs::trace::detail_from_env();
-                if !robustmap_obs::trace::enable_global(std::path::Path::new(&path), detail) {
-                    warn!("--trace {path}: a trace sink is already installed; flag ignored");
-                }
+                trace_path = Some(path.into());
+                config.measure.trace = Some(Arc::new(TraceSink::memory(TraceDetail::Spans)));
             }
             "all" => wanted.extend(all()),
             "--help" | "-h" => {
@@ -106,16 +111,15 @@ fn main() {
         progress!("  {:<16} {:>8.2}s", out.name, out.wall_seconds);
     }
     progress!("  {:<16} {:>8.2}s (incl. workload)", "total", total.elapsed().as_secs_f64());
-    // Flush the process-wide trace, if one was installed (--trace or
-    // ROBUSTMAP_TRACE).
-    match robustmap_obs::trace::flush_global() {
-        Ok(Some(files)) => {
-            for f in &files {
-                progress!("wrote trace artifact {}", f.display());
+    if let (Some(sink), Some(path)) = (&harness.config.measure.trace, &trace_path) {
+        match write_artifacts(sink, path) {
+            Ok(files) => {
+                for f in &files {
+                    progress!("wrote trace artifact {}", f.display());
+                }
             }
+            Err(e) => warn!("could not write trace artifacts: {e}"),
         }
-        Ok(None) => {}
-        Err(e) => warn!("could not write trace artifacts: {e}"),
     }
 
     let verdict = gate(&outputs);

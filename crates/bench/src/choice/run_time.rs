@@ -1,12 +1,12 @@
 //! Plan choice overtaken at run time: the executor switching plans
 //! mid-flight, and the data churning out from under the statistics.
 
+use std::sync::Arc;
+
 use robustmap_core::render::sanitize;
-use robustmap_core::{Measurement, RegressionSuite};
-use robustmap_executor::{
-    run_count, ExecConfig, ExecCtx, ExecStats, NeverSwitch, PlanSpec, RunOpts, SwitchController,
-};
-use robustmap_storage::{BufferPool, Session};
+use robustmap_core::{Measurement, RegressionSuite, SweepArena};
+use robustmap_executor::{NeverSwitch, PlanSpec, SwitchController};
+use robustmap_storage::Session;
 use robustmap_systems::choice::{Exact, Joint, Maintained, Stale};
 use robustmap_systems::{
     two_pred_bail_controller_banded, Choice, Estimator, RobustConfig, SelEstimates, TwoPredPlan,
@@ -53,7 +53,6 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
     let rcfg = RobustConfig::default();
     let jcfg = JointHistogramConfig::default();
     let mcfg = &h.config.measure;
-    let ec = ExecConfig::from_env();
     let mut suite = RegressionSuite::new();
 
     // The bail destination is always a choice-free System C plan: the
@@ -69,11 +68,11 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
         plans.iter().position(|p| p.name.contains(frag)).expect("plan in catalog")
     };
     // One adaptive execution of `point`'s plan under exactly the
-    // measurement conditions the static maps use: fresh session
-    // (bit-identical to `SweepArena`'s reset one), same pool, same model,
-    // same batched executor.  Returns the run's seconds, the plan it
-    // finished on, and whether it switched.
-    let run_adaptive = |lab: &Lab, exact: &Exact, point: &Choice, (ta, tb): (i64, i64)| {
+    // measurement conditions the static maps use — the same arena, armed
+    // with a controller.  Returns the run's seconds, the plan it finished
+    // on, and whether it switched.
+    let mut arena = SweepArena::new(mcfg);
+    let mut run_adaptive = |lab: &Lab, exact: &Exact, point: &Choice, (ta, tb): (i64, i64)| {
         let est = exact.estimate(ta, tb);
         let spec = lab.plans[point.plan].build(ta, tb);
         let fb_idx = fallback_idx(&lab.plans, &spec, &est);
@@ -85,11 +84,7 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
             Some(c) => c,
             None => &NeverSwitch,
         };
-        let s = Session::new(mcfg.model.clone(), BufferPool::new(mcfg.pool_pages, mcfg.policy));
-        let ctx = ExecCtx::new(&lab.w.db, &s, mcfg.memory_bytes);
-        let astats: ExecStats =
-            run_count(&spec, &ctx, RunOpts { batch: ec, controller: Some(ctrl) })
-                .expect("well-formed plan");
+        let astats = arena.run(&lab.w.db, &spec, Some(ctrl)).expect("well-formed plan");
         let switched = !astats.switches.is_empty();
         (astats.seconds, if switched { fb_idx } else { point.plan }, switched)
     };
@@ -394,6 +389,10 @@ pub fn ext_churn(h: &Harness) -> FigureOutput {
     let churn_cfg = ChurnConfig::for_workload(&w_churn).with_drift_down(drift);
     let mut driver = ChurnDriver::new(&w_churn, churn_cfg);
     let churn_session = Session::with_pool_pages(64);
+    if let Some(sink) = &h.config.measure.trace {
+        // So a traced run shows the mutation batches beside the sweeps.
+        churn_session.attach_tracer(Arc::clone(sink), "churn");
+    }
 
     let static_sweep = lab_of(h, &w_static).sweep(&sels, &thr);
     let mut churn0_sweep = lab_of(h, &w_churn).sweep(&sels, &thr);

@@ -13,13 +13,13 @@
 use robustmap_core::analysis::changepoint::{detect_changepoints, ChangepointConfig};
 use robustmap_core::analysis::symmetry::symmetry_of;
 use robustmap_core::render::{absolute_scale, heatmap_svg};
-use robustmap_core::{measure_batch, measure_plan, MeasureConfig};
+use robustmap_core::{measure_batch, measure_plan, MeasureConfig, SweepArena};
 use robustmap_executor::ops::sort::sort_capacity_rows;
 use robustmap_executor::{
-    run_count, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo,
-    JoinAlgo, KeyRange, PlanSpec, Predicate, Projection, RunOpts, SpillMode,
+    ColRange, FetchKind, ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, JoinAlgo, KeyRange,
+    PlanSpec, Predicate, Projection, SpillMode,
 };
-use robustmap_storage::{BufferPool, EvictionPolicy, Session};
+use robustmap_storage::EvictionPolicy;
 use robustmap_workload::gen::PredicateDistribution;
 use robustmap_workload::{COL_A, COL_B, COL_C};
 
@@ -49,13 +49,9 @@ pub fn ext_sort_spill(h: &Harness) -> FigureOutput {
     };
     // Sort-exclusive seconds: the Sort node's inclusive time minus its
     // child's, from the execution's operator breakdown.
-    let sort_only = |plan: &PlanSpec| -> (f64, u64, u64) {
-        let session = Session::new(
-            h.config.measure.model.clone(),
-            BufferPool::new(h.config.measure.pool_pages, h.config.measure.policy),
-        );
-        let ctx = ExecCtx::new(&w.db, &session, h.config.measure.memory_bytes);
-        let stats = run_count(plan, &ctx, RunOpts::default()).expect("well-formed plan");
+    let mut arena = SweepArena::new(&h.config.measure);
+    let mut sort_only = |plan: &PlanSpec| -> (f64, u64, u64) {
+        let stats = arena.run(&w.db, plan, None).expect("well-formed plan");
         let child = stats.operators.iter().find(|o| o.depth == 1).expect("child").seconds;
         let root = stats.operators.iter().find(|o| o.depth == 0).expect("root").seconds;
         (root - child, stats.io.page_writes, stats.rows_out)

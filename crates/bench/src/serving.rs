@@ -14,14 +14,14 @@ use robustmap_core::{
     measure_plan, serve_concurrent, MeasureConfig, RegressionSuite, ServeConfig,
 };
 use robustmap_executor::{
-    run_count, CheckpointKind, ExecConfig, ExecCtx, Observation, PlanSpec, Projection, RunOpts,
+    run_count, CheckpointKind, ExecCtx, Observation, PlanSpec, Projection, RunOpts,
     SpillMode, SwitchController, SwitchDirective,
 };
 use robustmap_obs::chrome::{parse_chrome_trace, parse_json, to_chrome_json};
 use robustmap_obs::trace::{
     op_profile_csv, slice_totals, validate_trace, TraceDetail, TraceEventKind, TraceSink,
 };
-use robustmap_storage::{BufferPool, IoStats, Session};
+use robustmap_storage::IoStats;
 use robustmap_systems::AdmissionConfig;
 use robustmap_workload::{TableBuilder, WorkloadConfig, COL_A, COL_B};
 
@@ -59,6 +59,8 @@ pub fn ext_concurrency(h: &Harness) -> FigureOutput {
         pool_pages,
         policy: mcfg.policy,
         model: mcfg.model.clone(),
+        batch: mcfg.exec,
+        trace: mcfg.trace.clone(),
         ..ServeConfig::default()
     };
     let serve_at = |max_in_flight: usize| ServeConfig {
@@ -365,6 +367,7 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
         policy: mcfg.policy,
         model: mcfg.model.clone(),
         quantum: 256,
+        batch: mcfg.exec,
         trace: Some(Arc::clone(&sink)),
         ..ServeConfig::default()
     };
@@ -435,7 +438,7 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
     // Queue wait becomes visible when admission is the bottleneck.
     let cfg2 = ServeConfig {
         admission: AdmissionConfig { max_in_flight: 2, ..AdmissionConfig::default() },
-        trace: None,
+        trace: mcfg.trace.clone(),
         ..cfg8.clone()
     };
     let rep2 = serve_concurrent(&w.db, &specs, &cfg2);
@@ -515,14 +518,13 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
     let victim = traditional_fetch(&w, w.cal_a.threshold(0.25));
     let ctrl =
         BailAtRidFeed { alt: scan_where(&w, COL_B, w.cal_b.threshold(1.0), Projection::All) };
-    let ec = ExecConfig::from_env();
     let run_bail = |sink: Option<&Arc<TraceSink>>| {
-        let s = Session::new(mcfg.model.clone(), BufferPool::new(pool_pages, mcfg.policy));
+        let s = mcfg.session();
         if let Some(sk) = sink {
             s.attach_tracer(Arc::clone(sk), "q0: forced bail");
         }
         let ctx = ExecCtx::new(&w.db, &s, mcfg.memory_bytes);
-        run_count(&victim, &ctx, RunOpts { batch: ec, controller: Some(&ctrl) })
+        run_count(&victim, &ctx, RunOpts { batch: mcfg.exec, controller: Some(&ctrl) })
             .expect("well-formed plan")
     };
     let plain = run_bail(None);

@@ -1,6 +1,6 @@
 //! The `figures` binary's command line: a figure runs once however often
-//! it is named, and bad input is exit 2 with one line on stderr — never a
-//! panic backtrace.
+//! it is named, `--trace` writes its three files, and bad input is exit 2
+//! with one line on stderr — never a panic backtrace.
 
 use std::process::{Command, Output};
 
@@ -38,6 +38,38 @@ fn a_repeated_figure_runs_once_and_the_run_is_gated() {
     let out = figures("cli-dedup-all", &["ext_regression", "all"]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(reports_printed(&out), robustmap_bench::FIGURES.len());
+}
+
+/// `--trace PATH` records every measured session of the run — the static
+/// sweeps of `fig1` and the adaptive cells of `ext_adaptive` alike, since
+/// both are built by `MeasureConfig::session` — and writes `PATH`, the
+/// operator profile and the metrics dump next to it.
+#[test]
+fn trace_writes_its_three_artifacts() {
+    let dir = std::path::Path::new("target/figures-test/cli-trace");
+    let json = dir.join("run.json");
+    let out = figures("cli-trace", &["--trace", json.to_str().unwrap(), "fig1", "ext_adaptive"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let read = |name: &str| {
+        let text = std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(!text.is_empty(), "{name} is empty");
+        text
+    };
+    let events = robustmap_obs::chrome::parse_chrome_trace(&read("run.json"));
+    assert!(events.is_ok_and(|evs| !evs.is_empty()), "run.json is not a Chrome trace");
+    assert!(read("run_ops.csv").starts_with("track,query,depth,op,rows,sim_seconds\n"));
+    let metrics = read("run_metrics.txt");
+    let counter = |name: &str| -> u64 {
+        let line = metrics.lines().find_map(|l| l.strip_prefix(&format!("counter {name} ")));
+        line.and_then(|v| v.parse().ok()).unwrap_or(0)
+    };
+    assert!(counter("exec.operators") > 0, "{metrics}");
+    assert!(counter("adaptive.checkpoints") > 0, "{metrics}");
+}
+
+#[test]
+fn trace_without_a_path_is_a_usage_error() {
+    assert_usage_error(&figures("cli-trace-usage", &["fig1", "--trace"]), "--trace needs a path");
 }
 
 #[test]

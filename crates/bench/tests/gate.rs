@@ -5,9 +5,12 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use robustmap_bench::{gate, run_figure, FigureOutput, Harness, FIGURES};
-use robustmap_core::RegressionSuite;
+use robustmap_core::{MeasureConfig, RegressionSuite};
+use robustmap_executor::ExecConfig;
+use robustmap_obs::trace::{TraceDetail, TraceSink};
 
 /// A tiny harness writing under `target/figures-test/<dir>`: the other
 /// suites rewrite `target/figures-test` concurrently.
@@ -127,6 +130,23 @@ fn every_figure_passes_the_gate_and_matches_its_baselines() {
     let committed = std::fs::read_dir(&baselines).expect("baselines directory").count();
     let compared = compare_to_baselines(&outputs, &baselines);
     assert_eq!(compared, committed, "a baseline file was matched by no artifact");
+
+    // Independence at figure scale: the figures that own the baselines,
+    // regenerated single-threaded at an odd batch size with every session
+    // and burst traced at full detail, write the same bytes.
+    let mut odd = tiny_writing_to("gate-independence");
+    odd.config.measure = MeasureConfig {
+        threads: 1,
+        exec: ExecConfig::with_batch_rows(513),
+        trace: Some(Arc::new(TraceSink::memory_with_cap(TraceDetail::Full, 1 << 12))),
+        ..odd.config.measure
+    };
+    let owners = outputs.iter().filter(|out| {
+        out.files.iter().any(|f| baselines.join(f.file_name().expect("file name")).exists())
+    });
+    let again: Vec<FigureOutput> =
+        owners.map(|out| run_figure(&odd, out.name).expect("known figure")).collect();
+    assert_eq!(compare_to_baselines(&again, &baselines), committed);
 
     // The comparison has teeth: a one-byte drift in a baseline is caught.
     let drifted = h.out_dir().join("drifted-baselines");

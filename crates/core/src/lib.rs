@@ -51,6 +51,4 @@ pub use param::{Grid1D, Grid2D};
 pub use regions::{connected_components, BoolGrid, Region, RegionStats};
 pub use regression::{CheckConfig, CheckResult, RegressionSuite};
 pub use relative::{OptimalityTolerance, RelativeMap2D};
-pub use serve::{
-    serve_concurrent, QueryError, QueryOutcome, ServeConfig, ServeReport, ENV_QUANTUM,
-};
+pub use serve::{serve_concurrent, QueryError, QueryOutcome, ServeConfig, ServeReport};

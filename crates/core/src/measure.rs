@@ -18,7 +18,12 @@
 //! that the two paths produce identical [`Measurement`]s; the design
 //! argument is recorded in `docs/DESIGN.md`.
 
-use robustmap_executor::{run_count, ExecConfig, ExecCtx, PlanSpec, RunOpts};
+use std::sync::Arc;
+
+use robustmap_executor::{
+    run_count, ExecConfig, ExecCtx, ExecError, ExecStats, PlanSpec, RunOpts, SwitchController,
+};
+use robustmap_obs::trace::TraceSink;
 use robustmap_storage::{BufferPool, CostModel, Database, EvictionPolicy, IoStats, Session};
 use robustmap_systems::{SinglePredPlan, TwoPredPlan};
 use robustmap_workload::Workload;
@@ -39,7 +44,20 @@ pub struct Measurement {
     pub spilled: bool,
 }
 
-/// Run-time conditions shared by every cell of a map.
+impl From<&ExecStats> for Measurement {
+    fn from(stats: &ExecStats) -> Self {
+        Measurement {
+            seconds: stats.seconds,
+            io: stats.io,
+            rows: stats.rows_out,
+            spilled: stats.spilled,
+        }
+    }
+}
+
+/// Run-time conditions shared by every cell of a map.  Every condition a
+/// measured session runs under is a field here: nothing reaches a cell
+/// through the environment or a process global.
 #[derive(Debug, Clone)]
 pub struct MeasureConfig {
     /// Buffer pool size in pages for each execution (a run-time resource
@@ -53,6 +71,13 @@ pub struct MeasureConfig {
     pub model: CostModel,
     /// Worker threads (0 = all available cores).
     pub threads: usize,
+    /// Rows per batch between operators — not observable in a
+    /// [`Measurement`] (`tests/batch_equivalence.rs`).
+    pub exec: ExecConfig,
+    /// Trace sink every measured session attaches to; `None` records
+    /// nothing.  Tracing is charge-free, so a traced map is the untraced
+    /// map (`tests/warm_sweep_equivalence.rs`).
+    pub trace: Option<Arc<TraceSink>>,
 }
 
 impl Default for MeasureConfig {
@@ -67,6 +92,8 @@ impl Default for MeasureConfig {
             memory_bytes: 8 << 20,
             model: CostModel::hdd_2009(),
             threads: 0,
+            exec: ExecConfig::default(),
+            trace: None,
         }
     }
 }
@@ -78,8 +105,16 @@ impl MeasureConfig {
         t.clamp(1, work_items.max(1))
     }
 
-    fn session(&self) -> Session {
-        Session::new(self.model.clone(), BufferPool::new(self.pool_pages, self.policy))
+    /// A fresh private session under these conditions — cold pool, clock
+    /// at zero, attached to [`MeasureConfig::trace`] if there is one.  The
+    /// one place a measured session is built: arenas, figure bodies and
+    /// the differential suites all come through here.
+    pub fn session(&self) -> Session {
+        let s = Session::new(self.model.clone(), BufferPool::new(self.pool_pages, self.policy));
+        if let Some(sink) = &self.trace {
+            s.attach_tracer(Arc::clone(sink), "q0");
+        }
+        s
     }
 }
 
@@ -104,24 +139,30 @@ impl SweepArena {
         SweepArena {
             session: cfg.session(),
             memory_bytes: cfg.memory_bytes,
-            exec_cfg: ExecConfig::from_env(),
+            exec_cfg: cfg.exec,
         }
     }
 
-    /// Execute `plan` under cold-session conditions and return its
-    /// measurement.  The batch size comes from the environment and is not
-    /// observable in the measurement (see `tests/batch_equivalence.rs`).
-    pub fn measure(&mut self, db: &Database, plan: &PlanSpec) -> Measurement {
+    /// Execute `plan` under cold-session conditions — the session is reset
+    /// first — optionally under a switch `controller`, and return the full
+    /// execution statistics.
+    pub fn run(
+        &mut self,
+        db: &Database,
+        plan: &PlanSpec,
+        controller: Option<&dyn SwitchController>,
+    ) -> Result<ExecStats, ExecError> {
         self.session.reset();
         let ctx = ExecCtx::new(db, &self.session, self.memory_bytes);
-        let stats = run_count(plan, &ctx, RunOpts { batch: self.exec_cfg, controller: None })
-            .expect("measured plans must be well-formed");
-        Measurement {
-            seconds: stats.seconds,
-            io: stats.io,
-            rows: stats.rows_out,
-            spilled: stats.spilled,
-        }
+        run_count(plan, &ctx, RunOpts { batch: self.exec_cfg, controller })
+    }
+
+    /// [`SweepArena::run`] without a controller, projected onto the map's
+    /// unit of data.  Panics on a malformed plan: maps are swept over
+    /// catalog plans.
+    pub fn measure(&mut self, db: &Database, plan: &PlanSpec) -> Measurement {
+        let stats = self.run(db, plan, None).expect("measured plans must be well-formed");
+        Measurement::from(&stats)
     }
 }
 
@@ -140,6 +181,7 @@ pub fn measure_plan(db: &Database, plan: &PlanSpec, cfg: &MeasureConfig) -> Meas
 /// and results are written into their input slots — so the output is
 /// deterministic regardless of thread count or scheduling.
 pub fn measure_batch(db: &Database, plans: &[PlanSpec], cfg: &MeasureConfig) -> Vec<Measurement> {
+    use std::panic::resume_unwind;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let threads = cfg.effective_threads(plans.len());
@@ -147,31 +189,26 @@ pub fn measure_batch(db: &Database, plans: &[PlanSpec], cfg: &MeasureConfig) -> 
         let mut arena = SweepArena::new(cfg);
         return plans.iter().map(|p| arena.measure(db, p)).collect();
     }
-    let mut results = vec![Measurement::default(); plans.len()];
+    // A shared cursor hands out slots; `Relaxed` is enough, the counter
+    // publishes nothing but itself.
     let next = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Measurement)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || {
-                let mut arena = SweepArena::new(cfg);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(plan) = plans.get(i) else { break };
-                    let m = arena.measure(db, plan);
-                    tx.send((i, m)).expect("collector alive");
-                }
-            });
+    let worker = || {
+        let mut arena = SweepArena::new(cfg);
+        let mut measured = Vec::new();
+        loop {
+            let slot = next.fetch_add(1, Ordering::Relaxed);
+            let Some(plan) = plans.get(slot) else { break measured };
+            measured.push((slot, arena.measure(db, plan)));
         }
-        // Workers hold the remaining senders; dropping ours lets the
-        // collector loop end once every worker has finished.
-        drop(tx);
-        for (slot, m) in rx {
-            results[slot] = m;
-        }
+    };
+    let mut measured: Vec<(usize, Measurement)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        // A worker's panic is the sweep's panic, message and all.
+        let joined = workers.into_iter().map(|w| w.join().unwrap_or_else(|p| resume_unwind(p)));
+        joined.flatten().collect()
     });
-    results
+    measured.sort_unstable_by_key(|&(slot, _)| slot);
+    measured.into_iter().map(|(_, m)| m).collect()
 }
 
 /// Sweep single-predicate plans over a 1-D selectivity grid (Figures 1, 2).
@@ -332,13 +369,7 @@ mod tests {
                 let session = cfg.session();
                 let ctx =
                     robustmap_executor::ExecCtx::new(&w.db, &session, cfg.memory_bytes);
-                let stats = robustmap_executor::run_count(spec, &ctx, RunOpts::default()).unwrap();
-                Measurement {
-                    seconds: stats.seconds,
-                    io: stats.io,
-                    rows: stats.rows_out,
-                    spilled: stats.spilled,
-                }
+                Measurement::from(&run_count(spec, &ctx, RunOpts::default()).unwrap())
             };
             assert_eq!(warm, cold, "plan #{i} diverged between warm and cold sessions");
         }

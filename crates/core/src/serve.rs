@@ -82,12 +82,9 @@ use robustmap_systems::{apply_grant, AdmissionConfig, AdmissionDecision, Admissi
 
 use crate::measure::Measurement;
 
-/// Environment variable overriding [`ServeConfig::quantum`] (charge events
-/// between yields).  `scripts/verify.sh` re-runs the concurrent
-/// equivalence suite at an odd quantum to prove slicing is unobservable.
-pub const ENV_QUANTUM: &str = "ROBUSTMAP_QUANTUM";
-
-/// Run-time conditions for one served burst.
+/// Run-time conditions for one served burst.  Every condition is a field
+/// here: nothing reaches a burst through the environment or a process
+/// global.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Shared buffer pool size in pages (one pool for the whole burst).
@@ -101,13 +98,15 @@ pub struct ServeConfig {
     pub quantum: u64,
     /// Admission control limits (in-flight slots, memory budget, grants).
     pub admission: AdmissionConfig,
+    /// Rows per batch between each query's operators — like the quantum,
+    /// not observable in what a query charges.
+    pub batch: ExecConfig,
     /// Optional trace sink: the scheduler pre-allocates one track per
     /// query (plus one for itself) and records admissions, baton slices
     /// and completions on the **global virtual clock** — the sum of
-    /// every query's charge deltas in schedule order.  `None` falls
-    /// back to the process-wide sink (`ROBUSTMAP_TRACE`), if any.
-    /// Tracing is charge-free: `tests/concurrent_equivalence.rs` passes
-    /// with it enabled.
+    /// every query's charge deltas in schedule order.  `None` records
+    /// nothing.  Tracing is charge-free: `tests/concurrent_equivalence.rs`
+    /// serves every burst once more with it enabled.
     pub trace: Option<Arc<TraceSink>>,
 }
 
@@ -119,20 +118,9 @@ impl Default for ServeConfig {
             model: CostModel::hdd_2009(),
             quantum: 1024,
             admission: AdmissionConfig::default(),
+            batch: ExecConfig::default(),
             trace: None,
         }
-    }
-}
-
-impl ServeConfig {
-    /// The default config with the quantum read from [`ENV_QUANTUM`]
-    /// (invalid or unset values keep the default).
-    pub fn from_env() -> Self {
-        let mut cfg = ServeConfig::default();
-        if let Some(q) = std::env::var(ENV_QUANTUM).ok().and_then(|v| v.parse::<u64>().ok()) {
-            cfg.quantum = q;
-        }
-        cfg
     }
 }
 
@@ -192,12 +180,7 @@ impl QueryOutcome {
     /// This outcome as a map-builder [`Measurement`], for comparing served
     /// executions against isolated [`crate::measure_plan`] cells.
     pub fn measurement(&self) -> Measurement {
-        Measurement {
-            seconds: self.stats.seconds,
-            io: self.stats.io,
-            rows: self.stats.rows_out,
-            spilled: self.stats.spilled,
-        }
+        Measurement::from(&self.stats)
     }
 }
 
@@ -269,10 +252,9 @@ struct Burst {
     /// before the first dispatch; only a baton holder reads them.
     threads: OnceLock<Vec<Thread>>,
     pool: Arc<SharedBufferPool>,
-    /// Charge-free tracing: the explicitly configured sink, else the
-    /// process-wide one.  Tracks are pre-allocated so the scheduler's
-    /// global-clock events and each session's query-clock events land on
-    /// the same lane per query.
+    /// Charge-free tracing: the configured sink.  Tracks are
+    /// pre-allocated so the scheduler's global-clock events and each
+    /// session's query-clock events land on the same lane per query.
     sink: Option<Arc<TraceSink>>,
     tracks: Vec<u32>,
     sched_track: u32,
@@ -428,7 +410,6 @@ fn serve_query(
     db: &Database,
     spec: &PlanSpec,
     cfg: &ServeConfig,
-    batch: ExecConfig,
 ) {
     // Nothing observable happens before the first baton: the session
     // registers on the pool only now, in first-slice order.
@@ -436,8 +417,6 @@ fn serve_query(
     let grant = burst.sched().slots[i].grant;
     let session = Session::on_shared(cfg.model.clone(), Arc::clone(&burst.pool));
     if let Some(s) = &burst.sink {
-        // Replace any auto-attached global track with the scheduler's
-        // pre-allocated, synopsis-labelled one.
         session.attach_tracer_track(Arc::clone(s), burst.tracks[i]);
     }
     let hook = {
@@ -458,7 +437,7 @@ fn serve_query(
         } else {
             Cow::Borrowed(spec)
         };
-        run_count(&spec, &ctx, RunOpts { batch, controller: None })
+        run_count(&spec, &ctx, RunOpts { batch: cfg.batch, controller: None })
     }));
     // The session is this query's alone, so its totals are what a failed
     // query charged before it failed.
@@ -492,9 +471,7 @@ fn serve_query(
 /// and the burst carries on without it.
 pub fn serve_concurrent(db: &Database, specs: &[PlanSpec], cfg: &ServeConfig) -> ServeReport {
     let n = specs.len();
-    let sink: Option<Arc<TraceSink>> =
-        cfg.trace.clone().or_else(robustmap_obs::trace::global_sink);
-    let (tracks, sched_track) = match &sink {
+    let (tracks, sched_track) = match &cfg.trace {
         Some(s) => (
             specs
                 .iter()
@@ -520,12 +497,10 @@ pub fn serve_concurrent(db: &Database, specs: &[PlanSpec], cfg: &ServeConfig) ->
         turn: AtomicUsize::new(NOBODY),
         threads: OnceLock::new(),
         pool: Arc::new(SharedBufferPool::new(cfg.pool_pages, cfg.policy)),
-        sink,
+        sink: cfg.trace.clone(),
         tracks,
         sched_track,
     });
-    // Per-burst constants, read once rather than by every query thread.
-    let batch = ExecConfig::from_env();
 
     thread::scope(|scope| {
         let handles: Vec<_> = specs
@@ -533,7 +508,7 @@ pub fn serve_concurrent(db: &Database, specs: &[PlanSpec], cfg: &ServeConfig) ->
             .enumerate()
             .map(|(i, spec)| {
                 let burst = &burst;
-                scope.spawn(move || serve_query(burst, i, db, spec, cfg, batch))
+                scope.spawn(move || serve_query(burst, i, db, spec, cfg))
             })
             .collect();
         burst

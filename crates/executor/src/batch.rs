@@ -22,15 +22,14 @@
 //!   size, which fixes the order of those writes among the producer's
 //!   reads whatever the batch size of the run.
 //!
-//! `tests/exec_ledger.rs` pins every plan's charges at batch sizes 1, 513
-//! and 1024; `tests/batch_equivalence.rs` pins batch-size invariance
-//! across all fifteen catalog plans and, for the blocking edges, at small
-//! pools.
+//! The batch size is a field of whoever runs the plan
+//! ([`crate::RunOpts::batch`], `MeasureConfig::exec`, `ServeConfig::batch`);
+//! no environment variable reaches it.  `tests/exec_ledger.rs` pins every
+//! plan's charges at batch sizes 1, 513 and 1024;
+//! `tests/batch_equivalence.rs` pins batch-size invariance across all
+//! fifteen catalog plans and, for the blocking edges, at small pools.
 
 use robustmap_storage::Row;
-
-/// Environment variable overriding [`ExecConfig::batch_rows`].
-pub const ENV_BATCH_ROWS: &str = "ROBUSTMAP_BATCH_ROWS";
 
 /// Knobs of batched execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,27 +48,11 @@ impl ExecConfig {
     pub fn with_batch_rows(batch_rows: usize) -> Self {
         ExecConfig { batch_rows: batch_rows.max(1) }
     }
-
-    /// Read the batch size from [`ENV_BATCH_ROWS`], falling back to
-    /// [`ExecConfig::DEFAULT_BATCH_ROWS`] when unset or unparsable.
-    pub fn from_env() -> Self {
-        Self::with_batch_rows(parse_batch_rows(std::env::var(ENV_BATCH_ROWS).ok().as_deref()))
-    }
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig { batch_rows: Self::DEFAULT_BATCH_ROWS }
-    }
-}
-
-/// Parse an optional env-var value into a batch size.  Zero, negative and
-/// malformed values fall back to the default (a knob must never turn the
-/// executor off).
-fn parse_batch_rows(value: Option<&str>) -> usize {
-    match value.and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => ExecConfig::DEFAULT_BATCH_ROWS,
     }
 }
 
@@ -344,27 +327,6 @@ pub fn radix_sort_by_u64_key<T: Copy>(items: &mut Vec<T>, key: impl Fn(&T) -> u6
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_batch_rows_defaults_and_bounds() {
-        assert_eq!(parse_batch_rows(None), ExecConfig::DEFAULT_BATCH_ROWS);
-        assert_eq!(parse_batch_rows(Some("")), ExecConfig::DEFAULT_BATCH_ROWS);
-        assert_eq!(parse_batch_rows(Some("garbage")), ExecConfig::DEFAULT_BATCH_ROWS);
-        assert_eq!(parse_batch_rows(Some("0")), ExecConfig::DEFAULT_BATCH_ROWS);
-        assert_eq!(parse_batch_rows(Some("-3")), ExecConfig::DEFAULT_BATCH_ROWS);
-        assert_eq!(parse_batch_rows(Some("1")), 1);
-        assert_eq!(parse_batch_rows(Some(" 1000 ")), 1000); // non-power-of-two
-    }
-
-    #[test]
-    fn env_knob_reaches_from_env() {
-        // Edition 2021: set_var is safe; the variable name is private to
-        // this single test.
-        std::env::set_var(ENV_BATCH_ROWS, "513");
-        assert_eq!(ExecConfig::from_env().batch_rows, 513);
-        std::env::remove_var(ENV_BATCH_ROWS);
-        assert_eq!(ExecConfig::from_env().batch_rows, ExecConfig::DEFAULT_BATCH_ROWS);
-    }
 
     #[test]
     fn selection_bit_ops() {

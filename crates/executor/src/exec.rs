@@ -28,8 +28,8 @@ use std::cell::{Cell, RefCell};
 
 use robustmap_obs::trace::TraceEventKind;
 use robustmap_storage::{
-    ticks_to_seconds, AccessKind, Database, FileId, IoStats, Row, Session, StorageError,
-    MAX_COLUMNS,
+    ticks_to_seconds, AccessKind, Database, FileId, IndexId, IoStats, Row, Session, StorageError,
+    TableId, MAX_COLUMNS,
 };
 
 use crate::batch::{BatchEmitter, ExecConfig, RowBatch};
@@ -189,6 +189,7 @@ pub fn run(
     ctx.spilled.set(false);
     ctx.op_stats.borrow_mut().clear();
     ctx.switches.borrow_mut().clear();
+    check_ids(plan, ctx.db)?;
     let t0 = ctx.session.elapsed_ticks();
     let io0 = ctx.session.stats();
     let rows = node(plan, ctx, &opts, 0, sink)?;
@@ -223,6 +224,34 @@ pub fn run_collect(
     let mut rows = Vec::new();
     let stats = run(plan, ctx, opts, &mut |b| rows.extend((0..b.len()).map(|i| b.row(i))))?;
     Ok((stats, rows))
+}
+
+/// `Err(BadPlan)` if `plan` names a table or an index `db` does not have.
+/// [`Database::table`] and [`Database::index`] index unchecked, so this
+/// runs before the first operator does: an unknown id is a typed error
+/// with nothing charged, not a panic half-way through a burst.
+fn check_ids(plan: &PlanSpec, db: &Database) -> Result<(), ExecError> {
+    let known = |what: &str, id: u32, count: usize| {
+        let unknown = || ExecError::BadPlan(format!("unknown {what} #{id}"));
+        ((id as usize) < count).then_some(()).ok_or_else(unknown)
+    };
+    let table = |t: TableId| known("table", t.0, db.table_count());
+    let index = |i: IndexId| known("index", i.0, db.index_count());
+    match plan {
+        PlanSpec::TableScan { table: t, .. } | PlanSpec::ParallelTableScan { table: t, .. } => {
+            table(*t)
+        }
+        PlanSpec::IndexFetch { scan, .. } | PlanSpec::CoveringIndexScan { scan, .. } => {
+            index(scan.index)
+        }
+        PlanSpec::Mdam { index: i, .. } => index(*i),
+        PlanSpec::IndexIntersect { left, right, .. }
+        | PlanSpec::CoveringRidJoin { left, right, .. } => {
+            index(left.index).and(index(right.index))
+        }
+        PlanSpec::Join { left, right, .. } => check_ids(left, db).and(check_ids(right, db)),
+        PlanSpec::Sort { input, .. } | PlanSpec::HashAgg { input, .. } => check_ids(input, db),
+    }
 }
 
 /// Output arity of a plan (what its sink receives per row) — sizes the
@@ -308,6 +337,7 @@ fn node(
                 0,
                 ctx.session.elapsed_ticks() - t0,
             );
+            check_ids(&alt, ctx.db)?;
             node(&alt, ctx, &RunOpts { controller: None, ..*opts }, depth, sink)
         }
     }
@@ -918,11 +948,17 @@ mod tests {
     }
 
     /// A blocking operator that names a column its input does not produce
-    /// (or no sort key at all, or rows wider than a `Row`) is a typed
-    /// error raised before the input runs: nothing is charged.
+    /// (or no sort key at all, or rows wider than a `Row`), and any leaf
+    /// that names a table or an index the database does not have, is a
+    /// typed error raised before anything runs: nothing is charged.
     #[test]
     fn malformed_blocking_plans_are_rejected_before_any_charge() {
-        let (db, t) = demo_db(64);
+        let (mut db, t) = demo_db(64);
+        let idx = db.create_index("idx_a", t, &[0]).unwrap();
+        let (no_table, no_index) = (TableId(7), IndexId(u32::MAX));
+        let range = |index| IndexRangeSpec { index, range: KeyRange::full(1) };
+        let (all, star) = (Predicate::always_true, || Projection::All);
+        let ghost = PlanSpec::TableScan { table: no_table, pred: all(), project: star() };
         let scan = |cols: Vec<usize>| {
             Box::new(PlanSpec::TableScan {
                 table: t,
@@ -969,6 +1005,44 @@ mod tests {
             agg(vec![0], vec![AggFn::Min(9)]),
             agg(vec![], vec![AggFn::Max(2)]),
             agg(vec![0, 1], vec![AggFn::CountStar; 7]), // 2 + 7 columns
+            // One unknown id per leaf shape, and one below a sort.
+            ghost.clone(),
+            PlanSpec::ParallelTableScan {
+                table: no_table,
+                pred: all(),
+                project: star(),
+                dop: 2,
+                skew_permille: 0,
+            },
+            PlanSpec::IndexFetch {
+                scan: range(no_index),
+                key_filter: all(),
+                fetch: FetchKind::Traditional,
+                residual: all(),
+                project: star(),
+            },
+            PlanSpec::CoveringIndexScan { scan: range(no_index), residual: all(), project: star() },
+            PlanSpec::Mdam { index: no_index, col_ranges: vec![(0, 9)], project: star() },
+            PlanSpec::IndexIntersect {
+                left: range(idx),
+                right: range(no_index),
+                algo: IntersectAlgo::MergeJoin,
+                fetch: FetchKind::Traditional,
+                residual: all(),
+                project: star(),
+            },
+            PlanSpec::CoveringRidJoin {
+                left: range(no_index),
+                right: range(idx),
+                algo: IntersectAlgo::MergeJoin,
+                project: star(),
+            },
+            PlanSpec::Sort {
+                input: Box::new(ghost),
+                key_cols: vec![0],
+                mode: SpillMode::Graceful,
+                memory_bytes: 1 << 20,
+            },
         ];
         for plan in &bad {
             let s = Session::with_pool_pages(64);

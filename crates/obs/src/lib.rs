@@ -5,8 +5,9 @@
 //! Everything in this crate observes execution without participating in
 //! it: attaching a tracer, bumping a counter or raising the log level
 //! must never change a single simulated charge.  The differential
-//! equivalence suites (`adaptive_equivalence`, `batch_equivalence`,
-//! `concurrent_equivalence`) re-run with tracing enabled to prove it.
+//! equivalence suites (`exec_ledger`, `batch_equivalence`,
+//! `adaptive_equivalence`, `concurrent_equivalence`, ...) run every case
+//! once more on sessions traced at full detail to prove it.
 //!
 //! Three facilities:
 //!
@@ -30,5 +31,4 @@ pub use log::{log_level, set_log_level, LogLevel, ENV_LOG};
 pub use metrics::{LogHistogram, MetricsRegistry};
 pub use trace::{
     validate_trace, ClockDomain, TraceDetail, TraceEvent, TraceEventKind, TraceHandle, TraceSink,
-    ENV_TRACE, ENV_TRACE_DETAIL,
 };

@@ -16,8 +16,13 @@
 //!
 //! The whole module is **charge-free by construction**: nothing here
 //! touches a `SimClock`, and the instrumented crates only *read* their
-//! clocks when emitting.  The differential equivalence suites re-run
-//! with tracing enabled to enforce this.
+//! clocks when emitting.  The differential equivalence suites run every
+//! case on sessions traced at [`TraceDetail::Full`] to enforce this.
+//!
+//! A sink is a value: whoever wants a trace builds one, hands it down in
+//! a config (`MeasureConfig::trace`, `ServeConfig::trace`) or attaches it
+//! to a session, and writes it out with [`write_artifacts`].  Nothing in
+//! the process is traced unless it was handed a sink.
 //!
 //! Dispatch is a plain enum ([`TraceSink::Null`] / [`TraceSink::Memory`])
 //! rather than a trait object so the disabled path is a branch, not a
@@ -26,20 +31,10 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::metrics::MetricsRegistry;
-
-/// Environment variable enabling the global trace: its value is the
-/// output path for the Chrome trace-event JSON (empty, `0` and `off`
-/// disable).
-pub const ENV_TRACE: &str = "ROBUSTMAP_TRACE";
-
-/// Environment variable selecting the capture detail: `full` records a
-/// per-page event for every read/write; anything else (the default)
-/// records spans plus aggregated per-quantum I/O windows.
-pub const ENV_TRACE_DETAIL: &str = "ROBUSTMAP_TRACE_DETAIL";
 
 /// How much a [`TraceSink`] captures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -512,90 +507,30 @@ pub fn op_profile_csv(events: &[TraceEvent], labels: &[String]) -> String {
     out
 }
 
-// ------------------------------------------------------------------
-// The global sink (env / --trace flag)
-// ------------------------------------------------------------------
-
-struct GlobalTrace {
-    sink: Arc<TraceSink>,
-    path: PathBuf,
-}
-
-static GLOBAL: OnceLock<Option<GlobalTrace>> = OnceLock::new();
-
-/// The trace detail level selected by `ROBUSTMAP_TRACE_DETAIL`
-/// (`full` → per-page events; anything else → span-level).
-pub fn detail_from_env() -> TraceDetail {
-    match std::env::var(ENV_TRACE_DETAIL) {
-        Ok(v) if v.trim().eq_ignore_ascii_case("full") => TraceDetail::Full,
-        _ => TraceDetail::Spans,
-    }
-}
-
-fn init_from_env() -> Option<GlobalTrace> {
-    let path = std::env::var(ENV_TRACE).ok()?;
-    let path = path.trim();
-    if path.is_empty() || path == "0" || path.eq_ignore_ascii_case("off") {
-        return None;
-    }
-    Some(GlobalTrace {
-        sink: Arc::new(TraceSink::memory(detail_from_env())),
-        path: PathBuf::from(path),
-    })
-}
-
-/// Enable the process-wide trace programmatically (the `--trace` flag).
-/// Returns `false` if the global sink was already initialised — e.g.
-/// something consulted [`global_sink`] first and latched the
-/// environment's answer.
-pub fn enable_global(path: &Path, detail: TraceDetail) -> bool {
-    GLOBAL
-        .set(Some(GlobalTrace {
-            sink: Arc::new(TraceSink::memory(detail)),
-            path: path.to_path_buf(),
-        }))
-        .is_ok()
-}
-
-/// The process-wide sink, if tracing is enabled (initialised from
-/// `ROBUSTMAP_TRACE` on first call).  Sessions attach to this
-/// automatically when it exists.
-pub fn global_sink() -> Option<Arc<TraceSink>> {
-    GLOBAL.get_or_init(init_from_env).as_ref().map(|g| Arc::clone(&g.sink))
-}
-
-/// Write the global trace's artifacts: the Chrome trace-event JSON at
-/// the configured path, plus `<stem>_ops.csv` (operator profile) and
-/// `<stem>_metrics.txt` (metrics dump) next to it.  Returns the paths
-/// written, or `None` when tracing is disabled.
-pub fn flush_global() -> std::io::Result<Option<Vec<PathBuf>>> {
-    let Some(g) = GLOBAL.get_or_init(init_from_env).as_ref() else {
-        return Ok(None);
-    };
-    let events = g.sink.events();
-    let labels = g.sink.track_labels();
-    if let Some(dir) = g.path.parent() {
+/// Write `sink`'s artifacts: the Chrome trace-event JSON at `path`, plus
+/// `<stem>_ops.csv` (operator profile) and `<stem>_metrics.txt` (metrics
+/// dump) next to it.  Returns the paths written.
+pub fn write_artifacts(sink: &TraceSink, path: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let events = sink.events();
+    let labels = sink.track_labels();
+    if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
         }
     }
-    let mut written = Vec::new();
-    std::fs::write(&g.path, crate::chrome::to_chrome_json(&events, &labels))?;
-    written.push(g.path.clone());
-    let stem = g.path.with_extension("");
-    let stem = stem.to_string_lossy().into_owned();
+    let stem = path.with_extension("");
+    let stem = stem.to_string_lossy();
     let ops_path = PathBuf::from(format!("{stem}_ops.csv"));
-    std::fs::write(&ops_path, op_profile_csv(&events, &labels))?;
-    written.push(ops_path);
     let metrics_path = PathBuf::from(format!("{stem}_metrics.txt"));
-    let mut dump = g.sink.metrics().dump();
-    let dropped = g.sink.dropped();
+    let mut dump = sink.metrics().dump();
+    let dropped = sink.dropped();
     if dropped > 0 {
         dump.push_str(&format!("counter trace.dropped {dropped}\n"));
     }
+    std::fs::write(path, crate::chrome::to_chrome_json(&events, &labels))?;
+    std::fs::write(&ops_path, op_profile_csv(&events, &labels))?;
     std::fs::write(&metrics_path, dump)?;
-    written.push(metrics_path);
-    Ok(Some(written))
+    Ok(vec![path.to_path_buf(), ops_path, metrics_path])
 }
 
 #[cfg(test)]

@@ -106,17 +106,13 @@ impl Session {
 
     /// Session registered as a new query on an existing shared pool: the
     /// per-query context of the concurrent serving layer.
-    ///
-    /// When the process-wide trace (`ROBUSTMAP_TRACE` or the figures
-    /// binary's `--trace` flag) is enabled, the session attaches to it
-    /// automatically on a fresh track labelled by its query id.
     pub fn on_shared(model: CostModel, pool: Arc<SharedBufferPool>) -> Self {
         Self::on_pool(model, PoolHandle::Shared(pool))
     }
 
     fn on_pool(model: CostModel, pool: PoolHandle) -> Self {
         let query = pool.with(|p| p.register_query());
-        let s = Session {
+        Session {
             costs: model.ticks(),
             model,
             clock: SimClock::new(),
@@ -133,11 +129,7 @@ impl Session {
             win_reads: Cell::new(0),
             win_hits: Cell::new(0),
             win_writes: Cell::new(0),
-        };
-        if let Some(sink) = robustmap_obs::trace::global_sink() {
-            s.attach_tracer(sink, &format!("q{}", s.query.0));
         }
-        s
     }
 
     /// The cost model in effect.
@@ -385,7 +377,8 @@ impl Session {
     }
 
     // ------------------------------------------------------------------
-    // Charge-free tracing
+    // Charge-free tracing.  A session is born untraced and stays so until
+    // its owner attaches a sink: nothing process-wide is consulted.
     // ------------------------------------------------------------------
 
     /// Attach this session to `sink` on a fresh track labelled `label`;

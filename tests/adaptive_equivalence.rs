@@ -12,9 +12,8 @@
 
 use robustmap::core::MeasureConfig;
 use robustmap::executor::{
-    run_collect, run_count, ColRange, ExecConfig, ExecCtx, ExecStats, FetchKind, IndexRangeSpec,
-    IntersectAlgo, KeyRange, NeverSwitch, PlanSpec, Predicate, Projection, RunOpts,
-    SwitchController,
+    ColRange, ExecStats, FetchKind, IndexRangeSpec, IntersectAlgo, KeyRange, NeverSwitch, PlanSpec,
+    Predicate, Projection, SwitchController,
 };
 use robustmap::storage::CostModel;
 use robustmap::systems::choice::Exact;
@@ -25,7 +24,9 @@ use robustmap::systems::{
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
 
 mod common;
-use common::{assert_bit_identical, composite_specs, session};
+use common::{
+    assert_bit_identical, collect_under, composite_specs, row_path, run_under, variants,
+};
 
 fn workload() -> Workload {
     TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 13))
@@ -35,48 +36,35 @@ fn full_catalog(w: &Workload) -> Vec<TwoPredPlan> {
     SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, w)).collect()
 }
 
-/// One row per batch: row-at-a-time execution.
-const ROW_PATH: ExecConfig = ExecConfig { batch_rows: 1 };
-
-/// Static run (`controller: None`) on a fresh session.
-fn run_static(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, ec: &ExecConfig) -> ExecStats {
-    let s = session(cfg);
-    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    run_count(spec, &ctx, RunOpts { batch: *ec, controller: None }).expect("static run")
-}
-
 /// Run under `ctrl` on a fresh session; asserts nothing switched.
 fn run_adaptive(
     w: &Workload,
     spec: &PlanSpec,
     cfg: &MeasureConfig,
-    ec: &ExecConfig,
     ctrl: &dyn SwitchController,
     label: &str,
 ) -> ExecStats {
-    let s = session(cfg);
-    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    let stats = run_count(spec, &ctx, RunOpts { batch: *ec, controller: Some(ctrl) })
-        .expect("controlled run");
+    let stats = run_under(w, spec, cfg, Some(ctrl));
     assert!(stats.switches.is_empty(), "{label}: no-switch run recorded a switch");
     stats
 }
 
-/// Under `ctrl` vs static, one row per batch and at `ec`, one spec.
+/// Under `ctrl` vs static, one spec: one row per batch, and under every
+/// condition of the independence matrix.
 fn assert_adaptive_equivalent(
     w: &Workload,
     spec: &PlanSpec,
-    cfg: &MeasureConfig,
-    ec: &ExecConfig,
+    base: &MeasureConfig,
     ctrl: &dyn SwitchController,
     label: &str,
 ) {
-    let row = run_static(w, spec, cfg, &ROW_PATH);
-    let arow = run_adaptive(w, spec, cfg, &ROW_PATH, ctrl, label);
-    assert_bit_identical(&row, &arow, &format!("{label} [row]"));
-    let batch = run_static(w, spec, cfg, ec);
-    let abatch = run_adaptive(w, spec, cfg, ec, ctrl, label);
-    assert_bit_identical(&batch, &abatch, &format!("{label} [batch]"));
+    let mut cfgs = vec![("row".to_string(), row_path(base))];
+    cfgs.extend(variants(base, &[]));
+    for (how, cfg) in &cfgs {
+        let label = format!("{label} [{how}]");
+        let stat = run_under(w, spec, cfg, None);
+        assert_bit_identical(&stat, &run_adaptive(w, spec, cfg, ctrl, &label), &label);
+    }
 }
 
 /// Every plan in the catalog — A1–A7, B1–B4, C1–C4 — over a selectivity
@@ -88,14 +76,13 @@ fn all_fifteen_catalog_plans_are_bit_identical_with_switching_disabled() {
     let plans = full_catalog(&w);
     assert_eq!(plans.len(), 15, "catalog size changed; update this suite");
     let cfg = MeasureConfig::default();
-    let ec = ExecConfig::default();
     let sels = [0.02, 0.3, 0.9];
     for plan in &plans {
         for &sa in &sels {
             for &sb in &sels {
                 let spec = plan.build(w.cal_a.threshold(sa), w.cal_b.threshold(sb));
                 let label = format!("{} @ ({sa}, {sb})", plan.name);
-                assert_adaptive_equivalent(&w, &spec, &cfg, &ec, &NeverSwitch, &label);
+                assert_adaptive_equivalent(&w, &spec, &cfg, &NeverSwitch, &label);
             }
         }
     }
@@ -110,7 +97,6 @@ fn armed_but_never_tripping_controllers_are_bit_identical() {
     let w = workload();
     let plans = full_catalog(&w);
     let cfg = MeasureConfig::default();
-    let ec = ExecConfig::default();
     let stats = CatalogStats::of(&w);
     let model = CostModel::hdd_2009();
     let (ta, tb) = (w.cal_a.threshold(0.2), w.cal_b.threshold(0.6));
@@ -135,28 +121,16 @@ fn armed_but_never_tripping_controllers_are_bit_identical() {
             &model,
             RobustConfig::default(),
         ) {
-            assert_adaptive_equivalent(
-                &w,
-                &spec,
-                &cfg,
-                &ec,
-                &ctrl,
-                &format!("{} [live policy]", plan.name),
-            );
+            let label = format!("{} [live policy]", plan.name);
+            assert_adaptive_equivalent(&w, &spec, &cfg, &ctrl, &label);
             // The degenerate policy: same controller, thresholds at ∞.
             let never = BailController::new(ctrl.at, SwitchPolicy::never(), fallback.clone(), |_| {
                 (0.0, 0.0)
             });
-            assert_adaptive_equivalent(
-                &w,
-                &spec,
-                &cfg,
-                &ec,
-                &never,
-                &format!("{} [never-trips policy]", plan.name),
-            );
+            let label = format!("{} [never-trips policy]", plan.name);
+            assert_adaptive_equivalent(&w, &spec, &cfg, &never, &label);
         } else {
-            assert_adaptive_equivalent(&w, &spec, &cfg, &ec, &NeverSwitch, &plan.name);
+            assert_adaptive_equivalent(&w, &spec, &cfg, &NeverSwitch, &plan.name);
         }
     }
 }
@@ -170,11 +144,10 @@ fn batch_size_is_not_observable_under_adaptive_execution() {
     let (ta, tb) = (w.cal_a.threshold(0.2), w.cal_b.threshold(0.6));
     for plan in &plans {
         let spec = plan.build(ta, tb);
-        let row = run_static(&w, &spec, &cfg, &ROW_PATH);
-        for batch_rows in [1usize, 513, 1 << 20] {
-            let ec = ExecConfig::with_batch_rows(batch_rows);
-            let label = format!("{} @ batch {batch_rows}", plan.name);
-            let abatch = run_adaptive(&w, &spec, &cfg, &ec, &NeverSwitch, &label);
+        let row = run_under(&w, &spec, &row_path(&cfg), None);
+        for (how, cfg) in variants(&cfg, &[1, 1 << 20]) {
+            let label = format!("{} [{how}]", plan.name);
+            let abatch = run_adaptive(&w, &spec, &cfg, &NeverSwitch, &label);
             assert_bit_identical(&row, &abatch, &label);
         }
     }
@@ -189,9 +162,8 @@ fn batch_size_is_not_observable_under_adaptive_execution() {
 fn composite_operators_are_bit_identical_with_switching_disabled() {
     let w = workload();
     let cfg = MeasureConfig::default();
-    let ec = ExecConfig::default();
     for (label, spec) in &composite_specs(&w) {
-        assert_adaptive_equivalent(&w, spec, &cfg, &ec, &NeverSwitch, label);
+        assert_adaptive_equivalent(&w, spec, &cfg, &NeverSwitch, label);
     }
 }
 
@@ -232,36 +204,11 @@ fn collected_rows_match_static_executor_exactly() {
         },
     ];
     for (i, spec) in specs.iter().enumerate() {
-        let (row_stats, row_rows) = {
-            let s = session(&cfg);
-            let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-            run_collect(spec, &ctx, RunOpts { batch: ROW_PATH, controller: None })
-                .expect("static collect")
-        };
-        let (astats, arows) = {
-            let s = session(&cfg);
-            let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-            run_collect(spec, &ctx, RunOpts { batch: ROW_PATH, controller: Some(&NeverSwitch) })
-                .expect("adaptive collect")
-        };
-        assert_bit_identical(&row_stats, &astats, &format!("collect #{i} [row]"));
-        assert_eq!(row_rows, arows, "collect #{i} [row]: rows/order");
-        for batch_rows in [1usize, 100, 1024] {
-            let ec = ExecConfig::with_batch_rows(batch_rows);
-            let (bstats, brows) = {
-                let s = session(&cfg);
-                let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-                run_collect(spec, &ctx, RunOpts { batch: ec, controller: None })
-                    .expect("static batch collect")
-            };
-            let (abstats, abrows) = {
-                let s = session(&cfg);
-                let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-                run_collect(spec, &ctx, RunOpts { batch: ec, controller: Some(&NeverSwitch) })
-                    .expect("adaptive batch collect")
-            };
-            assert_bit_identical(&bstats, &abstats, &format!("collect #{i} [batch]"));
-            assert_eq!(brows, abrows, "collect #{i} @ batch {batch_rows}: rows/order");
+        for (how, cfg) in variants(&cfg, &[1, 100]) {
+            let (stats, rows) = collect_under(&w, spec, &cfg, None);
+            let (astats, arows) = collect_under(&w, spec, &cfg, Some(&NeverSwitch));
+            assert_bit_identical(&stats, &astats, &format!("collect #{i} [{how}]"));
+            assert_eq!(rows, arows, "collect #{i} [{how}]: rows/order");
         }
     }
 }

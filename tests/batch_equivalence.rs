@@ -13,55 +13,41 @@
 //! `tests/exec_ledger.rs` pins the absolute values.
 
 use robustmap::core::MeasureConfig;
-use robustmap::executor::{
-    run_collect, run_count, AggFn, ColRange, ExecConfig, ExecCtx, ExecStats, PlanSpec, Predicate,
-    Projection, RunOpts, SpillMode,
-};
-use robustmap::storage::Row;
+use robustmap::executor::{AggFn, ColRange, PlanSpec, Predicate, Projection, SpillMode};
 use robustmap::systems::{
     single_predicate_plans, two_predicate_plans, SinglePredPlanSet, SystemId, TwoPredPlan,
 };
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
 
 mod common;
-use common::{assert_bit_identical, composite_specs, session};
+use common::{
+    assert_bit_identical, collect_under, composite_specs, row_path, run_under, variants,
+};
 
 fn workload() -> Workload {
     TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 13))
 }
 
-/// A static run at the batch size `ec` names.
-fn opts(ec: &ExecConfig) -> RunOpts<'static> {
-    RunOpts { batch: *ec, controller: None }
-}
-
-/// The row path: one row per batch.
-fn row_path() -> ExecConfig {
-    ExecConfig::with_batch_rows(1)
-}
-
-/// Execute `spec` on a fresh session, one row per batch.
-fn run_row(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig) -> ExecStats {
-    run_batch(w, spec, cfg, &row_path())
-}
-
-/// Execute `spec` on a fresh session at batch size `ec`.
-fn run_batch(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, ec: &ExecConfig) -> ExecStats {
-    let s = session(cfg);
-    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    run_count(spec, &ctx, opts(ec)).expect("well-formed plan")
-}
-
-fn assert_equivalent(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, ec: &ExecConfig, label: &str) {
-    let row = run_row(w, spec, cfg);
-    let batch = run_batch(w, spec, cfg, ec);
-    assert_bit_identical(&row, &batch, label);
+/// `spec` run one row per batch, untraced, against `spec` under every
+/// condition of the independence matrix (default batch, 513, traced at
+/// full detail) and at each of the `more` batch sizes.
+fn assert_independent(
+    w: &Workload,
+    spec: &PlanSpec,
+    base: &MeasureConfig,
+    more: &[usize],
+    label: &str,
+) {
+    let row = run_under(w, spec, &row_path(base), None);
+    for (how, cfg) in variants(base, more) {
+        assert_bit_identical(&row, &run_under(w, spec, &cfg, None), &format!("{label} [{how}]"));
+    }
 }
 
 /// Every plan in the catalog — A1–A7, B1–B4, C1–C4 — over a selectivity
-/// grid, at the default batch size against one row per batch.  This is
-/// the suite's core claim: sweeps over the full catalog do not depend on
-/// how rows are chunked.
+/// grid, under every condition of the matrix against one row per batch.
+/// This is the suite's core claim: sweeps over the full catalog do not
+/// depend on how rows are chunked, or on whether anyone is watching.
 #[test]
 fn all_fifteen_catalog_plans_are_bit_identical() {
     let w = workload();
@@ -69,22 +55,22 @@ fn all_fifteen_catalog_plans_are_bit_identical() {
         SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, &w)).collect();
     assert_eq!(plans.len(), 15, "catalog size changed; update this suite");
     let cfg = MeasureConfig::default();
-    let ec = ExecConfig::default();
     let sels = [0.02, 0.3, 0.9];
     for plan in &plans {
         for &sa in &sels {
             for &sb in &sels {
                 let spec = plan.build(w.cal_a.threshold(sa), w.cal_b.threshold(sb));
                 let label = format!("{} @ ({sa}, {sb})", plan.name);
-                assert_equivalent(&w, &spec, &cfg, &ec, &label);
+                assert_independent(&w, &spec, &cfg, &[], &label);
             }
         }
     }
 }
 
 /// Batch size must never be observable: against one row per batch, a tiny
-/// size, a non-power-of-two that never divides the result evenly, and a
-/// size far larger than any intermediate result all produce the same bits.
+/// size, a non-power-of-two that never divides the result evenly (the
+/// matrix's 513), and a size far larger than any intermediate result all
+/// produce the same bits.
 #[test]
 fn batch_size_is_not_observable() {
     let w = workload();
@@ -93,13 +79,7 @@ fn batch_size_is_not_observable() {
         SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, &w)).collect();
     let (ta, tb) = (w.cal_a.threshold(0.2), w.cal_b.threshold(0.6));
     for plan in &plans {
-        let spec = plan.build(ta, tb);
-        let row = run_row(&w, &spec, &cfg);
-        for batch_rows in [7usize, 513, 1 << 20] {
-            let ec = ExecConfig::with_batch_rows(batch_rows);
-            let batch = run_batch(&w, &spec, &cfg, &ec);
-            assert_bit_identical(&row, &batch, &format!("{} @ batch {batch_rows}", plan.name));
-        }
+        assert_independent(&w, &plan.build(ta, tb), &cfg, &[7, 1 << 20], &plan.name);
     }
 }
 
@@ -112,9 +92,8 @@ fn batch_size_is_not_observable() {
 fn composite_operators_are_bit_identical() {
     let w = workload();
     let cfg = MeasureConfig::default();
-    let ec = ExecConfig::default();
     for (label, spec) in &composite_specs(&w) {
-        assert_equivalent(&w, spec, &cfg, &ec, label);
+        assert_independent(&w, spec, &cfg, &[], label);
     }
 }
 
@@ -155,16 +134,11 @@ fn blocking_edges_agree_at_small_pools_at_every_batch_size() {
                         memory_bytes,
                     };
                     for (op, spec) in [("sort", sort), ("hashagg", agg)] {
-                        let row = run_row(&w, &spec, &cfg);
-                        for batch_rows in [7usize, 513, 1024] {
-                            let ec = ExecConfig::with_batch_rows(batch_rows);
-                            let label = format!(
-                                "{op} mem={memory_bytes} over {} @ {sel}, pool {pool_pages}, \
-                                 batch {batch_rows}",
-                                plan.name
-                            );
-                            assert_bit_identical(&row, &run_batch(&w, &spec, &cfg, &ec), &label);
-                        }
+                        let label = format!(
+                            "{op} mem={memory_bytes} over {} @ {sel}, pool {pool_pages}",
+                            plan.name
+                        );
+                        assert_independent(&w, &spec, &cfg, &[7], &label);
                         checked += 1;
                     }
                 }
@@ -176,7 +150,7 @@ fn blocking_edges_agree_at_small_pools_at_every_batch_size() {
 
 /// Beyond the counters: the *rows themselves* — values and order — must
 /// match, including when the result size is not a multiple of the batch
-/// size and when the result is empty.
+/// size, when the result is empty, and when the run is traced.
 #[test]
 fn collected_rows_match_row_path_exactly() {
     let w = workload();
@@ -201,20 +175,11 @@ fn collected_rows_match_row_path_exactly() {
         },
     ];
     for (i, spec) in specs.iter().enumerate() {
-        let (row_stats, row_rows): (ExecStats, Vec<Row>) = {
-            let s = session(&cfg);
-            let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-            run_collect(spec, &ctx, opts(&row_path())).expect("row collect")
-        };
-        for batch_rows in [7usize, 100, 1024] {
-            let ec = ExecConfig::with_batch_rows(batch_rows);
-            let (batch_stats, batch_rows_v): (ExecStats, Vec<Row>) = {
-                let s = session(&cfg);
-                let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-                run_collect(spec, &ctx, opts(&ec)).expect("batch collect")
-            };
-            assert_bit_identical(&row_stats, &batch_stats, &format!("collect #{i}"));
-            assert_eq!(row_rows, batch_rows_v, "collect #{i} @ batch {batch_rows}: rows/order");
+        let (row_stats, row_rows) = collect_under(&w, spec, &row_path(&cfg), None);
+        for (how, cfg) in variants(&cfg, &[7, 100]) {
+            let (batch_stats, batch_rows) = collect_under(&w, spec, &cfg, None);
+            assert_bit_identical(&row_stats, &batch_stats, &format!("collect #{i} [{how}]"));
+            assert_eq!(row_rows, batch_rows, "collect #{i} [{how}]: rows/order");
         }
     }
 }

@@ -2,17 +2,111 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use robustmap::core::MeasureConfig;
+use std::sync::Arc;
+
+use robustmap::core::{MeasureConfig, ServeConfig};
 use robustmap::executor::{
-    AggFn, ColRange, ExecStats, FetchKind, IndexRangeSpec, IntersectAlgo, JoinAlgo, KeyRange,
-    PlanSpec, Predicate, Projection, SpillMode,
+    run_collect, run_count, AggFn, ColRange, ExecConfig, ExecCtx, ExecStats, FetchKind,
+    IndexRangeSpec, IntersectAlgo, JoinAlgo, KeyRange, PlanSpec, Predicate, Projection, RunOpts,
+    SpillMode, SwitchController,
 };
-use robustmap::storage::{BufferPool, Session};
+use robustmap::obs::trace::{TraceDetail, TraceSink};
+use robustmap::storage::Row;
 use robustmap::workload::Workload;
 
-/// A fresh private session under `cfg`'s run-time conditions.
-pub fn session(cfg: &MeasureConfig) -> Session {
-    Session::new(cfg.model.clone(), BufferPool::new(cfg.pool_pages, cfg.policy))
+/// One row of the independence matrix: run-time conditions that no
+/// simulated result may depend on.
+pub struct Condition {
+    /// For assertion labels.
+    pub name: &'static str,
+    /// Rows per batch between operators.
+    pub exec: ExecConfig,
+    /// Charge events per serving slice.
+    pub quantum: u64,
+    /// The sink every session and burst records into, if traced.
+    pub trace: Option<Arc<TraceSink>>,
+}
+
+/// The independence matrix, named once: the defaults; a batch size and a
+/// quantum that divide nothing evenly (partial final batches, mid-page
+/// batch boundaries, mid-operator suspension points); and the defaults
+/// traced at full detail — one event per page request, the worst case.
+/// Each of the six differential suites runs under all three, so a plain
+/// `cargo test` is the whole proof.  The traced sink keeps few events
+/// (metrics still count every one): the suites assert on charges, which
+/// tracing must not move, not on the recording.
+pub fn conditions() -> [Condition; 3] {
+    let (exec, quantum) = (ExecConfig::default(), ServeConfig::default().quantum);
+    let full = TraceSink::memory_with_cap(TraceDetail::Full, 1 << 12);
+    [
+        Condition { name: "default", exec, quantum, trace: None },
+        Condition {
+            name: "batch 513, quantum 513",
+            exec: ExecConfig::with_batch_rows(513),
+            quantum: 513,
+            trace: None,
+        },
+        Condition { name: "traced", exec, quantum, trace: Some(Arc::new(full)) },
+    ]
+}
+
+impl Condition {
+    /// `base` under this condition.
+    pub fn measure(&self, base: &MeasureConfig) -> MeasureConfig {
+        MeasureConfig { exec: self.exec, trace: self.trace.clone(), ..base.clone() }
+    }
+
+    /// `base` under this condition.
+    pub fn serve(&self, base: &ServeConfig) -> ServeConfig {
+        ServeConfig {
+            quantum: self.quantum,
+            batch: self.exec,
+            trace: self.trace.clone(),
+            ..base.clone()
+        }
+    }
+}
+
+/// `base` under each condition of the matrix, then untraced at each of the
+/// `more` batch sizes the matrix does not name; labelled.
+pub fn variants(base: &MeasureConfig, more: &[usize]) -> Vec<(String, MeasureConfig)> {
+    let named = conditions().into_iter().map(|c| (c.name.to_string(), c.measure(base)));
+    let sized = more.iter().map(|&n| {
+        let exec = ExecConfig::with_batch_rows(n);
+        (format!("batch {n}"), MeasureConfig { exec, trace: None, ..base.clone() })
+    });
+    named.chain(sized).collect()
+}
+
+/// `cfg` running one row per batch, untraced: the reference every other
+/// way of running a plan is compared against.
+pub fn row_path(cfg: &MeasureConfig) -> MeasureConfig {
+    MeasureConfig { exec: ExecConfig::with_batch_rows(1), trace: None, ..cfg.clone() }
+}
+
+/// Run `spec` on a fresh session under `cfg` — its pool, model, grant,
+/// batch size and trace sink — without going through a `SweepArena`.
+pub fn run_under(
+    w: &Workload,
+    spec: &PlanSpec,
+    cfg: &MeasureConfig,
+    controller: Option<&dyn SwitchController>,
+) -> ExecStats {
+    let s = cfg.session();
+    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
+    run_count(spec, &ctx, RunOpts { batch: cfg.exec, controller }).expect("well-formed plan")
+}
+
+/// [`run_under`], keeping the result rows.
+pub fn collect_under(
+    w: &Workload,
+    spec: &PlanSpec,
+    cfg: &MeasureConfig,
+    controller: Option<&dyn SwitchController>,
+) -> (ExecStats, Vec<Row>) {
+    let s = cfg.session();
+    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
+    run_collect(spec, &ctx, RunOpts { batch: cfg.exec, controller }).expect("well-formed plan")
 }
 
 /// The equivalence contract, asserted field by field so a divergence names

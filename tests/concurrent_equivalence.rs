@@ -22,9 +22,10 @@
 //!    an error or panics while holding the baton ends with a per-query
 //!    error; everyone else finishes with the work they do alone.
 //!
-//! `scripts/verify.sh` re-runs this suite with `ROBUSTMAP_QUANTUM=513`
-//! (and an odd batch size) to prove the contracts hold at a quantum that
-//! never divides anything evenly.
+//! Every test that serves under "the suite's" config serves under each
+//! condition of the independence matrix (`common::conditions`): the
+//! defaults, a quantum and a batch size of 513 that never divide anything
+//! evenly, and every burst and session traced at full detail.
 
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -33,15 +34,14 @@ use robustmap::core::{
     measure_plan, serve_concurrent, MeasureConfig, QueryError, ServeConfig, ServeReport,
 };
 use robustmap::executor::{
-    run_count, AggFn, ColRange, ExecConfig, ExecCtx, ExecError, ExecStats, JoinAlgo, PlanSpec,
-    Predicate, Projection, RunOpts, SpillMode,
+    AggFn, ColRange, ExecError, JoinAlgo, PlanSpec, Predicate, Projection, SpillMode,
 };
 use robustmap::storage::{IoStats, TableId};
 use robustmap::systems::{two_predicate_plans, AdmissionConfig, SystemId, TwoPredPlan};
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
 
 mod common;
-use common::assert_bit_identical;
+use common::{assert_bit_identical, conditions, row_path, run_under, Condition};
 
 fn workload() -> Workload {
     TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 13))
@@ -54,29 +54,11 @@ fn catalog(w: &Workload) -> Vec<TwoPredPlan> {
     plans
 }
 
-/// The serving config whose isolated-query behaviour must match
-/// [`MeasureConfig::default`]: same pool, same policy, same model, same
-/// per-query grant.  Quantum comes from the environment so verify.sh can
-/// re-run the suite at an odd slice size.
-fn serve_cfg() -> ServeConfig {
-    ServeConfig::from_env()
-}
-
-/// An isolated static run at `batch` on a fresh private session.
-fn run_alone(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, batch: ExecConfig) -> ExecStats {
-    let s = common::session(cfg);
-    let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    run_count(spec, &ctx, RunOpts { batch, controller: None }).expect("well-formed plan")
-}
-
-/// One row per batch.
-fn run_row(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig) -> ExecStats {
-    run_alone(w, spec, cfg, ExecConfig::with_batch_rows(1))
-}
-
-/// The batch size serving uses.
-fn run_batch(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig) -> ExecStats {
-    run_alone(w, spec, cfg, ExecConfig::from_env())
+/// The measuring and the serving config of one condition.  Their
+/// isolated-query behaviour must match: same pool, same policy, same
+/// model, same per-query grant, same batch size, same sink.
+fn cfgs(cond: &Condition) -> (MeasureConfig, ServeConfig) {
+    (cond.measure(&MeasureConfig::default()), cond.serve(&ServeConfig::default()))
 }
 
 /// The interleaving-invariant part of the work: everything except the
@@ -106,18 +88,20 @@ fn sort_spec(w: &Workload, memory_bytes: usize) -> PlanSpec {
 #[test]
 fn concurrency_one_matches_static_executor_across_catalog() {
     let w = workload();
-    let mcfg = MeasureConfig::default();
-    let scfg = serve_cfg();
-    for plan in &catalog(&w) {
-        for (sa, sb) in [(0.05, 0.4), (0.7, 0.9)] {
-            let spec = plan.build(w.cal_a.threshold(sa), w.cal_b.threshold(sb));
-            let label = format!("{} @ ({sa}, {sb})", plan.name);
-            let row = run_row(&w, &spec, &mcfg);
-            let batch = run_batch(&w, &spec, &mcfg);
-            let report = serve_concurrent(&w.db, std::slice::from_ref(&spec), &scfg);
-            assert_bit_identical(&row, &report.queries[0].stats, &format!("{label} vs row"));
-            assert_bit_identical(&batch, &report.queries[0].stats, &format!("{label} vs batch"));
-            assert_eq!(report.queries[0].grant, mcfg.memory_bytes, "{label}: grant");
+    for cond in conditions() {
+        let (mcfg, scfg) = cfgs(&cond);
+        for plan in &catalog(&w) {
+            for (sa, sb) in [(0.05, 0.4), (0.7, 0.9)] {
+                let spec = plan.build(w.cal_a.threshold(sa), w.cal_b.threshold(sb));
+                let label = format!("[{}] {} @ ({sa}, {sb})", cond.name, plan.name);
+                let row = run_under(&w, &spec, &row_path(&mcfg), None);
+                let batch = run_under(&w, &spec, &mcfg, None);
+                let report = serve_concurrent(&w.db, std::slice::from_ref(&spec), &scfg);
+                let served = &report.queries[0];
+                assert_bit_identical(&row, &served.stats, &format!("{label} vs row"));
+                assert_bit_identical(&batch, &served.stats, &format!("{label} vs batch"));
+                assert_eq!(served.grant, mcfg.memory_bytes, "{label}: grant");
+            }
         }
     }
 }
@@ -128,23 +112,21 @@ fn concurrency_one_matches_static_executor_across_catalog() {
 #[test]
 fn sequential_burst_matches_static_per_query() {
     let w = workload();
-    let mcfg = MeasureConfig::default();
-    let mut scfg = serve_cfg();
-    scfg.admission = AdmissionConfig { max_in_flight: 1, ..AdmissionConfig::default() };
     let plans = catalog(&w);
     let specs: Vec<PlanSpec> =
         plans.iter().map(|p| p.build(w.cal_a.threshold(0.15), w.cal_b.threshold(0.4))).collect();
-    let report = serve_concurrent(&w.db, &specs, &scfg);
-    assert_eq!(report.admission_order, (0..15).collect::<Vec<_>>());
-    assert_eq!(report.completion_order, (0..15).collect::<Vec<_>>());
-    assert_eq!(report.idle_resets, 14, "one cold reset between each pair of queries");
-    for (i, (plan, spec)) in plans.iter().zip(&specs).enumerate() {
-        let isolated = run_batch(&w, spec, &mcfg);
-        assert_bit_identical(
-            &isolated,
-            &report.queries[i].stats,
-            &format!("{} serialized in burst", plan.name),
-        );
+    for cond in conditions() {
+        let (mcfg, mut scfg) = cfgs(&cond);
+        scfg.admission = AdmissionConfig { max_in_flight: 1, ..AdmissionConfig::default() };
+        let report = serve_concurrent(&w.db, &specs, &scfg);
+        assert_eq!(report.admission_order, (0..15).collect::<Vec<_>>());
+        assert_eq!(report.completion_order, (0..15).collect::<Vec<_>>());
+        assert_eq!(report.idle_resets, 14, "one cold reset between each pair of queries");
+        for (i, (plan, spec)) in plans.iter().zip(&specs).enumerate() {
+            let isolated = run_under(&w, spec, &mcfg, None);
+            let label = format!("[{}] {} serialized in burst", cond.name, plan.name);
+            assert_bit_identical(&isolated, &report.queries[i].stats, &label);
+        }
     }
 }
 
@@ -191,12 +173,14 @@ fn per_query_shares_sum_to_pool_counters() {
     let specs: Vec<PlanSpec> = (0..8)
         .map(|i| plans[i % plans.len()].build(w.cal_a.threshold(0.2), w.cal_b.threshold(0.6)))
         .collect();
-    let report = serve_concurrent(&w.db, &specs, &serve_cfg());
-    assert_eq!(report.idle_resets, 0, "unbounded admission never idles mid-burst");
-    let (hits, misses, _evictions) = report.pool_counters;
-    assert_eq!(report.queries.iter().map(|q| q.pool_hits).sum::<u64>(), hits);
-    assert_eq!(report.queries.iter().map(|q| q.pool_misses).sum::<u64>(), misses);
-    assert!(misses > 0, "a cold pool must miss");
+    for cond in conditions() {
+        let report = serve_concurrent(&w.db, &specs, &cfgs(&cond).1);
+        assert_eq!(report.idle_resets, 0, "unbounded admission never idles mid-burst");
+        let (hits, misses, _evictions) = report.pool_counters;
+        assert_eq!(report.queries.iter().map(|q| q.pool_hits).sum::<u64>(), hits);
+        assert_eq!(report.queries.iter().map(|q| q.pool_misses).sum::<u64>(), misses);
+        assert!(misses > 0, "a cold pool must miss");
+    }
 }
 
 /// Rerunning the same burst reproduces every bit: seconds, counters,
@@ -210,17 +194,20 @@ fn serving_is_deterministic() {
         .map(|p| p.build(w.cal_a.threshold(0.1), w.cal_b.threshold(0.8)))
         .collect();
     specs.push(sort_spec(&w, 1 << 14));
-    let a = serve_concurrent(&w.db, &specs, &serve_cfg());
-    let b = serve_concurrent(&w.db, &specs, &serve_cfg());
-    assert_eq!(a.completion_order, b.completion_order);
-    assert_eq!(a.admission_order, b.admission_order);
-    assert_eq!(a.pool_counters, b.pool_counters);
-    assert_eq!(a.idle_resets, b.idle_resets);
-    for (i, (x, y)) in a.queries.iter().zip(&b.queries).enumerate() {
-        assert_bit_identical(&x.stats, &y.stats, &format!("rerun query {i}"));
-        assert_eq!(x.pool_hits, y.pool_hits, "query {i} hits");
-        assert_eq!(x.pool_misses, y.pool_misses, "query {i} misses");
-        assert_eq!(x.yields, y.yields, "query {i} yields");
+    for cond in conditions() {
+        let scfg = cfgs(&cond).1;
+        let a = serve_concurrent(&w.db, &specs, &scfg);
+        let b = serve_concurrent(&w.db, &specs, &scfg);
+        assert_eq!(a.completion_order, b.completion_order);
+        assert_eq!(a.admission_order, b.admission_order);
+        assert_eq!(a.pool_counters, b.pool_counters);
+        assert_eq!(a.idle_resets, b.idle_resets);
+        for (i, (x, y)) in a.queries.iter().zip(&b.queries).enumerate() {
+            assert_bit_identical(&x.stats, &y.stats, &format!("rerun query {i}"));
+            assert_eq!(x.pool_hits, y.pool_hits, "query {i} hits");
+            assert_eq!(x.pool_misses, y.pool_misses, "query {i} misses");
+            assert_eq!(x.yields, y.yields, "query {i} yields");
+        }
     }
 }
 
@@ -233,18 +220,20 @@ fn admission_queue_completes_and_is_fifo() {
     let specs: Vec<PlanSpec> = (0..6)
         .map(|i| plans[(2 * i) % plans.len()].build(w.cal_a.threshold(0.3), w.cal_b.threshold(0.3)))
         .collect();
-    let mut scfg = serve_cfg();
-    scfg.admission = AdmissionConfig { max_in_flight: 2, ..AdmissionConfig::default() };
-    let report = serve_concurrent(&w.db, &specs, &scfg);
-    assert_eq!(report.admission_order, (0..6).collect::<Vec<_>>(), "admission is FIFO");
-    assert_eq!(report.queries.len(), 6);
-    for (i, q) in report.queries.iter().enumerate() {
-        assert!(q.stats.rows_out > 0, "query {i} produced no rows");
-        assert_eq!(q.grant, 8 << 20, "query {i} should get the full grant");
+    for cond in conditions() {
+        let mut scfg = cfgs(&cond).1;
+        scfg.admission = AdmissionConfig { max_in_flight: 2, ..AdmissionConfig::default() };
+        let report = serve_concurrent(&w.db, &specs, &scfg);
+        assert_eq!(report.admission_order, (0..6).collect::<Vec<_>>(), "admission is FIFO");
+        assert_eq!(report.queries.len(), 6);
+        for (i, q) in report.queries.iter().enumerate() {
+            assert!(q.stats.rows_out > 0, "query {i} produced no rows");
+            assert_eq!(q.grant, 8 << 20, "query {i} should get the full grant");
+        }
+        let mut completed = report.completion_order.clone();
+        completed.sort_unstable();
+        assert_eq!(completed, (0..6).collect::<Vec<_>>(), "every query completes exactly once");
     }
-    let mut completed = report.completion_order.clone();
-    completed.sort_unstable();
-    assert_eq!(completed, (0..6).collect::<Vec<_>>(), "every query completes exactly once");
 }
 
 /// The tentpole's contention cliff: a memory budget that fits one full
@@ -256,21 +245,23 @@ fn admission_queue_completes_and_is_fifo() {
 fn shrunk_grant_forces_spill() {
     let w = workload();
     let specs = vec![sort_spec(&w, 8 << 20), sort_spec(&w, 8 << 20), sort_spec(&w, 8 << 20)];
-    let mut scfg = serve_cfg();
-    scfg.admission = AdmissionConfig {
-        memory_budget: (8 << 20) + (64 << 10),
-        ..AdmissionConfig::default()
-    };
-    let report = serve_concurrent(&w.db, &specs, &scfg);
-    assert_eq!(report.admission_order, vec![0, 1, 2]);
-    assert_eq!(report.queries[0].grant, 8 << 20);
-    assert_eq!(report.queries[1].grant, 64 << 10, "second sort admitted shrunk");
-    assert_eq!(report.queries[2].grant, 8 << 20, "third sort waits for the full grant");
-    assert!(!report.queries[0].stats.spilled, "full grant: in-memory sort");
-    assert!(report.queries[1].stats.spilled, "shrunk grant forces the spill");
-    assert!(!report.queries[2].stats.spilled, "queued sort runs unspilled once memory frees");
-    // All three sorted the same table.
-    assert!(report.queries.iter().all(|q| q.stats.rows_out == 1 << 13));
+    for cond in conditions() {
+        let mut scfg = cfgs(&cond).1;
+        scfg.admission = AdmissionConfig {
+            memory_budget: (8 << 20) + (64 << 10),
+            ..AdmissionConfig::default()
+        };
+        let report = serve_concurrent(&w.db, &specs, &scfg);
+        assert_eq!(report.admission_order, vec![0, 1, 2]);
+        assert_eq!(report.queries[0].grant, 8 << 20);
+        assert_eq!(report.queries[1].grant, 64 << 10, "second sort admitted shrunk");
+        assert_eq!(report.queries[2].grant, 8 << 20, "third sort waits for the full grant");
+        assert!(!report.queries[0].stats.spilled, "full grant: in-memory sort");
+        assert!(report.queries[1].stats.spilled, "shrunk grant forces the spill");
+        assert!(!report.queries[2].stats.spilled, "queued sort runs unspilled once memory frees");
+        // All three sorted the same table.
+        assert!(report.queries.iter().all(|q| q.stats.rows_out == 1 << 13));
+    }
 }
 
 /// Two spilling sorts interleaved over one pool do exactly the work each
@@ -279,23 +270,25 @@ fn shrunk_grant_forces_spill() {
 #[test]
 fn interleaved_spills_do_static_work() {
     let w = workload();
-    let mcfg = MeasureConfig::default();
     let spec = sort_spec(&w, 1 << 14);
-    let isolated = run_batch(&w, &spec, &mcfg);
-    assert!(isolated.spilled, "the fixture must spill to exercise temp files");
-    let report = serve_concurrent(
-        &w.db,
-        &[spec.clone(), spec.clone()],
-        &ServeConfig { quantum: 257, ..ServeConfig::default() },
-    );
-    for (i, q) in report.queries.iter().enumerate() {
-        assert!(q.stats.spilled, "query {i} must spill");
-        assert_eq!(
-            work_signature(&isolated.io),
-            work_signature(&q.stats.io),
-            "query {i}: interleaving changed its total work"
+    for cond in conditions() {
+        let (mcfg, scfg) = cfgs(&cond);
+        let isolated = run_under(&w, &spec, &mcfg, None);
+        assert!(isolated.spilled, "the fixture must spill to exercise temp files");
+        let report = serve_concurrent(
+            &w.db,
+            &[spec.clone(), spec.clone()],
+            &ServeConfig { quantum: 257, ..scfg },
         );
-        assert_eq!(isolated.rows_out, q.stats.rows_out, "query {i} rows");
+        for (i, q) in report.queries.iter().enumerate() {
+            assert!(q.stats.spilled, "query {i} must spill");
+            assert_eq!(
+                work_signature(&isolated.io),
+                work_signature(&q.stats.io),
+                "query {i}: interleaving changed its total work"
+            );
+            assert_eq!(isolated.rows_out, q.stats.rows_out, "query {i} rows");
+        }
     }
 }
 
@@ -419,24 +412,30 @@ fn schedule_is_pinned() {
         },
     ));
 
-    let mut actual = Vec::new();
-    for (name, burst, cfg) in &cases {
-        let plain = report_digest(&serve_concurrent(&w.db, burst, cfg));
-        let sink = Arc::new(TraceSink::memory(TraceDetail::Spans));
-        let traced_cfg = ServeConfig { trace: Some(Arc::clone(&sink)), ..cfg.clone() };
-        let traced = report_digest(&serve_concurrent(&w.db, burst, &traced_cfg));
-        assert_eq!(plain, traced, "{name}: tracing moved the schedule");
-        assert_eq!(sink.dropped(), 0, "{name}: the sink dropped events");
-        actual.push((name.clone(), plain, trace_digest(&sink.events())));
-    }
     let golden: Vec<(String, u64, u64)> =
         SCHEDULE_GOLDEN.iter().map(|&(n, r, t)| (n.to_string(), r, t)).collect();
-    if actual != golden {
-        let table: String = actual
-            .iter()
-            .map(|(n, r, t)| format!("    ({n:?}, {r:#018x}, {t:#018x}),\n"))
-            .collect();
-        panic!("the schedule moved; this run's digests:\n{table}");
+    // Each case pins its own quantum; the matrix varies the batch size and
+    // whether the "plain" burst is traced at full detail.  None may move a
+    // digest.
+    for cond in conditions() {
+        let mut actual = Vec::new();
+        for (name, burst, cfg) in &cases {
+            let cfg = ServeConfig { batch: cond.exec, trace: cond.trace.clone(), ..cfg.clone() };
+            let plain = report_digest(&serve_concurrent(&w.db, burst, &cfg));
+            let sink = Arc::new(TraceSink::memory(TraceDetail::Spans));
+            let traced_cfg = ServeConfig { trace: Some(Arc::clone(&sink)), ..cfg };
+            let traced = report_digest(&serve_concurrent(&w.db, burst, &traced_cfg));
+            assert_eq!(plain, traced, "{name}: tracing moved the schedule");
+            assert_eq!(sink.dropped(), 0, "{name}: the sink dropped events");
+            actual.push((name.clone(), plain, trace_digest(&sink.events())));
+        }
+        if actual != golden {
+            let table: String = actual
+                .iter()
+                .map(|(n, r, t)| format!("    ({n:?}, {r:#018x}, {t:#018x}),\n"))
+                .collect();
+            panic!("[{}] the schedule moved; this run's digests:\n{table}", cond.name);
+        }
     }
 }
 
@@ -526,16 +525,19 @@ fn serve_watched(w: &Arc<Workload>, burst: Vec<PlanSpec>, cfg: ServeConfig) -> S
 }
 
 /// Hardening (a): one query of the burst returns `BadPlan` mid-run (its
-/// right input is a sort without key columns) and one panics mid-run (its
-/// right input aggregates a table the database does not have, and
-/// `Database::table` indexes unchecked).  Served one at a time and eight
-/// at a time, the burst comes back, exactly those two carry an error, and
-/// every other query did the rows and the work it does alone — bit for
-/// bit at level 1.
+/// right input is a sort without key columns), one panics mid-run (its
+/// right input filters on a column the table does not have, and a scan
+/// reads record bytes by column position unchecked), and one is rejected
+/// as `BadPlan` before it charges anything (its right input aggregates a
+/// table the database does not have).  Served one at a time and eight at a
+/// time, under every condition of the matrix, the burst comes back,
+/// exactly those three carry an error, and every other query did the rows
+/// and the work it does alone — bit for bit at level 1.
 #[test]
 fn failing_queries_do_not_strand_the_burst() {
     const BAD_PLAN: usize = 2;
     const PANICS: usize = 5;
+    const BAD_ID: usize = 6;
     let w = Arc::new(workload());
     let plans = catalog(&w);
     let mut burst: Vec<PlanSpec> = (0..8)
@@ -552,6 +554,14 @@ fn failing_queries_do_not_strand_the_burst() {
     );
     burst[PANICS] = join_onto(
         &w,
+        PlanSpec::TableScan {
+            table: w.table,
+            pred: Predicate::single(ColRange::at_most(99, 0)),
+            project: Projection::Columns(vec![2]),
+        },
+    );
+    burst[BAD_ID] = join_onto(
+        &w,
         PlanSpec::HashAgg {
             input: Box::new(column_scan(TableId(u32::MAX), 2)),
             group_cols: vec![0],
@@ -560,60 +570,67 @@ fn failing_queries_do_not_strand_the_burst() {
             memory_bytes: 1 << 20,
         },
     );
-    let mcfg = MeasureConfig::default();
-    // The suite's quantum, and one small enough that both failures strike
-    // after the query has been parked and resumed.
-    let suite_quantum = serve_cfg().quantum;
-    for (level, quantum) in [(1usize, suite_quantum), (8, suite_quantum), (1, 16), (8, 16)] {
-        let mut scfg = ServeConfig { quantum, ..serve_cfg() };
-        scfg.admission = AdmissionConfig { max_in_flight: level, ..AdmissionConfig::default() };
-        let report = serve_watched(&w, burst.clone(), scfg);
-        assert_eq!(report.queries.len(), 8, "level {level}: every query reports");
-        let mut completed = report.completion_order.clone();
-        completed.sort_unstable();
-        assert_eq!(completed, (0..8).collect::<Vec<_>>(), "level {level}: each completes once");
-        if level == 1 {
-            assert_eq!(report.idle_resets, 7, "a failed query leaves the server idle like any");
-        }
-        for (i, q) in report.queries.iter().enumerate() {
-            let label = format!("level {level} quantum {quantum} query {i}");
-            match i {
-                BAD_PLAN => assert!(
-                    matches!(q.error, Some(QueryError::Exec(ExecError::BadPlan(_)))),
-                    "{label}: {:?}",
-                    q.error
-                ),
-                PANICS => assert!(
-                    matches!(&q.error, Some(QueryError::Panic(msg)) if !msg.is_empty()),
-                    "{label}: {:?}",
-                    q.error
-                ),
-                _ => {
-                    assert_eq!(q.error, None, "{label}");
-                    let alone = measure_plan(&w.db, &burst[i], &mcfg);
-                    assert_eq!(q.stats.rows_out, alone.rows, "{label}: rows");
-                    assert_eq!(
-                        work_signature(&q.stats.io),
-                        work_signature(&alone.io),
-                        "{label}: total work"
-                    );
-                    if level == 1 {
+    for cond in conditions() {
+        let (mcfg, scfg) = cfgs(&cond);
+        // The condition's quantum, and one small enough that the mid-run
+        // failures strike after the query has been parked and resumed.
+        for (level, quantum) in [(1usize, scfg.quantum), (8, scfg.quantum), (1, 16), (8, 16)] {
+            let mut scfg = ServeConfig { quantum, ..scfg.clone() };
+            scfg.admission = AdmissionConfig { max_in_flight: level, ..AdmissionConfig::default() };
+            let report = serve_watched(&w, burst.clone(), scfg);
+            assert_eq!(report.queries.len(), 8, "level {level}: every query reports");
+            let mut completed = report.completion_order.clone();
+            completed.sort_unstable();
+            assert_eq!(completed, (0..8).collect::<Vec<_>>(), "level {level}: each completes once");
+            if level == 1 {
+                assert_eq!(report.idle_resets, 7, "a failed query leaves the server idle like any");
+            }
+            for (i, q) in report.queries.iter().enumerate() {
+                let label = format!("[{}] level {level} quantum {quantum} query {i}", cond.name);
+                match i {
+                    BAD_PLAN | BAD_ID => assert!(
+                        matches!(q.error, Some(QueryError::Exec(ExecError::BadPlan(_)))),
+                        "{label}: {:?}",
+                        q.error
+                    ),
+                    PANICS => assert!(
+                        matches!(&q.error, Some(QueryError::Panic(msg)) if !msg.is_empty()),
+                        "{label}: {:?}",
+                        q.error
+                    ),
+                    _ => {
+                        assert_eq!(q.error, None, "{label}");
+                        let alone = measure_plan(&w.db, &burst[i], &mcfg);
+                        assert_eq!(q.stats.rows_out, alone.rows, "{label}: rows");
                         assert_eq!(
-                            q.stats.seconds.to_bits(),
-                            alone.seconds.to_bits(),
-                            "{label}: clock"
+                            work_signature(&q.stats.io),
+                            work_signature(&alone.io),
+                            "{label}: total work"
                         );
-                        assert_eq!(q.stats.io, alone.io, "{label}: IoStats");
+                        if level == 1 {
+                            assert_eq!(
+                                q.stats.seconds.to_bits(),
+                                alone.seconds.to_bits(),
+                                "{label}: clock"
+                            );
+                            assert_eq!(q.stats.io, alone.io, "{label}: IoStats");
+                        }
                     }
                 }
-            }
-            if q.error.is_some() {
-                // Both failures strike after the left input ran: the stats
-                // carry what was charged up to then, and no rows.
-                assert_eq!(q.stats.rows_out, 0, "{label}: a failed query returns no rows");
-                assert!(q.stats.io.page_requests() > 0, "{label}: charged work is reported");
-                assert!(quantum != 16 || q.yields > 0, "{label}: failed before its first yield");
-                assert_eq!(q.stats.seconds.to_bits(), q.measurement().seconds.to_bits());
+                if q.error.is_some() {
+                    assert_eq!(q.stats.rows_out, 0, "{label}: a failed query returns no rows");
+                    assert_eq!(q.stats.seconds.to_bits(), q.measurement().seconds.to_bits());
+                }
+                if i == BAD_ID {
+                    // Rejected before the first operator: nothing charged.
+                    assert_eq!((q.stats.ticks, q.stats.io), (0, IoStats::default()), "{label}");
+                    assert_eq!(q.yields, 0, "{label}");
+                } else if q.error.is_some() {
+                    // Both strike after the left input ran: the stats carry
+                    // what was charged up to then.
+                    assert!(q.stats.io.page_requests() > 0, "{label}: charged work is reported");
+                    assert!(quantum != 16 || q.yields > 0, "{label}: failed before its first yield");
+                }
             }
         }
     }

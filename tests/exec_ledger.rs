@@ -8,7 +8,9 @@
 //! executor's `f64` seconds when the clock became an integer (each within
 //! 1e-9 relative of the value it replaced, and equal to the closed form
 //! `Σ counter × cost`, asserted below).  The interpreter must reproduce
-//! every line at every batch size.  `events` is what the serving quantum
+//! every line one row per batch and under every condition of the
+//! independence matrix (`common::conditions`: the default batch, 513, and
+//! traced at full detail).  `events` is what the serving quantum
 //! counts: a kernel that groups its charge calls differently must still
 //! count the same events, or served slices would change length.
 //!
@@ -17,9 +19,7 @@
 //! over `tests/golden/exec_ledger.txt`.
 
 use robustmap::core::MeasureConfig;
-use robustmap::executor::{
-    run_count, AggFn, ExecConfig, ExecCtx, ExecStats, PlanSpec, RunOpts, SpillMode,
-};
+use robustmap::executor::{run_count, AggFn, ExecCtx, ExecStats, PlanSpec, RunOpts, SpillMode};
 use robustmap::storage::Session;
 use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap::workload::{ChurnConfig, ChurnDriver, TableBuilder, Workload, WorkloadConfig};
@@ -28,16 +28,12 @@ mod common;
 
 const GOLDEN: &str = include_str!("golden/exec_ledger.txt");
 
-/// Run `spec` on a fresh session: its stats and the charge events it took.
-fn exec(
-    w: &Workload,
-    spec: &PlanSpec,
-    cfg: &MeasureConfig,
-    batch_rows: usize,
-) -> (ExecStats, u64) {
-    let s = common::session(cfg);
+/// Run `spec` on a fresh session under `cfg`: its stats and the charge
+/// events it took.
+fn exec(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig) -> (ExecStats, u64) {
+    let s = cfg.session();
     let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    let opts = RunOpts { batch: ExecConfig::with_batch_rows(batch_rows), controller: None };
+    let opts = RunOpts { batch: cfg.exec, controller: None };
     let stats = run_count(spec, &ctx, opts).expect("ledger plans are well-formed");
     (stats, s.charge_events())
 }
@@ -182,13 +178,15 @@ fn cases<'w>(
 fn run_reproduces_the_golden_ledger_at_every_batch_size() {
     let pristine = workload();
     let churned = churned_workload();
-    let cfg = MeasureConfig::default();
+    let base = MeasureConfig::default();
     let cases = cases(&pristine, &churned);
-    for batch_rows in [1usize, 513, 1024] {
+    let mut passes = vec![("one row per batch".to_string(), common::row_path(&base))];
+    passes.extend(common::variants(&base, &[]));
+    for (how, cfg) in &passes {
         let actual: String = cases
             .iter()
             .map(|(w, label, spec)| {
-                let (stats, events) = exec(w, spec, &cfg, batch_rows);
+                let (stats, events) = exec(w, spec, cfg);
                 // The clock's closed form: a serial plan's ticks are its
                 // counters priced by the model, whatever order and
                 // grouping its operators charged them in.
@@ -211,7 +209,7 @@ fn run_reproduces_the_golden_ledger_at_every_batch_size() {
             .find(|(_, (want, got))| want != got)
             .unwrap_or((GOLDEN.lines().count().min(actual.lines().count()), ("<eof>", "<eof>")));
         panic!(
-            "charge ledger diverged at batch_rows = {batch_rows}, line {}:\n  golden: {want}\n  \
+            "charge ledger diverged [{how}], line {}:\n  golden: {want}\n  \
              actual: {got}\nfull ledger written to target/exec_ledger.actual.txt",
             line + 1
         );
