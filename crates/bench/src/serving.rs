@@ -21,7 +21,7 @@ use robustmap_obs::chrome::{parse_chrome_trace, parse_json, to_chrome_json};
 use robustmap_obs::trace::{
     op_profile_csv, slice_totals, validate_trace, TraceDetail, TraceEventKind, TraceSink,
 };
-use robustmap_storage::IoStats;
+use robustmap_storage::{ticks_to_seconds, IoStats};
 use robustmap_systems::AdmissionConfig;
 use robustmap_workload::{TableBuilder, WorkloadConfig, COL_A, COL_B};
 
@@ -334,9 +334,10 @@ pub fn ext_concurrency(h: &Harness) -> FigureOutput {
 /// as a baton timeline, and a traced adaptive bail rendered as operator
 /// spans — with the reconciliation checks that make the trace *evidence*
 /// rather than decoration.  The trace records on two clocks (simulated
-/// seconds and real nanoseconds) and must never change a charge: the
-/// bit-identity check below re-runs the forced bail untraced and compares
-/// every bit.
+/// ticks and real nanoseconds) and must never change a charge: the
+/// identity check below re-runs the forced bail untraced and compares
+/// ticks with `==`, as the two reconciliation checks do.  Seconds appear
+/// only where something is drawn or printed.
 pub fn ext_trace(h: &Harness) -> FigureOutput {
     let rows = h.config.rows.min(1 << 14);
     let w = TableBuilder::build_cached(WorkloadConfig::with_rows(rows));
@@ -346,7 +347,6 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
     let specs: Vec<PlanSpec> = (0..8)
         .map(|j| plans[(j * 2) % plans.len()].build(w.cal_a.threshold(0.15), w.cal_b.threshold(0.4)))
         .collect();
-    let rel_eq = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-300);
 
     let mut suite = RegressionSuite::new();
     let mut report = String::from(
@@ -355,7 +355,7 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
     );
     report.push_str(&format!(
         "{rows} rows, pool {pool_pages} pages, quantum 256 charges; trace events carry both \
-         clocks (simulated seconds + real nanoseconds since sink epoch)\n",
+         clocks (simulated ticks + real nanoseconds since sink epoch)\n",
     ));
 
     // --- Panel A: a traced 8-query burst at 8 in-flight slots.  The
@@ -402,20 +402,26 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
         validate_trace(&events).is_ok(),
         validate_trace(&events).err().unwrap_or_default(),
     );
-    let reconciled = rep.queries.iter().enumerate().all(|(i, q)| {
-        rel_eq(totals.get(&(i as u32)).copied().unwrap_or(0.0), q.stats.seconds)
-    });
+    let reconciled = rep
+        .queries
+        .iter()
+        .enumerate()
+        .all(|(i, q)| totals.get(&(i as u32)) == Some(&q.stats.ticks));
     suite.check_named(
         "per-query slice totals reconcile with the served queries' charged seconds",
         reconciled,
         format!("{} queries, {} slice tracks", rep.queries.len(), totals.len()),
     );
-    let makespan = rep.queries.iter().map(|q| q.turnaround).fold(0.0f64, f64::max);
-    let charges: f64 = rep.queries.iter().map(|q| q.stats.seconds).sum();
+    let makespan = events
+        .iter()
+        .rev()
+        .find(|e| matches!(e.kind, TraceEventKind::QueryDone { .. }))
+        .map_or(0, |e| e.ticks);
+    let charges: u64 = rep.queries.iter().map(|q| q.stats.ticks).sum();
     suite.check_named(
         "makespan conservation: last turnaround equals the sum of every query's charges",
-        rel_eq(makespan, charges),
-        format!("{makespan:.6}s vs {charges:.6}s"),
+        makespan == charges,
+        format!("{:.6}s vs {:.6}s", ticks_to_seconds(makespan), ticks_to_seconds(charges)),
     );
 
     // Chrome export: the artifact browsers load must parse back, with
@@ -466,26 +472,27 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
     let mut slice_no = vec![0usize; labels.len()];
     for e in &events {
         let t = e.track as usize;
+        let at = ticks_to_seconds(e.ticks);
         match &e.kind {
-            TraceEventKind::SliceBegin => open[t] = e.sim,
+            TraceEventKind::SliceBegin => open[t] = at,
             TraceEventKind::SliceEnd => {
                 slice_no[t] += 1;
                 spans.push(TimelineSpan {
                     track: t,
                     start: open[t],
-                    end: e.sim,
+                    end: at,
                     color: t,
-                    label: format!("slice {}: {:.5}s", slice_no[t], e.sim - open[t]),
+                    label: format!("slice {}: {:.5}s", slice_no[t], at - open[t]),
                 });
             }
             TraceEventKind::Admit { grant } => marks.push(TimelineMark {
                 track: t,
-                at: e.sim,
+                at,
                 label: format!("admitted, grant {grant}"),
             }),
             TraceEventKind::QueryDone { rows } => marks.push(TimelineMark {
                 track: t,
-                at: e.sim,
+                at,
                 label: format!("done, {rows} rows"),
             }),
             _ => {}
@@ -541,7 +548,7 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
     ));
     suite.check_named(
         "tracing is charge-free: the traced forced bail is bit-identical to the untraced run",
-        plain.seconds.to_bits() == traced.seconds.to_bits()
+        plain.ticks == traced.ticks
             && plain.io == traced.io
             && plain.switches == traced.switches,
         format!("{:.6}s both ways", plain.seconds),
@@ -563,26 +570,27 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
     let mut op_open: Vec<Vec<(usize, f64)>> = vec![Vec::new(); bail_labels.len()];
     let mut op_marks = Vec::new();
     for e in &bail_events {
+        let now = ticks_to_seconds(e.ticks);
         match &e.kind {
             TraceEventKind::OpBegin { name, depth } => {
                 let lane = op_lanes.len();
                 op_lanes.push(format!("d{depth} {name}"));
-                op_open[e.track as usize].push((lane, e.sim));
+                op_open[e.track as usize].push((lane, now));
             }
-            TraceEventKind::OpEnd { rows, depth, .. } => {
+            TraceEventKind::OpEnd { rows, depth } => {
                 let (lane, start) = op_open[e.track as usize].pop().expect("balanced spans");
                 op_spans.push(TimelineSpan {
                     track: lane,
                     start,
-                    end: e.sim,
+                    end: now,
                     color: *depth as usize,
-                    label: format!("{}: {rows} rows, {:.5}s", op_lanes[lane], e.sim - start),
+                    label: format!("{}: {rows} rows, {:.5}s", op_lanes[lane], now - start),
                 });
             }
-            TraceEventKind::Checkpoint { kind, rows } => op_marks.push((e.sim, format!(
+            TraceEventKind::Checkpoint { kind, rows } => op_marks.push((now, format!(
                 "checkpoint {kind}: {rows} rows"
             ))),
-            TraceEventKind::Switch { at, observed, action } => op_marks.push((e.sim, format!(
+            TraceEventKind::Switch { at, observed, action } => op_marks.push((now, format!(
                 "{at}: observed {observed} -> {action}"
             ))),
             _ => {}

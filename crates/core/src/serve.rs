@@ -228,8 +228,8 @@ struct Scheduler {
     cursor: usize,
     /// The global virtual clock, in ticks: it advances by the running
     /// query's charge delta at every yield — the shared timeline every
-    /// scheduler trace event and latency figure is stamped with (as
-    /// seconds, converted where it is read).
+    /// scheduler trace event (in ticks, as is) and latency figure (as
+    /// seconds, converted where it is read) is stamped with.
     global_sim: u64,
     slots: Vec<Slot>,
     completion_order: Vec<usize>,
@@ -265,9 +265,9 @@ impl Burst {
         self.sched.lock().expect("a baton holder panicked inside the scheduling step")
     }
 
-    fn emit(&self, track: u32, sim_ticks: u64, kind: TraceEventKind) {
+    fn emit(&self, track: u32, ticks: u64, kind: TraceEventKind) {
         if let Some(s) = &self.sink {
-            s.emit(track, ticks_to_seconds(sim_ticks), kind);
+            s.emit(track, ticks, kind);
         }
     }
 
@@ -640,12 +640,7 @@ mod tests {
         validate_trace(&events).expect("served trace must be well-formed");
         let totals = slice_totals(&events);
         for (i, q) in traced.queries.iter().enumerate() {
-            let total = totals.get(&(i as u32)).copied().unwrap_or(0.0);
-            assert!(
-                (total - q.stats.seconds).abs() <= 1e-9 * q.stats.seconds.max(1e-12),
-                "query {i}: slice total {total} != seconds {}",
-                q.stats.seconds
-            );
+            assert_eq!(totals.get(&(i as u32)), Some(&q.stats.ticks), "query {i}: slice total");
         }
         // Scheduler bookkeeping made it into the trace.
         let m = sink.metrics();

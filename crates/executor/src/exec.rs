@@ -316,7 +316,6 @@ fn node(
     if traced {
         ctx.session.flush_io_window();
         ctx.session.trace_event(TraceEventKind::OpEnd {
-            name: name.clone(),
             depth: depth as u32,
             rows: if let Ok(Outcome::Rows(n)) = &result { *n } else { 0 },
         });

@@ -10,12 +10,20 @@
 //! * `pid 2` — per-query simulated time (operator spans, I/O windows,
 //!   checkpoints), one thread per session track.
 //!
-//! Timestamps are simulated **microseconds** (`sim * 1e6`); every
-//! event's `args` also carries `real_us`, the real wall-clock
-//! microseconds since the sink's epoch, so both clocks survive export.
+//! Timestamps are simulated **microseconds**: an event's ticks
+//! (picoseconds) divided by 10^6 once, here, and written as the exact
+//! decimal — no float is involved.  Every event's `args` also carries
+//! `real_us`, the real wall-clock microseconds since the sink's epoch, so
+//! both clocks survive export.
+//!
+//! An `OpEnd` carries no name (spans pair by nesting); the exporter names
+//! each `E` after the `B` it closes.
 
 use crate::trace::{ClockDomain, TraceEvent, TraceEventKind};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Ticks (picoseconds) per microsecond, the Chrome `ts` unit.
+const TICKS_PER_US: u64 = crate::trace::TICKS_PER_SECOND / 1_000_000;
 
 const PID_SCHED: u64 = 1;
 const PID_QUERY: u64 = 2;
@@ -50,15 +58,17 @@ struct EventJson {
     args: Vec<(&'static str, String)>,
 }
 
-fn event_json(kind: &TraceEventKind) -> EventJson {
+/// `kind` as a Chrome event; `open_op` is the name of the innermost open
+/// operator span on the event's track, which an `OpEnd` closes.
+fn event_json(kind: &TraceEventKind, open_op: Option<&str>) -> EventJson {
     let (ph, name, cat, args): (char, String, &'static str, Vec<(&'static str, String)>) =
         match kind {
             TraceEventKind::OpBegin { name, depth } => {
                 ('B', name.clone(), "op", vec![("depth", depth.to_string())])
             }
-            TraceEventKind::OpEnd { name, depth, rows } => (
+            TraceEventKind::OpEnd { depth, rows } => (
                 'E',
-                name.clone(),
+                open_op.unwrap_or_default().to_string(),
                 "op",
                 vec![("depth", depth.to_string()), ("rows", rows.to_string())],
             ),
@@ -184,10 +194,19 @@ pub fn to_chrome_json(events: &[TraceEvent], labels: &[String]) -> String {
         );
     }
 
+    let mut open_ops: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
     for ev in events {
-        let e = event_json(&ev.kind);
+        let open_op = match &ev.kind {
+            TraceEventKind::OpBegin { name, .. } => {
+                open_ops.entry(ev.track).or_default().push(name);
+                None
+            }
+            TraceEventKind::OpEnd { .. } => open_ops.entry(ev.track).or_default().pop(),
+            _ => None,
+        };
+        let e = event_json(&ev.kind, open_op);
         let pid = pid_of(ev.kind.domain());
-        let ts = ev.sim * 1e6;
+        let ts = format!("{}.{:06}", ev.ticks / TICKS_PER_US, ev.ticks % TICKS_PER_US);
         let real_us = ev.real_ns as f64 / 1000.0;
         let mut args = format!("\"real_us\":{real_us}");
         for (k, v) in &e.args {
@@ -518,11 +537,12 @@ mod tests {
     fn export_round_trips_through_parser() {
         let sink = TraceSink::memory(TraceDetail::Spans);
         let t = sink.alloc_track("q0: scan(t, a<=x)");
-        sink.emit(t, 0.0, TraceEventKind::SliceBegin);
-        sink.emit(t, 0.0, TraceEventKind::OpBegin { name: "scan(t, a<=x)".into(), depth: 0 });
-        sink.emit(t, 0.25, TraceEventKind::IoWindow { reads: 4, hits: 2, writes: 0 });
-        sink.emit(t, 0.5, TraceEventKind::OpEnd { name: "scan(t, a<=x)".into(), depth: 0, rows: 3 });
-        sink.emit(t, 0.5, TraceEventKind::SliceEnd);
+        let half_second = crate::trace::TICKS_PER_SECOND / 2;
+        sink.emit(t, 0, TraceEventKind::SliceBegin);
+        sink.emit(t, 0, TraceEventKind::OpBegin { name: "scan(t, a<=x)".into(), depth: 0 });
+        sink.emit(t, half_second / 2, TraceEventKind::IoWindow { reads: 4, hits: 2, writes: 0 });
+        sink.emit(t, half_second, TraceEventKind::OpEnd { depth: 0, rows: 3 });
+        sink.emit(t, half_second, TraceEventKind::SliceEnd);
         let json = to_chrome_json(&sink.events(), &sink.track_labels());
         let parsed = parse_chrome_trace(&json).expect("round trip");
         let begins = parsed.iter().filter(|e| e.ph == "B").count();
@@ -531,9 +551,10 @@ mod tests {
         assert_eq!(ends, 2);
         // Thread metadata carries the escaped track label.
         assert!(parsed.iter().any(|e| e.ph == "M" && e.name == "thread_name"));
-        // Timestamps are sim microseconds.
+        // Timestamps are sim microseconds, and the end event is named
+        // after the begin it closes.
         let op_end = parsed.iter().find(|e| e.ph == "E" && e.name == "scan(t, a<=x)").unwrap();
-        assert!((op_end.ts - 0.5e6).abs() < 1e-6);
+        assert_eq!(op_end.ts, 0.5e6);
         // Slice events live in the scheduler process, ops in the query process.
         let slice = parsed.iter().find(|e| e.name == "slice" && e.ph == "B").unwrap();
         let op = parsed.iter().find(|e| e.ph == "B" && e.name != "slice").unwrap();

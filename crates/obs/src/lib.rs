@@ -11,11 +11,12 @@
 //!
 //! Three facilities:
 //!
-//! * [`trace`] — a [`trace::TraceSink`] recording timestamped
-//!   [`trace::TraceEvent`]s on **two clocks** (simulated seconds and
+//! * [`trace`] — a [`trace::TraceSink`] recording
+//!   [`trace::TraceEvent`]s stamped on **two clocks** (simulated ticks and
 //!   real nanoseconds), with Chrome trace-event export via [`chrome`];
 //! * [`metrics`] — a deterministic [`metrics::MetricsRegistry`] of
-//!   counters and log-scale histograms, filled as events are emitted;
+//!   counters and log-scale histograms, folded from a sink's events when
+//!   [`trace::TraceSink::metrics`] is called;
 //! * [`log`] — a leveled stderr facade ([`progress!`], [`verbose!`],
 //!   [`warn!`]) honoring `ROBUSTMAP_LOG` (quiet / normal / verbose).
 //!
@@ -29,6 +30,4 @@ pub mod trace;
 
 pub use log::{log_level, set_log_level, LogLevel, ENV_LOG};
 pub use metrics::{LogHistogram, MetricsRegistry};
-pub use trace::{
-    validate_trace, ClockDomain, TraceDetail, TraceEvent, TraceEventKind, TraceHandle, TraceSink,
-};
+pub use trace::{validate_trace, ClockDomain, TraceDetail, TraceEvent, TraceEventKind, TraceSink};

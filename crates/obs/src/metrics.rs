@@ -2,10 +2,10 @@
 //!
 //! The registry is intentionally boring: named `u64` counters plus
 //! power-of-two-bucketed histograms, stored in `BTreeMap`s so the dump
-//! is byte-stable across runs.  A [`super::trace::TraceSink`] fills one
-//! as events are emitted (pool hit counts, per-quantum charge
-//! distribution, spill files, adaptive checkpoints), and the figures
-//! binary writes the dump next to the Chrome trace.
+//! is byte-stable across runs.  [`super::trace::TraceSink::metrics`]
+//! folds a sink's recorded events into one (pool hit counts, per-quantum
+//! charge distribution, spill files, adaptive checkpoints), and the
+//! figures binary writes the dump next to the Chrome trace.
 
 use std::collections::BTreeMap;
 

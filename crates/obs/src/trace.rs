@@ -1,15 +1,18 @@
-//! Trace sinks and events: the charge-free execution recorder.
+//! The trace sink and its events: the charge-free execution recorder.
 //!
-//! A [`TraceSink`] collects [`TraceEvent`]s — operator spans, page I/O,
-//! spill allocations, adaptive checkpoints, scheduler baton slices —
-//! each stamped on **two clocks**:
+//! A [`TraceSink`] keeps [`TraceEvent`]s — operator spans, page I/O,
+//! spill allocations, adaptive checkpoints, scheduler baton slices — in
+//! emission order, each stamped on **two clocks**:
 //!
-//! * `sim` — simulated seconds.  Per-query events carry the query's own
-//!   [`ClockDomain::Query`] clock (its `SimClock` elapsed time); the
-//!   concurrent scheduler stamps its events with the shared
-//!   [`ClockDomain::Scheduler`] *global virtual time* (the sum of every
-//!   query's charge deltas in schedule order), which is what makes an
-//!   interleaved timeline renderable at all.
+//! * `ticks` — simulated clock ticks (picoseconds, the unit of
+//!   `storage::SimClock`), an integer, exactly as the emitter read them.
+//!   Per-query events carry the query's own [`ClockDomain::Query`] clock
+//!   (its `SimClock` elapsed ticks); the concurrent scheduler stamps its
+//!   events with the shared [`ClockDomain::Scheduler`] *global virtual
+//!   time* (the sum of every query's charge deltas in schedule order),
+//!   which is what makes an interleaved timeline renderable at all.
+//!   Durations are integer differences; seconds and microseconds exist
+//!   only where an exporter prints them.
 //! * `real_ns` — real nanoseconds since the sink's creation, so wall
 //!   time spent outside the simulation (hashing, sorting, allocation)
 //!   is visible next to the simulated cost it was charged as.
@@ -19,19 +22,20 @@
 //! clocks when emitting.  The differential equivalence suites run every
 //! case on sessions traced at [`TraceDetail::Full`] to enforce this.
 //!
+//! A trace is plain data.  [`TraceSink::emit`] reads the real clock,
+//! takes the sink's lock and pushes; everything derived — the metrics,
+//! the operator profile, the Chrome document — is computed from the
+//! recorded events by whoever asks for it, when they ask.
+//!
 //! A sink is a value: whoever wants a trace builds one, hands it down in
 //! a config (`MeasureConfig::trace`, `ServeConfig::trace`) or attaches it
 //! to a session, and writes it out with [`write_artifacts`].  Nothing in
-//! the process is traced unless it was handed a sink.
-//!
-//! Dispatch is a plain enum ([`TraceSink::Null`] / [`TraceSink::Memory`])
-//! rather than a trait object so the disabled path is a branch, not a
-//! virtual call; sessions additionally cache an "am I traced" flag so
-//! the per-page cost of disabled tracing is a single `Cell` read.
+//! the process is traced unless it was handed a sink: the off switch is
+//! `Option<Arc<TraceSink>>` being `None`, and there is no other.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::metrics::MetricsRegistry;
@@ -47,7 +51,11 @@ pub enum TraceDetail {
     Full,
 }
 
-/// Which clock a `sim` timestamp was read from.
+/// Simulated clock ticks per second: a tick is a picosecond, the unit of
+/// `storage::SimClock` (which pins the two constants equal).
+pub const TICKS_PER_SECOND: u64 = 1_000_000_000_000;
+
+/// Which clock a `ticks` stamp was read from.
 ///
 /// Events on the same track but different domains are on different
 /// timelines and must not be compared; the Chrome exporter gives each
@@ -66,8 +74,10 @@ pub enum ClockDomain {
 pub enum TraceEventKind {
     /// An operator began executing (`name` is the plan synopsis).
     OpBegin { name: String, depth: u32 },
-    /// The matching operator finished, having produced `rows`.
-    OpEnd { name: String, depth: u32, rows: u64 },
+    /// The innermost open operator on the track finished, having produced
+    /// `rows`.  Spans pair by nesting, so the end carries no name: readers
+    /// take it from the open [`TraceEventKind::OpBegin`].
+    OpEnd { depth: u32, rows: u64 },
     /// An adaptive checkpoint observed `rows` at checkpoint `kind`.
     Checkpoint { kind: &'static str, rows: u64 },
     /// An adaptive controller decided to bail/switch at checkpoint
@@ -108,7 +118,7 @@ pub enum TraceEventKind {
 }
 
 impl TraceEventKind {
-    /// The clock domain this event's `sim` timestamp belongs to.
+    /// The clock domain this event's `ticks` stamp belongs to.
     pub fn domain(&self) -> ClockDomain {
         match self {
             TraceEventKind::Queued
@@ -129,8 +139,8 @@ pub struct TraceEvent {
     /// Track (lane) the event belongs to; tracks are allocated per
     /// query/session plus one for the scheduler.
     pub track: u32,
-    /// Simulated seconds on the clock named by `kind.domain()`.
-    pub sim: f64,
+    /// Simulated ticks on the clock named by `kind.domain()`.
+    pub ticks: u64,
     /// Real nanoseconds since the sink was created.
     pub real_ns: u64,
     /// What happened.
@@ -144,50 +154,32 @@ const DEFAULT_EVENT_CAP: usize = 1 << 20;
 
 struct SinkState {
     events: Vec<TraceEvent>,
-    dropped: u64,
     tracks: Vec<String>,
-    metrics: MetricsRegistry,
+    dropped: u64,
+    /// What the dropped events would have counted: filled on the drop
+    /// path only, so [`TraceSink::metrics`] stays correct past the cap.
+    overflow: MetricsRegistry,
 }
 
-/// The in-memory recorder behind [`TraceSink::Memory`].
-pub struct MemorySink {
+/// A destination for trace events: a capped in-memory vector behind one
+/// mutex.
+pub struct TraceSink {
     epoch: Instant,
     detail: TraceDetail,
     cap: usize,
     state: Mutex<SinkState>,
 }
 
-impl std::fmt::Debug for MemorySink {
+impl std::fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.lock();
-        f.debug_struct("MemorySink")
+        f.debug_struct("TraceSink")
             .field("detail", &self.detail)
             .field("events", &s.events.len())
             .field("dropped", &s.dropped)
             .field("tracks", &s.tracks.len())
             .finish()
     }
-}
-
-impl MemorySink {
-    fn lock(&self) -> MutexGuard<'_, SinkState> {
-        // A panicking instrumented thread must not take observability
-        // down with it: recover the guard from a poisoned mutex.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A destination for trace events.
-///
-/// [`TraceSink::Null`] ignores everything (the "disabled" arm of the
-/// enum dispatch); [`TraceSink::Memory`] records into a capped vector
-/// and fills a [`MetricsRegistry`] as a side effect.
-#[derive(Debug)]
-pub enum TraceSink {
-    /// Discard all events.
-    Null,
-    /// Record events in memory.
-    Memory(MemorySink),
 }
 
 impl TraceSink {
@@ -198,156 +190,119 @@ impl TraceSink {
 
     /// An in-memory sink with an explicit event cap.
     pub fn memory_with_cap(detail: TraceDetail, cap: usize) -> TraceSink {
-        TraceSink::Memory(MemorySink {
+        TraceSink {
             epoch: Instant::now(),
             detail,
             cap,
             state: Mutex::new(SinkState {
                 events: Vec::new(),
-                dropped: 0,
                 tracks: Vec::new(),
-                metrics: MetricsRegistry::new(),
+                dropped: 0,
+                overflow: MetricsRegistry::new(),
             }),
-        })
+        }
     }
 
-    /// True when emitting to this sink records anything.
-    pub fn is_enabled(&self) -> bool {
-        matches!(self, TraceSink::Memory(_))
+    fn lock(&self) -> MutexGuard<'_, SinkState> {
+        // A panicking instrumented thread must not take observability
+        // down with it: recover the guard from a poisoned mutex.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Capture detail ([`TraceDetail::Spans`] for the null sink).
+    /// Capture detail.
     pub fn detail(&self) -> TraceDetail {
-        match self {
-            TraceSink::Null => TraceDetail::Spans,
-            TraceSink::Memory(m) => m.detail,
-        }
+        self.detail
     }
 
-    /// Allocate a new track labelled `label`; returns its id (always 0
-    /// for the null sink).
+    /// Allocate a new track labelled `label`; returns its id.
     pub fn alloc_track(&self, label: &str) -> u32 {
-        match self {
-            TraceSink::Null => 0,
-            TraceSink::Memory(m) => {
-                let mut s = m.lock();
-                s.tracks.push(label.to_string());
-                (s.tracks.len() - 1) as u32
-            }
-        }
+        let mut s = self.lock();
+        s.tracks.push(label.to_string());
+        (s.tracks.len() - 1) as u32
     }
 
-    /// Record one event on `track` at simulated time `sim`.
-    pub fn emit(&self, track: u32, sim: f64, kind: TraceEventKind) {
-        let m = match self {
-            TraceSink::Null => return,
-            TraceSink::Memory(m) => m,
-        };
-        let real_ns = m.epoch.elapsed().as_nanos() as u64;
-        let mut s = m.lock();
-        Self::account(&mut s.metrics, &kind);
-        if s.events.len() >= m.cap {
+    /// Record one event on `track` at simulated time `ticks`: read the
+    /// real clock, lock, push (past the cap: count it instead).
+    pub fn emit(&self, track: u32, ticks: u64, kind: TraceEventKind) {
+        let real_ns = self.epoch.elapsed().as_nanos() as u64;
+        let mut s = self.lock();
+        if s.events.len() < self.cap {
+            s.events.push(TraceEvent { track, ticks, real_ns, kind });
+        } else {
             s.dropped += 1;
-            return;
-        }
-        s.events.push(TraceEvent { track, sim, real_ns, kind });
-    }
-
-    /// Metrics side effects of an event (counters stay correct even
-    /// when the event itself is dropped at the cap).
-    fn account(metrics: &mut MetricsRegistry, kind: &TraceEventKind) {
-        metrics.incr("trace.events", 1);
-        match kind {
-            TraceEventKind::OpBegin { .. } => metrics.incr("exec.operators", 1),
-            TraceEventKind::OpEnd { .. } => {}
-            TraceEventKind::Checkpoint { .. } => metrics.incr("adaptive.checkpoints", 1),
-            TraceEventKind::Switch { .. } => metrics.incr("adaptive.switches", 1),
-            TraceEventKind::PageRead { hit } => {
-                metrics.incr("io.page_reads", 1);
-                if *hit {
-                    metrics.incr("io.page_hits", 1);
-                }
-            }
-            TraceEventKind::PageWrite => metrics.incr("io.page_writes", 1),
-            TraceEventKind::IoWindow { reads, hits, writes } => {
-                metrics.incr("io.window.reads", *reads);
-                metrics.incr("io.window.hits", *hits);
-                metrics.incr("io.window.writes", *writes);
-                metrics.observe("quantum.page_touches", reads + hits + writes);
-                if let Some(permille) = (hits * 1000).checked_div(reads + hits) {
-                    metrics.observe("quantum.hit_permille", permille);
-                }
-            }
-            TraceEventKind::SpillAlloc { .. } => metrics.incr("spill.files", 1),
-            TraceEventKind::GrantSet { .. } => metrics.incr("grant.sets", 1),
-            TraceEventKind::SessionReset => metrics.incr("session.resets", 1),
-            TraceEventKind::Queued => metrics.incr("sched.queued", 1),
-            TraceEventKind::Admit { .. } => metrics.incr("sched.admissions", 1),
-            TraceEventKind::SliceBegin => metrics.incr("sched.slices", 1),
-            TraceEventKind::SliceEnd => {}
-            TraceEventKind::IdleReset => metrics.incr("sched.idle_resets", 1),
-            TraceEventKind::QueryDone { .. } => metrics.incr("sched.completions", 1),
-            TraceEventKind::MutationBatch { rows, .. } => {
-                metrics.incr("churn.batches", 1);
-                metrics.incr("churn_rows_applied", *rows);
-            }
+            account(&mut s.overflow, &kind);
         }
     }
 
     /// Snapshot of all recorded events, in emission order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        match self {
-            TraceSink::Null => Vec::new(),
-            TraceSink::Memory(m) => m.lock().events.clone(),
-        }
+        self.lock().events.clone()
     }
 
     /// Number of recorded events.
     pub fn event_count(&self) -> usize {
-        match self {
-            TraceSink::Null => 0,
-            TraceSink::Memory(m) => m.lock().events.len(),
-        }
+        self.lock().events.len()
     }
 
     /// Events discarded because the cap was reached.
     pub fn dropped(&self) -> u64 {
-        match self {
-            TraceSink::Null => 0,
-            TraceSink::Memory(m) => m.lock().dropped,
-        }
+        self.lock().dropped
     }
 
     /// Labels of all allocated tracks, indexed by track id.
     pub fn track_labels(&self) -> Vec<String> {
-        match self {
-            TraceSink::Null => Vec::new(),
-            TraceSink::Memory(m) => m.lock().tracks.clone(),
-        }
+        self.lock().tracks.clone()
     }
 
-    /// Snapshot of the metrics filled by [`TraceSink::emit`].
+    /// The metrics of everything emitted so far, folded from the recorded
+    /// events now (plus what the dropped ones counted).
     pub fn metrics(&self) -> MetricsRegistry {
-        match self {
-            TraceSink::Null => MetricsRegistry::new(),
-            TraceSink::Memory(m) => m.lock().metrics.clone(),
+        let s = self.lock();
+        let mut metrics = s.overflow.clone();
+        for ev in &s.events {
+            account(&mut metrics, &ev.kind);
         }
+        metrics
     }
 }
 
-/// A sink plus a track: what an instrumented component holds on to.
-#[derive(Debug, Clone)]
-pub struct TraceHandle {
-    /// The shared sink.
-    pub sink: Arc<TraceSink>,
-    /// The track this component emits on.
-    pub track: u32,
-}
-
-impl TraceHandle {
-    /// Record one event at simulated time `sim` on this handle's track.
-    pub fn emit(&self, sim: f64, kind: TraceEventKind) {
-        self.sink.emit(self.track, sim, kind);
+/// What one event counts for in the metrics.
+fn account(metrics: &mut MetricsRegistry, kind: &TraceEventKind) {
+    metrics.incr("trace.events", 1);
+    match kind {
+        TraceEventKind::OpBegin { .. } => metrics.incr("exec.operators", 1),
+        TraceEventKind::OpEnd { .. } => {}
+        TraceEventKind::Checkpoint { .. } => metrics.incr("adaptive.checkpoints", 1),
+        TraceEventKind::Switch { .. } => metrics.incr("adaptive.switches", 1),
+        TraceEventKind::PageRead { hit } => {
+            metrics.incr("io.page_reads", 1);
+            if *hit {
+                metrics.incr("io.page_hits", 1);
+            }
+        }
+        TraceEventKind::PageWrite => metrics.incr("io.page_writes", 1),
+        TraceEventKind::IoWindow { reads, hits, writes } => {
+            metrics.incr("io.window.reads", *reads);
+            metrics.incr("io.window.hits", *hits);
+            metrics.incr("io.window.writes", *writes);
+            metrics.observe("quantum.page_touches", reads + hits + writes);
+            if let Some(permille) = (hits * 1000).checked_div(reads + hits) {
+                metrics.observe("quantum.hit_permille", permille);
+            }
+        }
+        TraceEventKind::SpillAlloc { .. } => metrics.incr("spill.files", 1),
+        TraceEventKind::GrantSet { .. } => metrics.incr("grant.sets", 1),
+        TraceEventKind::SessionReset => metrics.incr("session.resets", 1),
+        TraceEventKind::Queued => metrics.incr("sched.queued", 1),
+        TraceEventKind::Admit { .. } => metrics.incr("sched.admissions", 1),
+        TraceEventKind::SliceBegin => metrics.incr("sched.slices", 1),
+        TraceEventKind::SliceEnd => {}
+        TraceEventKind::IdleReset => metrics.incr("sched.idle_resets", 1),
+        TraceEventKind::QueryDone { .. } => metrics.incr("sched.completions", 1),
+        TraceEventKind::MutationBatch { rows, .. } => {
+            metrics.incr("churn.batches", 1);
+            metrics.incr("churn_rows_applied", *rows);
+        }
     }
 }
 
@@ -357,49 +312,50 @@ impl TraceHandle {
 
 /// Check structural invariants of an event stream:
 ///
-/// * per `(track, domain)`, `sim` is monotonically non-decreasing in
+/// * per `(track, domain)`, `ticks` is monotonically non-decreasing in
 ///   emission order (a [`TraceEventKind::SessionReset`] restarts the
 ///   track's query clock and resets the watermark);
-/// * operator begin/end events are properly nested per track, with
-///   matching `name` and `depth`, and all spans are closed;
+/// * operator begin/end events are properly nested per track — an end
+///   closes the innermost open span, at the same `depth` — and all spans
+///   are closed;
 /// * scheduler slices alternate begin/end per track and are closed.
 ///
 /// Returns the first violation as `Err(description)`.
 pub fn validate_trace(events: &[TraceEvent]) -> Result<(), String> {
-    let mut watermark: BTreeMap<(u32, ClockDomain), f64> = BTreeMap::new();
-    let mut op_stack: BTreeMap<u32, Vec<(String, u32)>> = BTreeMap::new();
+    let mut watermark: BTreeMap<(u32, ClockDomain), u64> = BTreeMap::new();
+    let mut op_stack: BTreeMap<u32, Vec<(&str, u32)>> = BTreeMap::new();
     let mut slice_open: BTreeMap<u32, bool> = BTreeMap::new();
     for (i, ev) in events.iter().enumerate() {
         let domain = ev.kind.domain();
         if matches!(ev.kind, TraceEventKind::SessionReset) {
-            watermark.insert((ev.track, domain), ev.sim.min(0.0));
+            watermark.insert((ev.track, domain), 0);
         } else {
-            let w = watermark.entry((ev.track, domain)).or_insert(0.0);
-            if ev.sim < *w {
+            let w = watermark.entry((ev.track, domain)).or_insert(0);
+            if ev.ticks < *w {
                 return Err(format!(
-                    "event {i} on track {} ({domain:?}): sim went backwards ({} < {})",
-                    ev.track, ev.sim, w
+                    "event {i} on track {} ({domain:?}): ticks went backwards ({} < {})",
+                    ev.track, ev.ticks, w
                 ));
             }
-            *w = ev.sim;
+            *w = ev.ticks;
         }
         match &ev.kind {
             TraceEventKind::OpBegin { name, depth } => {
-                op_stack.entry(ev.track).or_default().push((name.clone(), *depth));
+                op_stack.entry(ev.track).or_default().push((name, *depth));
             }
-            TraceEventKind::OpEnd { name, depth, .. } => {
+            TraceEventKind::OpEnd { depth, .. } => {
                 match op_stack.entry(ev.track).or_default().pop() {
-                    Some((n, d)) if &n == name && d == *depth => {}
+                    Some((_, d)) if d == *depth => {}
                     Some((n, d)) => {
                         return Err(format!(
-                            "event {i} on track {}: OpEnd {name:?}@{depth} does not match \
-                             open span {n:?}@{d}",
+                            "event {i} on track {}: OpEnd @{depth} does not match open span \
+                             {n:?}@{d}",
                             ev.track
                         ));
                     }
                     None => {
                         return Err(format!(
-                            "event {i} on track {}: OpEnd {name:?}@{depth} with no open span",
+                            "event {i} on track {}: OpEnd @{depth} with no open span",
                             ev.track
                         ));
                     }
@@ -441,20 +397,20 @@ pub fn validate_trace(events: &[TraceEvent]) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-track total simulated seconds spent inside baton slices
-/// (`SliceEnd.sim - SliceBegin.sim`, summed).  For a served query this
-/// reconciles with its `ExecStats::seconds` up to float association.
-pub fn slice_totals(events: &[TraceEvent]) -> BTreeMap<u32, f64> {
-    let mut open: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut totals: BTreeMap<u32, f64> = BTreeMap::new();
+/// Per-track total simulated ticks spent inside baton slices
+/// (`SliceEnd.ticks - SliceBegin.ticks`, summed).  For a served query
+/// this equals its `ExecStats::ticks`.
+pub fn slice_totals(events: &[TraceEvent]) -> BTreeMap<u32, u64> {
+    let mut open: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut totals: BTreeMap<u32, u64> = BTreeMap::new();
     for ev in events {
         match ev.kind {
             TraceEventKind::SliceBegin => {
-                open.insert(ev.track, ev.sim);
+                open.insert(ev.track, ev.ticks);
             }
             TraceEventKind::SliceEnd => {
                 if let Some(begin) = open.remove(&ev.track) {
-                    *totals.entry(ev.track).or_insert(0.0) += ev.sim - begin;
+                    *totals.entry(ev.track).or_insert(0) += ev.ticks - begin;
                 }
             }
             _ => {}
@@ -472,19 +428,20 @@ fn csv_field(s: &str) -> String {
 }
 
 /// Per-query operator profile as CSV: one row per completed operator
-/// span, with inclusive simulated seconds (`OpEnd.sim - OpBegin.sim`).
+/// span, with inclusive simulated seconds (`OpEnd.ticks - OpBegin.ticks`,
+/// divided once, here).
 pub fn op_profile_csv(events: &[TraceEvent], labels: &[String]) -> String {
     let mut out = String::from("track,query,depth,op,rows,sim_seconds\n");
-    let mut stacks: BTreeMap<u32, Vec<(String, u32, f64)>> = BTreeMap::new();
+    let mut stacks: BTreeMap<u32, Vec<(&str, u32, u64)>> = BTreeMap::new();
     for ev in events {
         match &ev.kind {
             TraceEventKind::OpBegin { name, depth } => {
-                stacks.entry(ev.track).or_default().push((name.clone(), *depth, ev.sim));
+                stacks.entry(ev.track).or_default().push((name, *depth, ev.ticks));
             }
-            TraceEventKind::OpEnd { name, depth, rows } => {
+            TraceEventKind::OpEnd { depth, rows } => {
                 let popped = stacks.entry(ev.track).or_default().pop();
-                if let Some((n, d, begin)) = popped {
-                    if &n == name && d == *depth {
+                if let Some((name, d, begin)) = popped {
+                    if d == *depth {
                         let label = labels
                             .get(ev.track as usize)
                             .map(String::as_str)
@@ -496,7 +453,7 @@ pub fn op_profile_csv(events: &[TraceEvent], labels: &[String]) -> String {
                             depth,
                             csv_field(name),
                             rows,
-                            ev.sim - begin,
+                            (ev.ticks - begin) as f64 / TICKS_PER_SECOND as f64,
                         ));
                     }
                 }
@@ -537,33 +494,27 @@ pub fn write_artifacts(sink: &TraceSink, path: &Path) -> std::io::Result<Vec<Pat
 mod tests {
     use super::*;
 
-    fn ev(track: u32, sim: f64, kind: TraceEventKind) -> TraceEvent {
-        TraceEvent { track, sim, real_ns: 0, kind }
-    }
-
-    #[test]
-    fn null_sink_records_nothing() {
-        let sink = TraceSink::Null;
-        assert!(!sink.is_enabled());
-        assert_eq!(sink.alloc_track("q0"), 0);
-        sink.emit(0, 1.0, TraceEventKind::PageWrite);
-        assert_eq!(sink.event_count(), 0);
-        assert!(sink.metrics().is_empty());
+    fn ev(track: u32, ticks: u64, kind: TraceEventKind) -> TraceEvent {
+        TraceEvent { track, ticks, real_ns: 0, kind }
     }
 
     #[test]
     fn memory_sink_records_events_and_metrics() {
         let sink = TraceSink::memory(TraceDetail::Spans);
         let t = sink.alloc_track("q0");
-        sink.emit(t, 0.0, TraceEventKind::OpBegin { name: "scan".into(), depth: 0 });
-        sink.emit(t, 0.5, TraceEventKind::IoWindow { reads: 3, hits: 1, writes: 0 });
-        sink.emit(t, 1.0, TraceEventKind::OpEnd { name: "scan".into(), depth: 0, rows: 7 });
+        sink.emit(t, 0, TraceEventKind::OpBegin { name: "scan".into(), depth: 0 });
+        sink.emit(t, 500, TraceEventKind::IoWindow { reads: 3, hits: 1, writes: 0 });
+        sink.emit(t, 1000, TraceEventKind::OpEnd { depth: 0, rows: 7 });
         assert_eq!(sink.event_count(), 3);
         let m = sink.metrics();
         assert_eq!(m.counter("trace.events"), 3);
         assert_eq!(m.counter("exec.operators"), 1);
         assert_eq!(m.counter("io.window.reads"), 3);
         assert_eq!(m.histogram("quantum.page_touches").unwrap().count(), 1);
+        // Reading is a fold over the events, not a drain: a second read
+        // after one more event sees all four.
+        sink.emit(t, 1000, TraceEventKind::PageWrite);
+        assert_eq!(sink.metrics().counter("trace.events"), 4);
         assert_eq!(sink.track_labels(), vec!["q0".to_string()]);
         assert!(validate_trace(&sink.events()).is_ok());
     }
@@ -572,7 +523,7 @@ mod tests {
     fn event_cap_counts_drops_but_keeps_metrics() {
         let sink = TraceSink::memory_with_cap(TraceDetail::Spans, 2);
         for _ in 0..5 {
-            sink.emit(0, 0.0, TraceEventKind::PageWrite);
+            sink.emit(0, 0, TraceEventKind::PageWrite);
         }
         assert_eq!(sink.event_count(), 2);
         assert_eq!(sink.dropped(), 3);
@@ -581,40 +532,40 @@ mod tests {
 
     #[test]
     fn validate_catches_unbalanced_spans() {
-        let open = vec![ev(0, 0.0, TraceEventKind::OpBegin { name: "s".into(), depth: 0 })];
+        let open = vec![ev(0, 0, TraceEventKind::OpBegin { name: "s".into(), depth: 0 })];
         assert!(validate_trace(&open).unwrap_err().contains("never closed"));
 
         let crossed = vec![
-            ev(0, 0.0, TraceEventKind::OpBegin { name: "a".into(), depth: 0 }),
-            ev(0, 0.1, TraceEventKind::OpBegin { name: "b".into(), depth: 1 }),
-            ev(0, 0.2, TraceEventKind::OpEnd { name: "a".into(), depth: 0, rows: 0 }),
+            ev(0, 0, TraceEventKind::OpBegin { name: "a".into(), depth: 0 }),
+            ev(0, 1, TraceEventKind::OpBegin { name: "b".into(), depth: 1 }),
+            ev(0, 2, TraceEventKind::OpEnd { depth: 0, rows: 0 }),
         ];
         assert!(validate_trace(&crossed).unwrap_err().contains("does not match"));
 
-        let stray = vec![ev(0, 0.0, TraceEventKind::OpEnd { name: "x".into(), depth: 0, rows: 0 })];
+        let stray = vec![ev(0, 0, TraceEventKind::OpEnd { depth: 0, rows: 0 })];
         assert!(validate_trace(&stray).unwrap_err().contains("no open span"));
     }
 
     #[test]
-    fn validate_catches_backwards_sim_but_allows_reset() {
+    fn validate_catches_backwards_ticks_but_allows_reset() {
         let backwards = vec![
-            ev(0, 1.0, TraceEventKind::PageWrite),
-            ev(0, 0.5, TraceEventKind::PageWrite),
+            ev(0, 10, TraceEventKind::PageWrite),
+            ev(0, 5, TraceEventKind::PageWrite),
         ];
         assert!(validate_trace(&backwards).unwrap_err().contains("backwards"));
 
         let reset = vec![
-            ev(0, 1.0, TraceEventKind::PageWrite),
-            ev(0, 1.0, TraceEventKind::SessionReset),
-            ev(0, 0.1, TraceEventKind::PageWrite),
+            ev(0, 10, TraceEventKind::PageWrite),
+            ev(0, 10, TraceEventKind::SessionReset),
+            ev(0, 1, TraceEventKind::PageWrite),
         ];
         assert!(validate_trace(&reset).is_ok());
 
         // Different domains on one track have independent watermarks.
         let mixed = vec![
-            ev(0, 5.0, TraceEventKind::SliceBegin),
-            ev(0, 0.1, TraceEventKind::PageWrite),
-            ev(0, 6.0, TraceEventKind::SliceEnd),
+            ev(0, 50, TraceEventKind::SliceBegin),
+            ev(0, 1, TraceEventKind::PageWrite),
+            ev(0, 60, TraceEventKind::SliceEnd),
         ];
         assert!(validate_trace(&mixed).is_ok());
     }
@@ -622,23 +573,23 @@ mod tests {
     #[test]
     fn slice_totals_sum_durations() {
         let events = vec![
-            ev(0, 0.0, TraceEventKind::SliceBegin),
-            ev(0, 1.0, TraceEventKind::SliceEnd),
-            ev(1, 1.0, TraceEventKind::SliceBegin),
-            ev(1, 1.5, TraceEventKind::SliceEnd),
-            ev(0, 1.5, TraceEventKind::SliceBegin),
-            ev(0, 3.5, TraceEventKind::SliceEnd),
+            ev(0, 0, TraceEventKind::SliceBegin),
+            ev(0, 10, TraceEventKind::SliceEnd),
+            ev(1, 10, TraceEventKind::SliceBegin),
+            ev(1, 15, TraceEventKind::SliceEnd),
+            ev(0, 15, TraceEventKind::SliceBegin),
+            ev(0, 35, TraceEventKind::SliceEnd),
         ];
         let totals = slice_totals(&events);
-        assert_eq!(totals.get(&0), Some(&3.0));
-        assert_eq!(totals.get(&1), Some(&0.5));
+        assert_eq!(totals.get(&0), Some(&30));
+        assert_eq!(totals.get(&1), Some(&5));
     }
 
     #[test]
     fn op_profile_quotes_commas() {
         let events = vec![
-            ev(0, 0.0, TraceEventKind::OpBegin { name: "scan(t, a<=x)".into(), depth: 0 }),
-            ev(0, 2.0, TraceEventKind::OpEnd { name: "scan(t, a<=x)".into(), depth: 0, rows: 9 }),
+            ev(0, 0, TraceEventKind::OpBegin { name: "scan(t, a<=x)".into(), depth: 0 }),
+            ev(0, 2 * TICKS_PER_SECOND, TraceEventKind::OpEnd { depth: 0, rows: 9 }),
         ];
         let csv = op_profile_csv(&events, &["q0: demo".to_string()]);
         assert!(csv.starts_with("track,query,depth,op,rows,sim_seconds\n"));

@@ -1,48 +1,50 @@
 //! Property tests for trace well-formedness: randomly generated but
 //! structurally valid emission schedules must always validate, their
 //! Chrome export must round-trip through the minimal JSON parser with
-//! begin/end balance intact, and random corruptions must be caught.
+//! begin/end balance intact and every tick stamp exact, and random
+//! corruptions must be caught.
 
 use proptest::prelude::*;
 use robustmap_obs::chrome::{parse_chrome_trace, to_chrome_json};
 use robustmap_obs::trace::{validate_trace, TraceDetail, TraceEventKind, TraceSink};
 
 /// Drive a sink through `plan`: per track, a sequence of operator
-/// frames (depth-first), each frame charging a little sim time, with
-/// instants sprinkled in.  Returns the sink.
+/// frames (depth-first), each frame charging a few ticks — odd counts, so
+/// stamps are not whole microseconds — with instants sprinkled in.
+/// Returns the sink.
 fn emit_schedule(plan: &[(u8, Vec<u8>)]) -> TraceSink {
     let sink = TraceSink::memory(TraceDetail::Spans);
     for (qi, (extra, frames)) in plan.iter().enumerate() {
         let t = sink.alloc_track(&format!("q{qi}"));
-        let mut sim = 0.0f64;
-        let mut open: Vec<(String, u32)> = Vec::new();
+        let mut ticks = 0u64;
+        let mut open: Vec<u32> = Vec::new();
         for (fi, f) in frames.iter().enumerate() {
             // Open a span at the current depth, sometimes nest deeper.
             let name = format!("op{fi}(sel<={})", f % 7);
             let depth = open.len() as u32;
-            sink.emit(t, sim, TraceEventKind::OpBegin { name: name.clone(), depth });
-            open.push((name, depth));
-            sim += 0.001 * (1.0 + *f as f64);
+            sink.emit(t, ticks, TraceEventKind::OpBegin { name, depth });
+            open.push(depth);
+            ticks += 1_000_000_007 * (1 + *f as u64);
             if f % 3 == 0 {
                 sink.emit(
                     t,
-                    sim,
+                    ticks,
                     TraceEventKind::IoWindow { reads: *f as u64, hits: (*f / 2) as u64, writes: 0 },
                 );
             }
             // Close some spans (always at least leave the stack valid).
             if f % 2 == 1 {
-                while let Some((n, d)) = open.pop() {
-                    sink.emit(t, sim, TraceEventKind::OpEnd { name: n, depth: d, rows: *f as u64 });
+                while let Some(d) = open.pop() {
+                    sink.emit(t, ticks, TraceEventKind::OpEnd { depth: d, rows: *f as u64 });
                     if d as usize <= (*extra % 3) as usize {
                         break;
                     }
                 }
             }
         }
-        while let Some((n, d)) = open.pop() {
-            sim += 0.0005;
-            sink.emit(t, sim, TraceEventKind::OpEnd { name: n, depth: d, rows: 0 });
+        while let Some(d) = open.pop() {
+            ticks += 500_000_003;
+            sink.emit(t, ticks, TraceEventKind::OpEnd { depth: d, rows: 0 });
         }
     }
     sink
@@ -61,7 +63,7 @@ proptest! {
         let sink = emit_schedule(&plan);
         let events = sink.events();
 
-        // Well-formed by construction: nested spans, monotone sim.
+        // Well-formed by construction: nested spans, monotone ticks.
         prop_assert!(validate_trace(&events).is_ok(),
             "validate failed: {:?}", validate_trace(&events));
 
@@ -82,8 +84,16 @@ proptest! {
         let non_meta = parsed.iter().filter(|e| e.ph != "M").count();
         prop_assert_eq!(non_meta, events.len());
 
+        // Every `ts` is its event's ticks as microseconds, to the digit:
+        // the exporter writes the exact decimal of ticks / 10^6, which
+        // parses to the same f64 as the (correctly rounded) division.
+        let stamped = parsed.iter().filter(|e| e.ph != "M");
+        for (src, out) in events.iter().zip(stamped) {
+            prop_assert_eq!(out.ts, src.ticks as f64 / 1e6, "ts of {:?}", src);
+        }
+
         // Parsed timestamps are monotone per (pid, tid) for span events,
-        // mirroring the source invariant (ts is sim * 1e6).
+        // mirroring the source invariant.
         let mut last: std::collections::BTreeMap<(u64, u32), f64> = Default::default();
         for e in parsed.iter().filter(|e| e.ph == "B" || e.ph == "E") {
             let w = last.entry((e.pid, e.tid)).or_insert(f64::NEG_INFINITY);
@@ -120,7 +130,7 @@ proptest! {
             _ => {
                 // Time warp: shove the first event far into the future.
                 if events.len() < 2 { return Ok(()); }
-                events[0].sim = 1e12;
+                events[0].ticks = u64::MAX;
                 // Guard: only meaningful if event 0 shares (track,
                 // domain) with a later event.
                 let d0 = events[0].kind.domain();

@@ -2,8 +2,8 @@
 //!
 //! A [`Session`] is the per-query half of the execution stack's split: it
 //! owns the query-private state — the cost model, the simulated
-//! [`SimClock`] (and therefore the per-query [`IoStats`]), the memory
-//! grant, and an optional yield hook for cooperative scheduling — and
+//! [`SimClock`] (and therefore the per-query [`IoStats`]) and an optional
+//! yield hook for cooperative scheduling — and
 //! charges residency against pool state (page residency, per-query
 //! hit/miss attribution, the temp-file allocator) that is either its own
 //! or shared, depending on how it was constructed:
@@ -34,7 +34,7 @@
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use robustmap_obs::trace::{TraceDetail, TraceEventKind, TraceHandle, TraceSink};
+use robustmap_obs::trace::{TraceDetail, TraceEventKind, TraceSink};
 
 use crate::buffer::{BufferPool, EvictionPolicy, FileId, PageId};
 use crate::shared::{PoolInner, QueryId, QueryShare, SharedBufferPool};
@@ -71,8 +71,6 @@ pub struct Session {
     clock: SimClock,
     pool: PoolHandle,
     query: QueryId,
-    /// Memory grant in bytes (informational; `usize::MAX` = ungoverned).
-    grant: Cell<usize>,
     /// Charge events so far (see [`Session::charge_events`]).
     events: Cell<u64>,
     /// Charge events per scheduling quantum.
@@ -81,10 +79,11 @@ pub struct Session {
     /// hook is armed, so an unhooked charge pays one compare.
     yield_at: Cell<u64>,
     yielder: RefCell<Option<YieldHook>>,
-    /// Charge-free tracing: the handle, a cached "am I traced" flag so
-    /// the disabled path costs one `Cell` read per charge, a cached
-    /// full-detail flag, and the pending per-quantum I/O window.
-    tracer: RefCell<Option<TraceHandle>>,
+    /// Charge-free tracing: the sink and this session's track on it, a
+    /// cached "am I traced" flag so the disabled path costs one `Cell`
+    /// read per charge, a cached full-detail flag, and the pending
+    /// per-quantum I/O window.
+    tracer: RefCell<Option<(Arc<TraceSink>, u32)>>,
     traced: Cell<bool>,
     trace_full: Cell<bool>,
     win_reads: Cell<u64>,
@@ -118,7 +117,6 @@ impl Session {
             clock: SimClock::new(),
             pool,
             query,
-            grant: Cell::new(usize::MAX),
             events: Cell::new(0),
             yield_every: Cell::new(0),
             yield_at: Cell::new(u64::MAX),
@@ -326,18 +324,12 @@ impl Session {
         self.pool.with(|p| p.capacity())
     }
 
-    /// Record this query's memory grant in bytes (admission control sets
-    /// it; `usize::MAX` until then).
+    /// Note this query's memory grant in bytes on the trace (admission
+    /// control calls it; the grant itself lives in the `ExecCtx`).
     pub fn set_memory_grant(&self, bytes: usize) {
-        self.grant.set(bytes);
         if self.traced.get() {
             self.trace_event(TraceEventKind::GrantSet { bytes: bytes as u64 });
         }
-    }
-
-    /// The memory grant recorded by [`Session::set_memory_grant`].
-    pub fn memory_grant(&self) -> usize {
-        self.grant.get()
     }
 
     /// Install a cooperative yield hook, invoked once per quantum of
@@ -395,11 +387,9 @@ impl Session {
     /// the session's events land on the same lane).
     pub fn attach_tracer_track(&self, sink: Arc<TraceSink>, track: u32) {
         self.flush_io_window();
-        let enabled = sink.is_enabled();
-        self.trace_full.set(enabled && sink.detail() == TraceDetail::Full);
-        self.traced.set(enabled);
-        *self.tracer.borrow_mut() =
-            if enabled { Some(TraceHandle { sink, track }) } else { None };
+        self.trace_full.set(sink.detail() == TraceDetail::Full);
+        self.traced.set(true);
+        *self.tracer.borrow_mut() = Some((sink, track));
     }
 
     /// Detach from the trace sink, flushing the pending I/O window.
@@ -416,25 +406,18 @@ impl Session {
         self.traced.get()
     }
 
-    /// The attached trace handle, if any (cloned; handles are cheap).
-    pub fn trace_handle(&self) -> Option<TraceHandle> {
-        self.tracer.borrow().clone()
-    }
-
     /// Emit `kind` on this session's track, stamped with the session's
-    /// current simulated time.  No-op when untraced.
+    /// current clock ticks.  No-op when untraced.
     pub fn trace_event(&self, kind: TraceEventKind) {
-        if !self.traced.get() {
-            return;
-        }
-        if let Some(h) = self.tracer.borrow().as_ref() {
-            h.emit(self.clock.elapsed(), kind);
+        if let Some((sink, track)) = self.tracer.borrow().as_ref() {
+            sink.emit(*track, self.clock.elapsed_ticks(), kind);
         }
     }
 
     /// The I/O counted since the last window flush (reads, hits,
     /// writes) — all zero when untraced.
-    pub fn pending_io_window(&self) -> (u64, u64, u64) {
+    #[cfg(test)]
+    fn pending_io_window(&self) -> (u64, u64, u64) {
         (self.win_reads.get(), self.win_hits.get(), self.win_writes.get())
     }
 
@@ -767,7 +750,7 @@ mod tests {
             TraceEventKind::IoWindow { reads: 5, .. }
         ));
         assert!(matches!(events.last().unwrap().kind, TraceEventKind::SessionReset));
-        // Post-reset events restart at sim zero without tripping the
+        // Post-reset events restart at tick zero without tripping the
         // monotonicity validator.
         s.read_page(pid(0), AccessKind::Random);
         s.detach_tracer();

@@ -146,6 +146,10 @@ impl CostModel {
 /// holds 213 simulated days.
 pub const TICKS_PER_SECOND: u64 = 1_000_000_000_000;
 
+// Trace events are stamped in these ticks and `obs` (a leaf crate) turns
+// them into seconds at its exporters: the two must agree on the unit.
+const _: () = assert!(TICKS_PER_SECOND == robustmap_obs::trace::TICKS_PER_SECOND);
+
 /// Ticks as seconds.  A division, so the result is the correctly rounded
 /// quotient: 4 461 120 000 ticks read `4.46112e-3`.
 #[inline]

@@ -84,13 +84,21 @@ if grep -n 'mpsc' crates/core/src/serve.rs; then
     exit 1
 fi
 
-echo "== integer-clock gate: the clock counts ticks, and equivalence is == on them"
+echo "== integer-clock gate: the clock counts ticks, equivalence is == on them, and the trace records them as they are"
 if grep -n 'Cell<f64>' crates/storage/src/sim.rs; then
     echo "crates/storage/src/sim.rs holds a Cell<f64> — the clock is u64 picoseconds; seconds exist only where they are read" >&2
     exit 1
 fi
 if grep -rn 'to_bits' tests/common; then
     echo "tests/common compares float bits — the equivalence suites compare clock ticks with ==" >&2
+    exit 1
+fi
+if grep -rnE 'TraceSink::Null|fn is_enabled|sim: f64|struct MemorySink|struct TraceHandle' crates/obs/src crates/storage/src; then
+    echo "crates/obs/src or crates/storage/src regrew a second sink, a second spelling of untraced, or a float time stamp — a TraceSink is one struct, None is the off switch, events carry u64 ticks" >&2
+    exit 1
+fi
+if sed -n '/fn emit(/,/^    }/p' crates/obs/src/trace.rs | grep -n 'metrics'; then
+    echo "TraceSink::emit names metrics — emit is timestamp, lock, push; metrics() folds the recorded events when asked" >&2
     exit 1
 fi
 

@@ -10,7 +10,7 @@ use robustmap::executor::{
     IndexRangeSpec, IntersectAlgo, JoinAlgo, KeyRange, PlanSpec, Predicate, Projection, RunOpts,
     SpillMode, SwitchController,
 };
-use robustmap::obs::trace::{TraceDetail, TraceSink};
+use robustmap::obs::trace::{TraceDetail, TraceEventKind, TraceSink};
 use robustmap::storage::Row;
 use robustmap::workload::Workload;
 
@@ -92,9 +92,13 @@ pub fn run_under(
     cfg: &MeasureConfig,
     controller: Option<&dyn SwitchController>,
 ) -> ExecStats {
+    let (cfg, sink) = with_own_sink(cfg);
     let s = cfg.session();
     let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    run_count(spec, &ctx, RunOpts { batch: cfg.exec, controller }).expect("well-formed plan")
+    let stats =
+        run_count(spec, &ctx, RunOpts { batch: cfg.exec, controller }).expect("well-formed plan");
+    assert_spans_are_the_operator_record(sink.as_deref(), &stats);
+    stats
 }
 
 /// [`run_under`], keeping the result rows.
@@ -104,9 +108,53 @@ pub fn collect_under(
     cfg: &MeasureConfig,
     controller: Option<&dyn SwitchController>,
 ) -> (ExecStats, Vec<Row>) {
+    let (cfg, sink) = with_own_sink(cfg);
     let s = cfg.session();
     let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    run_collect(spec, &ctx, RunOpts { batch: cfg.exec, controller }).expect("well-formed plan")
+    let (stats, rows) =
+        run_collect(spec, &ctx, RunOpts { batch: cfg.exec, controller }).expect("well-formed plan");
+    assert_spans_are_the_operator_record(sink.as_deref(), &stats);
+    (stats, rows)
+}
+
+/// A traced `cfg` with a sink of its own for one run, at the same detail
+/// (the matrix's shared sink keeps few events, and not this run's alone);
+/// an untraced `cfg` as it is.
+fn with_own_sink(cfg: &MeasureConfig) -> (MeasureConfig, Option<Arc<TraceSink>>) {
+    let sink = cfg.trace.as_ref().map(|shared| Arc::new(TraceSink::memory(shared.detail())));
+    (MeasureConfig { trace: sink.clone(), ..cfg.clone() }, sink)
+}
+
+/// The trace and the per-operator record are one story: every closed span
+/// of a traced run, in closing order, is an [`ExecStats::operators`] entry
+/// — same label, depth, rows and inclusive ticks — abandoned operators of
+/// a bail included (their span closes with no rows, as their record says).
+fn assert_spans_are_the_operator_record(sink: Option<&TraceSink>, stats: &ExecStats) {
+    let Some(sink) = sink else { return };
+    assert_eq!(sink.dropped(), 0, "the run's own sink dropped events");
+    let events = sink.events();
+    let mut open: Vec<(&str, u64)> = Vec::new();
+    let mut closed: Vec<(&str, usize, u64, u64)> = Vec::new();
+    for e in &events {
+        match &e.kind {
+            TraceEventKind::OpBegin { name, .. } => open.push((name, e.ticks)),
+            TraceEventKind::OpEnd { depth, rows } => {
+                let (name, begin) = open.pop().expect("an end closes an open span");
+                closed.push((name, *depth as usize, *rows, e.ticks - begin));
+            }
+            _ => {}
+        }
+    }
+    assert!(open.is_empty(), "spans left open: {open:?}");
+    let recorded: Vec<(&str, usize, u64, u64)> = stats
+        .operators
+        .iter()
+        .map(|op| {
+            let label = op.label.strip_suffix(" [abandoned]").unwrap_or(&op.label);
+            (label, op.depth, op.rows_out, op.ticks)
+        })
+        .collect();
+    assert_eq!(closed, recorded, "closed spans (name, depth, rows, ticks) vs ExecStats::operators");
 }
 
 /// The equivalence contract, asserted field by field so a divergence names

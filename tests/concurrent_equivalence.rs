@@ -329,15 +329,15 @@ fn report_digest(r: &robustmap::core::ServeReport) -> u64 {
     d.0
 }
 
-/// The recorded timeline as `(track, kind, sim bits)` in emission order;
-/// the kind goes in by its `Debug` form, payload and all.
+/// The recorded timeline as `(track, kind, ticks)` in emission order; the
+/// kind goes in by its `Debug` form, payload and all.
 fn trace_digest(events: &[robustmap::obs::trace::TraceEvent]) -> u64 {
     let mut d = Digest::new();
     d.word(events.len() as u64);
     for e in events {
         d.word(u64::from(e.track));
         d.words(format!("{:?}", e.kind).bytes().map(u64::from));
-        d.word(e.sim.to_bits());
+        d.word(e.ticks);
     }
     d.0
 }
@@ -350,21 +350,24 @@ fn trace_digest(events: &[robustmap::obs::trace::TraceEvent]) -> u64 {
 /// clock became an integer and yields snapped to page and rid-run
 /// boundaries (docs/DESIGN.md, "The clock is an integer") — with every
 /// burst's admission order, completion order, idle resets and per-query
-/// yield counts unchanged.
+/// yield counts unchanged.  The trace column alone was regenerated once
+/// more when events began to carry ticks instead of float seconds and
+/// `OpEnd` lost its name: the digest's input format changed, the events
+/// did not (the old digests were first reproduced from the new events).
 const SCHEDULE_GOLDEN: &[(&str, u64, u64)] = &[
-    ("l1_q257_thrash", 0x99cb97ce5aacb5bc, 0xcf7bb67a62331a5e),
-    ("l1_q257_fit", 0x092672160c985371, 0xcf7bb67a62331a5e),
-    ("l1_q1024_thrash", 0xb1751e80f98772fe, 0x5f292f87d8302ad9),
-    ("l1_q1024_fit", 0xaa95c14114763d5b, 0x5f292f87d8302ad9),
-    ("l8_q257_thrash", 0xf5fcf97f8b215007, 0x40519cb95a8e389e),
-    ("l8_q257_fit", 0xbae1e18369bc8f6c, 0x4b53b0ac83a6e454),
-    ("l8_q1024_thrash", 0x1031d9f5c8f9215f, 0x730262b1ec00e2ac),
-    ("l8_q1024_fit", 0x65a216caa2e30c4d, 0x5ec445960402bc85),
-    ("l64_q257_thrash", 0xef6584fada91831c, 0x5f636f25d550cbdd),
-    ("l64_q257_fit", 0x8bd29b504f404048, 0x5f3c32328bc7722c),
-    ("l64_q1024_thrash", 0xbffff4db58448dd9, 0x6cb401b4b67bfac6),
-    ("l64_q1024_fit", 0x5e141e12bd189f03, 0xe7aee07c452fbbdf),
-    ("admission_cliff", 0x0dcf0034fe3bc688, 0x3964ea0e8f121f6a),
+    ("l1_q257_thrash", 0x99cb97ce5aacb5bc, 0x6c021b798b97d2f7),
+    ("l1_q257_fit", 0x092672160c985371, 0x6c021b798b97d2f7),
+    ("l1_q1024_thrash", 0xb1751e80f98772fe, 0x50e08ce745e1faa2),
+    ("l1_q1024_fit", 0xaa95c14114763d5b, 0x50e08ce745e1faa2),
+    ("l8_q257_thrash", 0xf5fcf97f8b215007, 0xab54140f3e2857d9),
+    ("l8_q257_fit", 0xbae1e18369bc8f6c, 0xff7662d707bbb604),
+    ("l8_q1024_thrash", 0x1031d9f5c8f9215f, 0x5286b0bbecc232cf),
+    ("l8_q1024_fit", 0x65a216caa2e30c4d, 0xcb71a6815220275a),
+    ("l64_q257_thrash", 0xef6584fada91831c, 0xdb71d419dbada383),
+    ("l64_q257_fit", 0x8bd29b504f404048, 0x7a366674efea9a15),
+    ("l64_q1024_thrash", 0xbffff4db58448dd9, 0xd73f0563010e8787),
+    ("l64_q1024_fit", 0x5e141e12bd189f03, 0x4622c727e6da2335),
+    ("admission_cliff", 0x0dcf0034fe3bc688, 0xa509708116fecee8),
 ];
 
 #[test]
