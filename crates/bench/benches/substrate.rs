@@ -1,9 +1,12 @@
 //! Criterion micro-benchmarks of the substrate: the structures and
 //! operators whose (real) speed determines how large a robustness map one
-//! can afford to sweep.  The `pool/*`, `btree/range_scan_full`,
-//! `sort/radix_rids_256k` and `fetch/improved_dense` rows are the micro
-//! view of the run-length storage access path (docs/DESIGN.md): one row
-//! per mechanism, re-runnable without the full `benchmark/run.sh`.  The
+//! can afford to sweep.  The `pool/*`, `btree/range_scan_full` and
+//! `fetch/improved_dense` rows are the micro view of the run-length storage
+//! access path (docs/DESIGN.md): one row per mechanism, re-runnable without
+//! the full `benchmark/run.sh`.  The `ridset/*` rows are the rid set's
+//! (docs/DESIGN.md "Rid sets"): built, built and walked in physical order,
+//! ANDed and probed at 2^18 rids, and the ordering of a list the set
+//! refuses.  The
 //! `sort/*_multipass_64k`, `join/sort_merge_64k` and `exec/materialise_64k`
 //! rows do the same for the sorter that charges for the merge and sorts
 //! once, and for the packed blocking edges; `sort/graceful_{window,fits}_*`
@@ -30,7 +33,7 @@ use robustmap_executor::{
 use robustmap_storage::btree::{BTree, Key};
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{
-    AccessKind, CostModel, EvictionPolicy, FileId, PageId, RidBitmap, Session, SharedBufferPool,
+    AccessKind, CostModel, EvictionPolicy, FileId, PageId, RidSet, Session, SharedBufferPool,
 };
 use robustmap_systems::{two_predicate_plans, AdmissionConfig, SystemId};
 use robustmap_workload::{cache, TableBuilder, WorkloadConfig};
@@ -110,13 +113,52 @@ fn bench_pool(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bitmap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bitmap");
-    let a: RidBitmap = (0..200_000u64).filter(|x| x % 3 == 0).collect();
-    let b_set: RidBitmap = (0..200_000u64).filter(|x| x % 5 == 0).collect();
-    group.bench_function("and_200k", |bch| bch.iter(|| a.and(&b_set).count()));
-    group.bench_function("iter_sorted", |bch| {
-        bch.iter(|| a.iter().fold(0u64, |acc, x| acc.wrapping_add(x)))
+/// `n` distinct rids in index-key order — pages and slots scattered — over
+/// a heap of `pages` pages at 186 rows a page, as in the benchmark's table.
+fn scattered_rids(n: u32, pages: u32, step: u32) -> Vec<Rid> {
+    let universe = pages * 186;
+    (0..universe.next_power_of_two())
+        .map(|i| i.wrapping_mul(step) % universe.next_power_of_two())
+        .filter(|&at| at < universe)
+        .take(n as usize)
+        .map(|at| Rid::new(at / 186, at % 186))
+        .collect()
+}
+
+/// Put a rid list in physical order the way the fetches do and walk it:
+/// through the set's page groups, or — a list the set refuses — by the
+/// sort.
+fn order(rids: &[Rid]) -> u64 {
+    match RidSet::build(rids) {
+        Some(set) => {
+            set.pages().map(|(page, slots)| page as u64 + slots.map(u64::from).sum::<u64>()).sum()
+        }
+        None => {
+            let mut list = rids.to_vec();
+            radix_sort_by_u64_key(&mut list, |r| r.to_u64());
+            list.iter().map(|r| (r.page + r.slot) as u64).sum()
+        }
+    }
+}
+
+/// The rid set over the benchmark table's shape: 2^18 rows on 1 410 pages
+/// (45 KB of words), every row's rid in key order; half of them twice over
+/// for the AND; and 4 096 rids across a heap four times the size — 5.5
+/// words a rid, so the set refuses and the list is sorted.
+fn bench_ridset(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ridset");
+    let all = scattered_rids(1 << 18, 1410, 2_654_435_761);
+    let (left, right) =
+        (scattered_rids(1 << 17, 1410, 2_654_435_761), scattered_rids(1 << 17, 1410, 40_503));
+    let sparse = scattered_rids(1 << 12, 5640, 2_654_435_761);
+    assert!(RidSet::build(&sparse).is_none());
+    group.bench_function("build_256k", |b| b.iter(|| RidSet::build(&all)));
+    group.bench_function("order_256k", |b| b.iter(|| order(&all)));
+    group.bench_function("order_4k", |b| b.iter(|| order(&sparse)));
+    let (l, r) = (RidSet::build(&left).unwrap(), RidSet::build(&right).unwrap());
+    group.bench_function("and_256k", |b| b.iter(|| l.and(&r).len()));
+    group.bench_function("probe_256k", |b| {
+        b.iter(|| all.iter().filter(|&&rid| l.contains(rid)).count())
     });
     group.finish();
 }
@@ -238,24 +280,6 @@ fn bench_sort_modes(c: &mut Criterion) {
             })
         });
     }
-    // The rid sort on its own: 2^18 rids in index-key order, i.e. pages
-    // and slots scattered (~186 rows a page, as in the benchmark's table).
-    let rids: Vec<Rid> = (0..1u32 << 18)
-        .map(|i| {
-            let at = i.wrapping_mul(2_654_435_761) % (1 << 18);
-            Rid::new(at / 186, at % 186)
-        })
-        .collect();
-    group.bench_function("radix_rids_256k", |b| {
-        b.iter_batched(
-            || rids.clone(),
-            |mut rids| {
-                radix_sort_by_u64_key(&mut rids, |r| r.to_u64());
-                rids
-            },
-            BatchSize::LargeInput,
-        )
-    });
     group.finish();
 }
 
@@ -422,7 +446,7 @@ criterion_group!(
     bench_setup,
     bench_btree,
     bench_pool,
-    bench_bitmap,
+    bench_ridset,
     bench_fetch_disciplines,
     bench_scan_kernels,
     bench_sort_modes,

@@ -16,57 +16,173 @@
 //!
 //! All three really fetch every row; they differ only in visit order and in
 //! the access kinds they are charged.
+//!
+//! Physical order is read off a [`RidSet`] — the bitmap System B is charged
+//! for is the structure both sweeps walk, page group by page group — unless
+//! the list is one the set is not built for (short, sparse over its span,
+//! or a multiset the improved fetch must fetch repeat by repeat): `Ordered`
+//! makes that choice from the list alone and `sort_list` is the one
+//! place a rid list is sorted.  The charges are analytic either way.
 
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{AccessKind, HeapFile, PageId, Session, SlottedPage, StorageError};
+use robustmap_storage::{AccessKind, HeapFile, RidSet, Session, StorageError};
 
-use crate::batch::{col_from_bytes, radix_sort_by_u64_key, BatchEmitter, ExecConfig, RowBatch};
+use crate::batch::{col_from_bytes, BatchEmitter, ExecConfig, RowBatch};
 use crate::exec::ExecError;
 use crate::expr::Predicate;
 use crate::plan::{FetchKind, ImprovedFetchConfig, Projection};
 
-/// Fetch one run of rids on the same heap page: what [`HeapFile::fetch`]
-/// with the residual evaluated on each row charges — a page request and a
-/// row per rid, the residual's comparisons — in one call each.  The page
-/// requests go first, ahead of any emission, so the run's repeats are hits
-/// on the page its first request left resident, whatever the sink does.
-///
-/// A rid whose slot is empty ends the run with `InvalidRid`: the rows
-/// before it are fetched and charged in full, and the dangling rid itself
-/// is charged its request and its row (the slot is found empty only after
-/// the page was read), nothing after it.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn fetch_run(
-    page: &SlottedPage,
-    page_id: PageId,
-    run: &[Rid],
-    residual: &Predicate,
-    proj: &[usize],
-    emitter: &mut BatchEmitter,
-    session: &Session,
-    sink: &mut dyn FnMut(&RowBatch),
-) -> Result<(), ExecError> {
-    let record = |rid: &Rid| page.get(rid.slot as usize);
-    let live = run.iter().position(|rid| record(rid).is_none()).unwrap_or(run.len());
-    let dangling = run.get(live);
-    let requested = (live + usize::from(dangling.is_some())) as u64;
-    session.read_page_run(page_id, AccessKind::Random, requested);
-    session.charge_rows_as(requested, requested);
-    residual.filter_run(
-        run[..live].iter().map(|rid| record(rid).expect("slot checked above")),
-        |bytes, c| col_from_bytes(bytes, c),
-        session,
-        |bytes| emitter.push_projected_bytes(bytes, proj, sink),
-    );
-    match dangling {
-        Some(&rid) => Err(StorageError::InvalidRid(rid).into()),
-        None => Ok(()),
+/// Comparisons a comparison sort of `n` items is charged: `n ⌈log2 n⌉`.
+/// What really orders the items is [`Ordered`]'s business, not the clock's.
+pub(crate) fn sort_compares(n: u64) -> u64 {
+    n * (64 - n.saturating_sub(1).leading_zeros()) as u64
+}
+
+/// A rid list in physical order: as a [`RidSet`] when the list is one the
+/// set is built for, otherwise as the list itself, sorted.
+pub(crate) enum Ordered {
+    /// Every rid of the list, each once.
+    Set(RidSet),
+    /// The list sorted; its duplicates, if any, adjacent.
+    List(Vec<Rid>),
+}
+
+impl Ordered {
+    /// Order `rids`, keeping duplicates: a list that holds one is a
+    /// multiset, which the set cannot say, and stays a list — like a list
+    /// [`RidSet::build`] refuses (short, or sparse over its span).
+    pub(crate) fn of(mut rids: Vec<Rid>) -> Ordered {
+        match RidSet::build(&rids) {
+            Some(set) if set.len() == rids.len() => Ordered::Set(set),
+            _ => {
+                sort_list(&mut rids);
+                Ordered::List(rids)
+            }
+        }
+    }
+
+    /// The rids in order, as a list.
+    pub(crate) fn into_list(self) -> Vec<Rid> {
+        match self {
+            Ordered::Set(set) => set.iter().collect(),
+            Ordered::List(rids) => rids,
+        }
+    }
+
+    /// The largest rid.
+    pub(crate) fn last(&self) -> Option<Rid> {
+        match self {
+            Ordered::Set(set) => set.last(),
+            Ordered::List(rids) => rids.last().copied(),
+        }
+    }
+
+    /// How many of the rids are `<= m`.
+    pub(crate) fn through(&self, m: Rid) -> usize {
+        match self {
+            Ordered::Set(set) => set.ranks().rank(m) + usize::from(set.contains(m)),
+            Ordered::List(rids) => rids.partition_point(|&rid| rid <= m),
+        }
     }
 }
 
+/// The fall-through: sort a rid list the set was not built for (rids order
+/// by their u64 encoding; short lists take the standard library's sort).
+pub(crate) fn sort_list(rids: &mut Vec<Rid>) {
+    crate::batch::radix_sort_by_u64_key(rids, |r| r.to_u64());
+}
+
+/// What the runs of one fetch share: the heap, the residual and projection
+/// every row goes through, the emitter, and scratch for a run's records.
+struct Fetcher<'a, 'h> {
+    heap: &'h HeapFile,
+    residual: &'a Predicate,
+    proj: Vec<usize>,
+    emitter: BatchEmitter,
+    session: &'a Session,
+    sink: &'a mut dyn FnMut(&RowBatch),
+    records: Vec<&'h [u8]>,
+}
+
+impl<'a, 'h> Fetcher<'a, 'h> {
+    fn new(
+        heap: &'h HeapFile,
+        residual: &'a Predicate,
+        project: &Projection,
+        cfg: &ExecConfig,
+        session: &'a Session,
+        sink: &'a mut dyn FnMut(&RowBatch),
+    ) -> Self {
+        let proj = project.resolve(heap.schema().arity());
+        let emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
+        Fetcher { heap, residual, proj, emitter, session, sink, records: Vec::new() }
+    }
+
+    /// Fetch the rids `slots` of heap page `page_no`: what
+    /// [`HeapFile::fetch`] with the residual evaluated on each row charges —
+    /// a page request and a row per rid, the residual's comparisons — in
+    /// one call each.  The page requests go first, ahead of any emission,
+    /// so the run's repeats are hits on the page its first request left
+    /// resident, whatever the sink does.  Each slot is looked up once.
+    ///
+    /// A page that does not exist is rejected, with the run's first rid,
+    /// before the run charges anything.  A rid whose slot is empty ends the
+    /// run with `InvalidRid`: the rows before it are fetched and charged in
+    /// full, and the dangling rid itself is charged its request and its row
+    /// (the slot is found empty only after the page was read), nothing
+    /// after it.
+    #[inline]
+    fn page_run(
+        &mut self,
+        page_no: u32,
+        mut slots: impl Iterator<Item = u32>,
+    ) -> Result<(), ExecError> {
+        let Some(page) = self.heap.page(page_no) else {
+            let first = slots.next().expect("a run holds a rid");
+            return Err(StorageError::InvalidRid(Rid::new(page_no, first)).into());
+        };
+        self.records.clear();
+        let mut dangling = None;
+        for slot in slots {
+            match page.get(slot as usize) {
+                Some(bytes) => self.records.push(bytes),
+                None => {
+                    dangling = Some(Rid::new(page_no, slot));
+                    break;
+                }
+            }
+        }
+        let requested = (self.records.len() + usize::from(dangling.is_some())) as u64;
+        self.session.read_page_run(self.heap.page_id(page_no), AccessKind::Random, requested);
+        self.session.charge_rows_as(requested, requested);
+        let (emitter, proj, sink) = (&mut self.emitter, &self.proj, &mut *self.sink);
+        self.residual.filter_run(
+            self.records.iter().copied(),
+            |bytes, c| col_from_bytes(bytes, c),
+            self.session,
+            |bytes| emitter.push_projected_bytes(bytes, proj, sink),
+        );
+        match dangling {
+            Some(rid) => Err(StorageError::InvalidRid(rid).into()),
+            None => Ok(()),
+        }
+    }
+
+    /// Flush the last batch; the rows produced.
+    fn finish(mut self) -> u64 {
+        self.emitter.flush(self.sink);
+        self.emitter.produced()
+    }
+}
+
+/// The runs of a rid list: each maximal stretch of rids on one page, as
+/// the page number and the slots in list order.
+fn runs(rids: &[Rid]) -> impl Iterator<Item = (u32, impl Iterator<Item = u32> + '_)> {
+    rids.chunk_by(|a, b| a.page == b.page).map(|run| (run[0].page, run.iter().map(|rid| rid.slot)))
+}
+
 /// Fetch `rids` with the discipline `kind` names.  Consumes the rid list
-/// (the improved and bitmap fetches sort it in place).
+/// (the improved and bitmap fetches put it in physical order).
 pub fn run(
     heap: &HeapFile,
     rids: Vec<Rid>,
@@ -97,28 +213,23 @@ pub fn traditional(
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
-    let proj = project.resolve(heap.schema().arity());
-    let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
+    let mut fetcher = Fetcher::new(heap, residual, project, cfg, session, sink);
     // Key order scatters the rids, so most runs are one rid long.
-    for run in rids.chunk_by(|a, b| a.page == b.page) {
-        // A page that does not exist is rejected before any charge.
-        let page = heap.page(run[0].page).ok_or(StorageError::InvalidRid(run[0]))?;
-        let page_id = heap.page_id(run[0].page);
-        fetch_run(page, page_id, run, residual, &proj, &mut emitter, session, sink)?;
+    for (page_no, slots) in runs(rids) {
+        fetcher.page_run(page_no, slots)?;
     }
-    emitter.flush(sink);
-    Ok(emitter.produced())
+    Ok(fetcher.finish())
 }
 
-/// The improved index scan's fetch: sort rids into physical order, then
+/// The improved index scan's fetch: put the rids in physical order, then
 /// sweep the heap with gap-dependent access costs (see
 /// [`ImprovedFetchConfig`]).
 ///
-/// Consumes the rid list (it must be sorted in place; the caller has no
-/// further use for the unsorted order).
+/// Consumes the rid list (the caller has no further use for the unsorted
+/// order).
 pub fn improved(
     heap: &HeapFile,
-    mut rids: Vec<Rid>,
+    rids: Vec<Rid>,
     cfg: &ImprovedFetchConfig,
     residual: &Predicate,
     project: &Projection,
@@ -128,13 +239,12 @@ pub fn improved(
 ) -> Result<u64, ExecError> {
     let n = rids.len() as u64;
     if n > 0 {
-        // Sort cost: n log2 n comparisons.
-        session.charge_compares(n * (64 - (n - 1).leading_zeros()) as u64);
+        session.charge_compares(sort_compares(n));
     }
-    // The simulated cost above is the contract; the real sort is free to be
-    // a radix sort (rids order by their u64 encoding).
-    radix_sort_by_u64_key(&mut rids, |r| r.to_u64());
-    fetch_in_physical_order(heap, &rids, Some(cfg), residual, project, exec_cfg, session, sink)
+    // The charge above is the contract: a comparison sort, duplicates kept.
+    let ordered = Ordered::of(rids);
+    let fetcher = Fetcher::new(heap, residual, project, exec_cfg, session, sink);
+    fetch_in_physical_order(&ordered, Some(cfg), fetcher)
 }
 
 /// System B's bitmap-sorted fetch: rids are deduplicated and ordered by a
@@ -152,38 +262,50 @@ pub fn bitmap_sorted(
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
+    // One insert per rid given — and the bitmap is real: the sweep below
+    // reads its page groups.  A list the set is not built for is sorted
+    // and deduplicated instead, which enumerates the same.
     session.charge_hashes(rids.len() as u64);
-    // The charge above is the contract; a bitmap enumerates its rids sorted
-    // and without duplicates, and that sequence is all the fetch needs.
-    radix_sort_by_u64_key(&mut rids, |r| r.to_u64());
-    rids.dedup();
-    fetch_in_physical_order(heap, &rids, None, residual, project, cfg, session, sink)
+    let ordered = match RidSet::build(&rids) {
+        Some(set) => Ordered::Set(set),
+        None => {
+            sort_list(&mut rids);
+            rids.dedup();
+            Ordered::List(rids)
+        }
+    };
+    let fetcher = Fetcher::new(heap, residual, project, cfg, session, sink);
+    fetch_in_physical_order(&ordered, None, fetcher)
 }
 
 /// Shared physical-order sweep.  `cfg` enables the improved scan's
 /// sequential read-ahead regime; `None` (bitmap fetch) uses only the short
 /// seek / random distinction with the default prefetch gap.
-#[allow(clippy::too_many_arguments)]
 fn fetch_in_physical_order(
-    heap: &HeapFile,
-    rids: &[Rid],
+    rids: &Ordered,
     cfg: Option<&ImprovedFetchConfig>,
-    residual: &Predicate,
-    project: &Projection,
-    exec_cfg: &ExecConfig,
-    session: &Session,
-    sink: &mut dyn FnMut(&RowBatch),
+    fetcher: Fetcher<'_, '_>,
 ) -> Result<u64, ExecError> {
-    debug_assert!(rids.windows(2).all(|w| w[0] <= w[1]), "rids must be in physical order");
+    match rids {
+        Ordered::Set(set) => sweep(set.pages(), cfg, fetcher),
+        Ordered::List(list) => sweep(runs(list), cfg, fetcher),
+    }
+}
+
+/// The sweep over `pages`: page numbers ascending, each with the slots to
+/// fetch from it — a set's page groups, or a sorted list's runs.
+fn sweep<S: Iterator<Item = u32>>(
+    pages: impl Iterator<Item = (u32, S)>,
+    cfg: Option<&ImprovedFetchConfig>,
+    mut fetcher: Fetcher<'_, '_>,
+) -> Result<u64, ExecError> {
     let prefetch_gap = cfg.map_or(ImprovedFetchConfig::default().prefetch_gap, |c| c.prefetch_gap);
     let scan_gap = cfg.map(|c| c.scan_gap);
-    let proj = project.resolve(heap.schema().arity());
-    let mut emitter = BatchEmitter::new(proj.len(), exec_cfg.batch_rows);
+    let (heap, session) = (fetcher.heap, fetcher.session);
     let mut prev_page: Option<u32> = None;
-    // One page transition and one set of charges per run of rids on the
-    // same page.
-    for run in rids.chunk_by(|a, b| a.page == b.page) {
-        let page_no = run[0].page;
+    // One page transition and one set of charges per page.
+    for (page_no, slots) in pages {
+        debug_assert!(prev_page.is_none_or(|p| p < page_no), "pages must be in physical order");
         let page_id = heap.page_id(page_no);
         match prev_page {
             Some(p) => {
@@ -210,11 +332,10 @@ fn fetch_in_physical_order(
             }
         }
         prev_page = Some(page_no);
-        let page = heap.page(page_no).ok_or(StorageError::InvalidRid(run[0]))?;
-        fetch_run(page, page_id, run, residual, &proj, &mut emitter, session, sink)?;
+        // The transition is charged before a missing page is rejected.
+        fetcher.page_run(page_no, slots)?;
     }
-    emitter.flush(sink);
-    Ok(emitter.produced())
+    Ok(fetcher.finish())
 }
 
 #[cfg(test)]
@@ -416,7 +537,7 @@ mod tests {
             let fetched = u64::from(dangling_slot);
             for (kind, sort_compares, hashes) in [
                 (FetchKind::Traditional, 0, 0),
-                (improved_kind(), n * u64::from(64 - (n - 1).leading_zeros()), 0),
+                (improved_kind(), sort_compares(n), 0),
                 (FetchKind::BitmapSorted, 0, n),
             ] {
                 let s = Session::with_pool_pages(64);
@@ -469,11 +590,146 @@ mod tests {
         assert_eq!(s.stats().cpu_hashes, given.len() as u64);
 
         let quiet = Session::with_pool_pages(0);
-        let want: Vec<Row> = robustmap_storage::RidBitmap::from_rids(given.iter().copied())
-            .iter_rids()
+        let want: Vec<Row> = RidSet::build(&given)
+            .expect("dense and long: a set")
+            .iter()
             .map(|rid| heap.fetch(rid, &quiet, AccessKind::Random).unwrap())
             .collect();
         assert_eq!(n as usize, rids.len());
         assert_eq!(rows, want);
+    }
+
+    /// What a fetch did, in eight counters: the result, rows emitted, an
+    /// order-sensitive digest of them, charge events, and the `IoStats`
+    /// fields in declaration order.
+    type Reading = (Result<u64, ExecError>, u64, i64, u64, [u64; 8]);
+
+    fn read(heap: &HeapFile, rids: &[Rid], kind: &FetchKind) -> Reading {
+        let s = Session::with_pool_pages(16);
+        let residual = Predicate::single(ColRange::at_least(1, 100));
+        let (mut emitted, mut digest) = (0u64, 0i64);
+        let mut sink = |b: &RowBatch| {
+            for i in 0..b.len() {
+                emitted += 1;
+                digest = digest.wrapping_mul(31).wrapping_add(b.row(i).get(2));
+            }
+        };
+        let cfg = ExecConfig::default();
+        let got = run(heap, rids.to_vec(), kind, &residual, &Projection::All, &cfg, &s, &mut sink);
+        let io = s.stats();
+        let io = [
+            io.seq_reads,
+            io.single_reads,
+            io.random_reads,
+            io.page_writes,
+            io.buffer_hits,
+            io.cpu_rows,
+            io.cpu_compares,
+            io.cpu_hashes,
+        ];
+        (got, emitted, digest, s.charge_events(), io)
+    }
+
+    /// Lists the set was not the obvious fit for read exactly as they did
+    /// when every list was sorted: a multiset (the improved fetch fetches a
+    /// repeat again, the bitmap fetch once), a tombstoned slot in the
+    /// middle of a page of a scattered list, a rid on a page past the
+    /// heap — each long enough to become a set and too short to — and a
+    /// long list that one far rid makes sparse.  The
+    /// readings are the parent commit's, taken before the set existed.
+    #[test]
+    fn edge_lists_read_as_they_did_before_the_set() {
+        let (mut db, t) = demo_db(16_384);
+        let per_page = db.table(t).heap.rows_per_page() as u32;
+        // The last page is part full: scatter over the ones before it.
+        let pages = db.table(t).heap.page_count() - 1;
+        let victim = Rid::new(5, per_page / 2);
+        db.table_mut(t).heap.delete(victim).unwrap();
+        let heap = &db.table(t).heap;
+        // `n` rids scattered over the first `over` pages, the victim's
+        // slot left out.
+        let scattered = |n: u32, over: u32| -> Vec<Rid> {
+            (0..n)
+                .map(|i| {
+                    let at = i.wrapping_mul(2_654_435_761) % (over * per_page);
+                    Rid::new(at / per_page, at % per_page)
+                })
+                .filter(|&rid| rid != victim)
+                .collect()
+        };
+        let with_repeats = |mut rids: Vec<Rid>| {
+            let n = rids.len();
+            rids.extend_from_within(..n / 3);
+            rids.extend_from_within(n / 2..n / 2 + n / 5);
+            rids
+        };
+        let with = |mut rids: Vec<Rid>, extra: Rid| {
+            let at = rids.len() * 2 / 3;
+            rids.insert(at, extra);
+            rids
+        };
+        let past = Rid::new(pages + 4, 1);
+        let far = Rid::new(u32::MAX - 1, 0);
+        let lists: [(&str, Vec<Rid>); 7] = [
+            ("repeats, long", with_repeats(scattered(900, pages))),
+            ("repeats, short", with_repeats(scattered(30, pages))),
+            ("dangling, long", with(scattered(900, pages), victim)),
+            ("dangling, short", with(scattered(30, 8), victim)),
+            ("past the heap, long", with(scattered(900, pages), past)),
+            ("past the heap, short", with(scattered(30, pages), past)),
+            ("far past the heap, long and so sparse", with(scattered(900, pages), far)),
+        ];
+        let kinds = [FetchKind::Traditional, improved_kind(), FetchKind::BitmapSorted];
+        let invalid = |page, slot| ExecError::from(StorageError::InvalidRid(Rid::new(page, slot)));
+        #[rustfmt::skip]
+        let want: [[Reading; 3]; 7] = [
+            // repeats, long (1380 rids)
+            [
+                (Ok(1368), 1368, -8634093700175121141, 4140, [0, 0, 1372, 0, 8, 1380, 1380, 0]),
+                (Ok(1368), 1368, 6744392589901611213, 4197, [55, 0, 1, 0, 1380, 1380, 16560, 0]),
+                (Ok(893), 893, 4490416391609329909, 2757, [0, 55, 1, 0, 900, 900, 900, 1380]),
+            ],
+            // repeats, short (46 rids)
+            [
+                (Ok(44), 44, -7305739492769793953, 138, [0, 0, 42, 0, 4, 46, 46, 0]),
+                (Ok(44), 44, -3572066554325966347, 193, [53, 0, 1, 0, 46, 46, 322, 0]),
+                (Ok(29), 29, -8085550160945191631, 117, [0, 25, 1, 0, 30, 30, 30, 46]),
+            ],
+            // dangling, long (901 rids)
+            [
+                (Err(invalid(5, 146)), 0, 0, 1802, [0, 0, 600, 0, 1, 601, 600, 0]),
+                (Err(invalid(5, 146)), 0, 0, 273, [5, 0, 1, 0, 89, 89, 9098, 0]),
+                (Err(invalid(5, 146)), 0, 0, 273, [0, 5, 1, 0, 89, 89, 88, 901]),
+            ],
+            // dangling, short (31 rids)
+            [
+                (Err(invalid(5, 146)), 0, 0, 62, [0, 0, 4, 0, 17, 21, 20, 0]),
+                (Err(invalid(5, 146)), 0, 0, 75, [5, 0, 1, 0, 23, 23, 177, 0]),
+                (Err(invalid(5, 146)), 0, 0, 73, [0, 3, 1, 0, 23, 23, 22, 31]),
+            ],
+            // past the heap, long (901 rids)
+            [
+                (Err(invalid(60, 1)), 0, 0, 1800, [0, 0, 600, 0, 0, 600, 600, 0]),
+                (Err(invalid(60, 1)), 0, 0, 2758, [55, 1, 1, 0, 900, 900, 9910, 0]),
+                (Err(invalid(60, 1)), 0, 0, 2758, [0, 56, 1, 0, 900, 900, 900, 901]),
+            ],
+            // past the heap, short (31 rids)
+            [
+                (Err(invalid(60, 1)), 0, 0, 60, [0, 0, 20, 0, 0, 20, 20, 0]),
+                (Err(invalid(60, 1)), 0, 0, 146, [53, 1, 1, 0, 30, 30, 185, 0]),
+                (Err(invalid(60, 1)), 0, 0, 118, [0, 26, 1, 0, 30, 30, 30, 31]),
+            ],
+            // far past the heap, long and so sparse (901 rids)
+            [
+                (Err(invalid(4294967294, 0)), 0, 0, 1800, [0, 0, 600, 0, 0, 600, 600, 0]),
+                (Err(invalid(4294967294, 0)), 0, 0, 2758, [55, 0, 2, 0, 900, 900, 9910, 0]),
+                (Err(invalid(4294967294, 0)), 0, 0, 2758, [0, 55, 2, 0, 900, 900, 900, 901]),
+            ],
+        ];
+        for ((name, rids), want) in lists.iter().zip(&want) {
+            for (kind, want) in kinds.iter().zip(want) {
+                assert_eq!(&read(heap, rids, kind), want, "{name}, {kind:?}");
+            }
+        }
     }
 }

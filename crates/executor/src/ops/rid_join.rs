@@ -14,15 +14,16 @@
 
 use robustmap_storage::btree::Entry;
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{FxBuildHasher, FxHashMap, FxHashSet, Row, Session};
+use robustmap_storage::{FxBuildHasher, FxHashMap, RidSet, Row, Session};
 
 use crate::exec::ExecCtx;
+use crate::ops::fetch::{sort_compares, sort_list, Ordered};
 use crate::plan::IntersectAlgo;
 
 /// Charge a comparison sort of `n` items.
 fn charge_sort(session: &Session, n: u64) {
     if n > 1 {
-        session.charge_compares(n * (64 - (n - 1).leading_zeros()) as u64);
+        session.charge_compares(sort_compares(n));
     }
 }
 
@@ -49,13 +50,41 @@ pub fn intersect_rids(
 
 /// Sort both sides, then merge.  Symmetric: cost depends on `|left| +
 /// |right|`, not on which side is which.
-fn merge_intersect(mut left: Vec<Rid>, mut right: Vec<Rid>, session: &Session) -> Vec<Rid> {
+///
+/// That is what is charged.  What runs: two sets are ANDed, a set is
+/// probed with a list the set was not built for, and only two such lists
+/// (or a multiset, whose repeats the merge pairs off one for one) are
+/// walked.  The walk's comparisons are charged either way: counted by the
+/// walk, or from counts alone.  Over duplicate-free sides every iteration
+/// of [`merge_walk`] consumes one rid from a side, or one from each when
+/// they match, and the walk stops when a side runs out — the side whose
+/// largest rid `m` is the smaller.  By then that side is consumed whole
+/// and the other up to and including `m`, so each side has given its
+/// members `<= m`, and every match — all are `<= m` — was counted on both.
+fn merge_intersect(left: Vec<Rid>, right: Vec<Rid>, session: &Session) -> Vec<Rid> {
     charge_sort(session, left.len() as u64);
     charge_sort(session, right.len() as u64);
-    // Charged as comparison sorts above; executed as radix sorts (rids
-    // order by their u64 encoding).
-    crate::batch::radix_sort_by_u64_key(&mut left, |r| r.to_u64());
-    crate::batch::radix_sort_by_u64_key(&mut right, |r| r.to_u64());
+    let (l, r) = (Ordered::of(left), Ordered::of(right));
+    let out: Vec<Rid> = match (&l, &r) {
+        (Ordered::Set(a), Ordered::Set(b)) => a.and(b).iter().collect(),
+        (Ordered::Set(set), Ordered::List(list)) | (Ordered::List(list), Ordered::Set(set))
+            if list.windows(2).all(|w| w[0] < w[1]) =>
+        {
+            list.iter().copied().filter(|&rid| set.contains(rid)).collect()
+        }
+        _ => {
+            let (out, steps) = merge_walk(&l.into_list(), &r.into_list());
+            session.charge_compares(steps);
+            return out;
+        }
+    };
+    let steps = l.last().min(r.last()).map_or(0, |m| l.through(m) + r.through(m) - out.len());
+    session.charge_compares(steps as u64);
+    out
+}
+
+/// Walk two sorted lists in step: the matches, and the comparisons made.
+fn merge_walk(left: &[Rid], right: &[Rid]) -> (Vec<Rid>, u64) {
     let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);
     let mut compares = 0u64;
@@ -71,8 +100,7 @@ fn merge_intersect(mut left: Vec<Rid>, mut right: Vec<Rid>, session: &Session) -
             }
         }
     }
-    session.charge_compares(compares);
-    out
+    (out, compares)
 }
 
 /// Build a hash table on `build`, probe with `probe`.  If the build side
@@ -128,11 +156,18 @@ fn hash_intersect_in_memory(build: &[Rid], probe: &[Rid], session: &Session) -> 
     // join orders that the paper (citing [GLS94]) contrasts with the merge
     // join's symmetry.
     session.charge_hashes(2 * build.len() as u64);
-    let mut set: FxHashSet<Rid> =
-        FxHashSet::with_capacity_and_hasher(build.len(), FxBuildHasher::default());
-    set.extend(build.iter().copied());
     session.charge_hashes(probe.len() as u64);
-    probe.iter().copied().filter(|r| set.contains(r)).collect()
+    // The table is the build side's rid set, probed in probe order; a
+    // build side the set is not built for, probes counted in, is sorted
+    // and searched.
+    match RidSet::build_for(build, probe.len()) {
+        Some(set) => probe.iter().copied().filter(|&rid| set.contains(rid)).collect(),
+        None => {
+            let mut sorted = build.to_vec();
+            sort_list(&mut sorted);
+            probe.iter().copied().filter(|rid| sorted.binary_search(rid).is_ok()).collect()
+        }
+    }
 }
 
 /// Join two covering index scans on rid, producing rows `left key columns
@@ -168,14 +203,28 @@ fn combined_row(left_key: &robustmap_storage::Key, right_key: &robustmap_storage
     row
 }
 
-/// Sort entries by rid through light `(rid, index)` pairs: the sort moves
-/// 16-byte elements instead of 40-byte entries, and rids are unique so the
-/// order is exactly `sort_unstable_by_key(|(_, rid)| rid)`'s.
+/// Sort entries by rid.  Rids are unique, so an entry's place is its rid's
+/// rank in the set of them all; entries whose rids the set is not built
+/// for are sorted through light `(rid, index)` pairs (16-byte elements
+/// instead of 40-byte entries), stably — the same order.
 fn sort_entries_by_rid(entries: &mut Vec<Entry>) {
-    let mut order: Vec<(u64, u32)> =
-        entries.iter().enumerate().map(|(i, &(_, rid))| (rid.to_u64(), i as u32)).collect();
-    crate::batch::radix_sort_by_u64_key(&mut order, |&(r, _)| r);
-    *entries = order.iter().map(|&(_, i)| entries[i as usize]).collect();
+    let rids: Vec<Rid> = entries.iter().map(|&(_, rid)| rid).collect();
+    match RidSet::build(&rids) {
+        Some(set) if set.len() == rids.len() => {
+            let ranks = set.ranks();
+            let mut placed = entries.clone();
+            for (entry, &rid) in entries.iter().zip(&rids) {
+                placed[ranks.rank(rid)] = *entry;
+            }
+            *entries = placed;
+        }
+        _ => {
+            let mut order: Vec<(u64, u32)> =
+                rids.iter().enumerate().map(|(i, rid)| (rid.to_u64(), i as u32)).collect();
+            crate::batch::radix_sort_by_u64_key(&mut order, |&(r, _)| r);
+            *entries = order.iter().map(|&(_, i)| entries[i as usize]).collect();
+        }
+    }
 }
 
 fn covering_merge_join(
@@ -289,6 +338,114 @@ mod tests {
         memory: usize,
     ) -> ExecCtx<'a> {
         ExecCtx::new(db, session, memory)
+    }
+
+    /// The merge as it ran before the rid set: sort both lists, walk them.
+    fn merge_by_sorting(mut left: Vec<Rid>, mut right: Vec<Rid>, session: &Session) -> Vec<Rid> {
+        charge_sort(session, left.len() as u64);
+        charge_sort(session, right.len() as u64);
+        left.sort();
+        right.sort();
+        let (out, compares) = merge_walk(&left, &right);
+        session.charge_compares(compares);
+        out
+    }
+
+    /// `n` rids drawn from the first `universe` positions of a heap with
+    /// `per_page` slots a page: distinct, or with replacement and at least
+    /// one repeat.
+    fn draw(n: usize, universe: usize, per_page: u32, repeats: bool, seed: &mut u64) -> Vec<Rid> {
+        let mut next = |bound: usize| {
+            *seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (*seed >> 33) as usize % bound
+        };
+        let at = |i: usize| Rid::new(i as u32 / per_page, i as u32 % per_page);
+        if repeats {
+            let mut rids: Vec<Rid> = (0..n).map(|_| at(next(universe))).collect();
+            if n > 1 {
+                rids[n - 1] = rids[0];
+            }
+            return rids;
+        }
+        let mut seen = std::collections::HashSet::new();
+        std::iter::repeat_with(|| next(universe))
+            .filter(|&i| seen.insert(i))
+            .take(n)
+            .map(at)
+            .collect()
+    }
+
+    /// Every way the merge runs — two sets ANDed, a set probed with a list
+    /// (short, or sparse over its span), two lists walked, a multiset on
+    /// either side — returns what sorting and walking returns and charges
+    /// what it charges, comparison for comparison: `cpu_compares` is where
+    /// a wrong closed form shows.  The hash intersection, over the same
+    /// lists, is a filter of the probe side in probe order.
+    #[test]
+    fn intersections_match_sort_and_walk_at_every_size() {
+        let (db, _) = demo_db(8);
+        let sizes = [0usize, 1, 63, 64, 4095, 4096, 70_000];
+        let mut seed = 0x5EED_u64;
+        for &nl in &sizes {
+            for &nr in &sizes {
+                // (universe as a multiple of the longer list, slots a page
+                // left and right, repeats left and right): dense, where a
+                // much shorter side is sparse and stays a list; too sparse
+                // for either side to be a set; two slot widths; multisets.
+                for (spread, per_l, per_r, rep_l, rep_r) in [
+                    (2, 186, 186, false, false),
+                    (400, 186, 186, false, false),
+                    (3, 60, 186, false, false),
+                    (2, 186, 186, true, false),
+                    (3, 186, 60, true, true),
+                ] {
+                    let universe = spread * nl.max(nr) + 8;
+                    let left = draw(nl, universe, per_l, rep_l, &mut seed);
+                    let right = draw(nr, universe, per_r, rep_r, &mut seed);
+                    let label = format!("{nl} x {nr}, spread {spread}, repeats {rep_l}/{rep_r}");
+
+                    let (want_s, got_s) =
+                        (Session::with_pool_pages(4), Session::with_pool_pages(4));
+                    let want = merge_by_sorting(left.clone(), right.clone(), &want_s);
+                    let got = merge_intersect(left.clone(), right.clone(), &got_s);
+                    assert_eq!(got, want, "merge {label}");
+                    assert_eq!(got_s.stats(), want_s.stats(), "merge {label}");
+                    assert_eq!(got_s.charge_events(), want_s.charge_events(), "merge {label}");
+
+                    let s = Session::with_pool_pages(4);
+                    let ctx = ctx_with(&db, &s, 1 << 30);
+                    let algo = IntersectAlgo::HashJoin { build_left: true };
+                    let got = intersect_rids(left.clone(), right.clone(), algo, &ctx);
+                    let build: std::collections::HashSet<Rid> = left.iter().copied().collect();
+                    let want: Vec<Rid> =
+                        right.iter().copied().filter(|r| build.contains(r)).collect();
+                    assert_eq!(got, want, "hash {label}");
+                    let hashes = robustmap_storage::IoStats {
+                        cpu_hashes: (2 * nl + nr) as u64,
+                        ..Default::default()
+                    };
+                    assert_eq!(s.stats(), hashes, "hash {label}");
+                }
+            }
+        }
+    }
+
+    /// Placing entries by their rid's rank is sorting them by rid, for
+    /// lists the set takes and lists it refuses.
+    #[test]
+    fn entries_placed_by_rank_are_sorted_by_rid() {
+        let mut seed = 7u64;
+        for (n, spread) in [(0usize, 2usize), (1, 2), (63, 2), (64, 2), (5000, 2), (5000, 400)] {
+            let rids = draw(n, spread * n + 8, 186, false, &mut seed);
+            let mut entries: Vec<Entry> =
+                rids.iter().enumerate().map(|(i, &rid)| (Key::single(i as i64), rid)).collect();
+            let mut want = entries.clone();
+            want.sort_by_key(|&(_, rid)| rid);
+            sort_entries_by_rid(&mut entries);
+            assert_eq!(entries, want, "{n} entries, spread {spread}");
+        }
     }
 
     #[test]

@@ -1,260 +1,234 @@
-//! Row-id bitmaps.
+//! Rid sets: a dense bitmap over `page × slot`.
 //!
 //! System B in the paper (Figure 8) sorts the rows to be fetched "very
 //! efficiently using a bitmap": qualifying rids are set in a bitmap and then
 //! enumerated in physical order, converting random fetches into an in-order
 //! sweep.  Bitmaps also implement index intersection ("bitmap-driven ...
-//! intersection", §3.1).
+//! intersection", §3.1).  [`RidSet`] is that bitmap, and the executor's one
+//! representation of a set of rids: physical order is its iteration order,
+//! a merge intersection is a word-wise AND, a hash intersection probes it.
 //!
-//! The implementation is a two-level structure: fixed 1024-bit chunks in a
-//! sorted sparse directory, supporting set/test, union, intersection,
-//! difference and in-order iteration.
+//! Layout: bit `page << slot_bits | slot` of a `Vec<u64>`, `slot_bits`
+//! wide enough for the largest slot in the list the set was built from and
+//! never under 6, so a page's slots are a whole number of words — a *page
+//! group* — and the fetch sweep takes its runs straight from them.  At the
+//! workloads' ~186 rows a page that is four words a page: 45 KB for a
+//! 2^18-row table.
+//!
+//! What the set is *for* is real time only.  The simulated cost of ordering
+//! or intersecting rids is charged analytically by the operators (`n log n`
+//! comparisons, a hash per rid), whatever executes it.
+//!
+//! Not every list should become a set, and [`RidSet::build`] says so by
+//! returning `None` — a decision taken from the list alone: a short list is
+//! ordered faster by a comparison sort than by clearing and walking any
+//! words at all, and a list that is sparse over its span (a few rids across
+//! a large heap, or one dangling `Rid::new(u32::MAX - 1, 0)`) would cost
+//! words in proportion to the span, not to the list.  Callers keep the list
+//! then.  A set that is built to be probed counts the probes in
+//! ([`RidSet::build_for`]): four rids are worth 45 KB of words to a quarter
+//! of a million probes.  Duplicates collapse — [`RidSet::len`] against the list's length
+//! tells a caller to whom a multiset matters.
 
 use crate::heap::Rid;
 
-const CHUNK_BITS: usize = 1024;
-const WORDS_PER_CHUNK: usize = CHUNK_BITS / 64;
+/// Lists shorter than this stay lists: the standard library sorts up to
+/// ~20 items by insertion, in tens of nanoseconds, which allocating any
+/// words at all does not beat (16 rids: sort ahead; 64: the set ahead 1.5x;
+/// `ridset/order_*` in `crates/bench/benches/substrate.rs`).
+const MIN_RIDS: usize = 32;
 
+/// Most words a set may spend per rid it orders or is probed with.  A word
+/// costs about a nanosecond to clear and walk, a rid ten or more to sort:
+/// at 4 words a rid the set still orders a list twice as fast as the sort,
+/// near 6 they tie, at 16 the sort is twice as fast.  The bound is also
+/// what keeps a stray rid on a far page from allocating its whole span.
+const MAX_WORDS_PER_RID: u64 = 4;
+
+/// A set of rids as a dense bitmap in physical order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Chunk {
-    /// Index of the chunk: bit `b` lives in chunk `b / CHUNK_BITS`.
-    base: u64,
-    words: [u64; WORDS_PER_CHUNK],
+pub struct RidSet {
+    words: Vec<u64>,
+    /// Bits per page, as a shift; at least 6.
+    slot_bits: u32,
+    len: usize,
 }
 
-impl Chunk {
-    fn new(base: u64) -> Self {
-        Chunk { base, words: [0; WORDS_PER_CHUNK] }
+impl RidSet {
+    /// The set of the rids in `rids`, or `None` if the list is better left
+    /// a list: shorter than 32 rids, or spanning more than 4 words a rid
+    /// (see the module header).  Nothing is allocated for a refused list.
+    pub fn build(rids: &[Rid]) -> Option<RidSet> {
+        Self::build_for(rids, 0)
     }
 
-    fn count(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-}
-
-/// A sparse bitmap over rid positions.
-///
-/// Positions are packed rids (see [`RidBitmap::from_rids`]) or any other
-/// dense numbering; the structure is agnostic.  Chunks are kept sorted by base,
-/// so iteration yields positions in increasing order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RidBitmap {
-    chunks: Vec<Chunk>,
-}
-
-impl RidBitmap {
-    /// An empty bitmap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build from rids using their packed `u64` encoding (keeps `(page,
-    /// slot)` order).  Rids need not be sorted or unique.
-    ///
-    /// Bulk construction sorts the packed positions once and appends
-    /// chunks in order: inserting scattered rids directly into the sorted
-    /// chunk vector (as [`RidBitmap::set`] does) would shift the directory
-    /// on every new chunk — quadratic in chunk count, and rid lists
-    /// arriving in key order touch pages in effectively random order.  The
-    /// resulting bitmap is identical either way; this is a real-time
-    /// optimization only (bitmap work is charged separately, via
-    /// [`crate::SimClock::charge_hashes`], by the operators that use it).
-    pub fn from_rids(rids: impl IntoIterator<Item = Rid>) -> Self {
-        let mut positions: Vec<u64> = rids.into_iter().map(|r| r.to_u64()).collect();
-        positions.sort_unstable();
-        let mut chunks: Vec<Chunk> = Vec::new();
-        for pos in positions {
-            let base = pos / CHUNK_BITS as u64;
-            let offset = (pos % CHUNK_BITS as u64) as usize;
-            match chunks.last_mut() {
-                Some(chunk) if chunk.base == base => {
-                    chunk.words[offset / 64] |= 1u64 << (offset % 64);
-                }
-                _ => {
-                    let mut chunk = Chunk::new(base);
-                    chunk.words[offset / 64] |= 1u64 << (offset % 64);
-                    chunks.push(chunk);
-                }
-            }
+    /// [`RidSet::build`] for a set that will also be asked
+    /// [`RidSet::contains`] about `probes` other rids: the words are spent
+    /// on those too, so it is the rids and the probes together that must
+    /// number 32 and outnumber a quarter of the words.
+    pub fn build_for(rids: &[Rid], probes: usize) -> Option<RidSet> {
+        let uses = rids.len() + probes;
+        if uses < MIN_RIDS {
+            return None;
         }
-        RidBitmap { chunks }
-    }
-
-    fn chunk_index(&self, base: u64) -> Result<usize, usize> {
-        self.chunks.binary_search_by_key(&base, |c| c.base)
-    }
-
-    /// Set bit `pos`.  Returns `true` if it was newly set.
-    pub fn set(&mut self, pos: u64) -> bool {
-        let base = pos / CHUNK_BITS as u64;
-        let offset = (pos % CHUNK_BITS as u64) as usize;
-        let idx = match self.chunk_index(base) {
-            Ok(i) => i,
-            Err(i) => {
-                self.chunks.insert(i, Chunk::new(base));
-                i
-            }
-        };
-        let word = &mut self.chunks[idx].words[offset / 64];
-        let mask = 1u64 << (offset % 64);
-        let newly = *word & mask == 0;
-        *word |= mask;
-        newly
-    }
-
-    /// Test bit `pos`.
-    pub fn contains(&self, pos: u64) -> bool {
-        let base = pos / CHUNK_BITS as u64;
-        let offset = (pos % CHUNK_BITS as u64) as usize;
-        match self.chunk_index(base) {
-            Ok(i) => self.chunks[i].words[offset / 64] & (1u64 << (offset % 64)) != 0,
-            Err(_) => false,
+        let (mut max_page, mut slots) = (0u32, 0u32);
+        for rid in rids {
+            max_page = max_page.max(rid.page);
+            slots |= rid.slot;
         }
+        let slot_bits = (32 - slots.leading_zeros()).max(6);
+        let words = (max_page as u64 + 1) << (slot_bits - 6);
+        if words > uses as u64 * MAX_WORDS_PER_RID {
+            return None;
+        }
+        let mut set = RidSet { words: vec![0; words as usize], slot_bits, len: 0 };
+        for rid in rids {
+            let at = ((rid.page as u64) << slot_bits) | rid.slot as u64;
+            let word = &mut set.words[(at >> 6) as usize];
+            let bit = 1u64 << (at & 63);
+            set.len += usize::from(*word & bit == 0);
+            *word |= bit;
+        }
+        Some(set)
     }
 
-    /// Number of set bits.
-    pub fn count(&self) -> u64 {
-        self.chunks.iter().map(Chunk::count).sum()
+    /// Number of rids in the set (duplicates in the list counted once).
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    /// Whether no bit is set.
+    /// Whether the set holds no rid.
     pub fn is_empty(&self) -> bool {
-        self.chunks.iter().all(Chunk::is_empty)
+        self.len == 0
     }
 
-    /// Bitwise AND.
-    pub fn and(&self, other: &RidBitmap) -> RidBitmap {
-        let mut out = RidBitmap::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.chunks.len() && j < other.chunks.len() {
-            match self.chunks[i].base.cmp(&other.chunks[j].base) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let mut chunk = Chunk::new(self.chunks[i].base);
-                    for w in 0..WORDS_PER_CHUNK {
-                        chunk.words[w] = self.chunks[i].words[w] & other.chunks[j].words[w];
-                    }
-                    if !chunk.is_empty() {
-                        out.chunks.push(chunk);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
+    /// Words per page group.
+    #[inline]
+    fn group_words(&self) -> usize {
+        1 << (self.slot_bits - 6)
+    }
+
+    /// The bit `rid` would occupy, if it lies inside the set's span.
+    #[inline]
+    fn position(&self, rid: Rid) -> Option<(usize, u64)> {
+        if (rid.slot as u64) >> self.slot_bits != 0 {
+            return None;
         }
-        out
+        let at = ((rid.page as u64) << self.slot_bits) | rid.slot as u64;
+        let word = at >> 6;
+        (word < self.words.len() as u64).then_some((word as usize, 1u64 << (at & 63)))
     }
 
-    /// Bitwise OR.
-    pub fn or(&self, other: &RidBitmap) -> RidBitmap {
-        let mut out = RidBitmap::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.chunks.len() || j < other.chunks.len() {
-            let take_left = match (self.chunks.get(i), other.chunks.get(j)) {
-                (Some(a), Some(b)) => a.base.cmp(&b.base),
-                (Some(_), None) => std::cmp::Ordering::Less,
-                (None, Some(_)) => std::cmp::Ordering::Greater,
-                (None, None) => unreachable!(),
-            };
-            match take_left {
-                std::cmp::Ordering::Less => {
-                    out.chunks.push(self.chunks[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.chunks.push(other.chunks[j].clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    let mut chunk = Chunk::new(self.chunks[i].base);
-                    for w in 0..WORDS_PER_CHUNK {
-                        chunk.words[w] = self.chunks[i].words[w] | other.chunks[j].words[w];
-                    }
-                    out.chunks.push(chunk);
-                    i += 1;
-                    j += 1;
-                }
-            }
+    /// Whether `rid` is in the set.  A slot or page beyond the set's span
+    /// is simply absent.
+    #[inline]
+    pub fn contains(&self, rid: Rid) -> bool {
+        self.position(rid).is_some_and(|(word, bit)| self.words[word] & bit != 0)
+    }
+
+    /// The intersection, word by word.  The operands may differ in span and
+    /// in `slot_bits` (lists over a churned heap do): a rid in both lies
+    /// inside both spans, so the result takes the smaller of each.
+    pub fn and(&self, other: &RidSet) -> RidSet {
+        let slot_bits = self.slot_bits.min(other.slot_bits);
+        let (group, ga, gb) = (1usize << (slot_bits - 6), self.group_words(), other.group_words());
+        let pages = (self.words.len() / ga).min(other.words.len() / gb);
+        let mut words = Vec::with_capacity(pages * group);
+        for page in 0..pages {
+            let (a, b) = (&self.words[page * ga..][..group], &other.words[page * gb..][..group]);
+            words.extend(a.iter().zip(b).map(|(a, b)| a & b));
         }
-        out
+        let len = words.iter().map(|w| w.count_ones() as usize).sum();
+        RidSet { words, slot_bits, len }
     }
 
-    /// Bitwise AND-NOT (`self - other`).
-    pub fn and_not(&self, other: &RidBitmap) -> RidBitmap {
-        let mut out = RidBitmap::new();
-        for chunk in &self.chunks {
-            match other.chunk_index(chunk.base) {
-                Err(_) => {
-                    if !chunk.is_empty() {
-                        out.chunks.push(chunk.clone());
-                    }
-                }
-                Ok(j) => {
-                    let mut c = Chunk::new(chunk.base);
-                    for w in 0..WORDS_PER_CHUNK {
-                        c.words[w] = chunk.words[w] & !other.chunks[j].words[w];
-                    }
-                    if !c.is_empty() {
-                        out.chunks.push(c);
-                    }
-                }
-            }
-        }
-        out
+    /// The non-empty page groups in page order: each page number with its
+    /// slots, ascending.  This is the run structure the fetch sweep works
+    /// in — one page transition and one set of charges per group.
+    pub fn pages(&self) -> impl Iterator<Item = (u32, Slots<'_>)> + '_ {
+        self.words
+            .chunks_exact(self.group_words())
+            .enumerate()
+            .filter(|(_, group)| group.iter().any(|&w| w != 0))
+            .map(|(page, group)| (page as u32, Slots { group, next: 0, word: 0 }))
     }
 
-    /// Iterate set positions in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.chunks.iter().flat_map(|chunk| {
-            (0..WORDS_PER_CHUNK).flat_map(move |w| {
-                let word = chunk.words[w];
-                BitIter { word }.map(move |bit| {
-                    chunk.base * CHUNK_BITS as u64 + (w * 64) as u64 + bit as u64
-                })
+    /// The rids in physical order, each once.
+    pub fn iter(&self) -> impl Iterator<Item = Rid> + '_ {
+        self.pages().flat_map(|(page, slots)| slots.map(move |slot| Rid::new(page, slot)))
+    }
+
+    /// The largest rid in the set.
+    pub fn last(&self) -> Option<Rid> {
+        let word = self.words.iter().rposition(|&w| w != 0)?;
+        let at = ((word as u64) << 6) | (63 - self.words[word].leading_zeros()) as u64;
+        Some(Rid::new((at >> self.slot_bits) as u32, (at & ((1 << self.slot_bits) - 1)) as u32))
+    }
+
+    /// The prefix-popcount table that answers [`RidRanks::rank`] in constant
+    /// time; one pass over the words to build.
+    pub fn ranks(&self) -> RidRanks<'_> {
+        let before = self
+            .words
+            .iter()
+            .scan(0usize, |seen, w| {
+                let before = *seen;
+                *seen += w.count_ones() as usize;
+                Some(before)
             })
-        })
-    }
-
-    /// Iterate set positions decoded back to [`Rid`]s (inverse of
-    /// [`RidBitmap::from_rids`]), in `(page, slot)` order.
-    pub fn iter_rids(&self) -> impl Iterator<Item = Rid> + '_ {
-        self.iter().map(Rid::from_u64)
-    }
-
-    /// Approximate bytes this bitmap occupies (memory-budget accounting).
-    pub fn memory_bytes(&self) -> usize {
-        self.chunks.len() * std::mem::size_of::<Chunk>()
+            .collect();
+        RidRanks { set: self, before }
     }
 }
 
-struct BitIter {
+/// The slots of one page group, ascending.
+#[derive(Debug, Clone)]
+pub struct Slots<'a> {
+    group: &'a [u64],
+    /// Index of the next word of `group` to load.
+    next: usize,
+    /// Bits not yet yielded of `group[next - 1]`.
     word: u64,
 }
 
-impl Iterator for BitIter {
+impl Iterator for Slots<'_> {
     type Item = u32;
+
+    #[inline]
     fn next(&mut self) -> Option<u32> {
-        if self.word == 0 {
-            return None;
+        while self.word == 0 {
+            self.word = *self.group.get(self.next)?;
+            self.next += 1;
         }
         let bit = self.word.trailing_zeros();
         self.word &= self.word - 1;
-        Some(bit)
+        Some((self.next as u32 - 1) * 64 + bit)
     }
 }
 
-impl FromIterator<u64> for RidBitmap {
-    fn from_iter<T: IntoIterator<Item = u64>>(iter: T) -> Self {
-        let mut bm = RidBitmap::new();
-        for pos in iter {
-            bm.set(pos);
+/// A [`RidSet`] with the count of members before each of its words.
+#[derive(Debug)]
+pub struct RidRanks<'a> {
+    set: &'a RidSet,
+    before: Vec<usize>,
+}
+
+impl RidRanks<'_> {
+    /// How many members of the set are smaller than `rid`: a member's
+    /// position in physical order.  Defined for any rid, inside the span or
+    /// not.
+    #[inline]
+    pub fn rank(&self, rid: Rid) -> usize {
+        let set = self.set;
+        // A slot past the page group sorts after everything on its page.
+        let slot = (rid.slot as u64).min(1 << set.slot_bits);
+        let at = ((rid.page as u64) << set.slot_bits) + slot;
+        let word = at >> 6;
+        if word >= set.words.len() as u64 {
+            return set.len;
         }
-        bm
+        let below = set.words[word as usize] & ((1u64 << (at & 63)) - 1);
+        self.before[word as usize] + below.count_ones() as usize
     }
 }
 
@@ -262,84 +236,76 @@ impl FromIterator<u64> for RidBitmap {
 mod tests {
     use super::*;
 
-    #[test]
-    fn set_contains_count() {
-        let mut bm = RidBitmap::new();
-        assert!(bm.is_empty());
-        assert!(bm.set(5));
-        assert!(bm.set(100_000));
-        assert!(!bm.set(5));
-        assert!(bm.contains(5));
-        assert!(bm.contains(100_000));
-        assert!(!bm.contains(6));
-        assert_eq!(bm.count(), 2);
+    /// `n` rids scattered over `pages` pages of `per_page` slots.
+    fn scattered(n: u32, pages: u32, per_page: u32) -> Vec<Rid> {
+        (0..n)
+            .map(|i| {
+                let at = i.wrapping_mul(2_654_435_761) % (pages * per_page);
+                Rid::new(at / per_page, at % per_page)
+            })
+            .collect()
+    }
+
+    fn sorted_dedup(rids: &[Rid]) -> Vec<Rid> {
+        let mut v = rids.to_vec();
+        v.sort_unstable();
+        v.dedup();
+        v
     }
 
     #[test]
-    fn iter_is_sorted_even_for_unsorted_inserts() {
-        let positions = [99u64, 3, 2048, 1, 70_000, 1023, 1024];
-        let bm: RidBitmap = positions.iter().copied().collect();
-        let got: Vec<u64> = bm.iter().collect();
-        let mut want = positions.to_vec();
-        want.sort_unstable();
-        assert_eq!(got, want);
+    fn iteration_is_sort_and_dedup() {
+        let mut rids = scattered(5000, 40, 186);
+        rids.extend_from_within(..700);
+        let set = RidSet::build(&rids).unwrap();
+        let want = sorted_dedup(&rids);
+        assert_eq!(set.len(), want.len());
+        assert!(!set.is_empty());
+        assert_eq!(set.iter().collect::<Vec<_>>(), want);
+        assert_eq!(set.last(), want.last().copied());
+        let by_page: Vec<(u32, Vec<u32>)> = set.pages().map(|(p, s)| (p, s.collect())).collect();
+        assert!(by_page.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(by_page.iter().map(|(_, s)| s.len()).sum::<usize>(), want.len());
     }
 
     #[test]
-    fn and_or_andnot_match_set_algebra() {
-        use std::collections::BTreeSet;
-        let a: Vec<u64> = (0..2000).filter(|x| x % 3 == 0).collect();
-        let b: Vec<u64> = (0..2000).filter(|x| x % 5 == 0).collect();
-        let (sa, sb): (BTreeSet<u64>, BTreeSet<u64>) =
-            (a.iter().copied().collect(), b.iter().copied().collect());
-        let (ba, bb): (RidBitmap, RidBitmap) =
-            (a.into_iter().collect(), b.into_iter().collect());
-
-        let and: Vec<u64> = ba.and(&bb).iter().collect();
-        assert_eq!(and, sa.intersection(&sb).copied().collect::<Vec<_>>());
-        let or: Vec<u64> = ba.or(&bb).iter().collect();
-        assert_eq!(or, sa.union(&sb).copied().collect::<Vec<_>>());
-        let not: Vec<u64> = ba.and_not(&bb).iter().collect();
-        assert_eq!(not, sa.difference(&sb).copied().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn rid_roundtrip_in_physical_order() {
-        let rids = vec![Rid::new(3, 1), Rid::new(0, 2), Rid::new(0, 1), Rid::new(2, 9)];
-        let bm = RidBitmap::from_rids(rids.clone());
-        let got: Vec<Rid> = bm.iter_rids().collect();
-        let mut want = rids;
-        want.sort();
-        assert_eq!(got, want);
-        assert_eq!(bm.count(), 4);
-    }
-
-    #[test]
-    fn empty_operands() {
-        let a: RidBitmap = [1u64, 2, 3].into_iter().collect();
-        let empty = RidBitmap::new();
-        assert_eq!(a.and(&empty).count(), 0);
-        assert_eq!(a.or(&empty), a);
-        assert_eq!(a.and_not(&empty), a);
-        assert_eq!(empty.and_not(&a).count(), 0);
-    }
-
-    #[test]
-    fn chunk_boundaries() {
-        let edge = [1023u64, 1024, 2047, 2048];
-        let bm: RidBitmap = edge.into_iter().collect();
-        assert_eq!(bm.iter().collect::<Vec<_>>(), edge.to_vec());
-        for p in edge {
-            assert!(bm.contains(p));
+    fn and_is_intersection_across_spans_and_slot_widths() {
+        // Slots under 64 on one side, up to 300 on the other; one side
+        // stops 20 pages before the other.
+        let a = scattered(4000, 100, 60);
+        let b = scattered(9000, 80, 300);
+        let (sa, sb) = (RidSet::build(&a).unwrap(), RidSet::build(&b).unwrap());
+        assert_ne!(sa.slot_bits, sb.slot_bits);
+        let want: Vec<Rid> = sorted_dedup(&a).into_iter().filter(|r| b.contains(r)).collect();
+        assert!(!want.is_empty());
+        for both in [sa.and(&sb), sb.and(&sa)] {
+            assert_eq!(both.len(), want.len());
+            assert_eq!(both.iter().collect::<Vec<_>>(), want);
         }
-        assert!(!bm.contains(1022));
-        assert!(!bm.contains(2049));
     }
 
     #[test]
-    fn memory_grows_with_spread() {
-        let dense: RidBitmap = (0..1000u64).collect();
-        let sparse: RidBitmap = (0..1000u64).map(|i| i * 10_000).collect();
-        assert!(sparse.memory_bytes() > dense.memory_bytes());
+    fn short_and_sparse_lists_stay_lists() {
+        assert!(RidSet::build(&[]).is_none());
+        assert!(RidSet::build(&scattered(31, 1, 186)).is_none());
+        assert!(RidSet::build(&scattered(32, 1, 186)).is_some());
+        // 32 rids over 4 words each is the bound; a page more is past it.
+        let mut rids = scattered(32, 1, 64);
+        rids[0] = Rid::new(127, 0);
+        assert!(RidSet::build(&rids).is_some());
+        rids[0] = Rid::new(128, 0);
+        assert!(RidSet::build(&rids).is_none());
+        // Probes count: the same four words a rid, over rids and probes.
+        assert!(RidSet::build_for(&rids, 1).is_some());
+        assert!(RidSet::build_for(&rids[..4], 27).is_none());
+        let few = RidSet::build_for(&rids[1..5], 60).unwrap();
+        assert_eq!(few.iter().collect::<Vec<_>>(), sorted_dedup(&rids[1..5]));
+        assert!(RidSet::build_for(&[], 32).unwrap().is_empty());
+        // A dangling rid on a far page is refused before anything is
+        // allocated for its span (2^32 words here).
+        let mut rids = scattered(100_000, 600, 186);
+        rids.push(Rid::new(u32::MAX - 1, 0));
+        assert!(RidSet::build(&rids).is_none());
+        assert!(RidSet::build(&[Rid::new(u32::MAX - 1, 0), Rid::new(0, 0)]).is_none());
     }
 }

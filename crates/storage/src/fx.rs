@@ -22,14 +22,11 @@ pub struct FxHasher {
     hash: u64,
 }
 
-/// `BuildHasher` plugging [`FxHasher`] into `HashMap`/`HashSet`.
+/// `BuildHasher` plugging [`FxHasher`] into `HashMap`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

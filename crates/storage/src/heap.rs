@@ -31,9 +31,9 @@ impl Rid {
         Rid { page, slot }
     }
 
-    /// Dense integer encoding used by rid bitmaps (`page * slots_per_page +
-    /// slot` would need the page's capacity; instead we pack the two 32-bit
-    /// halves, which preserves `(page, slot)` order).
+    /// Integer encoding that preserves `(page, slot)` order: the two 32-bit
+    /// halves packed.  It is what a rid list is sorted by; the rid set packs
+    /// tighter, to the slot width of the list it holds ([`crate::RidSet`]).
     #[inline]
     pub fn to_u64(self) -> u64 {
         ((self.page as u64) << 32) | self.slot as u64

@@ -11,7 +11,8 @@
 //! * [`heap`] — heap files (a table's main storage structure),
 //! * [`btree`] — B+-trees with single- and multi-column keys, range cursors,
 //!   inserts with splits and deletes with rebalancing, plus bulk loading,
-//! * [`bitmap`] — row-id bitmaps for bitmap-driven sorted fetches,
+//! * [`bitmap`] — the dense rid set behind physical-order fetches and rid
+//!   intersections,
 //! * [`buffer`] — a buffer pool (LRU or Clock) that simulates caching,
 //! * [`sim`] — the deterministic I/O + CPU cost model that stands in for the
 //!   paper's wall-clock measurements on real hardware,
@@ -43,10 +44,10 @@ pub mod shared;
 pub mod sim;
 pub mod table;
 
-pub use bitmap::RidBitmap;
+pub use bitmap::RidSet;
 pub use btree::{BTree, Key};
 pub use buffer::{BufferPool, EvictionPolicy, FileId, PageId};
-pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fx::{FxBuildHasher, FxHashMap, FxHasher};
 pub use heap::{HeapFile, Rid};
 pub use page::{SlottedPage, PAGE_SIZE};
 pub use schema::{ColumnType, Row, Schema, MAX_COLUMNS};

@@ -10,7 +10,7 @@ use robustmap_storage::btree::{BTree, Entry, Key};
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{
     AccessKind, BufferPool, ColumnType, CostModel, EvictionPolicy, FileId, HeapFile, IoStats,
-    PageId, QueryShare, RidBitmap, Row, Schema, Session, SharedBufferPool, SlottedPage,
+    PageId, QueryShare, RidSet, Row, Schema, Session, SharedBufferPool, SlottedPage,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -464,39 +464,85 @@ fn scan_range_at_leaf_edges_equals_the_cursor_loop() {
     assert_eq!((t.returned, t.stats.cpu_rows, t.stats.seq_reads), (0, 0, 0));
 }
 
-// ---------------------------------------------------------------- bitmap
+// ---------------------------------------------------------------- rid set
+
+/// A rid list over `pages` pages of `slots` slots: duplicates likely when
+/// the list is long for its span.
+fn rid_list() -> impl Strategy<Value = Vec<Rid>> {
+    (1u32..40, prop_oneof![Just(1u32), 2u32..64, 64u32..300]).prop_flat_map(|(pages, slots)| {
+        prop::collection::vec((0..pages, 0..slots).prop_map(|(p, s)| Rid::new(p, s)), 0..400)
+    })
+}
+
+/// What `RidSet::build` documents: a list under 32 rids, or one spanning
+/// more than 4 words a rid, stays a list.
+fn stays_a_list(rids: &[Rid]) -> bool {
+    let pages = rids.iter().map(|r| r.page as u64 + 1).max().unwrap_or(0);
+    let widest = rids.iter().map(|r| r.slot).max().unwrap_or(0);
+    let group_words = (widest as u64 + 1).next_power_of_two().max(64) / 64;
+    rids.len() < 32 || pages * group_words > 4 * rids.len() as u64
+}
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Bitmap algebra agrees with set algebra, and iteration is sorted.
+    /// A rid set agrees with the set model: iteration is sort + dedup,
+    /// `and` is intersection, `rank` is position in that order, `contains`
+    /// answers for any rid — a slot past the page group, a page past the
+    /// span — and `build` refuses exactly the lists it says it refuses.
     #[test]
-    fn bitmap_matches_set_model(
-        a in prop::collection::btree_set(0u64..100_000, 0..300),
-        b in prop::collection::btree_set(0u64..100_000, 0..300),
-    ) {
-        let ba: RidBitmap = a.iter().copied().collect();
-        let bb: RidBitmap = b.iter().copied().collect();
-        prop_assert_eq!(ba.count() as usize, a.len());
-        prop_assert_eq!(
-            ba.and(&bb).iter().collect::<Vec<_>>(),
-            a.intersection(&b).copied().collect::<Vec<_>>()
-        );
-        prop_assert_eq!(
-            ba.or(&bb).iter().collect::<Vec<_>>(),
-            a.union(&b).copied().collect::<Vec<_>>()
-        );
-        prop_assert_eq!(
-            ba.and_not(&bb).iter().collect::<Vec<_>>(),
-            a.difference(&b).copied().collect::<Vec<_>>()
-        );
-        // Iteration is strictly increasing.
-        let items: Vec<u64> = ba.iter().collect();
-        prop_assert!(items.windows(2).all(|w| w[0] < w[1]));
-        for &x in &a {
-            prop_assert!(ba.contains(x));
+    fn rid_set_matches_set_model(a in rid_list(), b in rid_list()) {
+        let model = |rids: &[Rid]| rids.iter().copied().collect::<BTreeSet<Rid>>();
+        let (ma, mb) = (model(&a), model(&b));
+        let (sa, sb) = (RidSet::build(&a), RidSet::build(&b));
+        prop_assert_eq!(sa.is_none(), stays_a_list(&a));
+        prop_assert_eq!(sb.is_none(), stays_a_list(&b));
+        if let Some(sa) = &sa {
+            prop_assert_eq!(sa.len(), ma.len());
+            let items: Vec<Rid> = sa.iter().collect();
+            prop_assert!(items.windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(&items, &ma.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(sa.last(), ma.last().copied());
+            let by_page: Vec<Rid> = sa
+                .pages()
+                .flat_map(|(page, slots)| slots.map(move |slot| Rid::new(page, slot)))
+                .collect();
+            prop_assert_eq!(&by_page, &items);
+            let ranks = sa.ranks();
+            for (i, &rid) in items.iter().enumerate() {
+                prop_assert_eq!(ranks.rank(rid), i);
+            }
+            // Probes from the other list and from outside any span.
+            let outside = [
+                Rid::new(0, 63), Rid::new(0, 64), Rid::new(3, 511), Rid::new(3, 512),
+                Rid::new(39, u32::MAX), Rid::new(40, 0), Rid::new(u32::MAX, u32::MAX),
+            ];
+            for &rid in b.iter().chain(&outside) {
+                prop_assert_eq!(sa.contains(rid), ma.contains(&rid), "contains {}", rid);
+                prop_assert_eq!(ranks.rank(rid), ma.range(..rid).count(), "rank {}", rid);
+            }
+        }
+        if let (Some(sa), Some(sb)) = (&sa, &sb) {
+            let want: Vec<Rid> = ma.intersection(&mb).copied().collect();
+            for both in [sa.and(sb), sb.and(sa)] {
+                prop_assert_eq!(both.len(), want.len());
+                prop_assert_eq!(&both.iter().collect::<Vec<_>>(), &want);
+            }
         }
     }
+}
+
+/// The lists with nothing to decide: empty, one rid, and a dangling rid on
+/// a far page, whose span (2^32 words) is never allocated.
+#[test]
+fn rid_set_refuses_without_allocating() {
+    assert!(RidSet::build(&[]).is_none());
+    assert!(RidSet::build(&[Rid::new(3, 4)]).is_none());
+    assert!(RidSet::build(&[Rid::new(u32::MAX - 1, 0), Rid::new(0, 0)]).is_none());
+    let mut long: Vec<Rid> = (0..10_000).map(|i| Rid::new(i / 100, i % 100)).collect();
+    assert!(RidSet::build(&long).is_some());
+    long.push(Rid::new(u32::MAX - 1, 0));
+    assert!(RidSet::build(&long).is_none());
 }
 
 // ---------------------------------------------------------------- pages

@@ -120,6 +120,17 @@ if grep -rnE 'struct Slab|FxHashMap<Row|fn combined\(' crates/executor/src/ops; 
     exit 1
 fi
 
+echo "== one-rid-set gate: a rid set is the dense bitmap; only the fall-through helper sorts a rid list"
+if grep -rn 'RidBitmap' crates; then
+    echo "crates/ names RidBitmap — storage::RidSet replaced it, it is not kept beside it" >&2
+    exit 1
+fi
+if sed '/^pub(crate) fn sort_list/,/^}/d' crates/executor/src/ops/fetch.rs | grep -nE 'radix_sort_by_u64_key|FxHashSet<Rid>' ||
+    grep -rn 'FxHashSet<Rid>' crates/executor/src; then
+    echo "ops/fetch.rs sorts rids outside sort_list, or the executor keeps rids in a hash set — physical order and membership are read off the RidSet; sort_list is the one fall-through" >&2
+    exit 1
+fi
+
 echo "== no-hidden-input gate: run-time conditions are arguments, not environment or process state"
 if grep -rnE 'std::env::' crates/*/src | grep -vE '^crates/(obs/src/log|workload/src/cache|bench/src/bin/[a-z]+)\.rs:' ||
     grep -nE '^\s*(pub(\([a-z]+\))? )?static ' crates/obs/src/trace.rs ||

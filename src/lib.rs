@@ -7,8 +7,8 @@
 //!
 //! This facade crate re-exports the workspace layers:
 //!
-//! * [`storage`] — slotted pages, heap files, B+-trees, rid bitmaps, buffer
-//!   pool, and the deterministic cost model that stands in for hardware;
+//! * [`storage`] — slotted pages, heap files, B+-trees, the dense rid set,
+//!   buffer pool, and the deterministic cost model that stands in for hardware;
 //! * [`executor`] — physical plans and operators: scans, the three fetch
 //!   disciplines of Figure 1, MDAM, index intersection, external sort and
 //!   hash aggregation with graceful/abrupt spill modes;

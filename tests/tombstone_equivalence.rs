@@ -16,9 +16,19 @@
 //! plus, for the collect path, identical result rows in identical
 //! order.  The independence matrix's 513 pushes the chunk boundaries onto
 //! different tombstone runs than the default does.
+//!
+//! The rid set reads the same heap from the other side: a churned page's
+//! slot directory has dead slots in it and the tail pages have few slots
+//! at all, so rid lists over it have gaps, uneven page groups and spans
+//! that end mid-heap.  The last test runs every physical-order fetch and
+//! both intersections against the traditional fetch, which touches no set.
 
 use robustmap::core::MeasureConfig;
-use robustmap::storage::Session;
+use robustmap::executor::{
+    ColRange, FetchKind, ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, KeyRange, PlanSpec,
+    Predicate, Projection,
+};
+use robustmap::storage::{Row, Session};
 use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap::workload::{ChurnConfig, ChurnDriver, TableBuilder, Workload, WorkloadConfig};
 
@@ -81,6 +91,78 @@ fn collected_rows_are_identical_on_tombstoned_heap() {
             let label = format!("churned collect {} [{how}]", plan.name);
             assert_bit_identical(&row_stats, &batch_stats, &label);
             assert_eq!(row_rows, batch_rows, "{label}: collected rows");
+        }
+    }
+}
+
+/// Over the churned table, the fetches that order their rids (improved,
+/// bitmap) and both intersections (merge, hash on either side) return the
+/// rows the traditional fetch returns, and each reads the same — ticks,
+/// counters, operators — one row per batch and under every condition of
+/// the independence matrix.  Selectivities run from a list the set refuses
+/// to the whole table.
+#[test]
+fn ordered_fetches_and_intersections_agree_with_traditional_fetch_on_tombstoned_heap() {
+    let (w, deleted) = churned_workload();
+    assert!(deleted > 0, "churn produced no tombstones; the suite tests nothing");
+    let base = MeasureConfig::default();
+    let project = Projection::Columns(vec![0, 1, 4]);
+    let sorted = |mut rows: Vec<Row>| {
+        rows.sort_by(|a, b| a.values().cmp(b.values()));
+        rows
+    };
+    let range = |index, hi| IndexRangeSpec { index, range: KeyRange::on_leading(i64::MIN, hi, 1) };
+    let fetches = [FetchKind::Improved(ImprovedFetchConfig::default()), FetchKind::BitmapSorted];
+    let algos = [
+        IntersectAlgo::MergeJoin,
+        IntersectAlgo::HashJoin { build_left: true },
+        IntersectAlgo::HashJoin { build_left: false },
+    ];
+    for sa in [0.002, 0.05, 0.6, 1.0] {
+        let ta = w.cal_a.threshold(sa);
+        let fetch_a = |fetch: FetchKind, residual: Predicate| PlanSpec::IndexFetch {
+            scan: range(w.indexes.a, ta),
+            key_filter: Predicate::always_true(),
+            fetch,
+            residual,
+            project: project.clone(),
+        };
+        let mut plans: Vec<(PlanSpec, PlanSpec)> = fetches
+            .iter()
+            .map(|&f| {
+                (
+                    fetch_a(f, Predicate::always_true()),
+                    fetch_a(FetchKind::Traditional, Predicate::always_true()),
+                )
+            })
+            .collect();
+        for sb in [0.01, 0.4, 1.0] {
+            let tb = w.cal_b.threshold(sb);
+            let reference =
+                fetch_a(FetchKind::Traditional, Predicate::single(ColRange::at_most(1, tb)));
+            for algo in algos {
+                for fetch in fetches {
+                    let plan = PlanSpec::IndexIntersect {
+                        left: range(w.indexes.a, ta),
+                        right: range(w.indexes.b, tb),
+                        algo,
+                        fetch,
+                        residual: Predicate::always_true(),
+                        project: project.clone(),
+                    };
+                    plans.push((plan, reference.clone()));
+                }
+            }
+        }
+        for (plan, reference) in &plans {
+            let label = format!("churned {} @ sel_a {sa}", plan.synopsis());
+            let (_, want) = collect_under(&w, reference, &row_path(&base), None);
+            let (row_stats, rows) = collect_under(&w, plan, &row_path(&base), None);
+            assert_eq!(sorted(rows), sorted(want), "{label}: rows vs the traditional fetch");
+            for (how, cfg) in variants(&base, &[]) {
+                let got = run_under(&w, plan, &cfg, None);
+                assert_bit_identical(&row_stats, &got, &format!("{label} [{how}]"));
+            }
         }
     }
 }
