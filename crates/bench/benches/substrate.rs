@@ -13,7 +13,10 @@
 //! and `agg/hash_*` for the blocking operators' own row path (the handle
 //! window, the packed group table).  The `scan/*` rows, with
 //! `fetch/{improved,bitmap}` and `btree/range_scan_full`, are the kernels
-//! that charge per page, leaf or rid run; `fetch/improved_dense_served` is
+//! that charge per page, leaf or rid run (`scan/mdam_64k` where every
+//! skip lands on the next entry, `scan/mdam_dup_prefix_64k` where skips
+//! are seeks, `btree/key_padded_hi` the skip target's constructor);
+//! `fetch/improved_dense_served` is
 //! the same fetch as a served query runs it (shared pool behind its lock,
 //! yield hook armed).  The `serve/*` rows are the
 //! scheduler's: the same burst sliced and unsliced (the difference, over the
@@ -21,6 +24,8 @@
 //! time (every handoff is to the yielder itself, which costs no wake).  The
 //! `setup/*` rows are what every binary pays before its first cell: a table
 //! built, its cache file stored, and the file loaded back, at 2^17 rows.
+
+use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use robustmap_core::{build_map2d, serve_concurrent, Grid2D, MeasureConfig, ServeConfig};
@@ -36,7 +41,8 @@ use robustmap_storage::{
     AccessKind, CostModel, EvictionPolicy, FileId, PageId, RidSet, Session, SharedBufferPool,
 };
 use robustmap_systems::{two_predicate_plans, AdmissionConfig, SystemId};
-use robustmap_workload::{cache, TableBuilder, WorkloadConfig};
+use robustmap_workload::gen::PredicateDistribution;
+use robustmap_workload::{cache, TableBuilder, Workload, WorkloadConfig};
 
 fn bench_btree(c: &mut Criterion) {
     let mut group = c.benchmark_group("btree");
@@ -76,6 +82,17 @@ fn bench_btree(c: &mut Criterion) {
                 AccessKind::Sequential,
                 |_| {},
             )
+        })
+    });
+    // 2^16 prefix-padded keys an iteration, the prefix length hidden from
+    // the compiler as MDAM's violating column is: a skip target a key.
+    group.bench_function("key_padded_hi", |b| {
+        let prefix = [7i64, 11, 13];
+        b.iter(|| {
+            (0..1usize << 16).fold(0, |acc, i| {
+                let key = Key::padded_hi(black_box(&prefix[..1 + i % 2]), 3);
+                acc ^ key.get(1) ^ key.get(2)
+            })
         })
     });
     group.bench_function("insert_delete_cycle", |b| {
@@ -207,15 +224,32 @@ fn bench_fetch_disciplines(c: &mut Criterion) {
 
 /// The scans that touch every row or entry they pass: a table scan under a
 /// two-term predicate, a covering index scan with a residual, and MDAM
-/// over the two-column index with a selective second column.
+/// over the two-column index with a selective second column — over the
+/// permutation table, where every prefix is distinct and a skip lands on
+/// the next entry, and over a uniform one, where sixteen entries share a
+/// prefix, the probe window fails and the skip is a seek.
 fn bench_scan_kernels(c: &mut Criterion) {
     let w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 16));
-    let (ta, tb) = (w.cal_a.threshold(0.5), w.cal_b.threshold(1.0 / 16.0));
+    let dup = TableBuilder::build_cached(WorkloadConfig {
+        predicate_dist: PredicateDistribution::Uniform,
+        ..WorkloadConfig::with_rows(1 << 16)
+    });
+    let thresholds = |w: &Workload| (w.cal_a.threshold(0.5), w.cal_b.threshold(1.0 / 16.0));
+    let (ta, tb) = thresholds(&w);
+    let mdam = |w: &Workload| {
+        let (ta, tb) = thresholds(w);
+        PlanSpec::Mdam {
+            index: w.indexes.ab,
+            col_ranges: vec![(i64::MIN, ta), (i64::MIN, tb)],
+            project: Projection::All,
+        }
+    };
     let mut group = c.benchmark_group("scan");
     group.sample_size(20);
-    for (name, plan) in [
+    for (name, w, plan) in [
         (
             "table_scan_64k",
+            &w,
             PlanSpec::TableScan {
                 table: w.table,
                 pred: Predicate::all_of(vec![ColRange::at_most(0, ta), ColRange::at_most(1, tb)]),
@@ -224,20 +258,15 @@ fn bench_scan_kernels(c: &mut Criterion) {
         ),
         (
             "covering_residual_64k",
+            &w,
             PlanSpec::CoveringIndexScan {
                 scan: IndexRangeSpec { index: w.indexes.ab, range: KeyRange::full(2) },
                 residual: Predicate::single(ColRange::at_most(1, tb)),
                 project: Projection::All,
             },
         ),
-        (
-            "mdam_64k",
-            PlanSpec::Mdam {
-                index: w.indexes.ab,
-                col_ranges: vec![(i64::MIN, ta), (i64::MIN, tb)],
-                project: Projection::All,
-            },
-        ),
+        ("mdam_64k", &w, mdam(&w)),
+        ("mdam_dup_prefix_64k", &dup, mdam(&dup)),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {

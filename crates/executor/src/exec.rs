@@ -33,12 +33,13 @@ use robustmap_storage::{
 };
 
 use crate::batch::{BatchEmitter, ExecConfig, RowBatch};
+use crate::expr::Predicate;
 use crate::ops;
 use crate::ops::adaptive::{
     observe, Observation, SwitchController, SwitchDirective, SwitchEvent,
 };
 use crate::ops::sort::PackedRows;
-use crate::plan::{AggFn, CheckpointKind, IndexRangeSpec, JoinAlgo, PlanSpec};
+use crate::plan::{AggFn, CheckpointKind, IndexRangeSpec, JoinAlgo, PlanSpec, Projection};
 
 /// Errors raised during plan execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,7 +190,7 @@ pub fn run(
     ctx.spilled.set(false);
     ctx.op_stats.borrow_mut().clear();
     ctx.switches.borrow_mut().clear();
-    check_ids(plan, ctx.db)?;
+    check_refs(plan, ctx.db)?;
     let t0 = ctx.session.elapsed_ticks();
     let io0 = ctx.session.stats();
     let rows = node(plan, ctx, &opts, 0, sink)?;
@@ -226,31 +227,60 @@ pub fn run_collect(
     Ok((stats, rows))
 }
 
-/// `Err(BadPlan)` if `plan` names a table or an index `db` does not have.
-/// [`Database::table`] and [`Database::index`] index unchecked, so this
-/// runs before the first operator does: an unknown id is a typed error
-/// with nothing charged, not a panic half-way through a burst.
-fn check_ids(plan: &PlanSpec, db: &Database) -> Result<(), ExecError> {
+/// `Err(BadPlan)` if `plan` names a table or an index `db` does not have,
+/// or a leaf of it names a column its input does not have: predicates,
+/// residuals and projections against the table's arity, key filters and
+/// covering projections against the key's.  [`Database::table`] and
+/// [`Database::index`] index unchecked, and the scan kernels read column
+/// positions unchecked, so this runs before the first operator does: a bad
+/// reference is a typed error with nothing charged, not a panic half-way
+/// through a burst.
+fn check_refs(plan: &PlanSpec, db: &Database) -> Result<(), ExecError> {
     let known = |what: &str, id: u32, count: usize| {
         let unknown = || ExecError::BadPlan(format!("unknown {what} #{id}"));
         ((id as usize) < count).then_some(()).ok_or_else(unknown)
     };
-    let table = |t: TableId| known("table", t.0, db.table_count());
-    let index = |i: IndexId| known("index", i.0, db.index_count());
+    // The arity of a table's rows and of an index's keys, the id checked
+    // on the way; an index that exists is on a table that does.
+    let row_arity = |t: TableId| {
+        known("table", t.0, db.table_count()).map(|()| db.table(t).heap.schema().arity())
+    };
+    let key_arity =
+        |i: IndexId| known("index", i.0, db.index_count()).map(|()| db.index(i).tree.key_arity());
+    let fetched_arity = |i: IndexId| db.table(db.index(i).table).heap.schema().arity();
+    let pred = |what: &str, p: &Predicate, arity: usize| {
+        check_cols(what, p.terms().iter().map(|term| term.col), arity)
+    };
     match plan {
-        PlanSpec::TableScan { table: t, .. } | PlanSpec::ParallelTableScan { table: t, .. } => {
-            table(*t)
+        PlanSpec::TableScan { table, pred: p, project }
+        | PlanSpec::ParallelTableScan { table, pred: p, project, .. } => {
+            let arity = row_arity(*table)?;
+            pred("predicate", p, arity)?;
+            check_projection(project, arity)
         }
-        PlanSpec::IndexFetch { scan, .. } | PlanSpec::CoveringIndexScan { scan, .. } => {
-            index(scan.index)
+        PlanSpec::IndexFetch { scan, key_filter, residual, project, .. } => {
+            pred("key filter", key_filter, key_arity(scan.index)?)?;
+            let arity = fetched_arity(scan.index);
+            pred("residual", residual, arity)?;
+            check_projection(project, arity)
         }
-        PlanSpec::Mdam { index: i, .. } => index(*i),
-        PlanSpec::IndexIntersect { left, right, .. }
-        | PlanSpec::CoveringRidJoin { left, right, .. } => {
-            index(left.index).and(index(right.index))
+        PlanSpec::CoveringIndexScan { scan, residual, project } => {
+            let arity = key_arity(scan.index)?;
+            pred("residual", residual, arity)?;
+            check_projection(project, arity)
         }
-        PlanSpec::Join { left, right, .. } => check_ids(left, db).and(check_ids(right, db)),
-        PlanSpec::Sort { input, .. } | PlanSpec::HashAgg { input, .. } => check_ids(input, db),
+        PlanSpec::Mdam { index, project, .. } => check_projection(project, key_arity(*index)?),
+        PlanSpec::IndexIntersect { left, right, residual, project, .. } => {
+            key_arity(left.index).and(key_arity(right.index))?;
+            let arity = fetched_arity(left.index);
+            pred("residual", residual, arity)?;
+            check_projection(project, arity)
+        }
+        PlanSpec::CoveringRidJoin { left, right, project, .. } => {
+            check_projection(project, key_arity(left.index)? + key_arity(right.index)?)
+        }
+        PlanSpec::Join { left, right, .. } => check_refs(left, db).and(check_refs(right, db)),
+        PlanSpec::Sort { input, .. } | PlanSpec::HashAgg { input, .. } => check_refs(input, db),
     }
 }
 
@@ -336,7 +366,7 @@ fn node(
                 0,
                 ctx.session.elapsed_ticks() - t0,
             );
-            check_ids(&alt, ctx.db)?;
+            check_refs(&alt, ctx.db)?;
             node(&alt, ctx, &RunOpts { controller: None, ..*opts }, depth, sink)
         }
     }
@@ -397,7 +427,7 @@ fn emit_rows(
     produced
 }
 
-/// `Err(BadPlan)` if a blocking operator's column reference does not exist
+/// `Err(BadPlan)` if one of an operator's column references does not exist
 /// in the `arity` columns its input produces.
 fn check_cols(
     what: &str,
@@ -409,6 +439,14 @@ fn check_cols(
             "{what} column {c} does not exist in a {arity}-column input"
         ))),
         None => Ok(()),
+    }
+}
+
+/// [`check_cols`] for a projection ([`Projection::All`] names no column).
+fn check_projection(project: &Projection, arity: usize) -> Result<(), ExecError> {
+    match project {
+        Projection::All => Ok(()),
+        Projection::Columns(cols) => check_cols("projection", cols.iter().copied(), arity),
     }
 }
 
@@ -595,6 +633,7 @@ fn shape(
             check_cols("join left key", [*left_key], larity)?;
             check_cols("join right key", [*right_key], rarity)?;
             check_width("join", larity + rarity)?;
+            check_projection(project, larity + rarity)?;
             // The left input always materialises first; which checkpoint
             // it is depends on the planned build side.
             let build_left = match algo {
@@ -999,6 +1038,15 @@ mod tests {
             join(vec![0, 1], 2, 0, hash),
             join(vec![0, 1], 0, 2, hash),
             join(vec![0, 1, 2, 0, 1, 2, 0], 0, 0, hash), // 7 + 2 columns
+            PlanSpec::Join {
+                left: scan(vec![0, 1]),
+                right: scan(vec![0, 1]),
+                left_key: 0,
+                right_key: 0,
+                algo: hash,
+                memory_bytes: 1 << 20,
+                project: Projection::Columns(vec![4]), // 2 + 2 columns
+            },
             agg(vec![2], vec![AggFn::CountStar]),
             agg(vec![0], vec![AggFn::Sum(2)]),
             agg(vec![0], vec![AggFn::Min(9)]),
@@ -1043,18 +1091,135 @@ mod tests {
                 memory_bytes: 1 << 20,
             },
         ];
-        for plan in &bad {
-            let s = Session::with_pool_pages(64);
-            let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let got = run_count(plan, &ctx, RunOpts::default());
-            assert!(matches!(got, Err(ExecError::BadPlan(_))), "{}: {got:?}", plan.synopsis());
-            assert_eq!((s.elapsed_ticks(), s.stats()), (0, IoStats::default()), "{}", plan.synopsis());
-        }
+        assert_rejected_uncharged(&db, &bad);
         // The widest rows that do fit still run.
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
         let widest = join(vec![0, 1, 2, 0, 1, 2], 5, 1, hash);
         assert!(run_count(&widest, &ctx, RunOpts::default()).is_ok());
+    }
+
+    /// Every plan of `bad` is a `BadPlan` raised before anything ran.
+    fn assert_rejected_uncharged(db: &Database, bad: &[PlanSpec]) {
+        for plan in bad {
+            let s = Session::with_pool_pages(64);
+            let ctx = ExecCtx::new(db, &s, 1 << 20);
+            let got = run_count(plan, &ctx, RunOpts::default());
+            assert!(matches!(got, Err(ExecError::BadPlan(_))), "{}: {got:?}", plan.synopsis());
+            assert_eq!((s.elapsed_ticks(), s.stats()), (0, IoStats::default()), "{}", plan.synopsis());
+        }
+    }
+
+    /// The three-column demo table with an index on `a` and one on `(a, b)`:
+    /// column 3 is the first a row does not have, column 2 the first an
+    /// `(a, b)` key does not.
+    fn indexed_demo_db() -> (Database, TableId, IndexRangeSpec, IndexRangeSpec) {
+        let (mut db, t) = demo_db(64);
+        let a = db.create_index("idx_a", t, &[0]).unwrap();
+        let ab = db.create_index("idx_ab", t, &[0, 1]).unwrap();
+        let a = IndexRangeSpec { index: a, range: KeyRange::full(1) };
+        let ab = IndexRangeSpec { index: ab, range: KeyRange::full(2) };
+        (db, t, a, ab)
+    }
+
+    fn on(col: usize) -> Predicate {
+        Predicate::single(ColRange::at_most(col, 10))
+    }
+
+    fn cols(cols: &[usize]) -> Projection {
+        Projection::Columns(cols.to_vec())
+    }
+
+    #[test]
+    fn table_scan_rejects_a_missing_column() {
+        let (db, table, ..) = indexed_demo_db();
+        let scan = |pred, project| PlanSpec::TableScan { table, pred, project };
+        let bad = [scan(on(9), cols(&[0])), scan(on(0), cols(&[9])), scan(on(2), cols(&[0, 3]))];
+        assert_rejected_uncharged(&db, &bad);
+    }
+
+    #[test]
+    fn parallel_table_scan_rejects_a_missing_column() {
+        let (db, table, ..) = indexed_demo_db();
+        let scan = |pred, project| PlanSpec::ParallelTableScan {
+            table,
+            pred,
+            project,
+            dop: 2,
+            skew_permille: 0,
+        };
+        assert_rejected_uncharged(&db, &[scan(on(3), cols(&[0])), scan(on(0), cols(&[3]))]);
+    }
+
+    #[test]
+    fn index_fetch_rejects_a_missing_column() {
+        let (db, _, a, ab) = indexed_demo_db();
+        let fetch = |scan, key_filter, residual, project| PlanSpec::IndexFetch {
+            scan,
+            key_filter,
+            fetch: FetchKind::Traditional,
+            residual,
+            project,
+        };
+        let bad = [
+            fetch(a, on(1), on(0), cols(&[0])), // the key has one column
+            fetch(ab, on(2), on(0), cols(&[0])),
+            fetch(ab, on(1), on(3), cols(&[0])),
+            fetch(ab, on(1), on(2), cols(&[3])),
+        ];
+        assert_rejected_uncharged(&db, &bad);
+    }
+
+    #[test]
+    fn index_intersect_rejects_a_missing_column() {
+        let (db, _, a, ab) = indexed_demo_db();
+        let intersect = |residual, project| PlanSpec::IndexIntersect {
+            left: a,
+            right: ab,
+            algo: IntersectAlgo::MergeJoin,
+            fetch: FetchKind::Traditional,
+            residual,
+            project,
+        };
+        assert_rejected_uncharged(&db, &[intersect(on(3), cols(&[0])), intersect(on(2), cols(&[5]))]);
+    }
+
+    #[test]
+    fn covering_index_scan_rejects_a_column_the_key_lacks() {
+        let (db, _, _, ab) = indexed_demo_db();
+        let scan = |residual, project| PlanSpec::CoveringIndexScan { scan: ab, residual, project };
+        // Column 2 is in the table, not in the `(a, b)` key.
+        assert_rejected_uncharged(&db, &[scan(on(2), cols(&[0])), scan(on(1), cols(&[2]))]);
+    }
+
+    #[test]
+    fn covering_rid_join_rejects_a_column_the_keys_lack() {
+        let (db, _, a, ab) = indexed_demo_db();
+        let join = |project| PlanSpec::CoveringRidJoin {
+            left: a,
+            right: ab,
+            algo: IntersectAlgo::MergeJoin,
+            project,
+        };
+        // One key column and two: positions 0..3.
+        assert_rejected_uncharged(&db, &[join(cols(&[3]))]);
+        let s = Session::with_pool_pages(64);
+        let ctx = ExecCtx::new(&db, &s, 1 << 20);
+        assert_eq!(run_count(&join(cols(&[2, 0])), &ctx, RunOpts::default()).unwrap().rows_out, 64);
+    }
+
+    #[test]
+    fn mdam_rejects_a_column_the_key_lacks() {
+        let (db, _, _, ab) = indexed_demo_db();
+        let mdam = |project| PlanSpec::Mdam {
+            index: ab.index,
+            col_ranges: vec![(0, 63), (0, 63)],
+            project,
+        };
+        assert_rejected_uncharged(&db, &[mdam(cols(&[5])), mdam(cols(&[0, 2]))]);
+        let s = Session::with_pool_pages(64);
+        let ctx = ExecCtx::new(&db, &s, 1 << 20);
+        assert_eq!(run_count(&mdam(cols(&[1, 0])), &ctx, RunOpts::default()).unwrap().rows_out, 64);
     }
 
     /// Per-run bookkeeping must not leak across runs on one context: not

@@ -10,6 +10,13 @@
 //! allowed; entries order by `(key, rid)`.  Open-ended and prefix bounds use
 //! `i64::MIN` / `i64::MAX` padding (see [`Key::padded_lo`] / [`Key::padded_hi`]),
 //! which is what the MDAM operator uses to build per-column sub-ranges.
+//!
+//! Reads go through one [`Cursor`], which borrows the leaf it is on:
+//! [`BTree::seek`] makes one, [`Cursor::peek`] / [`Cursor::rest`] /
+//! [`Cursor::advance`] read and step within the leaf for free, and
+//! [`BTree::next_leaf`] is the only step that touches a page.
+//! [`BTree::scan_leaves`] and the MDAM walk are written over those;
+//! [`BTree::cursor_next`] is the entry-at-a-time reference loop.
 
 use crate::buffer::{FileId, PageId};
 use crate::heap::Rid;
@@ -31,11 +38,25 @@ impl Key {
     ///
     /// # Panics
     /// Panics if `vals` is empty or longer than [`MAX_KEY_COLS`].
+    #[inline]
     pub fn new(vals: &[i64]) -> Self {
         assert!(!vals.is_empty() && vals.len() <= MAX_KEY_COLS, "bad key arity");
-        let mut k = Key { vals: [0; MAX_KEY_COLS], len: vals.len() as u8 };
-        k.vals[..vals.len()].copy_from_slice(vals);
-        k
+        Self::padded(vals, vals.len(), 0)
+    }
+
+    /// `prefix`, then `pad` in every remaining slot.  A loop of
+    /// [`MAX_KEY_COLS`] trips whatever the prefix length, so it unrolls
+    /// into stores: a `copy_from_slice` of a run-time length is a `memcpy`
+    /// call per key, and MDAM, `seek` and `get_first` build a key per probe.
+    #[inline]
+    fn padded(prefix: &[i64], arity: usize, pad: i64) -> Self {
+        let mut vals = [pad; MAX_KEY_COLS];
+        for (i, v) in vals.iter_mut().enumerate() {
+            if let Some(&p) = prefix.get(i) {
+                *v = p;
+            }
+        }
+        Key { vals, len: arity as u8 }
     }
 
     /// Single-column key.
@@ -69,20 +90,18 @@ impl Key {
 
     /// A `target_arity`-column key that sorts before every real key sharing
     /// the given prefix (remaining columns padded with `i64::MIN`).
+    #[inline]
     pub fn padded_lo(prefix: &[i64], target_arity: usize) -> Self {
         assert!(prefix.len() <= target_arity && target_arity <= MAX_KEY_COLS);
-        let mut vals = [i64::MIN; MAX_KEY_COLS];
-        vals[..prefix.len()].copy_from_slice(prefix);
-        Key { vals, len: target_arity as u8 }
+        Self::padded(prefix, target_arity, i64::MIN)
     }
 
     /// A `target_arity`-column key that sorts after every real key sharing
     /// the given prefix (remaining columns padded with `i64::MAX`).
+    #[inline]
     pub fn padded_hi(prefix: &[i64], target_arity: usize) -> Self {
         assert!(prefix.len() <= target_arity && target_arity <= MAX_KEY_COLS);
-        let mut vals = [i64::MAX; MAX_KEY_COLS];
-        vals[..prefix.len()].copy_from_slice(prefix);
-        Key { vals, len: target_arity as u8 }
+        Self::padded(prefix, target_arity, i64::MAX)
     }
 }
 
@@ -625,7 +644,7 @@ impl BTree {
 
     /// Position a cursor at the first entry with `(key, rid) >= (lo,
     /// Rid(0,0))`, charging the root-to-leaf descent.
-    pub fn seek(&self, lo: &Key, session: &Session) -> Cursor {
+    pub fn seek(&self, lo: &Key, session: &Session) -> Cursor<'_> {
         self.check_key(lo);
         let target = (*lo, Rid::new(0, 0));
         let mut node = self.root;
@@ -636,9 +655,9 @@ impl BTree {
                     let slot = Self::search_children(seps, &target, session);
                     node = children[slot];
                 }
-                Node::Leaf { entries, .. } => {
+                Node::Leaf { entries, next } => {
                     let idx = Self::search_entries(entries, &target, session);
-                    return Cursor { leaf: node, idx, descents: 1 };
+                    return Cursor { rest: &entries[idx..], next: *next };
                 }
                 Node::Free { .. } => unreachable!("descended into freed node"),
             }
@@ -646,73 +665,53 @@ impl BTree {
     }
 
     /// A cursor at the leftmost entry (full index scan).
-    pub fn seek_first(&self, session: &Session) -> Cursor {
+    pub fn seek_first(&self, session: &Session) -> Cursor<'_> {
         let lo = Key::padded_lo(&[], self.key_arity);
         self.seek(&lo, session)
+    }
+
+    /// The cursor at the start of the leaf after `cursor`'s, charging one
+    /// page access of `leaf_access` — the only cursor step that touches a
+    /// page.  `None`, and nothing charged, when the chain has ended.  The
+    /// cursor goes in and comes out by value: a walk that never lends its
+    /// cursor's address keeps it, and every saved copy of it, in registers.
+    #[inline]
+    pub fn next_leaf<'t>(
+        &'t self,
+        cursor: Cursor<'t>,
+        session: &Session,
+        leaf_access: AccessKind,
+    ) -> Option<Cursor<'t>> {
+        if cursor.next == NO_NODE {
+            return None;
+        }
+        self.touch(cursor.next, session, leaf_access);
+        let Node::Leaf { entries, next } = &self.nodes[cursor.next as usize] else {
+            unreachable!("leaf chain hits a non-leaf")
+        };
+        Some(Cursor { rest: entries, next: *next })
     }
 
     /// Advance `cursor`, returning the entry it was on, or `None` at the
     /// end.  Moving to the next leaf charges one page access of
     /// `leaf_access` (leaves are laid out consecutively by bulk load, so
     /// `Sequential` models a scan with read-ahead and `SinglePage` one
-    /// without).
-    pub fn cursor_next(
-        &self,
-        cursor: &mut Cursor,
+    /// without).  The reference loop over [`Cursor::peek`] and
+    /// [`BTree::next_leaf`]: one row charged per entry.
+    pub fn cursor_next<'t>(
+        &'t self,
+        cursor: &mut Cursor<'t>,
         session: &Session,
         leaf_access: AccessKind,
     ) -> Option<Entry> {
         loop {
-            if let Some(entry) = self.cursor_step(cursor) {
+            if let Some(&entry) = cursor.peek() {
+                cursor.advance(1);
                 session.charge_rows(1);
                 return Some(entry);
             }
-            if !self.cursor_next_leaf(cursor, session, leaf_access) {
-                return None;
-            }
+            *cursor = self.next_leaf(*cursor, session, leaf_access)?;
         }
-    }
-
-    /// [`BTree::cursor_next`] within the cursor's leaf and without the row
-    /// charge: the entry `cursor` was on, or `None` at the end of the leaf
-    /// ([`BTree::cursor_next_leaf`] moves on).  For walks that charge a
-    /// leaf's worth of entries in one call; the caller owes one row per
-    /// entry returned.
-    #[inline]
-    pub fn cursor_step(&self, cursor: &mut Cursor) -> Option<Entry> {
-        if cursor.leaf == NO_NODE {
-            return None;
-        }
-        let Node::Leaf { entries, .. } = &self.nodes[cursor.leaf as usize] else {
-            unreachable!("cursor not on a leaf")
-        };
-        let entry = entries.get(cursor.idx).copied();
-        cursor.idx += usize::from(entry.is_some());
-        entry
-    }
-
-    /// Move `cursor` to the start of the next leaf, charging one page
-    /// access of `leaf_access`; `false` (and nothing charged) when the
-    /// chain has ended.
-    pub fn cursor_next_leaf(
-        &self,
-        cursor: &mut Cursor,
-        session: &Session,
-        leaf_access: AccessKind,
-    ) -> bool {
-        if cursor.leaf == NO_NODE {
-            return false;
-        }
-        let Node::Leaf { next, .. } = &self.nodes[cursor.leaf as usize] else {
-            unreachable!("cursor not on a leaf")
-        };
-        cursor.leaf = *next;
-        cursor.idx = 0;
-        if cursor.leaf == NO_NODE {
-            return false;
-        }
-        self.touch(cursor.leaf, session, leaf_access);
-        true
     }
 
     /// Scan all entries with keys in `[lo, hi]` (inclusive, in `(key, rid)`
@@ -747,14 +746,10 @@ impl BTree {
         leaf_access: AccessKind,
         mut f: F,
     ) -> u64 {
-        let Cursor { mut leaf, idx, .. } = self.seek(lo, session);
-        let mut from = idx;
+        let mut cursor = self.seek(lo, session);
         let mut n = 0;
         loop {
-            let Node::Leaf { entries, next } = &self.nodes[leaf as usize] else {
-                unreachable!("cursor not on a leaf")
-            };
-            let rest = &entries[from..];
+            let rest = cursor.rest();
             let ends_here = rest.last().is_some_and(|(key, _)| key > hi);
             let inside =
                 if ends_here { &rest[..rest.partition_point(|(key, _)| key <= hi)] } else { rest };
@@ -763,12 +758,13 @@ impl BTree {
             session.charge_rows_as(looked_at, looked_at);
             f(inside);
             n += inside.len() as u64;
-            if ends_here || *next == NO_NODE {
+            if ends_here {
                 return n;
             }
-            leaf = *next;
-            from = 0;
-            self.touch(leaf, session, leaf_access);
+            match self.next_leaf(cursor, session, leaf_access) {
+                Some(next) => cursor = next,
+                None => return n,
+            }
         }
     }
 
@@ -925,13 +921,38 @@ fn balanced_group_sizes(len: usize, preferred: usize, min_size: usize) -> Vec<us
     (0..groups).map(|i| base + usize::from(i < extra)).collect()
 }
 
-/// A position inside a leaf, advanced by [`BTree::cursor_next`].
-#[derive(Debug, Clone)]
-pub struct Cursor {
-    leaf: NodeId,
-    idx: usize,
-    /// Number of root-to-leaf descents that produced this cursor (1).
-    pub descents: u32,
+/// A position in the leaf chain that borrows its leaf: what is left of the
+/// leaf from the position on, and the id of the leaf after it.  `Copy`, so
+/// saving a position is a register copy, and reading it touches neither the
+/// node table nor a page — [`BTree::next_leaf`] is the only step that does.
+/// The borrow keeps the tree unwritten for as long as a cursor is alive.
+#[derive(Debug, Clone, Copy)]
+pub struct Cursor<'t> {
+    rest: &'t [Entry],
+    next: NodeId,
+}
+
+impl<'t> Cursor<'t> {
+    /// The entry the cursor is on; `None` at the end of its leaf.
+    #[inline]
+    pub fn peek(&self) -> Option<&'t Entry> {
+        self.rest.first()
+    }
+
+    /// The cursor's leaf from its position to the leaf's end.
+    #[inline]
+    pub fn rest(&self) -> &'t [Entry] {
+        self.rest
+    }
+
+    /// Step over `n` entries of the leaf.
+    ///
+    /// # Panics
+    /// Panics if fewer than `n` are left.
+    #[inline]
+    pub fn advance(&mut self, n: usize) {
+        self.rest = &self.rest[n..];
+    }
 }
 
 impl std::fmt::Debug for BTree {

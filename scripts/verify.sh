@@ -131,6 +131,16 @@ if sed '/^pub(crate) fn sort_list/,/^}/d' crates/executor/src/ops/fetch.rs | gre
     exit 1
 fi
 
+echo "== one-walker gate: MDAM walks the cursor that borrows its leaf, and the walk allocates nothing"
+if grep -rnE 'cursor_step|cursor_next_leaf' crates; then
+    echo "crates/ names cursor_step or cursor_next_leaf — the borrowed Cursor with BTree::next_leaf replaced them, they are not kept beside it" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/executor/src/ops/mdam.rs | grep -nE 'Vec<i64>|\.to_vec\(\)'; then
+    echo "ops/mdam.rs builds a Vec per key outside its tests — corners and skip targets are [i64; MAX_KEY_COLS] on the stack" >&2
+    exit 1
+fi
+
 echo "== no-hidden-input gate: run-time conditions are arguments, not environment or process state"
 if grep -rnE 'std::env::' crates/*/src | grep -vE '^crates/(obs/src/log|workload/src/cache|bench/src/bin/[a-z]+)\.rs:' ||
     grep -nE '^\s*(pub(\([a-z]+\))? )?static ' crates/obs/src/trace.rs ||

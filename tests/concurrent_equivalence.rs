@@ -31,10 +31,12 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use robustmap::core::{
-    measure_plan, serve_concurrent, MeasureConfig, QueryError, ServeConfig, ServeReport,
+    measure_plan, serve_concurrent, MeasureConfig, QueryError, QueryOutcome, ServeConfig,
+    ServeReport,
 };
 use robustmap::executor::{
-    AggFn, ColRange, ExecError, JoinAlgo, PlanSpec, Predicate, Projection, SpillMode,
+    AggFn, ColRange, ExecError, IndexRangeSpec, JoinAlgo, KeyRange, PlanSpec, Predicate,
+    Projection, SpillMode,
 };
 use robustmap::storage::{IoStats, TableId};
 use robustmap::systems::{two_predicate_plans, AdmissionConfig, SystemId, TwoPredPlan};
@@ -527,12 +529,33 @@ fn serve_watched(w: &Arc<Workload>, burst: Vec<PlanSpec>, cfg: ServeConfig) -> S
         .expect("the burst did not come back: a failing query stranded the baton")
 }
 
+/// A healthy query of a burst with failures in it: no error, the rows and
+/// the work `spec` does alone — and, served one at a time, its clock and
+/// its `IoStats` bit for bit.
+fn assert_served_as_alone(
+    w: &Workload,
+    q: &QueryOutcome,
+    spec: &PlanSpec,
+    mcfg: &MeasureConfig,
+    level: usize,
+    label: &str,
+) {
+    assert_eq!(q.error, None, "{label}");
+    let alone = measure_plan(&w.db, spec, mcfg);
+    assert_eq!(q.stats.rows_out, alone.rows, "{label}: rows");
+    assert_eq!(work_signature(&q.stats.io), work_signature(&alone.io), "{label}: total work");
+    if level == 1 {
+        assert_eq!(q.stats.seconds.to_bits(), alone.seconds.to_bits(), "{label}: clock");
+        assert_eq!(q.stats.io, alone.io, "{label}: IoStats");
+    }
+}
+
 /// Hardening (a): one query of the burst returns `BadPlan` mid-run (its
 /// right input is a sort without key columns), one panics mid-run (its
-/// right input filters on a column the table does not have, and a scan
-/// reads record bytes by column position unchecked), and one is rejected
-/// as `BadPlan` before it charges anything (its right input aggregates a
-/// table the database does not have).  Served one at a time and eight at a
+/// right input scans a one-column index over a two-column key range, and a
+/// seek asserts its key's arity), and one is rejected as `BadPlan` before
+/// it charges anything (its right input aggregates a table the database
+/// does not have).  Served one at a time and eight at a
 /// time, under every condition of the matrix, the burst comes back,
 /// exactly those three carry an error, and every other query did the rows
 /// and the work it does alone — bit for bit at level 1.
@@ -557,10 +580,10 @@ fn failing_queries_do_not_strand_the_burst() {
     );
     burst[PANICS] = join_onto(
         &w,
-        PlanSpec::TableScan {
-            table: w.table,
-            pred: Predicate::single(ColRange::at_most(99, 0)),
-            project: Projection::Columns(vec![2]),
+        PlanSpec::CoveringIndexScan {
+            scan: IndexRangeSpec { index: w.indexes.a, range: KeyRange::full(2) },
+            residual: Predicate::always_true(),
+            project: Projection::All,
         },
     );
     burst[BAD_ID] = join_onto(
@@ -601,24 +624,7 @@ fn failing_queries_do_not_strand_the_burst() {
                         "{label}: {:?}",
                         q.error
                     ),
-                    _ => {
-                        assert_eq!(q.error, None, "{label}");
-                        let alone = measure_plan(&w.db, &burst[i], &mcfg);
-                        assert_eq!(q.stats.rows_out, alone.rows, "{label}: rows");
-                        assert_eq!(
-                            work_signature(&q.stats.io),
-                            work_signature(&alone.io),
-                            "{label}: total work"
-                        );
-                        if level == 1 {
-                            assert_eq!(
-                                q.stats.seconds.to_bits(),
-                                alone.seconds.to_bits(),
-                                "{label}: clock"
-                            );
-                            assert_eq!(q.stats.io, alone.io, "{label}: IoStats");
-                        }
-                    }
+                    _ => assert_served_as_alone(&w, q, &burst[i], &mcfg, level, &label),
                 }
                 if q.error.is_some() {
                     assert_eq!(q.stats.rows_out, 0, "{label}: a failed query returns no rows");
@@ -634,6 +640,50 @@ fn failing_queries_do_not_strand_the_burst() {
                     assert!(q.stats.io.page_requests() > 0, "{label}: charged work is reported");
                     assert!(quantum != 16 || q.yields > 0, "{label}: failed before its first yield");
                 }
+            }
+        }
+    }
+}
+
+/// Hardening (b): a plan that names a column its input does not have is a
+/// `BadPlan` before it charges anything, whatever the shape.  The whole
+/// catalog as one burst with query 7 replaced by an MDAM scan projecting
+/// column 5 of a two-column key (a panic in a scoped thread before the
+/// leaf shapes were validated): the other fourteen finish with their usual
+/// rows and work — and, served one at a time, their usual ticks.
+#[test]
+fn a_bad_column_reference_costs_the_burst_nothing() {
+    const BAD: usize = 7;
+    let w = Arc::new(workload());
+    let mut burst: Vec<PlanSpec> = catalog(&w)
+        .iter()
+        .map(|p| p.build(w.cal_a.threshold(0.15), w.cal_b.threshold(0.4)))
+        .collect();
+    burst[BAD] = PlanSpec::Mdam {
+        index: w.indexes.ab,
+        col_ranges: vec![(i64::MIN, i64::MAX), (i64::MIN, i64::MAX)],
+        project: Projection::Columns(vec![5]),
+    };
+    for cond in conditions() {
+        let (mcfg, scfg) = cfgs(&cond);
+        for level in [1usize, 8] {
+            let mut scfg = scfg.clone();
+            scfg.admission = AdmissionConfig { max_in_flight: level, ..AdmissionConfig::default() };
+            let report = serve_watched(&w, burst.clone(), scfg);
+            assert_eq!(report.queries.len(), 15);
+            for (i, q) in report.queries.iter().enumerate() {
+                let label = format!("[{}] level {level} query {i}", cond.name);
+                if i == BAD {
+                    assert!(
+                        matches!(q.error, Some(QueryError::Exec(ExecError::BadPlan(_)))),
+                        "{label}: {:?}",
+                        q.error
+                    );
+                    assert_eq!((q.stats.ticks, q.stats.io), (0, IoStats::default()), "{label}");
+                    assert_eq!((q.stats.rows_out, q.yields), (0, 0), "{label}");
+                    continue;
+                }
+                assert_served_as_alone(&w, q, &burst[i], &mcfg, level, &label);
             }
         }
     }

@@ -23,7 +23,7 @@
 //! that end mid-heap.  The last test runs every physical-order fetch and
 //! both intersections against the traditional fetch, which touches no set.
 
-use robustmap::core::MeasureConfig;
+use robustmap::core::{measure_batch, serve_concurrent, MeasureConfig, Measurement, ServeConfig};
 use robustmap::executor::{
     ColRange, FetchKind, ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, KeyRange, PlanSpec,
     Predicate, Projection,
@@ -33,7 +33,7 @@ use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap::workload::{ChurnConfig, ChurnDriver, TableBuilder, Workload, WorkloadConfig};
 
 mod common;
-use common::{assert_bit_identical, collect_under, row_path, run_under, variants};
+use common::{assert_bit_identical, collect_under, conditions, row_path, run_under, variants};
 
 /// Build a workload and churn 30% of it so the heap carries tombstones,
 /// update-moved rows, and appended tail pages.
@@ -45,6 +45,12 @@ fn churned_workload() -> (Workload, u64) {
     let batches = driver.apply_until_fraction(&mut w, &session, 0.3);
     let deleted: u64 = batches.iter().map(|b| b.deleted.len() as u64).sum();
     (w, deleted)
+}
+
+/// `rows` as a set: plans that read in different orders return equal ones.
+fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort_by(|a, b| a.values().cmp(b.values()));
+    rows
 }
 
 /// Every plan in the three-system catalog over a selectivity grid, on the
@@ -107,10 +113,6 @@ fn ordered_fetches_and_intersections_agree_with_traditional_fetch_on_tombstoned_
     assert!(deleted > 0, "churn produced no tombstones; the suite tests nothing");
     let base = MeasureConfig::default();
     let project = Projection::Columns(vec![0, 1, 4]);
-    let sorted = |mut rows: Vec<Row>| {
-        rows.sort_by(|a, b| a.values().cmp(b.values()));
-        rows
-    };
     let range = |index, hi| IndexRangeSpec { index, range: KeyRange::on_leading(i64::MIN, hi, 1) };
     let fetches = [FetchKind::Improved(ImprovedFetchConfig::default()), FetchKind::BitmapSorted];
     let algos = [
@@ -162,6 +164,58 @@ fn ordered_fetches_and_intersections_agree_with_traditional_fetch_on_tombstoned_
             for (how, cfg) in variants(&base, &[]) {
                 let got = run_under(&w, plan, &cfg, None);
                 assert_bit_identical(&row_stats, &got, &format!("{label} [{how}]"));
+            }
+        }
+    }
+}
+
+/// Both MDAM plans over the churned table, whose two-column indexes have
+/// taken the same inserts and deletes — leaves half empty, prefixes no
+/// longer distinct, so probe windows cross leaf edges and fail.  Each
+/// returns the rows its covering scan with a residual returns, as many as
+/// the table scan, and reads the same — ticks, counters, operators —
+/// whatever the condition: batch size, tracing, the serving quantum
+/// (served alone under it) and the sweep's thread count.
+#[test]
+fn mdam_agrees_with_the_scans_on_tombstoned_table_under_every_condition() {
+    let (w, deleted) = churned_workload();
+    assert!(deleted > 0, "churn produced no tombstones; the suite tests nothing");
+    let plan = |name: &str| {
+        let plans = SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, &w));
+        plans.into_iter().find(|p| p.name.starts_with(name)).expect("catalog plan")
+    };
+    let base = MeasureConfig::default();
+    let table_scan = plan("A1");
+    for (mdam, covering) in [(plan("C1"), plan("C3")), (plan("C2"), plan("C4"))] {
+        let mut specs = Vec::new();
+        let mut alone: Vec<Measurement> = Vec::new();
+        for (sa, sb) in [(0.02, 0.9), (0.3, 0.3), (0.9, 0.02), (1.0, 1.0)] {
+            let (ta, tb) = (w.cal_a.threshold(sa), w.cal_b.threshold(sb));
+            let spec = mdam.build(ta, tb);
+            let label = format!("churned {} @ ({sa}, {sb})", mdam.name);
+            let (row, rows) = collect_under(&w, &spec, &row_path(&base), None);
+            let (_, want) = collect_under(&w, &covering.build(ta, tb), &row_path(&base), None);
+            assert_eq!(sorted(rows), sorted(want), "{label}: rows vs {}", covering.name);
+            let scanned = run_under(&w, &table_scan.build(ta, tb), &row_path(&base), None);
+            assert_eq!(row.rows_out, scanned.rows_out, "{label}: rows vs the table scan");
+            for cond in conditions() {
+                let label = format!("{label} [{}]", cond.name);
+                assert_bit_identical(&row, &run_under(&w, &spec, &cond.measure(&base), None), &label);
+                let served = serve_concurrent(
+                    &w.db,
+                    std::slice::from_ref(&spec),
+                    &cond.serve(&ServeConfig::default()),
+                );
+                assert_bit_identical(&row, &served.queries[0].stats, &format!("{label} served"));
+            }
+            alone.push(Measurement::from(&row));
+            specs.push(spec);
+        }
+        for cond in conditions() {
+            for threads in [1, 2] {
+                let cfg = MeasureConfig { threads, ..cond.measure(&base) };
+                let label = format!("churned {} [{}] {threads} threads", mdam.name, cond.name);
+                assert_eq!(measure_batch(&w.db, &specs, &cfg), alone, "{label}");
             }
         }
     }
