@@ -21,7 +21,11 @@
 //! yield hook armed).  The `serve/*` rows are the
 //! scheduler's: the same burst sliced and unsliced (the difference, over the
 //! extra slices, is the price of a baton handoff) and served one query at a
-//! time (every handoff is to the yielder itself, which costs no wake).  The
+//! time (every handoff is to the yielder itself, which costs no wake).
+//! `exec/catalog_{count,read}_64k` run the fifteen catalog plans once
+//! counted (`run_count`: the root builds no row) and once read
+//! (`run_collect`), and `sort/abrupt_root_count_128k` is a counted root
+//! sort, which computes no order (docs/DESIGN.md "Counted runs").  The
 //! `setup/*` rows are what every binary pays before its first cell: a table
 //! built, its cache file stored, and the file loaded back, at 2^17 rows.
 
@@ -32,8 +36,8 @@ use robustmap_core::{build_map2d, serve_concurrent, Grid2D, MeasureConfig, Serve
 use robustmap_executor::batch::radix_sort_by_u64_key;
 use robustmap_executor::ops::sort::PackedRows;
 use robustmap_executor::{
-    run, run_count, AggFn, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig, IndexRangeSpec, JoinAlgo,
-    KeyRange, PlanSpec, Predicate, Projection, RunOpts, SpillMode,
+    run, run_collect, run_count, AggFn, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig,
+    IndexRangeSpec, JoinAlgo, KeyRange, PlanSpec, Predicate, Projection, RunOpts, SpillMode,
 };
 use robustmap_storage::btree::{BTree, Key};
 use robustmap_storage::heap::Rid;
@@ -328,10 +332,10 @@ fn bench_blocking_row_path(c: &mut Criterion) {
             project: Projection::Columns(vec![2, 0]),
         })
     };
-    let sort = |memory_bytes| PlanSpec::Sort {
+    let sort = |mode, memory_bytes| PlanSpec::Sort {
         input: input(),
         key_cols: vec![0],
-        mode: SpillMode::Graceful,
+        mode,
         memory_bytes,
     };
     let agg = |memory_bytes| PlanSpec::HashAgg {
@@ -342,10 +346,12 @@ fn bench_blocking_row_path(c: &mut Criterion) {
         memory_bytes,
     };
     for (group, name, plan) in [
-        ("sort", "graceful_window_51_128k", sort(4 << 10)),
-        ("sort", "graceful_window_3276_128k", sort(256 << 10)),
-        ("sort", "graceful_window_52k_128k", sort(4 << 20)),
-        ("sort", "graceful_fits_128k", sort(16 << 20)),
+        ("sort", "graceful_window_51_128k", sort(SpillMode::Graceful, 4 << 10)),
+        ("sort", "graceful_window_3276_128k", sort(SpillMode::Graceful, 256 << 10)),
+        ("sort", "graceful_window_52k_128k", sort(SpillMode::Graceful, 4 << 20)),
+        ("sort", "graceful_fits_128k", sort(SpillMode::Graceful, 16 << 20)),
+        // Three runs merged; counted, so the final pass orders nothing.
+        ("sort", "abrupt_root_count_128k", sort(SpillMode::Abrupt, 4 << 20)),
         ("agg", "hash_unique_128k", agg(64 << 20)),
         ("agg", "hash_spill_128k", agg(256 << 10)),
     ] {
@@ -402,6 +408,37 @@ fn bench_blocking_edges(c: &mut Criterion) {
             let mut rows = PackedRows::default();
             run(&input, &ctx, RunOpts::default(), &mut |batch| rows.extend_from_batch(batch)).unwrap();
             rows
+        })
+    });
+    group.finish();
+}
+
+/// The 15-plan catalog at the serving point (0.15, 0.4), every plan run
+/// once an iteration: counted, as a map cell runs it, and read, its rows
+/// collected.
+fn bench_catalog(c: &mut Criterion) {
+    let w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 16));
+    let specs: Vec<PlanSpec> = SystemId::all()
+        .into_iter()
+        .flat_map(|s| two_predicate_plans(s, &w))
+        .map(|p| p.build(w.cal_a.threshold(0.15), w.cal_b.threshold(0.4)))
+        .collect();
+    let mut group = c.benchmark_group("exec");
+    group.sample_size(10);
+    group.bench_function("catalog_count_64k", |b| {
+        b.iter(|| {
+            let s = Session::with_pool_pages(1024);
+            let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
+            let count = |spec| run_count(spec, &ctx, RunOpts::default()).unwrap().rows_out;
+            specs.iter().map(count).sum::<u64>()
+        })
+    });
+    group.bench_function("catalog_read_64k", |b| {
+        b.iter(|| {
+            let s = Session::with_pool_pages(1024);
+            let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
+            let read = |spec| run_collect(spec, &ctx, RunOpts::default()).unwrap().1.len();
+            specs.iter().map(read).sum::<usize>()
         })
     });
     group.finish();
@@ -481,6 +518,7 @@ criterion_group!(
     bench_sort_modes,
     bench_blocking_row_path,
     bench_blocking_edges,
+    bench_catalog,
     bench_serve,
     bench_map_builder
 );

@@ -310,10 +310,14 @@ impl Burst {
     }
 
     /// Put the slice `q` just ran, up to its session clock `elapsed`, on
-    /// the global clock.
+    /// the global clock.  The sum saturates: each query's own clock stops
+    /// (and its query fails) short of `u64::MAX`, but a burst's queries
+    /// together can add up to more, and this runs under the scheduler lock
+    /// — a panic here would strand the burst, a wrap would run
+    /// turnarounds backwards.
     fn end_slice(&self, s: &mut Scheduler, q: usize, elapsed: u64) {
         debug_assert_eq!(s.running[s.cursor], q, "baton discipline violated");
-        s.global_sim += elapsed - s.slots[q].last_elapsed;
+        s.global_sim = s.global_sim.saturating_add(elapsed - s.slots[q].last_elapsed);
         s.slots[q].last_elapsed = elapsed;
         self.emit(self.tracks[q], s.global_sim, TraceEventKind::SliceEnd);
     }

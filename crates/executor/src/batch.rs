@@ -14,13 +14,17 @@
 //!   [`RowBatch`];
 //! * batching only moves work that is *free* on the simulated clock:
 //!   decoding, projection, sink dispatch, and intermediate-row copies;
-//! * every operator emits through a [`BatchEmitter`], which hands a row to
-//!   the sink the moment the batch is full — so at `batch_rows = 1` each
-//!   row reaches its consumer before the next row is produced.  Operators
-//!   whose `push` writes spill pages into the pool their producer reads
-//!   through (external sort, hash aggregation) run their input at that
-//!   size, which fixes the order of those writes among the producer's
-//!   reads whatever the batch size of the run.
+//! * every operator whose rows are read emits through a [`BatchEmitter`],
+//!   which hands a row to the sink the moment the batch is full — so at
+//!   `batch_rows = 1` each row reaches its consumer before the next row is
+//!   produced.  Operators whose `push` writes spill pages into the pool
+//!   their producer reads through (external sort, hash aggregation) run
+//!   their input at that size, which fixes the order of those writes
+//!   among the producer's reads whatever the batch size of the run.  The
+//!   root of a counted run ([`crate::run_count`]) is not read: its emitter
+//!   gathers no column (a batch of no columns still counts its rows), and
+//!   a root sort or aggregation emits nothing at all.  Neither moves the
+//!   clock, since emission is charge-free.
 //!
 //! The batch size is a field of whoever runs the plan
 //! ([`crate::RunOpts::batch`], `MeasureConfig::exec`, `ServeConfig::batch`);

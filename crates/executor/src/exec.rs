@@ -21,8 +21,19 @@
 //!   [`crate::ops::adaptive`].  A static run is `controller: None`; the
 //!   checkpoints are wedges inside the single arm of each plan shape.
 //!
+//! A run is *read* ([`run`], [`run_collect`]) or *counted* ([`run_count`],
+//! what every map cell and served query is).  In a counted run nobody
+//! reads the root's rows, so the root builds none: its output columns
+//! resolve to none, its kernel's [`BatchEmitter`] counts rows without
+//! gathering, and a root sort or aggregation finishes without computing
+//! an order.  Children are always read — their parent consumes every
+//! column.  Emission is charge-free and the final pass of a sort or
+//! aggregation issues the same charge calls either way, so the two runs
+//! are charge-identical.
+//!
 //! Every plan's charges are pinned by the golden ledger
-//! (`tests/golden/exec_ledger.txt`, asserted by `tests/exec_ledger.rs`).
+//! (`tests/golden/exec_ledger.txt`, asserted by `tests/exec_ledger.rs`
+//! through both a counted and a read run).
 
 use std::cell::{Cell, RefCell};
 
@@ -86,7 +97,8 @@ pub struct OpStats {
 /// Summary of one plan execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecStats {
-    /// Rows delivered to the sink.
+    /// Rows the plan produced: delivered to the sink of a read run,
+    /// counted in a counted one.
     pub rows_out: u64,
     /// Clock ticks (picoseconds) for the whole plan: the exact reading,
     /// the one equivalence suites compare.
@@ -185,6 +197,28 @@ pub fn run(
     opts: RunOpts<'_>,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<ExecStats, ExecError> {
+    run_as(plan, ctx, opts, Output::Read, sink)
+}
+
+/// Whether anyone reads a node's rows.  Only the root of a counted run is
+/// not read; [`shape`] is the one place that decides what that saves.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Output {
+    /// The consumer reads every output column of every row.
+    Read,
+    /// The consumer only counts the rows.
+    Counted,
+}
+
+/// What [`run`] and [`run_count`] both run: `output` says whether the
+/// root's rows are read.
+fn run_as(
+    plan: &PlanSpec,
+    ctx: &ExecCtx<'_>,
+    opts: RunOpts<'_>,
+    output: Output,
+    sink: &mut dyn FnMut(&RowBatch),
+) -> Result<ExecStats, ExecError> {
     // A context may be reused; a previous run (failed ones included) must
     // not leak its records into this one.
     ctx.spilled.set(false);
@@ -193,7 +227,7 @@ pub fn run(
     check_refs(plan, ctx.db)?;
     let t0 = ctx.session.elapsed_ticks();
     let io0 = ctx.session.stats();
-    let rows = node(plan, ctx, &opts, 0, sink)?;
+    let rows = node(plan, ctx, &opts, 0, output, sink)?;
     let ticks = ctx.session.elapsed_ticks() - t0;
     Ok(ExecStats {
         rows_out: rows,
@@ -206,14 +240,16 @@ pub fn run(
     })
 }
 
-/// [`run`], counting and discarding the output — the entry point the
-/// sweep arenas measure through.
+/// [`run`] with nobody reading the output: the root counts its rows and
+/// builds none of them (see the module docs), charge for charge what
+/// [`run`] charges.  The entry point every map cell, served query and
+/// layer probe measures through.
 pub fn run_count(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
     opts: RunOpts<'_>,
 ) -> Result<ExecStats, ExecError> {
-    run(plan, ctx, opts, &mut |_| {})
+    run_as(plan, ctx, opts, Output::Counted, &mut |_| {})
 }
 
 /// [`run`], collecting all output rows (tests and small results only).
@@ -228,13 +264,14 @@ pub fn run_collect(
 }
 
 /// `Err(BadPlan)` if `plan` names a table or an index `db` does not have,
-/// or a leaf of it names a column its input does not have: predicates,
+/// bounds an index range with keys of another arity than the index's, or
+/// a leaf of it names a column its input does not have: predicates,
 /// residuals and projections against the table's arity, key filters and
 /// covering projections against the key's.  [`Database::table`] and
-/// [`Database::index`] index unchecked, and the scan kernels read column
-/// positions unchecked, so this runs before the first operator does: a bad
-/// reference is a typed error with nothing charged, not a panic half-way
-/// through a burst.
+/// [`Database::index`] index unchecked, `BTree::seek` asserts its key's
+/// arity, and the scan kernels read column positions unchecked, so this
+/// runs before the first operator does: a bad reference is a typed error
+/// with nothing charged, not a panic half-way through a burst.
 fn check_refs(plan: &PlanSpec, db: &Database) -> Result<(), ExecError> {
     let known = |what: &str, id: u32, count: usize| {
         let unknown = || ExecError::BadPlan(format!("unknown {what} #{id}"));
@@ -247,6 +284,18 @@ fn check_refs(plan: &PlanSpec, db: &Database) -> Result<(), ExecError> {
     };
     let key_arity =
         |i: IndexId| known("index", i.0, db.index_count()).map(|()| db.index(i).tree.key_arity());
+    // The key arity of a range's index, both bounds checked against it.
+    let range = |scan: &IndexRangeSpec| {
+        let arity = key_arity(scan.index)?;
+        match [scan.range.lo, scan.range.hi].iter().find(|bound| bound.arity() != arity) {
+            Some(bound) => Err(ExecError::BadPlan(format!(
+                "a {}-column range bound on index #{}, whose keys have {arity} columns",
+                bound.arity(),
+                scan.index.0
+            ))),
+            None => Ok(arity),
+        }
+    };
     let fetched_arity = |i: IndexId| db.table(db.index(i).table).heap.schema().arity();
     let pred = |what: &str, p: &Predicate, arity: usize| {
         check_cols(what, p.terms().iter().map(|term| term.col), arity)
@@ -259,25 +308,25 @@ fn check_refs(plan: &PlanSpec, db: &Database) -> Result<(), ExecError> {
             check_projection(project, arity)
         }
         PlanSpec::IndexFetch { scan, key_filter, residual, project, .. } => {
-            pred("key filter", key_filter, key_arity(scan.index)?)?;
+            pred("key filter", key_filter, range(scan)?)?;
             let arity = fetched_arity(scan.index);
             pred("residual", residual, arity)?;
             check_projection(project, arity)
         }
         PlanSpec::CoveringIndexScan { scan, residual, project } => {
-            let arity = key_arity(scan.index)?;
+            let arity = range(scan)?;
             pred("residual", residual, arity)?;
             check_projection(project, arity)
         }
         PlanSpec::Mdam { index, project, .. } => check_projection(project, key_arity(*index)?),
         PlanSpec::IndexIntersect { left, right, residual, project, .. } => {
-            key_arity(left.index).and(key_arity(right.index))?;
+            range(left).and(range(right))?;
             let arity = fetched_arity(left.index);
             pred("residual", residual, arity)?;
             check_projection(project, arity)
         }
         PlanSpec::CoveringRidJoin { left, right, project, .. } => {
-            check_projection(project, key_arity(left.index)? + key_arity(right.index)?)
+            check_projection(project, range(left)? + range(right)?)
         }
         PlanSpec::Join { left, right, .. } => check_refs(left, db).and(check_refs(right, db)),
         PlanSpec::Sort { input, .. } | PlanSpec::HashAgg { input, .. } => check_refs(input, db),
@@ -323,12 +372,14 @@ enum Outcome {
 }
 
 /// Run one plan node: the operator span, the per-operator record, and —
-/// when a controller bails — the hand-over to the replacement plan.
+/// when a controller bails — the hand-over to the replacement plan, whose
+/// output is read or counted like the plan it replaces.
 fn node(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
     opts: &RunOpts<'_>,
     depth: usize,
+    output: Output,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
     // Charge-free operator span: tracing reads the clock, never advances
@@ -342,7 +393,7 @@ fn node(
             .trace_event(TraceEventKind::OpBegin { name: name.clone(), depth: depth as u32 });
     }
     let t0 = ctx.session.elapsed_ticks();
-    let result = shape(plan, ctx, opts, depth, sink);
+    let result = shape(plan, ctx, opts, depth, output, sink);
     if traced {
         ctx.session.flush_io_window();
         ctx.session.trace_event(TraceEventKind::OpEnd {
@@ -367,7 +418,7 @@ fn node(
                 ctx.session.elapsed_ticks() - t0,
             );
             check_refs(&alt, ctx.db)?;
-            node(&alt, ctx, &RunOpts { controller: None, ..*opts }, depth, sink)
+            node(&alt, ctx, &RunOpts { controller: None, ..*opts }, depth, output, sink)
         }
     }
 }
@@ -381,7 +432,7 @@ fn materialise(
     depth: usize,
 ) -> Result<PackedRows, ExecError> {
     let mut rows = PackedRows::default();
-    node(plan, ctx, opts, depth, &mut |b| rows.extend_from_batch(b))?;
+    node(plan, ctx, opts, depth, Output::Read, &mut |b| rows.extend_from_batch(b))?;
     Ok(rows)
 }
 
@@ -401,7 +452,7 @@ fn feed_lockstep(
     let lockstep = RunOpts { batch: ExecConfig::with_batch_rows(1), ..*opts };
     let mut fed = 0u64;
     let mut row = Vec::new();
-    node(input, ctx, &lockstep, depth, &mut |b| {
+    node(input, ctx, &lockstep, depth, Output::Read, &mut |b| {
         for i in 0..b.len() {
             row.clear();
             row.extend((0..b.arity()).map(|c| b.col(c)[i]));
@@ -413,16 +464,21 @@ fn feed_lockstep(
 }
 
 /// Re-emit the rows a blocking operator's `finish` produces as batches of
-/// `arity` columns.
+/// `arity` columns — or, when they are only counted, let it finish without
+/// producing them.
 fn emit_rows(
     arity: usize,
+    output: Output,
     opts: &RunOpts<'_>,
     sink: &mut dyn FnMut(&RowBatch),
-    finish: impl FnOnce(&mut dyn FnMut(&[i64])) -> u64,
+    finish: impl FnOnce(Option<ops::RowSink<'_>>) -> u64,
 ) -> u64 {
+    if output == Output::Counted {
+        return finish(None);
+    }
     let identity: Vec<usize> = (0..arity).collect();
     let mut emitter = BatchEmitter::new(arity, opts.batch.batch_rows);
-    let produced = finish(&mut |row| emitter.push_projected_slice(row, &identity, sink));
+    let produced = finish(Some(&mut |row| emitter.push_projected_slice(row, &identity, sink)));
     emitter.flush(sink);
     produced
 }
@@ -462,19 +518,29 @@ fn check_width(what: &str, arity: usize) -> Result<(), ExecError> {
 
 /// The interpreter proper: one arm per plan shape.  Every charge a plan
 /// makes is issued here or in the operator the arm calls, and none
-/// depends on `opts`; checkpoints sit between the charge that produced a
-/// materialisation and the charge that consumes it.
+/// depends on `opts` or `output`; checkpoints sit between the charge that
+/// produced a materialisation and the charge that consumes it.
 fn shape(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
     opts: &RunOpts<'_>,
     depth: usize,
+    output: Output,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<Outcome, ExecError> {
     let cfg = &opts.batch;
+    // The one place an arm's output columns are resolved, as positions in
+    // the `arity` columns it gathers from: none when the rows are only
+    // counted, so the arm's emitter counts them without gathering.
+    let out_cols = |project: &Projection, arity: usize| match output {
+        Output::Read => project.resolve(arity),
+        Output::Counted => Vec::new(),
+    };
     let rows = match plan {
         PlanSpec::TableScan { table, pred, project } => {
-            ops::table_scan::run(ctx.db.table(*table), pred, project, cfg, ctx.session, sink)
+            let table = ctx.db.table(*table);
+            let cols = out_cols(project, table.heap.schema().arity());
+            ops::table_scan::run(table, pred, &cols, cfg, ctx.session, sink)
         }
         PlanSpec::IndexFetch { scan, key_filter, fetch, residual, project } => {
             let index = ctx.db.index(scan.index);
@@ -492,23 +558,18 @@ fn shape(
                 _ => {}
             }
             let heap = &ctx.db.table(index.table).heap;
-            ops::fetch::run(heap, rids, &fetch_eff, residual, project, cfg, ctx.session, sink)?
+            let cols = out_cols(project, heap.schema().arity());
+            ops::fetch::run(heap, rids, &fetch_eff, residual, &cols, cfg, ctx.session, sink)?
         }
         PlanSpec::CoveringIndexScan { scan, residual, project } => {
             let index = ctx.db.index(scan.index);
-            ops::index_scan::run_covering(
-                index,
-                &scan.range,
-                residual,
-                project,
-                cfg,
-                ctx.session,
-                sink,
-            )
+            let cols = out_cols(project, index.tree.key_arity());
+            let range = &scan.range;
+            ops::index_scan::run_covering(index, range, residual, &cols, cfg, ctx.session, sink)
         }
         PlanSpec::Mdam { index, col_ranges, project } => {
             let idx = ctx.db.index(*index);
-            let proj = project.resolve(idx.tree.key_arity());
+            let proj = out_cols(project, idx.tree.key_arity());
             let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
             if opts.controller.is_none() {
                 // Nobody can abandon the scan: stream, hold nothing.
@@ -589,7 +650,8 @@ fn shape(
                 _ => {}
             }
             let heap = &ctx.db.table(li.table).heap;
-            ops::fetch::run(heap, surviving, &fetch_eff, residual, project, cfg, ctx.session, sink)?
+            let cols = out_cols(project, heap.schema().arity());
+            ops::fetch::run(heap, surviving, &fetch_eff, residual, &cols, cfg, ctx.session, sink)?
         }
         PlanSpec::CoveringRidJoin { left, right, algo, project } => {
             let li = ctx.db.index(left.index);
@@ -620,7 +682,7 @@ fn shape(
                 SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
                 _ => {}
             }
-            let proj = project.resolve(li.tree.key_arity() + ri.tree.key_arity());
+            let proj = out_cols(project, li.tree.key_arity() + ri.tree.key_arity());
             let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
             ops::rid_join::covering_join(lentries, rentries, algo_eff, ctx, &mut |row| {
                 emitter.push_projected_slice(row.values(), &proj, sink);
@@ -658,7 +720,7 @@ fn shape(
                 SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
                 _ => {}
             }
-            let proj = project.resolve(larity + rarity);
+            let proj = out_cols(project, larity + rarity);
             let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
             let mut project_sink = |row: &[i64]| {
                 emitter.push_projected_slice(row, &proj, sink);
@@ -688,10 +750,12 @@ fn shape(
             emitter.produced()
         }
         PlanSpec::ParallelTableScan { table, pred, project, dop, skew_permille } => {
+            let table = ctx.db.table(*table);
+            let cols = out_cols(project, table.heap.schema().arity());
             ops::parallel_scan::run(
-                ctx.db.table(*table),
+                table,
                 pred,
-                project,
+                &cols,
                 *dop,
                 *skew_permille as f64 / 1000.0,
                 cfg,
@@ -714,7 +778,7 @@ fn shape(
             if let Some(ctrl) = opts.controller {
                 let _ = ctrl.decide(&Observation { kind: CheckpointKind::SortInput, rows: fed });
             }
-            emit_rows(arity, opts, sink, |out| sorter.finish(out))
+            emit_rows(arity, output, opts, sink, |out| sorter.finish(out))
         }
         PlanSpec::HashAgg { input, group_cols, aggs, mode, memory_bytes } => {
             let arity = plan_out_arity(input, ctx.db);
@@ -737,7 +801,7 @@ fn shape(
             if let Some(ctrl) = opts.controller {
                 let _ = ctrl.decide(&Observation { kind: CheckpointKind::AggInput, rows: fed });
             }
-            emit_rows(group_cols.len() + aggs.len(), opts, sink, |out| agg.finish(out))
+            emit_rows(group_cols.len() + aggs.len(), output, opts, sink, |out| agg.finish(out))
         }
     };
     Ok(Outcome::Rows(rows))
@@ -1206,6 +1270,57 @@ mod tests {
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
         assert_eq!(run_count(&join(cols(&[2, 0])), &ctx, RunOpts::default()).unwrap().rows_out, 64);
+    }
+
+    /// A range bounded by keys of another arity than its index's (which
+    /// `BTree::seek` asserts on) is rejected in every shape that scans a
+    /// range, on either side of the two-index shapes, whichever bound is
+    /// off.
+    #[test]
+    fn index_ranges_reject_a_bound_of_another_arity() {
+        let (db, _, a, ab) = indexed_demo_db();
+        let wide = IndexRangeSpec { range: KeyRange::full(2), ..a };
+        let narrow = IndexRangeSpec { range: KeyRange::full(1), ..ab };
+        let wide_hi = IndexRangeSpec { range: KeyRange { hi: ab.range.hi, ..a.range }, ..a };
+        let fetch = |scan| PlanSpec::IndexFetch {
+            scan,
+            key_filter: Predicate::always_true(),
+            fetch: FetchKind::Traditional,
+            residual: Predicate::always_true(),
+            project: Projection::All,
+        };
+        let intersect = |left, right| PlanSpec::IndexIntersect {
+            left,
+            right,
+            algo: IntersectAlgo::MergeJoin,
+            fetch: FetchKind::Traditional,
+            residual: Predicate::always_true(),
+            project: Projection::All,
+        };
+        let join = |left, right| PlanSpec::CoveringRidJoin {
+            left,
+            right,
+            algo: IntersectAlgo::MergeJoin,
+            project: Projection::All,
+        };
+        let covering = |scan| PlanSpec::CoveringIndexScan {
+            scan,
+            residual: Predicate::always_true(),
+            project: Projection::All,
+        };
+        let bad = [
+            fetch(wide),
+            fetch(wide_hi),
+            covering(narrow),
+            intersect(wide, ab),
+            intersect(a, narrow),
+            join(wide_hi, ab),
+            join(a, narrow),
+        ];
+        assert_rejected_uncharged(&db, &bad);
+        let s = Session::with_pool_pages(64);
+        let ctx = ExecCtx::new(&db, &s, 1 << 20);
+        assert_eq!(run_count(&join(a, ab), &ctx, RunOpts::default()).unwrap().rows_out, 64);
     }
 
     #[test]

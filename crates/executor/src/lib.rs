@@ -27,10 +27,11 @@
 //!   (critical-path timing, summed work).
 //!
 //! Plans are described by [`plan::PlanSpec`] trees and executed by the one
-//! interpreter, [`exec::run`] (with [`exec::run_count`] and
-//! [`exec::run_collect`] as sink adapters), which pushes columnar
-//! [`batch::RowBatch`] chunks into a caller-provided sink and charges all
-//! work to a [`robustmap_storage::Session`].  [`exec::RunOpts`] picks the
+//! interpreter, [`exec::run`] (with [`exec::run_collect`] as a sink
+//! adapter), which pushes columnar [`batch::RowBatch`] chunks into a
+//! caller-provided sink and charges all work to a
+//! [`robustmap_storage::Session`] — or, through [`exec::run_count`], counts
+//! the rows without building them, for the same charges.  [`exec::RunOpts`] picks the
 //! batch size — never observable on the simulated clock, see [`batch`] —
 //! and, optionally, a controller.
 //!

@@ -17,6 +17,7 @@ use robustmap_storage::{AccessKind, PageId, Session, PAGE_SIZE};
 
 use crate::exec::ExecCtx;
 use crate::ops::sort::{sorted_order, PackedRows};
+use crate::ops::RowSink;
 use crate::plan::{AggFn, SpillMode};
 
 /// Accumulator state for one group.
@@ -254,8 +255,10 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
     }
 
     /// Finish: merge spilled partitions and emit `group ++ aggregates`
-    /// rows in ascending group order.  Returns rows emitted.
-    pub fn finish(mut self, sink: &mut dyn FnMut(&[i64])) -> u64 {
+    /// rows in ascending group order into `sink` — or, with no sink, charge
+    /// what emitting them charges without ordering or building them.
+    /// Returns rows emitted.
+    pub fn finish(mut self, sink: Option<RowSink<'_>>) -> u64 {
         let session: &Session = self.ctx.session;
         // Read back what was spilled.
         if self.spilled.len() > 0 {
@@ -286,6 +289,11 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
         if n > 1 {
             session.charge_compares(n * (64 - (n - 1).leading_zeros()) as u64);
         }
+        // One row charge a call, as a served slice counts them.
+        let Some(sink) = sink else {
+            (0..n).for_each(|_| session.charge_rows(1));
+            return n;
+        };
         let mut out = Vec::with_capacity(self.group_cols.len() + width);
         // By the whole key, led by its first column if it has one.
         let lead: &[usize] = if self.group_cols.is_empty() { &[] } else { &[0] };
@@ -329,7 +337,7 @@ mod tests {
             agg.push(r.values());
         }
         let mut out = Vec::new();
-        agg.finish(&mut |r| out.push(r.to_vec()));
+        agg.finish(Some(&mut |r| out.push(r.to_vec())));
         (out, s.stats(), ctx.spilled())
     }
 

@@ -30,7 +30,7 @@ use robustmap_storage::{AccessKind, HeapFile, RidSet, Session, StorageError};
 use crate::batch::{col_from_bytes, BatchEmitter, ExecConfig, RowBatch};
 use crate::exec::ExecError;
 use crate::expr::Predicate;
-use crate::plan::{FetchKind, ImprovedFetchConfig, Projection};
+use crate::plan::{FetchKind, ImprovedFetchConfig};
 
 /// Comparisons a comparison sort of `n` items is charged: `n ⌈log2 n⌉`.
 /// What really orders the items is [`Ordered`]'s business, not the clock's.
@@ -92,12 +92,13 @@ pub(crate) fn sort_list(rids: &mut Vec<Rid>) {
     crate::batch::radix_sort_by_u64_key(rids, |r| r.to_u64());
 }
 
-/// What the runs of one fetch share: the heap, the residual and projection
-/// every row goes through, the emitter, and scratch for a run's records.
+/// What the runs of one fetch share: the heap, the residual every row goes
+/// through and the columns gathered from the survivors, the emitter, and
+/// scratch for a run's records.
 struct Fetcher<'a, 'h> {
     heap: &'h HeapFile,
     residual: &'a Predicate,
-    proj: Vec<usize>,
+    proj: &'a [usize],
     emitter: BatchEmitter,
     session: &'a Session,
     sink: &'a mut dyn FnMut(&RowBatch),
@@ -108,12 +109,11 @@ impl<'a, 'h> Fetcher<'a, 'h> {
     fn new(
         heap: &'h HeapFile,
         residual: &'a Predicate,
-        project: &Projection,
+        proj: &'a [usize],
         cfg: &ExecConfig,
         session: &'a Session,
         sink: &'a mut dyn FnMut(&RowBatch),
     ) -> Self {
-        let proj = project.resolve(heap.schema().arity());
         let emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
         Fetcher { heap, residual, proj, emitter, session, sink, records: Vec::new() }
     }
@@ -155,7 +155,7 @@ impl<'a, 'h> Fetcher<'a, 'h> {
         let requested = (self.records.len() + usize::from(dangling.is_some())) as u64;
         self.session.read_page_run(self.heap.page_id(page_no), AccessKind::Random, requested);
         self.session.charge_rows_as(requested, requested);
-        let (emitter, proj, sink) = (&mut self.emitter, &self.proj, &mut *self.sink);
+        let (emitter, proj, sink) = (&mut self.emitter, self.proj, &mut *self.sink);
         self.residual.filter_run(
             self.records.iter().copied(),
             |bytes, c| col_from_bytes(bytes, c),
@@ -181,24 +181,23 @@ fn runs(rids: &[Rid]) -> impl Iterator<Item = (u32, impl Iterator<Item = u32> + 
     rids.chunk_by(|a, b| a.page == b.page).map(|run| (run[0].page, run.iter().map(|rid| rid.slot)))
 }
 
-/// Fetch `rids` with the discipline `kind` names.  Consumes the rid list
-/// (the improved and bitmap fetches put it in physical order).
+/// Fetch `rids` with the discipline `kind` names, and push columns `proj`
+/// of the rows that pass `residual` to `sink`.  Consumes the rid list (the
+/// improved and bitmap fetches put it in physical order).
 pub fn run(
     heap: &HeapFile,
     rids: Vec<Rid>,
     kind: &FetchKind,
     residual: &Predicate,
-    project: &Projection,
+    proj: &[usize],
     cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
     match kind {
-        FetchKind::Traditional => traditional(heap, &rids, residual, project, cfg, session, sink),
-        FetchKind::Improved(icfg) => {
-            improved(heap, rids, icfg, residual, project, cfg, session, sink)
-        }
-        FetchKind::BitmapSorted => bitmap_sorted(heap, rids, residual, project, cfg, session, sink),
+        FetchKind::Traditional => traditional(heap, &rids, residual, proj, cfg, session, sink),
+        FetchKind::Improved(icfg) => improved(heap, rids, icfg, residual, proj, cfg, session, sink),
+        FetchKind::BitmapSorted => bitmap_sorted(heap, rids, residual, proj, cfg, session, sink),
     }
 }
 
@@ -208,12 +207,12 @@ pub fn traditional(
     heap: &HeapFile,
     rids: &[Rid],
     residual: &Predicate,
-    project: &Projection,
+    proj: &[usize],
     cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
-    let mut fetcher = Fetcher::new(heap, residual, project, cfg, session, sink);
+    let mut fetcher = Fetcher::new(heap, residual, proj, cfg, session, sink);
     // Key order scatters the rids, so most runs are one rid long.
     for (page_no, slots) in runs(rids) {
         fetcher.page_run(page_no, slots)?;
@@ -232,7 +231,7 @@ pub fn improved(
     rids: Vec<Rid>,
     cfg: &ImprovedFetchConfig,
     residual: &Predicate,
-    project: &Projection,
+    proj: &[usize],
     exec_cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
@@ -243,7 +242,7 @@ pub fn improved(
     }
     // The charge above is the contract: a comparison sort, duplicates kept.
     let ordered = Ordered::of(rids);
-    let fetcher = Fetcher::new(heap, residual, project, exec_cfg, session, sink);
+    let fetcher = Fetcher::new(heap, residual, proj, exec_cfg, session, sink);
     fetch_in_physical_order(&ordered, Some(cfg), fetcher)
 }
 
@@ -257,7 +256,7 @@ pub fn bitmap_sorted(
     heap: &HeapFile,
     mut rids: Vec<Rid>,
     residual: &Predicate,
-    project: &Projection,
+    proj: &[usize],
     cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
@@ -274,7 +273,7 @@ pub fn bitmap_sorted(
             Ordered::List(rids)
         }
     };
-    let fetcher = Fetcher::new(heap, residual, project, cfg, session, sink);
+    let fetcher = Fetcher::new(heap, residual, proj, cfg, session, sink);
     fetch_in_physical_order(&ordered, None, fetcher)
 }
 
@@ -344,7 +343,7 @@ mod tests {
     use crate::expr::ColRange;
     use crate::ops::index_scan::collect_rids;
     use crate::ops::testutil::{collect, demo_db};
-    use crate::plan::KeyRange;
+    use crate::plan::{KeyRange, Projection};
     use robustmap_storage::Row;
 
     /// All fetch disciplines over the same rid set: shared setup.
@@ -377,7 +376,8 @@ mod tests {
         s: &Session,
     ) -> (u64, Vec<Row>) {
         let cfg = ExecConfig::with_batch_rows(batch_rows);
-        collect(|sink| run(heap, rids.to_vec(), kind, residual, project, &cfg, s, sink).unwrap())
+        let proj = project.resolve(heap.schema().arity());
+        collect(|sink| run(heap, rids.to_vec(), kind, residual, &proj, &cfg, s, sink).unwrap())
     }
 
     fn fetch_all(heap: &HeapFile, rids: &[Rid], kind: &FetchKind, s: &Session) -> (u64, Vec<Row>) {
@@ -545,7 +545,7 @@ mod tests {
                 let mut emitted = 0;
                 let mut sink = |b: &RowBatch| emitted += b.len() as u64;
                 let got =
-                    run(heap, rids.clone(), &kind, &residual, &Projection::All, &cfg, &s, &mut sink);
+                    run(heap, rids.clone(), &kind, &residual, &[0, 1, 2], &cfg, &s, &mut sink);
                 assert_eq!(got, Err(StorageError::InvalidRid(victim).into()), "{kind:?}");
                 let want = robustmap_storage::IoStats {
                     // The page is read once; the traditional fetch's first
@@ -615,7 +615,7 @@ mod tests {
             }
         };
         let cfg = ExecConfig::default();
-        let got = run(heap, rids.to_vec(), kind, &residual, &Projection::All, &cfg, &s, &mut sink);
+        let got = run(heap, rids.to_vec(), kind, &residual, &[0, 1, 2], &cfg, &s, &mut sink);
         let io = s.stats();
         let io = [
             io.seq_reads,

@@ -11,7 +11,7 @@ use robustmap_storage::{AccessKind, IndexDef, Session};
 
 use crate::batch::{BatchEmitter, ExecConfig, RowBatch};
 use crate::expr::Predicate;
-use crate::plan::{KeyRange, Projection};
+use crate::plan::KeyRange;
 
 /// Scan `range` of the index and collect the qualifying rids, in key order.
 /// Leaf pages are charged at `leaf_access`.
@@ -63,8 +63,8 @@ pub fn collect_entries(
     entries
 }
 
-/// Covering (index-only) scan: emit projected key rows for entries in
-/// `range` that satisfy `residual`.  Both `residual` and `project` are in
+/// Covering (index-only) scan: emit the key columns `proj` of entries in
+/// `range` that satisfy `residual`.  Both `residual` and `proj` are in
 /// key-column space.  Returns rows produced.
 ///
 /// Residual evaluation reads key values by position (the short-circuit
@@ -75,16 +75,15 @@ pub fn run_covering(
     index: &IndexDef,
     range: &KeyRange,
     residual: &Predicate,
-    project: &Projection,
+    proj: &[usize],
     cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> u64 {
-    let proj = project.resolve(index.tree.key_arity());
     let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
     index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
         residual.filter_run(leaf, |(key, _), c| key.get(c), session, |(key, _)| {
-            emitter.push_projected_slice(key.values(), &proj, sink);
+            emitter.push_projected_slice(key.values(), proj, sink);
         });
     });
     emitter.flush(sink);
@@ -134,7 +133,7 @@ mod tests {
                 db.index(idx),
                 &KeyRange::on_leading(0, 9, 2),
                 &Predicate::always_true(),
-                &Projection::Columns(vec![1]),
+                &[1],
                 &ExecConfig::default(),
                 &s,
                 sink,
@@ -155,7 +154,7 @@ mod tests {
             db.index(idx),
             &KeyRange::on_leading(0, 63, 2),
             &Predicate::single(ColRange::at_most(1, 31)),
-            &Projection::All,
+            &[],
             &ExecConfig::default(),
             &s,
             &mut |_| {},

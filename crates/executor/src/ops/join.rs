@@ -109,7 +109,7 @@ pub fn sort_merge_join(
         }
         let mut sorted = PackedRows::with_capacity(rows.len(), rows.arity());
         drop(rows); // the sorter holds its own copy
-        sorter.finish(&mut |r| sorted.push(r));
+        sorter.finish(Some(&mut |r| sorted.push(r)));
         sorted
     };
     let lrows = sort(left, left_key);

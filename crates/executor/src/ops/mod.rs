@@ -22,6 +22,11 @@ pub mod rid_join;
 pub mod sort;
 pub mod table_scan;
 
+/// Where a blocking operator hands its output, one row's values at a time
+/// (borrowed: copy out what you keep).  Its `finish` takes an
+/// `Option<RowSink>`: `None` when nobody reads the rows.
+pub type RowSink<'s> = &'s mut dyn FnMut(&[i64]);
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use robustmap_storage::{ColumnType, Database, Row, Schema, TableId};

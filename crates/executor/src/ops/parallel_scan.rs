@@ -17,10 +17,9 @@ use robustmap_storage::{AccessKind, BufferPool, Session, Table};
 use crate::batch::{col_from_bytes, BatchEmitter, ExecConfig, RowBatch, Selection};
 use crate::exec::ExecError;
 use crate::expr::Predicate;
-use crate::plan::Projection;
 
-/// Run a parallel scan of `table` and push matches to `sink`.  Returns
-/// rows produced.
+/// Run a parallel scan of `table` and push columns `proj` of each match
+/// to `sink`.  Returns rows produced.
 ///
 /// Each worker's partition is scanned page-at-a-time through a free
 /// selection bitmap, then charged per page on the worker's private clock:
@@ -29,7 +28,7 @@ use crate::plan::Projection;
 pub fn run(
     table: &Table,
     pred: &Predicate,
-    project: &Projection,
+    proj: &[usize],
     dop: u32,
     skew: f64,
     cfg: &ExecConfig,
@@ -50,7 +49,6 @@ pub fn run(
     let rest = pages - w0_pages;
     let per_rest = if dop > 1 { rest as f64 / (dop - 1) as f64 } else { 0.0 };
 
-    let proj = project.resolve(heap.schema().arity());
     let terms = pred.terms();
     let match_compares = terms.len().max(1) as u64;
     let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
@@ -89,7 +87,7 @@ pub fn run(
             sel.for_each_set(|i| {
                 matched += 1;
                 let bytes = page.get(slots[i] as usize).expect("selected slot is live");
-                emitter.push_projected_bytes(bytes, &proj, sink);
+                emitter.push_projected_bytes(bytes, proj, sink);
             });
             worker_session
                 .charge_compares_as(matched * match_compares + (live - matched), live);
@@ -111,9 +109,9 @@ mod tests {
     use crate::expr::ColRange;
     use crate::ops::testutil::{all_rows, collect, demo_db};
 
-    /// Scan with no output projection games: count rows, discard them.
+    /// Scan gathering no column: count rows, discard them.
     fn scan(table: &Table, pred: &Predicate, dop: u32, skew: f64, s: &Session) -> Result<u64, ExecError> {
-        run(table, pred, &Projection::All, dop, skew, &ExecConfig::default(), s, &mut |_| {})
+        run(table, pred, &[], dop, skew, &ExecConfig::default(), s, &mut |_| {})
     }
 
     #[test]
@@ -126,7 +124,7 @@ mod tests {
                 run(
                     db.table(t),
                     &Predicate::always_true(),
-                    &Projection::All,
+                    &[0, 1, 2],
                     dop,
                     0.0,
                     &ExecConfig::default(),

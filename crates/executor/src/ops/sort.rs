@@ -38,7 +38,9 @@
 //!   index)` handles, then a comparison sort inside each group of equal
 //!   first key values) and emits through the handles.  Items that compare
 //!   equal are bit-identical rows, so this is the sequence any merge under
-//!   the same order produces.
+//!   the same order produces.  A sorter finished without a sink (the root
+//!   of a counted run) issues the final pass's charges and computes no
+//!   order at all.
 //! * **Physical.**  The replacement-selection window: which row closes a
 //!   run depends on the window's actual minimum, so run *lengths* depend
 //!   on it.  The window holds no rows, only handles into the store: a
@@ -55,6 +57,7 @@ use robustmap_storage::{AccessKind, PageId, PAGE_SIZE};
 
 use crate::batch::{radix_sort_by_u64_key, RowBatch};
 use crate::exec::ExecCtx;
+use crate::ops::RowSink;
 use crate::plan::SpillMode;
 
 /// The full sort order: projected key columns, then the entire row (the
@@ -486,9 +489,10 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         self.charge_run_write(rows.div_ceil(self.rows_per_page) as u32);
     }
 
-    /// Finish: produce the fully sorted output into `sink`.  Returns rows
-    /// emitted.
-    pub fn finish(mut self, sink: &mut dyn FnMut(&[i64])) -> u64 {
+    /// Finish: produce the fully sorted output into `sink` — or, with no
+    /// sink, charge what producing it charges without computing the order.
+    /// Returns rows emitted.
+    pub fn finish(mut self, sink: Option<RowSink<'_>>) -> u64 {
         match self.mode {
             SpillMode::Abrupt => {
                 if !self.spilled {
@@ -497,11 +501,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
                     if n > 1 {
                         self.ctx.session.charge_compares(n as u64 * ceil_log2(n));
                     }
-                    for h in sorted_order(&self.store, &self.key_cols) {
-                        self.ctx.session.charge_rows(1);
-                        sink(self.store.row(h.slot as usize));
-                    }
-                    return n as u64;
+                    return self.final_pass(None, sink);
                 }
                 // The paper's "spill everything" pathology: the last
                 // partial buffer is written out too.
@@ -539,9 +539,8 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     }
 
     /// Merge the runs under the fan-in limit: intermediate passes (which
-    /// rewrite the data) on the clock only, then the final pass, which
-    /// orders the store and emits it.
-    fn merge_runs(mut self, sink: &mut dyn FnMut(&[i64])) -> u64 {
+    /// rewrite the data) on the clock only, then the final pass.
+    fn merge_runs(mut self, sink: Option<RowSink<'_>>) -> u64 {
         if self.runs.is_empty() {
             return 0;
         }
@@ -564,13 +563,32 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             self.runs = next;
         }
         let log_k = self.charge_group_reads(&self.runs);
-        let order = sorted_order(&self.store, &self.key_cols);
-        for h in &order {
-            session.charge_compares(log_k);
+        self.final_pass(Some(log_k), sink)
+    }
+
+    /// The final pass over every stored row: `log_k` comparisons (for a
+    /// merge) and a row charged a row at a time, one call each, so a served
+    /// slice ends where it would after any row.  With a sink the store is
+    /// ordered once and emitted in that order; without one — the rows are
+    /// only counted — the order is never computed.  Returns the rows.
+    fn final_pass(&self, log_k: Option<u64>, sink: Option<RowSink<'_>>) -> u64 {
+        let session = self.ctx.session;
+        let charge_row = || {
+            if let Some(log_k) = log_k {
+                session.charge_compares(log_k);
+            }
             session.charge_rows(1);
-            sink(self.store.row(h.slot as usize));
+        };
+        match sink {
+            Some(sink) => {
+                for h in sorted_order(&self.store, &self.key_cols) {
+                    charge_row();
+                    sink(self.store.row(h.slot as usize));
+                }
+            }
+            None => (0..self.store.len()).for_each(|_| charge_row()),
         }
-        order.len() as u64
+        self.store.len() as u64
     }
 
     /// Charge reading back each run's disk prefix ahead of a k-way merge
@@ -610,7 +628,7 @@ mod tests {
             sorter.push_values(r.values());
         }
         let mut out = Vec::new();
-        let n = sorter.finish(&mut |r| out.push(r.to_vec()));
+        let n = sorter.finish(Some(&mut |r| out.push(r.to_vec())));
         assert_eq!(n as usize, rows.len());
         (out, s.stats(), ctx.spilled())
     }
@@ -665,7 +683,7 @@ mod tests {
                 sorter.push_values(r.values());
             }
             let mut out: Vec<Vec<i64>> = Vec::new();
-            sorter.finish(&mut |r| out.push(r.to_vec()));
+            sorter.finish(Some(&mut |r| out.push(r.to_vec())));
             assert!(out.windows(2).all(|w| w[0] <= w[1]), "{mode:?}");
             assert_eq!(out.len(), rows.len());
         }
@@ -713,7 +731,7 @@ mod tests {
                 sorter.push_values(r.values());
             }
             let rc = sorter.run_count();
-            sorter.finish(&mut |_| {});
+            sorter.finish(None);
             rc
         };
         let abrupt_runs = runs_of(SpillMode::Abrupt);
@@ -765,7 +783,7 @@ mod tests {
                 for r in &rows {
                     sorter.push_values(r.values());
                 }
-                assert_eq!(sorter.finish(&mut |_| {}), 10_000);
+                assert_eq!(sorter.finish(None), 10_000);
             });
             assert_eq!(got, want, "{name}");
         }
@@ -885,7 +903,7 @@ mod tests {
                             sorter.close_graceful_tails();
                             let runs: Vec<_> = sorter.runs.iter().map(|run| (run.rows, run.disk_rows)).collect();
                             let mut out = Vec::with_capacity(n);
-                            sorter.merge_runs(&mut |row| out.push([row[0], row[1]]));
+                            sorter.merge_runs(Some(&mut |row| out.push([row[0], row[1]])));
                             let (want_runs, parked) = textbook_runs(&input[..n], k, m);
                             prop_assert_eq!(&runs, &want_runs, "{}", case);
                             let (writes, compares) = textbook_charges(n, m, &runs, parked);

@@ -9,15 +9,14 @@ use robustmap_storage::{AccessKind, Session, Table};
 
 use crate::batch::{col_from_bytes, BatchEmitter, ExecConfig, RowBatch};
 use crate::expr::Predicate;
-use crate::plan::Projection;
 
-/// Scan `table`, filter with `pred`, project, and push matches to `sink`.
-/// Returns the number of rows produced.
+/// Scan `table`, filter with `pred`, gather columns `proj` of each match,
+/// and push them to `sink`.  Returns the number of rows produced.
 ///
 /// Scans page by page, evaluates the predicate in a single branch-free
 /// pass over each record's bytes, and gathers only the surviving rows'
 /// projected columns (late materialization — non-qualifying rows are never
-/// decoded in full).
+/// decoded in full; with no `proj` columns, no row is).
 ///
 /// Charges per page what [`HeapFile::scan`] with [`Predicate::eval`]
 /// inside does — one sequential `read_page`, the rows' short-circuit
@@ -28,13 +27,12 @@ use crate::plan::Projection;
 pub fn run(
     table: &Table,
     pred: &Predicate,
-    project: &Projection,
+    proj: &[usize],
     cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> u64 {
     let heap = &table.heap;
-    let proj = project.resolve(heap.schema().arity());
     let terms = pred.terms();
     let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
     for page_no in 0..heap.page_count() {
@@ -49,7 +47,7 @@ pub fn run(
             // `eval` charges nothing for an empty predicate.
             for (_slot, bytes) in page.iter() {
                 live += 1;
-                emitter.push_projected_bytes(bytes, &proj, sink);
+                emitter.push_projected_bytes(bytes, proj, sink);
             }
         } else {
             for (_slot, bytes) in page.iter() {
@@ -65,7 +63,7 @@ pub fn run(
                     alive &= u8::from(pass);
                 }
                 if alive != 0 {
-                    emitter.push_projected_bytes(bytes, &proj, sink);
+                    emitter.push_projected_bytes(bytes, proj, sink);
                 }
             }
             session.charge_compares_as(compares, live);
@@ -81,6 +79,7 @@ mod tests {
     use super::*;
     use crate::expr::ColRange;
     use crate::ops::testutil::{collect, demo_db};
+    use crate::plan::Projection;
 
     fn scan(
         db: &robustmap_storage::Database,
@@ -91,7 +90,8 @@ mod tests {
         s: &Session,
     ) -> (u64, Vec<robustmap_storage::Row>) {
         let cfg = ExecConfig::with_batch_rows(batch_rows);
-        collect(|sink| run(db.table(t), pred, project, &cfg, s, sink))
+        let proj = project.resolve(db.table(t).heap.schema().arity());
+        collect(|sink| run(db.table(t), pred, &proj, &cfg, s, sink))
     }
 
     #[test]

@@ -545,7 +545,8 @@ proptest! {
                         prop_assert!(sorter.run_count() > 64, "{}: {} runs", case, sorter.run_count());
                     }
                     let mut got: Vec<[i64; 3]> = Vec::with_capacity(n);
-                    let emitted = sorter.finish(&mut |r| got.push(r.try_into().expect("three columns")));
+                    let mut sink = |r: &[i64]| got.push(r.try_into().expect("three columns"));
+                    let emitted = sorter.finish(Some(&mut sink));
                     prop_assert_eq!(emitted as usize, n, "{}", case);
                     prop_assert!(got == want, "{}: output is not the reference order", case);
                 }

@@ -116,7 +116,7 @@ pub fn single_predicate_plans(set: SinglePredPlanSet, w: &Workload) -> Vec<Singl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use robustmap_executor::{run_collect, ExecCtx, RunOpts};
+    use robustmap_executor::{run_count, ExecCtx, RunOpts};
     use robustmap_storage::Session;
     use robustmap_workload::{TableBuilder, WorkloadConfig};
 
@@ -127,23 +127,17 @@ mod tests {
         assert_eq!(single_predicate_plans(SinglePredPlanSet::WithIndexJoins, &w).len(), 6);
     }
 
+    /// Each plan returns the rows the calibrator counted below the
+    /// threshold (`tests/plan_agreement.rs` compares the rows themselves).
     #[test]
-    fn all_six_plans_return_identical_rows() {
+    fn all_six_plans_count_the_calibrated_rows() {
         let w = TableBuilder::build(WorkloadConfig::small());
         let (ta, count) = w.cal_a.threshold_with_count(1.0 / 32.0);
-        let mut reference: Option<Vec<Vec<i64>>> = None;
         for plan in single_predicate_plans(SinglePredPlanSet::WithIndexJoins, &w) {
-            let spec = plan.build(ta);
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-            let (stats, rows) = run_collect(&spec, &ctx, RunOpts::default()).unwrap();
+            let stats = run_count(&plan.build(ta), &ctx, RunOpts::default()).unwrap();
             assert_eq!(stats.rows_out, count, "{}", plan.name);
-            let mut rows: Vec<Vec<i64>> = rows.iter().map(|r| r.values().to_vec()).collect();
-            rows.sort();
-            match &reference {
-                None => reference = Some(rows),
-                Some(want) => assert_eq!(&rows, want, "{}", plan.name),
-            }
         }
     }
 
@@ -151,12 +145,10 @@ mod tests {
     fn empty_selectivity_returns_nothing_fast() {
         let w = TableBuilder::build(WorkloadConfig::small());
         for plan in single_predicate_plans(SinglePredPlanSet::WithIndexJoins, &w) {
-            let spec = plan.build(i64::MIN);
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-            let (stats, rows) = run_collect(&spec, &ctx, RunOpts::default()).unwrap();
+            let stats = run_count(&plan.build(i64::MIN), &ctx, RunOpts::default()).unwrap();
             assert_eq!(stats.rows_out, 0, "{}", plan.name);
-            assert!(rows.is_empty());
         }
     }
 }

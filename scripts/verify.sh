@@ -141,6 +141,12 @@ if sed '/^#\[cfg(test)\]/,$d' crates/executor/src/ops/mdam.rs | grep -nE 'Vec<i6
     exit 1
 fi
 
+echo "== counted-runs gate: maps and serving count rows, they do not read them"
+if grep -rnE '\brun_collect\b|exec::run\(' crates/core/src crates/bench/src crates/systems/src; then
+    echo "crates/core, crates/bench or crates/systems names run_collect or exec::run( — a map cell, a served query and a chooser count rows through run_count, whose root builds none" >&2
+    exit 1
+fi
+
 echo "== no-hidden-input gate: run-time conditions are arguments, not environment or process state"
 if grep -rnE 'std::env::' crates/*/src | grep -vE '^crates/(obs/src/log|workload/src/cache|bench/src/bin/[a-z]+)\.rs:' ||
     grep -nE '^\s*(pub(\([a-z]+\))? )?static ' crates/obs/src/trace.rs ||

@@ -12,8 +12,9 @@
 
 use robustmap::core::MeasureConfig;
 use robustmap::executor::{
-    ColRange, ExecStats, FetchKind, IndexRangeSpec, IntersectAlgo, KeyRange, NeverSwitch, PlanSpec,
-    Predicate, Projection, SwitchController,
+    AggFn, CheckpointKind, ColRange, ExecStats, FetchKind, IndexRangeSpec, IntersectAlgo, JoinAlgo,
+    KeyRange, NeverSwitch, Observation, PlanSpec, Predicate, Projection, SpillMode,
+    SwitchController, SwitchDirective,
 };
 use robustmap::storage::CostModel;
 use robustmap::systems::choice::Exact;
@@ -209,6 +210,96 @@ fn collected_rows_match_static_executor_exactly() {
             let (astats, arows) = collect_under(&w, spec, &cfg, Some(&NeverSwitch));
             assert_bit_identical(&stats, &astats, &format!("collect #{i} [{how}]"));
             assert_eq!(rows, arows, "collect #{i} [{how}]: rows/order");
+        }
+    }
+}
+
+/// Bails to `fallback` at the first checkpoint of kind `at`.
+struct BailAt {
+    at: CheckpointKind,
+    fallback: PlanSpec,
+}
+
+impl SwitchController for BailAt {
+    fn decide(&self, obs: &Observation) -> SwitchDirective {
+        if obs.kind == self.at {
+            SwitchDirective::Bail(self.fallback.clone())
+        } else {
+            SwitchDirective::Continue
+        }
+    }
+}
+
+/// A controller that trips at the root: counting the rows (`run_under`, as
+/// a map cell does) and reading them (`collect_under`) charge the same —
+/// the abandoned operator's prefix, the switch record and the replacement,
+/// which is counted or read like the plan it replaced — one row per batch
+/// and under every condition; the read run returns the replacement's rows.
+/// The replacements are a spilling sort, a spilling aggregation and a
+/// fetch, so a counted root sort and aggregation are reached through a
+/// bail too.
+#[test]
+fn a_root_bail_charges_the_same_counted_or_read() {
+    let w = workload();
+    let base = MeasureConfig::default();
+    let (ta, tb) = (w.cal_a.threshold(0.2), w.cal_b.threshold(0.6));
+    let scan = |project| PlanSpec::TableScan {
+        table: w.table,
+        pred: Predicate::all_of(vec![ColRange::at_most(0, ta), ColRange::at_most(1, tb)]),
+        project,
+    };
+    let sort = PlanSpec::Sort {
+        input: Box::new(scan(Projection::All)),
+        key_cols: vec![1],
+        mode: SpillMode::Abrupt,
+        memory_bytes: 4096,
+    };
+    let agg = PlanSpec::HashAgg {
+        input: Box::new(scan(Projection::All)),
+        group_cols: vec![2],
+        aggs: vec![AggFn::CountStar, AggFn::Sum(3)],
+        mode: SpillMode::Graceful,
+        memory_bytes: 4096,
+    };
+    let mdam = PlanSpec::Mdam {
+        index: w.indexes.ab,
+        col_ranges: vec![(i64::MIN, ta), (i64::MIN, tb)],
+        project: Projection::All,
+    };
+    let fetch = PlanSpec::IndexFetch {
+        scan: IndexRangeSpec { index: w.indexes.a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
+        key_filter: Predicate::always_true(),
+        fetch: FetchKind::Traditional,
+        residual: Predicate::single(ColRange::at_most(1, tb)),
+        project: Projection::All,
+    };
+    let join = PlanSpec::Join {
+        left: Box::new(scan(Projection::Columns(vec![0, 2]))),
+        right: Box::new(mdam.clone()),
+        left_key: 0,
+        right_key: 0,
+        algo: JoinAlgo::Hash { build_left: true },
+        memory_bytes: 1 << 20,
+        project: Projection::All,
+    };
+    let cases = [
+        ("fetch -> sort", fetch.clone(), CheckpointKind::RidFeed, sort),
+        ("join -> hashagg", join, CheckpointKind::JoinBuild, agg),
+        ("mdam -> fetch", mdam, CheckpointKind::ScanOut, fetch),
+    ];
+    let mut cfgs = vec![("row".to_string(), row_path(&base))];
+    cfgs.extend(variants(&base, &[]));
+    for (name, plan, at, fallback) in cases {
+        let ctrl = BailAt { at, fallback };
+        for (how, cfg) in &cfgs {
+            let label = format!("{name} [{how}]");
+            let counted = run_under(&w, &plan, cfg, Some(&ctrl));
+            let (read, rows) = collect_under(&w, &plan, cfg, Some(&ctrl));
+            assert_eq!(counted.switches.len(), 1, "{label}: the controller trips once");
+            let abandoned = counted.operators.iter().filter(|op| op.label.ends_with("[abandoned]"));
+            assert_eq!(abandoned.count(), 1, "{label}: the root is recorded as abandoned");
+            assert_bit_identical(&counted, &read, &label);
+            assert_eq!(rows.len() as u64, read.rows_out, "{label}: rows read");
         }
     }
 }

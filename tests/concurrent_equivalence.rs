@@ -38,7 +38,7 @@ use robustmap::executor::{
     AggFn, ColRange, ExecError, IndexRangeSpec, JoinAlgo, KeyRange, PlanSpec, Predicate,
     Projection, SpillMode,
 };
-use robustmap::storage::{IoStats, TableId};
+use robustmap::storage::{CostModel, IoStats, TableId};
 use robustmap::systems::{two_predicate_plans, AdmissionConfig, SystemId, TwoPredPlan};
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
 
@@ -550,25 +550,29 @@ fn assert_served_as_alone(
     }
 }
 
+/// The eight catalog plans the failure tests serve as one burst.
+fn eight_of_the_catalog(w: &Workload) -> Vec<PlanSpec> {
+    let plans = catalog(w);
+    (0..8).map(|i| plans[2 * i].build(w.cal_a.threshold(0.15), w.cal_b.threshold(0.4))).collect()
+}
+
 /// Hardening (a): one query of the burst returns `BadPlan` mid-run (its
-/// right input is a sort without key columns), one panics mid-run (its
-/// right input scans a one-column index over a two-column key range, and a
-/// seek asserts its key's arity), and one is rejected as `BadPlan` before
-/// it charges anything (its right input aggregates a table the database
-/// does not have).  Served one at a time and eight at a
-/// time, under every condition of the matrix, the burst comes back,
-/// exactly those three carry an error, and every other query did the rows
-/// and the work it does alone — bit for bit at level 1.
+/// right input is a sort without key columns), and two are rejected as
+/// `BadPlan` before they charge anything (one's right input scans a
+/// one-column index over a two-column key range — a seek would assert its
+/// key's arity — and the other's aggregates a table the database does not
+/// have).  Served one at a time and eight at a time, under every condition
+/// of the matrix, the burst comes back, exactly those three carry an
+/// error, and every other query did the rows and the work it does alone —
+/// bit for bit at level 1.  A query that panics is
+/// `a_burst_whose_clocks_overflow_still_returns`'s.
 #[test]
 fn failing_queries_do_not_strand_the_burst() {
     const BAD_PLAN: usize = 2;
-    const PANICS: usize = 5;
+    const BAD_ARITY: usize = 5;
     const BAD_ID: usize = 6;
     let w = Arc::new(workload());
-    let plans = catalog(&w);
-    let mut burst: Vec<PlanSpec> = (0..8)
-        .map(|i| plans[2 * i].build(w.cal_a.threshold(0.15), w.cal_b.threshold(0.4)))
-        .collect();
+    let mut burst = eight_of_the_catalog(&w);
     burst[BAD_PLAN] = join_onto(
         &w,
         PlanSpec::Sort {
@@ -578,7 +582,7 @@ fn failing_queries_do_not_strand_the_burst() {
             memory_bytes: 1 << 20,
         },
     );
-    burst[PANICS] = join_onto(
+    burst[BAD_ARITY] = join_onto(
         &w,
         PlanSpec::CoveringIndexScan {
             scan: IndexRangeSpec { index: w.indexes.a, range: KeyRange::full(2) },
@@ -614,13 +618,8 @@ fn failing_queries_do_not_strand_the_burst() {
             for (i, q) in report.queries.iter().enumerate() {
                 let label = format!("[{}] level {level} quantum {quantum} query {i}", cond.name);
                 match i {
-                    BAD_PLAN | BAD_ID => assert!(
+                    BAD_PLAN | BAD_ARITY | BAD_ID => assert!(
                         matches!(q.error, Some(QueryError::Exec(ExecError::BadPlan(_)))),
-                        "{label}: {:?}",
-                        q.error
-                    ),
-                    PANICS => assert!(
-                        matches!(&q.error, Some(QueryError::Panic(msg)) if !msg.is_empty()),
                         "{label}: {:?}",
                         q.error
                     ),
@@ -630,17 +629,61 @@ fn failing_queries_do_not_strand_the_burst() {
                     assert_eq!(q.stats.rows_out, 0, "{label}: a failed query returns no rows");
                     assert_eq!(q.stats.seconds.to_bits(), q.measurement().seconds.to_bits());
                 }
-                if i == BAD_ID {
+                if i == BAD_ARITY || i == BAD_ID {
                     // Rejected before the first operator: nothing charged.
                     assert_eq!((q.stats.ticks, q.stats.io), (0, IoStats::default()), "{label}");
                     assert_eq!(q.yields, 0, "{label}");
-                } else if q.error.is_some() {
-                    // Both strike after the left input ran: the stats carry
+                } else if i == BAD_PLAN {
+                    // Strikes after the left input ran: the stats carry
                     // what was charged up to then.
                     assert!(q.stats.io.page_requests() > 0, "{label}: charged work is reported");
                     assert!(quantum != 16 || q.yields > 0, "{label}: failed before its first yield");
                 }
             }
+        }
+    }
+}
+
+/// Hardening (a), the query that panics: under a cost model whose page
+/// requests cost 10^7 s each, every query's own clock overflows its `u64`
+/// picoseconds on its second page request and the query panics.  The
+/// scheduler adds each slice to the burst's global clock under its lock;
+/// that sum saturates instead of panicking there (which stranded the
+/// burst) or wrapping (which made turnarounds run backwards).  At levels
+/// 1 and 8, under every condition of the matrix, the burst comes back,
+/// every query reports the overflow as its panic, and turnarounds never
+/// decrease in completion order.
+#[test]
+fn a_burst_whose_clocks_overflow_still_returns() {
+    let w = Arc::new(workload());
+    let burst = eight_of_the_catalog(&w);
+    let model = CostModel {
+        seq_page_read: 1e7,
+        single_page_read: 1e7,
+        random_page_read: 1e7,
+        cpu_buffer_hit: 1e7,
+        ..CostModel::hdd_2009()
+    };
+    for cond in conditions() {
+        for level in [1usize, 8] {
+            let mut scfg = ServeConfig { model: model.clone(), ..cfgs(&cond).1 };
+            scfg.admission = AdmissionConfig { max_in_flight: level, ..AdmissionConfig::default() };
+            let report = serve_watched(&w, burst.clone(), scfg);
+            let label = format!("[{}] level {level}", cond.name);
+            assert_eq!(report.queries.len(), 8, "{label}: every query reports");
+            for (i, q) in report.queries.iter().enumerate() {
+                assert!(
+                    matches!(&q.error, Some(QueryError::Panic(msg)) if msg.contains("overflow")),
+                    "{label} query {i}: {:?}",
+                    q.error
+                );
+            }
+            let turnarounds: Vec<f64> =
+                report.completion_order.iter().map(|&i| report.queries[i].turnaround).collect();
+            assert!(
+                turnarounds.windows(2).all(|t| t[0] <= t[1]),
+                "{label}: turnarounds in completion order {turnarounds:?}"
+            );
         }
     }
 }

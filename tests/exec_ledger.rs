@@ -10,7 +10,11 @@
 //! `Σ counter × cost`, asserted below).  The interpreter must reproduce
 //! every line one row per batch and under every condition of the
 //! independence matrix (`common::conditions`: the default batch, 513, and
-//! traced at full detail).  `events` is what the serving quantum
+//! traced at full detail).  Those passes count the rows (`run_count`, as
+//! every map cell does: the root builds none); three more read them
+//! (`run_collect` at 1, 513 and 1024 rows a batch) and must print the same
+//! lines and return `rows` rows — reading the output never moves a charge.
+//! `events` is what the serving quantum
 //! counts: a kernel that groups its charge calls differently must still
 //! count the same events, or served slices would change length.
 //!
@@ -19,7 +23,9 @@
 //! over `tests/golden/exec_ledger.txt`.
 
 use robustmap::core::MeasureConfig;
-use robustmap::executor::{run_count, AggFn, ExecCtx, ExecStats, PlanSpec, RunOpts, SpillMode};
+use robustmap::executor::{
+    run_collect, run_count, AggFn, ExecConfig, ExecCtx, ExecStats, PlanSpec, RunOpts, SpillMode,
+};
 use robustmap::storage::Session;
 use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap::workload::{ChurnConfig, ChurnDriver, TableBuilder, Workload, WorkloadConfig};
@@ -28,14 +34,29 @@ mod common;
 
 const GOLDEN: &str = include_str!("golden/exec_ledger.txt");
 
-/// Run `spec` on a fresh session under `cfg`: its stats and the charge
-/// events it took.
-fn exec(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig) -> (ExecStats, u64) {
+/// How a pass runs each plan.
+#[derive(Clone, Copy)]
+enum Path {
+    /// `run_count`: nobody reads the rows.
+    Count,
+    /// `run_collect`: every row is returned.
+    Read,
+}
+
+/// Run `spec` on a fresh session under `cfg` along `path`: its stats and
+/// the charge events it took.  A read run must return `rows_out` rows.
+fn exec(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, path: Path) -> (ExecStats, u64) {
     let s = cfg.session();
     let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
     let opts = RunOpts { batch: cfg.exec, controller: None };
-    let stats = run_count(spec, &ctx, opts).expect("ledger plans are well-formed");
-    (stats, s.charge_events())
+    let stats = match path {
+        Path::Count => run_count(spec, &ctx, opts),
+        Path::Read => run_collect(spec, &ctx, opts).map(|(stats, rows)| {
+            assert_eq!(rows.len() as u64, stats.rows_out, "{}: rows read", spec.synopsis());
+            stats
+        }),
+    };
+    (stats.expect("ledger plans are well-formed"), s.charge_events())
 }
 
 fn workload() -> Workload {
@@ -180,13 +201,21 @@ fn run_reproduces_the_golden_ledger_at_every_batch_size() {
     let churned = churned_workload();
     let base = MeasureConfig::default();
     let cases = cases(&pristine, &churned);
-    let mut passes = vec![("one row per batch".to_string(), common::row_path(&base))];
-    passes.extend(common::variants(&base, &[]));
-    for (how, cfg) in &passes {
+    let row_path = common::row_path(&base);
+    let mut passes = vec![("one row per batch".to_string(), row_path.clone(), Path::Count)];
+    for (how, cfg) in common::variants(&base, &[]) {
+        passes.push((how, cfg, Path::Count));
+    }
+    for batch_rows in [1, 513, 1024] {
+        let exec = ExecConfig::with_batch_rows(batch_rows);
+        let cfg = MeasureConfig { exec, ..row_path.clone() };
+        passes.push((format!("read, batch {batch_rows}"), cfg, Path::Read));
+    }
+    for (how, cfg, path) in &passes {
         let actual: String = cases
             .iter()
             .map(|(w, label, spec)| {
-                let (stats, events) = exec(w, spec, cfg);
+                let (stats, events) = exec(w, spec, cfg, *path);
                 // The clock's closed form: a serial plan's ticks are its
                 // counters priced by the model, whatever order and
                 // grouping its operators charged them in.
