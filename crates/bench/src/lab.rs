@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use robustmap_core::render::{heatmap_svg, relative_scale};
+use robustmap_core::render::{heatmap_svg, relative_scale, render_map2d_ansi, ColorScale};
 use robustmap_core::{build_map2d, measure_batch, Grid2D, Map2D, Measurement};
 use robustmap_executor::{
     ColRange, FetchKind, IndexRangeSpec, KeyRange, PlanSpec, Predicate, Projection,
@@ -18,7 +18,7 @@ use robustmap_systems::{
 use robustmap_workload::gen::PredicateDistribution;
 use robustmap_workload::{TableBuilder, Workload, WorkloadConfig, COL_B};
 
-use crate::harness::Harness;
+use crate::harness::{FigureOutput, Harness, PLAIN_CELLS};
 
 /// A second table beside the harness's: same seed, `rows` rows, predicate
 /// columns drawn from `dist` (the correlated and Zipf workload families).
@@ -101,6 +101,29 @@ pub fn regret_svg(
     title: &str,
 ) -> PathBuf {
     h.write_artifact(file, &heatmap_svg(grid, xs, ys, &relative_scale(), title))
+}
+
+/// The 2-D map figure epilogue: an ia-major `grid` over `(xs, ys)` on
+/// `scale` becomes the plain-character map (titled `title`) that opens the
+/// report, `<stem>.csv` (holding `csv`) and the heat map `<stem>.svg`
+/// (titled `svg_title`).  The figure appends its own notes to the report.
+pub fn emit_map(
+    h: &Harness,
+    stem: &str,
+    grid: &[f64],
+    xs: &[f64],
+    ys: &[f64],
+    scale: &ColorScale,
+    title: &str,
+    svg_title: &str,
+    csv: String,
+) -> FigureOutput {
+    let report = render_map2d_ansi(grid, xs, ys, scale, title, &PLAIN_CELLS);
+    let files = vec![
+        h.write_artifact(&format!("{stem}.csv"), &csv),
+        h.write_artifact(&format!("{stem}.svg"), &heatmap_svg(grid, xs, ys, scale, svg_title)),
+    ];
+    FigureOutput::new(report, files)
 }
 
 /// One measured parameter-space point: every plan of a [`Lab`]'s catalog

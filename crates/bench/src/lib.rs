@@ -97,7 +97,7 @@ pub fn run_figure(h: &Harness, name: &str) -> Option<FigureOutput> {
 #[derive(Debug)]
 pub struct GateReport {
     /// The `figures` binary's closing line, e.g. `checks: 88 in 8 reports,
-    /// 0 failed; 65 artifacts`.
+    /// 0 failed; 64 artifacts`.
     pub summary: String,
     /// One line per failed check and per missing or empty artifact, each
     /// naming its figure; empty when the run is green.

@@ -8,7 +8,7 @@
 use robustmap_core::analysis::symmetry::symmetry_of;
 use robustmap_core::render::{
     absolute_scale, heatmap_svg, line_plot_svg, map1d_to_csv, map2d_to_csv, quotients_to_csv,
-    relative_scale, render_map1d_table, render_map2d_ansi,
+    relative_scale, render_map1d_table,
 };
 use robustmap_core::report::{landmark_report, multi_optimal_report, relative_report};
 use robustmap_core::{build_map1d, Grid1D, Map1D, OptimalityTolerance, RelativeMap2D};
@@ -17,7 +17,8 @@ use robustmap_core::measure::Measurement;
 use robustmap_core::regions::RegionStats;
 use robustmap_systems::{single_predicate_plans, SinglePredPlanSet};
 
-use crate::harness::{FigureOutput, Harness, PLAIN_CELLS};
+use crate::harness::{FigureOutput, Harness};
+use crate::lab::emit_map;
 
 /// Figures 3 and 6: the color legends (written as standalone SVGs and
 /// printed as text).
@@ -99,15 +100,18 @@ pub fn fig4(h: &Harness) -> FigureOutput {
     let plan = map.plan_index("A2 idx(a) fetch").expect("System A plan");
     let grid = map.seconds_grid(plan);
     let (lo, hi) = map.seconds_range(plan);
-    let mut report = render_map2d_ansi(
+    let mut out = emit_map(
+        h,
+        "fig4",
         &grid,
         &map.sel_a,
         &map.sel_b,
         &absolute_scale(),
         "Figure 4: two-predicate single-index selection (absolute seconds)",
-        &PLAIN_CELLS,
+        "Figure 4: single-index plan, absolute seconds",
+        map2d_to_csv(&map.single_plan(plan)),
     );
-    report.push_str(&format!(
+    out.report.push_str(&format!(
         "execution time range: {:.3}s .. {:.1}s (paper: 4s .. 890s at 60M rows)\n",
         lo, hi
     ));
@@ -128,20 +132,13 @@ pub fn fig4(h: &Harness) -> FigureOutput {
         }
         worst
     };
-    report.push_str(&format!(
+    out.report.push_str(&format!(
         "max spread along sel_a: {:.1}x; along sel_b: {:.2}x — the fetched-then-filtered \
          predicate has practically no effect, as in the paper\n",
         spread(true),
         spread(false)
     ));
-    let files = vec![
-        h.write_artifact("fig4.csv", &map2d_to_csv(&map.single_plan(plan))),
-        h.write_artifact(
-            "fig4.svg",
-            &heatmap_svg(&grid, &map.sel_a, &map.sel_b, &absolute_scale(), "Figure 4: single-index plan, absolute seconds"),
-        ),
-    ];
-    FigureOutput::new(report, files)
+    out
 }
 
 /// Figure 5: two-index merge join — absolute 2-D map; symmetric in the two
@@ -151,24 +148,27 @@ pub fn fig5(h: &Harness) -> FigureOutput {
     let merge = map.plan_index("A4 merge(a,b) intersect").expect("System A plan");
     let hash = map.plan_index("A6 hash(a,b) intersect").expect("System A plan");
     let grid = map.seconds_grid(merge);
-    let mut report = render_map2d_ansi(
+    let mut out = emit_map(
+        h,
+        "fig5",
         &grid,
         &map.sel_a,
         &map.sel_b,
         &absolute_scale(),
         "Figure 5: two-index merge join (absolute seconds)",
-        &PLAIN_CELLS,
+        "Figure 5: two-index merge join, absolute seconds",
+        map2d_to_csv(&map.subset(&[merge, hash])),
     );
     let n = map.sel_a.len();
     let sym_merge = symmetry_of(&grid, n);
     let sym_hash = symmetry_of(&map.seconds_grid(hash), n);
-    report.push_str(&format!(
+    out.report.push_str(&format!(
         "merge join symmetry: max mirrored ratio {:.3}x (mean {:.3}x) — symmetric up to \
          sub-second measurement flukes, as in the paper\n",
         sym_merge.max_log_ratio.exp(),
         sym_merge.mean_log_ratio.exp()
     ));
-    report.push_str(&format!(
+    out.report.push_str(&format!(
         "hash join symmetry:  max mirrored ratio {:.3}x (mean {:.3}x) — {}\n",
         sym_hash.max_log_ratio.exp(),
         sym_hash.mean_log_ratio.exp(),
@@ -180,14 +180,7 @@ pub fn fig5(h: &Harness) -> FigureOutput {
             "unexpectedly symmetric at this scale"
         },
     ));
-    let files = vec![
-        h.write_artifact("fig5.csv", &map2d_to_csv(&map.subset(&[merge, hash]))),
-        h.write_artifact(
-            "fig5.svg",
-            &heatmap_svg(&grid, &map.sel_a, &map.sel_b, &absolute_scale(), "Figure 5: two-index merge join, absolute seconds"),
-        ),
-    ];
-    FigureOutput::new(report, files)
+    out
 }
 
 /// Figure 7: the Figure 4 plan relative to the best of System A's seven
@@ -196,21 +189,23 @@ pub fn fig7(h: &Harness) -> FigureOutput {
     let map = h.map_system_a();
     let rel = RelativeMap2D::from_map(&map);
     let plan = map.plan_index("A2 idx(a) fetch").expect("System A plan");
-    let quotients = rel.quotient_grid(plan).to_vec();
-    let mut report = render_map2d_ansi(
-        &quotients,
+    let mut out = emit_map(
+        h,
+        "fig7",
+        rel.quotient_grid(plan),
         &rel.sel_a,
         &rel.sel_b,
         &relative_scale(),
         "Figure 7: single-index plan vs. best of 7 plans (cost factor)",
-        &PLAIN_CELLS,
+        "Figure 7: single-index plan vs best of 7",
+        quotients_to_csv(&rel),
     );
-    report.push_str(&format!(
+    out.report.push_str(&format!(
         "worst quotient: {:.0}x (paper: ~101,000x at 60M rows; the quotient scales with table size)\n",
         rel.worst_quotient(plan)
     ));
     let region = RegionStats::of(&rel.optimal_region(plan, OptimalityTolerance::Factor(1.2)));
-    report.push_str(&format!(
+    out.report.push_str(&format!(
         "optimality region (within 20% of best): {:.1}% of the space, {} component(s){}\n",
         region.coverage * 100.0,
         region.component_count,
@@ -220,15 +215,8 @@ pub fn fig7(h: &Harness) -> FigureOutput {
             " — contiguous in our implementation (the paper attributes its discontiguity to an implementation idiosyncrasy)"
         },
     ));
-    report.push_str(&relative_report(&rel));
-    let files = vec![
-        h.write_artifact("fig7.csv", &quotients_to_csv(&rel)),
-        h.write_artifact(
-            "fig7.svg",
-            &heatmap_svg(&quotients, &rel.sel_a, &rel.sel_b, &relative_scale(), "Figure 7: single-index plan vs best of 7"),
-        ),
-    ];
-    FigureOutput::new(report, files)
+    out.report.push_str(&relative_report(&rel));
+    out
 }
 
 /// Figure 8: System B's two-column-index plan (bitmap-sorted fetch),
@@ -238,17 +226,19 @@ pub fn fig8(h: &Harness) -> FigureOutput {
     let map = all.subset_by_prefix("B");
     let rel = RelativeMap2D::from_map(&map);
     let plan = map.plan_index("B1 idx(a,b) bitmap fetch").expect("System B plan");
-    let quotients = rel.quotient_grid(plan).to_vec();
-    let mut report = render_map2d_ansi(
-        &quotients,
+    let mut out = emit_map(
+        h,
+        "fig8",
+        rel.quotient_grid(plan),
         &rel.sel_a,
         &rel.sel_b,
         &relative_scale(),
         "Figure 8: System B two-column index + bitmap fetch (cost factor)",
-        &PLAIN_CELLS,
+        "Figure 8: System B bitmap-fetch plan vs best of System B",
+        quotients_to_csv(&rel),
     );
     let region = RegionStats::of(&rel.optimal_region(plan, OptimalityTolerance::Factor(1.2)));
-    report.push_str(&format!(
+    out.report.push_str(&format!(
         "near-optimal (within 20%) over {:.1}% of the space; worst quotient {:.0}x\n",
         region.coverage * 100.0,
         rel.worst_quotient(plan)
@@ -257,21 +247,14 @@ pub fn fig8(h: &Harness) -> FigureOutput {
     let a_map = h.map_system_a();
     let a_rel = RelativeMap2D::from_map(&a_map);
     let a_plan = a_map.plan_index("A2 idx(a) fetch").expect("System A plan");
-    report.push_str(&format!(
+    out.report.push_str(&format!(
         "worst quotient vs Figure 7's plan: {:.0}x vs {:.0}x — \"its worst quotient is not as \
          bad as the one of the prior plan\"\n",
         rel.worst_quotient(plan),
         a_rel.worst_quotient(a_plan)
     ));
-    report.push_str(&relative_report(&rel));
-    let files = vec![
-        h.write_artifact("fig8.csv", &quotients_to_csv(&rel)),
-        h.write_artifact(
-            "fig8.svg",
-            &heatmap_svg(&quotients, &rel.sel_a, &rel.sel_b, &relative_scale(), "Figure 8: System B bitmap-fetch plan vs best of System B"),
-        ),
-    ];
-    FigureOutput::new(report, files)
+    out.report.push_str(&relative_report(&rel));
+    out
 }
 
 /// Figure 9: System C's MDAM plan over the covering two-column index,
@@ -281,36 +264,31 @@ pub fn fig9(h: &Harness) -> FigureOutput {
     let map = all.subset_by_prefix("C");
     let rel = RelativeMap2D::from_map(&map);
     let plan = map.plan_index("C1 mdam(a,b) covering").expect("System C plan");
-    let quotients = rel.quotient_grid(plan).to_vec();
-    let mut report = render_map2d_ansi(
-        &quotients,
+    let mut out = emit_map(
+        h,
+        "fig9",
+        rel.quotient_grid(plan),
         &rel.sel_a,
         &rel.sel_b,
         &relative_scale(),
         "Figure 9: System C covering index + MDAM (cost factor)",
-        &PLAIN_CELLS,
+        "Figure 9: System C MDAM plan vs best of System C",
+        quotients_to_csv(&rel),
     );
-    report.push_str(&format!(
+    out.report.push_str(&format!(
         "worst quotient: {:.1}x; within 10x of best over {:.1}% of the space — \"reasonable \
          across the entire parameter space, albeit not optimal\"\n",
         rel.worst_quotient(plan),
         rel.area_within(plan, 10.0) * 100.0,
     ));
     let optimal = rel.optimal_region(plan, OptimalityTolerance::Factor(1.001));
-    report.push_str(&format!(
+    out.report.push_str(&format!(
         "exactly optimal (factor 1) at {:.1}% of points — \"very [many] data points indicate \
          that this plan is the best\"\n",
         optimal.fraction() * 100.0
     ));
-    report.push_str(&relative_report(&rel));
-    let files = vec![
-        h.write_artifact("fig9.csv", &quotients_to_csv(&rel)),
-        h.write_artifact(
-            "fig9.svg",
-            &heatmap_svg(&quotients, &rel.sel_a, &rel.sel_b, &relative_scale(), "Figure 9: System C MDAM plan vs best of System C"),
-        ),
-    ];
-    FigureOutput::new(report, files)
+    out.report.push_str(&relative_report(&rel));
+    out
 }
 
 /// Figure 10: the optimal-plans map — most points have several optimal

@@ -17,7 +17,7 @@ use robustmap_executor::{
     run_count, CheckpointKind, ExecCtx, Observation, PlanSpec, Projection, RunOpts,
     SpillMode, SwitchController, SwitchDirective,
 };
-use robustmap_obs::chrome::{parse_chrome_trace, parse_json, to_chrome_json};
+use robustmap_obs::chrome::{parse_chrome_trace, to_chrome_json};
 use robustmap_obs::trace::{
     op_profile_csv, slice_totals, validate_trace, TraceDetail, TraceEventKind, TraceSink,
 };
@@ -424,21 +424,19 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
         format!("{:.6}s vs {:.6}s", ticks_to_seconds(makespan), ticks_to_seconds(charges)),
     );
 
-    // Chrome export: the artifact browsers load must parse back, with
-    // every span's B matched by an E.
+    // Chrome export, as `figures --trace` writes it: it must parse back,
+    // with every span's B matched by an E.  The JSON carries the real
+    // clock, so it stays in memory; the details count what it holds.  A
+    // document that does not parse has no spans.
     let json = to_chrome_json(&events, &labels);
-    let chrome_ok = parse_json(&json).is_ok()
-        && parse_chrome_trace(&json).is_ok_and(|evs| {
-            let b = evs.iter().filter(|e| e.ph == "B").count();
-            let e = evs.iter().filter(|e| e.ph == "E").count();
-            let pids: std::collections::BTreeSet<u64> =
-                evs.iter().map(|ev| ev.pid).collect();
-            b == e && b > 0 && pids.len() == 2
-        });
+    let parsed = parse_chrome_trace(&json).unwrap_or_default();
+    let phase = |ph: &str| parsed.iter().filter(|ev| ev.ph == ph).count();
+    let (b, e) = (phase("B"), phase("E"));
+    let pids: std::collections::BTreeSet<u64> = parsed.iter().map(|ev| ev.pid).collect();
     suite.check_named(
         "Chrome export round-trips: JSON parses, B/E spans balance, two clock domains",
-        chrome_ok,
-        format!("{} bytes", json.len()),
+        b == e && b > 0 && pids.len() == 2,
+        format!("{b} B / {e} E spans in {} events", parsed.len()),
     );
 
     // Queue wait becomes visible when admission is the bottleneck.
@@ -613,7 +611,6 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
     let mut metrics = sink.metrics();
     metrics.merge(&bail_sink.metrics());
     let files = vec![
-        h.write_artifact("ext_trace.json", &json),
         h.write_artifact("ext_trace_timeline.svg", &timeline),
         h.write_artifact("ext_trace_adaptive.svg", &adaptive_svg),
         h.write_artifact("ext_trace_ops.csv", &op_profile_csv(&bail_events, &bail_labels)),

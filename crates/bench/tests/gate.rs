@@ -1,9 +1,17 @@
 //! The gate, from both sides: synthetic outputs that must fail it with a
 //! message naming figure and file, and the real all-figures pass that must
-//! be green, match the committed byte baselines, and keep its named-check
-//! counts.
+//! be green, keep its named-check counts, and match `baselines/MANIFEST`
+//! artifact for artifact.
+//!
+//! The MANIFEST pins every artifact of `figures all` at `Harness::tiny()`,
+//! one line each: `<len> <fx64:016x> <name>`, the digest being
+//! `robustmap_storage::FxHasher` over the file's bytes.  A deliberate
+//! cost-model change regenerates it: the failing test writes
+//! `target/MANIFEST.actual`; review the listed artifacts and copy it over
+//! `baselines/MANIFEST`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -11,6 +19,7 @@ use robustmap_bench::{gate, run_figure, FigureOutput, Harness, FIGURES};
 use robustmap_core::{MeasureConfig, RegressionSuite};
 use robustmap_executor::ExecConfig;
 use robustmap_obs::trace::{TraceDetail, TraceSink};
+use robustmap_storage::FxHasher;
 
 /// A tiny harness writing under `target/figures-test/<dir>`: the other
 /// suites rewrite `target/figures-test` concurrently.
@@ -83,32 +92,89 @@ const CHECK_COUNTS: &[(&str, usize)] = &[
     ("ext_regression", 28),
 ];
 
-/// Compare every artifact that has a same-named file under `baselines`;
-/// returns how many were compared.  Panics on drift or when two figures
-/// wrote one file name.
-fn compare_to_baselines(outputs: &[FigureOutput], baselines: &Path) -> usize {
+/// The figures regenerated under the independence conditions: between them
+/// they cover scans and fetches, spilling sorts, both joins and served
+/// bursts.
+const INDEPENDENCE_FIGURES: [&str; 4] = ["fig1", "ext_sort_spill", "ext_join", "ext_concurrency"];
+
+/// The MANIFEST lines of `outputs`' artifacts, keyed and sorted by file
+/// name.  Panics when two figures wrote one name.
+fn manifest_of(outputs: &[FigureOutput]) -> BTreeMap<String, String> {
     let mut writer = HashMap::new();
-    let mut compared = 0;
+    let mut lines = BTreeMap::new();
     for out in outputs {
         for file in &out.files {
-            let name = file.file_name().expect("artifact file name").to_owned();
+            let name = file.file_name().expect("artifact file name").to_string_lossy().into_owned();
             if let Some(other) = writer.insert(name.clone(), out.name) {
                 panic!("{other} and {} both wrote {name:?}", out.name);
             }
-            if let Ok(want) = std::fs::read(baselines.join(&name)) {
-                let got = std::fs::read(file).expect("gated artifact");
-                assert!(got == want, "{}: {name:?} drifted from its baseline", out.name);
-                compared += 1;
-            }
+            let bytes = std::fs::read(file).expect("gated artifact");
+            let mut fx = FxHasher::default();
+            fx.write(&bytes);
+            lines.insert(name.clone(), format!("{} {:016x} {name}", bytes.len(), fx.finish()));
         }
     }
-    compared
+    lines
+}
+
+/// Every disagreement between the `committed` MANIFEST text and `actual`,
+/// one line each naming its artifact: moved, unlisted, or stale.
+fn manifest_mismatches(committed: &str, actual: &BTreeMap<String, String>) -> Vec<String> {
+    let want: BTreeMap<&str, &str> = committed
+        .lines()
+        .map(|line| (line.splitn(3, ' ').nth(2).unwrap_or(line), line))
+        .collect();
+    let mut problems = Vec::new();
+    for (name, got) in actual {
+        match want.get(name.as_str()) {
+            None => problems.push(format!("{name}: no MANIFEST line (actual `{got}`)")),
+            Some(line) if line != got => {
+                problems.push(format!("{name}: moved (MANIFEST `{line}`, actual `{got}`)"))
+            }
+            Some(_) => {}
+        }
+    }
+    for (name, line) in want {
+        if !actual.contains_key(name) {
+            problems.push(format!("{name}: MANIFEST line `{line}` matches no artifact"));
+        }
+    }
+    problems
 }
 
 #[test]
-fn every_figure_passes_the_gate_and_matches_its_baselines() {
-    // `Harness::tiny()` is the smoke scale the committed baselines were
-    // generated at.
+fn the_manifest_names_every_artifact_that_moved_appeared_or_vanished() {
+    let h = tiny_writing_to("gate-manifest");
+    let files =
+        vec![h.write_artifact("m.csv", "a,b\n1,2\n"), h.write_artifact("m.svg", "<svg/>\n")];
+    let outputs = [synthetic("fig_m", files, None)];
+    let actual = manifest_of(&outputs);
+    let committed: String = actual.values().map(|line| format!("{line}\n")).collect();
+    assert!(manifest_mismatches(&committed, &actual).is_empty());
+
+    let fails_naming = |committed: &str, outputs: &[FigureOutput], name: &str| {
+        let problems = manifest_mismatches(committed, &manifest_of(outputs));
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with(&format!("{name}: ")), "{problems:?}");
+    };
+    let mut bytes = std::fs::read(&outputs[0].files[0]).expect("m.csv");
+    bytes[2] ^= 1;
+    std::fs::write(&outputs[0].files[0], bytes).expect("flip a byte of m.csv");
+    fails_naming(&committed, &outputs, "m.csv");
+    h.write_artifact("m.csv", "a,b\n1,2\n");
+
+    let extra = synthetic("fig_n", vec![h.write_artifact("n.txt", "new\n")], None);
+    fails_naming(&committed, &[outputs[0].clone(), extra], "n.txt");
+    fails_naming(&format!("{committed}7 0123456789abcdef gone.csv\n"), &outputs, "gone.csv");
+
+    let twice = synthetic("fig_twice", outputs[0].files.clone(), None);
+    let clash = std::panic::catch_unwind(|| manifest_of(&[outputs[0].clone(), twice]));
+    assert!(clash.is_err(), "two figures writing one name went unnoticed");
+}
+
+#[test]
+fn every_figure_passes_the_gate_and_matches_the_manifest() {
+    // `Harness::tiny()` is the smoke scale the MANIFEST was written at.
     let h = tiny_writing_to("gate");
     let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     h.plan_for(&names);
@@ -123,17 +189,27 @@ fn every_figure_passes_the_gate_and_matches_its_baselines() {
     assert!(g.failures.is_empty(), "{}\n{}", g.summary, g.failures.join("\n"));
     assert!(g.summary.starts_with("checks: 88 in 8 reports, 0 failed;"), "{}", g.summary);
 
-    // Byte baselines are derived from the directory: simulated costs must
-    // not drift, however the executor or the scheduler is rearranged;
-    // regenerate a baseline only for a deliberate cost-model change.
-    let baselines = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
-    let committed = std::fs::read_dir(&baselines).expect("baselines directory").count();
-    let compared = compare_to_baselines(&outputs, &baselines);
-    assert_eq!(compared, committed, "a baseline file was matched by no artifact");
+    // Simulated costs must not move, however the executor or the scheduler
+    // is rearranged.
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/MANIFEST");
+    let committed = std::fs::read_to_string(&manifest).expect("baselines/MANIFEST");
+    let actual = manifest_of(&outputs);
+    let problems = manifest_mismatches(&committed, &actual);
+    if !problems.is_empty() {
+        std::fs::create_dir_all("target").expect("create target/");
+        let text: String = actual.values().map(|line| format!("{line}\n")).collect();
+        std::fs::write("target/MANIFEST.actual", text).expect("write actual manifest");
+        panic!(
+            "{} artifacts disagree with baselines/MANIFEST:\n{}\nfull manifest written to \
+             target/MANIFEST.actual",
+            problems.len(),
+            problems.join("\n")
+        );
+    }
 
-    // Independence at figure scale: the figures that own the baselines,
-    // regenerated single-threaded at an odd batch size with every session
-    // and burst traced at full detail, write the same bytes.
+    // Independence at figure scale: these figures, regenerated
+    // single-threaded at an odd batch size with every session and burst
+    // traced at full detail, write the same bytes — every artifact of theirs.
     let mut odd = tiny_writing_to("gate-independence");
     odd.config.measure = MeasureConfig {
         threads: 1,
@@ -141,19 +217,9 @@ fn every_figure_passes_the_gate_and_matches_its_baselines() {
         trace: Some(Arc::new(TraceSink::memory_with_cap(TraceDetail::Full, 1 << 12))),
         ..odd.config.measure
     };
-    let owners = outputs.iter().filter(|out| {
-        out.files.iter().any(|f| baselines.join(f.file_name().expect("file name")).exists())
-    });
     let again: Vec<FigureOutput> =
-        owners.map(|out| run_figure(&odd, out.name).expect("known figure")).collect();
-    assert_eq!(compare_to_baselines(&again, &baselines), committed);
-
-    // The comparison has teeth: a one-byte drift in a baseline is caught.
-    let drifted = h.out_dir().join("drifted-baselines");
-    std::fs::create_dir_all(&drifted).expect("create scratch baselines");
-    let mut bytes = std::fs::read(baselines.join("fig1.csv")).expect("fig1 baseline");
-    *bytes.last_mut().expect("non-empty baseline") ^= 1;
-    std::fs::write(drifted.join("fig1.csv"), bytes).expect("write drifted baseline");
-    let caught = std::panic::catch_unwind(|| compare_to_baselines(&outputs, &drifted));
-    assert!(caught.is_err(), "a drifted fig1.csv baseline went unnoticed");
+        INDEPENDENCE_FIGURES.iter().map(|n| run_figure(&odd, n).expect("known figure")).collect();
+    for (name, line) in manifest_of(&again) {
+        assert_eq!(actual.get(&name), Some(&line), "{name} moved under the independence conditions");
+    }
 }

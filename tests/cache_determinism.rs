@@ -160,9 +160,10 @@ fn build_cached_roundtrips_through_the_cache() {
     let Some(path) = cache::cache_path(&config) else { return };
     let _ = std::fs::remove_file(&path);
 
-    // Miss: builds and stores.
+    // Miss: builds and stores heap pages (44 B/row) and nothing else.
     let first = TableBuilder::build_cached(config.clone());
-    assert!(path.exists(), "miss must populate the cache");
+    let bytes = std::fs::metadata(&path).expect("miss must populate the cache").len();
+    assert!(bytes <= 64 * config.rows, "{} holds {bytes} bytes, over 64 B/row", path.display());
     // Hit: loads the stored bytes.
     let second = TableBuilder::build_cached(config);
     assert_eq!(first.rows(), second.rows());

@@ -1,0 +1,351 @@
+//! The source rules: what the code must not regrow beside the one
+//! implementation that replaced it, and where run-time conditions may not
+//! come from.  A rule is a scope (files or directories under the repository
+//! root, `*` standing for every directory at that level; `target`
+//! directories are never read), the lines of each file it reads, and a line
+//! pattern matched by substring or by identifier.  A rule forbids every
+//! match, or wants exactly as many as it says.  Each failure names the
+//! rule, the file and the line.
+
+use std::path::Path;
+
+/// Which lines of a file a rule reads.
+#[derive(Clone, Copy)]
+enum Lines {
+    All,
+    /// The lines above the first one starting with the prefix.
+    Before(&'static str),
+    /// Only the block from a line containing `.0` through the next line
+    /// starting with `.1`.
+    Inside(&'static str, &'static str),
+    /// Every line but such a block.
+    Outside(&'static str, &'static str),
+}
+
+struct Rule {
+    gate: &'static str,
+    scope: &'static [&'static str],
+    /// Files and directories inside `scope` the rule does not read.
+    skip: &'static [&'static str],
+    lines: Lines,
+    hit: fn(&str) -> bool,
+    /// How many lines of the scope must match: 0 forbids the pattern.
+    want: usize,
+    why: &'static str,
+}
+
+const RULE: Rule = Rule {
+    gate: "",
+    scope: &[],
+    skip: &[],
+    lines: Lines::All,
+    hit: |_| false,
+    want: 0,
+    why: "",
+};
+
+fn any(line: &str, needles: &[&str]) -> bool {
+    needles.iter().any(|n| line.contains(n))
+}
+
+fn is_word(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The identifiers (maximal runs of word characters) of a line.
+fn idents(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !is_word(c)).filter(|t| !t.is_empty())
+}
+
+/// A function whose name ends in `_batched`.
+fn defines_batched(line: &str) -> bool {
+    line.match_indices("fn ").any(|(at, _)| {
+        let rest = &line[at + 3..];
+        let name = &rest[..rest.find(|c| !is_word(c)).unwrap_or(rest.len())];
+        name.len() > "_batched".len() && name.ends_with("_batched")
+    })
+}
+
+/// A `static` item, `pub` or `pub(..)` or private.
+fn declares_static(line: &str) -> bool {
+    line.trim_start().split_once("static ").is_some_and(|(head, _)| {
+        head.is_empty() || head == "pub " || (head.starts_with("pub(") && head.ends_with(") "))
+    })
+}
+
+fn is_figure_id(t: &str) -> bool {
+    let all = |rest: &str, ok: fn(u8) -> bool| !rest.is_empty() && rest.bytes().all(ok);
+    t == "legends"
+        || t.strip_prefix("fig").is_some_and(|d| all(d, |b| b.is_ascii_digit()))
+        || t.strip_prefix("ext_").is_some_and(|r| all(r, |b| b.is_ascii_lowercase() || b == b'_'))
+}
+
+const RULES: &[Rule] = &[
+    Rule {
+        gate: "one-interpreter",
+        scope: &["crates/executor/src"],
+        hit: |l| defines_batched(l) || idents(l).any(|t| t.len() > 8 && t.starts_with("execute_")),
+        why: "the executor defines a *_batched function or names an execute_* entry point — \
+              there is one interpreter, exec::run",
+        ..RULE
+    },
+    Rule {
+        gate: "one-scheduler",
+        scope: &["crates/core/src/serve.rs"],
+        hit: |l| l.contains("mpsc"),
+        why: "core::serve names mpsc — the hub-and-spoke scheduler is gone, not kept beside \
+              the baton",
+        ..RULE
+    },
+    Rule {
+        gate: "integer-clock",
+        scope: &["crates/storage/src/sim.rs"],
+        hit: |l| l.contains("Cell<f64>"),
+        why: "the clock holds a Cell<f64> — it is u64 picoseconds; seconds exist only where \
+              they are read",
+        ..RULE
+    },
+    Rule {
+        gate: "integer-clock",
+        scope: &["tests/common"],
+        hit: |l| l.contains("to_bits"),
+        why: "tests/common compares float bits — the equivalence suites compare clock ticks \
+              with ==",
+        ..RULE
+    },
+    Rule {
+        gate: "integer-clock",
+        scope: &["crates/obs/src", "crates/storage/src"],
+        hit: |l| {
+            any(l, &[
+                "TraceSink::Null",
+                "fn is_enabled",
+                "sim: f64",
+                "struct MemorySink",
+                "struct TraceHandle",
+            ])
+        },
+        why: "a second sink, a second spelling of untraced, or a float time stamp — a \
+              TraceSink is one struct, None is the off switch, events carry u64 ticks",
+        ..RULE
+    },
+    Rule {
+        gate: "integer-clock",
+        scope: &["crates/obs/src/trace.rs"],
+        lines: Lines::Inside("fn emit(", "    }"),
+        hit: |l| l.contains("metrics"),
+        why: "TraceSink::emit names metrics — emit is timestamp, lock, push; metrics() folds \
+              the recorded events when asked",
+        ..RULE
+    },
+    Rule {
+        gate: "heap-only cache",
+        scope: &["crates/workload/src"],
+        hit: |l| any(l, &["WORKLOAD_CACHE_BUDGET", "jstats", "prune_to_budget", "from_sorted"]),
+        why: "the workload cache regrew its size budget, the statistics cache, or a \
+              constructor for stored index or calibrator sections",
+        ..RULE
+    },
+    Rule {
+        gate: "heap-only cache",
+        scope: &["crates/workload/src"],
+        hit: |l| l.contains("BTree::bulk_load"),
+        want: 1,
+        why: "crates/workload/src names BTree::bulk_load exactly once: gen::finish, which \
+              both a build and cache::load end in",
+        ..RULE
+    },
+    Rule {
+        gate: "touch-a-row-once",
+        scope: &["crates/executor/src/ops"],
+        hit: |l| any(l, &["struct Slab", "FxHashMap<Row", "fn combined("]),
+        why: "the sorter's row slab, a Row-keyed hash map, or a Row built per join match — \
+              blocking operators keep handles and packed keys",
+        ..RULE
+    },
+    Rule {
+        gate: "one-rid-set",
+        scope: &["crates"],
+        hit: |l| l.contains("RidBitmap"),
+        why: "RidBitmap is back — storage::RidSet replaced it, it is not kept beside it",
+        ..RULE
+    },
+    Rule {
+        gate: "one-rid-set",
+        scope: &["crates/executor/src/ops/fetch.rs"],
+        lines: Lines::Outside("pub(crate) fn sort_list", "}"),
+        hit: |l| any(l, &["radix_sort_by_u64_key", "FxHashSet<Rid>"]),
+        why: "ops/fetch.rs sorts rids outside sort_list — physical order is read off the \
+              RidSet; sort_list is the one fall-through",
+        ..RULE
+    },
+    Rule {
+        gate: "one-rid-set",
+        scope: &["crates/executor/src"],
+        hit: |l| l.contains("FxHashSet<Rid>"),
+        why: "the executor keeps rids in a hash set — membership is read off the RidSet",
+        ..RULE
+    },
+    Rule {
+        gate: "one-walker",
+        scope: &["crates"],
+        hit: |l| any(l, &["cursor_step", "cursor_next_leaf"]),
+        why: "cursor_step or cursor_next_leaf is back — the borrowed Cursor with \
+              BTree::next_leaf replaced them, they are not kept beside it",
+        ..RULE
+    },
+    Rule {
+        gate: "one-walker",
+        scope: &["crates/executor/src/ops/mdam.rs"],
+        lines: Lines::Before("#[cfg(test)]"),
+        hit: |l| any(l, &["Vec<i64>", ".to_vec()"]),
+        why: "ops/mdam.rs builds a Vec per key outside its tests — corners and skip targets \
+              are [i64; MAX_KEY_COLS] on the stack",
+        ..RULE
+    },
+    Rule {
+        gate: "counted-runs",
+        scope: &["crates/core/src", "crates/bench/src", "crates/systems/src"],
+        hit: |l| l.contains("exec::run(") || idents(l).any(|t| t == "run_collect"),
+        why: "a map cell, a served query and a chooser count rows through run_count, whose \
+              root builds none — not run_collect or exec::run",
+        ..RULE
+    },
+    Rule {
+        gate: "no-hidden-input",
+        scope: &["crates/*/src"],
+        skip: &["crates/obs/src/log.rs", "crates/workload/src/cache.rs", "crates/bench/src/bin"],
+        hit: |l| l.contains("std::env::"),
+        why: "the environment is read outside obs::log, workload::cache and a binary's argv \
+              — batch size, quantum and trace sink are fields of MeasureConfig / ServeConfig",
+        ..RULE
+    },
+    Rule {
+        gate: "no-hidden-input",
+        scope: &["crates/obs/src/trace.rs"],
+        hit: declares_static,
+        why: "obs::trace holds a static — a sink is a value handed down, not a process global",
+        ..RULE
+    },
+    Rule {
+        gate: "no-hidden-input",
+        scope: &["crates", "tests", "examples"],
+        skip: &["tests/source_gates.rs"],
+        hit: |l| l.contains("from_env"),
+        why: "a from_env constructor is back — run-time conditions are arguments",
+        ..RULE
+    },
+    Rule {
+        gate: "one-figure-table",
+        scope: &["crates/bench/src"],
+        hit: |l| {
+            any(l, &[
+                "ALL_FIGURES",
+                "NEEDS_ALL_SYSTEMS",
+                "run_figure_inner",
+                "ChooserTally",
+                "FigureOutput::new(\"",
+            ])
+        },
+        why: "a second figure list, the two-slot tally, or a figure body spelling its own id \
+              — FIGURES is the table, the runner stamps names",
+        ..RULE
+    },
+    Rule {
+        gate: "one-figure-table",
+        scope: &["scripts/verify.sh"],
+        hit: |l| idents(l).any(is_figure_id),
+        why: "scripts/verify.sh names a figure id — the figures binary is the gate, not a \
+              hand list there",
+        ..RULE
+    },
+];
+
+/// Push the files under `rel` (a file, or a directory walked in name
+/// order) that `skip` does not exclude.
+fn walk(root: &Path, rel: &str, skip: &[&str], files: &mut Vec<String>) {
+    if skip.contains(&rel) {
+        return;
+    }
+    let (dir, rest) = rel.split_once("/*/").map_or((rel, None), |(d, r)| (d, Some(r)));
+    let path = root.join(dir);
+    if path.is_file() {
+        files.push(rel.to_string());
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(&path) else { return };
+    let mut names: Vec<String> = entries
+        .map(|e| e.expect("directory entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name != "target")
+        .collect();
+    names.sort();
+    for name in names {
+        match rest {
+            Some(rest) => walk(root, &format!("{dir}/{name}/{rest}"), skip, files),
+            None => walk(root, &format!("{dir}/{name}"), skip, files),
+        }
+    }
+}
+
+/// The numbered lines of `text` that `lines` selects.
+fn select(text: &str, lines: Lines) -> Vec<(usize, &str)> {
+    let mut in_block = false;
+    let mut kept = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        let keep = match lines {
+            Lines::All => true,
+            Lines::Before(prefix) if line.starts_with(prefix) => break,
+            Lines::Before(_) => true,
+            Lines::Inside(open, close) | Lines::Outside(open, close) => {
+                let block_line = if in_block {
+                    in_block = !line.starts_with(close);
+                    true
+                } else {
+                    in_block = line.contains(open);
+                    in_block
+                };
+                block_line == matches!(lines, Lines::Inside(..))
+            }
+        };
+        if keep {
+            kept.push((n + 1, line));
+        }
+    }
+    kept
+}
+
+#[test]
+fn the_source_keeps_every_rule() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut failures = Vec::new();
+    for rule in RULES {
+        let mut hits = Vec::new();
+        for scope in rule.scope {
+            let mut files = Vec::new();
+            walk(root, scope, rule.skip, &mut files);
+            if files.is_empty() {
+                failures.push(format!("[{}] {scope} holds no file: the rule checks nothing", rule.gate));
+            }
+            for file in files {
+                let bytes = std::fs::read(root.join(&file)).expect("readable file");
+                let text = String::from_utf8_lossy(&bytes);
+                for (n, line) in select(&text, rule.lines) {
+                    if (rule.hit)(line) {
+                        hits.push(format!("  {file}:{n}: {}", line.trim()));
+                    }
+                }
+            }
+        }
+        if hits.len() != rule.want {
+            failures.push(format!(
+                "[{}] {} (want {} matching lines, found {})\n{}",
+                rule.gate,
+                rule.why,
+                rule.want,
+                hits.len(),
+                hits.join("\n")
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
