@@ -10,8 +10,8 @@
 //! `sort/*_multipass_64k`, `join/sort_merge_64k` and `exec/materialise_64k`
 //! rows do the same for the sorter that charges for the merge and sorts
 //! once, and for the packed blocking edges; `sort/graceful_{window,fits}_*`
-//! and `agg/hash_*` for the blocking operators' own row path (the handle
-//! window, the packed group table).  The `scan/*` rows, with
+//! and `agg/hash_*` for the blocking operators' own batch push (the
+//! handle window, the packed group table).  The `scan/*` rows, with
 //! `fetch/{improved,bitmap}` and `btree/range_scan_full`, are the kernels
 //! that charge per page, leaf or rid run (`scan/mdam_64k` where every
 //! skip lands on the next entry, `scan/mdam_dup_prefix_64k` where skips
@@ -37,7 +37,7 @@ use robustmap_executor::batch::radix_sort_by_u64_key;
 use robustmap_executor::ops::sort::PackedRows;
 use robustmap_executor::{
     run, run_collect, run_count, AggFn, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig,
-    IndexRangeSpec, JoinAlgo, KeyRange, PlanSpec, Predicate, Projection, RunOpts, SpillMode,
+    IndexRangeSpec, JoinAlgo, KeyRange, PlanSpec, Predicate, Projection, SpillMode,
 };
 use robustmap_storage::btree::{BTree, Key};
 use robustmap_storage::heap::Rid;
@@ -219,7 +219,7 @@ fn bench_fetch_disciplines(c: &mut Criterion) {
                     Session::with_pool_pages(256)
                 };
                 let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-                run_count(&plan, &ctx, RunOpts::default()).unwrap().rows_out
+                run_count(&plan, &ctx, None).unwrap().rows_out
             })
         });
     }
@@ -276,7 +276,7 @@ fn bench_scan_kernels(c: &mut Criterion) {
             b.iter(|| {
                 let s = Session::with_pool_pages(256);
                 let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-                run_count(&plan, &ctx, RunOpts::default()).unwrap().rows_out
+                run_count(&plan, &ctx, None).unwrap().rows_out
             })
         });
     }
@@ -309,21 +309,21 @@ fn bench_sort_modes(c: &mut Criterion) {
             b.iter(|| {
                 let s = Session::with_pool_pages(256);
                 let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-                run_count(&plan, &ctx, RunOpts::default()).unwrap().rows_out
+                run_count(&plan, &ctx, None).unwrap().rows_out
             })
         });
     }
     group.finish();
 }
 
-/// The blocking operators' own row path over all 2^17 rows of the
+/// The blocking operators' own batch push over all 2^17 rows of the
 /// benchmark's table: replacement selection at windows of 51, 3 276 and
 /// 52 428 rows (grants of 4 KiB, 256 KiB and 4 MiB — the sort maps' ends
 /// and the grant a sort-merge join's inputs get) and with a grant the input
 /// fits, where no window is ever built; hash aggregation into one group
 /// per row, with a grant that holds every group and with one that holds
 /// 2 048 of them and spills the rest.
-fn bench_blocking_row_path(c: &mut Criterion) {
+fn bench_blocking_push(c: &mut Criterion) {
     let w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 17));
     let input = || {
         Box::new(PlanSpec::TableScan {
@@ -361,7 +361,7 @@ fn bench_blocking_row_path(c: &mut Criterion) {
             b.iter(|| {
                 let s = Session::with_pool_pages(256);
                 let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-                run_count(&plan, &ctx, RunOpts::default()).unwrap().rows_out
+                run_count(&plan, &ctx, None).unwrap().rows_out
             })
         });
         group.finish();
@@ -394,7 +394,7 @@ fn bench_blocking_edges(c: &mut Criterion) {
         b.iter(|| {
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-            run_count(&join, &ctx, RunOpts::default()).unwrap().rows_out
+            run_count(&join, &ctx, None).unwrap().rows_out
         })
     });
     group.finish();
@@ -406,7 +406,7 @@ fn bench_blocking_edges(c: &mut Criterion) {
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
             let mut rows = PackedRows::default();
-            run(&input, &ctx, RunOpts::default(), &mut |batch| rows.extend_from_batch(batch)).unwrap();
+            run(&input, &ctx, None, &mut |batch| rows.extend_from_batch(batch)).unwrap();
             rows
         })
     });
@@ -429,7 +429,7 @@ fn bench_catalog(c: &mut Criterion) {
         b.iter(|| {
             let s = Session::with_pool_pages(1024);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-            let count = |spec| run_count(spec, &ctx, RunOpts::default()).unwrap().rows_out;
+            let count = |spec| run_count(spec, &ctx, None).unwrap().rows_out;
             specs.iter().map(count).sum::<u64>()
         })
     });
@@ -437,7 +437,7 @@ fn bench_catalog(c: &mut Criterion) {
         b.iter(|| {
             let s = Session::with_pool_pages(1024);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-            let read = |spec| run_collect(spec, &ctx, RunOpts::default()).unwrap().1.len();
+            let read = |spec| run_collect(spec, &ctx, None).unwrap().1.len();
             specs.iter().map(read).sum::<usize>()
         })
     });
@@ -516,7 +516,7 @@ criterion_group!(
     bench_fetch_disciplines,
     bench_scan_kernels,
     bench_sort_modes,
-    bench_blocking_row_path,
+    bench_blocking_push,
     bench_blocking_edges,
     bench_catalog,
     bench_serve,

@@ -14,7 +14,7 @@ use robustmap_core::{
     measure_plan, serve_concurrent, MeasureConfig, RegressionSuite, ServeConfig,
 };
 use robustmap_executor::{
-    run_count, CheckpointKind, ExecCtx, Observation, PlanSpec, Projection, RunOpts,
+    run_count, CheckpointKind, ExecCtx, Observation, PlanSpec, Projection,
     SpillMode, SwitchController, SwitchDirective,
 };
 use robustmap_obs::chrome::{parse_chrome_trace, to_chrome_json};
@@ -59,7 +59,6 @@ pub fn ext_concurrency(h: &Harness) -> FigureOutput {
         pool_pages,
         policy: mcfg.policy,
         model: mcfg.model.clone(),
-        batch: mcfg.exec,
         trace: mcfg.trace.clone(),
         ..ServeConfig::default()
     };
@@ -367,7 +366,6 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
         policy: mcfg.policy,
         model: mcfg.model.clone(),
         quantum: 256,
-        batch: mcfg.exec,
         trace: Some(Arc::clone(&sink)),
         ..ServeConfig::default()
     };
@@ -529,7 +527,7 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
             s.attach_tracer(Arc::clone(sk), "q0: forced bail");
         }
         let ctx = ExecCtx::new(&w.db, &s, mcfg.memory_bytes);
-        run_count(&victim, &ctx, RunOpts { batch: mcfg.exec, controller: Some(&ctrl) })
+        run_count(&victim, &ctx, Some(&ctrl))
             .expect("well-formed plan")
     };
     let plain = run_bail(None);

@@ -17,7 +17,6 @@ use std::sync::Arc;
 
 use robustmap_bench::{gate, run_figure, FigureOutput, Harness, FIGURES};
 use robustmap_core::{MeasureConfig, RegressionSuite};
-use robustmap_executor::ExecConfig;
 use robustmap_obs::trace::{TraceDetail, TraceSink};
 use robustmap_storage::FxHasher;
 
@@ -208,17 +207,18 @@ fn every_figure_passes_the_gate_and_matches_the_manifest() {
     }
 
     // Independence at figure scale: these figures, regenerated
-    // single-threaded at an odd batch size with every session and burst
-    // traced at full detail, write the same bytes — every artifact of theirs.
-    let mut odd = tiny_writing_to("gate-independence");
-    odd.config.measure = MeasureConfig {
+    // single-threaded with every session and burst traced at full detail,
+    // write the same bytes — every artifact of theirs.
+    let mut independent = tiny_writing_to("gate-independence");
+    independent.config.measure = MeasureConfig {
         threads: 1,
-        exec: ExecConfig::with_batch_rows(513),
         trace: Some(Arc::new(TraceSink::memory_with_cap(TraceDetail::Full, 1 << 12))),
-        ..odd.config.measure
+        ..independent.config.measure
     };
-    let again: Vec<FigureOutput> =
-        INDEPENDENCE_FIGURES.iter().map(|n| run_figure(&odd, n).expect("known figure")).collect();
+    let again: Vec<FigureOutput> = INDEPENDENCE_FIGURES
+        .iter()
+        .map(|n| run_figure(&independent, n).expect("known figure"))
+        .collect();
     for (name, line) in manifest_of(&again) {
         assert_eq!(actual.get(&name), Some(&line), "{name} moved under the independence conditions");
     }

@@ -20,9 +20,7 @@
 
 use std::sync::Arc;
 
-use robustmap_executor::{
-    run_count, ExecConfig, ExecCtx, ExecError, ExecStats, PlanSpec, RunOpts, SwitchController,
-};
+use robustmap_executor::{run_count, ExecCtx, ExecError, ExecStats, PlanSpec, SwitchController};
 use robustmap_obs::trace::TraceSink;
 use robustmap_storage::{BufferPool, CostModel, Database, EvictionPolicy, IoStats, Session};
 use robustmap_systems::{SinglePredPlan, TwoPredPlan};
@@ -71,9 +69,6 @@ pub struct MeasureConfig {
     pub model: CostModel,
     /// Worker threads (0 = all available cores).
     pub threads: usize,
-    /// Rows per batch between operators — not observable in a
-    /// [`Measurement`] (`tests/batch_equivalence.rs`).
-    pub exec: ExecConfig,
     /// Trace sink every measured session attaches to; `None` records
     /// nothing.  Tracing is charge-free, so a traced map is the untraced
     /// map (`tests/warm_sweep_equivalence.rs`).
@@ -92,7 +87,6 @@ impl Default for MeasureConfig {
             memory_bytes: 8 << 20,
             model: CostModel::hdd_2009(),
             threads: 0,
-            exec: ExecConfig::default(),
             trace: None,
         }
     }
@@ -130,17 +124,12 @@ impl MeasureConfig {
 pub struct SweepArena {
     session: Session,
     memory_bytes: usize,
-    exec_cfg: ExecConfig,
 }
 
 impl SweepArena {
     /// An arena measuring under `cfg`'s run-time conditions.
     pub fn new(cfg: &MeasureConfig) -> Self {
-        SweepArena {
-            session: cfg.session(),
-            memory_bytes: cfg.memory_bytes,
-            exec_cfg: cfg.exec,
-        }
+        SweepArena { session: cfg.session(), memory_bytes: cfg.memory_bytes }
     }
 
     /// Execute `plan` under cold-session conditions — the session is reset
@@ -154,7 +143,7 @@ impl SweepArena {
     ) -> Result<ExecStats, ExecError> {
         self.session.reset();
         let ctx = ExecCtx::new(db, &self.session, self.memory_bytes);
-        run_count(plan, &ctx, RunOpts { batch: self.exec_cfg, controller })
+        run_count(plan, &ctx, controller)
     }
 
     /// [`SweepArena::run`] without a controller, projected onto the map's
@@ -369,7 +358,7 @@ mod tests {
                 let session = cfg.session();
                 let ctx =
                     robustmap_executor::ExecCtx::new(&w.db, &session, cfg.memory_bytes);
-                Measurement::from(&run_count(spec, &ctx, RunOpts::default()).unwrap())
+                Measurement::from(&run_count(spec, &ctx, None).unwrap())
             };
             assert_eq!(warm, cold, "plan #{i} diverged between warm and cold sessions");
         }

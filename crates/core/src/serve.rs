@@ -73,7 +73,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::{self, Thread};
 
-use robustmap_executor::{run_count, ExecConfig, ExecCtx, ExecError, ExecStats, PlanSpec, RunOpts};
+use robustmap_executor::{run_count, ExecCtx, ExecError, ExecStats, PlanSpec};
 use robustmap_obs::trace::{TraceEventKind, TraceSink};
 use robustmap_storage::{
     ticks_to_seconds, CostModel, Database, EvictionPolicy, QueryShare, Session, SharedBufferPool,
@@ -98,9 +98,6 @@ pub struct ServeConfig {
     pub quantum: u64,
     /// Admission control limits (in-flight slots, memory budget, grants).
     pub admission: AdmissionConfig,
-    /// Rows per batch between each query's operators — like the quantum,
-    /// not observable in what a query charges.
-    pub batch: ExecConfig,
     /// Optional trace sink: the scheduler pre-allocates one track per
     /// query (plus one for itself) and records admissions, baton slices
     /// and completions on the **global virtual clock** — the sum of
@@ -118,7 +115,6 @@ impl Default for ServeConfig {
             model: CostModel::hdd_2009(),
             quantum: 1024,
             admission: AdmissionConfig::default(),
-            batch: ExecConfig::default(),
             trace: None,
         }
     }
@@ -441,7 +437,7 @@ fn serve_query(
         } else {
             Cow::Borrowed(spec)
         };
-        run_count(&spec, &ctx, RunOpts { batch: cfg.batch, controller: None })
+        run_count(&spec, &ctx, None)
     }));
     // The session is this query's alone, so its totals are what a failed
     // query charged before it failed.

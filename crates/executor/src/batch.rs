@@ -1,13 +1,10 @@
 //! Batched (vectorized) execution primitives.
 //!
 //! The interpreter in [`crate::exec`] moves rows between operators in
-//! columnar [`RowBatch`] chunks, so the real-time interpreter overhead
-//! (per-row `Row` materialisation, virtual sink dispatch, full-row
-//! decoding) is amortised.  The batch size must never be observable on the
-//! simulated clock.  The clock is an integer, so charges commute and
-//! regroup freely; what a batch size could still move is the *pool*: a
-//! page request that lands on the other side of someone else's page write
-//! can turn a hit into a miss.  So:
+//! columnar [`RowBatch`] chunks of up to [`BATCH_ROWS`] rows, so the
+//! real-time interpreter overhead (per-row `Row` materialisation, virtual
+//! sink dispatch, full-row decoding) is amortised.  Every edge of every
+//! plan runs at that one size:
 //!
 //! * kernels group their charges by what the *data* gives them — a heap
 //!   page, an index leaf, a run of rids on one page — never by
@@ -15,50 +12,23 @@
 //! * batching only moves work that is *free* on the simulated clock:
 //!   decoding, projection, sink dispatch, and intermediate-row copies;
 //! * every operator whose rows are read emits through a [`BatchEmitter`],
-//!   which hands a row to the sink the moment the batch is full — so at
-//!   `batch_rows = 1` each row reaches its consumer before the next row is
-//!   produced.  Operators whose `push` writes spill pages into the pool
-//!   their producer reads through (external sort, hash aggregation) run
-//!   their input at that size, which fixes the order of those writes
-//!   among the producer's reads whatever the batch size of the run.  The
-//!   root of a counted run ([`crate::run_count`]) is not read: its emitter
-//!   gathers no column (a batch of no columns still counts its rows), and
-//!   a root sort or aggregation emits nothing at all.  Neither moves the
-//!   clock, since emission is charge-free.
+//!   which hands its batch to the sink the moment it is full.  Sort and
+//!   hash aggregation take those batches whole and write their spill
+//!   pages while pushing them, so where those writes fall among their
+//!   child's page requests is fixed by the one size.  The root of a
+//!   counted run ([`crate::run_count`]) is not read: its emitter gathers
+//!   no column (a batch of no columns still counts its rows), and a root
+//!   sort or aggregation emits nothing at all.  Neither moves the clock,
+//!   since emission is charge-free.
 //!
-//! The batch size is a field of whoever runs the plan
-//! ([`crate::RunOpts::batch`], `MeasureConfig::exec`, `ServeConfig::batch`);
-//! no environment variable reaches it.  `tests/exec_ledger.rs` pins every
-//! plan's charges at batch sizes 1, 513 and 1024;
-//! `tests/batch_equivalence.rs` pins batch-size invariance across all
-//! fifteen catalog plans and, for the blocking edges, at small pools.
+//! `tests/exec_ledger.rs` pins every plan's charges, the blocking edges at
+//! pools of a few pages among them.
 
 use robustmap_storage::Row;
 
-/// Knobs of batched execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Rows per [`RowBatch`] flowing between operators.  `1` degenerates
-    /// to row-at-a-time delivery; the default amortises interpreter
-    /// overhead without hurting cache residency.
-    pub batch_rows: usize,
-}
-
-impl ExecConfig {
-    /// Default batch size in rows.
-    pub const DEFAULT_BATCH_ROWS: usize = 1024;
-
-    /// A config with an explicit batch size (clamped to at least 1).
-    pub fn with_batch_rows(batch_rows: usize) -> Self {
-        ExecConfig { batch_rows: batch_rows.max(1) }
-    }
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig { batch_rows: Self::DEFAULT_BATCH_ROWS }
-    }
-}
+/// Rows per [`RowBatch`] flowing between operators: amortises interpreter
+/// overhead without hurting cache residency.
+pub const BATCH_ROWS: usize = 1024;
 
 /// A columnar chunk of rows: one `Vec<i64>` per output column.
 ///
@@ -202,19 +172,17 @@ pub fn col_from_bytes(bytes: &[u8], col: usize) -> i64 {
 }
 
 /// Accumulates output rows into a [`RowBatch`] and flushes it to a batch
-/// sink whenever it reaches the configured size (and once more at the
-/// end, for the final partial batch).  Emission is charge-free, so flush
-/// boundaries never affect the simulated clock.
+/// sink whenever it reaches [`BATCH_ROWS`] rows (and once more at the end,
+/// for the final partial batch).  Emission is charge-free.
 pub struct BatchEmitter {
     batch: RowBatch,
-    cap: usize,
     produced: u64,
 }
 
 impl BatchEmitter {
-    /// An emitter producing batches of `cap` rows with `arity` columns.
-    pub fn new(arity: usize, cap: usize) -> Self {
-        BatchEmitter { batch: RowBatch::new(arity), cap: cap.max(1), produced: 0 }
+    /// An emitter producing batches with `arity` columns.
+    pub fn new(arity: usize) -> Self {
+        BatchEmitter { batch: RowBatch::new(arity), produced: 0 }
     }
 
     /// Rows emitted so far.
@@ -226,7 +194,7 @@ impl BatchEmitter {
     fn row_done(&mut self, sink: &mut dyn FnMut(&RowBatch)) {
         self.batch.rows += 1;
         self.produced += 1;
-        if self.batch.rows >= self.cap {
+        if self.batch.rows >= BATCH_ROWS {
             self.flush(sink);
         }
     }
@@ -355,8 +323,8 @@ mod tests {
     }
 
     #[test]
-    fn emitter_flushes_on_cap_and_at_end() {
-        let mut em = BatchEmitter::new(2, 3);
+    fn emitter_flushes_when_full_and_at_end() {
+        let mut em = BatchEmitter::new(2);
         let mut sizes = Vec::new();
         let mut rows = Vec::new();
         let mut sink = |b: &RowBatch| {
@@ -365,26 +333,15 @@ mod tests {
                 rows.push(b.row(i).values().to_vec());
             }
         };
-        for i in 0..7i64 {
+        let n = 2 * BATCH_ROWS as i64 + 7;
+        for i in 0..n {
             em.push_projected_slice(&[i, 10 + i, 20 + i], &[2, 0], &mut sink);
         }
         em.flush(&mut sink);
         em.flush(&mut sink); // idempotent on empty
-        assert_eq!(em.produced(), 7);
-        assert_eq!(sizes, vec![3, 3, 1]);
-        assert_eq!(rows[4], vec![24, 4]);
-    }
-
-    #[test]
-    fn emitter_batch_size_one_is_row_at_a_time() {
-        let mut em = BatchEmitter::new(1, 1);
-        let mut sizes = Vec::new();
-        let mut sink = |b: &RowBatch| sizes.push(b.len());
-        for i in 0..4i64 {
-            em.push_projected_slice(&[i], &[0], &mut sink);
-        }
-        em.flush(&mut sink);
-        assert_eq!(sizes, vec![1, 1, 1, 1]);
+        assert_eq!(em.produced(), n as u64);
+        assert_eq!(sizes, vec![BATCH_ROWS, BATCH_ROWS, 7]);
+        assert_eq!(rows[BATCH_ROWS + 4], vec![20 + BATCH_ROWS as i64 + 4, BATCH_ROWS as i64 + 4]);
     }
 
     #[test]

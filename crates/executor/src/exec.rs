@@ -7,19 +7,12 @@
 //! returned [`ExecStats`] (or the session) — exactly the measurement the
 //! paper's robustness maps are built from.
 //!
-//! There is one driver and [`RunOpts`] selects how it runs:
-//!
-//! * `batch.batch_rows` sets the rows per emitted batch.  It is never
-//!   observable on the simulated clock (see [`crate::batch`]), and
-//!   `batch_rows = 1` *is* row-at-a-time execution: every row reaches the
-//!   sink before the next row is produced.  Sort and hash aggregation
-//!   rely on that — they run their input subtree through this same
-//!   interpreter at `batch_rows = 1`, because their pushes write spill
-//!   pages into the pool the child reads through, and where those writes
-//!   fall among the child's reads decides hits and misses.
-//! * `controller` arms the cardinality checkpoints of
-//!   [`crate::ops::adaptive`].  A static run is `controller: None`; the
-//!   checkpoints are wedges inside the single arm of each plan shape.
+//! Rows move between operators in batches of [`crate::batch::BATCH_ROWS`],
+//! on every edge: sort and hash aggregation take their child's batches
+//! whole and write their spill pages while pushing them, into the pool the
+//! child reads through.  A `controller` arms the cardinality checkpoints of
+//! [`crate::ops::adaptive`]; a static run passes `None`, and the
+//! checkpoints are wedges inside the single arm of each plan shape.
 //!
 //! A run is *read* ([`run`], [`run_collect`]) or *counted* ([`run_count`],
 //! what every map cell and served query is).  In a counted run nobody
@@ -39,11 +32,11 @@ use std::cell::{Cell, RefCell};
 
 use robustmap_obs::trace::TraceEventKind;
 use robustmap_storage::{
-    ticks_to_seconds, AccessKind, Database, FileId, IndexId, IoStats, Row, Session, StorageError,
-    TableId, MAX_COLUMNS,
+    ticks_to_seconds, AccessKind, Database, FileId, IndexId, IoStats, PageId, Row, Session,
+    StorageError, TableId, MAX_COLUMNS,
 };
 
-use crate::batch::{BatchEmitter, ExecConfig, RowBatch};
+use crate::batch::{BatchEmitter, RowBatch};
 use crate::expr::Predicate;
 use crate::ops;
 use crate::ops::adaptive::{
@@ -158,6 +151,20 @@ impl<'a> ExecCtx<'a> {
         self.session.alloc_temp_file(self.temp_base)
     }
 
+    /// Write `pages` pages of a fresh temp file, read them back in order
+    /// and drop the file from the pool: what a spilled hash partition or
+    /// input costs on its way out and back in.
+    pub(crate) fn spill_round_trip(&self, pages: u32) {
+        let file = self.alloc_temp_file();
+        for p in 0..pages {
+            self.session.write_page(PageId::new(file, p));
+        }
+        for p in 0..pages {
+            self.session.read_page(PageId::new(file, p), AccessKind::Sequential);
+        }
+        self.session.invalidate_file(file);
+    }
+
     /// Record that some operator spilled.
     pub fn note_spill(&self) {
         self.spilled.set(true);
@@ -178,26 +185,16 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// How [`run`] executes a plan.  The default is a static run at the
-/// default batch size.
-#[derive(Clone, Copy, Default)]
-pub struct RunOpts<'c> {
-    /// Rows per output batch — never observable on the simulated clock.
-    pub batch: ExecConfig,
-    /// The controller consulted at cardinality checkpoints; `None` is a
-    /// static run.
-    pub controller: Option<&'c dyn SwitchController>,
-}
-
-/// Execute `plan`, pushing every output batch into `sink`.  Returns the
-/// execution summary; timings/IO are also observable on the session.
+/// Execute `plan` under `controller` (`None` is a static run), pushing
+/// every output batch into `sink`.  Returns the execution summary;
+/// timings/IO are also observable on the session.
 pub fn run(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
-    opts: RunOpts<'_>,
+    controller: Option<&dyn SwitchController>,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<ExecStats, ExecError> {
-    run_as(plan, ctx, opts, Output::Read, sink)
+    run_as(plan, ctx, controller, Output::Read, sink)
 }
 
 /// Whether anyone reads a node's rows.  Only the root of a counted run is
@@ -215,7 +212,7 @@ enum Output {
 fn run_as(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
-    opts: RunOpts<'_>,
+    controller: Option<&dyn SwitchController>,
     output: Output,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<ExecStats, ExecError> {
@@ -227,7 +224,7 @@ fn run_as(
     check_refs(plan, ctx.db)?;
     let t0 = ctx.session.elapsed_ticks();
     let io0 = ctx.session.stats();
-    let rows = node(plan, ctx, &opts, 0, output, sink)?;
+    let rows = node(plan, ctx, controller, 0, output, sink)?;
     let ticks = ctx.session.elapsed_ticks() - t0;
     Ok(ExecStats {
         rows_out: rows,
@@ -247,19 +244,19 @@ fn run_as(
 pub fn run_count(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
-    opts: RunOpts<'_>,
+    controller: Option<&dyn SwitchController>,
 ) -> Result<ExecStats, ExecError> {
-    run_as(plan, ctx, opts, Output::Counted, &mut |_| {})
+    run_as(plan, ctx, controller, Output::Counted, &mut |_| {})
 }
 
 /// [`run`], collecting all output rows (tests and small results only).
 pub fn run_collect(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
-    opts: RunOpts<'_>,
+    controller: Option<&dyn SwitchController>,
 ) -> Result<(ExecStats, Vec<Row>), ExecError> {
     let mut rows = Vec::new();
-    let stats = run(plan, ctx, opts, &mut |b| rows.extend((0..b.len()).map(|i| b.row(i))))?;
+    let stats = run(plan, ctx, controller, &mut |b| rows.extend((0..b.len()).map(|i| b.row(i))))?;
     Ok((stats, rows))
 }
 
@@ -377,7 +374,7 @@ enum Outcome {
 fn node(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
-    opts: &RunOpts<'_>,
+    controller: Option<&dyn SwitchController>,
     depth: usize,
     output: Output,
     sink: &mut dyn FnMut(&RowBatch),
@@ -393,7 +390,7 @@ fn node(
             .trace_event(TraceEventKind::OpBegin { name: name.clone(), depth: depth as u32 });
     }
     let t0 = ctx.session.elapsed_ticks();
-    let result = shape(plan, ctx, opts, depth, output, sink);
+    let result = shape(plan, ctx, controller, depth, output, sink);
     if traced {
         ctx.session.flush_io_window();
         ctx.session.trace_event(TraceEventKind::OpEnd {
@@ -418,7 +415,7 @@ fn node(
                 ctx.session.elapsed_ticks() - t0,
             );
             check_refs(&alt, ctx.db)?;
-            node(&alt, ctx, &RunOpts { controller: None, ..*opts }, depth, output, sink)
+            node(&alt, ctx, None, depth, output, sink)
         }
     }
 }
@@ -428,39 +425,12 @@ fn node(
 fn materialise(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
-    opts: &RunOpts<'_>,
+    controller: Option<&dyn SwitchController>,
     depth: usize,
 ) -> Result<PackedRows, ExecError> {
     let mut rows = PackedRows::default();
-    node(plan, ctx, opts, depth, Output::Read, &mut |b| rows.extend_from_batch(b))?;
+    node(plan, ctx, controller, depth, Output::Read, &mut |b| rows.extend_from_batch(b))?;
     Ok(rows)
-}
-
-/// Feed `input`'s rows to `push` in row lockstep and return how many were
-/// fed.  Sort and hash aggregation write spill pages as rows are pushed,
-/// into the pool the child reads through, so the subtree runs at
-/// `batch_rows = 1`: each row is pushed before the next is produced,
-/// whatever the batch size of the run, and the writes fall among the
-/// child's page requests in one fixed order.
-fn feed_lockstep(
-    input: &PlanSpec,
-    ctx: &ExecCtx<'_>,
-    opts: &RunOpts<'_>,
-    depth: usize,
-    push: &mut dyn FnMut(&[i64]),
-) -> Result<u64, ExecError> {
-    let lockstep = RunOpts { batch: ExecConfig::with_batch_rows(1), ..*opts };
-    let mut fed = 0u64;
-    let mut row = Vec::new();
-    node(input, ctx, &lockstep, depth, Output::Read, &mut |b| {
-        for i in 0..b.len() {
-            row.clear();
-            row.extend((0..b.arity()).map(|c| b.col(c)[i]));
-            fed += 1;
-            push(&row);
-        }
-    })?;
-    Ok(fed)
 }
 
 /// Re-emit the rows a blocking operator's `finish` produces as batches of
@@ -469,7 +439,6 @@ fn feed_lockstep(
 fn emit_rows(
     arity: usize,
     output: Output,
-    opts: &RunOpts<'_>,
     sink: &mut dyn FnMut(&RowBatch),
     finish: impl FnOnce(Option<ops::RowSink<'_>>) -> u64,
 ) -> u64 {
@@ -477,7 +446,7 @@ fn emit_rows(
         return finish(None);
     }
     let identity: Vec<usize> = (0..arity).collect();
-    let mut emitter = BatchEmitter::new(arity, opts.batch.batch_rows);
+    let mut emitter = BatchEmitter::new(arity);
     let produced = finish(Some(&mut |row| emitter.push_projected_slice(row, &identity, sink)));
     emitter.flush(sink);
     produced
@@ -518,17 +487,17 @@ fn check_width(what: &str, arity: usize) -> Result<(), ExecError> {
 
 /// The interpreter proper: one arm per plan shape.  Every charge a plan
 /// makes is issued here or in the operator the arm calls, and none
-/// depends on `opts` or `output`; checkpoints sit between the charge that
-/// produced a materialisation and the charge that consumes it.
+/// depends on `controller` (unless it switches) or `output`; checkpoints
+/// sit between the charge that produced a materialisation and the charge
+/// that consumes it.
 fn shape(
     plan: &PlanSpec,
     ctx: &ExecCtx<'_>,
-    opts: &RunOpts<'_>,
+    controller: Option<&dyn SwitchController>,
     depth: usize,
     output: Output,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<Outcome, ExecError> {
-    let cfg = &opts.batch;
     // The one place an arm's output columns are resolved, as positions in
     // the `arity` columns it gathers from: none when the rows are only
     // counted, so the arm's emitter counts them without gathering.
@@ -540,7 +509,7 @@ fn shape(
         PlanSpec::TableScan { table, pred, project } => {
             let table = ctx.db.table(*table);
             let cols = out_cols(project, table.heap.schema().arity());
-            ops::table_scan::run(table, pred, &cols, cfg, ctx.session, sink)
+            ops::table_scan::run(table, pred, &cols, ctx.session, sink)
         }
         PlanSpec::IndexFetch { scan, key_filter, fetch, residual, project } => {
             let index = ctx.db.index(scan.index);
@@ -552,26 +521,26 @@ fn shape(
                 AccessKind::Sequential,
             );
             let mut fetch_eff = *fetch;
-            match observe(ctx, opts.controller, CheckpointKind::RidFeed, rids.len() as u64) {
+            match observe(ctx, controller, CheckpointKind::RidFeed, rids.len() as u64) {
                 SwitchDirective::SwitchFetch(f) => fetch_eff = f,
                 SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
                 _ => {}
             }
             let heap = &ctx.db.table(index.table).heap;
             let cols = out_cols(project, heap.schema().arity());
-            ops::fetch::run(heap, rids, &fetch_eff, residual, &cols, cfg, ctx.session, sink)?
+            ops::fetch::run(heap, rids, &fetch_eff, residual, &cols, ctx.session, sink)?
         }
         PlanSpec::CoveringIndexScan { scan, residual, project } => {
             let index = ctx.db.index(scan.index);
             let cols = out_cols(project, index.tree.key_arity());
             let range = &scan.range;
-            ops::index_scan::run_covering(index, range, residual, &cols, cfg, ctx.session, sink)
+            ops::index_scan::run_covering(index, range, residual, &cols, ctx.session, sink)
         }
         PlanSpec::Mdam { index, col_ranges, project } => {
             let idx = ctx.db.index(*index);
             let proj = out_cols(project, idx.tree.key_arity());
-            let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
-            if opts.controller.is_none() {
+            let mut emitter = BatchEmitter::new(proj.len());
+            if controller.is_none() {
                 // Nobody can abandon the scan: stream, hold nothing.
                 ops::mdam::run(idx, col_ranges, ctx.session, &mut |key| {
                     emitter.push_projected_slice(key.values(), &proj, sink);
@@ -588,7 +557,7 @@ fn shape(
                     let n = held.len() as u64;
                     if n.is_power_of_two() {
                         if let SwitchDirective::Bail(a) =
-                            observe(ctx, opts.controller, CheckpointKind::ScanOut, n)
+                            observe(ctx, controller, CheckpointKind::ScanOut, n)
                         {
                             alt = Some(a);
                             return false;
@@ -618,7 +587,7 @@ fn shape(
                 ops::index_scan::collect_rids(li, &left.range, ctx.session, AccessKind::Sequential);
             if let SwitchDirective::Bail(alt) = observe(
                 ctx,
-                opts.controller,
+                controller,
                 CheckpointKind::IntersectFeed { right: false },
                 lrids.len() as u64,
             ) {
@@ -629,7 +598,7 @@ fn shape(
             let mut algo_eff = *algo;
             match observe(
                 ctx,
-                opts.controller,
+                controller,
                 CheckpointKind::IntersectFeed { right: true },
                 rrids.len() as u64,
             ) {
@@ -641,7 +610,7 @@ fn shape(
             let mut fetch_eff = *fetch;
             match observe(
                 ctx,
-                opts.controller,
+                controller,
                 CheckpointKind::IntersectOut,
                 surviving.len() as u64,
             ) {
@@ -651,7 +620,7 @@ fn shape(
             }
             let heap = &ctx.db.table(li.table).heap;
             let cols = out_cols(project, heap.schema().arity());
-            ops::fetch::run(heap, surviving, &fetch_eff, residual, &cols, cfg, ctx.session, sink)?
+            ops::fetch::run(heap, surviving, &fetch_eff, residual, &cols, ctx.session, sink)?
         }
         PlanSpec::CoveringRidJoin { left, right, algo, project } => {
             let li = ctx.db.index(left.index);
@@ -663,7 +632,7 @@ fn shape(
                 ops::index_scan::collect_entries(li, &left.range, ctx.session, AccessKind::Sequential);
             if let SwitchDirective::Bail(alt) = observe(
                 ctx,
-                opts.controller,
+                controller,
                 CheckpointKind::IntersectFeed { right: false },
                 lentries.len() as u64,
             ) {
@@ -674,7 +643,7 @@ fn shape(
             let mut algo_eff = *algo;
             match observe(
                 ctx,
-                opts.controller,
+                controller,
                 CheckpointKind::IntersectFeed { right: true },
                 rentries.len() as u64,
             ) {
@@ -683,7 +652,7 @@ fn shape(
                 _ => {}
             }
             let proj = out_cols(project, li.tree.key_arity() + ri.tree.key_arity());
-            let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
+            let mut emitter = BatchEmitter::new(proj.len());
             ops::rid_join::covering_join(lentries, rentries, algo_eff, ctx, &mut |row| {
                 emitter.push_projected_slice(row.values(), &proj, sink);
             });
@@ -707,21 +676,21 @@ fn shape(
             } else {
                 (CheckpointKind::JoinProbe, CheckpointKind::JoinBuild)
             };
-            let lrows = materialise(left, ctx, opts, depth + 1)?;
+            let lrows = materialise(left, ctx, controller, depth + 1)?;
             if let SwitchDirective::Bail(alt) =
-                observe(ctx, opts.controller, first, lrows.len() as u64)
+                observe(ctx, controller, first, lrows.len() as u64)
             {
                 return Ok(Outcome::Bail(alt));
             }
-            let rrows = materialise(right, ctx, opts, depth + 1)?;
+            let rrows = materialise(right, ctx, controller, depth + 1)?;
             let mut algo_eff = *algo;
-            match observe(ctx, opts.controller, second, rrows.len() as u64) {
+            match observe(ctx, controller, second, rrows.len() as u64) {
                 SwitchDirective::SwitchJoin(a) => algo_eff = a,
                 SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
                 _ => {}
             }
             let proj = out_cols(project, larity + rarity);
-            let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
+            let mut emitter = BatchEmitter::new(proj.len());
             let mut project_sink = |row: &[i64]| {
                 emitter.push_projected_slice(row, &proj, sink);
             };
@@ -758,7 +727,6 @@ fn shape(
                 &cols,
                 *dop,
                 *skew_permille as f64 / 1000.0,
-                cfg,
                 ctx.session,
                 sink,
             )?
@@ -771,14 +739,14 @@ fn shape(
             check_cols("sort key", key_cols.iter().copied(), arity)?;
             let mut sorter =
                 ops::sort::ExternalSorter::new(ctx, key_cols.clone(), *mode, *memory_bytes);
-            let fed =
-                feed_lockstep(input, ctx, opts, depth + 1, &mut |row| sorter.push_values(row))?;
+            let push = &mut |b: &RowBatch| sorter.push(b);
+            let fed = node(input, ctx, controller, depth + 1, Output::Read, push)?;
             // Observe-only: once the sorter holds the input there is nothing
             // downstream to re-plan, so directives are not acted upon.
-            if let Some(ctrl) = opts.controller {
+            if let Some(ctrl) = controller {
                 let _ = ctrl.decide(&Observation { kind: CheckpointKind::SortInput, rows: fed });
             }
-            emit_rows(arity, output, opts, sink, |out| sorter.finish(out))
+            emit_rows(arity, output, sink, |out| sorter.finish(out))
         }
         PlanSpec::HashAgg { input, group_cols, aggs, mode, memory_bytes } => {
             let arity = plan_out_arity(input, ctx.db);
@@ -796,12 +764,13 @@ fn shape(
                 *mode,
                 *memory_bytes,
             );
-            let fed = feed_lockstep(input, ctx, opts, depth + 1, &mut |row| agg.push(row))?;
+            let push = &mut |b: &RowBatch| agg.push(b);
+            let fed = node(input, ctx, controller, depth + 1, Output::Read, push)?;
             // Observe-only, as for Sort.
-            if let Some(ctrl) = opts.controller {
+            if let Some(ctrl) = controller {
                 let _ = ctrl.decide(&Observation { kind: CheckpointKind::AggInput, rows: fed });
             }
-            emit_rows(group_cols.len() + aggs.len(), output, opts, sink, |out| agg.finish(out))
+            emit_rows(group_cols.len() + aggs.len(), output, sink, |out| agg.finish(out))
         }
     };
     Ok(Outcome::Rows(rows))
@@ -896,7 +865,7 @@ mod tests {
         for plan in &plans {
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (stats, rows) = run_collect(plan, &ctx, RunOpts::default()).unwrap();
+            let (stats, rows) = run_collect(plan, &ctx, None).unwrap();
             let mut rows: Vec<Vec<i64>> = rows.iter().map(|r| r.values().to_vec()).collect();
             rows.sort();
             assert_eq!(stats.rows_out as usize, rows.len());
@@ -913,7 +882,7 @@ mod tests {
             residual: Predicate::single(ColRange::at_most(1, cb)),
             project: Projection::All,
         };
-        let (stats, _) = run_collect(&covering, &ctx, RunOpts::default()).unwrap();
+        let (stats, _) = run_collect(&covering, &ctx, None).unwrap();
         assert_eq!(stats.rows_out as usize, reference.unwrap().len());
         // MDAM over the same index agrees too.
         let mdam = PlanSpec::Mdam {
@@ -922,7 +891,7 @@ mod tests {
             project: Projection::All,
         };
         let ctx2 = ExecCtx::new(&db, &s, 1 << 20);
-        let (mstats, _) = run_collect(&mdam, &ctx2, RunOpts::default()).unwrap();
+        let (mstats, _) = run_collect(&mdam, &ctx2, None).unwrap();
         assert_eq!(mstats.rows_out, stats.rows_out);
     }
 
@@ -941,7 +910,7 @@ mod tests {
         };
         let s = Session::with_pool_pages(256);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (stats, rows) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
+        let (stats, rows) = run_collect(&plan, &ctx, None).unwrap();
         assert_eq!(stats.rows_out, 100);
         // Verify against the base table: c = 7 * row_number and matches a.
         let truth: std::collections::BTreeSet<(i64, i64)> = {
@@ -975,7 +944,7 @@ mod tests {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (stats, rows) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
+        let (stats, rows) = run_collect(&plan, &ctx, None).unwrap();
         assert_eq!(stats.rows_out, 512);
         assert!(rows.windows(2).all(|w| w[0].get(0) <= w[1].get(0)));
         // Two operators recorded: Sort and its child TableScan.
@@ -1000,7 +969,7 @@ mod tests {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (_, rows) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
+        let (_, rows) = run_collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].values(), &[1000, 999]);
     }
@@ -1018,7 +987,7 @@ mod tests {
         s.charge_rows(1_000_000);
         let before = s.elapsed_ticks();
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let stats = run_count(&plan, &ctx, RunOpts::default()).unwrap();
+        let stats = run_count(&plan, &ctx, None).unwrap();
         assert_eq!(stats.rows_out, 256);
         assert_eq!(stats.ticks, s.elapsed_ticks() - before);
         assert_eq!(stats.seconds, ticks_to_seconds(stats.ticks));
@@ -1046,7 +1015,7 @@ mod tests {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        assert!(matches!(run_count(&plan, &ctx, RunOpts::default()), Err(ExecError::BadPlan(_))));
+        assert!(matches!(run_count(&plan, &ctx, None), Err(ExecError::BadPlan(_))));
     }
 
     /// A blocking operator that names a column its input does not produce
@@ -1160,7 +1129,7 @@ mod tests {
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
         let widest = join(vec![0, 1, 2, 0, 1, 2], 5, 1, hash);
-        assert!(run_count(&widest, &ctx, RunOpts::default()).is_ok());
+        assert!(run_count(&widest, &ctx, None).is_ok());
     }
 
     /// Every plan of `bad` is a `BadPlan` raised before anything ran.
@@ -1168,7 +1137,7 @@ mod tests {
         for plan in bad {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(db, &s, 1 << 20);
-            let got = run_count(plan, &ctx, RunOpts::default());
+            let got = run_count(plan, &ctx, None);
             assert!(matches!(got, Err(ExecError::BadPlan(_))), "{}: {got:?}", plan.synopsis());
             assert_eq!((s.elapsed_ticks(), s.stats()), (0, IoStats::default()), "{}", plan.synopsis());
         }
@@ -1269,7 +1238,7 @@ mod tests {
         assert_rejected_uncharged(&db, &[join(cols(&[3]))]);
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        assert_eq!(run_count(&join(cols(&[2, 0])), &ctx, RunOpts::default()).unwrap().rows_out, 64);
+        assert_eq!(run_count(&join(cols(&[2, 0])), &ctx, None).unwrap().rows_out, 64);
     }
 
     /// A range bounded by keys of another arity than its index's (which
@@ -1320,7 +1289,7 @@ mod tests {
         assert_rejected_uncharged(&db, &bad);
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        assert_eq!(run_count(&join(a, ab), &ctx, RunOpts::default()).unwrap().rows_out, 64);
+        assert_eq!(run_count(&join(a, ab), &ctx, None).unwrap().rows_out, 64);
     }
 
     #[test]
@@ -1334,7 +1303,7 @@ mod tests {
         assert_rejected_uncharged(&db, &[mdam(cols(&[5])), mdam(cols(&[0, 2]))]);
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        assert_eq!(run_count(&mdam(cols(&[1, 0])), &ctx, RunOpts::default()).unwrap().rows_out, 64);
+        assert_eq!(run_count(&mdam(cols(&[1, 0])), &ctx, None).unwrap().rows_out, 64);
     }
 
     /// Per-run bookkeeping must not leak across runs on one context: not
@@ -1374,7 +1343,7 @@ mod tests {
             project: Projection::All,
         };
         assert!(matches!(
-            run_count(&failing, &ctx, RunOpts::default()),
+            run_count(&failing, &ctx, None),
             Err(ExecError::BadPlan(_))
         ));
 
@@ -1384,11 +1353,11 @@ mod tests {
             mode: SpillMode::Abrupt,
             memory_bytes: 4096,
         };
-        let stats = run_count(&spilling, &ctx, RunOpts::default()).unwrap();
+        let stats = run_count(&spilling, &ctx, None).unwrap();
         assert!(stats.spilled);
         assert_eq!(stats.operators.len(), 2, "the failed run's records leaked");
 
-        let stats = run_count(&scan, &ctx, RunOpts::default()).unwrap();
+        let stats = run_count(&scan, &ctx, None).unwrap();
         assert_eq!(stats.operators.len(), 1);
         assert_eq!(stats.operators[0].label, scan.synopsis());
         assert!(!stats.spilled, "the previous run's spill flag leaked");

@@ -28,12 +28,11 @@
 //!
 //! Plans are described by [`plan::PlanSpec`] trees and executed by the one
 //! interpreter, [`exec::run`] (with [`exec::run_collect`] as a sink
-//! adapter), which pushes columnar [`batch::RowBatch`] chunks into a
-//! caller-provided sink and charges all work to a
-//! [`robustmap_storage::Session`] — or, through [`exec::run_count`], counts
-//! the rows without building them, for the same charges.  [`exec::RunOpts`] picks the
-//! batch size — never observable on the simulated clock, see [`batch`] —
-//! and, optionally, a controller.
+//! adapter), which pushes columnar [`batch::RowBatch`] chunks of
+//! [`batch::BATCH_ROWS`] rows into a caller-provided sink and charges all
+//! work to a [`robustmap_storage::Session`] — or, through
+//! [`exec::run_count`], counts the rows without building them, for the
+//! same charges.
 //!
 //! With a controller, the cardinality checkpoints of [`ops::adaptive`] are
 //! armed: at every materialization point the exact observed row count is
@@ -48,10 +47,8 @@ pub mod expr;
 pub mod ops;
 pub mod plan;
 
-pub use batch::{BatchEmitter, ExecConfig, RowBatch, Selection};
-pub use exec::{
-    run, run_collect, run_count, ExecCtx, ExecError, ExecStats, OpStats, RunOpts,
-};
+pub use batch::{BatchEmitter, RowBatch, Selection};
+pub use exec::{run, run_collect, run_count, ExecCtx, ExecError, ExecStats, OpStats};
 pub use expr::{ColRange, Predicate};
 pub use ops::adaptive::{
     NeverSwitch, Observation, SwitchController, SwitchDirective, SwitchEvent,

@@ -26,7 +26,7 @@
 //! is **bit-identical** to `controller: None` — same `SimClock` bits, same
 //! `IoStats`, same per-op stats, same output rows.
 //! `tests/adaptive_equivalence.rs` pins this across the plan catalog and
-//! batch sizes.
+//! the composite shapes.
 //!
 //! The one shape whose *emission* differs is MDAM, whose checkpoints fire
 //! mid-scan: under a controller its output is held back until the scan is
@@ -194,8 +194,7 @@ mod tests {
     use std::cell::RefCell;
 
     use super::*;
-    use crate::batch::ExecConfig;
-    use crate::exec::{run_collect, run_count, RunOpts};
+    use crate::exec::{run_collect, run_count};
     use crate::expr::{ColRange, Predicate};
     use crate::ops::testutil::demo_db;
     use crate::plan::{
@@ -232,30 +231,17 @@ mod tests {
         }
     }
 
-    /// `ctrl` armed at the default batch size.
-    fn under(ctrl: &dyn SwitchController) -> RunOpts<'_> {
-        RunOpts { controller: Some(ctrl), ..RunOpts::default() }
-    }
-
-    /// The observation log and row count of `plan` at each batch size.
-    fn run_all_sizes(
+    /// The observation log and row count of `plan` under a recording
+    /// controller.
+    fn observed(
         db: &robustmap_storage::Database,
         plan: &PlanSpec,
-    ) -> Vec<(Vec<(CheckpointKind, u64)>, u64)> {
-        [1usize, 513, 1024]
-            .into_iter()
-            .map(|batch_rows| {
-                let ctrl = Recording::default();
-                let s = Session::with_pool_pages(256);
-                let ctx = ExecCtx::new(db, &s, 1 << 20);
-                let opts = RunOpts {
-                    batch: ExecConfig::with_batch_rows(batch_rows),
-                    controller: Some(&ctrl),
-                };
-                let stats = run_count(plan, &ctx, opts).unwrap();
-                (ctrl.log.into_inner(), stats.rows_out)
-            })
-            .collect()
+    ) -> (Vec<(CheckpointKind, u64)>, u64) {
+        let ctrl = Recording::default();
+        let s = Session::with_pool_pages(256);
+        let ctx = ExecCtx::new(db, &s, 1 << 20);
+        let stats = run_count(plan, &ctx, Some(&ctrl)).unwrap();
+        (ctrl.log.into_inner(), stats.rows_out)
     }
 
     /// Rid-feed placement: the checkpoint observes exactly the rid count
@@ -273,10 +259,9 @@ mod tests {
             residual: Predicate::always_true(),
             project: Projection::All,
         };
-        for (log, rows_out) in run_all_sizes(&db, &plan) {
-            assert_eq!(rows_out, (ca + 1) as u64);
-            assert_eq!(log, vec![(CheckpointKind::RidFeed, rows_out)]);
-        }
+        let (log, rows_out) = observed(&db, &plan);
+        assert_eq!(rows_out, (ca + 1) as u64);
+        assert_eq!(log, vec![(CheckpointKind::RidFeed, rows_out)]);
     }
 
     /// Intersect-feed placement: both feeds and the surviving output are
@@ -296,16 +281,15 @@ mod tests {
             residual: Predicate::always_true(),
             project: Projection::All,
         };
-        for (log, rows_out) in run_all_sizes(&db, &plan) {
-            assert_eq!(
-                log,
-                vec![
-                    (CheckpointKind::IntersectFeed { right: false }, (ca + 1) as u64),
-                    (CheckpointKind::IntersectFeed { right: true }, (cb + 1) as u64),
-                    (CheckpointKind::IntersectOut, rows_out),
-                ]
-            );
-        }
+        let (log, rows_out) = observed(&db, &plan);
+        assert_eq!(
+            log,
+            vec![
+                (CheckpointKind::IntersectFeed { right: false }, (ca + 1) as u64),
+                (CheckpointKind::IntersectFeed { right: true }, (cb + 1) as u64),
+                (CheckpointKind::IntersectOut, rows_out),
+            ]
+        );
     }
 
     /// Hash-build placement: the build-side checkpoint observes exactly the
@@ -335,16 +319,15 @@ mod tests {
             memory_bytes: 8 << 20,
             project: Projection::All,
         };
-        for (log, rows_out) in run_all_sizes(&db, &plan) {
-            assert_eq!(rows_out, (ca + 1) as u64, "a is a permutation: unique join keys");
-            assert_eq!(
-                log,
-                vec![
-                    (CheckpointKind::JoinBuild, n as u64),
-                    (CheckpointKind::JoinProbe, (ca + 1) as u64),
-                ]
-            );
-        }
+        let (log, rows_out) = observed(&db, &plan);
+        assert_eq!(rows_out, (ca + 1) as u64, "a is a permutation: unique join keys");
+        assert_eq!(
+            log,
+            vec![
+                (CheckpointKind::JoinBuild, n as u64),
+                (CheckpointKind::JoinProbe, (ca + 1) as u64),
+            ]
+        );
         // Swapping the build side swaps the checkpoint labels, not the
         // firing order (left input always materialises first).
         let swapped = PlanSpec::Join {
@@ -356,15 +339,14 @@ mod tests {
             memory_bytes: 8 << 20,
             project: Projection::All,
         };
-        for (log, _) in run_all_sizes(&db, &swapped) {
-            assert_eq!(
-                log,
-                vec![
-                    (CheckpointKind::JoinProbe, n as u64),
-                    (CheckpointKind::JoinBuild, (ca + 1) as u64),
-                ]
-            );
-        }
+        let (log, _) = observed(&db, &swapped);
+        assert_eq!(
+            log,
+            vec![
+                (CheckpointKind::JoinProbe, n as u64),
+                (CheckpointKind::JoinBuild, (ca + 1) as u64),
+            ]
+        );
     }
 
     /// Sort-input placement: the checkpoint observes exactly the row count
@@ -384,14 +366,13 @@ mod tests {
             mode: SpillMode::Graceful,
             memory_bytes: 1 << 20,
         };
-        for (log, rows_out) in run_all_sizes(&db, &plan) {
-            assert_eq!(rows_out, (ca + 1) as u64);
-            assert_eq!(log, vec![(CheckpointKind::SortInput, rows_out)]);
-        }
+        let (log, rows_out) = observed(&db, &plan);
+        assert_eq!(rows_out, (ca + 1) as u64);
+        assert_eq!(log, vec![(CheckpointKind::SortInput, rows_out)]);
     }
 
     /// ScanOut placement: MDAM milestones fire at each power of two of
-    /// the produced count, mid-scan, at every batch size.
+    /// the produced count, mid-scan.
     #[test]
     fn mdam_scan_out_milestones_fire_at_powers_of_two() {
         let n = 1024i64;
@@ -403,15 +384,14 @@ mod tests {
             col_ranges: vec![(i64::MIN, ca), (i64::MIN, i64::MAX)],
             project: Projection::All,
         };
-        for (log, rows_out) in run_all_sizes(&db, &plan) {
-            assert_eq!(rows_out, (ca + 1) as u64);
-            let want: Vec<(CheckpointKind, u64)> = (0..)
-                .map(|k| 1u64 << k)
-                .take_while(|&m| m <= rows_out)
-                .map(|m| (CheckpointKind::ScanOut, m))
-                .collect();
-            assert_eq!(log, want);
-        }
+        let (log, rows_out) = observed(&db, &plan);
+        assert_eq!(rows_out, (ca + 1) as u64);
+        let want: Vec<(CheckpointKind, u64)> = (0..)
+            .map(|k| 1u64 << k)
+            .take_while(|&m| m <= rows_out)
+            .map(|m| (CheckpointKind::ScanOut, m))
+            .collect();
+        assert_eq!(log, want);
     }
 
     /// A bail at a mid-scan milestone discards the held output: the run
@@ -434,7 +414,7 @@ mod tests {
         };
         let s = Session::with_pool_pages(256);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (want_stats, mut want) = run_collect(&fallback, &ctx, RunOpts::default()).unwrap();
+        let (want_stats, mut want) = run_collect(&fallback, &ctx, None).unwrap();
         for milestone in [1u64, 16, 256] {
             struct BailPast {
                 milestone: u64,
@@ -452,7 +432,7 @@ mod tests {
             let ctrl = BailPast { milestone, alt: fallback.clone() };
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (stats, mut got) = run_collect(&plan, &ctx, under(&ctrl)).unwrap();
+            let (stats, mut got) = run_collect(&plan, &ctx, Some(&ctrl)).unwrap();
             assert_eq!(stats.switches.len(), 1);
             assert_eq!(stats.switches[0].at, CheckpointKind::ScanOut);
             assert_eq!(stats.switches[0].observed, milestone);
@@ -505,7 +485,7 @@ mod tests {
             let ctrl = Recording::default();
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            run_count(plan, &ctx, under(&ctrl)).unwrap();
+            run_count(plan, &ctx, Some(&ctrl)).unwrap();
             let fired: Vec<CheckpointKind> =
                 ctrl.log.into_inner().iter().map(|(k, _)| *k).collect();
             assert_eq!(fired, plan.checkpoints(), "plan {}", plan.synopsis());
@@ -542,13 +522,13 @@ mod tests {
         let s = Session::with_pool_pages(256);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
         let ctrl = BailAt { at: CheckpointKind::IntersectOut, alt: fallback.clone() };
-        let (astats, arows) = run_collect(&chosen, &ctx, under(&ctrl)).unwrap();
+        let (astats, arows) = run_collect(&chosen, &ctx, Some(&ctrl)).unwrap();
         assert_eq!(astats.switches.len(), 1);
         assert!(astats.switches[0].action.starts_with("bail -> TableScan"));
 
         let s2 = Session::with_pool_pages(256);
         let ctx2 = ExecCtx::new(&db, &s2, 1 << 20);
-        let (fstats, frows) = run_collect(&fallback, &ctx2, RunOpts::default()).unwrap();
+        let (fstats, frows) = run_collect(&fallback, &ctx2, None).unwrap();
 
         let sort = |mut v: Vec<Vec<i64>>| {
             v.sort();
@@ -600,12 +580,12 @@ mod tests {
         let s = Session::with_pool_pages(256);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
         let planned = mk(FetchKind::Traditional);
-        let (astats, arows) = run_collect(&planned, &ctx, under(&FetchSwitcher)).unwrap();
+        let (astats, arows) = run_collect(&planned, &ctx, Some(&FetchSwitcher)).unwrap();
         assert_eq!(astats.switches.len(), 1);
 
         let s2 = Session::with_pool_pages(256);
         let ctx2 = ExecCtx::new(&db, &s2, 1 << 20);
-        let (sstats, srows) = run_collect(&mk(FetchKind::BitmapSorted), &ctx2, RunOpts::default()).unwrap();
+        let (sstats, srows) = run_collect(&mk(FetchKind::BitmapSorted), &ctx2, None).unwrap();
         let a: Vec<Vec<i64>> = arows.iter().map(|r| r.values().to_vec()).collect();
         let b: Vec<Vec<i64>> = srows.iter().map(|r| r.values().to_vec()).collect();
         assert_eq!(a, b, "switched fetch must emit the static plan's rows in its order");

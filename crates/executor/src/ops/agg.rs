@@ -15,6 +15,7 @@
 
 use robustmap_storage::{AccessKind, PageId, Session, PAGE_SIZE};
 
+use crate::batch::RowBatch;
 use crate::exec::ExecCtx;
 use crate::ops::sort::{sorted_order, PackedRows};
 use crate::ops::RowSink;
@@ -49,11 +50,11 @@ impl AggState {
     }
 }
 
-/// The value `agg` reads from `row` (`count(*)` reads none).
-fn agg_input(agg: &AggFn, row: &[i64]) -> i64 {
+/// The value `agg` reads from row `i` of `batch` (`count(*)` reads none).
+fn agg_input(agg: &AggFn, batch: &RowBatch, i: usize) -> i64 {
     match agg {
         AggFn::CountStar => 0,
-        AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => row[*c],
+        AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => batch.col(*c)[i],
     }
 }
 
@@ -146,8 +147,8 @@ impl GroupTable {
     }
 }
 
-/// A hash aggregator fed row-by-row and drained by
-/// [`HashAggregator::finish`].  Output rows are `group columns ++ one value
+/// A hash aggregator fed whole batches via [`HashAggregator::push`] and
+/// drained by [`HashAggregator::finish`].  Output rows are `group columns ++ one value
 /// per aggregate`, emitted in ascending group order (deterministic).
 pub struct HashAggregator<'a, 'b> {
     ctx: &'a ExecCtx<'b>,
@@ -235,22 +236,25 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
         }
     }
 
-    /// Accept one input row.
-    pub fn push(&mut self, row: &[i64]) {
-        self.ctx.session.charge_hashes(1);
-        self.key.clear();
-        self.key.extend(self.group_cols.iter().map(|&c| row[c]));
-        let hash = hash_key(&self.key);
-        let states = match self.resident_group(hash) {
-            Some(g) => self.table.groups.states(g),
-            None => {
-                let at = self.spilled.append(&self.key);
-                self.charge_spill(hash);
-                self.spilled.states(at)
+    /// Accept a batch of input rows, one by one in row order: each is
+    /// charged its hash, then whatever spill its group causes.
+    pub fn push(&mut self, batch: &RowBatch) {
+        for i in 0..batch.len() {
+            self.ctx.session.charge_hashes(1);
+            self.key.clear();
+            self.key.extend(self.group_cols.iter().map(|&c| batch.col(c)[i]));
+            let hash = hash_key(&self.key);
+            let states = match self.resident_group(hash) {
+                Some(g) => self.table.groups.states(g),
+                None => {
+                    let at = self.spilled.append(&self.key);
+                    self.charge_spill(hash);
+                    self.spilled.states(at)
+                }
+            };
+            for (st, agg) in states.iter_mut().zip(&self.aggs) {
+                st.update(agg_input(agg, batch, i));
             }
-        };
-        for (st, agg) in states.iter_mut().zip(&self.aggs) {
-            st.update(agg_input(agg, row));
         }
     }
 
@@ -319,7 +323,7 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
 mod tests {
     use super::*;
     use crate::exec::ExecCtx;
-    use crate::ops::testutil::demo_db;
+    use crate::ops::testutil::{demo_db, feed};
     use robustmap_storage::Row;
 
     fn run_agg(
@@ -333,9 +337,7 @@ mod tests {
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, memory);
         let mut agg = HashAggregator::new(&ctx, group_cols, aggs, mode, memory);
-        for r in rows {
-            agg.push(r.values());
-        }
+        feed(rows.iter().map(Row::values), &mut |b| agg.push(b));
         let mut out = Vec::new();
         agg.finish(Some(&mut |r| out.push(r.to_vec())));
         (out, s.stats(), ctx.spilled())

@@ -27,7 +27,7 @@
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{AccessKind, HeapFile, RidSet, Session, StorageError};
 
-use crate::batch::{col_from_bytes, BatchEmitter, ExecConfig, RowBatch};
+use crate::batch::{col_from_bytes, BatchEmitter, RowBatch};
 use crate::exec::ExecError;
 use crate::expr::Predicate;
 use crate::plan::{FetchKind, ImprovedFetchConfig};
@@ -110,11 +110,10 @@ impl<'a, 'h> Fetcher<'a, 'h> {
         heap: &'h HeapFile,
         residual: &'a Predicate,
         proj: &'a [usize],
-        cfg: &ExecConfig,
         session: &'a Session,
         sink: &'a mut dyn FnMut(&RowBatch),
     ) -> Self {
-        let emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
+        let emitter = BatchEmitter::new(proj.len());
         Fetcher { heap, residual, proj, emitter, session, sink, records: Vec::new() }
     }
 
@@ -190,14 +189,13 @@ pub fn run(
     kind: &FetchKind,
     residual: &Predicate,
     proj: &[usize],
-    cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
     match kind {
-        FetchKind::Traditional => traditional(heap, &rids, residual, proj, cfg, session, sink),
-        FetchKind::Improved(icfg) => improved(heap, rids, icfg, residual, proj, cfg, session, sink),
-        FetchKind::BitmapSorted => bitmap_sorted(heap, rids, residual, proj, cfg, session, sink),
+        FetchKind::Traditional => traditional(heap, &rids, residual, proj, session, sink),
+        FetchKind::Improved(cfg) => improved(heap, rids, cfg, residual, proj, session, sink),
+        FetchKind::BitmapSorted => bitmap_sorted(heap, rids, residual, proj, session, sink),
     }
 }
 
@@ -208,11 +206,10 @@ pub fn traditional(
     rids: &[Rid],
     residual: &Predicate,
     proj: &[usize],
-    cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
-    let mut fetcher = Fetcher::new(heap, residual, proj, cfg, session, sink);
+    let mut fetcher = Fetcher::new(heap, residual, proj, session, sink);
     // Key order scatters the rids, so most runs are one rid long.
     for (page_no, slots) in runs(rids) {
         fetcher.page_run(page_no, slots)?;
@@ -232,7 +229,6 @@ pub fn improved(
     cfg: &ImprovedFetchConfig,
     residual: &Predicate,
     proj: &[usize],
-    exec_cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
@@ -242,7 +238,7 @@ pub fn improved(
     }
     // The charge above is the contract: a comparison sort, duplicates kept.
     let ordered = Ordered::of(rids);
-    let fetcher = Fetcher::new(heap, residual, proj, exec_cfg, session, sink);
+    let fetcher = Fetcher::new(heap, residual, proj, session, sink);
     fetch_in_physical_order(&ordered, Some(cfg), fetcher)
 }
 
@@ -257,7 +253,6 @@ pub fn bitmap_sorted(
     mut rids: Vec<Rid>,
     residual: &Predicate,
     proj: &[usize],
-    cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
@@ -273,7 +268,7 @@ pub fn bitmap_sorted(
             Ordered::List(rids)
         }
     };
-    let fetcher = Fetcher::new(heap, residual, proj, cfg, session, sink);
+    let fetcher = Fetcher::new(heap, residual, proj, session, sink);
     fetch_in_physical_order(&ordered, None, fetcher)
 }
 
@@ -372,16 +367,14 @@ mod tests {
         kind: &FetchKind,
         residual: &Predicate,
         project: &Projection,
-        batch_rows: usize,
         s: &Session,
     ) -> (u64, Vec<Row>) {
-        let cfg = ExecConfig::with_batch_rows(batch_rows);
         let proj = project.resolve(heap.schema().arity());
-        collect(|sink| run(heap, rids.to_vec(), kind, residual, &proj, &cfg, s, sink).unwrap())
+        collect(|sink| run(heap, rids.to_vec(), kind, residual, &proj, s, sink).unwrap())
     }
 
     fn fetch_all(heap: &HeapFile, rids: &[Rid], kind: &FetchKind, s: &Session) -> (u64, Vec<Row>) {
-        fetch(heap, rids, kind, &Predicate::always_true(), &Projection::All, 1024, s)
+        fetch(heap, rids, kind, &Predicate::always_true(), &Projection::All, s)
     }
 
     #[test]
@@ -410,7 +403,7 @@ mod tests {
         let heap = &db.table(t).heap;
         let s = Session::with_pool_pages(64);
         let residual = Predicate::single(ColRange::at_most(1, 127));
-        let (n, rows) = fetch(heap, &rids, &improved_kind(), &residual, &Projection::All, 1024, &s);
+        let (n, rows) = fetch(heap, &rids, &improved_kind(), &residual, &Projection::All, &s);
         assert_eq!(n as usize, rows.len());
         // Both predicates have selectivity 1/2 over permutations of 0..512.
         let truth = {
@@ -480,26 +473,17 @@ mod tests {
         assert!(stats.single_reads > 0);
     }
 
-    /// Every discipline reads the same — clock, charge events, counters —
-    /// at every batch size, and the traditional fetch reads exactly like
-    /// `HeapFile::fetch` + `Predicate::eval` per rid.
+    /// The traditional fetch reads exactly like `HeapFile::fetch` +
+    /// `Predicate::eval` per rid: rows, clock, charge events, counters.
     #[test]
-    fn fetch_disciplines_are_identical_at_every_batch_size() {
+    fn traditional_fetch_reads_like_the_heap_fetch() {
         let (db, t, rids) = setup(4096, 1023);
         let heap = &db.table(t).heap;
         let residual = Predicate::single(ColRange::at_most(1, 2047));
         let proj = Projection::Columns(vec![1, 0]);
-        let run_at = |kind: &FetchKind, batch_rows: usize| {
-            let s = Session::with_pool_pages(64);
-            let (n, rows) = fetch(heap, &rids, kind, &residual, &proj, batch_rows, &s);
-            (n, rows, s.elapsed_ticks(), s.charge_events(), s.stats())
-        };
-        for kind in [FetchKind::Traditional, improved_kind(), FetchKind::BitmapSorted] {
-            let want = run_at(&kind, 1);
-            for batch_rows in [100usize, 1024] {
-                assert_eq!(run_at(&kind, batch_rows), want, "{kind:?} @ batch {batch_rows}");
-            }
-        }
+        let s = Session::with_pool_pages(64);
+        let (n, rows) = fetch(heap, &rids, &FetchKind::Traditional, &residual, &proj, &s);
+        let got = (n, rows, s.elapsed_ticks(), s.charge_events(), s.stats());
         let reference = {
             let s = Session::with_pool_pages(64);
             let mut rows = Vec::new();
@@ -511,7 +495,7 @@ mod tests {
             }
             (rows.len() as u64, rows, s.elapsed_ticks(), s.charge_events(), s.stats())
         };
-        assert_eq!(run_at(&FetchKind::Traditional, 100), reference);
+        assert_eq!(got, reference);
     }
 
     /// A rid whose row was deleted under it (a tombstoned slot) fails the
@@ -541,11 +525,9 @@ mod tests {
                 (FetchKind::BitmapSorted, 0, n),
             ] {
                 let s = Session::with_pool_pages(64);
-                let cfg = ExecConfig::default();
                 let mut emitted = 0;
                 let mut sink = |b: &RowBatch| emitted += b.len() as u64;
-                let got =
-                    run(heap, rids.clone(), &kind, &residual, &[0, 1, 2], &cfg, &s, &mut sink);
+                let got = run(heap, rids.clone(), &kind, &residual, &[0, 1, 2], &s, &mut sink);
                 assert_eq!(got, Err(StorageError::InvalidRid(victim).into()), "{kind:?}");
                 let want = robustmap_storage::IoStats {
                     // The page is read once; the traditional fetch's first
@@ -614,8 +596,7 @@ mod tests {
                 digest = digest.wrapping_mul(31).wrapping_add(b.row(i).get(2));
             }
         };
-        let cfg = ExecConfig::default();
-        let got = run(heap, rids.to_vec(), kind, &residual, &[0, 1, 2], &cfg, &s, &mut sink);
+        let got = run(heap, rids.to_vec(), kind, &residual, &[0, 1, 2], &s, &mut sink);
         let io = s.stats();
         let io = [
             io.seq_reads,

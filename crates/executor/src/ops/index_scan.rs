@@ -9,7 +9,7 @@ use robustmap_storage::btree::Entry;
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{AccessKind, IndexDef, Session};
 
-use crate::batch::{BatchEmitter, ExecConfig, RowBatch};
+use crate::batch::{BatchEmitter, RowBatch};
 use crate::expr::Predicate;
 use crate::plan::KeyRange;
 
@@ -76,11 +76,10 @@ pub fn run_covering(
     range: &KeyRange,
     residual: &Predicate,
     proj: &[usize],
-    cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> u64 {
-    let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
+    let mut emitter = BatchEmitter::new(proj.len());
     index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
         residual.filter_run(leaf, |(key, _), c| key.get(c), session, |(key, _)| {
             emitter.push_projected_slice(key.values(), proj, sink);
@@ -134,7 +133,6 @@ mod tests {
                 &KeyRange::on_leading(0, 9, 2),
                 &Predicate::always_true(),
                 &[1],
-                &ExecConfig::default(),
                 &s,
                 sink,
             )
@@ -155,7 +153,6 @@ mod tests {
             &KeyRange::on_leading(0, 63, 2),
             &Predicate::single(ColRange::at_most(1, 31)),
             &[],
-            &ExecConfig::default(),
             &s,
             &mut |_| {},
         );

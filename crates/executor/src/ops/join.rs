@@ -17,7 +17,7 @@
 //! [`robustmap_storage::MAX_COLUMNS`] limit); callers project children
 //! accordingly.
 
-use robustmap_storage::{AccessKind, PageId, PAGE_SIZE};
+use robustmap_storage::PAGE_SIZE;
 
 use crate::exec::{ExecCtx, ExecError};
 use crate::ops::sort::{ExternalSorter, PackedRows};
@@ -103,12 +103,9 @@ pub fn sort_merge_join(
     let half = (memory_bytes / 2).max(1);
     // Sorted inputs stay packed — the merge below walks bare i64 words.
     let sort = |rows: PackedRows, key: usize| {
-        let mut sorter = ExternalSorter::new(ctx, vec![key], SpillMode::Graceful, half);
-        for i in 0..rows.len() {
-            sorter.push_values(rows.row(i));
-        }
         let mut sorted = PackedRows::with_capacity(rows.len(), rows.arity());
-        drop(rows); // the sorter holds its own copy
+        let mut sorter = ExternalSorter::new(ctx, vec![key], SpillMode::Graceful, half);
+        sorter.push_all(rows);
         sorter.finish(Some(&mut |r| sorted.push(r)));
         sorted
     };
@@ -185,7 +182,6 @@ impl<'a> Side<'a> {
 /// `swap_output`: emit `probe ++ build` columns instead (used when the
 /// physical build side is the plan's right input but output order must
 /// stay `left ++ right`).
-#[allow(clippy::too_many_arguments)]
 pub fn hash_join(
     build: PackedRows,
     probe: PackedRows,
@@ -248,15 +244,7 @@ pub fn hash_join(
         for (_, part) in parts {
             // One operator's rows all share an arity, so the partition's
             // byte total is a multiply, not a gather over its rows.
-            let pages = (part.len() * row_bytes(side)).div_ceil(PAGE_SIZE) as u32;
-            let file = ctx.alloc_temp_file();
-            for p in 0..pages {
-                session.write_page(PageId::new(file, p));
-            }
-            for p in 0..pages {
-                session.read_page(PageId::new(file, p), AccessKind::Sequential);
-            }
-            session.invalidate_file(file);
+            ctx.spill_round_trip((part.len() * row_bytes(side)).div_ceil(PAGE_SIZE) as u32);
         }
     };
     part_io(build, &build_parts);

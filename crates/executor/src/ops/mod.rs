@@ -31,7 +31,7 @@ pub type RowSink<'s> = &'s mut dyn FnMut(&[i64]);
 pub(crate) mod testutil {
     use robustmap_storage::{ColumnType, Database, Row, Schema, TableId};
 
-    use crate::batch::RowBatch;
+    use crate::batch::{BatchEmitter, RowBatch};
 
     /// A small three-column table: `a` and `b` are value permutations so a
     /// predicate `col < t` has exactly `t` matches; `c = 7 * row_number`.
@@ -62,6 +62,19 @@ pub(crate) mod testutil {
         let mut rows = Vec::new();
         let out = op(&mut |b| rows.extend((0..b.len()).map(|i| b.row(i))));
         (out, rows)
+    }
+
+    /// Hand `rows` (all of one arity) to `push` as an emitter hands them to
+    /// its sink: in order, in whole batches.
+    pub fn feed<'r>(rows: impl IntoIterator<Item = &'r [i64]>, push: &mut dyn FnMut(&RowBatch)) {
+        let mut rows = rows.into_iter().peekable();
+        let Some(first) = rows.peek() else { return };
+        let proj: Vec<usize> = (0..first.len()).collect();
+        let mut emitter = BatchEmitter::new(proj.len());
+        for row in rows {
+            emitter.push_projected_slice(row, &proj, push);
+        }
+        emitter.flush(push);
     }
 
     /// All rows of the table, in physical order, without charging anyone.

@@ -14,7 +14,7 @@
 
 use robustmap_storage::{AccessKind, BufferPool, Session, Table};
 
-use crate::batch::{col_from_bytes, BatchEmitter, ExecConfig, RowBatch, Selection};
+use crate::batch::{col_from_bytes, BatchEmitter, RowBatch, Selection};
 use crate::exec::ExecError;
 use crate::expr::Predicate;
 
@@ -24,14 +24,12 @@ use crate::expr::Predicate;
 /// Each worker's partition is scanned page-at-a-time through a free
 /// selection bitmap, then charged per page on the worker's private clock:
 /// for each row the full term count on a match, one comparison on a miss.
-#[allow(clippy::too_many_arguments)]
 pub fn run(
     table: &Table,
     pred: &Predicate,
     proj: &[usize],
     dop: u32,
     skew: f64,
-    cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> Result<u64, ExecError> {
@@ -51,7 +49,7 @@ pub fn run(
 
     let terms = pred.terms();
     let match_compares = terms.len().max(1) as u64;
-    let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
+    let mut emitter = BatchEmitter::new(proj.len());
     let mut term_cols: Vec<Vec<i64>> = vec![Vec::new(); terms.len()];
     let mut slots: Vec<u32> = Vec::new();
     let mut sel = Selection::new();
@@ -111,7 +109,7 @@ mod tests {
 
     /// Scan gathering no column: count rows, discard them.
     fn scan(table: &Table, pred: &Predicate, dop: u32, skew: f64, s: &Session) -> Result<u64, ExecError> {
-        run(table, pred, &[], dop, skew, &ExecConfig::default(), s, &mut |_| {})
+        run(table, pred, &[], dop, skew, s, &mut |_| {})
     }
 
     #[test]
@@ -127,7 +125,6 @@ mod tests {
                     &[0, 1, 2],
                     dop,
                     0.0,
-                    &ExecConfig::default(),
                     &s,
                     sink,
                 )

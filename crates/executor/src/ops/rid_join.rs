@@ -130,18 +130,7 @@ fn hash_intersect(build: Vec<Rid>, probe: Vec<Rid>, ctx: &ExecCtx<'_>) -> Vec<Ri
     }
     // Charge the spill I/O: every partition written and read once.
     for part in build_parts.iter().chain(probe_parts.iter()) {
-        let pages = pages_for(part.len() * RID_BYTES);
-        let file = ctx.alloc_temp_file();
-        for p in 0..pages {
-            session.write_page(robustmap_storage::PageId::new(file, p));
-        }
-        for p in 0..pages {
-            session.read_page(
-                robustmap_storage::PageId::new(file, p),
-                robustmap_storage::AccessKind::Sequential,
-            );
-        }
-        session.invalidate_file(file);
+        ctx.spill_round_trip(pages_for(part.len() * RID_BYTES));
     }
     let mut out = Vec::new();
     for (b, p) in build_parts.into_iter().zip(probe_parts) {
@@ -275,18 +264,7 @@ fn covering_hash_join(
         ctx.note_spill();
         // Charged like the rid-intersect spill: both sides out and back.
         for len in [build.len(), probe.len()] {
-            let pages = pages_for(len * ENTRY_BYTES);
-            let file = ctx.alloc_temp_file();
-            for p in 0..pages {
-                session.write_page(robustmap_storage::PageId::new(file, p));
-            }
-            for p in 0..pages {
-                session.read_page(
-                    robustmap_storage::PageId::new(file, p),
-                    robustmap_storage::AccessKind::Sequential,
-                );
-            }
-            session.invalidate_file(file);
+            ctx.spill_round_trip(pages_for(len * ENTRY_BYTES));
         }
     }
     // Build side pays double (see `hash_intersect_in_memory`).

@@ -265,8 +265,8 @@ struct SortedRun {
     disk_rows: usize,
 }
 
-/// An external sorter fed row-by-row via [`ExternalSorter::push_values`]
-/// and drained by [`ExternalSorter::finish`].
+/// An external sorter fed whole batches via [`ExternalSorter::push`] and
+/// drained by [`ExternalSorter::finish`].
 pub struct ExternalSorter<'a, 'b> {
     ctx: &'a ExecCtx<'b>,
     key_cols: Vec<usize>,
@@ -357,24 +357,42 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         Handle { key0: self.store.row(slot)[self.key_cols[0]], slot: slot as u32 }
     }
 
-    /// Accept one input row.
-    pub fn push_values(&mut self, row: &[i64]) {
-        // Heap / buffer maintenance costs ~log2(M) comparisons per row.
-        self.ctx
-            .session
-            .charge_compares((usize::BITS - self.memory_rows.leading_zeros()) as u64);
-        self.store.push(row);
-        match self.mode {
-            SpillMode::Abrupt => {
-                self.buffered += 1;
-                if self.buffered >= self.memory_rows {
-                    self.spill_buffer_as_run();
+    /// Accept a batch of input rows: appended to the store whole, then
+    /// admitted one by one, in row order.
+    pub fn push(&mut self, batch: &RowBatch) {
+        let first = self.store.len();
+        self.store.extend_from_batch(batch);
+        self.admit(first);
+    }
+
+    /// Accept every row of `rows` at once, taken as the store instead of
+    /// copied into it: a sort-merge join's materialised input.  The sorter
+    /// must not hold a row yet.
+    pub fn push_all(&mut self, rows: PackedRows) {
+        assert!(self.store.is_empty(), "push_all into a sorter that holds rows");
+        self.store = rows;
+        self.admit(0);
+    }
+
+    /// Admit the stored rows from slot `first` on, in arrival order: each
+    /// is charged its ~log2(M) comparisons of heap / buffer maintenance,
+    /// then whatever spill its arrival causes.
+    fn admit(&mut self, first: usize) {
+        let compares = (usize::BITS - self.memory_rows.leading_zeros()) as u64;
+        for slot in first..self.store.len() {
+            self.ctx.session.charge_compares(compares);
+            match self.mode {
+                SpillMode::Abrupt => {
+                    self.buffered += 1;
+                    if self.buffered >= self.memory_rows {
+                        self.spill_buffer_as_run();
+                    }
                 }
-            }
-            // Until the memory is full there is no window to maintain.
-            SpillMode::Graceful => {
-                if self.store.len() > self.memory_rows {
-                    self.replace_window_min();
+                // Until the memory is full there is no window to maintain.
+                SpillMode::Graceful => {
+                    if slot >= self.memory_rows {
+                        self.replace_window_min(slot);
+                    }
                 }
             }
         }
@@ -426,7 +444,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         Some(min)
     }
 
-    /// Replacement selection, for the row just stored, which arrived to a
+    /// Replacement selection, for the row in `slot`, which arrived to a
     /// full memory: the window's minimum goes to disk and the newcomer is
     /// admitted.  The window is the union of `base[cursor..]` (sorted once
     /// when the run opened) and the joiner heap, so the common emission —
@@ -437,8 +455,8 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     /// maintain the same window multiset and always emit its minimum.
     /// Simulated charges are analytic per push, so they are bit-identical
     /// too.
-    fn replace_window_min(&mut self) {
-        let newcomer = self.handle(self.store.len() - 1);
+    fn replace_window_min(&mut self, slot: usize) {
+        let newcomer = self.handle(slot);
         if !self.spilled {
             // The first row to find the memory full: the rows that fill
             // it are the first run's window, built like every later one.
@@ -611,7 +629,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
 mod tests {
     use super::*;
     use crate::exec::ExecCtx;
-    use crate::ops::testutil::demo_db;
+    use crate::ops::testutil::{demo_db, feed};
     use proptest::prelude::*;
     use robustmap_storage::{Row, Session};
 
@@ -624,9 +642,7 @@ mod tests {
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, memory_bytes);
         let mut sorter = ExternalSorter::new(&ctx, vec![0], mode, memory_bytes);
-        for r in rows {
-            sorter.push_values(r.values());
-        }
+        feed(rows.iter().map(Row::values), &mut |b| sorter.push(b));
         let mut out = Vec::new();
         let n = sorter.finish(Some(&mut |r| out.push(r.to_vec())));
         assert_eq!(n as usize, rows.len());
@@ -679,9 +695,7 @@ mod tests {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 2048);
             let mut sorter = ExternalSorter::new(&ctx, vec![0, 1], mode, 2048);
-            for r in &rows {
-                sorter.push_values(r.values());
-            }
+            feed(rows.iter().map(Row::values), &mut |b| sorter.push(b));
             let mut out: Vec<Vec<i64>> = Vec::new();
             sorter.finish(Some(&mut |r| out.push(r.to_vec())));
             assert!(out.windows(2).all(|w| w[0] <= w[1]), "{mode:?}");
@@ -727,9 +741,7 @@ mod tests {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, memory);
             let mut sorter = ExternalSorter::new(&ctx, vec![0], mode, memory);
-            for r in &rows {
-                sorter.push_values(r.values());
-            }
+            feed(rows.iter().map(Row::values), &mut |b| sorter.push(b));
             let rc = sorter.run_count();
             sorter.finish(None);
             rc
@@ -780,9 +792,7 @@ mod tests {
         ] {
             let got = measure(1 << 20, &|ctx| {
                 let mut sorter = ExternalSorter::new(ctx, vec![0], mode, 160);
-                for r in &rows {
-                    sorter.push_values(r.values());
-                }
+                feed(rows.iter().map(Row::values), &mut |b| sorter.push(b));
                 assert_eq!(sorter.finish(None), 10_000);
             });
             assert_eq!(got, want, "{name}");
@@ -897,9 +907,7 @@ mod tests {
                             let s = Session::with_pool_pages(64);
                             let ctx = ExecCtx::new(&db, &s, 1 << 20);
                             let mut sorter = ExternalSorter::new(&ctx, vec![k], SpillMode::Graceful, m * ROW_BYTES);
-                            for row in &input[..n] {
-                                sorter.push_values(row);
-                            }
+                            feed(input[..n].iter().map(|row| &row[..]), &mut |b| sorter.push(b));
                             sorter.close_graceful_tails();
                             let runs: Vec<_> = sorter.runs.iter().map(|run| (run.rows, run.disk_rows)).collect();
                             let mut out = Vec::with_capacity(n);

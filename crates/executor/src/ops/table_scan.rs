@@ -7,7 +7,7 @@
 
 use robustmap_storage::{AccessKind, Session, Table};
 
-use crate::batch::{col_from_bytes, BatchEmitter, ExecConfig, RowBatch};
+use crate::batch::{col_from_bytes, BatchEmitter, RowBatch};
 use crate::expr::Predicate;
 
 /// Scan `table`, filter with `pred`, gather columns `proj` of each match,
@@ -28,13 +28,12 @@ pub fn run(
     table: &Table,
     pred: &Predicate,
     proj: &[usize],
-    cfg: &ExecConfig,
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> u64 {
     let heap = &table.heap;
     let terms = pred.terms();
-    let mut emitter = BatchEmitter::new(proj.len(), cfg.batch_rows);
+    let mut emitter = BatchEmitter::new(proj.len());
     for page_no in 0..heap.page_count() {
         session.read_page(heap.page_id(page_no), AccessKind::Sequential);
         let page = heap.page(page_no).expect("page number in range");
@@ -86,19 +85,17 @@ mod tests {
         t: robustmap_storage::TableId,
         pred: &Predicate,
         project: &Projection,
-        batch_rows: usize,
         s: &Session,
     ) -> (u64, Vec<robustmap_storage::Row>) {
-        let cfg = ExecConfig::with_batch_rows(batch_rows);
         let proj = project.resolve(db.table(t).heap.schema().arity());
-        collect(|sink| run(db.table(t), pred, &proj, &cfg, s, sink))
+        collect(|sink| run(db.table(t), pred, &proj, s, sink))
     }
 
     #[test]
     fn full_scan_returns_everything() {
         let (db, t) = demo_db(500);
         let s = Session::with_pool_pages(16);
-        let (n, rows) = scan(&db, t, &Predicate::always_true(), &Projection::All, 1024, &s);
+        let (n, rows) = scan(&db, t, &Predicate::always_true(), &Projection::All, &s);
         assert_eq!(n, 500);
         assert_eq!(rows.len(), 500);
     }
@@ -109,7 +106,7 @@ mod tests {
         let s = Session::with_pool_pages(16);
         // `a < 100` matches exactly 100 rows (a is a permutation of 0..512).
         let pred = Predicate::single(ColRange::at_most(0, 99));
-        let (n, rows) = scan(&db, t, &pred, &Projection::All, 1024, &s);
+        let (n, rows) = scan(&db, t, &pred, &Projection::All, &s);
         assert_eq!(n, 100);
         assert_eq!(rows.len(), 100);
     }
@@ -119,17 +116,17 @@ mod tests {
         let (db, t) = demo_db(10);
         let s = Session::with_pool_pages(16);
         let (_, rows) =
-            scan(&db, t, &Predicate::always_true(), &Projection::Columns(vec![2]), 1024, &s);
+            scan(&db, t, &Predicate::always_true(), &Projection::Columns(vec![2]), &s);
         assert!(rows.iter().all(|r| r.arity() == 1));
         let mut got: Vec<i64> = rows.iter().map(|r| r.get(0)).collect();
         got.sort_unstable();
         assert_eq!(got, (0..10).map(|i| i * 7).collect::<Vec<_>>());
     }
 
-    /// The scan's clock, counters and charge events are `HeapFile::scan`'s
-    /// with `Predicate::eval` inside, at every batch size.
+    /// The scan's rows, clock, counters and charge events are
+    /// `HeapFile::scan`'s with `Predicate::eval` inside.
     #[test]
-    fn scan_equals_the_heap_scan_at_every_batch_size() {
+    fn scan_equals_the_heap_scan() {
         let (db, t) = demo_db(2000);
         let pred = Predicate::all_of(vec![ColRange::at_most(0, 999), ColRange::at_most(1, 1500)]);
         let proj = Projection::Columns(vec![2, 0]);
@@ -140,15 +137,13 @@ mod tests {
                 want.push(proj.apply(row));
             }
         });
-        for batch_rows in [1usize, 7, 1024] {
-            let batch_s = Session::with_pool_pages(16);
-            let (n, got) = scan(&db, t, &pred, &proj, batch_rows, &batch_s);
-            assert_eq!(n as usize, want.len(), "batch_rows={batch_rows}");
-            assert_eq!(got, want, "batch_rows={batch_rows}");
-            assert_eq!(batch_s.elapsed_ticks(), row_s.elapsed_ticks());
-            assert_eq!(batch_s.charge_events(), row_s.charge_events());
-            assert_eq!(batch_s.stats(), row_s.stats());
-        }
+        let batch_s = Session::with_pool_pages(16);
+        let (n, got) = scan(&db, t, &pred, &proj, &batch_s);
+        assert_eq!(n as usize, want.len());
+        assert_eq!(got, want);
+        assert_eq!(batch_s.elapsed_ticks(), row_s.elapsed_ticks());
+        assert_eq!(batch_s.charge_events(), row_s.charge_events());
+        assert_eq!(batch_s.stats(), row_s.stats());
     }
 
     #[test]
@@ -158,7 +153,7 @@ mod tests {
         for thresh in [0, 500, 1999] {
             let s = Session::with_pool_pages(16);
             let pred = Predicate::single(ColRange::at_most(0, thresh));
-            scan(&db, t, &pred, &Projection::All, 1024, &s);
+            scan(&db, t, &pred, &Projection::All, &s);
             costs.push(s.stats().pages_read());
         }
         // Page traffic identical regardless of selectivity.

@@ -4,16 +4,14 @@
 //! in-memory equivalents for any grant.
 
 use proptest::prelude::*;
+use robustmap_executor::batch::BATCH_ROWS;
 use robustmap_executor::ops::sort::{sort_capacity_rows, ExternalSorter, PackedRows};
 use robustmap_executor::{
-    run_collect, BatchEmitter, RowBatch, AggFn, CheckpointKind, ColRange, ExecConfig, ExecCtx, FetchKind,
+    run_collect, BatchEmitter, RowBatch, AggFn, CheckpointKind, ColRange, ExecCtx, FetchKind,
     ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, KeyRange, Observation, PlanSpec, Predicate,
-    Projection, RunOpts, Selection, SpillMode, SwitchController, SwitchDirective,
+    Projection, Selection, SpillMode, SwitchController, SwitchDirective,
 };
 use robustmap_storage::{ColumnType, Database, Row, Schema, Session, TableId};
-
-/// One row per batch: row-at-a-time execution.
-const ROW_PATH: ExecConfig = ExecConfig { batch_rows: 1 };
 
 /// Build a table with columns (a, b, c) from explicit tuples.
 fn db_from(rows: &[(i64, i64, i64)]) -> (Database, TableId) {
@@ -147,7 +145,7 @@ proptest! {
         for plan in &plans {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (_, got) = run_collect(plan, &ctx, RunOpts::default()).unwrap();
+            let (_, got) = run_collect(plan, &ctx, None).unwrap();
             prop_assert_eq!(sorted_rows(got), reference.clone(), "{}", plan.synopsis());
         }
         // Covering and MDAM plans emit (a, b) key rows; compare counts.
@@ -164,7 +162,7 @@ proptest! {
         for plan in [&covering, &mdam] {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (stats, _) = run_collect(plan, &ctx, RunOpts::default()).unwrap();
+            let (stats, _) = run_collect(plan, &ctx, None).unwrap();
             prop_assert_eq!(stats.rows_out as usize, reference.len(), "{}", plan.synopsis());
         }
     }
@@ -189,7 +187,7 @@ proptest! {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (stats, got) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
+        let (stats, got) = run_collect(&plan, &ctx, None).unwrap();
         prop_assert_eq!(stats.rows_out, want);
         for r in got {
             prop_assert!(alo <= r.get(0) && r.get(0) <= ahi);
@@ -219,7 +217,7 @@ proptest! {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (_, got) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
+        let (_, got) = run_collect(&plan, &ctx, None).unwrap();
         let got: Vec<Vec<i64>> = got.iter().map(|r| r.values().to_vec()).collect();
         let mut want: Vec<Vec<i64>> = rows.iter().map(|&(a, b, c)| vec![a, b, c]).collect();
         want.sort_by(|x, y| (x[2], x[0], &x[..]).cmp(&(y[2], y[0], &y[..])));
@@ -259,67 +257,72 @@ proptest! {
         prop_assert_eq!((0..n).map(|i| sel.get(i)).collect::<Vec<_>>(), row_bits);
     }
 
-    /// Row and batch execution agree — stats bit-for-bit, rows
-    /// value-for-value in order — for every plan shape, at *any* batch
-    /// size from the degenerate 1 upward.  Results are almost never a
-    /// multiple of the batch size, so partial final batches are exercised
-    /// constantly; `ta` below every value makes empty results routine.
+    /// Every streaming shape returns exactly the rows a brute-force
+    /// evaluation over the raw tuples gives — values and order: the table
+    /// scan and the improved fetch in physical order, the covering scan in
+    /// key order.  Results run from empty (`ta` below every value) to more
+    /// than a batch, rarely a multiple of one, so partial final batches
+    /// are routine.
     #[test]
-    fn batched_execution_matches_row_execution_at_any_batch_size(
-        rows in rows_strategy(),
+    fn streaming_shapes_match_brute_force(
+        rows in prop::collection::vec((-50i64..50, -50i64..50, -50i64..50), 1..2600),
         ta in -60i64..60,
         tb in -60i64..60,
-        batch_rows in 1usize..1300,
     ) {
         let (mut db, t) = db_from(&rows);
         let idx_a = db.create_index("ia", t, &[0]).unwrap();
         let idx_ab = db.create_index("iab", t, &[0, 1]).unwrap();
-        let plans = vec![
-            PlanSpec::TableScan {
-                table: t,
-                pred: Predicate::all_of(vec![ColRange::at_most(0, ta), ColRange::at_most(1, tb)]),
-                project: Projection::Columns(vec![2, 0]),
-            },
-            PlanSpec::IndexFetch {
-                scan: IndexRangeSpec { index: idx_a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
-                key_filter: Predicate::always_true(),
-                fetch: FetchKind::Improved(ImprovedFetchConfig::default()),
-                residual: Predicate::single(ColRange::at_most(1, tb)),
-                project: Projection::All,
-            },
-            PlanSpec::CoveringIndexScan {
-                scan: IndexRangeSpec { index: idx_ab, range: KeyRange::on_leading(i64::MIN, ta, 2) },
-                residual: Predicate::single(ColRange::at_most(1, tb)),
-                project: Projection::Columns(vec![1]),
-            },
+        let hits: Vec<(i64, i64, i64)> =
+            rows.iter().copied().filter(|&(a, b, _)| a <= ta && b <= tb).collect();
+        let mut by_key = hits.clone();
+        by_key.sort_by_key(|&(a, b, _)| (a, b)); // stable: rid order within a key
+        let cases = [
+            (
+                PlanSpec::TableScan {
+                    table: t,
+                    pred: Predicate::all_of(vec![ColRange::at_most(0, ta), ColRange::at_most(1, tb)]),
+                    project: Projection::Columns(vec![2, 0]),
+                },
+                hits.iter().map(|&(a, _, c)| vec![c, a]).collect::<Vec<_>>(),
+            ),
+            (
+                PlanSpec::IndexFetch {
+                    scan: IndexRangeSpec { index: idx_a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
+                    key_filter: Predicate::always_true(),
+                    fetch: FetchKind::Improved(ImprovedFetchConfig::default()),
+                    residual: Predicate::single(ColRange::at_most(1, tb)),
+                    project: Projection::All,
+                },
+                hits.iter().map(|&(a, b, c)| vec![a, b, c]).collect(),
+            ),
+            (
+                PlanSpec::CoveringIndexScan {
+                    scan: IndexRangeSpec { index: idx_ab, range: KeyRange::on_leading(i64::MIN, ta, 2) },
+                    residual: Predicate::single(ColRange::at_most(1, tb)),
+                    project: Projection::Columns(vec![1]),
+                },
+                by_key.iter().map(|&(_, b, _)| vec![b]).collect(),
+            ),
         ];
-        let ec = ExecConfig::with_batch_rows(batch_rows);
-        for plan in &plans {
+        for (plan, want) in &cases {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (row_stats, row_rows) =
-                run_collect(plan, &ctx, RunOpts { batch: ROW_PATH, controller: None }).unwrap();
-            let s2 = Session::with_pool_pages(64);
-            let ctx2 = ExecCtx::new(&db, &s2, 1 << 20);
-            let (batch_stats, batch_rows_v) = run_collect(plan, &ctx2, RunOpts { batch: ec, controller: None }).unwrap();
-            prop_assert_eq!(row_stats.ticks, batch_stats.ticks, "{}: ticks", plan.synopsis());
-            prop_assert_eq!(&row_stats.io, &batch_stats.io, "{}: io", plan.synopsis());
-            prop_assert_eq!(row_stats.rows_out, batch_stats.rows_out, "{}", plan.synopsis());
-            prop_assert_eq!(&row_rows, &batch_rows_v, "{}: rows/order", plan.synopsis());
+            let (stats, got) = run_collect(plan, &ctx, None).unwrap();
+            let got: Vec<Vec<i64>> = got.iter().map(|r| r.values().to_vec()).collect();
+            prop_assert_eq!(stats.rows_out as usize, want.len(), "{}", plan.synopsis());
+            prop_assert_eq!(&got, want, "{}: rows/order", plan.synopsis());
         }
     }
 
     /// A *triggered* bail never changes the answer: whatever rows the
     /// adaptive executor produces after abandoning the chosen plan
     /// mid-flight, they are exactly the rows either pure plan produces —
-    /// the switch affects cost accounting only, never correctness.  One
-    /// row per batch and any other batch size.
+    /// the switch affects cost accounting only, never correctness.
     #[test]
     fn triggered_bail_matches_both_pure_plans(
         rows in rows_strategy(),
         ta in -60i64..60,
         tb in -60i64..60,
-        batch_rows in 1usize..1300,
     ) {
         let (mut db, t) = db_from(&rows);
         let idx_a = db.create_index("ia", t, &[0]).unwrap();
@@ -348,31 +351,25 @@ proptest! {
             (&chosen, CheckpointKind::RidFeed),
             (&intersect, CheckpointKind::IntersectOut),
         ];
-        let ec = ExecConfig::with_batch_rows(batch_rows);
         for (plan, at) in cases {
             let pure_chosen = {
                 let s = Session::with_pool_pages(64);
                 let ctx = ExecCtx::new(&db, &s, 1 << 20);
-                sorted_rows(run_collect(plan, &ctx, RunOpts::default()).unwrap().1)
+                sorted_rows(run_collect(plan, &ctx, None).unwrap().1)
             };
             let pure_fallback = {
                 let s = Session::with_pool_pages(64);
                 let ctx = ExecCtx::new(&db, &s, 1 << 20);
-                sorted_rows(run_collect(&fallback, &ctx, RunOpts::default()).unwrap().1)
+                sorted_rows(run_collect(&fallback, &ctx, None).unwrap().1)
             };
             let ctrl = BailAlways { at, fallback: fallback.clone() };
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (stats, got) = run_collect(plan, &ctx, RunOpts { batch: ROW_PATH, controller: Some(&ctrl) }).unwrap();
+            let (stats, got) = run_collect(plan, &ctx, Some(&ctrl)).unwrap();
             prop_assert_eq!(stats.switches.len(), 1, "{}: bail must be recorded", plan.synopsis());
             let got = sorted_rows(got);
             prop_assert_eq!(&got, &pure_chosen, "{}: vs chosen plan", plan.synopsis());
             prop_assert_eq!(&got, &pure_fallback, "{}: vs fallback plan", plan.synopsis());
-            let s = Session::with_pool_pages(64);
-            let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (bstats, bgot) = run_collect(plan, &ctx, RunOpts { batch: ec, controller: Some(&ctrl) }).unwrap();
-            prop_assert_eq!(bstats.switches.len(), 1, "{}: batched bail", plan.synopsis());
-            prop_assert_eq!(sorted_rows(bgot), pure_chosen, "{}: batched rows", plan.synopsis());
         }
     }
 
@@ -385,7 +382,6 @@ proptest! {
         rows in rows_strategy(),
         ta in -60i64..60,
         tb in -60i64..60,
-        batch_rows in 1usize..1300,
     ) {
         let (mut db, t) = db_from(&rows);
         let idx_ab = db.create_index("iab", t, &[0, 1]).unwrap();
@@ -402,28 +398,22 @@ proptest! {
         let pure_chosen = {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            sorted_rows(run_collect(&chosen, &ctx, RunOpts::default()).unwrap().1)
+            sorted_rows(run_collect(&chosen, &ctx, None).unwrap().1)
         };
         let pure_fallback = {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            sorted_rows(run_collect(&fallback, &ctx, RunOpts::default()).unwrap().1)
+            sorted_rows(run_collect(&fallback, &ctx, None).unwrap().1)
         };
         let want_switches = usize::from(!pure_chosen.is_empty());
         let ctrl = BailAlways { at: CheckpointKind::ScanOut, fallback: fallback.clone() };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (stats, got) = run_collect(&chosen, &ctx, RunOpts { batch: ROW_PATH, controller: Some(&ctrl) }).unwrap();
+        let (stats, got) = run_collect(&chosen, &ctx, Some(&ctrl)).unwrap();
         prop_assert_eq!(stats.switches.len(), want_switches);
         let got = sorted_rows(got);
         prop_assert_eq!(&got, &pure_chosen, "vs pure MDAM");
         prop_assert_eq!(&got, &pure_fallback, "vs pure fallback");
-        let ec = ExecConfig::with_batch_rows(batch_rows);
-        let s = Session::with_pool_pages(64);
-        let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (bstats, bgot) = run_collect(&chosen, &ctx, RunOpts { batch: ec, controller: Some(&ctrl) }).unwrap();
-        prop_assert_eq!(bstats.switches.len(), want_switches, "batched bail");
-        prop_assert_eq!(sorted_rows(bgot), pure_chosen, "batched rows");
     }
 
     /// A triggered operator-swap (fetch discipline) likewise: the rows
@@ -434,7 +424,6 @@ proptest! {
         rows in rows_strategy(),
         ta in -60i64..60,
         tb in -60i64..60,
-        batch_rows in 1usize..1300,
     ) {
         let (mut db, t) = db_from(&rows);
         let idx_a = db.create_index("ia", t, &[0]).unwrap();
@@ -452,24 +441,17 @@ proptest! {
             .map(|p| {
                 let s = Session::with_pool_pages(64);
                 let ctx = ExecCtx::new(&db, &s, 1 << 20);
-                sorted_rows(run_collect(p, &ctx, RunOpts::default()).unwrap().1)
+                sorted_rows(run_collect(p, &ctx, None).unwrap().1)
             })
             .collect();
         let ctrl = SwitchFetchAt { at: CheckpointKind::RidFeed, fetch: FetchKind::BitmapSorted };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (stats, got) = run_collect(&traditional, &ctx, RunOpts { batch: ROW_PATH, controller: Some(&ctrl) }).unwrap();
+        let (stats, got) = run_collect(&traditional, &ctx, Some(&ctrl)).unwrap();
         prop_assert_eq!(stats.switches.len(), 1);
         let got = sorted_rows(got);
         prop_assert_eq!(&got, &pure[0], "vs pure traditional");
         prop_assert_eq!(&got, &pure[1], "vs pure bitmap-sorted");
-        let ec = ExecConfig::with_batch_rows(batch_rows);
-        let s = Session::with_pool_pages(64);
-        let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (bstats, bgot) =
-            run_collect(&traditional, &ctx, RunOpts { batch: ec, controller: Some(&ctrl) }).unwrap();
-        prop_assert_eq!(bstats.switches.len(), 1);
-        prop_assert_eq!(sorted_rows(bgot), pure[1].clone(), "batched vs pure");
     }
 
     /// Projections commute: projecting in the plan equals projecting the
@@ -489,9 +471,9 @@ proptest! {
         };
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (_, rows_full) = run_collect(&full, &ctx, RunOpts::default()).unwrap();
+        let (_, rows_full) = run_collect(&full, &ctx, None).unwrap();
         let ctx2 = ExecCtx::new(&db, &s, 1 << 20);
-        let (_, rows_proj) = run_collect(&projected, &ctx2, RunOpts::default()).unwrap();
+        let (_, rows_proj) = run_collect(&projected, &ctx2, None).unwrap();
         let manual: Vec<Vec<i64>> =
             rows_full.iter().map(|r| vec![r.get(2), r.get(1)]).collect();
         let got: Vec<Vec<i64>> = rows_proj.iter().map(|r| r.values().to_vec()).collect();
@@ -533,9 +515,11 @@ proptest! {
                     let s = Session::with_pool_pages(64);
                     let ctx = ExecCtx::new(&db, &s, 1 << 20);
                     let mut sorter = ExternalSorter::new(&ctx, key_cols.clone(), mode, memory_bytes);
+                    let mut emitter = BatchEmitter::new(3);
                     for r in &rows {
-                        sorter.push_values(r);
+                        emitter.push_projected_slice(r, &[0, 1, 2], &mut |b| sorter.push(b));
                     }
+                    emitter.flush(&mut |b| sorter.push(b));
                     let case = format!("{mode:?}, keys {key_cols:?}, {memory_bytes} bytes, {n} rows");
                     // Abrupt spills the buffer the moment it is full,
                     // Graceful when a row arrives to a full window.
@@ -572,7 +556,7 @@ proptest! {
         let stats_of = |plan: &PlanSpec| {
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
-            let (_, got) = run_collect(plan, &ctx, RunOpts::default()).unwrap();
+            let (_, got) = run_collect(plan, &ctx, None).unwrap();
             (got, s.stats())
         };
         let (_, scan_stats) = stats_of(&scan);
@@ -626,14 +610,16 @@ proptest! {
     }
 
     /// Transposing a batch into packed rows is the per-row push loop, for
-    /// every arity a `Row` can hold, whatever the batch boundaries, and a
-    /// batch without rows adds nothing.
+    /// every arity a `Row` can hold, over none, part of one and several
+    /// batches, and a batch without rows adds nothing.
     #[test]
     fn extend_from_batch_equals_per_row_push(
-        cells in prop::collection::vec(any::<i64>(), 0..400),
+        seed in prop::collection::vec(any::<i64>(), 1..64),
+        rows in 0usize..(2 * BATCH_ROWS + 100),
         arity in 1usize..=8,
-        batch_rows in 1usize..70,
     ) {
+        let cells: Vec<i64> =
+            (0..rows * arity).map(|i| seed[i % seed.len()].wrapping_add(i as i64)).collect();
         let proj: Vec<usize> = (0..arity).collect();
         let (mut bulk, mut one_by_one) = (PackedRows::default(), PackedRows::default());
         let mut sink = |b: &RowBatch| {
@@ -643,13 +629,13 @@ proptest! {
             }
         };
         sink(&RowBatch::new(arity));
-        let mut emitter = BatchEmitter::new(arity, batch_rows);
+        let mut emitter = BatchEmitter::new(arity);
         for row in cells.chunks_exact(arity) {
             emitter.push_projected_slice(row, &proj, &mut sink);
         }
         emitter.flush(&mut sink);
         sink(&RowBatch::new(arity));
-        prop_assert_eq!(bulk.len(), cells.len() / arity);
+        prop_assert_eq!(bulk.len(), rows);
         prop_assert_eq!((bulk.len(), bulk.arity()), (one_by_one.len(), one_by_one.arity()));
         for i in 0..bulk.len() {
             prop_assert_eq!(bulk.row(i), one_by_one.row(i));

@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn shrunk_grant_forces_sort_spill() {
         use robustmap_executor::{
-            run_count, ColRange, ExecCtx, PlanSpec, Predicate, Projection, RunOpts, SpillMode,
+            run_count, ColRange, ExecCtx, PlanSpec, Predicate, Projection, SpillMode,
         };
         use robustmap_storage::Session;
         use robustmap_workload::{TableBuilder, WorkloadConfig};
@@ -266,7 +266,7 @@ mod tests {
         let run = |plan: &PlanSpec, memory: usize| {
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&w.db, &s, memory);
-            run_count(plan, &ctx, RunOpts::default()).expect("well-formed")
+            run_count(plan, &ctx, None).expect("well-formed")
         };
         // Under the planned grant the sort fits in memory...
         assert!(!run(&spec, 8 << 20).spilled);

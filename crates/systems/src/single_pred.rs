@@ -116,7 +116,7 @@ pub fn single_predicate_plans(set: SinglePredPlanSet, w: &Workload) -> Vec<Singl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use robustmap_executor::{run_count, ExecCtx, RunOpts};
+    use robustmap_executor::{run_count, ExecCtx};
     use robustmap_storage::Session;
     use robustmap_workload::{TableBuilder, WorkloadConfig};
 
@@ -136,7 +136,7 @@ mod tests {
         for plan in single_predicate_plans(SinglePredPlanSet::WithIndexJoins, &w) {
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-            let stats = run_count(&plan.build(ta), &ctx, RunOpts::default()).unwrap();
+            let stats = run_count(&plan.build(ta), &ctx, None).unwrap();
             assert_eq!(stats.rows_out, count, "{}", plan.name);
         }
     }
@@ -147,7 +147,7 @@ mod tests {
         for plan in single_predicate_plans(SinglePredPlanSet::WithIndexJoins, &w) {
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-            let stats = run_count(&plan.build(i64::MIN), &ctx, RunOpts::default()).unwrap();
+            let stats = run_count(&plan.build(i64::MIN), &ctx, None).unwrap();
             assert_eq!(stats.rows_out, 0, "{}", plan.name);
         }
     }

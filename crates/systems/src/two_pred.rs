@@ -236,7 +236,7 @@ pub fn two_predicate_plans(system: SystemId, w: &Workload) -> Vec<TwoPredPlan> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use robustmap_executor::{run_count, ExecCtx, RunOpts};
+    use robustmap_executor::{run_count, ExecCtx};
     use robustmap_storage::Session;
     use robustmap_workload::{TableBuilder, WorkloadConfig};
 
@@ -263,7 +263,7 @@ mod tests {
                     let spec = plan.build(ta, tb);
                     let s = Session::with_pool_pages(256);
                     let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-                    let stats = run_count(&spec, &ctx, RunOpts::default()).unwrap();
+                    let stats = run_count(&spec, &ctx, None).unwrap();
                     match expected {
                         None => expected = Some(stats.rows_out),
                         Some(e) => assert_eq!(

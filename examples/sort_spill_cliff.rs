@@ -18,7 +18,7 @@ use robustmap::core::analysis::changepoint::{detect_changepoints, ChangepointCon
 use robustmap::core::MeasureConfig;
 use robustmap::executor::ops::sort::sort_capacity_rows;
 use robustmap::executor::{
-    run_count, ColRange, ExecCtx, PlanSpec, Predicate, Projection, RunOpts, SpillMode,
+    run_count, ColRange, ExecCtx, PlanSpec, Predicate, Projection, SpillMode,
 };
 use robustmap::storage::{BufferPool, Session};
 use robustmap::workload::{TableBuilder, WorkloadConfig, COL_A, COL_C};
@@ -47,7 +47,7 @@ fn main() {
         let session =
             Session::new(cfg.model.clone(), BufferPool::new(cfg.pool_pages, cfg.policy));
         let ctx = ExecCtx::new(&w.db, &session, cfg.memory_bytes);
-        let stats = run_count(plan, &ctx, RunOpts::default()).expect("well-formed plan");
+        let stats = run_count(plan, &ctx, None).expect("well-formed plan");
         let child = stats.operators.iter().find(|o| o.depth == 1).expect("child").seconds;
         let root = stats.operators.iter().find(|o| o.depth == 0).expect("root").seconds;
         (root - child, stats.io.page_writes, stats.rows_out)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI-style verification: build, workspace tests (unit, integration,
 # property and the source rules of tests/source_gates.rs — independence of
-# batch size, quantum and tracing is a matrix inside the suites), doc-tests,
+# quantum and tracing is a matrix inside the suites), doc-tests,
 # the out-of-workspace `benchmark/` package, clippy and rustdoc, all with
 # warnings denied; then the one thing only a shell can run: the `figures`
 # binary over every figure at the smoke scale, whose own exit status is the

@@ -1,14 +1,14 @@
 //! Differential no-switch equivalence suite for adaptive execution.
 //!
-//! A `controller` in `RunOpts` arms cardinality checkpoints inside the one
-//! interpreter.  Observation must be free: when the controller never
+//! A `controller` passed to `run` arms cardinality checkpoints inside the
+//! one interpreter.  Observation must be free: when the controller never
 //! switches — whether because it is [`NeverSwitch`] or because it is a
 //! real, armed [`BailController`] whose thresholds never trip — the run
-//! must be **identical** to `controller: None`: same clock ticks, same
+//! must be **identical** to a static one (`None`): same clock ticks, same
 //! `IoStats`, same spill flag, same per-operator breakdown, and the same
-//! output rows in the same order — one row per batch and batched alike.  This mirrors `tests/batch_equivalence.rs`,
-//! which pins the same contract across batch sizes; `docs/DESIGN.md`
-//! § adaptive execution records the design argument this suite pins.
+//! output rows in the same order, under every condition of the
+//! independence matrix.  `docs/DESIGN.md` § adaptive execution records the
+//! design argument this suite pins.
 
 use robustmap::core::MeasureConfig;
 use robustmap::executor::{
@@ -25,9 +25,7 @@ use robustmap::systems::{
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
 
 mod common;
-use common::{
-    assert_bit_identical, collect_under, composite_specs, row_path, run_under, variants,
-};
+use common::{assert_bit_identical, collect_under, composite_specs, run_under, variants};
 
 fn workload() -> Workload {
     TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 13))
@@ -50,8 +48,8 @@ fn run_adaptive(
     stats
 }
 
-/// Under `ctrl` vs static, one spec: one row per batch, and under every
-/// condition of the independence matrix.
+/// Under `ctrl` vs static, one spec, under every condition of the
+/// independence matrix.
 fn assert_adaptive_equivalent(
     w: &Workload,
     spec: &PlanSpec,
@@ -59,9 +57,7 @@ fn assert_adaptive_equivalent(
     ctrl: &dyn SwitchController,
     label: &str,
 ) {
-    let mut cfgs = vec![("row".to_string(), row_path(base))];
-    cfgs.extend(variants(base, &[]));
-    for (how, cfg) in &cfgs {
+    for (how, cfg) in &variants(base) {
         let label = format!("{label} [{how}]");
         let stat = run_under(w, spec, cfg, None);
         assert_bit_identical(&stat, &run_adaptive(w, spec, cfg, ctrl, &label), &label);
@@ -70,7 +66,7 @@ fn assert_adaptive_equivalent(
 
 /// Every plan in the catalog — A1–A7, B1–B4, C1–C4 — over a selectivity
 /// grid, with switching disabled: a controller that never switches is
-/// indistinguishable from no controller at either batch size.
+/// indistinguishable from no controller.
 #[test]
 fn all_fifteen_catalog_plans_are_bit_identical_with_switching_disabled() {
     let w = workload();
@@ -136,24 +132,6 @@ fn armed_but_never_tripping_controllers_are_bit_identical() {
     }
 }
 
-/// Batch size must never be observable through the adaptive layer either.
-#[test]
-fn batch_size_is_not_observable_under_adaptive_execution() {
-    let w = workload();
-    let cfg = MeasureConfig::default();
-    let plans = full_catalog(&w);
-    let (ta, tb) = (w.cal_a.threshold(0.2), w.cal_b.threshold(0.6));
-    for plan in &plans {
-        let spec = plan.build(ta, tb);
-        let row = run_under(&w, &spec, &row_path(&cfg), None);
-        for (how, cfg) in variants(&cfg, &[1, 1 << 20]) {
-            let label = format!("{} [{how}]", plan.name);
-            let abatch = run_adaptive(&w, &spec, &cfg, &NeverSwitch, &label);
-            assert_bit_identical(&row, &abatch, &label);
-        }
-    }
-}
-
 /// The composite shapes beyond the two-predicate catalog: joins on both
 /// build sides with in-memory and spilling grants, sort and aggregation in
 /// both spill modes, parallel scans, the traditional fetch, and the
@@ -169,7 +147,8 @@ fn composite_operators_are_bit_identical_with_switching_disabled() {
 }
 
 /// Beyond the counters: the rows themselves — values and order — must
-/// match the static run's at every batch size, including an empty result.
+/// match the static run's under every condition, including an empty
+/// result.
 #[test]
 fn collected_rows_match_static_executor_exactly() {
     let w = workload();
@@ -205,7 +184,7 @@ fn collected_rows_match_static_executor_exactly() {
         },
     ];
     for (i, spec) in specs.iter().enumerate() {
-        for (how, cfg) in variants(&cfg, &[1, 100]) {
+        for (how, cfg) in variants(&cfg) {
             let (stats, rows) = collect_under(&w, spec, &cfg, None);
             let (astats, arows) = collect_under(&w, spec, &cfg, Some(&NeverSwitch));
             assert_bit_identical(&stats, &astats, &format!("collect #{i} [{how}]"));
@@ -233,8 +212,8 @@ impl SwitchController for BailAt {
 /// A controller that trips at the root: counting the rows (`run_under`, as
 /// a map cell does) and reading them (`collect_under`) charge the same —
 /// the abandoned operator's prefix, the switch record and the replacement,
-/// which is counted or read like the plan it replaced — one row per batch
-/// and under every condition; the read run returns the replacement's rows.
+/// which is counted or read like the plan it replaced — under every
+/// condition; the read run returns the replacement's rows.
 /// The replacements are a spilling sort, a spilling aggregation and a
 /// fetch, so a counted root sort and aggregation are reached through a
 /// bail too.
@@ -287,11 +266,9 @@ fn a_root_bail_charges_the_same_counted_or_read() {
         ("join -> hashagg", join, CheckpointKind::JoinBuild, agg),
         ("mdam -> fetch", mdam, CheckpointKind::ScanOut, fetch),
     ];
-    let mut cfgs = vec![("row".to_string(), row_path(&base))];
-    cfgs.extend(variants(&base, &[]));
     for (name, plan, at, fallback) in cases {
         let ctrl = BailAt { at, fallback };
-        for (how, cfg) in &cfgs {
+        for (how, cfg) in &variants(&base) {
             let label = format!("{name} [{how}]");
             let counted = run_under(&w, &plan, cfg, Some(&ctrl));
             let (read, rows) = collect_under(&w, &plan, cfg, Some(&ctrl));

@@ -1,85 +1,79 @@
-//! Differential batch-size invariance suite for the executor.
+//! Differential equivalence suite for the batched executor.
 //!
-//! The interpreter pushes ~1024-row columnar chunks between operators, and
-//! `batch_rows = 1` *is* row-at-a-time execution (it runs under every sort
-//! and aggregation).  The batch size must never be observable in the
-//! *simulated* behaviour: "equal" here means identical clock ticks,
-//! identical I/O counters (the hit/miss split included), identical row
-//! counts and spill flags, and an identical per-operator breakdown.  Every plan in the
-//! three-system catalog (15 plans) is checked over a selectivity grid and
-//! several batch sizes, and the composite operators (joins, sort,
-//! aggregation, parallel scan) get dedicated coverage.  `docs/DESIGN.md`
-//! records the design argument; this suite pins it, and
-//! `tests/exec_ledger.rs` pins the absolute values.
+//! The interpreter pushes 1024-row columnar chunks between operators.  How
+//! a run is driven must never be observable in its *simulated* behaviour:
+//! counting the rows (`run_count`, what every map cell does) and reading
+//! them (`run_collect`) charge the same, and so does a run traced at full
+//! detail.  "Equal" here means identical clock ticks, identical I/O
+//! counters (the hit/miss split included), identical row counts and spill
+//! flags, and an identical per-operator breakdown.  Every plan in the
+//! three-system catalog (15 plans) is checked over a selectivity grid, and
+//! the composite operators (joins, sort, aggregation, parallel scan) get
+//! dedicated coverage.  The rows themselves are checked against a
+//! brute-force evaluation over the heap.  `tests/exec_ledger.rs` pins the
+//! absolute values.
 
 use robustmap::core::MeasureConfig;
-use robustmap::executor::{AggFn, ColRange, PlanSpec, Predicate, Projection, SpillMode};
-use robustmap::systems::{
-    single_predicate_plans, two_predicate_plans, SinglePredPlanSet, SystemId, TwoPredPlan,
-};
+use robustmap::executor::{ColRange, PlanSpec, Predicate, Projection};
+use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
 
 mod common;
 use common::{
-    assert_bit_identical, collect_under, composite_specs, row_path, run_under, variants,
+    assert_bit_identical, brute_force, collect_under, composite_specs, run_under, variants,
 };
 
 fn workload() -> Workload {
     TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 13))
 }
 
-/// `spec` run one row per batch, untraced, against `spec` under every
-/// condition of the independence matrix (default batch, 513, traced at
-/// full detail) and at each of the `more` batch sizes.
-fn assert_independent(
-    w: &Workload,
-    spec: &PlanSpec,
-    base: &MeasureConfig,
-    more: &[usize],
-    label: &str,
-) {
-    let row = run_under(w, spec, &row_path(base), None);
-    for (how, cfg) in variants(base, more) {
-        assert_bit_identical(&row, &run_under(w, spec, &cfg, None), &format!("{label} [{how}]"));
+fn catalog(w: &Workload) -> Vec<TwoPredPlan> {
+    let plans: Vec<TwoPredPlan> =
+        SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, w)).collect();
+    assert_eq!(plans.len(), 15, "catalog size changed; update this suite");
+    plans
+}
+
+/// The catalog over a 3x3 selectivity grid, labelled.
+fn catalog_grid(w: &Workload) -> Vec<(String, PlanSpec)> {
+    let sels = [0.02, 0.3, 0.9];
+    let mut out = Vec::new();
+    for plan in catalog(w) {
+        for &sa in &sels {
+            for &sb in &sels {
+                let spec = plan.build(w.cal_a.threshold(sa), w.cal_b.threshold(sb));
+                out.push((format!("{} @ ({sa}, {sb})", plan.name), spec));
+            }
+        }
+    }
+    out
+}
+
+/// `spec` counted, untraced, against `spec` counted and read under every
+/// condition of the independence matrix (default, quantum 513, traced at
+/// full detail).
+fn assert_independent(w: &Workload, spec: &PlanSpec, base: &MeasureConfig, label: &str) {
+    let counted = run_under(w, spec, base, None);
+    for (how, cfg) in variants(base) {
+        let label = format!("{label} [{how}]");
+        let again = run_under(w, spec, &cfg, None);
+        assert_bit_identical(&counted, &again, &format!("{label} counted"));
+        let (read, rows) = collect_under(w, spec, &cfg, None);
+        assert_bit_identical(&counted, &read, &format!("{label} read"));
+        assert_eq!(rows.len() as u64, read.rows_out, "{label}: rows read");
     }
 }
 
 /// Every plan in the catalog — A1–A7, B1–B4, C1–C4 — over a selectivity
-/// grid, under every condition of the matrix against one row per batch.
-/// This is the suite's core claim: sweeps over the full catalog do not
-/// depend on how rows are chunked, or on whether anyone is watching.
+/// grid, counted and read under every condition of the matrix.  This is
+/// the suite's core claim: sweeps over the full catalog do not depend on
+/// whether anyone reads the rows, or on whether anyone is watching.
 #[test]
 fn all_fifteen_catalog_plans_are_bit_identical() {
     let w = workload();
-    let plans: Vec<TwoPredPlan> =
-        SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, &w)).collect();
-    assert_eq!(plans.len(), 15, "catalog size changed; update this suite");
     let cfg = MeasureConfig::default();
-    let sels = [0.02, 0.3, 0.9];
-    for plan in &plans {
-        for &sa in &sels {
-            for &sb in &sels {
-                let spec = plan.build(w.cal_a.threshold(sa), w.cal_b.threshold(sb));
-                let label = format!("{} @ ({sa}, {sb})", plan.name);
-                assert_independent(&w, &spec, &cfg, &[], &label);
-            }
-        }
-    }
-}
-
-/// Batch size must never be observable: against one row per batch, a tiny
-/// size, a non-power-of-two that never divides the result evenly (the
-/// matrix's 513), and a size far larger than any intermediate result all
-/// produce the same bits.
-#[test]
-fn batch_size_is_not_observable() {
-    let w = workload();
-    let cfg = MeasureConfig::default();
-    let plans: Vec<TwoPredPlan> =
-        SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, &w)).collect();
-    let (ta, tb) = (w.cal_a.threshold(0.2), w.cal_b.threshold(0.6));
-    for plan in &plans {
-        assert_independent(&w, &plan.build(ta, tb), &cfg, &[7, 1 << 20], &plan.name);
+    for (label, spec) in &catalog_grid(&w) {
+        assert_independent(&w, spec, &cfg, label);
     }
 }
 
@@ -93,93 +87,59 @@ fn composite_operators_are_bit_identical() {
     let w = workload();
     let cfg = MeasureConfig::default();
     for (label, spec) in &composite_specs(&w) {
-        assert_independent(&w, spec, &cfg, &[], label);
+        assert_independent(&w, spec, &cfg, label);
     }
 }
 
-/// The blocking edges at pools of a few pages, where batch size could
-/// matter even to an exact clock: a sort's or aggregation's spill writes
-/// share one LRU with its child's page requests, so feeding the operator
-/// 513 rows at a time instead of one would let a traditional fetch's
-/// re-visits find different pages evicted (measured: 41 of these 432 plans
-/// change `pages_read`/`buffer_hits` by a few pages).  Today the child of
-/// a blocking operator always runs in row lockstep, so every batch size
-/// agrees on every counter; a change that feeds these edges in batches
-/// must keep this test green — by feeding at a fixed size, or by keeping
-/// spill pages out of the LRU — not delete it.
+/// Beyond the counters: the *rows themselves* — values and order — are
+/// what a brute-force filter over the heap gives, with a reference sort or
+/// group-by on top: for the catalog over the grid, the sort and
+/// aggregation composites, a result that is not a multiple of the batch
+/// size, an empty result and a projected MDAM scan, under every condition.
 #[test]
-fn blocking_edges_agree_at_small_pools_at_every_batch_size() {
-    let w = workload();
-    let plans = single_predicate_plans(SinglePredPlanSet::WithIndexJoins, &w);
-    assert_eq!(plans.len(), 6, "single-predicate catalog changed; update this suite");
-    let mut checked = 0;
-    for plan in &plans {
-        for sel in [0.01, 0.05, 0.15, 0.3, 0.6, 0.9] {
-            let child = plan.build(w.cal_a.threshold(sel));
-            for pool_pages in [4usize, 16, 64] {
-                let cfg = MeasureConfig { pool_pages, ..MeasureConfig::default() };
-                for memory_bytes in [4usize << 10, 64 << 10] {
-                    let (input, mode) = (Box::new(child.clone()), SpillMode::Graceful);
-                    let sort = PlanSpec::Sort {
-                        input: input.clone(),
-                        key_cols: vec![1],
-                        mode,
-                        memory_bytes,
-                    };
-                    let agg = PlanSpec::HashAgg {
-                        input,
-                        group_cols: vec![1],
-                        aggs: vec![AggFn::CountStar, AggFn::Min(0)],
-                        mode,
-                        memory_bytes,
-                    };
-                    for (op, spec) in [("sort", sort), ("hashagg", agg)] {
-                        let label = format!(
-                            "{op} mem={memory_bytes} over {} @ {sel}, pool {pool_pages}",
-                            plan.name
-                        );
-                        assert_independent(&w, &spec, &cfg, &[7], &label);
-                        checked += 1;
-                    }
-                }
-            }
-        }
-    }
-    assert_eq!(checked, 432);
-}
-
-/// Beyond the counters: the *rows themselves* — values and order — must
-/// match, including when the result size is not a multiple of the batch
-/// size, when the result is empty, and when the run is traced.
-#[test]
-fn collected_rows_match_row_path_exactly() {
+fn collected_rows_match_brute_force() {
     let w = workload();
     let cfg = MeasureConfig::default();
-    let specs = [
+    let mut specs = catalog_grid(&w);
+    let blocking = |label: &String| label.starts_with("sort ") || label.starts_with("hashagg ");
+    specs.extend(composite_specs(&w).into_iter().filter(|(label, _)| blocking(label)));
+    specs.extend([
         // 0.13 of 8192 rows: not a multiple of any power-of-two batch.
-        PlanSpec::TableScan {
-            table: w.table,
-            pred: Predicate::single(ColRange::at_most(0, w.cal_a.threshold(0.13))),
-            project: Projection::Columns(vec![4, 0, 2]),
-        },
-        // Empty result.
-        PlanSpec::TableScan {
-            table: w.table,
-            pred: Predicate::single(ColRange::between(0, 5, 4)),
-            project: Projection::All,
-        },
-        PlanSpec::Mdam {
-            index: w.indexes.ab,
-            col_ranges: vec![(i64::MIN, w.cal_a.threshold(0.3)), (i64::MIN, w.cal_b.threshold(0.1))],
-            project: Projection::Columns(vec![1]),
-        },
-    ];
-    for (i, spec) in specs.iter().enumerate() {
-        let (row_stats, row_rows) = collect_under(&w, spec, &row_path(&cfg), None);
-        for (how, cfg) in variants(&cfg, &[7, 100]) {
-            let (batch_stats, batch_rows) = collect_under(&w, spec, &cfg, None);
-            assert_bit_identical(&row_stats, &batch_stats, &format!("collect #{i} [{how}]"));
-            assert_eq!(row_rows, batch_rows, "collect #{i} [{how}]: rows/order");
+        (
+            "projected scan".to_string(),
+            PlanSpec::TableScan {
+                table: w.table,
+                pred: Predicate::single(ColRange::at_most(0, w.cal_a.threshold(0.13))),
+                project: Projection::Columns(vec![4, 0, 2]),
+            },
+        ),
+        (
+            "empty scan".to_string(),
+            PlanSpec::TableScan {
+                table: w.table,
+                pred: Predicate::single(ColRange::between(0, 5, 4)),
+                project: Projection::All,
+            },
+        ),
+        (
+            "projected mdam".to_string(),
+            PlanSpec::Mdam {
+                index: w.indexes.ab,
+                col_ranges: vec![
+                    (i64::MIN, w.cal_a.threshold(0.3)),
+                    (i64::MIN, w.cal_b.threshold(0.1)),
+                ],
+                project: Projection::Columns(vec![1]),
+            },
+        ),
+    ]);
+    assert_eq!(specs.len(), 135 + 8 + 3);
+    for (label, spec) in &specs {
+        let want = brute_force(&w, spec);
+        for (how, cfg) in variants(&cfg) {
+            let (stats, rows) = collect_under(&w, spec, &cfg, None);
+            assert_eq!(stats.rows_out as usize, want.len(), "{label} [{how}]: rows_out");
+            assert!(rows == want, "{label} [{how}]: rows/order differ from brute force");
         }
     }
 }

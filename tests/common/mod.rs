@@ -2,16 +2,17 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use robustmap::core::{MeasureConfig, ServeConfig};
 use robustmap::executor::{
-    run_collect, run_count, AggFn, ColRange, ExecConfig, ExecCtx, ExecStats, FetchKind,
-    IndexRangeSpec, IntersectAlgo, JoinAlgo, KeyRange, PlanSpec, Predicate, Projection, RunOpts,
-    SpillMode, SwitchController,
+    run_collect, run_count, AggFn, ColRange, ExecCtx, ExecStats, FetchKind, IndexRangeSpec,
+    IntersectAlgo, JoinAlgo, KeyRange, PlanSpec, Predicate, Projection, SpillMode,
+    SwitchController,
 };
 use robustmap::obs::trace::{TraceDetail, TraceEventKind, TraceSink};
-use robustmap::storage::Row;
+use robustmap::storage::{IndexId, Row, Session, TableId};
 use robustmap::workload::Workload;
 
 /// One row of the independence matrix: run-time conditions that no
@@ -19,73 +20,48 @@ use robustmap::workload::Workload;
 pub struct Condition {
     /// For assertion labels.
     pub name: &'static str,
-    /// Rows per batch between operators.
-    pub exec: ExecConfig,
     /// Charge events per serving slice.
     pub quantum: u64,
     /// The sink every session and burst records into, if traced.
     pub trace: Option<Arc<TraceSink>>,
 }
 
-/// The independence matrix, named once: the defaults; a batch size and a
-/// quantum that divide nothing evenly (partial final batches, mid-page
-/// batch boundaries, mid-operator suspension points); and the defaults
-/// traced at full detail — one event per page request, the worst case.
-/// Each of the six differential suites runs under all three, so a plain
-/// `cargo test` is the whole proof.  The traced sink keeps few events
-/// (metrics still count every one): the suites assert on charges, which
-/// tracing must not move, not on the recording.
+/// The independence matrix, named once: the defaults; a quantum that
+/// divides nothing evenly (mid-operator suspension points); and the
+/// defaults traced at full detail — one event per page request, the worst
+/// case.  The differential suites run under all three, so a plain `cargo
+/// test` is the whole proof.  The traced sink keeps few events (metrics
+/// still count every one): the suites assert on charges, which tracing
+/// must not move, not on the recording.
 pub fn conditions() -> [Condition; 3] {
-    let (exec, quantum) = (ExecConfig::default(), ServeConfig::default().quantum);
+    let quantum = ServeConfig::default().quantum;
     let full = TraceSink::memory_with_cap(TraceDetail::Full, 1 << 12);
     [
-        Condition { name: "default", exec, quantum, trace: None },
-        Condition {
-            name: "batch 513, quantum 513",
-            exec: ExecConfig::with_batch_rows(513),
-            quantum: 513,
-            trace: None,
-        },
-        Condition { name: "traced", exec, quantum, trace: Some(Arc::new(full)) },
+        Condition { name: "default", quantum, trace: None },
+        Condition { name: "quantum 513", quantum: 513, trace: None },
+        Condition { name: "traced", quantum, trace: Some(Arc::new(full)) },
     ]
 }
 
 impl Condition {
     /// `base` under this condition.
     pub fn measure(&self, base: &MeasureConfig) -> MeasureConfig {
-        MeasureConfig { exec: self.exec, trace: self.trace.clone(), ..base.clone() }
+        MeasureConfig { trace: self.trace.clone(), ..base.clone() }
     }
 
     /// `base` under this condition.
     pub fn serve(&self, base: &ServeConfig) -> ServeConfig {
-        ServeConfig {
-            quantum: self.quantum,
-            batch: self.exec,
-            trace: self.trace.clone(),
-            ..base.clone()
-        }
+        ServeConfig { quantum: self.quantum, trace: self.trace.clone(), ..base.clone() }
     }
 }
 
-/// `base` under each condition of the matrix, then untraced at each of the
-/// `more` batch sizes the matrix does not name; labelled.
-pub fn variants(base: &MeasureConfig, more: &[usize]) -> Vec<(String, MeasureConfig)> {
-    let named = conditions().into_iter().map(|c| (c.name.to_string(), c.measure(base)));
-    let sized = more.iter().map(|&n| {
-        let exec = ExecConfig::with_batch_rows(n);
-        (format!("batch {n}"), MeasureConfig { exec, trace: None, ..base.clone() })
-    });
-    named.chain(sized).collect()
+/// `base` under each condition of the matrix, labelled.
+pub fn variants(base: &MeasureConfig) -> Vec<(String, MeasureConfig)> {
+    conditions().into_iter().map(|c| (c.name.to_string(), c.measure(base))).collect()
 }
 
-/// `cfg` running one row per batch, untraced: the reference every other
-/// way of running a plan is compared against.
-pub fn row_path(cfg: &MeasureConfig) -> MeasureConfig {
-    MeasureConfig { exec: ExecConfig::with_batch_rows(1), trace: None, ..cfg.clone() }
-}
-
-/// Run `spec` on a fresh session under `cfg` — its pool, model, grant,
-/// batch size and trace sink — without going through a `SweepArena`.
+/// Run `spec` on a fresh session under `cfg` — its pool, model, grant and
+/// trace sink — without going through a `SweepArena`.
 pub fn run_under(
     w: &Workload,
     spec: &PlanSpec,
@@ -95,8 +71,7 @@ pub fn run_under(
     let (cfg, sink) = with_own_sink(cfg);
     let s = cfg.session();
     let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    let stats =
-        run_count(spec, &ctx, RunOpts { batch: cfg.exec, controller }).expect("well-formed plan");
+    let stats = run_count(spec, &ctx, controller).expect("well-formed plan");
     assert_spans_are_the_operator_record(sink.as_deref(), &stats);
     stats
 }
@@ -111,10 +86,121 @@ pub fn collect_under(
     let (cfg, sink) = with_own_sink(cfg);
     let s = cfg.session();
     let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    let (stats, rows) =
-        run_collect(spec, &ctx, RunOpts { batch: cfg.exec, controller }).expect("well-formed plan");
+    let (stats, rows) = run_collect(spec, &ctx, controller).expect("well-formed plan");
     assert_spans_are_the_operator_record(sink.as_deref(), &stats);
     (stats, rows)
+}
+
+/// What `spec` returns, computed by brute force from the heap alone: the
+/// rows of `HeapFile::scan` that pass the plan's conditions, projected, in
+/// the order the plan emits them — physical for a table scan and a sorted
+/// fetch, key order (ties in rid order, which is physical) for an
+/// index-only plan — then a reference sort or group-by for a `Sort` or a
+/// `HashAgg`.  It evaluates the shapes of the fifteen-plan catalog and of
+/// the sort and aggregation composites, and panics on any other.
+pub fn brute_force(w: &Workload, spec: &PlanSpec) -> Vec<Row> {
+    let in_range =
+        |range: &KeyRange, key: &[i64]| range.lo.values() <= key && key <= range.hi.values();
+    match spec {
+        PlanSpec::TableScan { table, pred, project } => {
+            let hits = heap_rows(w, *table).filter(|row| pred.eval_free(row));
+            hits.map(|row| project.apply(&row)).collect()
+        }
+        PlanSpec::IndexFetch { scan, key_filter, fetch, residual, project }
+            if *fetch != FetchKind::Traditional =>
+        {
+            let index = w.db.index(scan.index);
+            heap_rows(w, index.table)
+                .filter(|row| {
+                    let key = index.key_of(row);
+                    in_range(&scan.range, key.values())
+                        && key_filter.eval_free(&Row::from_slice(key.values()))
+                        && residual.eval_free(row)
+                })
+                .map(|row| project.apply(&row))
+                .collect()
+        }
+        PlanSpec::IndexIntersect { left, right, fetch, residual, project, .. }
+            if *fetch != FetchKind::Traditional =>
+        {
+            let (li, ri) = (w.db.index(left.index), w.db.index(right.index));
+            heap_rows(w, li.table)
+                .filter(|row| {
+                    in_range(&left.range, li.key_of(row).values())
+                        && in_range(&right.range, ri.key_of(row).values())
+                        && residual.eval_free(row)
+                })
+                .map(|row| project.apply(&row))
+                .collect()
+        }
+        PlanSpec::CoveringIndexScan { scan, residual, project } => {
+            let keys = index_keys(w, scan.index, |key| {
+                in_range(&scan.range, key.values()) && residual.eval_free(key)
+            });
+            keys.iter().map(|key| project.apply(key)).collect()
+        }
+        PlanSpec::Mdam { index, col_ranges, project } => {
+            let keys = index_keys(w, *index, |key| {
+                col_ranges.iter().enumerate().all(|(c, &(lo, hi))| (lo..=hi).contains(&key.get(c)))
+            });
+            keys.iter().map(|key| project.apply(key)).collect()
+        }
+        PlanSpec::Sort { input, key_cols, .. } => {
+            let mut rows = brute_force(w, input);
+            let key = |row: &Row| key_cols.iter().map(|&c| row.get(c)).collect::<Vec<_>>();
+            rows.sort_by(|a, b| key(a).cmp(&key(b)).then_with(|| a.values().cmp(b.values())));
+            rows
+        }
+        PlanSpec::HashAgg { input, group_cols, aggs, .. } => {
+            // Per group: count, sum, min, max of every aggregate's input.
+            let mut groups: BTreeMap<Vec<i64>, Vec<[i64; 4]>> = BTreeMap::new();
+            for row in brute_force(w, input) {
+                let key = group_cols.iter().map(|&c| row.get(c)).collect();
+                let empty = || vec![[0, 0, i64::MAX, i64::MIN]; aggs.len()];
+                let states = groups.entry(key).or_insert_with(empty);
+                for (st, agg) in states.iter_mut().zip(aggs) {
+                    let v = match agg {
+                        AggFn::CountStar => 0,
+                        AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => row.get(*c),
+                    };
+                    *st = [st[0] + 1, st[1].wrapping_add(v), st[2].min(v), st[3].max(v)];
+                }
+            }
+            let value = |agg: &AggFn, st: &[i64; 4]| match agg {
+                AggFn::CountStar => st[0],
+                AggFn::Sum(_) => st[1],
+                AggFn::Min(_) => st[2],
+                AggFn::Max(_) => st[3],
+            };
+            groups
+                .iter()
+                .map(|(key, states)| {
+                    let values = aggs.iter().zip(states).map(|(a, st)| value(a, st));
+                    Row::from_slice(&key.iter().copied().chain(values).collect::<Vec<_>>())
+                })
+                .collect()
+        }
+        other => panic!("brute_force does not evaluate {}", other.synopsis()),
+    }
+}
+
+/// Every row of `table`, in physical order, read without charging anyone.
+fn heap_rows(w: &Workload, table: TableId) -> impl Iterator<Item = Row> {
+    let mut rows = Vec::new();
+    w.db.table(table).heap.scan(&Session::with_pool_pages(0), |_, row| rows.push(*row));
+    rows.into_iter()
+}
+
+/// The keys of `index` over its table's rows that `keep` accepts, as rows
+/// of key columns in key order, ties in rid order.
+fn index_keys(w: &Workload, index: IndexId, keep: impl Fn(&Row) -> bool) -> Vec<Row> {
+    let index = w.db.index(index);
+    let mut keys: Vec<Row> = heap_rows(w, index.table)
+        .map(|row| Row::from_slice(index.key_of(&row).values()))
+        .filter(|key| keep(key))
+        .collect();
+    keys.sort_by(|a, b| a.values().cmp(b.values())); // stable
+    keys
 }
 
 /// A traced `cfg` with a sink of its own for one run, at the same detail

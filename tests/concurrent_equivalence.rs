@@ -24,8 +24,8 @@
 //!
 //! Every test that serves under "the suite's" config serves under each
 //! condition of the independence matrix (`common::conditions`): the
-//! defaults, a quantum and a batch size of 513 that never divide anything
-//! evenly, and every burst and session traced at full detail.
+//! defaults, a quantum of 513 that never divides anything evenly, and
+//! every burst and session traced at full detail.
 
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -43,7 +43,7 @@ use robustmap::systems::{two_predicate_plans, AdmissionConfig, SystemId, TwoPred
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
 
 mod common;
-use common::{assert_bit_identical, conditions, row_path, run_under, Condition};
+use common::{assert_bit_identical, conditions, run_under, Condition};
 
 fn workload() -> Workload {
     TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 13))
@@ -58,7 +58,7 @@ fn catalog(w: &Workload) -> Vec<TwoPredPlan> {
 
 /// The measuring and the serving config of one condition.  Their
 /// isolated-query behaviour must match: same pool, same policy, same
-/// model, same per-query grant, same batch size, same sink.
+/// model, same per-query grant, same sink.
 fn cfgs(cond: &Condition) -> (MeasureConfig, ServeConfig) {
     (cond.measure(&MeasureConfig::default()), cond.serve(&ServeConfig::default()))
 }
@@ -85,8 +85,8 @@ fn sort_spec(w: &Workload, memory_bytes: usize) -> PlanSpec {
 }
 
 /// Satellite (c): a burst of one is bit-identical — seconds bits, I/O,
-/// per-operator stats — to an isolated static run, one row per batch and
-/// at the serving batch size, for every plan in the three-system catalog.
+/// per-operator stats — to an isolated static run, for every plan in the
+/// three-system catalog.
 #[test]
 fn concurrency_one_matches_static_executor_across_catalog() {
     let w = workload();
@@ -96,12 +96,10 @@ fn concurrency_one_matches_static_executor_across_catalog() {
             for (sa, sb) in [(0.05, 0.4), (0.7, 0.9)] {
                 let spec = plan.build(w.cal_a.threshold(sa), w.cal_b.threshold(sb));
                 let label = format!("[{}] {} @ ({sa}, {sb})", cond.name, plan.name);
-                let row = run_under(&w, &spec, &row_path(&mcfg), None);
-                let batch = run_under(&w, &spec, &mcfg, None);
+                let isolated = run_under(&w, &spec, &mcfg, None);
                 let report = serve_concurrent(&w.db, std::slice::from_ref(&spec), &scfg);
                 let served = &report.queries[0];
-                assert_bit_identical(&row, &served.stats, &format!("{label} vs row"));
-                assert_bit_identical(&batch, &served.stats, &format!("{label} vs batch"));
+                assert_bit_identical(&isolated, &served.stats, &label);
                 assert_eq!(served.grant, mcfg.memory_bytes, "{label}: grant");
             }
         }
@@ -356,6 +354,11 @@ fn trace_digest(events: &[robustmap::obs::trace::TraceEvent]) -> u64 {
 /// more when events began to carry ticks instead of float seconds and
 /// `OpEnd` lost its name: the digest's input format changed, the events
 /// did not (the old digests were first reproduced from the new events).
+/// The `admission_cliff` row alone was regenerated when sorts began to
+/// take their input in whole batches: every field of its report is as
+/// before but query 1's `first_baton` (0.18882 → 0.298205 ms), because
+/// query 0's first slice of 1024 charge events now holds its scan's page
+/// requests ahead of its pushes, and so ends later on the global clock.
 const SCHEDULE_GOLDEN: &[(&str, u64, u64)] = &[
     ("l1_q257_thrash", 0x99cb97ce5aacb5bc, 0x6c021b798b97d2f7),
     ("l1_q257_fit", 0x092672160c985371, 0x6c021b798b97d2f7),
@@ -369,7 +372,7 @@ const SCHEDULE_GOLDEN: &[(&str, u64, u64)] = &[
     ("l64_q257_fit", 0x8bd29b504f404048, 0x7a366674efea9a15),
     ("l64_q1024_thrash", 0xbffff4db58448dd9, 0xd73f0563010e8787),
     ("l64_q1024_fit", 0x5e141e12bd189f03, 0x4622c727e6da2335),
-    ("admission_cliff", 0x0dcf0034fe3bc688, 0xa509708116fecee8),
+    ("admission_cliff", 0xf921038cd7d9f785, 0x61de294e013868df),
 ];
 
 #[test]
@@ -419,13 +422,13 @@ fn schedule_is_pinned() {
 
     let golden: Vec<(String, u64, u64)> =
         SCHEDULE_GOLDEN.iter().map(|&(n, r, t)| (n.to_string(), r, t)).collect();
-    // Each case pins its own quantum; the matrix varies the batch size and
-    // whether the "plain" burst is traced at full detail.  None may move a
-    // digest.
-    for cond in conditions() {
+    // Each case pins its own quantum, so of the matrix only tracing
+    // applies: the "plain" burst untraced and traced at full detail.
+    // Neither may move a digest.
+    for cond in conditions().into_iter().filter(|c| c.quantum == ServeConfig::default().quantum) {
         let mut actual = Vec::new();
         for (name, burst, cfg) in &cases {
-            let cfg = ServeConfig { batch: cond.exec, trace: cond.trace.clone(), ..cfg.clone() };
+            let cfg = ServeConfig { trace: cond.trace.clone(), ..cfg.clone() };
             let plain = report_digest(&serve_concurrent(&w.db, burst, &cfg));
             let sink = Arc::new(TraceSink::memory(TraceDetail::Spans));
             let traced_cfg = ServeConfig { trace: Some(Arc::clone(&sink)), ..cfg };

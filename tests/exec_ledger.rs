@@ -3,31 +3,31 @@
 //! Each line of `tests/golden/exec_ledger.txt` pins one plan execution:
 //! output rows, clock ticks (picoseconds), charge events, every `IoStats`
 //! counter, the spill flag, and the per-operator breakdown.  Rows, `io`,
-//! `spilled` and the operator tree are the row-at-a-time executor's, line
-//! for line, from the last commit that had one; `ticks` replaced that
-//! executor's `f64` seconds when the clock became an integer (each within
-//! 1e-9 relative of the value it replaced, and equal to the closed form
-//! `Σ counter × cost`, asserted below).  The interpreter must reproduce
-//! every line one row per batch and under every condition of the
-//! independence matrix (`common::conditions`: the default batch, 513, and
-//! traced at full detail).  Those passes count the rows (`run_count`, as
-//! every map cell does: the root builds none); three more read them
-//! (`run_collect` at 1, 513 and 1024 rows a batch) and must print the same
-//! lines and return `rows` rows — reading the output never moves a charge.
-//! `events` is what the serving quantum
-//! counts: a kernel that groups its charge calls differently must still
-//! count the same events, or served slices would change length.
+//! `spilled` and the operator tree of all but the last section are the
+//! row-at-a-time executor's, line for line, from the last commit that had
+//! one; `ticks` replaced that executor's `f64` seconds when the clock
+//! became an integer (each within 1e-9 relative of the value it replaced,
+//! and equal to the closed form `Σ counter × cost`, asserted below).  The
+//! last section, the blocking edges over pools of 4 to 64 pages, was
+//! captured when sort and hash aggregation began to take their input in
+//! whole batches.  The interpreter must reproduce every line three ways:
+//! counting the rows (`run_count`, as every map cell does: the root builds
+//! none), reading them (`run_collect`, which must also return `rows` rows
+//! — reading the output never moves a charge), and counting them traced
+//! at full detail.  `events` is what the serving quantum counts: a kernel
+//! that groups its charge calls differently must still count the same
+//! events, or served slices would change length.
 //!
 //! A deliberate cost-model change regenerates the file: the failing run
 //! writes `target/exec_ledger.actual.txt`; review the diff and copy it
 //! over `tests/golden/exec_ledger.txt`.
 
 use robustmap::core::MeasureConfig;
-use robustmap::executor::{
-    run_collect, run_count, AggFn, ExecConfig, ExecCtx, ExecStats, PlanSpec, RunOpts, SpillMode,
-};
+use robustmap::executor::{run_collect, run_count, AggFn, ExecCtx, ExecStats, PlanSpec, SpillMode};
 use robustmap::storage::Session;
-use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
+use robustmap::systems::{
+    single_predicate_plans, two_predicate_plans, SinglePredPlanSet, SystemId, TwoPredPlan,
+};
 use robustmap::workload::{ChurnConfig, ChurnDriver, TableBuilder, Workload, WorkloadConfig};
 
 mod common;
@@ -48,10 +48,9 @@ enum Path {
 fn exec(w: &Workload, spec: &PlanSpec, cfg: &MeasureConfig, path: Path) -> (ExecStats, u64) {
     let s = cfg.session();
     let ctx = ExecCtx::new(&w.db, &s, cfg.memory_bytes);
-    let opts = RunOpts { batch: cfg.exec, controller: None };
     let stats = match path {
-        Path::Count => run_count(spec, &ctx, opts),
-        Path::Read => run_collect(spec, &ctx, opts).map(|(stats, rows)| {
+        Path::Count => run_count(spec, &ctx, None),
+        Path::Read => run_collect(spec, &ctx, None).map(|(stats, rows)| {
             assert_eq!(rows.len() as u64, stats.rows_out, "{}: rows read", spec.synopsis());
             stats
         }),
@@ -98,8 +97,8 @@ fn catalog_grid(w: &Workload, tag: &str) -> Vec<(String, PlanSpec)> {
 }
 
 /// Sort, HashAgg and Sort-over-HashAgg above every child shape, in both
-/// spill modes with a spilling and an in-memory grant: the row-lockstep
-/// input edges, where the child's charges interleave with the parent's.
+/// spill modes with a spilling and an in-memory grant: the blocking input
+/// edges, where the child's charges interleave with the parent's.
 fn blocking_over(children: &[(String, PlanSpec)]) -> Vec<(String, PlanSpec)> {
     let mut out = Vec::new();
     for (label, child) in children {
@@ -163,14 +162,54 @@ fn ledger_line(label: &str, s: &ExecStats, events: u64) -> String {
     )
 }
 
-/// Every ledger case, in file order, as `(workload, label, plan)`.
+/// The blocking edges over pools of a few pages, the one place their
+/// batching shows: a sort's or aggregation's spill writes share one LRU
+/// with its child's page requests, so which of the child's re-visits hit
+/// depends on where, among those requests, each batch is pushed.  Sort
+/// and HashAgg over the single-predicate plans (the traditional fetch's
+/// re-visits among them) at six selectivities, pools of 4, 16 and 64
+/// pages, and a 4 KiB and a 64 KiB grant: 432 plans, as `(pool pages,
+/// label, plan)`.
+fn small_pool_blocking(w: &Workload) -> Vec<(usize, String, PlanSpec)> {
+    let plans = single_predicate_plans(SinglePredPlanSet::WithIndexJoins, w);
+    assert_eq!(plans.len(), 6, "single-predicate catalog changed; regenerate the ledger");
+    let mut out = Vec::new();
+    for plan in &plans {
+        for sel in [0.01, 0.05, 0.15, 0.3, 0.6, 0.9] {
+            let child = Box::new(plan.build(w.cal_a.threshold(sel)));
+            for pool_pages in [4usize, 16, 64] {
+                for memory_bytes in [4usize << 10, 64 << 10] {
+                    let mode = SpillMode::Graceful;
+                    let input = child.clone();
+                    let sort = PlanSpec::Sort { input, key_cols: vec![1], mode, memory_bytes };
+                    let agg = PlanSpec::HashAgg {
+                        input: child.clone(),
+                        group_cols: vec![1],
+                        aggs: vec![AggFn::CountStar, AggFn::Min(0)],
+                        mode,
+                        memory_bytes,
+                    };
+                    for (op, spec) in [("sort", sort), ("hashagg", agg)] {
+                        let over = format!("over {} @ {sel}", plan.name);
+                        let label = format!("pool {pool_pages} {op} mem={memory_bytes} {over}");
+                        out.push((pool_pages, label, spec));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Every ledger case, in file order, as `(workload, pool pages, label,
+/// plan)`.
 fn cases<'w>(
     pristine: &'w Workload,
     churned: &'w Workload,
-) -> Vec<(&'w Workload, String, PlanSpec)> {
+) -> Vec<(&'w Workload, usize, String, PlanSpec)> {
     let grid = catalog_grid(pristine, "catalog");
     let composite = common::composite_specs(pristine);
-    // Child shapes for the lockstep edges: the catalog along the grid's
+    // Child shapes for the blocking edges: the catalog along the grid's
     // anti-diagonal and centre, plus every composite.
     let mut children: Vec<(String, PlanSpec)> = Vec::new();
     for plan in catalog(pristine) {
@@ -184,38 +223,39 @@ fn cases<'w>(
     children.extend(composite.iter().cloned());
     let blocking = blocking_over(&children);
 
+    let pool_pages = MeasureConfig::default().pool_pages;
     let mut all = Vec::new();
     let mut add = |w: &'w Workload, cases: Vec<(String, PlanSpec)>| {
-        all.extend(cases.into_iter().map(|(label, spec)| (w, label, spec)));
+        all.extend(cases.into_iter().map(|(label, spec)| (w, pool_pages, label, spec)));
     };
     add(pristine, grid);
     add(pristine, composite);
     add(churned, catalog_grid(churned, "churned"));
     add(pristine, blocking);
+    let small = small_pool_blocking(pristine).into_iter();
+    all.extend(small.map(|(pool_pages, label, spec)| (pristine, pool_pages, label, spec)));
     all
 }
 
 #[test]
-fn run_reproduces_the_golden_ledger_at_every_batch_size() {
+fn run_reproduces_the_golden_ledger_counted_read_and_traced() {
     let pristine = workload();
     let churned = churned_workload();
     let base = MeasureConfig::default();
     let cases = cases(&pristine, &churned);
-    let row_path = common::row_path(&base);
-    let mut passes = vec![("one row per batch".to_string(), row_path.clone(), Path::Count)];
-    for (how, cfg) in common::variants(&base, &[]) {
-        passes.push((how, cfg, Path::Count));
-    }
-    for batch_rows in [1, 513, 1024] {
-        let exec = ExecConfig::with_batch_rows(batch_rows);
-        let cfg = MeasureConfig { exec, ..row_path.clone() };
-        passes.push((format!("read, batch {batch_rows}"), cfg, Path::Read));
-    }
+    let traced = common::conditions().into_iter().find(|c| c.trace.is_some());
+    let traced = traced.expect("the matrix traces");
+    let passes = [
+        ("counted", base.clone(), Path::Count),
+        ("read", base.clone(), Path::Read),
+        ("counted, traced", traced.measure(&base), Path::Count),
+    ];
     for (how, cfg, path) in &passes {
         let actual: String = cases
             .iter()
-            .map(|(w, label, spec)| {
-                let (stats, events) = exec(w, spec, cfg, *path);
+            .map(|(w, pool_pages, label, spec)| {
+                let cfg = MeasureConfig { pool_pages: *pool_pages, ..cfg.clone() };
+                let (stats, events) = exec(w, spec, &cfg, *path);
                 // The clock's closed form: a serial plan's ticks are its
                 // counters priced by the model, whatever order and
                 // grouping its operators charged them in.

@@ -4,7 +4,7 @@
 
 use robustmap::core::{measure_plan, MeasureConfig};
 use robustmap::executor::{
-    run_collect, ColRange, ExecCtx, JoinAlgo, PlanSpec, Predicate, Projection, RunOpts,
+    run_collect, ColRange, ExecCtx, JoinAlgo, PlanSpec, Predicate, Projection,
 };
 use robustmap::storage::Session;
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig, COL_A, COL_B, COL_C};
@@ -64,7 +64,7 @@ fn all_join_algorithms_agree_with_reference() {
                 let s = Session::with_pool_pages(256);
                 let ctx = ExecCtx::new(&w.db, &s, memory);
                 let plan = join_plan(&w, ta, tb, algo, memory);
-                let (_, rows) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
+                let (_, rows) = run_collect(&plan, &ctx, None).unwrap();
                 let mut got: Vec<Vec<i64>> =
                     rows.iter().map(|r| r.values().to_vec()).collect();
                 got.sort();
@@ -116,7 +116,7 @@ fn hash_join_with_a_grant_of_bytes_costs_what_its_rows_cost() {
         let started = std::time::Instant::now();
         let s = Session::with_pool_pages(256);
         let ctx = ExecCtx::new(&w.db, &s, memory);
-        let (_, rows) = run_collect(&plan, &ctx, RunOpts::default()).unwrap();
+        let (_, rows) = run_collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len() as u64, n, "{memory} B");
         (s.stats(), started.elapsed())
     };
@@ -172,7 +172,7 @@ fn parallel_scan_plan_matches_serial_scan() {
     };
     let s = Session::with_pool_pages(256);
     let ctx = ExecCtx::new(&w.db, &s, 1 << 20);
-    let (_, want) = run_collect(&serial, &ctx, RunOpts::default()).unwrap();
+    let (_, want) = run_collect(&serial, &ctx, None).unwrap();
     let mut want: Vec<i64> = want.iter().map(|r| r.get(0)).collect();
     want.sort_unstable();
     for (dop, skew) in [(1u32, 0u32), (4, 0), (8, 500), (16, 1000)] {
@@ -185,7 +185,7 @@ fn parallel_scan_plan_matches_serial_scan() {
         };
         let s2 = Session::with_pool_pages(256);
         let ctx2 = ExecCtx::new(&w.db, &s2, 1 << 20);
-        let (_, rows) = run_collect(&plan, &ctx2, RunOpts::default()).unwrap();
+        let (_, rows) = run_collect(&plan, &ctx2, None).unwrap();
         let mut got: Vec<i64> = rows.iter().map(|r| r.get(0)).collect();
         got.sort_unstable();
         assert_eq!(got, want, "dop {dop} skew {skew}");

@@ -2,7 +2,7 @@
 //! query result — the robustness maps compare *costs* of equivalent plans,
 //! so equivalence is the bedrock invariant.
 
-use robustmap::executor::{run_collect, run_count, ExecCtx, RunOpts};
+use robustmap::executor::{run_collect, run_count, ExecCtx};
 use robustmap::storage::Session;
 use robustmap::systems::{
     single_predicate_plans, two_predicate_plans, SinglePredPlanSet, SystemId,
@@ -31,7 +31,7 @@ fn fifteen_two_predicate_plans_agree_across_the_grid() {
                 for plan in two_predicate_plans(sys, &w) {
                     let s = Session::with_pool_pages(512);
                     let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-                    let stats = run_count(&plan.build(ta, tb), &ctx, RunOpts::default()).unwrap();
+                    let stats = run_count(&plan.build(ta, tb), &ctx, None).unwrap();
                     match expected {
                         None => expected = Some(stats.rows_out),
                         Some(e) => {
@@ -53,7 +53,7 @@ fn single_predicate_plans_return_identical_row_sets() {
         for plan in single_predicate_plans(SinglePredPlanSet::WithIndexJoins, &w) {
             let s = Session::with_pool_pages(512);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-            let (_, rows) = run_collect(&plan.build(ta), &ctx, RunOpts::default()).unwrap();
+            let (_, rows) = run_collect(&plan.build(ta), &ctx, None).unwrap();
             let mut rows: Vec<Vec<i64>> = rows.iter().map(|r| r.values().to_vec()).collect();
             rows.sort();
             match &reference {
@@ -88,7 +88,7 @@ fn results_are_insensitive_to_buffer_pool_and_memory() {
             for (pool, memory) in [(0usize, 4096usize), (64, 1 << 14), (4096, 1 << 24)] {
                 let s = Session::with_pool_pages(pool);
                 let ctx = ExecCtx::new(&w.db, &s, memory);
-                counts.push(run_count(&plan.build(ta, tb), &ctx, RunOpts::default()).unwrap().rows_out);
+                counts.push(run_count(&plan.build(ta, tb), &ctx, None).unwrap().rows_out);
             }
             assert!(
                 counts.windows(2).all(|w| w[0] == w[1]),
@@ -107,11 +107,11 @@ fn empty_and_full_selectivity_edges() {
             let s = Session::with_pool_pages(256);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
             // Empty: a-threshold below every value.
-            let stats = run_count(&plan.build(i64::MIN, i64::MAX), &ctx, RunOpts::default()).unwrap();
+            let stats = run_count(&plan.build(i64::MIN, i64::MAX), &ctx, None).unwrap();
             assert_eq!(stats.rows_out, 0, "{} not empty", plan.name);
             // Full: both thresholds above every value.
             let ctx2 = ExecCtx::new(&w.db, &s, 1 << 22);
-            let stats = run_count(&plan.build(i64::MAX, i64::MAX), &ctx2, RunOpts::default()).unwrap();
+            let stats = run_count(&plan.build(i64::MAX, i64::MAX), &ctx2, None).unwrap();
             assert_eq!(stats.rows_out, w.rows(), "{} not full", plan.name);
         }
     }
@@ -137,7 +137,7 @@ fn mdam_agrees_with_the_scans_when_prefixes_repeat() {
         let pairs = |plan: &robustmap::systems::TwoPredPlan, ta, tb, swapped: bool| {
             let s = Session::with_pool_pages(0);
             let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
-            let (stats, rows) = run_collect(&plan.build(ta, tb), &ctx, RunOpts::default()).unwrap();
+            let (stats, rows) = run_collect(&plan.build(ta, tb), &ctx, None).unwrap();
             let mut pairs: Vec<(i64, i64)> =
                 rows.iter().map(|r| if swapped { (r.get(1), r.get(0)) } else { (r.get(0), r.get(1)) }).collect();
             pairs.sort_unstable();

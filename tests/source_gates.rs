@@ -4,8 +4,9 @@
 //! root, `*` standing for every directory at that level; `target`
 //! directories are never read), the lines of each file it reads, and a line
 //! pattern matched by substring or by identifier.  A rule forbids every
-//! match, or wants exactly as many as it says.  Each failure names the
-//! rule, the file and the line.
+//! match, or wants exactly as many as it says.  One more rule reads across
+//! files: every test or function name `docs/DESIGN.md` cites is an `fn`
+//! of the workspace.  Each failure names the rule, the file and the line.
 
 use std::path::Path;
 
@@ -204,6 +205,25 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        gate: "one-batch-size",
+        scope: &[
+            "crates/*/src",
+            "crates/*/tests",
+            "crates/bench/benches",
+            "src",
+            "tests",
+            "examples",
+        ],
+        skip: &["tests/source_gates.rs"],
+        hit: |l| {
+            let knobs = ["batch_rows", "ExecConfig", "with_batch_rows", "feed_lockstep", "RunOpts"];
+            idents(l).any(|t| knobs.contains(&t))
+        },
+        why: "a batch size is a choice again — batch::BATCH_ROWS sets every batch, blocking \
+              operators take whole batches, and run takes its controller directly",
+        ..RULE
+    },
+    Rule {
         gate: "counted-runs",
         scope: &["crates/core/src", "crates/bench/src", "crates/systems/src"],
         hit: |l| l.contains("exec::run(") || idents(l).any(|t| t == "run_collect"),
@@ -217,7 +237,7 @@ const RULES: &[Rule] = &[
         skip: &["crates/obs/src/log.rs", "crates/workload/src/cache.rs", "crates/bench/src/bin"],
         hit: |l| l.contains("std::env::"),
         why: "the environment is read outside obs::log, workload::cache and a binary's argv \
-              — batch size, quantum and trace sink are fields of MeasureConfig / ServeConfig",
+              — quantum and trace sink are fields of MeasureConfig / ServeConfig",
         ..RULE
     },
     Rule {
@@ -314,6 +334,59 @@ fn select(text: &str, lines: Lines) -> Vec<(usize, &str)> {
     kept
 }
 
+/// The names of the functions `line` defines.
+fn defined_fns(line: &str) -> impl Iterator<Item = &str> {
+    line.match_indices("fn ").filter_map(|(at, _)| {
+        let starts_word = !line[..at].ends_with(is_word);
+        let rest = &line[at + 3..];
+        let name = &rest[..rest.find(|c| !is_word(c)).unwrap_or(rest.len())];
+        (starts_word && !name.is_empty()).then_some(name)
+    })
+}
+
+/// The function a backticked span of `docs/DESIGN.md` cites, if it cites
+/// one: a path (`a::b::name`, a call's arguments dropped) whose last
+/// segment is snake case with three or more underscores — a test's name or
+/// a long function's.  Metric names (`layer.name`) and benchmark rows
+/// (`group/name`) are no paths.
+fn cited_fn(span: &str) -> Option<&str> {
+    let path = span.trim();
+    let path = path.strip_suffix(')').and_then(|p| p.split_once('(')).map_or(path, |(p, _)| p);
+    let segments: Vec<&str> = path.split("::").collect();
+    let name = *segments.last()?;
+    let is_path = segments.iter().all(|seg| !seg.is_empty() && seg.chars().all(is_word));
+    let snake = name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+    (is_path && snake && name.matches('_').count() >= 3).then_some(name)
+}
+
+/// The `design-cites-real-fns` failures: each name `docs/DESIGN.md` cites
+/// that no `.rs` file of the workspace defines as an `fn`, by line.
+fn design_citations_missing(root: &Path) -> Vec<String> {
+    let mut files = Vec::new();
+    for scope in ["crates", "src", "tests", "examples", "vendor"] {
+        walk(root, scope, &[], &mut files);
+    }
+    let mut defined = std::collections::HashSet::new();
+    for file in files.iter().filter(|f| f.ends_with(".rs")) {
+        let text = std::fs::read_to_string(root.join(file)).expect("readable source");
+        defined.extend(text.lines().flat_map(defined_fns).map(str::to_string));
+    }
+    let design = std::fs::read_to_string(root.join("docs/DESIGN.md")).expect("docs/DESIGN.md");
+    let mut missing = Vec::new();
+    let mut line = 1;
+    // Spans may wrap lines; the odd pieces between backticks are spans.
+    for (i, piece) in design.split('`').enumerate() {
+        if let Some(name) = cited_fn(piece).filter(|name| i % 2 == 1 && !defined.contains(*name)) {
+            missing.push(format!(
+                "[design-cites-real-fns] docs/DESIGN.md:{line}: `{name}` is no fn of the workspace \
+                 — a renamed or deleted test is cited by its old name"
+            ));
+        }
+        line += piece.matches('\n').count();
+    }
+    missing
+}
+
 #[test]
 fn the_source_keeps_every_rule() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -347,5 +420,6 @@ fn the_source_keeps_every_rule() {
             ));
         }
     }
+    failures.extend(design_citations_missing(root));
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

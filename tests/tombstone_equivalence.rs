@@ -1,21 +1,18 @@
-//! Differential batch-size invariance over a *churned* heap.
+//! Differential equivalence over a *churned* heap.
 //!
-//! `tests/batch_equivalence.rs` pins every batch size to one row per
-//! batch on the pristine builder output, where every slot of every heap
-//! page is live.  The churn engine breaks that tidy shape: deletes leave
-//! tombstoned slots that a scan must skip (the pages are never
-//! compacted), updates tombstone one slot and append another, and
-//! inserts grow the heap past the bulk-loaded prefix with partially
-//! filled tail pages.  Each of those is a batch-boundary hazard — a
-//! columnar chunk that straddles a run of tombstones must produce the
-//! same rows *and the same charges* as the row-at-a-time loop.
+//! `tests/batch_equivalence.rs` runs on the pristine builder output, where
+//! every slot of every heap page is live.  The churn engine breaks that
+//! tidy shape: deletes leave tombstoned slots that a scan must skip (the
+//! pages are never compacted), updates tombstone one slot and append
+//! another, and inserts grow the heap past the bulk-loaded prefix with
+//! partially filled tail pages.  Each of those is a batch-boundary hazard
+//! — a columnar chunk that straddles a run of tombstones must produce
+//! exactly the rows a brute-force filter over the heap gives.
 //!
 //! "Equal" is the same contract as the base suite: identical clock
 //! ticks, identical `IoStats`, row counts, spill flags, and per-operator
-//! breakdowns —
-//! plus, for the collect path, identical result rows in identical
-//! order.  The independence matrix's 513 pushes the chunk boundaries onto
-//! different tombstone runs than the default does.
+//! breakdowns counted, read and traced — plus, for the collect path, the
+//! brute-force rows in the brute-force order.
 //!
 //! The rid set reads the same heap from the other side: a churned page's
 //! slot directory has dead slots in it and the tail pages have few slots
@@ -33,7 +30,9 @@ use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap::workload::{ChurnConfig, ChurnDriver, TableBuilder, Workload, WorkloadConfig};
 
 mod common;
-use common::{assert_bit_identical, collect_under, conditions, row_path, run_under, variants};
+use common::{
+    assert_bit_identical, brute_force, collect_under, conditions, run_under, variants,
+};
 
 /// Build a workload and churn 30% of it so the heap carries tombstones,
 /// update-moved rows, and appended tail pages.
@@ -54,8 +53,8 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
 }
 
 /// Every plan in the three-system catalog over a selectivity grid, on the
-/// tombstoned heap, count path: same bits, one row per batch vs every
-/// condition of the independence matrix.
+/// tombstoned heap: same bits counted untraced and counted or read under
+/// every condition of the independence matrix.
 #[test]
 fn catalog_is_bit_identical_on_tombstoned_heap() {
     let (w, deleted) = churned_workload();
@@ -69,19 +68,21 @@ fn catalog_is_bit_identical_on_tombstoned_heap() {
         for &sa in &sels {
             for &sb in &sels {
                 let spec = plan.build(w.cal_a.threshold(sa), w.cal_b.threshold(sb));
-                let row = run_under(&w, &spec, &row_path(&base), None);
-                for (how, cfg) in variants(&base, &[]) {
+                let counted = run_under(&w, &spec, &base, None);
+                for (how, cfg) in variants(&base) {
                     let label = format!("churned {} @ ({sa}, {sb}) [{how}]", plan.name);
-                    assert_bit_identical(&row, &run_under(&w, &spec, &cfg, None), &label);
+                    assert_bit_identical(&counted, &run_under(&w, &spec, &cfg, None), &label);
+                    let (read, _) = collect_under(&w, &spec, &cfg, None);
+                    assert_bit_identical(&counted, &read, &format!("{label} read"));
                 }
             }
         }
     }
 }
 
-/// The collect path must return identical rows in identical order:
-/// tombstone-skipping may not reorder or duplicate survivors, whatever
-/// the chunk size.
+/// The collect path returns the brute-force rows in the brute-force
+/// order: tombstone-skipping may not reorder, drop or duplicate
+/// survivors, under any condition.
 #[test]
 fn collected_rows_are_identical_on_tombstoned_heap() {
     let (w, _) = churned_workload();
@@ -91,12 +92,12 @@ fn collected_rows_are_identical_on_tombstoned_heap() {
     let (ta, tb) = (w.cal_a.threshold(0.25), w.cal_b.threshold(0.55));
     for plan in &plans {
         let spec = plan.build(ta, tb);
-        let (row_stats, row_rows) = collect_under(&w, &spec, &row_path(&base), None);
-        for (how, cfg) in variants(&base, &[7, 1 << 20]) {
-            let (batch_stats, batch_rows) = collect_under(&w, &spec, &cfg, None);
+        let want = brute_force(&w, &spec);
+        for (how, cfg) in variants(&base) {
+            let (stats, rows) = collect_under(&w, &spec, &cfg, None);
             let label = format!("churned collect {} [{how}]", plan.name);
-            assert_bit_identical(&row_stats, &batch_stats, &label);
-            assert_eq!(row_rows, batch_rows, "{label}: collected rows");
+            assert_eq!(stats.rows_out as usize, want.len(), "{label}: rows_out");
+            assert!(rows == want, "{label}: collected rows differ from brute force");
         }
     }
 }
@@ -104,8 +105,8 @@ fn collected_rows_are_identical_on_tombstoned_heap() {
 /// Over the churned table, the fetches that order their rids (improved,
 /// bitmap) and both intersections (merge, hash on either side) return the
 /// rows the traditional fetch returns, and each reads the same — ticks,
-/// counters, operators — one row per batch and under every condition of
-/// the independence matrix.  Selectivities run from a list the set refuses
+/// counters, operators — under every condition of the independence
+/// matrix.  Selectivities run from a list the set refuses
 /// to the whole table.
 #[test]
 fn ordered_fetches_and_intersections_agree_with_traditional_fetch_on_tombstoned_heap() {
@@ -158,12 +159,12 @@ fn ordered_fetches_and_intersections_agree_with_traditional_fetch_on_tombstoned_
         }
         for (plan, reference) in &plans {
             let label = format!("churned {} @ sel_a {sa}", plan.synopsis());
-            let (_, want) = collect_under(&w, reference, &row_path(&base), None);
-            let (row_stats, rows) = collect_under(&w, plan, &row_path(&base), None);
+            let (_, want) = collect_under(&w, reference, &base, None);
+            let (read, rows) = collect_under(&w, plan, &base, None);
             assert_eq!(sorted(rows), sorted(want), "{label}: rows vs the traditional fetch");
-            for (how, cfg) in variants(&base, &[]) {
+            for (how, cfg) in variants(&base) {
                 let got = run_under(&w, plan, &cfg, None);
-                assert_bit_identical(&row_stats, &got, &format!("{label} [{how}]"));
+                assert_bit_identical(&read, &got, &format!("{label} [{how}]"));
             }
         }
     }
@@ -174,8 +175,8 @@ fn ordered_fetches_and_intersections_agree_with_traditional_fetch_on_tombstoned_
 /// longer distinct, so probe windows cross leaf edges and fail.  Each
 /// returns the rows its covering scan with a residual returns, as many as
 /// the table scan, and reads the same — ticks, counters, operators —
-/// whatever the condition: batch size, tracing, the serving quantum
-/// (served alone under it) and the sweep's thread count.
+/// whatever the condition: tracing, the serving quantum (served alone
+/// under it) and the sweep's thread count.
 #[test]
 fn mdam_agrees_with_the_scans_on_tombstoned_table_under_every_condition() {
     let (w, deleted) = churned_workload();
@@ -193,10 +194,10 @@ fn mdam_agrees_with_the_scans_on_tombstoned_table_under_every_condition() {
             let (ta, tb) = (w.cal_a.threshold(sa), w.cal_b.threshold(sb));
             let spec = mdam.build(ta, tb);
             let label = format!("churned {} @ ({sa}, {sb})", mdam.name);
-            let (row, rows) = collect_under(&w, &spec, &row_path(&base), None);
-            let (_, want) = collect_under(&w, &covering.build(ta, tb), &row_path(&base), None);
+            let (row, rows) = collect_under(&w, &spec, &base, None);
+            let (_, want) = collect_under(&w, &covering.build(ta, tb), &base, None);
             assert_eq!(sorted(rows), sorted(want), "{label}: rows vs {}", covering.name);
-            let scanned = run_under(&w, &table_scan.build(ta, tb), &row_path(&base), None);
+            let scanned = run_under(&w, &table_scan.build(ta, tb), &base, None);
             assert_eq!(row.rows_out, scanned.rows_out, "{label}: rows vs the table scan");
             for cond in conditions() {
                 let label = format!("{label} [{}]", cond.name);

@@ -4,8 +4,8 @@
 //! identical cell-for-cell to fresh-session measurements — cold-buffer
 //! semantics are preserved by `Session::reset`, not weakened by reuse.
 //! `docs/DESIGN.md` records the equivalence argument; this test pins it,
-//! under every condition of the independence matrix: the arena's batch
-//! size and trace sink come from its `MeasureConfig` and nowhere else.
+//! under every condition of the independence matrix: the arena's trace
+//! sink comes from its `MeasureConfig` and nowhere else.
 
 use robustmap::core::{
     build_map2d, measure_batch, measure_plan, Grid2D, MeasureConfig, Measurement,
@@ -54,8 +54,8 @@ fn warm_batch_equals_cold_measurements_cell_for_cell() {
         for (i, spec) in specs.iter().enumerate() {
             assert_eq!(warm[i], cold[i], "[{}] cell #{i}: warm vs plain cold", cond.name);
             // And against a cold run under the same condition: an arena
-            // that dropped its config's batch size or sink would still
-            // match the plain reference.
+            // that dropped its config's sink would still match the plain
+            // reference.
             let same = cold_measure(&w, spec, &cfg);
             assert_eq!(warm[i], same, "[{}] cell #{i}: warm vs cold", cond.name);
         }
