@@ -33,7 +33,6 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use robustmap_core::{build_map2d, serve_concurrent, Grid2D, MeasureConfig, ServeConfig};
-use robustmap_executor::batch::radix_sort_by_u64_key;
 use robustmap_executor::ops::sort::PackedRows;
 use robustmap_executor::{
     run, run_collect, run_count, AggFn, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig,
@@ -41,6 +40,7 @@ use robustmap_executor::{
 };
 use robustmap_storage::btree::{BTree, Key};
 use robustmap_storage::heap::Rid;
+use robustmap_storage::radix::radix_sort_by_u64_key;
 use robustmap_storage::{
     AccessKind, CostModel, EvictionPolicy, FileId, PageId, RidSet, Session, SharedBufferPool,
 };
@@ -53,9 +53,9 @@ fn bench_btree(c: &mut Criterion) {
     let entries: Vec<(Key, Rid)> =
         (0..100_000i64).map(|i| (Key::single(i), Rid::new((i / 200) as u32, (i % 200) as u32))).collect();
     group.bench_function("bulk_load_100k", |b| {
-        b.iter(|| BTree::bulk_load(FileId(0), 1, &entries, 0.9))
+        b.iter(|| BTree::bulk_load(FileId(0), 1, entries.iter().copied(), 0.9))
     });
-    let tree = BTree::bulk_load(FileId(0), 1, &entries, 0.9);
+    let tree = BTree::bulk_load(FileId(0), 1, entries.iter().copied(), 0.9);
     let session = Session::with_pool_pages(1 << 16);
     group.bench_function("point_lookup", |b| {
         let mut k = 0i64;

@@ -94,8 +94,11 @@ impl Default for MeasureConfig {
 
 impl MeasureConfig {
     fn effective_threads(&self, work_items: usize) -> usize {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        let t = if self.threads == 0 { hw } else { self.threads };
+        // Asking the OS reads cgroup files: only when the count is not given.
+        let t = match self.threads {
+            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            t => t,
+        };
         t.clamp(1, work_items.max(1))
     }
 

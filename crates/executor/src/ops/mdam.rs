@@ -301,7 +301,8 @@ mod tests {
         let rid = |i: i64| Rid::new((i / 100) as u32, (i % 100) as u32);
         let mut entries: Vec<Entry> = (0..ENTRIES).map(|i| (key(rng, i), rid(i))).collect();
         entries.sort_unstable();
-        let mut tree = BTree::bulk_load_with_caps(FileId(3), arity, &entries, 1.0, leaf_cap, 4);
+        let mut tree =
+            BTree::bulk_load_with_caps(FileId(3), arity, entries.iter().copied(), 1.0, leaf_cap, 4);
         if churn {
             // Delete about half, insert a few: leaves end up half empty.
             let quiet = Session::with_pool_pages(0);

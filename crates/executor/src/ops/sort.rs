@@ -53,9 +53,10 @@
 //!   minimum of the same multiset as the classic all-heap window, so run
 //!   formation is the classic algorithm's.
 
+use robustmap_storage::radix::radix_sort_by_u64_key;
 use robustmap_storage::{AccessKind, PageId, PAGE_SIZE};
 
-use crate::batch::{radix_sort_by_u64_key, RowBatch};
+use crate::batch::RowBatch;
 use crate::exec::ExecCtx;
 use crate::ops::RowSink;
 use crate::plan::SpillMode;

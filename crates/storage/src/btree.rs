@@ -183,15 +183,23 @@ impl BTree {
         tree
     }
 
-    /// Bulk-load a tree from entries that must be sorted by `(key, rid)`.
+    /// Bulk-load a tree from entries that must come sorted by `(key, rid)`.
     ///
     /// Leaves are packed to `fill` (e.g. 0.9) and allocated consecutively,
     /// so a full leaf scan reads sequential page ids — matching a freshly
-    /// built index on disk.
+    /// built index on disk.  Each leaf is collected straight from the
+    /// iterator: no list of all entries is needed beside the tree.
     ///
     /// # Panics
-    /// Panics if entries are not sorted or `fill` is not in `(0, 1]`.
-    pub fn bulk_load(file: FileId, key_arity: usize, entries: &[Entry], fill: f64) -> Self {
+    /// Panics if `fill` is not in `(0, 1]`, or if the iterator yields fewer
+    /// entries than its length; with debug assertions, if entries are not
+    /// sorted.
+    pub fn bulk_load(
+        file: FileId,
+        key_arity: usize,
+        entries: impl ExactSizeIterator<Item = Entry>,
+        fill: f64,
+    ) -> Self {
         Self::bulk_load_with_caps(file, key_arity, entries, fill, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP)
     }
 
@@ -199,17 +207,17 @@ impl BTree {
     pub fn bulk_load_with_caps(
         file: FileId,
         key_arity: usize,
-        entries: &[Entry],
+        mut entries: impl ExactSizeIterator<Item = Entry>,
         fill: f64,
         leaf_cap: usize,
         internal_cap: usize,
     ) -> Self {
         assert!(fill > 0.0 && fill <= 1.0, "fill factor out of range");
         let mut tree = BTree::with_caps(file, key_arity, leaf_cap, internal_cap);
-        if entries.is_empty() {
+        let len = entries.len();
+        if len == 0 {
             return tree;
         }
-        debug_assert!(entries.windows(2).all(|w| w[0] < w[1]), "bulk_load input not sorted");
         tree.nodes.clear();
         tree.free_head = NO_NODE;
 
@@ -218,15 +226,20 @@ impl BTree {
         // balanced so that no leaf (except a lone root) falls below minimum
         // occupancy — a naive "fill then spill" would leave a tiny last leaf.
         let mut level: Vec<(Entry, NodeId)> = Vec::new();
-        let sizes = balanced_group_sizes(entries.len(), per_leaf, leaf_cap / 2);
-        let mut offset = 0;
+        let sizes = balanced_group_sizes(len, per_leaf, leaf_cap / 2);
+        let mut last: Option<Entry> = None;
         for (i, &size) in sizes.iter().enumerate() {
-            let chunk = &entries[offset..offset + size];
-            offset += size;
+            let chunk: Vec<Entry> = entries.by_ref().take(size).collect();
+            assert_eq!(chunk.len(), size, "bulk_load input shorter than its length");
+            debug_assert!(
+                last.is_none_or(|l| l < chunk[0]) && chunk.windows(2).all(|w| w[0] < w[1]),
+                "bulk_load input not sorted"
+            );
+            last = chunk.last().copied();
             let id = tree.nodes.len() as NodeId;
             let next = if i + 1 < sizes.len() { id + 1 } else { NO_NODE };
-            tree.nodes.push(Node::Leaf { entries: chunk.to_vec(), next });
             level.push((chunk[0], id));
+            tree.nodes.push(Node::Leaf { entries: chunk, next });
         }
         tree.height = 1;
         // Build internal levels bottom-up.
@@ -251,7 +264,7 @@ impl BTree {
             tree.height += 1;
         }
         tree.root = level[0].1;
-        tree.len = entries.len() as u64;
+        tree.len = len as u64;
         tree
     }
 
@@ -1070,7 +1083,7 @@ mod tests {
         let s = quiet();
         let entries: Vec<Entry> =
             (0..1000i64).map(|i| (Key::single(i * 2), rid(i as u32))).collect();
-        let t = BTree::bulk_load(FileId(0), 1, &entries, 0.9);
+        let t = BTree::bulk_load(FileId(0), 1, entries.iter().copied(), 0.9);
         t.check_invariants().unwrap();
         assert_eq!(t.len(), 1000);
         assert_eq!(t.collect_all(), entries);
@@ -1080,11 +1093,11 @@ mod tests {
 
     #[test]
     fn bulk_load_empty_and_tiny() {
-        let t = BTree::bulk_load(FileId(0), 1, &[], 0.9);
+        let t = BTree::bulk_load(FileId(0), 1, std::iter::empty(), 0.9);
         assert!(t.is_empty());
         t.check_invariants().unwrap();
         let one = vec![(Key::single(42), rid(0))];
-        let t = BTree::bulk_load(FileId(0), 1, &one, 0.9);
+        let t = BTree::bulk_load(FileId(0), 1, one.iter().copied(), 0.9);
         assert_eq!(t.collect_all(), one);
         t.check_invariants().unwrap();
     }
@@ -1092,7 +1105,7 @@ mod tests {
     #[test]
     fn range_scan_inclusive_bounds() {
         let entries: Vec<Entry> = (0..100i64).map(|i| (Key::single(i), rid(i as u32))).collect();
-        let t = BTree::bulk_load_with_caps(FileId(0), 1, &entries, 0.8, 8, 8);
+        let t = BTree::bulk_load_with_caps(FileId(0), 1, entries.iter().copied(), 0.8, 8, 8);
         let s = quiet();
         let mut got = Vec::new();
         let n = t.scan_range(&Key::single(10), &Key::single(20), &s, AccessKind::Sequential, |e| {
@@ -1122,7 +1135,7 @@ mod tests {
                 entries.push((Key::pair(a, b), rid((a * 10 + b) as u32)));
             }
         }
-        let t = BTree::bulk_load_with_caps(FileId(0), 2, &entries, 0.9, 8, 8);
+        let t = BTree::bulk_load_with_caps(FileId(0), 2, entries.iter().copied(), 0.9, 8, 8);
         let s = quiet();
         let lo = Key::padded_lo(&[4], 2);
         let hi = Key::padded_hi(&[4], 2);
@@ -1135,7 +1148,7 @@ mod tests {
     fn descent_charges_height_pages_with_cold_pool() {
         let entries: Vec<Entry> =
             (0..10_000i64).map(|i| (Key::single(i), rid(i as u32))).collect();
-        let t = BTree::bulk_load_with_caps(FileId(0), 1, &entries, 0.9, 16, 16);
+        let t = BTree::bulk_load_with_caps(FileId(0), 1, entries.iter().copied(), 0.9, 16, 16);
         let s = Session::with_pool_pages(0);
         let before = s.stats();
         let _ = t.seek(&Key::single(5000), &s);
@@ -1147,7 +1160,7 @@ mod tests {
     fn warm_pool_caches_upper_levels() {
         let entries: Vec<Entry> =
             (0..10_000i64).map(|i| (Key::single(i), rid(i as u32))).collect();
-        let t = BTree::bulk_load_with_caps(FileId(0), 1, &entries, 0.9, 16, 16);
+        let t = BTree::bulk_load_with_caps(FileId(0), 1, entries.iter().copied(), 0.9, 16, 16);
         let s = Session::with_pool_pages(1 << 20);
         let _ = t.seek(&Key::single(5000), &s);
         let before = s.stats();
@@ -1161,7 +1174,7 @@ mod tests {
     #[test]
     fn leaf_scan_uses_declared_access_kind() {
         let entries: Vec<Entry> = (0..2000i64).map(|i| (Key::single(i), rid(i as u32))).collect();
-        let t = BTree::bulk_load_with_caps(FileId(0), 1, &entries, 1.0, 64, 64);
+        let t = BTree::bulk_load_with_caps(FileId(0), 1, entries.iter().copied(), 1.0, 64, 64);
         let s = quiet();
         let before = s.stats();
         t.scan_range(

@@ -13,6 +13,8 @@
 //!   inserts with splits and deletes with rebalancing, plus bulk loading,
 //! * [`bitmap`] — the dense rid set behind physical-order fetches and rid
 //!   intersections,
+//! * [`radix`] — the stable radix sort behind rid lists, the sorter's
+//!   order and the workload's index orders,
 //! * [`buffer`] — a buffer pool (LRU or Clock) that simulates caching,
 //! * [`sim`] — the deterministic I/O + CPU cost model that stands in for the
 //!   paper's wall-clock measurements on real hardware,
@@ -38,6 +40,7 @@ pub mod buffer;
 pub mod fx;
 pub mod heap;
 pub mod page;
+pub mod radix;
 pub mod schema;
 pub mod session;
 pub mod shared;

@@ -180,7 +180,7 @@ impl Database {
             entries.push((Key::new(&vals[..def_cols.len()]), rid));
         });
         entries.sort_unstable();
-        let tree = BTree::bulk_load(file, key_columns.len(), &entries, 0.9);
+        let tree = BTree::bulk_load(file, key_columns.len(), entries.iter().copied(), 0.9);
         let id = IndexId(self.indexes.len() as u32);
         self.indexes.push(IndexDef {
             name: name.to_string(),
@@ -359,7 +359,7 @@ mod tests {
         let tree = crate::BTree::bulk_load(
             original.index(IndexId(0)).tree.file_id(),
             1,
-            &entries,
+            entries.iter().copied(),
             0.9,
         );
         let idx = reloaded.attach_index("idx_a", t2, &[0], tree).unwrap();

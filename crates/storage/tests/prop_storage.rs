@@ -102,7 +102,7 @@ proptest! {
             .iter()
             .map(|&(k, r)| (Key::single(k), Rid::new(0, r)))
             .collect();
-        let bulk = BTree::bulk_load_with_caps(FileId(0), 1, &entries, fill, 8, 8);
+        let bulk = BTree::bulk_load_with_caps(FileId(0), 1, entries.iter().copied(), fill, 8, 8);
         bulk.check_invariants().map_err(TestCaseError::fail)?;
         let s = session();
         let mut incremental = BTree::with_caps(FileId(1), 1, 8, 8);
@@ -125,7 +125,7 @@ proptest! {
             .collect();
         let mut sorted = entries.clone();
         sorted.sort_unstable();
-        let tree = BTree::bulk_load_with_caps(FileId(0), 2, &sorted, 0.9, 8, 8);
+        let tree = BTree::bulk_load_with_caps(FileId(0), 2, sorted.iter().copied(), 0.9, 8, 8);
         let s = session();
         let mut got = Vec::new();
         tree.scan_range(
@@ -188,7 +188,8 @@ proptest! {
             .enumerate()
             .map(|(i, &(a, b))| (Key::pair(a, b), Rid::new(0, i as u32)))
             .collect();
-        let mut tree = BTree::bulk_load_with_caps(FileId(0), 2, &entries, fill, 6, 6);
+        let mut tree =
+            BTree::bulk_load_with_caps(FileId(0), 2, entries.iter().copied(), fill, 6, 6);
         let mut model: BTreeMap<(i64, i64, u32), Rid> = base
             .iter()
             .enumerate()
@@ -370,7 +371,8 @@ proptest! {
         };
         let s = session();
         let entries: Vec<Entry> = base.iter().map(|&(a, b, slot)| entry(a, b, slot)).collect();
-        let mut tree = BTree::bulk_load_with_caps(FileId(0), arity, &entries, fill, 6, 6);
+        let mut tree =
+            BTree::bulk_load_with_caps(FileId(0), arity, entries.iter().copied(), fill, 6, 6);
         let mut live: BTreeSet<(i64, i64, u32)> = base.clone();
         for op in ops {
             match op {
@@ -434,7 +436,7 @@ proptest! {
 fn scan_range_at_leaf_edges_equals_the_cursor_loop() {
     let entries: Vec<Entry> =
         (0..64i64).map(|i| (Key::single(i * 10), Rid::new(1, i as u32))).collect();
-    let tree = BTree::bulk_load_with_caps(FileId(0), 1, &entries, 1.0, 8, 8);
+    let tree = BTree::bulk_load_with_caps(FileId(0), 1, entries.iter().copied(), 1.0, 8, 8);
     assert_eq!(leaves_of(&tree).iter().map(Vec::len).collect::<Vec<_>>(), vec![8; 8]);
     let height = tree.height() as u64;
     let scan = |lo: i64, hi: i64| {

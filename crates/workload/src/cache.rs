@@ -3,12 +3,13 @@
 //! [`store`] writes the heap pages of a built [`Workload`] to a
 //! content-addressed file; [`load`] reads them back, checks them, and hands
 //! the columns to `gen::finish` — the same function that finishes
-//! [`crate::TableBuilder::build`] — which sorts and bulk-loads the five
-//! indexes and sorts the two calibrators.  Nothing but the heap is stored,
-//! so a loaded workload equals a built one by construction rather than by
-//! a second index-construction path, the file is 44 B/row, and a hit costs
-//! about what a build costs (`docs/DESIGN.md`, "The workload cache", has
-//! the measurements; the benchmark times every set-up through this module).
+//! [`crate::TableBuilder::build`] — which sorts three column orders and
+//! derives the five indexes and two calibrators from them.  Nothing but the
+//! heap is stored, so a loaded workload equals a built one by construction
+//! rather than by a second index-construction path, the file is 44 B/row,
+//! and a hit costs about what a build costs (`docs/DESIGN.md`, "The
+//! workload cache", has the measurements; the benchmark times every set-up
+//! through this module).
 //!
 //! ## Layout and addressing
 //!

@@ -15,8 +15,15 @@
 //! entirely unrelated column" (§3.3) — so scans of it are the paper's
 //! no-index table scan.  Five indexes cover all thirteen plans measured
 //! across the paper's three systems: `a`, `b`, `c`, `(a,b)`, `(b,a)`.
+//!
+//! A build and a cache load both end in one function, `finish`, which sorts
+//! three orders of row positions — by `a`, by `b`, by `c` — and derives
+//! every index and calibrator from them: the two-column orders re-sort runs
+//! of equal leading values, the trees are bulk-loaded straight from the
+//! orders, and no list of index entries is ever built.
 
-use robustmap_storage::btree::{Entry, MAX_KEY_COLS};
+use robustmap_storage::btree::MAX_KEY_COLS;
+use robustmap_storage::radix::radix_sort_by_u64_key;
 use robustmap_storage::{BTree, ColumnType, Database, IndexId, Key, Rid, Row, Schema, TableId};
 
 use crate::calib::Calibrator;
@@ -234,15 +241,18 @@ impl TableBuilder {
 /// back out of the stored pages, so a cached workload equals a built one
 /// by construction.
 ///
-/// The five entry sorts and the two calibrator sorts are independent, so
-/// each runs on its own thread.  The trees are bulk-loaded afterwards, one at
-/// a time, each entry list dropped as its tree completes: the peak memory of
-/// a build is then the five lists plus one tree, whichever workers ran side
-/// by side.  Loading in the workers hides the loads behind the sorts (a
-/// tenth of a 2^16-row build) and leaves the peak to the scheduler — it
-/// moved by a tenth of a 2^18-row process from run to run, and the
-/// benchmark's `peak_rss_mib` reads it.  The result is bit-identical to a
-/// sequential build either way.
+/// Three column orders are sorted and nothing else: each of `a`, `b`, `c`
+/// radix-sorts its row positions — `a` and `b` on scoped threads, `c` on
+/// the caller's meanwhile, each worker deriving its column's composite
+/// order and calibrator as well.  Because the rids ascend with position, a
+/// stable order by value is the `(key, rid)` order of a one-column index; a
+/// two-column index's order is its leading column's with each run of equal
+/// values stably re-sorted by the second; a calibrator is its column
+/// gathered in order.  The trees are bulk-loaded straight from those orders
+/// on the caller's thread, in [`INDEX_DEFS`] order, so no entry list is
+/// ever built.  (Loading them on the workers instead made the sweeps that
+/// read them 1–5 % slower in CPU time, likely because the nodes then live
+/// in the workers' allocator arenas.)
 pub(crate) fn finish(
     config: WorkloadConfig,
     mut db: Database,
@@ -250,40 +260,69 @@ pub(crate) fn finish(
     cols: &[Vec<i64>; 3],
     rids: &[Rid],
 ) -> Workload {
-    let mut sorted: Vec<Vec<Entry>> = INDEX_DEFS.iter().map(|_| Vec::new()).collect();
-    let mut cals: [Option<Calibrator>; 2] = [None, None];
-    std::thread::scope(|scope| {
-        for (out, (_, key_cols)) in sorted.iter_mut().zip(INDEX_DEFS) {
-            scope.spawn(move || {
-                let mut vals = [0i64; MAX_KEY_COLS];
-                out.reserve_exact(rids.len());
-                for (i, &rid) in rids.iter().enumerate() {
-                    for (v, &c) in vals.iter_mut().zip(key_cols) {
-                        *v = cols[c][i];
-                    }
-                    out.push((Key::new(&vals[..key_cols.len()]), rid));
-                }
-                out.sort_unstable();
-            });
-        }
-        for (out, col) in cals.iter_mut().zip([COL_A, COL_B]) {
-            scope.spawn(move || *out = Some(Calibrator::new(cols[col].clone())));
-        }
+    assert!(rids.windows(2).all(|w| w[0] < w[1]), "rids must come in physical order");
+    let [a, b, c] = cols.each_ref().map(Vec::as_slice);
+    let ((by_a, by_ab, cal_a), (by_b, by_ba, cal_b), by_c) = std::thread::scope(|scope| {
+        let a_side = scope.spawn(|| predicate_orders(a, b));
+        let b_side = scope.spawn(|| predicate_orders(b, a));
+        let by_c = order_by(c);
+        (a_side.join().expect("column a's orders"), b_side.join().expect("column b's orders"), by_c)
     });
 
     // File ids are allocated in the order `create_index` would have.
     let ids: Vec<IndexId> = INDEX_DEFS
         .iter()
-        .zip(sorted)
-        .map(|((name, key_cols), entries)| {
-            let tree = BTree::bulk_load(db.alloc_file(), key_cols.len(), &entries, INDEX_FILL);
+        .map(|&(name, key_cols)| {
+            let order = match key_cols {
+                [COL_A] => &by_a,
+                [COL_B] => &by_b,
+                [COL_C] => &by_c,
+                [COL_A, COL_B] => &by_ab,
+                [COL_B, COL_A] => &by_ba,
+                _ => unreachable!("an index of INDEX_DEFS without an order"),
+            };
+            let entries = order.iter().map(|&p| {
+                let p = p as usize;
+                let mut vals = [0i64; MAX_KEY_COLS];
+                for (v, &col) in vals.iter_mut().zip(key_cols) {
+                    *v = cols[col][p];
+                }
+                (Key::new(&vals[..key_cols.len()]), rids[p])
+            });
+            let tree = BTree::bulk_load(db.alloc_file(), key_cols.len(), entries, INDEX_FILL);
             db.attach_index(name, table, key_cols, tree)
                 .expect("INDEX_DEFS names columns of lineitem_schema")
         })
         .collect();
     let indexes = WorkloadIndexes { a: ids[0], b: ids[1], c: ids[2], ab: ids[3], ba: ids[4] };
-    let [cal_a, cal_b] = cals.map(|c| c.expect("worker finished"));
     Workload { db, table, indexes, cal_a, cal_b, config }
+}
+
+/// Row positions in ascending order of `col`, equal values in position
+/// order: one stable radix sort of `(value, position)` pairs, the value's
+/// sign bit flipped so that unsigned order is signed order.
+fn order_by(col: &[i64]) -> Vec<u32> {
+    let mut pairs: Vec<(u64, u32)> = col
+        .iter()
+        .zip(0..u32::try_from(col.len()).expect("row positions fit in u32"))
+        .map(|(&v, p)| (v as u64 ^ (1 << 63), p))
+        .collect();
+    radix_sort_by_u64_key(&mut pairs, |&(k, _)| k);
+    pairs.into_iter().map(|(_, p)| p).collect()
+}
+
+/// What a predicate column `lead` gives a workload: its order, the order of
+/// the `(lead, then)` index — `lead`'s order with each run of equal values
+/// stably re-sorted by `then`, so ties stay in position order — and its
+/// calibrator, built from values that already come sorted.
+fn predicate_orders(lead: &[i64], then: &[i64]) -> (Vec<u32>, Vec<u32>, Calibrator) {
+    let order = order_by(lead);
+    let mut pair_order = order.clone();
+    for run in pair_order.chunk_by_mut(|&p, &q| lead[p as usize] == lead[q as usize]) {
+        run.sort_by_key(|&p| then[p as usize]);
+    }
+    let calibrator = Calibrator::new(order.iter().map(|&p| lead[p as usize]).collect());
+    (order, pair_order, calibrator)
 }
 
 /// The generators for predicate columns `a` and `b`.  Most distributions

@@ -6,7 +6,8 @@
 //! come out of the same function that finishes a build (see
 //! `crates/workload/src/cache.rs` and `docs/DESIGN.md`).  The other half of
 //! the contract: a file that fails validation is a miss, never a panic,
-//! and the next `build_cached` replaces it.
+//! and the next `build_cached` replaces it.  And the function both sides
+//! end in is held to the reference sort of every index and calibrator.
 //!
 //! Every test here owns its configuration (a seed no other test uses), so
 //! they share the cache directory without sharing a file, and none touches
@@ -15,12 +16,13 @@
 use std::path::Path;
 
 use robustmap::core::{build_map1d, build_map2d, Grid1D, Grid2D, MeasureConfig};
-use robustmap::storage::Session;
+use robustmap::storage::radix::RADIX_MIN;
+use robustmap::storage::{Key, Rid, Session};
 use robustmap::systems::{
     single_predicate_plans, two_predicate_plans, SinglePredPlanSet, SystemId,
 };
 use robustmap::workload::cache;
-use robustmap::workload::gen::PredicateDistribution;
+use robustmap::workload::gen::{PredicateDistribution, COL_A, COL_B};
 use robustmap::workload::{ChurnConfig, ChurnDriver, TableBuilder, Workload, WorkloadConfig};
 
 fn config_of(seed: u64, predicate_dist: PredicateDistribution) -> WorkloadConfig {
@@ -124,6 +126,57 @@ fn built_and_loaded_agree_for_every_distribution() {
             assert_eq!(reference, maps_of(&loaded, threads), "{dist:?}, {threads} threads");
         }
         let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn finished_indexes_and_calibrators_equal_the_reference_sort() {
+    // Built and loaded workloads both come out of `gen::finish`, so the test
+    // above cannot see a wrong order.  This one holds every finished tree to
+    // a comparison sort of `(Key, Rid)` over the heap — what
+    // `Database::create_index` does — and every calibrator to a sorted copy
+    // of its column, on both sides of the radix sort's cut-over.
+    let radix_min = RADIX_MIN as u64;
+    for dist in [
+        PredicateDistribution::Permutation,
+        PredicateDistribution::Uniform,
+        PredicateDistribution::ZipfHundredths(110),
+        PredicateDistribution::CorrelatedHundredths(60),
+    ] {
+        for rows in [4, 5, radix_min - 1, radix_min, radix_min + 1, 1 << 14] {
+            let w = TableBuilder::build(WorkloadConfig { rows, ..config_of(0x0DE5_0000 + rows, dist) });
+            let mut heap = Vec::new();
+            w.db.table(w.table).heap.scan(&Session::with_pool_pages(0), |rid, row| {
+                heap.push((rid, row.values().to_vec()))
+            });
+            for (_, def) in w.db.indexes_on(w.table) {
+                let mut want: Vec<(Key, Rid)> = heap
+                    .iter()
+                    .map(|(rid, vals)| {
+                        let key: Vec<i64> = def.key_columns.iter().map(|&c| vals[c]).collect();
+                        (Key::new(&key), *rid)
+                    })
+                    .collect();
+                want.sort_unstable();
+                let what = format!("{dist:?}, {rows} rows, {}", def.name);
+                assert!(def.tree.collect_all() == want, "{what}: entries out of order");
+                def.tree.check_invariants().unwrap_or_else(|e| panic!("{what}: {e}"));
+            }
+            for (cal, col) in [(&w.cal_a, COL_A), (&w.cal_b, COL_B)] {
+                let mut sorted: Vec<i64> = heap.iter().map(|(_, vals)| vals[col]).collect();
+                sorted.sort_unstable();
+                for sel in (0..=16).map(|e| 0.5f64.powi(e)).chain([0.0, 0.3, 0.7]) {
+                    let target = (sel * rows as f64).round() as usize;
+                    let t = if target == 0 { i64::MIN } else { sorted[target - 1] };
+                    let count = sorted.partition_point(|&v| v <= t) as u64;
+                    assert_eq!(
+                        cal.threshold_with_count(sel),
+                        (t, count),
+                        "{dist:?}, {rows} rows, column {col} at selectivity {sel}"
+                    );
+                }
+            }
+        }
     }
 }
 

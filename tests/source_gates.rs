@@ -74,6 +74,10 @@ fn declares_static(line: &str) -> bool {
     })
 }
 
+fn defines_radix_sort(line: &str) -> bool {
+    defined_fns(line).any(|name| name == "radix_sort_by_u64_key")
+}
+
 fn is_figure_id(t: &str) -> bool {
     let all = |rest: &str, ok: fn(u8) -> bool| !rest.is_empty() && rest.bytes().all(ok);
     t == "legends"
@@ -154,6 +158,24 @@ const RULES: &[Rule] = &[
         want: 1,
         why: "crates/workload/src names BTree::bulk_load exactly once: gen::finish, which \
               both a build and cache::load end in",
+        ..RULE
+    },
+    Rule {
+        gate: "one-radix-sort",
+        scope: &["crates/storage/src"],
+        hit: defines_radix_sort,
+        want: 1,
+        why: "crates/storage/src defines radix_sort_by_u64_key exactly once: the executor's \
+              rid lists and sort order and the workload's index orders share it",
+        ..RULE
+    },
+    Rule {
+        gate: "one-radix-sort",
+        scope: &["crates", "src", "tests", "examples", "vendor"],
+        skip: &["crates/storage/src"],
+        hit: defines_radix_sort,
+        why: "radix_sort_by_u64_key is defined outside crates/storage/src — there is one, \
+              storage::radix's",
         ..RULE
     },
     Rule {
