@@ -15,8 +15,11 @@
 //! `fetch/{improved,bitmap}` and `btree/range_scan_full`, are the kernels
 //! that charge per page, leaf or rid run (`scan/mdam_64k` where every
 //! skip lands on the next entry, `scan/mdam_dup_prefix_64k` where skips
-//! are seeks, `btree/key_padded_hi` the skip target's constructor);
-//! `fetch/improved_dense_served` is
+//! are seeks, `btree/key_padded_hi` the skip target's constructor;
+//! `scan/table_scan_read_64k` gathers its rows into batches, which the
+//! counted `scan/table_scan_64k` never does, and
+//! `scan/table_scan_tombstoned_64k` reads every page through its slot
+//! directory); `fetch/improved_dense_served` is
 //! the same fetch as a served query runs it (shared pool behind its lock,
 //! yield hook armed).  The `serve/*` rows are the
 //! scheduler's: the same burst sliced and unsliced (the difference, over the
@@ -248,18 +251,39 @@ fn bench_scan_kernels(c: &mut Criterion) {
             project: Projection::All,
         }
     };
+    // Slot 0 of every page tombstoned: no page is as appending wrote it,
+    // so every page is read through its slot directory.
+    let mut tombstoned = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 16));
+    let heap = &mut tombstoned.db.table_mut(tombstoned.table).heap;
+    for page in 0..heap.page_count() {
+        heap.delete(Rid::new(page, 0)).expect("a live slot 0");
+    }
+    let two_terms = |w: &Workload| PlanSpec::TableScan {
+        table: w.table,
+        pred: Predicate::all_of(vec![ColRange::at_most(0, ta), ColRange::at_most(1, tb)]),
+        project: Projection::Columns(vec![2]),
+    };
     let mut group = c.benchmark_group("scan");
     group.sample_size(20);
+    // A read root: the rows are gathered into batches, as every scan under
+    // a join, sort or aggregation gathers them.
+    group.bench_function("table_scan_read_64k", |b| {
+        let plan = PlanSpec::TableScan {
+            table: w.table,
+            pred: Predicate::single(ColRange::at_most(0, ta)),
+            project: Projection::Columns(vec![2, 0]),
+        };
+        b.iter(|| {
+            let s = Session::with_pool_pages(256);
+            let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
+            let mut sum = 0i64;
+            run(&plan, &ctx, None, &mut |batch| sum = sum.wrapping_add(batch.col(0)[0])).unwrap();
+            sum
+        })
+    });
     for (name, w, plan) in [
-        (
-            "table_scan_64k",
-            &w,
-            PlanSpec::TableScan {
-                table: w.table,
-                pred: Predicate::all_of(vec![ColRange::at_most(0, ta), ColRange::at_most(1, tb)]),
-                project: Projection::Columns(vec![2]),
-            },
-        ),
+        ("table_scan_64k", &w, two_terms(&w)),
+        ("table_scan_tombstoned_64k", &tombstoned, two_terms(&tombstoned)),
         (
             "covering_residual_64k",
             &w,

@@ -21,30 +21,40 @@
 //!   sort or aggregation emits nothing at all.  Neither moves the clock,
 //!   since emission is charge-free.
 //!
+//! Heap records — a table scan's page, a parallel scan worker's page, a
+//! fetch's run of rids on one page — go through one kernel,
+//! [`BatchEmitter::filter`]: the predicate's verdicts on up to
+//! [`BATCH_ROWS`] records become a `u16` selection vector, and the
+//! selected rows' projected columns are gathered a column at a time
+//! straight into the batch.  The kernel charges nothing; each caller
+//! charges what it reports ([`Filtered`]) in its own calls.
+//!
 //! `tests/exec_ledger.rs` pins every plan's charges, the blocking edges at
 //! pools of a few pages among them.
 
-use robustmap_storage::Row;
+use robustmap_storage::{Row, SlottedPage};
+
+use crate::expr::Predicate;
 
 /// Rows per [`RowBatch`] flowing between operators: amortises interpreter
 /// overhead without hurting cache residency.
 pub const BATCH_ROWS: usize = 1024;
 
-/// A columnar chunk of rows: one `Vec<i64>` per output column.
+/// A columnar chunk of rows: one [`BATCH_ROWS`]-long `i64` buffer per
+/// output column, of which the first [`RowBatch::len`] entries are rows.
 ///
-/// All columns have the same length.  Batches are reused (cleared, not
-/// reallocated) by the emitting operator, so a sink must copy out anything
-/// it wants to keep.
+/// Batches are reused (emptied, not reallocated) by the emitting operator,
+/// so a sink must copy out anything it wants to keep.
 #[derive(Debug, Clone, Default)]
 pub struct RowBatch {
-    cols: Vec<Vec<i64>>,
+    cols: Vec<[i64; BATCH_ROWS]>,
     rows: usize,
 }
 
 impl RowBatch {
     /// An empty batch of the given arity.
     pub fn new(arity: usize) -> Self {
-        RowBatch { cols: vec![Vec::new(); arity], rows: 0 }
+        RowBatch { cols: vec![[0; BATCH_ROWS]; arity], rows: 0 }
     }
 
     /// Number of columns.
@@ -65,110 +75,71 @@ impl RowBatch {
         self.rows == 0
     }
 
-    /// Column `c` as a slice.
+    /// Column `c`'s rows as a slice.
     #[inline]
     pub fn col(&self, c: usize) -> &[i64] {
-        &self.cols[c]
+        &self.cols[c][..self.rows]
     }
 
-    /// Materialise row `i` (gathers across columns).
+    /// Materialise row `i` (gathers across columns); panics unless
+    /// `i < len()`.
     #[inline]
     pub fn row(&self, i: usize) -> Row {
+        assert!(i < self.rows, "row {i} of a batch of {} rows", self.rows);
         let mut row = Row::empty();
         for col in &self.cols {
             row.push(col[i]);
         }
         row
     }
-
-    /// Remove all rows, keeping column allocations.
-    pub fn clear(&mut self) {
-        for col in &mut self.cols {
-            col.clear();
-        }
-        self.rows = 0;
-    }
-}
-
-/// A selection bitmap over the rows of one batch (or one heap page).
-///
-/// Stored as 64-bit words; bit `i` set means row `i` survives.  The
-/// branch-free predicate evaluator ([`crate::expr::Predicate::eval_batch_free`])
-/// clears bits with masked stores instead of conditional jumps.
-#[derive(Debug, Default)]
-pub struct Selection {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl Selection {
-    /// An empty selection.
-    pub fn new() -> Self {
-        Selection::default()
-    }
-
-    /// Resize to `n` rows with every bit set.
-    pub fn reset_ones(&mut self, n: usize) {
-        let nwords = n.div_ceil(64);
-        self.words.clear();
-        self.words.resize(nwords, u64::MAX);
-        if !n.is_multiple_of(64) {
-            if let Some(last) = self.words.last_mut() {
-                *last = (1u64 << (n % 64)) - 1;
-            }
-        }
-        self.len = n;
-    }
-
-    /// Number of rows covered.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the selection covers no rows.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether row `i` is selected.
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Keep row `i` only if `keep` (branch-free masked clear).
-    #[inline]
-    pub fn mask(&mut self, i: usize, keep: bool) {
-        self.words[i / 64] &= !(((!keep) as u64) << (i % 64));
-    }
-
-    /// Number of selected rows.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Call `f` with every selected row index, ascending.
-    #[inline]
-    pub fn for_each_set(&self, mut f: impl FnMut(usize)) {
-        for (wi, &word) in self.words.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                f(wi * 64 + bit);
-                w &= w - 1;
-            }
-        }
-    }
 }
 
 /// Read column `col` of a row stored as little-endian `i64`s (the heap's
 /// record encoding) without decoding the whole row.
 #[inline]
-pub fn col_from_bytes(bytes: &[u8], col: usize) -> i64 {
+fn col_from_bytes(bytes: &[u8], col: usize) -> i64 {
     let at = col * 8;
     i64::from_le_bytes(bytes[at..at + 8].try_into().expect("column in record"))
+}
+
+/// The records of one heap page or one rid run, in slot or rid order.
+#[derive(Clone, Copy)]
+pub enum Records<'r> {
+    /// An append-layout page's record area ([`SlottedPage::fixed_records`]):
+    /// record `i` of `n` is the `width` bytes at `(n − 1 − i) · width`.
+    Packed { area: &'r [u8], width: usize },
+    /// The records one by one.
+    Listed(&'r [&'r [u8]]),
+}
+
+impl<'r> Records<'r> {
+    /// `page`'s live records in slot order: its record area when the
+    /// directory is the append layout of `width`-byte records, otherwise
+    /// listed into `buf` through the directory.
+    pub fn of_page<'h: 'r>(
+        page: &'h SlottedPage,
+        width: usize,
+        buf: &'r mut Vec<&'h [u8]>,
+    ) -> Self {
+        match page.fixed_records(width) {
+            Some(area) => Records::Packed { area, width },
+            None => {
+                buf.clear();
+                buf.extend(page.iter().map(|(_, record)| record));
+                Records::Listed(buf)
+            }
+        }
+    }
+}
+
+/// What one [`BatchEmitter::filter`] call read: `live` records, the
+/// `compares` a short-circuiting [`Predicate::eval`] makes on them (none
+/// for `TRUE`), and the `selected` ones that passed and were emitted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Filtered {
+    pub live: u64,
+    pub compares: u64,
+    pub selected: u64,
 }
 
 /// Accumulates output rows into a [`RowBatch`] and flushes it to a batch
@@ -176,42 +147,21 @@ pub fn col_from_bytes(bytes: &[u8], col: usize) -> i64 {
 /// for the final partial batch).  Emission is charge-free.
 pub struct BatchEmitter {
     batch: RowBatch,
-    produced: u64,
+    flushed: u64,
+    /// The selection vector of [`BatchEmitter::filter`], allocated by its
+    /// first call (on the heap: a served query's thread stack stays small).
+    sel: Vec<u16>,
 }
 
 impl BatchEmitter {
     /// An emitter producing batches with `arity` columns.
     pub fn new(arity: usize) -> Self {
-        BatchEmitter { batch: RowBatch::new(arity), produced: 0 }
+        BatchEmitter { batch: RowBatch::new(arity), flushed: 0, sel: Vec::new() }
     }
 
     /// Rows emitted so far.
     pub fn produced(&self) -> u64 {
-        self.produced
-    }
-
-    #[inline]
-    fn row_done(&mut self, sink: &mut dyn FnMut(&RowBatch)) {
-        self.batch.rows += 1;
-        self.produced += 1;
-        if self.batch.rows >= BATCH_ROWS {
-            self.flush(sink);
-        }
-    }
-
-    /// Emit one row by gathering `proj` columns out of an encoded record.
-    #[inline]
-    pub fn push_projected_bytes(
-        &mut self,
-        bytes: &[u8],
-        proj: &[usize],
-        sink: &mut dyn FnMut(&RowBatch),
-    ) {
-        debug_assert_eq!(proj.len(), self.batch.arity());
-        for (col, &src) in self.batch.cols.iter_mut().zip(proj) {
-            col.push(col_from_bytes(bytes, src));
-        }
-        self.row_done(sink);
+        self.flushed + self.batch.rows as u64
     }
 
     /// Emit one row by gathering `proj` positions out of a value slice.
@@ -223,46 +173,157 @@ impl BatchEmitter {
         sink: &mut dyn FnMut(&RowBatch),
     ) {
         debug_assert_eq!(proj.len(), self.batch.arity());
+        let at = self.batch.rows;
         for (col, &src) in self.batch.cols.iter_mut().zip(proj) {
-            col.push(vals[src]);
+            col[at] = vals[src];
         }
-        self.row_done(sink);
+        self.batch.rows += 1;
+        if self.batch.rows == BATCH_ROWS {
+            self.flush(sink);
+        }
+    }
+
+    /// Emit columns `proj` of the `records` that pass `pred`, in order —
+    /// the one loop that evaluates a predicate over heap records.  Charges
+    /// nothing: the caller charges what it returns.  Inlined, because a
+    /// fetch's rid run is mostly one record, which a call's set-up outweighs.
+    #[inline(always)]
+    pub fn filter(
+        &mut self,
+        pred: &Predicate,
+        records: Records<'_>,
+        proj: &[usize],
+        sink: &mut dyn FnMut(&RowBatch),
+    ) -> Filtered {
+        match records {
+            Records::Packed { area, width } => {
+                let n = area.len() / width;
+                // A position is a record's offset in the area, slot 0 on top.
+                let chunk = move |from: usize, len: usize| {
+                    let top = (n - from) * width;
+                    let records = area[top - len * width..top].chunks_exact(width).rev();
+                    (0..len).map(move |i| top - (i + 1) * width).zip(records)
+                };
+                let at = move |_, pos: usize, c: usize| col_from_bytes(&area[pos..pos + width], c);
+                self.filter_with(pred, n, chunk, at, proj, sink)
+            }
+            Records::Listed(records) => {
+                // A position is a record's index from the chunk's first.
+                let chunk = move |from: usize, len: usize| {
+                    (0..len).zip(records[from..from + len].iter().copied())
+                };
+                let at = move |from: usize, pos: usize, c| col_from_bytes(records[from + pos], c);
+                self.filter_with(pred, records.len(), chunk, at, proj, sink)
+            }
+        }
+    }
+
+    /// [`BatchEmitter::filter`] over `n` records, [`BATCH_ROWS`] a
+    /// selection vector: `chunk(from, len)` yields records `from .. from +
+    /// len` in order, each with its position, and `at(from, position,
+    /// column)` reads a selected one's column.
+    #[inline(always)]
+    fn filter_with<'r, C: Iterator<Item = (usize, &'r [u8])>>(
+        &mut self,
+        pred: &Predicate,
+        n: usize,
+        chunk: impl Fn(usize, usize) -> C,
+        at: impl Fn(usize, usize, usize) -> i64 + Copy,
+        proj: &[usize],
+        sink: &mut dyn FnMut(&RowBatch),
+    ) -> Filtered {
+        let mut out = Filtered { live: n as u64, compares: 0, selected: 0 };
+        self.sel.resize(BATCH_ROWS, 0);
+        for from in (0..n).step_by(BATCH_ROWS) {
+            let at = move |pos: usize, c: usize| at(from, pos, c);
+            let sel = (&mut self.sel[..]).try_into().expect("a selection vector");
+            let chunk = chunk(from, (n - from).min(BATCH_ROWS));
+            // Branch-free: every record is written to the vector, and only
+            // a pass advances it.  `compares` replays the short circuit.
+            let (picked, compares) = match *pred.terms() {
+                [] => select(sel, chunk, |_| (0, true)),
+                [t] => select(sel, chunk, move |r: &[u8]| (1, t.admits(col_from_bytes(r, t.col)))),
+                [t, u] => select(sel, chunk, move |r: &[u8]| {
+                    let first = t.admits(col_from_bytes(r, t.col));
+                    (1 + u64::from(first), first & u.admits(col_from_bytes(r, u.col)))
+                }),
+                ref terms => select(sel, chunk, move |r: &[u8]| {
+                    let (mut alive, mut compares) = (true, 0);
+                    for t in terms {
+                        compares += u64::from(alive);
+                        alive &= t.admits(col_from_bytes(r, t.col));
+                    }
+                    (compares, alive)
+                }),
+            };
+            out.compares += compares;
+            out.selected += picked as u64;
+            self.gather(picked, at, proj, sink);
+        }
+        out
+    }
+
+    /// Emit the first `picked` rows of the selection vector, a column at a
+    /// time, splitting where the batch fills.
+    #[inline(always)]
+    fn gather(
+        &mut self,
+        picked: usize,
+        at: impl Fn(usize, usize) -> i64,
+        proj: &[usize],
+        sink: &mut dyn FnMut(&RowBatch),
+    ) {
+        let mut done = 0;
+        while done < picked {
+            let rows = self.batch.rows;
+            let m = (picked - done).min(BATCH_ROWS - rows);
+            let sel = &self.sel[done..done + m];
+            for (col, &src) in self.batch.cols.iter_mut().zip(proj) {
+                for (cell, &i) in col[rows..rows + m].iter_mut().zip(sel) {
+                    *cell = at(usize::from(i), src);
+                }
+            }
+            self.batch.rows += m;
+            if self.batch.rows == BATCH_ROWS {
+                self.flush(sink);
+            }
+            done += m;
+        }
     }
 
     /// Flush the pending partial batch, if any.
     pub fn flush(&mut self, sink: &mut dyn FnMut(&RowBatch)) {
         if !self.batch.is_empty() {
             sink(&self.batch);
-            self.batch.clear();
+            self.flushed += self.batch.rows as u64;
+            self.batch.rows = 0;
         }
     }
+}
+
+/// Write the position of each of at most [`BATCH_ROWS`] records to `sel`
+/// and advance past those `test` passes; the number passed and the
+/// comparisons `test` counted.
+fn select<'r>(
+    sel: &mut [u16; BATCH_ROWS],
+    records: impl Iterator<Item = (usize, &'r [u8])>,
+    test: impl Fn(&'r [u8]) -> (u64, bool),
+) -> (usize, u64) {
+    let (mut picked, mut compares) = (0, 0);
+    for (pos, record) in records {
+        let (c, pass) = test(record);
+        // `picked` is below the records seen, so below BATCH_ROWS.
+        sel[picked % BATCH_ROWS] = pos as u16;
+        picked += usize::from(pass);
+        compares += c;
+    }
+    (picked, compares)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn selection_bit_ops() {
-        let mut s = Selection::new();
-        for n in [0usize, 1, 63, 64, 65, 130] {
-            s.reset_ones(n);
-            assert_eq!(s.len(), n);
-            assert_eq!(s.count(), n, "n={n}");
-            if n > 0 {
-                s.mask(0, false);
-                s.mask(n - 1, false);
-                s.mask(n / 2, true);
-                let expect = n.saturating_sub(2);
-                assert_eq!(s.count(), expect, "n={n}");
-                let mut seen = Vec::new();
-                s.for_each_set(|i| seen.push(i));
-                assert_eq!(seen.len(), s.count());
-                assert!(seen.iter().all(|&i| s.get(i)));
-                assert!(seen.windows(2).all(|w| w[0] < w[1]));
-            }
-        }
-    }
+    use crate::expr::ColRange;
 
     #[test]
     fn emitter_flushes_when_full_and_at_end() {
@@ -284,6 +345,55 @@ mod tests {
         assert_eq!(em.produced(), n as u64);
         assert_eq!(sizes, vec![BATCH_ROWS, BATCH_ROWS, 7]);
         assert_eq!(rows[BATCH_ROWS + 4], vec![20 + BATCH_ROWS as i64 + 4, BATCH_ROWS as i64 + 4]);
+    }
+
+    /// The kernel's batches split exactly where row-by-row pushes split
+    /// them, whatever the emitter already held.
+    #[test]
+    fn filter_splits_at_batch_boundaries() {
+        let values: Vec<[i64; 3]> = (0..3000).map(|i| [i, i % 3, -i]).collect();
+        let encoded: Vec<Vec<u8>> =
+            values.iter().map(|v| v.iter().flat_map(|c| c.to_le_bytes()).collect()).collect();
+        let records: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+        let pred = Predicate::single(ColRange::at_most(1, 1));
+        let run = |bulk: bool| {
+            let (mut sizes, mut rows) = (Vec::new(), Vec::new());
+            let mut sink = |b: &RowBatch| {
+                sizes.push(b.len());
+                rows.extend((0..b.len()).map(|i| b.row(i).values().to_vec()));
+            };
+            let mut em = BatchEmitter::new(2);
+            for i in 0..5 {
+                em.push_projected_slice(&[i, i], &[0, 1], &mut sink);
+            }
+            if bulk {
+                let got = em.filter(&pred, Records::Listed(&records), &[2, 0], &mut sink);
+                assert_eq!(got, Filtered { live: 3000, compares: 3000, selected: 2000 });
+            } else {
+                for v in values.iter().filter(|v| v[1] <= 1) {
+                    em.push_projected_slice(v, &[2, 0], &mut sink);
+                }
+            }
+            em.flush(&mut sink);
+            (em.produced(), sizes, rows)
+        };
+        let want = run(false);
+        assert_eq!(want.1, vec![BATCH_ROWS, 981]);
+        assert_eq!(run(true), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 3 of a batch of 3 rows")]
+    fn a_row_past_the_batch_panics() {
+        let mut em = BatchEmitter::new(1);
+        let mut held = None;
+        for v in 0..3 {
+            em.push_projected_slice(&[v], &[0], &mut |_| {});
+        }
+        em.flush(&mut |b| held = Some(b.clone()));
+        let batch = held.expect("a flushed batch");
+        assert_eq!(batch.col(0), &[0, 1, 2]);
+        batch.row(batch.len());
     }
 
     #[test]

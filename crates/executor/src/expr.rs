@@ -6,6 +6,12 @@
 //! conjunction of inclusive [`ColRange`]s, which is exactly the class of
 //! predicates those plans must evaluate (and what B+-tree ranges and MDAM
 //! intervals are derived from).
+//!
+//! Two loops evaluate one, each charging what [`Predicate::eval`] on every
+//! item would: [`Predicate::filter_run`] over index entries (and `eval`
+//! itself, a run of one), and [`crate::batch::BatchEmitter::filter`] over
+//! heap records — a scanned page or a fetched rid run — which reports its
+//! comparisons for the caller to charge.
 
 use robustmap_storage::{Row, Session};
 
@@ -44,8 +50,13 @@ impl ColRange {
     /// Whether `row` satisfies this restriction.
     #[inline]
     pub fn matches(&self, row: &Row) -> bool {
-        let v = row.get(self.col);
-        self.lo <= v && v <= self.hi
+        self.admits(row.get(self.col))
+    }
+
+    /// Whether `v` lies in the range (branch-free).
+    #[inline]
+    pub fn admits(&self, v: i64) -> bool {
+        (self.lo <= v) & (v <= self.hi)
     }
 
     /// The same restriction with the column position remapped (used when a
@@ -109,13 +120,12 @@ impl Predicate {
         self.terms.iter().all(|t| t.matches(row))
     }
 
-    /// Evaluate a page's, leaf's or rid run's worth of items in one charge.
-    /// `get(item, col)` reads a column value by position (a record's
-    /// encoded bytes, an index key's value slice); `keep` receives each
-    /// item that passes, in order, and must not charge.  Charges exactly
-    /// what [`Predicate::eval`] on each item would — short-circuit term
-    /// scan, one charge event per item, nothing for the `TRUE` predicate —
-    /// as one call after the run.
+    /// Evaluate a leaf's worth of index entries in one charge.  `get(item,
+    /// col)` reads a column value by position (an index key's value slice);
+    /// `keep` receives each item that passes, in order, and must not charge.
+    /// Charges exactly what [`Predicate::eval`] on each item would —
+    /// short-circuit term scan, one charge event per item, nothing for the
+    /// `TRUE` predicate — as one call after the run.
     #[inline]
     pub fn filter_run<T>(
         &self,
@@ -130,8 +140,7 @@ impl Predicate {
             let mut ok = true;
             for t in &self.terms {
                 examined += 1;
-                let v = get(&item, t.col);
-                if !(t.lo <= v && v <= t.hi) {
+                if !t.admits(get(&item, t.col)) {
                     ok = false;
                     break;
                 }
@@ -142,30 +151,6 @@ impl Predicate {
         }
         if !self.terms.is_empty() {
             session.charge_compares_as(examined, n);
-        }
-    }
-
-    /// Evaluate a whole batch into a selection bitmap, branch-free and
-    /// without any charges (the parallel-scan workers charge per row under
-    /// their own model).
-    ///
-    /// `term_cols[i]` holds the values of `terms()[i]`'s column for every
-    /// row in the batch (column-major, so `term_cols.len() == terms().len()`
-    /// and each inner slice has length `n`).
-    pub fn eval_batch_free(
-        &self,
-        term_cols: &[&[i64]],
-        n: usize,
-        sel: &mut crate::batch::Selection,
-    ) {
-        debug_assert_eq!(term_cols.len(), self.terms.len());
-        sel.reset_ones(n);
-        for (t, col) in self.terms.iter().zip(term_cols) {
-            debug_assert_eq!(col.len(), n);
-            for i in 0..n {
-                let v = col[i];
-                sel.mask(i, (t.lo <= v) & (v <= t.hi));
-            }
         }
     }
 
@@ -265,30 +250,6 @@ mod tests {
         let t = ColRange::between(3, 1, 9).with_col(0);
         assert_eq!(t.col, 0);
         assert_eq!((t.lo, t.hi), (1, 9));
-    }
-
-    #[test]
-    fn eval_batch_free_matches_eval_free() {
-        use crate::batch::Selection;
-        let p = Predicate::all_of(vec![
-            ColRange::at_most(0, 10),
-            ColRange::between(1, -5, 5),
-            ColRange::at_least(0, 0),
-        ]);
-        let rows: Vec<[i64; 2]> =
-            vec![[0, 0], [11, 0], [5, 9], [10, 5], [-1, -9], [3, -5], [10, 6]];
-        let c0: Vec<i64> = rows.iter().map(|r| r[0]).collect();
-        let c1: Vec<i64> = rows.iter().map(|r| r[1]).collect();
-        // terms: col0, col1, col0 again.
-        let term_cols: Vec<&[i64]> = vec![&c0, &c1, &c0];
-        let mut sel = Selection::new();
-        p.eval_batch_free(&term_cols, rows.len(), &mut sel);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(sel.get(i), p.eval_free(&row(r)), "row {i}");
-        }
-        // An empty predicate selects everything.
-        Predicate::always_true().eval_batch_free(&[], 3, &mut sel);
-        assert_eq!(sel.count(), 3);
     }
 
     /// One charge for the run is `eval` on each item: the same survivors,

@@ -47,7 +47,7 @@ pub mod expr;
 pub mod ops;
 pub mod plan;
 
-pub use batch::{BatchEmitter, RowBatch, Selection};
+pub use batch::{BatchEmitter, RowBatch};
 pub use exec::{run, run_collect, run_count, ExecCtx, ExecError, ExecStats, OpStats};
 pub use expr::{ColRange, Predicate};
 pub use ops::adaptive::{

@@ -27,7 +27,7 @@
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{AccessKind, HeapFile, RidSet, Session, StorageError};
 
-use crate::batch::{col_from_bytes, BatchEmitter, RowBatch};
+use crate::batch::{BatchEmitter, Records, RowBatch};
 use crate::exec::ExecError;
 use crate::expr::Predicate;
 use crate::plan::{FetchKind, ImprovedFetchConfig};
@@ -122,7 +122,8 @@ impl<'a, 'h> Fetcher<'a, 'h> {
     /// a page request and a row per rid, the residual's comparisons — in
     /// one call each.  The page requests go first, ahead of any emission,
     /// so the run's repeats are hits on the page its first request left
-    /// resident, whatever the sink does.  Each slot is looked up once.
+    /// resident, whatever the sink does.  Each slot is looked up once; the
+    /// records go through the scans' kernel, [`BatchEmitter::filter`].
     ///
     /// A page that does not exist is rejected, with the run's first rid,
     /// before the run charges anything.  A rid whose slot is empty ends the
@@ -154,13 +155,11 @@ impl<'a, 'h> Fetcher<'a, 'h> {
         let requested = (self.records.len() + usize::from(dangling.is_some())) as u64;
         self.session.read_page_run(self.heap.page_id(page_no), AccessKind::Random, requested);
         self.session.charge_rows_as(requested, requested);
-        let (emitter, proj, sink) = (&mut self.emitter, self.proj, &mut *self.sink);
-        self.residual.filter_run(
-            self.records.iter().copied(),
-            |bytes, c| col_from_bytes(bytes, c),
-            self.session,
-            |bytes| emitter.push_projected_bytes(bytes, proj, sink),
-        );
+        let records = Records::Listed(&self.records);
+        let got = self.emitter.filter(self.residual, records, self.proj, self.sink);
+        if !self.residual.is_true() {
+            self.session.charge_compares_as(got.compares, got.live);
+        }
         match dangling {
             Some(rid) => Err(StorageError::InvalidRid(rid).into()),
             None => Ok(()),

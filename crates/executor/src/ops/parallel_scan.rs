@@ -11,19 +11,22 @@
 //! skew the paper names among the strongest robustness factors (§3):
 //! `skew = 0` is an even split, `skew = 1` serialises everything on one
 //! worker (no speedup at all).
+//!
+//! A worker's page goes through the table scan's kernel,
+//! [`BatchEmitter::filter`]; only the charge differs.
 
 use robustmap_storage::{AccessKind, BufferPool, Session, Table};
 
-use crate::batch::{col_from_bytes, BatchEmitter, RowBatch, Selection};
+use crate::batch::{BatchEmitter, Records, RowBatch};
 use crate::exec::ExecError;
 use crate::expr::Predicate;
 
 /// Run a parallel scan of `table` and push columns `proj` of each match
 /// to `sink`.  Returns rows produced.
 ///
-/// Each worker's partition is scanned page-at-a-time through a free
-/// selection bitmap, then charged per page on the worker's private clock:
-/// for each row the full term count on a match, one comparison on a miss.
+/// Each worker's partition is scanned page-at-a-time, each page charged on
+/// the worker's private clock: for each row the full term count on a
+/// match, one comparison on a miss.
 pub fn run(
     table: &Table,
     pred: &Predicate,
@@ -47,12 +50,10 @@ pub fn run(
     let rest = pages - w0_pages;
     let per_rest = if dop > 1 { rest as f64 / (dop - 1) as f64 } else { 0.0 };
 
-    let terms = pred.terms();
-    let match_compares = terms.len().max(1) as u64;
+    let match_compares = pred.terms().len().max(1) as u64;
+    let width = heap.schema().row_bytes();
     let mut emitter = BatchEmitter::new(proj.len());
-    let mut term_cols: Vec<Vec<i64>> = vec![Vec::new(); terms.len()];
-    let mut slots: Vec<u32> = Vec::new();
-    let mut sel = Selection::new();
+    let mut listed = Vec::new();
     let mut makespan = 0u64;
     let mut start = 0u32;
     for worker in 0..dop {
@@ -71,22 +72,9 @@ pub fn run(
         for page_no in start..end {
             worker_session.read_page(heap.page_id(page_no), AccessKind::Sequential);
             let page = heap.page(page_no).expect("page number in range");
-            slots.clear();
-            term_cols.iter_mut().for_each(|c| c.clear());
-            for (slot, bytes) in page.iter() {
-                slots.push(slot as u32);
-                for (col, t) in term_cols.iter_mut().zip(terms) {
-                    col.push(col_from_bytes(bytes, t.col));
-                }
-            }
-            let refs: Vec<&[i64]> = term_cols.iter().map(|c| c.as_slice()).collect();
-            pred.eval_batch_free(&refs, slots.len(), &mut sel);
-            let (live, mut matched) = (slots.len() as u64, 0u64);
-            sel.for_each_set(|i| {
-                matched += 1;
-                let bytes = page.get(slots[i] as usize).expect("selected slot is live");
-                emitter.push_projected_bytes(bytes, proj, sink);
-            });
+            let records = Records::of_page(page, width, &mut listed);
+            let got = emitter.filter(pred, records, proj, sink);
+            let (live, matched) = (got.live, got.selected);
             worker_session
                 .charge_compares_as(matched * match_compares + (live - matched), live);
             worker_session.charge_rows(live);

@@ -3,25 +3,23 @@
 //! The baseline plan in every one of the paper's figures.  Its cost is
 //! constant across the whole selectivity range — the defining property the
 //! maps make visible — because it always reads every page sequentially and
-//! evaluates the predicate on every row.
+//! evaluates the predicate on every row.  Each page's records go through
+//! the one heap-record kernel, [`BatchEmitter::filter`]: straight from the
+//! record area when the page is as appending wrote it, through the slot
+//! directory when it is not.
 
 use robustmap_storage::{AccessKind, Session, Table};
 
-use crate::batch::{col_from_bytes, BatchEmitter, RowBatch};
+use crate::batch::{BatchEmitter, Records, RowBatch};
 use crate::expr::Predicate;
 
 /// Scan `table`, filter with `pred`, gather columns `proj` of each match,
 /// and push them to `sink`.  Returns the number of rows produced.
 ///
-/// Scans page by page, evaluates the predicate in a single branch-free
-/// pass over each record's bytes, and gathers only the surviving rows'
-/// projected columns (late materialization — non-qualifying rows are never
-/// decoded in full; with no `proj` columns, no row is).
-///
 /// Charges per page what [`HeapFile::scan`] with [`Predicate::eval`]
 /// inside does — one sequential `read_page`, the rows' short-circuit
-/// comparisons (one charge event a row), `charge_rows(live)` — with the
-/// page's comparisons summed into one call.
+/// comparisons (one charge event a row, none for `TRUE`),
+/// `charge_rows(live)` — with the page's comparisons summed into one call.
 ///
 /// [`HeapFile::scan`]: robustmap_storage::HeapFile::scan
 pub fn run(
@@ -32,42 +30,18 @@ pub fn run(
     sink: &mut dyn FnMut(&RowBatch),
 ) -> u64 {
     let heap = &table.heap;
-    let terms = pred.terms();
+    let width = heap.schema().row_bytes();
     let mut emitter = BatchEmitter::new(proj.len());
+    let mut listed = Vec::new();
     for page_no in 0..heap.page_count() {
         session.read_page(heap.page_id(page_no), AccessKind::Sequential);
         let page = heap.page(page_no).expect("page number in range");
-        // Count live records during the walk; `iter` yields exactly the
-        // rows `live_records` would count, so a second slot-directory
-        // pass is unnecessary.
-        let mut live = 0u64;
-        let mut compares = 0u64;
-        if terms.is_empty() {
-            // `eval` charges nothing for an empty predicate.
-            for (_slot, bytes) in page.iter() {
-                live += 1;
-                emitter.push_projected_bytes(bytes, proj, sink);
-            }
-        } else {
-            for (_slot, bytes) in page.iter() {
-                live += 1;
-                // Branch-free term walk straight over the record bytes;
-                // `alive` recovers the short-circuit comparison count
-                // `eval` would have charged for this row.
-                let mut alive = 1u8;
-                for t in terms {
-                    let v = col_from_bytes(bytes, t.col);
-                    let pass = (t.lo <= v) & (v <= t.hi);
-                    compares += u64::from(alive);
-                    alive &= u8::from(pass);
-                }
-                if alive != 0 {
-                    emitter.push_projected_bytes(bytes, proj, sink);
-                }
-            }
-            session.charge_compares_as(compares, live);
+        let records = Records::of_page(page, width, &mut listed);
+        let got = emitter.filter(pred, records, proj, sink);
+        if !pred.is_true() {
+            session.charge_compares_as(got.compares, got.live);
         }
-        session.charge_rows(live);
+        session.charge_rows(got.live);
     }
     emitter.flush(sink);
     emitter.produced()

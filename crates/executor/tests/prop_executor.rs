@@ -9,7 +9,7 @@ use robustmap_executor::ops::sort::{sort_capacity_rows, ExternalSorter, PackedRo
 use robustmap_executor::{
     run_collect, BatchEmitter, RowBatch, AggFn, CheckpointKind, ColRange, ExecCtx, FetchKind,
     ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, KeyRange, Observation, PlanSpec, Predicate,
-    Projection, Selection, SpillMode, SwitchController, SwitchDirective,
+    Projection, SpillMode, SwitchController, SwitchDirective,
 };
 use robustmap_storage::{ColumnType, Database, Row, Schema, Session, TableId};
 
@@ -226,35 +226,6 @@ proptest! {
         for (g, w) in got.iter().zip(&want) {
             prop_assert_eq!((g[2], g[0]), (w[2], w[0]));
         }
-    }
-
-    /// The branch-free batched predicate evaluation selects exactly the
-    /// rows per-row evaluation accepts, on arbitrary rows and predicates.
-    /// Includes the empty batch (`rows` may be filtered to nothing
-    /// upstream, so n = 0 must work) via the 0-row lower bound.
-    #[test]
-    fn batched_predicate_matches_per_row_bits(
-        rows in prop::collection::vec((-50i64..50, -50i64..50, -50i64..50), 0..300),
-        terms in prop::collection::vec((0usize..3, -60i64..60, -60i64..60), 0..4),
-    ) {
-        let pred = Predicate::all_of(
-            terms.iter().map(|&(c, lo, hi)| ColRange::between(c, lo, hi)).collect(),
-        );
-        let n = rows.len();
-        // Column-major gather, one slice per predicate term.
-        let term_cols: Vec<Vec<i64>> = pred
-            .terms()
-            .iter()
-            .map(|t| rows.iter().map(|r| [r.0, r.1, r.2][t.col]).collect())
-            .collect();
-        let refs: Vec<&[i64]> = term_cols.iter().map(|c| c.as_slice()).collect();
-        let row_bits: Vec<bool> = rows
-            .iter()
-            .map(|&(a, b, c)| pred.eval_free(&Row::from_slice(&[a, b, c])))
-            .collect();
-        let mut sel = Selection::new();
-        pred.eval_batch_free(&refs, n, &mut sel);
-        prop_assert_eq!((0..n).map(|i| sel.get(i)).collect::<Vec<_>>(), row_bits);
     }
 
     /// Every streaming shape returns exactly the rows a brute-force

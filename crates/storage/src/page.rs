@@ -177,6 +177,34 @@ impl SlottedPage {
         (0..self.n_slots()).filter_map(move |s| self.get(s).map(|r| (s, r)))
     }
 
+    /// The record area of a page whose directory is exactly what appending
+    /// `width`-byte records writes — every slot live and `width` long,
+    /// slot `s` at `PAGE_SIZE − (s+1)·width` — so slot `s` is the
+    /// `width` bytes at `(n−1−s)·width` of the returned `n·width` bytes.
+    /// `None` for any other directory (a tombstone, a compaction after a
+    /// delete, an image from elsewhere) and for `width` 0.  Checked on
+    /// every call, one XOR-fold of the directory against that sequence.
+    pub fn fixed_records(&self, width: usize) -> Option<&[u8]> {
+        let n = self.n_slots();
+        if !(1..=Self::MAX_RECORD).contains(&width) {
+            return None;
+        }
+        let low = PAGE_SIZE.checked_sub(n * width)?;
+        let dir_end = HEADER_BYTES + n * SLOT_BYTES;
+        if dir_end > low {
+            return None;
+        }
+        // Slot `s` reads `(offset, len)` as one little-endian u32, and the
+        // offsets step down by `width`.
+        let mut want = (PAGE_SIZE - width) as u32 | (width as u32) << 16;
+        let mut diff = 0;
+        for entry in self.buf[HEADER_BYTES..dir_end].chunks_exact(SLOT_BYTES) {
+            diff |= u32::from_le_bytes(entry.try_into().expect("slot entry")) ^ want;
+            want = want.wrapping_sub(width as u32);
+        }
+        (diff == 0).then(|| &self.buf[low..])
+    }
+
     /// The raw page image (serialization: the workload cache persists heap
     /// pages byte-for-byte, so a reloaded heap is bit-identical).
     pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
@@ -336,6 +364,37 @@ mod tests {
         let slot1 = HEADER_BYTES + SLOT_BYTES;
         assert!(!edit(slot1, 0).is_well_formed(), "record inside the directory");
         assert!(!edit(slot1 + 2, 9000).is_well_formed(), "record running off the page");
+    }
+
+    #[test]
+    fn fixed_records_are_the_append_layout_and_nothing_else() {
+        let width = 24;
+        let mut p = SlottedPage::new();
+        assert_eq!(p.fixed_records(width), Some(&[][..]), "an empty page");
+        for i in 0..50u8 {
+            p.insert(&[i; 24]).unwrap();
+        }
+        let area = p.fixed_records(width).expect("a page written by appends");
+        let n = area.len() / width;
+        let packed: Vec<&[u8]> = (0..n).map(|s| &area[(n - 1 - s) * width..][..width]).collect();
+        let listed: Vec<&[u8]> = p.iter().map(|(_, r)| r).collect();
+        assert_eq!(packed, listed);
+        assert_eq!(p.fixed_records(16), None, "a different width");
+        assert_eq!(p.fixed_records(0), None, "width 0");
+
+        let mut image = *p.as_bytes();
+        let slot1 = HEADER_BYTES + SLOT_BYTES;
+        let (dir0, dir1) = image[HEADER_BYTES..slot1 + SLOT_BYTES].split_at_mut(SLOT_BYTES);
+        dir0.swap_with_slice(dir1);
+        let swapped = SlottedPage::from_bytes(&image);
+        assert!(swapped.is_well_formed());
+        assert_eq!(swapped.fixed_records(width), None, "two directory entries swapped");
+
+        let mut tombstoned = SlottedPage::from_bytes(p.as_bytes());
+        tombstoned.delete(7).unwrap();
+        assert_eq!(tombstoned.fixed_records(width), None, "a tombstone");
+        tombstoned.compact();
+        assert_eq!(tombstoned.fixed_records(width), None, "compacted after a delete");
     }
 
     #[test]

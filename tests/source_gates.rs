@@ -210,6 +210,27 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        gate: "one-record-kernel",
+        scope: &["crates/executor", "tests"],
+        skip: &["tests/source_gates.rs"],
+        hit: |l| idents(l).any(|t| t == "eval_batch_free" || t == "Selection"),
+        why: "the selection bitmap or its evaluator is back — heap records are filtered by \
+              BatchEmitter::filter through a u16 selection vector",
+        ..RULE
+    },
+    Rule {
+        gate: "one-record-kernel",
+        scope: &[
+            "crates/executor/src/ops/table_scan.rs",
+            "crates/executor/src/ops/parallel_scan.rs",
+            "crates/executor/src/ops/fetch.rs",
+        ],
+        hit: |l| l.contains("filter_run("),
+        why: "a scan or fetch evaluates its predicate with filter_run — heap records go \
+              through the one kernel, BatchEmitter::filter; filter_run is for index entries",
+        ..RULE
+    },
+    Rule {
         gate: "one-walker",
         scope: &["crates"],
         hit: |l| any(l, &["cursor_step", "cursor_next_leaf"]),
