@@ -8,10 +8,13 @@
 //! ANDed and probed at 2^18 rids, and the ordering of a list the set
 //! refuses.  The
 //! `sort/*_multipass_64k`, `join/sort_merge_64k` and `exec/materialise_64k`
-//! rows do the same for the sorter that charges for the merge and sorts
-//! once, and for the packed blocking edges; `sort/graceful_{window,fits}_*`
-//! and `agg/hash_*` for the blocking operators' own batch push (the
-//! handle window, the packed group table).  The `scan/*` rows, with
+//! rows do the same for the blocking operators (docs/DESIGN.md "Blocking
+//! operators"): the sorter that charges for the merge and orders once, the
+//! join that merges handle orders, and the packed blocking edges;
+//! `sort/graceful_{window,fits}_*` and `agg/hash_*` for the blocking
+//! operators' own batch push (the streamed handle window, the packed group
+//! table), and `sort/sort_all_128k` for a sorter handed its whole input
+//! (the rank window).  The `scan/*` rows, with
 //! `fetch/{improved,bitmap}` and `btree/range_scan_full`, are the kernels
 //! that charge per page, leaf or rid run (`scan/mdam_64k` where every
 //! skip lands on the next entry, `scan/mdam_dup_prefix_64k` where skips
@@ -36,7 +39,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use robustmap_core::{build_map2d, serve_concurrent, Grid2D, MeasureConfig, ServeConfig};
-use robustmap_executor::ops::sort::PackedRows;
+use robustmap_executor::ops::sort::{ExternalSorter, PackedRows};
 use robustmap_executor::{
     run, run_collect, run_count, AggFn, ColRange, ExecCtx, FetchKind, ImprovedFetchConfig,
     IndexRangeSpec, JoinAlgo, KeyRange, PlanSpec, Predicate, Projection, SpillMode,
@@ -390,6 +393,30 @@ fn bench_blocking_push(c: &mut Criterion) {
         });
         group.finish();
     }
+    // The same rows handed to a sorter whole at the same 256 KiB grant — a
+    // sort-merge join's input at its half-grant: the rank window, with the
+    // scan that materialises the input outside the measurement.
+    let scan = input();
+    let mut group = c.benchmark_group("sort");
+    group.sample_size(10);
+    group.bench_function("sort_all_128k", |b| {
+        b.iter_batched(
+            || {
+                let s = Session::with_pool_pages(256);
+                let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
+                let mut rows = PackedRows::default();
+                run(&scan, &ctx, None, &mut |batch| rows.extend_from_batch(batch)).unwrap();
+                rows
+            },
+            |rows| {
+                let s = Session::with_pool_pages(256);
+                let ctx = ExecCtx::new(&w.db, &s, 1 << 22);
+                ExternalSorter::new(&ctx, vec![0], SpillMode::Graceful, 256 << 10).sort_all(rows).rows.len()
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
 }
 
 /// The blocking edges: both inputs of a sort-merge join materialised,

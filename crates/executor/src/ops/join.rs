@@ -8,8 +8,10 @@
 //! provides both algorithms over arbitrary child plans so those maps can be
 //! drawn:
 //!
-//! * [`sort_merge_join`] — external-sorts both inputs (graceful spill) and
-//!   merges, handling many-to-many keys; cost is symmetric in the inputs;
+//! * [`sort_merge_join`] — external-sorts each input once (graceful spill,
+//!   [`ExternalSorter::sort_all`]) and merges the two handle orders, reading
+//!   rows only to build output rows; handles many-to-many keys; cost is
+//!   symmetric in the inputs;
 //! * [`hash_join`] — builds on one side, probes with the other; spills by
 //!   grace partitioning when the build side exceeds the memory grant.
 //!
@@ -101,52 +103,42 @@ pub fn sort_merge_join(
 ) -> Result<u64, ExecError> {
     // Each input gets half the grant, as a memory-broker would split it.
     let half = (memory_bytes / 2).max(1);
-    // Sorted inputs stay packed — the merge below walks bare i64 words.
     let sort = |rows: PackedRows, key: usize| {
-        let mut sorted = PackedRows::with_capacity(rows.len(), rows.arity());
-        let mut sorter = ExternalSorter::new(ctx, vec![key], SpillMode::Graceful, half);
-        sorter.push_all(rows);
-        sorter.finish(Some(&mut |r| sorted.push(r)));
-        sorted
+        ExternalSorter::new(ctx, vec![key], SpillMode::Graceful, half).sort_all(rows)
     };
-    let lrows = sort(left, left_key);
-    let rrows = sort(right, right_key);
-    let (ln, rn) = (lrows.len(), rrows.len());
-    let la = lrows.arity();
+    let (left, right) = (sort(left, left_key), sort(right, right_key));
+    // The merge walks the two handle orders: a handle's inline `key0` is
+    // its row's join key, the sorters' one key column.  Rows are read only
+    // to build the output rows of equal-key groups.
+    let (lo, ro) = (&left.order, &right.order);
+    let la = left.rows.arity();
 
     let session = ctx.session;
     let mut produced = 0u64;
     let (mut i, mut j) = (0usize, 0usize);
     let mut compares = 0u64;
     // The output row under construction: `left columns ++ right columns`.
-    let mut out = vec![0i64; la + rrows.arity()];
-    while i < ln && j < rn {
+    let mut out = vec![0i64; la + right.rows.arity()];
+    while i < lo.len() && j < ro.len() {
         compares += 1;
-        let lk = lrows.row(i)[left_key];
-        let rk = rrows.row(j)[right_key];
+        let (lk, rk) = (lo[i].key0, ro[j].key0);
         match lk.cmp(&rk) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 // Emit the cross product of the two equal-key groups.
-                let j_group_end = {
-                    let mut e = j;
-                    while e < rn && rrows.row(e)[right_key] == rk {
-                        e += 1;
-                    }
-                    e
-                };
-                while i < ln && lrows.row(i)[left_key] == lk {
-                    out[..la].copy_from_slice(lrows.row(i));
-                    for jj in j..j_group_end {
+                let group = &ro[j..j + ro[j..].iter().take_while(|h| h.key0 == rk).count()];
+                while i < lo.len() && lo[i].key0 == lk {
+                    out[..la].copy_from_slice(left.rows.row(lo[i].slot as usize));
+                    for h in group {
                         session.charge_rows(1);
-                        out[la..].copy_from_slice(rrows.row(jj));
+                        out[la..].copy_from_slice(right.rows.row(h.slot as usize));
                         sink(&out);
                         produced += 1;
                     }
                     i += 1;
                 }
-                j = j_group_end;
+                j += group.len();
             }
         }
     }
@@ -318,33 +310,39 @@ mod tests {
         rows
     }
 
-    fn reference_join(left: &[(i64, i64)], right: &[(i64, i64)]) -> Vec<Vec<i64>> {
+    /// Every `left ++ right` pair equal on column `key` of both, sorted.
+    fn reference_join(left: &[(i64, i64)], right: &[(i64, i64)], key: usize) -> Vec<Vec<i64>> {
+        let cols = |&(a, b): &(i64, i64)| [a, b];
+        let mut by_key = std::collections::BTreeMap::<i64, Vec<[i64; 2]>>::new();
+        for r in right.iter().map(cols) {
+            by_key.entry(r[key]).or_default().push(r);
+        }
         let mut out = Vec::new();
-        for &(lk, lv) in left {
-            for &(rk, rv) in right {
-                if lk == rk {
-                    out.push(vec![lk, lv, rk, rv]);
-                }
+        for l in left.iter().map(cols) {
+            for r in by_key.get(&l[key]).into_iter().flatten() {
+                out.push([l, *r].concat());
             }
         }
         out.sort();
         out
     }
 
-    fn run_all_variants(left: &[(i64, i64)], right: &[(i64, i64)], memory: usize) {
+    /// Sort-merge and hash join (both build sides) on column `key` of
+    /// both inputs equal the reference.
+    fn run_all_variants(left: &[(i64, i64)], right: &[(i64, i64)], key: usize, memory: usize) {
         let (db, _) = demo_db(4);
-        let want = reference_join(left, right);
+        let want = reference_join(left, right, key);
         // Sort-merge.
         {
             let s = robustmap_storage::Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, memory);
             let mut got = Vec::new();
-            sort_merge_join(rows_of(left), rows_of(right), 0, 0, memory, &ctx, &mut |r| {
+            sort_merge_join(rows_of(left), rows_of(right), key, key, memory, &ctx, &mut |r| {
                 got.push(r.to_vec())
             })
             .unwrap();
             got.sort();
-            assert_eq!(got, want, "sort-merge");
+            assert_eq!(got, want, "sort-merge, key {key}, {memory} bytes");
         }
         // Hash, both build sides.
         for (build_is_left, swap) in [(true, false), (false, true)] {
@@ -356,10 +354,10 @@ mod tests {
             } else {
                 (rows_of(right), rows_of(left))
             };
-            hash_join(b, p, 0, 0, memory, swap, &ctx, &mut |r| got.push(r.to_vec()))
+            hash_join(b, p, key, key, memory, swap, &ctx, &mut |r| got.push(r.to_vec()))
                 .unwrap();
             got.sort();
-            assert_eq!(got, want, "hash build_left={build_is_left}");
+            assert_eq!(got, want, "hash build_left={build_is_left}, key {key}, {memory} bytes");
         }
     }
 
@@ -367,7 +365,7 @@ mod tests {
     fn joins_match_nested_loop_reference() {
         let left: Vec<(i64, i64)> = (0..200).map(|i| (i % 37, i)).collect();
         let right: Vec<(i64, i64)> = (0..150).map(|i| (i % 23, 1000 + i)).collect();
-        run_all_variants(&left, &right, 1 << 20);
+        run_all_variants(&left, &right, 0, 1 << 20);
     }
 
     #[test]
@@ -377,7 +375,20 @@ mod tests {
         // Tiny grants: everything spills; under the last two the hash join
         // has more partitions than rows, several to a directory bucket.
         for memory in [2048, 16, 0] {
-            run_all_variants(&left, &right, memory);
+            run_all_variants(&left, &right, 0, memory);
+        }
+    }
+
+    /// A join key that is not column 0, each key value carried by rows
+    /// with different payloads (negative keys included), under grants
+    /// whose halves give each sort-merge input a window of 2 rows, of
+    /// 3 276 rows (spilling 5 000 rows) and one the input fits.
+    #[test]
+    fn joins_on_a_later_column_with_tied_keys() {
+        let left: Vec<(i64, i64)> = (0..5000).map(|i| ((i * 7919) % 5000, i % 1009 - 500)).collect();
+        let right: Vec<(i64, i64)> = (0..4000).map(|i| (-i, (i * 31) % 997 - 498)).collect();
+        for memory in [320, 512 << 10, 16 << 20] {
+            run_all_variants(&left, &right, 1, memory);
         }
     }
 
@@ -385,24 +396,24 @@ mod tests {
     fn many_to_many_duplicates() {
         let left: Vec<(i64, i64)> = vec![(5, 1), (5, 2), (5, 3), (7, 4)];
         let right: Vec<(i64, i64)> = vec![(5, 10), (5, 20), (9, 30)];
-        run_all_variants(&left, &right, 1 << 20);
+        run_all_variants(&left, &right, 0, 1 << 20);
         // 3 x 2 = 6 matches on key 5.
-        assert_eq!(reference_join(&left, &right).len(), 6);
+        assert_eq!(reference_join(&left, &right, 0).len(), 6);
     }
 
     #[test]
     fn disjoint_keys_produce_nothing() {
         let left: Vec<(i64, i64)> = (0..50).map(|i| (i, i)).collect();
         let right: Vec<(i64, i64)> = (100..150).map(|i| (i, i)).collect();
-        run_all_variants(&left, &right, 1 << 20);
-        assert!(reference_join(&left, &right).is_empty());
+        run_all_variants(&left, &right, 0, 1 << 20);
+        assert!(reference_join(&left, &right, 0).is_empty());
     }
 
     #[test]
     fn empty_inputs() {
-        run_all_variants(&[], &[(1, 1)], 1 << 20);
-        run_all_variants(&[(1, 1)], &[], 1 << 20);
-        run_all_variants(&[], &[], 1 << 20);
+        run_all_variants(&[], &[(1, 1)], 0, 1 << 20);
+        run_all_variants(&[(1, 1)], &[], 0, 1 << 20);
+        run_all_variants(&[], &[], 0, 1 << 20);
     }
 
     #[test]

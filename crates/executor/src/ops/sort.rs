@@ -33,25 +33,32 @@
 //!   per-row merge charges stay individual calls, one charge event each,
 //!   so served slices keep their length — and move no row.
 //! * **Order.**  Every row is appended once, on arrival, to one packed
-//!   store — in both modes.  The final pass orders the store once
+//!   store — in both modes — and the store is ordered once
 //!   (`sorted_order`: a radix sort of 16-byte `(first key value, row
 //!   index)` handles, then a comparison sort inside each group of equal
-//!   first key values) and emits through the handles.  Items that compare
-//!   equal are bit-identical rows, so this is the sequence any merge under
-//!   the same order produces.  A sorter finished without a sink (the root
-//!   of a counted run) issues the final pass's charges and computes no
-//!   order at all.
+//!   first key values, row index last, so bit-identical rows rank in
+//!   arrival order).  Items that compare equal are bit-identical rows, so
+//!   this is the sequence any merge under the same order produces.  A
+//!   streamed sort orders its store at the final pass and emits through
+//!   the handles — or, finished without a sink (the root of a counted
+//!   run), issues the final pass's charges and orders nothing.  A sort
+//!   handed its whole input ([`ExternalSorter::sort_all`]) orders it
+//!   first and returns the rows with their order, copying none.
 //! * **Physical.**  The replacement-selection window: which row closes a
 //!   run depends on the window's actual minimum, so run *lengths* depend
-//!   on it.  The window holds no rows, only handles into the store: a
-//!   sorted *base* array consumed by a cursor (the handles promoted when
-//!   the previous run closed — for the first run, the rows that filled
-//!   the memory, so a sort that never spills never builds a window) plus
-//!   a small heap of the handles that joined the current run mid-flight,
-//!   whose sift-down picks its way by integer compares on the inline
-//!   first key value instead of branching on them.  It always emits the
-//!   minimum of the same multiset as the classic all-heap window, so run
-//!   formation is the classic algorithm's.
+//!   on it.  There are two windows, picked by how the input arrives; each
+//!   emits the minimum of the classic all-heap window's multiset, so run
+//!   formation is the classic algorithm's.  A streamed sort's window is
+//!   handles into the store: a sorted *base* array consumed by a cursor
+//!   (the handles promoted when the previous run closed — for the first
+//!   run, the rows that filled the memory, so a sort that never spills
+//!   never builds a window) plus a small heap of the handles that joined
+//!   the current run mid-flight, whose sift-down picks its way by integer
+//!   compares on the inline first key value instead of branching on them.
+//!   A sort that knows its whole input knows every row's rank in the final
+//!   order, and its window is a bitmap over ranks (`RankWindow`): emitting
+//!   is the next set bit after the rank last emitted, and a newcomer joins
+//!   the open run iff it ranks above that row.
 
 use robustmap_storage::radix::radix_sort_by_u64_key;
 use robustmap_storage::{AccessKind, PageId, PAGE_SIZE};
@@ -89,11 +96,6 @@ pub struct PackedRows {
 }
 
 impl PackedRows {
-    /// An empty set with room for `rows` rows of `arity` columns.
-    pub fn with_capacity(rows: usize, arity: usize) -> Self {
-        PackedRows { vals: Vec::with_capacity(rows * arity), arity, len: 0 }
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
@@ -104,8 +106,7 @@ impl PackedRows {
         self.len == 0
     }
 
-    /// Columns per row (0 until the first row, unless preset by
-    /// [`PackedRows::with_capacity`]).
+    /// Columns per row (0 until the first row).
     pub fn arity(&self) -> usize {
         self.arity
     }
@@ -149,7 +150,7 @@ impl PackedRows {
 /// comparison in almost every sift) and the row's index in its store.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Handle {
-    key0: i64,
+    pub(crate) key0: i64,
     pub(crate) slot: u32,
 }
 
@@ -173,12 +174,15 @@ fn handle_less<'s>(
 /// place an order is computed.  Sorting moves 16-byte handles instead of
 /// rows: a stable radix sort on the leading key value (its sign bit
 /// flipped, which maps `i64` order onto `u64` order), then the full
-/// comparison only inside groups that tie on it.
+/// comparison only inside groups that tie on it, bit-identical rows by
+/// store index.  So the order is total, and equal rows rank in arrival
+/// order, which the rank window relies on.
 fn sort_handles(order: &mut Vec<Handle>, rows: &PackedRows, key_cols: &[usize]) {
     radix_sort_by_u64_key(order, |h| h.key0 as u64 ^ (1 << 63));
     for ties in order.chunk_by_mut(|a, b| a.key0 == b.key0) {
         ties.sort_unstable_by(|a, b| {
             keyed_cmp(rows.row(a.slot as usize), rows.row(b.slot as usize), key_cols)
+                .then(a.slot.cmp(&b.slot))
         });
     }
 }
@@ -257,6 +261,86 @@ fn heap_pop(heap: &mut Vec<Handle>, less: &impl Fn(Handle, Handle) -> bool) -> O
     Some(top)
 }
 
+/// The replacement-selection window of a sorter that holds its whole
+/// input: the rows in memory as a bitmap over their ranks in the final
+/// order.  The open run's window is the ranks at and above `next`, one
+/// past the rank last emitted; the rows parked for the next run are the
+/// ranks below it — they ranked below an emitted row, and `next` only
+/// grows while the run is open.
+struct RankWindow {
+    /// Bit `r % 64` of word `r / 64`: the row of rank `r` is in memory.
+    words: Vec<u64>,
+    /// Bit `w % 64` of summary word `w / 64`: `words[w]` is not zero.
+    summary: Vec<u64>,
+    next: usize,
+}
+
+impl RankWindow {
+    fn new(rows: usize) -> Self {
+        let words = rows.div_ceil(64);
+        RankWindow { words: vec![0; words], summary: vec![0; words.div_ceil(64)], next: 0 }
+    }
+
+    fn insert(&mut self, rank: usize) {
+        let w = rank / 64;
+        self.words[w] |= 1 << (rank % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    /// The first word at or after `w` that holds a rank.
+    fn next_word(&self, w: usize) -> Option<usize> {
+        let mut s = w / 64;
+        let mut bits = self.summary.get(s)? & (!0u64 << (w % 64));
+        while bits == 0 {
+            s += 1;
+            bits = *self.summary.get(s)?;
+        }
+        Some(s * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// Take the open run's smallest rank out of the window; false if the
+    /// open run has none left.
+    fn emit(&mut self) -> bool {
+        let mut w = self.next / 64;
+        let Some(&word) = self.words.get(w) else { return false };
+        let mut bits = word & (!0u64 << (self.next % 64));
+        if bits == 0 {
+            let Some(at) = self.next_word(w + 1) else { return false };
+            (w, bits) = (at, self.words[at]);
+        }
+        let bit = bits.trailing_zeros() as usize;
+        self.words[w] &= !(1 << bit);
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        self.next = w * 64 + bit + 1;
+        true
+    }
+
+    /// Rows parked below the open run.
+    fn parked(&self) -> usize {
+        let (w, bit) = (self.next / 64, self.next % 64);
+        let whole: u32 = self.words[..w].iter().map(|word| word.count_ones()).sum();
+        let part = self.words.get(w).map_or(0, |word| (word & ((1 << bit) - 1)).count_ones());
+        (whole + part) as usize
+    }
+}
+
+/// A sorter's whole input and its order: [`ExternalSorter::sort_all`]'s
+/// result.  The rows stay where they arrived; `order` holds a handle per
+/// row, in the full sort order.
+pub struct SortedRows {
+    pub rows: PackedRows,
+    pub(crate) order: Vec<Handle>,
+}
+
+impl SortedRows {
+    /// The rows in sorted order.
+    pub fn iter(&self) -> impl Iterator<Item = &[i64]> + '_ {
+        self.order.iter().map(|h| self.rows.row(h.slot as usize))
+    }
+}
+
 /// One sorted run, as the accounting sees it: `rows` rows, of which the
 /// first `disk_rows` were written to (and must be read back from) the
 /// simulated disk.  The rows themselves are in the sorter's store.
@@ -266,24 +350,26 @@ struct SortedRun {
     disk_rows: usize,
 }
 
-/// An external sorter fed whole batches via [`ExternalSorter::push`] and
-/// drained by [`ExternalSorter::finish`].
+/// An external sorter, either fed whole batches via [`ExternalSorter::push`]
+/// and drained by [`ExternalSorter::finish`], or handed its whole input
+/// at once by [`ExternalSorter::sort_all`].
 pub struct ExternalSorter<'a, 'b> {
     ctx: &'a ExecCtx<'b>,
     key_cols: Vec<usize>,
     mode: SpillMode,
     memory_rows: usize,
     rows_per_page: usize,
-    // Every row, in arrival order.  Ordered once, by `finish`.
+    // Every row, in arrival order.  Ordered once, at the end.
     store: PackedRows,
     // Abrupt state: how many of the store's last rows form the buffer
     // that fills and spills wholesale.
     buffered: usize,
-    // Graceful state: replacement selection, over handles into the store.
-    // The current run's window is a sorted `base` consumed from `cursor`
-    // (promoted when the previous run closed) plus a heap of the handles
-    // that joined the run in flight; `pending` collects the next run's.
-    // All three stay empty until a row arrives to a full memory.
+    // Graceful state of a streamed sort: replacement selection, over
+    // handles into the store.  The current run's window is a sorted `base`
+    // consumed from `cursor` (promoted when the previous run closed) plus a
+    // heap of the handles that joined the run in flight; `pending` collects
+    // the next run's.  All three stay empty until a row arrives to a full
+    // memory, and in `sort_all`, whose window is a `RankWindow`.
     base: Vec<Handle>,
     cursor: usize,
     current: Vec<Handle>,
@@ -366,20 +452,46 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         self.admit(first);
     }
 
-    /// Accept every row of `rows` at once, taken as the store instead of
-    /// copied into it: a sort-merge join's materialised input.  The sorter
-    /// must not hold a row yet.
-    pub fn push_all(&mut self, rows: PackedRows) {
-        assert!(self.store.is_empty(), "push_all into a sorter that holds rows");
+    /// Sort a whole input — a sort-merge join's materialised side — taken
+    /// as the store instead of copied into it.  The order is computed
+    /// first, off the clock; then the rows are admitted in arrival order
+    /// and the finish is charged, call for call as `push` of the same rows
+    /// and `finish` would, and the rows come back with their order instead
+    /// of through a sink.  The sorter must not hold a row yet.
+    pub fn sort_all(mut self, rows: PackedRows) -> SortedRows {
+        let (order, parked) = self.admit_all(rows);
+        let log_k = self.close(parked);
+        self.final_pass(log_k, None);
+        SortedRows { rows: self.store, order }
+    }
+
+    /// Take `rows` as the store, order it, and admit every row.  Returns
+    /// the order and the rows parked at the end.
+    fn admit_all(&mut self, rows: PackedRows) -> (Vec<Handle>, usize) {
+        assert!(self.store.is_empty(), "sort_all on a sorter that holds rows");
         self.store = rows;
-        self.admit(0);
+        let order = sorted_order(&self.store, &self.key_cols);
+        let parked = match self.mode {
+            SpillMode::Abrupt => {
+                self.admit(0);
+                0
+            }
+            SpillMode::Graceful => self.admit_ranked(&order),
+        };
+        (order, parked)
+    }
+
+    /// `~log2(M)` comparisons of heap / buffer maintenance, charged per
+    /// admitted row.
+    fn push_compares(&self) -> u64 {
+        (usize::BITS - self.memory_rows.leading_zeros()) as u64
     }
 
     /// Admit the stored rows from slot `first` on, in arrival order: each
-    /// is charged its ~log2(M) comparisons of heap / buffer maintenance,
-    /// then whatever spill its arrival causes.
+    /// is charged its push comparisons, then whatever spill its arrival
+    /// causes.
     fn admit(&mut self, first: usize) {
-        let compares = (usize::BITS - self.memory_rows.leading_zeros()) as u64;
+        let compares = self.push_compares();
         for slot in first..self.store.len() {
             self.ctx.session.charge_compares(compares);
             match self.mode {
@@ -436,13 +548,20 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             }
             _ => heap_pop(&mut self.current, &less).expect("heap checked non-empty"),
         };
+        drop(less);
+        self.count_emission();
+        Some(min)
+    }
+
+    /// One row written to the open run, in either window: a page charged
+    /// each time one fills.
+    fn count_emission(&mut self) {
         self.open_rows += 1;
         self.page_fill += 1;
         if self.page_fill == self.rows_per_page {
             self.page_fill = 0;
             self.charge_run_write(1);
         }
-        Some(min)
     }
 
     /// Replacement selection, for the row in `slot`, which arrived to a
@@ -484,6 +603,40 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         }
     }
 
+    /// Replacement selection over the whole store, whose `order` is known:
+    /// the same emissions, runs and charges as `admit` with the handle
+    /// window, with a `RankWindow` for the window.  The open run's minimum
+    /// is the next rank in the window above the one last emitted, and a
+    /// newcomer joins the open run iff it ranks above the row just emitted
+    /// — which is the handle window's `!less(newcomer, min)`, because the
+    /// newcomer arrived after `min`, so a bit-identical newcomer ranks
+    /// above it.  Returns the rows parked at the end.
+    fn admit_ranked(&mut self, order: &[Handle]) -> usize {
+        let mut rank = vec![0u32; order.len()];
+        for (r, h) in order.iter().enumerate() {
+            rank[h.slot as usize] = r as u32;
+        }
+        let mut window = RankWindow::new(order.len());
+        let compares = self.push_compares();
+        for (slot, &r) in rank.iter().enumerate() {
+            self.ctx.session.charge_compares(compares);
+            if slot >= self.memory_rows {
+                self.spilled = true;
+                self.ctx.note_spill();
+                if window.emit() {
+                    self.count_emission();
+                } else {
+                    // The open run is empty: close it, and the parked rows
+                    // are the next run's window.
+                    self.close_open_run();
+                    window.next = 0;
+                }
+            }
+            window.insert(r as usize);
+        }
+        window.parked()
+    }
+
     fn close_open_run(&mut self) {
         let rows = std::mem::take(&mut self.open_rows);
         if rows == 0 {
@@ -512,6 +665,15 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     /// sink, charge what producing it charges without computing the order.
     /// Returns rows emitted.
     pub fn finish(mut self, sink: Option<RowSink<'_>>) -> u64 {
+        let log_k = self.close(self.pending.len());
+        self.final_pass(log_k, sink)
+    }
+
+    /// Every charge of the finish ahead of its final pass, `parked` rows
+    /// waiting for a Graceful run that never opened.  Returns the `log2 k`
+    /// comparisons per row of the final merge, `None` for an in-memory
+    /// sort.
+    fn close(&mut self, parked: usize) -> Option<u64> {
         match self.mode {
             SpillMode::Abrupt => {
                 if !self.spilled {
@@ -520,7 +682,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
                     if n > 1 {
                         self.ctx.session.charge_compares(n as u64 * ceil_log2(n));
                     }
-                    return self.final_pass(None, sink);
+                    return None;
                 }
                 // The paper's "spill everything" pathology: the last
                 // partial buffer is written out too.
@@ -529,22 +691,21 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             SpillMode::Graceful => {
                 // Whatever is still in memory becomes in-memory runs that
                 // merge without ever touching disk.
-                self.close_graceful_tails();
+                self.close_graceful_tails(parked);
             }
         }
-        self.merge_runs(sink)
+        Some(self.merge_runs())
     }
 
     /// Graceful finish: the rows still in memory become runs that merge
     /// without touching disk — the window as the (unwritten) tail of the
-    /// open run, the parked rows as a final short run.
-    fn close_graceful_tails(&mut self) {
+    /// open run, the `parked` rows as a final short run.
+    fn close_graceful_tails(&mut self, parked: usize) {
         let disk_rows = self.open_rows;
         if self.page_fill != 0 {
             self.page_fill = 0;
             self.charge_run_write(1);
         }
-        let parked = self.pending.len();
         // The open run is every row neither in a closed run nor parked.
         let closed: usize = self.runs.iter().map(|run| run.rows).sum();
         let rows = self.store.len() - closed - parked;
@@ -558,11 +719,9 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     }
 
     /// Merge the runs under the fan-in limit: intermediate passes (which
-    /// rewrite the data) on the clock only, then the final pass.
-    fn merge_runs(mut self, sink: Option<RowSink<'_>>) -> u64 {
-        if self.runs.is_empty() {
-            return 0;
-        }
+    /// rewrite the data) and the final pass's reads, on the clock only.
+    /// Returns the final pass's `log2 k`.
+    fn merge_runs(&mut self) -> u64 {
         let session = self.ctx.session;
         let fan_in = (self.ctx.memory_bytes / PAGE_SIZE).clamp(2, 64);
         // Intermediate passes until one final merge can cover all runs.
@@ -581,8 +740,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             }
             self.runs = next;
         }
-        let log_k = self.charge_group_reads(&self.runs);
-        self.final_pass(Some(log_k), sink)
+        self.charge_group_reads(&self.runs)
     }
 
     /// The final pass over every stored row: `log_k` comparisons (for a
@@ -887,13 +1045,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// Run formation — the one part of the sorter that stays physical
-        /// — is the textbook's: run lengths, pages written, comparisons
-        /// charged and output, on keys at both extremes, heavy leading-key
-        /// duplicates, bit-identical rows and leading-key ties with
-        /// different payloads, in arrival, ascending and descending order.
+        /// — is the textbook's in both windows, the handle window of a
+        /// batched `push` and the rank window of `sort_all`: run lengths,
+        /// pages written, comparisons charged and output, on keys at both
+        /// extremes, heavy leading-key duplicates, bit-identical rows and
+        /// leading-key ties with different payloads, in arrival, ascending
+        /// and descending order.  At 8 193 rows the rank bitmap has 129
+        /// words under three summary words, so an emission at 2 rows of
+        /// memory jumps across summary words, and those runs outnumber
+        /// one 64-way merge.
         #[test]
         fn run_formation_is_the_textbooks(
-            pool in prop::collection::vec((key_cell(), -2i64..2), 4097),
+            pool in prop::collection::vec((key_cell(), -2i64..2), 8193),
         ) {
             let (db, _) = demo_db(4);
             let arrival: Vec<[i64; 2]> = pool.iter().map(|&(a, b)| [a, b]).collect();
@@ -903,16 +1066,36 @@ mod tests {
                 let descending: Vec<_> = ascending.iter().rev().copied().collect();
                 for (order, input) in [("arrival", &arrival), ("ascending", &ascending), ("descending", &descending)] {
                     for m in [2, 3, 25, 101, 102, 103] {
-                        for n in [0, 1, m, m + 1, 4097] {
-                            let case = format!("key {k}, {order}, {m} rows of memory, {n} rows");
+                        for (n, whole) in [0, 1, m, m + 1, 8193].into_iter().flat_map(|n| [(n, false), (n, true)]) {
+                            let window = if whole { "sort_all" } else { "push" };
+                            let case = format!("{window}, key {k}, {order}, {m} rows of memory, {n} rows");
                             let s = Session::with_pool_pages(64);
                             let ctx = ExecCtx::new(&db, &s, 1 << 20);
                             let mut sorter = ExternalSorter::new(&ctx, vec![k], SpillMode::Graceful, m * ROW_BYTES);
-                            feed(input[..n].iter().map(|row| &row[..]), &mut |b| sorter.push(b));
-                            sorter.close_graceful_tails();
-                            let runs: Vec<_> = sorter.runs.iter().map(|run| (run.rows, run.disk_rows)).collect();
                             let mut out = Vec::with_capacity(n);
-                            sorter.merge_runs(Some(&mut |row| out.push([row[0], row[1]])));
+                            let mut sink = |row: &[i64]| out.push([row[0], row[1]]);
+                            // What `sort_all` and `finish` do, with the
+                            // runs read before they merge.
+                            let order = if whole {
+                                let mut rows = PackedRows::default();
+                                input[..n].iter().for_each(|row| rows.push(row));
+                                let (order, parked) = sorter.admit_all(rows);
+                                sorter.close_graceful_tails(parked);
+                                Some(order)
+                            } else {
+                                feed(input[..n].iter().map(|row| &row[..]), &mut |b| sorter.push(b));
+                                sorter.close_graceful_tails(sorter.pending.len());
+                                None
+                            };
+                            let runs: Vec<_> = sorter.runs.iter().map(|run| (run.rows, run.disk_rows)).collect();
+                            let log_k = sorter.merge_runs();
+                            match order {
+                                Some(order) => {
+                                    sorter.final_pass(Some(log_k), None);
+                                    order.iter().for_each(|h| sink(sorter.store.row(h.slot as usize)));
+                                }
+                                None => _ = sorter.final_pass(Some(log_k), Some(&mut sink)),
+                            }
                             let (want_runs, parked) = textbook_runs(&input[..n], k, m);
                             prop_assert_eq!(&runs, &want_runs, "{}", case);
                             let (writes, compares) = textbook_charges(n, m, &runs, parked);

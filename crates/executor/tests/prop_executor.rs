@@ -504,6 +504,16 @@ proptest! {
                     let emitted = sorter.finish(Some(&mut sink));
                     prop_assert_eq!(emitted as usize, n, "{}", case);
                     prop_assert!(got == want, "{}: output is not the reference order", case);
+                    // Handed the same rows whole, the sorter charges the
+                    // same calls and returns the same order.
+                    let whole_s = Session::with_pool_pages(64);
+                    let whole_ctx = ExecCtx::new(&db, &whole_s, 1 << 20);
+                    let mut whole = PackedRows::default();
+                    rows.iter().for_each(|r| whole.push(r));
+                    let sorted = ExternalSorter::new(&whole_ctx, key_cols.clone(), mode, memory_bytes).sort_all(whole);
+                    prop_assert!(sorted.iter().eq(want.iter().map(|r| &r[..])), "{}: sort_all order", case);
+                    prop_assert_eq!(whole_s.stats(), s.stats(), "{}: sort_all charges", case);
+                    prop_assert_eq!(whole_s.elapsed_ticks(), s.elapsed_ticks(), "{}: sort_all clock", case);
                 }
             }
         }

@@ -187,6 +187,22 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        gate: "sorted-once",
+        scope: &["crates/executor/src/ops/join.rs"],
+        lines: Lines::Before("#[cfg(test)]"),
+        hit: |l| any(l, &["PackedRows::", "PackedRows {", ".finish("]),
+        why: "ops/join.rs builds a PackedRows or finishes a sorter outside its tests — a \
+              sort-merge join merges the handle orders sort_all returns, it copies no row",
+        ..RULE
+    },
+    Rule {
+        gate: "sorted-once",
+        scope: &["crates"],
+        hit: |l| defined_fns(l).any(|name| name == "push_all"),
+        why: "push_all is back — a sorter handed its whole input sorts it once, in sort_all",
+        ..RULE
+    },
+    Rule {
         gate: "one-rid-set",
         scope: &["crates"],
         hit: |l| l.contains("RidBitmap"),
