@@ -88,9 +88,6 @@ fn main() {
     let harness = Harness::new(config)
         .unwrap_or_else(|e| die(&format!("--out {}: {e}", out_dir.display())));
     progress!("workload ready in {:.1?}\n", total.elapsed());
-    // Announce the run so shared sweeps (System A map carved from the
-    // all-systems map) kick in.
-    harness.plan_for(&wanted);
 
     let mut outputs = Vec::new();
     for name in &wanted {

@@ -9,7 +9,7 @@ use robustmap_executor::{NeverSwitch, PlanSpec, SwitchController};
 use robustmap_storage::Session;
 use robustmap_systems::choice::{Exact, Joint, Maintained, Stale};
 use robustmap_systems::{
-    two_pred_bail_controller_banded, Choice, Estimator, RobustConfig, SelEstimates, TwoPredPlan,
+    two_pred_bail_controller, Choice, Estimator, RobustConfig, SelEstimates, TwoPredPlan,
     CARDINALITY_NOISE_ROWS,
 };
 use robustmap_workload::cache::{cache_path, config_hash};
@@ -77,7 +77,7 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
         let spec = lab.plans[point.plan].build(ta, tb);
         let fb_idx = fallback_idx(&lab.plans, &spec, &est);
         let fallback = lab.plans[fb_idx].build(ta, tb);
-        let ctrl = two_pred_bail_controller_banded(
+        let ctrl = two_pred_bail_controller(
             &spec, point, fallback, &lab.stats, est, &mcfg.model, rcfg, BAND_FACTOR,
         );
         let ctrl: &dyn SwitchController = match &ctrl {

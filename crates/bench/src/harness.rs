@@ -1,9 +1,9 @@
 //! Shared harness state: the workload (served from the workload cache),
-//! measurement config, lazily built maps (several figures share the System
-//! A map, and the System A map itself is carved out of the all-systems map
-//! when both are needed), and artifact output.
+//! measurement config, the two lazily built maps several figures share
+//! (the all-systems 2-D map, of which System A's map is a slice, and the
+//! Figure 1 1-D map), and artifact output.
 
-use std::cell::{Cell, OnceCell};
+use std::cell::OnceCell;
 use std::path::{Path, PathBuf};
 
 use robustmap_core::render::AsciiOptions;
@@ -11,7 +11,7 @@ use robustmap_core::{
     build_map1d, build_map2d, Grid1D, Grid2D, Map1D, Map2D, MeasureConfig, RegressionSuite,
 };
 use robustmap_obs::warn;
-use robustmap_systems::{single_predicate_plans, two_predicate_plans, SinglePredPlanSet, SystemId};
+use robustmap_systems::{single_predicate_plans, SinglePredPlanSet};
 use robustmap_workload::{TableBuilder, Workload, WorkloadConfig};
 
 use crate::lab::full_catalog;
@@ -95,10 +95,8 @@ pub struct Harness {
     pub w: Workload,
     /// Scale parameters.
     pub config: HarnessConfig,
-    map_a: OnceCell<Map2D>,
     map_all: OnceCell<Map2D>,
     map1_basic: OnceCell<Map1D>,
-    want_all_systems: Cell<bool>,
 }
 
 impl Harness {
@@ -111,10 +109,8 @@ impl Harness {
         Ok(Harness {
             w,
             config,
-            map_a: OnceCell::new(),
             map_all: OnceCell::new(),
             map1_basic: OnceCell::new(),
-            want_all_systems: Cell::new(false),
         })
     }
 
@@ -130,44 +126,16 @@ impl Harness {
         .expect("create target/figures-test")
     }
 
-    /// Announce which figures a run will regenerate.  When it will touch a
-    /// figure whose [`crate::Figure::needs_all_systems`] is set *and* a
-    /// System-A-only figure, the harness builds the fifteen-plan map once
-    /// and carves the System A map out of it instead of sweeping the same
-    /// seven plans twice (cell measurements are independent, so the subset
-    /// is identical to a dedicated sweep).  Calling this is optional —
-    /// figures are correct without it, just slower.
-    pub fn plan_for<S: AsRef<str>>(&self, names: &[S]) {
-        if names.iter().any(|n| crate::figure(n.as_ref()).is_some_and(|f| f.needs_all_systems)) {
-            self.want_all_systems.set(true);
-        }
-    }
-
-    /// Whether the all-systems map has been built — test introspection
-    /// keeping `needs_all_systems` honest against actual figure behaviour.
-    #[cfg(test)]
-    pub(crate) fn map_all_is_built(&self) -> bool {
-        self.map_all.get().is_some()
-    }
-
     /// The 2-D grid all two-predicate maps use.
     pub fn grid2d(&self) -> Grid2D {
         Grid2D::pow2(self.config.grid_exp)
     }
 
-    /// System A's seven-plan 2-D map (Figures 4, 5, 7), built once — as a
-    /// subset of the all-systems map whenever that map exists or is known
-    /// to be coming ([`Harness::plan_for`]).
+    /// System A's seven-plan 2-D map (Figures 4, 5, 7): the "A" slice of
+    /// the all-systems map.  Cells are measured in isolation, so the slice
+    /// equals a dedicated sweep of System A's plans.
     pub fn map_system_a(&self) -> Map2D {
-        let build = || {
-            if self.want_all_systems.get() || self.map_all.get().is_some() {
-                self.map_all_systems().subset_by_prefix("A")
-            } else {
-                let plans = two_predicate_plans(SystemId::A, &self.w);
-                build_map2d(&self.w, &plans, &self.grid2d(), &self.config.measure)
-            }
-        };
-        self.map_a.get_or_init(build).clone()
+        self.map_all_systems().subset_by_prefix("A")
     }
 
     /// The all-systems fifteen-plan map (Figures 8-10, extensions), built
@@ -209,6 +177,7 @@ impl Harness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use robustmap_systems::{two_predicate_plans, SystemId};
 
     #[test]
     fn tiny_harness_builds_and_caches_maps() {
@@ -224,17 +193,13 @@ mod tests {
 
     #[test]
     fn system_a_map_is_the_same_standalone_or_carved_from_all_systems() {
-        // Standalone: no plan announced, A map swept directly.
-        let standalone = Harness::tiny().map_system_a();
-        // Carved: fig8 announced, so the A map is a subset of the
-        // all-systems sweep.  Cells are measured in isolation, so the two
-        // must be identical — this is what keeps CSV artifacts byte-stable
-        // whichever figures a run regenerates.
+        // The carved slice must equal a dedicated sweep of System A's seven
+        // plans: this is what lets Figures 4, 5 and 7 read the fifteen-plan
+        // map without their artifacts moving.
         let h = Harness::tiny();
-        h.plan_for(&["fig4", "fig8"]);
-        let carved = h.map_system_a();
-        assert_eq!(standalone, carved);
-        assert_eq!(h.map_all_systems().subset_by_prefix("A"), carved);
+        let plans = two_predicate_plans(SystemId::A, &h.w);
+        let standalone = build_map2d(&h.w, &plans, &h.grid2d(), &h.config.measure);
+        assert_eq!(h.map_system_a(), standalone);
     }
 
     #[test]

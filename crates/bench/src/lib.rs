@@ -40,39 +40,36 @@ pub struct Figure {
     pub name: &'static str,
     /// Regenerate the figure against a harness.
     pub run: fn(&Harness) -> FigureOutput,
-    /// Whether the figure reads the fifteen-plan all-systems map (see
-    /// [`Harness::plan_for`]).
-    pub needs_all_systems: bool,
 }
 
 /// Every figure known to the harness, in presentation order.
 pub const FIGURES: &[Figure] = &[
-    Figure { name: "legends", run: paper::legends, needs_all_systems: false },
-    Figure { name: "fig1", run: paper::fig1, needs_all_systems: false },
-    Figure { name: "fig2", run: paper::fig2, needs_all_systems: false },
-    Figure { name: "fig4", run: paper::fig4, needs_all_systems: false },
-    Figure { name: "fig5", run: paper::fig5, needs_all_systems: false },
-    Figure { name: "fig7", run: paper::fig7, needs_all_systems: false },
-    Figure { name: "fig8", run: paper::fig8, needs_all_systems: true },
-    Figure { name: "fig9", run: paper::fig9, needs_all_systems: true },
-    Figure { name: "fig10", run: paper::fig10, needs_all_systems: true },
-    Figure { name: "ext_sort_spill", run: operators::ext_sort_spill, needs_all_systems: false },
-    Figure { name: "ext_memory", run: operators::ext_memory, needs_all_systems: false },
-    Figure { name: "ext_worst", run: systems::ext_worst, needs_all_systems: true },
-    Figure { name: "ext_shootout", run: systems::ext_shootout, needs_all_systems: true },
-    Figure { name: "ext_ablation", run: operators::ext_ablation, needs_all_systems: false },
-    Figure { name: "ext_buffer", run: operators::ext_buffer, needs_all_systems: false },
-    Figure { name: "ext_join", run: operators::ext_join, needs_all_systems: false },
-    Figure { name: "ext_parallel", run: operators::ext_parallel, needs_all_systems: false },
-    Figure { name: "ext_skew", run: operators::ext_skew, needs_all_systems: false },
-    Figure { name: "ext_optimizer", run: choice::ext_optimizer, needs_all_systems: true },
-    Figure { name: "ext_correlated", run: choice::ext_correlated, needs_all_systems: false },
-    Figure { name: "ext_robust_choice", run: choice::ext_robust_choice, needs_all_systems: false },
-    Figure { name: "ext_adaptive", run: choice::ext_adaptive, needs_all_systems: false },
-    Figure { name: "ext_concurrency", run: serving::ext_concurrency, needs_all_systems: false },
-    Figure { name: "ext_trace", run: serving::ext_trace, needs_all_systems: false },
-    Figure { name: "ext_churn", run: choice::ext_churn, needs_all_systems: false },
-    Figure { name: "ext_regression", run: systems::ext_regression, needs_all_systems: true },
+    Figure { name: "legends", run: paper::legends },
+    Figure { name: "fig1", run: paper::fig1 },
+    Figure { name: "fig2", run: paper::fig2 },
+    Figure { name: "fig4", run: paper::fig4 },
+    Figure { name: "fig5", run: paper::fig5 },
+    Figure { name: "fig7", run: paper::fig7 },
+    Figure { name: "fig8", run: paper::fig8 },
+    Figure { name: "fig9", run: paper::fig9 },
+    Figure { name: "fig10", run: paper::fig10 },
+    Figure { name: "ext_sort_spill", run: operators::ext_sort_spill },
+    Figure { name: "ext_memory", run: operators::ext_memory },
+    Figure { name: "ext_worst", run: systems::ext_worst },
+    Figure { name: "ext_shootout", run: systems::ext_shootout },
+    Figure { name: "ext_ablation", run: operators::ext_ablation },
+    Figure { name: "ext_buffer", run: operators::ext_buffer },
+    Figure { name: "ext_join", run: operators::ext_join },
+    Figure { name: "ext_parallel", run: operators::ext_parallel },
+    Figure { name: "ext_skew", run: operators::ext_skew },
+    Figure { name: "ext_optimizer", run: choice::ext_optimizer },
+    Figure { name: "ext_correlated", run: choice::ext_correlated },
+    Figure { name: "ext_robust_choice", run: choice::ext_robust_choice },
+    Figure { name: "ext_adaptive", run: choice::ext_adaptive },
+    Figure { name: "ext_concurrency", run: serving::ext_concurrency },
+    Figure { name: "ext_trace", run: serving::ext_trace },
+    Figure { name: "ext_churn", run: choice::ext_churn },
+    Figure { name: "ext_regression", run: systems::ext_regression },
 ];
 
 /// Look a figure up by id.
@@ -141,31 +138,11 @@ mod tests {
     #[test]
     fn every_listed_figure_is_runnable() {
         let h = Harness::tiny();
-        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-        h.plan_for(&names);
-        for name in names {
+        for name in FIGURES.iter().map(|f| f.name) {
             let out = run_figure(&h, name).expect("known figure");
             assert_eq!(out.name, name, "{name}: id not stamped from the table");
             assert!(!out.report.is_empty(), "{name} produced an empty report");
             assert!(out.wall_seconds > 0.0, "{name} wall time not stamped");
-        }
-    }
-
-    #[test]
-    fn needs_all_systems_list_matches_figure_behaviour() {
-        // The shared-sweep bookkeeping is a hand-maintained table field;
-        // this pins it to what the figure bodies actually do.  Each figure
-        // runs on its own harness with nothing announced, so `map_all` is
-        // built exactly when the figure itself asks for it.
-        for fig in FIGURES {
-            let h = Harness::tiny();
-            run_figure(&h, fig.name).expect("known figure");
-            assert_eq!(
-                h.map_all_is_built(),
-                fig.needs_all_systems,
-                "{}: needs_all_systems out of sync with actual map_all_systems() usage",
-                fig.name
-            );
         }
     }
 

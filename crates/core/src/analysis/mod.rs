@@ -22,5 +22,5 @@ pub use changepoint::{
 pub use flattening::{flattening_violations, flattening_violations_log2, FlatteningViolation};
 pub use landmarks::{crossovers, Crossover};
 pub use monotonicity::{monotonicity_violations, MonotonicityViolation};
-pub use score::{score_map2d, score_series, RobustnessScore};
+pub use score::{score_map2d, RobustnessScore};
 pub use symmetry::{symmetry_of, Symmetry};

@@ -138,43 +138,6 @@ pub fn score_map2d(rel: &RelativeMap2D, plan: usize, absolute_seconds: &[f64]) -
     }
 }
 
-/// Score a 1-D series: worst quotient and smoothness against the best of
-/// the map's plans.
-pub fn score_series(
-    plan: &str,
-    sels: &[f64],
-    seconds: &[f64],
-    best_seconds: &[f64],
-) -> RobustnessScore {
-    assert!(sels.len() == seconds.len() && seconds.len() == best_seconds.len());
-    let quotients: Vec<f64> = seconds
-        .iter()
-        .zip(best_seconds)
-        .map(|(&s, &b)| if b > 0.0 { s / b } else { 1.0 })
-        .collect();
-    let worst = quotients.iter().copied().fold(1.0, f64::max);
-    let within = |f: f64| quotients.iter().filter(|&&q| q <= f).count() as f64 / quotients.len() as f64;
-    let mut grid = crate::regions::BoolGrid::new(sels.len(), 1);
-    for (i, &q) in quotients.iter().enumerate() {
-        grid.set(i, 0, q <= 1.2);
-    }
-    let mut smooth = Smoothness::default();
-    smooth.absorb(sels, seconds, &ChangepointConfig::default(), 0.05);
-    RobustnessScore {
-        plan: plan.to_string(),
-        worst_quotient: worst,
-        area_within_2x: within(2.0),
-        area_within_10x: within(10.0),
-        cliffs: smooth.cliffs,
-        knees: smooth.knees,
-        cliff_log10_severity: smooth.cliff_log10,
-        knee_severity: smooth.knee_severity,
-        monotonicity_violations: smooth.monos,
-        excluded_cells: smooth.excluded,
-        region: RegionStats::of(&grid),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,20 +196,5 @@ mod tests {
         let clean = score_map2d(&rel, 0, &map.seconds_grid(0));
         assert_eq!(clean.cliffs + clean.knees, 0);
         assert!(clean.headline() > s.headline());
-    }
-
-    #[test]
-    fn series_score_counts_coverage() {
-        let sels = [0.25, 0.5, 1.0];
-        let best = [1.0, 2.0, 4.0];
-        let mine = [1.0, 3.0, 100.0];
-        let s = score_series("p", &sels, &mine, &best);
-        assert!((s.area_within_2x - 2.0 / 3.0).abs() < 1e-12);
-        assert!((s.worst_quotient - 25.0).abs() < 1e-12);
-        assert_eq!(s.region.total_area, 1);
-        // The 33x jump from 3 to 100 over a factor-2 step is a cliff, and
-        // its severity feeds the headline penalty.
-        assert_eq!(s.cliffs, 1);
-        assert!(s.cliff_log10_severity > 0.5);
     }
 }

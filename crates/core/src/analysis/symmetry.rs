@@ -18,15 +18,6 @@ pub struct Symmetry {
     pub mean_log_ratio: f64,
 }
 
-impl Symmetry {
-    /// Whether the map is symmetric within `factor` (e.g. `1.15` tolerates
-    /// 15% mirrored differences).
-    pub fn is_symmetric_within(&self, factor: f64) -> bool {
-        assert!(factor >= 1.0);
-        self.max_log_ratio <= factor.ln()
-    }
-}
-
 /// Compute the symmetry of an ia-major `grid` over a square `n x n` space.
 ///
 /// # Panics
@@ -67,7 +58,6 @@ mod tests {
             (0..n).flat_map(|i| (0..n).map(move |j| (i + j + 1) as f64)).collect();
         let s = symmetry_of(&grid, n);
         assert_eq!(s.max_log_ratio, 0.0);
-        assert!(s.is_symmetric_within(1.01));
     }
 
     #[test]
@@ -77,18 +67,16 @@ mod tests {
         let n = 4;
         let grid: Vec<f64> = (0..n).flat_map(|i| (0..n).map(move |_| 10f64.powi(i as i32))).collect();
         let s = symmetry_of(&grid, n);
-        assert!(!s.is_symmetric_within(2.0));
         assert!(s.max_log_ratio > 6.0); // ratio up to 10^3
     }
 
     #[test]
-    fn mild_noise_stays_within_tolerance() {
+    fn mild_noise_is_its_log_ratio() {
         let n = 3;
         let mut grid: Vec<f64> = (0..n).flat_map(|i| (0..n).map(move |j| (i + j + 1) as f64)).collect();
         grid[1] *= 1.05; // 5% wobble in cell (0, 1)
         let s = symmetry_of(&grid, n);
-        assert!(s.is_symmetric_within(1.10));
-        assert!(!s.is_symmetric_within(1.01));
+        assert!((s.max_log_ratio - 1.05f64.ln()).abs() < 1e-12);
     }
 
     #[test]

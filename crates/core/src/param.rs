@@ -86,11 +86,6 @@ impl Grid2D {
     pub fn cells(&self) -> usize {
         self.a.len() * self.b.len()
     }
-
-    /// Whether the two axes are identical (symmetry analysis needs this).
-    pub fn is_square(&self) -> bool {
-        self.a == self.b
-    }
 }
 
 #[cfg(test)]
@@ -132,9 +127,7 @@ mod tests {
         let g = Grid2D::pow2(8);
         assert_eq!(g.dims(), (9, 9));
         assert_eq!(g.cells(), 81);
-        assert!(g.is_square());
         let g2 = Grid2D::new(Grid1D::pow2(4), Grid1D::pow2(8));
-        assert!(!g2.is_square());
         assert_eq!(g2.dims(), (5, 9));
     }
 }

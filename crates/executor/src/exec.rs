@@ -518,7 +518,6 @@ fn shape(
                 &scan.range,
                 key_filter,
                 ctx.session,
-                AccessKind::Sequential,
             );
             let mut fetch_eff = *fetch;
             match observe(ctx, controller, CheckpointKind::RidFeed, rids.len() as u64) {
@@ -584,7 +583,7 @@ fn shape(
                 ));
             }
             let lrids =
-                ops::index_scan::collect_rids(li, &left.range, ctx.session, AccessKind::Sequential);
+                ops::index_scan::collect_rids(li, &left.range, ctx.session);
             if let SwitchDirective::Bail(alt) = observe(
                 ctx,
                 controller,
@@ -594,7 +593,7 @@ fn shape(
                 return Ok(Outcome::Bail(alt));
             }
             let rrids =
-                ops::index_scan::collect_rids(ri, &right.range, ctx.session, AccessKind::Sequential);
+                ops::index_scan::collect_rids(ri, &right.range, ctx.session);
             let mut algo_eff = *algo;
             match observe(
                 ctx,
@@ -629,7 +628,7 @@ fn shape(
                 return Err(ExecError::BadPlan("covering rid join across different tables".into()));
             }
             let lentries =
-                ops::index_scan::collect_entries(li, &left.range, ctx.session, AccessKind::Sequential);
+                ops::index_scan::collect_entries(li, &left.range, ctx.session);
             if let SwitchDirective::Bail(alt) = observe(
                 ctx,
                 controller,
@@ -639,7 +638,7 @@ fn shape(
                 return Ok(Outcome::Bail(alt));
             }
             let rentries =
-                ops::index_scan::collect_entries(ri, &right.range, ctx.session, AccessKind::Sequential);
+                ops::index_scan::collect_entries(ri, &right.range, ctx.session);
             let mut algo_eff = *algo;
             match observe(
                 ctx,

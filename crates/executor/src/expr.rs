@@ -58,12 +58,6 @@ impl ColRange {
     pub fn admits(&self, v: i64) -> bool {
         (self.lo <= v) & (v <= self.hi)
     }
-
-    /// The same restriction with the column position remapped (used when a
-    /// predicate moves from table-row space to index-key space).
-    pub fn with_col(&self, col: usize) -> Self {
-        ColRange { col, ..*self }
-    }
 }
 
 /// A conjunction of column ranges.  The empty conjunction is `TRUE`.
@@ -153,19 +147,6 @@ impl Predicate {
             session.charge_compares_as(examined, n);
         }
     }
-
-    /// The terms that restrict `col`, if any.
-    pub fn terms_on(&self, col: usize) -> impl Iterator<Item = &ColRange> {
-        self.terms.iter().filter(move |t| t.col == col)
-    }
-
-    /// Split into (terms on `cols`, remaining terms) — used by plan builders
-    /// to push range terms into an index and keep the rest as a residual.
-    pub fn split_on(&self, cols: &[usize]) -> (Predicate, Predicate) {
-        let (on, off): (Vec<ColRange>, Vec<ColRange>) =
-            self.terms.iter().partition(|t| cols.contains(&t.col));
-        (Predicate { terms: on }, Predicate { terms: off })
-    }
 }
 
 impl std::fmt::Display for Predicate {
@@ -229,27 +210,6 @@ mod tests {
         assert_eq!(s.stats().cpu_compares, 1);
         assert!(p.eval(&row(&[0, 0]), &s));
         assert_eq!(s.stats().cpu_compares, 3);
-    }
-
-    #[test]
-    fn split_on_partitions_terms() {
-        let p = Predicate::all_of(vec![
-            ColRange::at_most(0, 1),
-            ColRange::at_most(1, 2),
-            ColRange::at_least(0, 0),
-        ]);
-        let (on, off) = p.split_on(&[0]);
-        assert_eq!(on.terms().len(), 2);
-        assert_eq!(off.terms().len(), 1);
-        assert!(on.terms().iter().all(|t| t.col == 0));
-        assert_eq!(off.terms()[0].col, 1);
-    }
-
-    #[test]
-    fn with_col_remaps() {
-        let t = ColRange::between(3, 1, 9).with_col(0);
-        assert_eq!(t.col, 0);
-        assert_eq!((t.lo, t.hi), (1, 9));
     }
 
     /// One charge for the run is `eval` on each item: the same survivors,

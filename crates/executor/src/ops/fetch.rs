@@ -346,12 +346,7 @@ mod tests {
         let (mut db, t) = demo_db(n);
         let idx = db.create_index("idx_a", t, &[0]).unwrap();
         let s = Session::with_pool_pages(64);
-        let rids = collect_rids(
-            db.index(idx),
-            &KeyRange::on_leading(0, hi, 1),
-            &s,
-            AccessKind::Sequential,
-        );
+        let rids = collect_rids(db.index(idx), &KeyRange::on_leading(0, hi, 1), &s);
         (db, t, rids)
     }
 

@@ -14,15 +14,11 @@ use crate::expr::Predicate;
 use crate::plan::KeyRange;
 
 /// Scan `range` of the index and collect the qualifying rids, in key order.
-/// Leaf pages are charged at `leaf_access`.
-pub fn collect_rids(
-    index: &IndexDef,
-    range: &KeyRange,
-    session: &Session,
-    leaf_access: AccessKind,
-) -> Vec<Rid> {
+/// Leaf pages are charged as sequential reads (bulk load lays leaves out
+/// consecutively).
+pub fn collect_rids(index: &IndexDef, range: &KeyRange, session: &Session) -> Vec<Rid> {
     let mut rids = Vec::new();
-    index.tree.scan_leaves(&range.lo, &range.hi, session, leaf_access, |leaf| {
+    index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
         rids.extend(leaf.iter().map(|&(_, rid)| rid));
     });
     rids
@@ -37,27 +33,21 @@ pub fn collect_rids_filtered(
     range: &KeyRange,
     key_filter: &Predicate,
     session: &Session,
-    leaf_access: AccessKind,
 ) -> Vec<Rid> {
     if key_filter.is_true() {
-        return collect_rids(index, range, session, leaf_access);
+        return collect_rids(index, range, session);
     }
     let mut rids = Vec::new();
-    index.tree.scan_leaves(&range.lo, &range.hi, session, leaf_access, |leaf| {
+    index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
         key_filter.filter_run(leaf, |(key, _), c| key.get(c), session, |&(_, rid)| rids.push(rid));
     });
     rids
 }
 
 /// Scan `range` of the index and collect full `(key, rid)` entries.
-pub fn collect_entries(
-    index: &IndexDef,
-    range: &KeyRange,
-    session: &Session,
-    leaf_access: AccessKind,
-) -> Vec<Entry> {
+pub fn collect_entries(index: &IndexDef, range: &KeyRange, session: &Session) -> Vec<Entry> {
     let mut entries = Vec::new();
-    index.tree.scan_leaves(&range.lo, &range.hi, session, leaf_access, |leaf| {
+    index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
         entries.extend_from_slice(leaf);
     });
     entries
@@ -101,7 +91,7 @@ mod tests {
         let idx = db.create_index("idx_a", t, &[0]).unwrap();
         let s = Session::with_pool_pages(64);
         let range = KeyRange::on_leading(0, 99, 1);
-        let rids = collect_rids(db.index(idx), &range, &s, AccessKind::Sequential);
+        let rids = collect_rids(db.index(idx), &range, &s);
         assert_eq!(rids.len(), 100);
         // Every rid's row really satisfies the range.
         for rid in rids {
@@ -115,8 +105,7 @@ mod tests {
         let (mut db, t) = demo_db(256);
         let idx = db.create_index("idx_b", t, &[1]).unwrap();
         let s = Session::with_pool_pages(64);
-        let entries =
-            collect_entries(db.index(idx), &KeyRange::full(1), &s, AccessKind::Sequential);
+        let entries = collect_entries(db.index(idx), &KeyRange::full(1), &s);
         assert_eq!(entries.len(), 256);
         assert!(entries.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -176,12 +165,12 @@ mod tests {
         let idx = db.create_index("idx_a", t, &[0]).unwrap();
         let narrow = {
             let s = Session::with_pool_pages(64);
-            collect_rids(db.index(idx), &KeyRange::on_leading(0, 15, 1), &s, AccessKind::Sequential);
+            collect_rids(db.index(idx), &KeyRange::on_leading(0, 15, 1), &s);
             s.stats().pages_read()
         };
         let wide = {
             let s = Session::with_pool_pages(64);
-            collect_rids(db.index(idx), &KeyRange::full(1), &s, AccessKind::Sequential);
+            collect_rids(db.index(idx), &KeyRange::full(1), &s);
             s.stats().pages_read()
         };
         assert!(narrow < wide, "narrow {narrow} vs wide {wide}");

@@ -38,12 +38,6 @@ impl Rid {
     pub fn to_u64(self) -> u64 {
         ((self.page as u64) << 32) | self.slot as u64
     }
-
-    /// Inverse of [`Rid::to_u64`].
-    #[inline]
-    pub fn from_u64(v: u64) -> Self {
-        Rid { page: (v >> 32) as u32, slot: (v & 0xffff_ffff) as u32 }
-    }
 }
 
 impl std::fmt::Display for Rid {
@@ -271,14 +265,11 @@ mod tests {
     }
 
     #[test]
-    fn rid_u64_roundtrip_preserves_order() {
+    fn rid_u64_preserves_order() {
         let rids = [Rid::new(0, 0), Rid::new(0, 5), Rid::new(1, 0), Rid::new(3, 2)];
         for w in rids.windows(2) {
             assert!(w[0] < w[1]);
             assert!(w[0].to_u64() < w[1].to_u64());
-        }
-        for r in rids {
-            assert_eq!(Rid::from_u64(r.to_u64()), r);
         }
     }
 

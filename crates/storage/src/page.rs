@@ -92,11 +92,6 @@ impl SlottedPage {
         (0..self.n_slots()).filter(|&s| self.slot_at(s).1 != DEAD).count()
     }
 
-    /// Total number of slots, including dead ones.
-    pub fn slot_count(&self) -> usize {
-        self.n_slots()
-    }
-
     /// Bytes available for a new record (including its slot entry),
     /// without compaction.
     pub fn free_space(&self) -> usize {
@@ -255,7 +250,7 @@ mod tests {
     #[test]
     fn empty_page_has_full_free_space() {
         let p = SlottedPage::new();
-        assert_eq!(p.slot_count(), 0);
+        assert_eq!(p.n_slots(), 0);
         assert_eq!(p.free_space(), PAGE_SIZE - HEADER_BYTES);
         assert!(p.fits(SlottedPage::MAX_RECORD));
         assert!(!p.fits(SlottedPage::MAX_RECORD + 1));
@@ -289,7 +284,7 @@ mod tests {
         assert_eq!(p.get(b), None);
         assert_eq!(p.get(c), Some(&b"ccc"[..]));
         assert_eq!(p.live_records(), 2);
-        assert_eq!(p.slot_count(), 3);
+        assert_eq!(p.n_slots(), 3);
     }
 
     #[test]

@@ -72,14 +72,6 @@ impl Schema {
         &self.columns
     }
 
-    /// Position of the column called `name`.
-    pub fn column_index(&self, name: &str) -> Result<usize, StorageError> {
-        self.columns
-            .iter()
-            .position(|c| c.name == name)
-            .ok_or_else(|| StorageError::UnknownObject(format!("column {name}")))
-    }
-
     /// Bytes a row of this schema occupies when encoded.
     pub fn row_bytes(&self) -> usize {
         self.arity() * 8
@@ -213,8 +205,6 @@ mod tests {
     fn schema_lookup() {
         let s = lineitem_like();
         assert_eq!(s.arity(), 4);
-        assert_eq!(s.column_index("price").unwrap(), 2);
-        assert!(s.column_index("nope").is_err());
         assert_eq!(s.row_bytes(), 32);
     }
 

@@ -141,11 +141,6 @@ impl Session {
         &self.costs
     }
 
-    /// This session's query identity on its pool (0 on a private one).
-    pub fn query_id(&self) -> QueryId {
-        self.query
-    }
-
     /// Reset the session to its as-constructed state: clock at zero, all
     /// counters cleared, buffer pool cold (same capacity and policy), the
     /// temp-file allocator rewound, quantum progress cleared.
@@ -546,7 +541,7 @@ mod tests {
         let pool = Arc::new(SharedBufferPool::new(8, EvictionPolicy::Lru));
         let a = Session::on_shared(CostModel::hdd_2009(), Arc::clone(&pool));
         let b = Session::on_shared(CostModel::hdd_2009(), Arc::clone(&pool));
-        assert_ne!(a.query_id(), b.query_id());
+        assert_ne!(a.query, b.query);
         a.read_page(pid(0), AccessKind::Random); // a misses
         b.read_page(pid(0), AccessKind::Random); // b hits a's page
         assert_eq!(a.stats().random_reads, 1);

@@ -216,24 +216,6 @@ impl Database {
         &mut self.indexes[id.0 as usize]
     }
 
-    /// Find a table id by name.
-    pub fn table_by_name(&self, name: &str) -> Result<TableId> {
-        self.tables
-            .iter()
-            .position(|t| t.name == name)
-            .map(|i| TableId(i as u32))
-            .ok_or_else(|| StorageError::UnknownObject(name.to_string()))
-    }
-
-    /// Find an index id by name.
-    pub fn index_by_name(&self, name: &str) -> Result<IndexId> {
-        self.indexes
-            .iter()
-            .position(|i| i.name == name)
-            .map(|i| IndexId(i as u32))
-            .ok_or_else(|| StorageError::UnknownObject(name.to_string()))
-    }
-
     /// All indexes on `table`.
     pub fn indexes_on(&self, table: TableId) -> impl Iterator<Item = (IndexId, &IndexDef)> {
         self.indexes
@@ -320,13 +302,9 @@ mod tests {
     }
 
     #[test]
-    fn lookups_by_name() {
+    fn indexes_on_lists_the_tables_indexes() {
         let (mut db, t) = demo_db(10);
         db.create_index("idx_a", t, &[0]).unwrap();
-        assert_eq!(db.table_by_name("demo").unwrap(), t);
-        assert!(db.table_by_name("nope").is_err());
-        assert!(db.index_by_name("idx_a").is_ok());
-        assert!(db.index_by_name("idx_z").is_err());
         assert_eq!(db.indexes_on(t).count(), 1);
     }
 

@@ -194,35 +194,15 @@ impl SwitchController for BailController<'_> {
 /// [`estimate_cost`]/[`estimate_fetch`] formulas the compile-time choice
 /// used (Fréchet-clamped to stay coherent), so the mid-flight decision is
 /// the compile-time decision with one estimate replaced by ground truth.
-pub fn two_pred_bail_controller<'a>(
-    chosen: &PlanSpec,
-    choice: &Choice,
-    fallback: PlanSpec,
-    stats: &'a CatalogStats,
-    est: SelEstimates,
-    model: &'a CostModel,
-    cfg: RobustConfig,
-) -> Option<BailController<'a>> {
-    two_pred_bail_controller_banded(
-        chosen,
-        choice,
-        fallback,
-        stats,
-        est,
-        model,
-        cfg,
-        DEFAULT_BAND_FACTOR,
-    )
-}
-
-/// [`two_pred_bail_controller`] with an explicit credible-band factor.
-/// The default factor treats a factor-2 cardinality surprise as the edge
-/// of credibility; an experiment whose known estimation failure sits *at*
-/// that factor (e.g. an independence conjunction at marginal selectivity
-/// 1/2, wrong by exactly `1/max(sel_a, sel_b)` = 2) arms a tighter band —
-/// the [`CARDINALITY_NOISE_ROWS`] floor still protects tiny expectations.
+///
+/// `band_factor` sets the credible band.  [`DEFAULT_BAND_FACTOR`] treats a
+/// factor-2 cardinality surprise as the edge of credibility; an experiment
+/// whose known estimation failure sits *at* that factor (e.g. an
+/// independence conjunction at marginal selectivity 1/2, wrong by exactly
+/// `1/max(sel_a, sel_b)` = 2) passes a tighter band — the
+/// [`CARDINALITY_NOISE_ROWS`] floor still protects tiny expectations.
 #[allow(clippy::too_many_arguments)]
-pub fn two_pred_bail_controller_banded<'a>(
+pub fn two_pred_bail_controller<'a>(
     chosen: &PlanSpec,
     choice: &Choice,
     fallback: PlanSpec,
@@ -428,7 +408,7 @@ mod tests {
         let (ta, tb) = (w.cal_a.threshold(sel_a), w.cal_b.threshold(sel_b));
         let est = SelEstimates { sel_a, sel_b, sel_ab: sel_a * sel_b };
         let spec = mdam.build(ta, tb);
-        let ctrl = two_pred_bail_controller_banded(
+        let ctrl = two_pred_bail_controller(
             &spec,
             &choice_with_margin(1e-6),
             scan_b.build(ta, tb),
@@ -463,6 +443,7 @@ mod tests {
             est,
             &model,
             RobustConfig::default(),
+            DEFAULT_BAND_FACTOR,
         )
         .is_none());
     }

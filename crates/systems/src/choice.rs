@@ -166,8 +166,9 @@ impl<'j> Joint<'j> {
     /// The half-widths its region hedges over at `(ta, tb)`:
     /// `max(bucket resolution, z * stderr)` per axis.
     pub fn radii(&self, ta: i64, tb: i64) -> (f64, f64) {
-        let ra = self.joint.resolution_a().max(self.z * self.joint.sel_variance_a(ta).sqrt());
-        let rb = self.joint.resolution_b().max(self.z * self.joint.sel_variance_b(tb).sqrt());
+        let j = self.joint;
+        let ra = credible_radius(j.resolution_a(), self.z, j.sel_variance_a(ta));
+        let rb = credible_radius(j.resolution_b(), self.z, j.sel_variance_b(tb));
         (ra, rb)
     }
 }
@@ -183,16 +184,10 @@ impl Estimator for Joint<'_> {
     }
 }
 
-/// Staleness-inflated per-axis half-width: the larger of the bucket
-/// resolution and `z` standard errors, where the variance is the sampling
-/// variance *plus* the churned mass's worth of Bernoulli variance —
-/// `var + severity * p(1-p)`.  At severity 0 this is exactly [`Joint`]'s
-/// width; as the modified fraction (amplified by drift) approaches 1 the
-/// standard error approaches the full population standard deviation,
-/// i.e. "the statistic tells us almost nothing beyond the mean".
-fn stale_radius(resolution: f64, z: f64, var: f64, p: f64, severity: f64) -> f64 {
-    let p = p.clamp(0.0, 1.0);
-    resolution.max(z * (var + severity.clamp(0.0, 1.0) * p * (1.0 - p)).sqrt())
+/// One axis's credible half-width: the larger of the bucket `resolution`
+/// and `z` standard errors of an estimate whose variance is `var`.
+fn credible_radius(resolution: f64, z: f64, var: f64) -> f64 {
+    resolution.max(z * var.sqrt())
 }
 
 /// Frozen joint statistics known to be stale: the estimate is the base's
@@ -201,7 +196,12 @@ fn stale_radius(resolution: f64, z: f64, var: f64, p: f64, severity: f64) -> f64
 /// hedges harder the longer the statistics go unmaintained.
 ///
 /// Same shape as [`Joint`]'s variance-adaptive half-widths, with the
-/// variance inflated by [`Staleness::severity`] (see `stale_radius`).
+/// sampling variance *plus* the churned mass's worth of Bernoulli
+/// variance, `var + severity * p(1-p)` ([`Staleness::severity`]).  At
+/// severity 0 this is exactly [`Joint`]'s width; as the modified fraction
+/// (amplified by drift) approaches 1 the standard error approaches the
+/// full population standard deviation, i.e. "the statistic tells us
+/// almost nothing beyond the mean".
 pub struct Stale<'j> {
     joint: &'j JointHistogram,
     /// The staleness meter driving the widening.
@@ -218,21 +218,16 @@ impl<'j> Stale<'j> {
 
     /// The staleness-widened half-widths at `(ta, tb)`.
     pub fn radii(&self, ta: i64, tb: i64) -> (f64, f64) {
-        let s = self.staleness.severity();
-        let ra = stale_radius(
-            self.joint.resolution_a(),
-            self.z,
-            self.joint.sel_variance_a(ta),
-            self.joint.marginal_a().estimate_at_most(ta),
-            s,
-        );
-        let rb = stale_radius(
-            self.joint.resolution_b(),
-            self.z,
-            self.joint.sel_variance_b(tb),
-            self.joint.marginal_b().estimate_at_most(tb),
-            s,
-        );
+        let severity = self.staleness.severity().clamp(0.0, 1.0);
+        let inflated = |var: f64, p: f64| {
+            let p = p.clamp(0.0, 1.0);
+            var + severity * p * (1.0 - p)
+        };
+        let j = self.joint;
+        let var_a = inflated(j.sel_variance_a(ta), j.marginal_a().estimate_at_most(ta));
+        let var_b = inflated(j.sel_variance_b(tb), j.marginal_b().estimate_at_most(tb));
+        let ra = credible_radius(j.resolution_a(), self.z, var_a);
+        let rb = credible_radius(j.resolution_b(), self.z, var_b);
         (ra, rb)
     }
 }
@@ -273,8 +268,8 @@ impl<'m> Maintained<'m> {
 
     fn radii(&self, ta: i64, tb: i64) -> (f64, f64) {
         let base = self.stats.base();
-        let ra = base.resolution_a().max(self.z * base.sel_variance_a(ta).sqrt());
-        let rb = base.resolution_b().max(self.z * base.sel_variance_b(tb).sqrt());
+        let ra = credible_radius(base.resolution_a(), self.z, base.sel_variance_a(ta));
+        let rb = credible_radius(base.resolution_b(), self.z, base.sel_variance_b(tb));
         (ra, rb)
     }
 }

@@ -56,8 +56,7 @@ pub mod two_pred;
 
 pub use admission::{apply_grant, AdmissionConfig, AdmissionDecision, AdmissionPolicy};
 pub use adaptive::{
-    two_pred_bail_controller, two_pred_bail_controller_banded, BailController, SwitchPolicy,
-    CARDINALITY_NOISE_ROWS,
+    two_pred_bail_controller, BailController, SwitchPolicy, CARDINALITY_NOISE_ROWS,
     DEFAULT_BAND_FACTOR,
 };
 pub use choice::{Choice, ChoicePolicy, Chooser, Estimator, Maintained, Stale};

@@ -53,15 +53,6 @@ impl EquiDepthHistogram {
         EquiDepthHistogram { upper_bounds, rows: n as u64, min }
     }
 
-    /// Build from every `step`-th value — a stale/sampled histogram, the
-    /// realistic source of larger estimation errors.
-    pub fn build_sampled(values: &[i64], buckets: usize, step: usize) -> Self {
-        let sample: Vec<i64> = values.iter().step_by(step.max(1)).copied().collect();
-        let mut h = Self::build(sample, buckets);
-        h.rows = values.len() as u64; // represent the full table
-        h
-    }
-
     /// Number of buckets.
     pub fn bucket_count(&self) -> usize {
         self.upper_bounds.len()
@@ -94,11 +85,6 @@ impl EquiDepthHistogram {
         let hi = self.upper_bounds[b];
         let within = if hi > lo { (t - lo) as f64 / (hi - lo) as f64 } else { 0.0 };
         (full_buckets + within.clamp(0.0, 1.0) * bucket_fraction).clamp(0.0, 1.0)
-    }
-
-    /// Estimated row count for `value <= t`.
-    pub fn estimate_rows_at_most(&self, t: i64) -> f64 {
-        self.estimate_at_most(t) * self.rows as f64
     }
 
     /// The bucket upper bounds, the rows represented and the minimum: what
@@ -180,15 +166,6 @@ mod tests {
             let est = h.estimate_at_most(t);
             assert!((est - sel).abs() < 0.02, "sel {sel}: est {est:.4}");
         }
-    }
-
-    #[test]
-    fn sampled_histogram_represents_full_rows() {
-        let values: Vec<i64> = (0..10_000).collect();
-        let h = EquiDepthHistogram::build_sampled(&values, 16, 100);
-        assert_eq!(h.rows(), 10_000);
-        let est = h.estimate_rows_at_most(5_000);
-        assert!((est - 5_000.0).abs() < 1_000.0, "rows estimate {est}");
     }
 
     #[test]

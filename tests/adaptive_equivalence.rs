@@ -20,7 +20,7 @@ use robustmap::storage::CostModel;
 use robustmap::systems::choice::Exact;
 use robustmap::systems::{
     two_pred_bail_controller, two_predicate_plans, BailController, CatalogStats, ChoicePolicy,
-    Chooser, Estimator, RobustConfig, SwitchPolicy, SystemId, TwoPredPlan,
+    Chooser, Estimator, RobustConfig, SwitchPolicy, SystemId, TwoPredPlan, DEFAULT_BAND_FACTOR,
 };
 use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
 
@@ -117,6 +117,7 @@ fn armed_but_never_tripping_controllers_are_bit_identical() {
             est,
             &model,
             RobustConfig::default(),
+            DEFAULT_BAND_FACTOR,
         ) {
             let label = format!("{} [live policy]", plan.name);
             assert_adaptive_equivalent(&w, &spec, &cfg, &ctrl, &label);

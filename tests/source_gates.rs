@@ -331,6 +331,19 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        gate: "one-system-a-map",
+        scope: &["crates"],
+        hit: |l| {
+            idents(l).any(|t| {
+                ["plan_for", "needs_all_systems", "want_all_systems", "map_all_is_built"]
+                    .contains(&t)
+            })
+        },
+        why: "a figure announces the maps it reads again — System A's map is always the \"A\" \
+              slice of the all-systems map, so nothing chooses between two ways to build it",
+        ..RULE
+    },
+    Rule {
         gate: "one-figure-table",
         scope: &["scripts/verify.sh"],
         hit: |l| idents(l).any(is_figure_id),
