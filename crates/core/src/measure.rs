@@ -172,6 +172,12 @@ pub fn measure_plan(db: &Database, plan: &PlanSpec, cfg: &MeasureConfig) -> Meas
 /// distributed over worker threads, each thread reuses one [`SweepArena`],
 /// and results are written into their input slots — so the output is
 /// deterministic regardless of thread count or scheduling.
+///
+/// Workers take slots from the end of the batch to its front: the k-th
+/// claim gets slot `plans.len() - 1 - k`.  Maps are laid out from benign to
+/// adverse, so a batch's cost ascends and its last cells are its longest;
+/// starting them first leaves the smallest cells for the tail, where one
+/// thread would otherwise run the largest cell while the others idle.
 pub fn measure_batch(db: &Database, plans: &[PlanSpec], cfg: &MeasureConfig) -> Vec<Measurement> {
     use std::panic::resume_unwind;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -181,16 +187,16 @@ pub fn measure_batch(db: &Database, plans: &[PlanSpec], cfg: &MeasureConfig) -> 
         let mut arena = SweepArena::new(cfg);
         return plans.iter().map(|p| arena.measure(db, p)).collect();
     }
-    // A shared cursor hands out slots; `Relaxed` is enough, the counter
-    // publishes nothing but itself.
-    let next = AtomicUsize::new(0);
+    // A shared cursor counts claims, last slot first; `Relaxed` is enough,
+    // the counter publishes nothing but itself.
+    let claims = AtomicUsize::new(0);
     let worker = || {
         let mut arena = SweepArena::new(cfg);
         let mut measured = Vec::new();
         loop {
-            let slot = next.fetch_add(1, Ordering::Relaxed);
-            let Some(plan) = plans.get(slot) else { break measured };
-            measured.push((slot, arena.measure(db, plan)));
+            let k = claims.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = plans.len().checked_sub(k + 1) else { break measured };
+            measured.push((slot, arena.measure(db, &plans[slot])));
         }
     };
     let mut measured: Vec<(usize, Measurement)> = std::thread::scope(|scope| {
@@ -369,6 +375,7 @@ mod tests {
 
     #[test]
     fn measure_batch_matches_per_plan_measurement() {
+        use robustmap_executor::{JoinAlgo, PlanSpec, Predicate, Projection};
         let w = TableBuilder::build(WorkloadConfig::small());
         let plans = single_predicate_plans(SinglePredPlanSet::Basic, &w);
         let specs: Vec<_> =
@@ -376,13 +383,43 @@ mod tests {
                 let t = w.cal_a.threshold(s);
                 plans.iter().map(move |p| p.build(t))
             }).collect();
-        for threads in [1, 4] {
-            let cfg = quick_cfg(threads);
-            let batch = measure_batch(&w.db, &specs, &cfg);
-            for (spec, got) in specs.iter().zip(&batch) {
-                assert_eq!(*got, measure_plan(&w.db, spec, &cfg));
+        // Dispatch starts from the end of a batch, so a batch whose last
+        // cell is far its largest — tiny scans, then a spilling sort-merge
+        // join of the whole table with itself — must still land cell for
+        // cell in input order.
+        let tiny = w.cal_a.threshold(2f64.powi(-10));
+        let scan = || {
+            Box::new(PlanSpec::TableScan {
+                table: w.table,
+                pred: Predicate::always_true(),
+                project: Projection::Columns(vec![0]),
+            })
+        };
+        let skewed: Vec<_> = plans
+            .iter()
+            .map(|p| p.build(tiny))
+            .chain([PlanSpec::Join {
+                left: scan(),
+                right: scan(),
+                left_key: 0,
+                right_key: 0,
+                algo: JoinAlgo::SortMerge,
+                memory_bytes: 4096,
+                project: Projection::All,
+            }])
+            .collect();
+        for (specs, thread_counts) in [(&specs, &[1, 4][..]), (&skewed, &[1, 2, 3])] {
+            for &threads in thread_counts {
+                let cfg = quick_cfg(threads);
+                let batch = measure_batch(&w.db, specs, &cfg);
+                assert_eq!(batch.len(), specs.len());
+                for (i, (spec, got)) in specs.iter().zip(&batch).enumerate() {
+                    assert_eq!(*got, measure_plan(&w.db, spec, &cfg), "cell {i}, {threads} threads");
+                }
             }
         }
+        let last = measure_plan(&w.db, skewed.last().unwrap(), &quick_cfg(1));
+        assert!(last.spilled && last.rows == w.rows(), "the last cell must be the large one");
     }
 
     #[test]

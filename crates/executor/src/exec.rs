@@ -18,11 +18,12 @@
 //! what every map cell and served query is).  In a counted run nobody
 //! reads the root's rows, so the root builds none: its output columns
 //! resolve to none, its kernel's [`BatchEmitter`] counts rows without
-//! gathering, and a root sort or aggregation finishes without computing
-//! an order.  Children are always read — their parent consumes every
-//! column.  Emission is charge-free and the final pass of a sort or
-//! aggregation issues the same charge calls either way, so the two runs
-//! are charge-identical.
+//! gathering, a root sort or aggregation finishes without computing an
+//! order, and a root join builds no output row.  Children are always
+//! read — their parent consumes every column.  Emission is charge-free,
+//! and the final pass of a sort or aggregation and a join's output loop
+//! issue the same charge calls either way, so the two runs are
+//! charge-identical.
 //!
 //! Every plan's charges are pinned by the golden ledger
 //! (`tests/golden/exec_ledger.txt`, asserted by `tests/exec_ledger.rs`
@@ -433,23 +434,22 @@ fn materialise(
     Ok(rows)
 }
 
-/// Re-emit the rows a blocking operator's `finish` produces as batches of
-/// `arity` columns — or, when they are only counted, let it finish without
-/// producing them.
+/// Re-emit columns `cols` of the rows a blocking operator's `finish`
+/// produces as batches — or, when they are only counted, let it finish
+/// without producing them.
 fn emit_rows(
-    arity: usize,
+    cols: &[usize],
     output: Output,
     sink: &mut dyn FnMut(&RowBatch),
-    finish: impl FnOnce(Option<ops::RowSink<'_>>) -> u64,
-) -> u64 {
+    finish: impl FnOnce(Option<ops::RowSink<'_>>) -> Result<u64, ExecError>,
+) -> Result<u64, ExecError> {
     if output == Output::Counted {
         return finish(None);
     }
-    let identity: Vec<usize> = (0..arity).collect();
-    let mut emitter = BatchEmitter::new(arity);
-    let produced = finish(Some(&mut |row| emitter.push_projected_slice(row, &identity, sink)));
+    let mut emitter = BatchEmitter::new(cols.len());
+    let produced = finish(Some(&mut |row| emitter.push_projected_slice(row, cols, sink)))?;
     emitter.flush(sink);
-    produced
+    Ok(produced)
 }
 
 /// `Err(BadPlan)` if one of an operator's column references does not exist
@@ -688,34 +688,26 @@ fn shape(
                 SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
                 _ => {}
             }
-            let proj = out_cols(project, larity + rarity);
-            let mut emitter = BatchEmitter::new(proj.len());
-            let mut project_sink = |row: &[i64]| {
-                emitter.push_projected_slice(row, &proj, sink);
-            };
-            match algo_eff {
-                JoinAlgo::SortMerge => {
-                    ops::join::sort_merge_join(
-                        lrows,
-                        rrows,
-                        *left_key,
-                        *right_key,
-                        *memory_bytes,
-                        ctx,
-                        &mut project_sink,
-                    )?;
-                }
+            let cols = out_cols(project, larity + rarity);
+            emit_rows(&cols, output, sink, |out| match algo_eff {
+                JoinAlgo::SortMerge => ops::join::sort_merge_join(
+                    lrows,
+                    rrows,
+                    *left_key,
+                    *right_key,
+                    *memory_bytes,
+                    ctx,
+                    out,
+                ),
                 JoinAlgo::Hash { build_left } => {
                     let (b, p, bk, pk, swap) = if build_left {
                         (lrows, rrows, *left_key, *right_key, false)
                     } else {
                         (rrows, lrows, *right_key, *left_key, true)
                     };
-                    ops::join::hash_join(b, p, bk, pk, *memory_bytes, swap, ctx, &mut project_sink)?;
+                    ops::join::hash_join(b, p, bk, pk, *memory_bytes, swap, ctx, out)
                 }
-            }
-            emitter.flush(sink);
-            emitter.produced()
+            })?
         }
         PlanSpec::ParallelTableScan { table, pred, project, dop, skew_permille } => {
             let table = ctx.db.table(*table);
@@ -745,7 +737,8 @@ fn shape(
             if let Some(ctrl) = controller {
                 let _ = ctrl.decide(&Observation { kind: CheckpointKind::SortInput, rows: fed });
             }
-            emit_rows(arity, output, sink, |out| sorter.finish(out))
+            let cols = out_cols(&Projection::All, arity);
+            emit_rows(&cols, output, sink, |out| Ok(sorter.finish(out)))?
         }
         PlanSpec::HashAgg { input, group_cols, aggs, mode, memory_bytes } => {
             let arity = plan_out_arity(input, ctx.db);
@@ -769,7 +762,8 @@ fn shape(
             if let Some(ctrl) = controller {
                 let _ = ctrl.decide(&Observation { kind: CheckpointKind::AggInput, rows: fed });
             }
-            emit_rows(group_cols.len() + aggs.len(), output, sink, |out| agg.finish(out))
+            let cols = out_cols(&Projection::All, group_cols.len() + aggs.len());
+            emit_rows(&cols, output, sink, |out| Ok(agg.finish(out)))?
         }
     };
     Ok(Outcome::Rows(rows))
@@ -971,6 +965,47 @@ mod tests {
         let (_, rows) = run_collect(&plan, &ctx, None).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].values(), &[1000, 999]);
+    }
+
+    /// A counted join builds no output row, yet charges what a read one
+    /// does: sort-merge and hash on either side, in memory and spilling.
+    #[test]
+    fn a_counted_join_charges_like_a_read_join() {
+        let (db, t) = demo_db(3000);
+        let scan = |pred| {
+            Box::new(PlanSpec::TableScan { table: t, pred, project: Projection::Columns(vec![0, 2]) })
+        };
+        for algo in
+            [JoinAlgo::SortMerge, JoinAlgo::Hash { build_left: true }, JoinAlgo::Hash { build_left: false }]
+        {
+            for memory_bytes in [1 << 20, 2048] {
+                let plan = PlanSpec::Join {
+                    left: scan(Predicate::always_true()),
+                    right: scan(Predicate::single(ColRange::at_most(0, 1999))),
+                    left_key: 0,
+                    right_key: 0,
+                    algo,
+                    memory_bytes,
+                    project: Projection::Columns(vec![3, 0]),
+                };
+                let label = format!("{algo:?}, {memory_bytes} bytes");
+                let run_on = |read: bool| {
+                    let s = Session::with_pool_pages(64);
+                    let ctx = ExecCtx::new(&db, &s, memory_bytes);
+                    let stats = if read {
+                        let (stats, rows) = run_collect(&plan, &ctx, None).unwrap();
+                        assert_eq!(rows.len() as u64, stats.rows_out, "{label}");
+                        stats
+                    } else {
+                        run_count(&plan, &ctx, None).unwrap()
+                    };
+                    (stats.rows_out, stats.ticks, stats.io, stats.spilled, s.charge_events())
+                };
+                let counted = run_on(false);
+                assert_eq!(counted, run_on(true), "{label}");
+                assert_eq!((counted.0, counted.3), (2000, memory_bytes == 2048), "{label}");
+            }
+        }
     }
 
     #[test]

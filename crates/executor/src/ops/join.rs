@@ -17,12 +17,14 @@
 //!
 //! Output rows are `left columns ++ right columns` (within the global
 //! [`robustmap_storage::MAX_COLUMNS`] limit); callers project children
-//! accordingly.
+//! accordingly.  Both take an `Option<RowSink>`: with `None` — the rows are
+//! only counted — no output row is built, and every charge is the same.
 
 use robustmap_storage::PAGE_SIZE;
 
 use crate::exec::{ExecCtx, ExecError};
 use crate::ops::sort::{ExternalSorter, PackedRows};
+use crate::ops::RowSink;
 use crate::plan::SpillMode;
 
 const NIL: u32 = u32::MAX;
@@ -91,7 +93,7 @@ impl ChainTable {
 
 /// Sort-merge join of two materialised (packed) inputs on single key
 /// columns.  Symmetric: swapping the inputs (and keys) gives the same
-/// cost.
+/// cost.  Returns the rows produced.
 pub fn sort_merge_join(
     left: PackedRows,
     right: PackedRows,
@@ -99,7 +101,7 @@ pub fn sort_merge_join(
     right_key: usize,
     memory_bytes: usize,
     ctx: &ExecCtx<'_>,
-    sink: &mut dyn FnMut(&[i64]),
+    mut sink: Option<RowSink<'_>>,
 ) -> Result<u64, ExecError> {
     // Each input gets half the grant, as a memory-broker would split it.
     let half = (memory_bytes / 2).max(1);
@@ -109,7 +111,7 @@ pub fn sort_merge_join(
     let (left, right) = (sort(left, left_key), sort(right, right_key));
     // The merge walks the two handle orders: a handle's inline `key0` is
     // its row's join key, the sorters' one key column.  Rows are read only
-    // to build the output rows of equal-key groups.
+    // to build the output rows of equal-key groups, and only for a sink.
     let (lo, ro) = (&left.order, &right.order);
     let la = left.rows.arity();
 
@@ -129,13 +131,17 @@ pub fn sort_merge_join(
                 // Emit the cross product of the two equal-key groups.
                 let group = &ro[j..j + ro[j..].iter().take_while(|h| h.key0 == rk).count()];
                 while i < lo.len() && lo[i].key0 == lk {
-                    out[..la].copy_from_slice(left.rows.row(lo[i].slot as usize));
+                    if sink.is_some() {
+                        out[..la].copy_from_slice(left.rows.row(lo[i].slot as usize));
+                    }
                     for h in group {
                         session.charge_rows(1);
-                        out[la..].copy_from_slice(right.rows.row(h.slot as usize));
-                        sink(&out);
-                        produced += 1;
+                        if let Some(sink) = sink.as_deref_mut() {
+                            out[la..].copy_from_slice(right.rows.row(h.slot as usize));
+                            sink(&out);
+                        }
                     }
+                    produced += group.len() as u64;
                     i += 1;
                 }
                 j += group.len();
@@ -173,7 +179,7 @@ impl<'a> Side<'a> {
 ///
 /// `swap_output`: emit `probe ++ build` columns instead (used when the
 /// physical build side is the plan's right input but output order must
-/// stay `left ++ right`).
+/// stay `left ++ right`).  Returns the rows produced.
 pub fn hash_join(
     build: PackedRows,
     probe: PackedRows,
@@ -182,7 +188,7 @@ pub fn hash_join(
     memory_bytes: usize,
     swap_output: bool,
     ctx: &ExecCtx<'_>,
-    sink: &mut dyn FnMut(&[i64]),
+    mut sink: Option<RowSink<'_>>,
 ) -> Result<u64, ExecError> {
     let session = ctx.session;
     let build = Side { rows: &build, part: None, key: build_key };
@@ -248,6 +254,7 @@ pub fn hash_join(
         let b = b.next_if(|part| part.0 == id).map_or(&[][..], |part| part.1);
         let p = p.next_if(|part| part.0 == id).map_or(&[][..], |part| part.1);
         let (b, p) = (Side { part: Some(b), ..build }, Side { part: Some(p), ..probe });
+        let sink = sink.as_mut().map(|sink| &mut **sink as RowSink<'_>);
         produced += build_and_probe(b, p, swap_output, ctx, sink);
     }
     Ok(produced)
@@ -259,7 +266,7 @@ fn build_and_probe(
     probe: Side<'_>,
     swap_output: bool,
     ctx: &ExecCtx<'_>,
-    sink: &mut dyn FnMut(&[i64]),
+    mut sink: Option<RowSink<'_>>,
 ) -> u64 {
     let session = ctx.session;
     // Build costs double per row (insertion + growth), as in the rid join.
@@ -283,13 +290,17 @@ fn build_and_probe(
     for pi in 0..probe.len() {
         let p = probe.row(pi);
         let Some(head) = table.head(p[probe.key]) else { continue };
-        out[probe_at..probe_at + p.len()].copy_from_slice(p);
+        if sink.is_some() {
+            out[probe_at..probe_at + p.len()].copy_from_slice(p);
+        }
         let mut idx = head;
         while idx != NIL {
-            let b = build.row(idx as usize);
             session.charge_rows(1);
-            out[build_at..build_at + b.len()].copy_from_slice(b);
-            sink(&out);
+            if let Some(sink) = sink.as_deref_mut() {
+                let b = build.row(idx as usize);
+                out[build_at..build_at + b.len()].copy_from_slice(b);
+                sink(&out);
+            }
             produced += 1;
             idx = next[idx as usize];
         }
@@ -337,9 +348,9 @@ mod tests {
             let s = robustmap_storage::Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, memory);
             let mut got = Vec::new();
-            sort_merge_join(rows_of(left), rows_of(right), key, key, memory, &ctx, &mut |r| {
+            sort_merge_join(rows_of(left), rows_of(right), key, key, memory, &ctx, Some(&mut |r| {
                 got.push(r.to_vec())
-            })
+            }))
             .unwrap();
             got.sort();
             assert_eq!(got, want, "sort-merge, key {key}, {memory} bytes");
@@ -354,7 +365,7 @@ mod tests {
             } else {
                 (rows_of(right), rows_of(left))
             };
-            hash_join(b, p, key, key, memory, swap, &ctx, &mut |r| got.push(r.to_vec()))
+            hash_join(b, p, key, key, memory, swap, &ctx, Some(&mut |r| got.push(r.to_vec())))
                 .unwrap();
             got.sort();
             assert_eq!(got, want, "hash build_left={build_is_left}, key {key}, {memory} bytes");
@@ -424,7 +435,7 @@ mod tests {
         let cost = |l: &[(i64, i64)], r: &[(i64, i64)]| {
             let s = robustmap_storage::Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 16);
-            sort_merge_join(rows_of(l), rows_of(r), 0, 0, 1 << 16, &ctx, &mut |_| {}).unwrap();
+            sort_merge_join(rows_of(l), rows_of(r), 0, 0, 1 << 16, &ctx, None).unwrap();
             s.elapsed()
         };
         let c1 = cost(&small, &large);
@@ -441,8 +452,7 @@ mod tests {
         let cost = |build: &[(i64, i64)], probe: &[(i64, i64)]| {
             let s = robustmap_storage::Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, memory);
-            hash_join(rows_of(build), rows_of(probe), 0, 0, memory, false, &ctx, &mut |_| {})
-                .unwrap();
+            hash_join(rows_of(build), rows_of(probe), 0, 0, memory, false, &ctx, None).unwrap();
             (s.elapsed(), s.stats().page_writes)
         };
         let (small_build, w1) = cost(&small, &large);

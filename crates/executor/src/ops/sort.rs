@@ -971,7 +971,7 @@ mod tests {
                 0,
                 2048,
                 ctx,
-                &mut |_| {},
+                None,
             );
             assert_eq!(joined, Ok(61_843));
         });
