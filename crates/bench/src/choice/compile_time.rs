@@ -5,7 +5,7 @@ use robustmap_core::analysis::score::score_map2d;
 use robustmap_core::render::sanitize;
 use robustmap_core::report::{landmark_report, score_csv, score_report};
 use robustmap_core::{
-    build_map2d, CheckConfig, Map1D, Map2D, Measurement, RegressionSuite, RelativeMap2D, Series,
+    build_map2d, Map1D, Map2D, Measurement, RegressionSuite, RelativeMap2D, Series,
 };
 use robustmap_storage::Session;
 use robustmap_systems::choice::{Exact, Histogram, Joint, WithError};
@@ -294,7 +294,7 @@ pub fn ext_correlated(h: &Harness) -> FigureOutput {
             }
             let ((s, _), (ta, tb)) = (cell.sel, cell.thr);
             chosen[ri * ns + si] =
-                1 + join_chooser.choose_at(&SelEstimates::exact(s, s), ta, tb).plan;
+                1 + join_chooser.choose(&SelEstimates::independent(s, s), ta, tb).plan;
         }
         if map2d_rhos.contains(&pct) {
             kept.push((pct, w));
@@ -406,8 +406,8 @@ pub fn ext_correlated(h: &Harness) -> FigureOutput {
     // The covering MDAM plan is this scenario's robust baseline; at this
     // scale it stays within ~500x of the per-cell best even when
     // correlation moves every landmark.
-    let cfg = CheckConfig { max_worst_quotient: 500.0, ..Default::default() };
-    suite.check_map1d(&map1, &cfg);
+    let max_worst_quotient = 500.0;
+    suite.check_map1d(&map1);
     for (pct, w) in kept {
         let m2 = build_map2d(&w, &four_plan_catalog(&w), &grid, &h.config.measure);
         let r2 = RelativeMap2D::from_map(&m2);
@@ -427,7 +427,7 @@ pub fn ext_correlated(h: &Harness) -> FigureOutput {
         }
         report.push('\n');
         if pct != 0 {
-            suite.check_map2d(&m2, &["C1"], &cfg);
+            suite.check_map2d(&m2, &["C1"], max_worst_quotient);
             files.push(regret_svg(
                 h,
                 &format!("ext_correlated_hash_quotient_rho{pct}.svg"),

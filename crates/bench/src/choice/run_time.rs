@@ -7,7 +7,7 @@ use robustmap_core::render::sanitize;
 use robustmap_core::{Measurement, RegressionSuite, SweepArena};
 use robustmap_executor::{NeverSwitch, PlanSpec, SwitchController};
 use robustmap_storage::Session;
-use robustmap_systems::choice::{Exact, Joint, Maintained, Stale};
+use robustmap_systems::choice::{Exact, Joint, Maintained};
 use robustmap_systems::{
     two_pred_bail_controller, Choice, Estimator, RobustConfig, SelEstimates, TwoPredPlan,
     CARDINALITY_NOISE_ROWS,
@@ -16,7 +16,7 @@ use robustmap_workload::cache::{cache_path, config_hash};
 use robustmap_workload::gen::PredicateDistribution::CorrelatedHundredths;
 use robustmap_workload::{
     ChurnConfig, ChurnDriver, JointHistogram, JointHistogramConfig, MaintainedJoint,
-    RebuildPolicy, TableBuilder, Workload, WorkloadConfig,
+    TableBuilder, Workload, WorkloadConfig,
 };
 
 use super::{diagonal_sels, family_rows, RHO_PCT};
@@ -490,7 +490,7 @@ pub fn ext_churn(h: &Harness) -> FigureOutput {
         (meter.fraction_modified - driver.fraction_touched()).abs() < 1e-12
             && meter.fraction_modified >= 0.5
             && meter.drift > 0.2
-            && RebuildPolicy::default().should_rebuild(&meter),
+            && meter.needs_rebuild(),
         format!("fraction {:.3}, drift {:.3}", meter.fraction_modified, meter.drift),
     );
     let (first, last) = (&levels[0], &levels[levels.len() - 1]);
@@ -511,7 +511,7 @@ pub fn ext_churn(h: &Harness) -> FigureOutput {
         format!("{}/{ns} vs {}/{ns} wrong cells", last.wrong("maint"), last.wrong("fresh")),
     );
     let (ta_mid, tb_mid) = thr[ns / 2];
-    let stale_est = Stale::new(&base_joint, meter);
+    let stale_est = Joint::stale(&base_joint, meter);
     let (ra_stale, rb_stale) = stale_est.radii(ta_mid, tb_mid);
     let (ra_base, rb_base) = Joint::new(&base_joint).radii(ta_mid, tb_mid);
     suite.check_named(

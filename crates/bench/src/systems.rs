@@ -9,7 +9,7 @@
 use robustmap_core::analysis::score::score_map2d;
 use robustmap_core::render::{relative_scale, render_map2d_ansi};
 use robustmap_core::report::{score_csv, score_report};
-use robustmap_core::{CheckConfig, RegressionSuite, RelativeMap2D};
+use robustmap_core::{RegressionSuite, RelativeMap2D};
 use robustmap_systems::SystemId;
 
 use crate::harness::{FigureOutput, Harness, PLAIN_CELLS};
@@ -143,18 +143,18 @@ pub fn ext_regression(h: &Harness) -> FigureOutput {
     // own system's best plan anywhere (B1 ~20x, C1 ~143x at 2^20 rows;
     // the fragile fetches run into the thousands).  Tightening this limit
     // over time is §4's "track progress against these weaknesses".
-    let cfg = CheckConfig { max_worst_quotient: 250.0, ..Default::default() };
+    let max_worst_quotient = 250.0;
     // Figure 1's sweep (shared with `fig1` via the harness cache): all
     // curves must be monotone and cliff-free.
     let map1 = h.map1d_basic();
-    suite.check_map1d(&map1, &cfg);
+    suite.check_map1d(&map1);
     // 2-D checks per system, mirroring Figures 8/9: each robust plan is
     // judged against its *own* system's best (a System B plan cannot
     // regress because System C exists).
     let all = h.map_all_systems();
-    suite.check_map2d(&all.subset_by_prefix("A"), &[], &cfg);
-    suite.check_map2d(&all.subset_by_prefix("B"), &["B1", "B2"], &cfg);
-    suite.check_map2d(&all.subset_by_prefix("C"), &["C1", "C2"], &cfg);
+    suite.check_map2d(&all.subset_by_prefix("A"), &[], max_worst_quotient);
+    suite.check_map2d(&all.subset_by_prefix("B"), &["B1", "B2"], max_worst_quotient);
+    suite.check_map2d(&all.subset_by_prefix("C"), &["C1", "C2"], max_worst_quotient);
 
     let mut report = String::from("Extension K: §4 robustness regression benchmark\n");
     report.push_str(&suite.report());

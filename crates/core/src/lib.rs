@@ -49,6 +49,6 @@ pub use measure::{
 };
 pub use param::{Grid1D, Grid2D};
 pub use regions::{connected_components, BoolGrid, Region, RegionStats};
-pub use regression::{CheckConfig, CheckResult, RegressionSuite};
+pub use regression::{CheckResult, RegressionSuite};
 pub use relative::{OptimalityTolerance, RelativeMap2D};
 pub use serve::{serve_concurrent, QueryError, QueryOutcome, ServeConfig, ServeReport};

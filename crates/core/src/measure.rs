@@ -23,6 +23,7 @@ use std::sync::Arc;
 use robustmap_executor::{run_count, ExecCtx, ExecError, ExecStats, PlanSpec, SwitchController};
 use robustmap_obs::trace::TraceSink;
 use robustmap_storage::{BufferPool, CostModel, Database, EvictionPolicy, IoStats, Session};
+use robustmap_systems::admission::DEFAULT_GRANT;
 use robustmap_systems::{SinglePredPlan, TwoPredPlan};
 use robustmap_workload::Workload;
 
@@ -80,11 +81,12 @@ impl Default for MeasureConfig {
         MeasureConfig {
             pool_pages: 1024, // 8 MiB: upper index levels stay hot, tables do not fit
             policy: EvictionPolicy::Lru,
-            // 8 MiB: hash builds over roughly half the default table spill,
-            // so the hash join's build-side memory cliff — the asymmetry
-            // the paper contrasts with the merge join — is inside the
-            // swept parameter space.
-            memory_bytes: 8 << 20,
+            // 8 MiB, the grant admission control hands a query: hash
+            // builds over roughly half the default table spill, so the
+            // hash join's build-side memory cliff — the asymmetry the
+            // paper contrasts with the merge join — is inside the swept
+            // parameter space.
+            memory_bytes: DEFAULT_GRANT,
             model: CostModel::hdd_2009(),
             threads: 0,
             trace: None,

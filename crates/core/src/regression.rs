@@ -19,37 +19,15 @@ use crate::map::{Map1D, Map2D};
 use crate::regions::RegionStats;
 use crate::relative::{OptimalityTolerance, RelativeMap2D};
 
-/// Thresholds for the standard checks.
-#[derive(Debug, Clone)]
-pub struct CheckConfig {
-    /// Relative cost decrease tolerated before a monotonicity violation is
-    /// flagged (measurement jitter allowance).
-    pub monotonicity_tolerance: f64,
-    /// Slope-growth factor tolerated before flattening is violated.
-    pub flattening_tolerance: f64,
-    /// The changepoint criterion behind the continuity checks: a cliff
-    /// (level shift beyond `cliff_factor`) fails the check; a knee (slope
-    /// break) is reported but does not fail — the paper expects graceful
-    /// degradation to bend, just not to jump.
-    pub changepoint: ChangepointConfig,
-    /// Largest acceptable worst-case quotient for a plan advertised as
-    /// robust.
-    pub max_worst_quotient: f64,
-    /// Optimality tolerance used for region-contiguity checks.
-    pub region_tolerance: OptimalityTolerance,
-}
+/// Relative cost decrease tolerated before a monotonicity violation is
+/// flagged (measurement jitter allowance).
+const MONOTONICITY_TOLERANCE: f64 = 0.05;
 
-impl Default for CheckConfig {
-    fn default() -> Self {
-        CheckConfig {
-            monotonicity_tolerance: 0.05,
-            flattening_tolerance: 2.0,
-            changepoint: ChangepointConfig::default(),
-            max_worst_quotient: 100.0,
-            region_tolerance: OptimalityTolerance::Factor(1.2),
-        }
-    }
-}
+/// Slope-growth factor tolerated before flattening is violated.
+const FLATTENING_TOLERANCE: f64 = 2.0;
+
+/// Optimality tolerance of the region-contiguity checks.
+const REGION_TOLERANCE: OptimalityTolerance = OptimalityTolerance::Factor(1.2);
 
 /// Outcome of one named check.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,8 +76,13 @@ impl RegressionSuite {
 
     /// Run the 1-D checks on every series of a map: monotonicity and
     /// discontinuities (flattening is reported but informational, since
-    /// the paper *expects* some plans to fail it).
-    pub fn check_map1d(&mut self, map: &Map1D, cfg: &CheckConfig) {
+    /// the paper *expects* some plans to fail it).  Continuity uses the
+    /// default changepoint criterion: a cliff (level shift beyond its
+    /// `cliff_factor`) fails the check; a knee (slope break) is reported
+    /// but does not fail — the paper expects graceful degradation to bend,
+    /// just not to jump.
+    pub fn check_map1d(&mut self, map: &Map1D) {
+        let changepoint = ChangepointConfig::default();
         let raw_work: Vec<f64> = map.result_rows.iter().map(|&r| (r.max(1)) as f64).collect();
         // Discrete grids legitimately produce tied result counts (tiny
         // selectivities clamping to the same row count): grid cells with
@@ -127,7 +110,7 @@ impl RegressionSuite {
         for series in &map.series {
             let all_secs = series.seconds();
             let secs: Vec<f64> = keep.iter().map(|&i| all_secs[i]).collect();
-            let monos = monotonicity_violations(&work, &secs, cfg.monotonicity_tolerance);
+            let monos = monotonicity_violations(&work, &secs, MONOTONICITY_TOLERANCE);
             self.push(
                 format!("monotone: {}", series.plan),
                 monos.is_empty(),
@@ -141,7 +124,7 @@ impl RegressionSuite {
                         * 100.0)
                 },
             );
-            let analysis = detect_changepoints(&work, &secs, &cfg.changepoint);
+            let analysis = detect_changepoints(&work, &secs, &changepoint);
             let cliffs = analysis.cliff_count();
             let knees = analysis.knee_count();
             // A cost jump between tied-work cells (same result count,
@@ -153,7 +136,7 @@ impl RegressionSuite {
                     let (a, b) = (all_secs[twin], all_secs[i]);
                     (a > 0.0 && b > 0.0).then(|| (b / a).max(a / b))
                 })
-                .filter(|&r| r > cfg.changepoint.cliff_factor)
+                .filter(|&r| r > changepoint.cliff_factor)
                 .fold(None::<f64>, |acc, r| Some(acc.map_or(r, |a| a.max(r))));
             let ok = cliffs == 0 && analysis.diagnostics.is_empty() && tie_jump.is_none();
             let mut details = String::new();
@@ -186,7 +169,7 @@ impl RegressionSuite {
                 ));
             }
             self.push(format!("continuous: {}", series.plan), ok, details);
-            let flats = flattening_violations(&work, &secs, cfg.flattening_tolerance);
+            let flats = flattening_violations(&work, &secs, FLATTENING_TOLERANCE);
             self.push(
                 format!("flattening (informational): {}", series.plan),
                 true, // informational: the paper expects e.g. Figure 1 to fail
@@ -200,19 +183,21 @@ impl RegressionSuite {
     }
 
     /// Run the 2-D checks: per-plan worst quotient and region contiguity,
-    /// plus the global every-cell-has-an-optimum invariant.
-    pub fn check_map2d(&mut self, map: &Map2D, robust_plans: &[&str], cfg: &CheckConfig) {
+    /// plus the global every-cell-has-an-optimum invariant.  A plan whose
+    /// name starts with one of `robust_plans` is advertised as robust: its
+    /// worst-case quotient may not exceed `max_worst_quotient`.
+    pub fn check_map2d(&mut self, map: &Map2D, robust_plans: &[&str], max_worst_quotient: f64) {
         let rel = RelativeMap2D::from_map(map);
         for (p, name) in rel.plans.iter().enumerate() {
             let worst = rel.worst_quotient(p);
             if robust_plans.iter().any(|r| name.starts_with(r)) {
                 self.push(
                     format!("bounded worst case: {name}"),
-                    worst <= cfg.max_worst_quotient,
-                    format!("worst quotient {worst:.1}x (limit {:.0}x)", cfg.max_worst_quotient),
+                    worst <= max_worst_quotient,
+                    format!("worst quotient {worst:.1}x (limit {max_worst_quotient:.0}x)"),
                 );
             }
-            let stats = RegionStats::of(&rel.optimal_region(p, cfg.region_tolerance));
+            let stats = RegionStats::of(&rel.optimal_region(p, REGION_TOLERANCE));
             self.push(
                 format!("contiguous optimality region: {name}"),
                 stats.is_contiguous(),
@@ -278,7 +263,7 @@ mod tests {
     fn clean_map_passes() {
         let map = map1d(vec![("good", vec![1.0, 1.5, 2.0, 2.5])]);
         let mut suite = RegressionSuite::new();
-        suite.check_map1d(&map, &CheckConfig::default());
+        suite.check_map1d(&map);
         assert!(suite.passed(), "{}", suite.report());
     }
 
@@ -286,7 +271,7 @@ mod tests {
     fn cost_dip_fails_monotonicity() {
         let map = map1d(vec![("dippy", vec![1.0, 3.0, 0.5, 4.0])]);
         let mut suite = RegressionSuite::new();
-        suite.check_map1d(&map, &CheckConfig::default());
+        suite.check_map1d(&map);
         assert!(!suite.passed());
         let fail = suite.results.iter().find(|r| !r.passed).unwrap();
         assert!(fail.name.contains("monotone"));
@@ -297,7 +282,7 @@ mod tests {
     fn spill_cliff_fails_continuity() {
         let map = map1d(vec![("cliffy", vec![0.001, 0.002, 1.0, 1.1])]);
         let mut suite = RegressionSuite::new();
-        suite.check_map1d(&map, &CheckConfig::default());
+        suite.check_map1d(&map);
         assert!(suite.results.iter().any(|r| !r.passed && r.name.contains("continuous")));
     }
 
@@ -314,7 +299,7 @@ mod tests {
             }],
         };
         let mut suite = RegressionSuite::new();
-        suite.check_map1d(&map, &CheckConfig::default());
+        suite.check_map1d(&map);
         assert!(suite.passed(), "{}", suite.report());
     }
 
@@ -332,7 +317,7 @@ mod tests {
             }],
         };
         let mut suite = RegressionSuite::new();
-        suite.check_map1d(&map, &CheckConfig::default());
+        suite.check_map1d(&map);
         let cont = suite.results.iter().find(|r| r.name.contains("continuous")).unwrap();
         assert!(!cont.passed, "{}", suite.report());
         assert!(cont.details.contains("tied result counts"), "{}", cont.details);
@@ -353,21 +338,20 @@ mod tests {
             }],
         };
         let mut suite = RegressionSuite::new();
-        suite.check_map1d(&map, &CheckConfig::default());
+        suite.check_map1d(&map);
         let cont = suite.results.iter().find(|r| r.name.contains("continuous")).unwrap();
         assert!(cont.passed, "{}", suite.report());
     }
 
     #[test]
     fn flattening_is_informational_only() {
-        // Steepening tail (Figure 1's improved scan): reported, not failed.
-        let map = map1d(vec![("steep tail", vec![1.0, 1.1, 1.2, 9.0])]);
+        // A steepening curve without a level shift (Figure 1's improved
+        // scan) is reported, not failed: cost = work² over work 1, 4, 9,
+        // 16 is a straight line in log-log space, but its linear slope
+        // more than doubles after the first segment.
+        let map = map1d(vec![("steep", vec![1.0, 16.0, 81.0, 256.0])]);
         let mut suite = RegressionSuite::new();
-        let cfg = CheckConfig {
-            changepoint: ChangepointConfig { cliff_factor: 1e9, ..Default::default() },
-            ..Default::default()
-        };
-        suite.check_map1d(&map, &cfg);
+        suite.check_map1d(&map);
         assert!(suite.passed(), "{}", suite.report());
         let flat = suite.results.iter().find(|r| r.name.contains("flattening")).unwrap();
         assert!(flat.details.contains("steepens"));
@@ -400,7 +384,7 @@ mod tests {
             vec![robust, wild],
         );
         let mut suite = RegressionSuite::new();
-        suite.check_map2d(&map, &["robust"], &CheckConfig::default());
+        suite.check_map2d(&map, &["robust"], 100.0);
         assert!(suite
             .results
             .iter()

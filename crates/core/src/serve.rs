@@ -78,6 +78,7 @@ use robustmap_obs::trace::{TraceEventKind, TraceSink};
 use robustmap_storage::{
     ticks_to_seconds, CostModel, Database, EvictionPolicy, QueryShare, Session, SharedBufferPool,
 };
+use robustmap_systems::admission::DEFAULT_GRANT;
 use robustmap_systems::{apply_grant, AdmissionConfig, AdmissionDecision, AdmissionPolicy};
 
 use crate::measure::Measurement;
@@ -432,7 +433,7 @@ fn serve_query(
         // A shrunk grant reshapes the plan (operators clamp to the grant
         // and may now spill); a full grant leaves the plan and its
         // charges byte-for-byte untouched.
-        let spec = if grant < cfg.admission.default_grant {
+        let spec = if grant < DEFAULT_GRANT {
             Cow::Owned(apply_grant(spec, grant))
         } else {
             Cow::Borrowed(spec)

@@ -23,31 +23,22 @@
 
 use robustmap_executor::PlanSpec;
 
+/// The grant each query requests, and the one
+/// `core::MeasureConfig::memory_bytes` costs plans under: 8 MiB.
+pub const DEFAULT_GRANT: usize = 8 << 20;
+
+/// Smallest grant worth admitting with (64 KiB); below this a query queues
+/// for a completion instead of thrashing.
+pub const MIN_GRANT: usize = 64 << 10;
+
 /// Capacity limits an [`AdmissionPolicy`] enforces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AdmissionConfig {
     /// Maximum queries in flight at once (0 = unbounded).
     pub max_in_flight: usize,
     /// Total memory grantable across in-flight queries, in bytes
     /// (0 = unbounded).
     pub memory_budget: usize,
-    /// The grant each query requests (matching
-    /// `core::MeasureConfig::memory_bytes` under which plans are costed).
-    pub default_grant: usize,
-    /// Smallest grant worth admitting with; below this the query queues
-    /// for a completion instead of thrashing.
-    pub min_grant: usize,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            max_in_flight: 0,
-            memory_budget: 0,
-            default_grant: 8 << 20, // the measurement default per-query grant
-            min_grant: 64 << 10,
-        }
-    }
 }
 
 /// One admission decision for the query at the head of the queue.
@@ -94,12 +85,12 @@ impl AdmissionPolicy {
         } else {
             self.cfg.memory_budget.saturating_sub(self.granted)
         };
-        let mut grant = self.cfg.default_grant.min(headroom);
-        if grant < self.cfg.min_grant {
+        let mut grant = DEFAULT_GRANT.min(headroom);
+        if grant < MIN_GRANT {
             if self.in_flight > 0 {
                 return AdmissionDecision::Queue;
             }
-            grant = self.cfg.min_grant.min(self.cfg.default_grant);
+            grant = MIN_GRANT;
         }
         self.in_flight += 1;
         self.granted += grant;
@@ -164,12 +155,7 @@ mod tests {
     use super::*;
 
     fn cfg(max_in_flight: usize, budget: usize) -> AdmissionConfig {
-        AdmissionConfig {
-            max_in_flight,
-            memory_budget: budget,
-            default_grant: 8 << 20,
-            min_grant: 1 << 14,
-        }
+        AdmissionConfig { max_in_flight, memory_budget: budget }
     }
 
     #[test]
@@ -185,11 +171,11 @@ mod tests {
 
     #[test]
     fn budget_shrinks_then_queues() {
-        // Budget fits one full grant plus a 16 KiB sliver: the second
-        // query is admitted shrunk, the third queues.
-        let mut p = AdmissionPolicy::new(cfg(0, (8 << 20) + (1 << 14)));
+        // Budget fits one full grant plus a minimum-grant sliver: the
+        // second query is admitted shrunk, the third queues.
+        let mut p = AdmissionPolicy::new(cfg(0, (8 << 20) + MIN_GRANT));
         assert_eq!(p.admit(), AdmissionDecision::Run { grant: 8 << 20 });
-        assert_eq!(p.admit(), AdmissionDecision::Run { grant: 1 << 14 });
+        assert_eq!(p.admit(), AdmissionDecision::Run { grant: MIN_GRANT });
         assert_eq!(p.admit(), AdmissionDecision::Queue);
         p.release(8 << 20);
         assert_eq!(p.admit(), AdmissionDecision::Run { grant: 8 << 20 });
@@ -199,7 +185,7 @@ mod tests {
     fn idle_system_always_admits() {
         let mut p = AdmissionPolicy::new(cfg(0, 1)); // absurd 1-byte budget
         match p.admit() {
-            AdmissionDecision::Run { grant } => assert_eq!(grant, 1 << 14),
+            AdmissionDecision::Run { grant } => assert_eq!(grant, MIN_GRANT),
             AdmissionDecision::Queue => panic!("idle system must admit"),
         }
         assert_eq!(p.admit(), AdmissionDecision::Queue);

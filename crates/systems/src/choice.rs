@@ -12,16 +12,17 @@
 //!   range from [`Exact`] (true marginals, independence conjunction)
 //!   through [`WithError`] and [`Histogram`] to [`Joint`] (two-column
 //!   statistics whose region width *scales with observed sample
-//!   variance*, not just the fixed bucket-resolution box);
+//!   variance* and, for stale statistics, with the churned mass) and
+//!   [`Maintained`] (delta-maintained statistics);
 //! * a [`ChoicePolicy`] answers "given those beliefs, which plan" —
 //!   [`ChoicePolicy::Point`] is the textbook argmin of estimated cost, and
 //!   [`ChoicePolicy::Robust`] minimizes `expected + penalty * tail` over
 //!   the whole region (the penalty-aware criterion of `crate::robust`);
 //! * a [`Chooser`] binds a plan catalog, catalog statistics, a cost model
-//!   and a policy, and returns a rich [`Choice`] — chosen plan, score,
-//!   expected/tail costs, runner-up and margin — instead of a bare index,
-//!   so experiments can map *how close* a decision was, not just what it
-//!   was.
+//!   and a policy.  [`Chooser::choose`], the one way to choose, returns a
+//!   rich [`Choice`] (chosen plan, score, expected/tail costs, runner-up
+//!   and margin) instead of a bare index, so experiments can map *how
+//!   close* a decision was, not just what it was.
 
 use robustmap_storage::CostModel;
 use robustmap_workload::{
@@ -29,10 +30,12 @@ use robustmap_workload::{
 };
 
 use crate::optimizer::{estimate_cost, frechet_clamp, CatalogStats, SelEstimates};
-use crate::robust::{
-    credible_region, credible_region_around, region_cost, RobustConfig, SelHypothesis,
-};
+use crate::robust::{credible_region, region_cost, RobustConfig, SelHypothesis};
 use crate::two_pred::TwoPredPlan;
+
+/// Credible-band width in standard errors of a sampled estimate: a ~95%
+/// band under the normal approximation.
+const CREDIBLE_Z: f64 = 2.0;
 
 /// A source of selectivity beliefs for the two-predicate query.
 ///
@@ -78,13 +81,14 @@ impl<'w> Exact<'w> {
 
 impl Estimator for Exact<'_> {
     fn estimate(&self, ta: i64, tb: i64) -> SelEstimates {
-        SelEstimates::exact(self.cal_a.selectivity(ta), self.cal_b.selectivity(tb))
+        SelEstimates::independent(self.cal_a.selectivity(ta), self.cal_b.selectivity(tb))
     }
 }
 
 /// Exact marginals distorted by a multiplicative error factor per column
 /// (`> 1` over-estimates, `< 1` under-estimates) — the injected
-/// "errors in cardinality estimation" sweep of `ext_optimizer`.
+/// "errors in cardinality estimation" the paper's motivation names first,
+/// swept by `ext_optimizer`.
 pub struct WithError<'w> {
     exact: Exact<'w>,
     /// Multiplicative error applied to the `a` marginal.
@@ -102,18 +106,17 @@ impl<'w> WithError<'w> {
 
 impl Estimator for WithError<'_> {
     fn estimate(&self, ta: i64, tb: i64) -> SelEstimates {
-        SelEstimates::with_error(
-            self.exact.cal_a.selectivity(ta),
-            self.exact.cal_b.selectivity(tb),
-            self.error_a,
-            self.error_b,
+        SelEstimates::independent(
+            self.exact.cal_a.selectivity(ta) * self.error_a,
+            self.exact.cal_b.selectivity(tb) * self.error_b,
         )
     }
 }
 
 /// Per-column equi-depth catalog histograms (independence conjunction):
 /// how a real optimizer obtains estimates, with error governed by bucket
-/// count and staleness.
+/// count and staleness (an empty or stale histogram can report 0, which
+/// [`SelEstimates::independent`] clamps).
 pub struct Histogram<'h> {
     hist_a: &'h EquiDepthHistogram,
     hist_b: &'h EquiDepthHistogram,
@@ -128,7 +131,7 @@ impl<'h> Histogram<'h> {
 
 impl Estimator for Histogram<'_> {
     fn estimate(&self, ta: i64, tb: i64) -> SelEstimates {
-        SelEstimates::from_histograms(self.hist_a, self.hist_b, ta, tb)
+        SelEstimates::independent(self.hist_a.estimate_at_most(ta), self.hist_b.estimate_at_most(tb))
     }
 }
 
@@ -139,37 +142,55 @@ impl Estimator for Histogram<'_> {
 /// Its [`Estimator::region`] is the credible box of `crate::robust`, but
 /// with *variance-adaptive* half-widths: per axis the width is the larger
 /// of the bucket resolution (the representational floor — the statistics
-/// cannot distinguish selectivities closer than a bucket) and `z`
+/// cannot distinguish selectivities closer than a bucket) and two
 /// standard errors of the sampled estimate (the statistical floor — a
 /// sparse sample is uncertain far beyond its bucket grid).  With a
 /// plentiful sample this degenerates to the fixed bucket-resolution box;
-/// with a sparse one the region widens with the observed sample variance,
-/// exactly the adaptive hedging the ROADMAP called for.
+/// with a sparse one the region widens with the observed sample variance.
+///
+/// Statistics known to be stale ([`Joint::stale`]) keep the frozen
+/// estimate (wrong under churn — that is the point) but widen further:
+/// the sampling variance gains the churned mass's worth of Bernoulli
+/// variance, `var + severity * p(1-p)` ([`Staleness::severity`]), so a
+/// robust policy hedges harder the longer the statistics go
+/// unmaintained.  As the modified fraction (amplified by drift)
+/// approaches 1 the standard error approaches the full population
+/// standard deviation, i.e. "the statistic tells us almost nothing beyond
+/// the mean".
 pub struct Joint<'j> {
     joint: &'j JointHistogram,
-    /// Credible-band width in standard errors of the sampled estimate
-    /// (default 2 — a ~95% band under the normal approximation).
-    pub z: f64,
+    /// Staleness severity clamped to `[0, 1]`; 0 for fresh statistics.
+    severity: f64,
 }
 
 impl<'j> Joint<'j> {
-    /// An estimator over built joint statistics, with the default band.
+    /// An estimator over fresh joint statistics.
     pub fn new(joint: &'j JointHistogram) -> Self {
-        Joint { joint, z: 2.0 }
+        Joint { joint, severity: 0.0 }
     }
 
-    /// The underlying statistics.
-    pub fn stats(&self) -> &'j JointHistogram {
-        self.joint
+    /// An estimator over frozen statistics whose region widens with the
+    /// `staleness` meter's reading.
+    pub fn stale(joint: &'j JointHistogram, staleness: Staleness) -> Self {
+        Joint { joint, severity: staleness.severity().clamp(0.0, 1.0) }
     }
 
-    /// The half-widths its region hedges over at `(ta, tb)`:
-    /// `max(bucket resolution, z * stderr)` per axis.
+    /// The half-widths its region hedges over at `(ta, tb)`: per axis,
+    /// `max(bucket resolution, 2 * stderr)`, the variance inflated by
+    /// staleness.
     pub fn radii(&self, ta: i64, tb: i64) -> (f64, f64) {
         let j = self.joint;
-        let ra = credible_radius(j.resolution_a(), self.z, j.sel_variance_a(ta));
-        let rb = credible_radius(j.resolution_b(), self.z, j.sel_variance_b(tb));
-        (ra, rb)
+        let mut var_a = j.sel_variance_a(ta);
+        let mut var_b = j.sel_variance_b(tb);
+        if self.severity > 0.0 {
+            let inflated = |var: f64, p: f64| {
+                let p = p.clamp(0.0, 1.0);
+                var + self.severity * p * (1.0 - p)
+            };
+            var_a = inflated(var_a, j.marginal_a().estimate_at_most(ta));
+            var_b = inflated(var_b, j.marginal_b().estimate_at_most(tb));
+        }
+        (credible_radius(j.resolution_a(), var_a), credible_radius(j.resolution_b(), var_b))
     }
 }
 
@@ -180,97 +201,31 @@ impl Estimator for Joint<'_> {
 
     fn region(&self, ta: i64, tb: i64) -> Vec<SelHypothesis> {
         let (ra, rb) = self.radii(ta, tb);
-        credible_region(self.joint, ta, tb, ra, rb)
+        credible_region(self.estimate(ta, tb), ra, rb)
     }
 }
 
 /// One axis's credible half-width: the larger of the bucket `resolution`
-/// and `z` standard errors of an estimate whose variance is `var`.
-fn credible_radius(resolution: f64, z: f64, var: f64) -> f64 {
-    resolution.max(z * var.sqrt())
-}
-
-/// Frozen joint statistics known to be stale: the estimate is the base's
-/// (wrong under churn — that is the point), but the credible region
-/// widens with the [`Staleness`] meter, so [`ChoicePolicy::Robust`]
-/// hedges harder the longer the statistics go unmaintained.
-///
-/// Same shape as [`Joint`]'s variance-adaptive half-widths, with the
-/// sampling variance *plus* the churned mass's worth of Bernoulli
-/// variance, `var + severity * p(1-p)` ([`Staleness::severity`]).  At
-/// severity 0 this is exactly [`Joint`]'s width; as the modified fraction
-/// (amplified by drift) approaches 1 the standard error approaches the
-/// full population standard deviation, i.e. "the statistic tells us
-/// almost nothing beyond the mean".
-pub struct Stale<'j> {
-    joint: &'j JointHistogram,
-    /// The staleness meter driving the widening.
-    pub staleness: Staleness,
-    /// Credible-band width in standard errors (default 2, as [`Joint`]).
-    pub z: f64,
-}
-
-impl<'j> Stale<'j> {
-    /// A stale-aware estimator over frozen statistics and a meter reading.
-    pub fn new(joint: &'j JointHistogram, staleness: Staleness) -> Self {
-        Stale { joint, staleness, z: 2.0 }
-    }
-
-    /// The staleness-widened half-widths at `(ta, tb)`.
-    pub fn radii(&self, ta: i64, tb: i64) -> (f64, f64) {
-        let severity = self.staleness.severity().clamp(0.0, 1.0);
-        let inflated = |var: f64, p: f64| {
-            let p = p.clamp(0.0, 1.0);
-            var + severity * p * (1.0 - p)
-        };
-        let j = self.joint;
-        let var_a = inflated(j.sel_variance_a(ta), j.marginal_a().estimate_at_most(ta));
-        let var_b = inflated(j.sel_variance_b(tb), j.marginal_b().estimate_at_most(tb));
-        let ra = credible_radius(j.resolution_a(), self.z, var_a);
-        let rb = credible_radius(j.resolution_b(), self.z, var_b);
-        (ra, rb)
-    }
-}
-
-impl Estimator for Stale<'_> {
-    fn estimate(&self, ta: i64, tb: i64) -> SelEstimates {
-        SelEstimates::from_joint(self.joint, ta, tb)
-    }
-
-    fn region(&self, ta: i64, tb: i64) -> Vec<SelHypothesis> {
-        let (ra, rb) = self.radii(ta, tb);
-        credible_region(self.joint, ta, tb, ra, rb)
-    }
+/// and [`CREDIBLE_Z`] standard errors of an estimate whose variance is
+/// `var`.
+fn credible_radius(resolution: f64, var: f64) -> f64 {
+    resolution.max(CREDIBLE_Z * var.sqrt())
 }
 
 /// Incrementally maintained joint statistics
 /// ([`robustmap_workload::stats_maint::MaintainedJoint`]): the point
 /// estimate folds the per-bucket deltas in, so it tracks the churned
-/// table; the region keeps the base's variance-adaptive widths (the
-/// deltas fix the *mean*, not the within-bucket placement, so the
-/// resolution floor still applies) around the corrected center.
+/// table; the region keeps the base's fresh [`Joint`] widths (the deltas
+/// fix the *mean*, not the within-bucket placement, so the resolution
+/// floor still applies) around the corrected center.
 pub struct Maintained<'m> {
     stats: &'m MaintainedJoint,
-    /// Credible-band width in standard errors (default 2, as [`Joint`]).
-    pub z: f64,
 }
 
 impl<'m> Maintained<'m> {
     /// An estimator over maintained statistics.
     pub fn new(stats: &'m MaintainedJoint) -> Self {
-        Maintained { stats, z: 2.0 }
-    }
-
-    /// The underlying maintained statistics.
-    pub fn stats(&self) -> &'m MaintainedJoint {
-        self.stats
-    }
-
-    fn radii(&self, ta: i64, tb: i64) -> (f64, f64) {
-        let base = self.stats.base();
-        let ra = credible_radius(base.resolution_a(), self.z, base.sel_variance_a(ta));
-        let rb = credible_radius(base.resolution_b(), self.z, base.sel_variance_b(tb));
-        (ra, rb)
+        Maintained { stats }
     }
 }
 
@@ -283,8 +238,8 @@ impl Estimator for Maintained<'_> {
     }
 
     fn region(&self, ta: i64, tb: i64) -> Vec<SelHypothesis> {
-        let (ra, rb) = self.radii(ta, tb);
-        credible_region_around(self.estimate(ta, tb), ra, rb)
+        let (ra, rb) = Joint::new(self.stats.base()).radii(ta, tb);
+        credible_region(self.estimate(ta, tb), ra, rb)
     }
 }
 
@@ -356,38 +311,30 @@ pub struct Chooser<'a> {
 }
 
 impl Chooser<'_> {
-    /// Decide at `(ta, tb)` using `estimator` — the policy determines
-    /// whether the point estimate or the whole region is consulted.
+    /// Decide at `(ta, tb)` using `estimator`, the one way to choose.
+    /// The point policy costs each plan at [`Estimator::estimate`]: argmin
+    /// of estimated cost, ties to the lower index (pinned against a
+    /// brute-force argmin by `tests/prop_choice.rs`).  The robust policy
+    /// scores each plan `expected + penalty_weight * tail` over
+    /// [`Estimator::region`].
     pub fn choose<E: Estimator + ?Sized>(&self, estimator: &E, ta: i64, tb: i64) -> Choice {
         match self.policy {
-            ChoicePolicy::Point => self.choose_at(&estimator.estimate(ta, tb), ta, tb),
-            ChoicePolicy::Robust(_) => self.choose_over(&estimator.region(ta, tb), ta, tb),
+            ChoicePolicy::Point => {
+                let est = estimator.estimate(ta, tb);
+                self.select(|plan| {
+                    let c = estimate_cost(&plan.build(ta, tb), self.stats, &est, self.model);
+                    (c, c, c)
+                })
+            }
+            ChoicePolicy::Robust(cfg) => {
+                let region = estimator.region(ta, tb);
+                self.select(|plan| {
+                    let (expected, tail) =
+                        region_cost(plan, ta, tb, self.stats, &region, self.model, &cfg);
+                    (expected + cfg.penalty_weight * tail, expected, tail)
+                })
+            }
         }
-    }
-
-    /// Point selection at explicit estimates: argmin of estimated cost,
-    /// ties to the lower index (pinned against a brute-force argmin by
-    /// `tests/prop_choice.rs`).
-    pub fn choose_at(&self, est: &SelEstimates, ta: i64, tb: i64) -> Choice {
-        self.select(|plan| {
-            let c = estimate_cost(&plan.build(ta, tb), self.stats, est, self.model);
-            (c, c, c)
-        })
-    }
-
-    /// Selection over an explicit hypothesis region.  Under the robust
-    /// policy the score is `expected + penalty_weight * tail`; under the
-    /// point policy the region is scored at its expectation (a
-    /// single-hypothesis region thus reproduces `choose_at` exactly).
-    pub fn choose_over(&self, region: &[SelHypothesis], ta: i64, tb: i64) -> Choice {
-        let cfg = match self.policy {
-            ChoicePolicy::Robust(cfg) => cfg,
-            ChoicePolicy::Point => RobustConfig { tail_quantile: 1.0, penalty_weight: 0.0 },
-        };
-        self.select(|plan| {
-            let (expected, tail) = region_cost(plan, ta, tb, self.stats, region, self.model, &cfg);
-            (expected + cfg.penalty_weight * tail, expected, tail)
-        })
     }
 
     /// Shared selection core: score every plan, pick the strict minimum
@@ -513,6 +460,79 @@ mod tests {
             assert!(h.est.sel_a > 0.0 && h.est.sel_a <= 1.0);
             assert!(h.est.sel_ab <= h.est.sel_a.min(h.est.sel_b) + 1e-12);
         }
+    }
+
+    /// Joint statistics over so sparse a sample that two standard errors
+    /// exceed the bucket resolution: every change in variance moves the
+    /// radii, and the midpoint thresholds.
+    fn sparse_joint() -> (JointHistogram, i64, i64) {
+        let w = TableBuilder::build(WorkloadConfig {
+            rows: 1 << 14,
+            seed: 77,
+            predicate_dist: PredicateDistribution::CorrelatedHundredths(60),
+            mutation_epoch: 0,
+        });
+        let joint = JointHistogram::from_workload(
+            &w,
+            &JointHistogramConfig { sample_target: 1 << 6, ..Default::default() },
+        );
+        let (ta, tb) = (w.cal_a.threshold(0.5), w.cal_b.threshold(0.5));
+        assert!(Joint::new(&joint).radii(ta, tb).0 > joint.resolution_a(), "variance-dominated");
+        (joint, ta, tb)
+    }
+
+    fn region_bits(region: &[SelHypothesis]) -> Vec<[u64; 4]> {
+        region
+            .iter()
+            .map(|h| {
+                let e = h.est;
+                [e.sel_a.to_bits(), e.sel_b.to_bits(), e.sel_ab.to_bits(), h.weight.to_bits()]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stale_joint_at_zero_severity_is_the_fresh_joint_bit_for_bit() {
+        let (joint, ta, tb) = sparse_joint();
+        let (fresh, stale) = (Joint::new(&joint), Joint::stale(&joint, Staleness::none()));
+        let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+        // Fresh widths carry no staleness term: two standard errors of the
+        // sample, floored at the bucket resolution.
+        let sampled = (
+            joint.resolution_a().max(2.0 * joint.sel_variance_a(ta).sqrt()),
+            joint.resolution_b().max(2.0 * joint.sel_variance_b(tb).sqrt()),
+        );
+        assert_eq!(bits(fresh.radii(ta, tb)), bits(sampled));
+        assert_eq!(bits(stale.radii(ta, tb)), bits(sampled));
+        assert_eq!(region_bits(&stale.region(ta, tb)), region_bits(&fresh.region(ta, tb)));
+    }
+
+    #[test]
+    fn stale_joint_width_grows_monotonically_with_severity() {
+        let (joint, ta, tb) = sparse_joint();
+        let radii = |fraction_modified: f64| {
+            Joint::stale(&joint, Staleness { fraction_modified, drift: 0.0 }).radii(ta, tb)
+        };
+        let mut last = radii(0.0);
+        for fraction in [0.05, 0.1, 0.25, 0.5, 1.0, 2.0] {
+            let (ra, rb) = radii(fraction);
+            assert!(ra >= last.0 && rb >= last.1, "fraction {fraction}: {:?} -> {:?}", last, (ra, rb));
+            last = (ra, rb);
+        }
+        let (ra0, rb0) = radii(0.0);
+        assert!(last.0 > ra0 && last.1 > rb0, "full severity must widen both axes");
+        // Severity is clamped at 1: more churn widens no further.
+        assert_eq!(radii(1.0), radii(2.0));
+    }
+
+    #[test]
+    fn maintained_over_unchurned_statistics_has_the_fresh_joint_radii() {
+        let (joint, ta, tb) = sparse_joint();
+        let maintained = MaintainedJoint::new(joint.clone());
+        let est = Maintained::new(&maintained);
+        let (ra, rb) = Joint::new(&joint).radii(ta, tb);
+        let want = credible_region(est.estimate(ta, tb), ra, rb);
+        assert_eq!(region_bits(&est.region(ta, tb)), region_bits(&want));
     }
 
     #[test]

@@ -59,9 +59,9 @@ pub use adaptive::{
     two_pred_bail_controller, BailController, SwitchPolicy, CARDINALITY_NOISE_ROWS,
     DEFAULT_BAND_FACTOR,
 };
-pub use choice::{Choice, ChoicePolicy, Chooser, Estimator, Maintained, Stale};
+pub use choice::{Choice, ChoicePolicy, Chooser, Estimator, Maintained};
 pub use optimizer::{estimate_cost, estimate_fetch, CatalogStats, SelEstimates};
-pub use robust::{credible_region, credible_region_around, uncertainty_region, RobustConfig, SelHypothesis};
+pub use robust::{credible_region, RobustConfig, SelHypothesis};
 pub use single_pred::{single_predicate_plans, SinglePredPlan, SinglePredPlanSet};
 pub use system::{SystemId, SystemInfo};
 pub use two_pred::{two_predicate_plans, TwoPredPlan};

@@ -26,8 +26,8 @@ pub struct SelEstimates {
     /// Estimated selectivity of `b <= tb`.
     pub sel_b: f64,
     /// Estimated selectivity of the conjunction `a <= ta AND b <= tb`.
-    /// The constructors without joint information fill in
-    /// `sel_a * sel_b` — the textbook independence assumption;
+    /// [`SelEstimates::independent`] fills in `sel_a * sel_b` — the
+    /// textbook independence assumption;
     /// [`SelEstimates::from_joint`] replaces it with the two-column
     /// histogram's observed co-occurrence, which is where correlated
     /// columns stop fooling the cost formulas.
@@ -35,8 +35,7 @@ pub struct SelEstimates {
 }
 
 /// Clamp a selectivity into `(0, 1]` — the range every cost formula
-/// assumes (`with_error` documented this contract first; the histogram
-/// paths and the robust chooser share it).
+/// assumes (every constructor and the robust chooser share it).
 pub(crate) fn clamp_sel(s: f64) -> f64 {
     s.clamp(f64::MIN_POSITIVE, 1.0)
 }
@@ -60,43 +59,14 @@ pub(crate) fn frechet_clamp(sel_a: f64, sel_b: f64, sel_ab: f64) -> f64 {
 pub const JOINT_MIN_EVIDENCE: f64 = 16.0;
 
 impl SelEstimates {
-    /// Independence-assuming estimates from two per-column selectivities
-    /// (clamped to `(0, 1]`).
-    fn independent(sel_a: f64, sel_b: f64) -> Self {
+    /// Independence-assuming estimates from two per-column selectivities,
+    /// the one clamping constructor: both marginals and their product are
+    /// clamped into `(0, 1]` (an empty result calibrates to selectivity
+    /// 0, and the cost formulas divide by these).
+    pub fn independent(sel_a: f64, sel_b: f64) -> Self {
         let sel_a = clamp_sel(sel_a);
         let sel_b = clamp_sel(sel_b);
         SelEstimates { sel_a, sel_b, sel_ab: clamp_sel(sel_a * sel_b) }
-    }
-
-    /// Exact marginal estimates (the conjunction still assumes
-    /// independence — exactly what a single-column catalog knows).
-    /// Clamped into `(0, 1]` like every other constructor: an empty
-    /// result calibrates to selectivity 0, and the cost formulas divide
-    /// by these.
-    pub fn exact(sel_a: f64, sel_b: f64) -> Self {
-        Self::independent(sel_a, sel_b)
-    }
-
-    /// Estimates distorted by a multiplicative error factor (values are
-    /// clamped to `(0, 1]`); `error > 1` over-estimates, `< 1` under-
-    /// estimates.  This is the run-time condition the paper's motivation
-    /// names first: "errors in cardinality estimation".
-    pub fn with_error(sel_a: f64, sel_b: f64, error_a: f64, error_b: f64) -> Self {
-        Self::independent(sel_a * error_a, sel_b * error_b)
-    }
-
-    /// Estimates derived from catalog histograms — how a real optimizer
-    /// obtains them.  Error is then governed by bucket count and histogram
-    /// staleness, not injected directly.  Estimates are clamped to
-    /// `(0, 1]` like [`SelEstimates::with_error`]'s (an empty or stale
-    /// histogram can report 0, and the cost formulas divide by these).
-    pub fn from_histograms(
-        hist_a: &robustmap_workload::EquiDepthHistogram,
-        hist_b: &robustmap_workload::EquiDepthHistogram,
-        ta: i64,
-        tb: i64,
-    ) -> Self {
-        Self::independent(hist_a.estimate_at_most(ta), hist_b.estimate_at_most(tb))
     }
 
     /// Estimates derived from a two-column [`JointHistogram`]: marginals
@@ -318,7 +288,7 @@ mod tests {
         est: &SelEstimates,
         model: &CostModel,
     ) -> usize {
-        Chooser { plans, stats, model, policy: ChoicePolicy::Point }.choose_at(est, ta, tb).plan
+        Chooser { plans, stats, model, policy: ChoicePolicy::Point }.choose(est, ta, tb).plan
     }
 
     fn setup() -> (Workload, CatalogStats, CostModel) {
@@ -344,7 +314,7 @@ mod tests {
         let (ta, tb) = (w.cal_a.threshold(0.1), w.cal_b.threshold(0.1));
         for sys in SystemId::all() {
             for plan in two_predicate_plans(sys, &w) {
-                let est = SelEstimates::exact(0.1, 0.1);
+                let est = SelEstimates::independent(0.1, 0.1);
                 let cost = estimate_cost(&plan.build(ta, tb), &stats, &est, &model);
                 assert!(cost.is_finite() && cost > 0.0, "{}: {cost}", plan.name);
             }
@@ -356,7 +326,7 @@ mod tests {
         let (w, stats, model) = setup();
         let plans = two_predicate_plans(SystemId::A, &w);
         let (ta, tb) = (w.cal_a.threshold(0.001), w.cal_b.threshold(0.001));
-        let chosen = choose_plan(&plans, ta, tb, &stats, &SelEstimates::exact(0.001, 0.001), &model);
+        let chosen = choose_plan(&plans, ta, tb, &stats, &SelEstimates::independent(0.001, 0.001), &model);
         assert_ne!(plans[chosen].name, "A1 table scan", "tiny results want an index plan");
     }
 
@@ -365,7 +335,7 @@ mod tests {
         let (w, stats, model) = setup();
         let plans = two_predicate_plans(SystemId::A, &w);
         let (ta, tb) = (w.cal_a.threshold(1.0), w.cal_b.threshold(1.0));
-        let chosen = choose_plan(&plans, ta, tb, &stats, &SelEstimates::exact(1.0, 1.0), &model);
+        let chosen = choose_plan(&plans, ta, tb, &stats, &SelEstimates::independent(1.0, 1.0), &model);
         assert_eq!(plans[chosen].name, "A1 table scan");
     }
 
@@ -376,13 +346,13 @@ mod tests {
         // True selectivity is high (table scan territory), but the
         // optimizer believes it is tiny: it picks an index plan.
         let (ta, tb) = (w.cal_a.threshold(0.5), w.cal_b.threshold(0.5));
-        let honest = choose_plan(&plans, ta, tb, &stats, &SelEstimates::exact(0.5, 0.5), &model);
+        let honest = choose_plan(&plans, ta, tb, &stats, &SelEstimates::independent(0.5, 0.5), &model);
         let fooled = choose_plan(
             &plans,
             ta,
             tb,
             &stats,
-            &SelEstimates::with_error(0.5, 0.5, 1.0 / 512.0, 1.0 / 512.0),
+            &SelEstimates::independent(0.5 / 512.0, 0.5 / 512.0),
             &model,
         );
         assert_ne!(plans[honest].name, plans[fooled].name);
@@ -390,22 +360,22 @@ mod tests {
 
     #[test]
     fn error_clamping_keeps_estimates_in_range() {
-        let est = SelEstimates::with_error(0.5, 0.5, 1e9, 1e-30);
+        let est = SelEstimates::independent(0.5 * 1e9, 0.5 * 1e-30);
         assert!(est.sel_a <= 1.0);
         assert!(est.sel_b > 0.0);
         assert!(est.sel_ab > 0.0 && est.sel_ab <= 1.0);
     }
 
     #[test]
-    fn exact_clamps_both_edges_like_every_other_constructor() {
+    fn independent_clamps_both_edges() {
         // Lower edge: a zero selectivity (empty calibrated result) must
         // clamp to MIN_POSITIVE — the cost formulas divide by these.
-        let lo = SelEstimates::exact(0.0, 0.5);
+        let lo = SelEstimates::independent(0.0, 0.5);
         assert!(lo.sel_a > 0.0, "zero marginal clamps: {}", lo.sel_a);
         assert!(lo.sel_ab > 0.0, "zero conjunction clamps: {}", lo.sel_ab);
         assert_eq!(lo.sel_b, 0.5);
         // Upper edge: over-unity estimates clamp to 1.
-        let hi = SelEstimates::exact(1.5, 2.0);
+        let hi = SelEstimates::independent(1.5, 2.0);
         assert_eq!(hi.sel_a, 1.0);
         assert_eq!(hi.sel_b, 1.0);
         assert_eq!(hi.sel_ab, 1.0);
@@ -414,7 +384,7 @@ mod tests {
     #[test]
     fn leading_selectivity_follows_catalog_metadata_for_all_five_indexes() {
         let (w, stats, _) = setup();
-        let est = SelEstimates::exact(0.25, 0.5);
+        let est = SelEstimates::independent(0.25, 0.5);
         // The catalog, not the allocation order, decides which marginal an
         // index leads on: a and (a, b) read sel_a, b and (b, a) read
         // sel_b, the c index (unfiltered in these plans) reads 1.
@@ -442,19 +412,20 @@ mod tests {
     }
 
     #[test]
-    fn from_histograms_clamps_out_of_range_estimates_into_unit_interval() {
+    fn histogram_estimator_clamps_out_of_range_estimates_into_unit_interval() {
+        use crate::choice::{Estimator, Histogram};
         use robustmap_workload::EquiDepthHistogram;
         // An empty histogram estimates 0.0 — outside the (0, 1] range the
         // cost formulas divide by — and must clamp to MIN_POSITIVE on
-        // both sides, exactly like `with_error` does.
+        // both sides, like every estimate `independent` builds.
         let empty = EquiDepthHistogram::build(vec![], 4);
         let full = EquiDepthHistogram::build((0..100).collect(), 4);
-        let est = SelEstimates::from_histograms(&empty, &full, 50, 1_000);
+        let est = Histogram::new(&empty, &full).estimate(50, 1_000);
         assert!(est.sel_a > 0.0 && est.sel_a <= 1.0, "lower clamp: {}", est.sel_a);
         assert_eq!(est.sel_b, 1.0, "upper clamp keeps a full-range estimate at 1");
         assert!(est.sel_ab > 0.0 && est.sel_ab <= 1.0);
         // Both columns out of range at once.
-        let est = SelEstimates::from_histograms(&empty, &empty, 50, 50);
+        let est = Histogram::new(&empty, &empty).estimate(50, 50);
         assert!(est.sel_a > 0.0 && est.sel_b > 0.0 && est.sel_ab > 0.0);
     }
 
@@ -530,6 +501,7 @@ mod tests {
 
     #[test]
     fn histogram_estimates_track_true_selectivities() {
+        use crate::choice::{Estimator, Histogram};
         use robustmap_storage::Session;
         use robustmap_workload::{EquiDepthHistogram, COL_A, COL_B};
         let (w, _, _) = setup();
@@ -545,7 +517,7 @@ mod tests {
         let hist_b = EquiDepthHistogram::build(vals_b, 64);
         for sel in [0.01, 0.25, 0.9] {
             let (ta, tb) = (w.cal_a.threshold(sel), w.cal_b.threshold(sel));
-            let est = SelEstimates::from_histograms(&hist_a, &hist_b, ta, tb);
+            let est = Histogram::new(&hist_a, &hist_b).estimate(ta, tb);
             assert!((est.sel_a - sel).abs() < 0.05, "sel {sel}: est {:.4}", est.sel_a);
             assert!((est.sel_b - sel).abs() < 0.05, "sel {sel}: est {:.4}", est.sel_b);
         }

@@ -21,17 +21,16 @@
 //! `penalty_weight = 0` the robust chooser degenerates to the point
 //! chooser exactly (unit-tested below).
 //!
-//! The hypothesis set comes from [`uncertainty_region`]: a 3 × 3 credible
-//! box around the [`JointHistogram`]'s estimate, one marginal-bucket
-//! resolution wide per axis — the statistics cannot distinguish
-//! selectivities closer than a bucket, so that is exactly the region the
-//! chooser should hedge over.  Each hypothesis keeps the histogram's
-//! observed correlation lift (`sel_ab / (sel_a * sel_b)`) and stays inside
-//! the Fréchet bounds, so the region never hypothesises an incoherent
-//! joint selectivity.
+//! The hypothesis set comes from [`credible_region`]: a 3 × 3 credible
+//! box around an estimator's center, with the half-widths the estimator
+//! chooses ([`crate::choice::Joint::radii`]: at least one marginal-bucket
+//! resolution per axis — the statistics cannot distinguish selectivities
+//! closer than a bucket — and wider where the sample is sparse or stale).
+//! Each hypothesis keeps the center's correlation lift
+//! (`sel_ab / (sel_a * sel_b)`) and stays inside the Fréchet bounds, so
+//! the region never hypothesises an incoherent joint selectivity.
 
 use robustmap_storage::CostModel;
-use robustmap_workload::JointHistogram;
 
 use crate::optimizer::{clamp_sel, estimate_cost, frechet_clamp, CatalogStats, SelEstimates};
 use crate::two_pred::TwoPredPlan;
@@ -63,38 +62,11 @@ pub struct SelHypothesis {
     pub weight: f64,
 }
 
-/// The credible box of selectivity hypotheses around the joint
-/// histogram's estimate at `(ta, tb)` with the *fixed* bucket-resolution
-/// half-widths: `credible_region` at ± one marginal bucket per axis.
-/// The variance-adaptive widths live in [`crate::choice::Joint`].
-pub fn uncertainty_region(joint: &JointHistogram, ta: i64, tb: i64) -> Vec<SelHypothesis> {
-    credible_region(joint, ta, tb, joint.resolution_a(), joint.resolution_b())
-}
-
-/// The credible box with explicit half-widths: a 3 × 3 grid spanning
-/// ± `radius_a` / ± `radius_b` around the joint estimate, triangular
-/// weights (¼, ½, ¼ per axis), center = [`SelEstimates::from_joint`].
-/// Every hypothesis keeps the histogram's observed correlation lift and
-/// stays inside the Fréchet bounds.
-pub fn credible_region(
-    joint: &JointHistogram,
-    ta: i64,
-    tb: i64,
-    radius_a: f64,
-    radius_b: f64,
-) -> Vec<SelHypothesis> {
-    credible_region_around(SelEstimates::from_joint(joint, ta, tb), radius_a, radius_b)
-}
-
-/// The same credible box around an explicit center estimate — the shared
-/// construction behind [`credible_region`] and the staleness-aware
-/// estimators in [`crate::choice`], whose centers do not come from a
-/// [`JointHistogram`] lookup (stale bases, delta-maintained statistics).
-pub fn credible_region_around(
-    center: SelEstimates,
-    radius_a: f64,
-    radius_b: f64,
-) -> Vec<SelHypothesis> {
+/// The credible box around `center`: a 3 × 3 grid spanning ± `radius_a`
+/// / ± `radius_b`, triangular weights (¼, ½, ¼ per axis).  The center
+/// hypothesis is `center` itself; every other keeps its correlation lift
+/// and stays inside the Fréchet bounds.
+pub fn credible_region(center: SelEstimates, radius_a: f64, radius_b: f64) -> Vec<SelHypothesis> {
     // The statistics' observed dependence, carried across the box: the
     // lift is what the histogram knows beyond the marginals.
     let lift = center.sel_ab / (center.sel_a * center.sel_b);
@@ -105,7 +77,7 @@ pub fn credible_region_around(
     for (sa, wa) in axis(center.sel_a, radius_a) {
         for (sb, wb) in axis(center.sel_b, radius_b) {
             let est = if sa == center.sel_a && sb == center.sel_b {
-                center // the exact histogram estimate, not a lift round-trip
+                center // the estimate itself, not a lift round-trip
             } else {
                 SelEstimates { sel_a: sa, sel_b: sb, sel_ab: frechet_clamp(sa, sb, lift * sa * sb) }
             };
@@ -150,7 +122,7 @@ pub fn region_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::choice::{ChoicePolicy, Chooser};
+    use crate::choice::{ChoicePolicy, Chooser, Estimator};
     use crate::two_pred::two_predicate_plans;
     use crate::SystemId;
     use robustmap_workload::gen::PredicateDistribution;
@@ -162,6 +134,19 @@ mod tests {
         (w, stats, CostModel::hdd_2009())
     }
 
+    /// A fixed hypothesis region, centered on its first hypothesis.
+    struct Fixed<'r>(&'r [SelHypothesis]);
+
+    impl Estimator for Fixed<'_> {
+        fn estimate(&self, _ta: i64, _tb: i64) -> SelEstimates {
+            self.0[0].est
+        }
+
+        fn region(&self, _ta: i64, _tb: i64) -> Vec<SelHypothesis> {
+            self.0.to_vec()
+        }
+    }
+
     #[test]
     fn single_hypothesis_no_penalty_degenerates_to_the_point_chooser() {
         let (w, stats, model) = setup();
@@ -169,11 +154,11 @@ mod tests {
         let cfg = RobustConfig { tail_quantile: 1.0, penalty_weight: 0.0 };
         for sel in [0.001, 0.05, 0.5, 1.0] {
             let (ta, tb) = (w.cal_a.threshold(sel), w.cal_b.threshold(sel));
-            let est = SelEstimates::exact(sel, sel);
-            let region = [SelHypothesis { est, weight: 1.0 }];
+            // Bare estimates are an estimator whose region is the point.
+            let est = SelEstimates::independent(sel, sel);
             let chooser = |policy| Chooser { plans: &plans, stats: &stats, model: &model, policy };
-            let point = chooser(ChoicePolicy::Point).choose_at(&est, ta, tb).plan;
-            let robust = chooser(ChoicePolicy::Robust(cfg)).choose_over(&region, ta, tb).plan;
+            let point = chooser(ChoicePolicy::Point).choose(&est, ta, tb).plan;
+            let robust = chooser(ChoicePolicy::Robust(cfg)).choose(&est, ta, tb).plan;
             assert_eq!(point, robust, "sel {sel}");
         }
     }
@@ -189,14 +174,14 @@ mod tests {
         let plans = two_predicate_plans(SystemId::A, &w);
         let (ta, tb) = (w.cal_a.threshold(0.3), w.cal_b.threshold(0.3));
         let region = [
-            SelHypothesis { est: SelEstimates::exact(0.001, 0.001), weight: 0.93 },
-            SelHypothesis { est: SelEstimates::exact(1.0, 1.0), weight: 0.07 },
+            SelHypothesis { est: SelEstimates::independent(0.001, 0.001), weight: 0.93 },
+            SelHypothesis { est: SelEstimates::independent(1.0, 1.0), weight: 0.07 },
         ];
         let expected_only = RobustConfig { tail_quantile: 0.95, penalty_weight: 0.0 };
         let penalised = RobustConfig { tail_quantile: 0.95, penalty_weight: 10.0 };
         let robust = |cfg| {
             Chooser { plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Robust(cfg) }
-                .choose_over(&region, ta, tb)
+                .choose(&Fixed(&region), ta, tb)
                 .plan
         };
         let lean = robust(expected_only);
@@ -215,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn uncertainty_region_is_a_coherent_probability_box() {
+    fn credible_region_is_a_coherent_probability_box() {
         let w = TableBuilder::build(WorkloadConfig {
             rows: 1 << 14,
             seed: 31,
@@ -228,11 +213,11 @@ mod tests {
         );
         for sel in [0.01, 0.25, 0.9] {
             let (ta, tb) = (w.cal_a.threshold(sel), w.cal_b.threshold(sel));
-            let region = uncertainty_region(&joint, ta, tb);
+            let center = SelEstimates::from_joint(&joint, ta, tb);
+            let region = credible_region(center, joint.resolution_a(), joint.resolution_b());
             assert_eq!(region.len(), 9);
             let wsum: f64 = region.iter().map(|h| h.weight).sum();
             assert!((wsum - 1.0).abs() < 1e-12, "weights sum to {wsum}");
-            let center = SelEstimates::from_joint(&joint, ta, tb);
             assert!(region.iter().any(|h| h.est == center), "center hypothesis present");
             for h in &region {
                 assert!(h.est.sel_a > 0.0 && h.est.sel_a <= 1.0);
@@ -253,7 +238,11 @@ mod tests {
             &JointHistogramConfig::default(),
         );
         let (ta, tb) = (w.cal_a.threshold(0.1), w.cal_b.threshold(0.1));
-        let region = uncertainty_region(&joint, ta, tb);
+        let region = credible_region(
+            SelEstimates::from_joint(&joint, ta, tb),
+            joint.resolution_a(),
+            joint.resolution_b(),
+        );
         let cfg = RobustConfig::default();
         for plan in &plans {
             let (expected, tail) = region_cost(plan, ta, tb, &stats, &region, &model, &cfg);

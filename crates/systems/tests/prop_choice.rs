@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use robustmap_storage::CostModel;
 use robustmap_systems::choice::{Choice, ChoicePolicy, Chooser};
 use robustmap_systems::{
-    estimate_cost, CatalogStats, RobustConfig, SelEstimates, SelHypothesis,
+    estimate_cost, CatalogStats, Estimator, RobustConfig, SelEstimates, SelHypothesis,
     SwitchPolicy, SystemId, CARDINALITY_NOISE_ROWS,
 };
 use robustmap_workload::{TableBuilder, Workload, WorkloadConfig};
@@ -49,6 +49,19 @@ fn dummy_choice(margin: f64) -> Choice {
         tail: 1.0,
         runner_up: Some(1),
         margin,
+    }
+}
+
+/// A fixed hypothesis region, centered on its first hypothesis.
+struct Fixed<'r>(&'r [SelHypothesis]);
+
+impl Estimator for Fixed<'_> {
+    fn estimate(&self, _ta: i64, _tb: i64) -> SelEstimates {
+        self.0[0].est
+    }
+
+    fn region(&self, _ta: i64, _tb: i64) -> Vec<SelHypothesis> {
+        self.0.to_vec()
     }
 }
 
@@ -86,7 +99,7 @@ proptest! {
         let (sa, sb) = (sel_from(exp_a, jitter_a), sel_from(exp_b, jitter_b));
         let (ta, tb) = (w.cal_a.threshold(sa), w.cal_b.threshold(sb));
         let err = 2.0f64.powi(err_exp as i32 - 9);
-        let est = SelEstimates::with_error(sa, sb, err, 1.0 / err.max(1e-12));
+        let est = SelEstimates::independent(sa * err, sb * (1.0 / err.max(1e-12)));
         let costs: Vec<f64> = plans
             .iter()
             .map(|p| estimate_cost(&p.build(ta, tb), &stats, &est, &model))
@@ -94,10 +107,8 @@ proptest! {
         let argmin = (0..costs.len()).fold(0, |best, i| if costs[i] < costs[best] { i } else { best });
         let chooser =
             Chooser { plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Point };
-        let choice = chooser.choose_at(&est, ta, tb);
+        let choice = chooser.choose(&est, ta, tb);
         prop_assert_eq!(choice.plan, argmin);
-        // And through the trait path with the estimates as the estimator.
-        prop_assert_eq!(chooser.choose(&est, ta, tb).plan, argmin);
         // The reported score is exactly the winner's estimated cost.
         prop_assert_eq!(choice.score, costs[argmin]);
         coherent(&choice, plans.len());
@@ -116,17 +127,17 @@ proptest! {
         let model = CostModel::hdd_2009();
         let (sa, sb) = (sel_from(exp_a, 0.0), sel_from(exp_b, 0.0));
         let (ta, tb) = (w.cal_a.threshold(sa), w.cal_b.threshold(sb));
-        let est = SelEstimates::exact(sa, sb);
-        let region = [SelHypothesis { est, weight: 1.0 }];
+        // Bare estimates are an estimator whose region is the point alone.
+        let est = SelEstimates::independent(sa, sb);
         let cfg = RobustConfig { tail_quantile: tail_q, penalty_weight: 0.0 };
         let point = Chooser {
             plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Point,
         }
-        .choose_at(&est, ta, tb);
+        .choose(&est, ta, tb);
         let robust = Chooser {
             plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Robust(cfg),
         }
-        .choose_over(&region, ta, tb);
+        .choose(&est, ta, tb);
         prop_assert_eq!(robust.plan, point.plan);
         prop_assert_eq!(robust.score, point.score, "zero penalty: score is the point cost");
         prop_assert_eq!(robust.runner_up, point.runner_up);
@@ -155,7 +166,7 @@ proptest! {
         let chooser = Chooser { plans: &plans, stats: &stats, model: &model, policy };
         let (sa, sb) = (sel_from(exp_a, 0.0), sel_from(exp_b, 0.0));
         let (ta, tb) = (w.cal_a.threshold(sa), w.cal_b.threshold(sb));
-        let est = SelEstimates::exact(sa, sb);
+        let est = SelEstimates::independent(sa, sb);
         let first = chooser.choose(&est, ta, tb);
         prop_assert!(first.plan < 15, "ties must break to the lower index");
         // The duplicate scores identically, so the margin to it is 0 and
@@ -262,14 +273,14 @@ proptest! {
         let (sa, sb) = (sel_from(exp_a, 0.0), sel_from(exp_b, 0.0));
         let (ta, tb) = (w.cal_a.threshold(sa), w.cal_b.threshold(sb));
         let region = [
-            SelHypothesis { est: SelEstimates::exact(sa / spread, sb), weight },
-            SelHypothesis { est: SelEstimates::exact(sa, sb / spread), weight: 1.0 - weight },
+            SelHypothesis { est: SelEstimates::independent(sa / spread, sb), weight },
+            SelHypothesis { est: SelEstimates::independent(sa, sb / spread), weight: 1.0 - weight },
         ];
         let cfg = RobustConfig { tail_quantile: 0.9, penalty_weight: penalty };
         let chooser = Chooser {
             plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Robust(cfg),
         };
-        let c = chooser.choose_over(&region, ta, tb);
+        let c = chooser.choose(&Fixed(&region), ta, tb);
         coherent(&c, plans.len());
         prop_assert!(c.tail >= 0.0 && c.expected >= 0.0);
         prop_assert!(c.score >= c.expected, "penalty adds a nonnegative term");

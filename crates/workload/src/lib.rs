@@ -43,4 +43,4 @@ pub use gen::{
     TableBuilder, Workload, WorkloadConfig, COL_A, COL_B, COL_C, COL_ORDERKEY, COL_PAYLOAD,
 };
 pub use stats::{JointHistogram, JointHistogramConfig};
-pub use stats_maint::{MaintainedJoint, RebuildPolicy, Staleness};
+pub use stats_maint::{MaintainedJoint, Staleness};

@@ -15,8 +15,8 @@
 //!   `a-bucket x b-bucket` grid, with maintained marginals;
 //! * [`Staleness`] is the meter: fraction of the base table modified plus
 //!   a total-variation drift estimate of the insert distribution against
-//!   the base equi-depth masses.  [`RebuildPolicy`] turns the meter into
-//!   a rebuild decision;
+//!   the base equi-depth masses.  [`Staleness::needs_rebuild`] turns the
+//!   meter into a rebuild decision;
 //! * cache hygiene is structural: the workload's `mutation_epoch` is part
 //!   of the workload cache's key ([`crate::cache::config_hash`]), so a
 //!   table mutated past epoch `e` is never stored over, or served as, the
@@ -58,34 +58,22 @@ impl Staleness {
     pub fn severity(&self) -> f64 {
         (self.fraction_modified * (1.0 + self.drift)).max(0.0)
     }
-}
 
-/// When to throw the deltas away and rebuild from the heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RebuildPolicy {
-    /// Rebuild once this fraction of the base table has been modified.
-    pub max_fraction_modified: f64,
-    /// Rebuild once the insert distribution has drifted this far (total
-    /// variation) from the base shape.
-    pub max_drift: f64,
-}
-
-impl Default for RebuildPolicy {
-    /// Rebuild at half the table modified or 0.25 total-variation drift —
-    /// the classic "20%-changed" auto-update heuristic, loosened because
-    /// the delta counters keep estimates serviceable well past it.
-    fn default() -> Self {
-        RebuildPolicy { max_fraction_modified: 0.5, max_drift: 0.25 }
+    /// Whether to throw the deltas away and rebuild from the heap: at half
+    /// the table modified or 0.25 total-variation drift.
+    pub fn needs_rebuild(&self) -> bool {
+        self.fraction_modified >= REBUILD_FRACTION_MODIFIED || self.drift >= REBUILD_DRIFT
     }
 }
 
-impl RebuildPolicy {
-    /// Does `staleness` call for a rebuild?
-    pub fn should_rebuild(&self, staleness: &Staleness) -> bool {
-        staleness.fraction_modified >= self.max_fraction_modified
-            || staleness.drift >= self.max_drift
-    }
-}
+/// Fraction of the base table modified at which statistics are rebuilt:
+/// the classic "20%-changed" auto-update heuristic, loosened because the
+/// delta counters keep estimates serviceable well past it.
+const REBUILD_FRACTION_MODIFIED: f64 = 0.5;
+
+/// Total-variation drift of the insert distribution from the base shape
+/// at which statistics are rebuilt.
+const REBUILD_DRIFT: f64 = 0.25;
 
 /// Bucket index of `v` on an equi-depth bound list: bucket `i` holds
 /// `(bounds[i-1], bounds[i]]` (bucket 0 from `min`); values past the last
@@ -412,13 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_policy_thresholds() {
-        let p = RebuildPolicy::default();
-        assert!(!p.should_rebuild(&Staleness::none()));
-        assert!(p.should_rebuild(&Staleness { fraction_modified: 0.5, drift: 0.0 }));
-        assert!(p.should_rebuild(&Staleness { fraction_modified: 0.1, drift: 0.3 }));
-        let tight = RebuildPolicy { max_fraction_modified: 0.05, max_drift: 1.0 };
-        assert!(tight.should_rebuild(&Staleness { fraction_modified: 0.06, drift: 0.0 }));
+    fn rebuild_thresholds() {
+        assert!(!Staleness::none().needs_rebuild());
+        assert!(!Staleness { fraction_modified: 0.49, drift: 0.24 }.needs_rebuild());
+        assert!(Staleness { fraction_modified: 0.5, drift: 0.0 }.needs_rebuild());
+        assert!(Staleness { fraction_modified: 0.1, drift: 0.3 }.needs_rebuild());
     }
 
     #[test]

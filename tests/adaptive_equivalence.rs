@@ -99,7 +99,7 @@ fn armed_but_never_tripping_controllers_are_bit_identical() {
     let (ta, tb) = (w.cal_a.threshold(0.2), w.cal_b.threshold(0.6));
     let est = Exact::of(&w).estimate(ta, tb);
     let chooser = Chooser { plans: &plans, stats: &stats, model: &model, policy: ChoicePolicy::Point };
-    let choice = chooser.choose_at(&est, ta, tb);
+    let choice = chooser.choose(&est, ta, tb);
     let fallback = plans
         .iter()
         .find(|p| p.name.contains("mdam"))

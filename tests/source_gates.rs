@@ -344,6 +344,31 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        gate: "one-way-to-choose",
+        scope: &["crates"],
+        hit: |l| {
+            let gone = [
+                "choose_at",
+                "choose_over",
+                "uncertainty_region",
+                "credible_region_around",
+                "Stale",
+                "with_error",
+                "from_histograms",
+                "CheckConfig",
+                "RebuildPolicy",
+                "default_grant",
+                "min_grant",
+            ];
+            l.contains("pub z:") || idents(l).any(|t| gone.contains(&t))
+        },
+        why: "a second way to choose, clamp, build a credible box or widen for staleness, or a \
+              setting only one caller sets — Chooser::choose, SelEstimates::independent, \
+              robust::credible_region and Joint::stale are the one way each, and the credible \
+              z, the check thresholds, the grants and the rebuild thresholds are constants",
+        ..RULE
+    },
+    Rule {
         gate: "one-figure-table",
         scope: &["scripts/verify.sh"],
         hit: |l| idents(l).any(is_figure_id),
