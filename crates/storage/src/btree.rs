@@ -19,6 +19,7 @@
 //! [`BTree::cursor_next`] is the entry-at-a-time reference loop.
 
 use crate::buffer::{FileId, PageId};
+use crate::charge::ChargeSink;
 use crate::heap::Rid;
 use crate::session::Session;
 use crate::sim::AccessKind;
@@ -323,7 +324,7 @@ impl BTree {
     }
 
     #[inline]
-    fn touch(&self, node: NodeId, session: &Session, kind: AccessKind) {
+    fn touch<S: ChargeSink>(&self, node: NodeId, session: &S, kind: AccessKind) {
         session.read_page(self.page_id(node), kind);
     }
 
@@ -333,7 +334,7 @@ impl BTree {
 
     /// Binary search within a leaf: index of the first entry `>= target`.
     /// Charges comparisons to the session.
-    fn search_entries(entries: &[Entry], target: &Entry, session: &Session) -> usize {
+    fn search_entries<S: ChargeSink>(entries: &[Entry], target: &Entry, session: &S) -> usize {
         let n = entries.len().max(1);
         session.charge_compares((usize::BITS - n.leading_zeros()) as u64);
         entries.partition_point(|e| e < target)
@@ -343,7 +344,7 @@ impl BTree {
     /// into.  An entry equal to `seps[i]` lives under `children[i + 1]`
     /// (separators are the smallest entry of their right subtree), so the
     /// descent uses `<=`.
-    fn search_children(seps: &[Entry], target: &Entry, session: &Session) -> usize {
+    fn search_children<S: ChargeSink>(seps: &[Entry], target: &Entry, session: &S) -> usize {
         let n = seps.len().max(1);
         session.charge_compares((usize::BITS - n.leading_zeros()) as u64);
         seps.partition_point(|e| e <= target)
@@ -351,7 +352,7 @@ impl BTree {
 
     /// Insert `(key, rid)`.  Returns `false` if the exact entry was already
     /// present (the tree is a set of `(key, rid)` pairs).
-    pub fn insert(&mut self, key: Key, rid: Rid, session: &Session) -> bool {
+    pub fn insert<S: ChargeSink>(&mut self, key: Key, rid: Rid, session: &S) -> bool {
         self.check_key(&key);
         let entry = (key, rid);
         let root = self.root;
@@ -374,7 +375,7 @@ impl BTree {
         }
     }
 
-    fn insert_rec(&mut self, node: NodeId, entry: Entry, session: &Session) -> InsertOutcome {
+    fn insert_rec<S: ChargeSink>(&mut self, node: NodeId, entry: Entry, session: &S) -> InsertOutcome {
         self.touch(node, session, AccessKind::Random);
         match &mut self.nodes[node as usize] {
             Node::Leaf { entries, next } => {
@@ -434,7 +435,7 @@ impl BTree {
     }
 
     /// Delete `(key, rid)`.  Returns `true` if the entry existed.
-    pub fn delete(&mut self, key: Key, rid: Rid, session: &Session) -> bool {
+    pub fn delete<S: ChargeSink>(&mut self, key: Key, rid: Rid, session: &S) -> bool {
         self.check_key(&key);
         let entry = (key, rid);
         let root = self.root;
@@ -466,7 +467,7 @@ impl BTree {
         self.internal_cap.div_ceil(2)
     }
 
-    fn delete_rec(&mut self, node: NodeId, entry: &Entry, session: &Session) -> bool {
+    fn delete_rec<S: ChargeSink>(&mut self, node: NodeId, entry: &Entry, session: &S) -> bool {
         self.touch(node, session, AccessKind::Random);
         match &mut self.nodes[node as usize] {
             Node::Leaf { entries, .. } => {
@@ -494,7 +495,7 @@ impl BTree {
     /// After deleting under `parent.children[slot]`, rebalance that child if
     /// it fell below minimum occupancy, by borrowing from or merging with a
     /// sibling.
-    fn fix_underflow(&mut self, parent: NodeId, slot: usize, session: &Session) {
+    fn fix_underflow<S: ChargeSink>(&mut self, parent: NodeId, slot: usize, session: &S) {
         let (child, child_size, child_is_leaf) = {
             let children = match &self.nodes[parent as usize] {
                 Node::Internal { children, .. } => children,

@@ -6,6 +6,7 @@
 //! slotted pages; rows are addressed by [`Rid`] (page number, slot).
 
 use crate::buffer::{FileId, PageId};
+use crate::charge::ChargeSink;
 use crate::page::SlottedPage;
 use crate::schema::{Row, Schema};
 use crate::session::Session;
@@ -136,7 +137,7 @@ impl HeapFile {
     }
 
     /// Fetch one row by rid, charging `session` one page access of `kind`.
-    pub fn fetch(&self, rid: Rid, session: &Session, kind: AccessKind) -> Result<Row> {
+    pub fn fetch<S: ChargeSink>(&self, rid: Rid, session: &S, kind: AccessKind) -> Result<Row> {
         let page = self
             .pages
             .get(rid.page as usize)
@@ -217,7 +218,7 @@ impl HeapFile {
     /// target page (to pin it), one page write (the dirtied page), and one
     /// row of CPU.  This is the churn engine's entry point — unlike
     /// [`HeapFile::append`], the work lands on the simulated clock.
-    pub fn append_charged(&mut self, row: &Row, session: &Session) -> Result<Rid> {
+    pub fn append_charged<S: ChargeSink>(&mut self, row: &Row, session: &S) -> Result<Rid> {
         let rid = self.append(row)?;
         let pid = self.page_id(rid.page);
         session.read_page(pid, AccessKind::Random);
@@ -229,7 +230,7 @@ impl HeapFile {
     /// Delete a row on the charged mutation path: the caller has typically
     /// already fetched the victim (its own charge); tombstoning dirties the
     /// page, so we charge one page write plus one row of CPU.
-    pub fn delete_charged(&mut self, rid: Rid, session: &Session) -> Result<()> {
+    pub fn delete_charged<S: ChargeSink>(&mut self, rid: Rid, session: &S) -> Result<()> {
         self.delete(rid)?;
         session.write_page(self.page_id(rid.page));
         session.charge_rows(1);

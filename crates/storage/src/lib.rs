@@ -21,6 +21,8 @@
 //! * [`shared`] — a buffer pool + temp-file namespace shared by N
 //!   concurrently served queries, with per-query attribution,
 //! * [`session`] — per-query accounting context tying the above together,
+//! * [`charge`] — the charge-sink trait the mutation paths charge through,
+//!   and a log that records charges and replays them into a session later,
 //! * [`schema`] / [`table`] — rows, columns and the catalog.
 //!
 //! ## Why simulated time?
@@ -37,6 +39,7 @@
 pub mod bitmap;
 pub mod btree;
 pub mod buffer;
+pub mod charge;
 pub mod fx;
 pub mod heap;
 pub mod page;
@@ -50,6 +53,7 @@ pub mod table;
 pub use bitmap::RidSet;
 pub use btree::{BTree, Key};
 pub use buffer::{BufferPool, EvictionPolicy, FileId, PageId};
+pub use charge::{ChargeLog, ChargeSink};
 pub use fx::{FxBuildHasher, FxHashMap, FxHasher};
 pub use heap::{HeapFile, Rid};
 pub use page::{SlottedPage, PAGE_SIZE};

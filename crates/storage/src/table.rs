@@ -216,6 +216,13 @@ impl Database {
         &mut self.indexes[id.0 as usize]
     }
 
+    /// Several indexes borrowed mutably at once, in the order of `ids`
+    /// (see [`Database::table_mut`]): the churn engine maintains each on
+    /// its own thread.  `None` if an id is unknown or named twice.
+    pub fn indexes_mut<const N: usize>(&mut self, ids: [IndexId; N]) -> Option<[&mut IndexDef; N]> {
+        self.indexes.get_disjoint_mut(ids.map(|id| id.0 as usize)).ok()
+    }
+
     /// All indexes on `table`.
     pub fn indexes_on(&self, table: TableId) -> impl Iterator<Item = (IndexId, &IndexDef)> {
         self.indexes
@@ -279,6 +286,17 @@ mod tests {
             let row = db.table(t).heap.fetch(rid, &s, AccessKind::Random).unwrap();
             assert_eq!(key.get(0), row.get(0));
         }
+    }
+
+    #[test]
+    fn indexes_mut_lends_distinct_indexes_in_the_order_asked() {
+        let (mut db, t) = demo_db(10);
+        let a = db.create_index("idx_a", t, &[0]).unwrap();
+        let b = db.create_index("idx_b", t, &[1]).unwrap();
+        let [first, second] = db.indexes_mut([b, a]).unwrap();
+        assert_eq!((first.name.as_str(), second.name.as_str()), ("idx_b", "idx_a"));
+        assert!(db.indexes_mut([a, a]).is_none(), "an index named twice");
+        assert!(db.indexes_mut([a, IndexId(2)]).is_none(), "an unknown index");
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! plus the clock/I/O cost the batch charged.
 
 use robustmap_obs::TraceEventKind;
-use robustmap_storage::{ticks_to_seconds, AccessKind, IndexId, IoStats, Rid, Row, Session};
+use robustmap_storage::{
+    ticks_to_seconds, AccessKind, ChargeLog, HeapFile, IndexDef, IndexId, IoStats, Rid, Row,
+    Session, StorageError,
+};
 
 use crate::gen::{Workload, COL_A, COL_B};
 use crate::stats::draw;
@@ -190,7 +193,7 @@ impl ChurnPlan {
 
 /// What one applied batch did — the statistics-maintenance feed plus the
 /// cost it charged.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppliedBatch {
     /// `(a, b)` of every row added (inserts and the new half of updates).
     pub inserted: Vec<(i64, i64)>,
@@ -273,39 +276,57 @@ impl ChurnDriver {
     /// index work to `session`, and emit one charge-free
     /// [`TraceEventKind::MutationBatch`] afterwards.  Bumps
     /// `w.config.mutation_epoch`.
+    ///
+    /// The batch runs in three phases.  *Resolve* walks the ops in order
+    /// against the heap and the live list, logging the heap's charges and
+    /// emitting each op's index mutations.  *Maintain* applies the whole
+    /// batch to each of the five indexes, on one scoped thread per index,
+    /// each logging its own charges.  *Replay* walks the ops in their
+    /// original order into `session` — heap fetch, the five index deletes
+    /// in `[a, b, c, ab, ba]` order, tombstone, append, the five inserts —
+    /// so the pool, the event count and the tracer see the access sequence
+    /// a one-op-at-a-time applier makes.  The indexes never feed back into
+    /// the heap or the live list, which is what lets the phases split.
     pub fn apply_batch(&mut self, w: &mut Workload, session: &Session) -> AppliedBatch {
+        self.try_apply_batch(w, session)
+            .expect("the live rows and the five indexes of a workload resolve")
+    }
+
+    fn try_apply_batch(
+        &mut self,
+        w: &mut Workload,
+        session: &Session,
+    ) -> Result<AppliedBatch, StorageError> {
         let ops = self.plan.batch(self.step);
         self.step += 1;
         let t0 = session.elapsed_ticks();
         let io0 = session.stats();
         let mut out = AppliedBatch::default();
-        for op in ops {
-            match op {
-                ChurnOp::Insert { a, b, c, payload } => {
-                    self.insert(w, session, a, b, c, payload, &mut out);
-                    out.ops.0 += 1;
-                }
-                ChurnOp::Delete { ordinal } => {
-                    if !self.live.is_empty() {
-                        let at = (ordinal % self.live.len() as u64) as usize;
-                        self.delete_at(w, session, at, &mut out);
-                        out.ops.1 += 1;
-                    }
-                }
-                ChurnOp::Update { ordinal, a, b } => {
-                    if !self.live.is_empty() {
-                        let at = (ordinal % self.live.len() as u64) as usize;
-                        let old = self.delete_at(w, session, at, &mut out);
-                        // Re-insert with the old row's non-predicate
-                        // columns; the orderkey is preserved, so updates
-                        // do not consume fresh keys.
-                        let (oc, ok, op_) = (old.get(2), old.get(3), old.get(4));
-                        self.insert_with_orderkey(w, session, a, b, oc, ok, op_, &mut out);
-                        out.ops.2 += 1;
-                    }
-                }
+
+        let mut heap_log = ChargeLog::new();
+        let heap = &mut w.db.table_mut(w.table).heap;
+        let mutations = self.resolve(&ops, heap, &mut heap_log, &mut out)?;
+
+        let ids = self.index_ids(w);
+        let indexes = w.db.indexes_mut(ids).ok_or_else(|| {
+            StorageError::UnknownObject(format!("the workload's five indexes {ids:?}"))
+        })?;
+        let mut index_logs: [ChargeLog; 5] = Default::default();
+        std::thread::scope(|scope| {
+            for (index, log) in indexes.into_iter().zip(&mut index_logs) {
+                let mutations = &mutations;
+                scope.spawn(move || maintain(index, mutations, log));
             }
+        });
+
+        for k in 0..mutations.len() {
+            heap_log.replay_segment(2 * k, session);
+            for log in &index_logs {
+                log.replay_segment(k, session);
+            }
+            heap_log.replay_segment(2 * k + 1, session);
         }
+
         out.seconds = ticks_to_seconds(session.elapsed_ticks() - t0);
         out.io = session.stats().since(&io0);
         self.rows_touched += out.rows_applied;
@@ -316,7 +337,7 @@ impl ChurnDriver {
             deleted: out.ops.1,
             updated: out.ops.2,
         });
-        out
+        Ok(out)
     }
 
     /// Apply batches until `fraction_touched() >= target` (at least one
@@ -334,79 +355,88 @@ impl ChurnDriver {
         batches
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn insert_with_orderkey(
+    /// The resolve phase: apply `ops` to the heap and the live list in
+    /// order, and return their index mutations in that order.  Each
+    /// mutation closes two segments of `heap_log`: the heap work before its
+    /// index work (a victim's fetch, or an append) and after it (a
+    /// victim's tombstone, or nothing).
+    fn resolve(
         &mut self,
-        w: &mut Workload,
-        session: &Session,
-        a: i64,
-        b: i64,
-        c: i64,
-        orderkey: i64,
-        payload: i64,
+        ops: &[ChurnOp],
+        heap: &mut HeapFile,
+        heap_log: &mut ChargeLog,
         out: &mut AppliedBatch,
-    ) {
-        let row = Row::from_slice(&[a, b, c, orderkey, payload]);
-        let rid = w
-            .db
-            .table_mut(w.table)
-            .heap
-            .append_charged(&row, session)
-            .expect("schema-matched append");
-        for idx in self.index_ids(w) {
-            let key = w.db.index(idx).key_of(&row);
-            w.db.index_def_mut(idx).tree.insert(key, rid, session);
+    ) -> Result<Vec<IndexMutation>, StorageError> {
+        let mut mutations = Vec::with_capacity(2 * ops.len());
+        for &op in ops {
+            match op {
+                ChurnOp::Insert { a, b, c, payload } => {
+                    let orderkey = self.next_orderkey;
+                    self.next_orderkey += 1;
+                    let row = Row::from_slice(&[a, b, c, orderkey, payload]);
+                    mutations.push(self.append(row, heap, heap_log, out)?);
+                    out.ops.0 += 1;
+                }
+                ChurnOp::Delete { ordinal } => {
+                    if let Some(victim) = self.take(ordinal, heap, heap_log, out)? {
+                        mutations.push(victim);
+                        out.ops.1 += 1;
+                    }
+                }
+                ChurnOp::Update { ordinal, a, b } => {
+                    if let Some(victim) = self.take(ordinal, heap, heap_log, out)? {
+                        mutations.push(victim);
+                        // Re-insert with the old row's non-predicate
+                        // columns; the orderkey is preserved, so updates
+                        // do not consume fresh keys.
+                        let old = victim.row;
+                        let row = Row::from_slice(&[a, b, old.get(2), old.get(3), old.get(4)]);
+                        mutations.push(self.append(row, heap, heap_log, out)?);
+                        out.ops.2 += 1;
+                    }
+                }
+            }
         }
+        Ok(mutations)
+    }
+
+    /// Append `row` to the heap and the live list.
+    fn append(
+        &mut self,
+        row: Row,
+        heap: &mut HeapFile,
+        heap_log: &mut ChargeLog,
+        out: &mut AppliedBatch,
+    ) -> Result<IndexMutation, StorageError> {
+        let rid = heap.append_charged(&row, &*heap_log)?;
+        heap_log.mark();
+        heap_log.mark();
         self.live.push(rid);
-        out.inserted.push((a, b));
+        out.inserted.push((row.get(COL_A), row.get(COL_B)));
         out.rows_applied += 1;
+        Ok(IndexMutation { row, rid, insert: true })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn insert(
+    /// Take the live row at `ordinal % live_rows` off the live list and
+    /// tombstone it; `None` if no row is live.
+    fn take(
         &mut self,
-        w: &mut Workload,
-        session: &Session,
-        a: i64,
-        b: i64,
-        c: i64,
-        payload: i64,
+        ordinal: u64,
+        heap: &mut HeapFile,
+        heap_log: &mut ChargeLog,
         out: &mut AppliedBatch,
-    ) {
-        let orderkey = self.next_orderkey;
-        self.next_orderkey += 1;
-        self.insert_with_orderkey(w, session, a, b, c, orderkey, payload, out);
-    }
-
-    /// Tombstone the live row at position `at`, removing its five index
-    /// entries first.  Returns the old row.
-    fn delete_at(
-        &mut self,
-        w: &mut Workload,
-        session: &Session,
-        at: usize,
-        out: &mut AppliedBatch,
-    ) -> Row {
-        let rid = self.live.swap_remove(at);
-        let row = w
-            .db
-            .table(w.table)
-            .heap
-            .fetch(rid, session, AccessKind::Random)
-            .expect("live rid fetches");
-        for idx in self.index_ids(w) {
-            let key = w.db.index(idx).key_of(&row);
-            let removed = w.db.index_def_mut(idx).tree.delete(key, rid, session);
-            debug_assert!(removed, "index entry for a live row exists");
+    ) -> Result<Option<IndexMutation>, StorageError> {
+        if self.live.is_empty() {
+            return Ok(None);
         }
-        w.db
-            .table_mut(w.table)
-            .heap
-            .delete_charged(rid, session)
-            .expect("live rid deletes");
+        let rid = self.live.swap_remove((ordinal % self.live.len() as u64) as usize);
+        let row = heap.fetch(rid, &*heap_log, AccessKind::Random)?;
+        heap_log.mark();
+        heap.delete_charged(rid, &*heap_log)?;
+        heap_log.mark();
         out.deleted.push((row.get(COL_A), row.get(COL_B)));
         out.rows_applied += 1;
-        row
+        Ok(Some(IndexMutation { row, rid, insert: false }))
     }
 
     fn index_ids(&self, w: &Workload) -> [IndexId; 5] {
@@ -415,14 +445,214 @@ impl ChurnDriver {
     }
 }
 
+/// One index mutation of a batch, as the resolve phase emits it: the row
+/// whose index entries change, where it lives, and which way.
+#[derive(Debug, Clone, Copy)]
+struct IndexMutation {
+    row: Row,
+    rid: Rid,
+    insert: bool,
+}
+
+/// The maintain phase for one index: apply every mutation to its tree in
+/// order, closing one segment of `log` per mutation.
+fn maintain(index: &mut IndexDef, mutations: &[IndexMutation], log: &mut ChargeLog) {
+    for m in mutations {
+        let key = index.key_of(&m.row);
+        if m.insert {
+            index.tree.insert(key, m.rid, &*log);
+        } else {
+            let removed = index.tree.delete(key, m.rid, &*log);
+            debug_assert!(removed, "index entry for a live row exists");
+        }
+        log.mark();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::gen::{TableBuilder, WorkloadConfig};
+    use robustmap_obs::trace::{TraceDetail, TraceSink};
     use robustmap_storage::Key;
 
     fn small_workload(seed: u64) -> Workload {
         TableBuilder::build(WorkloadConfig { rows: 1 << 10, seed, ..Default::default() })
+    }
+
+    /// The one-op-at-a-time applier the three phases of
+    /// [`ChurnDriver::apply_batch`] replace: each op's heap and index work
+    /// charged straight to the session, in op order.  The reference the
+    /// equivalence test holds the phased applier to.
+    impl ChurnDriver {
+        fn apply_batch_per_op(&mut self, w: &mut Workload, session: &Session) -> AppliedBatch {
+            let ops = self.plan.batch(self.step);
+            self.step += 1;
+            let t0 = session.elapsed_ticks();
+            let io0 = session.stats();
+            let mut out = AppliedBatch::default();
+            for op in ops {
+                match op {
+                    ChurnOp::Insert { a, b, c, payload } => {
+                        let orderkey = self.next_orderkey;
+                        self.next_orderkey += 1;
+                        self.insert_per_op(w, session, [a, b, c, orderkey, payload], &mut out);
+                        out.ops.0 += 1;
+                    }
+                    ChurnOp::Delete { ordinal } => {
+                        if !self.live.is_empty() {
+                            let at = (ordinal % self.live.len() as u64) as usize;
+                            self.delete_per_op(w, session, at, &mut out);
+                            out.ops.1 += 1;
+                        }
+                    }
+                    ChurnOp::Update { ordinal, a, b } => {
+                        if !self.live.is_empty() {
+                            let at = (ordinal % self.live.len() as u64) as usize;
+                            let old = self.delete_per_op(w, session, at, &mut out);
+                            let vals = [a, b, old.get(2), old.get(3), old.get(4)];
+                            self.insert_per_op(w, session, vals, &mut out);
+                            out.ops.2 += 1;
+                        }
+                    }
+                }
+            }
+            out.seconds = ticks_to_seconds(session.elapsed_ticks() - t0);
+            out.io = session.stats().since(&io0);
+            self.rows_touched += out.rows_applied;
+            w.config.mutation_epoch += 1;
+            session.trace_event(TraceEventKind::MutationBatch {
+                rows: out.rows_applied,
+                inserted: out.ops.0,
+                deleted: out.ops.1,
+                updated: out.ops.2,
+            });
+            out
+        }
+
+        fn insert_per_op(
+            &mut self,
+            w: &mut Workload,
+            session: &Session,
+            vals: [i64; 5],
+            out: &mut AppliedBatch,
+        ) {
+            let row = Row::from_slice(&vals);
+            let rid = w.db.table_mut(w.table).heap.append_charged(&row, session).unwrap();
+            for idx in self.index_ids(w) {
+                let key = w.db.index(idx).key_of(&row);
+                w.db.index_def_mut(idx).tree.insert(key, rid, session);
+            }
+            self.live.push(rid);
+            out.inserted.push((vals[0], vals[1]));
+            out.rows_applied += 1;
+        }
+
+        fn delete_per_op(
+            &mut self,
+            w: &mut Workload,
+            session: &Session,
+            at: usize,
+            out: &mut AppliedBatch,
+        ) -> Row {
+            let rid = self.live.swap_remove(at);
+            let row = w.db.table(w.table).heap.fetch(rid, session, AccessKind::Random).unwrap();
+            for idx in self.index_ids(w) {
+                let key = w.db.index(idx).key_of(&row);
+                assert!(w.db.index_def_mut(idx).tree.delete(key, rid, session));
+            }
+            w.db.table_mut(w.table).heap.delete_charged(rid, session).unwrap();
+            out.deleted.push((row.get(COL_A), row.get(COL_B)));
+            out.rows_applied += 1;
+            row
+        }
+    }
+
+    /// Everything a churned workload and the session that paid for it
+    /// expose.
+    #[derive(PartialEq)]
+    struct Churned {
+        ticks: u64,
+        stats: IoStats,
+        events: u64,
+        indexes: [Vec<(Key, Rid)>; 5],
+        heap: Vec<(Rid, Row)>,
+        live: Vec<Rid>,
+    }
+
+    impl Churned {
+        fn of(w: &Workload, driver: &ChurnDriver, s: &Session) -> Self {
+            let ix = &w.indexes;
+            let mut heap = Vec::new();
+            w.db.table(w.table).heap.try_for_each_row(|rid, row| heap.push((rid, *row))).unwrap();
+            Churned {
+                ticks: s.elapsed_ticks(),
+                stats: s.stats(),
+                events: s.charge_events(),
+                indexes: [ix.a, ix.b, ix.c, ix.ab, ix.ba]
+                    .map(|id| w.db.index(id).tree.collect_all()),
+                heap,
+                live: driver.live.clone(),
+            }
+        }
+    }
+
+    /// The phased applier against the per-op reference, bit for bit: every
+    /// `AppliedBatch`, then the clock, counters, charge events, the five
+    /// indexes, the heap rows and the live list, and the whole trace of a
+    /// full-detail traced session.  Over three seeds, drift up and down,
+    /// and a delete-only stream that empties the table; the pool is far
+    /// smaller than the table's pages, so the replay order decides hits.
+    #[test]
+    fn phased_batches_charge_what_the_per_op_applier_charges() {
+        let streams = |w: &Workload| {
+            let base = ChurnConfig { batch_ops: 300, ..ChurnConfig::for_workload(w) };
+            [
+                (base, 4),
+                (base.with_drift(40), 4),
+                (base.with_drift_down(70), 4),
+                (ChurnConfig { insert_pct: 0, delete_pct: 100, batch_ops: 400, ..base }, 3),
+            ]
+        };
+        for seed in [5, 23, 71] {
+            for (cfg, batches) in streams(&small_workload(seed)) {
+                let run = |phased: bool| {
+                    let mut w = small_workload(seed);
+                    let mut driver = ChurnDriver::new(&w, cfg);
+                    let s = Session::with_pool_pages(12);
+                    let sink = Arc::new(TraceSink::memory(TraceDetail::Full));
+                    s.attach_tracer(Arc::clone(&sink), "churn");
+                    let applied: Vec<AppliedBatch> = (0..batches)
+                        .map(|_| {
+                            if phased {
+                                driver.apply_batch(&mut w, &s)
+                            } else {
+                                driver.apply_batch_per_op(&mut w, &s)
+                            }
+                        })
+                        .collect();
+                    s.flush_io_window();
+                    let trace: Vec<(u32, u64, TraceEventKind)> =
+                        sink.events().into_iter().map(|e| (e.track, e.ticks, e.kind)).collect();
+                    assert_eq!(sink.dropped(), 0);
+                    (applied, Churned::of(&w, &driver, &s), trace, w.config.mutation_epoch)
+                };
+                let label = format!("seed {seed}, {cfg:?}");
+                let (want_batches, want_state, want_trace, want_epoch) = run(false);
+                let (batches, state, trace, epoch) = run(true);
+                assert_eq!(batches, want_batches, "{label}: applied batches");
+                assert!(state == want_state, "{label}: churned state differs");
+                assert_eq!(trace.len(), want_trace.len(), "{label}: trace length");
+                assert!(trace == want_trace, "{label}: trace events differ");
+                assert_eq!(epoch, want_epoch, "{label}: mutation epoch");
+                if cfg.delete_pct == 100 {
+                    assert!(state.live.is_empty(), "{label}: the delete-only stream empties it");
+                    assert!(batches.last().is_some_and(|b| b.ops.1 < cfg.batch_ops as u64));
+                }
+            }
+        }
     }
 
     #[test]

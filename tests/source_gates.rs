@@ -4,9 +4,11 @@
 //! root, `*` standing for every directory at that level; `target`
 //! directories are never read), the lines of each file it reads, and a line
 //! pattern matched by substring or by identifier.  A rule forbids every
-//! match, or wants exactly as many as it says.  One more rule reads across
-//! files: every test or function name `docs/DESIGN.md` cites is an `fn`
-//! of the workspace.  Each failure names the rule, the file and the line.
+//! match, or wants exactly as many as it says — which is how the panic
+//! ratchet pins each crate's count of lines that may panic.  One more rule
+//! reads across files: every test or function name `docs/DESIGN.md` cites
+//! is an `fn` of the workspace.  Each failure names the rule, the file and
+//! the line.
 
 use std::path::Path;
 
@@ -378,6 +380,44 @@ const RULES: &[Rule] = &[
     },
 ];
 
+/// A line that can panic outside a test: `.expect(`, `.unwrap()`, `panic!`
+/// or `unreachable!`, not in a comment.
+fn may_panic(line: &str) -> bool {
+    !line.trim_start().starts_with("//")
+        && any(line, &[".expect(", ".unwrap()", "panic!", "unreachable!"])
+}
+
+/// The panic ratchet: how many lines of each crate's non-test source
+/// [`may_panic`].  A change may lower a count, and then lowers its pin
+/// here with it; it never raises one.
+const PANIC_SITES: &[(&str, usize)] = &[
+    ("crates/bench/src", 31),
+    ("crates/core/src", 14),
+    ("crates/executor/src", 7),
+    ("crates/obs/src", 5),
+    ("crates/storage/src", 33),
+    ("crates/systems/src", 2),
+    ("crates/workload/src", 10),
+];
+
+/// One rule per crate of [`PANIC_SITES`].
+fn panic_ratchet() -> Vec<Rule> {
+    PANIC_SITES
+        .iter()
+        .map(|(scope, want)| Rule {
+            gate: "panic-ratchet",
+            scope: std::slice::from_ref(scope),
+            lines: Lines::Before("#[cfg(test)]"),
+            hit: may_panic,
+            want: *want,
+            why: "a crate's non-test source has a different number of lines that may panic \
+                  than PANIC_SITES pins — return an error instead of adding one, and lower \
+                  the pin when one goes",
+            ..RULE
+        })
+        .collect()
+}
+
 /// Push the files under `rel` (a file, or a directory walked in name
 /// order) that `skip` does not exclude.
 fn walk(root: &Path, rel: &str, skip: &[&str], files: &mut Vec<String>) {
@@ -488,7 +528,7 @@ fn design_citations_missing(root: &Path) -> Vec<String> {
 fn the_source_keeps_every_rule() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut failures = Vec::new();
-    for rule in RULES {
+    for rule in RULES.iter().chain(&panic_ratchet()) {
         let mut hits = Vec::new();
         for scope in rule.scope {
             let mut files = Vec::new();

@@ -17,8 +17,12 @@
 //! The rid set reads the same heap from the other side: a churned page's
 //! slot directory has dead slots in it and the tail pages have few slots
 //! at all, so rid lists over it have gaps, uneven page groups and spans
-//! that end mid-heap.  The last test runs every physical-order fetch and
-//! both intersections against the traditional fetch, which touches no set.
+//! that end mid-heap.  One test runs every physical-order fetch and both
+//! intersections against the traditional fetch, which touches no set.
+//!
+//! The oracle does not compare plans with each other: at random
+//! thresholds on a churned, drifted table, each plan's counted rows are
+//! the brute-force count.
 
 use robustmap::core::{measure_batch, serve_concurrent, MeasureConfig, Measurement, ServeConfig};
 use robustmap::executor::{
@@ -98,6 +102,41 @@ fn collected_rows_are_identical_on_tombstoned_heap() {
             let label = format!("churned collect {} [{how}]", plan.name);
             assert_eq!(stats.rows_out as usize, want.len(), "{label}: rows_out");
             assert!(rows == want, "{label}: collected rows differ from brute force");
+        }
+    }
+}
+
+/// The oracle on a churned table whose distribution drifted: at random
+/// thresholds, every catalog plan's counted run returns as many rows as a
+/// brute-force filter over the heap.  The thresholds are drawn over the
+/// whole value domain (and one past each end), not through the
+/// calibrators, whose quantiles the drift has moved.
+#[test]
+fn counted_rows_match_brute_force_at_random_thresholds_on_churned_table() {
+    let mut w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 12));
+    let cfg = ChurnConfig::for_workload(&w).with_drift_down(60);
+    let mut driver = ChurnDriver::new(&w, cfg);
+    driver.apply_until_fraction(&mut w, &Session::with_pool_pages(64), 0.5);
+    let plans: Vec<TwoPredPlan> =
+        SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, &w)).collect();
+    assert_eq!(plans.len(), 15, "catalog size changed; update this suite");
+    let base = MeasureConfig::default();
+    // splitmix64 over -1..=domain.
+    let mut state = 0x0AC1Eu64;
+    let mut threshold = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % (cfg.domain + 2)) as i64 - 1
+    };
+    for _ in 0..8 {
+        let (ta, tb) = (threshold(), threshold());
+        for plan in &plans {
+            let spec = plan.build(ta, tb);
+            let want = brute_force(&w, &spec).len() as u64;
+            let got = run_under(&w, &spec, &base, None).rows_out;
+            assert_eq!(got, want, "churned {} @ a <= {ta}, b <= {tb}: rows_out", plan.name);
         }
     }
 }
