@@ -29,7 +29,7 @@ use robustmap_workload::{
     Calibrator, EquiDepthHistogram, JointHistogram, MaintainedJoint, Staleness, Workload,
 };
 
-use crate::optimizer::{estimate_cost, frechet_clamp, CatalogStats, SelEstimates};
+use crate::optimizer::{clamp_sel, frechet_clamp, CatalogStats, SelEstimates};
 use crate::robust::{credible_region, region_cost, RobustConfig, SelHypothesis};
 use crate::two_pred::TwoPredPlan;
 
@@ -231,8 +231,8 @@ impl<'m> Maintained<'m> {
 
 impl Estimator for Maintained<'_> {
     fn estimate(&self, ta: i64, tb: i64) -> SelEstimates {
-        let sel_a = self.stats.estimate_a(ta);
-        let sel_b = self.stats.estimate_b(tb);
+        let sel_a = clamp_sel(self.stats.estimate_a(ta));
+        let sel_b = clamp_sel(self.stats.estimate_b(tb));
         let sel_ab = frechet_clamp(sel_a, sel_b, self.stats.estimate_ab(ta, tb));
         SelEstimates { sel_a, sel_b, sel_ab }
     }
@@ -322,7 +322,7 @@ impl Chooser<'_> {
             ChoicePolicy::Point => {
                 let est = estimator.estimate(ta, tb);
                 self.select(|plan| {
-                    let c = estimate_cost(&plan.build(ta, tb), self.stats, &est, self.model);
+                    let c = plan.shape().cost(self.stats, &est, self.model);
                     (c, c, c)
                 })
             }
@@ -330,7 +330,7 @@ impl Chooser<'_> {
                 let region = estimator.region(ta, tb);
                 self.select(|plan| {
                     let (expected, tail) =
-                        region_cost(plan, ta, tb, self.stats, &region, self.model, &cfg);
+                        region_cost(plan, self.stats, &region, self.model, &cfg);
                     (expected + cfg.penalty_weight * tail, expected, tail)
                 })
             }
@@ -338,35 +338,37 @@ impl Chooser<'_> {
     }
 
     /// Shared selection core: score every plan, pick the strict minimum
-    /// (ties break to the lower index, deterministically), and report the runner-up and margin.
+    /// (ties break to the lower index, deterministically), and report the
+    /// runner-up — the strict minimum of the others, ties again to the
+    /// lower index — and margin.  One pass, nothing kept per plan: a plan
+    /// that beats the best so far demotes it to runner-up.  Scores that are
+    /// not below infinity win nothing; if none is, the first plan stands.
     fn select(&self, score_of: impl Fn(&TwoPredPlan) -> (f64, f64, f64)) -> Choice {
         assert!(!self.plans.is_empty(), "empty plan catalog");
-        let scored: Vec<(f64, f64, f64)> = self.plans.iter().map(score_of).collect();
-        let mut best = 0usize;
-        let mut best_score = f64::INFINITY;
-        for (i, &(score, _, _)) in scored.iter().enumerate() {
-            if score < best_score {
-                best_score = score;
-                best = i;
+        let first = score_of(&self.plans[0]);
+        let (mut plan, mut best) = (0, first);
+        let mut best_score = if first.0 < f64::INFINITY { first.0 } else { f64::INFINITY };
+        let mut runner_up: Option<(usize, f64)> = None;
+        for (i, candidate) in self.plans.iter().enumerate().skip(1) {
+            let scored = score_of(candidate);
+            if scored.0 < best_score {
+                if best_score < f64::INFINITY {
+                    runner_up = Some((plan, best_score));
+                }
+                (plan, best, best_score) = (i, scored, scored.0);
+            } else if scored.0 < runner_up.map_or(f64::INFINITY, |(_, s)| s) {
+                runner_up = Some((i, scored.0));
             }
         }
-        let mut runner_up = None;
-        let mut runner_score = f64::INFINITY;
-        for (i, &(score, _, _)) in scored.iter().enumerate() {
-            if i != best && score < runner_score {
-                runner_score = score;
-                runner_up = Some(i);
-            }
-        }
-        let (score, expected, tail) = scored[best];
+        let (score, expected, tail) = best;
         Choice {
-            plan: best,
-            name: self.plans[best].name.clone(),
+            plan,
+            name: self.plans[plan].name.clone(),
             score,
             expected,
             tail,
-            runner_up,
-            margin: runner_up.map_or(0.0, |r| (scored[r].0 - score).max(0.0)),
+            runner_up: runner_up.map(|(r, _)| r),
+            margin: runner_up.map_or(0.0, |(_, r)| (r - score).max(0.0)),
         }
     }
 }
@@ -374,11 +376,14 @@ impl Chooser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{estimate_cost, PlanShape};
     use crate::two_pred::two_predicate_plans;
     use crate::SystemId;
-    use robustmap_storage::CostModel;
+    use robustmap_storage::{CostModel, Session};
     use robustmap_workload::gen::PredicateDistribution;
-    use robustmap_workload::{JointHistogramConfig, TableBuilder, WorkloadConfig};
+    use robustmap_workload::{
+        ChurnConfig, ChurnDriver, JointHistogramConfig, TableBuilder, WorkloadConfig,
+    };
 
     fn setup() -> (Workload, CatalogStats, CostModel) {
         let w = TableBuilder::build(WorkloadConfig::with_rows(1 << 16));
@@ -630,5 +635,191 @@ mod tests {
         assert!(c.score >= c.expected, "penalty adds a nonnegative tail term");
         assert!(c.tail.is_finite() && c.expected.is_finite());
         assert!(c.margin >= 0.0);
+    }
+
+    /// A 2^14-row correlated table after `batches` churn batches drifting
+    /// down, with joint statistics of the pristine table and their
+    /// maintained twin.
+    fn churned(batches: usize) -> (Workload, JointHistogram, MaintainedJoint) {
+        let mut w = TableBuilder::build(WorkloadConfig {
+            rows: 1 << 14,
+            seed: 83,
+            predicate_dist: PredicateDistribution::CorrelatedHundredths(60),
+            mutation_epoch: 0,
+        });
+        let joint = JointHistogram::from_workload(&w, &JointHistogramConfig::default());
+        let mut maintained = MaintainedJoint::new(joint.clone());
+        let mut driver = ChurnDriver::new(&w, ChurnConfig::for_workload(&w).with_drift_down(50));
+        let s = Session::with_pool_pages(64);
+        for _ in 0..batches {
+            maintained.apply(&driver.apply_batch(&mut w, &s));
+        }
+        (w, joint, maintained)
+    }
+
+    fn all_plans(w: &Workload) -> Vec<TwoPredPlan> {
+        SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, w)).collect()
+    }
+
+    /// A fixed hypothesis region, centered on its first hypothesis.
+    struct Fixed(Vec<SelHypothesis>);
+
+    impl Estimator for Fixed {
+        fn estimate(&self, _ta: i64, _tb: i64) -> SelEstimates {
+            self.0[0].est
+        }
+
+        fn region(&self, _ta: i64, _tb: i64) -> Vec<SelHypothesis> {
+            self.0.clone()
+        }
+    }
+
+    /// The decision as a chooser that builds every plan takes it: each plan
+    /// built at `(ta, tb)` and priced by `estimate_cost`, a region's costs
+    /// collected and sorted, every score kept, then two passes for the
+    /// winner and the runner-up.
+    fn built_choice(chooser: &Chooser<'_>, estimator: &dyn Estimator, ta: i64, tb: i64) -> Choice {
+        let (stats, model) = (chooser.stats, chooser.model);
+        let score_of = |plan: &TwoPredPlan| {
+            let spec = plan.build(ta, tb);
+            match chooser.policy {
+                ChoicePolicy::Point => {
+                    let c = estimate_cost(&spec, stats, &estimator.estimate(ta, tb), model);
+                    (c, c, c)
+                }
+                ChoicePolicy::Robust(cfg) => {
+                    let mut costs: Vec<(f64, f64)> = estimator
+                        .region(ta, tb)
+                        .iter()
+                        .map(|h| (estimate_cost(&spec, stats, &h.est, model), h.weight))
+                        .collect();
+                    let total_w: f64 = costs.iter().map(|&(_, w)| w).sum();
+                    let expected = costs.iter().map(|&(c, w)| c * w).sum::<f64>() / total_w;
+                    costs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+                    let mut acc = 0.0;
+                    let mut tail = costs.last().unwrap().0;
+                    for &(c, w) in &costs {
+                        acc += w / total_w;
+                        if acc >= cfg.tail_quantile {
+                            tail = c;
+                            break;
+                        }
+                    }
+                    (expected + cfg.penalty_weight * tail, expected, tail)
+                }
+            }
+        };
+        let scored: Vec<(f64, f64, f64)> = chooser.plans.iter().map(score_of).collect();
+        let (mut best, mut best_score) = (0, f64::INFINITY);
+        for (i, &(score, _, _)) in scored.iter().enumerate() {
+            if score < best_score {
+                (best, best_score) = (i, score);
+            }
+        }
+        let (mut runner_up, mut runner_score) = (None, f64::INFINITY);
+        for (i, &(score, _, _)) in scored.iter().enumerate() {
+            if i != best && score < runner_score {
+                (runner_up, runner_score) = (Some(i), score);
+            }
+        }
+        let (score, expected, tail) = scored[best];
+        Choice {
+            plan: best,
+            name: chooser.plans[best].name.clone(),
+            score,
+            expected,
+            tail,
+            runner_up,
+            margin: runner_up.map_or(0.0, |r| (scored[r].0 - score).max(0.0)),
+        }
+    }
+
+    type ChoiceBits = (usize, String, [u64; 3], Option<usize>, u64);
+
+    fn choice_bits(c: &Choice) -> ChoiceBits {
+        let floats = [c.score.to_bits(), c.expected.to_bits(), c.tail.to_bits()];
+        (c.plan, c.name.clone(), floats, c.runner_up, c.margin.to_bits())
+    }
+
+    #[test]
+    fn decisions_equal_a_chooser_that_builds_every_plan() {
+        let (w, joint, maintained) = churned(6);
+        let stats = CatalogStats::of(&w);
+        let model = CostModel::hdd_2009();
+        let plans = all_plans(&w);
+        let sels = [1.0 / 16384.0, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0];
+        let mut ta: Vec<i64> = sels.iter().map(|&s| w.cal_a.threshold(s)).collect();
+        let mut tb: Vec<i64> = sels.iter().map(|&s| w.cal_b.threshold(s)).collect();
+        ta.push(i64::MIN);
+        tb.push(i64::MIN);
+        // Each catalog plan's stored shape is the shape of what it builds.
+        for plan in &plans {
+            for (a, b) in [(ta[0], tb[6]), (ta[3], tb[3]), (i64::MIN, i64::MAX)] {
+                assert_eq!(plan.shape(), PlanShape::of(&plan.build(a, b)), "{}", plan.name);
+            }
+        }
+        // Twelve hypotheses, some tied in cost: not the 3 x 3 box.
+        let twelve = Fixed(
+            (0..12)
+                .map(|i| SelHypothesis {
+                    est: SelEstimates::independent(0.5f64.powi(i % 7), 0.5f64.powi(i / 3)),
+                    weight: 1.0 + (i % 4) as f64,
+                })
+                .collect(),
+        );
+        let estimators: [(&str, &dyn Estimator); 5] = [
+            ("exact", &Exact::of(&w)),
+            ("joint", &Joint::new(&joint)),
+            ("stale joint", &Joint::stale(&joint, maintained.staleness())),
+            ("maintained", &Maintained::new(&maintained)),
+            ("twelve", &twelve),
+        ];
+        for policy in [ChoicePolicy::Point, ChoicePolicy::Robust(RobustConfig::default())] {
+            let chooser = Chooser { plans: &plans, stats: &stats, model: &model, policy };
+            for (name, estimator) in estimators {
+                for &a in &ta {
+                    for &b in &tb {
+                        assert_eq!(
+                            choice_bits(&chooser.choose(estimator, a, b)),
+                            choice_bits(&built_choice(&chooser, estimator, a, b)),
+                            "{policy:?} from {name} at ({a}, {b})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn robust_choice_from_maintained_statistics_at_the_column_minimum_is_finite() {
+        for batches in [0, 6] {
+            let (w, _, maintained) = churned(batches);
+            let stats = CatalogStats::of(&w);
+            let model = CostModel::hdd_2009();
+            let plans = all_plans(&w);
+            let robust = Chooser {
+                plans: &plans,
+                stats: &stats,
+                model: &model,
+                policy: ChoicePolicy::Robust(RobustConfig::default()),
+            };
+            let est = Maintained::new(&maintained);
+            let smallest = w.cal_a.threshold(1.0 / 16384.0);
+            for (ta, tb) in [
+                (smallest, w.cal_b.threshold(0.5)),
+                (i64::MIN, w.cal_b.threshold(0.5)),
+                (i64::MIN, i64::MIN),
+            ] {
+                let e = est.estimate(ta, tb);
+                for s in [e.sel_a, e.sel_b, e.sel_ab] {
+                    assert!(s > 0.0 && s <= 1.0, "{batches} batches, ({ta}, {tb}): {e:?}");
+                }
+                let c = robust.choose(&est, ta, tb);
+                assert!(
+                    c.score.is_finite() && c.expected.is_finite() && c.tail.is_finite(),
+                    "{batches} batches, ({ta}, {tb}): {c:?}"
+                );
+            }
+        }
     }
 }

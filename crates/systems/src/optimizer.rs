@@ -15,7 +15,7 @@
 //! is the subject of the `ext_optimizer` experiment, not a defect.
 
 use robustmap_executor::{FetchKind, PlanSpec};
-use robustmap_storage::CostModel;
+use robustmap_storage::{CostModel, IndexId};
 use robustmap_workload::Workload;
 
 /// Compile-time selectivity estimates for the two predicate columns.
@@ -152,7 +152,7 @@ impl CatalogStats {
 
     /// The leading key column of `index`, or `None` for an index this
     /// catalog does not know about.
-    pub fn leading_column(&self, index: robustmap_storage::IndexId) -> Option<usize> {
+    pub fn leading_column(&self, index: IndexId) -> Option<usize> {
         match self.leading.get(index.0 as usize) {
             Some(&col) if col != usize::MAX => Some(col),
             _ => None,
@@ -162,71 +162,116 @@ impl CatalogStats {
 
 /// Estimate the cost (in model seconds) of one two-predicate plan under
 /// the given selectivity estimates.  Covers the plan shapes the three
-/// systems generate; other shapes fall back to a table-scan bound.
+/// systems generate; other shapes fall back to a table-scan bound.  The
+/// formula reads only the plan's shape, never its predicate constants,
+/// which is what lets a catalog plan derive its shape once.
 pub fn estimate_cost(
     spec: &PlanSpec,
     stats: &CatalogStats,
     est: &SelEstimates,
     model: &CostModel,
 ) -> f64 {
-    let rows = stats.rows;
-    let result_rows = est.sel_ab * rows;
-    match spec {
-        PlanSpec::TableScan { .. } => {
-            stats.heap_pages * model.seq_page_read + rows * (model.cpu_row + model.cpu_compare)
+    PlanShape::of(spec).cost(stats, est, model)
+}
+
+/// What [`estimate_cost`] reads of a plan: its operator, the indexes it
+/// scans, whether it filters index keys, and how it fetches heap rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum PlanShape {
+    /// A full table scan.
+    TableScan,
+    /// One index range scan, an optional key filter, then a heap fetch.
+    IndexFetch { index: IndexId, key_filter: bool, fetch: FetchKind },
+    /// A range scan of a covering index.
+    CoveringIndexScan { index: IndexId },
+    /// A multi-dimensional access of a covering index.
+    Mdam,
+    /// Two index range scans intersected on rids, then a heap fetch.
+    IndexIntersect { left: IndexId, right: IndexId, fetch: FetchKind },
+    /// A shape outside the two-predicate catalogs.
+    Other,
+}
+
+impl PlanShape {
+    /// The shape of `spec`.
+    pub(crate) fn of(spec: &PlanSpec) -> Self {
+        match spec {
+            PlanSpec::TableScan { .. } => PlanShape::TableScan,
+            PlanSpec::IndexFetch { scan, key_filter, fetch, .. } => PlanShape::IndexFetch {
+                index: scan.index,
+                key_filter: !key_filter.is_true(),
+                fetch: *fetch,
+            },
+            PlanSpec::CoveringIndexScan { scan, .. } => {
+                PlanShape::CoveringIndexScan { index: scan.index }
+            }
+            PlanSpec::Mdam { .. } => PlanShape::Mdam,
+            PlanSpec::IndexIntersect { left, right, fetch, .. } => {
+                PlanShape::IndexIntersect { left: left.index, right: right.index, fetch: *fetch }
+            }
+            _ => PlanShape::Other,
         }
-        PlanSpec::IndexFetch { scan, key_filter, fetch, .. } => {
-            // Which column leads this index?  Estimate from the key range
-            // being on `a` (indexes a, ab) or `b` (b, ba) — the plan
-            // catalogs encode that in the scan's index; we approximate by
-            // treating the leading-range selectivity as sel_a for index a
-            // and ab, sel_b otherwise.  Plan factories only produce these
-            // shapes, and the estimator receives the same `scan.index` ids
-            // the workload publishes.
-            let leading = leading_selectivity(scan.index, stats, est);
-            let scanned_entries = leading * rows;
-            let qualifying =
-                if key_filter.is_true() { scanned_entries } else { result_rows.max(1.0) };
-            let leaf_cost = (scanned_entries / stats.entries_per_leaf).ceil()
-                * model.seq_page_read
-                + stats.index_height * model.random_page_read;
-            let fetch_cost = estimate_fetch(qualifying, stats, fetch, model);
-            leaf_cost
-                + fetch_cost
-                + scanned_entries * (model.cpu_row + model.cpu_compare)
-                + qualifying * model.cpu_row
+    }
+
+    /// The estimated cost of a plan of this shape (see [`estimate_cost`]).
+    pub(crate) fn cost(
+        &self,
+        stats: &CatalogStats,
+        est: &SelEstimates,
+        model: &CostModel,
+    ) -> f64 {
+        let rows = stats.rows;
+        let result_rows = est.sel_ab * rows;
+        match *self {
+            PlanShape::TableScan => {
+                stats.heap_pages * model.seq_page_read + rows * (model.cpu_row + model.cpu_compare)
+            }
+            PlanShape::IndexFetch { index, key_filter, ref fetch } => {
+                // The leading-range selectivity is the estimate for the
+                // column the catalog says leads the scanned index.
+                let leading = leading_selectivity(index, stats, est);
+                let scanned_entries = leading * rows;
+                let qualifying = if key_filter { result_rows.max(1.0) } else { scanned_entries };
+                let leaf_cost = (scanned_entries / stats.entries_per_leaf).ceil()
+                    * model.seq_page_read
+                    + stats.index_height * model.random_page_read;
+                let fetch_cost = estimate_fetch(qualifying, stats, fetch, model);
+                leaf_cost
+                    + fetch_cost
+                    + scanned_entries * (model.cpu_row + model.cpu_compare)
+                    + qualifying * model.cpu_row
+            }
+            PlanShape::CoveringIndexScan { index } => {
+                let leading = leading_selectivity(index, stats, est);
+                let scanned = leading * rows;
+                (scanned / stats.entries_per_leaf).ceil() * model.seq_page_read
+                    + stats.index_height * model.random_page_read
+                    + scanned * (model.cpu_row + model.cpu_compare)
+            }
+            PlanShape::Mdam => {
+                // MDAM scans the qualifying entries plus one probe per skip;
+                // a common optimizer formula charges the covering scan of the
+                // leading range discounted by skip savings.  Stay simple:
+                // qualifying entries + log-height seeks per distinct prefix
+                // (approximated as qualifying + sqrt work).
+                let qualifying = result_rows.max(1.0);
+                let leaf_pages = (qualifying / stats.entries_per_leaf).ceil();
+                leaf_pages * model.seq_page_read
+                    + (qualifying.sqrt() + 1.0) * stats.index_height * model.cpu_buffer_hit * 4.0
+                    + stats.index_height * model.random_page_read
+                    + qualifying * (model.cpu_row + model.cpu_compare)
+            }
+            PlanShape::IndexIntersect { left, right, ref fetch } => {
+                let sl = leading_selectivity(left, stats, est) * rows;
+                let sr = leading_selectivity(right, stats, est) * rows;
+                let leaf = ((sl + sr) / stats.entries_per_leaf).ceil() * model.seq_page_read
+                    + 2.0 * stats.index_height * model.random_page_read;
+                let combine = (sl + sr) * (model.cpu_compare * 20.0); // sort/hash work
+                let fetch_cost = estimate_fetch(result_rows, stats, fetch, model);
+                leaf + combine + fetch_cost + result_rows * model.cpu_row
+            }
+            PlanShape::Other => stats.heap_pages * model.seq_page_read + rows * model.cpu_row,
         }
-        PlanSpec::CoveringIndexScan { scan, .. } => {
-            let leading = leading_selectivity(scan.index, stats, est);
-            let scanned = leading * rows;
-            (scanned / stats.entries_per_leaf).ceil() * model.seq_page_read
-                + stats.index_height * model.random_page_read
-                + scanned * (model.cpu_row + model.cpu_compare)
-        }
-        PlanSpec::Mdam { .. } => {
-            // MDAM scans the qualifying entries plus one probe per skip;
-            // a common optimizer formula charges the covering scan of the
-            // leading range discounted by skip savings.  Stay simple:
-            // qualifying entries + log-height seeks per distinct prefix
-            // (approximated as qualifying + sqrt work).
-            let qualifying = result_rows.max(1.0);
-            let leaf_pages = (qualifying / stats.entries_per_leaf).ceil();
-            leaf_pages * model.seq_page_read
-                + (qualifying.sqrt() + 1.0) * stats.index_height * model.cpu_buffer_hit * 4.0
-                + stats.index_height * model.random_page_read
-                + qualifying * (model.cpu_row + model.cpu_compare)
-        }
-        PlanSpec::IndexIntersect { left, right, fetch, .. } => {
-            let sl = leading_selectivity(left.index, stats, est) * rows;
-            let sr = leading_selectivity(right.index, stats, est) * rows;
-            let leaf = ((sl + sr) / stats.entries_per_leaf).ceil() * model.seq_page_read
-                + 2.0 * stats.index_height * model.random_page_read;
-            let combine = (sl + sr) * (model.cpu_compare * 20.0); // sort/hash work
-            let fetch_cost = estimate_fetch(result_rows, stats, fetch, model);
-            leaf + combine + fetch_cost + result_rows * model.cpu_row
-        }
-        // Shapes outside the two-predicate catalogs: bound by a scan.
-        _ => stats.heap_pages * model.seq_page_read + rows * model.cpu_row,
     }
 }
 
@@ -235,7 +280,7 @@ pub fn estimate_cost(
 /// `(a, b)` lead on `a`; `b` and `(b, a)` lead on `b`), and `1.0` for
 /// indexes leading on an unfiltered column (the `c` index).
 fn leading_selectivity(
-    index: robustmap_storage::IndexId,
+    index: IndexId,
     stats: &CatalogStats,
     est: &SelEstimates,
 ) -> f64 {

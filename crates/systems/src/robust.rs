@@ -32,7 +32,7 @@
 
 use robustmap_storage::CostModel;
 
-use crate::optimizer::{clamp_sel, estimate_cost, frechet_clamp, CatalogStats, SelEstimates};
+use crate::optimizer::{clamp_sel, frechet_clamp, CatalogStats, SelEstimates};
 use crate::two_pred::TwoPredPlan;
 
 /// Tuning knobs of the robust chooser.
@@ -87,29 +87,41 @@ pub fn credible_region(center: SelEstimates, radius_a: f64, radius_b: f64) -> Ve
     region
 }
 
+/// Hypotheses whose costs [`region_cost`] keeps on the stack: the
+/// [`credible_region`] box.
+const BOX_HYPOTHESES: usize = 9;
+
 /// Expected and tail-quantile estimated cost of one plan over a weighted
-/// hypothesis region.
+/// hypothesis region.  The plan is priced by its shape, so no plan is
+/// built; a region the size of the credible box allocates nothing.
 pub fn region_cost(
     plan: &TwoPredPlan,
-    ta: i64,
-    tb: i64,
     stats: &CatalogStats,
     region: &[SelHypothesis],
     model: &CostModel,
     cfg: &RobustConfig,
 ) -> (f64, f64) {
     assert!(!region.is_empty(), "empty uncertainty region");
-    let spec = plan.build(ta, tb);
-    let mut costs: Vec<(f64, f64)> = region
-        .iter()
-        .map(|h| (estimate_cost(&spec, stats, &h.est, model), h.weight))
-        .collect();
+    let shape = plan.shape();
+    let mut on_stack = [(0.0, 0.0); BOX_HYPOTHESES];
+    let mut on_heap = Vec::new();
+    let costs = if region.len() <= BOX_HYPOTHESES {
+        &mut on_stack[..region.len()]
+    } else {
+        on_heap.resize(region.len(), (0.0, 0.0));
+        &mut on_heap[..]
+    };
+    for (slot, h) in costs.iter_mut().zip(region) {
+        *slot = (shape.cost(stats, &h.est, model), h.weight);
+    }
     let total_w: f64 = costs.iter().map(|&(_, w)| w).sum();
     let expected = costs.iter().map(|&(c, w)| c * w).sum::<f64>() / total_w;
+    // Stable, so equal costs keep region order and the quantile lands on
+    // the same hypothesis whatever holds the costs.
     costs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite estimated costs"));
     let mut acc = 0.0;
     let mut tail = costs.last().expect("nonempty").0;
-    for &(c, w) in &costs {
+    for &(c, w) in costs.iter() {
         acc += w / total_w;
         if acc >= cfg.tail_quantile {
             tail = c;
@@ -123,6 +135,7 @@ pub fn region_cost(
 mod tests {
     use super::*;
     use crate::choice::{ChoicePolicy, Chooser, Estimator};
+    use crate::optimizer::estimate_cost;
     use crate::two_pred::two_predicate_plans;
     use crate::SystemId;
     use robustmap_workload::gen::PredicateDistribution;
@@ -189,9 +202,9 @@ mod tests {
         // The hedged choice must never have a worse tail than the lean one
         // (that is the penalty's whole point), and on this region it is a
         // strictly different, tail-safer plan.
-        let (_, lean_tail) = region_cost(&plans[lean], ta, tb, &stats, &region, &model, &penalised);
+        let (_, lean_tail) = region_cost(&plans[lean], &stats, &region, &model, &penalised);
         let (_, hedged_tail) =
-            region_cost(&plans[hedged], ta, tb, &stats, &region, &model, &penalised);
+            region_cost(&plans[hedged], &stats, &region, &model, &penalised);
         assert!(hedged_tail <= lean_tail, "{lean_tail} vs {hedged_tail}");
         assert_ne!(
             plans[lean].name, plans[hedged].name,
@@ -245,7 +258,7 @@ mod tests {
         );
         let cfg = RobustConfig::default();
         for plan in &plans {
-            let (expected, tail) = region_cost(plan, ta, tb, &stats, &region, &model, &cfg);
+            let (expected, tail) = region_cost(plan, &stats, &region, &model, &cfg);
             assert!(expected.is_finite() && expected > 0.0, "{}", plan.name);
             assert!(tail.is_finite() && tail > 0.0, "{}", plan.name);
             // The 0.9-quantile can sit below the mean only when the mean is

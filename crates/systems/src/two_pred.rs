@@ -11,6 +11,7 @@ use robustmap_executor::{
 };
 use robustmap_workload::{Workload, COL_A, COL_B};
 
+use crate::optimizer::PlanShape;
 use crate::system::SystemId;
 
 /// A named, system-attributed plan for the two-predicate query.
@@ -20,6 +21,8 @@ pub struct TwoPredPlan {
     /// Stable, human-readable plan name (used as map series labels).
     pub name: String,
     factory: Box<dyn Fn(i64, i64) -> PlanSpec + Send + Sync>,
+    /// The shape every build shares: the cost formulas read only this.
+    shape: PlanShape,
 }
 
 impl TwoPredPlan {
@@ -28,12 +31,20 @@ impl TwoPredPlan {
         name: &str,
         factory: impl Fn(i64, i64) -> PlanSpec + Send + Sync + 'static,
     ) -> Self {
-        TwoPredPlan { system, name: name.to_string(), factory: Box::new(factory) }
+        // The constants never change a shape; any pair derives it.
+        let shape = PlanShape::of(&factory(0, 0));
+        TwoPredPlan { system, name: name.to_string(), factory: Box::new(factory), shape }
     }
 
     /// Build the plan for predicate constants `a <= ta AND b <= tb`.
     pub fn build(&self, ta: i64, tb: i64) -> PlanSpec {
         (self.factory)(ta, tb)
+    }
+
+    /// The shape of every plan [`TwoPredPlan::build`] returns, derived once:
+    /// what a decision prices.
+    pub(crate) fn shape(&self) -> PlanShape {
+        self.shape
     }
 }
 

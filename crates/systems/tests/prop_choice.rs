@@ -286,9 +286,8 @@ proptest! {
         prop_assert!(c.score >= c.expected, "penalty adds a nonnegative term");
         // No other plan scores strictly below the winner.
         for (i, plan) in plans.iter().enumerate() {
-            let (e, t) = robustmap_systems::robust::region_cost(
-                plan, ta, tb, &stats, &region, &model, &cfg,
-            );
+            let (e, t) =
+                robustmap_systems::robust::region_cost(plan, &stats, &region, &model, &cfg);
             let score = e + cfg.penalty_weight * t;
             prop_assert!(
                 score >= c.score || i == c.plan,

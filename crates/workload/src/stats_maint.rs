@@ -82,21 +82,45 @@ fn bucket_of(bounds: &[i64], v: i64) -> usize {
     bounds.partition_point(|&ub| ub < v).min(bounds.len().saturating_sub(1))
 }
 
-/// Interpolated prefix sum of per-bucket `deltas` at `value <= t`, the
-/// delta twin of [`EquiDepthHistogram::estimate_at_most`]'s bucket walk.
-fn delta_at_most(bounds: &[i64], min: i64, deltas: &[i64], t: i64) -> f64 {
+/// The cut the predicate `value <= t` makes through an equi-depth bound
+/// list: the count of fully covered buckets, and the interpolated fraction
+/// of the boundary bucket after them (0 past the last bound).  Below the
+/// minimum no bucket is covered.
+fn prefix_cut(bounds: &[i64], min: i64, t: i64) -> (usize, f64) {
     if t < min {
-        return 0.0;
+        return (0, 0.0);
     }
     let k = bounds.partition_point(|&ub| ub <= t);
-    let mut sum: f64 = deltas[..k.min(deltas.len())].iter().map(|&d| d as f64).sum();
-    if k < bounds.len() {
-        let lo = if k == 0 { min } else { bounds[k - 1] };
-        let hi = bounds[k];
-        let within = if hi > lo { (t - lo) as f64 / (hi - lo) as f64 } else { 0.0 };
-        sum += within.clamp(0.0, 1.0) * deltas[k] as f64;
+    if k == bounds.len() {
+        return (k, 0.0);
+    }
+    let lo = if k == 0 { min } else { bounds[k - 1] };
+    let hi = bounds[k];
+    let within = if hi > lo { (t - lo) as f64 / (hi - lo) as f64 } else { 0.0 };
+    (k, within.clamp(0.0, 1.0))
+}
+
+/// The interpolated delta at the cut `(k, within)` of one run of
+/// cumulative counts (`cum[i]` is the net delta of the buckets below `i`):
+/// the covered buckets' sum, then the boundary bucket's share.  Integer
+/// prefix sums are exact in `f64`, so this is the bucket walk's sum to the
+/// bit.
+fn delta_at_cut(cum: &[i64], (k, within): (usize, f64)) -> f64 {
+    let mut sum = cum[k] as f64;
+    if within != 0.0 {
+        sum += within * (cum[k + 1] - cum[k]) as f64;
     }
     sum
+}
+
+/// Fold one batch's per-bucket `deltas` into the cumulative counts `cum`
+/// (one longer than `deltas`, `cum[0]` always 0).
+fn add_prefix(cum: &mut [i64], deltas: &[i64]) {
+    let mut run = 0;
+    for (c, &d) in cum[1..].iter_mut().zip(deltas) {
+        run += d;
+        *c += run;
+    }
 }
 
 /// A 1-D equi-depth histogram corrected by per-bucket delta counters.
@@ -104,7 +128,9 @@ fn delta_at_most(bounds: &[i64], min: i64, deltas: &[i64], t: i64) -> f64 {
 pub struct MaintainedHistogram {
     base: EquiDepthHistogram,
     live_rows: u64,
-    deltas: Vec<i64>,
+    /// `cum[i]`: net row delta of the buckets below `i` (`buckets + 1`
+    /// entries).
+    cum: Vec<i64>,
 }
 
 impl MaintainedHistogram {
@@ -112,7 +138,7 @@ impl MaintainedHistogram {
     pub fn new(base: EquiDepthHistogram) -> Self {
         let buckets = base.bucket_count();
         let live_rows = base.rows();
-        MaintainedHistogram { base, live_rows, deltas: vec![0; buckets] }
+        MaintainedHistogram { base, live_rows, cum: vec![0; buckets + 1] }
     }
 
     /// The frozen base.
@@ -128,12 +154,14 @@ impl MaintainedHistogram {
     /// Fold one batch of values in.
     pub fn apply(&mut self, inserted: &[i64], deleted: &[i64]) {
         let (bounds, _, _) = self.base.parts();
+        let mut deltas = vec![0; bounds.len()];
         for &v in inserted {
-            self.deltas[bucket_of(bounds, v)] += 1;
+            deltas[bucket_of(bounds, v)] += 1;
         }
         for &v in deleted {
-            self.deltas[bucket_of(bounds, v)] -= 1;
+            deltas[bucket_of(bounds, v)] -= 1;
         }
+        add_prefix(&mut self.cum, &deltas);
         self.live_rows = (self.live_rows + inserted.len() as u64) - deleted.len() as u64;
     }
 
@@ -144,21 +172,24 @@ impl MaintainedHistogram {
         }
         let (bounds, base_rows, min) = self.base.parts();
         let rows = self.base.estimate_at_most(t) * base_rows as f64
-            + delta_at_most(bounds, min, &self.deltas, t);
+            + delta_at_cut(&self.cum, prefix_cut(bounds, min, t));
         (rows / self.live_rows as f64).clamp(0.0, 1.0)
     }
 }
 
 /// A [`JointHistogram`] corrected by delta counters on its
 /// `a-bucket x b-bucket` grid, with maintained marginals and a
-/// [`Staleness`] meter.
+/// [`Staleness`] meter.  Each `a` bucket keeps its deltas as cumulative
+/// counts over the `b` buckets, so a joint estimate reads one row sum per
+/// `a` bucket instead of walking the grid.
 #[derive(Debug, Clone)]
 pub struct MaintainedJoint {
     base: JointHistogram,
     marginal_a: MaintainedHistogram,
     marginal_b: MaintainedHistogram,
-    /// Net row delta per `(a_bucket, b_bucket)` cell, row-major in `a`.
-    grid: Vec<i64>,
+    /// Per `a` bucket, `b_buckets + 1` cumulative counts: entry `j` of row
+    /// `ai` is the net row delta of cells `(ai, 0..j)`.
+    cum: Vec<i64>,
     base_rows: u64,
     live_rows: u64,
     rows_modified: u64,
@@ -179,7 +210,7 @@ impl MaintainedJoint {
             base,
             marginal_a,
             marginal_b,
-            grid: vec![0; a_len * b_len],
+            cum: vec![0; a_len * (b_len + 1)],
             base_rows: rows,
             live_rows: rows,
             rows_modified: 0,
@@ -223,14 +254,19 @@ impl MaintainedJoint {
     pub fn apply(&mut self, batch: &AppliedBatch) {
         let (a_bounds, _, _) = self.base.marginal_a().parts();
         let (b_bounds, _, _) = self.base.marginal_b().parts();
-        let b_len = b_bounds.len();
+        let (a_len, b_len) = (a_bounds.len(), b_bounds.len());
+        let mut cells = vec![0; a_len * b_len];
         for &(a, b) in &batch.inserted {
             let (ai, bi) = (bucket_of(a_bounds, a), bucket_of(b_bounds, b));
-            self.grid[ai * b_len + bi] += 1;
+            cells[ai * b_len + bi] += 1;
             self.ins_a[ai] += 1;
         }
         for &(a, b) in &batch.deleted {
-            self.grid[bucket_of(a_bounds, a) * b_len + bucket_of(b_bounds, b)] -= 1;
+            cells[bucket_of(a_bounds, a) * b_len + bucket_of(b_bounds, b)] -= 1;
+        }
+        for ai in 0..a_len {
+            let row = ai * (b_len + 1)..(ai + 1) * (b_len + 1);
+            add_prefix(&mut self.cum[row], &cells[ai * b_len..(ai + 1) * b_len]);
         }
         self.ins_total += batch.inserted.len() as u64;
         let ins_a: Vec<i64> = batch.inserted.iter().map(|&(a, _)| a).collect();
@@ -256,53 +292,30 @@ impl MaintainedJoint {
 
     /// Corrected joint selectivity of `a <= ta AND b <= tb`: the base
     /// estimate scaled back to rows, plus the bilinearly interpolated
-    /// prefix sum of the delta grid, over the live row count.
+    /// prefix sum of the delta grid, over the live row count.  The prefix
+    /// sum is one pass over the `a` buckets: each covered bucket adds its
+    /// row sum at the `b` cut, read off its cumulative counts, in bucket
+    /// order, and the boundary bucket adds its share last.
     pub fn estimate_ab(&self, ta: i64, tb: i64) -> f64 {
         if self.live_rows == 0 {
             return 0.0;
         }
         let (a_bounds, _, min_a) = self.base.marginal_a().parts();
         let (b_bounds, _, min_b) = self.base.marginal_b().parts();
-        let wa = prefix_weights(a_bounds, min_a, ta);
-        let wb = prefix_weights(b_bounds, min_b, tb);
-        let b_len = b_bounds.len();
+        let (ka, within_a) = prefix_cut(a_bounds, min_a, ta);
+        let cut_b = prefix_cut(b_bounds, min_b, tb);
+        let stride = b_bounds.len() + 1;
+        let row_sum = |ai: usize| delta_at_cut(&self.cum[ai * stride..(ai + 1) * stride], cut_b);
         let mut delta = 0.0;
-        for (ai, &w_a) in wa.iter().enumerate() {
-            if w_a == 0.0 {
-                continue;
-            }
-            let mut row_sum = 0.0;
-            for (bi, &w_b) in wb.iter().enumerate() {
-                if w_b != 0.0 {
-                    row_sum += w_b * self.grid[ai * b_len + bi] as f64;
-                }
-            }
-            delta += w_a * row_sum;
+        for ai in 0..ka {
+            delta += row_sum(ai);
+        }
+        if within_a != 0.0 {
+            delta += within_a * row_sum(ka);
         }
         let rows = self.base.estimate_joint_at_most(ta, tb) * self.base_rows as f64 + delta;
         (rows / self.live_rows as f64).clamp(0.0, 1.0)
     }
-}
-
-/// Per-bucket coverage weights of the predicate `value <= t`: 1 for fully
-/// covered buckets, the interpolated fraction for the boundary bucket, 0
-/// beyond — the vector form of [`delta_at_most`]'s walk, for the 2-D case.
-fn prefix_weights(bounds: &[i64], min: i64, t: i64) -> Vec<f64> {
-    let mut w = vec![0.0; bounds.len()];
-    if t < min {
-        return w;
-    }
-    let k = bounds.partition_point(|&ub| ub <= t);
-    for x in w.iter_mut().take(k) {
-        *x = 1.0;
-    }
-    if k < bounds.len() {
-        let lo = if k == 0 { min } else { bounds[k - 1] };
-        let hi = bounds[k];
-        let within = if hi > lo { (t - lo) as f64 / (hi - lo) as f64 } else { 0.0 };
-        w[k] = within.clamp(0.0, 1.0);
-    }
-    w
 }
 
 #[cfg(test)]
@@ -334,6 +347,142 @@ mod tests {
             n += 1;
         });
         (na as f64 / n as f64, nb as f64 / n as f64, nab as f64 / n as f64)
+    }
+
+    /// Per-bucket coverage weights of `value <= t`: 1 for covered buckets,
+    /// the interpolated fraction for the boundary bucket, 0 beyond.
+    fn coverage(bounds: &[i64], min: i64, t: i64) -> Vec<f64> {
+        let mut w = vec![0.0; bounds.len()];
+        if t < min {
+            return w;
+        }
+        let k = bounds.partition_point(|&ub| ub <= t);
+        for x in w.iter_mut().take(k) {
+            *x = 1.0;
+        }
+        if k < bounds.len() {
+            let lo = if k == 0 { min } else { bounds[k - 1] };
+            let hi = bounds[k];
+            let within = if hi > lo { (t - lo) as f64 / (hi - lo) as f64 } else { 0.0 };
+            w[k] = within.clamp(0.0, 1.0);
+        }
+        w
+    }
+
+    /// The per-bucket deltas a run of cumulative counts folds.
+    fn deltas(cum: &[i64]) -> Vec<i64> {
+        cum.windows(2).map(|p| p[1] - p[0]).collect()
+    }
+
+    /// The dense reference of a maintained marginal: the interpolated
+    /// bucket walk over per-bucket deltas.
+    fn dense_marginal(h: &MaintainedHistogram, t: i64) -> f64 {
+        if h.live_rows == 0 {
+            return 0.0;
+        }
+        let (bounds, base_rows, min) = h.base.parts();
+        let d = deltas(&h.cum);
+        let delta = if t < min {
+            0.0
+        } else {
+            let k = bounds.partition_point(|&ub| ub <= t);
+            let mut sum: f64 = d[..k.min(d.len())].iter().map(|&x| x as f64).sum();
+            if k < bounds.len() {
+                sum += coverage(bounds, min, t)[k] * d[k] as f64;
+            }
+            sum
+        };
+        let rows = h.base.estimate_at_most(t) * base_rows as f64 + delta;
+        (rows / h.live_rows as f64).clamp(0.0, 1.0)
+    }
+
+    /// The dense reference of the joint estimate: every cell of the delta
+    /// grid weighted by both axes' coverage, row sums added in `a`-bucket
+    /// order.
+    fn dense_joint(m: &MaintainedJoint, ta: i64, tb: i64) -> f64 {
+        if m.live_rows == 0 {
+            return 0.0;
+        }
+        let (a_bounds, _, min_a) = m.base.marginal_a().parts();
+        let (b_bounds, _, min_b) = m.base.marginal_b().parts();
+        let (wa, wb) = (coverage(a_bounds, min_a, ta), coverage(b_bounds, min_b, tb));
+        let grid = deltas_grid(m);
+        let mut delta = 0.0;
+        for (row, &w_a) in grid.iter().zip(&wa) {
+            if w_a == 0.0 {
+                continue;
+            }
+            let mut row_sum = 0.0;
+            for (&cell, &w_b) in row.iter().zip(&wb) {
+                if w_b != 0.0 {
+                    row_sum += w_b * cell as f64;
+                }
+            }
+            delta += w_a * row_sum;
+        }
+        let rows = m.base.estimate_joint_at_most(ta, tb) * m.base_rows as f64 + delta;
+        (rows / m.live_rows as f64).clamp(0.0, 1.0)
+    }
+
+    /// The net delta of every `(a_bucket, b_bucket)` cell, row-major in `a`.
+    fn deltas_grid(m: &MaintainedJoint) -> Vec<Vec<i64>> {
+        let stride = m.base.marginal_b().bucket_count() + 1;
+        m.cum.chunks(stride).map(deltas).collect()
+    }
+
+    /// Every bucket bound, each bound plus and minus one, below the minimum
+    /// and past the last bound.
+    fn probes(h: &EquiDepthHistogram) -> Vec<i64> {
+        let (bounds, _, min) = h.parts();
+        let mut t = vec![i64::MIN, min - 1, min, i64::MAX];
+        t.extend(bounds.iter().flat_map(|&b| [b - 1, b, b + 1]));
+        t
+    }
+
+    #[test]
+    fn maintained_joint_estimate_equals_the_dense_grid_walk_bit_for_bit() {
+        let mut w = workload(59);
+        let base = crate::stats::JointHistogram::from_workload(&w, &jcfg());
+        let mut maint = MaintainedJoint::new(base);
+        let cfg = ChurnConfig::for_workload(&w).with_drift(50);
+        let mut driver = ChurnDriver::new(&w, cfg);
+        let s = Session::with_pool_pages(64);
+        for b in driver.apply_until_fraction(&mut w, &s, 0.5) {
+            maint.apply(&b);
+        }
+        let grid = deltas_grid(&maint);
+        assert!(grid.iter().flatten().any(|&d| d < 0), "some cell must be net-negative");
+        assert!(grid.iter().flatten().any(|&d| d > 0), "and some net-positive");
+        // The marginals count the same rows: their deltas are the grid's row
+        // and column sums.
+        let rows: Vec<i64> = grid.iter().map(|r| r.iter().sum()).collect();
+        let cols: Vec<i64> =
+            (0..grid[0].len()).map(|bi| grid.iter().map(|r| r[bi]).sum()).collect();
+        assert_eq!(rows, deltas(&maint.marginal_a.cum));
+        assert_eq!(cols, deltas(&maint.marginal_b.cum));
+        let (probes_a, probes_b) =
+            (probes(maint.base.marginal_a()), probes(maint.base.marginal_b()));
+        for &ta in &probes_a {
+            assert_eq!(
+                maint.estimate_a(ta).to_bits(),
+                dense_marginal(&maint.marginal_a, ta).to_bits(),
+                "estimate_a({ta})"
+            );
+            for &tb in &probes_b {
+                assert_eq!(
+                    maint.estimate_ab(ta, tb).to_bits(),
+                    dense_joint(&maint, ta, tb).to_bits(),
+                    "estimate_ab({ta}, {tb})"
+                );
+            }
+        }
+        for &tb in &probes_b {
+            assert_eq!(
+                maint.estimate_b(tb).to_bits(),
+                dense_marginal(&maint.marginal_b, tb).to_bits(),
+                "estimate_b({tb})"
+            );
+        }
     }
 
     #[test]

@@ -371,6 +371,23 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        gate: "a-decision-builds-no-plan",
+        scope: &["crates/systems/src/choice.rs", "crates/systems/src/robust.rs"],
+        lines: Lines::Before("#[cfg(test)]"),
+        hit: |l| l.contains(".build("),
+        why: "a chooser builds a plan to price it — the cost formulas read only a plan's \
+              shape, which TwoPredPlan derives once at construction",
+        ..RULE
+    },
+    Rule {
+        gate: "a-decision-builds-no-plan",
+        scope: &["crates"],
+        hit: |l| idents(l).any(|t| t == "prefix_weights"),
+        why: "prefix_weights is back — maintained statistics read cumulative counts in one \
+              pass, they build no per-call weight vectors",
+        ..RULE
+    },
+    Rule {
         gate: "one-figure-table",
         scope: &["scripts/verify.sh"],
         hit: |l| idents(l).any(is_figure_id),
