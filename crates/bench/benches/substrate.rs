@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the substrate: the structures and
 //! operators whose (real) speed determines how large a robustness map one
 //! can afford to sweep.  The `pool/*`, `btree/range_scan_full` and
-//! `fetch/improved_dense` rows are the micro view of the run-length storage
-//! access path (docs/DESIGN.md): one row per mechanism, re-runnable without
-//! the full `benchmark/run.sh`.  The `ridset/*` rows are the rid set's
-//! (docs/DESIGN.md "Rid sets"): built, built and walked in physical order,
+//! `fetch/improved_dense` rows are the micro view of the storage read path
+//! (docs/DESIGN.md "Storage read path"): one row per mechanism, re-runnable
+//! without the full `benchmark/run.sh`.  The `ridset/*` rows are the rid
+//! set's: built over the heap's span, built and walked in physical order,
 //! ANDed and probed at 2^18 rids, and the ordering of a list the set
 //! refuses.  The
 //! `sort/*_multipass_64k`, `join/sort_merge_64k` and `exec/materialise_64k`
@@ -48,7 +48,8 @@ use robustmap_storage::btree::{BTree, Key};
 use robustmap_storage::heap::Rid;
 use robustmap_storage::radix::radix_sort_by_u64_key;
 use robustmap_storage::{
-    AccessKind, CostModel, EvictionPolicy, FileId, PageId, RidSet, Session, SharedBufferPool,
+    AccessKind, CostModel, EvictionPolicy, FileId, PageId, RidSet, RidSpan, Session,
+    SharedBufferPool,
 };
 use robustmap_systems::{two_predicate_plans, AdmissionConfig, SystemId};
 use robustmap_workload::gen::PredicateDistribution;
@@ -155,8 +156,8 @@ fn scattered_rids(n: u32, pages: u32, step: u32) -> Vec<Rid> {
 /// Put a rid list in physical order the way the fetches do and walk it:
 /// through the set's page groups, or — a list the set refuses — by the
 /// sort.
-fn order(rids: &[Rid]) -> u64 {
-    match RidSet::build(rids) {
+fn order(rids: &[Rid], span: RidSpan) -> u64 {
+    match RidSet::build(rids, span) {
         Some(set) => {
             set.pages().map(|(page, slots)| page as u64 + slots.map(u64::from).sum::<u64>()).sum()
         }
@@ -178,11 +179,12 @@ fn bench_ridset(c: &mut Criterion) {
     let (left, right) =
         (scattered_rids(1 << 17, 1410, 2_654_435_761), scattered_rids(1 << 17, 1410, 40_503));
     let sparse = scattered_rids(1 << 12, 5640, 2_654_435_761);
-    assert!(RidSet::build(&sparse).is_none());
-    group.bench_function("build_256k", |b| b.iter(|| RidSet::build(&all)));
-    group.bench_function("order_256k", |b| b.iter(|| order(&all)));
-    group.bench_function("order_4k", |b| b.iter(|| order(&sparse)));
-    let (l, r) = (RidSet::build(&left).unwrap(), RidSet::build(&right).unwrap());
+    let (span, big) = (RidSpan { pages: 1410, slots: 186 }, RidSpan { pages: 5640, slots: 186 });
+    assert!(RidSet::build(&sparse, big).is_none());
+    group.bench_function("build_256k", |b| b.iter(|| RidSet::build(&all, span)));
+    group.bench_function("order_256k", |b| b.iter(|| order(&all, span)));
+    group.bench_function("order_4k", |b| b.iter(|| order(&sparse, big)));
+    let (l, r) = (RidSet::build(&left, span).unwrap(), RidSet::build(&right, span).unwrap());
     group.bench_function("and_256k", |b| b.iter(|| l.and(&r).len()));
     group.bench_function("probe_256k", |b| {
         b.iter(|| all.iter().filter(|&&rid| l.contains(rid)).count())

@@ -32,7 +32,7 @@
 //! `tests/exec_ledger.rs` pins every plan's charges, the blocking edges at
 //! pools of a few pages among them.
 
-use robustmap_storage::{Row, SlottedPage};
+use robustmap_storage::{HeapPage, Row};
 
 use crate::expr::Predicate;
 
@@ -105,27 +105,22 @@ fn col_from_bytes(bytes: &[u8], col: usize) -> i64 {
 /// The records of one heap page or one rid run, in slot or rid order.
 #[derive(Clone, Copy)]
 pub enum Records<'r> {
-    /// An append-layout page's record area ([`SlottedPage::fixed_records`]):
-    /// record `i` of `n` is the `width` bytes at `(n − 1 − i) · width`.
+    /// An append-layout page's record area ([`HeapPage::packed`]): record
+    /// `i` of `n` is the `width` bytes at `(n − 1 − i) · width`.
     Packed { area: &'r [u8], width: usize },
     /// The records one by one.
     Listed(&'r [&'r [u8]]),
 }
 
 impl<'r> Records<'r> {
-    /// `page`'s live records in slot order: its record area when the
-    /// directory is the append layout of `width`-byte records, otherwise
-    /// listed into `buf` through the directory.
-    pub fn of_page<'h: 'r>(
-        page: &'h SlottedPage,
-        width: usize,
-        buf: &'r mut Vec<&'h [u8]>,
-    ) -> Self {
-        match page.fixed_records(width) {
-            Some(area) => Records::Packed { area, width },
+    /// `page`'s live records in slot order: its record area when the heap
+    /// keeps it in the append layout, otherwise listed into `buf`.
+    pub fn of_page<'h: 'r>(page: HeapPage<'h>, buf: &'r mut Vec<&'h [u8]>) -> Self {
+        match page.packed() {
+            Some((area, width)) => Records::Packed { area, width },
             None => {
                 buf.clear();
-                buf.extend(page.iter().map(|(_, record)| record));
+                buf.extend(page.records());
                 Records::Listed(buf)
             }
         }

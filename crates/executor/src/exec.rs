@@ -605,7 +605,8 @@ fn shape(
                 SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
                 _ => {}
             }
-            let surviving = ops::rid_join::intersect_rids(lrids, rrids, algo_eff, ctx);
+            let heap = &ctx.db.table(li.table).heap;
+            let surviving = ops::rid_join::intersect_rids(lrids, rrids, algo_eff, heap.span(), ctx);
             let mut fetch_eff = *fetch;
             match observe(
                 ctx,
@@ -617,7 +618,6 @@ fn shape(
                 SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
                 _ => {}
             }
-            let heap = &ctx.db.table(li.table).heap;
             let cols = out_cols(project, heap.schema().arity());
             ops::fetch::run(heap, surviving, &fetch_eff, residual, &cols, ctx.session, sink)?
         }
@@ -652,7 +652,8 @@ fn shape(
             }
             let proj = out_cols(project, li.tree.key_arity() + ri.tree.key_arity());
             let mut emitter = BatchEmitter::new(proj.len());
-            ops::rid_join::covering_join(lentries, rentries, algo_eff, ctx, &mut |row| {
+            let span = ctx.db.table(li.table).heap.span();
+            ops::rid_join::covering_join(lentries, rentries, algo_eff, span, ctx, &mut |row| {
                 emitter.push_projected_slice(row.values(), &proj, sink);
             });
             emitter.flush(sink);

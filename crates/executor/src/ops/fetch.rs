@@ -19,13 +19,17 @@
 //!
 //! Physical order is read off a [`RidSet`] — the bitmap System B is charged
 //! for is the structure both sweeps walk, page group by page group — unless
-//! the list is one the set is not built for (short, sparse over its span,
-//! or a multiset the improved fetch must fetch repeat by repeat): `Ordered`
-//! makes that choice from the list alone and `sort_list` is the one
-//! place a rid list is sorted.  The charges are analytic either way.
+//! the list is one the set is not built for (short for the heap's span,
+//! holding a rid outside it, or a multiset the improved fetch must fetch
+//! repeat by repeat): `Ordered` makes that choice from the list and the
+//! span, and `sort_list` is the one place a rid list is sorted.  The
+//! charges are analytic either way.
+//!
+//! A run's records are found through [`HeapFile::resolve`]: by arithmetic
+//! on a page in the append layout, through the slot directory otherwise.
 
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{AccessKind, HeapFile, RidSet, Session, StorageError};
+use robustmap_storage::{AccessKind, HeapFile, RidSet, RidSpan, Session, StorageError};
 
 use crate::batch::{BatchEmitter, Records, RowBatch};
 use crate::exec::ExecError;
@@ -48,11 +52,12 @@ pub(crate) enum Ordered {
 }
 
 impl Ordered {
-    /// Order `rids`, keeping duplicates: a list that holds one is a
-    /// multiset, which the set cannot say, and stays a list — like a list
-    /// [`RidSet::build`] refuses (short, or sparse over its span).
-    pub(crate) fn of(mut rids: Vec<Rid>) -> Ordered {
-        match RidSet::build(&rids) {
+    /// Order `rids`, which address a heap of span `span`, keeping
+    /// duplicates: a list that holds one is a multiset, which the set
+    /// cannot say, and stays a list — like a list [`RidSet::build`] refuses
+    /// (short for the span, or holding a rid outside it).
+    pub(crate) fn of(mut rids: Vec<Rid>, span: RidSpan) -> Ordered {
+        match RidSet::build(&rids, span) {
             Some(set) if set.len() == rids.len() => Ordered::Set(set),
             _ => {
                 sort_list(&mut rids);
@@ -117,34 +122,34 @@ impl<'a, 'h> Fetcher<'a, 'h> {
         Fetcher { heap, residual, proj, emitter, session, sink, records: Vec::new() }
     }
 
-    /// Fetch the rids `slots` of heap page `page_no`: what
+    /// Fetch the rids `first`, then `rest`, of heap page `page_no`: what
     /// [`HeapFile::fetch`] with the residual evaluated on each row charges —
     /// a page request and a row per rid, the residual's comparisons — in
     /// one call each.  The page requests go first, ahead of any emission,
     /// so the run's repeats are hits on the page its first request left
-    /// resident, whatever the sink does.  Each slot is looked up once; the
+    /// resident, whatever the sink does.  Each slot is resolved once; the
     /// records go through the scans' kernel, [`BatchEmitter::filter`].
     ///
     /// A page that does not exist is rejected, with the run's first rid,
-    /// before the run charges anything.  A rid whose slot is empty ends the
-    /// run with `InvalidRid`: the rows before it are fetched and charged in
-    /// full, and the dangling rid itself is charged its request and its row
-    /// (the slot is found empty only after the page was read), nothing
-    /// after it.
+    /// before the run charges anything.  A rid whose slot is empty — a
+    /// tombstone, or a slot past the page's count — ends the run with
+    /// `InvalidRid`: the rows before it are fetched and charged in full,
+    /// and the dangling rid itself is charged its request and its row (the
+    /// slot is found empty only after the page was read), nothing after it.
     #[inline]
     fn page_run(
         &mut self,
         page_no: u32,
-        mut slots: impl Iterator<Item = u32>,
+        first: u32,
+        rest: impl Iterator<Item = u32>,
     ) -> Result<(), ExecError> {
-        let Some(page) = self.heap.page(page_no) else {
-            let first = slots.next().expect("a run holds a rid");
+        let Some(page) = self.heap.resolve(page_no) else {
             return Err(StorageError::InvalidRid(Rid::new(page_no, first)).into());
         };
         self.records.clear();
         let mut dangling = None;
-        for slot in slots {
-            match page.get(slot as usize) {
+        for slot in std::iter::once(first).chain(rest) {
+            match page.record(slot) {
                 Some(bytes) => self.records.push(bytes),
                 None => {
                     dangling = Some(Rid::new(page_no, slot));
@@ -174,9 +179,10 @@ impl<'a, 'h> Fetcher<'a, 'h> {
 }
 
 /// The runs of a rid list: each maximal stretch of rids on one page, as
-/// the page number and the slots in list order.
-fn runs(rids: &[Rid]) -> impl Iterator<Item = (u32, impl Iterator<Item = u32> + '_)> {
-    rids.chunk_by(|a, b| a.page == b.page).map(|run| (run[0].page, run.iter().map(|rid| rid.slot)))
+/// the page number, the first slot and the rest in list order.
+fn runs(rids: &[Rid]) -> impl Iterator<Item = (u32, u32, impl Iterator<Item = u32> + '_)> {
+    rids.chunk_by(|a, b| a.page == b.page)
+        .map(|run| (run[0].page, run[0].slot, run[1..].iter().map(|rid| rid.slot)))
 }
 
 /// Fetch `rids` with the discipline `kind` names, and push columns `proj`
@@ -210,8 +216,8 @@ pub fn traditional(
 ) -> Result<u64, ExecError> {
     let mut fetcher = Fetcher::new(heap, residual, proj, session, sink);
     // Key order scatters the rids, so most runs are one rid long.
-    for (page_no, slots) in runs(rids) {
-        fetcher.page_run(page_no, slots)?;
+    for (page_no, first, rest) in runs(rids) {
+        fetcher.page_run(page_no, first, rest)?;
     }
     Ok(fetcher.finish())
 }
@@ -236,7 +242,7 @@ pub fn improved(
         session.charge_compares(sort_compares(n));
     }
     // The charge above is the contract: a comparison sort, duplicates kept.
-    let ordered = Ordered::of(rids);
+    let ordered = Ordered::of(rids, heap.span());
     let fetcher = Fetcher::new(heap, residual, proj, session, sink);
     fetch_in_physical_order(&ordered, Some(cfg), fetcher)
 }
@@ -259,7 +265,7 @@ pub fn bitmap_sorted(
     // reads its page groups.  A list the set is not built for is sorted
     // and deduplicated instead, which enumerates the same.
     session.charge_hashes(rids.len() as u64);
-    let ordered = match RidSet::build(&rids) {
+    let ordered = match RidSet::build(&rids, heap.span()) {
         Some(set) => Ordered::Set(set),
         None => {
             sort_list(&mut rids);
@@ -280,15 +286,21 @@ fn fetch_in_physical_order(
     fetcher: Fetcher<'_, '_>,
 ) -> Result<u64, ExecError> {
     match rids {
-        Ordered::Set(set) => sweep(set.pages(), cfg, fetcher),
+        // A page group is never empty.
+        Ordered::Set(set) => {
+            let groups =
+                set.pages().filter_map(|(page, mut slots)| Some((page, slots.next()?, slots)));
+            sweep(groups, cfg, fetcher)
+        }
         Ordered::List(list) => sweep(runs(list), cfg, fetcher),
     }
 }
 
-/// The sweep over `pages`: page numbers ascending, each with the slots to
-/// fetch from it — a set's page groups, or a sorted list's runs.
+/// The sweep over `pages`: page numbers ascending, each with the first slot
+/// and the rest to fetch from it — a set's page groups, or a sorted list's
+/// runs.
 fn sweep<S: Iterator<Item = u32>>(
-    pages: impl Iterator<Item = (u32, S)>,
+    pages: impl Iterator<Item = (u32, u32, S)>,
     cfg: Option<&ImprovedFetchConfig>,
     mut fetcher: Fetcher<'_, '_>,
 ) -> Result<u64, ExecError> {
@@ -297,7 +309,7 @@ fn sweep<S: Iterator<Item = u32>>(
     let (heap, session) = (fetcher.heap, fetcher.session);
     let mut prev_page: Option<u32> = None;
     // One page transition and one set of charges per page.
-    for (page_no, slots) in pages {
+    for (page_no, first, rest) in pages {
         debug_assert!(prev_page.is_none_or(|p| p < page_no), "pages must be in physical order");
         let page_id = heap.page_id(page_no);
         match prev_page {
@@ -326,7 +338,7 @@ fn sweep<S: Iterator<Item = u32>>(
         }
         prev_page = Some(page_no);
         // The transition is charged before a missing page is rejected.
-        fetcher.page_run(page_no, slots)?;
+        fetcher.page_run(page_no, first, rest)?;
     }
     Ok(fetcher.finish())
 }
@@ -492,12 +504,16 @@ mod tests {
         assert_eq!(got, reference);
     }
 
-    /// A rid whose row was deleted under it (a tombstoned slot) fails the
-    /// fetch, and the failed query has been charged what fetching row by
-    /// row charges: the rows before the dangling rid in full, the dangling
-    /// rid's own page request and row (the slot is found empty after the
-    /// page was read), and nothing for the rids after it — wherever in its
-    /// page's run the rid falls, in every discipline.
+    /// A rid whose row was deleted under it (a tombstoned slot) or that
+    /// lies past its page's slot count fails the fetch, and the failed
+    /// query has been charged what fetching row by row charges: the rows
+    /// before the dangling rid in full, the dangling rid's own page request
+    /// and row (the slot is found empty after the page was read), and
+    /// nothing for the rids after it — wherever in its page's run the rid
+    /// falls, in every discipline.  A tombstone is found through the slot
+    /// directory; a slot past the count of the part-filled last page, which
+    /// is still in the append layout, by arithmetic — and a slot past every
+    /// page's count is outside the heap's span, so no rid set takes it.
     #[test]
     fn a_dangling_rid_is_not_charged_for_its_successors() {
         let (pristine, t) = demo_db(2048);
@@ -505,14 +521,38 @@ mod tests {
         // Every row of pages 3 and 4, in physical order.
         let rids: Vec<Rid> =
             (3..5).flat_map(|page| (0..per_page).map(move |slot| Rid::new(page, slot))).collect();
-        let n = rids.len() as u64;
-        let residual = Predicate::single(ColRange::at_least(0, 0)); // one comparison a row
+        let mut cases = Vec::new();
         for dangling_slot in [0, per_page / 2, per_page - 1] {
             let (mut db, t) = demo_db(2048);
             let victim = Rid::new(3, dangling_slot);
             db.table_mut(t).heap.delete(victim).unwrap();
+            assert!(db.table(t).heap.resolve(3).unwrap().packed().is_none(), "a tombstone");
+            cases.push((db, t, victim, rids.clone()));
+        }
+        // Seven full pages and half of an eighth: the victims are slots of
+        // the eighth past its count, each followed by the rest of the slots
+        // a full page would hold.
+        let count = per_page / 2;
+        let rows = 7 * i64::from(per_page) + i64::from(count);
+        for dangling_slot in [count, count + 1, per_page - 1, 4 * per_page] {
+            let (db, t) = demo_db(rows);
             let heap = &db.table(t).heap;
-            let fetched = u64::from(dangling_slot);
+            assert_eq!(heap.page_count(), 8);
+            let packed = heap.resolve(7).unwrap().packed().map(|(area, _)| area.len());
+            assert_eq!(packed, Some(count as usize * 24), "the last page is in the append layout");
+            let victim = Rid::new(7, dangling_slot);
+            let rids: Vec<Rid> = (0..count)
+                .chain([dangling_slot])
+                .chain(dangling_slot + 1..per_page)
+                .map(|slot| Rid::new(7, slot))
+                .collect();
+            cases.push((db, t, victim, rids));
+        }
+        let residual = Predicate::single(ColRange::at_least(0, 0)); // one comparison a row
+        for (db, t, victim, rids) in &cases {
+            let heap = &db.table(*t).heap;
+            let n = rids.len() as u64;
+            let fetched = rids.iter().position(|rid| rid == victim).unwrap() as u64;
             for (kind, sort_compares, hashes) in [
                 (FetchKind::Traditional, 0, 0),
                 (improved_kind(), sort_compares(n), 0),
@@ -522,7 +562,7 @@ mod tests {
                 let mut emitted = 0;
                 let mut sink = |b: &RowBatch| emitted += b.len() as u64;
                 let got = run(heap, rids.clone(), &kind, &residual, &[0, 1, 2], &s, &mut sink);
-                assert_eq!(got, Err(StorageError::InvalidRid(victim).into()), "{kind:?}");
+                assert_eq!(got, Err(StorageError::InvalidRid(*victim).into()), "{kind:?}");
                 let want = robustmap_storage::IoStats {
                     // The page is read once; the traditional fetch's first
                     // request is that read, the sweeps seek to it first.
@@ -533,7 +573,7 @@ mod tests {
                     cpu_hashes: hashes,
                     ..Default::default()
                 };
-                assert_eq!(s.stats(), want, "{kind:?}, slot {dangling_slot} dangling");
+                assert_eq!(s.stats(), want, "{kind:?}, {victim} dangling");
                 assert_eq!(s.elapsed_ticks(), s.costs().of(&want));
             }
         }
@@ -566,7 +606,7 @@ mod tests {
         assert_eq!(s.stats().cpu_hashes, given.len() as u64);
 
         let quiet = Session::with_pool_pages(0);
-        let want: Vec<Row> = RidSet::build(&given)
+        let want: Vec<Row> = RidSet::build(&given, heap.span())
             .expect("dense and long: a set")
             .iter()
             .map(|rid| heap.fetch(rid, &quiet, AccessKind::Random).unwrap())

@@ -51,7 +51,6 @@ pub fn run(
     let per_rest = if dop > 1 { rest as f64 / (dop - 1) as f64 } else { 0.0 };
 
     let match_compares = pred.terms().len().max(1) as u64;
-    let width = heap.schema().row_bytes();
     let mut emitter = BatchEmitter::new(proj.len());
     let mut listed = Vec::new();
     let mut makespan = 0u64;
@@ -69,10 +68,9 @@ pub fn run(
             session.model().clone(),
             BufferPool::new(session.pool_capacity() / dop as usize, Default::default()),
         );
-        for page_no in start..end {
+        for (page_no, page) in heap.resolve_range(start..end) {
             worker_session.read_page(heap.page_id(page_no), AccessKind::Sequential);
-            let page = heap.page(page_no).expect("page number in range");
-            let records = Records::of_page(page, width, &mut listed);
+            let records = Records::of_page(page, &mut listed);
             let got = emitter.filter(pred, records, proj, sink);
             let (live, matched) = (got.live, got.selected);
             worker_session

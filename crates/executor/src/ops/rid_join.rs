@@ -14,7 +14,7 @@
 
 use robustmap_storage::btree::Entry;
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{FxBuildHasher, FxHashMap, RidSet, Row, Session};
+use robustmap_storage::{FxBuildHasher, FxHashMap, RidSet, RidSpan, Row, Session};
 
 use crate::exec::ExecCtx;
 use crate::ops::fetch::{sort_compares, sort_list, Ordered};
@@ -27,22 +27,24 @@ fn charge_sort(session: &Session, n: u64) {
     }
 }
 
-/// Intersect two rid lists with the given algorithm.  The result is sorted
-/// in physical order for the merge variant (a free by-product that benefits
-/// a downstream fetch) and in probe order for the hash variant.
+/// Intersect two rid lists over a heap of span `span` with the given
+/// algorithm.  The result is sorted in physical order for the merge variant
+/// (a free by-product that benefits a downstream fetch) and in probe order
+/// for the hash variant.
 pub fn intersect_rids(
     left: Vec<Rid>,
     right: Vec<Rid>,
     algo: IntersectAlgo,
+    span: RidSpan,
     ctx: &ExecCtx<'_>,
 ) -> Vec<Rid> {
     match algo {
-        IntersectAlgo::MergeJoin => merge_intersect(left, right, ctx.session),
+        IntersectAlgo::MergeJoin => merge_intersect(left, right, span, ctx.session),
         IntersectAlgo::HashJoin { build_left } => {
             if build_left {
-                hash_intersect(left, right, ctx)
+                hash_intersect(left, right, span, ctx)
             } else {
-                hash_intersect(right, left, ctx)
+                hash_intersect(right, left, span, ctx)
             }
         }
     }
@@ -61,10 +63,10 @@ pub fn intersect_rids(
 /// largest rid `m` is the smaller.  By then that side is consumed whole
 /// and the other up to and including `m`, so each side has given its
 /// members `<= m`, and every match — all are `<= m` — was counted on both.
-fn merge_intersect(left: Vec<Rid>, right: Vec<Rid>, session: &Session) -> Vec<Rid> {
+fn merge_intersect(left: Vec<Rid>, right: Vec<Rid>, span: RidSpan, session: &Session) -> Vec<Rid> {
     charge_sort(session, left.len() as u64);
     charge_sort(session, right.len() as u64);
-    let (l, r) = (Ordered::of(left), Ordered::of(right));
+    let (l, r) = (Ordered::of(left, span), Ordered::of(right, span));
     let out: Vec<Rid> = match (&l, &r) {
         (Ordered::Set(a), Ordered::Set(b)) => a.and(b).iter().collect(),
         (Ordered::Set(set), Ordered::List(list)) | (Ordered::List(list), Ordered::Set(set))
@@ -106,12 +108,12 @@ fn merge_walk(left: &[Rid], right: &[Rid]) -> (Vec<Rid>, u64) {
 /// Build a hash table on `build`, probe with `probe`.  If the build side
 /// exceeds the query's memory grant, both sides are grace-partitioned to
 /// temp files first (charged as page writes + reads).
-fn hash_intersect(build: Vec<Rid>, probe: Vec<Rid>, ctx: &ExecCtx<'_>) -> Vec<Rid> {
+fn hash_intersect(build: Vec<Rid>, probe: Vec<Rid>, span: RidSpan, ctx: &ExecCtx<'_>) -> Vec<Rid> {
     const RID_BYTES: usize = 8;
     // Hash tables need roughly 2x the raw data size.
     let build_bytes = build.len() * RID_BYTES * 2;
     if build_bytes <= ctx.memory_bytes || build.is_empty() {
-        return hash_intersect_in_memory(&build, &probe, ctx.session);
+        return hash_intersect_in_memory(&build, &probe, span, ctx.session);
     }
     // Grace spill: both inputs written out and read back, partition by
     // partition.  One level of partitioning suffices for the workloads here
@@ -134,12 +136,17 @@ fn hash_intersect(build: Vec<Rid>, probe: Vec<Rid>, ctx: &ExecCtx<'_>) -> Vec<Ri
     }
     let mut out = Vec::new();
     for (b, p) in build_parts.into_iter().zip(probe_parts) {
-        out.extend(hash_intersect_in_memory(&b, &p, session));
+        out.extend(hash_intersect_in_memory(&b, &p, span, session));
     }
     out
 }
 
-fn hash_intersect_in_memory(build: &[Rid], probe: &[Rid], session: &Session) -> Vec<Rid> {
+fn hash_intersect_in_memory(
+    build: &[Rid],
+    probe: &[Rid],
+    span: RidSpan,
+    session: &Session,
+) -> Vec<Rid> {
     // Building costs twice what probing does (bucket insertion and table
     // growth vs. a lookup): this is the cost asymmetry between the two
     // join orders that the paper (citing [GLS94]) contrasts with the merge
@@ -149,7 +156,7 @@ fn hash_intersect_in_memory(build: &[Rid], probe: &[Rid], session: &Session) -> 
     // The table is the build side's rid set, probed in probe order; a
     // build side the set is not built for, probes counted in, is sorted
     // and searched.
-    match RidSet::build_for(build, probe.len()) {
+    match RidSet::build_for(build, probe.len(), span) {
         Some(set) => probe.iter().copied().filter(|&rid| set.contains(rid)).collect(),
         None => {
             let mut sorted = build.to_vec();
@@ -161,16 +168,18 @@ fn hash_intersect_in_memory(build: &[Rid], probe: &[Rid], session: &Session) -> 
 
 /// Join two covering index scans on rid, producing rows `left key columns
 /// ++ right key columns` (Figure 2's multi-index covering plans).  Both
-/// inputs are `(key, rid)` entry lists in key order.
+/// inputs are `(key, rid)` entry lists in key order, over a heap of span
+/// `span`.
 pub fn covering_join(
     left: Vec<Entry>,
     right: Vec<Entry>,
     algo: IntersectAlgo,
+    span: RidSpan,
     ctx: &ExecCtx<'_>,
     sink: &mut dyn FnMut(&Row),
 ) -> u64 {
     match algo {
-        IntersectAlgo::MergeJoin => covering_merge_join(left, right, ctx.session, sink),
+        IntersectAlgo::MergeJoin => covering_merge_join(left, right, span, ctx.session, sink),
         IntersectAlgo::HashJoin { build_left } => {
             if build_left {
                 covering_hash_join(left, right, false, ctx, sink)
@@ -196,9 +205,9 @@ fn combined_row(left_key: &robustmap_storage::Key, right_key: &robustmap_storage
 /// rank in the set of them all; entries whose rids the set is not built
 /// for are sorted through light `(rid, index)` pairs (16-byte elements
 /// instead of 40-byte entries), stably — the same order.
-fn sort_entries_by_rid(entries: &mut Vec<Entry>) {
+fn sort_entries_by_rid(entries: &mut Vec<Entry>, span: RidSpan) {
     let rids: Vec<Rid> = entries.iter().map(|&(_, rid)| rid).collect();
-    match RidSet::build(&rids) {
+    match RidSet::build(&rids, span) {
         Some(set) if set.len() == rids.len() => {
             let ranks = set.ranks();
             let mut placed = entries.clone();
@@ -219,13 +228,14 @@ fn sort_entries_by_rid(entries: &mut Vec<Entry>) {
 fn covering_merge_join(
     mut left: Vec<Entry>,
     mut right: Vec<Entry>,
+    span: RidSpan,
     session: &Session,
     sink: &mut dyn FnMut(&Row),
 ) -> u64 {
     charge_sort(session, left.len() as u64);
     charge_sort(session, right.len() as u64);
-    sort_entries_by_rid(&mut left);
-    sort_entries_by_rid(&mut right);
+    sort_entries_by_rid(&mut left, span);
+    sort_entries_by_rid(&mut right, span);
     let (mut i, mut j) = (0, 0);
     let mut produced = 0u64;
     let mut compares = 0u64;
@@ -310,6 +320,13 @@ mod tests {
         Rid::new(i / 64, i % 64)
     }
 
+    /// The smallest span holding every rid of `lists`.
+    fn span_of(lists: &[&[Rid]]) -> RidSpan {
+        let rids = || lists.iter().flat_map(|list| list.iter());
+        let pages = rids().map(|r| r.page + 1).max().unwrap_or(0);
+        RidSpan { pages, slots: rids().map(|r| r.slot + 1).max().unwrap_or(0) }
+    }
+
     fn ctx_with<'a>(
         db: &'a robustmap_storage::Database,
         session: &'a Session,
@@ -383,11 +400,16 @@ mod tests {
                     let left = draw(nl, universe, per_l, rep_l, &mut seed);
                     let right = draw(nr, universe, per_r, rep_r, &mut seed);
                     let label = format!("{nl} x {nr}, spread {spread}, repeats {rep_l}/{rep_r}");
+                    // The heap the universe lies on.
+                    let span = RidSpan {
+                        pages: (universe as u32).div_ceil(per_l.min(per_r)),
+                        slots: per_l.max(per_r),
+                    };
 
                     let (want_s, got_s) =
                         (Session::with_pool_pages(4), Session::with_pool_pages(4));
                     let want = merge_by_sorting(left.clone(), right.clone(), &want_s);
-                    let got = merge_intersect(left.clone(), right.clone(), &got_s);
+                    let got = merge_intersect(left.clone(), right.clone(), span, &got_s);
                     assert_eq!(got, want, "merge {label}");
                     assert_eq!(got_s.stats(), want_s.stats(), "merge {label}");
                     assert_eq!(got_s.charge_events(), want_s.charge_events(), "merge {label}");
@@ -395,7 +417,7 @@ mod tests {
                     let s = Session::with_pool_pages(4);
                     let ctx = ctx_with(&db, &s, 1 << 30);
                     let algo = IntersectAlgo::HashJoin { build_left: true };
-                    let got = intersect_rids(left.clone(), right.clone(), algo, &ctx);
+                    let got = intersect_rids(left.clone(), right.clone(), algo, span, &ctx);
                     let build: std::collections::HashSet<Rid> = left.iter().copied().collect();
                     let want: Vec<Rid> =
                         right.iter().copied().filter(|r| build.contains(r)).collect();
@@ -421,7 +443,7 @@ mod tests {
                 rids.iter().enumerate().map(|(i, &rid)| (Key::single(i as i64), rid)).collect();
             let mut want = entries.clone();
             want.sort_by_key(|&(_, rid)| rid);
-            sort_entries_by_rid(&mut entries);
+            sort_entries_by_rid(&mut entries, span_of(&[&rids]));
             assert_eq!(entries, want, "{n} entries, spread {spread}");
         }
     }
@@ -440,7 +462,8 @@ mod tests {
         ] {
             let s = Session::with_pool_pages(64);
             let ctx = ctx_with(&db, &s, 1 << 20);
-            let mut got = intersect_rids(left.clone(), right.clone(), algo, &ctx);
+            let span = span_of(&[&left, &right]);
+            let mut got = intersect_rids(left.clone(), right.clone(), algo, span, &ctx);
             got.sort_unstable();
             assert_eq!(got, want, "{algo:?}");
         }
@@ -454,7 +477,8 @@ mod tests {
         // Deliberately unsorted inputs.
         let left: Vec<Rid> = (0..100).rev().map(rid).collect();
         let right: Vec<Rid> = (0..100).filter(|i| i % 2 == 0).map(rid).collect();
-        let got = intersect_rids(left, right, IntersectAlgo::MergeJoin, &ctx);
+        let span = span_of(&[&left, &right]);
+        let got = intersect_rids(left, right, IntersectAlgo::MergeJoin, span, &ctx);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(got.len(), 50);
     }
@@ -467,7 +491,7 @@ mod tests {
         let cost = |l: &[Rid], r: &[Rid], algo| {
             let s = Session::with_pool_pages(64);
             let ctx = ctx_with(&db, &s, 1 << 30);
-            intersect_rids(l.to_vec(), r.to_vec(), algo, &ctx);
+            intersect_rids(l.to_vec(), r.to_vec(), algo, span_of(&[l, r]), &ctx);
             s.elapsed()
         };
         let m_sl = cost(&small, &large, IntersectAlgo::MergeJoin);
@@ -489,7 +513,9 @@ mod tests {
         let probe: Vec<Rid> = (0..1000).map(rid).collect();
         let s = Session::with_pool_pages(64);
         let ctx = ctx_with(&db, &s, 16 * 1024); // 16 KiB grant: must spill
-        let got = intersect_rids(build, probe, IntersectAlgo::HashJoin { build_left: true }, &ctx);
+        let span = span_of(&[&build, &probe]);
+        let algo = IntersectAlgo::HashJoin { build_left: true };
+        let got = intersect_rids(build, probe, algo, span, &ctx);
         assert_eq!(got.len(), 1000);
         assert!(s.stats().page_writes > 0, "expected spill writes");
         assert!(ctx.spilled(), "spill must be recorded");
@@ -510,7 +536,9 @@ mod tests {
             let s = Session::with_pool_pages(64);
             let ctx = ctx_with(&db, &s, 1 << 20);
             let mut rows: Vec<(i64, i64)> = Vec::new();
-            let n = covering_join(left.clone(), right.clone(), algo, &ctx, &mut |r| {
+            let rids: Vec<Rid> = left.iter().chain(&right).map(|&(_, rid)| rid).collect();
+            let span = span_of(&[&rids]);
+            let n = covering_join(left.clone(), right.clone(), algo, span, &ctx, &mut |r| {
                 rows.push((r.get(0), r.get(1)))
             });
             assert_eq!(n, 25, "{algo:?}");

@@ -5,8 +5,10 @@
 //! maps make visible — because it always reads every page sequentially and
 //! evaluates the predicate on every row.  Each page's records go through
 //! the one heap-record kernel, [`BatchEmitter::filter`]: straight from the
-//! record area when the page is as appending wrote it, through the slot
-//! directory when it is not.
+//! record area when the heap keeps the page as appending wrote it, through
+//! the slot directory when it is not ([`HeapFile::resolve`]).
+//!
+//! [`HeapFile::resolve`]: robustmap_storage::HeapFile::resolve
 
 use robustmap_storage::{AccessKind, Session, Table};
 
@@ -30,13 +32,11 @@ pub fn run(
     sink: &mut dyn FnMut(&RowBatch),
 ) -> u64 {
     let heap = &table.heap;
-    let width = heap.schema().row_bytes();
     let mut emitter = BatchEmitter::new(proj.len());
     let mut listed = Vec::new();
-    for page_no in 0..heap.page_count() {
+    for (page_no, page) in heap.resolve_range(0..heap.page_count()) {
         session.read_page(heap.page_id(page_no), AccessKind::Sequential);
-        let page = heap.page(page_no).expect("page number in range");
-        let records = Records::of_page(page, width, &mut listed);
+        let records = Records::of_page(page, &mut listed);
         let got = emitter.filter(pred, records, proj, sink);
         if !pred.is_true() {
             session.charge_compares_as(got.compares, got.live);

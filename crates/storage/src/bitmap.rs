@@ -8,29 +8,31 @@
 //! representation of a set of rids: physical order is its iteration order,
 //! a merge intersection is a word-wise AND, a hash intersection probes it.
 //!
-//! Layout: bit `page << slot_bits | slot` of a `Vec<u64>`, `slot_bits`
-//! wide enough for the largest slot in the list the set was built from and
-//! never under 6, so a page's slots are a whole number of words — a *page
-//! group* — and the fetch sweep takes its runs straight from them.  At the
-//! workloads' ~186 rows a page that is four words a page: 45 KB for a
-//! 2^18-row table.
+//! Layout: bit `page << slot_bits | slot` of a `Vec<u64>`, sized by the
+//! span of the heap the rids address ([`RidSpan`], which the heap keeps):
+//! `slot_bits` wide enough for its largest slot count and never under 6, so
+//! a page's slots are a whole number of words — a *page group* — and the
+//! fetch sweep takes its runs straight from them.  At the workloads' ~186
+//! rows a page that is four words a page: 45 KB for a 2^18-row table.  Two
+//! sets over one heap share the layout.
 //!
 //! What the set is *for* is real time only.  The simulated cost of ordering
 //! or intersecting rids is charged analytically by the operators (`n log n`
 //! comparisons, a hash per rid), whatever executes it.
 //!
 //! Not every list should become a set, and [`RidSet::build`] says so by
-//! returning `None` — a decision taken from the list alone: a short list is
-//! ordered faster by a comparison sort than by clearing and walking any
-//! words at all, and a list that is sparse over its span (a few rids across
-//! a large heap, or one dangling `Rid::new(u32::MAX - 1, 0)`) would cost
-//! words in proportion to the span, not to the list.  Callers keep the list
+//! returning `None`: a short list is ordered faster by a comparison sort
+//! than by clearing and walking any words at all, and a list short for the
+//! span would cost words in proportion to the heap, not to the list.  Both
+//! are decided from the list's length and the span alone, before anything
+//! is allocated; a rid outside the span (a dangling rid past the heap)
+//! refuses the set too, found while it is filled.  Callers keep the list
 //! then.  A set that is built to be probed counts the probes in
 //! ([`RidSet::build_for`]): four rids are worth 45 KB of words to a quarter
-//! of a million probes.  Duplicates collapse — [`RidSet::len`] against the list's length
-//! tells a caller to whom a multiset matters.
+//! of a million probes.  Duplicates collapse — [`RidSet::len`] against the
+//! list's length tells a caller to whom a multiset matters.
 
-use crate::heap::Rid;
+use crate::heap::{Rid, RidSpan};
 
 /// Lists shorter than this stay lists: the standard library sorts up to
 /// ~20 items by insertion, in tens of nanoseconds, which allocating any
@@ -41,8 +43,7 @@ const MIN_RIDS: usize = 32;
 /// Most words a set may spend per rid it orders or is probed with.  A word
 /// costs about a nanosecond to clear and walk, a rid ten or more to sort:
 /// at 4 words a rid the set still orders a list twice as fast as the sort,
-/// near 6 they tie, at 16 the sort is twice as fast.  The bound is also
-/// what keeps a stray rid on a far page from allocating its whole span.
+/// near 6 they tie, at 16 the sort is twice as fast.
 const MAX_WORDS_PER_RID: u64 = 4;
 
 /// A set of rids as a dense bitmap in physical order.
@@ -55,34 +56,31 @@ pub struct RidSet {
 }
 
 impl RidSet {
-    /// The set of the rids in `rids`, or `None` if the list is better left
-    /// a list: shorter than 32 rids, or spanning more than 4 words a rid
-    /// (see the module header).  Nothing is allocated for a refused list.
-    pub fn build(rids: &[Rid]) -> Option<RidSet> {
-        Self::build_for(rids, 0)
+    /// The set of the rids in `rids`, which address a heap of span `span`,
+    /// or `None` if the list is better left a list: shorter than 32 rids,
+    /// or fewer than a quarter of the span's words (see the module header),
+    /// or holding a rid outside the span.  Nothing is allocated for a list
+    /// refused for its length.
+    pub fn build(rids: &[Rid], span: RidSpan) -> Option<RidSet> {
+        Self::build_for(rids, 0, span)
     }
 
     /// [`RidSet::build`] for a set that will also be asked
     /// [`RidSet::contains`] about `probes` other rids: the words are spent
     /// on those too, so it is the rids and the probes together that must
     /// number 32 and outnumber a quarter of the words.
-    pub fn build_for(rids: &[Rid], probes: usize) -> Option<RidSet> {
+    pub fn build_for(rids: &[Rid], probes: usize, span: RidSpan) -> Option<RidSet> {
         let uses = rids.len() + probes;
-        if uses < MIN_RIDS {
-            return None;
-        }
-        let (mut max_page, mut slots) = (0u32, 0u32);
-        for rid in rids {
-            max_page = max_page.max(rid.page);
-            slots |= rid.slot;
-        }
-        let slot_bits = (32 - slots.leading_zeros()).max(6);
-        let words = (max_page as u64 + 1) << (slot_bits - 6);
-        if words > uses as u64 * MAX_WORDS_PER_RID {
+        let slot_bits = (32 - span.slots.saturating_sub(1).leading_zeros()).max(6);
+        let words = u64::from(span.pages) << (slot_bits - 6);
+        if uses < MIN_RIDS || words > uses as u64 * MAX_WORDS_PER_RID {
             return None;
         }
         let mut set = RidSet { words: vec![0; words as usize], slot_bits, len: 0 };
-        for rid in rids {
+        for &rid in rids {
+            if !span.contains(rid) {
+                return None;
+            }
             let at = ((rid.page as u64) << slot_bits) | rid.slot as u64;
             let word = &mut set.words[(at >> 6) as usize];
             let bit = 1u64 << (at & 63);
@@ -126,9 +124,10 @@ impl RidSet {
         self.position(rid).is_some_and(|(word, bit)| self.words[word] & bit != 0)
     }
 
-    /// The intersection, word by word.  The operands may differ in span and
-    /// in `slot_bits` (lists over a churned heap do): a rid in both lies
-    /// inside both spans, so the result takes the smaller of each.
+    /// The intersection, word by word.  Two sets over one heap share a
+    /// layout; sets built over different spans may differ in page count and
+    /// in `slot_bits`, and a rid in both lies inside both spans, so the
+    /// result takes the smaller of each.
     pub fn and(&self, other: &RidSet) -> RidSet {
         let slot_bits = self.slot_bits.min(other.slot_bits);
         let (group, ga, gb) = (1usize << (slot_bits - 6), self.group_words(), other.group_words());
@@ -246,6 +245,12 @@ mod tests {
             .collect()
     }
 
+    /// The smallest span holding every rid of `rids`.
+    fn span_of(rids: &[Rid]) -> RidSpan {
+        let pages = rids.iter().map(|r| r.page + 1).max().unwrap_or(0);
+        RidSpan { pages, slots: rids.iter().map(|r| r.slot + 1).max().unwrap_or(0) }
+    }
+
     fn sorted_dedup(rids: &[Rid]) -> Vec<Rid> {
         let mut v = rids.to_vec();
         v.sort_unstable();
@@ -257,7 +262,7 @@ mod tests {
     fn iteration_is_sort_and_dedup() {
         let mut rids = scattered(5000, 40, 186);
         rids.extend_from_within(..700);
-        let set = RidSet::build(&rids).unwrap();
+        let set = RidSet::build(&rids, span_of(&rids)).unwrap();
         let want = sorted_dedup(&rids);
         assert_eq!(set.len(), want.len());
         assert!(!set.is_empty());
@@ -274,7 +279,8 @@ mod tests {
         // stops 20 pages before the other.
         let a = scattered(4000, 100, 60);
         let b = scattered(9000, 80, 300);
-        let (sa, sb) = (RidSet::build(&a).unwrap(), RidSet::build(&b).unwrap());
+        let sa = RidSet::build(&a, span_of(&a)).unwrap();
+        let sb = RidSet::build(&b, span_of(&b)).unwrap();
         assert_ne!(sa.slot_bits, sb.slot_bits);
         let want: Vec<Rid> = sorted_dedup(&a).into_iter().filter(|r| b.contains(r)).collect();
         assert!(!want.is_empty());
@@ -284,28 +290,42 @@ mod tests {
         }
     }
 
+    /// The span decides: a list inside it iterates as sort + dedup, a list
+    /// short for it or a rid outside it refuses the set, and probes count
+    /// toward the uses that pay for its words.
     #[test]
-    fn short_and_sparse_lists_stay_lists() {
-        assert!(RidSet::build(&[]).is_none());
-        assert!(RidSet::build(&scattered(31, 1, 186)).is_none());
-        assert!(RidSet::build(&scattered(32, 1, 186)).is_some());
-        // 32 rids over 4 words each is the bound; a page more is past it.
-        let mut rids = scattered(32, 1, 64);
-        rids[0] = Rid::new(127, 0);
-        assert!(RidSet::build(&rids).is_some());
-        rids[0] = Rid::new(128, 0);
-        assert!(RidSet::build(&rids).is_none());
-        // Probes count: the same four words a rid, over rids and probes.
-        assert!(RidSet::build_for(&rids, 1).is_some());
-        assert!(RidSet::build_for(&rids[..4], 27).is_none());
-        let few = RidSet::build_for(&rids[1..5], 60).unwrap();
-        assert_eq!(few.iter().collect::<Vec<_>>(), sorted_dedup(&rids[1..5]));
-        assert!(RidSet::build_for(&[], 32).unwrap().is_empty());
-        // A dangling rid on a far page is refused before anything is
-        // allocated for its span (2^32 words here).
-        let mut rids = scattered(100_000, 600, 186);
-        rids.push(Rid::new(u32::MAX - 1, 0));
-        assert!(RidSet::build(&rids).is_none());
-        assert!(RidSet::build(&[Rid::new(u32::MAX - 1, 0), Rid::new(0, 0)]).is_none());
+    fn the_span_sizes_the_set_and_bounds_its_rids() {
+        // 40 pages of 186 slots: 4 words a page, 160 words, 40 uses.
+        let span = RidSpan { pages: 40, slots: 186 };
+        let mut rids = scattered(600, 40, 186);
+        rids.extend_from_within(..90);
+        let set = RidSet::build(&rids, span).expect("a list inside its span");
+        assert_eq!(set.iter().collect::<Vec<_>>(), sorted_dedup(&rids));
+        assert_eq!(set.len(), sorted_dedup(&rids).len());
+        // The span, not the list, sizes the words: a list on page 0 alone
+        // builds a set over all 40 pages, and one over a larger heap does not.
+        let first_page = scattered(64, 1, 186);
+        assert!(RidSet::build(&first_page, span).is_some());
+        assert!(RidSet::build(&first_page, RidSpan { pages: 65, slots: 186 }).is_none());
+        // One rid on the page past the span, or at the slot count, refuses.
+        for stray in [Rid::new(40, 0), Rid::new(0, 186), Rid::new(u32::MAX - 1, 0)] {
+            let mut with = rids.clone();
+            with.insert(with.len() / 2, stray);
+            assert!(RidSet::build(&with, span).is_none(), "{stray}");
+            assert!(RidSet::build_for(&with, 1000, span).is_none(), "{stray}");
+        }
+        assert!(RidSet::build(&[Rid::new(39, 185)].repeat(40), span).is_some());
+        // 32 uses is the floor, and 4 words a use the bound, probes counted.
+        assert!(RidSet::build(&rids[..31], span).is_none());
+        assert!(RidSet::build(&rids[..39], span).is_none(), "160 words for 39 rids");
+        assert!(RidSet::build(&rids[..40], span).is_some());
+        assert!(RidSet::build_for(&rids[..4], 27, span).is_none());
+        assert!(RidSet::build_for(&rids[..4], 35, span).is_none());
+        let few = RidSet::build_for(&rids[..4], 36, span).unwrap();
+        assert_eq!(few.iter().collect::<Vec<_>>(), sorted_dedup(&rids[..4]));
+        assert!(RidSet::build_for(&[], 40, span).unwrap().is_empty());
+        // Nothing is allocated for a far span's words when the list is
+        // short for it (2^32 pages would be 2^34 words here).
+        assert!(RidSet::build(&rids, RidSpan { pages: u32::MAX, slots: 186 }).is_none());
     }
 }

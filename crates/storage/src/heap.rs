@@ -4,10 +4,18 @@
 //! (in one measured system, literally "a clustered index organized on an
 //! entirely unrelated column" — §3.3).  A heap file is a sequence of
 //! slotted pages; rows are addressed by [`Rid`] (page number, slot).
+//!
+//! Readers resolve a rid through the heap, not through a page's slot
+//! directory: the heap keeps, per page, its slot count while the page is
+//! still in the schema's append layout ([`SlottedPage::fixed_records`]),
+//! so a record on such a page is found by arithmetic and the directory is
+//! read only on a page a delete or a foreign image left otherwise
+//! ([`HeapFile::resolve`]).  It keeps the rid span too ([`RidSpan`]), the
+//! bound a [`crate::RidSet`] is sized by.
 
 use crate::buffer::{FileId, PageId};
 use crate::charge::ChargeSink;
-use crate::page::SlottedPage;
+use crate::page::{SlottedPage, PAGE_SIZE};
 use crate::schema::{Row, Schema};
 use crate::session::Session;
 use crate::sim::AccessKind;
@@ -47,11 +55,87 @@ impl std::fmt::Display for Rid {
     }
 }
 
+/// The rids a heap holds or has held: every `(page, slot)` with `page <
+/// pages` and `slot < slots`, `slots` being the largest slot count of any
+/// page.  Slot ids are never reused, so the span only grows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RidSpan {
+    /// Pages of the heap.
+    pub pages: u32,
+    /// The largest slot count of any page.
+    pub slots: u32,
+}
+
+impl RidSpan {
+    /// Whether `rid` lies inside the span.
+    #[inline]
+    pub fn contains(self, rid: Rid) -> bool {
+        rid.page < self.pages && rid.slot < self.slots
+    }
+}
+
+/// `HeapFile::packed` of a page that is not in the append layout.
+const UNPACKED: u16 = u16::MAX;
+
+/// One heap page, resolved for reading by [`HeapFile::resolve`]: a record
+/// is found by arithmetic on a page in the append layout and through the
+/// slot directory on any other.
+#[derive(Clone, Copy)]
+pub struct HeapPage<'h>(Layout<'h>);
+
+#[derive(Clone, Copy)]
+enum Layout<'h> {
+    /// `n` records of `width` bytes, slot `s` at `PAGE_SIZE − (s+1)·width`.
+    Packed { bytes: &'h [u8; PAGE_SIZE], n: usize, width: usize },
+    Directory(&'h SlottedPage),
+}
+
+impl<'h> HeapPage<'h> {
+    /// The record in `slot`, or `None` if the slot is out of range or
+    /// deleted.
+    #[inline]
+    pub fn record(self, slot: u32) -> Option<&'h [u8]> {
+        let slot = slot as usize;
+        match self.0 {
+            Layout::Packed { bytes, n, width } => {
+                (slot < n).then(|| &bytes[PAGE_SIZE - (slot + 1) * width..][..width])
+            }
+            Layout::Directory(page) => page.get(slot),
+        }
+    }
+
+    /// A page in the append layout as its record area and record width:
+    /// record `i` of `n` is the `width` bytes at `(n − 1 − i) · width`.
+    /// `None` for any other page.
+    #[inline]
+    pub fn packed(self) -> Option<(&'h [u8], usize)> {
+        match self.0 {
+            Layout::Packed { bytes, n, width } => Some((&bytes[PAGE_SIZE - n * width..], width)),
+            Layout::Directory(_) => None,
+        }
+    }
+
+    /// The live records in slot order.
+    pub fn records(self) -> impl Iterator<Item = &'h [u8]> {
+        let slots = match self.0 {
+            Layout::Packed { n, .. } => n,
+            Layout::Directory(page) => page.slot_count(),
+        };
+        (0..slots as u32).filter_map(move |slot| self.record(slot))
+    }
+}
+
 /// A heap file: append-oriented row storage over slotted pages.
 pub struct HeapFile {
     file: FileId,
     schema: Schema,
     pages: Vec<SlottedPage>,
+    /// Per page: its slot count while it is in the append layout of
+    /// `schema.row_bytes()`-byte records, `UNPACKED` once it is not.
+    /// `append` and `delete` keep it; `from_pages` folds each page once.
+    packed: Vec<u16>,
+    /// The largest slot count of any page ([`RidSpan::slots`]).
+    max_slots: u32,
     row_count: u64,
     encode_buf: Vec<u8>,
 }
@@ -60,7 +144,20 @@ impl HeapFile {
     /// Create an empty heap file identified by `file` in the buffer pool's
     /// page-id space.
     pub fn new(file: FileId, schema: Schema) -> Self {
-        HeapFile { file, schema, pages: Vec::new(), row_count: 0, encode_buf: Vec::new() }
+        HeapFile {
+            file,
+            schema,
+            pages: Vec::new(),
+            packed: Vec::new(),
+            max_slots: 0,
+            row_count: 0,
+            encode_buf: Vec::new(),
+        }
+    }
+
+    /// What `packed` holds for `page`: one fold of its directory.
+    fn packed_slots(page: &SlottedPage, width: usize) -> u16 {
+        page.fixed_records(width).map_or(UNPACKED, |area| (area.len() / width) as u16)
     }
 
     /// The schema rows must match.
@@ -86,7 +183,7 @@ impl HeapFile {
     /// Rows that fit a page for this schema (used for cost reasoning).
     pub fn rows_per_page(&self) -> usize {
         // slot entry = 4 bytes, header = 4 bytes
-        (crate::page::PAGE_SIZE - 4) / (self.schema.row_bytes() + 4)
+        (PAGE_SIZE - 4) / (self.schema.row_bytes() + 4)
     }
 
     /// Append a row (load path; not charged to any session, as the paper's
@@ -102,13 +199,21 @@ impl HeapFile {
         let mut buf = std::mem::take(&mut self.encode_buf);
         self.schema.encode_row(row, &mut buf);
         if self.pages.last().is_none_or(|p| !p.fits(buf.len())) {
-            self.pages.push(SlottedPage::new());
+            let page = SlottedPage::new();
+            self.packed.push(Self::packed_slots(&page, self.schema.row_bytes()));
+            self.pages.push(page);
         }
-        let page_no = (self.pages.len() - 1) as u32;
-        let slot = self.pages.last_mut().expect("page exists").insert(&buf)?;
+        let page_no = self.pages.len() - 1;
+        let slot = self.pages[page_no].insert(&buf)?;
+        // The record lands at the next offset down: an append-layout page
+        // stays one.
+        if self.packed[page_no] != UNPACKED {
+            self.packed[page_no] += 1;
+        }
+        self.max_slots = self.max_slots.max(slot as u32 + 1);
         self.encode_buf = buf;
         self.row_count += 1;
-        Ok(Rid::new(page_no, slot as u32))
+        Ok(Rid::new(page_no as u32, slot as u32))
     }
 
     /// Page id of heap page `page_no`.
@@ -133,18 +238,50 @@ impl HeapFile {
             return None;
         }
         let row_count = pages.iter().map(|p| p.live_records() as u64).sum();
-        Some(HeapFile { file, schema, pages, row_count, encode_buf: Vec::new() })
+        let width = schema.row_bytes();
+        let packed = pages.iter().map(|p| Self::packed_slots(p, width)).collect();
+        let max_slots = pages.iter().map(|p| p.slot_count() as u32).max().unwrap_or(0);
+        Some(HeapFile { file, schema, pages, packed, max_slots, row_count, encode_buf: Vec::new() })
+    }
+
+    /// The rids this heap holds or has held: its page count and the
+    /// largest slot count of any page.
+    pub fn span(&self) -> RidSpan {
+        RidSpan { pages: self.page_count(), slots: self.max_slots }
+    }
+
+    /// Heap page `page_no` resolved for reading, or `None` past the last
+    /// page.  Reads no byte of the page: whether it is in the append layout
+    /// is kept by the heap, not re-checked.
+    #[inline]
+    pub fn resolve(&self, page_no: u32) -> Option<HeapPage<'_>> {
+        let page = self.pages.get(page_no as usize)?;
+        Some(HeapPage(match self.packed[page_no as usize] {
+            UNPACKED => Layout::Directory(page),
+            n => Layout::Packed {
+                bytes: page.as_bytes(),
+                n: usize::from(n),
+                width: self.schema.row_bytes(),
+            },
+        }))
+    }
+
+    /// The pages of `page_range` that exist, resolved, with their numbers.
+    pub fn resolve_range(
+        &self,
+        page_range: std::ops::Range<u32>,
+    ) -> impl Iterator<Item = (u32, HeapPage<'_>)> + '_ {
+        let end = page_range.end.min(self.page_count());
+        let pages = page_range.start.min(end)..end;
+        pages.filter_map(|page_no| Some((page_no, self.resolve(page_no)?)))
     }
 
     /// Fetch one row by rid, charging `session` one page access of `kind`.
     pub fn fetch<S: ChargeSink>(&self, rid: Rid, session: &S, kind: AccessKind) -> Result<Row> {
-        let page = self
-            .pages
-            .get(rid.page as usize)
-            .ok_or(StorageError::InvalidRid(rid))?;
+        let page = self.resolve(rid.page).ok_or(StorageError::InvalidRid(rid))?;
         session.read_page(self.page_id(rid.page), kind);
         session.charge_rows(1);
-        let bytes = page.get(rid.slot as usize).ok_or(StorageError::InvalidRid(rid))?;
+        let bytes = page.record(rid.slot).ok_or(StorageError::InvalidRid(rid))?;
         self.schema.decode_row(bytes)
     }
 
@@ -210,6 +347,8 @@ impl HeapFile {
             .ok_or(StorageError::InvalidRid(rid))?;
         page.delete(rid.slot as usize)
             .map_err(|_| StorageError::InvalidRid(rid))?;
+        // A tombstone leaves the append layout for good.
+        self.packed[rid.page as usize] = UNPACKED;
         self.row_count -= 1;
         Ok(())
     }

@@ -55,7 +55,7 @@ pub use btree::{BTree, Key};
 pub use buffer::{BufferPool, EvictionPolicy, FileId, PageId};
 pub use charge::{ChargeLog, ChargeSink};
 pub use fx::{FxBuildHasher, FxHashMap, FxHasher};
-pub use heap::{HeapFile, Rid};
+pub use heap::{HeapFile, HeapPage, Rid, RidSpan};
 pub use page::{SlottedPage, PAGE_SIZE};
 pub use schema::{ColumnType, Row, Schema, MAX_COLUMNS};
 pub use session::{Session, YieldHook};

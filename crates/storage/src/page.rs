@@ -87,6 +87,12 @@ impl SlottedPage {
         self.write_u16(base + 2, len);
     }
 
+    /// Number of slots, live or deleted: one more than the largest slot id.
+    #[inline]
+    pub fn slot_count(&self) -> usize {
+        self.n_slots()
+    }
+
     /// Number of live (non-deleted) records.
     pub fn live_records(&self) -> usize {
         (0..self.n_slots()).filter(|&s| self.slot_at(s).1 != DEAD).count()
@@ -178,7 +184,9 @@ impl SlottedPage {
     /// `width` bytes at `(n−1−s)·width` of the returned `n·width` bytes.
     /// `None` for any other directory (a tombstone, a compaction after a
     /// delete, an image from elsewhere) and for `width` 0.  Checked on
-    /// every call, one XOR-fold of the directory against that sequence.
+    /// every call, one XOR-fold of the directory against that sequence —
+    /// which is why readers do not call it: [`crate::HeapFile`] folds each
+    /// page once and keeps the answer.
     pub fn fixed_records(&self, width: usize) -> Option<&[u8]> {
         let n = self.n_slots();
         if !(1..=Self::MAX_RECORD).contains(&width) {

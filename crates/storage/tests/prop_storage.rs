@@ -10,7 +10,7 @@ use robustmap_storage::btree::{BTree, Entry, Key};
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{
     AccessKind, BufferPool, ColumnType, CostModel, EvictionPolicy, FileId, HeapFile, IoStats,
-    PageId, QueryShare, RidSet, Row, Schema, Session, SharedBufferPool, SlottedPage,
+    PageId, QueryShare, RidSet, RidSpan, Row, Schema, Session, SharedBufferPool, SlottedPage,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -468,21 +468,20 @@ fn scan_range_at_leaf_edges_equals_the_cursor_loop() {
 
 // ---------------------------------------------------------------- rid set
 
-/// A rid list over `pages` pages of `slots` slots: duplicates likely when
-/// the list is long for its span.
-fn rid_list() -> impl Strategy<Value = Vec<Rid>> {
+/// A heap's span of `pages` pages of `slots` slots, and a rid list inside
+/// it: duplicates likely when the list is long for its span.
+fn rid_list() -> impl Strategy<Value = (RidSpan, Vec<Rid>)> {
     (1u32..40, prop_oneof![Just(1u32), 2u32..64, 64u32..300]).prop_flat_map(|(pages, slots)| {
-        prop::collection::vec((0..pages, 0..slots).prop_map(|(p, s)| Rid::new(p, s)), 0..400)
+        let rids = (0..pages, 0..slots).prop_map(|(p, s)| Rid::new(p, s));
+        (Just(RidSpan { pages, slots }), prop::collection::vec(rids, 0..400))
     })
 }
 
-/// What `RidSet::build` documents: a list under 32 rids, or one spanning
-/// more than 4 words a rid, stays a list.
-fn stays_a_list(rids: &[Rid]) -> bool {
-    let pages = rids.iter().map(|r| r.page as u64 + 1).max().unwrap_or(0);
-    let widest = rids.iter().map(|r| r.slot).max().unwrap_or(0);
-    let group_words = (widest as u64 + 1).next_power_of_two().max(64) / 64;
-    rids.len() < 32 || pages * group_words > 4 * rids.len() as u64
+/// What `RidSet::build` documents for a list inside its span: under 32
+/// rids, or fewer than a quarter of the span's words, stays a list.
+fn stays_a_list(span: RidSpan, rids: &[Rid]) -> bool {
+    let group_words = u64::from(span.slots).next_power_of_two().max(64) / 64;
+    rids.len() < 32 || u64::from(span.pages) * group_words > 4 * rids.len() as u64
 }
 
 proptest! {
@@ -491,14 +490,20 @@ proptest! {
     /// A rid set agrees with the set model: iteration is sort + dedup,
     /// `and` is intersection, `rank` is position in that order, `contains`
     /// answers for any rid — a slot past the page group, a page past the
-    /// span — and `build` refuses exactly the lists it says it refuses.
+    /// span — and `build` refuses exactly the lists it says it refuses, a
+    /// list with a rid past a span one page short among them.
     #[test]
-    fn rid_set_matches_set_model(a in rid_list(), b in rid_list()) {
+    fn rid_set_matches_set_model(la in rid_list(), lb in rid_list()) {
+        let ((span_a, a), (span_b, b)) = (la, lb);
         let model = |rids: &[Rid]| rids.iter().copied().collect::<BTreeSet<Rid>>();
         let (ma, mb) = (model(&a), model(&b));
-        let (sa, sb) = (RidSet::build(&a), RidSet::build(&b));
-        prop_assert_eq!(sa.is_none(), stays_a_list(&a));
-        prop_assert_eq!(sb.is_none(), stays_a_list(&b));
+        let (sa, sb) = (RidSet::build(&a, span_a), RidSet::build(&b, span_b));
+        prop_assert_eq!(sa.is_none(), stays_a_list(span_a, &a));
+        prop_assert_eq!(sb.is_none(), stays_a_list(span_b, &b));
+        if let Some(last) = a.iter().map(|r| r.page).max() {
+            let short = RidSpan { pages: last, ..span_a };
+            prop_assert!(RidSet::build(&a, short).is_none());
+        }
         if let Some(sa) = &sa {
             prop_assert_eq!(sa.len(), ma.len());
             let items: Vec<Rid> = sa.iter().collect();
@@ -534,17 +539,19 @@ proptest! {
     }
 }
 
-/// The lists with nothing to decide: empty, one rid, and a dangling rid on
-/// a far page, whose span (2^32 words) is never allocated.
+/// The lists with nothing to decide: empty, one rid, a list short for a
+/// far span (2^32 pages, never allocated), and a dangling rid on a far page
+/// outside the heap's span.
 #[test]
 fn rid_set_refuses_without_allocating() {
-    assert!(RidSet::build(&[]).is_none());
-    assert!(RidSet::build(&[Rid::new(3, 4)]).is_none());
-    assert!(RidSet::build(&[Rid::new(u32::MAX - 1, 0), Rid::new(0, 0)]).is_none());
+    let span = RidSpan { pages: 100, slots: 100 };
+    assert!(RidSet::build(&[], span).is_none());
+    assert!(RidSet::build(&[Rid::new(3, 4)], span).is_none());
     let mut long: Vec<Rid> = (0..10_000).map(|i| Rid::new(i / 100, i % 100)).collect();
-    assert!(RidSet::build(&long).is_some());
+    assert!(RidSet::build(&long, RidSpan { pages: u32::MAX, ..span }).is_none());
+    assert!(RidSet::build(&long, span).is_some());
     long.push(Rid::new(u32::MAX - 1, 0));
-    assert!(RidSet::build(&long).is_none());
+    assert!(RidSet::build(&long, span).is_none());
 }
 
 // ---------------------------------------------------------------- pages
@@ -608,6 +615,92 @@ proptest! {
             prop_assert_eq!((x, y), vals[i]);
             let fetched = heap.fetch(rid, &s, AccessKind::Random).unwrap();
             prop_assert_eq!(fetched.values(), &[x, y]);
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum HeapOp {
+    Append(i64),
+    /// Delete the live row at this position (modulo the live count).
+    Delete(u32),
+    AppendCharged(i64),
+    DeleteCharged(u32),
+    /// Rebuild the heap from its page images.
+    RoundTrip,
+}
+
+fn heap_op() -> impl Strategy<Value = HeapOp> {
+    prop_oneof![
+        any::<i64>().prop_map(HeapOp::Append),
+        any::<i64>().prop_map(HeapOp::Append),
+        any::<i64>().prop_map(HeapOp::AppendCharged),
+        (0u32..1 << 20).prop_map(HeapOp::Delete),
+        (0u32..1 << 20).prop_map(HeapOp::DeleteCharged),
+        Just(HeapOp::RoundTrip),
+    ]
+}
+
+/// What the heap keeps against what its pages say: each page's packed
+/// area is the page's own `fixed_records`, every slot resolves to what the
+/// directory holds, and the span is the page count and the largest slot
+/// count.
+fn heap_agrees_with_its_pages(heap: &HeapFile) -> Result<(), TestCaseError> {
+    let width = heap.schema().row_bytes();
+    let mut slots = 0;
+    for p in 0..heap.page_count() {
+        let (page, resolved) = (heap.page(p).unwrap(), heap.resolve(p).unwrap());
+        let packed = resolved.packed().map(|(area, _)| area);
+        prop_assert_eq!(packed, page.fixed_records(width), "page {}", p);
+        for slot in 0..page.slot_count() + 2 {
+            let record = resolved.record(slot as u32);
+            prop_assert_eq!(record, page.get(slot), "page {} slot {}", p, slot);
+        }
+        slots = slots.max(page.slot_count() as u32);
+    }
+    prop_assert_eq!(heap.span(), RidSpan { pages: heap.page_count(), slots });
+    prop_assert!(heap.resolve(heap.page_count()).is_none());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Appends and deletes, charged or not, and reloads from page images
+    /// keep the heap's per-page layout and its span what the pages say,
+    /// after every step.
+    #[test]
+    fn the_heap_keeps_its_layout_and_span(ops in prop::collection::vec(heap_op(), 1..700)) {
+        let schema = Schema::new(vec![("x", ColumnType::Int), ("y", ColumnType::Int)]);
+        let mut heap = HeapFile::new(FileId(0), schema);
+        let mut live: Vec<Rid> = Vec::new();
+        let s = session();
+        for op in &ops {
+            match *op {
+                HeapOp::Append(x) => live.push(heap.append(&Row::from_slice(&[x, !x])).unwrap()),
+                HeapOp::AppendCharged(x) => {
+                    live.push(heap.append_charged(&Row::from_slice(&[x, !x]), &s).unwrap());
+                }
+                HeapOp::Delete(at) | HeapOp::DeleteCharged(at) if !live.is_empty() => {
+                    let rid = live.swap_remove(at as usize % live.len());
+                    if matches!(op, HeapOp::Delete(_)) {
+                        heap.delete(rid).unwrap();
+                    } else {
+                        heap.delete_charged(rid, &s).unwrap();
+                    }
+                    prop_assert!(heap.delete(rid).is_err(), "{} deleted twice", rid);
+                }
+                HeapOp::Delete(_) | HeapOp::DeleteCharged(_) => {}
+                HeapOp::RoundTrip => {
+                    let pages = (0..heap.page_count())
+                        .map(|p| SlottedPage::from_bytes(heap.page(p).unwrap().as_bytes()))
+                        .collect();
+                    let schema = heap.schema().clone();
+                    heap = HeapFile::from_pages(heap.file_id(), schema, pages).unwrap();
+                }
+            }
+            prop_assert_eq!(heap.row_count(), live.len() as u64);
+            heap_agrees_with_its_pages(&heap)?;
         }
     }
 }

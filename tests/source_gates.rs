@@ -249,6 +249,25 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        gate: "the-heap-resolves-records",
+        scope: &["crates/*/src"],
+        skip: &["crates/storage/src/page.rs", "crates/storage/src/heap.rs"],
+        lines: Lines::Before("#[cfg(test)]"),
+        hit: |l| l.contains("fixed_records("),
+        why: "a reader folds a page's slot directory with fixed_records — the heap keeps each \
+              page's layout, maintained by append and delete, and HeapFile::resolve reads it",
+        ..RULE
+    },
+    Rule {
+        gate: "the-heap-resolves-records",
+        scope: &["crates/executor/src"],
+        hit: |l| l.contains(".page(") || idents(l).any(|t| t == "SlottedPage"),
+        why: "the executor holds a SlottedPage (HeapFile::page or the type itself), whose get \
+              and iter read the slot directory — records come from HeapFile::resolve, by \
+              arithmetic on a page in the append layout",
+        ..RULE
+    },
+    Rule {
         gate: "one-walker",
         scope: &["crates"],
         hit: |l| any(l, &["cursor_step", "cursor_next_leaf"]),
@@ -410,9 +429,9 @@ fn may_panic(line: &str) -> bool {
 const PANIC_SITES: &[(&str, usize)] = &[
     ("crates/bench/src", 31),
     ("crates/core/src", 14),
-    ("crates/executor/src", 7),
+    ("crates/executor/src", 4),
     ("crates/obs/src", 5),
-    ("crates/storage/src", 33),
+    ("crates/storage/src", 32),
     ("crates/systems/src", 2),
     ("crates/workload/src", 10),
 ];
