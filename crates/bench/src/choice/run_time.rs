@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use robustmap_core::render::sanitize;
 use robustmap_core::{Measurement, RegressionSuite, SweepArena};
-use robustmap_executor::{NeverSwitch, PlanSpec, SwitchController};
+use robustmap_executor::{PlanSpec, SwitchController};
 use robustmap_storage::Session;
 use robustmap_systems::choice::{Exact, Joint, Maintained};
 use robustmap_systems::{
@@ -80,11 +80,8 @@ pub fn ext_adaptive(h: &Harness) -> FigureOutput {
         let ctrl = two_pred_bail_controller(
             &spec, point, fallback, &lab.stats, est, &mcfg.model, rcfg, BAND_FACTOR,
         );
-        let ctrl: &dyn SwitchController = match &ctrl {
-            Some(c) => c,
-            None => &NeverSwitch,
-        };
-        let astats = arena.run(&lab.w.db, &spec, Some(ctrl)).expect("well-formed plan");
+        let ctrl = ctrl.as_ref().map(|c| c as &dyn SwitchController);
+        let astats = arena.run(&lab.w.db, &spec, ctrl).expect("well-formed plan");
         let switched = !astats.switches.is_empty();
         (astats.seconds, if switched { fb_idx } else { point.plan }, switched)
     };

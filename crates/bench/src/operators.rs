@@ -19,7 +19,7 @@ use robustmap_executor::{
     ColRange, FetchKind, ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, JoinAlgo, KeyRange,
     PlanSpec, Predicate, Projection, SpillMode,
 };
-use robustmap_storage::EvictionPolicy;
+use robustmap_storage::{ticks_to_seconds, EvictionPolicy};
 use robustmap_workload::gen::PredicateDistribution;
 use robustmap_workload::{COL_A, COL_B, COL_C};
 
@@ -52,9 +52,9 @@ pub fn ext_sort_spill(h: &Harness) -> FigureOutput {
     let mut arena = SweepArena::new(&h.config.measure);
     let mut sort_only = |plan: &PlanSpec| -> (f64, u64, u64) {
         let stats = arena.run(&w.db, plan, None).expect("well-formed plan");
-        let child = stats.operators.iter().find(|o| o.depth == 1).expect("child").seconds;
-        let root = stats.operators.iter().find(|o| o.depth == 0).expect("root").seconds;
-        (root - child, stats.io.page_writes, stats.rows_out)
+        let child = stats.operators.iter().find(|o| o.depth == 1).expect("child").ticks;
+        let root = stats.operators.iter().find(|o| o.depth == 0).expect("root").ticks;
+        (ticks_to_seconds(root) - ticks_to_seconds(child), stats.io.page_writes, stats.rows_out)
     };
 
     let mut report = String::from(

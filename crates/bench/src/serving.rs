@@ -14,8 +14,7 @@ use robustmap_core::{
     measure_plan, serve_concurrent, MeasureConfig, RegressionSuite, ServeConfig,
 };
 use robustmap_executor::{
-    run_count, CheckpointKind, ExecCtx, Observation, PlanSpec, Projection,
-    SpillMode, SwitchController, SwitchDirective,
+    run_count, CheckpointKind, ExecCtx, Observation, PlanSpec, Projection, SpillMode,
 };
 use robustmap_obs::chrome::{parse_chrome_trace, to_chrome_json};
 use robustmap_obs::trace::{
@@ -506,21 +505,9 @@ pub fn ext_trace(h: &Harness) -> FigureOutput {
     // bails at the first rid-feed checkpoint to a full table scan, so the
     // trace must show the checkpoint cascade, exactly one switch event,
     // and the abandoned operator's span closing on the error path.
-    struct BailAtRidFeed {
-        alt: PlanSpec,
-    }
-    impl SwitchController for BailAtRidFeed {
-        fn decide(&self, obs: &Observation) -> SwitchDirective {
-            if matches!(obs.kind, CheckpointKind::RidFeed) {
-                SwitchDirective::Bail(self.alt.clone())
-            } else {
-                SwitchDirective::Continue
-            }
-        }
-    }
     let victim = traditional_fetch(&w, w.cal_a.threshold(0.25));
-    let ctrl =
-        BailAtRidFeed { alt: scan_where(&w, COL_B, w.cal_b.threshold(1.0), Projection::All) };
+    let alt = scan_where(&w, COL_B, w.cal_b.threshold(1.0), Projection::All);
+    let ctrl = |obs: &Observation| (obs.kind == CheckpointKind::RidFeed).then(|| alt.clone());
     let run_bail = |sink: Option<&Arc<TraceSink>>| {
         let s = mcfg.session();
         if let Some(sk) = sink {

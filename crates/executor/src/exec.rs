@@ -40,9 +40,7 @@ use robustmap_storage::{
 use crate::batch::{BatchEmitter, RowBatch};
 use crate::expr::Predicate;
 use crate::ops;
-use crate::ops::adaptive::{
-    observe, Observation, SwitchController, SwitchDirective, SwitchEvent,
-};
+use crate::ops::adaptive::{observe, SwitchController, SwitchEvent};
 use crate::ops::sort::PackedRows;
 use crate::plan::{AggFn, CheckpointKind, IndexRangeSpec, JoinAlgo, PlanSpec, Projection};
 
@@ -72,8 +70,8 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Per-operator execution record (label, output rows, inclusive simulated
-/// seconds — children included).
+/// Per-operator execution record (label, output rows, inclusive clock
+/// ticks — children included).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpStats {
     /// Operator synopsis.
@@ -84,8 +82,6 @@ pub struct OpStats {
     pub rows_out: u64,
     /// Inclusive clock ticks (includes children): the exact reading.
     pub ticks: u64,
-    /// Inclusive simulated seconds: `ticks` as seconds.
-    pub seconds: f64,
 }
 
 /// Summary of one plan execution.
@@ -105,9 +101,9 @@ pub struct ExecStats {
     pub spilled: bool,
     /// Per-operator breakdown, in completion order.
     pub operators: Vec<OpStats>,
-    /// Acted-upon switch directives, in firing order.  Empty for a static
-    /// run and for a controller that never tripped — such a run is
-    /// charge-identical to the static one.
+    /// Bails, in firing order.  Empty for a static run and for a
+    /// controller that never bailed — such a run is charge-identical to
+    /// the static one.
     pub switches: Vec<SwitchEvent>,
 }
 
@@ -177,8 +173,7 @@ impl<'a> ExecCtx<'a> {
     }
 
     fn record_op(&self, label: String, depth: usize, rows_out: u64, ticks: u64) {
-        let seconds = ticks_to_seconds(ticks);
-        self.op_stats.borrow_mut().push(OpStats { label, depth, rows_out, ticks, seconds });
+        self.op_stats.borrow_mut().push(OpStats { label, depth, rows_out, ticks });
     }
 
     pub(crate) fn record_switch(&self, event: SwitchEvent) {
@@ -487,8 +482,8 @@ fn check_width(what: &str, arity: usize) -> Result<(), ExecError> {
 
 /// The interpreter proper: one arm per plan shape.  Every charge a plan
 /// makes is issued here or in the operator the arm calls, and none
-/// depends on `controller` (unless it switches) or `output`; checkpoints
-/// sit between the charge that produced a materialisation and the charge
+/// depends on `controller` (unless it bails) or `output`; a checkpoint
+/// sits between the charge that produced a materialisation and the charge
 /// that consumes it.
 fn shape(
     plan: &PlanSpec,
@@ -519,15 +514,12 @@ fn shape(
                 key_filter,
                 ctx.session,
             );
-            let mut fetch_eff = *fetch;
-            match observe(ctx, controller, CheckpointKind::RidFeed, rids.len() as u64) {
-                SwitchDirective::SwitchFetch(f) => fetch_eff = f,
-                SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
-                _ => {}
+            if let Some(alt) = observe(ctx, controller, CheckpointKind::RidFeed, rids.len() as u64) {
+                return Ok(Outcome::Bail(alt));
             }
             let heap = &ctx.db.table(index.table).heap;
             let cols = out_cols(project, heap.schema().arity());
-            ops::fetch::run(heap, rids, &fetch_eff, residual, &cols, ctx.session, sink)?
+            ops::fetch::run(heap, rids, fetch, residual, &cols, ctx.session, sink)?
         }
         PlanSpec::CoveringIndexScan { scan, residual, project } => {
             let index = ctx.db.index(scan.index);
@@ -555,14 +547,9 @@ fn shape(
                     held.push(key.values());
                     let n = held.len() as u64;
                     if n.is_power_of_two() {
-                        if let SwitchDirective::Bail(a) =
-                            observe(ctx, controller, CheckpointKind::ScanOut, n)
-                        {
-                            alt = Some(a);
-                            return false;
-                        }
+                        alt = observe(ctx, controller, CheckpointKind::ScanOut, n);
                     }
-                    true
+                    alt.is_none()
                 })?;
                 if let Some(a) = alt {
                     return Ok(Outcome::Bail(a));
@@ -582,44 +569,16 @@ fn shape(
                     "index intersection across different tables".into(),
                 ));
             }
-            let lrids =
-                ops::index_scan::collect_rids(li, &left.range, ctx.session);
-            if let SwitchDirective::Bail(alt) = observe(
-                ctx,
-                controller,
-                CheckpointKind::IntersectFeed { right: false },
-                lrids.len() as u64,
-            ) {
+            let lrids = ops::index_scan::collect_rids(li, &left.range, ctx.session);
+            let rrids = ops::index_scan::collect_rids(ri, &right.range, ctx.session);
+            let heap = &ctx.db.table(li.table).heap;
+            let surviving = ops::rid_join::intersect_rids(lrids, rrids, *algo, heap.span(), ctx);
+            let survivors = surviving.len() as u64;
+            if let Some(alt) = observe(ctx, controller, CheckpointKind::IntersectOut, survivors) {
                 return Ok(Outcome::Bail(alt));
             }
-            let rrids =
-                ops::index_scan::collect_rids(ri, &right.range, ctx.session);
-            let mut algo_eff = *algo;
-            match observe(
-                ctx,
-                controller,
-                CheckpointKind::IntersectFeed { right: true },
-                rrids.len() as u64,
-            ) {
-                SwitchDirective::SwitchIntersect(a) => algo_eff = a,
-                SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
-                _ => {}
-            }
-            let heap = &ctx.db.table(li.table).heap;
-            let surviving = ops::rid_join::intersect_rids(lrids, rrids, algo_eff, heap.span(), ctx);
-            let mut fetch_eff = *fetch;
-            match observe(
-                ctx,
-                controller,
-                CheckpointKind::IntersectOut,
-                surviving.len() as u64,
-            ) {
-                SwitchDirective::SwitchFetch(f) => fetch_eff = f,
-                SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
-                _ => {}
-            }
             let cols = out_cols(project, heap.schema().arity());
-            ops::fetch::run(heap, surviving, &fetch_eff, residual, &cols, ctx.session, sink)?
+            ops::fetch::run(heap, surviving, fetch, residual, &cols, ctx.session, sink)?
         }
         PlanSpec::CoveringRidJoin { left, right, algo, project } => {
             let li = ctx.db.index(left.index);
@@ -627,33 +586,12 @@ fn shape(
             if li.table != ri.table {
                 return Err(ExecError::BadPlan("covering rid join across different tables".into()));
             }
-            let lentries =
-                ops::index_scan::collect_entries(li, &left.range, ctx.session);
-            if let SwitchDirective::Bail(alt) = observe(
-                ctx,
-                controller,
-                CheckpointKind::IntersectFeed { right: false },
-                lentries.len() as u64,
-            ) {
-                return Ok(Outcome::Bail(alt));
-            }
-            let rentries =
-                ops::index_scan::collect_entries(ri, &right.range, ctx.session);
-            let mut algo_eff = *algo;
-            match observe(
-                ctx,
-                controller,
-                CheckpointKind::IntersectFeed { right: true },
-                rentries.len() as u64,
-            ) {
-                SwitchDirective::SwitchIntersect(a) => algo_eff = a,
-                SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
-                _ => {}
-            }
+            let lentries = ops::index_scan::collect_entries(li, &left.range, ctx.session);
+            let rentries = ops::index_scan::collect_entries(ri, &right.range, ctx.session);
             let proj = out_cols(project, li.tree.key_arity() + ri.tree.key_arity());
             let mut emitter = BatchEmitter::new(proj.len());
             let span = ctx.db.table(li.table).heap.span();
-            ops::rid_join::covering_join(lentries, rentries, algo_eff, span, ctx, &mut |row| {
+            ops::rid_join::covering_join(lentries, rentries, *algo, span, ctx, &mut |row| {
                 emitter.push_projected_slice(row.values(), &proj, sink);
             });
             emitter.flush(sink);
@@ -665,32 +603,10 @@ fn shape(
             check_cols("join right key", [*right_key], rarity)?;
             check_width("join", larity + rarity)?;
             check_projection(project, larity + rarity)?;
-            // The left input always materialises first; which checkpoint
-            // it is depends on the planned build side.
-            let build_left = match algo {
-                JoinAlgo::SortMerge => true,
-                JoinAlgo::Hash { build_left } => *build_left,
-            };
-            let (first, second) = if build_left {
-                (CheckpointKind::JoinBuild, CheckpointKind::JoinProbe)
-            } else {
-                (CheckpointKind::JoinProbe, CheckpointKind::JoinBuild)
-            };
             let lrows = materialise(left, ctx, controller, depth + 1)?;
-            if let SwitchDirective::Bail(alt) =
-                observe(ctx, controller, first, lrows.len() as u64)
-            {
-                return Ok(Outcome::Bail(alt));
-            }
             let rrows = materialise(right, ctx, controller, depth + 1)?;
-            let mut algo_eff = *algo;
-            match observe(ctx, controller, second, rrows.len() as u64) {
-                SwitchDirective::SwitchJoin(a) => algo_eff = a,
-                SwitchDirective::Bail(alt) => return Ok(Outcome::Bail(alt)),
-                _ => {}
-            }
             let cols = out_cols(project, larity + rarity);
-            emit_rows(&cols, output, sink, |out| match algo_eff {
+            emit_rows(&cols, output, sink, |out| match *algo {
                 JoinAlgo::SortMerge => ops::join::sort_merge_join(
                     lrows,
                     rrows,
@@ -732,12 +648,7 @@ fn shape(
             let mut sorter =
                 ops::sort::ExternalSorter::new(ctx, key_cols.clone(), *mode, *memory_bytes);
             let push = &mut |b: &RowBatch| sorter.push(b);
-            let fed = node(input, ctx, controller, depth + 1, Output::Read, push)?;
-            // Observe-only: once the sorter holds the input there is nothing
-            // downstream to re-plan, so directives are not acted upon.
-            if let Some(ctrl) = controller {
-                let _ = ctrl.decide(&Observation { kind: CheckpointKind::SortInput, rows: fed });
-            }
+            node(input, ctx, controller, depth + 1, Output::Read, push)?;
             let cols = out_cols(&Projection::All, arity);
             emit_rows(&cols, output, sink, |out| Ok(sorter.finish(out)))?
         }
@@ -758,11 +669,7 @@ fn shape(
                 *memory_bytes,
             );
             let push = &mut |b: &RowBatch| agg.push(b);
-            let fed = node(input, ctx, controller, depth + 1, Output::Read, push)?;
-            // Observe-only, as for Sort.
-            if let Some(ctrl) = controller {
-                let _ = ctrl.decide(&Observation { kind: CheckpointKind::AggInput, rows: fed });
-            }
+            node(input, ctx, controller, depth + 1, Output::Read, push)?;
             let cols = out_cols(&Projection::All, group_cols.len() + aggs.len());
             emit_rows(&cols, output, sink, |out| Ok(agg.finish(out)))?
         }

@@ -35,11 +35,10 @@
 //! same charges.
 //!
 //! With a controller, the cardinality checkpoints of [`ops::adaptive`] are
-//! armed: at every materialization point the exact observed row count is
-//! reported to a [`ops::adaptive::SwitchController`], which may swap the
-//! remaining operator choice or bail to a replacement plan mid-flight.  A
-//! controller that never switches is bit-identical to running without one
-//! (`tests/adaptive_equivalence.rs`).
+//! armed: at each one the exact observed row count is reported to a
+//! [`ops::adaptive::SwitchController`], which may bail to a replacement
+//! plan mid-flight.  A controller that never bails is bit-identical to
+//! running without one (`tests/adaptive_equivalence.rs`).
 
 pub mod batch;
 pub mod exec;
@@ -50,9 +49,7 @@ pub mod plan;
 pub use batch::{BatchEmitter, RowBatch};
 pub use exec::{run, run_collect, run_count, ExecCtx, ExecError, ExecStats, OpStats};
 pub use expr::{ColRange, Predicate};
-pub use ops::adaptive::{
-    NeverSwitch, Observation, SwitchController, SwitchDirective, SwitchEvent,
-};
+pub use ops::adaptive::{Observation, SwitchController, SwitchEvent};
 pub use plan::{
     AggFn, CheckpointKind, FetchKind, ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, JoinAlgo,
     KeyRange, PlanSpec, Projection, SpillMode,

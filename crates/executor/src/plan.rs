@@ -314,36 +314,19 @@ pub enum PlanSpec {
 }
 
 /// A materialization point inside one operator where the adaptive executor
-/// ([`crate::ops::adaptive`]) can observe an exact cardinality before the
-/// downstream work that depends on it has been paid for.
-///
-/// The kinds name the points in plan order: a checkpoint fires the moment
-/// the feeding collection is complete, i.e. *between* the charge that
-/// produced it and the charge that consumes it.
+/// ([`crate::ops::adaptive`]) observes an exact cardinality before the
+/// downstream work that depends on it has been paid for, and a controller
+/// may bail.  A checkpoint fires the moment the feeding collection is
+/// complete, i.e. *between* the charge that produced it and the charge
+/// that consumes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
     /// The rid list of an [`PlanSpec::IndexFetch`], fully collected and
     /// about to be fetched.
     RidFeed,
-    /// One rid feed of an [`PlanSpec::IndexIntersect`] or one entry feed
-    /// of a [`PlanSpec::CoveringRidJoin`] (`right` names the side),
-    /// collected before the intersection algorithm runs.
-    IntersectFeed {
-        /// True for the right input, false for the left.
-        right: bool,
-    },
     /// The surviving rids of an [`PlanSpec::IndexIntersect`], about to be
     /// fetched — the point where a correlated conjunction reveals itself.
     IntersectOut,
-    /// The build-side input of a [`PlanSpec::Join`], fully materialised.
-    JoinBuild,
-    /// The probe-side input of a [`PlanSpec::Join`], fully materialised.
-    JoinProbe,
-    /// The fully-consumed input of a [`PlanSpec::Sort`] (observe-only:
-    /// nothing downstream is re-plannable once the sorter holds the input).
-    SortInput,
-    /// The fully-consumed input of a [`PlanSpec::HashAgg`] (observe-only).
-    AggInput,
     /// Output-count milestones of a [`PlanSpec::Mdam`] scan: fires each
     /// time the produced count reaches a power of two, while the scan is
     /// still running.  The observation is a *floor* on the final
@@ -355,42 +338,15 @@ pub enum CheckpointKind {
 }
 
 impl PlanSpec {
-    /// The cardinality checkpoints the adaptive executor arms for this
-    /// operator (root only, not descendants), in firing order.  Empty for
-    /// shapes without an internal materialization point.
-    pub fn checkpoints(&self) -> Vec<CheckpointKind> {
+    /// The cardinality checkpoint the adaptive executor arms for this
+    /// operator (root only, not descendants); `None` for shapes without
+    /// one.
+    pub fn checkpoint(&self) -> Option<CheckpointKind> {
         match self {
-            PlanSpec::IndexFetch { .. } => vec![CheckpointKind::RidFeed],
-            PlanSpec::IndexIntersect { .. } => vec![
-                CheckpointKind::IntersectFeed { right: false },
-                CheckpointKind::IntersectFeed { right: true },
-                CheckpointKind::IntersectOut,
-            ],
-            PlanSpec::CoveringRidJoin { .. } => vec![
-                CheckpointKind::IntersectFeed { right: false },
-                CheckpointKind::IntersectFeed { right: true },
-            ],
-            PlanSpec::Join { algo, .. } => {
-                let build_left = match algo {
-                    JoinAlgo::SortMerge => true,
-                    JoinAlgo::Hash { build_left } => *build_left,
-                };
-                // Children materialise left-first; the checkpoint fires as
-                // each side completes.
-                if build_left {
-                    vec![CheckpointKind::JoinBuild, CheckpointKind::JoinProbe]
-                } else {
-                    vec![CheckpointKind::JoinProbe, CheckpointKind::JoinBuild]
-                }
-            }
-            PlanSpec::Sort { .. } => vec![CheckpointKind::SortInput],
-            PlanSpec::HashAgg { .. } => vec![CheckpointKind::AggInput],
-            // ScanOut fires repeatedly (at each power-of-two milestone);
-            // the list names the kind, not the firing count.
-            PlanSpec::Mdam { .. } => vec![CheckpointKind::ScanOut],
-            PlanSpec::TableScan { .. }
-            | PlanSpec::CoveringIndexScan { .. }
-            | PlanSpec::ParallelTableScan { .. } => Vec::new(),
+            PlanSpec::IndexFetch { .. } => Some(CheckpointKind::RidFeed),
+            PlanSpec::IndexIntersect { .. } => Some(CheckpointKind::IntersectOut),
+            PlanSpec::Mdam { .. } => Some(CheckpointKind::ScanOut),
+            _ => None,
         }
     }
 
@@ -432,7 +388,7 @@ impl PlanSpec {
     }
 }
 
-pub(crate) fn fetch_name(f: &FetchKind) -> &'static str {
+fn fetch_name(f: &FetchKind) -> &'static str {
     match f {
         FetchKind::Traditional => "traditional",
         FetchKind::Improved(_) => "improved",
@@ -440,7 +396,7 @@ pub(crate) fn fetch_name(f: &FetchKind) -> &'static str {
     }
 }
 
-pub(crate) fn algo_name(a: &IntersectAlgo) -> &'static str {
+fn algo_name(a: &IntersectAlgo) -> &'static str {
     match a {
         IntersectAlgo::MergeJoin => "merge",
         IntersectAlgo::HashJoin { build_left: true } => "hash/build-left",

@@ -9,7 +9,7 @@ use robustmap_executor::ops::sort::{sort_capacity_rows, ExternalSorter, PackedRo
 use robustmap_executor::{
     run_collect, BatchEmitter, RowBatch, AggFn, CheckpointKind, ColRange, ExecCtx, FetchKind,
     ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, KeyRange, Observation, PlanSpec, Predicate,
-    Projection, SpillMode, SwitchController, SwitchDirective,
+    Projection, SpillMode,
 };
 use robustmap_storage::{ColumnType, Database, Row, Schema, Session, TableId};
 
@@ -36,38 +36,6 @@ fn sorted_rows(rows: Vec<Row>) -> Vec<Vec<i64>> {
 
 fn rows_strategy() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
     prop::collection::vec((-50i64..50, -50i64..50, -50i64..50), 1..400)
-}
-
-/// Controller that unconditionally bails to `fallback` at one checkpoint.
-struct BailAlways {
-    at: CheckpointKind,
-    fallback: PlanSpec,
-}
-
-impl SwitchController for BailAlways {
-    fn decide(&self, obs: &Observation) -> SwitchDirective {
-        if obs.kind == self.at {
-            SwitchDirective::Bail(self.fallback.clone())
-        } else {
-            SwitchDirective::Continue
-        }
-    }
-}
-
-/// Controller that swaps the fetch discipline at one checkpoint.
-struct SwitchFetchAt {
-    at: CheckpointKind,
-    fetch: FetchKind,
-}
-
-impl SwitchController for SwitchFetchAt {
-    fn decide(&self, obs: &Observation) -> SwitchDirective {
-        if obs.kind == self.at {
-            SwitchDirective::SwitchFetch(self.fetch)
-        } else {
-            SwitchDirective::Continue
-        }
-    }
 }
 
 proptest! {
@@ -333,7 +301,7 @@ proptest! {
                 let ctx = ExecCtx::new(&db, &s, 1 << 20);
                 sorted_rows(run_collect(&fallback, &ctx, None).unwrap().1)
             };
-            let ctrl = BailAlways { at, fallback: fallback.clone() };
+            let ctrl = |obs: &Observation| (obs.kind == at).then(|| fallback.clone());
             let s = Session::with_pool_pages(64);
             let ctx = ExecCtx::new(&db, &s, 1 << 20);
             let (stats, got) = run_collect(plan, &ctx, Some(&ctrl)).unwrap();
@@ -377,7 +345,8 @@ proptest! {
             sorted_rows(run_collect(&fallback, &ctx, None).unwrap().1)
         };
         let want_switches = usize::from(!pure_chosen.is_empty());
-        let ctrl = BailAlways { at: CheckpointKind::ScanOut, fallback: fallback.clone() };
+        let ctrl =
+            |obs: &Observation| (obs.kind == CheckpointKind::ScanOut).then(|| fallback.clone());
         let s = Session::with_pool_pages(64);
         let ctx = ExecCtx::new(&db, &s, 1 << 20);
         let (stats, got) = run_collect(&chosen, &ctx, Some(&ctrl)).unwrap();
@@ -385,44 +354,6 @@ proptest! {
         let got = sorted_rows(got);
         prop_assert_eq!(&got, &pure_chosen, "vs pure MDAM");
         prop_assert_eq!(&got, &pure_fallback, "vs pure fallback");
-    }
-
-    /// A triggered operator-swap (fetch discipline) likewise: the rows
-    /// after switching the fetch kind mid-flight equal the pure plan's
-    /// under either discipline.
-    #[test]
-    fn triggered_fetch_switch_matches_both_pure_plans(
-        rows in rows_strategy(),
-        ta in -60i64..60,
-        tb in -60i64..60,
-    ) {
-        let (mut db, t) = db_from(&rows);
-        let idx_a = db.create_index("ia", t, &[0]).unwrap();
-        let mk = |fetch| PlanSpec::IndexFetch {
-            scan: IndexRangeSpec { index: idx_a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
-            key_filter: Predicate::always_true(),
-            fetch,
-            residual: Predicate::single(ColRange::at_most(1, tb)),
-            project: Projection::Columns(vec![2, 0]),
-        };
-        let traditional = mk(FetchKind::Traditional);
-        let bitmap = mk(FetchKind::BitmapSorted);
-        let pure: Vec<Vec<Vec<i64>>> = [&traditional, &bitmap]
-            .iter()
-            .map(|p| {
-                let s = Session::with_pool_pages(64);
-                let ctx = ExecCtx::new(&db, &s, 1 << 20);
-                sorted_rows(run_collect(p, &ctx, None).unwrap().1)
-            })
-            .collect();
-        let ctrl = SwitchFetchAt { at: CheckpointKind::RidFeed, fetch: FetchKind::BitmapSorted };
-        let s = Session::with_pool_pages(64);
-        let ctx = ExecCtx::new(&db, &s, 1 << 20);
-        let (stats, got) = run_collect(&traditional, &ctx, Some(&ctrl)).unwrap();
-        prop_assert_eq!(stats.switches.len(), 1);
-        let got = sorted_rows(got);
-        prop_assert_eq!(&got, &pure[0], "vs pure traditional");
-        prop_assert_eq!(&got, &pure[1], "vs pure bitmap-sorted");
     }
 
     /// Projections commute: projecting in the plan equals projecting the

@@ -82,7 +82,8 @@ impl LogHistogram {
         for (b, n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= target {
-                return if b == 0 { 0 } else { (1u64 << b).saturating_sub(1) };
+                // Bucket b holds [2^(b-1), 2^b - 1]; bucket 64 ends at u64::MAX.
+                return if b == 0 { 0 } else { u64::MAX >> (64 - b) };
             }
         }
         self.max
@@ -206,6 +207,13 @@ mod tests {
         assert!(h.quantile_upper_bound(0.5) >= 50);
         assert!(h.quantile_upper_bound(1.0) >= 100);
         assert_eq!(LogHistogram::default().quantile_upper_bound(0.5), 0);
+    }
+
+    #[test]
+    fn the_top_bucket_ends_at_u64_max() {
+        let mut h = LogHistogram::default();
+        h.observe(u64::MAX);
+        assert_eq!(h.quantile_upper_bound(1.0), u64::MAX);
     }
 
     #[test]

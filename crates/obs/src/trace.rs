@@ -80,8 +80,8 @@ pub enum TraceEventKind {
     OpEnd { depth: u32, rows: u64 },
     /// An adaptive checkpoint observed `rows` at checkpoint `kind`.
     Checkpoint { kind: &'static str, rows: u64 },
-    /// An adaptive controller decided to bail/switch at checkpoint
-    /// `at` after observing `observed` rows; `action` describes it.
+    /// An adaptive controller bailed at checkpoint `at` after observing
+    /// `observed` rows; `action` is `bail -> {synopsis}`.
     Switch { at: &'static str, observed: u64, action: String },
     /// One page read (only at [`TraceDetail::Full`]).
     PageRead { hit: bool },

@@ -2,9 +2,8 @@
 //! execution.
 //!
 //! The executor's adaptive layer ([`robustmap_executor::ops::adaptive`])
-//! reports exact cardinalities at materialization points and obeys
-//! whatever a `SwitchController` answers.  This module supplies the
-//! answers:
+//! reports exact cardinalities at checkpoints and bails whenever a
+//! `SwitchController` names a plan.  This module supplies the answers:
 //!
 //! * [`SwitchPolicy`] — the *trip* predicate.  The compile-time
 //!   [`Choice`] came with a credible region around its cardinality
@@ -28,9 +27,7 @@
 //! switching entirely — zero penalty means the caller does not price
 //! worst-case outcomes, so hedging mid-flight cannot pay either.
 
-use robustmap_executor::{
-    CheckpointKind, FetchKind, Observation, PlanSpec, SwitchController, SwitchDirective,
-};
+use robustmap_executor::{CheckpointKind, FetchKind, Observation, PlanSpec, SwitchController};
 use robustmap_storage::CostModel;
 use robustmap_workload::{COL_A, COL_B};
 
@@ -156,39 +153,36 @@ impl<'a> BailController<'a> {
 }
 
 impl SwitchController for BailController<'_> {
-    fn decide(&self, obs: &Observation) -> SwitchDirective {
+    fn decide(&self, obs: &Observation) -> Option<PlanSpec> {
         if obs.kind != self.at || !self.policy.should_switch(obs.rows) {
-            return SwitchDirective::Continue;
+            return None;
         }
         let (remaining, alternative) = (self.recost)(obs.rows);
-        if self.policy.switch_pays(remaining, alternative) {
-            SwitchDirective::Bail(self.fallback.clone())
-        } else {
-            SwitchDirective::Continue
-        }
+        self.policy.switch_pays(remaining, alternative).then(|| self.fallback.clone())
     }
 }
 
-/// Build the bail-out controller for a chosen two-predicate plan:
+/// Build the bail-out controller for a chosen two-predicate plan, armed at
+/// the plan's [`PlanSpec::checkpoint`]:
 ///
-/// * an `IndexFetch` plan arms its [`CheckpointKind::RidFeed`] — the rid
+/// * an `IndexFetch` plan's [`CheckpointKind::RidFeed`] — the rid
 ///   count reveals the true cardinality of everything applied *before*
 ///   the fetch: the leading column's marginal for a bare single-column
 ///   range, or the full *conjunction* when a `key_filter` prunes the
 ///   composite-index scan (System B's plans) — the latter is exactly the
 ///   number the independence assumption gets wrong on correlated columns;
-/// * an `IndexIntersect` plan arms its [`CheckpointKind::IntersectOut`] —
-///   the surviving-rid count likewise reveals the true conjunction
+/// * an `IndexIntersect` plan's [`CheckpointKind::IntersectOut`] — the
+///   surviving-rid count likewise reveals the true conjunction
 ///   cardinality;
-/// * an `Mdam` plan arms its [`CheckpointKind::ScanOut`] milestones — the
+/// * an `Mdam` plan's [`CheckpointKind::ScanOut`] milestones — the
 ///   produced count is only a *floor* on the conjunction, but a floor
 ///   above the credible band already falsifies the estimate, and the
 ///   controller then re-plans at the Fréchet upper bound
 ///   `min(sel_a, sel_b)` (the robust end of what stays consistent with
 ///   the exact marginals) rather than at a point the observation just
 ///   discredited;
-/// * plans without an observable point before their work is done (table
-///   scan, plain covering scans) return `None`.
+/// * plans without a checkpoint (table scans, covering scans and rid
+///   joins) return `None`.
 ///
 /// The re-costing substitutes the observed cardinality into the same
 /// [`estimate_cost`]/[`estimate_fetch`] formulas the compile-time choice
@@ -230,8 +224,9 @@ pub fn two_pred_bail_controller<'a>(
         /// credible band, early in the corrected total.
         Rescan(PlanSpec),
     }
+    let at = chosen.checkpoint()?;
     let rows = stats.rows;
-    let (at, expected, tail, reveals) = match chosen {
+    let (expected, tail, reveals) = match chosen {
         PlanSpec::IndexFetch { scan, key_filter, fetch, .. } => {
             if key_filter.terms().is_empty() {
                 let (sel, rev) = match stats.leading_column(scan.index) {
@@ -239,30 +234,19 @@ pub fn two_pred_bail_controller<'a>(
                     Some(c) if c == COL_B => (est.sel_b, Reveals::LeadingB),
                     _ => (1.0, Reveals::LeadingA),
                 };
-                (CheckpointKind::RidFeed, sel * rows, Tail::Fetch(*fetch), rev)
+                (sel * rows, Tail::Fetch(*fetch), rev)
             } else {
                 // The key filter runs before the fetch, so the rid feed
                 // counts the conjunction's survivors.
-                (
-                    CheckpointKind::RidFeed,
-                    est.sel_ab * rows,
-                    Tail::Fetch(*fetch),
-                    Reveals::Conjunction,
-                )
+                (est.sel_ab * rows, Tail::Fetch(*fetch), Reveals::Conjunction)
             }
         }
-        PlanSpec::IndexIntersect { fetch, .. } => (
-            CheckpointKind::IntersectOut,
-            est.sel_ab * rows,
-            Tail::Fetch(*fetch),
-            Reveals::Conjunction,
-        ),
-        PlanSpec::Mdam { .. } => (
-            CheckpointKind::ScanOut,
-            est.sel_ab * rows,
-            Tail::Rescan(chosen.clone()),
-            Reveals::ConjunctionFloor,
-        ),
+        PlanSpec::IndexIntersect { fetch, .. } => {
+            (est.sel_ab * rows, Tail::Fetch(*fetch), Reveals::Conjunction)
+        }
+        PlanSpec::Mdam { .. } => {
+            (est.sel_ab * rows, Tail::Rescan(chosen.clone()), Reveals::ConjunctionFloor)
+        }
         _ => return None,
     };
     let policy = SwitchPolicy::from_choice(choice, expected, band_factor, cfg);
@@ -422,30 +406,43 @@ mod tests {
         assert_eq!(ctrl.at, CheckpointKind::ScanOut);
         let expected = est.sel_ab * stats.rows; // 128 rows
         let below = (expected * 1.5 + CARDINALITY_NOISE_ROWS) as u64;
-        assert!(matches!(
-            ctrl.decide(&Observation { kind: CheckpointKind::ScanOut, rows: below }),
-            SwitchDirective::Continue
-        ));
+        assert!(ctrl.decide(&Observation { kind: CheckpointKind::ScanOut, rows: below }).is_none());
         // The fully-correlated output floor, min(sel_a, sel_b) * rows = 256,
         // clears the band; the re-costed comparison says the switch pays.
         let tripped = (sel_a.min(sel_b) * stats.rows) as u64;
-        assert!(matches!(
-            ctrl.decide(&Observation { kind: CheckpointKind::ScanOut, rows: tripped }),
-            SwitchDirective::Bail(_)
-        ));
-        // Covering scans stay unobservable.
-        let scan_spec = scan_b.build(ta, tb);
-        assert!(two_pred_bail_controller(
-            &scan_spec,
-            &choice_with_margin(1e-6),
-            spec,
-            &stats,
-            est,
-            &model,
-            RobustConfig::default(),
-            DEFAULT_BAND_FACTOR,
-        )
-        .is_none());
+        assert!(ctrl.decide(&Observation { kind: CheckpointKind::ScanOut, rows: tripped }).is_some());
+    }
+
+    /// The controller arms exactly the checkpoint the executor declares
+    /// for the plan's shape, and is `None` for every shape that has none.
+    #[test]
+    fn every_catalog_plan_arms_its_declared_checkpoint() {
+        use robustmap_workload::{TableBuilder, WorkloadConfig};
+
+        let w = TableBuilder::build(WorkloadConfig::with_rows(1 << 12));
+        let stats = CatalogStats::of(&w);
+        let model = CostModel::default();
+        let (ta, tb) = (w.cal_a.threshold(0.25), w.cal_b.threshold(0.25));
+        let est = SelEstimates { sel_a: 0.25, sel_b: 0.25, sel_ab: 0.0625 };
+        let plans: Vec<_> = crate::SystemId::all()
+            .into_iter()
+            .flat_map(|s| crate::two_predicate_plans(s, &w))
+            .collect();
+        assert_eq!(plans.len(), 15);
+        for plan in &plans {
+            let spec = plan.build(ta, tb);
+            let ctrl = two_pred_bail_controller(
+                &spec,
+                &choice_with_margin(1.0),
+                spec.clone(),
+                &stats,
+                est,
+                &model,
+                RobustConfig::default(),
+                DEFAULT_BAND_FACTOR,
+            );
+            assert_eq!(ctrl.map(|c| c.at), spec.checkpoint(), "{}", plan.name);
+        }
     }
 
     #[test]
@@ -466,10 +463,10 @@ mod tests {
             (o as f64, o as f64 / 10.0)
         });
         let at_armed = Observation { kind: CheckpointKind::IntersectOut, rows: 1_000 };
-        assert!(matches!(ctrl.decide(&at_armed), SwitchDirective::Bail(_)));
+        assert!(ctrl.decide(&at_armed).is_some());
         let below_band = Observation { kind: CheckpointKind::IntersectOut, rows: 15 };
-        assert!(matches!(ctrl.decide(&below_band), SwitchDirective::Continue));
+        assert!(ctrl.decide(&below_band).is_none());
         let elsewhere = Observation { kind: CheckpointKind::RidFeed, rows: 1_000 };
-        assert!(matches!(ctrl.decide(&elsewhere), SwitchDirective::Continue));
+        assert!(ctrl.decide(&elsewhere).is_none());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A `controller` passed to `run` arms cardinality checkpoints inside the
 //! one interpreter.  Observation must be free: when the controller never
-//! switches — whether because it is [`NeverSwitch`] or because it is a
-//! real, armed [`BailController`] whose thresholds never trip — the run
+//! bails — whether because it is a closure answering `None` or because it
+//! is a real, armed [`BailController`] whose thresholds never trip — the run
 //! must be **identical** to a static one (`None`): same clock ticks, same
 //! `IoStats`, same spill flag, same per-operator breakdown, and the same
 //! output rows in the same order, under every condition of the
@@ -12,9 +12,8 @@
 
 use robustmap::core::MeasureConfig;
 use robustmap::executor::{
-    AggFn, CheckpointKind, ColRange, ExecStats, FetchKind, IndexRangeSpec, IntersectAlgo, JoinAlgo,
-    KeyRange, NeverSwitch, Observation, PlanSpec, Predicate, Projection, SpillMode,
-    SwitchController, SwitchDirective,
+    AggFn, CheckpointKind, ColRange, ExecStats, FetchKind, IndexRangeSpec, IntersectAlgo, KeyRange,
+    Observation, PlanSpec, Predicate, Projection, SpillMode, SwitchController,
 };
 use robustmap::storage::CostModel;
 use robustmap::systems::choice::Exact;
@@ -35,7 +34,7 @@ fn full_catalog(w: &Workload) -> Vec<TwoPredPlan> {
     SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, w)).collect()
 }
 
-/// Run under `ctrl` on a fresh session; asserts nothing switched.
+/// Run under `ctrl` on a fresh session; asserts nothing bailed.
 fn run_adaptive(
     w: &Workload,
     spec: &PlanSpec,
@@ -44,7 +43,7 @@ fn run_adaptive(
     label: &str,
 ) -> ExecStats {
     let stats = run_under(w, spec, cfg, Some(ctrl));
-    assert!(stats.switches.is_empty(), "{label}: no-switch run recorded a switch");
+    assert!(stats.switches.is_empty(), "{label}: no-bail run recorded a bail");
     stats
 }
 
@@ -65,7 +64,7 @@ fn assert_adaptive_equivalent(
 }
 
 /// Every plan in the catalog — A1–A7, B1–B4, C1–C4 — over a selectivity
-/// grid, with switching disabled: a controller that never switches is
+/// grid, with switching disabled: a controller that never bails is
 /// indistinguishable from no controller.
 #[test]
 fn all_fifteen_catalog_plans_are_bit_identical_with_switching_disabled() {
@@ -79,16 +78,17 @@ fn all_fifteen_catalog_plans_are_bit_identical_with_switching_disabled() {
             for &sb in &sels {
                 let spec = plan.build(w.cal_a.threshold(sa), w.cal_b.threshold(sb));
                 let label = format!("{} @ ({sa}, {sb})", plan.name);
-                assert_adaptive_equivalent(&w, &spec, &cfg, &NeverSwitch, &label);
+                assert_adaptive_equivalent(&w, &spec, &cfg, &|_: &Observation| None, &label);
             }
         }
     }
 }
 
-/// Not just `NeverSwitch`: a *real*, armed [`BailController`] whose
-/// thresholds never trip must also be bit-identical — both the degenerate
-/// never-trips policy and a live policy built from an actual compile-time
-/// choice over accurate estimates (whose credible band therefore holds).
+/// Not just a closure answering `None`: a *real*, armed [`BailController`]
+/// whose thresholds never trip must also be bit-identical — both the
+/// degenerate never-trips policy and a live policy built from an actual
+/// compile-time choice over accurate estimates (whose credible band
+/// therefore holds).
 #[test]
 fn armed_but_never_tripping_controllers_are_bit_identical() {
     let w = workload();
@@ -128,7 +128,7 @@ fn armed_but_never_tripping_controllers_are_bit_identical() {
             let label = format!("{} [never-trips policy]", plan.name);
             assert_adaptive_equivalent(&w, &spec, &cfg, &never, &label);
         } else {
-            assert_adaptive_equivalent(&w, &spec, &cfg, &NeverSwitch, &plan.name);
+            assert_adaptive_equivalent(&w, &spec, &cfg, &|_: &Observation| None, &plan.name);
         }
     }
 }
@@ -143,7 +143,7 @@ fn composite_operators_are_bit_identical_with_switching_disabled() {
     let w = workload();
     let cfg = MeasureConfig::default();
     for (label, spec) in &composite_specs(&w) {
-        assert_adaptive_equivalent(&w, spec, &cfg, &NeverSwitch, label);
+        assert_adaptive_equivalent(&w, spec, &cfg, &|_: &Observation| None, label);
     }
 }
 
@@ -187,25 +187,9 @@ fn collected_rows_match_static_executor_exactly() {
     for (i, spec) in specs.iter().enumerate() {
         for (how, cfg) in variants(&cfg) {
             let (stats, rows) = collect_under(&w, spec, &cfg, None);
-            let (astats, arows) = collect_under(&w, spec, &cfg, Some(&NeverSwitch));
+            let (astats, arows) = collect_under(&w, spec, &cfg, Some(&|_: &Observation| None));
             assert_bit_identical(&stats, &astats, &format!("collect #{i} [{how}]"));
             assert_eq!(rows, arows, "collect #{i} [{how}]: rows/order");
-        }
-    }
-}
-
-/// Bails to `fallback` at the first checkpoint of kind `at`.
-struct BailAt {
-    at: CheckpointKind,
-    fallback: PlanSpec,
-}
-
-impl SwitchController for BailAt {
-    fn decide(&self, obs: &Observation) -> SwitchDirective {
-        if obs.kind == self.at {
-            SwitchDirective::Bail(self.fallback.clone())
-        } else {
-            SwitchDirective::Continue
         }
     }
 }
@@ -253,22 +237,21 @@ fn a_root_bail_charges_the_same_counted_or_read() {
         residual: Predicate::single(ColRange::at_most(1, tb)),
         project: Projection::All,
     };
-    let join = PlanSpec::Join {
-        left: Box::new(scan(Projection::Columns(vec![0, 2]))),
-        right: Box::new(mdam.clone()),
-        left_key: 0,
-        right_key: 0,
-        algo: JoinAlgo::Hash { build_left: true },
-        memory_bytes: 1 << 20,
+    let intersect = PlanSpec::IndexIntersect {
+        left: IndexRangeSpec { index: w.indexes.a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
+        right: IndexRangeSpec { index: w.indexes.b, range: KeyRange::on_leading(i64::MIN, tb, 1) },
+        algo: IntersectAlgo::HashJoin { build_left: true },
+        fetch: FetchKind::BitmapSorted,
+        residual: Predicate::always_true(),
         project: Projection::All,
     };
     let cases = [
         ("fetch -> sort", fetch.clone(), CheckpointKind::RidFeed, sort),
-        ("join -> hashagg", join, CheckpointKind::JoinBuild, agg),
+        ("intersect -> hashagg", intersect, CheckpointKind::IntersectOut, agg),
         ("mdam -> fetch", mdam, CheckpointKind::ScanOut, fetch),
     ];
     for (name, plan, at, fallback) in cases {
-        let ctrl = BailAt { at, fallback };
+        let ctrl = |obs: &Observation| (obs.kind == at).then(|| fallback.clone());
         for (how, cfg) in &variants(&base) {
             let label = format!("{name} [{how}]");
             let counted = run_under(&w, &plan, cfg, Some(&ctrl));

@@ -304,6 +304,30 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        gate: "bail-only",
+        scope: &["crates", "src", "tests", "examples"],
+        skip: &["tests/source_gates.rs"],
+        hit: |l| {
+            let gone = [
+                "SwitchDirective",
+                "SwitchFetch",
+                "SwitchIntersect",
+                "SwitchJoin",
+                "NeverSwitch",
+                "IntersectFeed",
+                "JoinBuild",
+                "JoinProbe",
+                "SortInput",
+                "AggInput",
+            ];
+            idents(l).any(|t| gone.contains(&t))
+        },
+        why: "a controller answers more than bail-or-continue again, or a checkpoint no \
+              controller arms is back — decide returns Option<PlanSpec>, None is the one off \
+              switch, and CheckpointKind is what two_pred_bail_controller arms",
+        ..RULE
+    },
+    Rule {
         gate: "counted-runs",
         scope: &["crates/core/src", "crates/bench/src", "crates/systems/src"],
         hit: |l| l.contains("exec::run(") || idents(l).any(|t| t == "run_collect"),
