@@ -114,8 +114,9 @@ impl Harness {
         })
     }
 
-    /// A fast harness for tests and Criterion benches: 2^14 rows, 2^-8
-    /// grids, artifacts under `target/figures-test`.
+    /// A fast harness for tests: 2^14 rows, 2^-8 grids, artifacts under
+    /// `target/figures-test`.  The MANIFEST pins every artifact of `all`
+    /// at this scale.
     pub fn tiny() -> Self {
         Self::new(HarnessConfig {
             rows: 1 << 14,

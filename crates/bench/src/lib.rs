@@ -12,9 +12,10 @@
 //! cargo run --release -p robustmap-bench --bin figures -- all
 //! ```
 //!
-//! or a single figure with `-- fig7`, etc.  Criterion benchmarks under
-//! `benches/` exercise the same code paths at reduced scale so `cargo
-//! bench` regenerates every figure and times the substrate.
+//! or a single figure with `-- fig7`, etc.  The crate times nothing: the
+//! figures read the simulated clock, `tests/gate.rs` pins every artifact
+//! at [`Harness::tiny`] scale, and the real clock is measured only by the
+//! repository's `benchmark/` package.
 //!
 //! The paper's figures live in [`paper`]; the extension experiments — the
 //! opportunities the paper names but does not pursue (§3.3) and the future

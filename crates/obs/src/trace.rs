@@ -301,7 +301,7 @@ fn account(metrics: &mut MetricsRegistry, kind: &TraceEventKind) {
         TraceEventKind::QueryDone { .. } => metrics.incr("sched.completions", 1),
         TraceEventKind::MutationBatch { rows, .. } => {
             metrics.incr("churn.batches", 1);
-            metrics.incr("churn_rows_applied", *rows);
+            metrics.incr("churn.rows_applied", *rows);
         }
     }
 }
@@ -479,14 +479,14 @@ pub fn write_artifacts(sink: &TraceSink, path: &Path) -> std::io::Result<Vec<Pat
     let stem = stem.to_string_lossy();
     let ops_path = PathBuf::from(format!("{stem}_ops.csv"));
     let metrics_path = PathBuf::from(format!("{stem}_metrics.txt"));
-    let mut dump = sink.metrics().dump();
+    let mut metrics = sink.metrics();
     let dropped = sink.dropped();
     if dropped > 0 {
-        dump.push_str(&format!("counter trace.dropped {dropped}\n"));
+        metrics.incr("trace.dropped", dropped);
     }
     std::fs::write(path, crate::chrome::to_chrome_json(&events, &labels))?;
     std::fs::write(&ops_path, op_profile_csv(&events, &labels))?;
-    std::fs::write(&metrics_path, dump)?;
+    std::fs::write(&metrics_path, metrics.dump())?;
     Ok(vec![path.to_path_buf(), ops_path, metrics_path])
 }
 
@@ -528,6 +528,53 @@ mod tests {
         assert_eq!(sink.event_count(), 2);
         assert_eq!(sink.dropped(), 3);
         assert_eq!(sink.metrics().counter("io.page_writes"), 5);
+    }
+
+    #[test]
+    fn every_metric_is_named_layer_dot_name() {
+        use TraceEventKind::*;
+        let mut metrics = MetricsRegistry::new();
+        for kind in [
+            OpBegin { name: "scan".into(), depth: 0 },
+            OpEnd { depth: 0, rows: 1 },
+            Checkpoint { kind: "rid_feed", rows: 1 },
+            Switch { at: "rid_feed", observed: 1, action: "bail -> scan".into() },
+            PageRead { hit: true },
+            PageWrite,
+            IoWindow { reads: 1, hits: 1, writes: 1 },
+            SpillAlloc { file: 1 },
+            GrantSet { bytes: 1 },
+            SessionReset,
+            Queued,
+            Admit { grant: 1 },
+            SliceBegin,
+            SliceEnd,
+            IdleReset,
+            QueryDone { rows: 1 },
+            MutationBatch { rows: 3, inserted: 1, deleted: 1, updated: 1 },
+        ] {
+            account(&mut metrics, &kind);
+        }
+        let word = |w: &str| !w.is_empty() && w.bytes().all(|b| matches!(b, b'a'..=b'z' | b'_'));
+        for name in metrics.dump().lines().filter_map(|l| l.split(' ').nth(1)) {
+            let dotted = name.contains('.') && name.split('.').all(word);
+            assert!(dotted, "`{name}` is no <layer>.<name>");
+        }
+    }
+
+    #[test]
+    fn a_capped_sink_writes_a_sorted_dump() {
+        let sink = TraceSink::memory_with_cap(TraceDetail::Full, 2);
+        for _ in 0..3 {
+            sink.emit(0, 0, TraceEventKind::IoWindow { reads: 2, hits: 1, writes: 0 });
+        }
+        let path = Path::new("target/obs-test/capped.json");
+        let written = write_artifacts(&sink, path).expect("artifacts written");
+        let dump = std::fs::read_to_string(&written[2]).expect("metrics dump");
+        let counters: Vec<&str> = dump.lines().take_while(|l| l.starts_with("counter ")).collect();
+        assert!(counters.contains(&"counter trace.dropped 1"), "{dump}");
+        assert!(counters.windows(2).all(|w| w[0] < w[1]), "counters sorted by name:\n{dump}");
+        assert!(dump.lines().skip(counters.len()).all(|l| l.starts_with("hist ")), "{dump}");
     }
 
     #[test]

@@ -36,8 +36,8 @@ use crate::heap::{Rid, RidSpan};
 
 /// Lists shorter than this stay lists: the standard library sorts up to
 /// ~20 items by insertion, in tens of nanoseconds, which allocating any
-/// words at all does not beat (16 rids: sort ahead; 64: the set ahead 1.5x;
-/// `ridset/order_*` in `crates/bench/benches/substrate.rs`).
+/// words at all does not beat (16 rids: sort ahead; 64: the set ahead
+/// 1.5x).
 const MIN_RIDS: usize = 32;
 
 /// Most words a set may spend per rid it orders or is probed with.  A word

@@ -88,8 +88,8 @@ impl CostModel {
     }
 
     /// An SSD-like preset: random reads only modestly more expensive than
-    /// sequential ones.  Used by ablation benches to show how robustness
-    /// landmarks move with the storage hierarchy.
+    /// sequential ones: a what-if for how robustness landmarks move with
+    /// the storage hierarchy.
     pub fn ssd() -> Self {
         CostModel {
             random_page_read: 120e-6,

@@ -86,18 +86,6 @@ impl SwitchPolicy {
         }
     }
 
-    /// The policy that never trips (margin ∞, zero penalty, infinite
-    /// band): adaptive execution under it is bit-identical to the static
-    /// executor.
-    pub fn never() -> Self {
-        SwitchPolicy {
-            expected_rows: 0.0,
-            band_hi: f64::INFINITY,
-            margin: f64::INFINITY,
-            cfg: RobustConfig { tail_quantile: 1.0, penalty_weight: 0.0 },
-        }
-    }
-
     /// Whether `observed` rows at the checkpoint warrant reconsidering.
     /// Monotone in `observed`; always false at margin = ∞ or
     /// `penalty_weight <= 0`.
@@ -352,7 +340,6 @@ mod tests {
         for obs in [0u64, 1_000, u64::MAX] {
             assert!(!inf_margin.should_switch(obs));
             assert!(!zero_penalty.should_switch(obs));
-            assert!(!SwitchPolicy::never().should_switch(obs));
         }
         assert!(!inf_margin.switch_pays(f64::MAX, 0.0));
         assert!(!zero_penalty.switch_pays(f64::MAX, 0.0));

@@ -207,9 +207,9 @@ proptest! {
         prop_assert!(!policy.should_switch(in_band));
     }
 
-    /// The degenerate policies never switch and never pay: margin ∞, zero
-    /// penalty, and the explicit `SwitchPolicy::never()` are all inert for
-    /// any observation and any re-costed comparison.
+    /// The degenerate policies never switch and never pay: margin ∞ and
+    /// zero penalty are each inert for any observation and any re-costed
+    /// comparison.
     #[test]
     fn degenerate_switch_policies_are_inert(
         expected in 0.0f64..1e6,
@@ -228,7 +228,7 @@ proptest! {
             0.5,
             RobustConfig { tail_quantile: 0.9, penalty_weight: 0.0 },
         );
-        for policy in [infinite_margin, zero_penalty, SwitchPolicy::never()] {
+        for policy in [infinite_margin, zero_penalty] {
             prop_assert!(!policy.should_switch(observed));
             prop_assert!(!policy.switch_pays(remaining, alternative));
         }

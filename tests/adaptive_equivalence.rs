@@ -121,10 +121,9 @@ fn armed_but_never_tripping_controllers_are_bit_identical() {
         ) {
             let label = format!("{} [live policy]", plan.name);
             assert_adaptive_equivalent(&w, &spec, &cfg, &ctrl, &label);
-            // The degenerate policy: same controller, thresholds at ∞.
-            let never = BailController::new(ctrl.at, SwitchPolicy::never(), fallback.clone(), |_| {
-                (0.0, 0.0)
-            });
+            // An inert policy: same controller, margin at ∞.
+            let inert = SwitchPolicy { margin: f64::INFINITY, ..ctrl.policy };
+            let never = BailController::new(ctrl.at, inert, fallback.clone(), |_| (0.0, 0.0));
             let label = format!("{} [never-trips policy]", plan.name);
             assert_adaptive_equivalent(&w, &spec, &cfg, &never, &label);
         } else {

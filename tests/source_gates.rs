@@ -5,10 +5,10 @@
 //! directories are never read), the lines of each file it reads, and a line
 //! pattern matched by substring or by identifier.  A rule forbids every
 //! match, or wants exactly as many as it says — which is how the panic
-//! ratchet pins each crate's count of lines that may panic.  One more rule
-//! reads across files: every test or function name `docs/DESIGN.md` cites
-//! is an `fn` of the workspace.  Each failure names the rule, the file and
-//! the line.
+//! ratchet pins each crate's count of lines that may panic.  Two more rules
+//! read across files: every test or function name `docs/DESIGN.md` cites
+//! is an `fn` of the workspace, and every repository path the docs cite
+//! exists.  Each failure names the rule, the file and the line.
 
 use std::path::Path;
 
@@ -289,7 +289,6 @@ const RULES: &[Rule] = &[
         scope: &[
             "crates/*/src",
             "crates/*/tests",
-            "crates/bench/benches",
             "src",
             "tests",
             "examples",
@@ -301,6 +300,20 @@ const RULES: &[Rule] = &[
         },
         why: "a batch size is a choice again — batch::BATCH_ROWS sets every batch, blocking \
               operators take whole batches, and run takes its controller directly",
+        ..RULE
+    },
+    Rule {
+        gate: "one-perf-ledger",
+        scope: &["Cargo.toml", "crates", "src", "tests", "examples", "vendor"],
+        skip: &["tests/source_gates.rs"],
+        hit: |l| {
+            l.trim_start().starts_with("criterion")
+                || any(l, &["criterion::", "criterion_group!", "criterion_main!", ".criterion]"])
+                || any(l, &["[[bench]]", "[profile.bench]"])
+        },
+        why: "a manifest declares criterion, a [[bench]] target or a bench profile, or Rust \
+              source uses criterion — benchmark/ is the one timing harness, cargo bench is \
+              not a second one",
         ..RULE
     },
     Rule {
@@ -570,16 +583,55 @@ fn design_citations_missing(root: &Path) -> Vec<String> {
     }
     let design = std::fs::read_to_string(root.join("docs/DESIGN.md")).expect("docs/DESIGN.md");
     let mut missing = Vec::new();
-    let mut line = 1;
-    // Spans may wrap lines; the odd pieces between backticks are spans.
-    for (i, piece) in design.split('`').enumerate() {
-        if let Some(name) = cited_fn(piece).filter(|name| i % 2 == 1 && !defined.contains(*name)) {
+    for (line, span) in spans(&design) {
+        if let Some(name) = cited_fn(span).filter(|name| !defined.contains(*name)) {
             missing.push(format!(
                 "[design-cites-real-fns] docs/DESIGN.md:{line}: `{name}` is no fn of the workspace \
                  — a renamed or deleted test is cited by its old name"
             ));
         }
+    }
+    missing
+}
+
+/// The backticked spans of `text`, each with the line it starts on.
+fn spans(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let mut line = 1;
+    // Spans may wrap lines; the odd pieces between backticks are spans.
+    text.split('`').enumerate().filter_map(move |(i, piece)| {
+        let at = line;
         line += piece.matches('\n').count();
+        (i % 2 == 1).then_some((at, piece))
+    })
+}
+
+/// The top-level directories of the repository a doc's path may start with.
+const REPO_DIRS: &[&str] =
+    &["crates/", "tests/", "src/", "examples/", "scripts/", "docs/", "benchmark/", "vendor/"];
+
+/// The `docs-cite-real-paths` failures: each backticked span of
+/// `README.md` or `docs/*.md` that starts with a top-level directory but
+/// names no file or directory, by line.  A span's path is its first word,
+/// cut at its first `:` (a `:line` suffix or an `::item`); spans with `*`
+/// or `{` are patterns, not paths.
+fn doc_paths_missing(root: &Path) -> Vec<String> {
+    let mut docs = vec!["README.md".to_string()];
+    walk(root, "docs", &[], &mut docs);
+    let mut missing = Vec::new();
+    for doc in docs.iter().filter(|d| d.ends_with(".md")) {
+        let text = std::fs::read_to_string(root.join(doc)).expect("readable doc");
+        for (line, span) in spans(&text) {
+            let path = span.split_whitespace().next().unwrap_or("");
+            let path = path.split_once(':').map_or(path, |(path, _)| path);
+            let pattern = span.contains(['*', '{']);
+            let cites = !pattern && REPO_DIRS.iter().any(|dir| path.starts_with(dir));
+            if cites && !root.join(path).exists() {
+                missing.push(format!(
+                    "[docs-cite-real-paths] {doc}:{line}: `{path}` does not exist — a moved or \
+                     deleted file is cited by its old path"
+                ));
+            }
+        }
     }
     missing
 }
@@ -618,5 +670,6 @@ fn the_source_keeps_every_rule() {
         }
     }
     failures.extend(design_citations_missing(root));
+    failures.extend(doc_paths_missing(root));
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
