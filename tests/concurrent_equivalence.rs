@@ -17,7 +17,8 @@
 //!    reproduces every bit; per-query pool shares partition the pool's
 //!    counters; admission is FIFO and starvation-free; shrunk grants
 //!    force spills; and the whole schedule of thirteen bursts is pinned to
-//!    digests printed by the scheduler this suite was written against.
+//!    digests printed by the scheduler this suite was written against, as
+//!    is every yield of a spilling sort, join and aggregation.
 //! 4. **A failing query cannot strand the burst.**  A query that returns
 //!    an error or panics while holding the baton ends with a per-query
 //!    error; everyone else finishes with the work they do alone.
@@ -35,12 +36,13 @@ use robustmap::core::{
     ServeReport,
 };
 use robustmap::executor::{
-    AggFn, ColRange, ExecError, IndexRangeSpec, JoinAlgo, KeyRange, PlanSpec, Predicate,
+    AggFn, ColRange, ExecCtx, ExecError, IndexRangeSpec, JoinAlgo, KeyRange, PlanSpec, Predicate,
     Projection, SpillMode,
 };
-use robustmap::storage::{CostModel, IoStats, TableId};
+use robustmap::obs::trace::{TraceDetail, TraceSink};
+use robustmap::storage::{BufferPool, CostModel, EvictionPolicy, IoStats, Session, TableId};
 use robustmap::systems::{two_predicate_plans, AdmissionConfig, SystemId, TwoPredPlan};
-use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
+use robustmap::workload::{TableBuilder, Workload, WorkloadConfig, COL_A, COL_B, COL_C};
 
 mod common;
 use common::{assert_bit_identical, conditions, run_under, Condition};
@@ -377,9 +379,6 @@ const SCHEDULE_GOLDEN: &[(&str, u64, u64)] = &[
 
 #[test]
 fn schedule_is_pinned() {
-    use robustmap::obs::trace::{TraceDetail, TraceSink};
-    use std::sync::Arc;
-
     let w = workload();
     let plans = catalog(&w);
     let specs: Vec<PlanSpec> =
@@ -447,6 +446,162 @@ fn schedule_is_pinned() {
     }
 }
 
+/// The spilling blocking operators of the yield golden, each over the
+/// whole 2^13-row table with the grant its name gives: `(name, grant,
+/// plan)`.  The grant is the context's too, so it also sets a sort's
+/// merge fan-in.
+fn spilling_cases(w: &Workload) -> Vec<(String, usize, PlanSpec)> {
+    let scan = |col: usize, threshold: i64| PlanSpec::TableScan {
+        table: w.table,
+        pred: Predicate::single(ColRange::at_most(col, threshold)),
+        project: Projection::Columns(vec![COL_C, col]),
+    };
+    let (ta, tb) = (w.cal_a.threshold(1.0), w.cal_b.threshold(1.0));
+    let mut cases = Vec::new();
+    for mode in [SpillMode::Abrupt, SpillMode::Graceful] {
+        for grant in [160, 4 << 10, 64 << 10] {
+            let sort = PlanSpec::Sort {
+                input: Box::new(scan(COL_A, ta)),
+                key_cols: vec![1],
+                mode,
+                memory_bytes: grant,
+            };
+            cases.push((format!("sort_{mode:?}_{grant}"), grant, sort));
+        }
+    }
+    let algos = [("sort_merge", JoinAlgo::SortMerge), ("hash", JoinAlgo::Hash { build_left: true })];
+    for (name, algo) in algos {
+        for grant in [2 << 10, 32 << 10] {
+            let join = PlanSpec::Join {
+                left: Box::new(scan(COL_A, ta)),
+                right: Box::new(scan(COL_B, tb)),
+                left_key: 0,
+                right_key: 0,
+                algo,
+                memory_bytes: grant,
+                project: Projection::All,
+            };
+            cases.push((format!("{name}_join_{grant}"), grant, join));
+        }
+    }
+    let agg = PlanSpec::HashAgg {
+        input: Box::new(scan(COL_A, ta)),
+        group_cols: vec![0],
+        aggs: vec![AggFn::CountStar, AggFn::Sum(1)],
+        mode: SpillMode::Graceful,
+        memory_bytes: 8 << 10,
+    };
+    cases.push(("hash_agg_Graceful_8192".into(), 8 << 10, agg));
+    cases
+}
+
+/// One counted run of `spec` on a session of its own over a private
+/// 32-page pool, yielding every `quantum` charge events: the yields, the
+/// digest of the ticks each yield saw, the charge events and the ticks.
+fn yield_points(
+    w: &Workload,
+    spec: &PlanSpec,
+    grant: usize,
+    quantum: u64,
+    sink: Option<Arc<TraceSink>>,
+) -> [u64; 4] {
+    let s = Session::new(CostModel::default(), BufferPool::new(32, EvictionPolicy::Lru));
+    if let Some(sink) = sink {
+        s.attach_tracer(sink, "q0");
+    }
+    let (tx, seen) = mpsc::channel();
+    s.install_yield_hook(quantum, Box::new(move |ticks| tx.send(ticks).expect("receiver alive")));
+    let ctx = ExecCtx::new(&w.db, &s, grant);
+    robustmap::executor::run_count(spec, &ctx, None).expect("well-formed plan");
+    s.detach_tracer();
+    let seen: Vec<u64> = seen.try_iter().collect();
+    let mut d = Digest::new();
+    d.words(seen.iter().copied());
+    [seen.len() as u64, d.0, s.charge_events(), s.elapsed_ticks()]
+}
+
+/// The yield golden of spilling blocking operators: `(case, yields,
+/// digest of the ticks each yield saw, charge events, ticks, digest of
+/// the trace at full detail)`.  Where a served operator yields is a pure
+/// function of its charge calls; a kernel that regroups them must leave
+/// every yield at its row and every trace event — a spill file's
+/// allocation among them — at its tick.
+const YIELD_GOLDEN: &[(&str, u64, u64, u64, u64, u64)] = &[
+    ("sort_Abrupt_160_q1", 226307, 0xde9511b06def2327, 234454, 1217100160000, 0xcbf0c21e37a33b7b),
+    ("sort_Abrupt_160_q7", 33493, 0x8c001beb48faa589, 234454, 1217100160000, 0x67bd2f6e9f81298c),
+    ("sort_Abrupt_160_q51", 4597, 0xbfeb015e79313679, 234454, 1217100160000, 0x228f8dd77f51217e),
+    ("sort_Abrupt_160_q257", 912, 0xa1c435cee14a93c9, 234454, 1217100160000, 0x056d6069adbb188e),
+    ("sort_Abrupt_4096_q1", 141016, 0x8a23f2e0fbd4188a, 149163, 108266400000, 0xc0c3a16fef801328),
+    ("sort_Abrupt_4096_q7", 21309, 0xef00300f84c6be66, 149163, 108266400000, 0x8169766211fc9023),
+    ("sort_Abrupt_4096_q51", 2924, 0x68dcc4cd37c7b31c, 149163, 108266400000, 0xae6483dbc1baf51c),
+    ("sort_Abrupt_4096_q257", 580, 0x44619ecef6d47da9, 149163, 108266400000, 0x3b89abc88ff73865),
+    ("sort_Abrupt_65536_q1", 41452, 0x5c2767219b2f244e, 49599, 28264510000, 0x870ad73beeaafdeb),
+    ("sort_Abrupt_65536_q7", 7085, 0x2d9260f1822d4b06, 49599, 28264510000, 0xa87b91aa5669b4f2),
+    ("sort_Abrupt_65536_q51", 972, 0x75acb0cf100dfa2c, 49599, 28264510000, 0x6de0a4960f71cc1c),
+    ("sort_Abrupt_65536_q257", 192, 0x0def4370f28de451, 49599, 28264510000, 0x555dd469739c48bb),
+    ("sort_Graceful_160_q1", 124328, 0xf3b77d2567c39927, 132475, 97327720000, 0xc37e0ed717cd8426),
+    ("sort_Graceful_160_q7", 18925, 0xa47470a3269f2c51, 132475, 97327720000, 0xd0ecf5ec5fffe967),
+    ("sort_Graceful_160_q51", 2597, 0x8c278808d6f2047e, 132475, 97327720000, 0xbd93a12320865bd1),
+    ("sort_Graceful_160_q257", 515, 0x56cfb198347b10c8, 132475, 97327720000, 0x30971aed546e08f9),
+    ("sort_Graceful_4096_q1", 107688, 0x373950ed4d9a104d, 115835, 79123110000, 0x82d90e3fd0ea13d8),
+    ("sort_Graceful_4096_q7", 16547, 0x8e434b5415ee79a8, 115835, 79123110000, 0x9a5830f156cb5d84),
+    ("sort_Graceful_4096_q51", 2271, 0x3e2d942ce287965f, 115835, 79123110000, 0xcea48b3f57ded55d),
+    ("sort_Graceful_4096_q257", 450, 0x11ea7e5dde9dcd5b, 115835, 79123110000, 0x13b8b9b37fe72a26),
+    ("sort_Graceful_65536_q1", 24860, 0x880ecac7a2f96ee1, 33007, 13568345000, 0x8fde3f5c16e005b5),
+    ("sort_Graceful_65536_q7", 4715, 0x2762507dfd328111, 33007, 13568345000, 0x339aafaca1b191e7),
+    ("sort_Graceful_65536_q51", 647, 0x31310abf2e7793c4, 33007, 13568345000, 0x69f21e9b4c4af297),
+    ("sort_Graceful_65536_q257", 128, 0x119ad936503b7a54, 33007, 13568345000, 0x048edc81cfcefd9e),
+    ("sort_merge_join_2048_q1", 256797, 0xad2ef951bd9731f2, 273091, 191628100000, 0x8c03ed88eb836c30),
+    ("sort_merge_join_2048_q7", 39013, 0xc97750e0a93f57e1, 273091, 191628100000, 0x891cdbbbd11a3eb8),
+    ("sort_merge_join_2048_q51", 5354, 0xd9dbe8110df05074, 273091, 191628100000, 0xca07e4f905ef6cf3),
+    ("sort_merge_join_2048_q257", 1062, 0xc5397f7946f6b3ce, 273091, 191628100000, 0x279a907eacc433cd),
+    ("sort_merge_join_32768_q1", 124169, 0x2d3966d412015a38, 140463, 79592130000, 0xc99872da05660289),
+    ("sort_merge_join_32768_q7", 20066, 0x41db8d0c7703bb05, 140463, 79592130000, 0x83a0b3c19d24c1b0),
+    ("sort_merge_join_32768_q51", 2754, 0x20f4a075555aba4c, 140463, 79592130000, 0xc64cb8b4df7f95e7),
+    ("sort_merge_join_32768_q257", 546, 0x9bad24476787608e, 140463, 79592130000, 0x3b03311c5001bba3),
+    ("hash_join_2048_q1", 11535, 0x3fefd8b7231c7fdc, 27829, 108232320000, 0x816bb74c50ddc69f),
+    ("hash_join_2048_q7", 3975, 0xa5c0571c6a683721, 27829, 108232320000, 0xf9a824d2cf9465a5),
+    ("hash_join_2048_q51", 545, 0x7378cb643c9f2be5, 27829, 108232320000, 0xf48d66c6ab4d9453),
+    ("hash_join_2048_q257", 108, 0x67e03cfb428896ba, 27829, 108232320000, 0xeb2eb01177c25a34),
+    ("hash_join_32768_q1", 8655, 0x761e68e60e293217, 24949, 12136320000, 0x8143f28065754b44),
+    ("hash_join_32768_q7", 3564, 0x2138a6c1fedc24ee, 24949, 12136320000, 0xf71832c21cbbc61a),
+    ("hash_join_32768_q51", 489, 0x65de88b25491ba98, 24949, 12136320000, 0x12373f5f15572eb9),
+    ("hash_join_32768_q257", 97, 0xa8e55b57bcb6c42c, 24949, 12136320000, 0x05c01a9132dfd7c2),
+    ("hash_agg_Graceful_8192_q1", 16631, 0xc3b88eebf048dcab, 24778, 10139040000, 0x82840b44c7b3162f),
+    ("hash_agg_Graceful_8192_q7", 3539, 0xd6f189d11454812e, 24778, 10139040000, 0xcbf61a87d9dd5e49),
+    ("hash_agg_Graceful_8192_q51", 485, 0x4bd9f43e4190b71c, 24778, 10139040000, 0x3f48c425226d1814),
+    ("hash_agg_Graceful_8192_q257", 96, 0x0ce2ef87ca549391, 24778, 10139040000, 0x268c1f04977ab401),
+];
+
+#[test]
+fn spilling_operators_yield_where_pinned() {
+    let w = workload();
+    let mut actual = Vec::new();
+    for (name, grant, spec) in spilling_cases(&w) {
+        for quantum in [1u64, 7, 51, 257] {
+            let plain = yield_points(&w, &spec, grant, quantum, None);
+            let sink = Arc::new(TraceSink::memory(TraceDetail::Full));
+            let traced = yield_points(&w, &spec, grant, quantum, Some(Arc::clone(&sink)));
+            assert_eq!(plain, traced, "{name} q{quantum}: tracing moved a yield");
+            assert_eq!(sink.dropped(), 0, "{name} q{quantum}: the sink dropped events");
+            let [yields, seen, events, ticks] = plain;
+            let trace = trace_digest(&sink.events());
+            actual.push((format!("{name}_q{quantum}"), yields, seen, events, ticks, trace));
+        }
+    }
+    let golden: Vec<_> =
+        YIELD_GOLDEN.iter().map(|&(n, a, b, c, d, e)| (n.to_string(), a, b, c, d, e)).collect();
+    if actual != golden {
+        let table: String = actual
+            .iter()
+            .map(|(n, a, b, c, d, e)| {
+                format!("    ({n:?}, {a}, {b:#018x}, {c}, {d}, {e:#018x}),\n")
+            })
+            .collect();
+        panic!("a spilling operator's yields moved; this run's:\n{table}");
+    }
+}
+
 /// Tracing the level-64 thrashing burst at full detail is free and
 /// complete.  The traced report is the untraced one.  Every page request
 /// of every query — the repeats inside a collapsed rid run included — is
@@ -456,7 +611,7 @@ fn schedule_is_pinned() {
 /// charged per page: requests are work, which regrouping does not change.
 #[test]
 fn traced_level_64_burst_accounts_for_every_page_request() {
-    use robustmap::obs::trace::{validate_trace, TraceDetail, TraceSink};
+    use robustmap::obs::trace::validate_trace;
 
     let w = workload();
     let specs: Vec<PlanSpec> = catalog(&w)
