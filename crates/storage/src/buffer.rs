@@ -208,14 +208,25 @@ impl BufferPool {
         if self.last.is_some_and(|p| p.file == file) {
             self.last = None;
         }
-        let victims: Vec<PageId> =
-            self.map.keys().filter(|p| p.file == file).copied().collect();
-        for page in victims {
-            let slot = self.map.remove(&page).expect("present");
+        let first = self.free.len();
+        let free = &mut self.free;
+        self.map.retain(|page, &mut slot| {
+            let victim = page.file == file;
+            if victim {
+                free.push(slot);
+            }
+            !victim
+        });
+        // Clock reuses the last-freed slot first, so the order in which
+        // slots reach the free list is observable: slot order, never the
+        // hash map's.
+        self.free[first..].sort_unstable();
+        for at in first..self.free.len() {
+            let slot = self.free[at];
             if self.policy == EvictionPolicy::Lru {
                 self.unlink(slot);
             }
-            self.free_slot(slot);
+            self.reset_slot(slot);
         }
     }
 
@@ -237,6 +248,10 @@ impl BufferPool {
 
     fn free_slot(&mut self, slot: usize) {
         self.free.push(slot);
+        self.reset_slot(slot);
+    }
+
+    fn reset_slot(&mut self, slot: usize) {
         self.slots[slot].prev = NIL;
         self.slots[slot].next = NIL;
         self.slots[slot].referenced = false;
@@ -313,6 +328,22 @@ mod tests {
 
     fn pid(p: u32) -> PageId {
         PageId::new(FileId(0), p)
+    }
+
+    /// An invalidated file's slots reach the free list in slot order, so
+    /// which slot Clock reuses next (the last freed) does not depend on
+    /// the hasher's order.
+    #[test]
+    fn invalidation_frees_slots_in_slot_order() {
+        for policy in [EvictionPolicy::Clock, EvictionPolicy::Lru] {
+            let mut pool = BufferPool::new(64, policy);
+            for p in 0..48 {
+                pool.access(PageId::new(FileId(p % 3), p));
+            }
+            pool.invalidate_file(FileId(1));
+            let freed: Vec<usize> = (0..48).filter(|slot| slot % 3 == 1).collect();
+            assert_eq!(pool.free, freed, "{policy:?}");
+        }
     }
 
     #[test]

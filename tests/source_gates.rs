@@ -468,7 +468,7 @@ const PANIC_SITES: &[(&str, usize)] = &[
     ("crates/core/src", 14),
     ("crates/executor/src", 4),
     ("crates/obs/src", 5),
-    ("crates/storage/src", 32),
+    ("crates/storage/src", 31),
     ("crates/systems/src", 2),
     ("crates/workload/src", 10),
 ];
