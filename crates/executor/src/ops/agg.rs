@@ -13,7 +13,7 @@
 //! All aggregates here (count/sum/min/max) are combinable, so spilled
 //! partial aggregates and raw rows can be merged on the final pass.
 
-use robustmap_storage::{AccessKind, PageId, Session, PAGE_SIZE};
+use robustmap_storage::{AccessKind, CpuCharge, PageId, Session, PAGE_SIZE};
 
 use crate::batch::RowBatch;
 use crate::exec::ExecCtx;
@@ -165,6 +165,9 @@ pub struct HashAggregator<'a, 'b> {
     partition_rows: [u64; PARTITIONS],
     /// The current row's group key.
     key: Vec<i64>,
+    /// Rows pushed whose hash is not charged yet: settled before a spill
+    /// touches the session, and at the end of each push.
+    owed: u64,
     bypass: bool,
 }
 
@@ -185,6 +188,7 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
             spilled: Partials::new(aggs.len()),
             partition_rows: [0; PARTITIONS],
             key: Vec::with_capacity(group_cols.len()),
+            owed: 0,
             group_cols,
             aggs,
             bypass: false,
@@ -196,8 +200,16 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
         self.spilled.len() > 0
     }
 
+    /// Charge the per-row hashes owed, one call per row, in one
+    /// [`Session::charge_each`].
+    fn settle(&mut self) {
+        let rows = std::mem::take(&mut self.owed);
+        self.ctx.session.charge_each(rows, &[CpuCharge::Hashes(1)]);
+    }
+
     /// Account for the entry just appended to the spilled partials.
     fn charge_spill(&mut self, hash: u64) {
+        self.settle();
         self.partition_rows[hash as usize % PARTITIONS] += 1;
         if self.spilled.len().is_multiple_of(SPILL_ROWS_PER_PAGE) {
             let file = self.ctx.alloc_temp_file();
@@ -237,10 +249,12 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
     }
 
     /// Accept a batch of input rows, one by one in row order: each is
-    /// charged its hash, then whatever spill its group causes.
+    /// charged its hash, then whatever spill its group causes.  The hashes
+    /// are owed until the next charge, so a run of rows that spill nothing
+    /// is charged in one call.
     pub fn push(&mut self, batch: &RowBatch) {
         for i in 0..batch.len() {
-            self.ctx.session.charge_hashes(1);
+            self.owed += 1;
             self.key.clear();
             self.key.extend(self.group_cols.iter().map(|&c| batch.col(c)[i]));
             let hash = hash_key(&self.key);
@@ -256,6 +270,7 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
                 st.update(agg_input(agg, batch, i));
             }
         }
+        self.settle();
     }
 
     /// Finish: merge spilled partitions and emit `group ++ aggregates`
@@ -295,7 +310,7 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
         }
         // One row charge a call, as a served slice counts them.
         let Some(sink) = sink else {
-            (0..n).for_each(|_| session.charge_rows(1));
+            session.charge_each(n, &[CpuCharge::Rows(1)]);
             return n;
         };
         let mut out = Vec::with_capacity(self.group_cols.len() + width);

@@ -20,7 +20,7 @@
 //! accordingly.  Both take an `Option<RowSink>`: with `None` — the rows are
 //! only counted — no output row is built, and every charge is the same.
 
-use robustmap_storage::PAGE_SIZE;
+use robustmap_storage::{CpuCharge, PAGE_SIZE};
 
 use crate::exec::{ExecCtx, ExecError};
 use crate::ops::sort::{ExternalSorter, PackedRows};
@@ -134,9 +134,9 @@ pub fn sort_merge_join(
                     if sink.is_some() {
                         out[..la].copy_from_slice(left.rows.row(lo[i].slot as usize));
                     }
-                    for h in group {
-                        session.charge_rows(1);
-                        if let Some(sink) = sink.as_deref_mut() {
+                    if let Some(sink) = sink.as_deref_mut() {
+                        for h in group {
+                            session.charge_rows(1);
                             out[la..].copy_from_slice(right.rows.row(h.slot as usize));
                             sink(&out);
                         }
@@ -147,6 +147,11 @@ pub fn sort_merge_join(
                 j += group.len();
             }
         }
+    }
+    if sink.is_none() {
+        // Counted: nothing charges between the matches, so their row
+        // charges are one call.
+        session.charge_each(produced, &[CpuCharge::Rows(1)]);
     }
     session.charge_compares(compares);
     Ok(produced)
@@ -295,8 +300,8 @@ fn build_and_probe(
         }
         let mut idx = head;
         while idx != NIL {
-            session.charge_rows(1);
             if let Some(sink) = sink.as_deref_mut() {
+                session.charge_rows(1);
                 let b = build.row(idx as usize);
                 out[build_at..build_at + b.len()].copy_from_slice(b);
                 sink(&out);
@@ -304,6 +309,11 @@ fn build_and_probe(
             produced += 1;
             idx = next[idx as usize];
         }
+    }
+    if sink.is_none() {
+        // Counted: nothing charges between the matches, so their row
+        // charges are one call.
+        session.charge_each(produced, &[CpuCharge::Rows(1)]);
     }
     produced
 }

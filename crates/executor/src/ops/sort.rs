@@ -60,8 +60,10 @@
 //!   is the next set bit after the rank last emitted, and a newcomer joins
 //!   the open run iff it ranks above that row.
 
+use std::cell::Cell;
+
 use robustmap_storage::radix::radix_sort_by_u64_key;
-use robustmap_storage::{AccessKind, PageId, PAGE_SIZE};
+use robustmap_storage::{AccessKind, CpuCharge, PageId, PAGE_SIZE};
 
 use crate::batch::RowBatch;
 use crate::exec::ExecCtx;
@@ -374,6 +376,10 @@ pub struct ExternalSorter<'a, 'b> {
     cursor: usize,
     current: Vec<Handle>,
     pending: Vec<Handle>,
+    // Rows admitted whose push comparisons are not charged yet: settled
+    // before the next call that touches the session, and at the end of
+    // each admission.
+    owed: Cell<u64>,
     // Rows emitted into the open run so far.
     open_rows: usize,
     // Rows emitted into the open run's current (incomplete) page —
@@ -423,6 +429,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             cursor: 0,
             current: Vec::new(),
             pending: Vec::new(),
+            owed: Cell::new(0),
             open_rows: 0,
             page_fill: 0,
             runs: Vec::new(),
@@ -487,13 +494,22 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         (usize::BITS - self.memory_rows.leading_zeros()) as u64
     }
 
+    /// Charge the push comparisons owed, one call per row, in one
+    /// [`robustmap_storage::Session::charge_each`].
+    fn settle(&self) {
+        let rows = self.owed.take();
+        if rows != 0 {
+            self.ctx.session.charge_each(rows, &[CpuCharge::Compares(self.push_compares())]);
+        }
+    }
+
     /// Admit the stored rows from slot `first` on, in arrival order: each
     /// is charged its push comparisons, then whatever spill its arrival
-    /// causes.
+    /// causes.  The comparisons are owed until the next charge, so a run
+    /// of rows that spill nothing is charged in one call.
     fn admit(&mut self, first: usize) {
-        let compares = self.push_compares();
         for slot in first..self.store.len() {
-            self.ctx.session.charge_compares(compares);
+            self.owed.set(self.owed.get() + 1);
             match self.mode {
                 SpillMode::Abrupt => {
                     self.buffered += 1;
@@ -509,6 +525,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
                 }
             }
         }
+        self.settle();
     }
 
     /// Abrupt spill: the whole buffer is sorted and written out as one
@@ -519,6 +536,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             return;
         }
         self.spilled = true;
+        self.settle();
         self.ctx.session.charge_compares(rows as u64 * ceil_log2(rows));
         self.write_run_pages(rows);
         self.runs.push(SortedRun { rows, disk_rows: rows });
@@ -617,9 +635,8 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             rank[h.slot as usize] = r as u32;
         }
         let mut window = RankWindow::new(order.len());
-        let compares = self.push_compares();
         for (slot, &r) in rank.iter().enumerate() {
-            self.ctx.session.charge_compares(compares);
+            self.owed.set(self.owed.get() + 1);
             if slot >= self.memory_rows {
                 self.spilled = true;
                 self.ctx.note_spill();
@@ -634,6 +651,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             }
             window.insert(r as usize);
         }
+        self.settle();
         window.parked()
     }
 
@@ -651,6 +669,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     }
 
     fn charge_run_write(&self, pages: u32) {
+        self.settle();
         let file = self.ctx.alloc_temp_file();
         for p in 0..pages {
             self.ctx.session.write_page(PageId::new(file, p));
@@ -730,10 +749,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             for group in self.runs.chunks(fan_in) {
                 let log_k = self.charge_group_reads(group);
                 let rows: usize = group.iter().map(|run| run.rows).sum();
-                for _ in 0..rows {
-                    session.charge_compares(log_k);
-                    session.charge_rows(1);
-                }
+                session.charge_each(rows as u64, &[CpuCharge::Compares(log_k), CpuCharge::Rows(1)]);
                 self.write_run_pages(rows);
                 self.ctx.note_spill();
                 next.push(SortedRun { rows, disk_rows: rows });
@@ -746,26 +762,28 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     /// The final pass over every stored row: `log_k` comparisons (for a
     /// merge) and a row charged a row at a time, one call each, so a served
     /// slice ends where it would after any row.  With a sink the store is
-    /// ordered once and emitted in that order; without one — the rows are
-    /// only counted — the order is never computed.  Returns the rows.
+    /// ordered once and emitted in that order, each row charged before it
+    /// is emitted; without one — the rows are only counted — the order is
+    /// never computed, and the rows are charged in one `charge_each`.
+    /// Returns the rows.
     fn final_pass(&self, log_k: Option<u64>, sink: Option<RowSink<'_>>) -> u64 {
         let session = self.ctx.session;
-        let charge_row = || {
-            if let Some(log_k) = log_k {
-                session.charge_compares(log_k);
-            }
-            session.charge_rows(1);
+        let rows = self.store.len() as u64;
+        let (merge, one_row) = (log_k.map(CpuCharge::Compares), CpuCharge::Rows(1));
+        let each: &[CpuCharge] = match &merge {
+            Some(merge) => &[*merge, one_row],
+            None => &[one_row],
         };
         match sink {
             Some(sink) => {
                 for h in sorted_order(&self.store, &self.key_cols) {
-                    charge_row();
+                    session.charge_each(1, each);
                     sink(self.store.row(h.slot as usize));
                 }
             }
-            None => (0..self.store.len()).for_each(|_| charge_row()),
+            None => session.charge_each(rows, each),
         }
-        self.store.len() as u64
+        rows
     }
 
     /// Charge reading back each run's disk prefix ahead of a k-way merge

@@ -38,7 +38,7 @@ use robustmap_obs::trace::{TraceDetail, TraceEventKind, TraceSink};
 
 use crate::buffer::{BufferPool, EvictionPolicy, FileId, PageId};
 use crate::shared::{PoolInner, QueryId, QueryShare, SharedBufferPool};
-use crate::sim::{AccessKind, CostModel, CostTicks, IoStats, SimClock};
+use crate::sim::{AccessKind, CostModel, CostTicks, CpuCharge, IoStats, SimClock};
 
 /// A cooperative-scheduling callback: invoked between charges, never
 /// charging work itself.  The argument is the session's elapsed clock
@@ -300,6 +300,37 @@ impl Session {
     pub fn charge_compares_as(&self, n: u64, events: u64) {
         self.clock.charge_compares(&self.costs, n);
         self.tick(events);
+    }
+
+    /// `n` repetitions of the one-event CPU charges `each`, in order:
+    /// exactly what issuing those `charge_*` calls one by one charges and
+    /// counts, and the yield hook fires after the same charge and sees the
+    /// same clock.  The repetitions that end before the quantum is up are
+    /// charged in one multiply-add per charge; the one in which it ends is
+    /// issued call by call.  (A collapsed `_as` call instead yields at its
+    /// own end, the next call boundary.)
+    pub fn charge_each(&self, n: u64, each: &[CpuCharge]) {
+        let per_rep = each.len() as u64;
+        let mut left = if per_rep == 0 { 0 } else { n };
+        while left != 0 {
+            // Repetitions whose every event counts below the yield point.
+            let room = self.yield_at.get().saturating_sub(self.events.get() + 1) / per_rep;
+            let whole = left.min(room);
+            if whole != 0 {
+                for &charge in each {
+                    self.clock.charge_cpu(&self.costs, charge, whole);
+                }
+                self.events.set(self.events.get() + whole * per_rep);
+                left -= whole;
+            }
+            if left != 0 {
+                for &charge in each {
+                    self.clock.charge_cpu(&self.costs, charge, 1);
+                    self.tick(1);
+                }
+                left -= 1;
+            }
+        }
     }
 
     /// Buffer pool hit/miss/eviction counters (pool-level: shared sessions

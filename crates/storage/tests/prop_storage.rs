@@ -9,8 +9,9 @@ use proptest::prelude::*;
 use robustmap_storage::btree::{BTree, Entry, Key};
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{
-    AccessKind, BufferPool, ColumnType, CostModel, EvictionPolicy, FileId, HeapFile, IoStats,
-    PageId, QueryShare, RidSet, RidSpan, Row, Schema, Session, SharedBufferPool, SlottedPage,
+    AccessKind, BufferPool, ColumnType, CostModel, CpuCharge, EvictionPolicy, FileId, HeapFile,
+    IoStats, PageId, QueryShare, RidSet, RidSpan, Row, Schema, Session, SharedBufferPool,
+    SlottedPage,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1050,3 +1051,85 @@ proptest! {
     }
 }
 
+// ------------------------------------------------------------ charge runs
+
+/// Issue `charge` as the one call it stands for.
+fn charge_once(s: &Session, charge: CpuCharge) {
+    match charge {
+        CpuCharge::Compares(n) => s.charge_compares(n),
+        CpuCharge::Rows(n) => s.charge_rows(n),
+        CpuCharge::Hashes(n) => s.charge_hashes(n),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `charge_each(n, each)` is the loop that issues `each`'s calls one
+    /// by one, `n` times: the same clock, counters and charge events, and
+    /// the same yields — after the same charge event, seeing the same
+    /// clock — for every subset of compares, rows and hashes, under no
+    /// quantum, a quantum of one event, small quanta and large ones, after
+    /// a collapsed call that may have carried the count past the quantum.
+    /// Every charge is of one unit or more, so the clock rises with every
+    /// event and a yield's ticks name the event it followed.
+    #[test]
+    fn charge_each_equals_the_call_by_call_loop(
+        n in prop_oneof![Just(0u64), 1u64..40, 40u64..3000],
+        amounts in (1u64..9, 1u64..9, 1u64..9),
+        quantum in prop_oneof![Just(0u64), Just(1), 2u64..12, 400u64..5000],
+        prior in 0u64..20,
+        overshoot in 0u64..30,
+    ) {
+        let all = [
+            CpuCharge::Compares(amounts.0),
+            CpuCharge::Rows(amounts.1),
+            CpuCharge::Hashes(amounts.2),
+        ];
+        for subset in 0..8usize {
+            let each: Vec<CpuCharge> =
+                all.iter().enumerate().filter(|(i, _)| subset & (1 << i) != 0).map(|(_, &c)| c).collect();
+            // One session driven by the loop or by `charge_each`: its
+            // yields' ticks, and (loop only) the events and ticks after
+            // every call.
+            let drive = |bulk: bool| {
+                let s = Session::with_pool_pages(4);
+                let (tx, seen) = std::sync::mpsc::channel();
+                s.install_yield_hook(quantum, Box::new(move |ticks| tx.send(ticks).unwrap()));
+                let mut after = Vec::new();
+                let note = |after: &mut Vec<(u64, u64)>| after.push((s.charge_events(), s.elapsed_ticks()));
+                for _ in 0..prior {
+                    s.charge_hashes(1);
+                    note(&mut after);
+                }
+                s.charge_rows_as(overshoot, overshoot);
+                note(&mut after);
+                if bulk {
+                    s.charge_each(n, &each);
+                } else {
+                    for _ in 0..n {
+                        for &charge in &each {
+                            charge_once(&s, charge);
+                            note(&mut after);
+                        }
+                    }
+                }
+                s.charge_hashes(1);
+                note(&mut after);
+                let yields: Vec<u64> = seen.try_iter().collect();
+                ((s.elapsed_ticks(), s.stats(), s.charge_events()), yields, after)
+            };
+            let (want, want_yields, after) = drive(false);
+            let (got, got_yields, _) = drive(true);
+            let case = format!("{each:?} x {n}, quantum {quantum}, {prior} + {overshoot} before");
+            prop_assert_eq!(got, want, "{}", case);
+            // The loop's clock rises with every event, so the ticks a
+            // yield saw name the event count at which it fired.
+            let at = |ticks: u64| after.iter().find(|&&(_, t)| t == ticks).map(|&(e, _)| e);
+            let named = |yields: &[u64]| yields.iter().map(|&t| (at(t), t)).collect::<Vec<_>>();
+            prop_assert_eq!(named(&got_yields), named(&want_yields), "{}", case);
+            prop_assert!(want_yields.iter().all(|&t| at(t).is_some()), "{}", case);
+            prop_assert_eq!(got.0, Session::with_pool_pages(0).costs().of(&got.1), "{}", case);
+        }
+    }
+}

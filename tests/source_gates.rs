@@ -198,6 +198,19 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        gate: "charge-per-run",
+        scope: &[
+            "crates/executor/src/ops/sort.rs",
+            "crates/executor/src/ops/join.rs",
+            "crates/executor/src/ops/agg.rs",
+        ],
+        lines: Lines::Before("#[cfg(test)]"),
+        hit: |l| any(l, &["for_each(|_|", "for _ in 0.."]),
+        why: "a blocking operator issues a run of one-event charges in a loop — \
+              Session::charge_each charges the run in one call and yields where the loop would",
+        ..RULE
+    },
+    Rule {
         gate: "sorted-once",
         scope: &["crates"],
         hit: |l| defined_fns(l).any(|name| name == "push_all"),
