@@ -316,7 +316,7 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
         let mut out = Vec::with_capacity(self.group_cols.len() + width);
         // By the whole key, led by its first column if it has one.
         let lead: &[usize] = if self.group_cols.is_empty() { &[] } else { &[0] };
-        for h in sorted_order(&groups.keys, lead) {
+        for h in sorted_order(&groups.keys, lead, &mut Vec::new()) {
             let g = h.slot as usize;
             out.clear();
             out.extend_from_slice(groups.keys.row(g));

@@ -94,7 +94,7 @@ impl Ordered {
 /// The fall-through: sort a rid list the set was not built for (rids order
 /// by their u64 encoding; short lists take the standard library's sort).
 pub(crate) fn sort_list(rids: &mut Vec<Rid>) {
-    robustmap_storage::radix::radix_sort_by_u64_key(rids, |r| r.to_u64());
+    robustmap_storage::radix::radix_sort_by_u64_key(rids, &mut Vec::new(), |r| r.to_u64());
 }
 
 /// What the runs of one fetch share: the heap, the residual every row goes

@@ -105,8 +105,10 @@ pub fn sort_merge_join(
 ) -> Result<u64, ExecError> {
     // Each input gets half the grant, as a memory-broker would split it.
     let half = (memory_bytes / 2).max(1);
-    let sort = |rows: PackedRows, key: usize| {
-        ExternalSorter::new(ctx, vec![key], SpillMode::Graceful, half).sort_all(rows)
+    // The two sorts share one radix scratch.
+    let mut scratch = Vec::new();
+    let mut sort = |rows: PackedRows, key: usize| {
+        ExternalSorter::new(ctx, vec![key], SpillMode::Graceful, half).sort_all(rows, &mut scratch)
     };
     let (left, right) = (sort(left, left_key), sort(right, right_key));
     // The merge walks the two handle orders: a handle's inline `key0` is

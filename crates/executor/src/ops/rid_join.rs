@@ -219,7 +219,7 @@ fn sort_entries_by_rid(entries: &mut Vec<Entry>, span: RidSpan) {
         _ => {
             let mut order: Vec<(u64, u32)> =
                 rids.iter().enumerate().map(|(i, rid)| (rid.to_u64(), i as u32)).collect();
-            robustmap_storage::radix::radix_sort_by_u64_key(&mut order, |&(r, _)| r);
+            robustmap_storage::radix::radix_sort_by_u64_key(&mut order, &mut Vec::new(), |&(r, _)| r);
             *entries = order.iter().map(|&(_, i)| entries[i as usize]).collect();
         }
     }

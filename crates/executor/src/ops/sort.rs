@@ -150,8 +150,10 @@ impl PackedRows {
 
 /// A light heap/sort element: the leading key value inline (the decisive
 /// comparison in almost every sift) and the row's index in its store.
+/// Opaque outside the crate, where it only names the element type of the
+/// radix scratch [`ExternalSorter::sort_all`] takes.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Handle {
+pub struct Handle {
     pub(crate) key0: i64,
     pub(crate) slot: u32,
 }
@@ -175,12 +177,17 @@ fn handle_less<'s>(
 /// Put `order`, handles into `rows`, in the full sort order — the one
 /// place an order is computed.  Sorting moves 16-byte handles instead of
 /// rows: a stable radix sort on the leading key value (its sign bit
-/// flipped, which maps `i64` order onto `u64` order), then the full
-/// comparison only inside groups that tie on it, bit-identical rows by
-/// store index.  So the order is total, and equal rows rank in arrival
-/// order, which the rank window relies on.
-fn sort_handles(order: &mut Vec<Handle>, rows: &PackedRows, key_cols: &[usize]) {
-    radix_sort_by_u64_key(order, |h| h.key0 as u64 ^ (1 << 63));
+/// flipped, which maps `i64` order onto `u64` order) through the caller's
+/// `scratch`, then the full comparison only inside groups that tie on it,
+/// bit-identical rows by store index.  So the order is total, and equal
+/// rows rank in arrival order, which the rank window relies on.
+fn sort_handles(
+    order: &mut Vec<Handle>,
+    scratch: &mut Vec<Handle>,
+    rows: &PackedRows,
+    key_cols: &[usize],
+) {
+    radix_sort_by_u64_key(order, scratch, |h| h.key0 as u64 ^ (1 << 63));
     for ties in order.chunk_by_mut(|a, b| a.key0 == b.key0) {
         ties.sort_unstable_by(|a, b| {
             keyed_cmp(rows.row(a.slot as usize), rows.row(b.slot as usize), key_cols)
@@ -189,13 +196,18 @@ fn sort_handles(order: &mut Vec<Handle>, rows: &PackedRows, key_cols: &[usize]) 
     }
 }
 
-/// Every row of `rows` in the full sort order, as handles into it.  With
-/// no key column the order is the whole row's, compared throughout.
-pub(crate) fn sorted_order(rows: &PackedRows, key_cols: &[usize]) -> Vec<Handle> {
+/// Every row of `rows` in the full sort order, as handles into it, sorted
+/// through `scratch`.  With no key column the order is the whole row's,
+/// compared throughout.
+pub(crate) fn sorted_order(
+    rows: &PackedRows,
+    key_cols: &[usize],
+    scratch: &mut Vec<Handle>,
+) -> Vec<Handle> {
     let mut order: Vec<Handle> = (0..rows.len())
         .map(|i| Handle { key0: key_cols.first().map_or(0, |&c| rows.row(i)[c]), slot: i as u32 })
         .collect();
-    sort_handles(&mut order, rows, key_cols);
+    sort_handles(&mut order, scratch, rows, key_cols);
     order
 }
 
@@ -376,6 +388,9 @@ pub struct ExternalSorter<'a, 'b> {
     cursor: usize,
     current: Vec<Handle>,
     pending: Vec<Handle>,
+    // The radix sort's second buffer, kept across every promotion and the
+    // final order.
+    scratch: Vec<Handle>,
     // Rows admitted whose push comparisons are not charged yet: settled
     // before the next call that touches the session, and at the end of
     // each admission.
@@ -429,6 +444,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
             cursor: 0,
             current: Vec::new(),
             pending: Vec::new(),
+            scratch: Vec::new(),
             owed: Cell::new(0),
             open_rows: 0,
             page_fill: 0,
@@ -464,20 +480,22 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     /// first, off the clock; then the rows are admitted in arrival order
     /// and the finish is charged, call for call as `push` of the same rows
     /// and `finish` would, and the rows come back with their order instead
-    /// of through a sink.  The sorter must not hold a row yet.
-    pub fn sort_all(mut self, rows: PackedRows) -> SortedRows {
-        let (order, parked) = self.admit_all(rows);
+    /// of through a sink.  The sorter must not hold a row yet.  The order
+    /// is sorted through `scratch`, which a caller sorting several inputs
+    /// shares between them.
+    pub fn sort_all(mut self, rows: PackedRows, scratch: &mut Vec<Handle>) -> SortedRows {
+        let (order, parked) = self.admit_all(rows, scratch);
         let log_k = self.close(parked);
         self.final_pass(log_k, None);
         SortedRows { rows: self.store, order }
     }
 
-    /// Take `rows` as the store, order it, and admit every row.  Returns
-    /// the order and the rows parked at the end.
-    fn admit_all(&mut self, rows: PackedRows) -> (Vec<Handle>, usize) {
+    /// Take `rows` as the store, order it (through `scratch`), and admit
+    /// every row.  Returns the order and the rows parked at the end.
+    fn admit_all(&mut self, rows: PackedRows, scratch: &mut Vec<Handle>) -> (Vec<Handle>, usize) {
         assert!(self.store.is_empty(), "sort_all on a sorter that holds rows");
         self.store = rows;
-        let order = sorted_order(&self.store, &self.key_cols);
+        let order = sorted_order(&self.store, &self.key_cols, scratch);
         let parked = match self.mode {
             SpillMode::Abrupt => {
                 self.admit(0);
@@ -548,7 +566,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     fn promote_pending(&mut self) {
         std::mem::swap(&mut self.base, &mut self.pending);
         self.pending.clear();
-        sort_handles(&mut self.base, &self.store, &self.key_cols);
+        sort_handles(&mut self.base, &mut self.scratch, &self.store, &self.key_cols);
         self.cursor = 0;
     }
 
@@ -766,7 +784,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     /// is emitted; without one — the rows are only counted — the order is
     /// never computed, and the rows are charged in one `charge_each`.
     /// Returns the rows.
-    fn final_pass(&self, log_k: Option<u64>, sink: Option<RowSink<'_>>) -> u64 {
+    fn final_pass(&mut self, log_k: Option<u64>, sink: Option<RowSink<'_>>) -> u64 {
         let session = self.ctx.session;
         let rows = self.store.len() as u64;
         let (merge, one_row) = (log_k.map(CpuCharge::Compares), CpuCharge::Rows(1));
@@ -776,7 +794,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
         };
         match sink {
             Some(sink) => {
-                for h in sorted_order(&self.store, &self.key_cols) {
+                for h in sorted_order(&self.store, &self.key_cols, &mut self.scratch) {
                     session.charge_each(1, each);
                     sink(self.store.row(h.slot as usize));
                 }
@@ -1097,7 +1115,7 @@ mod tests {
                             let order = if whole {
                                 let mut rows = PackedRows::default();
                                 input[..n].iter().for_each(|row| rows.push(row));
-                                let (order, parked) = sorter.admit_all(rows);
+                                let (order, parked) = sorter.admit_all(rows, &mut Vec::new());
                                 sorter.close_graceful_tails(parked);
                                 Some(order)
                             } else {

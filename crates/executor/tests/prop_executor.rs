@@ -441,7 +441,7 @@ proptest! {
                     let whole_ctx = ExecCtx::new(&db, &whole_s, 1 << 20);
                     let mut whole = PackedRows::default();
                     rows.iter().for_each(|r| whole.push(r));
-                    let sorted = ExternalSorter::new(&whole_ctx, key_cols.clone(), mode, memory_bytes).sort_all(whole);
+                    let sorted = ExternalSorter::new(&whole_ctx, key_cols.clone(), mode, memory_bytes).sort_all(whole, &mut Vec::new());
                     prop_assert!(sorted.iter().eq(want.iter().map(|r| &r[..])), "{}: sort_all order", case);
                     prop_assert_eq!(whole_s.stats(), s.stats(), "{}: sort_all charges", case);
                     prop_assert_eq!(whole_s.elapsed_ticks(), s.elapsed_ticks(), "{}: sort_all clock", case);

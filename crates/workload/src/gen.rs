@@ -307,7 +307,7 @@ fn order_by(col: &[i64]) -> Vec<u32> {
         .zip(0..u32::try_from(col.len()).expect("row positions fit in u32"))
         .map(|(&v, p)| (v as u64 ^ (1 << 63), p))
         .collect();
-    radix_sort_by_u64_key(&mut pairs, |&(k, _)| k);
+    radix_sort_by_u64_key(&mut pairs, &mut Vec::new(), |&(k, _)| k);
     pairs.into_iter().map(|(_, p)| p).collect()
 }
 
