@@ -29,9 +29,13 @@
 //!
 //! * **Accounting.**  A run is two lengths (`SortedRun`), not a copy of
 //!   its rows.  Forming, writing, reading back and merging runs issue the
-//!   charge calls of a k-way external merge sort, call for call — the
-//!   per-row merge charges stay individual calls, one charge event each,
-//!   so served slices keep their length — and move no row.
+//!   charges of a k-way external merge sort and move no row.  The per-row
+//!   charges — a push's comparisons, a merged row's comparisons and row —
+//!   are one charge event each, and a run of them is one
+//!   `Session::charge_each`, which charges and yields exactly as the
+//!   call-by-call loop would, so served slices keep their length and end
+//!   at the same row.  A push's comparisons are owed until the next call
+//!   that touches the session (a charge or a spill file's allocation).
 //! * **Order.**  Every row is appended once, on arrival, to one packed
 //!   store — in both modes — and the store is ordered once
 //!   (`sorted_order`: a radix sort of 16-byte `(first key value, row
@@ -516,9 +520,7 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     /// [`robustmap_storage::Session::charge_each`].
     fn settle(&self) {
         let rows = self.owed.take();
-        if rows != 0 {
-            self.ctx.session.charge_each(rows, &[CpuCharge::Compares(self.push_compares())]);
-        }
+        self.ctx.session.charge_each(rows, &[CpuCharge::Compares(self.push_compares())]);
     }
 
     /// Admit the stored rows from slot `first` on, in arrival order: each
@@ -787,10 +789,9 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     fn final_pass(&mut self, log_k: Option<u64>, sink: Option<RowSink<'_>>) -> u64 {
         let session = self.ctx.session;
         let rows = self.store.len() as u64;
-        let (merge, one_row) = (log_k.map(CpuCharge::Compares), CpuCharge::Rows(1));
-        let each: &[CpuCharge] = match &merge {
-            Some(merge) => &[*merge, one_row],
-            None => &[one_row],
+        let each: &[CpuCharge] = match log_k {
+            Some(log_k) => &[CpuCharge::Compares(log_k), CpuCharge::Rows(1)],
+            None => &[CpuCharge::Rows(1)],
         };
         match sink {
             Some(sink) => {
