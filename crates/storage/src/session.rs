@@ -309,13 +309,16 @@ impl Session {
     /// charged in one multiply-add per charge; the one in which it ends is
     /// issued call by call.  (A collapsed `_as` call instead yields at its
     /// own end, the next call boundary.)
+    #[inline]
     pub fn charge_each(&self, n: u64, each: &[CpuCharge]) {
         let per_rep = each.len() as u64;
         let mut left = if per_rep == 0 { 0 } else { n };
         while left != 0 {
-            // Repetitions whose every event counts below the yield point.
-            let room = self.yield_at.get().saturating_sub(self.events.get() + 1) / per_rep;
-            let whole = left.min(room);
+            // The events that still count below the yield point, and the
+            // whole repetitions among them (no division unless the
+            // quantum ends inside this run).
+            let room = self.yield_at.get().saturating_sub(self.events.get() + 1);
+            let whole = if left.saturating_mul(per_rep) <= room { left } else { room / per_rep };
             if whole != 0 {
                 for &charge in each {
                     self.clock.charge_cpu(&self.costs, charge, whole);
