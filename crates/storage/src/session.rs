@@ -311,21 +311,36 @@ impl Session {
     /// own end, the next call boundary.)
     #[inline]
     pub fn charge_each(&self, n: u64, each: &[CpuCharge]) {
+        let events = n.saturating_mul(each.len() as u64);
+        // The common case, and every case without a hook: the whole run
+        // counts below the yield point.
+        if events < self.yield_at.get().saturating_sub(self.events.get()) {
+            self.charge_reps(n, each);
+        } else {
+            self.charge_each_past_quantum(n, each);
+        }
+    }
+
+    /// `reps` repetitions of `each` among which no yield falls.
+    #[inline]
+    fn charge_reps(&self, reps: u64, each: &[CpuCharge]) {
+        for &charge in each {
+            self.clock.charge_cpu(&self.costs, charge, reps);
+        }
+        self.events.set(self.events.get() + reps * each.len() as u64);
+    }
+
+    /// [`Session::charge_each`] of a run in which the quantum ends.
+    #[cold]
+    fn charge_each_past_quantum(&self, n: u64, each: &[CpuCharge]) {
         let per_rep = each.len() as u64;
         let mut left = if per_rep == 0 { 0 } else { n };
         while left != 0 {
-            // The events that still count below the yield point, and the
-            // whole repetitions among them (no division unless the
-            // quantum ends inside this run).
-            let room = self.yield_at.get().saturating_sub(self.events.get() + 1);
-            let whole = if left.saturating_mul(per_rep) <= room { left } else { room / per_rep };
-            if whole != 0 {
-                for &charge in each {
-                    self.clock.charge_cpu(&self.costs, charge, whole);
-                }
-                self.events.set(self.events.get() + whole * per_rep);
-                left -= whole;
-            }
+            // The repetitions whose every event counts below the yield
+            // point, then the one in which the quantum ends, call by call.
+            let whole = left.min(self.yield_at.get().saturating_sub(self.events.get() + 1) / per_rep);
+            self.charge_reps(whole, each);
+            left -= whole;
             if left != 0 {
                 for &charge in each {
                     self.clock.charge_cpu(&self.costs, charge, 1);

@@ -1063,7 +1063,7 @@ fn charge_once(s: &Session, charge: CpuCharge) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `charge_each(n, each)` is the loop that issues `each`'s calls one
     /// by one, `n` times: the same clock, counters and charge events, and
@@ -1071,11 +1071,13 @@ proptest! {
     /// clock — for every subset of compares, rows and hashes, under no
     /// quantum, a quantum of one event, small quanta and large ones, after
     /// a collapsed call that may have carried the count past the quantum.
-    /// Every charge is of one unit or more, so the clock rises with every
-    /// event and a yield's ticks name the event it followed.
+    /// Every `n` from 0 to 24 runs, so some run ends exactly on the
+    /// quantum, and one drawn up to 3 000.  Every charge is of one unit or
+    /// more, so the clock rises with every event and a yield's ticks name
+    /// the event it followed.
     #[test]
     fn charge_each_equals_the_call_by_call_loop(
-        n in prop_oneof![Just(0u64), 1u64..40, 40u64..3000],
+        long in 25u64..3000,
         amounts in (1u64..9, 1u64..9, 1u64..9),
         quantum in prop_oneof![Just(0u64), Just(1), 2u64..12, 400u64..5000],
         prior in 0u64..20,
@@ -1086,7 +1088,8 @@ proptest! {
             CpuCharge::Rows(amounts.1),
             CpuCharge::Hashes(amounts.2),
         ];
-        for subset in 0..8usize {
+        let runs = (0..8usize).flat_map(|subset| (0..25).chain([long]).map(move |n| (subset, n)));
+        for (subset, n) in runs {
             let each: Vec<CpuCharge> =
                 (0..3).filter(|i| subset & (1 << i) != 0).map(|i| all[i]).collect();
             // One session driven by the loop or by `charge_each`: its
