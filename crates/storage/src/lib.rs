@@ -58,9 +58,9 @@ pub use fx::{FxBuildHasher, FxHashMap, FxHasher};
 pub use heap::{HeapFile, HeapPage, Rid, RidSpan};
 pub use page::{SlottedPage, PAGE_SIZE};
 pub use schema::{ColumnType, Row, Schema, MAX_COLUMNS};
-pub use session::{Session, YieldHook};
+pub use session::{CpuCharge, Session, YieldHook};
 pub use shared::{QueryId, QueryShare, SharedBufferPool};
-pub use sim::{ticks_to_seconds, AccessKind, CostModel, CostTicks, CpuCharge, IoStats, SimClock};
+pub use sim::{ticks_to_seconds, AccessKind, CostModel, CostTicks, IoStats, SimClock};
 pub use table::{Database, IndexDef, IndexId, Table, TableId};
 
 /// Errors reported by the storage layer.

@@ -38,13 +38,26 @@ use robustmap_obs::trace::{TraceDetail, TraceEventKind, TraceSink};
 
 use crate::buffer::{BufferPool, EvictionPolicy, FileId, PageId};
 use crate::shared::{PoolInner, QueryId, QueryShare, SharedBufferPool};
-use crate::sim::{AccessKind, CostModel, CostTicks, CpuCharge, IoStats, SimClock};
+use crate::sim::{AccessKind, CostModel, CostTicks, IoStats, SimClock};
 
 /// A cooperative-scheduling callback: invoked between charges, never
 /// charging work itself.  The argument is the session's elapsed clock
 /// ticks at the yield point, so schedulers can advance a global virtual
 /// clock without re-entering the session.
 pub type YieldHook = Box<dyn FnMut(u64) + Send>;
+
+/// One CPU charge call: what one `charge_compares`, `charge_rows` or
+/// `charge_hashes` call of that many units charges — one charge event.
+/// [`Session::charge_each`] repeats a sequence of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CpuCharge {
+    /// Key comparisons.
+    Compares(u64),
+    /// Rows processed.
+    Rows(u64),
+    /// Hash-table operations.
+    Hashes(u64),
+}
 
 /// Where a session's pool state lives: owned, or behind the shared pool's
 /// lock.  Chosen by the constructor — by whether anything is shared.
@@ -321,11 +334,18 @@ impl Session {
         }
     }
 
-    /// `reps` repetitions of `each` among which no yield falls.
+    /// `reps` repetitions of `each` among which no yield falls: one
+    /// multiply-add per charge.  (A product past `u64` saturates, which
+    /// overflows the clock at any nonzero cost: a panic, never a wrap.)
     #[inline]
     fn charge_reps(&self, reps: u64, each: &[CpuCharge]) {
         for &charge in each {
-            self.clock.charge_cpu(&self.costs, charge, reps);
+            let (costs, clock) = (&self.costs, &self.clock);
+            match charge {
+                CpuCharge::Compares(n) => clock.charge_compares(costs, n.saturating_mul(reps)),
+                CpuCharge::Rows(n) => clock.charge_rows(costs, n.saturating_mul(reps)),
+                CpuCharge::Hashes(n) => clock.charge_hashes(costs, n.saturating_mul(reps)),
+            }
         }
         self.events.set(self.events.get() + reps * each.len() as u64);
     }
@@ -343,8 +363,11 @@ impl Session {
             left -= whole;
             if left != 0 {
                 for &charge in each {
-                    self.clock.charge_cpu(&self.costs, charge, 1);
-                    self.tick(1);
+                    match charge {
+                        CpuCharge::Compares(n) => self.charge_compares(n),
+                        CpuCharge::Rows(n) => self.charge_rows(n),
+                        CpuCharge::Hashes(n) => self.charge_hashes(n),
+                    }
                 }
                 left -= 1;
             }

@@ -268,19 +268,6 @@ impl IoStats {
     }
 }
 
-/// One CPU charge call: what one `charge_compares`, `charge_rows` or
-/// `charge_hashes` call of that many units charges — one charge event.
-/// [`crate::Session::charge_each`] repeats a sequence of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CpuCharge {
-    /// Key comparisons.
-    Compares(u64),
-    /// Rows processed.
-    Rows(u64),
-    /// Hash-table operations.
-    Hashes(u64),
-}
-
 /// The simulated clock: accumulates charged ticks (picoseconds) and work
 /// counters.  Integer addition is associative and commutative, so elapsed
 /// time depends on *what* was charged, never on the order or the grouping
@@ -375,18 +362,6 @@ impl SimClock {
     #[inline]
     pub fn charge_hashes(&self, costs: &CostTicks, n: u64) {
         self.charge(&self.cpu_hashes, n, costs.cpu_hash);
-    }
-
-    /// Charge `reps` repetitions of `charge` in one multiply-add: what
-    /// that many calls of its `charge_*` method charge.
-    #[inline]
-    pub fn charge_cpu(&self, costs: &CostTicks, charge: CpuCharge, reps: u64) {
-        let (counter, n, cost) = match charge {
-            CpuCharge::Compares(n) => (&self.cpu_compares, n, costs.cpu_compare),
-            CpuCharge::Rows(n) => (&self.cpu_rows, n, costs.cpu_row),
-            CpuCharge::Hashes(n) => (&self.cpu_hashes, n, costs.cpu_hash),
-        };
-        self.charge(counter, mul_add(n, reps, 0), cost);
     }
 
     /// Reset the clock to time zero with all counters cleared — exactly the
