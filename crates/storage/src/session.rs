@@ -339,8 +339,8 @@ impl Session {
     /// overflows the clock at any nonzero cost: a panic, never a wrap.)
     #[inline]
     fn charge_reps(&self, reps: u64, each: &[CpuCharge]) {
+        let (costs, clock) = (&self.costs, &self.clock);
         for &charge in each {
-            let (costs, clock) = (&self.costs, &self.clock);
             match charge {
                 CpuCharge::Compares(n) => clock.charge_compares(costs, n.saturating_mul(reps)),
                 CpuCharge::Rows(n) => clock.charge_rows(costs, n.saturating_mul(reps)),
