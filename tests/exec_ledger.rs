@@ -79,9 +79,10 @@ fn catalog(w: &Workload) -> Vec<TwoPredPlan> {
     plans
 }
 
-/// The 15-plan catalog over a 3x3 selectivity grid.
+/// The 15-plan catalog over a 4x4 selectivity grid.  Selectivity 1 selects
+/// every row of a page: a rid set's page group is then the whole page.
 fn catalog_grid(w: &Workload, tag: &str) -> Vec<(String, PlanSpec)> {
-    let sels = [0.02, 0.3, 0.9];
+    let sels = [0.02, 0.3, 0.9, 1.0];
     let mut out = Vec::new();
     for plan in catalog(w) {
         for &sa in &sels {
