@@ -1001,6 +1001,53 @@ mod tests {
         assert!(hi < Key::padded_lo(&[6], 2));
     }
 
+    /// A range scan of a tree of each arity returns what a filter over its
+    /// sorted entries keeps.  Key columns come from the ends of `i64` and
+    /// around 0, where real values meet the `i64::MIN` / `i64::MAX` padding
+    /// of the bounds and the zeros of a real key's unused columns; bounds
+    /// are `padded_lo` and `padded_hi` of prefixes of every length, and the
+    /// keys themselves.
+    #[test]
+    fn scans_match_a_filter_at_every_arity_over_extreme_keys() {
+        const VALS: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        // Every tuple of `len` values of VALS.
+        let digit = |i: usize, c: usize| VALS[i / VALS.len().pow(c as u32) % VALS.len()];
+        let tuples = |len: usize| -> Vec<Vec<i64>> {
+            let tuple = |i| (0..len).map(|c| digit(i, c)).collect();
+            (0..VALS.len().pow(len as u32)).map(tuple).collect()
+        };
+        let s = quiet();
+        for arity in 1..=MAX_KEY_COLS {
+            let keys: Vec<Key> = tuples(arity).iter().map(|vals| Key::new(vals)).collect();
+            // Each key twice, under distinct rids.
+            let mut entries: Vec<Entry> = (0..2 * keys.len())
+                .map(|i| (keys[i % keys.len()], rid((i * 7919 % (2 * keys.len())) as u32)))
+                .collect();
+            entries.sort();
+            let t =
+                BTree::bulk_load_with_caps(FileId(0), arity, entries.iter().copied(), 0.75, 4, 4);
+            t.check_invariants().unwrap();
+            let mut bounds = keys.clone();
+            for len in 0..=arity {
+                for prefix in tuples(len) {
+                    bounds.push(Key::padded_lo(&prefix, arity));
+                    bounds.push(Key::padded_hi(&prefix, arity));
+                }
+            }
+            // Every pair at arities 1 and 2, every 61st at 3.
+            let stride = if bounds.len() > 400 { 61 } else { 1 };
+            let pairs = bounds.iter().flat_map(|lo| bounds.iter().map(move |hi| (lo, hi)));
+            for (lo, hi) in pairs.step_by(stride) {
+                let want: Vec<Entry> =
+                    entries.iter().copied().filter(|(k, _)| lo <= k && k <= hi).collect();
+                let mut got = Vec::new();
+                let n = t.scan_range(lo, hi, &s, AccessKind::Sequential, |e| got.push(e));
+                assert_eq!(got, want, "arity {arity}, [{lo:?}, {hi:?}]");
+                assert_eq!(n, want.len() as u64);
+            }
+        }
+    }
+
     #[test]
     fn empty_tree() {
         let t = BTree::new(FileId(0), 1);
