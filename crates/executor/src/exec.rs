@@ -534,7 +534,7 @@ fn shape(
             if controller.is_none() {
                 // Nobody can abandon the scan: stream, hold nothing.
                 ops::mdam::run(idx, col_ranges, ctx.session, &mut |key| {
-                    emitter.push_projected_slice(key.values(), &proj, sink);
+                    emitter.push_projected_slice(key, &proj, sink);
                     true
                 })?;
             } else {
@@ -544,7 +544,7 @@ fn shape(
                 let mut held = PackedRows::default();
                 let mut alt: Option<PlanSpec> = None;
                 ops::mdam::run(idx, col_ranges, ctx.session, &mut |key| {
-                    held.push(key.values());
+                    held.push(key);
                     let n = held.len() as u64;
                     if n.is_power_of_two() {
                         alt = observe(ctx, controller, CheckpointKind::ScanOut, n);
@@ -588,10 +588,11 @@ fn shape(
             }
             let lentries = ops::index_scan::collect_entries(li, &left.range, ctx.session);
             let rentries = ops::index_scan::collect_entries(ri, &right.range, ctx.session);
-            let proj = out_cols(project, li.tree.key_arity() + ri.tree.key_arity());
+            let arity = [li.tree.key_arity(), ri.tree.key_arity()];
+            let proj = out_cols(project, arity[0] + arity[1]);
             let mut emitter = BatchEmitter::new(proj.len());
             let span = ctx.db.table(li.table).heap.span();
-            ops::rid_join::covering_join(lentries, rentries, *algo, span, ctx, &mut |row| {
+            ops::rid_join::covering_join(lentries, rentries, arity, *algo, span, ctx, &mut |row| {
                 emitter.push_projected_slice(row.values(), &proj, sink);
             });
             emitter.flush(sink);

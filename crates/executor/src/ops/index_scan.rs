@@ -5,7 +5,7 @@
 //! the index covers the query — to answer it without touching the table at
 //! all (the class of plans Systems B and C exploit in Figures 8 and 9).
 
-use robustmap_storage::btree::Entry;
+use robustmap_storage::btree::StoredEntry;
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{AccessKind, IndexDef, Session};
 
@@ -39,13 +39,18 @@ pub fn collect_rids_filtered(
     }
     let mut rids = Vec::new();
     index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
-        key_filter.filter_run(leaf, |(key, _), c| key.get(c), session, |&(_, rid)| rids.push(rid));
+        key_filter.filter_run(leaf, |(key, _), c| key[c], session, |&(_, rid)| rids.push(rid));
     });
     rids
 }
 
-/// Scan `range` of the index and collect full `(key, rid)` entries.
-pub fn collect_entries(index: &IndexDef, range: &KeyRange, session: &Session) -> Vec<Entry> {
+/// Scan `range` of the index and collect its entries as the tree stores
+/// them: key columns and rid, the keys' arity being the index's.
+pub fn collect_entries(
+    index: &IndexDef,
+    range: &KeyRange,
+    session: &Session,
+) -> Vec<StoredEntry> {
     let mut entries = Vec::new();
     index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
         entries.extend_from_slice(leaf);
@@ -69,10 +74,11 @@ pub fn run_covering(
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> u64 {
+    let arity = index.tree.key_arity();
     let mut emitter = BatchEmitter::new(proj.len());
     index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
-        residual.filter_run(leaf, |(key, _), c| key.get(c), session, |(key, _)| {
-            emitter.push_projected_slice(key.values(), proj, sink);
+        residual.filter_run(leaf, |(key, _), c| key[c], session, |(key, _)| {
+            emitter.push_projected_slice(&key[..arity], proj, sink);
         });
     });
     emitter.flush(sink);

@@ -15,7 +15,7 @@
 //! slice index, a key the leaf's own, a saved position a register copy, and
 //! nothing is allocated.  Only a leaf turn or a seek touches a page.
 
-use robustmap_storage::btree::{Cursor, MAX_KEY_COLS};
+use robustmap_storage::btree::{Cursor, KeyCols, MAX_KEY_COLS};
 use robustmap_storage::{AccessKind, BTree, IndexDef, Key, Session};
 
 use crate::exec::ExecError;
@@ -41,9 +41,10 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    /// [`BTree::cursor_next`] over sequential leaves, owing the row.
+    /// [`BTree::cursor_next`] over sequential leaves, owing the row: the
+    /// stored key's columns.
     #[inline(always)]
-    fn next(&mut self, cursor: &mut Cursor<'a>) -> Option<&'a Key> {
+    fn next(&mut self, cursor: &mut Cursor<'a>) -> Option<&'a KeyCols> {
         loop {
             if let Some((key, _)) = cursor.peek() {
                 cursor.advance(1);
@@ -83,21 +84,21 @@ fn low_corner(prefix: &[i64], col_ranges: &[(i64, i64)]) -> Key {
 /// Where a key that left the box at column `j` skips to: below `lo`, the
 /// low corner of the remaining columns under its prefix; above `hi`, the
 /// prefix is exhausted — past every key that shares it.
-fn skip_target(from: &Key, j: usize, below_lo: bool, col_ranges: &[(i64, i64)]) -> Key {
-    let prefix = &from.values()[..j];
+fn skip_target(from: &KeyCols, j: usize, below_lo: bool, col_ranges: &[(i64, i64)]) -> Key {
+    let prefix = &from[..j];
     if below_lo { low_corner(prefix, col_ranges) } else { Key::padded_hi(prefix, col_ranges.len()) }
 }
 
 /// Run MDAM over `index` with one inclusive `(lo, hi)` range per key
-/// column.  All charges happen here; `emit` receives each qualifying key
-/// (unprojected, in key-column space), must not charge, and answers
+/// column.  All charges happen here; `emit` receives each qualifying key's
+/// values (unprojected, in key-column space), must not charge, and answers
 /// whether to keep scanning (`false` aborts mid-flight — the adaptive
 /// bail).
 pub fn run(
     index: &IndexDef,
     col_ranges: &[(i64, i64)],
     session: &Session,
-    emit: &mut dyn FnMut(&Key) -> bool,
+    emit: &mut dyn FnMut(&[i64]) -> bool,
 ) -> Result<(), ExecError> {
     let arity = index.tree.key_arity();
     if col_ranges.len() != arity {
@@ -117,13 +118,13 @@ pub fn run(
     while let Some(key) = walk.next(&mut cursor) {
         // The first column that has left its range, and whether below it.
         let violation = col_ranges.iter().enumerate().find_map(|(j, &(lo, hi))| {
-            let v = key.get(j);
+            let v = key[j];
             (v < lo || v > hi).then_some((j, v < lo))
         });
         walk.checked += 1;
 
         match violation {
-            None if emit(key) => {}
+            None if emit(&key[..arity]) => {}
             None => break, // aborted by the adaptive layer
             Some((0, false)) => break, // leading column beyond its range: done
             Some((j, below_lo)) => {
@@ -133,7 +134,7 @@ pub fn run(
                 // whatever its tail — it follows `key` in tree order, so its
                 // prefix is the greater; one under the same is put to it.
                 let passed =
-                    |k: &Key| (0..j).any(|c| k.get(c) != key.get(c)) || *k >= target();
+                    |k: &KeyCols| (0..j).any(|c| k[c] != key[c]) || k >= target().cols();
                 // Hybrid skip: read a few entries forward first — if the
                 // target is nearby, re-descending from the root would cost
                 // more than walking the leaf.  A probe that ran off its leaf
@@ -176,7 +177,7 @@ mod tests {
         index: &IndexDef,
         col_ranges: &[(i64, i64)],
         session: &Session,
-        emit: &mut dyn FnMut(&Key) -> bool,
+        emit: &mut dyn FnMut(&[i64]) -> bool,
     ) -> Result<(), ExecError> {
         let tree = &index.tree;
         let arity = tree.key_arity();
@@ -193,7 +194,7 @@ mod tests {
             });
             match violation {
                 None => {
-                    if !emit(&key) {
+                    if !emit(key.values()) {
                         break;
                     }
                 }
@@ -233,7 +234,7 @@ mod tests {
         &IndexDef,
         &[(i64, i64)],
         &Session,
-        &mut dyn FnMut(&Key) -> bool,
+        &mut dyn FnMut(&[i64]) -> bool,
     ) -> Result<(), ExecError>;
 
     /// Everything a scan leaves behind: the keys it emitted, in order, and
@@ -248,7 +249,7 @@ mod tests {
         let s = Session::with_pool_pages(pool_pages);
         let mut keys = Vec::new();
         scan(index, col_ranges, &s, &mut |key| {
-            keys.push(*key);
+            keys.push(Key::new(key));
             Some(keys.len()) != stop_at
         })
         .unwrap();
@@ -377,7 +378,7 @@ mod tests {
     ) -> Result<Vec<Key>, ExecError> {
         let mut keys = Vec::new();
         run(index, col_ranges, session, &mut |key| {
-            keys.push(*key);
+            keys.push(Key::new(key));
             true
         })?;
         Ok(keys)

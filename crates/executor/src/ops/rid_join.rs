@@ -12,7 +12,7 @@
 //! builds on one side and probes with the other — asymmetric, as the paper
 //! (citing \[GLS94\]) points out.
 
-use robustmap_storage::btree::Entry;
+use robustmap_storage::btree::{KeyCols, StoredEntry};
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{FxBuildHasher, FxHashMap, RidSet, RidSpan, Row, Session};
 
@@ -168,34 +168,35 @@ fn hash_intersect_in_memory(
 
 /// Join two covering index scans on rid, producing rows `left key columns
 /// ++ right key columns` (Figure 2's multi-index covering plans).  Both
-/// inputs are `(key, rid)` entry lists in key order, over a heap of span
-/// `span`.
+/// inputs are stored-entry lists in key order, over a heap of span `span`;
+/// `arity` holds the key arity of the left and of the right index.
 pub fn covering_join(
-    left: Vec<Entry>,
-    right: Vec<Entry>,
+    left: Vec<StoredEntry>,
+    right: Vec<StoredEntry>,
+    arity: [usize; 2],
     algo: IntersectAlgo,
     span: RidSpan,
     ctx: &ExecCtx<'_>,
     sink: &mut dyn FnMut(&Row),
 ) -> u64 {
     match algo {
-        IntersectAlgo::MergeJoin => covering_merge_join(left, right, span, ctx.session, sink),
+        IntersectAlgo::MergeJoin => {
+            covering_merge_join(left, right, arity, span, ctx.session, sink)
+        }
         IntersectAlgo::HashJoin { build_left } => {
             if build_left {
-                covering_hash_join(left, right, false, ctx, sink)
+                covering_hash_join(left, right, false, arity, ctx, sink)
             } else {
-                covering_hash_join(right, left, true, ctx, sink)
+                covering_hash_join(right, left, true, arity, ctx, sink)
             }
         }
     }
 }
 
-fn combined_row(left_key: &robustmap_storage::Key, right_key: &robustmap_storage::Key) -> Row {
+/// The row `left ++ right` of two keys of `arity` columns each.
+fn combined_row(left: &KeyCols, right: &KeyCols, [la, ra]: [usize; 2]) -> Row {
     let mut row = Row::empty();
-    for &v in left_key.values() {
-        row.push(v);
-    }
-    for &v in right_key.values() {
+    for &v in left[..la].iter().chain(&right[..ra]) {
         row.push(v);
     }
     row
@@ -204,8 +205,8 @@ fn combined_row(left_key: &robustmap_storage::Key, right_key: &robustmap_storage
 /// Sort entries by rid.  Rids are unique, so an entry's place is its rid's
 /// rank in the set of them all; entries whose rids the set is not built
 /// for are sorted through light `(rid, index)` pairs (16-byte elements
-/// instead of 40-byte entries), stably — the same order.
-fn sort_entries_by_rid(entries: &mut Vec<Entry>, span: RidSpan) {
+/// instead of 32-byte entries), stably — the same order.
+fn sort_entries_by_rid(entries: &mut Vec<StoredEntry>, span: RidSpan) {
     let rids: Vec<Rid> = entries.iter().map(|&(_, rid)| rid).collect();
     match RidSet::build(&rids, span) {
         Some(set) if set.len() == rids.len() => {
@@ -226,8 +227,9 @@ fn sort_entries_by_rid(entries: &mut Vec<Entry>, span: RidSpan) {
 }
 
 fn covering_merge_join(
-    mut left: Vec<Entry>,
-    mut right: Vec<Entry>,
+    mut left: Vec<StoredEntry>,
+    mut right: Vec<StoredEntry>,
+    arity: [usize; 2],
     span: RidSpan,
     session: &Session,
     sink: &mut dyn FnMut(&Row),
@@ -245,7 +247,7 @@ fn covering_merge_join(
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                let row = combined_row(&left[i].0, &right[j].0);
+                let row = combined_row(&left[i].0, &right[j].0, arity);
                 sink(&row);
                 produced += 1;
                 i += 1;
@@ -260,11 +262,12 @@ fn covering_merge_join(
 }
 
 /// `swap_output`: when the build side is physically the right input, output
-/// must still be `left keys ++ right keys`.
+/// must still be `left keys ++ right keys`, of `arity` columns each.
 fn covering_hash_join(
-    build: Vec<Entry>,
-    probe: Vec<Entry>,
+    build: Vec<StoredEntry>,
+    probe: Vec<StoredEntry>,
     swap_output: bool,
+    arity: [usize; 2],
     ctx: &ExecCtx<'_>,
     sink: &mut dyn FnMut(&Row),
 ) -> u64 {
@@ -280,7 +283,7 @@ fn covering_hash_join(
     // Build side pays double (see `hash_intersect_in_memory`).
     session.charge_hashes(2 * build.len() as u64);
     // The table maps packed rids to indices into `build` — 16-byte pairs
-    // instead of 48-byte (rid, key) pairs, since rids are unique.
+    // instead of 32-byte entries, since rids are unique.
     let mut table: FxHashMap<u64, u32> =
         FxHashMap::with_capacity_and_hasher(build.len(), FxBuildHasher::default());
     for (i, &(_, rid)) in build.iter().enumerate() {
@@ -292,9 +295,9 @@ fn covering_hash_join(
         if let Some(&i) = table.get(&rid.to_u64()) {
             let build_key = &build[i as usize].0;
             let row = if swap_output {
-                combined_row(&probe_key, build_key)
+                combined_row(&probe_key, build_key, arity)
             } else {
-                combined_row(build_key, &probe_key)
+                combined_row(build_key, &probe_key, arity)
             };
             sink(&row);
             produced += 1;
@@ -439,8 +442,8 @@ mod tests {
         let mut seed = 7u64;
         for (n, spread) in [(0usize, 2usize), (1, 2), (63, 2), (64, 2), (5000, 2), (5000, 400)] {
             let rids = draw(n, spread * n + 8, 186, false, &mut seed);
-            let mut entries: Vec<Entry> =
-                rids.iter().enumerate().map(|(i, &rid)| (Key::single(i as i64), rid)).collect();
+            let mut entries: Vec<StoredEntry> =
+                rids.iter().enumerate().map(|(i, &rid)| (*Key::single(i as i64).cols(), rid)).collect();
             let mut want = entries.clone();
             want.sort_by_key(|&(_, rid)| rid);
             sort_entries_by_rid(&mut entries, span_of(&[&rids]));
@@ -525,9 +528,10 @@ mod tests {
     fn covering_join_produces_combined_rows() {
         let (db, _) = demo_db(8);
         // left: (a-value, rid), right: (c-value, rid); joined on rid.
-        let left: Vec<Entry> = (0..50).map(|i| (Key::single(i as i64), rid(i))).collect();
-        let right: Vec<Entry> =
-            (0..50).filter(|i| i % 2 == 0).map(|i| (Key::single(1000 + i as i64), rid(i))).collect();
+        let entry = |v: i64, i: u32| (*Key::single(v).cols(), rid(i));
+        let left: Vec<StoredEntry> = (0..50).map(|i| entry(i as i64, i)).collect();
+        let right: Vec<StoredEntry> =
+            (0..50).filter(|i| i % 2 == 0).map(|i| entry(1000 + i as i64, i)).collect();
         for algo in [
             IntersectAlgo::MergeJoin,
             IntersectAlgo::HashJoin { build_left: true },
@@ -538,7 +542,8 @@ mod tests {
             let mut rows: Vec<(i64, i64)> = Vec::new();
             let rids: Vec<Rid> = left.iter().chain(&right).map(|&(_, rid)| rid).collect();
             let span = span_of(&[&rids]);
-            let n = covering_join(left.clone(), right.clone(), algo, span, &ctx, &mut |r| {
+            let (l, r) = (left.clone(), right.clone());
+            let n = covering_join(l, r, [1, 1], algo, span, &ctx, &mut |r| {
                 rows.push((r.get(0), r.get(1)))
             });
             assert_eq!(n, 25, "{algo:?}");

@@ -11,6 +11,14 @@
 //! `i64::MIN` / `i64::MAX` padding (see [`Key::padded_lo`] / [`Key::padded_hi`]),
 //! which is what the MDAM operator uses to build per-column sub-ranges.
 //!
+//! A [`Key`] carries its arity; what a leaf or a separator stores does not.
+//! Every entry of a tree has the tree's arity ([`BTree::key_arity`]), so a
+//! node holds 32-byte [`StoredEntry`]s — the key's columns ([`KeyCols`]) and
+//! the rid — and keys of one arity order as their columns do.  Bounds,
+//! probes, inserts and deletes are `Key`s, checked against the tree's arity;
+//! entries handed out by value ([`BTree::scan_range`],
+//! [`BTree::cursor_next`], [`BTree::collect_all`]) are `Key`s again.
+//!
 //! Reads go through one [`Cursor`], which borrows the leaf it is on:
 //! [`BTree::seek`] makes one, [`Cursor::peek`] / [`Cursor::rest`] /
 //! [`Cursor::advance`] read and step within the leaf for free, and
@@ -76,6 +84,12 @@ impl Key {
         self.len as usize
     }
 
+    /// The key's columns without its arity: what a tree stores of it.
+    #[inline]
+    pub fn cols(&self) -> &KeyCols {
+        &self.vals
+    }
+
     /// The key values.
     #[inline]
     pub fn values(&self) -> &[i64] {
@@ -112,8 +126,17 @@ impl std::fmt::Debug for Key {
     }
 }
 
-/// An index entry: `(key, rid)`, the unit the tree stores and orders by.
+/// An index entry: `(key, rid)`, the unit the tree orders by.
 pub type Entry = (Key, Rid);
+
+/// A key's [`MAX_KEY_COLS`] column slots without its arity, the columns past
+/// the arity holding the key's padding.  Keys of one arity order as their
+/// columns do.
+pub type KeyCols = [i64; MAX_KEY_COLS];
+
+/// An [`Entry`] as a node stores it: 32 bytes, where an `Entry` takes 40 —
+/// its key's one-byte arity pads it by 8.
+pub type StoredEntry = (KeyCols, Rid);
 
 type NodeId = u32;
 const NO_NODE: NodeId = u32::MAX;
@@ -122,11 +145,11 @@ const NO_NODE: NodeId = u32::MAX;
 enum Node {
     Internal {
         /// `seps[i]` is the smallest entry reachable under `children[i + 1]`.
-        seps: Vec<Entry>,
+        seps: Vec<StoredEntry>,
         children: Vec<NodeId>,
     },
     Leaf {
-        entries: Vec<Entry>,
+        entries: Vec<StoredEntry>,
         next: NodeId,
     },
     /// Freed node, threaded on the free list.
@@ -135,7 +158,7 @@ enum Node {
 
 /// Result of a recursive insert: a split produced a new right sibling.
 struct Split {
-    sep: Entry,
+    sep: StoredEntry,
     right: NodeId,
 }
 
@@ -152,8 +175,8 @@ pub struct BTree {
     internal_cap: usize,
 }
 
-/// Default maximum entries per leaf (≈ 8 KiB page / 24-byte entries, with
-/// headroom for slot overhead).
+/// Default maximum entries per leaf: 256 [`StoredEntry`]s of 32 bytes are
+/// exactly one 8 KiB page.
 pub const DEFAULT_LEAF_CAP: usize = 256;
 /// Default maximum children per internal node.
 pub const DEFAULT_INTERNAL_CAP: usize = 256;
@@ -194,7 +217,7 @@ impl BTree {
     /// # Panics
     /// Panics if `fill` is not in `(0, 1]`, or if the iterator yields fewer
     /// entries than its length; with debug assertions, if entries are not
-    /// sorted.
+    /// sorted or a key's arity is not `key_arity`.
     pub fn bulk_load(
         file: FileId,
         key_arity: usize,
@@ -226,11 +249,18 @@ impl BTree {
         // Build leaves, consecutively numbered from 0.  Group sizes are
         // balanced so that no leaf (except a lone root) falls below minimum
         // occupancy — a naive "fill then spill" would leave a tiny last leaf.
-        let mut level: Vec<(Entry, NodeId)> = Vec::new();
+        let mut level: Vec<(StoredEntry, NodeId)> = Vec::new();
         let sizes = balanced_group_sizes(len, per_leaf, leaf_cap / 2);
-        let mut last: Option<Entry> = None;
+        let mut last: Option<StoredEntry> = None;
         for (i, &size) in sizes.iter().enumerate() {
-            let chunk: Vec<Entry> = entries.by_ref().take(size).collect();
+            let chunk: Vec<StoredEntry> = entries
+                .by_ref()
+                .take(size)
+                .map(|(key, rid)| {
+                    debug_assert_eq!(key.arity(), key_arity, "bulk_load key arity mismatch");
+                    (key.vals, rid)
+                })
+                .collect();
             assert_eq!(chunk.len(), size, "bulk_load input shorter than its length");
             debug_assert!(
                 last.is_none_or(|l| l < chunk[0]) && chunk.windows(2).all(|w| w[0] < w[1]),
@@ -246,7 +276,7 @@ impl BTree {
         // Build internal levels bottom-up.
         let per_internal = ((internal_cap as f64 * fill) as usize).clamp(2, internal_cap);
         while level.len() > 1 {
-            let mut upper: Vec<(Entry, NodeId)> = Vec::new();
+            let mut upper: Vec<(StoredEntry, NodeId)> = Vec::new();
             let sizes = balanced_group_sizes(
                 level.len(),
                 per_internal,
@@ -257,7 +287,7 @@ impl BTree {
                 let group = &level[offset..offset + size];
                 offset += size;
                 let children: Vec<NodeId> = group.iter().map(|&(_, id)| id).collect();
-                let seps: Vec<Entry> = group[1..].iter().map(|&(sep, _)| sep).collect();
+                let seps: Vec<StoredEntry> = group[1..].iter().map(|&(sep, _)| sep).collect();
                 let id = tree.alloc(Node::Internal { seps, children });
                 upper.push((group[0].0, id));
             }
@@ -328,13 +358,25 @@ impl BTree {
         session.read_page(self.page_id(node), kind);
     }
 
-    fn check_key(&self, key: &Key) {
+    /// `key` as this tree stores it: its columns, once its arity is checked.
+    fn stored_key(&self, key: &Key) -> KeyCols {
         assert_eq!(key.arity(), self.key_arity, "key arity mismatch");
+        key.vals
+    }
+
+    /// A stored entry handed out by value: its key gets the tree's arity.
+    #[inline]
+    fn entry(&self, (vals, rid): StoredEntry) -> Entry {
+        (Key { vals, len: self.key_arity as u8 }, rid)
     }
 
     /// Binary search within a leaf: index of the first entry `>= target`.
     /// Charges comparisons to the session.
-    fn search_entries<S: ChargeSink>(entries: &[Entry], target: &Entry, session: &S) -> usize {
+    fn search_entries<S: ChargeSink>(
+        entries: &[StoredEntry],
+        target: &StoredEntry,
+        session: &S,
+    ) -> usize {
         let n = entries.len().max(1);
         session.charge_compares((usize::BITS - n.leading_zeros()) as u64);
         entries.partition_point(|e| e < target)
@@ -344,7 +386,11 @@ impl BTree {
     /// into.  An entry equal to `seps[i]` lives under `children[i + 1]`
     /// (separators are the smallest entry of their right subtree), so the
     /// descent uses `<=`.
-    fn search_children<S: ChargeSink>(seps: &[Entry], target: &Entry, session: &S) -> usize {
+    fn search_children<S: ChargeSink>(
+        seps: &[StoredEntry],
+        target: &StoredEntry,
+        session: &S,
+    ) -> usize {
         let n = seps.len().max(1);
         session.charge_compares((usize::BITS - n.leading_zeros()) as u64);
         seps.partition_point(|e| e <= target)
@@ -353,8 +399,7 @@ impl BTree {
     /// Insert `(key, rid)`.  Returns `false` if the exact entry was already
     /// present (the tree is a set of `(key, rid)` pairs).
     pub fn insert<S: ChargeSink>(&mut self, key: Key, rid: Rid, session: &S) -> bool {
-        self.check_key(&key);
-        let entry = (key, rid);
+        let entry = (self.stored_key(&key), rid);
         let root = self.root;
         match self.insert_rec(root, entry, session) {
             InsertOutcome::Duplicate => false,
@@ -375,7 +420,12 @@ impl BTree {
         }
     }
 
-    fn insert_rec<S: ChargeSink>(&mut self, node: NodeId, entry: Entry, session: &S) -> InsertOutcome {
+    fn insert_rec<S: ChargeSink>(
+        &mut self,
+        node: NodeId,
+        entry: StoredEntry,
+        session: &S,
+    ) -> InsertOutcome {
         self.touch(node, session, AccessKind::Random);
         match &mut self.nodes[node as usize] {
             Node::Leaf { entries, next } => {
@@ -436,8 +486,7 @@ impl BTree {
 
     /// Delete `(key, rid)`.  Returns `true` if the entry existed.
     pub fn delete<S: ChargeSink>(&mut self, key: Key, rid: Rid, session: &S) -> bool {
-        self.check_key(&key);
-        let entry = (key, rid);
+        let entry = (self.stored_key(&key), rid);
         let root = self.root;
         let removed = self.delete_rec(root, &entry, session);
         if removed {
@@ -467,7 +516,12 @@ impl BTree {
         self.internal_cap.div_ceil(2)
     }
 
-    fn delete_rec<S: ChargeSink>(&mut self, node: NodeId, entry: &Entry, session: &S) -> bool {
+    fn delete_rec<S: ChargeSink>(
+        &mut self,
+        node: NodeId,
+        entry: &StoredEntry,
+        session: &S,
+    ) -> bool {
         self.touch(node, session, AccessKind::Random);
         match &mut self.nodes[node as usize] {
             Node::Leaf { entries, .. } => {
@@ -569,7 +623,7 @@ impl BTree {
             let total = left_entries.len() + right_entries.len();
             let target_left = total / 2;
             if left_entries.len() > target_left {
-                let moved: Vec<Entry> = left_entries.split_off(target_left);
+                let moved: Vec<StoredEntry> = left_entries.split_off(target_left);
                 let mut merged = moved;
                 merged.extend(right_entries);
                 right_entries = merged;
@@ -659,8 +713,7 @@ impl BTree {
     /// Position a cursor at the first entry with `(key, rid) >= (lo,
     /// Rid(0,0))`, charging the root-to-leaf descent.
     pub fn seek(&self, lo: &Key, session: &Session) -> Cursor<'_> {
-        self.check_key(lo);
-        let target = (*lo, Rid::new(0, 0));
+        let target = (self.stored_key(lo), Rid::new(0, 0));
         let mut node = self.root;
         loop {
             self.touch(node, session, AccessKind::Random);
@@ -722,7 +775,7 @@ impl BTree {
             if let Some(&entry) = cursor.peek() {
                 cursor.advance(1);
                 session.charge_rows(1);
-                return Some(entry);
+                return Some(self.entry(entry));
             }
             *cursor = self.next_leaf(*cursor, session, leaf_access)?;
         }
@@ -739,20 +792,25 @@ impl BTree {
         leaf_access: AccessKind,
         mut f: F,
     ) -> u64 {
-        self.scan_leaves(lo, hi, session, leaf_access, |leaf| leaf.iter().copied().for_each(&mut f))
+        self.scan_leaves(lo, hi, session, leaf_access, |leaf| {
+            leaf.iter().for_each(|&entry| f(self.entry(entry)))
+        })
     }
 
     /// Scan all entries with keys in `[lo, hi]`, leaf by leaf: `f` receives
-    /// each leaf's in-range entries as one slice.  Returns the number of
-    /// entries visited.
+    /// each leaf's in-range entries as one slice of the stored entries,
+    /// whose keys have the tree's arity.  Returns the number of entries
+    /// visited.
     ///
     /// Charges what a [`BTree::seek`] + [`BTree::cursor_next`] loop that
     /// stops at the first key above `hi` would — one row per entry looked
     /// at, that first key included, and one `leaf_access` page per leaf
     /// moved onto — but per leaf, in one call ahead of `f`: whether a leaf
     /// lies wholly inside the range is one look at its last key, and only
-    /// the leaf the range ends in is searched for the end.
-    pub fn scan_leaves<F: FnMut(&[Entry])>(
+    /// the leaf the range ends in is searched for the end.  `lo` is checked
+    /// against the tree's arity by the seek; `hi` is compared by its
+    /// columns ([`Key::cols`]).
+    pub fn scan_leaves<F: FnMut(&[StoredEntry])>(
         &self,
         lo: &Key,
         hi: &Key,
@@ -761,6 +819,7 @@ impl BTree {
         mut f: F,
     ) -> u64 {
         let mut cursor = self.seek(lo, session);
+        let hi = hi.cols();
         let mut n = 0;
         loop {
             let rest = cursor.rest();
@@ -856,8 +915,8 @@ impl BTree {
         &self,
         node: NodeId,
         depth: u32,
-        lo: Option<&Entry>,
-        hi: Option<&Entry>,
+        lo: Option<&StoredEntry>,
+        hi: Option<&StoredEntry>,
         leaf_depths: &mut Vec<u32>,
         leaves: &mut Vec<NodeId>,
     ) -> Result<(), String> {
@@ -942,20 +1001,20 @@ fn balanced_group_sizes(len: usize, preferred: usize, min_size: usize) -> Vec<us
 /// The borrow keeps the tree unwritten for as long as a cursor is alive.
 #[derive(Debug, Clone, Copy)]
 pub struct Cursor<'t> {
-    rest: &'t [Entry],
+    rest: &'t [StoredEntry],
     next: NodeId,
 }
 
 impl<'t> Cursor<'t> {
     /// The entry the cursor is on; `None` at the end of its leaf.
     #[inline]
-    pub fn peek(&self) -> Option<&'t Entry> {
+    pub fn peek(&self) -> Option<&'t StoredEntry> {
         self.rest.first()
     }
 
     /// The cursor's leaf from its position to the leaf's end.
     #[inline]
-    pub fn rest(&self) -> &'t [Entry] {
+    pub fn rest(&self) -> &'t [StoredEntry] {
         self.rest
     }
 
@@ -1046,6 +1105,15 @@ mod tests {
                 assert_eq!(n, want.len() as u64);
             }
         }
+    }
+
+    /// A node stores an entry in 32 bytes, where an [`Entry`] takes 40, so a
+    /// full leaf of [`DEFAULT_LEAF_CAP`] entries is one page.
+    #[test]
+    fn a_stored_entry_is_32_bytes_and_a_full_leaf_one_page() {
+        assert_eq!(std::mem::size_of::<StoredEntry>(), 32);
+        assert_eq!(std::mem::size_of::<Entry>(), 40);
+        assert_eq!(DEFAULT_LEAF_CAP * std::mem::size_of::<StoredEntry>(), crate::page::PAGE_SIZE);
     }
 
     #[test]
