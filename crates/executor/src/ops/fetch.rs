@@ -27,9 +27,16 @@
 //!
 //! A run's records are found through [`HeapFile::resolve`]: by arithmetic
 //! on a page in the append layout, through the slot directory otherwise.
+//! A set's page group that is every record of a page in the append layout
+//! — slots `0..n` of its `n` — is not listed record by record: the sweep
+//! hands the kernel the page's record area ([`Records::Packed`]), which it
+//! reads in slot order, and charges what listing the `n` slots charges.
+//! The kernel is inlined, so each kind of run has its own call of it: one
+//! call site that could take either kind compiles both of the kernel's
+//! arms into one loop, and slowed the listed runs.
 
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{AccessKind, HeapFile, RidSet, RidSpan, Session, StorageError};
+use robustmap_storage::{AccessKind, HeapFile, HeapPage, RidSet, RidSpan, Session, StorageError};
 
 use crate::batch::{BatchEmitter, Records, RowBatch};
 use crate::exec::ExecError;
@@ -158,16 +165,35 @@ impl<'a, 'h> Fetcher<'a, 'h> {
             }
         }
         let requested = (self.records.len() + usize::from(dangling.is_some())) as u64;
-        self.session.read_page_run(self.heap.page_id(page_no), AccessKind::Random, requested);
-        self.session.charge_rows_as(requested, requested);
-        let records = Records::Listed(&self.records);
-        let got = self.emitter.filter(self.residual, records, self.proj, self.sink);
-        if !self.residual.is_true() {
-            self.session.charge_compares_as(got.compares, got.live);
-        }
+        let listed = std::mem::take(&mut self.records);
+        self.read(page_no, requested, Records::Listed(&listed));
+        self.records = listed;
         match dangling {
             Some(rid) => Err(StorageError::InvalidRid(rid).into()),
             None => Ok(()),
+        }
+    }
+
+    /// Fetch every record of heap page `page_no`, a page in the append
+    /// layout whose record area is `area`: what [`Fetcher::page_run`] of
+    /// its slots `0..n` charges, the records read from the area.
+    #[inline]
+    fn whole_page(&mut self, page_no: u32, area: &[u8], width: usize) {
+        let n = (area.len() / width) as u64;
+        self.read(page_no, n, Records::Packed { area, width });
+    }
+
+    /// The charges and the kernel call of a run of `requested` rids on page
+    /// `page_no` whose live `records` precede any dangling rid.  Inlined
+    /// into each caller, so the kernel is compiled for the one kind of
+    /// records that caller passes.
+    #[inline(always)]
+    fn read(&mut self, page_no: u32, requested: u64, records: Records<'_>) {
+        self.session.read_page_run(self.heap.page_id(page_no), AccessKind::Random, requested);
+        self.session.charge_rows_as(requested, requested);
+        let got = self.emitter.filter(self.residual, records, self.proj, self.sink);
+        if !self.residual.is_true() {
+            self.session.charge_compares_as(got.compares, got.live);
         }
     }
 
@@ -285,31 +311,40 @@ fn fetch_in_physical_order(
     cfg: Option<&ImprovedFetchConfig>,
     fetcher: Fetcher<'_, '_>,
 ) -> Result<u64, ExecError> {
+    let heap = fetcher.heap;
     match rids {
-        // A page group is never empty.
+        // A page group is never empty.  One that is every record of a page
+        // in the append layout carries the page's record area.
         Ordered::Set(set) => {
-            let groups =
-                set.pages().filter_map(|(page, mut slots)| Some((page, slots.next()?, slots)));
+            let groups = set.pages().filter_map(|(page, mut slots)| {
+                let whole = heap.resolve(page).and_then(HeapPage::packed);
+                let whole = whole.filter(|&(area, width)| slots.are_first(area.len() / width));
+                Some((page, slots.next()?, slots, whole))
+            });
             sweep(groups, cfg, fetcher)
         }
-        Ordered::List(list) => sweep(runs(list), cfg, fetcher),
+        Ordered::List(list) => {
+            let runs = runs(list).map(|(page, first, rest)| (page, first, rest, None));
+            sweep(runs, cfg, fetcher)
+        }
     }
 }
 
 /// The sweep over `pages`: page numbers ascending, each with the first slot
 /// and the rest to fetch from it — a set's page groups, or a sorted list's
-/// runs.
-fn sweep<S: Iterator<Item = u32>>(
-    pages: impl Iterator<Item = (u32, u32, S)>,
+/// runs — and, for a group that is the whole of a page in the append
+/// layout, the page's record area and record width.
+fn sweep<'h, S: Iterator<Item = u32>>(
+    pages: impl Iterator<Item = (u32, u32, S, Option<(&'h [u8], usize)>)>,
     cfg: Option<&ImprovedFetchConfig>,
-    mut fetcher: Fetcher<'_, '_>,
+    mut fetcher: Fetcher<'_, 'h>,
 ) -> Result<u64, ExecError> {
     let prefetch_gap = cfg.map_or(ImprovedFetchConfig::default().prefetch_gap, |c| c.prefetch_gap);
     let scan_gap = cfg.map(|c| c.scan_gap);
     let (heap, session) = (fetcher.heap, fetcher.session);
     let mut prev_page: Option<u32> = None;
     // One page transition and one set of charges per page.
-    for (page_no, first, rest) in pages {
+    for (page_no, first, rest, whole) in pages {
         debug_assert!(prev_page.is_none_or(|p| p < page_no), "pages must be in physical order");
         let page_id = heap.page_id(page_no);
         match prev_page {
@@ -337,8 +372,11 @@ fn sweep<S: Iterator<Item = u32>>(
             }
         }
         prev_page = Some(page_no);
-        // The transition is charged before a missing page is rejected.
-        fetcher.page_run(page_no, first, rest)?;
+        match whole {
+            Some((area, width)) => fetcher.whole_page(page_no, area, width),
+            // The transition is charged before a missing page is rejected.
+            None => fetcher.page_run(page_no, first, rest)?,
+        }
     }
     Ok(fetcher.finish())
 }
@@ -576,6 +614,44 @@ mod tests {
                 assert_eq!(s.stats(), want, "{kind:?}, {victim} dangling");
                 assert_eq!(s.elapsed_ticks(), s.costs().of(&want));
             }
+        }
+    }
+
+    /// A set's page group that is every record of a page in the append
+    /// layout is read from the page's record area, and reads exactly as
+    /// the same slots listed one by one do: rows in order, clock, charge
+    /// events and counters — beside a page a delete took out of the append
+    /// layout, a part-selected page and the part-filled last page.
+    #[test]
+    fn a_whole_page_group_reads_as_its_slots_listed() {
+        let (mut db, t) = demo_db(4096);
+        let per_page = db.table(t).heap.rows_per_page() as u32;
+        db.table_mut(t).heap.delete(Rid::new(3, 7)).unwrap();
+        let heap = &db.table(t).heap;
+        assert!(heap.resolve(3).unwrap().packed().is_none());
+        let live = |rid: Rid| heap.resolve(rid.page).and_then(|page| page.record(rid.slot));
+        let rids: Vec<Rid> = (0..heap.page_count())
+            .flat_map(|page| (0..per_page).map(move |slot| Rid::new(page, slot)))
+            .filter(|&rid| live(rid).is_some() && rid != Rid::new(5, 9))
+            .collect();
+        let residual = Predicate::single(ColRange::at_least(1, 100));
+        let improved = ImprovedFetchConfig::default();
+        for cfg in [Some(&improved), None] {
+            let reading = |ordered: &Ordered| {
+                let s = Session::with_pool_pages(16);
+                let mut digest = 0i64;
+                let mut sink = |b: &RowBatch| {
+                    for i in 0..b.len() {
+                        digest = digest.wrapping_mul(31).wrapping_add(b.row(i).get(2));
+                    }
+                };
+                let fetcher = Fetcher::new(heap, &residual, &[0, 1, 2], &s, &mut sink);
+                let got = fetch_in_physical_order(ordered, cfg, fetcher);
+                (got, digest, s.elapsed_ticks(), s.charge_events(), s.stats())
+            };
+            let set = Ordered::of(rids.clone(), heap.span());
+            assert!(matches!(set, Ordered::Set(_)));
+            assert_eq!(reading(&set), reading(&Ordered::List(rids.clone())), "{cfg:?}");
         }
     }
 

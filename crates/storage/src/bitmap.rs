@@ -190,6 +190,18 @@ pub struct Slots<'a> {
     word: u64,
 }
 
+impl Slots<'_> {
+    /// Whether these are exactly the slots `0..n`, none yielded yet: the
+    /// group's first `n` bits set and every other clear.
+    pub fn are_first(&self, n: usize) -> bool {
+        let covered = |i: usize| n.saturating_sub(i * 64).min(64);
+        let low_bits = |k: usize| if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
+        self.next == 0
+            && n <= self.group.len() * 64
+            && self.group.iter().enumerate().all(|(i, &w)| w == low_bits(covered(i)))
+    }
+}
+
 impl Iterator for Slots<'_> {
     type Item = u32;
 
@@ -271,6 +283,40 @@ mod tests {
         let by_page: Vec<(u32, Vec<u32>)> = set.pages().map(|(p, s)| (p, s.collect())).collect();
         assert!(by_page.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(by_page.iter().map(|(_, s)| s.len()).sum::<usize>(), want.len());
+    }
+
+    /// A page group is its first `n` slots exactly when its slots are
+    /// `0..n`, at every word boundary: one short, one past, slot 0 missing
+    /// or a gap says no, and so does a group that has yielded a slot.
+    #[test]
+    fn are_first_is_a_group_of_exactly_the_first_slots() {
+        let span = RidSpan { pages: 1, slots: 256 };
+        // Whether the page group of `slots` on page 0 is its first `n`.
+        let are_first = |slots: &[u32], n: usize| {
+            let rids: Vec<Rid> = slots.iter().map(|&slot| Rid::new(0, slot)).collect();
+            let set = RidSet::build_for(&rids, MIN_RIDS, span).unwrap();
+            let (_, group) = set.pages().next().unwrap();
+            group.are_first(n)
+        };
+        for n in [1usize, 63, 64, 65, 128, 186, 256] {
+            let first: Vec<u32> = (0..n as u32).collect();
+            assert!(are_first(&first, n), "{n}");
+            assert!(!are_first(&first, n + 1), "{n}: one short");
+            assert!(!are_first(&first, n - 1), "{n}: one past");
+            if n > 1 {
+                assert!(!are_first(&first[1..], n - 1), "{n}: slot 0 missing");
+            }
+            if n < 256 {
+                let gap: Vec<u32> = (0..=n as u32).filter(|&slot| slot as usize != n / 2).collect();
+                assert!(!are_first(&gap, n), "{n}: a gap");
+            }
+        }
+        let rids: Vec<Rid> = (0..64).map(|slot| Rid::new(0, slot)).collect();
+        let set = RidSet::build(&rids, span).unwrap();
+        let (_, mut group) = set.pages().next().unwrap();
+        assert!(group.are_first(64));
+        group.next();
+        assert!(!group.are_first(64) && !group.are_first(63));
     }
 
     #[test]
