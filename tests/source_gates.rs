@@ -234,6 +234,15 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        gate: "one-physical-sweep",
+        scope: &["crates/executor/src/ops/fetch.rs"],
+        hit: |l| defined_fns(l).any(|name| name.starts_with("sweep")),
+        want: 1,
+        why: "ops/fetch.rs defines exactly one sweep* function — a page group read whole \
+              from its record area is a branch inside the one sweep, not a copy of it",
+        ..RULE
+    },
+    Rule {
         gate: "one-rid-set",
         scope: &["crates/executor/src"],
         hit: |l| l.contains("FxHashSet<Rid>"),
