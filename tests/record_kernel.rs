@@ -11,13 +11,18 @@
 //! three heaps: as appended, tombstoned, and reassembled from page images
 //! with two directory entries swapped.  Selectivities 0, about ½ and 1 run
 //! over more than three batch boundaries.
+//!
+//! The improved and the bitmap fetch sweep a rid set page group by page
+//! group; they are held to `HeapFile::fetch` in physical order with the
+//! sweep's page transitions, over rid lists whose groups are part of a
+//! page's live slots, all of them, or hold a deleted or never-written slot.
 
 use robustmap::executor::batch::BATCH_ROWS;
 use robustmap::executor::ops::{fetch, parallel_scan, table_scan};
-use robustmap::executor::{ColRange, Predicate, RowBatch};
+use robustmap::executor::{ColRange, ExecError, ImprovedFetchConfig, Predicate, RowBatch};
 use robustmap::storage::{
     AccessKind, BufferPool, ColumnType, FileId, HeapFile, IoStats, Rid, Row, Schema, Session,
-    SlottedPage, Table,
+    SlottedPage, StorageError, Table,
 };
 
 const ROWS: i64 = 4500;
@@ -38,21 +43,29 @@ impl Reading {
     }
 }
 
+/// Rows the tombstoned heap takes after its deletes.
+const LATE_ROWS: i64 = 500;
+
 /// The three heaps: as appended (`a`, `b` permutations of `0..ROWS`,
-/// `c` the row number), with every seventh row and all of page 2
-/// tombstoned, and rebuilt from images of the first whose pages 0, 3, 6, …
-/// have their first two directory entries swapped.
+/// `c` the row number); with every seventh row and all of page 2
+/// tombstoned before the last `LATE_ROWS` rows were appended, so the page
+/// that was last then takes appends after its first delete; and rebuilt
+/// from images of the first whose pages 0, 3, 6, … have their first two
+/// directory entries swapped.
 fn heaps() -> Vec<(&'static str, HeapFile)> {
-    let build = || {
-        let int = ColumnType::Int;
-        let mut heap = HeapFile::new(FileId(0), Schema::new(vec![("a", int), ("b", int), ("c", int)]));
-        for i in 0..ROWS {
+    let int = ColumnType::Int;
+    let schema = Schema::new(vec![("a", int), ("b", int), ("c", int)]);
+    let empty = || HeapFile::new(FileId(0), schema.clone());
+    let append = |heap: &mut HeapFile, rows: std::ops::Range<i64>| {
+        for i in rows {
             heap.append(&Row::from_slice(&[(i * 7919) % ROWS, (i * 104_729) % ROWS, i])).unwrap();
         }
-        heap
     };
-    let pristine = build();
-    let mut tombstoned = build();
+    let mut pristine = empty();
+    append(&mut pristine, 0..ROWS);
+    let mut tombstoned = empty();
+    append(&mut tombstoned, 0..ROWS - LATE_ROWS);
+    let early_pages = tombstoned.page_count();
     let victims: Vec<Rid> = live_rids(&tombstoned)
         .into_iter()
         .enumerate()
@@ -62,6 +75,11 @@ fn heaps() -> Vec<(&'static str, HeapFile)> {
     for rid in victims {
         tombstoned.delete(rid).unwrap();
     }
+    let last = tombstoned.page(early_pages - 1).unwrap().slot_count();
+    append(&mut tombstoned, ROWS - LATE_ROWS..ROWS);
+    let grown = tombstoned.page(early_pages - 1).unwrap().slot_count();
+    assert!(grown > last, "appends after a delete");
+    assert!(tombstoned.page_count() > early_pages);
     let pages = (0..pristine.page_count())
         .map(|p| {
             let mut image = *pristine.page(p).unwrap().as_bytes();
@@ -235,6 +253,175 @@ fn scans_and_fetches_read_what_the_row_at_a_time_heap_reads() {
                 });
                 let want = heap_fetch(heap, &rids, &pred, proj);
                 assert_eq!(Reading::of(rows, &s), want, "traditional fetch: {case}");
+            }
+        }
+    }
+}
+
+/// `ceil(log2 n)` comparisons a rid, what the improved fetch charges for
+/// ordering `n` rids.
+fn sort_compares(n: u64) -> u64 {
+    n * u64::from(64 - n.saturating_sub(1).leading_zeros())
+}
+
+/// The improved fetch (`cfg`) or the bitmap fetch (`None`) as
+/// `HeapFile::fetch` with the residual's `Predicate::eval` on each row,
+/// over `rids` (no rid twice) in physical order: the ordering's charge,
+/// then per page the sweep's transition — the first page a seek, a gap
+/// read ahead sequentially page by page (improved only), a short gap a
+/// single-page read, a long one a seek — and the page's rids fetched one
+/// by one.  The first rid that does not resolve ends the sweep; it is
+/// returned with what was read and charged up to it.
+fn heap_sweep(
+    heap: &HeapFile,
+    rids: &[Rid],
+    cfg: Option<ImprovedFetchConfig>,
+    residual: &Predicate,
+    proj: &[usize],
+) -> (Option<Rid>, Reading) {
+    let s = Session::with_pool_pages(POOL);
+    let n = rids.len() as u64;
+    match cfg {
+        Some(_) => s.charge_compares(sort_compares(n)),
+        None => s.charge_hashes(n),
+    }
+    let prefetch_gap = cfg.unwrap_or_default().prefetch_gap;
+    let mut sorted = rids.to_vec();
+    sorted.sort_unstable();
+    let (mut rows, mut prev, mut dangling) = (Vec::new(), None, None);
+    'pages: for run in sorted.chunk_by(|a, b| a.page == b.page) {
+        let page = run[0].page;
+        match prev {
+            None => s.read_page(heap.page_id(page), AccessKind::Random),
+            Some(p) => match cfg {
+                Some(cfg) if page - p <= cfg.scan_gap => {
+                    for skipped in p + 1..=page {
+                        s.read_page(heap.page_id(skipped), AccessKind::Sequential);
+                    }
+                }
+                _ if page - p <= prefetch_gap => {
+                    s.read_page(heap.page_id(page), AccessKind::SinglePage);
+                }
+                _ => s.read_page(heap.page_id(page), AccessKind::Random),
+            },
+        }
+        prev = Some(page);
+        for &rid in run {
+            match heap.fetch(rid, &s, AccessKind::Random) {
+                Ok(row) if residual.eval(&row, &s) => rows.push(row.project(proj)),
+                Ok(_) => {}
+                Err(_) => {
+                    dangling = Some(rid);
+                    break 'pages;
+                }
+            }
+        }
+    }
+    (dangling, Reading::of(rows, &s))
+}
+
+/// The slots below a page's slot count whose record was deleted, and the
+/// slot past the last page's count.
+fn dead_rids(heap: &HeapFile) -> Vec<Rid> {
+    let mut dead: Vec<Rid> = (0..heap.page_count())
+        .flat_map(|p| (0..heap.page(p).unwrap().slot_count() as u32).map(move |s| Rid::new(p, s)))
+        .filter(|&rid| heap.resolve(rid.page).unwrap().record(rid.slot).is_none())
+        .collect();
+    let last = heap.page_count() - 1;
+    dead.push(Rid::new(last, heap.page(last).unwrap().slot_count() as u32));
+    dead
+}
+
+/// Rid lists in key order (`b`), each long enough to become a rid set:
+/// every live rid (each group a page's live slots), two of every three
+/// (groups part of them), pages whole and part-taken alternately, and
+/// those with one dead rid put on a page in the middle of the heap, on the
+/// last page, and — on a heap with tombstones — on a fully deleted page.
+fn sweep_lists(heap: &HeapFile) -> Vec<(String, Vec<Rid>)> {
+    let mut by_b: Vec<(i64, Rid)> = Vec::new();
+    heap.try_for_each_row(|rid, row| by_b.push((row.get(1), rid))).unwrap();
+    by_b.sort_unstable();
+    let live: Vec<Rid> = by_b.into_iter().map(|(_, rid)| rid).collect();
+    let two_of_three: Vec<Rid> = live.iter().copied().filter(|rid| rid.slot % 3 != 1).collect();
+    let alternate: Vec<Rid> =
+        live.iter().copied().filter(|rid| rid.page % 2 == 0 || rid.slot % 4 == 0).collect();
+    let mut lists = vec![
+        ("every live rid".to_string(), live),
+        ("two of every three".to_string(), two_of_three.clone()),
+        ("whole and part pages".to_string(), alternate.clone()),
+    ];
+    let dead = dead_rids(heap);
+    let middle = heap.page_count() / 2;
+    let mut picks: Vec<Rid> = Vec::new();
+    picks.extend(dead.iter().filter(|rid| rid.page >= middle).take(1));
+    picks.extend(dead.last());
+    picks.extend(dead.iter().filter(|rid| rid.page == 2).take(1));
+    picks.dedup();
+    let bases = [("two of every three", &two_of_three), ("whole and part pages", &alternate)];
+    for victim in picks {
+        for (name, base) in bases {
+            let mut rids = base.clone();
+            rids.insert(rids.len() / 3, victim);
+            lists.push((format!("{name} with {victim} dead"), rids));
+        }
+    }
+    lists
+}
+
+/// The improved fetch (`cfg`) or the bitmap fetch (`None`) of `rids`: its
+/// result, the sizes of the batches it handed over, and its reading.
+fn fetch_sweep(
+    heap: &HeapFile,
+    rids: &[Rid],
+    cfg: Option<ImprovedFetchConfig>,
+    pred: &Predicate,
+    proj: &[usize],
+) -> (Result<u64, ExecError>, Vec<usize>, Reading) {
+    let s = Session::with_pool_pages(POOL);
+    let (mut sizes, mut rows) = (Vec::new(), Vec::new());
+    let mut sink = |b: &RowBatch| {
+        sizes.push(b.len());
+        rows.extend((0..b.len()).map(|i| b.row(i)));
+    };
+    let rids = rids.to_vec();
+    let got = match cfg {
+        Some(cfg) => fetch::improved(heap, rids, &cfg, pred, proj, &s, &mut sink),
+        None => fetch::bitmap_sorted(heap, rids, pred, proj, &s, &mut sink),
+    };
+    (got, sizes, Reading::of(rows, &s))
+}
+
+#[test]
+fn set_sweeps_read_what_the_row_at_a_time_heap_reads() {
+    for (name, heap) in heaps() {
+        let lists = sweep_lists(&heap);
+        assert!(lists.iter().any(|(list, _)| list.contains("dead")), "{name}: a dead rid");
+        for (list, rids) in &lists {
+            assert!(rids.len() >= 64, "{name}, {list}: long enough for a set");
+            for pred in predicates() {
+                // The gather is the scans'; two projections are enough here.
+                for proj in [PROJECTIONS[0], PROJECTIONS[3]] {
+                    for cfg in [Some(ImprovedFetchConfig::default()), None] {
+                        let case = format!("{name}, {list}, {pred}, columns {proj:?}, {cfg:?}");
+                        let (got, sizes, reading) = fetch_sweep(&heap, rids, cfg, &pred, proj);
+                        let (dangling, mut want) = heap_sweep(&heap, rids, cfg, &pred, proj);
+                        let full = |sizes: &[usize]| sizes.iter().all(|&n| n == BATCH_ROWS);
+                        match dangling {
+                            None => {
+                                assert_eq!(got, Ok(want.rows.len() as u64), "{case}");
+                                assert!(full(sizes.split_last().map_or(&[], |(_, f)| f)), "{case}");
+                            }
+                            Some(rid) => {
+                                // A failed fetch hands over its full batches only.
+                                let err = ExecError::from(StorageError::InvalidRid(rid));
+                                assert_eq!(got, Err(err), "{case}");
+                                assert!(full(&sizes), "{case}: {sizes:?}");
+                                want.rows.truncate(want.rows.len() / BATCH_ROWS * BATCH_ROWS);
+                            }
+                        }
+                        assert_eq!(reading, want, "{case}");
+                    }
+                }
             }
         }
     }
