@@ -27,12 +27,14 @@
 //! [`BATCH_ROWS`] records become a `u16` selection vector, and the
 //! selected rows' projected columns are gathered a column at a time
 //! straight into the batch.  The kernel charges nothing; each caller
-//! charges what it reports ([`Filtered`]) in its own calls.
+//! charges what it reports ([`Filtered`]) in its own calls.  It is inlined,
+//! and each kind of [`Records`] has its own call of it in every reader: a
+//! call that could take two kinds compiles both loops into one.
 //!
 //! `tests/exec_ledger.rs` pins every plan's charges, the blocking edges at
 //! pools of a few pages among them.
 
-use robustmap_storage::{HeapPage, Row};
+use robustmap_storage::{HeapFile, HeapPage, Row, Slots};
 
 use crate::expr::Predicate;
 
@@ -103,28 +105,23 @@ fn col_from_bytes(bytes: &[u8], col: usize) -> i64 {
 }
 
 /// The records of one heap page or one rid run, in slot or rid order.
+///
+/// A page the heap keeps in the append layout of `width`-byte records is
+/// read by arithmetic, record `i` of `n` the `width` bytes at `(n − 1 − i)
+/// · width` of its record area: all of it ([`HeapPage::packed`]), or, on a
+/// holey page ([`HeapFile::holey`]), the slots a mask marks.  Any other
+/// page's records are listed one by one through its slot directory.
 #[derive(Clone, Copy)]
 pub enum Records<'r> {
-    /// An append-layout page's record area ([`HeapPage::packed`]): record
-    /// `i` of `n` is the `width` bytes at `(n − 1 − i) · width`.
+    /// Every record of an append-layout page's record area.
     Packed { area: &'r [u8], width: usize },
+    /// The records of the slots set in `mask` (bit `s` of word `s / 64`),
+    /// in slot order: a holey page's live slots, or a rid set's page group
+    /// of them.  Every set bit is below the area's `n` records, and the
+    /// mask covers them all.
+    Masked { area: &'r [u8], width: usize, mask: &'r [u64] },
     /// The records one by one.
     Listed(&'r [&'r [u8]]),
-}
-
-impl<'r> Records<'r> {
-    /// `page`'s live records in slot order: its record area when the heap
-    /// keeps it in the append layout, otherwise listed into `buf`.
-    pub fn of_page<'h: 'r>(page: HeapPage<'h>, buf: &'r mut Vec<&'h [u8]>) -> Self {
-        match page.packed() {
-            Some((area, width)) => Records::Packed { area, width },
-            None => {
-                buf.clear();
-                buf.extend(page.records());
-                Records::Listed(buf)
-            }
-        }
-    }
 }
 
 /// What one [`BatchEmitter::filter`] call read: `live` records, the
@@ -178,6 +175,32 @@ impl BatchEmitter {
         }
     }
 
+    /// Emit columns `proj` of heap page `page_no`'s live records that pass
+    /// `pred`, in slot order: [`BatchEmitter::filter`] of the page's record
+    /// area, of its area under its live-slot mask if it is holey, or of its
+    /// records listed into `listed` through its directory — each kind its
+    /// own call of the kernel.
+    #[inline(always)]
+    pub fn filter_page<'h>(
+        &mut self,
+        pred: &Predicate,
+        heap: &'h HeapFile,
+        (page_no, page): (u32, HeapPage<'h>),
+        listed: &mut Vec<&'h [u8]>,
+        proj: &[usize],
+        sink: &mut dyn FnMut(&RowBatch),
+    ) -> Filtered {
+        if let Some((area, width)) = page.packed() {
+            return self.filter(pred, Records::Packed { area, width }, proj, sink);
+        }
+        if let Some((area, width, mask)) = heap.holey(page_no) {
+            return self.filter(pred, Records::Masked { area, width, mask }, proj, sink);
+        }
+        listed.clear();
+        listed.extend(page.records());
+        self.filter(pred, Records::Listed(listed), proj, sink)
+    }
+
     /// Emit columns `proj` of the `records` that pass `pred`, in order —
     /// the one loop that evaluates a predicate over heap records.  Charges
     /// nothing: the caller charges what it returns.  Inlined, because a
@@ -197,15 +220,50 @@ impl BatchEmitter {
                 let chunk = move |from: usize, len: usize| {
                     let top = (n - from) * width;
                     let records = area[top - len * width..top].chunks_exact(width).rev();
-                    (0..len).map(move |i| top - (i + 1) * width).zip(records)
+                    let positions = (0..len).map(move |i| top - (i + 1) * width);
+                    positions.zip(records).map(|(pos, record)| (pos, record, true))
                 };
-                let at = move |_, pos: usize, c: usize| col_from_bytes(&area[pos..pos + width], c);
-                self.filter_with(pred, n, chunk, at, proj, sink)
+                self.filter_with(pred, n, chunk, at(area, width), proj, sink)
+            }
+            Records::Masked { area, width, mask } => {
+                let n = area.len() / width;
+                let live: usize = mask.iter().map(|w| w.count_ones() as usize).sum();
+                // Where most bits are set, testing every record of the area
+                // and dropping those whose bit is clear beats finding the
+                // set bits one by one.
+                let got = if 4 * live >= 3 * n {
+                    // A record whose bit is clear is neither counted nor
+                    // picked.
+                    let chunk = move |from: usize, len: usize| {
+                        let top = (n - from) * width;
+                        let records = area[top - len * width..top].chunks_exact(width).rev();
+                        (from..from + len).zip(records).map(move |(slot, record)| {
+                            let live = (mask[slot / 64] >> (slot % 64)) & 1 == 1;
+                            ((n - 1 - slot) * width, record, live)
+                        })
+                    };
+                    self.filter_with(pred, n, chunk, at(area, width), proj, sink)
+                } else {
+                    // Only the set bits' records are read.
+                    let chunk = move |from: usize, len: usize| {
+                        let mut slots = Slots::new(mask);
+                        if from > 0 {
+                            slots.nth(from - 1);
+                        }
+                        slots.take(len).map(move |slot| {
+                            let pos = (n - 1 - slot as usize) * width;
+                            (pos, &area[pos..pos + width], true)
+                        })
+                    };
+                    self.filter_with(pred, live, chunk, at(area, width), proj, sink)
+                };
+                Filtered { live: live as u64, ..got }
             }
             Records::Listed(records) => {
                 // A position is a record's index from the chunk's first.
                 let chunk = move |from: usize, len: usize| {
-                    (0..len).zip(records[from..from + len].iter().copied())
+                    let records = records[from..from + len].iter();
+                    (0..len).zip(records).map(|(pos, &record)| (pos, record, true))
                 };
                 let at = move |from: usize, pos: usize, c| col_from_bytes(records[from + pos], c);
                 self.filter_with(pred, records.len(), chunk, at, proj, sink)
@@ -218,7 +276,7 @@ impl BatchEmitter {
     /// len` in order, each with its position, and `at(from, position,
     /// column)` reads a selected one's column.
     #[inline(always)]
-    fn filter_with<'r, C: Iterator<Item = (usize, &'r [u8])>>(
+    fn filter_with<'r, C: Iterator<Item = (usize, &'r [u8], bool)>>(
         &mut self,
         pred: &Predicate,
         n: usize,
@@ -296,21 +354,29 @@ impl BatchEmitter {
     }
 }
 
+/// How the kernel reads a selected record's column out of an area of
+/// `width`-byte records, given the record's offset in the area.
+#[inline(always)]
+fn at(area: &[u8], width: usize) -> impl Fn(usize, usize, usize) -> i64 + Copy + '_ {
+    move |_, pos: usize, c: usize| col_from_bytes(&area[pos..pos + width], c)
+}
+
 /// Write the position of each of at most [`BATCH_ROWS`] records to `sel`
 /// and advance past those `test` passes; the number passed and the
-/// comparisons `test` counted.
+/// comparisons `test` counted.  A record not live is tested but neither
+/// passes nor counts.
 fn select<'r>(
     sel: &mut [u16; BATCH_ROWS],
-    records: impl Iterator<Item = (usize, &'r [u8])>,
+    records: impl Iterator<Item = (usize, &'r [u8], bool)>,
     test: impl Fn(&'r [u8]) -> (u64, bool),
 ) -> (usize, u64) {
     let (mut picked, mut compares) = (0, 0);
-    for (pos, record) in records {
+    for (pos, record, live) in records {
         let (c, pass) = test(record);
         // `picked` is below the records seen, so below BATCH_ROWS.
         sel[picked % BATCH_ROWS] = pos as u16;
-        picked += usize::from(pass);
-        compares += c;
+        picked += usize::from(pass & live);
+        compares += c * u64::from(live);
     }
     (picked, compares)
 }
@@ -375,6 +441,37 @@ mod tests {
         let want = run(false);
         assert_eq!(want.1, vec![BATCH_ROWS, 981]);
         assert_eq!(run(true), want);
+    }
+
+    /// A masked area reads as its set slots' records listed, dense or
+    /// sparse, over more records than a selection vector holds (a position
+    /// is a `u16` byte offset, so the area stays under 64 KiB).
+    #[test]
+    fn masked_records_read_as_their_slots_listed() {
+        let n: usize = 4000;
+        let values: Vec<[i64; 2]> = (0..n as i64).map(|i| [i, i % 3]).collect();
+        // Slot 0 on top, as appending lays records out.
+        let area: Vec<u8> =
+            values.iter().rev().flat_map(|v| v.iter().flat_map(|c| c.to_le_bytes())).collect();
+        let pred = Predicate::single(ColRange::at_most(1, 1));
+        for keep in [|s: usize| s % 5 != 2, |s: usize| s % 3 == 0] {
+            let mut mask = vec![0u64; n.div_ceil(64)];
+            for slot in (0..n).filter(|&s| keep(s)) {
+                mask[slot / 64] |= 1 << (slot % 64);
+            }
+            let read = |records: Records<'_>| {
+                let (mut em, mut rows) = (BatchEmitter::new(2), Vec::new());
+                let mut sink = |b: &RowBatch| rows.extend((0..b.len()).map(|i| b.row(i)));
+                let got = em.filter(&pred, records, &[1, 0], &mut sink);
+                em.flush(&mut sink);
+                (got, rows)
+            };
+            let listed: Vec<&[u8]> =
+                (0..n).filter(|&s| keep(s)).map(|s| &area[(n - 1 - s) * 16..][..16]).collect();
+            let want = read(Records::Listed(&listed));
+            assert_eq!(read(Records::Masked { area: &area, width: 16, mask: &mask }), want);
+            assert!(want.0.live > BATCH_ROWS as u64);
+        }
     }
 
     #[test]

@@ -26,11 +26,19 @@
 //! charges are analytic either way.
 //!
 //! A run's records are found through [`HeapFile::resolve`]: by arithmetic
-//! on a page in the append layout, through the slot directory otherwise.
-//! A set's page group that is every record of a page in the append layout
-//! — slots `0..n` of its `n` — is not listed record by record: the sweep
-//! hands the kernel the page's record area ([`Records::Packed`]), which it
-//! reads in slot order, and charges what listing the `n` slots charges.
+//! on a page in the append layout, through the slot directory on a page
+//! deletes left holey and on any other.  Two kinds of a set's page group
+//! are not listed record by record; the sweep hands the kernel the page's
+//! record area, which it reads in slot order, and charges what listing the
+//! group's slots charges:
+//!
+//! * a group that is every record of a page in the append layout — slots
+//!   `0..n` of its `n` — as the whole area ([`Records::Packed`]);
+//! * a group of live slots of a holey page ([`HeapFile::holey`]) as the
+//!   area under the group's own words ([`Records::Masked`]).  A group that
+//!   holds a deleted slot, or one past the page's count, is listed, so its
+//!   `InvalidRid` and its charges are the listed run's.
+//!
 //! The kernel is inlined, so each kind of run has its own call of it: one
 //! call site that could take either kind compiles both of the kernel's
 //! arms into one loop, and slowed the listed runs.
@@ -183,6 +191,16 @@ impl<'a, 'h> Fetcher<'a, 'h> {
         self.read(page_no, n, Records::Packed { area, width });
     }
 
+    /// Fetch the slots set in `mask`, every one live, of heap page
+    /// `page_no`, a holey page whose record area is `area`: what
+    /// [`Fetcher::page_run`] of those slots charges, the records read from
+    /// the area.  Out of line: the sweep's code for its other runs stays
+    /// what it is on a heap without tombstones.
+    #[inline(never)]
+    fn masked(&mut self, page_no: u32, area: &[u8], width: usize, mask: &[u64]) {
+        self.read(page_no, set_bits(mask), Records::Masked { area, width, mask });
+    }
+
     /// The charges and the kernel call of a run of `requested` rids on page
     /// `page_no` whose live `records` precede any dangling rid.  Inlined
     /// into each caller, so the kernel is compiled for the one kind of
@@ -314,12 +332,20 @@ fn fetch_in_physical_order(
     let heap = fetcher.heap;
     match rids {
         // A page group is never empty.  One that is every record of a page
-        // in the append layout carries the page's record area.
+        // in the append layout carries the page's record area; one of live
+        // slots of a holey page, the area under the group's words.
         Ordered::Set(set) => {
             let groups = set.pages().filter_map(|(page, mut slots)| {
-                let whole = heap.resolve(page).and_then(HeapPage::packed);
-                let whole = whole.filter(|&(area, width)| slots.are_first(area.len() / width));
-                Some((page, slots.next()?, slots, whole))
+                let area = match heap.resolve(page).and_then(HeapPage::packed) {
+                    Some((area, width)) => slots
+                        .are_first(area.len() / width)
+                        .then_some(Records::Packed { area, width }),
+                    None => heap.holey(page).and_then(|(area, width, live)| {
+                        let mask = within(slots.words(), live)?;
+                        Some(Records::Masked { area, width, mask })
+                    }),
+                };
+                Some((page, slots.next()?, slots, area))
             });
             sweep(groups, cfg, fetcher)
         }
@@ -330,21 +356,34 @@ fn fetch_in_physical_order(
     }
 }
 
+/// The number of bits set in `words`.
+fn set_bits(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// `group`'s words as many as `live` has, if every slot set in `group` is
+/// set in `live`: the group's other words are clear.
+fn within<'g>(group: &'g [u64], live: &[u64]) -> Option<&'g [u64]> {
+    let (group, rest) = group.split_at(live.len().min(group.len()));
+    let subset = group.iter().zip(live).all(|(&slots, &live)| slots & !live == 0);
+    (subset && rest.iter().all(|&w| w == 0)).then_some(group)
+}
+
 /// The sweep over `pages`: page numbers ascending, each with the first slot
 /// and the rest to fetch from it — a set's page groups, or a sorted list's
-/// runs — and, for a group that is the whole of a page in the append
-/// layout, the page's record area and record width.
-fn sweep<'h, S: Iterator<Item = u32>>(
-    pages: impl Iterator<Item = (u32, u32, S, Option<(&'h [u8], usize)>)>,
+/// runs — and, for a group read from its page's record area, those
+/// records ([`Records::Packed`] or [`Records::Masked`]).
+fn sweep<'r, S: Iterator<Item = u32>>(
+    pages: impl Iterator<Item = (u32, u32, S, Option<Records<'r>>)>,
     cfg: Option<&ImprovedFetchConfig>,
-    mut fetcher: Fetcher<'_, 'h>,
+    mut fetcher: Fetcher<'_, '_>,
 ) -> Result<u64, ExecError> {
     let prefetch_gap = cfg.map_or(ImprovedFetchConfig::default().prefetch_gap, |c| c.prefetch_gap);
     let scan_gap = cfg.map(|c| c.scan_gap);
     let (heap, session) = (fetcher.heap, fetcher.session);
     let mut prev_page: Option<u32> = None;
     // One page transition and one set of charges per page.
-    for (page_no, first, rest, whole) in pages {
+    for (page_no, first, rest, area) in pages {
         debug_assert!(prev_page.is_none_or(|p| p < page_no), "pages must be in physical order");
         let page_id = heap.page_id(page_no);
         match prev_page {
@@ -372,10 +411,13 @@ fn sweep<'h, S: Iterator<Item = u32>>(
             }
         }
         prev_page = Some(page_no);
-        match whole {
-            Some((area, width)) => fetcher.whole_page(page_no, area, width),
+        match area {
+            Some(Records::Packed { area, width }) => fetcher.whole_page(page_no, area, width),
+            Some(Records::Masked { area, width, mask }) => {
+                fetcher.masked(page_no, area, width, mask);
+            }
             // The transition is charged before a missing page is rejected.
-            None => fetcher.page_run(page_no, first, rest)?,
+            _ => fetcher.page_run(page_no, first, rest)?,
         }
     }
     Ok(fetcher.finish())
@@ -552,6 +594,8 @@ mod tests {
     /// directory; a slot past the count of the part-filled last page, which
     /// is still in the append layout, by arithmetic — and a slot past every
     /// page's count is outside the heap's span, so no rid set takes it.
+    /// Before a tombstone, a set's group of the live slots of a holey page
+    /// is read from the page's area and charged in full.
     #[test]
     fn a_dangling_rid_is_not_charged_for_its_successors() {
         let (pristine, t) = demo_db(2048);
@@ -586,11 +630,28 @@ mod tests {
                 .collect();
             cases.push((db, t, victim, rids));
         }
+        // Page 3 holey, its live slots whole in the list, then page 4's
+        // slots with a tombstone among them: a set is built.
+        for dangling_slot in [0, per_page / 2] {
+            let (mut db, t) = demo_db(2048);
+            let victim = Rid::new(4, dangling_slot);
+            db.table_mut(t).heap.delete(Rid::new(3, 0)).unwrap();
+            db.table_mut(t).heap.delete(victim).unwrap();
+            let heap = &db.table(t).heap;
+            assert!(heap.holey(3).is_some());
+            let rids: Vec<Rid> = rids.iter().copied().filter(|&rid| rid != Rid::new(3, 0)).collect();
+            assert!(matches!(Ordered::of(rids.clone(), heap.span()), Ordered::Set(_)));
+            cases.push((db, t, victim, rids));
+        }
         let residual = Predicate::single(ColRange::at_least(0, 0)); // one comparison a row
         for (db, t, victim, rids) in &cases {
             let heap = &db.table(*t).heap;
             let n = rids.len() as u64;
             let fetched = rids.iter().position(|rid| rid == victim).unwrap() as u64;
+            // The pages up to the victim's, each read once: the traditional
+            // fetch's first request of a page is that read, the sweeps seek
+            // to the first page and step to the next.
+            let pages = u64::from(victim.page - rids[0].page + 1);
             for (kind, sort_compares, hashes) in [
                 (FetchKind::Traditional, 0, 0),
                 (improved_kind(), sort_compares(n), 0),
@@ -601,11 +662,12 @@ mod tests {
                 let mut sink = |b: &RowBatch| emitted += b.len() as u64;
                 let got = run(heap, rids.clone(), &kind, &residual, &[0, 1, 2], &s, &mut sink);
                 assert_eq!(got, Err(StorageError::InvalidRid(*victim).into()), "{kind:?}");
+                let traditional = kind == FetchKind::Traditional;
                 let want = robustmap_storage::IoStats {
-                    // The page is read once; the traditional fetch's first
-                    // request is that read, the sweeps seek to it first.
-                    random_reads: 1,
-                    buffer_hits: fetched + u64::from(kind != FetchKind::Traditional),
+                    seq_reads: if matches!(kind, FetchKind::Improved(_)) { pages - 1 } else { 0 },
+                    single_reads: if kind == FetchKind::BitmapSorted { pages - 1 } else { 0 },
+                    random_reads: if traditional { pages } else { 1 },
+                    buffer_hits: fetched + 1 - if traditional { pages } else { 0 },
                     cpu_rows: fetched + 1,
                     cpu_compares: sort_compares + fetched,
                     cpu_hashes: hashes,

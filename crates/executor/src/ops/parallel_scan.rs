@@ -13,11 +13,11 @@
 //! worker (no speedup at all).
 //!
 //! A worker's page goes through the table scan's kernel,
-//! [`BatchEmitter::filter`]; only the charge differs.
+//! [`BatchEmitter::filter_page`]; only the charge differs.
 
 use robustmap_storage::{AccessKind, BufferPool, Session, Table};
 
-use crate::batch::{BatchEmitter, Records, RowBatch};
+use crate::batch::{BatchEmitter, RowBatch};
 use crate::exec::ExecError;
 use crate::expr::Predicate;
 
@@ -68,10 +68,9 @@ pub fn run(
             session.model().clone(),
             BufferPool::new(session.pool_capacity() / dop as usize, Default::default()),
         );
-        for (page_no, page) in heap.resolve_range(start..end) {
-            worker_session.read_page(heap.page_id(page_no), AccessKind::Sequential);
-            let records = Records::of_page(page, &mut listed);
-            let got = emitter.filter(pred, records, proj, sink);
+        for page in heap.resolve_range(start..end) {
+            worker_session.read_page(heap.page_id(page.0), AccessKind::Sequential);
+            let got = emitter.filter_page(pred, heap, page, &mut listed, proj, sink);
             let (live, matched) = (got.live, got.selected);
             worker_session
                 .charge_compares_as(matched * match_compares + (live - matched), live);

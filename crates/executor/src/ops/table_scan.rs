@@ -5,14 +5,15 @@
 //! maps make visible — because it always reads every page sequentially and
 //! evaluates the predicate on every row.  Each page's records go through
 //! the one heap-record kernel, [`BatchEmitter::filter`]: straight from the
-//! record area when the heap keeps the page as appending wrote it, through
-//! the slot directory when it is not ([`HeapFile::resolve`]).
+//! record area when the heap keeps the page as appending wrote it, from the
+//! area under the live-slot mask on a page deletes left holey
+//! ([`HeapFile::holey`]), through the slot directory on any other page.
 //!
-//! [`HeapFile::resolve`]: robustmap_storage::HeapFile::resolve
+//! [`HeapFile::holey`]: robustmap_storage::HeapFile::holey
 
 use robustmap_storage::{AccessKind, Session, Table};
 
-use crate::batch::{BatchEmitter, Records, RowBatch};
+use crate::batch::{BatchEmitter, RowBatch};
 use crate::expr::Predicate;
 
 /// Scan `table`, filter with `pred`, gather columns `proj` of each match,
@@ -34,10 +35,9 @@ pub fn run(
     let heap = &table.heap;
     let mut emitter = BatchEmitter::new(proj.len());
     let mut listed = Vec::new();
-    for (page_no, page) in heap.resolve_range(0..heap.page_count()) {
-        session.read_page(heap.page_id(page_no), AccessKind::Sequential);
-        let records = Records::of_page(page, &mut listed);
-        let got = emitter.filter(pred, records, proj, sink);
+    for page in heap.resolve_range(0..heap.page_count()) {
+        session.read_page(heap.page_id(page.0), AccessKind::Sequential);
+        let got = emitter.filter_page(pred, heap, page, &mut listed, proj, sink);
         if !pred.is_true() {
             session.charge_compares_as(got.compares, got.live);
         }

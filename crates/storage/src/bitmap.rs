@@ -180,7 +180,8 @@ impl RidSet {
     }
 }
 
-/// The slots of one page group, ascending.
+/// The slots of one page group, ascending: slot `s` is bit `s % 64` of
+/// word `s / 64`, the layout of a heap's live-slot masks too.
 #[derive(Debug, Clone)]
 pub struct Slots<'a> {
     group: &'a [u64],
@@ -190,7 +191,19 @@ pub struct Slots<'a> {
     word: u64,
 }
 
-impl Slots<'_> {
+impl<'a> Slots<'a> {
+    /// The slots whose bits are set in `group`.
+    #[inline]
+    pub fn new(group: &'a [u64]) -> Self {
+        Slots { group, next: 0, word: 0 }
+    }
+
+    /// The group's words, every slot of it, yielded or not.
+    #[inline]
+    pub fn words(&self) -> &'a [u64] {
+        self.group
+    }
+
     /// Whether these are exactly the slots `0..n`, none yielded yet: the
     /// group's first `n` bits set and every other clear.
     pub fn are_first(&self, n: usize) -> bool {

@@ -8,10 +8,17 @@
 //! Readers resolve a rid through the heap, not through a page's slot
 //! directory: the heap keeps, per page, its slot count while the page is
 //! still in the schema's append layout ([`SlottedPage::fixed_records`]),
-//! so a record on such a page is found by arithmetic and the directory is
-//! read only on a page a delete or a foreign image left otherwise
-//! ([`HeapFile::resolve`]).  It keeps the rid span too ([`RidSpan`]), the
-//! bound a [`crate::RidSet`] is sized by.
+//! so a record on such a page is found by arithmetic
+//! ([`HeapFile::resolve`]).  A delete does not take a page out of that
+//! layout — the heap never compacts, so a tombstone's neighbours never
+//! move — it makes the page *holey*: the heap flags it and, from its first
+//! delete on, keeps a mask of its live slots.  Scans and fetches read a
+//! holey page's live records from its record area under the mask
+//! ([`HeapFile::holey`]); a single record on it is looked up through the
+//! directory.  A heap without tombstones keeps no mask, and a foreign
+//! image that neither layout fits is read through the directory only.
+//! The heap keeps the rid span too ([`RidSpan`]), the bound a
+//! [`crate::RidSet`] is sized by.
 
 use crate::buffer::{FileId, PageId};
 use crate::charge::ChargeSink;
@@ -77,6 +84,11 @@ impl RidSpan {
 /// `HeapFile::packed` of a page that is not in the append layout.
 const UNPACKED: u16 = u16::MAX;
 
+/// The flag `HeapFile::packed` carries beside the slot count of a page in
+/// the append layout once a slot below the count is dead.  `UNPACKED` has
+/// it too: either way [`HeapFile::resolve`] reads through the directory.
+const HOLEY: u16 = 1 << 15;
+
 /// One heap page, resolved for reading by [`HeapFile::resolve`]: a record
 /// is found by arithmetic on a page in the append layout and through the
 /// slot directory on any other.
@@ -125,15 +137,50 @@ impl<'h> HeapPage<'h> {
     }
 }
 
+/// The live-slot masks of a heap's holey pages, `per_page` words a page,
+/// page `p`'s at `p · per_page`: bit `s` of word `s / 64` is set exactly
+/// while slot `s` holds a record.  Empty until a page turns holey, and
+/// grown to cover a page when it does; the words of a page that is not
+/// holey are never read.
+struct LiveMasks {
+    words: Vec<u64>,
+    per_page: usize,
+}
+
+impl LiveMasks {
+    /// Masks of `width`-byte records: a bit for the most a page holds, a
+    /// slot entry each.
+    fn new(width: usize) -> Self {
+        LiveMasks { words: Vec::new(), per_page: ((PAGE_SIZE - 4) / (width + 4)).div_ceil(64) }
+    }
+
+    #[inline]
+    fn of(&self, page_no: usize) -> &[u64] {
+        &self.words[page_no * self.per_page..][..self.per_page]
+    }
+
+    /// Page `page_no`'s mask, the masks grown to cover it.
+    fn of_mut(&mut self, page_no: usize) -> &mut [u64] {
+        let end = (page_no + 1) * self.per_page;
+        if self.words.len() < end {
+            self.words.resize(end, 0);
+        }
+        &mut self.words[end - self.per_page..end]
+    }
+}
+
 /// A heap file: append-oriented row storage over slotted pages.
 pub struct HeapFile {
     file: FileId,
     schema: Schema,
     pages: Vec<SlottedPage>,
     /// Per page: its slot count while it is in the append layout of
-    /// `schema.row_bytes()`-byte records, `UNPACKED` once it is not.
+    /// `schema.row_bytes()`-byte records, with `HOLEY` set once a slot
+    /// below the count is dead; `UNPACKED` for a page in no such layout.
     /// `append` and `delete` keep it; `from_pages` folds each page once.
     packed: Vec<u16>,
+    /// The live-slot masks of the holey pages.
+    live: LiveMasks,
     /// The largest slot count of any page ([`RidSpan::slots`]).
     max_slots: u32,
     row_count: u64,
@@ -146,6 +193,7 @@ impl HeapFile {
     pub fn new(file: FileId, schema: Schema) -> Self {
         HeapFile {
             file,
+            live: LiveMasks::new(schema.row_bytes()),
             schema,
             pages: Vec::new(),
             packed: Vec::new(),
@@ -155,9 +203,15 @@ impl HeapFile {
         }
     }
 
-    /// What `packed` holds for `page`: one fold of its directory.
-    fn packed_slots(page: &SlottedPage, width: usize) -> u16 {
-        page.fixed_records(width).map_or(UNPACKED, |area| (area.len() / width) as u16)
+    /// What `packed` holds for `page_no`, and its mask if it is holey: one
+    /// fold of its directory, and a second where the first refuses.
+    fn fold(&mut self, page_no: usize) -> u16 {
+        let (page, width) = (&self.pages[page_no], self.schema.row_bytes());
+        if let Some(area) = page.fixed_records(width) {
+            return (area.len() / width) as u16;
+        }
+        let area = page.holey_records(width, self.live.of_mut(page_no));
+        area.map_or(UNPACKED, |area| HOLEY | (area.len() / width) as u16)
     }
 
     /// The schema rows must match.
@@ -199,16 +253,20 @@ impl HeapFile {
         let mut buf = std::mem::take(&mut self.encode_buf);
         self.schema.encode_row(row, &mut buf);
         if self.pages.last().is_none_or(|p| !p.fits(buf.len())) {
-            let page = SlottedPage::new();
-            self.packed.push(Self::packed_slots(&page, self.schema.row_bytes()));
-            self.pages.push(page);
+            // An empty page is in the append layout of any width.
+            self.packed.push(0);
+            self.pages.push(SlottedPage::new());
         }
         let page_no = self.pages.len() - 1;
         let slot = self.pages[page_no].insert(&buf)?;
         // The record lands at the next offset down: an append-layout page
-        // stays one.
-        if self.packed[page_no] != UNPACKED {
-            self.packed[page_no] += 1;
+        // stays one, and a holey page's new slot is live.
+        let state = &mut self.packed[page_no];
+        if *state & HOLEY == 0 {
+            *state += 1;
+        } else if *state != UNPACKED {
+            *state += 1;
+            self.live.of_mut(page_no)[slot / 64] |= 1 << (slot % 64);
         }
         self.max_slots = self.max_slots.max(slot as u32 + 1);
         self.encode_buf = buf;
@@ -238,10 +296,13 @@ impl HeapFile {
             return None;
         }
         let row_count = pages.iter().map(|p| p.live_records() as u64).sum();
-        let width = schema.row_bytes();
-        let packed = pages.iter().map(|p| Self::packed_slots(p, width)).collect();
         let max_slots = pages.iter().map(|p| p.slot_count() as u32).max().unwrap_or(0);
-        Some(HeapFile { file, schema, pages, packed, max_slots, row_count, encode_buf: Vec::new() })
+        let mut heap = HeapFile::new(file, schema);
+        heap.pages = pages;
+        heap.packed = (0..heap.pages.len()).map(|page_no| heap.fold(page_no)).collect();
+        heap.max_slots = max_slots;
+        heap.row_count = row_count;
+        Some(heap)
     }
 
     /// The rids this heap holds or has held: its page count and the
@@ -257,13 +318,32 @@ impl HeapFile {
     pub fn resolve(&self, page_no: u32) -> Option<HeapPage<'_>> {
         let page = self.pages.get(page_no as usize)?;
         Some(HeapPage(match self.packed[page_no as usize] {
-            UNPACKED => Layout::Directory(page),
+            n if n & HOLEY != 0 => Layout::Directory(page),
             n => Layout::Packed {
                 bytes: page.as_bytes(),
                 n: usize::from(n),
                 width: self.schema.row_bytes(),
             },
         }))
+    }
+
+    /// Heap page `page_no` if it is holey — in the append layout with a
+    /// slot below its count dead — as its record area, its record width
+    /// and its live-slot mask: slot `s` is live iff bit `s` of word `s / 64`
+    /// is set, and its record is the `width` bytes at `(n − 1 − s) · width`
+    /// of the `n · width`-byte area.  `None` for any other page, and past
+    /// the last.  [`HeapFile::resolve`] reads a holey page through its
+    /// directory; this is the way to read it by arithmetic.
+    #[inline]
+    pub fn holey(&self, page_no: u32) -> Option<(&[u8], usize, &[u64])> {
+        let page_no = page_no as usize;
+        let state = *self.packed.get(page_no)?;
+        if state & HOLEY == 0 || state == UNPACKED {
+            return None;
+        }
+        let width = self.schema.row_bytes();
+        let area = &self.pages[page_no].as_bytes()[PAGE_SIZE - usize::from(state & !HOLEY) * width..];
+        Some((area, width, self.live.of(page_no)))
     }
 
     /// The pages of `page_range` that exist, resolved, with their numbers.
@@ -345,10 +425,24 @@ impl HeapFile {
             .pages
             .get_mut(rid.page as usize)
             .ok_or(StorageError::InvalidRid(rid))?;
-        page.delete(rid.slot as usize)
-            .map_err(|_| StorageError::InvalidRid(rid))?;
-        // A tombstone leaves the append layout for good.
-        self.packed[rid.page as usize] = UNPACKED;
+        let slot = rid.slot as usize;
+        page.delete(slot).map_err(|_| StorageError::InvalidRid(rid))?;
+        // A tombstone keeps the append layout: the page's first one starts
+        // its mask with every slot below the count live.
+        let page_no = rid.page as usize;
+        let state = self.packed[page_no];
+        if state != UNPACKED {
+            let mask = self.live.of_mut(page_no);
+            if state & HOLEY == 0 {
+                let n = usize::from(state);
+                for (i, word) in mask.iter_mut().enumerate() {
+                    let bits = n.saturating_sub(i * 64).min(64) as u32;
+                    *word = u64::MAX.checked_shr(64 - bits).unwrap_or(0);
+                }
+                self.packed[page_no] = state | HOLEY;
+            }
+            mask[slot / 64] &= !(1 << (slot % 64));
+        }
         self.row_count -= 1;
         Ok(())
     }

@@ -50,7 +50,7 @@ pub mod shared;
 pub mod sim;
 pub mod table;
 
-pub use bitmap::RidSet;
+pub use bitmap::{RidSet, Slots};
 pub use btree::{BTree, Key};
 pub use buffer::{BufferPool, EvictionPolicy, FileId, PageId};
 pub use charge::{ChargeLog, ChargeSink};

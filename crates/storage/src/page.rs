@@ -208,6 +208,38 @@ impl SlottedPage {
         (diff == 0).then(|| &self.buf[low..])
     }
 
+    /// The record area of a page whose directory is the append layout of
+    /// `width`-byte records with some slots deleted — every slot either
+    /// dead or live, `width` long, at `PAGE_SIZE − (s+1)·width` — as
+    /// [`SlottedPage::fixed_records`] gives it, with bit `s` of word
+    /// `s / 64` of `live` set exactly for the live slots (every word is
+    /// written).  A deleted record's neighbours never move, so a page the
+    /// heap appended to and deleted from is one.  `None` for any other
+    /// directory, for `width` 0, and when `live` is too short for the
+    /// page's slots.  The heap calls it where `fixed_records` refuses.
+    pub fn holey_records(&self, width: usize, live: &mut [u64]) -> Option<&[u8]> {
+        let n = self.n_slots();
+        if !(1..=Self::MAX_RECORD).contains(&width) || n > live.len() * 64 {
+            return None;
+        }
+        let low = PAGE_SIZE.checked_sub(n * width)?;
+        if HEADER_BYTES + n * SLOT_BYTES > low {
+            return None;
+        }
+        live.fill(0);
+        for slot in 0..n {
+            let (offset, len) = self.slot_at(slot);
+            if len == DEAD {
+                continue;
+            }
+            if usize::from(offset) != PAGE_SIZE - (slot + 1) * width || usize::from(len) != width {
+                return None;
+            }
+            live[slot / 64] |= 1 << (slot % 64);
+        }
+        Some(&self.buf[low..])
+    }
+
     /// The raw page image (serialization: the workload cache persists heap
     /// pages byte-for-byte, so a reloaded heap is bit-identical).
     pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
@@ -398,6 +430,42 @@ mod tests {
         assert_eq!(tombstoned.fixed_records(width), None, "a tombstone");
         tombstoned.compact();
         assert_eq!(tombstoned.fixed_records(width), None, "compacted after a delete");
+    }
+
+    /// A tombstoned append-layout page is that layout with its live slots
+    /// marked; a page `fixed_records` takes has every slot marked, and a
+    /// swapped or compacted directory, another width or a short mask none.
+    #[test]
+    fn holey_records_are_the_append_layout_with_dead_slots() {
+        let width = 24;
+        let mut p = SlottedPage::new();
+        for i in 0..70u8 {
+            p.insert(&[i; 24]).unwrap();
+        }
+        let mut live = [u64::MAX; 3];
+        let area = p.holey_records(width, &mut live).map(<[u8]>::len);
+        assert_eq!((area, live), (p.fixed_records(width).map(<[u8]>::len), [!0, 63, 0]));
+        for slot in [0, 5, 64, 69] {
+            p.delete(slot).unwrap();
+        }
+        assert_eq!(p.fixed_records(width), None);
+        let area = p.holey_records(width, &mut live).expect("a tombstoned append layout");
+        assert_eq!(area.len(), 70 * width);
+        for slot in 0..70 {
+            let at = &area[(69 - slot) * width..][..width];
+            let marked = (live[slot / 64] >> (slot % 64)) & 1 == 1;
+            assert_eq!(marked.then_some(at), p.get(slot), "slot {slot}");
+        }
+        assert_eq!(p.holey_records(width, &mut [0; 1]), None, "a mask too short");
+        assert_eq!(p.holey_records(16, &mut live), None, "a different width");
+        assert_eq!(p.holey_records(0, &mut live), None, "width 0");
+        let mut image = *p.as_bytes();
+        let slot1 = HEADER_BYTES + SLOT_BYTES;
+        let (dir1, dir2) = image[slot1..slot1 + 2 * SLOT_BYTES].split_at_mut(SLOT_BYTES);
+        dir1.swap_with_slice(dir2);
+        assert_eq!(SlottedPage::from_bytes(&image).holey_records(width, &mut live), None, "swapped");
+        p.compact();
+        assert_eq!(p.holey_records(width, &mut live), None, "compacted");
     }
 
     #[test]

@@ -645,7 +645,10 @@ fn heap_op() -> impl Strategy<Value = HeapOp> {
 /// What the heap keeps against what its pages say: each page's packed
 /// area is the page's own `fixed_records`, every slot resolves to what the
 /// directory holds, and the span is the page count and the largest slot
-/// count.
+/// count.  A page appends and deletes made is in the append layout, whole
+/// or holey: a pristine page reports no mask, and a holey page's mask bit
+/// `s` is whether slot `s` holds a record, which is the `width` bytes at
+/// the slot's arithmetic position in the page's area.
 fn heap_agrees_with_its_pages(heap: &HeapFile) -> Result<(), TestCaseError> {
     let width = heap.schema().row_bytes();
     let mut slots = 0;
@@ -657,8 +660,26 @@ fn heap_agrees_with_its_pages(heap: &HeapFile) -> Result<(), TestCaseError> {
             let record = resolved.record(slot as u32);
             prop_assert_eq!(record, page.get(slot), "page {} slot {}", p, slot);
         }
+        match heap.holey(p) {
+            Some((area, holey_width, live)) => {
+                prop_assert!(packed.is_none(), "page {} is whole and holey", p);
+                prop_assert_eq!(holey_width, width);
+                let n = page.slot_count();
+                prop_assert_eq!(area.len(), n * width, "page {}", p);
+                for slot in 0..live.len() * 64 {
+                    let marked = (live[slot / 64] >> (slot % 64)) & 1 == 1;
+                    prop_assert_eq!(marked, page.get(slot).is_some(), "page {} slot {}", p, slot);
+                    if marked {
+                        let at = &area[(n - 1 - slot) * width..][..width];
+                        prop_assert_eq!(Some(at), page.get(slot), "page {} slot {}", p, slot);
+                    }
+                }
+            }
+            None => prop_assert!(packed.is_some(), "page {} is in no append layout", p),
+        }
         slots = slots.max(page.slot_count() as u32);
     }
+    prop_assert!(heap.holey(heap.page_count()).is_none());
     prop_assert_eq!(heap.span(), RidSpan { pages: heap.page_count(), slots });
     prop_assert!(heap.resolve(heap.page_count()).is_none());
     Ok(())
@@ -668,8 +689,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Appends and deletes, charged or not, and reloads from page images
-    /// keep the heap's per-page layout and its span what the pages say,
-    /// after every step.
+    /// keep the heap's per-page layout, its live-slot masks and its span
+    /// what the pages say, after every step; a reload folds a churned
+    /// image back into the masks it was written with.
     #[test]
     fn the_heap_keeps_its_layout_and_span(ops in prop::collection::vec(heap_op(), 1..700)) {
         let schema = Schema::new(vec![("x", ColumnType::Int), ("y", ColumnType::Int)]);
