@@ -87,19 +87,6 @@ impl CostModel {
         }
     }
 
-    /// An SSD-like preset: random reads only modestly more expensive than
-    /// sequential ones: a what-if for how robustness landmarks move with
-    /// the storage hierarchy.
-    pub fn ssd() -> Self {
-        CostModel {
-            random_page_read: 120e-6,
-            single_page_read: 60e-6,
-            seq_page_read: 30e-6,
-            page_write: 80e-6,
-            ..Self::hdd_2009()
-        }
-    }
-
     /// A memory-resident preset: all page accesses cost a buffer hit, so
     /// only CPU effects remain.  Useful to isolate algorithmic CPU shapes.
     pub fn in_memory() -> Self {
@@ -423,11 +410,10 @@ mod tests {
     #[test]
     fn presets_differ_in_random_penalty() {
         let hdd = CostModel::hdd_2009();
-        let ssd = CostModel::ssd();
         let mem = CostModel::in_memory();
         let penalty = |m: &CostModel| m.random_page_read / m.seq_page_read;
-        assert!(penalty(&hdd) > penalty(&ssd));
-        assert!(penalty(&ssd) > penalty(&mem) || penalty(&mem) <= 2.0);
+        assert!(penalty(&hdd) > penalty(&mem));
+        assert!(penalty(&mem) <= 2.0);
     }
 
     #[test]
@@ -488,7 +474,7 @@ mod tests {
     /// nothing, field by field.
     #[test]
     fn presets_quantise_exactly() {
-        for model in [CostModel::hdd_2009(), CostModel::ssd(), CostModel::in_memory()] {
+        for model in [CostModel::hdd_2009(), CostModel::in_memory()] {
             let t = model.ticks();
             for (ticks, seconds) in [
                 (t.seq_page_read, model.seq_page_read),

@@ -6,9 +6,9 @@
 //! pattern matched by substring or by identifier.  A rule forbids every
 //! match, or wants exactly as many as it says — which is how the panic
 //! ratchet pins each crate's count of lines that may panic.  Two more rules
-//! read across files: every test or function name `docs/DESIGN.md` cites
-//! is an `fn` of the workspace, and every repository path the docs cite
-//! exists.  Each failure names the rule, the file and the line.
+//! read across files: every test or function name `README.md` and the
+//! `docs/*.md` cite is an `fn` of the workspace, and every repository path
+//! they cite exists.  Each failure names the rule, the file and the line.
 
 use std::path::Path;
 
@@ -576,7 +576,7 @@ fn defined_fns(line: &str) -> impl Iterator<Item = &str> {
     })
 }
 
-/// The function a backticked span of `docs/DESIGN.md` cites, if it cites
+/// The function a backticked span of a document cites, if it cites
 /// one: a path (`a::b::name`, a call's arguments dropped) whose last
 /// segment is snake case with three or more underscores — a test's name or
 /// a long function's.  Metric names (`layer.name`) and benchmark rows
@@ -591,8 +591,9 @@ fn cited_fn(span: &str) -> Option<&str> {
     (is_path && snake && name.matches('_').count() >= 3).then_some(name)
 }
 
-/// The `design-cites-real-fns` failures: each name `docs/DESIGN.md` cites
-/// that no `.rs` file of the workspace defines as an `fn`, by line.
+/// The `design-cites-real-fns` failures: each name `README.md` or a
+/// `docs/*.md` cites that no `.rs` file of the workspace defines as an
+/// `fn`, by file and line.
 fn design_citations_missing(root: &Path) -> Vec<String> {
     let mut files = Vec::new();
     for scope in ["crates", "src", "tests", "examples", "vendor"] {
@@ -603,17 +604,28 @@ fn design_citations_missing(root: &Path) -> Vec<String> {
         let text = std::fs::read_to_string(root.join(file)).expect("readable source");
         defined.extend(text.lines().flat_map(defined_fns).map(str::to_string));
     }
-    let design = std::fs::read_to_string(root.join("docs/DESIGN.md")).expect("docs/DESIGN.md");
     let mut missing = Vec::new();
-    for (line, span) in spans(&design) {
-        if let Some(name) = cited_fn(span).filter(|name| !defined.contains(*name)) {
-            missing.push(format!(
-                "[design-cites-real-fns] docs/DESIGN.md:{line}: `{name}` is no fn of the workspace \
-                 — a renamed or deleted test is cited by its old name"
-            ));
+    for doc in docs(root) {
+        let text = std::fs::read_to_string(root.join(&doc)).expect("readable doc");
+        for (line, span) in spans(&text) {
+            if let Some(name) = cited_fn(span).filter(|name| !defined.contains(*name)) {
+                missing.push(format!(
+                    "[design-cites-real-fns] {doc}:{line}: `{name}` is no fn of the workspace \
+                     — a renamed or deleted test is cited by its old name"
+                ));
+            }
         }
     }
     missing
+}
+
+/// The documents the cross-file rules read: `README.md` and every
+/// `docs/*.md`.
+fn docs(root: &Path) -> Vec<String> {
+    let mut docs = vec!["README.md".to_string()];
+    walk(root, "docs", &[], &mut docs);
+    docs.retain(|d| d.ends_with(".md"));
+    docs
 }
 
 /// The backticked spans of `text`, each with the line it starts on.
@@ -637,11 +649,9 @@ const REPO_DIRS: &[&str] =
 /// cut at its first `:` (a `:line` suffix or an `::item`); spans with `*`
 /// or `{` are patterns, not paths.
 fn doc_paths_missing(root: &Path) -> Vec<String> {
-    let mut docs = vec!["README.md".to_string()];
-    walk(root, "docs", &[], &mut docs);
     let mut missing = Vec::new();
-    for doc in docs.iter().filter(|d| d.ends_with(".md")) {
-        let text = std::fs::read_to_string(root.join(doc)).expect("readable doc");
+    for doc in docs(root) {
+        let text = std::fs::read_to_string(root.join(&doc)).expect("readable doc");
         for (line, span) in spans(&text) {
             let path = span.split_whitespace().next().unwrap_or("");
             let path = path.split_once(':').map_or(path, |(path, _)| path);
