@@ -454,7 +454,7 @@ mod tests {
         let area: Vec<u8> =
             values.iter().rev().flat_map(|v| v.iter().flat_map(|c| c.to_le_bytes())).collect();
         let pred = Predicate::single(ColRange::at_most(1, 1));
-        for keep in [|s: usize| s % 5 != 2, |s: usize| s % 3 == 0] {
+        for keep in [|s: usize| s % 5 != 2, |s: usize| s.is_multiple_of(3)] {
             let mut mask = vec![0u64; n.div_ceil(64)];
             for slot in (0..n).filter(|&s| keep(s)) {
                 mask[slot / 64] |= 1 << (slot % 64);

@@ -90,8 +90,9 @@ const UNPACKED: u16 = u16::MAX;
 const HOLEY: u16 = 1 << 15;
 
 /// One heap page, resolved for reading by [`HeapFile::resolve`]: a record
-/// is found by arithmetic on a page in the append layout and through the
-/// slot directory on any other.
+/// is found by arithmetic on a page in the append layout with every slot
+/// live, and through the slot directory on any other — a holey page among
+/// them, whose area [`HeapFile::holey`] hands out.
 #[derive(Clone, Copy)]
 pub struct HeapPage<'h>(Layout<'h>);
 
@@ -116,9 +117,9 @@ impl<'h> HeapPage<'h> {
         }
     }
 
-    /// A page in the append layout as its record area and record width:
-    /// record `i` of `n` is the `width` bytes at `(n − 1 − i) · width`.
-    /// `None` for any other page.
+    /// A page in the append layout with every slot live as its record
+    /// area and record width: record `i` of `n` is the `width` bytes at
+    /// `(n − 1 − i) · width`.  `None` for any other page.
     #[inline]
     pub fn packed(self) -> Option<(&'h [u8], usize)> {
         match self.0 {
