@@ -198,7 +198,8 @@ impl<'a, 'h> Fetcher<'a, 'h> {
     /// what it is on a heap without tombstones.
     #[inline(never)]
     fn masked(&mut self, page_no: u32, area: &[u8], width: usize, mask: &[u64]) {
-        self.read(page_no, set_bits(mask), Records::Masked { area, width, mask });
+        let n = mask.iter().map(|w| u64::from(w.count_ones())).sum();
+        self.read(page_no, n, Records::Masked { area, width, mask });
     }
 
     /// The charges and the kernel call of a run of `requested` rids on page
@@ -354,11 +355,6 @@ fn fetch_in_physical_order(
             sweep(runs, cfg, fetcher)
         }
     }
-}
-
-/// The number of bits set in `words`.
-fn set_bits(words: &[u64]) -> u64 {
-    words.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
 /// `group`'s words as many as `live` has, if every slot set in `group` is
@@ -639,7 +635,7 @@ mod tests {
             db.table_mut(t).heap.delete(victim).unwrap();
             let heap = &db.table(t).heap;
             assert!(heap.holey(3).is_some());
-            let rids: Vec<Rid> = rids.iter().copied().filter(|&rid| rid != Rid::new(3, 0)).collect();
+            let rids = rids[1..].to_vec(); // all but (3, 0)
             assert!(matches!(Ordered::of(rids.clone(), heap.span()), Ordered::Set(_)));
             cases.push((db, t, victim, rids));
         }

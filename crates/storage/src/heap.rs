@@ -342,8 +342,8 @@ impl HeapFile {
         if state & HOLEY == 0 || state == UNPACKED {
             return None;
         }
-        let width = self.schema.row_bytes();
-        let area = &self.pages[page_no].as_bytes()[PAGE_SIZE - usize::from(state & !HOLEY) * width..];
+        let (width, n) = (self.schema.row_bytes(), usize::from(state & !HOLEY));
+        let area = &self.pages[page_no].as_bytes()[PAGE_SIZE - n * width..];
         Some((area, width, self.live.of(page_no)))
     }
 

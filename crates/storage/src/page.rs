@@ -232,7 +232,8 @@ impl SlottedPage {
             if len == DEAD {
                 continue;
             }
-            if usize::from(offset) != PAGE_SIZE - (slot + 1) * width || usize::from(len) != width {
+            let at = PAGE_SIZE - (slot + 1) * width;
+            if usize::from(offset) != at || usize::from(len) != width {
                 return None;
             }
             live[slot / 64] |= 1 << (slot % 64);
@@ -463,7 +464,8 @@ mod tests {
         let slot1 = HEADER_BYTES + SLOT_BYTES;
         let (dir1, dir2) = image[slot1..slot1 + 2 * SLOT_BYTES].split_at_mut(SLOT_BYTES);
         dir1.swap_with_slice(dir2);
-        assert_eq!(SlottedPage::from_bytes(&image).holey_records(width, &mut live), None, "swapped");
+        let swapped = SlottedPage::from_bytes(&image);
+        assert_eq!(swapped.holey_records(width, &mut live), None, "two entries swapped");
         p.compact();
         assert_eq!(p.holey_records(width, &mut live), None, "compacted");
     }
