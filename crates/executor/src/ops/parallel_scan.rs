@@ -68,9 +68,9 @@ pub fn run(
             session.model().clone(),
             BufferPool::new(session.pool_capacity() / dop as usize, Default::default()),
         );
-        for page in heap.resolve_range(start..end) {
-            worker_session.read_page(heap.page_id(page.0), AccessKind::Sequential);
-            let got = emitter.filter_page(pred, heap, page, &mut listed, proj, sink);
+        for (page_no, page) in heap.resolve_range(start..end) {
+            worker_session.read_page(heap.page_id(page_no), AccessKind::Sequential);
+            let got = emitter.filter_page(pred, heap, (page_no, page), &mut listed, proj, sink);
             let (live, matched) = (got.live, got.selected);
             worker_session
                 .charge_compares_as(matched * match_compares + (live - matched), live);

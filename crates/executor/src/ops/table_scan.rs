@@ -35,9 +35,9 @@ pub fn run(
     let heap = &table.heap;
     let mut emitter = BatchEmitter::new(proj.len());
     let mut listed = Vec::new();
-    for page in heap.resolve_range(0..heap.page_count()) {
-        session.read_page(heap.page_id(page.0), AccessKind::Sequential);
-        let got = emitter.filter_page(pred, heap, page, &mut listed, proj, sink);
+    for (page_no, page) in heap.resolve_range(0..heap.page_count()) {
+        session.read_page(heap.page_id(page_no), AccessKind::Sequential);
+        let got = emitter.filter_page(pred, heap, (page_no, page), &mut listed, proj, sink);
         if !pred.is_true() {
             session.charge_compares_as(got.compares, got.live);
         }

@@ -149,7 +149,7 @@ impl RidSet {
             .chunks_exact(self.group_words())
             .enumerate()
             .filter(|(_, group)| group.iter().any(|&w| w != 0))
-            .map(|(page, group)| (page as u32, Slots { group, next: 0, word: 0 }))
+            .map(|(page, group)| (page as u32, Slots::new(group)))
     }
 
     /// The rids in physical order, each once.
