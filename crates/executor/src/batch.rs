@@ -115,11 +115,11 @@ fn col_from_bytes(bytes: &[u8], col: usize) -> i64 {
 pub enum Records<'r> {
     /// Every record of an append-layout page's record area.
     Packed { area: &'r [u8], width: usize },
-    /// The records of the slots set in `mask` (bit `s` of word `s / 64`),
-    /// in slot order: a holey page's live slots, or a rid set's page group
-    /// of them.  Every set bit is below the area's `n` records, and the
-    /// mask covers them all.
-    Masked { area: &'r [u8], width: usize, mask: &'r [u64] },
+    /// The `live` records of the slots set in `mask` (bit `s` of word
+    /// `s / 64`), in slot order: a holey page's live slots, or a rid set's
+    /// page group of them.  Every set bit is below the area's `n` records,
+    /// and `live` is the number set.
+    Masked { area: &'r [u8], width: usize, mask: &'r [u64], live: usize },
     /// The records one by one.
     Listed(&'r [&'r [u8]]),
 }
@@ -194,7 +194,8 @@ impl BatchEmitter {
             return self.filter(pred, Records::Packed { area, width }, proj, sink);
         }
         if let Some((area, width, mask)) = heap.holey(page_no) {
-            return self.filter(pred, Records::Masked { area, width, mask }, proj, sink);
+            let live = mask.iter().map(|w| w.count_ones() as usize).sum();
+            return self.filter(pred, Records::Masked { area, width, mask, live }, proj, sink);
         }
         listed.clear();
         listed.extend(page.records());
@@ -220,50 +221,30 @@ impl BatchEmitter {
                 let chunk = move |from: usize, len: usize| {
                     let top = (n - from) * width;
                     let records = area[top - len * width..top].chunks_exact(width).rev();
-                    let positions = (0..len).map(move |i| top - (i + 1) * width);
-                    positions.zip(records).map(|(pos, record)| (pos, record, true))
+                    (0..len).map(move |i| top - (i + 1) * width).zip(records)
                 };
                 self.filter_with(pred, n, chunk, at(area, width), proj, sink)
             }
-            Records::Masked { area, width, mask } => {
+            Records::Masked { area, width, mask, live } => {
                 let n = area.len() / width;
-                let live: usize = mask.iter().map(|w| w.count_ones() as usize).sum();
-                // Where most bits are set, testing every record of the area
-                // and dropping those whose bit is clear beats finding the
-                // set bits one by one.
-                let got = if 4 * live >= 3 * n {
-                    // A record whose bit is clear is neither counted nor
-                    // picked.
-                    let chunk = move |from: usize, len: usize| {
-                        let top = (n - from) * width;
-                        let records = area[top - len * width..top].chunks_exact(width).rev();
-                        (from..from + len).zip(records).map(move |(slot, record)| {
-                            let live = (mask[slot / 64] >> (slot % 64)) & 1 == 1;
-                            ((n - 1 - slot) * width, record, live)
-                        })
-                    };
-                    self.filter_with(pred, n, chunk, at(area, width), proj, sink)
-                } else {
-                    // Only the set bits' records are read.
-                    let chunk = move |from: usize, len: usize| {
-                        let mut slots = Slots::new(mask);
-                        if from > 0 {
-                            slots.nth(from - 1);
-                        }
-                        slots.take(len).map(move |slot| {
-                            let pos = (n - 1 - slot as usize) * width;
-                            (pos, &area[pos..pos + width], true)
-                        })
-                    };
-                    self.filter_with(pred, live, chunk, at(area, width), proj, sink)
+                // Only the set bits' records are read, a position their
+                // offset in the area.
+                let chunk = move |from: usize, len: usize| {
+                    let mut slots = Slots::new(mask);
+                    if from > 0 {
+                        slots.nth(from - 1);
+                    }
+                    slots.take(len).map(move |slot| {
+                        let pos = (n - 1 - slot as usize) * width;
+                        (pos, &area[pos..pos + width])
+                    })
                 };
-                Filtered { live: live as u64, ..got }
+                self.filter_with(pred, live, chunk, at(area, width), proj, sink)
             }
             Records::Listed(records) => {
                 // A position is a record's index from the chunk's first.
                 let chunk = move |from: usize, len: usize| {
-                    let records = records[from..from + len].iter();
-                    (0..len).zip(records).map(|(pos, &record)| (pos, record, true))
+                    (0..len).zip(records[from..from + len].iter().copied())
                 };
                 let at = move |from: usize, pos: usize, c| col_from_bytes(records[from + pos], c);
                 self.filter_with(pred, records.len(), chunk, at, proj, sink)
@@ -276,7 +257,7 @@ impl BatchEmitter {
     /// len` in order, each with its position, and `at(from, position,
     /// column)` reads a selected one's column.
     #[inline(always)]
-    fn filter_with<'r, C: Iterator<Item = (usize, &'r [u8], bool)>>(
+    fn filter_with<'r, C: Iterator<Item = (usize, &'r [u8])>>(
         &mut self,
         pred: &Predicate,
         n: usize,
@@ -363,20 +344,19 @@ fn at(area: &[u8], width: usize) -> impl Fn(usize, usize, usize) -> i64 + Copy +
 
 /// Write the position of each of at most [`BATCH_ROWS`] records to `sel`
 /// and advance past those `test` passes; the number passed and the
-/// comparisons `test` counted.  A record not live is tested but neither
-/// passes nor counts.
+/// comparisons `test` counted.
 fn select<'r>(
     sel: &mut [u16; BATCH_ROWS],
-    records: impl Iterator<Item = (usize, &'r [u8], bool)>,
+    records: impl Iterator<Item = (usize, &'r [u8])>,
     test: impl Fn(&'r [u8]) -> (u64, bool),
 ) -> (usize, u64) {
     let (mut picked, mut compares) = (0, 0);
-    for (pos, record, live) in records {
+    for (pos, record) in records {
         let (c, pass) = test(record);
         // `picked` is below the records seen, so below BATCH_ROWS.
         sel[picked % BATCH_ROWS] = pos as u16;
-        picked += usize::from(pass & live);
-        compares += c * u64::from(live);
+        picked += usize::from(pass);
+        compares += c;
     }
     (picked, compares)
 }
@@ -443,9 +423,9 @@ mod tests {
         assert_eq!(run(true), want);
     }
 
-    /// A masked area reads as its set slots' records listed, dense or
-    /// sparse, over more records than a selection vector holds (a position
-    /// is a `u16` byte offset, so the area stays under 64 KiB).
+    /// A masked area reads as its set slots' records listed, most of them
+    /// set or few, over more records than a selection vector holds (a
+    /// position is a `u16` byte offset, so the area stays under 64 KiB).
     #[test]
     fn masked_records_read_as_their_slots_listed() {
         let n: usize = 4000;
@@ -469,7 +449,9 @@ mod tests {
             let listed: Vec<&[u8]> =
                 (0..n).filter(|&s| keep(s)).map(|s| &area[(n - 1 - s) * 16..][..16]).collect();
             let want = read(Records::Listed(&listed));
-            assert_eq!(read(Records::Masked { area: &area, width: 16, mask: &mask }), want);
+            let live = listed.len();
+            let masked = Records::Masked { area: &area, width: 16, mask: &mask, live };
+            assert_eq!(read(masked), want);
             assert!(want.0.live > BATCH_ROWS as u64);
         }
     }

@@ -191,15 +191,14 @@ impl<'a, 'h> Fetcher<'a, 'h> {
         self.read(page_no, n, Records::Packed { area, width });
     }
 
-    /// Fetch the slots set in `mask`, every one live, of heap page
-    /// `page_no`, a holey page whose record area is `area`: what
+    /// Fetch the `live` records of holey heap page `page_no` that
+    /// `records` marks, its area under a mask of live slots: what
     /// [`Fetcher::page_run`] of those slots charges, the records read from
     /// the area.  Out of line: the sweep's code for its other runs stays
     /// what it is on a heap without tombstones.
     #[inline(never)]
-    fn masked(&mut self, page_no: u32, area: &[u8], width: usize, mask: &[u64]) {
-        let n = mask.iter().map(|w| u64::from(w.count_ones())).sum();
-        self.read(page_no, n, Records::Masked { area, width, mask });
+    fn masked(&mut self, page_no: u32, live: usize, records: Records<'_>) {
+        self.read(page_no, live as u64, records);
     }
 
     /// The charges and the kernel call of a run of `requested` rids on page
@@ -342,8 +341,8 @@ fn fetch_in_physical_order(
                         .are_first(area.len() / width)
                         .then_some(Records::Packed { area, width }),
                     None => heap.holey(page).and_then(|(area, width, live)| {
-                        let mask = within(slots.words(), live)?;
-                        Some(Records::Masked { area, width, mask })
+                        let (mask, live) = within(slots.words(), live)?;
+                        Some(Records::Masked { area, width, mask, live })
                     }),
                 };
                 Some((page, slots.next()?, slots, area))
@@ -357,12 +356,17 @@ fn fetch_in_physical_order(
     }
 }
 
-/// `group`'s words as many as `live` has, if every slot set in `group` is
-/// set in `live`: the group's other words are clear.
-fn within<'g>(group: &'g [u64], live: &[u64]) -> Option<&'g [u64]> {
+/// `group`'s words as many as `live` has, and the number of slots set in
+/// them, if every slot set in `group` is set in `live`: the group's other
+/// words are clear.
+fn within<'g>(group: &'g [u64], live: &[u64]) -> Option<(&'g [u64], usize)> {
     let (group, rest) = group.split_at(live.len().min(group.len()));
-    let subset = group.iter().zip(live).all(|(&slots, &live)| slots & !live == 0);
-    (subset && rest.iter().all(|&w| w == 0)).then_some(group)
+    let (mut dead, mut count) = (0, 0);
+    for (&slots, &live) in group.iter().zip(live) {
+        dead |= slots & !live;
+        count += slots.count_ones() as usize;
+    }
+    (dead == 0 && rest.iter().all(|&w| w == 0)).then_some((group, count))
 }
 
 /// The sweep over `pages`: page numbers ascending, each with the first slot
@@ -409,9 +413,7 @@ fn sweep<'r, S: Iterator<Item = u32>>(
         prev_page = Some(page_no);
         match area {
             Some(Records::Packed { area, width }) => fetcher.whole_page(page_no, area, width),
-            Some(Records::Masked { area, width, mask }) => {
-                fetcher.masked(page_no, area, width, mask);
-            }
+            Some(records @ Records::Masked { live, .. }) => fetcher.masked(page_no, live, records),
             // The transition is charged before a missing page is rejected.
             _ => fetcher.page_run(page_no, first, rest)?,
         }

@@ -142,7 +142,7 @@ impl<'h> HeapPage<'h> {
 /// page `p`'s at `p · per_page`: bit `s` of word `s / 64` is set exactly
 /// while slot `s` holds a record.  Empty until a page turns holey, and
 /// grown to cover a page when it does; the words of a page that is not
-/// holey are never read.
+/// holey are zero and never read.
 struct LiveMasks {
     words: Vec<u64>,
     per_page: usize,
@@ -211,8 +211,15 @@ impl HeapFile {
         if let Some(area) = page.fixed_records(width) {
             return (area.len() / width) as u16;
         }
-        let area = page.holey_records(width, self.live.of_mut(page_no));
-        area.map_or(UNPACKED, |area| HOLEY | (area.len() / width) as u16)
+        // The masks grow only for a page that is holey.
+        let mut live = [0; PAGE_SIZE / 64];
+        let live = &mut live[..self.live.per_page];
+        let Some(area) = page.holey_records(width, live) else {
+            return UNPACKED;
+        };
+        let n = area.len() / width;
+        self.live.of_mut(page_no).copy_from_slice(live);
+        HOLEY | n as u16
     }
 
     /// The schema rows must match.

@@ -180,8 +180,9 @@ impl SlottedPage {
 
     /// The record area of a page whose directory is exactly what appending
     /// `width`-byte records writes — every slot live and `width` long,
-    /// slot `s` at `PAGE_SIZE − (s+1)·width` — so slot `s` is the
-    /// `width` bytes at `(n−1−s)·width` of the returned `n·width` bytes.
+    /// slot `s` at `PAGE_SIZE − (s+1)·width`, the free space ending at the
+    /// last — so slot `s` is the `width` bytes at `(n−1−s)·width` of the
+    /// returned `n·width` bytes.
     /// `None` for any other directory (a tombstone, a compaction after a
     /// delete, an image from elsewhere) and for `width` 0.  Checked on
     /// every call, one XOR-fold of the directory against that sequence —
@@ -194,7 +195,7 @@ impl SlottedPage {
         }
         let low = PAGE_SIZE.checked_sub(n * width)?;
         let dir_end = HEADER_BYTES + n * SLOT_BYTES;
-        if dir_end > low {
+        if dir_end > low || self.free_low() != low {
             return None;
         }
         // Slot `s` reads `(offset, len)` as one little-endian u32, and the
@@ -213,17 +214,20 @@ impl SlottedPage {
     /// dead or live, `width` long, at `PAGE_SIZE − (s+1)·width` — as
     /// [`SlottedPage::fixed_records`] gives it, with bit `s` of word
     /// `s / 64` of `live` set exactly for the live slots (every word is
-    /// written).  A deleted record's neighbours never move, so a page the
-    /// heap appended to and deleted from is one.  `None` for any other
-    /// directory, for `width` 0, and when `live` is too short for the
-    /// page's slots.  The heap calls it where `fixed_records` refuses.
+    /// written), and the next insert lands below slot `n − 1`'s place.  A
+    /// deleted record's neighbours never move, so a page the heap appended
+    /// to and deleted from is one.  `None` for any other directory — a
+    /// compaction after a delete of the last slots leaves the live records
+    /// in place but moves the free space up —, for `width` 0, and when
+    /// `live` is too short for the page's slots.  The heap calls it where
+    /// `fixed_records` refuses.
     pub fn holey_records(&self, width: usize, live: &mut [u64]) -> Option<&[u8]> {
         let n = self.n_slots();
         if !(1..=Self::MAX_RECORD).contains(&width) || n > live.len() * 64 {
             return None;
         }
         let low = PAGE_SIZE.checked_sub(n * width)?;
-        if HEADER_BYTES + n * SLOT_BYTES > low {
+        if HEADER_BYTES + n * SLOT_BYTES > low || self.free_low() != low {
             return None;
         }
         live.fill(0);
@@ -468,6 +472,19 @@ mod tests {
         assert_eq!(swapped.holey_records(width, &mut live), None, "two entries swapped");
         p.compact();
         assert_eq!(p.holey_records(width, &mut live), None, "compacted");
+        // Only the last slots dead and compacted away: every live record
+        // keeps its place, but the next insert would not land at slot 70's.
+        let mut trailing = SlottedPage::new();
+        for i in 0..70u8 {
+            trailing.insert(&[i; 24]).unwrap();
+        }
+        for slot in 66..70 {
+            trailing.delete(slot).unwrap();
+        }
+        assert!(trailing.holey_records(width, &mut live).is_some());
+        trailing.compact();
+        assert_eq!(trailing.get(65), Some(&trailing.as_bytes()[PAGE_SIZE - 66 * width..][..24]));
+        assert_eq!(trailing.holey_records(width, &mut live), None, "trailing slots compacted");
     }
 
     #[test]

@@ -23,13 +23,19 @@
 //! The oracle does not compare plans with each other: at random
 //! thresholds on a churned, drifted table, each plan's counted rows are
 //! the brute-force count.
+//!
+//! A page image from elsewhere can hold tombstones the heap did not make:
+//! one whose last slots were deleted and then compacted away keeps its live
+//! records where appending put them but not its free space, and the scan
+//! of it after an append is held to the row-at-a-time heap.
 
 use robustmap::core::{measure_batch, serve_concurrent, MeasureConfig, Measurement, ServeConfig};
 use robustmap::executor::{
     ColRange, FetchKind, ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, KeyRange, PlanSpec,
-    Predicate, Projection,
+    Predicate, Projection, RowBatch,
 };
-use robustmap::storage::{Row, Session};
+use robustmap::executor::ops::table_scan;
+use robustmap::storage::{ColumnType, FileId, HeapFile, Row, Schema, Session, SlottedPage, Table};
 use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap::workload::{ChurnConfig, ChurnDriver, TableBuilder, Workload, WorkloadConfig};
 
@@ -259,4 +265,43 @@ fn mdam_agrees_with_the_scans_on_tombstoned_table_under_every_condition() {
             }
         }
     }
+}
+
+#[test]
+fn a_compacted_tail_scans_as_the_heap_after_an_append() {
+    let schema = Schema::new(vec![("a", ColumnType::Int), ("b", ColumnType::Int)]);
+    let mut heap = HeapFile::new(FileId(0), schema);
+    for i in 0..1000 {
+        heap.append(&Row::from_slice(&[i, -i])).unwrap();
+    }
+    let last = heap.page_count() - 1;
+    let image = |p| SlottedPage::from_bytes(heap.page(p).unwrap().as_bytes());
+    let mut pages: Vec<SlottedPage> = (0..=last).map(image).collect();
+    let tail = &mut pages[last as usize];
+    let n = tail.slot_count();
+    for slot in n - 3..n {
+        tail.delete(slot).unwrap();
+    }
+    tail.compact();
+    let schema = heap.schema().clone();
+    let mut heap = HeapFile::from_pages(heap.file_id(), schema, pages).expect("well formed");
+    assert!(heap.holey(last).is_none(), "the next insert lands off the layout");
+    assert_eq!(heap.append(&Row::from_slice(&[-1, 1])).unwrap().page, last);
+
+    let pred = Predicate::single(ColRange::at_most(0, 499));
+    let row_s = Session::with_pool_pages(4);
+    let mut want = Vec::new();
+    heap.scan(&row_s, |_, row| {
+        if pred.eval(row, &row_s) {
+            want.push(*row);
+        }
+    });
+    let table = Table { name: "compacted".to_string(), heap };
+    let s = Session::with_pool_pages(4);
+    let mut got = Vec::new();
+    let mut sink = |b: &RowBatch| got.extend((0..b.len()).map(|i| b.row(i)));
+    table_scan::run(&table, &pred, &[0, 1], &s, &mut sink);
+    assert_eq!(got, want);
+    assert_eq!(got.last(), Some(&Row::from_slice(&[-1, 1])));
+    assert_eq!((s.stats(), s.elapsed_ticks()), (row_s.stats(), row_s.elapsed_ticks()));
 }
