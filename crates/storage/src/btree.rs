@@ -1116,6 +1116,65 @@ mod tests {
         assert_eq!(DEFAULT_LEAF_CAP * std::mem::size_of::<StoredEntry>(), crate::page::PAGE_SIZE);
     }
 
+    /// Per arity, a fixed script — bulk load, inserts that split, deletes
+    /// that merge, point lookups, seeks, range scans entry by entry and
+    /// leaf by leaf — on a 64-page session charges exactly the clock ticks,
+    /// counters and charge events pinned here, and reads the same entries.
+    /// The numbers are the tree's whatever its entries' width: a leaf is
+    /// one modelled page at every arity.
+    #[test]
+    fn tree_charges_are_pinned() {
+        use crate::IoStats;
+        let stats = |seq_reads, single_reads, random_reads, buffer_hits, cpu_rows, cpu_compares| {
+            let reads = IoStats { seq_reads, single_reads, random_reads, ..IoStats::default() };
+            IoStats { buffer_hits, cpu_rows, cpu_compares, ..reads }
+        };
+        // (ticks, stats, charge events, entries read) per arity.
+        let want: [(u64, IoStats, u64, u64); MAX_KEY_COLS] = [
+            (314_505_075_000, stats(36, 7, 442, 15093, 17456, 116_595), 48266, 17506),
+            (314_544_365_000, stats(37, 7, 442, 15086, 17456, 116_593), 48260, 17506),
+            (315_744_180_000, stats(37, 5, 444, 15084, 17456, 116_596), 48258, 17383),
+        ];
+        for arity in 1..=MAX_KEY_COLS {
+            let key = |i: i64| {
+                let vals = [i / 6, i % 2, (i * 7) % 5];
+                Key::new(&vals[..arity])
+            };
+            let mut entries: Vec<Entry> =
+                (0..20_000).map(|i| (key(i), rid(i as u32))).collect();
+            entries.sort();
+            let s = Session::with_pool_pages(64);
+            let mut t = BTree::bulk_load(FileId(7), arity, entries.iter().copied(), 0.9);
+            for i in 0..2000 {
+                assert!(t.insert(key(i * 7 % 20_000), Rid::new(1000 + i as u32, 0), &s));
+            }
+            for &(k, r) in entries.iter().step_by(4) {
+                assert!(t.delete(k, r, &s));
+            }
+            t.check_invariants().unwrap();
+            let mut read = 0u64;
+            for i in (0..20_000).step_by(37) {
+                read += u64::from(t.get_first(&key(i), &s).is_some());
+            }
+            for i in (0..20_000).step_by(301) {
+                let mut cursor = t.seek(&key(i), &s);
+                for _ in 0..5 {
+                    let next = t.cursor_next(&mut cursor, &s, AccessKind::SinglePage);
+                    read += u64::from(next.is_some());
+                }
+            }
+            for (a, b) in [(0, 40), (200, 203), (1000, 2500), (3300, 9000)] {
+                let (lo, hi) = (Key::padded_lo(&[a], arity), Key::padded_hi(&[b], arity));
+                read += t.scan_range(&lo, &hi, &s, AccessKind::Sequential, |_| {});
+                let mut leaves = 0;
+                read += t.scan_leaves(&lo, &hi, &s, AccessKind::SinglePage, |_| leaves += 1);
+                read += leaves;
+            }
+            let got = (s.elapsed_ticks(), s.stats(), s.charge_events(), read);
+            assert_eq!(got, want[arity - 1], "arity {arity}");
+        }
+    }
+
     #[test]
     fn empty_tree() {
         let t = BTree::new(FileId(0), 1);

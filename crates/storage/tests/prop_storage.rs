@@ -23,20 +23,28 @@ fn session() -> Session {
 
 // ---------------------------------------------------------------- B+-tree
 
+/// A key's three columns from small domains, cut to a tree's arity where
+/// it is used: repeats and shared prefixes are common at every arity.
+type TreeKey = [i64; 3];
+
 #[derive(Debug, Clone)]
 enum TreeOp {
-    Insert(i64, u32),
-    Delete(i64, u32),
-    Lookup(i64),
-    Range(i64, i64),
+    Insert(TreeKey, u32),
+    Delete(TreeKey, u32),
+    Lookup(TreeKey),
+    Range(TreeKey, TreeKey),
+}
+
+fn tree_key() -> impl Strategy<Value = TreeKey> {
+    (0i64..24, 0i64..3, 0i64..3).prop_map(|(a, b, c)| [a, b, c])
 }
 
 fn tree_op() -> impl Strategy<Value = TreeOp> {
     prop_oneof![
-        (0i64..64, 0u32..8).prop_map(|(k, r)| TreeOp::Insert(k, r)),
-        (0i64..64, 0u32..8).prop_map(|(k, r)| TreeOp::Delete(k, r)),
-        (0i64..64).prop_map(TreeOp::Lookup),
-        (0i64..64, 0i64..64).prop_map(|(a, b)| TreeOp::Range(a.min(b), a.max(b))),
+        (tree_key(), 0u32..8).prop_map(|(k, r)| TreeOp::Insert(k, r)),
+        (tree_key(), 0u32..8).prop_map(|(k, r)| TreeOp::Delete(k, r)),
+        tree_key().prop_map(TreeOp::Lookup),
+        (tree_key(), tree_key()).prop_map(|(a, b)| TreeOp::Range(a.min(b), a.max(b))),
     ]
 }
 
@@ -44,42 +52,43 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The tree behaves exactly like an ordered set of (key, rid) pairs,
-    /// and never violates its structural invariants.
+    /// and never violates its structural invariants, at every key arity.
     #[test]
-    fn btree_matches_model(ops in prop::collection::vec(tree_op(), 1..300)) {
+    fn btree_matches_model(
+        arity in 1usize..=3,
+        ops in prop::collection::vec(tree_op(), 1..300),
+    ) {
         let s = session();
+        let key = |k: &TreeKey| Key::new(&k[..arity]);
+        let cols = |k: &TreeKey| k[..arity].to_vec();
         // Small caps force frequent splits and merges.
-        let mut tree = BTree::with_caps(FileId(0), 1, 4, 4);
-        let mut model: BTreeSet<(i64, u32)> = BTreeSet::new();
+        let mut tree = BTree::with_caps(FileId(0), arity, 4, 4);
+        let mut model: BTreeSet<(Vec<i64>, u32)> = BTreeSet::new();
         for op in ops {
             match op {
                 TreeOp::Insert(k, r) => {
-                    let inserted = tree.insert(Key::single(k), Rid::new(0, r), &s);
-                    prop_assert_eq!(inserted, model.insert((k, r)));
+                    let inserted = tree.insert(key(&k), Rid::new(0, r), &s);
+                    prop_assert_eq!(inserted, model.insert((cols(&k), r)));
                 }
                 TreeOp::Delete(k, r) => {
-                    let deleted = tree.delete(Key::single(k), Rid::new(0, r), &s);
-                    prop_assert_eq!(deleted, model.remove(&(k, r)));
+                    let deleted = tree.delete(key(&k), Rid::new(0, r), &s);
+                    prop_assert_eq!(deleted, model.remove(&(cols(&k), r)));
                 }
                 TreeOp::Lookup(k) => {
-                    let got = tree.get_first(&Key::single(k), &s);
+                    let got = tree.get_first(&key(&k), &s);
                     let want = model
-                        .range((k, 0)..=(k, u32::MAX))
+                        .range((cols(&k), 0)..=(cols(&k), u32::MAX))
                         .next()
                         .map(|&(_, r)| Rid::new(0, r));
                     prop_assert_eq!(got, want);
                 }
                 TreeOp::Range(lo, hi) => {
                     let mut got = Vec::new();
-                    tree.scan_range(
-                        &Key::single(lo),
-                        &Key::single(hi),
-                        &s,
-                        AccessKind::Sequential,
-                        |(k, rid)| got.push((k.get(0), rid.slot)),
-                    );
-                    let want: Vec<(i64, u32)> =
-                        model.range((lo, 0)..=(hi, u32::MAX)).copied().collect();
+                    tree.scan_range(&key(&lo), &key(&hi), &s, AccessKind::Sequential, |(k, rid)| {
+                        got.push((k.values().to_vec(), rid.slot))
+                    });
+                    let want: Vec<(Vec<i64>, u32)> =
+                        model.range((cols(&lo), 0)..=(cols(&hi), u32::MAX)).cloned().collect();
                     prop_assert_eq!(got, want);
                 }
             }
@@ -87,9 +96,9 @@ proptest! {
             prop_assert_eq!(tree.len() as usize, model.len());
         }
         // Final full ordering agreement.
-        let all: Vec<(i64, u32)> =
-            tree.collect_all().iter().map(|(k, r)| (k.get(0), r.slot)).collect();
-        let want: Vec<(i64, u32)> = model.iter().copied().collect();
+        let all: Vec<(Vec<i64>, u32)> =
+            tree.collect_all().iter().map(|(k, r)| (k.values().to_vec(), r.slot)).collect();
+        let want: Vec<(Vec<i64>, u32)> = model.iter().cloned().collect();
         prop_assert_eq!(all, want);
     }
 
