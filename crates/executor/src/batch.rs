@@ -42,6 +42,9 @@ use crate::expr::Predicate;
 /// overhead without hurting cache residency.
 pub const BATCH_ROWS: usize = 1024;
 
+// A masked area's chunks of BATCH_ROWS slots are whole words of its mask.
+const _: () = assert!(BATCH_ROWS.is_multiple_of(64));
+
 /// A columnar chunk of rows: one [`BATCH_ROWS`]-long `i64` buffer per
 /// output column, of which the first [`RowBatch::len`] entries are rows.
 ///
@@ -217,29 +220,27 @@ impl BatchEmitter {
         match records {
             Records::Packed { area, width } => {
                 let n = area.len() / width;
-                // A position is a record's offset in the area, slot 0 on top.
+                // A position is a record's slot less the chunk's first,
+                // slot 0 on top.
                 let chunk = move |from: usize, len: usize| {
                     let top = (n - from) * width;
-                    let records = area[top - len * width..top].chunks_exact(width).rev();
-                    (0..len).map(move |i| top - (i + 1) * width).zip(records)
+                    (0..len).zip(area[top - len * width..top].chunks_exact(width).rev())
                 };
-                self.filter_with(pred, n, chunk, at(area, width), proj, sink)
+                self.filter_with(pred, n, n, chunk, at(area, width), proj, sink)
             }
             Records::Masked { area, width, mask, live } => {
                 let n = area.len() / width;
-                // Only the set bits' records are read, a position their
-                // offset in the area.
+                // A chunk is a run of BATCH_ROWS slots — whole words of the
+                // mask — of which only the set bits' records are read, a
+                // position again a slot less the chunk's first.
                 let chunk = move |from: usize, len: usize| {
-                    let mut slots = Slots::new(mask);
-                    if from > 0 {
-                        slots.nth(from - 1);
-                    }
-                    slots.take(len).map(move |slot| {
-                        let pos = (n - 1 - slot as usize) * width;
-                        (pos, &area[pos..pos + width])
+                    Slots::new(&mask[from / 64..(from + len) / 64]).map(move |slot| {
+                        let slot = slot as usize;
+                        let pos = (n - 1 - from - slot) * width;
+                        (slot, &area[pos..pos + width])
                     })
                 };
-                self.filter_with(pred, live, chunk, at(area, width), proj, sink)
+                self.filter_with(pred, live, mask.len() * 64, chunk, at(area, width), proj, sink)
             }
             Records::Listed(records) => {
                 // A position is a record's index from the chunk's first.
@@ -247,31 +248,35 @@ impl BatchEmitter {
                     (0..len).zip(records[from..from + len].iter().copied())
                 };
                 let at = move |from: usize, pos: usize, c| col_from_bytes(records[from + pos], c);
-                self.filter_with(pred, records.len(), chunk, at, proj, sink)
+                self.filter_with(pred, records.len(), records.len(), chunk, at, proj, sink)
             }
         }
     }
 
-    /// [`BatchEmitter::filter`] over `n` records, [`BATCH_ROWS`] a
-    /// selection vector: `chunk(from, len)` yields records `from .. from +
-    /// len` in order, each with its position, and `at(from, position,
-    /// column)` reads a selected one's column.
+    /// [`BatchEmitter::filter`] over `live` records at positions `0 ..
+    /// span`, [`BATCH_ROWS`] positions a selection vector: `chunk(from,
+    /// len)` yields the records at positions `from .. from + len` in order,
+    /// each with its position less `from`, and `at(from, that, column)`
+    /// reads a selected one's column.  A position in the vector is below
+    /// [`BATCH_ROWS`] whatever the area's size.
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn filter_with<'r, C: Iterator<Item = (usize, &'r [u8])>>(
         &mut self,
         pred: &Predicate,
-        n: usize,
+        live: usize,
+        span: usize,
         chunk: impl Fn(usize, usize) -> C,
         at: impl Fn(usize, usize, usize) -> i64 + Copy,
         proj: &[usize],
         sink: &mut dyn FnMut(&RowBatch),
     ) -> Filtered {
-        let mut out = Filtered { live: n as u64, compares: 0, selected: 0 };
+        let mut out = Filtered { live: live as u64, compares: 0, selected: 0 };
         self.sel.resize(BATCH_ROWS, 0);
-        for from in (0..n).step_by(BATCH_ROWS) {
+        for from in (0..span).step_by(BATCH_ROWS) {
             let at = move |pos: usize, c: usize| at(from, pos, c);
             let sel = (&mut self.sel[..]).try_into().expect("a selection vector");
-            let chunk = chunk(from, (n - from).min(BATCH_ROWS));
+            let chunk = chunk(from, (span - from).min(BATCH_ROWS));
             // Branch-free: every record is written to the vector, and only
             // a pass advances it.  `compares` replays the short circuit.
             let (picked, compares) = match *pred.terms() {
@@ -336,10 +341,15 @@ impl BatchEmitter {
 }
 
 /// How the kernel reads a selected record's column out of an area of
-/// `width`-byte records, given the record's offset in the area.
+/// `width`-byte records, slot 0 on top, given the chunk's first slot and
+/// the record's slot less it.
 #[inline(always)]
 fn at(area: &[u8], width: usize) -> impl Fn(usize, usize, usize) -> i64 + Copy + '_ {
-    move |_, pos: usize, c: usize| col_from_bytes(&area[pos..pos + width], c)
+    let n = area.len() / width;
+    move |from: usize, pos: usize, c: usize| {
+        let at = (n - 1 - from - pos) * width;
+        col_from_bytes(&area[at..at + width], c)
+    }
 }
 
 /// Write the position of each of at most [`BATCH_ROWS`] records to `sel`
@@ -353,7 +363,8 @@ fn select<'r>(
     let (mut picked, mut compares) = (0, 0);
     for (pos, record) in records {
         let (c, pass) = test(record);
-        // `picked` is below the records seen, so below BATCH_ROWS.
+        // `picked` is below the records seen, so below BATCH_ROWS, and so
+        // is a position.
         sel[picked % BATCH_ROWS] = pos as u16;
         picked += usize::from(pass);
         compares += c;
@@ -424,8 +435,7 @@ mod tests {
     }
 
     /// A masked area reads as its set slots' records listed, most of them
-    /// set or few, over more records than a selection vector holds (a
-    /// position is a `u16` byte offset, so the area stays under 64 KiB).
+    /// set or few, over more records than a selection vector holds.
     #[test]
     fn masked_records_read_as_their_slots_listed() {
         let n: usize = 4000;
@@ -453,6 +463,33 @@ mod tests {
             let masked = Records::Masked { area: &area, width: 16, mask: &mask, live };
             assert_eq!(read(masked), want);
             assert!(want.0.live > BATCH_ROWS as u64);
+        }
+    }
+
+    /// An area over 64 KiB reads right, packed and under a mask of every
+    /// slot: 3 000 records of 24 bytes emit `[-i, i]` for record `i`.
+    #[test]
+    fn an_area_over_64_kib_emits_its_rows() {
+        let n: usize = 3000;
+        let area: Vec<u8> = (0..n as i64)
+            .rev()
+            .flat_map(|i| [i, i % 3, -i].into_iter().flat_map(i64::to_le_bytes))
+            .collect();
+        assert!(area.len() > 1 << 16);
+        let mut mask = vec![u64::MAX; n / 64];
+        mask.push((1 << (n % 64)) - 1);
+        let pred = Predicate::single(ColRange::at_least(0, 0));
+        let want: Vec<Vec<i64>> = (0..n as i64).map(|i| vec![-i, i]).collect();
+        let packed = Records::Packed { area: &area, width: 24 };
+        let masked = Records::Masked { area: &area, width: 24, mask: &mask, live: n };
+        for records in [packed, masked] {
+            let (mut em, mut rows) = (BatchEmitter::new(2), Vec::new());
+            let mut sink = |b: &RowBatch| rows.extend((0..b.len()).map(|i| b.row(i).values().to_vec()));
+            let got = em.filter(&pred, records, &[2, 0], &mut sink);
+            em.flush(&mut sink);
+            let all = n as u64;
+            assert_eq!(got, Filtered { live: all, compares: all, selected: all });
+            assert_eq!(rows, want);
         }
     }
 

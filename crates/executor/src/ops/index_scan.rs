@@ -5,9 +5,9 @@
 //! the index covers the query — to answer it without touching the table at
 //! all (the class of plans Systems B and C exploit in Figures 8 and 9).
 
-use robustmap_storage::btree::StoredEntry;
+use robustmap_storage::btree::WideEntry;
 use robustmap_storage::heap::Rid;
-use robustmap_storage::{AccessKind, IndexDef, Session};
+use robustmap_storage::{with_tree, AccessKind, IndexDef, Session};
 
 use crate::batch::{BatchEmitter, RowBatch};
 use crate::expr::Predicate;
@@ -15,11 +15,14 @@ use crate::plan::KeyRange;
 
 /// Scan `range` of the index and collect the qualifying rids, in key order.
 /// Leaf pages are charged as sequential reads (bulk load lays leaves out
-/// consecutively).
+/// consecutively).  Each scan here reads the leaves in place, its loop
+/// compiled for the index's arity ([`with_tree!`]).
 pub fn collect_rids(index: &IndexDef, range: &KeyRange, session: &Session) -> Vec<Rid> {
     let mut rids = Vec::new();
-    index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
-        rids.extend(leaf.iter().map(|&(_, rid)| rid));
+    with_tree!(&index.tree, |t| {
+        t.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
+            rids.extend(leaf.iter().map(|&(_, rid)| rid));
+        })
     });
     rids
 }
@@ -38,19 +41,21 @@ pub fn collect_rids_filtered(
         return collect_rids(index, range, session);
     }
     let mut rids = Vec::new();
-    index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
-        key_filter.filter_run(leaf, |(key, _), c| key[c], session, |&(_, rid)| rids.push(rid));
+    with_tree!(&index.tree, |t| {
+        t.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
+            key_filter.filter_run(leaf, |(key, _), c| key[c], session, |&(_, rid)| rids.push(rid));
+        })
     });
     rids
 }
 
-/// Scan `range` of the index and collect its entries as the tree stores
-/// them: key columns and rid, the keys' arity being the index's.
+/// Scan `range` of the index and collect its entries widened to
+/// [`WideEntry`]s: key columns, zeros past the index's arity, and rid.
 pub fn collect_entries(
     index: &IndexDef,
     range: &KeyRange,
     session: &Session,
-) -> Vec<StoredEntry> {
+) -> Vec<WideEntry> {
     let mut entries = Vec::new();
     index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
         entries.extend_from_slice(leaf);
@@ -74,12 +79,13 @@ pub fn run_covering(
     session: &Session,
     sink: &mut dyn FnMut(&RowBatch),
 ) -> u64 {
-    let arity = index.tree.key_arity();
     let mut emitter = BatchEmitter::new(proj.len());
-    index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
-        residual.filter_run(leaf, |(key, _), c| key[c], session, |(key, _)| {
-            emitter.push_projected_slice(&key[..arity], proj, sink);
-        });
+    with_tree!(&index.tree, |t| {
+        t.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
+            residual.filter_run(leaf, |(key, _), c| key[c], session, |(key, _)| {
+                emitter.push_projected_slice(key, proj, sink);
+            });
+        })
     });
     emitter.flush(sink);
     emitter.produced()

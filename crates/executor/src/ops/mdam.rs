@@ -13,10 +13,12 @@
 //!
 //! The walk reads leaves through a [`Cursor`] that borrows them: a step is a
 //! slice index, a key the leaf's own, a saved position a register copy, and
-//! nothing is allocated.  Only a leaf turn or a seek touches a page.
+//! nothing is allocated.  Only a leaf turn or a seek touches a page.  It is
+//! compiled once per key arity `A`, chosen once per scan: keys, corners and
+//! the box are `[i64; A]` arrays on the stack.
 
-use robustmap_storage::btree::{Cursor, KeyCols, MAX_KEY_COLS};
-use robustmap_storage::{AccessKind, BTree, IndexDef, Key, Session};
+use robustmap_storage::btree::{Cursor, Tree};
+use robustmap_storage::{with_tree, AccessKind, IndexDef, Key, Session};
 
 use crate::exec::ExecError;
 
@@ -26,25 +28,25 @@ use crate::exec::ExecError;
 /// all-distinct prefixes, every "skip" lands on the very next entry).
 const SKIP_SCAN_LIMIT: u32 = 8;
 
-/// The scan's walk, charging per leaf: entries stepped over (one row each)
-/// and entries checked against the box (one charge of `arity` comparisons
-/// each) are counted here and charged when the walk leaves the leaf — for
-/// the next one, for a seek, or for good.  `#[inline(always)]` throughout:
-/// one out-of-line call taking `&mut self` pins both counters to the stack
-/// for the whole scan (C1: 45 ms so, 20 ms with them in registers).
-struct Walk<'a> {
-    tree: &'a BTree,
+/// The scan's walk over a tree of `A`-column keys, charging per leaf:
+/// entries stepped over (one row each) and entries checked against the box
+/// (one charge of `A` comparisons each) are counted here and charged when
+/// the walk leaves the leaf — for the next one, for a seek, or for good.
+/// `#[inline(always)]` throughout: one out-of-line call taking `&mut self`
+/// pins both counters to the stack for the whole scan (C1: 45 ms so, 20 ms
+/// with them in registers).
+struct Walk<'a, const A: usize> {
+    tree: &'a Tree<A>,
     session: &'a Session,
-    arity: u64,
     stepped: u64,
     checked: u64,
 }
 
-impl<'a> Walk<'a> {
-    /// [`BTree::cursor_next`] over sequential leaves, owing the row: the
+impl<'a, const A: usize> Walk<'a, A> {
+    /// [`Tree::cursor_next`] over sequential leaves, owing the row: the
     /// stored key's columns.
     #[inline(always)]
-    fn next(&mut self, cursor: &mut Cursor<'a>) -> Option<&'a KeyCols> {
+    fn next(&mut self, cursor: &mut Cursor<'a, A>) -> Option<&'a [i64; A]> {
         loop {
             if let Some((key, _)) = cursor.peek() {
                 cursor.advance(1);
@@ -57,7 +59,7 @@ impl<'a> Walk<'a> {
     }
 
     #[inline(always)]
-    fn seek(&mut self, target: &Key) -> Cursor<'a> {
+    fn seek(&mut self, target: &Key) -> Cursor<'a, A> {
         self.settle();
         self.tree.seek(target, self.session)
     }
@@ -66,27 +68,16 @@ impl<'a> Walk<'a> {
     #[inline(always)]
     fn settle(&mut self) {
         self.session.charge_rows_as(self.stepped, self.stepped);
-        self.session.charge_compares_as(self.checked * self.arity, self.checked);
+        self.session.charge_compares_as(self.checked * A as u64, self.checked);
         (self.stepped, self.checked) = (0, 0);
     }
 }
 
 /// `prefix` extended by the low bound of every column after it: the first
 /// key of the box under that prefix.
-fn low_corner(prefix: &[i64], col_ranges: &[(i64, i64)]) -> Key {
-    let mut vals = [0; MAX_KEY_COLS];
-    for (c, &(lo, _)) in col_ranges.iter().enumerate() {
-        vals[c] = prefix.get(c).copied().unwrap_or(lo);
-    }
-    Key::new(&vals[..col_ranges.len()])
-}
-
-/// Where a key that left the box at column `j` skips to: below `lo`, the
-/// low corner of the remaining columns under its prefix; above `hi`, the
-/// prefix is exhausted — past every key that shares it.
-fn skip_target(from: &KeyCols, j: usize, below_lo: bool, col_ranges: &[(i64, i64)]) -> Key {
-    let prefix = &from[..j];
-    if below_lo { low_corner(prefix, col_ranges) } else { Key::padded_hi(prefix, col_ranges.len()) }
+#[inline(always)]
+fn low_corner<const A: usize>(prefix: &[i64], ranges: &[(i64, i64); A]) -> [i64; A] {
+    std::array::from_fn(|c| prefix.get(c).copied().unwrap_or(ranges[c].0))
 }
 
 /// Run MDAM over `index` with one inclusive `(lo, hi)` range per key
@@ -110,31 +101,47 @@ pub fn run(
     if col_ranges.iter().any(|&(lo, hi)| lo > hi) {
         return Ok(()); // empty box
     }
+    with_tree!(&index.tree, |t| walk(t, col_ranges, session, emit));
+    Ok(())
+}
 
-    let mut walk =
-        Walk { tree: &index.tree, session, arity: arity as u64, stepped: 0, checked: 0 };
-    let mut cursor = walk.seek(&low_corner(&[], col_ranges));
+/// [`run`] over a tree of `A`-column keys, `col_ranges` holding `A`
+/// non-empty ranges: the walk, its keys, corners and box compiled for `A`.
+fn walk<const A: usize>(
+    tree: &Tree<A>,
+    col_ranges: &[(i64, i64)],
+    session: &Session,
+    emit: &mut dyn FnMut(&[i64]) -> bool,
+) {
+    let ranges: [(i64, i64); A] = std::array::from_fn(|c| col_ranges[c]);
+    let mut walk = Walk { tree, session, stepped: 0, checked: 0 };
+    let mut cursor = walk.seek(&Key::new(&low_corner(&[], &ranges)));
 
     while let Some(key) = walk.next(&mut cursor) {
         // The first column that has left its range, and whether below it.
-        let violation = col_ranges.iter().enumerate().find_map(|(j, &(lo, hi))| {
+        let violation = ranges.iter().enumerate().find_map(|(j, &(lo, hi))| {
             let v = key[j];
             (v < lo || v > hi).then_some((j, v < lo))
         });
         walk.checked += 1;
 
         match violation {
-            None if emit(&key[..arity]) => {}
+            None if emit(key) => {}
             None => break, // aborted by the adaptive layer
             Some((0, false)) => break, // leading column beyond its range: done
             Some((j, below_lo)) => {
-                // Built when a key must be compared with it or sought.
-                let target = || skip_target(key, j, below_lo, col_ranges);
+                // Below `lo` the key skips to the box's low corner under
+                // its prefix; above `hi` the prefix is exhausted — it skips
+                // past every key that shares it.
+                let corner = low_corner(&key[..j], &ranges);
+                let target = || {
+                    if below_lo { Key::new(&corner) } else { Key::padded_hi(&key[..j], A) }
+                };
                 // An entry under another prefix has passed the target
                 // whatever its tail — it follows `key` in tree order, so its
-                // prefix is the greater; one under the same is put to it.
-                let passed =
-                    |k: &KeyCols| (0..j).any(|c| k[c] != key[c]) || k >= target().cols();
+                // prefix is the greater; one under the same has passed the
+                // corner once it reaches it, and never the prefix's end.
+                let passed = |k: &[i64; A]| (0..j).any(|c| k[c] != key[c]) || below_lo && *k >= corner;
                 // Hybrid skip: read a few entries forward first — if the
                 // target is nearby, re-descending from the root would cost
                 // more than walking the leaf.  A probe that ran off its leaf
@@ -157,16 +164,15 @@ pub fn run(
         }
     }
     walk.settle();
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::testutil::demo_db;
-    use robustmap_storage::btree::Entry;
+    use robustmap_storage::btree::{Entry, MAX_KEY_COLS};
     use robustmap_storage::heap::Rid;
-    use robustmap_storage::Database;
+    use robustmap_storage::{BTree, Database};
     use robustmap_storage::{FileId, IoStats, TableId};
 
     /// The walk as it was before it borrowed its leaves, kept as the

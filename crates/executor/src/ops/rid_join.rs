@@ -12,7 +12,7 @@
 //! builds on one side and probes with the other — asymmetric, as the paper
 //! (citing \[GLS94\]) points out.
 
-use robustmap_storage::btree::{KeyCols, StoredEntry};
+use robustmap_storage::btree::{KeyCols, WideEntry};
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{FxBuildHasher, FxHashMap, RidSet, RidSpan, Row, Session};
 
@@ -171,8 +171,8 @@ fn hash_intersect_in_memory(
 /// inputs are stored-entry lists in key order, over a heap of span `span`;
 /// `arity` holds the key arity of the left and of the right index.
 pub fn covering_join(
-    left: Vec<StoredEntry>,
-    right: Vec<StoredEntry>,
+    left: Vec<WideEntry>,
+    right: Vec<WideEntry>,
     arity: [usize; 2],
     algo: IntersectAlgo,
     span: RidSpan,
@@ -206,7 +206,7 @@ fn combined_row(left: &KeyCols, right: &KeyCols, [la, ra]: [usize; 2]) -> Row {
 /// rank in the set of them all; entries whose rids the set is not built
 /// for are sorted through light `(rid, index)` pairs (16-byte elements
 /// instead of 32-byte entries), stably — the same order.
-fn sort_entries_by_rid(entries: &mut Vec<StoredEntry>, span: RidSpan) {
+fn sort_entries_by_rid(entries: &mut Vec<WideEntry>, span: RidSpan) {
     let rids: Vec<Rid> = entries.iter().map(|&(_, rid)| rid).collect();
     match RidSet::build(&rids, span) {
         Some(set) if set.len() == rids.len() => {
@@ -227,8 +227,8 @@ fn sort_entries_by_rid(entries: &mut Vec<StoredEntry>, span: RidSpan) {
 }
 
 fn covering_merge_join(
-    mut left: Vec<StoredEntry>,
-    mut right: Vec<StoredEntry>,
+    mut left: Vec<WideEntry>,
+    mut right: Vec<WideEntry>,
     arity: [usize; 2],
     span: RidSpan,
     session: &Session,
@@ -264,8 +264,8 @@ fn covering_merge_join(
 /// `swap_output`: when the build side is physically the right input, output
 /// must still be `left keys ++ right keys`, of `arity` columns each.
 fn covering_hash_join(
-    build: Vec<StoredEntry>,
-    probe: Vec<StoredEntry>,
+    build: Vec<WideEntry>,
+    probe: Vec<WideEntry>,
     swap_output: bool,
     arity: [usize; 2],
     ctx: &ExecCtx<'_>,
@@ -442,7 +442,7 @@ mod tests {
         let mut seed = 7u64;
         for (n, spread) in [(0usize, 2usize), (1, 2), (63, 2), (64, 2), (5000, 2), (5000, 400)] {
             let rids = draw(n, spread * n + 8, 186, false, &mut seed);
-            let mut entries: Vec<StoredEntry> =
+            let mut entries: Vec<WideEntry> =
                 rids.iter().enumerate().map(|(i, &rid)| (*Key::single(i as i64).cols(), rid)).collect();
             let mut want = entries.clone();
             want.sort_by_key(|&(_, rid)| rid);
@@ -529,8 +529,8 @@ mod tests {
         let (db, _) = demo_db(8);
         // left: (a-value, rid), right: (c-value, rid); joined on rid.
         let entry = |v: i64, i: u32| (*Key::single(v).cols(), rid(i));
-        let left: Vec<StoredEntry> = (0..50).map(|i| entry(i as i64, i)).collect();
-        let right: Vec<StoredEntry> =
+        let left: Vec<WideEntry> = (0..50).map(|i| entry(i as i64, i)).collect();
+        let right: Vec<WideEntry> =
             (0..50).filter(|i| i % 2 == 0).map(|i| entry(1000 + i as i64, i)).collect();
         for algo in [
             IntersectAlgo::MergeJoin,

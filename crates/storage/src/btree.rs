@@ -12,19 +12,28 @@
 //! which is what the MDAM operator uses to build per-column sub-ranges.
 //!
 //! A [`Key`] carries its arity; what a leaf or a separator stores does not.
-//! Every entry of a tree has the tree's arity ([`BTree::key_arity`]), so a
-//! node holds 32-byte [`StoredEntry`]s — the key's columns ([`KeyCols`]) and
-//! the rid — and keys of one arity order as their columns do.  Bounds,
-//! probes, inserts and deletes are `Key`s, checked against the tree's arity;
-//! entries handed out by value ([`BTree::scan_range`],
-//! [`BTree::cursor_next`], [`BTree::collect_all`]) are `Key`s again.
+//! A [`Tree<A>`] holds `A`-column keys, so its nodes hold
+//! [`StoredEntry<A>`]s — the key's `A` columns and the rid, 16, 24 or 32
+//! bytes — and keys of one arity order as their columns do.  [`BTree`] is a
+//! tree of any arity: one [`Tree`] behind a three-variant enum, each method
+//! dispatching once to code compiled for its arity, and [`with_tree!`] does
+//! the same for a caller's own loop over leaves.  Bounds, probes, inserts
+//! and deletes are `Key`s, checked against the tree's arity; entries handed
+//! out by value ([`BTree::scan_range`], [`BTree::cursor_next`],
+//! [`BTree::collect_all`]) are `Key`s again.
+//!
+//! A leaf is one modelled page at every arity: [`DEFAULT_LEAF_CAP`] entries
+//! whatever their width, so node numbering, page charges and compare
+//! charges do not depend on how many bytes an entry takes.
 //!
 //! Reads go through one [`Cursor`], which borrows the leaf it is on:
-//! [`BTree::seek`] makes one, [`Cursor::peek`] / [`Cursor::rest`] /
+//! [`Tree::seek`] makes one, [`Cursor::peek`] / [`Cursor::rest`] /
 //! [`Cursor::advance`] read and step within the leaf for free, and
-//! [`BTree::next_leaf`] is the only step that touches a page.
-//! [`BTree::scan_leaves`] and the MDAM walk are written over those;
-//! [`BTree::cursor_next`] is the entry-at-a-time reference loop.
+//! [`Tree::next_leaf`] is the only step that touches a page.
+//! [`Tree::scan_leaves`] and the MDAM walk are written over those;
+//! [`Tree::cursor_next`] is the entry-at-a-time reference loop.
+
+use std::cmp::Ordering;
 
 use crate::buffer::{FileId, PageId};
 use crate::charge::ChargeSink;
@@ -84,7 +93,7 @@ impl Key {
         self.len as usize
     }
 
-    /// The key's columns without its arity: what a tree stores of it.
+    /// The key's [`MAX_KEY_COLS`] column slots without its arity.
     #[inline]
     pub fn cols(&self) -> &KeyCols {
         &self.vals
@@ -118,6 +127,19 @@ impl Key {
         assert!(prefix.len() <= target_arity && target_arity <= MAX_KEY_COLS);
         Self::padded(prefix, target_arity, i64::MAX)
     }
+
+    /// The key's first `A` columns: what a tree of arity `A` stores of it.
+    #[inline]
+    fn stored<const A: usize>(&self) -> [i64; A] {
+        std::array::from_fn(|i| self.vals[i])
+    }
+
+    /// The `A`-column key a tree stores as `cols`, zeros past its arity as
+    /// [`Key::new`] leaves them.
+    #[inline]
+    fn of_stored<const A: usize>(cols: &[i64; A]) -> Self {
+        Key { vals: widen(cols), len: A as u8 }
+    }
 }
 
 impl std::fmt::Debug for Key {
@@ -130,26 +152,63 @@ impl std::fmt::Debug for Key {
 pub type Entry = (Key, Rid);
 
 /// A key's [`MAX_KEY_COLS`] column slots without its arity, the columns past
-/// the arity holding the key's padding.  Keys of one arity order as their
-/// columns do.
+/// the arity holding the key's padding.
 pub type KeyCols = [i64; MAX_KEY_COLS];
 
-/// An [`Entry`] as a node stores it: 32 bytes, where an `Entry` takes 40 —
-/// its key's one-byte arity pads it by 8.
-pub type StoredEntry = (KeyCols, Rid);
+/// An [`Entry`] as a [`Tree<A>`] stores it: the key's `A` columns and the
+/// rid, `8 A + 8` bytes — 16, 24 or 32, where an `Entry` takes 40.
+pub type StoredEntry<const A: usize> = ([i64; A], Rid);
+
+/// An entry widened to [`MAX_KEY_COLS`] columns, zeros past its arity: a
+/// leaf as [`BTree::scan_leaves`] hands it out whatever the tree's arity.
+pub type WideEntry = StoredEntry<MAX_KEY_COLS>;
+
+/// `cols` with zeros past them.  Of a constant length, so the copy is a
+/// few stores, not a `memcpy` call.
+#[inline]
+fn widen<const A: usize>(cols: &[i64; A]) -> KeyCols {
+    let mut wide = [0; MAX_KEY_COLS];
+    wide[..A].copy_from_slice(cols);
+    wide
+}
+
+/// A bound as a [`Tree<A>`] compares stored keys with it: the bound's
+/// first `A` columns, and `tie` — how a key equal to them there orders
+/// against the whole bound, by the zeros past its arity against the
+/// bound's columns there (`Less` under `i64::MAX` padding, `Greater` under
+/// `i64::MIN`, `Equal` for a [`Key::new`] key).  A stored key orders
+/// against a bound as the `Key` it stands for does.
+#[derive(Clone, Copy)]
+struct Bound<const A: usize> {
+    cols: [i64; A],
+    tie: Ordering,
+}
+
+impl<const A: usize> Bound<A> {
+    #[inline]
+    fn of(key: &Key) -> Self {
+        Bound { cols: key.stored(), tie: [0; MAX_KEY_COLS][A..].cmp(&key.vals[A..]) }
+    }
+
+    /// How `key` orders against the bound.
+    #[inline]
+    fn order(&self, key: &[i64; A]) -> Ordering {
+        key.cmp(&self.cols).then(self.tie)
+    }
+}
 
 type NodeId = u32;
 const NO_NODE: NodeId = u32::MAX;
 
 #[derive(Debug, Clone)]
-enum Node {
+enum Node<const A: usize> {
     Internal {
         /// `seps[i]` is the smallest entry reachable under `children[i + 1]`.
-        seps: Vec<StoredEntry>,
+        seps: Vec<StoredEntry<A>>,
         children: Vec<NodeId>,
     },
     Leaf {
-        entries: Vec<StoredEntry>,
+        entries: Vec<StoredEntry<A>>,
         next: NodeId,
     },
     /// Freed node, threaded on the free list.
@@ -157,49 +216,53 @@ enum Node {
 }
 
 /// Result of a recursive insert: a split produced a new right sibling.
-struct Split {
-    sep: StoredEntry,
+struct Split<const A: usize> {
+    sep: StoredEntry<A>,
     right: NodeId,
 }
 
-/// A B+-tree index from composite keys to rids.
-pub struct BTree {
+/// A B+-tree index from `A`-column keys to rids.
+pub struct Tree<const A: usize> {
     file: FileId,
-    nodes: Vec<Node>,
+    nodes: Vec<Node<A>>,
     free_head: NodeId,
     root: NodeId,
     height: u32,
     len: u64,
-    key_arity: usize,
     leaf_cap: usize,
     internal_cap: usize,
 }
 
-/// Default maximum entries per leaf: 256 [`StoredEntry`]s of 32 bytes are
-/// exactly one 8 KiB page.
+/// Default maximum entries per leaf, at every arity: 256 entries are the
+/// modelled 8 KiB page — exactly so at three key columns, 32 bytes an
+/// entry; a one-column leaf takes 4 KiB of memory and still counts as one
+/// page on the clock.
 pub const DEFAULT_LEAF_CAP: usize = 256;
 /// Default maximum children per internal node.
 pub const DEFAULT_INTERNAL_CAP: usize = 256;
 
-impl BTree {
-    /// An empty tree for `key_arity`-column keys.
-    pub fn new(file: FileId, key_arity: usize) -> Self {
-        Self::with_caps(file, key_arity, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP)
-    }
+/// Binary search within a node: the number of leading `items` that
+/// `before` holds for, charging the comparisons a search of the node makes.
+#[inline]
+fn search<T, S: ChargeSink>(items: &[T], session: &S, before: impl FnMut(&T) -> bool) -> usize {
+    let n = items.len().max(1);
+    session.charge_compares((usize::BITS - n.leading_zeros()) as u64);
+    items.partition_point(before)
+}
 
+impl<const A: usize> Tree<A> {
     /// An empty tree with explicit node capacities (small capacities make
     /// rebalancing easy to exercise in tests).
-    pub fn with_caps(file: FileId, key_arity: usize, leaf_cap: usize, internal_cap: usize) -> Self {
-        assert!((1..=MAX_KEY_COLS).contains(&key_arity));
+    pub fn with_caps(file: FileId, leaf_cap: usize, internal_cap: usize) -> Self {
+        assert!((1..=MAX_KEY_COLS).contains(&A), "bad key arity");
         assert!(leaf_cap >= 2 && internal_cap >= 3, "caps too small to split");
-        let mut tree = BTree {
+        let mut tree = Tree {
             file,
             nodes: Vec::new(),
             free_head: NO_NODE,
             root: 0,
             height: 1,
             len: 0,
-            key_arity,
             leaf_cap,
             internal_cap,
         };
@@ -207,7 +270,7 @@ impl BTree {
         tree
     }
 
-    /// Bulk-load a tree from entries that must come sorted by `(key, rid)`.
+    /// Bulk-load a tree from stored entries that must come sorted.
     ///
     /// Leaves are packed to `fill` (e.g. 0.9) and allocated consecutively,
     /// so a full leaf scan reads sequential page ids — matching a freshly
@@ -217,27 +280,16 @@ impl BTree {
     /// # Panics
     /// Panics if `fill` is not in `(0, 1]`, or if the iterator yields fewer
     /// entries than its length; with debug assertions, if entries are not
-    /// sorted or a key's arity is not `key_arity`.
-    pub fn bulk_load(
-        file: FileId,
-        key_arity: usize,
-        entries: impl ExactSizeIterator<Item = Entry>,
-        fill: f64,
-    ) -> Self {
-        Self::bulk_load_with_caps(file, key_arity, entries, fill, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP)
-    }
-
-    /// [`BTree::bulk_load`] with explicit node capacities.
+    /// sorted.
     pub fn bulk_load_with_caps(
         file: FileId,
-        key_arity: usize,
-        mut entries: impl ExactSizeIterator<Item = Entry>,
+        mut entries: impl ExactSizeIterator<Item = StoredEntry<A>>,
         fill: f64,
         leaf_cap: usize,
         internal_cap: usize,
     ) -> Self {
         assert!(fill > 0.0 && fill <= 1.0, "fill factor out of range");
-        let mut tree = BTree::with_caps(file, key_arity, leaf_cap, internal_cap);
+        let mut tree = Tree::with_caps(file, leaf_cap, internal_cap);
         let len = entries.len();
         if len == 0 {
             return tree;
@@ -249,18 +301,11 @@ impl BTree {
         // Build leaves, consecutively numbered from 0.  Group sizes are
         // balanced so that no leaf (except a lone root) falls below minimum
         // occupancy — a naive "fill then spill" would leave a tiny last leaf.
-        let mut level: Vec<(StoredEntry, NodeId)> = Vec::new();
+        let mut level: Vec<(StoredEntry<A>, NodeId)> = Vec::new();
         let sizes = balanced_group_sizes(len, per_leaf, leaf_cap / 2);
-        let mut last: Option<StoredEntry> = None;
+        let mut last: Option<StoredEntry<A>> = None;
         for (i, &size) in sizes.iter().enumerate() {
-            let chunk: Vec<StoredEntry> = entries
-                .by_ref()
-                .take(size)
-                .map(|(key, rid)| {
-                    debug_assert_eq!(key.arity(), key_arity, "bulk_load key arity mismatch");
-                    (key.vals, rid)
-                })
-                .collect();
+            let chunk: Vec<StoredEntry<A>> = entries.by_ref().take(size).collect();
             assert_eq!(chunk.len(), size, "bulk_load input shorter than its length");
             debug_assert!(
                 last.is_none_or(|l| l < chunk[0]) && chunk.windows(2).all(|w| w[0] < w[1]),
@@ -276,7 +321,7 @@ impl BTree {
         // Build internal levels bottom-up.
         let per_internal = ((internal_cap as f64 * fill) as usize).clamp(2, internal_cap);
         while level.len() > 1 {
-            let mut upper: Vec<(StoredEntry, NodeId)> = Vec::new();
+            let mut upper: Vec<(StoredEntry<A>, NodeId)> = Vec::new();
             let sizes = balanced_group_sizes(
                 level.len(),
                 per_internal,
@@ -287,7 +332,7 @@ impl BTree {
                 let group = &level[offset..offset + size];
                 offset += size;
                 let children: Vec<NodeId> = group.iter().map(|&(_, id)| id).collect();
-                let seps: Vec<StoredEntry> = group[1..].iter().map(|&(sep, _)| sep).collect();
+                let seps: Vec<StoredEntry<A>> = group[1..].iter().map(|&(sep, _)| sep).collect();
                 let id = tree.alloc(Node::Internal { seps, children });
                 upper.push((group[0].0, id));
             }
@@ -314,9 +359,9 @@ impl BTree {
         self.height
     }
 
-    /// Number of key columns.
+    /// Number of key columns: `A`.
     pub fn key_arity(&self) -> usize {
-        self.key_arity
+        A
     }
 
     /// Number of allocated nodes (≈ pages), including internal nodes.
@@ -329,7 +374,7 @@ impl BTree {
         self.file
     }
 
-    fn alloc(&mut self, node: Node) -> NodeId {
+    fn alloc(&mut self, node: Node<A>) -> NodeId {
         if self.free_head != NO_NODE {
             let id = self.free_head;
             match self.nodes[id as usize] {
@@ -358,48 +403,22 @@ impl BTree {
         session.read_page(self.page_id(node), kind);
     }
 
-    /// `key` as this tree stores it: its columns, once its arity is checked.
-    fn stored_key(&self, key: &Key) -> KeyCols {
-        assert_eq!(key.arity(), self.key_arity, "key arity mismatch");
-        key.vals
+    /// `(key, rid)` as this tree stores it, once the key's arity is checked.
+    fn stored_entry(key: &Key, rid: Rid) -> StoredEntry<A> {
+        assert_eq!(key.arity(), A, "key arity mismatch");
+        (key.stored(), rid)
     }
 
     /// A stored entry handed out by value: its key gets the tree's arity.
     #[inline]
-    fn entry(&self, (vals, rid): StoredEntry) -> Entry {
-        (Key { vals, len: self.key_arity as u8 }, rid)
-    }
-
-    /// Binary search within a leaf: index of the first entry `>= target`.
-    /// Charges comparisons to the session.
-    fn search_entries<S: ChargeSink>(
-        entries: &[StoredEntry],
-        target: &StoredEntry,
-        session: &S,
-    ) -> usize {
-        let n = entries.len().max(1);
-        session.charge_compares((usize::BITS - n.leading_zeros()) as u64);
-        entries.partition_point(|e| e < target)
-    }
-
-    /// Binary search within an internal node: the child slot to descend
-    /// into.  An entry equal to `seps[i]` lives under `children[i + 1]`
-    /// (separators are the smallest entry of their right subtree), so the
-    /// descent uses `<=`.
-    fn search_children<S: ChargeSink>(
-        seps: &[StoredEntry],
-        target: &StoredEntry,
-        session: &S,
-    ) -> usize {
-        let n = seps.len().max(1);
-        session.charge_compares((usize::BITS - n.leading_zeros()) as u64);
-        seps.partition_point(|e| e <= target)
+    fn entry((cols, rid): &StoredEntry<A>) -> Entry {
+        (Key::of_stored(cols), *rid)
     }
 
     /// Insert `(key, rid)`.  Returns `false` if the exact entry was already
     /// present (the tree is a set of `(key, rid)` pairs).
     pub fn insert<S: ChargeSink>(&mut self, key: Key, rid: Rid, session: &S) -> bool {
-        let entry = (self.stored_key(&key), rid);
+        let entry = Self::stored_entry(&key, rid);
         let root = self.root;
         match self.insert_rec(root, entry, session) {
             InsertOutcome::Duplicate => false,
@@ -423,13 +442,13 @@ impl BTree {
     fn insert_rec<S: ChargeSink>(
         &mut self,
         node: NodeId,
-        entry: StoredEntry,
+        entry: StoredEntry<A>,
         session: &S,
-    ) -> InsertOutcome {
+    ) -> InsertOutcome<A> {
         self.touch(node, session, AccessKind::Random);
         match &mut self.nodes[node as usize] {
             Node::Leaf { entries, next } => {
-                let idx = Self::search_entries(entries, &entry, session);
+                let idx = search(entries, session, |e| *e < entry);
                 if entries.get(idx) == Some(&entry) {
                     return InsertOutcome::Duplicate;
                 }
@@ -450,7 +469,10 @@ impl BTree {
                 InsertOutcome::Split(Split { sep, right })
             }
             Node::Internal { seps, children } => {
-                let slot = Self::search_children(seps, &entry, session);
+                // An entry equal to `seps[i]` lives under `children[i + 1]`
+                // (separators are the smallest entry of their right
+                // subtree), so the descent uses `<=`.
+                let slot = search(seps, session, |e| *e <= entry);
                 let child = children[slot];
                 match self.insert_rec(child, entry, session) {
                     InsertOutcome::Split(split) => {
@@ -486,7 +508,7 @@ impl BTree {
 
     /// Delete `(key, rid)`.  Returns `true` if the entry existed.
     pub fn delete<S: ChargeSink>(&mut self, key: Key, rid: Rid, session: &S) -> bool {
-        let entry = (self.stored_key(&key), rid);
+        let entry = Self::stored_entry(&key, rid);
         let root = self.root;
         let removed = self.delete_rec(root, &entry, session);
         if removed {
@@ -519,13 +541,13 @@ impl BTree {
     fn delete_rec<S: ChargeSink>(
         &mut self,
         node: NodeId,
-        entry: &StoredEntry,
+        entry: &StoredEntry<A>,
         session: &S,
     ) -> bool {
         self.touch(node, session, AccessKind::Random);
         match &mut self.nodes[node as usize] {
             Node::Leaf { entries, .. } => {
-                let idx = Self::search_entries(entries, entry, session);
+                let idx = search(entries, session, |e| e < entry);
                 if entries.get(idx) == Some(entry) {
                     entries.remove(idx);
                     true
@@ -534,7 +556,7 @@ impl BTree {
                 }
             }
             Node::Internal { seps, children } => {
-                let slot = Self::search_children(seps, entry, session);
+                let slot = search(seps, session, |e| e <= entry);
                 let child = children[slot];
                 let removed = self.delete_rec(child, entry, session);
                 if removed {
@@ -623,7 +645,7 @@ impl BTree {
             let total = left_entries.len() + right_entries.len();
             let target_left = total / 2;
             if left_entries.len() > target_left {
-                let moved: Vec<StoredEntry> = left_entries.split_off(target_left);
+                let moved: Vec<StoredEntry<A>> = left_entries.split_off(target_left);
                 let mut merged = moved;
                 merged.extend(right_entries);
                 right_entries = merged;
@@ -712,18 +734,20 @@ impl BTree {
 
     /// Position a cursor at the first entry with `(key, rid) >= (lo,
     /// Rid(0,0))`, charging the root-to-leaf descent.
-    pub fn seek(&self, lo: &Key, session: &Session) -> Cursor<'_> {
-        let target = (self.stored_key(lo), Rid::new(0, 0));
+    pub fn seek(&self, lo: &Key, session: &Session) -> Cursor<'_, A> {
+        assert_eq!(lo.arity(), A, "key arity mismatch");
+        let (lo, first) = (Bound::<A>::of(lo), Rid::new(0, 0));
+        // How an entry orders against the target `(lo, first)`.
+        let order = |(key, rid): &StoredEntry<A>| lo.order(key).then(rid.cmp(&first));
         let mut node = self.root;
         loop {
             self.touch(node, session, AccessKind::Random);
             match &self.nodes[node as usize] {
                 Node::Internal { seps, children } => {
-                    let slot = Self::search_children(seps, &target, session);
-                    node = children[slot];
+                    node = children[search(seps, session, |e| order(e).is_le())];
                 }
                 Node::Leaf { entries, next } => {
-                    let idx = Self::search_entries(entries, &target, session);
+                    let idx = search(entries, session, |e| order(e).is_lt());
                     return Cursor { rest: &entries[idx..], next: *next };
                 }
                 Node::Free { .. } => unreachable!("descended into freed node"),
@@ -732,9 +756,8 @@ impl BTree {
     }
 
     /// A cursor at the leftmost entry (full index scan).
-    pub fn seek_first(&self, session: &Session) -> Cursor<'_> {
-        let lo = Key::padded_lo(&[], self.key_arity);
-        self.seek(&lo, session)
+    pub fn seek_first(&self, session: &Session) -> Cursor<'_, A> {
+        self.seek(&Key::padded_lo(&[], A), session)
     }
 
     /// The cursor at the start of the leaf after `cursor`'s, charging one
@@ -745,10 +768,10 @@ impl BTree {
     #[inline]
     pub fn next_leaf<'t>(
         &'t self,
-        cursor: Cursor<'t>,
+        cursor: Cursor<'t, A>,
         session: &Session,
         leaf_access: AccessKind,
-    ) -> Option<Cursor<'t>> {
+    ) -> Option<Cursor<'t, A>> {
         if cursor.next == NO_NODE {
             return None;
         }
@@ -764,18 +787,18 @@ impl BTree {
     /// `leaf_access` (leaves are laid out consecutively by bulk load, so
     /// `Sequential` models a scan with read-ahead and `SinglePage` one
     /// without).  The reference loop over [`Cursor::peek`] and
-    /// [`BTree::next_leaf`]: one row charged per entry.
+    /// [`Tree::next_leaf`]: one row charged per entry.
     pub fn cursor_next<'t>(
         &'t self,
-        cursor: &mut Cursor<'t>,
+        cursor: &mut Cursor<'t, A>,
         session: &Session,
         leaf_access: AccessKind,
     ) -> Option<Entry> {
         loop {
-            if let Some(&entry) = cursor.peek() {
+            if let Some(entry) = cursor.peek() {
                 cursor.advance(1);
                 session.charge_rows(1);
-                return Some(self.entry(entry));
+                return Some(Self::entry(entry));
             }
             *cursor = self.next_leaf(*cursor, session, leaf_access)?;
         }
@@ -783,7 +806,7 @@ impl BTree {
 
     /// Scan all entries with keys in `[lo, hi]` (inclusive, in `(key, rid)`
     /// order), calling `f` for each.  Returns the number of entries visited.
-    /// [`BTree::scan_leaves`], entry by entry.
+    /// [`Tree::scan_leaves`], entry by entry.
     pub fn scan_range<F: FnMut(Entry)>(
         &self,
         lo: &Key,
@@ -793,16 +816,15 @@ impl BTree {
         mut f: F,
     ) -> u64 {
         self.scan_leaves(lo, hi, session, leaf_access, |leaf| {
-            leaf.iter().for_each(|&entry| f(self.entry(entry)))
+            leaf.iter().for_each(|entry| f(Self::entry(entry)))
         })
     }
 
     /// Scan all entries with keys in `[lo, hi]`, leaf by leaf: `f` receives
-    /// each leaf's in-range entries as one slice of the stored entries,
-    /// whose keys have the tree's arity.  Returns the number of entries
-    /// visited.
+    /// each leaf's in-range entries as one slice of the stored entries.
+    /// Returns the number of entries visited.
     ///
-    /// Charges what a [`BTree::seek`] + [`BTree::cursor_next`] loop that
+    /// Charges what a [`Tree::seek`] + [`Tree::cursor_next`] loop that
     /// stops at the first key above `hi` would — one row per entry looked
     /// at, that first key included, and one `leaf_access` page per leaf
     /// moved onto — but per leaf, in one call ahead of `f`: whether a leaf
@@ -810,7 +832,7 @@ impl BTree {
     /// the leaf the range ends in is searched for the end.  `lo` is checked
     /// against the tree's arity by the seek; `hi` is compared by its
     /// columns ([`Key::cols`]).
-    pub fn scan_leaves<F: FnMut(&[StoredEntry])>(
+    pub fn scan_leaves<F: FnMut(&[StoredEntry<A>])>(
         &self,
         lo: &Key,
         hi: &Key,
@@ -819,13 +841,14 @@ impl BTree {
         mut f: F,
     ) -> u64 {
         let mut cursor = self.seek(lo, session);
-        let hi = hi.cols();
+        let hi = Bound::<A>::of(hi);
+        let above = |(key, _): &StoredEntry<A>| hi.order(key).is_gt();
         let mut n = 0;
         loop {
             let rest = cursor.rest();
-            let ends_here = rest.last().is_some_and(|(key, _)| key > hi);
+            let ends_here = rest.last().is_some_and(above);
             let inside =
-                if ends_here { &rest[..rest.partition_point(|(key, _)| key <= hi)] } else { rest };
+                if ends_here { &rest[..rest.partition_point(|e| !above(e))] } else { rest };
             // The entry that ended the scan was looked at too.
             let looked_at = inside.len() as u64 + u64::from(ends_here);
             session.charge_rows_as(looked_at, looked_at);
@@ -915,8 +938,8 @@ impl BTree {
         &self,
         node: NodeId,
         depth: u32,
-        lo: Option<&StoredEntry>,
-        hi: Option<&StoredEntry>,
+        lo: Option<&StoredEntry<A>>,
+        hi: Option<&StoredEntry<A>>,
         leaf_depths: &mut Vec<u32>,
         leaves: &mut Vec<NodeId>,
     ) -> Result<(), String> {
@@ -973,10 +996,10 @@ impl BTree {
     }
 }
 
-enum InsertOutcome {
+enum InsertOutcome<const A: usize> {
     Done,
     Duplicate,
-    Split(Split),
+    Split(Split<A>),
 }
 
 /// Split `len` items into groups near `preferred` in size, shrinking the
@@ -997,24 +1020,24 @@ fn balanced_group_sizes(len: usize, preferred: usize, min_size: usize) -> Vec<us
 /// A position in the leaf chain that borrows its leaf: what is left of the
 /// leaf from the position on, and the id of the leaf after it.  `Copy`, so
 /// saving a position is a register copy, and reading it touches neither the
-/// node table nor a page — [`BTree::next_leaf`] is the only step that does.
+/// node table nor a page — [`Tree::next_leaf`] is the only step that does.
 /// The borrow keeps the tree unwritten for as long as a cursor is alive.
 #[derive(Debug, Clone, Copy)]
-pub struct Cursor<'t> {
-    rest: &'t [StoredEntry],
+pub struct Cursor<'t, const A: usize> {
+    rest: &'t [StoredEntry<A>],
     next: NodeId,
 }
 
-impl<'t> Cursor<'t> {
+impl<'t, const A: usize> Cursor<'t, A> {
     /// The entry the cursor is on; `None` at the end of its leaf.
     #[inline]
-    pub fn peek(&self) -> Option<&'t StoredEntry> {
+    pub fn peek(&self) -> Option<&'t StoredEntry<A>> {
         self.rest.first()
     }
 
     /// The cursor's leaf from its position to the leaf's end.
     #[inline]
-    pub fn rest(&self) -> &'t [StoredEntry] {
+    pub fn rest(&self) -> &'t [StoredEntry<A>] {
         self.rest
     }
 
@@ -1028,14 +1051,257 @@ impl<'t> Cursor<'t> {
     }
 }
 
-impl std::fmt::Debug for BTree {
+/// `$body` with `$t` bound to the [`Tree`] behind a [`BTree`] (or a
+/// reference to one) — compiled once per arity, chosen once per use: the
+/// one dispatch from a tree of any arity to a loop written for one.
+///
+/// ```
+/// # use robustmap_storage::{with_tree, AccessKind, BTree, FileId, Key, Session};
+/// let tree = BTree::new(FileId(0), 2);
+/// let (lo, hi) = (Key::padded_lo(&[], 2), Key::padded_hi(&[], 2));
+/// let s = Session::with_pool_pages(0);
+/// let mut sum = 0;
+/// with_tree!(&tree, |t| {
+///     t.scan_leaves(&lo, &hi, &s, AccessKind::Sequential, |leaf| {
+///         sum += leaf.iter().map(|(key, _)| key[0]).sum::<i64>()
+///     })
+/// });
+/// assert_eq!(sum, 0);
+/// ```
+#[macro_export]
+macro_rules! with_tree {
+    ($tree:expr, |$t:ident| $body:expr) => {
+        match $tree {
+            $crate::btree::BTree::One($t) => $body,
+            $crate::btree::BTree::Two($t) => $body,
+            $crate::btree::BTree::Three($t) => $body,
+        }
+    };
+}
+
+/// `$make` as the [`BTree`] of `$arity` key columns, the [`Tree`]'s arity
+/// inferred from the variant it goes into.
+macro_rules! of_arity {
+    ($arity:expr, $make:expr) => {{
+        let arity: usize = $arity;
+        assert!((1..=MAX_KEY_COLS).contains(&arity), "bad key arity");
+        match arity {
+            1 => BTree::One($make),
+            2 => BTree::Two($make),
+            _ => BTree::Three($make),
+        }
+    }};
+}
+
+/// A B+-tree index from composite keys to rids, of any key arity: the
+/// [`Tree`] of its arity.  Each method dispatches once, to the tree's.
+pub enum BTree {
+    /// One-column keys, 16-byte entries.
+    One(Tree<1>),
+    /// Two-column keys, 24-byte entries.
+    Two(Tree<2>),
+    /// Three-column keys, 32-byte entries.
+    Three(Tree<3>),
+}
+
+/// A [`Cursor`] of a [`BTree`] of any arity, with its tree: what
+/// [`BTree::seek`] hands out for the entry-at-a-time [`BTree::cursor_next`].
+#[derive(Debug, Clone, Copy)]
+pub enum AnyCursor<'t> {
+    /// On a one-column tree.
+    One(&'t Tree<1>, Cursor<'t, 1>),
+    /// On a two-column tree.
+    Two(&'t Tree<2>, Cursor<'t, 2>),
+    /// On a three-column tree.
+    Three(&'t Tree<3>, Cursor<'t, 3>),
+}
+
+impl BTree {
+    /// An empty tree for `key_arity`-column keys.
+    pub fn new(file: FileId, key_arity: usize) -> Self {
+        Self::with_caps(file, key_arity, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP)
+    }
+
+    /// An empty tree with explicit node capacities (small capacities make
+    /// rebalancing easy to exercise in tests).
+    pub fn with_caps(file: FileId, key_arity: usize, leaf_cap: usize, internal_cap: usize) -> Self {
+        of_arity!(key_arity, Tree::with_caps(file, leaf_cap, internal_cap))
+    }
+
+    /// Bulk-load a tree from entries that must come sorted by `(key, rid)`
+    /// ([`Tree::bulk_load_with_caps`]).
+    ///
+    /// # Panics
+    /// Panics if `fill` is not in `(0, 1]`, or if the iterator yields fewer
+    /// entries than its length; with debug assertions, if entries are not
+    /// sorted or a key's arity is not `key_arity`.
+    pub fn bulk_load(
+        file: FileId,
+        key_arity: usize,
+        entries: impl ExactSizeIterator<Item = Entry>,
+        fill: f64,
+    ) -> Self {
+        Self::bulk_load_with_caps(file, key_arity, entries, fill, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP)
+    }
+
+    /// [`BTree::bulk_load`] with explicit node capacities.
+    pub fn bulk_load_with_caps(
+        file: FileId,
+        key_arity: usize,
+        entries: impl ExactSizeIterator<Item = Entry>,
+        fill: f64,
+        leaf_cap: usize,
+        internal_cap: usize,
+    ) -> Self {
+        of_arity!(
+            key_arity,
+            Tree::bulk_load_with_caps(
+                file,
+                entries.map(|(key, rid)| {
+                    debug_assert_eq!(key.arity(), key_arity, "bulk_load key arity mismatch");
+                    (key.stored(), rid)
+                }),
+                fill,
+                leaf_cap,
+                internal_cap,
+            )
+        )
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> u64 {
+        with_tree!(self, |t| t.len())
+    }
+
+    /// Whether the tree has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Tree height (1 = root is a leaf).
+    pub fn height(&self) -> u32 {
+        with_tree!(self, |t| t.height())
+    }
+
+    /// Number of key columns.
+    pub fn key_arity(&self) -> usize {
+        with_tree!(self, |t| t.key_arity())
+    }
+
+    /// Number of allocated nodes (≈ pages), including internal nodes.
+    pub fn node_count(&self) -> usize {
+        with_tree!(self, |t| t.node_count())
+    }
+
+    /// The file id used for this tree's pages.
+    pub fn file_id(&self) -> FileId {
+        with_tree!(self, |t| t.file_id())
+    }
+
+    /// Insert `(key, rid)` ([`Tree::insert`]).
+    pub fn insert<S: ChargeSink>(&mut self, key: Key, rid: Rid, session: &S) -> bool {
+        with_tree!(self, |t| t.insert(key, rid, session))
+    }
+
+    /// Delete `(key, rid)` ([`Tree::delete`]).
+    pub fn delete<S: ChargeSink>(&mut self, key: Key, rid: Rid, session: &S) -> bool {
+        with_tree!(self, |t| t.delete(key, rid, session))
+    }
+
+    /// Point lookup ([`Tree::get_first`]).
+    pub fn get_first(&self, key: &Key, session: &Session) -> Option<Rid> {
+        with_tree!(self, |t| t.get_first(key, session))
+    }
+
+    /// [`Tree::seek`], the cursor carrying its tree.
+    pub fn seek(&self, lo: &Key, session: &Session) -> AnyCursor<'_> {
+        match self {
+            BTree::One(t) => AnyCursor::One(t, t.seek(lo, session)),
+            BTree::Two(t) => AnyCursor::Two(t, t.seek(lo, session)),
+            BTree::Three(t) => AnyCursor::Three(t, t.seek(lo, session)),
+        }
+    }
+
+    /// A cursor at the leftmost entry (full index scan).
+    pub fn seek_first(&self, session: &Session) -> AnyCursor<'_> {
+        self.seek(&Key::padded_lo(&[], self.key_arity()), session)
+    }
+
+    /// [`Tree::cursor_next`] on the cursor's tree, one dispatch an entry:
+    /// the reference loop, not a scan's.
+    pub fn cursor_next<'t>(
+        &'t self,
+        cursor: &mut AnyCursor<'t>,
+        session: &Session,
+        leaf_access: AccessKind,
+    ) -> Option<Entry> {
+        match cursor {
+            AnyCursor::One(t, c) => t.cursor_next(c, session, leaf_access),
+            AnyCursor::Two(t, c) => t.cursor_next(c, session, leaf_access),
+            AnyCursor::Three(t, c) => t.cursor_next(c, session, leaf_access),
+        }
+    }
+
+    /// Scan all entries with keys in `[lo, hi]` ([`Tree::scan_range`]).
+    pub fn scan_range<F: FnMut(Entry)>(
+        &self,
+        lo: &Key,
+        hi: &Key,
+        session: &Session,
+        leaf_access: AccessKind,
+        f: F,
+    ) -> u64 {
+        with_tree!(self, |t| t.scan_range(lo, hi, session, leaf_access, f))
+    }
+
+    /// [`Tree::scan_leaves`], each leaf's in-range entries copied out
+    /// widened to [`WideEntry`]s: one entry type whatever the arity, for a
+    /// caller that keeps the entries (the covering rid join).  A loop over
+    /// the entries in place is written over [`Tree::scan_leaves`] with
+    /// [`with_tree!`].
+    pub fn scan_leaves<F: FnMut(&[WideEntry])>(
+        &self,
+        lo: &Key,
+        hi: &Key,
+        session: &Session,
+        leaf_access: AccessKind,
+        mut f: F,
+    ) -> u64 {
+        let mut wide = Vec::new();
+        with_tree!(self, |t| {
+            t.scan_leaves(lo, hi, session, leaf_access, |leaf| {
+                wide.clear();
+                wide.extend(leaf.iter().map(|(cols, rid)| (widen(cols), *rid)));
+                f(&wide)
+            })
+        })
+    }
+
+    /// Every entry in order, charging nothing ([`Tree::collect_all`]).
+    pub fn collect_all(&self) -> Vec<Entry> {
+        with_tree!(self, |t| t.collect_all())
+    }
+
+    /// Validate structural invariants ([`Tree::check_invariants`]).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        with_tree!(self, |t| t.check_invariants())
+    }
+}
+
+impl<const A: usize> std::fmt::Debug for Tree<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BTree")
             .field("len", &self.len)
             .field("height", &self.height)
             .field("nodes", &self.node_count())
-            .field("key_arity", &self.key_arity)
+            .field("key_arity", &A)
             .finish()
+    }
+}
+
+impl std::fmt::Debug for BTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        with_tree!(self, |t| t.fmt(f))
     }
 }
 
@@ -1107,13 +1373,33 @@ mod tests {
         }
     }
 
-    /// A node stores an entry in 32 bytes, where an [`Entry`] takes 40, so a
-    /// full leaf of [`DEFAULT_LEAF_CAP`] entries is one page.
+    /// A tree stores an entry at its key's width — 16, 24 or 32 bytes at
+    /// arity 1, 2 and 3, where an [`Entry`] takes 40 — and a leaf of
+    /// [`DEFAULT_LEAF_CAP`] = 256 entries is the modelled page at every
+    /// arity: the widest entries fill it exactly, and a tree of four full
+    /// leaves has four leaf pages, which a full scan reads, whatever its
+    /// arity.
     #[test]
-    fn a_stored_entry_is_32_bytes_and_a_full_leaf_one_page() {
-        assert_eq!(std::mem::size_of::<StoredEntry>(), 32);
-        assert_eq!(std::mem::size_of::<Entry>(), 40);
-        assert_eq!(DEFAULT_LEAF_CAP * std::mem::size_of::<StoredEntry>(), crate::page::PAGE_SIZE);
+    fn stored_entries_are_as_wide_as_their_keys_and_a_leaf_one_page() {
+        use std::mem::size_of;
+        let widths = [size_of::<StoredEntry<1>>(), size_of::<StoredEntry<2>>()];
+        assert_eq!(widths, [16, 24]);
+        assert_eq!(size_of::<StoredEntry<3>>(), 32);
+        assert_eq!(size_of::<Entry>(), 40);
+        assert_eq!(DEFAULT_LEAF_CAP, 256);
+        assert_eq!(DEFAULT_LEAF_CAP * size_of::<WideEntry>(), crate::page::PAGE_SIZE);
+        for arity in 1..=MAX_KEY_COLS {
+            let n = 4 * DEFAULT_LEAF_CAP as i64;
+            let key = |i: i64| Key::new(&[i; MAX_KEY_COLS][..arity]);
+            let entries: Vec<Entry> = (0..n).map(|i| (key(i), rid(i as u32))).collect();
+            let t = BTree::bulk_load(FileId(0), arity, entries.iter().copied(), 1.0);
+            assert_eq!((t.node_count(), t.height()), (5, 2), "arity {arity}");
+            let s = quiet();
+            let (lo, hi) = (Key::padded_lo(&[], arity), Key::padded_hi(&[], arity));
+            assert_eq!(t.scan_range(&lo, &hi, &s, AccessKind::Sequential, |_| {}), n as u64);
+            // The root and the first leaf by the descent, three leaves after.
+            assert_eq!((s.stats().random_reads, s.stats().seq_reads), (2, 3), "arity {arity}");
+        }
     }
 
     /// Per arity, a fixed script — bulk load, inserts that split, deletes

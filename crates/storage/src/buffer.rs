@@ -208,25 +208,19 @@ impl BufferPool {
         if self.last.is_some_and(|p| p.file == file) {
             self.last = None;
         }
-        let first = self.free.len();
-        let free = &mut self.free;
-        self.map.retain(|page, &mut slot| {
-            let victim = page.file == file;
-            if victim {
-                free.push(slot);
-            }
-            !victim
-        });
         // Clock reuses the last-freed slot first, so the order in which
-        // slots reach the free list is observable: slot order, never the
-        // hash map's.
-        self.free[first..].sort_unstable();
-        for at in first..self.free.len() {
-            let slot = self.free[at];
-            if self.policy == EvictionPolicy::Lru {
-                self.unlink(slot);
+        // slots reach the free list is observable: slot order, the order
+        // of this walk of the arena.  A slot is a victim when it backs a
+        // resident page of `file` — a free slot keeps the page it last held.
+        for slot in 0..self.slots.len() {
+            let page = self.slots[slot].page;
+            if page.file == file && self.map.get(&page) == Some(&slot) {
+                self.map.remove(&page);
+                if self.policy == EvictionPolicy::Lru {
+                    self.unlink(slot);
+                }
+                self.free_slot(slot);
             }
-            self.reset_slot(slot);
         }
     }
 

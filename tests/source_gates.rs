@@ -302,8 +302,8 @@ const RULES: &[Rule] = &[
         scope: &["crates/executor/src/ops/mdam.rs"],
         lines: Lines::Before("#[cfg(test)]"),
         hit: |l| any(l, &["Vec<i64>", ".to_vec()"]),
-        why: "ops/mdam.rs builds a Vec per key outside its tests — corners and skip targets \
-              are [i64; MAX_KEY_COLS] on the stack",
+        why: "ops/mdam.rs builds a Vec per key outside its tests — keys, corners and the box \
+              are [i64; A] on the stack, the walk compiled per key arity A",
         ..RULE
     },
     Rule {
