@@ -294,7 +294,7 @@ const RULES: &[Rule] = &[
         scope: &["crates"],
         hit: |l| any(l, &["cursor_step", "cursor_next_leaf"]),
         why: "cursor_step or cursor_next_leaf is back — the borrowed Cursor with \
-              BTree::next_leaf replaced them, they are not kept beside it",
+              Tree::next_leaf replaced them, they are not kept beside it",
         ..RULE
     },
     Rule {
