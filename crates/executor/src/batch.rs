@@ -259,7 +259,6 @@ impl BatchEmitter {
     /// each with its position less `from`, and `at(from, that, column)`
     /// reads a selected one's column.  A position in the vector is below
     /// [`BATCH_ROWS`] whatever the area's size.
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn filter_with<'r, C: Iterator<Item = (usize, &'r [u8])>>(
         &mut self,
@@ -484,7 +483,8 @@ mod tests {
         let masked = Records::Masked { area: &area, width: 24, mask: &mask, live: n };
         for records in [packed, masked] {
             let (mut em, mut rows) = (BatchEmitter::new(2), Vec::new());
-            let mut sink = |b: &RowBatch| rows.extend((0..b.len()).map(|i| b.row(i).values().to_vec()));
+            let mut sink =
+                |b: &RowBatch| rows.extend((0..b.len()).map(|i| b.row(i).values().to_vec()));
             let got = em.filter(&pred, records, &[2, 0], &mut sink);
             em.flush(&mut sink);
             let all = n as u64;

@@ -135,13 +135,18 @@ fn walk<const A: usize>(
                 // past every key that shares it.
                 let corner = low_corner(&key[..j], &ranges);
                 let target = || {
-                    if below_lo { Key::new(&corner) } else { Key::padded_hi(&key[..j], A) }
+                    if below_lo {
+                        Key::new(&corner)
+                    } else {
+                        Key::padded_hi(&key[..j], A)
+                    }
                 };
                 // An entry under another prefix has passed the target
                 // whatever its tail — it follows `key` in tree order, so its
                 // prefix is the greater; one under the same has passed the
                 // corner once it reaches it, and never the prefix's end.
-                let passed = |k: &[i64; A]| (0..j).any(|c| k[c] != key[c]) || below_lo && *k >= corner;
+                let passed =
+                    |k: &[i64; A]| (0..j).any(|c| k[c] != key[c]) || below_lo && *k >= corner;
                 // Hybrid skip: read a few entries forward first — if the
                 // target is nearby, re-descending from the root would cost
                 // more than walking the leaf.  A probe that ran off its leaf

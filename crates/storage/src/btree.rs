@@ -812,8 +812,8 @@ impl<const A: usize> Tree<A> {
     /// moved onto — but per leaf, in one call ahead of `f`: whether a leaf
     /// lies wholly inside the range is one look at its last key, and only
     /// the leaf the range ends in is searched for the end.  `lo` is checked
-    /// against the tree's arity by the seek; `hi` is compared by its
-    /// columns ([`Key::cols`]).
+    /// against the tree's arity by the seek; `hi` may have any arity, and
+    /// a stored key orders against it as the `Key` it stands for would.
     pub fn scan_leaves<F: FnMut(&[StoredEntry<A>])>(
         &self,
         lo: &Key,
@@ -1135,7 +1135,14 @@ impl BTree {
         entries: impl ExactSizeIterator<Item = Entry>,
         fill: f64,
     ) -> Self {
-        Self::bulk_load_with_caps(file, key_arity, entries, fill, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP)
+        Self::bulk_load_with_caps(
+            file,
+            key_arity,
+            entries,
+            fill,
+            DEFAULT_LEAF_CAP,
+            DEFAULT_INTERNAL_CAP,
+        )
     }
 
     /// [`BTree::bulk_load`] with explicit node capacities.
