@@ -16,7 +16,7 @@
 //! [`StoredEntry<A>`]s — the key's `A` columns and the rid, 16, 24 or 32
 //! bytes — and keys of one arity order as their columns do.  [`BTree`] is a
 //! tree of any arity: one [`Tree`] behind a three-variant enum, each method
-//! dispatching once to code compiled for its arity, and [`with_tree!`] does
+//! dispatching once to code compiled for its arity, and [`with_tree!`](crate::with_tree) does
 //! the same for a caller's own loop over leaves.  Bounds, probes, inserts
 //! and deletes are `Key`s, checked against the tree's arity; entries handed
 //! out by value ([`BTree::scan_range`], [`BTree::cursor_next`],
@@ -1069,20 +1069,6 @@ macro_rules! with_tree {
     };
 }
 
-/// `$make` as the [`BTree`] of `$arity` key columns, the [`Tree`]'s arity
-/// inferred from the variant it goes into.
-macro_rules! of_arity {
-    ($arity:expr, $make:expr) => {{
-        let arity: usize = $arity;
-        assert!((1..=MAX_KEY_COLS).contains(&arity), "bad key arity");
-        match arity {
-            1 => BTree::One($make),
-            2 => BTree::Two($make),
-            _ => BTree::Three($make),
-        }
-    }};
-}
-
 /// A B+-tree index from composite keys to rids, of any key arity: the
 /// [`Tree`] of its arity.  Each method dispatches once, to the tree's.
 pub enum BTree {
@@ -1115,7 +1101,12 @@ impl BTree {
     /// An empty tree with explicit node capacities (small capacities make
     /// rebalancing easy to exercise in tests).
     pub fn with_caps(file: FileId, key_arity: usize, leaf_cap: usize, internal_cap: usize) -> Self {
-        of_arity!(key_arity, Tree::with_caps(file, leaf_cap, internal_cap))
+        assert!((1..=MAX_KEY_COLS).contains(&key_arity), "bad key arity");
+        match key_arity {
+            1 => BTree::One(Tree::with_caps(file, leaf_cap, internal_cap)),
+            2 => BTree::Two(Tree::with_caps(file, leaf_cap, internal_cap)),
+            _ => BTree::Three(Tree::with_caps(file, leaf_cap, internal_cap)),
+        }
     }
 
     /// Bulk-load a tree from entries that must come sorted by `(key, rid)`.
@@ -1272,7 +1263,7 @@ impl BTree {
     /// widened to [`WideEntry`]s: one entry type whatever the arity, for a
     /// caller that keeps the entries (the covering rid join).  A loop over
     /// the entries in place is written over [`Tree::scan_leaves`] with
-    /// [`with_tree!`].
+    /// [`with_tree!`](crate::with_tree).
     pub fn scan_leaves<F: FnMut(&[WideEntry])>(
         &self,
         lo: &Key,
