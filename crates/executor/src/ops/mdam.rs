@@ -17,7 +17,7 @@
 //! compiled once per key arity `A`, chosen once per scan: keys, corners and
 //! the box are `[i64; A]` arrays on the stack.
 
-use robustmap_storage::btree::{Cursor, Tree};
+use robustmap_storage::btree::{Cursor, Tree, MAX_KEY_COLS};
 use robustmap_storage::{with_tree, AccessKind, IndexDef, Key, Session};
 
 use crate::exec::ExecError;
@@ -143,10 +143,19 @@ fn walk<const A: usize>(
                 };
                 // An entry under another prefix has passed the target
                 // whatever its tail — it follows `key` in tree order, so its
-                // prefix is the greater; one under the same has passed the
-                // corner once it reaches it, and never the prefix's end.
-                let passed =
-                    |k: &[i64; A]| (0..j).any(|c| k[c] != key[c]) || below_lo && *k >= corner;
+                // prefix is the greater.  One under the same has passed the
+                // corner once it reaches it.  It reaches the prefix's end
+                // only at full width with every column past the prefix
+                // `i64::MAX`: `Key::padded_hi` pads all `MAX_KEY_COLS` slots,
+                // so such a key is the target, and a seek lands on it.
+                let passed = |k: &[i64; A]| {
+                    (0..j).any(|c| k[c] != key[c])
+                        || if below_lo {
+                            *k >= corner
+                        } else {
+                            A == MAX_KEY_COLS && k[j..].iter().all(|&v| v == i64::MAX)
+                        }
+                };
                 // Hybrid skip: read a few entries forward first — if the
                 // target is nearby, re-descending from the root would cost
                 // more than walking the leaf.  A probe that ran off its leaf
@@ -373,6 +382,70 @@ mod tests {
                                     let got = outcome(run, &index, &ranges, pool, Some(k));
                                     assert_eq!(got, want, "{what} box {ranges:?} pool {pool} bail {k}");
                                 }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A key whose columns past a prefix are all `i64::MAX` is, at full
+    /// width, that prefix's skip target: the entry walk counts it as
+    /// passed, and a seek to the target lands on the first of a run of
+    /// them — a run longer than the probe window is stepped over, never
+    /// sought again.  Below full width the target sorts after such keys.
+    #[test]
+    fn a_run_of_max_tails_is_stepped_over_as_the_entry_walk_steps_over_it() {
+        const MAX: i64 = i64::MAX;
+        let tails = [0, 1, MAX - 1, MAX];
+        for arity in 2..=MAX_KEY_COLS {
+            let mut entries = Vec::new();
+            for p in 0..4 {
+                for q in tails {
+                    for r in tails {
+                        let run = if q == MAX || r == MAX { 2 * SKIP_SCAN_LIMIT + 3 } else { 2 };
+                        for _ in 0..run {
+                            let i = entries.len() as u32;
+                            entries
+                                .push((Key::new(&[p, q, r][..arity]), Rid::new(i / 100, i % 100)));
+                        }
+                    }
+                }
+            }
+            entries.sort_unstable();
+            let ranges = [
+                vec![(0, 3), (1, 2)],
+                vec![(0, 1), (1, MAX - 1), (0, MAX), (MAX, MAX)],
+                vec![(0, 0), (0, MAX - 1), (1, MAX), (MAX, MAX)],
+            ];
+            for leaf_cap in [6, 8, 256] {
+                let tree = BTree::bulk_load_with_caps(
+                    FileId(3),
+                    arity,
+                    entries.iter().copied(),
+                    1.0,
+                    leaf_cap,
+                    4,
+                );
+                let index = IndexDef {
+                    name: "idx".into(),
+                    table: TableId(0),
+                    key_columns: (0..arity).collect(),
+                    tree,
+                };
+                for a in &ranges[0] {
+                    for b in &ranges[1] {
+                        for c in &ranges[2] {
+                            let col_ranges = [*a, *b, *c];
+                            let col_ranges = &col_ranges[..arity];
+                            for pool in [0, 4, 1024] {
+                                let want = outcome(oracle, &index, col_ranges, pool, None);
+                                let got = outcome(run, &index, col_ranges, pool, None);
+                                assert_eq!(
+                                    got, want,
+                                    "arity {arity} cap {leaf_cap} box {col_ranges:?} pool {pool}"
+                                );
                             }
                         }
                     }
