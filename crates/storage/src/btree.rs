@@ -1082,6 +1082,9 @@ pub enum BTree {
 
 /// A [`Cursor`] of a [`BTree`] of any arity, with its tree: what
 /// [`BTree::seek`] hands out for the entry-at-a-time [`BTree::cursor_next`].
+/// That loop is the `Key`-level reference the model test, the pinned tree
+/// charges and the MDAM oracle read a tree through; scans dispatch once
+/// with [`with_tree!`](crate::with_tree) instead.
 #[derive(Debug, Clone, Copy)]
 pub enum AnyCursor<'t> {
     /// On a one-column tree.
