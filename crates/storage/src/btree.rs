@@ -12,19 +12,19 @@
 //! which is what the MDAM operator uses to build per-column sub-ranges.
 //!
 //! A [`Key`] carries its arity; what a leaf or a separator stores does not.
-//! A [`Tree<A>`] holds `A`-column keys, so its nodes hold
-//! [`StoredEntry<A>`]s — the key's `A` columns and the rid, 16, 24 or 32
-//! bytes — and keys of one arity order as their columns do.  [`BTree`] is a
-//! tree of any arity: one [`Tree`] behind a three-variant enum, each method
-//! dispatching once to code compiled for its arity, and [`with_tree!`](crate::with_tree) does
-//! the same for a caller's own loop over leaves.  Bounds, probes, inserts
-//! and deletes are `Key`s, checked against the tree's arity; entries handed
-//! out by value ([`BTree::scan_range`], [`BTree::cursor_next`],
-//! [`BTree::collect_all`]) are `Key`s again.
+//! A [`Tree<A>`] holds `A`-column keys as [`StoredEntry<A>`]s — the key's
+//! `A` columns and the rid, 16, 24 or 32 bytes.  [`BTree`] is a tree of any
+//! arity: one [`Tree`] behind a three-variant enum, each method dispatching
+//! once to code compiled for its arity, and [`with_tree!`](crate::with_tree)
+//! does the same for a caller's own loop over leaves.  Bounds, probes,
+//! inserts and deletes are `Key`s, checked against the tree's arity; entries
+//! handed out by value are `Key`s again.
 //!
-//! A leaf is one modelled page at every arity: [`DEFAULT_LEAF_CAP`] entries
-//! whatever their width, so node numbering, page charges and compare
-//! charges do not depend on how many bytes an entry takes.
+//! Leaves and inner nodes are separate types, each in its own arena indexed
+//! by page number, and an inner node's children are leaves or inner nodes,
+//! never a mix, so no walk meets a node of the wrong kind.  A leaf is one
+//! modelled page at every arity: [`DEFAULT_LEAF_CAP`] entries whatever their
+//! width, so page numbers and charges do not depend on an entry's bytes.
 //!
 //! Reads go through one [`Cursor`], which borrows the leaf it is on:
 //! [`Tree::seek`] makes one, [`Cursor::peek`] / [`Cursor::rest`] /
@@ -34,6 +34,10 @@
 //! [`Tree::cursor_next`] is the entry-at-a-time reference loop.
 
 use std::cmp::Ordering;
+use std::marker::PhantomData;
+use std::mem::take;
+use std::num::NonZeroU32;
+use std::ops::{Index, IndexMut};
 
 use crate::buffer::{FileId, PageId};
 use crate::charge::ChargeSink;
@@ -197,35 +201,166 @@ impl<const A: usize> Bound<A> {
     }
 }
 
-type NodeId = u32;
-const NO_NODE: NodeId = u32::MAX;
+/// A leaf's page number, held plus one: `Option<LeafId>`, the `next` a
+/// cursor carries in registers, then takes four bytes, not eight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LeafId(NonZeroU32);
 
-#[derive(Debug, Clone)]
-enum Node<const A: usize> {
-    Internal {
-        /// `seps[i]` is the smallest entry reachable under `children[i + 1]`.
-        seps: Vec<StoredEntry<A>>,
-        children: Vec<NodeId>,
-    },
-    Leaf {
-        entries: Vec<StoredEntry<A>>,
-        next: NodeId,
-    },
-    /// Freed node, threaded on the free list.
-    Free { next_free: NodeId },
+impl LeafId {
+    fn at(page: u32) -> Self {
+        LeafId(NonZeroU32::MIN.saturating_add(page))
+    }
 }
 
-/// Result of a recursive insert: a split produced a new right sibling.
-struct Split<const A: usize> {
-    sep: StoredEntry<A>,
-    right: NodeId,
+/// An inner node's page number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct InnerId(u32);
+
+/// A node of either kind: the root, or a child an inner node hands out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NodeId {
+    Leaf(LeafId),
+    Inner(InnerId),
 }
+
+/// A node handle: its page number, typed by the node's kind.
+trait Handle: Copy {
+    fn page(self) -> u32;
+}
+
+impl Handle for LeafId {
+    fn page(self) -> u32 {
+        self.0.get() - 1
+    }
+}
+
+impl Handle for InnerId {
+    fn page(self) -> u32 {
+        self.0
+    }
+}
+
+#[derive(Debug, Default)]
+struct Leaf<const A: usize> {
+    entries: Vec<StoredEntry<A>>,
+    next: Option<LeafId>,
+}
+
+#[derive(Debug, Default)]
+struct Inner<const A: usize> {
+    /// `seps[i]` is the smallest entry reachable under child `i + 1`.
+    seps: Vec<StoredEntry<A>>,
+    children: Children,
+}
+
+/// An inner node's children, all of one level: leaves, or inner nodes.
+#[derive(Debug)]
+enum Children {
+    Leaves(Vec<LeafId>),
+    Inners(Vec<InnerId>),
+}
+
+impl Default for Children {
+    fn default() -> Self {
+        Children::Leaves(Vec::new())
+    }
+}
+
+impl<const A: usize> Inner<A> {
+    /// Drop child `i` and the separator before it.
+    fn remove_child(&mut self, i: usize) {
+        self.seps.remove(i - 1);
+        match &mut self.children {
+            Children::Leaves(ids) => _ = ids.remove(i),
+            Children::Inners(ids) => _ = ids.remove(i),
+        }
+    }
+}
+
+impl Children {
+    fn len(&self) -> usize {
+        match self {
+            Children::Leaves(ids) => ids.len(),
+            Children::Inners(ids) => ids.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> NodeId {
+        match self {
+            Children::Leaves(ids) => NodeId::Leaf(ids[i]),
+            Children::Inners(ids) => NodeId::Inner(ids[i]),
+        }
+    }
+
+    fn split_off(&mut self, at: usize) -> Children {
+        match self {
+            Children::Leaves(ids) => Children::Leaves(ids.split_off(at)),
+            Children::Inners(ids) => Children::Inners(ids.split_off(at)),
+        }
+    }
+
+    /// Two siblings' children as one sequence, `self`'s then `right`'s,
+    /// split after the first `at`.  `false`, and nothing moved, for children
+    /// of two levels: only a tree whose leaves lie at two depths holds
+    /// those, and [`Tree::check_invariants`] reports it.
+    fn regroup(&mut self, right: &mut Children, at: usize) -> bool {
+        fn join_split<C>(left: &mut Vec<C>, right: &mut Vec<C>, at: usize) {
+            left.append(right);
+            *right = left.split_off(at);
+        }
+        match (self, right) {
+            (Children::Leaves(l), Children::Leaves(r)) => join_split(l, r, at),
+            (Children::Inners(l), Children::Inners(r)) => join_split(l, r, at),
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// The nodes of one kind by page number, `I` the kind's handle: a page a
+/// handle names holds its node; any other page it reaches, of the other
+/// kind or free, an empty default.
+struct Arena<I, T>(Vec<T>, PhantomData<I>);
+
+impl<I: Handle, T: Default> Arena<I, T> {
+    /// Put `node` on `id`'s page, the arena grown to reach it.
+    fn put(&mut self, id: I, node: T) {
+        let page = id.page() as usize;
+        self.0.resize_with(self.0.len().max(page + 1), T::default);
+        self.0[page] = node;
+    }
+}
+
+impl<I: Handle, T> Index<I> for Arena<I, T> {
+    type Output = T;
+    #[inline]
+    fn index(&self, id: I) -> &T {
+        &self.0[id.page() as usize]
+    }
+}
+
+impl<I: Handle, T> IndexMut<I> for Arena<I, T> {
+    #[inline]
+    fn index_mut(&mut self, id: I) -> &mut T {
+        &mut self.0[id.page() as usize]
+    }
+}
+
+/// A split's right half: the smallest entry under it, and its node.
+type Split<const A: usize, C> = Option<(StoredEntry<A>, C)>;
 
 /// A B+-tree index from `A`-column keys to rids.
+///
+/// Every node is one page of the tree's file, numbered by one allocator:
+/// the page released last, else the next never handed out.  Each page
+/// handed out is reachable once or on `free` once.
 pub struct Tree<const A: usize> {
     file: FileId,
-    nodes: Vec<Node<A>>,
-    free_head: NodeId,
+    leaves: Arena<LeafId, Leaf<A>>,
+    inners: Arena<InnerId, Inner<A>>,
+    /// Pages handed out, and the released ones, the last released last.
+    pages: u32,
+    free: Vec<u32>,
     root: NodeId,
     height: u32,
     len: u64,
@@ -250,29 +385,38 @@ fn search<T, S: ChargeSink>(items: &[T], session: &S, before: impl FnMut(&T) -> 
     items.partition_point(before)
 }
 
+/// Put the right half of child `i`'s split `s` after it in `ids`; the
+/// separator is left for their parent.
+fn adopt<const A: usize, C>(ids: &mut Vec<C>, i: usize, s: Split<A, C>) -> Option<StoredEntry<A>> {
+    let (sep, right) = s?;
+    ids.insert(i + 1, right);
+    Some(sep)
+}
+
 impl<const A: usize> Tree<A> {
     /// An empty tree with explicit node capacities (small capacities make
     /// rebalancing easy to exercise in tests).
     pub fn with_caps(file: FileId, leaf_cap: usize, internal_cap: usize) -> Self {
         assert!((1..=MAX_KEY_COLS).contains(&A), "bad key arity");
         assert!(leaf_cap >= 2 && internal_cap >= 3, "caps too small to split");
-        let mut tree = Tree {
+        // Page 0, the root, is an empty leaf.
+        Tree {
             file,
-            nodes: Vec::new(),
-            free_head: NO_NODE,
-            root: 0,
+            leaves: Arena(vec![Leaf::default()], PhantomData),
+            inners: Arena(Vec::new(), PhantomData),
+            pages: 1,
+            free: Vec::new(),
+            root: NodeId::Leaf(LeafId::at(0)),
             height: 1,
             len: 0,
             leaf_cap,
             internal_cap,
-        };
-        tree.root = tree.alloc(Node::Leaf { entries: Vec::new(), next: NO_NODE });
-        tree
+        }
     }
 
     /// Bulk load: make leaf `i` of the tree being loaded hold `entries`,
-    /// the tree's arity checked in debug builds.  Leaf `i` is node `i`,
-    /// chained after node `i − 1`; node 0 is the empty root leaf
+    /// the tree's arity checked in debug builds.  Leaf `i` is page `i`,
+    /// chained after page `i − 1`; page 0 is the empty root leaf
     /// [`Tree::with_caps`] made.
     fn load_leaf(&mut self, i: usize, entries: &[Entry]) {
         let entries: Vec<StoredEntry<A>> = entries
@@ -283,47 +427,52 @@ impl<const A: usize> Tree<A> {
             })
             .collect();
         debug_assert!(entries.windows(2).all(|w| w[0] < w[1]), "bulk_load input not sorted");
-        let leaf = Node::Leaf { entries, next: NO_NODE };
-        if i == 0 {
-            self.nodes[0] = leaf;
-            return;
+        if i > 0 {
+            let page = LeafId::at(self.alloc_page());
+            let prev = &mut self.leaves[LeafId::at(i as u32 - 1)];
+            debug_assert!(prev.entries.last() < entries.first(), "bulk_load input not sorted");
+            prev.next = Some(page);
         }
-        if let Node::Leaf { next, entries } = &mut self.nodes[i - 1] {
-            debug_assert!(entries.last() < leaf_first(&leaf), "bulk_load input not sorted");
-            *next = i as NodeId;
-        }
-        self.nodes.push(leaf);
+        self.leaves.put(LeafId::at(i as u32), Leaf { entries, next: None });
     }
 
     /// Bulk load: build the internal levels bottom-up over the first
-    /// `leaves` nodes, which [`Tree::load_leaf`] filled with `len` entries.
+    /// `leaves` pages, which [`Tree::load_leaf`] filled with `len > 0`
+    /// entries.
     fn load_levels(&mut self, leaves: usize, len: usize, fill: f64) {
-        let mut level: Vec<(StoredEntry<A>, NodeId)> = (0..leaves as NodeId)
-            .filter_map(|id| leaf_first(&self.nodes[id as usize]).map(|&first| (first, id)))
-            .collect();
-        let internal_cap = self.internal_cap;
-        let per_internal = ((internal_cap as f64 * fill) as usize).clamp(2, internal_cap);
-        while level.len() > 1 {
-            let mut upper: Vec<(StoredEntry<A>, NodeId)> = Vec::new();
-            let sizes = balanced_group_sizes(
-                level.len(),
-                per_internal,
-                internal_cap.div_ceil(2),
-            );
-            let mut offset = 0;
-            for &size in &sizes {
-                let group = &level[offset..offset + size];
-                offset += size;
-                let children: Vec<NodeId> = group.iter().map(|&(_, id)| id).collect();
-                let seps: Vec<StoredEntry<A>> = group[1..].iter().map(|&(sep, _)| sep).collect();
-                let id = self.alloc(Node::Internal { seps, children });
-                upper.push((group[0].0, id));
+        let leaves = (0..leaves as u32).map(LeafId::at);
+        let level: Vec<_> = leaves.map(|id| (self.leaves[id].entries[0], id)).collect();
+        let per_internal = ((self.internal_cap as f64 * fill) as usize).clamp(2, self.internal_cap);
+        if level.len() > 1 {
+            let mut level = self.load_level(&level, per_internal, Children::Leaves);
+            while level.len() > 1 {
+                level = self.load_level(&level, per_internal, Children::Inners);
             }
-            level = upper;
-            self.height += 1;
+            self.root = NodeId::Inner(level[0].1);
         }
-        self.root = level[0].1;
         self.len = len as u64;
+    }
+
+    /// Bulk load: one level of inner nodes over `level`'s nodes, each given
+    /// with the first entry under it.
+    fn load_level<C: Copy>(
+        &mut self,
+        level: &[(StoredEntry<A>, C)],
+        per_internal: usize,
+        kind: fn(Vec<C>) -> Children,
+    ) -> Vec<(StoredEntry<A>, InnerId)> {
+        let sizes = balanced_group_sizes(level.len(), per_internal, self.internal_cap.div_ceil(2));
+        let mut offset = 0;
+        let mut upper = Vec::with_capacity(sizes.len());
+        for size in sizes {
+            let group = &level[offset..offset + size];
+            offset += size;
+            let children = kind(group.iter().map(|&(_, id)| id).collect());
+            let seps = group[1..].iter().map(|&(sep, _)| sep).collect();
+            upper.push((group[0].0, self.alloc_inner(Inner { seps, children })));
+        }
+        self.height += 1;
+        upper
     }
 
     /// Number of entries.
@@ -346,9 +495,10 @@ impl<const A: usize> Tree<A> {
         A
     }
 
-    /// Number of allocated nodes (≈ pages), including internal nodes.
+    /// Number of allocated nodes (≈ pages), including internal nodes: the
+    /// pages handed out and not released.
     pub fn node_count(&self) -> usize {
-        self.nodes.iter().filter(|n| !matches!(n, Node::Free { .. })).count()
+        self.pages as usize - self.free.len()
     }
 
     /// The file id used for this tree's pages.
@@ -356,33 +506,23 @@ impl<const A: usize> Tree<A> {
         self.file
     }
 
-    fn alloc(&mut self, node: Node<A>) -> NodeId {
-        if self.free_head != NO_NODE {
-            let id = self.free_head;
-            match self.nodes[id as usize] {
-                Node::Free { next_free } => self.free_head = next_free,
-                _ => unreachable!("free list corrupt"),
-            }
-            self.nodes[id as usize] = node;
-            id
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as NodeId
-        }
+    /// A page number: the page released last, else the next never handed
+    /// out.
+    fn alloc_page(&mut self) -> u32 {
+        let page = self.free.pop().unwrap_or(self.pages);
+        self.pages = self.pages.max(page + 1);
+        page
     }
 
-    fn release(&mut self, id: NodeId) {
-        self.nodes[id as usize] = Node::Free { next_free: self.free_head };
-        self.free_head = id;
-    }
-
-    fn page_id(&self, node: NodeId) -> PageId {
-        PageId::new(self.file, node)
+    fn alloc_inner(&mut self, inner: Inner<A>) -> InnerId {
+        let id = InnerId(self.alloc_page());
+        self.inners.put(id, inner);
+        id
     }
 
     #[inline]
-    fn touch<S: ChargeSink>(&self, node: NodeId, session: &S, kind: AccessKind) {
-        session.read_page(self.page_id(node), kind);
+    fn touch<S: ChargeSink>(&self, node: impl Handle, session: &S, kind: AccessKind) {
+        session.read_page(PageId::new(self.file, node.page()), kind);
     }
 
     /// `(key, rid)` as this tree stores it, once the key's arity is checked.
@@ -400,124 +540,100 @@ impl<const A: usize> Tree<A> {
     /// Insert `(key, rid)`.  Returns `false` if the exact entry was already
     /// present (the tree is a set of `(key, rid)` pairs).
     pub fn insert<S: ChargeSink>(&mut self, key: Key, rid: Rid, session: &S) -> bool {
-        let entry = Self::stored_entry(&key, rid);
-        let root = self.root;
-        match self.insert_rec(root, entry, session) {
-            InsertOutcome::Duplicate => false,
-            InsertOutcome::Done => {
-                self.len += 1;
-                true
-            }
-            InsertOutcome::Split(split) => {
-                let new_root = self.alloc(Node::Internal {
-                    seps: vec![split.sep],
-                    children: vec![self.root, split.right],
-                });
-                self.root = new_root;
-                self.height += 1;
-                self.len += 1;
-                true
-            }
+        let (entry, len) = (Self::stored_entry(&key, rid), self.len);
+        // A split of the root puts a new root over both halves.
+        let split = match self.root {
+            NodeId::Leaf(id) => self
+                .insert_leaf(id, entry, session)
+                .map(|(sep, right)| (sep, Children::Leaves(vec![id, right]))),
+            NodeId::Inner(id) => self
+                .insert_inner(id, entry, session)
+                .map(|(sep, right)| (sep, Children::Inners(vec![id, right]))),
+        };
+        if let Some((sep, children)) = split {
+            self.root = NodeId::Inner(self.alloc_inner(Inner { seps: vec![sep], children }));
+            self.height += 1;
         }
+        self.len > len
     }
 
-    fn insert_rec<S: ChargeSink>(
+    /// Insert under leaf `id`, counting the entry unless it is there.
+    fn insert_leaf<S: ChargeSink>(
         &mut self,
-        node: NodeId,
+        id: LeafId,
         entry: StoredEntry<A>,
         session: &S,
-    ) -> InsertOutcome<A> {
-        self.touch(node, session, AccessKind::Random);
-        match &mut self.nodes[node as usize] {
-            Node::Leaf { entries, next } => {
-                let idx = search(entries, session, |e| *e < entry);
-                if entries.get(idx) == Some(&entry) {
-                    return InsertOutcome::Duplicate;
-                }
-                entries.insert(idx, entry);
-                if entries.len() <= self.leaf_cap {
-                    return InsertOutcome::Done;
-                }
-                // Split the leaf in half.
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0];
-                let old_next = *next;
-                let right = self.alloc(Node::Leaf { entries: right_entries, next: old_next });
-                match &mut self.nodes[node as usize] {
-                    Node::Leaf { next, .. } => *next = right,
-                    _ => unreachable!(),
-                }
-                InsertOutcome::Split(Split { sep, right })
-            }
-            Node::Internal { seps, children } => {
-                // An entry equal to `seps[i]` lives under `children[i + 1]`
-                // (separators are the smallest entry of their right
-                // subtree), so the descent uses `<=`.
-                let slot = search(seps, session, |e| *e <= entry);
-                let child = children[slot];
-                match self.insert_rec(child, entry, session) {
-                    InsertOutcome::Split(split) => {
-                        match &mut self.nodes[node as usize] {
-                            Node::Internal { seps, children } => {
-                                seps.insert(slot, split.sep);
-                                children.insert(slot + 1, split.right);
-                                if children.len() <= self.internal_cap {
-                                    return InsertOutcome::Done;
-                                }
-                                // Split the internal node; middle separator
-                                // moves up.
-                                let mid = seps.len() / 2;
-                                let up_sep = seps[mid];
-                                let right_seps = seps.split_off(mid + 1);
-                                seps.pop(); // remove up_sep
-                                let right_children = children.split_off(mid + 1);
-                                let right = self.alloc(Node::Internal {
-                                    seps: right_seps,
-                                    children: right_children,
-                                });
-                                InsertOutcome::Split(Split { sep: up_sep, right })
-                            }
-                            _ => unreachable!(),
-                        }
-                    }
-                    other => other,
-                }
-            }
-            Node::Free { .. } => unreachable!("descended into freed node"),
+    ) -> Split<A, LeafId> {
+        self.touch(id, session, AccessKind::Random);
+        let leaf = &mut self.leaves[id];
+        let idx = search(&leaf.entries, session, |e| *e < entry);
+        if leaf.entries.get(idx) == Some(&entry) {
+            return None;
         }
+        leaf.entries.insert(idx, entry);
+        self.len += 1;
+        if leaf.entries.len() <= self.leaf_cap {
+            return None;
+        }
+        // Split the leaf in half.
+        let entries = leaf.entries.split_off(leaf.entries.len() / 2);
+        let (sep, next) = (entries[0], leaf.next);
+        let right = LeafId::at(self.alloc_page());
+        self.leaves.put(right, Leaf { entries, next });
+        self.leaves[id].next = Some(right);
+        Some((sep, right))
+    }
+
+    fn insert_inner<S: ChargeSink>(
+        &mut self,
+        id: InnerId,
+        entry: StoredEntry<A>,
+        session: &S,
+    ) -> Split<A, InnerId> {
+        self.touch(id, session, AccessKind::Random);
+        // Out of its arena while the insert descends under it.
+        let mut inner = take(&mut self.inners[id]);
+        // An entry equal to `seps[i]` lives under child `i + 1` (separators
+        // are the smallest entry of their right subtree), so the descent
+        // uses `<=`.
+        let slot = search(&inner.seps, session, |e| *e <= entry);
+        let sep = match &mut inner.children {
+            Children::Leaves(ids) => adopt(ids, slot, self.insert_leaf(ids[slot], entry, session)),
+            Children::Inners(ids) => adopt(ids, slot, self.insert_inner(ids[slot], entry, session)),
+        };
+        if let Some(sep) = sep {
+            inner.seps.insert(slot, sep);
+        }
+        // Split the node if it overflowed; the middle separator moves up.
+        let split = (inner.children.len() > self.internal_cap).then(|| {
+            let mid = inner.seps.len() / 2;
+            let up = inner.seps[mid];
+            let seps = inner.seps.split_off(mid + 1);
+            inner.seps.truncate(mid);
+            let children = inner.children.split_off(mid + 1);
+            (up, self.alloc_inner(Inner { seps, children }))
+        });
+        self.inners[id] = inner;
+        split
     }
 
     /// Delete `(key, rid)`.  Returns `true` if the entry existed.
     pub fn delete<S: ChargeSink>(&mut self, key: Key, rid: Rid, session: &S) -> bool {
         let entry = Self::stored_entry(&key, rid);
-        let root = self.root;
-        let removed = self.delete_rec(root, &entry, session);
+        let removed = self.delete_rec(self.root, &entry, session);
         if removed {
             self.len -= 1;
-            // Collapse the root if it became trivial.
-            loop {
-                match &self.nodes[self.root as usize] {
-                    Node::Internal { children, .. } if children.len() == 1 => {
-                        let child = children[0];
-                        let old_root = self.root;
-                        self.root = child;
-                        self.release(old_root);
-                        self.height -= 1;
-                    }
-                    _ => break,
+            // Collapse the root while it is an inner node of one child.
+            while let NodeId::Inner(id) = self.root {
+                if self.inners[id].children.len() != 1 {
+                    break;
                 }
+                self.free.push(id.page());
+                self.root = take(&mut self.inners[id]).children.get(0);
+                self.height -= 1;
             }
         }
         removed
-    }
-
-    fn leaf_min_occupancy(&self) -> usize {
-        self.leaf_cap / 2
-    }
-
-    fn internal_min_children(&self) -> usize {
-        self.internal_cap.div_ceil(2)
     }
 
     fn delete_rec<S: ChargeSink>(
@@ -526,183 +642,102 @@ impl<const A: usize> Tree<A> {
         entry: &StoredEntry<A>,
         session: &S,
     ) -> bool {
-        self.touch(node, session, AccessKind::Random);
-        match &mut self.nodes[node as usize] {
-            Node::Leaf { entries, .. } => {
+        match node {
+            NodeId::Leaf(id) => {
+                self.touch(id, session, AccessKind::Random);
+                let entries = &mut self.leaves[id].entries;
                 let idx = search(entries, session, |e| e < entry);
-                if entries.get(idx) == Some(entry) {
+                let found = entries.get(idx) == Some(entry);
+                if found {
                     entries.remove(idx);
-                    true
-                } else {
-                    false
                 }
+                found
             }
-            Node::Internal { seps, children } => {
-                let slot = search(seps, session, |e| e <= entry);
-                let child = children[slot];
+            NodeId::Inner(id) => {
+                self.touch(id, session, AccessKind::Random);
+                let inner = &self.inners[id];
+                let slot = search(&inner.seps, session, |e| e <= entry);
+                let child = inner.children.get(slot);
                 let removed = self.delete_rec(child, entry, session);
                 if removed {
-                    self.fix_underflow(node, slot, session);
+                    self.fix_underflow(id, slot, session);
                 }
                 removed
             }
-            Node::Free { .. } => unreachable!("descended into freed node"),
         }
     }
 
-    /// After deleting under `parent.children[slot]`, rebalance that child if
-    /// it fell below minimum occupancy, by borrowing from or merging with a
-    /// sibling.
-    fn fix_underflow<S: ChargeSink>(&mut self, parent: NodeId, slot: usize, session: &S) {
-        let (child, child_size, child_is_leaf) = {
-            let children = match &self.nodes[parent as usize] {
-                Node::Internal { children, .. } => children,
-                _ => unreachable!(),
-            };
-            let child = children[slot];
-            match &self.nodes[child as usize] {
-                Node::Leaf { entries, .. } => (child, entries.len(), true),
-                Node::Internal { children: c, .. } => (child, c.len(), false),
-                Node::Free { .. } => unreachable!(),
+    /// After deleting under child `slot` of `parent`, rebalance that child
+    /// if it fell below minimum occupancy, by borrowing from or merging
+    /// with a sibling.
+    fn fix_underflow<S: ChargeSink>(&mut self, parent: InnerId, slot: usize, session: &S) {
+        // Prefer the left sibling; fall back to the right.
+        let (left, right) = if slot > 0 { (slot - 1, slot) } else { (slot, slot + 1) };
+        let sibling = left + right - slot;
+        match &self.inners[parent].children {
+            Children::Leaves(ids) if self.leaves[ids[slot]].entries.len() < self.leaf_cap / 2 => {
+                self.touch(ids[sibling], session, AccessKind::Random);
+                self.rebalance_leaves(parent, left, ids[left], ids[right]);
             }
-        };
-        let min = if child_is_leaf { self.leaf_min_occupancy() } else { self.internal_min_children() };
-        if child_size >= min {
+            Children::Inners(ids)
+                if self.inners[ids[slot]].children.len() < self.internal_cap.div_ceil(2) =>
+            {
+                self.touch(ids[sibling], session, AccessKind::Random);
+                self.rebalance_internals(parent, left, ids[left], ids[right]);
+            }
+            _ => {}
+        }
+    }
+
+    /// Merge leaf `right` into `left` if their entries fit one leaf, else
+    /// share them out evenly; the parent's separator `i` lies between them.
+    fn rebalance_leaves(&mut self, parent: InnerId, i: usize, left: LeafId, right: LeafId) {
+        let mut r = take(&mut self.leaves[right]);
+        let l = &mut self.leaves[left];
+        let total = l.entries.len() + r.entries.len();
+        if total <= self.leaf_cap {
+            l.entries.append(&mut r.entries);
+            l.next = r.next;
+            self.free.push(right.page());
+            self.inners[parent].remove_child(i + 1);
             return;
         }
-        let sibling_count = match &self.nodes[parent as usize] {
-            Node::Internal { children, .. } => children.len(),
-            _ => unreachable!(),
-        };
-        // Prefer the left sibling; fall back to the right.
-        let (left_slot, right_slot) = if slot > 0 { (slot - 1, slot) } else { (slot, slot + 1) };
-        debug_assert!(right_slot < sibling_count, "internal node with a single child");
-        let (left, right) = {
-            let children = match &self.nodes[parent as usize] {
-                Node::Internal { children, .. } => children,
-                _ => unreachable!(),
-            };
-            (children[left_slot], children[right_slot])
-        };
-        self.touch(if left == child { right } else { left }, session, AccessKind::Random);
-
-        let sep_idx = left_slot; // separator between left and right
-        if child_is_leaf {
-            self.rebalance_leaves(parent, sep_idx, left, right);
+        let target_left = total / 2;
+        if l.entries.len() > target_left {
+            r.entries.splice(..0, l.entries.drain(target_left..));
         } else {
-            self.rebalance_internals(parent, sep_idx, left, right);
+            l.entries.extend(r.entries.drain(..target_left - l.entries.len()));
         }
+        self.inners[parent].seps[i] = r.entries[0];
+        self.leaves[right] = r;
     }
 
-    fn rebalance_leaves(&mut self, parent: NodeId, sep_idx: usize, left: NodeId, right: NodeId) {
-        let (mut left_entries, left_next) = match std::mem::replace(
-            &mut self.nodes[left as usize],
-            Node::Free { next_free: NO_NODE },
-        ) {
-            Node::Leaf { entries, next } => (entries, next),
-            _ => unreachable!(),
-        };
-        let (mut right_entries, right_next) = match std::mem::replace(
-            &mut self.nodes[right as usize],
-            Node::Free { next_free: NO_NODE },
-        ) {
-            Node::Leaf { entries, next } => (entries, next),
-            _ => unreachable!(),
-        };
-        let min = self.leaf_min_occupancy();
-        if left_entries.len() + right_entries.len() <= self.leaf_cap {
-            // Merge right into left; drop right.
-            left_entries.extend(right_entries);
-            self.nodes[left as usize] = Node::Leaf { entries: left_entries, next: right_next };
-            self.release(right);
-            match &mut self.nodes[parent as usize] {
-                Node::Internal { seps, children } => {
-                    seps.remove(sep_idx);
-                    children.remove(sep_idx + 1);
-                }
-                _ => unreachable!(),
-            }
-        } else {
-            // Redistribute evenly; both sides end up >= min.
-            let total = left_entries.len() + right_entries.len();
-            let target_left = total / 2;
-            if left_entries.len() > target_left {
-                let moved: Vec<StoredEntry<A>> = left_entries.split_off(target_left);
-                let mut merged = moved;
-                merged.extend(right_entries);
-                right_entries = merged;
-            } else {
-                let need = target_left - left_entries.len();
-                left_entries.extend(right_entries.drain(..need));
-            }
-            debug_assert!(left_entries.len() >= min && right_entries.len() >= min);
-            let new_sep = right_entries[0];
-            self.nodes[left as usize] = Node::Leaf { entries: left_entries, next: left_next };
-            self.nodes[right as usize] = Node::Leaf { entries: right_entries, next: right_next };
-            match &mut self.nodes[parent as usize] {
-                Node::Internal { seps, .. } => seps[sep_idx] = new_sep,
-                _ => unreachable!(),
-            }
+    /// Merge inner node `right` into `left` if their children fit one
+    /// node, else share them out evenly — left's, the parent's separator
+    /// `i` between them, then right's, as one sequence.
+    fn rebalance_internals(&mut self, parent: InnerId, i: usize, left: InnerId, right: InnerId) {
+        let parent_sep = self.inners[parent].seps[i];
+        let mut r = take(&mut self.inners[right]);
+        let l = &mut self.inners[left];
+        let total = l.children.len() + r.children.len();
+        let at = if total <= self.internal_cap { total } else { total / 2 };
+        if !l.children.regroup(&mut r.children, at) {
+            self.inners[right] = r;
+            return;
         }
-    }
-
-    fn rebalance_internals(&mut self, parent: NodeId, sep_idx: usize, left: NodeId, right: NodeId) {
-        let parent_sep = match &self.nodes[parent as usize] {
-            Node::Internal { seps, .. } => seps[sep_idx],
-            _ => unreachable!(),
-        };
-        let (mut lseps, mut lchildren) = match std::mem::replace(
-            &mut self.nodes[left as usize],
-            Node::Free { next_free: NO_NODE },
-        ) {
-            Node::Internal { seps, children } => (seps, children),
-            _ => unreachable!(),
-        };
-        let (mut rseps, mut rchildren) = match std::mem::replace(
-            &mut self.nodes[right as usize],
-            Node::Free { next_free: NO_NODE },
-        ) {
-            Node::Internal { seps, children } => (seps, children),
-            _ => unreachable!(),
-        };
-        if lchildren.len() + rchildren.len() <= self.internal_cap {
-            // Merge: left ++ parent_sep ++ right.
-            lseps.push(parent_sep);
-            lseps.extend(rseps);
-            lchildren.extend(rchildren);
-            self.nodes[left as usize] = Node::Internal { seps: lseps, children: lchildren };
-            self.release(right);
-            match &mut self.nodes[parent as usize] {
-                Node::Internal { seps, children } => {
-                    seps.remove(sep_idx);
-                    children.remove(sep_idx + 1);
-                }
-                _ => unreachable!(),
-            }
-        } else {
-            // Rotate through the parent separator until balanced.
-            let total = lchildren.len() + rchildren.len();
-            let target_left = total / 2;
-            let mut sep = parent_sep;
-            while lchildren.len() < target_left {
-                // Borrow from right: sep moves down-left, right's first sep up.
-                lseps.push(sep);
-                lchildren.push(rchildren.remove(0));
-                sep = rseps.remove(0);
-            }
-            while lchildren.len() > target_left {
-                // Borrow from left: sep moves down-right, left's last sep up.
-                rseps.insert(0, sep);
-                rchildren.insert(0, lchildren.pop().expect("nonempty"));
-                sep = lseps.pop().expect("nonempty");
-            }
-            self.nodes[left as usize] = Node::Internal { seps: lseps, children: lchildren };
-            self.nodes[right as usize] = Node::Internal { seps: rseps, children: rchildren };
-            match &mut self.nodes[parent as usize] {
-                Node::Internal { seps, .. } => seps[sep_idx] = sep,
-                _ => unreachable!(),
-            }
+        l.seps.push(parent_sep);
+        l.seps.append(&mut r.seps);
+        if at == total {
+            self.free.push(right.page());
+            self.inners[parent].remove_child(i + 1);
+            return;
         }
+        // The separator at the split moves up.
+        r.seps = l.seps.split_off(at);
+        let up = l.seps[at - 1];
+        l.seps.truncate(at - 1);
+        self.inners[parent].seps[i] = up;
+        self.inners[right] = r;
     }
 
     /// Point lookup: rid of the first entry whose key equals `key`.
@@ -722,24 +757,20 @@ impl<const A: usize> Tree<A> {
         // How an entry orders against the target `(lo, first)`.
         let order = |(key, rid): &StoredEntry<A>| lo.order(key).then(rid.cmp(&first));
         let mut node = self.root;
-        loop {
-            self.touch(node, session, AccessKind::Random);
-            match &self.nodes[node as usize] {
-                Node::Internal { seps, children } => {
-                    node = children[search(seps, session, |e| order(e).is_le())];
+        let id = loop {
+            match node {
+                NodeId::Leaf(id) => break id,
+                NodeId::Inner(id) => {
+                    self.touch(id, session, AccessKind::Random);
+                    let inner = &self.inners[id];
+                    node = inner.children.get(search(&inner.seps, session, |e| order(e).is_le()));
                 }
-                Node::Leaf { entries, next } => {
-                    let idx = search(entries, session, |e| order(e).is_lt());
-                    return Cursor { rest: &entries[idx..], next: *next };
-                }
-                Node::Free { .. } => unreachable!("descended into freed node"),
             }
-        }
-    }
-
-    /// A cursor at the leftmost entry (full index scan).
-    pub fn seek_first(&self, session: &Session) -> Cursor<'_, A> {
-        self.seek(&Key::padded_lo(&[], A), session)
+        };
+        self.touch(id, session, AccessKind::Random);
+        let leaf = &self.leaves[id];
+        let idx = search(&leaf.entries, session, |e| order(e).is_lt());
+        Cursor { rest: &leaf.entries[idx..], next: leaf.next }
     }
 
     /// The cursor at the start of the leaf after `cursor`'s, charging one
@@ -754,14 +785,10 @@ impl<const A: usize> Tree<A> {
         session: &Session,
         leaf_access: AccessKind,
     ) -> Option<Cursor<'t, A>> {
-        if cursor.next == NO_NODE {
-            return None;
-        }
-        self.touch(cursor.next, session, leaf_access);
-        let Node::Leaf { entries, next } = &self.nodes[cursor.next as usize] else {
-            unreachable!("leaf chain hits a non-leaf")
-        };
-        Some(Cursor { rest: entries, next: *next })
+        let id = cursor.next?;
+        self.touch(id, session, leaf_access);
+        let leaf = &self.leaves[id];
+        Some(Cursor { rest: &leaf.entries, next: leaf.next })
     }
 
     /// Advance `cursor`, returning the entry it was on, or `None` at the
@@ -851,7 +878,7 @@ impl<const A: usize> Tree<A> {
     pub fn collect_all(&self) -> Vec<Entry> {
         let session = Session::with_pool_pages(0);
         let mut out = Vec::with_capacity(self.len as usize);
-        let mut cursor = self.seek_first(&session);
+        let mut cursor = self.seek(&Key::padded_lo(&[], A), &session);
         while let Some(e) = self.cursor_next(&mut cursor, &session, AccessKind::Sequential) {
             out.push(e);
         }
@@ -859,59 +886,25 @@ impl<const A: usize> Tree<A> {
     }
 
     /// Validate structural invariants; returns a description of the first
-    /// violation.  Used by tests and property tests.
+    /// violation.  Used by tests and property tests.  Beside the tree's
+    /// shape and order, page numbers are conserved: each page handed out is
+    /// reachable exactly once or on the free list exactly once — and so
+    /// [`Tree::node_count`], the pages handed out less the free ones, is the
+    /// number of reachable nodes.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut leaf_depths = Vec::new();
-        let mut leaves_in_order = Vec::new();
-        self.check_node(
-            self.root,
-            1,
-            None,
-            None,
-            &mut leaf_depths,
-            &mut leaves_in_order,
-        )?;
-        if let Some(&d) = leaf_depths.first() {
-            if leaf_depths.iter().any(|&x| x != d) {
-                return Err("leaves at differing depths".into());
-            }
-            if d != self.height {
-                return Err(format!("height {} but leaf depth {}", self.height, d));
-            }
+        let mut walk = Walk::default();
+        self.check_node(self.root, 1, None, None, &mut walk)?;
+        if walk.last.is_some_and(|id| self.leaves[id].next.is_some()) {
+            return Err("leaf chain runs past the last leaf".into());
         }
-        // Leaf chain must enumerate the same leaves in the same order.
-        let mut chain = Vec::new();
-        let mut node = {
-            // leftmost leaf
-            let mut n = self.root;
-            loop {
-                match &self.nodes[n as usize] {
-                    Node::Internal { children, .. } => n = children[0],
-                    Node::Leaf { .. } => break n,
-                    Node::Free { .. } => return Err("free node reachable".into()),
-                }
-            }
-        };
-        while node != NO_NODE {
-            chain.push(node);
-            node = match &self.nodes[node as usize] {
-                Node::Leaf { next, .. } => *next,
-                _ => return Err("leaf chain hits non-leaf".into()),
-            };
+        if walk.entries != self.len {
+            return Err(format!("len {} but {} entries found", self.len, walk.entries));
         }
-        if chain != leaves_in_order {
-            return Err("leaf chain disagrees with tree order".into());
-        }
-        // Entry count.
-        let total: usize = chain
-            .iter()
-            .map(|&l| match &self.nodes[l as usize] {
-                Node::Leaf { entries, .. } => entries.len(),
-                _ => 0,
-            })
-            .sum();
-        if total as u64 != self.len {
-            return Err(format!("len {} but {} entries found", self.len, total));
+        let mut pages = walk.pages;
+        pages.extend(&self.free);
+        pages.sort_unstable();
+        if !pages.into_iter().eq(0..self.pages) {
+            return Err("a page handed out is not reachable once or free once".into());
         }
         Ok(())
     }
@@ -922,74 +915,73 @@ impl<const A: usize> Tree<A> {
         depth: u32,
         lo: Option<&StoredEntry<A>>,
         hi: Option<&StoredEntry<A>>,
-        leaf_depths: &mut Vec<u32>,
-        leaves: &mut Vec<NodeId>,
+        walk: &mut Walk,
     ) -> Result<(), String> {
-        match &self.nodes[node as usize] {
-            Node::Leaf { entries, .. } => {
-                leaf_depths.push(depth);
-                leaves.push(node);
-                if entries.len() > self.leaf_cap {
-                    return Err(format!("leaf {node} over capacity"));
+        let is_root = node == self.root;
+        match node {
+            NodeId::Leaf(id) => {
+                let (page, entries) = (id.page(), &self.leaves[id].entries);
+                walk.pages.push(page);
+                walk.entries += entries.len() as u64;
+                if walk.last.replace(id).is_some_and(|prev| self.leaves[prev].next != Some(id)) {
+                    return Err(format!("leaf chain skips leaf {page}"));
                 }
-                if node != self.root && entries.len() < self.leaf_min_occupancy() {
-                    return Err(format!("leaf {node} under occupancy"));
+                if depth != self.height {
+                    return Err(format!("height {} but leaf {page} at depth {depth}", self.height));
+                }
+                if entries.len() > self.leaf_cap {
+                    return Err(format!("leaf {page} over capacity"));
+                }
+                if !is_root && entries.len() < self.leaf_cap / 2 {
+                    return Err(format!("leaf {page} under occupancy"));
                 }
                 if !entries.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(format!("leaf {node} not sorted"));
+                    return Err(format!("leaf {page} not sorted"));
                 }
-                if let (Some(lo), Some(first)) = (lo, entries.first()) {
-                    if first < lo {
-                        return Err(format!("leaf {node} violates lower bound"));
-                    }
+                if entries.first().is_some_and(|first| lo.is_some_and(|lo| first < lo)) {
+                    return Err(format!("leaf {page} violates lower bound"));
                 }
-                if let (Some(hi), Some(last)) = (hi, entries.last()) {
-                    if last >= hi {
-                        return Err(format!("leaf {node} violates upper bound"));
-                    }
+                if entries.last().is_some_and(|last| hi.is_some_and(|hi| last >= hi)) {
+                    return Err(format!("leaf {page} violates upper bound"));
                 }
                 Ok(())
             }
-            Node::Internal { seps, children } => {
+            NodeId::Inner(id) => {
+                let (page, Inner { seps, children }) = (id.page(), &self.inners[id]);
+                walk.pages.push(page);
                 if children.len() != seps.len() + 1 {
-                    return Err(format!("internal {node} child/sep mismatch"));
+                    return Err(format!("internal {page} child/sep mismatch"));
                 }
                 if children.len() > self.internal_cap {
-                    return Err(format!("internal {node} over capacity"));
+                    return Err(format!("internal {page} over capacity"));
                 }
-                if node != self.root && children.len() < self.internal_min_children() {
-                    return Err(format!("internal {node} under occupancy"));
+                if !is_root && children.len() < self.internal_cap.div_ceil(2) {
+                    return Err(format!("internal {page} under occupancy"));
                 }
-                if node == self.root && children.len() < 2 {
+                if is_root && children.len() < 2 {
                     return Err("internal root with < 2 children".into());
                 }
                 if !seps.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(format!("internal {node} separators not sorted"));
+                    return Err(format!("internal {page} separators not sorted"));
                 }
-                for (i, &child) in children.iter().enumerate() {
+                for i in 0..children.len() {
                     let child_lo = if i == 0 { lo } else { Some(&seps[i - 1]) };
                     let child_hi = if i == seps.len() { hi } else { Some(&seps[i]) };
-                    self.check_node(child, depth + 1, child_lo, child_hi, leaf_depths, leaves)?;
+                    self.check_node(children.get(i), depth + 1, child_lo, child_hi, walk)?;
                 }
                 Ok(())
             }
-            Node::Free { .. } => Err(format!("free node {node} reachable")),
         }
     }
 }
 
-enum InsertOutcome<const A: usize> {
-    Done,
-    Duplicate,
-    Split(Split<A>),
-}
-
-/// The first entry of a leaf; `None` for an empty leaf or another node.
-fn leaf_first<const A: usize>(node: &Node<A>) -> Option<&StoredEntry<A>> {
-    match node {
-        Node::Leaf { entries, .. } => entries.first(),
-        _ => None,
-    }
+/// What [`Tree::check_invariants`] saw walking the tree from its root: the
+/// last leaf, the entries, and every page reached.
+#[derive(Default)]
+struct Walk {
+    last: Option<LeafId>,
+    entries: u64,
+    pages: Vec<u32>,
 }
 
 /// Split `len` items into groups near `preferred` in size, shrinking the
@@ -1008,14 +1000,14 @@ fn balanced_group_sizes(len: usize, preferred: usize, min_size: usize) -> Vec<us
 }
 
 /// A position in the leaf chain that borrows its leaf: what is left of the
-/// leaf from the position on, and the id of the leaf after it.  `Copy`, so
-/// saving a position is a register copy, and reading it touches neither the
-/// node table nor a page — [`Tree::next_leaf`] is the only step that does.
+/// leaf from the position on, and the leaf after it.  `Copy`, so saving a
+/// position is a register copy, and reading it touches neither the node
+/// arenas nor a page — [`Tree::next_leaf`] is the only step that does.
 /// The borrow keeps the tree unwritten for as long as a cursor is alive.
 #[derive(Debug, Clone, Copy)]
 pub struct Cursor<'t, const A: usize> {
     rest: &'t [StoredEntry<A>],
-    next: NodeId,
+    next: Option<LeafId>,
 }
 
 impl<'t, const A: usize> Cursor<'t, A> {
@@ -1381,6 +1373,25 @@ mod tests {
         }
     }
 
+    /// Page numbers are conserved: a page dropped from the free list, or
+    /// listed there twice, fails the invariants.
+    #[test]
+    fn a_page_neither_reachable_nor_free_once_fails_the_invariants() {
+        let s = quiet();
+        let mut t = Tree::<1>::with_caps(FileId(0), 4, 4);
+        for i in 0..64 {
+            t.insert(Key::single(i), rid(i as u32), &s);
+        }
+        for i in 0..48 {
+            t.delete(Key::single(i), rid(i as u32), &s);
+        }
+        t.check_invariants().unwrap();
+        let page = t.free.pop().expect("merges released pages");
+        assert!(t.check_invariants().is_err(), "page {page} dropped");
+        t.free.extend([page, page]);
+        assert!(t.check_invariants().is_err(), "page {page} freed twice");
+    }
+
     /// A tree stores an entry at its key's width — 16, 24 or 32 bytes at
     /// arity 1, 2 and 3, where an [`Entry`] takes 40 — and a leaf of
     /// [`DEFAULT_LEAF_CAP`] = 256 entries is the modelled page at every
@@ -1434,8 +1445,7 @@ mod tests {
                 let vals = [i / 6, i % 2, (i * 7) % 5];
                 Key::new(&vals[..arity])
             };
-            let mut entries: Vec<Entry> =
-                (0..20_000).map(|i| (key(i), rid(i as u32))).collect();
+            let mut entries: Vec<Entry> = (0..20_000).map(|i| (key(i), rid(i as u32))).collect();
             entries.sort();
             let s = Session::with_pool_pages(64);
             let mut t = BTree::bulk_load(FileId(7), arity, entries.iter().copied(), 0.9);
@@ -1615,8 +1625,7 @@ mod tests {
 
     #[test]
     fn descent_charges_height_pages_with_cold_pool() {
-        let entries: Vec<Entry> =
-            (0..10_000i64).map(|i| (Key::single(i), rid(i as u32))).collect();
+        let entries: Vec<Entry> = (0..10_000i64).map(|i| (Key::single(i), rid(i as u32))).collect();
         let t = BTree::bulk_load_with_caps(FileId(0), 1, entries.iter().copied(), 0.9, 16, 16);
         let s = Session::with_pool_pages(0);
         let before = s.stats();
@@ -1627,8 +1636,7 @@ mod tests {
 
     #[test]
     fn warm_pool_caches_upper_levels() {
-        let entries: Vec<Entry> =
-            (0..10_000i64).map(|i| (Key::single(i), rid(i as u32))).collect();
+        let entries: Vec<Entry> = (0..10_000i64).map(|i| (Key::single(i), rid(i as u32))).collect();
         let t = BTree::bulk_load_with_caps(FileId(0), 1, entries.iter().copied(), 0.9, 16, 16);
         let s = Session::with_pool_pages(1 << 20);
         let _ = t.seek(&Key::single(5000), &s);
@@ -1646,13 +1654,7 @@ mod tests {
         let t = BTree::bulk_load_with_caps(FileId(0), 1, entries.iter().copied(), 1.0, 64, 64);
         let s = quiet();
         let before = s.stats();
-        t.scan_range(
-            &Key::single(0),
-            &Key::single(1999),
-            &s,
-            AccessKind::Sequential,
-            |_| {},
-        );
+        t.scan_range(&Key::single(0), &Key::single(1999), &s, AccessKind::Sequential, |_| {});
         let delta = s.stats().since(&before);
         // Descent is random; the rest of the ~2000/64 leaves are sequential.
         assert!(delta.seq_reads >= 2000 / 64 - 2);

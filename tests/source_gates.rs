@@ -490,7 +490,7 @@ const PANIC_SITES: &[(&str, usize)] = &[
     ("crates/core/src", 14),
     ("crates/executor/src", 4),
     ("crates/obs/src", 5),
-    ("crates/storage/src", 31),
+    ("crates/storage/src", 9),
     ("crates/systems/src", 2),
     ("crates/workload/src", 10),
 ];
@@ -576,42 +576,57 @@ fn defined_fns(line: &str) -> impl Iterator<Item = &str> {
     })
 }
 
-/// The function a backticked span of a document cites, if it cites
-/// one: a path (`a::b::name`, a call's arguments dropped) whose last
-/// segment is snake case with three or more underscores — a test's name or
-/// a long function's.  Metric names (`layer.name`) and benchmark rows
-/// (`group/name`) are no paths.
-fn cited_fn(span: &str) -> Option<&str> {
+/// The names `line` may define or spell: its functions, a field, `const`
+/// or `static` it declares (or a parameter — the test is by shape), and
+/// the pieces between its double quotes, which hold its string literals.
+fn defined_names(line: &str) -> impl Iterator<Item = &str> {
+    let decl = line.trim_start();
+    let decl =
+        decl.strip_prefix("pub(crate) ").or_else(|| decl.strip_prefix("pub ")).unwrap_or(decl);
+    let decl = ["const ", "static "].iter().find_map(|kw| decl.strip_prefix(kw)).unwrap_or(decl);
+    let name = &decl[..decl.find(|c| !is_word(c)).unwrap_or(decl.len())];
+    let declared = decl[name.len()..].starts_with(": ").then_some(name);
+    defined_fns(line).chain(declared).chain(line.split('"').skip(1).step_by(2))
+}
+
+/// The name a backticked span of a document cites, if it cites one: a
+/// path (`a::b::name`, a call's arguments dropped) whose last segment is
+/// snake case with two or more underscores — a test's name, a function's,
+/// a field's or a metric's.  Metric names with a layer (`layer.name`) and
+/// benchmark rows (`group/name`) are no paths.
+fn cited_name(span: &str) -> Option<&str> {
     let path = span.trim();
     let path = path.strip_suffix(')').and_then(|p| p.split_once('(')).map_or(path, |(p, _)| p);
     let segments: Vec<&str> = path.split("::").collect();
     let name = *segments.last()?;
     let is_path = segments.iter().all(|seg| !seg.is_empty() && seg.chars().all(is_word));
     let snake = name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-    (is_path && snake && name.matches('_').count() >= 3).then_some(name)
+    (is_path && snake && name.matches('_').count() >= 2).then_some(name)
 }
 
 /// The `design-cites-real-fns` failures: each name `README.md` or a
-/// `docs/*.md` cites that no `.rs` file of the workspace defines as an
-/// `fn`, by file and line.
+/// `docs/*.md` cites that no `.rs` file of the workspace or of `benchmark/`
+/// defines as an `fn`, a field or a `const`, spells as a string literal or
+/// is named (a test suite is cited by its file's name), by file and line.
 fn design_citations_missing(root: &Path) -> Vec<String> {
     let mut files = Vec::new();
-    for scope in ["crates", "src", "tests", "examples", "vendor"] {
+    for scope in ["crates", "src", "tests", "examples", "vendor", "benchmark"] {
         walk(root, scope, &[], &mut files);
     }
     let mut defined = std::collections::HashSet::new();
-    for file in files.iter().filter(|f| f.ends_with(".rs")) {
+    for (file, stem) in files.iter().filter_map(|f| Some((f, f.strip_suffix(".rs")?))) {
+        defined.insert(stem.rsplit('/').next().unwrap_or(stem).to_string());
         let text = std::fs::read_to_string(root.join(file)).expect("readable source");
-        defined.extend(text.lines().flat_map(defined_fns).map(str::to_string));
+        defined.extend(text.lines().flat_map(defined_names).map(str::to_string));
     }
     let mut missing = Vec::new();
     for doc in docs(root) {
         let text = std::fs::read_to_string(root.join(&doc)).expect("readable doc");
         for (line, span) in spans(&text) {
-            if let Some(name) = cited_fn(span).filter(|name| !defined.contains(*name)) {
+            if let Some(name) = cited_name(span).filter(|name| !defined.contains(*name)) {
                 missing.push(format!(
-                    "[design-cites-real-fns] {doc}:{line}: `{name}` is no fn of the workspace \
-                     — a renamed or deleted test is cited by its old name"
+                    "[design-cites-real-fns] {doc}:{line}: `{name}` is no name of the workspace \
+                     — a renamed or deleted test, field or metric is cited by its old name"
                 ));
             }
         }
