@@ -6,6 +6,7 @@
 //! cargo run --release -p robustmap-bench --bin figures -- fig1 fig7
 //! cargo run --release -p robustmap-bench --bin figures -- --rows 4194304 --grid 16 all
 //! cargo run --release -p robustmap-bench --bin figures -- --trace target/trace.json all
+//! cargo run --release -p robustmap-bench --bin figures -- --real-clock target/real ext_memory
 //! ```
 //!
 //! Reports print to stdout; CSV/SVG artifacts land in `target/figures/`.
@@ -15,6 +16,11 @@
 //! the sink and hands it down in `HarnessConfig::measure` — and writes
 //! Chrome trace-event JSON at `PATH`, with an operator-profile CSV and a
 //! metrics dump next to it, at exit.
+//! `--real-clock DIR` runs every cell of a sweep five times on one thread
+//! and writes `DIR/<id>_real.csv` per figure: each cell's simulated
+//! seconds, median host nanoseconds, rows and interquartile range, in run
+//! order (`core::measure::RealClock`).  Those files are no artifacts of
+//! the figure: the gate neither reads nor counts them.
 //! The last line of stdout is the gate's summary; the exit status is 0
 //! when it is green, 1 when it is not, 2 on a usage error.
 
@@ -22,6 +28,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use robustmap_bench::{figure, gate, run_figure, Harness, HarnessConfig, FIGURES};
+use robustmap_core::RealClock;
 use robustmap_obs::trace::{write_artifacts, TraceDetail, TraceSink};
 use robustmap_obs::{progress, verbose, warn};
 
@@ -29,6 +36,7 @@ fn main() {
     let mut config = HarnessConfig::default();
     let mut wanted: Vec<String> = Vec::new();
     let mut trace_path: Option<PathBuf> = None;
+    let mut real_dir: Option<PathBuf> = None;
     let all = || FIGURES.iter().map(|f| f.name.to_string());
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -50,11 +58,16 @@ fn main() {
                 trace_path = Some(path.into());
                 config.measure.trace = Some(Arc::new(TraceSink::memory(TraceDetail::Spans)));
             }
+            "--real-clock" => {
+                real_dir =
+                    Some(args.next().unwrap_or_else(|| die("--real-clock needs a path")).into());
+                config.measure.real_clock = Some(Arc::new(RealClock::default()));
+            }
             "all" => wanted.extend(all()),
             "--help" | "-h" => {
                 println!(
                     "usage: figures [--rows N] [--grid EXP] [--out DIR] [--threads N] \
-                     [--trace PATH] <all | {}>\n\
+                     [--trace PATH] [--real-clock DIR] <all | {}>\n\
                      exit status: 0 every artifact written and every check PASS, \
                      1 the gate failed, 2 usage error",
                     all().collect::<Vec<_>>().join(" | ")
@@ -66,6 +79,13 @@ fn main() {
     }
     if wanted.is_empty() {
         wanted.extend(all());
+    }
+    if let Some(dir) = &real_dir {
+        if trace_path.is_some() {
+            die("--trace and --real-clock do not combine: a timed cell runs five times");
+        }
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| die(&format!("--real-clock {}: {e}", dir.display())));
     }
     // Each figure runs once, wherever else the command line repeats it.
     let mut seen = std::collections::HashSet::new();
@@ -98,6 +118,14 @@ fn main() {
             verbose!("  wrote {}", f.display());
         }
         progress!("[{name}] done in {:.1}s ({} artifacts)", out.wall_seconds, out.files.len());
+        if let (Some(clock), Some(dir)) = (&harness.config.measure.real_clock, &real_dir) {
+            let cells = clock.take();
+            let path = dir.join(format!("{name}_real.csv"));
+            match std::fs::write(&path, RealClock::csv(&cells)) {
+                Ok(()) => progress!("wrote {} ({} cells)", path.display(), cells.len()),
+                Err(e) => warn!("could not write {}: {e}", path.display()),
+            }
+        }
         outputs.push(out);
     }
 

@@ -1,5 +1,6 @@
 //! The `figures` binary's command line: a figure runs once however often
-//! it is named, `--trace` writes its three files, and bad input is exit 2
+//! it is named, `--trace` writes its three files, `--real-clock` a CSV per
+//! figure, and bad input is exit 2
 //! with one line on stderr — never a panic backtrace.
 
 use std::process::{Command, Output};
@@ -65,6 +66,40 @@ fn trace_writes_its_three_artifacts() {
     };
     assert!(counter("exec.operators") > 0, "{metrics}");
     assert!(counter("adaptive.checkpoints") > 0, "{metrics}");
+}
+
+/// `--real-clock DIR` writes one `<id>_real.csv` per figure, a line per
+/// cell its sweeps ran, and leaves the figure's own artifacts as an
+/// untimed run writes them; it does not combine with `--trace`.
+#[test]
+fn real_clock_writes_a_csv_per_figure_beside_unchanged_artifacts() {
+    let real = std::path::Path::new("target/figures-test/cli-real-clock/real");
+    let timed =
+        figures("cli-real-clock", &["--real-clock", real.to_str().unwrap(), "fig1", "ext_memory"]);
+    assert_eq!(timed.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&timed.stderr));
+    let untimed = figures("cli-real-clock-untimed", &["fig1", "ext_memory"]);
+    assert_eq!(untimed.status.code(), Some(0));
+    for name in ["fig1.csv", "fig1.svg", "ext_memory.svg"] {
+        let read = |dir: &str| std::fs::read(format!("target/figures-test/{dir}/{name}")).unwrap();
+        assert!(read("cli-real-clock") == read("cli-real-clock-untimed"), "{name} moved");
+    }
+    // Figure 1 sweeps three plans over nine selectivities; the memory map
+    // is nine grants by nine sizes at `--grid 8`.
+    for (id, cells) in [("fig1", 27), ("ext_memory", 81)] {
+        let csv = std::fs::read_to_string(real.join(format!("{id}_real.csv"))).unwrap();
+        let mut lines = csv.lines();
+        assert_eq!(lines.next(), Some("cell,sim_s,real_ns,rows,iqr_ns"), "{id}");
+        for (i, line) in lines.by_ref().enumerate() {
+            let fields: Vec<&str> = line.split(',').collect();
+            assert_eq!(fields.len(), 5, "{id}: {line}");
+            assert_eq!(fields[0], i.to_string(), "{id}: {line}");
+            assert!(fields[1].parse::<f64>().is_ok_and(|s| s > 0.0), "{id}: {line}");
+            assert!(fields[2].parse::<u64>().is_ok_and(|ns| ns > 0), "{id}: {line}");
+        }
+        assert_eq!(csv.lines().count(), cells + 1, "{id}");
+    }
+    let both = figures("cli-real-clock-trace", &["--trace", "t.json", "--real-clock", "r", "fig1"]);
+    assert_usage_error(&both, "do not combine");
 }
 
 #[test]

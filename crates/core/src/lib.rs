@@ -44,8 +44,8 @@ pub mod serve;
 
 pub use map::{Map1D, Map2D, Series};
 pub use measure::{
-    build_map1d, build_map2d, measure_batch, measure_plan, MeasureConfig, Measurement,
-    SweepArena,
+    build_map1d, build_map2d, measure_batch, measure_plan, MeasureConfig, Measurement, RealCell,
+    RealClock, SweepArena,
 };
 pub use param::{Grid1D, Grid2D};
 pub use regions::{connected_components, BoolGrid, Region, RegionStats};

@@ -18,7 +18,8 @@
 //! that the two paths produce identical [`Measurement`]s; the design
 //! argument is recorded in `docs/DESIGN.md`.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use robustmap_executor::{run_count, ExecCtx, ExecError, ExecStats, PlanSpec, SwitchController};
 use robustmap_obs::trace::TraceSink;
@@ -74,6 +75,10 @@ pub struct MeasureConfig {
     /// nothing.  Tracing is charge-free, so a traced map is the untraced
     /// map (`tests/warm_sweep_equivalence.rs`).
     pub trace: Option<Arc<TraceSink>>,
+    /// Real-clock recorder every [`SweepArena`] reports its cells to;
+    /// `None` runs each cell once and times nothing.  With one attached a
+    /// sweep runs on one thread.
+    pub real_clock: Option<Arc<RealClock>>,
 }
 
 impl Default for MeasureConfig {
@@ -90,6 +95,7 @@ impl Default for MeasureConfig {
             model: CostModel::hdd_2009(),
             threads: 0,
             trace: None,
+            real_clock: None,
         }
     }
 }
@@ -98,6 +104,7 @@ impl MeasureConfig {
     fn effective_threads(&self, work_items: usize) -> usize {
         // Asking the OS reads cgroup files: only when the count is not given.
         let t = match self.threads {
+            _ if self.real_clock.is_some() => 1,
             0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
             t => t,
         };
@@ -129,18 +136,48 @@ impl MeasureConfig {
 pub struct SweepArena {
     session: Session,
     memory_bytes: usize,
+    real_clock: Option<Arc<RealClock>>,
 }
 
 impl SweepArena {
     /// An arena measuring under `cfg`'s run-time conditions.
     pub fn new(cfg: &MeasureConfig) -> Self {
-        SweepArena { session: cfg.session(), memory_bytes: cfg.memory_bytes }
+        SweepArena {
+            session: cfg.session(),
+            memory_bytes: cfg.memory_bytes,
+            real_clock: cfg.real_clock.clone(),
+        }
     }
 
     /// Execute `plan` under cold-session conditions — the session is reset
     /// first — optionally under a switch `controller`, and return the full
-    /// execution statistics.
+    /// execution statistics.  Under a [`RealClock`] the plan runs
+    /// [`RealClock::RUNS`] times, each from a reset session, and the cell
+    /// is recorded; the statistics are the last run's, which every run
+    /// repeats.
     pub fn run(
+        &mut self,
+        db: &Database,
+        plan: &PlanSpec,
+        controller: Option<&dyn SwitchController>,
+    ) -> Result<ExecStats, ExecError> {
+        let Some(clock) = self.real_clock.clone() else {
+            return self.run_once(db, plan, controller);
+        };
+        let mut ns = [0u64; RealClock::RUNS];
+        for t in &mut ns[..RealClock::RUNS - 1] {
+            let start = Instant::now();
+            self.run_once(db, plan, controller)?;
+            *t = start.elapsed().as_nanos() as u64;
+        }
+        let start = Instant::now();
+        let stats = self.run_once(db, plan, controller)?;
+        ns[RealClock::RUNS - 1] = start.elapsed().as_nanos() as u64;
+        clock.record(stats.seconds, stats.rows_out, ns);
+        Ok(stats)
+    }
+
+    fn run_once(
         &mut self,
         db: &Database,
         plan: &PlanSpec,
@@ -157,6 +194,57 @@ impl SweepArena {
     pub fn measure(&mut self, db: &Database, plan: &PlanSpec) -> Measurement {
         let stats = self.run(db, plan, None).expect("measured plans must be well-formed");
         Measurement::from(&stats)
+    }
+}
+
+/// The real clock beside the simulated one: every cell a [`SweepArena`]
+/// runs under it is run [`RealClock::RUNS`] times on one thread and
+/// recorded, in run order, as its simulated seconds, result rows, and the
+/// median and interquartile range of its host nanoseconds.  A real-clock
+/// reading is never a map value: the maps, and every artifact made from
+/// them, are those of an untimed sweep.
+#[derive(Debug, Default)]
+pub struct RealClock {
+    cells: Mutex<Vec<RealCell>>,
+}
+
+/// One cell on both clocks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RealCell {
+    /// Simulated seconds (the map's z value).
+    pub sim_s: f64,
+    /// Median host nanoseconds of the runs.
+    pub real_ns: u64,
+    /// Result rows.
+    pub rows: u64,
+    /// Interquartile range of the runs' host nanoseconds: the 4th fastest
+    /// less the 2nd fastest of five.
+    pub iqr_ns: u64,
+}
+
+impl RealClock {
+    /// Runs per cell.
+    pub const RUNS: usize = 5;
+
+    fn record(&self, sim_s: f64, rows: u64, mut ns: [u64; Self::RUNS]) {
+        ns.sort_unstable();
+        let cell = RealCell { sim_s, real_ns: ns[2], rows, iqr_ns: ns[3] - ns[1] };
+        self.cells.lock().unwrap_or_else(|e| e.into_inner()).push(cell);
+    }
+
+    /// The cells recorded since the last call, in run order.
+    pub fn take(&self) -> Vec<RealCell> {
+        std::mem::take(&mut *self.cells.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// `cells` as CSV: a header, then `cell,sim_s,real_ns,rows,iqr_ns` per
+    /// cell, `cell` counting from 0 in run order.
+    pub fn csv(cells: &[RealCell]) -> String {
+        let mut csv = String::from("cell,sim_s,real_ns,rows,iqr_ns\n");
+        for (i, c) in cells.iter().enumerate() {
+            csv.push_str(&format!("{i},{:e},{},{},{}\n", c.sim_s, c.real_ns, c.rows, c.iqr_ns));
+        }
+        csv
     }
 }
 

@@ -156,10 +156,17 @@ impl<'a> ExecCtx<'a> {
         for p in 0..pages {
             self.session.write_page(PageId::new(file, p));
         }
+        self.read_back_and_drop(file, pages);
+    }
+
+    /// Read pages `0..pages` of the temp file `file` back in order, then
+    /// drop them from the pool: how every spilled run, partition and
+    /// aggregation state comes back in.
+    pub(crate) fn read_back_and_drop(&self, file: FileId, pages: u32) {
         for p in 0..pages {
             self.session.read_page(PageId::new(file, p), AccessKind::Sequential);
         }
-        self.session.invalidate_file(file);
+        self.session.invalidate_file(file, pages);
     }
 
     /// Record that some operator spilled.

@@ -13,7 +13,7 @@
 //! All aggregates here (count/sum/min/max) are combinable, so spilled
 //! partial aggregates and raw rows can be merged on the final pass.
 
-use robustmap_storage::{AccessKind, CpuCharge, PageId, Session, PAGE_SIZE};
+use robustmap_storage::{CpuCharge, PageId, Session, PAGE_SIZE};
 
 use crate::batch::RowBatch;
 use crate::exec::ExecCtx;
@@ -281,11 +281,8 @@ impl<'a, 'b> HashAggregator<'a, 'b> {
         let session: &Session = self.ctx.session;
         // Read back what was spilled.
         if self.spilled.len() > 0 {
-            let file = self.ctx.alloc_temp_file();
-            for p in 0..self.spilled.len().div_ceil(SPILL_ROWS_PER_PAGE) as u32 {
-                session.read_page(PageId::new(file, p), AccessKind::Sequential);
-            }
-            session.invalidate_file(file);
+            let pages = self.spilled.len().div_ceil(SPILL_ROWS_PER_PAGE) as u32;
+            self.ctx.read_back_and_drop(self.ctx.alloc_temp_file(), pages);
         }
         for rows in self.partition_rows {
             session.charge_hashes(rows);

@@ -67,7 +67,7 @@
 use std::cell::Cell;
 
 use robustmap_storage::radix::radix_sort_by_u64_key;
-use robustmap_storage::{AccessKind, CpuCharge, PageId, PAGE_SIZE};
+use robustmap_storage::{CpuCharge, PageId, PAGE_SIZE};
 
 use crate::batch::RowBatch;
 use crate::exec::ExecCtx;
@@ -808,14 +808,9 @@ impl<'a, 'b> ExternalSorter<'a, 'b> {
     /// Charge reading back each run's disk prefix ahead of a k-way merge
     /// of `group`; returns the `log2(k)` comparisons each merged row costs.
     fn charge_group_reads(&self, group: &[SortedRun]) -> u64 {
-        let session = self.ctx.session;
         for run in group {
             let pages = run.disk_rows.div_ceil(self.rows_per_page) as u32;
-            let file = self.ctx.alloc_temp_file();
-            for p in 0..pages {
-                session.read_page(PageId::new(file, p), AccessKind::Sequential);
-            }
-            session.invalidate_file(file);
+            self.ctx.read_back_and_drop(self.ctx.alloc_temp_file(), pages);
         }
         ceil_log2(group.len().max(2))
     }

@@ -202,25 +202,25 @@ impl BufferPool {
         self.evictions = 0;
     }
 
-    /// Drop every page of `file` from the pool (e.g. a temp file deleted
-    /// after a sort run is consumed).
-    pub fn invalidate_file(&mut self, file: FileId) {
+    /// Drop pages `0..pages` of `file` from the pool: a temp file deleted
+    /// once its sort run or spill partition is consumed, its caller naming
+    /// the pages it wrote and read.  The cost is a probe per page, not a
+    /// walk of the slot arena.
+    pub fn invalidate_file(&mut self, file: FileId, pages: u32) {
         if self.last.is_some_and(|p| p.file == file) {
             self.last = None;
         }
         // Clock reuses the last-freed slot first, so the order in which
-        // slots reach the free list is observable: slot order, the order
-        // of this walk of the arena.  A slot is a victim when it backs a
-        // resident page of `file` — a free slot keeps the page it last held.
-        for slot in 0..self.slots.len() {
-            let page = self.slots[slot].page;
-            if page.file == file && self.map.get(&page) == Some(&slot) {
-                self.map.remove(&page);
-                if self.policy == EvictionPolicy::Lru {
-                    self.unlink(slot);
-                }
-                self.free_slot(slot);
+        // slots reach the free list is observable: slot order, whatever
+        // slots the file's pages landed in.
+        let mut victims: Vec<usize> =
+            (0..pages).filter_map(|p| self.map.remove(&PageId::new(file, p))).collect();
+        victims.sort_unstable();
+        for slot in victims {
+            if self.policy == EvictionPolicy::Lru {
+                self.unlink(slot);
             }
+            self.free_slot(slot);
         }
     }
 
@@ -330,13 +330,17 @@ mod tests {
     #[test]
     fn invalidation_frees_slots_in_slot_order() {
         for policy in [EvictionPolicy::Clock, EvictionPolicy::Lru] {
-            let mut pool = BufferPool::new(64, policy);
-            for p in 0..48 {
-                pool.access(PageId::new(FileId(p % 3), p));
+            // Slot `p` holds a page numbered `p` or `47 - p`: the file's
+            // pages are probed in slot order or against it.
+            for page_of in [|p: u32| p, |p: u32| 47 - p] {
+                let mut pool = BufferPool::new(64, policy);
+                for p in 0..48 {
+                    pool.access(PageId::new(FileId(p % 3), page_of(p)));
+                }
+                pool.invalidate_file(FileId(1), 48);
+                let freed: Vec<usize> = (0..48).filter(|slot| slot % 3 == 1).collect();
+                assert_eq!(pool.free, freed, "{policy:?}");
             }
-            pool.invalidate_file(FileId(1));
-            let freed: Vec<usize> = (0..48).filter(|slot| slot % 3 == 1).collect();
-            assert_eq!(pool.free, freed, "{policy:?}");
         }
     }
 
@@ -412,7 +416,7 @@ mod tests {
         pool.access(PageId::new(FileId(1), 0));
         pool.access(PageId::new(FileId(1), 1));
         pool.access(PageId::new(FileId(2), 0));
-        pool.invalidate_file(FileId(1));
+        pool.invalidate_file(FileId(1), 2);
         assert!(!pool.contains(PageId::new(FileId(1), 0)));
         assert!(pool.contains(PageId::new(FileId(2), 0)));
         assert_eq!(pool.resident(), 1);
@@ -436,7 +440,7 @@ mod tests {
         pool.access(PageId::new(FileId(1), 1));
         pool.access(PageId::new(FileId(2), 1));
         assert_eq!(pool.resident(), 4);
-        pool.invalidate_file(FileId(1));
+        pool.invalidate_file(FileId(1), 2);
         assert_eq!(pool.resident(), 2);
         // Re-fill through the freed slots, then keep churning: every
         // eviction decision walks the hand across freed + live slots.
@@ -459,7 +463,7 @@ mod tests {
         pool.access(PageId::new(FileId(1), 0)); // slot 0
         pool.access(PageId::new(FileId(2), 0)); // slot 1
         pool.access(PageId::new(FileId(1), 1)); // slot 2
-        pool.invalidate_file(FileId(1)); // frees slots 0 and 2
+        pool.invalidate_file(FileId(1), 2); // frees slots 0 and 2
         // Touch the survivor so its reference bit is set, then insert two
         // new pages (reusing freed slots) and force one eviction.
         assert!(pool.access(PageId::new(FileId(2), 0)));

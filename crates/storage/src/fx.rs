@@ -12,10 +12,10 @@
 //! work is charged explicitly via [`crate::SimClock::charge_hashes`], and
 //! buffer-pool hit/miss sequences depend only on access order and
 //! replacement policy, not on the hasher — it only cuts the real (wall
-//! clock) time of building maps.  The one place the pool walks its map,
-//! `BufferPool::invalidate_file`, frees the file's slots in slot order,
-//! not the map's: Clock reuses the last-freed slot first, so that order
-//! is observable.
+//! clock) time of building maps.  The one place the pool frees a set of
+//! slots at once, `BufferPool::invalidate_file`, frees them in slot order,
+//! not in the order its probes find them: Clock reuses the last-freed slot
+//! first, so that order is observable.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

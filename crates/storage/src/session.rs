@@ -262,9 +262,10 @@ impl Session {
         self.tick(1);
     }
 
-    /// Drop a whole temp file from the pool (its pages will not be reused).
-    pub fn invalidate_file(&self, file: FileId) {
-        self.pool.with(|p| p.invalidate_file(file));
+    /// Drop pages `0..pages` of a temp file from the pool (they will not
+    /// be reused).
+    pub fn invalidate_file(&self, file: FileId, pages: u32) {
+        self.pool.with(|p| p.invalidate_file(file, pages));
     }
 
     /// Allocate a temp-file id above `base` from the pool's central
@@ -603,7 +604,7 @@ mod tests {
     fn invalidate_forces_reread() {
         let s = Session::with_pool_pages(8);
         s.read_page(pid(1), AccessKind::Random);
-        s.invalidate_file(FileId(7));
+        s.invalidate_file(FileId(7), 2);
         s.read_page(pid(1), AccessKind::Random);
         assert_eq!(s.stats().random_reads, 2);
     }

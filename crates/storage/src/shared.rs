@@ -93,8 +93,8 @@ impl PoolInner {
         (first, hits)
     }
 
-    pub(crate) fn invalidate_file(&mut self, file: FileId) {
-        self.pool.invalidate_file(file);
+    pub(crate) fn invalidate_file(&mut self, file: FileId, pages: u32) {
+        self.pool.invalidate_file(file, pages);
     }
 
     pub(crate) fn alloc_temp_file(&mut self, base: u32) -> FileId {
@@ -161,10 +161,11 @@ impl SharedBufferPool {
         self.lock().access_run(query, page, 1).0
     }
 
-    /// Drop every page of `file` from the pool (temp files deleted after a
-    /// sort run or spill partition is consumed).
-    pub fn invalidate_file(&self, file: FileId) {
-        self.lock().invalidate_file(file);
+    /// Drop pages `0..pages` of `file` from the pool (a temp file deleted
+    /// after a sort run or spill partition is consumed):
+    /// [`BufferPool::invalidate_file`].
+    pub fn invalidate_file(&self, file: FileId, pages: u32) {
+        self.lock().invalidate_file(file, pages);
     }
 
     /// Allocate a temp-file id above `base` (the catalog's first free file
@@ -289,7 +290,7 @@ mod tests {
         pool.access(q1, pid(8, 1));
         assert_eq!(pool.resident(), 4);
         // Drop one query's temp file: its slots are freed in place.
-        pool.invalidate_file(FileId(7));
+        pool.invalidate_file(FileId(7), 2);
         assert_eq!(pool.resident(), 2);
         assert!(!pool.contains(pid(7, 0)));
         assert!(pool.contains(pid(8, 0)));

@@ -742,7 +742,8 @@ proptest! {
 #[derive(Debug, Clone, Copy)]
 enum PoolOp {
     Access(PageId),
-    InvalidateFile(FileId),
+    /// Drop pages `0..n` of a file: all of it, some of it or none.
+    InvalidateFile(FileId, u32),
     Reset,
 }
 
@@ -755,10 +756,12 @@ fn pool_page() -> impl Strategy<Value = PageId> {
     ]
 }
 
-/// Six accesses to one invalidation and one reset.
+/// Six accesses to one invalidation and one reset.  An invalidation
+/// names a page bound from none of the file to past its end, so some of
+/// the pages it drops were evicted already and some pages above it stay.
 fn pool_op() -> impl Strategy<Value = PoolOp> {
-    (0u32..8, pool_page(), 0u32..3).prop_map(|(kind, page, file)| match kind {
-        0 => PoolOp::InvalidateFile(FileId(file)),
+    (0u32..8, pool_page(), 0u32..3, 0u32..26).prop_map(|(kind, page, file, pages)| match kind {
+        0 => PoolOp::InvalidateFile(FileId(file), pages),
         1 => PoolOp::Reset,
         _ => PoolOp::Access(page),
     })
@@ -767,7 +770,7 @@ fn pool_op() -> impl Strategy<Value = PoolOp> {
 /// What a replacement policy is, written the slow way.
 trait PoolModel {
     fn access(&mut self, page: PageId) -> bool;
-    fn invalidate_file(&mut self, file: FileId);
+    fn invalidate_file(&mut self, file: FileId, pages: u32);
     fn resident_of(&self, file: FileId) -> usize;
     fn evictions(&self) -> u64;
 }
@@ -801,8 +804,8 @@ impl PoolModel for NaiveLru {
         hit
     }
 
-    fn invalidate_file(&mut self, file: FileId) {
-        self.pages.retain(|p| p.file != file);
+    fn invalidate_file(&mut self, file: FileId, pages: u32) {
+        self.pages.retain(|p| p.file != file || p.page >= pages);
     }
 
     fn resident_of(&self, file: FileId) -> usize {
@@ -857,9 +860,9 @@ impl PoolModel for NaiveClock {
         false
     }
 
-    fn invalidate_file(&mut self, file: FileId) {
+    fn invalidate_file(&mut self, file: FileId, pages: u32) {
         for at in 0..self.frames.len() {
-            if self.frames[at].is_some_and(|(p, _)| p.file == file) {
+            if self.frames[at].is_some_and(|(p, _)| p.file == file && p.page < pages) {
                 self.frames[at] = None;
                 self.free.push(at);
             }
@@ -902,7 +905,7 @@ proptest! {
         let p = PageId::new(FileId(2), 0);
         let opening = [
             PoolOp::Access(p),
-            PoolOp::InvalidateFile(p.file),
+            PoolOp::InvalidateFile(p.file, 1),
             PoolOp::Access(p),
             PoolOp::Reset,
             PoolOp::Access(p),
@@ -920,9 +923,9 @@ proptest! {
                         misses += 1;
                     }
                 }
-                PoolOp::InvalidateFile(file) => {
-                    model.invalidate_file(file);
-                    pool.invalidate_file(file);
+                PoolOp::InvalidateFile(file, pages) => {
+                    model.invalidate_file(file, pages);
+                    pool.invalidate_file(file, pages);
                 }
                 PoolOp::Reset => {
                     model = new_model();
@@ -992,7 +995,7 @@ fn drive(s: &Session) -> Vec<SessionView> {
             s.read_page(PageId::new(spill, p), AccessKind::Sequential);
             s.charge_hashes(3);
         }
-        s.invalidate_file(spill);
+        s.invalidate_file(spill, 6);
         s.read_page(PageId::new(spill, 5), AccessKind::Random); // gone: a miss
         if round == 1 {
             views.push(view(&temp_files));
@@ -1072,7 +1075,7 @@ proptest! {
             for s in [&single, &run] {
                 match between {
                     0 => s.write_page(PageId::new(FileId(2), step as u32 % 3)),
-                    1 => s.invalidate_file(FileId(1)),
+                    1 => s.invalidate_file(FileId(1), 6),
                     _ => {}
                 }
             }

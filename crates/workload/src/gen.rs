@@ -193,29 +193,45 @@ pub struct TableBuilder;
 impl TableBuilder {
     /// Generate the table, build all five indexes, and calibrate.
     ///
-    /// Always generates from scratch; `finish` builds the indexes and
-    /// calibrators.  Callers that rebuild the same configuration repeatedly
-    /// should prefer [`TableBuilder::build_cached`].
+    /// Columns `a` and `b` are drawn on two scoped threads while the caller
+    /// draws `c` and the payload; the heap is then appended row by row on
+    /// the caller.  Always generates from scratch; `finish` builds the
+    /// indexes and calibrators.  Callers that rebuild the same
+    /// configuration repeatedly should prefer [`TableBuilder::build_cached`].
     pub fn build(config: WorkloadConfig) -> Workload {
         let n = config.rows;
         assert!(n >= 4, "workload too small");
         let mut db = Database::new();
         let table = db.create_table("lineitem", lineitem_schema());
 
-        let (mut dist_a, mut dist_b) = predicate_dists(&config);
-        let mut dist_c = Permutation::new(n, config.seed.wrapping_add(3));
-        let mut payload = Uniform::new(1 << 20, config.seed.wrapping_add(4));
-
-        let mut cols: [Vec<i64>; 3] = std::array::from_fn(|_| Vec::with_capacity(n as usize));
-        let mut rids: Vec<Rid> = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            let (a, b, c) = (dist_a.value(i), dist_b.value(i), dist_c.value(i));
-            cols[COL_A].push(a);
-            cols[COL_B].push(b);
-            cols[COL_C].push(c);
-            let row = Row::from_slice(&[a, b, c, i as i64, payload.value(i)]);
-            rids.push(db.insert_row(table, &row).expect("generated row must fit schema"));
-        }
+        // Each column is its own sequential stream, so drawn apart the
+        // columns hold every value a row-by-row loop would.
+        let (dist_a, dist_b) = predicate_dists(&config);
+        let draw = |mut dist: Box<dyn Distribution + Send>| -> Vec<i64> {
+            (0..n).map(|i| dist.value(i)).collect()
+        };
+        let (a, b, (c, payload)) = fork_join(
+            || draw(dist_a),
+            || draw(dist_b),
+            || {
+                let c = draw(Box::new(Permutation::new(n, config.seed.wrapping_add(3))));
+                (c, draw(Box::new(Uniform::new(1 << 20, config.seed.wrapping_add(4)))))
+            },
+        );
+        let cols = [a, b, c];
+        let rids: Vec<Rid> = (0..n as usize)
+            .map(|i| {
+                let row = Row::from_slice(&[
+                    cols[COL_A][i],
+                    cols[COL_B][i],
+                    cols[COL_C][i],
+                    i as i64,
+                    payload[i],
+                ]);
+                db.insert_row(table, &row).expect("generated row must fit schema")
+            })
+            .collect();
+        drop(payload); // in the heap now: freed before the sorts allocate
         finish(config, db, table, &cols, &rids)
     }
 
@@ -262,12 +278,8 @@ pub(crate) fn finish(
 ) -> Workload {
     assert!(rids.windows(2).all(|w| w[0] < w[1]), "rids must come in physical order");
     let [a, b, c] = cols.each_ref().map(Vec::as_slice);
-    let ((by_a, by_ab, cal_a), (by_b, by_ba, cal_b), by_c) = std::thread::scope(|scope| {
-        let a_side = scope.spawn(|| predicate_orders(a, b));
-        let b_side = scope.spawn(|| predicate_orders(b, a));
-        let by_c = order_by(c);
-        (a_side.join().expect("column a's orders"), b_side.join().expect("column b's orders"), by_c)
-    });
+    let ((by_a, by_ab, cal_a), (by_b, by_ba, cal_b), by_c) =
+        fork_join(|| predicate_orders(a, b), || predicate_orders(b, a), || order_by(c));
 
     // File ids are allocated in the order `create_index` would have.
     let ids: Vec<IndexId> = INDEX_DEFS
@@ -298,17 +310,46 @@ pub(crate) fn finish(
     Workload { db, table, indexes, cal_a, cal_b, config }
 }
 
+/// `a` and `b` on two scoped threads while the caller runs `c`: how both
+/// a build's column draw and [`finish`]'s column sorts use two cores.
+fn fork_join<A: Send, B: Send, C>(
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B + Send,
+    c: impl FnOnce() -> C,
+) -> (A, B, C) {
+    std::thread::scope(|scope| {
+        let (a, b) = (scope.spawn(a), scope.spawn(b));
+        let c = c();
+        (a.join().expect("worker a"), b.join().expect("worker b"), c)
+    })
+}
+
 /// Row positions in ascending order of `col`, equal values in position
-/// order: one stable radix sort of `(value, position)` pairs, the value's
-/// sign bit flipped so that unsigned order is signed order.
+/// order: one stable radix sort by value, its sign bit flipped so that
+/// unsigned order is signed order.  When the values differ only within 32
+/// adjacent bits — as every generated column does — a row sorts as one
+/// `u64`, those bits above its position: half the bytes of a `(value,
+/// position)` pair, so the sort moves half the memory.
 fn order_by(col: &[i64]) -> Vec<u32> {
-    let mut pairs: Vec<(u64, u32)> = col
-        .iter()
-        .zip(0..u32::try_from(col.len()).expect("row positions fit in u32"))
-        .map(|(&v, p)| (v as u64 ^ (1 << 63), p))
-        .collect();
-    radix_sort_by_u64_key(&mut pairs, &mut Vec::new(), |&(k, _)| k);
-    pairs.into_iter().map(|(_, p)| p).collect()
+    let positions = 0..u32::try_from(col.len()).expect("row positions fit in u32");
+    let key = |v: i64| v as u64 ^ (1 << 63);
+    let first = col.first().map_or(0, |&v| key(v));
+    let differing = col.iter().fold(0, |d, &v| d | (key(v) ^ first));
+    let low = differing.trailing_zeros() % 64;
+    if differing >> low >> 32 == 0 {
+        let mut rows: Vec<u64> = col
+            .iter()
+            .zip(positions)
+            .map(|(&v, p)| ((key(v) >> low) << 32) | u64::from(p))
+            .collect();
+        radix_sort_by_u64_key(&mut rows, &mut Vec::new(), |&r| r >> 32);
+        rows.into_iter().map(|r| r as u32).collect()
+    } else {
+        let mut pairs: Vec<(u64, u32)> =
+            col.iter().zip(positions).map(|(&v, p)| (key(v), p)).collect();
+        radix_sort_by_u64_key(&mut pairs, &mut Vec::new(), |&(k, _)| k);
+        pairs.into_iter().map(|(_, p)| p).collect()
+    }
 }
 
 /// What a predicate column `lead` gives a workload: its order, the order of
@@ -328,7 +369,9 @@ fn predicate_orders(lead: &[i64], then: &[i64]) -> (Vec<u32>, Vec<u32>, Calibrat
 /// The generators for predicate columns `a` and `b`.  Most distributions
 /// draw the two columns independently (seeds `seed+1` and `seed+2`); the
 /// correlated family derives column `b` from column `a`'s permutation.
-fn predicate_dists(config: &WorkloadConfig) -> (Box<dyn Distribution>, Box<dyn Distribution>) {
+fn predicate_dists(
+    config: &WorkloadConfig,
+) -> (Box<dyn Distribution + Send>, Box<dyn Distribution + Send>) {
     let (sa, sb) = (config.seed.wrapping_add(1), config.seed.wrapping_add(2));
     match config.predicate_dist {
         PredicateDistribution::Permutation => (
@@ -355,6 +398,37 @@ fn predicate_dists(config: &WorkloadConfig) -> (Box<dyn Distribution>, Box<dyn D
 mod tests {
     use super::*;
     use robustmap_storage::Session;
+
+    /// Both layouts of `order_by` — one `u64` a row when the values differ
+    /// within 32 bits, `(value, position)` pairs when they do not — are a
+    /// stable sort by value, on both sides of the radix sort's cut-overs.
+    #[test]
+    fn order_by_is_a_stable_sort_by_value_in_both_layouts() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut word = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        /// Maps a random word to a value.
+        type Value = fn(u64) -> i64;
+        let spans: [(&str, Value); 4] = [
+            ("32 bits", |r| (r >> 32) as i64),
+            ("33 bits", |r| (r >> 31) as i64),
+            ("extremes", |r| [i64::MIN, -1, 0, i64::MAX][(r % 4) as usize]),
+            ("few values", |r| (r % 5) as i64 * 1_000_000),
+        ];
+        let rows = robustmap_storage::radix::RADIX_MSD_MIN_BYTES / 8;
+        for (span, value) in spans {
+            for n in [1, 300, rows - 1, rows] {
+                let col: Vec<i64> = (0..n).map(|_| value(word())).collect();
+                let mut want: Vec<u32> = (0..n as u32).collect();
+                want.sort_by_key(|&p| col[p as usize]);
+                assert!(order_by(&col) == want, "{span}, {n} rows");
+            }
+        }
+    }
 
     #[test]
     fn build_small_workload() {

@@ -16,7 +16,7 @@
 use std::path::Path;
 
 use robustmap::core::{build_map1d, build_map2d, Grid1D, Grid2D, MeasureConfig};
-use robustmap::storage::radix::RADIX_MIN;
+use robustmap::storage::radix::{RADIX_MIN, RADIX_MSD_MIN_BYTES};
 use robustmap::storage::{Key, Rid, Session};
 use robustmap::systems::{
     single_predicate_plans, two_predicate_plans, SinglePredPlanSet, SystemId,
@@ -135,15 +135,22 @@ fn finished_indexes_and_calibrators_equal_the_reference_sort() {
     // above cannot see a wrong order.  This one holds every finished tree to
     // a comparison sort of `(Key, Rid)` over the heap — what
     // `Database::create_index` does — and every calibrator to a sorted copy
-    // of its column, on both sides of the radix sort's cut-over.
+    // of its column, on both sides of each of the radix sort's cut-overs
+    // (the MSD pass's counted in the one `u64` a row `finish` sorts).  At
+    // the MSD cut-over, seconds a build in a debug run, the permutation
+    // column stands for the rest: duplicates across the cut-over are
+    // `radix.rs`'s and `order_by`'s unit tests' to cover.
     let radix_min = RADIX_MIN as u64;
+    let msd_min = (RADIX_MSD_MIN_BYTES / 8) as u64;
     for dist in [
         PredicateDistribution::Permutation,
         PredicateDistribution::Uniform,
         PredicateDistribution::ZipfHundredths(110),
         PredicateDistribution::CorrelatedHundredths(60),
     ] {
-        for rows in [4, 5, radix_min - 1, radix_min, radix_min + 1, 1 << 14] {
+        let msd = [msd_min - 1, msd_min, msd_min + 1];
+        let msd = if dist == PredicateDistribution::Permutation { &msd[..] } else { &[] };
+        for &rows in [4, 5, radix_min - 1, radix_min, radix_min + 1, 1 << 14].iter().chain(msd) {
             let w = TableBuilder::build(WorkloadConfig { rows, ..config_of(0x0DE5_0000 + rows, dist) });
             let mut heap = Vec::new();
             w.db.table(w.table).heap.scan(&Session::with_pool_pages(0), |rid, row| {
@@ -178,6 +185,37 @@ fn finished_indexes_and_calibrators_equal_the_reference_sort() {
             }
         }
     }
+}
+
+#[test]
+fn every_tree_keeps_its_invariants_through_churn_that_merges_nodes() {
+    // The test above checks trees as `finish` bulk-loads them; churn then
+    // splits and merges their nodes, and a merge releases a page to the
+    // tree's free list.  Six delete-heavy batches take the table from
+    // 4 096 rows to about 1 000 and each tree from 19 nodes to 7 or 8;
+    // after each batch every tree must still be well formed and account
+    // for every page it handed out.
+    let mut w = TableBuilder::build(config_of(0x3E26_ED00, PredicateDistribution::Permutation));
+    let churn = ChurnConfig { insert_pct: 10, delete_pct: 60, ..ChurnConfig::for_workload(&w) };
+    let mut driver = ChurnDriver::new(&w, churn);
+    let session = Session::with_pool_pages(64);
+    let nodes = |w: &Workload| -> Vec<usize> {
+        w.db.indexes_on(w.table).map(|(_, def)| def.tree.node_count()).collect()
+    };
+    let mut merged = [false; 5];
+    for batch in 0..6 {
+        let before = nodes(&w);
+        driver.apply_batch(&mut w, &session);
+        for (_, def) in w.db.indexes_on(w.table) {
+            def.tree
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("batch {batch}, {}: {e}", def.name));
+        }
+        for (merged, (after, before)) in merged.iter_mut().zip(nodes(&w).into_iter().zip(before)) {
+            *merged |= after < before;
+        }
+    }
+    assert_eq!(merged, [true; 5], "every tree released pages");
 }
 
 #[test]

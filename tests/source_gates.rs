@@ -576,9 +576,23 @@ fn defined_fns(line: &str) -> impl Iterator<Item = &str> {
     })
 }
 
+/// The names a code line calls as a method or through a path (`.name(`,
+/// `::name(`): functions that exist, the workspace's or the standard
+/// library's, or the line would not compile.
+fn called_fns(line: &str) -> impl Iterator<Item = &str> {
+    let code = !line.trim_start().starts_with("//");
+    line.match_indices('(').filter_map(move |(at, _)| {
+        let before = &line[..at];
+        let path = before.trim_end_matches(is_word);
+        let name = &before[path.len()..];
+        (code && !name.is_empty() && (path.ends_with('.') || path.ends_with("::"))).then_some(name)
+    })
+}
+
 /// The names `line` may define or spell: its functions, a field, `const`
-/// or `static` it declares (or a parameter — the test is by shape), and
-/// the pieces between its double quotes, which hold its string literals.
+/// or `static` it declares (or a parameter — the test is by shape), the
+/// functions it calls by path, and the pieces between its double quotes,
+/// which hold its string literals.
 fn defined_names(line: &str) -> impl Iterator<Item = &str> {
     let decl = line.trim_start();
     let decl =
@@ -586,13 +600,16 @@ fn defined_names(line: &str) -> impl Iterator<Item = &str> {
     let decl = ["const ", "static "].iter().find_map(|kw| decl.strip_prefix(kw)).unwrap_or(decl);
     let name = &decl[..decl.find(|c| !is_word(c)).unwrap_or(decl.len())];
     let declared = decl[name.len()..].starts_with(": ").then_some(name);
-    defined_fns(line).chain(declared).chain(line.split('"').skip(1).step_by(2))
+    defined_fns(line)
+        .chain(declared)
+        .chain(called_fns(line))
+        .chain(line.split('"').skip(1).step_by(2))
 }
 
 /// The name a backticked span of a document cites, if it cites one: a
 /// path (`a::b::name`, a call's arguments dropped) whose last segment is
-/// snake case with two or more underscores — a test's name, a function's,
-/// a field's or a metric's.  Metric names with a layer (`layer.name`) and
+/// snake case with an underscore — a test's name, a function's, a field's
+/// or a metric's.  Metric names with a layer (`layer.name`) and
 /// benchmark rows (`group/name`) are no paths.
 fn cited_name(span: &str) -> Option<&str> {
     let path = span.trim();
@@ -601,13 +618,14 @@ fn cited_name(span: &str) -> Option<&str> {
     let name = *segments.last()?;
     let is_path = segments.iter().all(|seg| !seg.is_empty() && seg.chars().all(is_word));
     let snake = name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-    (is_path && snake && name.matches('_').count() >= 2).then_some(name)
+    (is_path && snake && name.contains('_')).then_some(name)
 }
 
 /// The `design-cites-real-fns` failures: each name `README.md` or a
 /// `docs/*.md` cites that no `.rs` file of the workspace or of `benchmark/`
-/// defines as an `fn`, a field or a `const`, spells as a string literal or
-/// is named (a test suite is cited by its file's name), by file and line.
+/// defines as an `fn`, a field or a `const`, calls by path, spells as a
+/// string literal or is named (a test suite is cited by its file's name),
+/// by file and line.
 fn design_citations_missing(root: &Path) -> Vec<String> {
     let mut files = Vec::new();
     for scope in ["crates", "src", "tests", "examples", "vendor", "benchmark"] {
