@@ -121,7 +121,7 @@ pub fn gate(outputs: &[FigureOutput]) -> GateReport {
         if let Some(suite) = &out.checks {
             reports += 1;
             checks += suite.results.len();
-            for r in suite.results.iter().filter(|r| !r.passed) {
+            for r in suite.results.iter().filter(|r| r.fails()) {
                 failed += 1;
                 failures.push(format!("{}: check FAILED: {} — {}", out.name, r.name, r.details));
             }

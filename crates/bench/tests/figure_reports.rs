@@ -26,11 +26,11 @@ fn figure_reports_contain_their_key_markers() {
         ("legends", &["Execution time", "Factor 1", "0.001-0.01 seconds"]),
         ("fig1", &["table scan", "improved index scan", "landmarks", "selectivity"]),
         ("fig2", &["rid join (merge)", "rid join (hash, build a)", "factor vs. best"]),
-        ("fig4", &["max spread along sel_a", "no effect"]),
+        ("fig4", &["execution time range", "max spread along sel_a", "regression checks over"]),
         ("fig5", &["merge join symmetry", "hash join symmetry"]),
-        ("fig7", &["worst quotient", "optimality region", "A2 idx(a) fetch"]),
+        ("fig7", &["worst quotient", "opt.area", "A2 idx(a) fetch", "grows with table size"]),
         ("fig8", &["near-optimal", "B1 idx(a,b) bitmap fetch", "worst quotient"]),
-        ("fig9", &["C1 mdam(a,b) covering", "reasonable across the entire parameter space"]),
+        ("fig9", &["C1 mdam(a,b) covering", "C1 within 10x of the best", "regression checks over"]),
         ("fig10", &["optimal plan(s)", "points have several"]),
         ("ext_sort_spill", &["abrupt", "graceful", "changepoints", "cliff"]),
         ("ext_memory", &["memory grant x input size"]),

@@ -15,6 +15,7 @@ use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use robustmap_bench::paper::PAPER_DIVERGENCES;
 use robustmap_bench::{gate, run_figure, FigureOutput, Harness, FIGURES};
 use robustmap_core::{MeasureConfig, RegressionSuite};
 use robustmap_obs::trace::{TraceDetail, TraceSink};
@@ -81,6 +82,14 @@ fn an_unwritable_artifact_fails_its_figure_not_the_run() {
 /// Named checks per figure at the smoke scale.  A figure that loses a
 /// check fails here, not in a shell-arithmetic floor.
 const CHECK_COUNTS: &[(&str, usize)] = &[
+    ("fig1", 3),
+    ("fig2", 0),
+    ("fig4", 0),
+    ("fig5", 1),
+    ("fig7", 0),
+    ("fig8", 0),
+    ("fig9", 0),
+    ("fig10", 1),
     ("ext_optimizer", 5),
     ("ext_correlated", 17),
     ("ext_robust_choice", 8),
@@ -172,6 +181,20 @@ fn the_manifest_names_every_artifact_that_moved_appeared_or_vanished() {
 }
 
 #[test]
+fn every_paper_divergence_names_a_check_a_figure_emits() {
+    let h = tiny_writing_to("gate-divergences");
+    let mut emitted = Vec::new();
+    for fig in FIGURES.iter().filter(|f| f.name.starts_with("fig")) {
+        let suite = run_figure(&h, fig.name).and_then(|out| out.checks).unwrap_or_default();
+        emitted.extend(suite.results.into_iter().map(|r| r.name));
+        emitted.extend(suite.not_evaluated.into_iter().map(|(name, _)| name));
+    }
+    for (name, _) in PAPER_DIVERGENCES {
+        assert!(emitted.iter().any(|e| e == name), "{name:?} names no check a figure emits");
+    }
+}
+
+#[test]
 fn every_figure_passes_the_gate_and_matches_the_manifest() {
     // `Harness::tiny()` is the smoke scale the MANIFEST was written at.
     let h = tiny_writing_to("gate");
@@ -184,7 +207,7 @@ fn every_figure_passes_the_gate_and_matches_the_manifest() {
     }
     let g = gate(&outputs);
     assert!(g.failures.is_empty(), "{}\n{}", g.summary, g.failures.join("\n"));
-    assert!(g.summary.starts_with("checks: 88 in 8 reports, 0 failed;"), "{}", g.summary);
+    assert!(g.summary.starts_with("checks: 93 in 16 reports, 0 failed;"), "{}", g.summary);
 
     // Simulated costs must not move, however the executor or the scheduler
     // is rearranged.

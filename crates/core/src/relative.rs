@@ -17,22 +17,19 @@ use crate::regions::BoolGrid;
 /// actual execution costs within 1% of each other are practically
 /// equivalent.  Whether this tolerance ends at 1% difference, at 20%
 /// difference, or at a factor of 2 depends on one's tradeoff between
-/// performance and robustness"; Figure 10 uses 0.1 sec measurement error.)
+/// performance and robustness".)  Figure 10's 0.1 s was measurement error;
+/// the simulated clock has none, so a tolerance is a factor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimalityTolerance {
     /// Within a multiplicative factor of the best (1.01 = 1%, 2.0 = 2x).
     Factor(f64),
-    /// Within an absolute number of simulated seconds of the best.
-    Seconds(f64),
 }
 
 impl OptimalityTolerance {
     /// Whether `seconds` is considered optimal given the best cost.
     pub fn admits(&self, seconds: f64, best: f64) -> bool {
-        match *self {
-            OptimalityTolerance::Factor(f) => seconds <= best * f,
-            OptimalityTolerance::Seconds(eps) => seconds <= best + eps,
-        }
+        let OptimalityTolerance::Factor(f) = *self;
+        seconds <= best * f
     }
 }
 
@@ -223,9 +220,6 @@ mod tests {
         // 10% factor admits the 1.05 cell too.
         let loose = rel.optimal_region(1, OptimalityTolerance::Factor(1.1));
         assert_eq!(loose.count(), 2);
-        // Absolute tolerance of 1.5s admits p1 at (0,0) as well.
-        let abs = rel.optimal_region(1, OptimalityTolerance::Seconds(1.5));
-        assert_eq!(abs.count(), 3);
     }
 
     #[test]

@@ -1,125 +1,70 @@
-//! Integration: the paper's Figure 1 landmarks hold on the calibrated
-//! cost model, at any table size (the landmarks are fractions of the
-//! table, so they are scale-free).
+//! Integration: the paper's Figure 1 claims hold on the calibrated cost
+//! model.  Each test asserts one check of `fig1_claims`, the function the
+//! `fig1` figure gates on.
 
-use robustmap::core::analysis::flattening::flattening_violations_log2;
-use robustmap::core::analysis::landmarks::crossovers;
-use robustmap::core::analysis::monotonicity::monotonicity_violations;
-use robustmap::core::{build_map1d, Grid1D, MeasureConfig};
+use std::sync::OnceLock;
+
+use robustmap::core::{build_map1d, Grid1D, MeasureConfig, RegressionSuite};
 use robustmap::systems::{single_predicate_plans, SinglePredPlanSet};
-use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
+use robustmap::workload::{TableBuilder, WorkloadConfig};
+use robustmap_bench::paper::{fig1_claims, ClaimSetup};
 
-fn fig1_map(rows: u64, grid_exp: u32, pool_pages: usize) -> (Workload, robustmap::core::Map1D) {
-    // The pool must stay well below the heap's page count, as in the
-    // paper's setup (60M rows dwarf any 2009 buffer pool); otherwise the
-    // traditional fetch is absorbed by caching and the landmarks vanish.
+/// Figure 1's claims over a `2^-grid_exp` grid on a `rows`-row table.  The
+/// pool must stay well below the table, as in the paper's setup (60M rows
+/// dwarf any 2009 buffer pool), or the claims are not evaluated.
+fn fig1_claims_at(rows: u64, grid_exp: u32, pool_pages: usize) -> RegressionSuite {
     let w = TableBuilder::build_cached(WorkloadConfig::with_rows(rows));
-    assert!((pool_pages as u32) < w.heap_pages() / 2, "pool too large for this table");
     let plans = single_predicate_plans(SinglePredPlanSet::Basic, &w);
     let cfg = MeasureConfig { pool_pages, ..Default::default() };
     let map = build_map1d(&w, &plans, &Grid1D::pow2(grid_exp), &cfg);
-    (w, map)
+    fig1_claims(&map, &ClaimSetup::of(&w, &cfg))
+}
+
+/// The claims at 2^16 rows, a 2^-13 grid and a 128-page pool, swept once.
+fn claims() -> &'static RegressionSuite {
+    static SUITE: OnceLock<RegressionSuite> = OnceLock::new();
+    SUITE.get_or_init(|| fig1_claims_at(1 << 16, 13, 128))
+}
+
+/// The check of `suite` whose name contains `key` was evaluated and held.
+fn holds(suite: &RegressionSuite, key: &str) {
+    let check = suite.results.iter().find(|r| r.name.contains(key));
+    assert!(check.is_some_and(|r| r.passed), "{key}:\n{}", suite.report());
 }
 
 #[test]
 fn break_even_table_scan_vs_traditional_near_2_to_minus_11() {
-    let (_, map) = fig1_map(1 << 16, 13, 128);
-    let scan = map.series_named("table scan").unwrap().seconds();
-    let trad = map.series_named("traditional index scan").unwrap().seconds();
-    let xs = crossovers(&map.sels, &scan, &trad);
-    assert_eq!(xs.len(), 1, "exactly one break-even expected");
-    let log2 = xs[0].at.log2();
-    // Paper: "about 30K result rows or 2^-11 of the rows in the table".
-    assert!(
-        (-12.5..=-9.5).contains(&log2),
-        "break-even at 2^{log2:.1}, expected around 2^-11"
-    );
-    assert!(xs[0].a_wins_after, "the table scan wins beyond the break-even");
+    holds(claims(), "traditional / scan break-even");
 }
 
 #[test]
 fn improved_scan_is_competitive_until_about_2_to_minus_4() {
-    let (_, map) = fig1_map(1 << 16, 13, 128);
-    let scan = map.series_named("table scan").unwrap().seconds();
-    let improved = map.series_named("improved index scan").unwrap().seconds();
-    let xs = crossovers(&map.sels, &scan, &improved);
-    assert_eq!(xs.len(), 1);
-    let log2 = xs[0].at.log2();
-    // Paper: "competitive with the table scan all the way up to ... 2^-4".
-    assert!(
-        (-5.5..=-2.5).contains(&log2),
-        "improved-scan crossover at 2^{log2:.1}, expected around 2^-4"
-    );
+    holds(claims(), "improved / scan crossover");
 }
 
 #[test]
 fn improved_scan_is_about_2_5x_table_scan_at_full_selectivity() {
-    let (_, map) = fig1_map(1 << 16, 13, 128);
-    let scan = map.series_named("table scan").unwrap().seconds();
-    let improved = map.series_named("improved index scan").unwrap().seconds();
-    let factor = improved.last().unwrap() / scan.last().unwrap();
-    // Paper: "about 2.5 times worse than a table scan".
-    assert!((1.8..=3.5).contains(&factor), "factor {factor:.2}, expected ~2.5");
+    holds(claims(), "improved / scan at selectivity 1");
 }
 
 #[test]
 fn traditional_scan_is_orders_of_magnitude_worse_at_full_selectivity() {
-    let (_, map) = fig1_map(1 << 16, 13, 128);
-    let scan = map.series_named("table scan").unwrap().seconds();
-    let trad = map.series_named("traditional index scan").unwrap().seconds();
-    let factor = trad.last().unwrap() / scan.last().unwrap();
-    // Paper: "would exceed the cost of a table scan by multiple orders of
-    // magnitude" (the exact factor grows with table size).
-    assert!(factor > 50.0, "factor {factor:.0}, expected orders of magnitude");
+    holds(claims(), "traditional / scan at selectivity 1");
 }
 
 #[test]
 fn all_fig1_cost_curves_are_monotone() {
-    // §3.1's first check: more result rows must never cost less.
-    let (_, map) = fig1_map(1 << 16, 13, 128);
-    for series in &map.series {
-        let violations =
-            monotonicity_violations(&map.sels, &series.seconds(), 0.02);
-        assert!(
-            violations.is_empty(),
-            "{}: cost dips {:?}",
-            series.plan,
-            violations
-        );
-    }
+    holds(claims(), "monotone");
 }
 
 #[test]
 fn improved_scan_fails_the_flattening_check_as_the_paper_observes() {
-    // §3.1: "This last condition is not true for the improved index scan in
-    // Figure 1 as it shows a flat cost growth followed by a steeper cost
-    // growth for very large result sizes."  The observation is about the
-    // paper's log-log axes: in linear space the curve is concave (sparse
-    // results pay a random read per row, dense ones ride read-ahead), but
-    // on log-log axes the growth flattens where the B-tree traversal
-    // dominates and then steepens again as per-row work takes over.
-    let (_, map) = fig1_map(1 << 16, 13, 128);
-    let improved = map.series_named("improved index scan").unwrap();
-    let work: Vec<f64> = map.result_rows.iter().map(|&r| r as f64).collect();
-    let violations = flattening_violations_log2(&work, &improved.seconds(), 1.25);
-    assert!(
-        !violations.is_empty(),
-        "expected the improved scan's steep tail to violate flattening"
-    );
+    holds(claims(), "violates log-log flattening");
 }
 
 #[test]
 fn landmarks_are_scale_free() {
-    // The same fractional landmarks at a quarter of the rows.  The grid
-    // must reach below the ~2^-11.3 break-even fraction.
-    let (_, map) = fig1_map(1 << 14, 13, 16);
-    let scan = map.series_named("table scan").unwrap().seconds();
-    let trad = map.series_named("traditional index scan").unwrap().seconds();
-    let xs = crossovers(&map.sels, &scan, &trad);
-    assert_eq!(xs.len(), 1);
-    assert!(
-        (-13.0..=-9.0).contains(&xs[0].at.log2()),
-        "break-even moved to 2^{:.1}",
-        xs[0].at.log2()
-    );
+    // The break-even is a fraction of the table: it holds at a quarter of
+    // the rows.  The improved scan's crossover is not scale-free.
+    holds(&fig1_claims_at(1 << 14, 13, 16), "traditional / scan break-even");
 }

@@ -1,33 +1,44 @@
 //! Integration: structural invariants of 2-D robustness maps built from
-//! real measurements, plus the qualitative claims of Figures 4-10 that are
-//! scale-free.
+//! real measurements, and the claims of Figures 4-10 at test scale — each
+//! test asserts the suite of the claim function its figure gates on.
 
-use robustmap::core::analysis::symmetry::symmetry_of;
-use robustmap::core::regions::RegionStats;
 use robustmap::core::{
-    build_map2d, Grid2D, Map2D, MeasureConfig, OptimalityTolerance, RelativeMap2D,
+    build_map2d, Grid2D, Map2D, MeasureConfig, OptimalityTolerance, RegressionSuite, RelativeMap2D,
 };
-use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
-use robustmap::workload::{TableBuilder, Workload, WorkloadConfig};
+use robustmap::storage::CostModel;
+use robustmap::systems::{two_predicate_plans, SystemId};
+use robustmap::workload::{TableBuilder, WorkloadConfig};
+use robustmap_bench::paper::{
+    fig10_claims, fig4_claims, fig5_claims, fig7_claims, fig8_claims, fig9_claims, ClaimSetup,
+};
 
-fn build_all(rows: u64, grid_exp: u32, cfg: MeasureConfig) -> (Workload, Map2D) {
+/// The map of `systems`' plans over a `rows`-row table, and its setup.
+fn build(
+    rows: u64,
+    systems: &[SystemId],
+    grid_exp: u32,
+    cfg: MeasureConfig,
+) -> (Map2D, ClaimSetup) {
     let w = TableBuilder::build_cached(WorkloadConfig::with_rows(rows));
-    let plans: Vec<TwoPredPlan> =
-        SystemId::all().into_iter().flat_map(|s| two_predicate_plans(s, &w)).collect();
-    let map = build_map2d(&w, &plans, &Grid2D::pow2(grid_exp), &cfg);
-    (w, map)
+    let plans: Vec<_> = systems.iter().flat_map(|&s| two_predicate_plans(s, &w)).collect();
+    (build_map2d(&w, &plans, &Grid2D::pow2(grid_exp), &cfg), ClaimSetup::of(&w, &cfg))
 }
 
-/// Conditions under which the paper's effects are visible at test scale:
-/// the buffer pool must stay well below the heap size (as 2009 pools did
-/// against 60M-row tables).
+/// A pool well below the heap size, as 2009 pools were against 60M-row
+/// tables: the setup the paper's I/O effects need.
 fn small_pool() -> MeasureConfig {
     MeasureConfig { pool_pages: 64, ..Default::default() }
 }
 
+/// Every claim of `suite` was evaluated and held.
+fn holds(suite: &RegressionSuite) {
+    let held = suite.not_evaluated.is_empty() && suite.results.iter().all(|r| r.passed);
+    assert!(held, "{}", suite.report());
+}
+
 #[test]
 fn relative_map_invariants() {
-    let (_, map) = build_all(1 << 13, 8, MeasureConfig::default());
+    let (map, _) = build(1 << 13, &SystemId::all(), 8, MeasureConfig::default());
     let rel = RelativeMap2D::from_map(&map);
     let (na, nb) = rel.dims();
     for p in 0..map.plan_count() {
@@ -60,121 +71,43 @@ fn relative_map_invariants() {
 
 #[test]
 fn figure4_shape_one_dimension_dominates() {
-    // This contrast needs the fetch-I/O regimes to separate: a table large
-    // enough that reading it dwarfs a handful of random fetches, and a
-    // grid floor low enough that the smallest cells *are* a handful of
-    // fetches (the paper had 60M rows and swept to 2^-16).
-    let w = TableBuilder::build_cached(WorkloadConfig::with_rows(1 << 17));
-    let plans = two_predicate_plans(SystemId::A, &w);
-    let map = build_map2d(&w, &plans, &Grid2D::pow2(14), &small_pool());
-    let plan = map.plan_index("A2 idx(a) fetch").unwrap();
-    let grid = map.seconds_grid(plan);
-    let (na, nb) = map.dims();
-    // Spread along sel_a (the indexed predicate) is large; along sel_b (the
-    // residual, applied after fetching) it is negligible.
-    let mut spread_a = 1.0f64;
-    for ib in 0..nb {
-        let col: Vec<f64> = (0..na).map(|ia| grid[ia * nb + ib]).collect();
-        let (mn, mx) = col.iter().fold((f64::INFINITY, 0.0f64), |(l, h), &v| (l.min(v), h.max(v)));
-        spread_a = spread_a.max(mx / mn);
-    }
-    let mut spread_b = 1.0f64;
-    for ia in 0..na {
-        let row: Vec<f64> = (0..nb).map(|ib| grid[ia * nb + ib]).collect();
-        let (mn, mx) = row.iter().fold((f64::INFINITY, 0.0f64), |(l, h), &v| (l.min(v), h.max(v)));
-        spread_b = spread_b.max(mx / mn);
-    }
-    assert!(
-        spread_a > 10.0 * spread_b,
-        "sel_a spread {spread_a:.1}x should dwarf sel_b spread {spread_b:.2}x"
-    );
+    // The fetch-I/O regimes must separate: reading the table dwarfs a
+    // handful of random fetches, and the grid floor (2^-14 of 2^17 rows)
+    // reaches a handful of fetches.
+    let (map, setup) = build(1 << 17, &[SystemId::A], 14, small_pool());
+    holds(&fig4_claims(&map, &setup));
 }
 
 #[test]
 fn figure5_merge_join_is_symmetric_hash_is_less_so() {
-    // The in-memory cost model isolates the algorithmic (CPU) symmetry
-    // mechanism from small-cell I/O granularity "measurement flukes in the
-    // sub-second range" that the paper itself notes in Figure 5.
-    let cfg = MeasureConfig {
-        model: robustmap::storage::CostModel::in_memory(),
-        ..Default::default()
-    };
-    let (_, map) = build_all(1 << 14, 8, cfg);
-    let n = map.sel_a.len();
-    let merge = symmetry_of(&map.seconds_grid(map.plan_index("A4 merge(a,b) intersect").unwrap()), n);
-    let hash = symmetry_of(&map.seconds_grid(map.plan_index("A6 hash(a,b) intersect").unwrap()), n);
-    // Merge intersect sorts both inputs: symmetric on average.  Hash
-    // intersect builds on one fixed side (build costs more than probe):
-    // asymmetric, as the paper (and GLS94) predicts.
-    assert!(
-        merge.mean_log_ratio.exp() < 1.05,
-        "merge mean asymmetry {:.3}",
-        merge.mean_log_ratio.exp()
-    );
-    assert!(
-        hash.mean_log_ratio > 2.0 * merge.mean_log_ratio,
-        "hash (mean {:.4}) should be clearly less symmetric than merge (mean {:.4})",
-        hash.mean_log_ratio.exp(),
-        merge.mean_log_ratio.exp()
-    );
+    // The in-memory cost model isolates the CPU mechanism (a hash join
+    // builds on one fixed side) from small-cell I/O granularity.
+    let cfg = MeasureConfig { model: CostModel::in_memory(), ..Default::default() };
+    let (map, setup) = build(1 << 14, &[SystemId::A], 8, cfg);
+    holds(&fig5_claims(&map, &setup));
+}
+
+#[test]
+fn figure7_worst_quotient_grows_with_table_size() {
+    let system_a = |rows| build(rows, &[SystemId::A], 12, MeasureConfig::default()).0;
+    holds(&fig7_claims(&[&system_a(1 << 15), &system_a(1 << 17)]));
 }
 
 #[test]
 fn figure8_bitmap_plan_beats_figure7_plan_on_worst_case() {
-    let (_, map) = build_all(1 << 15, 8, small_pool());
-    let rel_a = RelativeMap2D::from_map(&map.subset_by_prefix("A"));
-    let rel_b = RelativeMap2D::from_map(&map.subset_by_prefix("B"));
-    let a2 = rel_a.plans.iter().position(|p| p.starts_with("A2")).unwrap();
-    let b1 = rel_b.plans.iter().position(|p| p.starts_with("B1")).unwrap();
-    // Paper on Figure 8: "its worst quotient is not as bad as the one of
-    // the prior plan shown in Figure 7" and it is near-optimal "over a much
-    // larger region".
-    assert!(
-        rel_b.worst_quotient(b1) < rel_a.worst_quotient(a2),
-        "B1 worst {:.1} should beat A2 worst {:.1}",
-        rel_b.worst_quotient(b1),
-        rel_a.worst_quotient(a2)
-    );
-    let region_b = RegionStats::of(&rel_b.optimal_region(b1, OptimalityTolerance::Factor(1.2)));
-    let region_a = RegionStats::of(&rel_a.optimal_region(a2, OptimalityTolerance::Factor(1.2)));
-    assert!(
-        region_b.coverage > region_a.coverage,
-        "B1 covers {:.2}, A2 covers {:.2}",
-        region_b.coverage,
-        region_a.coverage
-    );
+    let (map, setup) = build(1 << 15, &[SystemId::A, SystemId::B], 8, small_pool());
+    holds(&fig8_claims(&map, &setup));
 }
 
 #[test]
 fn figure9_mdam_plan_is_reasonable_everywhere() {
-    let (_, map) = build_all(1 << 14, 8, small_pool());
-    let rel_c = RelativeMap2D::from_map(&map.subset_by_prefix("C"));
-    let c1 = rel_c.plans.iter().position(|p| p.starts_with("C1")).unwrap();
-    // "The relative performance is reasonable across the entire parameter
-    // space, albeit not optimal."
-    assert!(
-        rel_c.area_within(c1, 10.0) > 0.95,
-        "C1 within 10x on only {:.0}% of the space",
-        rel_c.area_within(c1, 10.0) * 100.0
-    );
-    // And it is near-best (within 20%) at a meaningful share of points.
-    let optimal = rel_c.optimal_region(c1, OptimalityTolerance::Factor(1.2));
-    assert!(optimal.fraction() > 0.15, "C1 near-optimal at {:.0}%", optimal.fraction() * 100.0);
+    let (map, setup) = build(1 << 14, &[SystemId::C], 8, small_pool());
+    holds(&fig9_claims(&map, &setup));
 }
 
 #[test]
 fn figure10_most_points_have_multiple_optimal_plans() {
-    let (_, map) = build_all(1 << 13, 8, MeasureConfig::default());
-    let rel = RelativeMap2D::from_map(&map);
-    let counts = rel.optimal_plan_counts(OptimalityTolerance::Factor(1.2));
-    let multi = counts.iter().filter(|&&c| c >= 2).count();
-    // Paper: "Most points in the parameter space have multiple optimal
-    // plans (within ... measurement error)."
-    assert!(
-        multi * 2 > counts.len(),
-        "only {multi} of {} points have several near-optimal plans",
-        counts.len()
-    );
+    holds(&fig10_claims(&build(1 << 13, &SystemId::all(), 8, MeasureConfig::default()).0));
 }
 
 #[test]

@@ -466,6 +466,14 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        gate: "checked-claims",
+        scope: &["crates/bench/src"],
+        hit: |l| any(l, &["as in the paper", "as the paper"]),
+        why: "a report asserts agreement with the paper in prose — a paper claim is a named \
+              check of its figure's claim function, and the report prints that check",
+        ..RULE
+    },
+    Rule {
         gate: "one-figure-table",
         scope: &["scripts/verify.sh"],
         hit: |l| idents(l).any(is_figure_id),
@@ -486,7 +494,7 @@ fn may_panic(line: &str) -> bool {
 /// [`may_panic`].  A change may lower a count, and then lowers its pin
 /// here with it; it never raises one.
 const PANIC_SITES: &[(&str, usize)] = &[
-    ("crates/bench/src", 31),
+    ("crates/bench/src", 24),
     ("crates/core/src", 14),
     ("crates/executor/src", 4),
     ("crates/obs/src", 5),
