@@ -95,7 +95,9 @@ pub fn run_figure(h: &Harness, name: &str) -> Option<FigureOutput> {
 #[derive(Debug)]
 pub struct GateReport {
     /// The `figures` binary's closing line, e.g. `checks: 88 in 8 reports,
-    /// 0 failed; 64 artifacts`.
+    /// 0 failed, 1 diverging; 64 artifacts` — a diverging check is a failed
+    /// one that [`crate::paper::PAPER_DIVERGENCES`] reports and the gate
+    /// does not fail on.
     pub summary: String,
     /// One line per failed check and per missing or empty artifact, each
     /// naming its figure; empty when the run is green.
@@ -106,7 +108,7 @@ pub struct GateReport {
 /// non-empty, and every named check it carries PASSes.  The `figures`
 /// binary exits non-zero on it and the tests assert it.
 pub fn gate(outputs: &[FigureOutput]) -> GateReport {
-    let (mut checks, mut reports, mut failed, mut artifacts) = (0, 0, 0, 0);
+    let (mut checks, mut reports, mut failed, mut diverging, mut artifacts) = (0, 0, 0, 0, 0);
     let mut failures = Vec::new();
     for out in outputs {
         for file in &out.files {
@@ -121,14 +123,17 @@ pub fn gate(outputs: &[FigureOutput]) -> GateReport {
         if let Some(suite) = &out.checks {
             reports += 1;
             checks += suite.results.len();
+            diverging += suite.results.iter().filter(|r| r.diverges.is_some()).count();
             for r in suite.results.iter().filter(|r| r.fails()) {
                 failed += 1;
                 failures.push(format!("{}: check FAILED: {} — {}", out.name, r.name, r.details));
             }
         }
     }
-    let summary =
-        format!("checks: {checks} in {reports} reports, {failed} failed; {artifacts} artifacts");
+    let summary = format!(
+        "checks: {checks} in {reports} reports, {failed} failed, {diverging} diverging; \
+         {artifacts} artifacts"
+    );
     GateReport { summary, failures }
 }
 

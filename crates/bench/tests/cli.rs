@@ -34,7 +34,8 @@ fn a_repeated_figure_runs_once_and_the_run_is_gated() {
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(reports_printed(&out), 2);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(stdout.lines().last(), Some("checks: 3 in 1 reports, 0 failed; 5 artifacts"));
+    let want = "checks: 3 in 1 reports, 0 failed, 0 diverging; 5 artifacts";
+    assert_eq!(stdout.lines().last(), Some(want));
     // `all` after a named figure adds every *other* figure.
     let out = figures("cli-dedup-all", &["ext_regression", "all"]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));

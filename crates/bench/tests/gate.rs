@@ -43,8 +43,10 @@ fn a_failed_check_fails_the_gate_naming_figure_and_check() {
     let mut suite = RegressionSuite::new();
     suite.check_named("holds", true, String::new());
     suite.check_named("cost stays bounded", false, "9x over".into());
+    suite.check_named("known miss", false, String::new());
+    suite.excuse("known miss", "reported, not failed");
     let g = gate(&[synthetic("fig_synthetic", Vec::new(), Some(suite))]);
-    assert_eq!(g.summary, "checks: 2 in 1 reports, 1 failed; 0 artifacts");
+    assert_eq!(g.summary, "checks: 3 in 1 reports, 1 failed, 1 diverging; 0 artifacts");
     assert_eq!(g.failures.len(), 1, "{:?}", g.failures);
     assert!(g.failures[0].contains("fig_synthetic"), "{:?}", g.failures);
     assert!(g.failures[0].contains("cost stays bounded"), "{:?}", g.failures);
@@ -58,7 +60,7 @@ fn an_empty_or_missing_artifact_fails_the_gate_naming_figure_and_file() {
     let missing = h.out_dir().join("never_written.svg");
     let green = gate(&[synthetic("fig_ok", vec![full.clone()], None)]);
     assert!(green.failures.is_empty(), "{:?}", green.failures);
-    assert_eq!(green.summary, "checks: 0 in 0 reports, 0 failed; 1 artifacts");
+    assert_eq!(green.summary, "checks: 0 in 0 reports, 0 failed, 0 diverging; 1 artifacts");
 
     let g = gate(&[synthetic("fig_bad", vec![full, empty, missing], None)]);
     assert_eq!(g.failures.len(), 2, "{:?}", g.failures);
@@ -207,7 +209,8 @@ fn every_figure_passes_the_gate_and_matches_the_manifest() {
     }
     let g = gate(&outputs);
     assert!(g.failures.is_empty(), "{}\n{}", g.summary, g.failures.join("\n"));
-    assert!(g.summary.starts_with("checks: 93 in 16 reports, 0 failed;"), "{}", g.summary);
+    let want = "checks: 93 in 16 reports, 0 failed, 0 diverging;";
+    assert!(g.summary.starts_with(want), "{}", g.summary);
 
     // Simulated costs must not move, however the executor or the scheduler
     // is rearranged.

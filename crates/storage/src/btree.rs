@@ -37,7 +37,7 @@ use std::cmp::Ordering;
 use std::marker::PhantomData;
 use std::mem::take;
 use std::num::NonZeroU32;
-use std::ops::{Index, IndexMut};
+use std::ops::{Index, IndexMut, Range};
 
 use crate::buffer::{FileId, PageId};
 use crate::charge::ChargeSink;
@@ -317,17 +317,34 @@ impl Children {
     }
 }
 
-/// The nodes of one kind by page number, `I` the kind's handle: a page a
-/// handle names holds its node; any other page it reaches, of the other
-/// kind or free, an empty default.
-struct Arena<I, T>(Vec<T>, PhantomData<I>);
+/// The nodes of one kind by page number, `I` the kind's handle, from the
+/// lowest page a node of the kind was put on: a page a handle names holds
+/// its node; any other page from there up to the highest, of the other
+/// kind or free, an empty default.  Bulk load numbers the inner nodes
+/// after every leaf, so the inner arena holds no slot for a leaf page.
+struct Arena<I, T> {
+    base: u32,
+    nodes: Vec<T>,
+    kind: PhantomData<I>,
+}
 
 impl<I: Handle, T: Default> Arena<I, T> {
-    /// Put `node` on `id`'s page, the arena grown to reach it.
+    /// Put `node` on `id`'s page, the arena grown, or re-based below its
+    /// lowest page, to reach it.
     fn put(&mut self, id: I, node: T) {
-        let page = id.page() as usize;
-        self.0.resize_with(self.0.len().max(page + 1), T::default);
-        self.0[page] = node;
+        let page = id.page();
+        if self.nodes.is_empty() {
+            self.base = page;
+        } else if page < self.base {
+            let below = (self.base - page) as usize;
+            self.nodes.splice(0..0, std::iter::repeat_with(T::default).take(below));
+            self.base = page;
+        }
+        let slot = (page - self.base) as usize;
+        if slot >= self.nodes.len() {
+            self.nodes.resize_with(slot + 1, T::default);
+        }
+        self.nodes[slot] = node;
     }
 }
 
@@ -335,14 +352,14 @@ impl<I: Handle, T> Index<I> for Arena<I, T> {
     type Output = T;
     #[inline]
     fn index(&self, id: I) -> &T {
-        &self.0[id.page() as usize]
+        &self.nodes[(id.page() - self.base) as usize]
     }
 }
 
 impl<I: Handle, T> IndexMut<I> for Arena<I, T> {
     #[inline]
     fn index_mut(&mut self, id: I) -> &mut T {
-        &mut self.0[id.page() as usize]
+        &mut self.nodes[(id.page() - self.base) as usize]
     }
 }
 
@@ -402,8 +419,8 @@ impl<const A: usize> Tree<A> {
         // Page 0, the root, is an empty leaf.
         Tree {
             file,
-            leaves: Arena(vec![Leaf::default()], PhantomData),
-            inners: Arena(Vec::new(), PhantomData),
+            leaves: Arena { base: 0, nodes: vec![Leaf::default()], kind: PhantomData },
+            inners: Arena { base: 0, nodes: Vec::new(), kind: PhantomData },
             pages: 1,
             free: Vec::new(),
             root: NodeId::Leaf(LeafId::at(0)),
@@ -414,30 +431,78 @@ impl<const A: usize> Tree<A> {
         }
     }
 
-    /// Bulk load: make leaf `i` of the tree being loaded hold `entries`,
-    /// the tree's arity checked in debug builds.  Leaf `i` is page `i`,
-    /// chained after page `i − 1`; page 0 is the empty root leaf
-    /// [`Tree::with_caps`] made.
-    fn load_leaf(&mut self, i: usize, entries: &[Entry]) {
-        let entries: Vec<StoredEntry<A>> = entries
-            .iter()
-            .map(|(key, rid)| {
-                debug_assert_eq!(key.arity(), A, "bulk_load key arity mismatch");
-                (key.stored(), *rid)
-            })
-            .collect();
-        debug_assert!(entries.windows(2).all(|w| w[0] < w[1]), "bulk_load input not sorted");
-        if i > 0 {
-            let page = LeafId::at(self.alloc_page());
-            let prev = &mut self.leaves[LeafId::at(i as u32 - 1)];
-            debug_assert!(prev.entries.last() < entries.first(), "bulk_load input not sorted");
-            prev.next = Some(page);
+    /// Bulk load: a tree of `len` entries sorted by `(key, rid)`, leaves
+    /// packed `fill` full.  `fill_leaf` pushes the entries at a range of
+    /// positions onto a leaf allocated at its exact size, in leaf order:
+    /// leaf `i` is page `i`.  Leaf sizes are balanced so that no leaf
+    /// (except a lone root) falls below minimum occupancy.
+    fn bulk_load(
+        file: FileId,
+        len: usize,
+        fill: f64,
+        (leaf_cap, internal_cap): (usize, usize),
+        mut fill_leaf: impl FnMut(&mut Vec<StoredEntry<A>>, Range<usize>),
+    ) -> Self {
+        assert!(fill > 0.0 && fill <= 1.0, "fill factor out of range");
+        let mut tree = Self::with_caps(file, leaf_cap, internal_cap);
+        if len == 0 {
+            return tree;
         }
-        self.leaves.put(LeafId::at(i as u32), Leaf { entries, next: None });
+        let per_leaf = ((leaf_cap as f64 * fill) as usize).clamp(1, leaf_cap);
+        let sizes = balanced_group_sizes(len, per_leaf, leaf_cap / 2);
+        let mut start = 0;
+        for (i, &size) in sizes.iter().enumerate() {
+            let at = start..start + size;
+            start = at.end;
+            let mut entries = Vec::with_capacity(size);
+            fill_leaf(&mut entries, at);
+            assert_eq!(entries.len(), size, "bulk_load input shorter than its length");
+            debug_assert!(entries.windows(2).all(|w| w[0] < w[1]), "bulk_load input not sorted");
+            let id = LeafId::at(i as u32);
+            if i > 0 {
+                tree.alloc_page();
+                let prev = &mut tree.leaves[LeafId::at(i as u32 - 1)];
+                debug_assert!(prev.entries.last() < entries.first(), "bulk_load input not sorted");
+                prev.next = Some(id);
+            }
+            tree.leaves.put(id, Leaf { entries, next: None });
+        }
+        tree.load_levels(sizes.len(), len, fill);
+        tree
+    }
+
+    /// [`Tree::bulk_load`] from [`Entry`]s, each key's arity checked in
+    /// debug builds.
+    fn load_entries(
+        file: FileId,
+        mut entries: impl ExactSizeIterator<Item = Entry>,
+        fill: f64,
+        caps: (usize, usize),
+    ) -> Self {
+        Self::bulk_load(file, entries.len(), fill, caps, |leaf, at| {
+            leaf.extend(entries.by_ref().take(at.len()).map(|(key, rid)| {
+                debug_assert_eq!(key.arity(), A, "bulk_load key arity mismatch");
+                (key.stored(), rid)
+            }))
+        })
+    }
+
+    /// [`Tree::bulk_load`] gathering from columns: the entry at position
+    /// `i` is row `order[i]`'s values in the `A` columns of `key` and its
+    /// rid in `rids`.
+    fn load_columns(file: FileId, key: &[&[i64]], rids: &[Rid], order: &[u32], fill: f64) -> Self {
+        let key: [&[i64]; A] = std::array::from_fn(|c| key[c]);
+        let caps = (DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP);
+        Self::bulk_load(file, order.len(), fill, caps, |leaf, at| {
+            leaf.extend(order[at].iter().map(|&p| {
+                let p = p as usize;
+                (std::array::from_fn(|c| key[c][p]), rids[p])
+            }))
+        })
     }
 
     /// Bulk load: build the internal levels bottom-up over the first
-    /// `leaves` pages, which [`Tree::load_leaf`] filled with `len > 0`
+    /// `leaves` pages, which [`Tree::bulk_load`] filled with `len > 0`
     /// entries.
     fn load_levels(&mut self, leaves: usize, len: usize, fill: f64) {
         let leaves = (0..leaves as u32).map(LeafId::at);
@@ -1108,8 +1173,10 @@ impl BTree {
     ///
     /// Leaves are packed to `fill` (e.g. 0.9) and allocated consecutively,
     /// so a full leaf scan reads sequential page ids — matching a freshly
-    /// built index on disk.  Each leaf is collected straight from the
-    /// iterator: no list of all entries is needed beside the tree.
+    /// built index on disk.  Each leaf is filled straight from the
+    /// iterator at its key's width, by the one load of the tree's arity
+    /// that [`BTree::bulk_load_columns`] fills too: no list of all entries
+    /// is needed beside the tree.
     ///
     /// # Panics
     /// Panics if `fill` is not in `(0, 1]`, or if the iterator yields fewer
@@ -1132,40 +1199,45 @@ impl BTree {
     }
 
     /// [`BTree::bulk_load`] with explicit node capacities.
-    ///
-    /// A leaf's entries pass through one buffer of [`Entry`]s before the
-    /// tree of their arity stores them: the iterator is then read in one
-    /// place whatever the arity, and inlines there — read from a loop per
-    /// arity, a workload's entry closure stayed a call per entry, and the
-    /// five bulk loads of a 2^18-row build took 15 % longer.
     pub fn bulk_load_with_caps(
         file: FileId,
         key_arity: usize,
-        mut entries: impl ExactSizeIterator<Item = Entry>,
+        entries: impl ExactSizeIterator<Item = Entry>,
         fill: f64,
         leaf_cap: usize,
         internal_cap: usize,
     ) -> Self {
-        assert!(fill > 0.0 && fill <= 1.0, "fill factor out of range");
-        let mut tree = Self::with_caps(file, key_arity, leaf_cap, internal_cap);
-        let len = entries.len();
-        if len == 0 {
-            return tree;
+        assert!((1..=MAX_KEY_COLS).contains(&key_arity), "bad key arity");
+        let caps = (leaf_cap, internal_cap);
+        match key_arity {
+            1 => BTree::One(Tree::load_entries(file, entries, fill, caps)),
+            2 => BTree::Two(Tree::load_entries(file, entries, fill, caps)),
+            _ => BTree::Three(Tree::load_entries(file, entries, fill, caps)),
         }
-        let per_leaf = ((leaf_cap as f64 * fill) as usize).clamp(1, leaf_cap);
-        // Group sizes are balanced so that no leaf (except a lone root)
-        // falls below minimum occupancy — a naive "fill then spill" would
-        // leave a tiny last leaf.
-        let sizes = balanced_group_sizes(len, per_leaf, leaf_cap / 2);
-        let mut leaf: Vec<Entry> = Vec::with_capacity(leaf_cap);
-        for (i, &size) in sizes.iter().enumerate() {
-            leaf.clear();
-            leaf.extend(entries.by_ref().take(size));
-            assert_eq!(leaf.len(), size, "bulk_load input shorter than its length");
-            with_tree!(&mut tree, |t| t.load_leaf(i, &leaf));
+    }
+
+    /// [`BTree::bulk_load`] of the entries `order` lists, gathered from
+    /// columns straight into the leaves: entry `i` is row `p = order[i]`'s
+    /// key, `key[c][p]` in column `c`, and its rid `rids[p]`; `order` must
+    /// list the rows sorted by `(key, rid)`.
+    ///
+    /// # Panics
+    /// Panics as `bulk_load` does, if `key` holds no column or more than
+    /// [`MAX_KEY_COLS`], or if a position of `order` is past a column or
+    /// `rids`.
+    pub fn bulk_load_columns(
+        file: FileId,
+        key: &[&[i64]],
+        rids: &[Rid],
+        order: &[u32],
+        fill: f64,
+    ) -> Self {
+        assert!((1..=MAX_KEY_COLS).contains(&key.len()), "bad key arity");
+        match key.len() {
+            1 => BTree::One(Tree::load_columns(file, key, rids, order, fill)),
+            2 => BTree::Two(Tree::load_columns(file, key, rids, order, fill)),
+            _ => BTree::Three(Tree::load_columns(file, key, rids, order, fill)),
         }
-        with_tree!(&mut tree, |t| t.load_levels(sizes.len(), len, fill));
-        tree
     }
 
     /// Number of entries.
@@ -1390,6 +1462,33 @@ mod tests {
         assert!(t.check_invariants().is_err(), "page {page} dropped");
         t.free.extend([page, page]);
         assert!(t.check_invariants().is_err(), "page {page} freed twice");
+    }
+
+    /// An arena holds no slot below its lowest node: a bulk-loaded tree's
+    /// inner arena starts at its first inner page, after every leaf, and an
+    /// inner node put on a lower page — a released leaf page a split takes
+    /// — re-bases it with every node still on its page.
+    #[test]
+    fn the_inner_arena_starts_at_its_lowest_node() {
+        let s = quiet();
+        let entries: Vec<Entry> = (0..4096).map(|i| (Key::single(i), rid(i as u32))).collect();
+        let mut t = Tree::<1>::load_entries(FileId(0), entries.iter().copied(), 1.0, (16, 4));
+        let leaves = 4096 / 16;
+        assert_eq!((t.inners.base, t.inners.nodes.len()), (leaves, t.node_count() - 256));
+        for &(key, rid) in &entries[..2048] {
+            assert!(t.delete(key, rid, &s));
+        }
+        for i in 0..4096 {
+            assert!(t.insert(Key::single(8192 + i), rid(i as u32), &s));
+        }
+        assert!(t.inners.base < leaves, "no inner node took a leaf's page");
+        t.check_invariants().unwrap();
+        let want: Vec<Entry> = entries[2048..]
+            .iter()
+            .copied()
+            .chain((0..4096).map(|i| (Key::single(8192 + i), rid(i as u32))))
+            .collect();
+        assert!(t.collect_all() == want);
     }
 
     /// A tree stores an entry at its key's width — 16, 24 or 32 bytes at

@@ -476,6 +476,60 @@ fn scan_range_at_leaf_edges_equals_the_cursor_loop() {
     assert_eq!((t.returned, t.stats.cpu_rows, t.stats.seq_reads), (0, 0, 0));
 }
 
+// ------------------------------------------------- bulk load from columns
+
+/// Key column values by index: the ends of `i64` and the values around 0,
+/// where real keys meet the bounds' padding and a key's unused zeros, then
+/// the small range −4..=3, so runs of equal leading values are common.
+const EXTREMES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+
+fn column_value(i: usize) -> i64 {
+    EXTREMES.get(i).copied().unwrap_or(i as i64 - EXTREMES.len() as i64 - 4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A tree gathered from columns through a sorted order of the rows is
+    /// the tree `bulk_load` builds from the comparison-sorted `(Key, Rid)`
+    /// list: same entries, nodes and height, and well formed — at arities
+    /// 1–3, over 0–2 000 rows in runs of 1–40 equal keys, so that several
+    /// leaves are built and duplicates straddle their edges.
+    #[test]
+    fn bulk_load_columns_equals_bulk_load_of_the_sorted_entries(
+        arity in 1usize..=3,
+        runs in prop::collection::vec(((0usize..15, 0usize..15, 0usize..15), 1usize..=40), 0..100),
+    ) {
+        let mut cols: [Vec<i64>; 3] = Default::default();
+        for &((x, y, z), len) in &runs {
+            for (col, v) in cols.iter_mut().zip([x, y, z]) {
+                col.extend(std::iter::repeat_n(column_value(v), len));
+            }
+        }
+        let n = cols[0].len().min(2000);
+        let key: Vec<&[i64]> = cols[..arity].iter().map(|c| &c[..n]).collect();
+        // Rids descend with position: equal keys sort in reverse position
+        // order, and an order by position alone is wrong.
+        let rids: Vec<Rid> = (0..n as u32).rev().map(|p| Rid::new(p / 100, p % 100)).collect();
+        let entry = |p: usize| -> Entry {
+            let vals: Vec<i64> = key.iter().map(|c| c[p]).collect();
+            (Key::new(&vals), rids[p])
+        };
+        let mut want: Vec<Entry> = (0..n).map(entry).collect();
+        want.sort();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by_key(|&p| entry(p as usize));
+
+        let got = BTree::bulk_load_columns(FileId(4), &key, &rids, &order, 0.9);
+        let reference = BTree::bulk_load(FileId(4), arity, want.iter().copied(), 0.9);
+        got.check_invariants().map_err(TestCaseError::fail)?;
+        prop_assert_eq!(got.collect_all(), want);
+        prop_assert_eq!(got.node_count(), reference.node_count());
+        prop_assert_eq!(got.height(), reference.height());
+        prop_assert_eq!(got.len(), n as u64);
+    }
+}
+
 // ---------------------------------------------------------------- rid set
 
 /// A heap's span of `pages` pages of `slots` slots, and a rid list inside
