@@ -3,14 +3,14 @@
 //! The interpreter in [`crate::exec`] moves rows between operators in
 //! columnar [`RowBatch`] chunks of up to [`BATCH_ROWS`] rows, so the
 //! real-time interpreter overhead (per-row `Row` materialisation, virtual
-//! sink dispatch, full-row decoding) is amortised.  Every edge of every
+//! sink dispatch, full-row reads) is amortised.  Every edge of every
 //! plan runs at that one size:
 //!
 //! * kernels group their charges by what the *data* gives them — a heap
 //!   page, an index leaf, a run of rids on one page — never by
 //!   [`RowBatch`];
 //! * batching only moves work that is *free* on the simulated clock:
-//!   decoding, projection, sink dispatch, and intermediate-row copies;
+//!   gathering, projection, sink dispatch, and intermediate-row copies;
 //! * every operator whose rows are read emits through a [`BatchEmitter`],
 //!   which hands its batch to the sink the moment it is full.  Sort and
 //!   hash aggregation take those batches whole and write their spill
@@ -21,29 +21,40 @@
 //!   sort or aggregation emits nothing at all.  Neither moves the clock,
 //!   since emission is charge-free.
 //!
-//! Heap records — a table scan's page, a parallel scan worker's page, a
+//! Heap rows — a table scan's page, a parallel scan worker's page, a
 //! fetch's run of rids on one page — go through one kernel,
-//! [`BatchEmitter::filter`]: the predicate's verdicts on up to
-//! [`BATCH_ROWS`] records become a `u16` selection vector, and the
-//! selected rows' projected columns are gathered a column at a time
-//! straight into the batch.  The kernel charges nothing; each caller
-//! charges what it reports ([`Filtered`]) in its own calls.  It is inlined,
-//! and each kind of [`Records`] has its own call of it in every reader: a
-//! call that could take two kinds compiles both loops into one.
+//! [`BatchEmitter::filter`].  A heap page stores its rows column by column,
+//! so the kernel evaluates a conjunction a term at a time: the first term
+//! over its column writes the slots that pass to a `u16` selection vector,
+//! and each further term reads its column at the selected slots and keeps
+//! those that pass.  A row is compared on a term only if it passed every
+//! term before, so the comparisons the kernel counts are exactly the short
+//! circuit's.  The selected rows' projected columns are then gathered a
+//! column at a time straight into the batch.  The kernel reads no column
+//! the predicate and the projection do not name.  It charges nothing; each
+//! caller charges what it reports ([`Filtered`]) in its own calls.  It is
+//! inlined, and each kind of [`Records`] has its own call of it in every
+//! reader: a call that could take two kinds compiles both loops into one.
 //!
 //! `tests/exec_ledger.rs` pins every plan's charges, the blocking edges at
 //! pools of a few pages among them.
 
-use robustmap_storage::{HeapFile, HeapPage, Row, Slots};
+use robustmap_storage::{HeapPage, Row, Slots, PAGE_SIZE};
 
-use crate::expr::Predicate;
+use crate::expr::{ColRange, Predicate};
 
 /// Rows per [`RowBatch`] flowing between operators: amortises interpreter
 /// overhead without hurting cache residency.
 pub const BATCH_ROWS: usize = 1024;
 
-// A masked area's chunks of BATCH_ROWS slots are whole words of its mask.
-const _: () = assert!(BATCH_ROWS.is_multiple_of(64));
+/// Entries of the selection vector: a power of two, so an index taken
+/// modulo it needs no bounds check, and no fewer than the rows of a batch
+/// or the slots of any page — a slot takes at least four of a page's bytes.
+const SEL: usize = PAGE_SIZE / 4;
+const _: () = assert!(SEL.is_power_of_two() && BATCH_ROWS <= SEL);
+
+/// A selection vector: slots of one page, in order.
+type SlotVector = Box<[u16; SEL]>;
 
 /// A columnar chunk of rows: one [`BATCH_ROWS`]-long `i64` buffer per
 /// output column, of which the first [`RowBatch::len`] entries are rows.
@@ -99,35 +110,21 @@ impl RowBatch {
     }
 }
 
-/// Read column `col` of a row stored as little-endian `i64`s (the heap's
-/// record encoding) without decoding the whole row.
-#[inline]
-fn col_from_bytes(bytes: &[u8], col: usize) -> i64 {
-    let at = col * 8;
-    i64::from_le_bytes(bytes[at..at + 8].try_into().expect("column in record"))
-}
-
-/// The records of one heap page or one rid run, in slot or rid order.
-///
-/// A page the heap keeps in the append layout of `width`-byte records is
-/// read by arithmetic, record `i` of `n` the `width` bytes at `(n − 1 − i)
-/// · width` of its record area: all of it ([`HeapPage::packed`]), or, on a
-/// holey page ([`HeapFile::holey`]), the slots a mask marks.  Any other
-/// page's records are listed one by one through its slot directory.
+/// The rows of one heap page that a filter reads.
 #[derive(Clone, Copy)]
 pub enum Records<'r> {
-    /// Every record of an append-layout page's record area.
-    Packed { area: &'r [u8], width: usize },
-    /// The `live` records of the slots set in `mask` (bit `s` of word
-    /// `s / 64`), in slot order: a holey page's live slots, or a rid set's
-    /// page group of them.  Every set bit is below the area's `n` records,
-    /// and `live` is the number set.
-    Masked { area: &'r [u8], width: usize, mask: &'r [u64], live: usize },
-    /// The records one by one.
-    Listed(&'r [&'r [u8]]),
+    /// Every written slot of a page without a dead one.
+    Page(HeapPage<'r>),
+    /// The `live` slots set in `mask` (bit `s` of word `s / 64`), in slot
+    /// order: a holey page's live slots, or a rid set's page group of them.
+    /// Every set bit is a live slot of the page.
+    Masked { page: HeapPage<'r>, mask: &'r [u64], live: usize },
+    /// The slots listed, in list order, a slot as often as it is listed:
+    /// a fetch's run of rids on the page.  Every one is a live slot.
+    Listed { page: HeapPage<'r>, slots: &'r [u16] },
 }
 
-/// What one [`BatchEmitter::filter`] call read: `live` records, the
+/// What one [`BatchEmitter::filter`] call read: `live` rows, the
 /// `compares` a short-circuiting [`Predicate::eval`] makes on them (none
 /// for `TRUE`), and the `selected` ones that passed and were emitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,15 +140,16 @@ pub struct Filtered {
 pub struct BatchEmitter {
     batch: RowBatch,
     flushed: u64,
-    /// The selection vector of [`BatchEmitter::filter`], allocated by its
-    /// first call (on the heap: a served query's thread stack stays small).
-    sel: Vec<u16>,
+    /// The selection vector of [`BatchEmitter::filter`] and a spare that
+    /// a term refines it into, allocated by its first call (on the heap: a
+    /// served query's thread stack stays small).
+    sel: Option<(SlotVector, SlotVector)>,
 }
 
 impl BatchEmitter {
     /// An emitter producing batches with `arity` columns.
     pub fn new(arity: usize) -> Self {
-        BatchEmitter { batch: RowBatch::new(arity), flushed: 0, sel: Vec::new() }
+        BatchEmitter { batch: RowBatch::new(arity), flushed: 0, sel: None }
     }
 
     /// Rows emitted so far.
@@ -178,37 +176,30 @@ impl BatchEmitter {
         }
     }
 
-    /// Emit columns `proj` of heap page `page_no`'s live records that pass
-    /// `pred`, in slot order: [`BatchEmitter::filter`] of the page's record
-    /// area, of its area under its live-slot mask if it is holey, or of its
-    /// records listed into `listed` through its directory — each kind its
-    /// own call of the kernel.
+    /// Emit columns `proj` of a heap page's live rows that pass `pred`, in
+    /// slot order: [`BatchEmitter::filter`] of the whole page, or of its
+    /// live slots if it is holey — each kind its own call of the kernel.
     #[inline(always)]
-    pub fn filter_page<'h>(
+    pub fn filter_page(
         &mut self,
         pred: &Predicate,
-        heap: &'h HeapFile,
-        (page_no, page): (u32, HeapPage<'h>),
-        listed: &mut Vec<&'h [u8]>,
+        page: HeapPage<'_>,
         proj: &[usize],
         sink: &mut dyn FnMut(&RowBatch),
     ) -> Filtered {
-        if let Some((area, width)) = page.packed() {
-            return self.filter(pred, Records::Packed { area, width }, proj, sink);
+        match page.mask() {
+            None => self.filter(pred, Records::Page(page), proj, sink),
+            Some(mask) => {
+                let live = mask.iter().map(|w| w.count_ones() as usize).sum();
+                self.filter(pred, Records::Masked { page, mask, live }, proj, sink)
+            }
         }
-        if let Some((area, width, mask)) = heap.holey(page_no) {
-            let live = mask.iter().map(|w| w.count_ones() as usize).sum();
-            return self.filter(pred, Records::Masked { area, width, mask, live }, proj, sink);
-        }
-        listed.clear();
-        listed.extend(page.records());
-        self.filter(pred, Records::Listed(listed), proj, sink)
     }
 
     /// Emit columns `proj` of the `records` that pass `pred`, in order —
-    /// the one loop that evaluates a predicate over heap records.  Charges
+    /// the one loop that evaluates a predicate over heap rows.  Charges
     /// nothing: the caller charges what it returns.  Inlined, because a
-    /// fetch's rid run is mostly one record, which a call's set-up outweighs.
+    /// fetch's rid run is mostly one row, which a call's set-up outweighs.
     #[inline(always)]
     pub fn filter(
         &mut self,
@@ -217,115 +208,69 @@ impl BatchEmitter {
         proj: &[usize],
         sink: &mut dyn FnMut(&RowBatch),
     ) -> Filtered {
-        match records {
-            Records::Packed { area, width } => {
-                let n = area.len() / width;
-                // A position is a record's slot less the chunk's first,
-                // slot 0 on top.
-                let chunk = move |from: usize, len: usize| {
-                    let top = (n - from) * width;
-                    (0..len).zip(area[top - len * width..top].chunks_exact(width).rev())
+        let (mut sel, mut spare) =
+            self.sel.take().unwrap_or_else(|| (Box::new([0; SEL]), Box::new([0; SEL])));
+        let out = match records {
+            Records::Page(page) => {
+                let n = page.slot_count();
+                // The first term fills the vector from its column.
+                let (picked, compares) = match pred.terms().split_first() {
+                    None => (fill(&mut sel, 0..n as u16), 0),
+                    Some((t, _)) => (first(&mut sel, page.column(t.col), t), n as u64),
                 };
-                self.filter_with(pred, n, n, chunk, at(area, width), proj, sink)
+                let rest = pred.terms().get(1..).unwrap_or_default();
+                let (picked, more) = refine(&mut sel, &mut spare, picked, page, rest);
+                self.gather(&sel[..picked], page, proj, sink);
+                Filtered { live: n as u64, compares: compares + more, selected: picked as u64 }
             }
-            Records::Masked { area, width, mask, live } => {
-                let n = area.len() / width;
-                // A chunk is a run of BATCH_ROWS slots — whole words of the
-                // mask — of which only the set bits' records are read, a
-                // position again a slot less the chunk's first.
-                let chunk = move |from: usize, len: usize| {
-                    Slots::new(&mask[from / 64..(from + len) / 64]).map(move |slot| {
-                        let slot = slot as usize;
-                        let pos = (n - 1 - from - slot) * width;
-                        (slot, &area[pos..pos + width])
-                    })
-                };
-                self.filter_with(pred, live, mask.len() * 64, chunk, at(area, width), proj, sink)
+            Records::Masked { page, mask, live } => {
+                let filled = fill(&mut sel, Slots::new(mask).map(|slot| slot as u16));
+                debug_assert_eq!(filled, live);
+                let (picked, compares) = refine(&mut sel, &mut spare, filled, page, pred.terms());
+                self.gather(&sel[..picked], page, proj, sink);
+                Filtered { live: live as u64, compares, selected: picked as u64 }
             }
-            Records::Listed(records) => {
-                // A position is a record's index from the chunk's first.
-                let chunk = move |from: usize, len: usize| {
-                    (0..len).zip(records[from..from + len].iter().copied())
-                };
-                let at = move |from: usize, pos: usize, c| col_from_bytes(records[from + pos], c);
-                self.filter_with(pred, records.len(), records.len(), chunk, at, proj, sink)
+            Records::Listed { page, slots } => {
+                let mut out = Filtered { live: slots.len() as u64, compares: 0, selected: 0 };
+                for chunk in slots.chunks(BATCH_ROWS) {
+                    sel[..chunk.len()].copy_from_slice(chunk);
+                    let (picked, compares) =
+                        refine(&mut sel, &mut spare, chunk.len(), page, pred.terms());
+                    self.gather(&sel[..picked], page, proj, sink);
+                    out.compares += compares;
+                    out.selected += picked as u64;
+                }
+                out
             }
-        }
-    }
-
-    /// [`BatchEmitter::filter`] over `live` records at positions `0 ..
-    /// span`, [`BATCH_ROWS`] positions a selection vector: `chunk(from,
-    /// len)` yields the records at positions `from .. from + len` in order,
-    /// each with its position less `from`, and `at(from, that, column)`
-    /// reads a selected one's column.  A position in the vector is below
-    /// [`BATCH_ROWS`] whatever the area's size.
-    #[inline(always)]
-    fn filter_with<'r, C: Iterator<Item = (usize, &'r [u8])>>(
-        &mut self,
-        pred: &Predicate,
-        live: usize,
-        span: usize,
-        chunk: impl Fn(usize, usize) -> C,
-        at: impl Fn(usize, usize, usize) -> i64 + Copy,
-        proj: &[usize],
-        sink: &mut dyn FnMut(&RowBatch),
-    ) -> Filtered {
-        let mut out = Filtered { live: live as u64, compares: 0, selected: 0 };
-        self.sel.resize(BATCH_ROWS, 0);
-        for from in (0..span).step_by(BATCH_ROWS) {
-            let at = move |pos: usize, c: usize| at(from, pos, c);
-            let sel = (&mut self.sel[..]).try_into().expect("a selection vector");
-            let chunk = chunk(from, (span - from).min(BATCH_ROWS));
-            // Branch-free: every record is written to the vector, and only
-            // a pass advances it.  `compares` replays the short circuit.
-            let (picked, compares) = match *pred.terms() {
-                [] => select(sel, chunk, |_| (0, true)),
-                [t] => select(sel, chunk, move |r: &[u8]| (1, t.admits(col_from_bytes(r, t.col)))),
-                [t, u] => select(sel, chunk, move |r: &[u8]| {
-                    let first = t.admits(col_from_bytes(r, t.col));
-                    (1 + u64::from(first), first & u.admits(col_from_bytes(r, u.col)))
-                }),
-                ref terms => select(sel, chunk, move |r: &[u8]| {
-                    let (mut alive, mut compares) = (true, 0);
-                    for t in terms {
-                        compares += u64::from(alive);
-                        alive &= t.admits(col_from_bytes(r, t.col));
-                    }
-                    (compares, alive)
-                }),
-            };
-            out.compares += compares;
-            out.selected += picked as u64;
-            self.gather(picked, at, proj, sink);
-        }
+        };
+        self.sel = Some((sel, spare));
         out
     }
 
-    /// Emit the first `picked` rows of the selection vector, a column at a
-    /// time, splitting where the batch fills.
+    /// Emit the rows of the page at slots `sel`, a column at a time,
+    /// splitting where the batch fills.
     #[inline(always)]
     fn gather(
         &mut self,
-        picked: usize,
-        at: impl Fn(usize, usize) -> i64,
+        mut sel: &[u16],
+        page: HeapPage<'_>,
         proj: &[usize],
         sink: &mut dyn FnMut(&RowBatch),
     ) {
-        let mut done = 0;
-        while done < picked {
+        while !sel.is_empty() {
             let rows = self.batch.rows;
-            let m = (picked - done).min(BATCH_ROWS - rows);
-            let sel = &self.sel[done..done + m];
+            let (now, later) = sel.split_at((BATCH_ROWS - rows).min(sel.len()));
             for (col, &src) in self.batch.cols.iter_mut().zip(proj) {
-                for (cell, &i) in col[rows..rows + m].iter_mut().zip(sel) {
-                    *cell = at(usize::from(i), src);
+                let values = page.column(src);
+                for (cell, &slot) in col[rows..rows + now.len()].iter_mut().zip(now) {
+                    *cell = values[usize::from(slot)];
                 }
             }
-            self.batch.rows += m;
+            self.batch.rows += now.len();
             if self.batch.rows == BATCH_ROWS {
                 self.flush(sink);
             }
-            done += m;
+            sel = later;
         }
     }
 
@@ -339,34 +284,55 @@ impl BatchEmitter {
     }
 }
 
-/// How the kernel reads a selected record's column out of an area of
-/// `width`-byte records, slot 0 on top, given the chunk's first slot and
-/// the record's slot less it.
+/// Write `slots` to the front of `sel`; how many there were.
 #[inline(always)]
-fn at(area: &[u8], width: usize) -> impl Fn(usize, usize, usize) -> i64 + Copy + '_ {
-    let n = area.len() / width;
-    move |from: usize, pos: usize, c: usize| {
-        let at = (n - 1 - from - pos) * width;
-        col_from_bytes(&area[at..at + width], c)
+fn fill(sel: &mut [u16; SEL], slots: impl Iterator<Item = u16>) -> usize {
+    let mut n = 0;
+    for slot in slots {
+        sel[n % SEL] = slot;
+        n += 1;
     }
+    n
 }
 
-/// Write the position of each of at most [`BATCH_ROWS`] records to `sel`
-/// and advance past those `test` passes; the number passed and the
-/// comparisons `test` counted.
-fn select<'r>(
-    sel: &mut [u16; BATCH_ROWS],
-    records: impl Iterator<Item = (usize, &'r [u8])>,
-    test: impl Fn(&'r [u8]) -> (u64, bool),
+/// Write to the front of `sel` the slots of `col` whose value `t` admits,
+/// in order; how many it admits.  Branch-free: every slot is written, and
+/// only a pass advances.
+#[inline(always)]
+fn first(sel: &mut [u16; SEL], col: &[i64], t: &ColRange) -> usize {
+    let mut picked = 0;
+    for (slot, &v) in col.iter().enumerate() {
+        sel[picked % SEL] = slot as u16;
+        picked += usize::from(t.admits(v));
+    }
+    picked
+}
+
+/// Narrow the `picked` slots at the front of `sel` to those every term of
+/// `terms` admits, a term at a time, each term reading its column at the
+/// slots the terms before it kept; the slots kept and the comparisons made
+/// — one a slot a term reads it for.  A term writes the slots it keeps to
+/// `spare`, and the two then swap: read and written in place, the vector's
+/// loads waited on its stores.
+#[inline(always)]
+fn refine(
+    sel: &mut SlotVector,
+    spare: &mut SlotVector,
+    mut picked: usize,
+    page: HeapPage<'_>,
+    terms: &[ColRange],
 ) -> (usize, u64) {
-    let (mut picked, mut compares) = (0, 0);
-    for (pos, record) in records {
-        let (c, pass) = test(record);
-        // `picked` is below the records seen, so below BATCH_ROWS, and so
-        // is a position.
-        sel[picked % BATCH_ROWS] = pos as u16;
-        picked += usize::from(pass);
-        compares += c;
+    let mut compares = 0;
+    for t in terms {
+        compares += picked as u64;
+        let col = page.column(t.col);
+        let mut kept = 0;
+        for &slot in &sel[..picked] {
+            spare[kept % SEL] = slot;
+            kept += usize::from(t.admits(col[usize::from(slot)]));
+        }
+        std::mem::swap(sel, spare);
+        picked = kept;
     }
     (picked, compares)
 }
@@ -374,7 +340,7 @@ fn select<'r>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::ColRange;
+    use robustmap_storage::{ColumnType, FileId, HeapFile, Rid, Schema};
 
     #[test]
     fn emitter_flushes_when_full_and_at_end() {
@@ -398,98 +364,99 @@ mod tests {
         assert_eq!(rows[BATCH_ROWS + 4], vec![20 + BATCH_ROWS as i64 + 4, BATCH_ROWS as i64 + 4]);
     }
 
+    /// A heap of `n` rows `[i, i % 3, -i]`, every fifth row deleted if
+    /// `holey`.
+    fn heap_of(n: i64, holey: bool) -> HeapFile {
+        let int = ColumnType::Int;
+        let schema = Schema::new(vec![("a", int), ("b", int), ("c", int)]);
+        let mut heap = HeapFile::new(FileId(0), schema);
+        for i in 0..n {
+            heap.append(&Row::from_slice(&[i, i % 3, -i])).unwrap();
+        }
+        for i in (2..n).step_by(5).filter(|_| holey) {
+            let per_page = heap.rows_per_page() as i64;
+            heap.delete(Rid::new((i / per_page) as u32, (i % per_page) as u32)).unwrap();
+        }
+        heap
+    }
+
+    /// Filter `records` with `pred` into an emitter that already holds five
+    /// rows; what the kernel reports, the batch sizes and the rows.
+    fn read(pred: &Predicate, records: Records<'_>) -> (Filtered, Vec<usize>, Vec<Row>) {
+        let (mut sizes, mut rows) = (Vec::new(), Vec::new());
+        let mut sink = |b: &RowBatch| {
+            sizes.push(b.len());
+            rows.extend((0..b.len()).map(|i| b.row(i)));
+        };
+        let mut em = BatchEmitter::new(2);
+        for i in 0..5 {
+            em.push_projected_slice(&[i, i], &[0, 1], &mut sink);
+        }
+        let got = em.filter(pred, records, &[2, 0], &mut sink);
+        em.flush(&mut sink);
+        (got, sizes, rows)
+    }
+
     /// The kernel's batches split exactly where row-by-row pushes split
-    /// them, whatever the emitter already held.
+    /// them, whatever the emitter already held: a run listing one page's
+    /// live slots over and over, in chunks of a batch.
     #[test]
     fn filter_splits_at_batch_boundaries() {
-        let values: Vec<[i64; 3]> = (0..3000).map(|i| [i, i % 3, -i]).collect();
-        let encoded: Vec<Vec<u8>> =
-            values.iter().map(|v| v.iter().flat_map(|c| c.to_le_bytes()).collect()).collect();
-        let records: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+        let heap = heap_of(300, true);
+        let page = heap.resolve(0).unwrap();
+        let live: Vec<u16> = page.live_slots().map(|slot| slot as u16).collect();
+        let slots: Vec<u16> = (0..3000).map(|i| live[i * 7 % live.len()]).collect();
         let pred = Predicate::single(ColRange::at_most(1, 1));
-        let run = |bulk: bool| {
-            let (mut sizes, mut rows) = (Vec::new(), Vec::new());
-            let mut sink = |b: &RowBatch| {
-                sizes.push(b.len());
-                rows.extend((0..b.len()).map(|i| b.row(i).values().to_vec()));
-            };
-            let mut em = BatchEmitter::new(2);
-            for i in 0..5 {
-                em.push_projected_slice(&[i, i], &[0, 1], &mut sink);
-            }
-            if bulk {
-                let got = em.filter(&pred, Records::Listed(&records), &[2, 0], &mut sink);
-                assert_eq!(got, Filtered { live: 3000, compares: 3000, selected: 2000 });
-            } else {
-                for v in values.iter().filter(|v| v[1] <= 1) {
-                    em.push_projected_slice(v, &[2, 0], &mut sink);
-                }
-            }
-            em.flush(&mut sink);
-            (em.produced(), sizes, rows)
+        let mut want = (Vec::new(), Vec::new());
+        let mut sink = |b: &RowBatch| {
+            want.0.push(b.len());
+            want.1.extend((0..b.len()).map(|i| b.row(i)));
         };
-        let want = run(false);
-        assert_eq!(want.1, vec![BATCH_ROWS, 981]);
-        assert_eq!(run(true), want);
-    }
-
-    /// A masked area reads as its set slots' records listed, most of them
-    /// set or few, over more records than a selection vector holds.
-    #[test]
-    fn masked_records_read_as_their_slots_listed() {
-        let n: usize = 4000;
-        let values: Vec<[i64; 2]> = (0..n as i64).map(|i| [i, i % 3]).collect();
-        // Slot 0 on top, as appending lays records out.
-        let area: Vec<u8> =
-            values.iter().rev().flat_map(|v| v.iter().flat_map(|c| c.to_le_bytes())).collect();
-        let pred = Predicate::single(ColRange::at_most(1, 1));
-        for keep in [|s: usize| s % 5 != 2, |s: usize| s.is_multiple_of(3)] {
-            let mut mask = vec![0u64; n.div_ceil(64)];
-            for slot in (0..n).filter(|&s| keep(s)) {
-                mask[slot / 64] |= 1 << (slot % 64);
-            }
-            let read = |records: Records<'_>| {
-                let (mut em, mut rows) = (BatchEmitter::new(2), Vec::new());
-                let mut sink = |b: &RowBatch| rows.extend((0..b.len()).map(|i| b.row(i)));
-                let got = em.filter(&pred, records, &[1, 0], &mut sink);
-                em.flush(&mut sink);
-                (got, rows)
-            };
-            let listed: Vec<&[u8]> =
-                (0..n).filter(|&s| keep(s)).map(|s| &area[(n - 1 - s) * 16..][..16]).collect();
-            let want = read(Records::Listed(&listed));
-            let live = listed.len();
-            let masked = Records::Masked { area: &area, width: 16, mask: &mask, live };
-            assert_eq!(read(masked), want);
-            assert!(want.0.live > BATCH_ROWS as u64);
+        let mut em = BatchEmitter::new(2);
+        for i in 0..5 {
+            em.push_projected_slice(&[i, i], &[0, 1], &mut sink);
         }
+        for &slot in &slots {
+            let row = page.column(0)[usize::from(slot)];
+            if row % 3 <= 1 {
+                em.push_projected_slice(&[row, row % 3, -row], &[2, 0], &mut sink);
+            }
+        }
+        em.flush(&mut sink);
+        let (got, sizes, rows) = read(&pred, Records::Listed { page, slots: &slots });
+        assert_eq!(got, Filtered { live: 3000, compares: 3000, selected: rows.len() as u64 - 5 });
+        assert_eq!((sizes, rows), want);
+        assert!(want.0.len() > 1);
     }
 
-    /// An area over 64 KiB reads right, packed and under a mask of every
-    /// slot: 3 000 records of 24 bytes emit `[-i, i]` for record `i`.
+    /// A holey page reads, under its own mask or a narrower one, as its
+    /// set slots listed; a whole page as every slot listed.
     #[test]
-    fn an_area_over_64_kib_emits_its_rows() {
-        let n: usize = 3000;
-        let area: Vec<u8> = (0..n as i64)
-            .rev()
-            .flat_map(|i| [i, i % 3, -i].into_iter().flat_map(i64::to_le_bytes))
-            .collect();
-        assert!(area.len() > 1 << 16);
-        let mut mask = vec![u64::MAX; n / 64];
-        mask.push((1 << (n % 64)) - 1);
-        let pred = Predicate::single(ColRange::at_least(0, 0));
-        let want: Vec<Vec<i64>> = (0..n as i64).map(|i| vec![-i, i]).collect();
-        let packed = Records::Packed { area: &area, width: 24 };
-        let masked = Records::Masked { area: &area, width: 24, mask: &mask, live: n };
-        for records in [packed, masked] {
-            let (mut em, mut rows) = (BatchEmitter::new(2), Vec::new());
-            let mut sink =
-                |b: &RowBatch| rows.extend((0..b.len()).map(|i| b.row(i).values().to_vec()));
-            let got = em.filter(&pred, records, &[2, 0], &mut sink);
-            em.flush(&mut sink);
-            let all = n as u64;
-            assert_eq!(got, Filtered { live: all, compares: all, selected: all });
-            assert_eq!(rows, want);
+    fn masked_and_whole_pages_read_as_their_slots_listed() {
+        let heap = heap_of(900, true);
+        let preds = [
+            Predicate::always_true(),
+            Predicate::single(ColRange::at_most(1, 1)),
+            Predicate::all_of(vec![ColRange::at_most(1, 1), ColRange::at_least(0, 40)]),
+        ];
+        let pristine = heap_of(300, false);
+        let whole = pristine.resolve(0).unwrap();
+        assert!(whole.mask().is_none());
+        let all: Vec<u16> = (0..whole.slot_count() as u16).collect();
+        for pred in &preds {
+            let want = read(pred, Records::Listed { page: whole, slots: &all });
+            assert_eq!(read(pred, Records::Page(whole)), want, "{pred}");
+        }
+        let page = heap.resolve(1).unwrap();
+        let own = page.mask().expect("a holey page");
+        let narrower: Vec<u64> = own.iter().map(|w| w & 0x5555_5555_5555_5555).collect();
+        for mask in [own, &narrower] {
+            let slots: Vec<u16> = Slots::new(mask).map(|s| s as u16).collect();
+            for pred in &preds {
+                let want = read(pred, Records::Listed { page, slots: &slots });
+                let live = slots.len();
+                assert_eq!(read(pred, Records::Masked { page, mask, live }), want, "{pred}");
+            }
         }
     }
 
@@ -505,17 +472,5 @@ mod tests {
         let batch = held.expect("a flushed batch");
         assert_eq!(batch.col(0), &[0, 1, 2]);
         batch.row(batch.len());
-    }
-
-    #[test]
-    fn col_from_bytes_reads_encoded_records() {
-        let vals: [i64; 3] = [42, -7, i64::MIN];
-        let mut bytes = Vec::new();
-        for v in vals {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(col_from_bytes(&bytes, i), v);
-        }
     }
 }

@@ -25,19 +25,18 @@
 //! span, and `sort_list` is the one place a rid list is sorted.  The
 //! charges are analytic either way.
 //!
-//! A run's records are found through [`HeapFile::resolve`]: by arithmetic
-//! on a page in the append layout, through the slot directory on a page
-//! deletes left holey and on any other.  Two kinds of a set's page group
-//! are not listed record by record; the sweep hands the kernel the page's
-//! record area, which it reads in slot order, and charges what listing the
-//! group's slots charges:
+//! A run's page is found through [`HeapFile::resolve`], which carries its
+//! live-slot mask if deletes left it holey, and its rows go through the
+//! scans' kernel.  A run is handed to the kernel as its list of slots,
+//! except two kinds of a set's page group, which are charged what listing
+//! the group's slots charges:
 //!
-//! * a group that is every record of a page in the append layout — slots
-//!   `0..n` of its `n` — as the whole area ([`Records::Packed`]);
-//! * a group of live slots of a holey page ([`HeapFile::holey`]) as the
-//!   area under the group's own words ([`Records::Masked`]).  A group that
-//!   holds a deleted slot, or one past the page's count, is listed, so its
-//!   `InvalidRid` and its charges are the listed run's.
+//! * a group that is every slot of a page without a dead one — slots `0..n`
+//!   of its `n` — as the whole page ([`Records::Page`]);
+//! * a group of live slots of a holey page as the page under the group's
+//!   own words ([`Records::Masked`]).  A group that holds a deleted slot, or
+//!   one past the page's count, is listed, so its `InvalidRid` and its
+//!   charges are the listed run's.
 //!
 //! The kernel is inlined, so each kind of run has its own call of it: one
 //! call site that could take either kind compiles both of the kernel's
@@ -114,7 +113,7 @@ pub(crate) fn sort_list(rids: &mut Vec<Rid>) {
 
 /// What the runs of one fetch share: the heap, the residual every row goes
 /// through and the columns gathered from the survivors, the emitter, and
-/// scratch for a run's records.
+/// scratch for a run's slots.
 struct Fetcher<'a, 'h> {
     heap: &'h HeapFile,
     residual: &'a Predicate,
@@ -122,7 +121,7 @@ struct Fetcher<'a, 'h> {
     emitter: BatchEmitter,
     session: &'a Session,
     sink: &'a mut dyn FnMut(&RowBatch),
-    records: Vec<&'h [u8]>,
+    slots: Vec<u16>,
 }
 
 impl<'a, 'h> Fetcher<'a, 'h> {
@@ -134,7 +133,7 @@ impl<'a, 'h> Fetcher<'a, 'h> {
         sink: &'a mut dyn FnMut(&RowBatch),
     ) -> Self {
         let emitter = BatchEmitter::new(proj.len());
-        Fetcher { heap, residual, proj, emitter, session, sink, records: Vec::new() }
+        Fetcher { heap, residual, proj, emitter, session, sink, slots: Vec::new() }
     }
 
     /// Fetch the rids `first`, then `rest`, of heap page `page_no`: what
@@ -142,8 +141,8 @@ impl<'a, 'h> Fetcher<'a, 'h> {
     /// a page request and a row per rid, the residual's comparisons — in
     /// one call each.  The page requests go first, ahead of any emission,
     /// so the run's repeats are hits on the page its first request left
-    /// resident, whatever the sink does.  Each slot is resolved once; the
-    /// records go through the scans' kernel, [`BatchEmitter::filter`].
+    /// resident, whatever the sink does.  Each slot is checked once; the
+    /// rows go through the scans' kernel, [`BatchEmitter::filter`].
     ///
     /// A page that does not exist is rejected, with the run's first rid,
     /// before the run charges anything.  A rid whose slot is empty — a
@@ -161,50 +160,46 @@ impl<'a, 'h> Fetcher<'a, 'h> {
         let Some(page) = self.heap.resolve(page_no) else {
             return Err(StorageError::InvalidRid(Rid::new(page_no, first)).into());
         };
-        self.records.clear();
+        self.slots.clear();
         let mut dangling = None;
         for slot in std::iter::once(first).chain(rest) {
-            match page.record(slot) {
-                Some(bytes) => self.records.push(bytes),
-                None => {
-                    dangling = Some(Rid::new(page_no, slot));
-                    break;
-                }
+            if !page.is_live(slot) {
+                dangling = Some(Rid::new(page_no, slot));
+                break;
             }
+            // A live slot is below its page's capacity, which a u16 holds.
+            self.slots.push(slot as u16);
         }
-        let requested = (self.records.len() + usize::from(dangling.is_some())) as u64;
-        let listed = std::mem::take(&mut self.records);
-        self.read(page_no, requested, Records::Listed(&listed));
-        self.records = listed;
+        let requested = (self.slots.len() + usize::from(dangling.is_some())) as u64;
+        let slots = std::mem::take(&mut self.slots);
+        self.read(page_no, requested, Records::Listed { page, slots: &slots });
+        self.slots = slots;
         match dangling {
             Some(rid) => Err(StorageError::InvalidRid(rid).into()),
             None => Ok(()),
         }
     }
 
-    /// Fetch every record of heap page `page_no`, a page in the append
-    /// layout whose record area is `area`: what [`Fetcher::page_run`] of
-    /// its slots `0..n` charges, the records read from the area.
+    /// Fetch every slot of heap page `page_no`, a page without a dead
+    /// one: what [`Fetcher::page_run`] of its slots `0..n` charges.
     #[inline]
-    fn whole_page(&mut self, page_no: u32, area: &[u8], width: usize) {
-        let n = (area.len() / width) as u64;
-        self.read(page_no, n, Records::Packed { area, width });
+    fn whole_page(&mut self, page_no: u32, page: HeapPage<'_>) {
+        self.read(page_no, page.slot_count() as u64, Records::Page(page));
     }
 
-    /// Fetch the `live` records of holey heap page `page_no` that
-    /// `records` marks, its area under a mask of live slots: what
-    /// [`Fetcher::page_run`] of those slots charges, the records read from
-    /// the area.  Out of line: the sweep's code for its other runs stays
-    /// what it is on a heap without tombstones.
+    /// Fetch the `live` slots of holey heap page `page_no` that `records`
+    /// marks: what [`Fetcher::page_run`] of those slots charges.  Out of
+    /// line: the sweep's code for its other runs stays what it is on a heap
+    /// without tombstones.
     #[inline(never)]
     fn masked(&mut self, page_no: u32, live: usize, records: Records<'_>) {
         self.read(page_no, live as u64, records);
     }
 
     /// The charges and the kernel call of a run of `requested` rids on page
-    /// `page_no` whose live `records` precede any dangling rid.  Inlined
-    /// into each caller, so the kernel is compiled for the one kind of
-    /// records that caller passes.
+    /// `page_no` whose live slots, `records`, precede any dangling rid.
+    /// Inlined into each caller, so the kernel is compiled for the one kind
+    /// of records that caller passes.
     #[inline(always)]
     fn read(&mut self, page_no: u32, requested: u64, records: Records<'_>) {
         self.session.read_page_run(self.heap.page_id(page_no), AccessKind::Random, requested);
@@ -331,21 +326,19 @@ fn fetch_in_physical_order(
 ) -> Result<u64, ExecError> {
     let heap = fetcher.heap;
     match rids {
-        // A page group is never empty.  One that is every record of a page
-        // in the append layout carries the page's record area; one of live
-        // slots of a holey page, the area under the group's words.
+        // A page group is never empty.  One that is every slot of a page
+        // without a dead one is read as the page; one of live slots of a
+        // holey page, as the page under the group's words.
         Ordered::Set(set) => {
-            let groups = set.pages().filter_map(|(page, mut slots)| {
-                let area = match heap.resolve(page).and_then(HeapPage::packed) {
-                    Some((area, width)) => slots
-                        .are_first(area.len() / width)
-                        .then_some(Records::Packed { area, width }),
-                    None => heap.holey(page).and_then(|(area, width, live)| {
+            let groups = set.pages().filter_map(|(page_no, mut slots)| {
+                let records = heap.resolve(page_no).and_then(|page| match page.mask() {
+                    None => slots.are_first(page.slot_count()).then_some(Records::Page(page)),
+                    Some(live) => {
                         let (mask, live) = within(slots.words(), live)?;
-                        Some(Records::Masked { area, width, mask, live })
-                    }),
-                };
-                Some((page, slots.next()?, slots, area))
+                        Some(Records::Masked { page, mask, live })
+                    }
+                });
+                Some((page_no, slots.next()?, slots, records))
             });
             sweep(groups, cfg, fetcher)
         }
@@ -371,8 +364,8 @@ fn within<'g>(group: &'g [u64], live: &[u64]) -> Option<(&'g [u64], usize)> {
 
 /// The sweep over `pages`: page numbers ascending, each with the first slot
 /// and the rest to fetch from it — a set's page groups, or a sorted list's
-/// runs — and, for a group read from its page's record area, those
-/// records ([`Records::Packed`] or [`Records::Masked`]).
+/// runs — and, for a group read as its page, the page's rows
+/// ([`Records::Page`] or [`Records::Masked`]).
 fn sweep<'r, S: Iterator<Item = u32>>(
     pages: impl Iterator<Item = (u32, u32, S, Option<Records<'r>>)>,
     cfg: Option<&ImprovedFetchConfig>,
@@ -383,7 +376,7 @@ fn sweep<'r, S: Iterator<Item = u32>>(
     let (heap, session) = (fetcher.heap, fetcher.session);
     let mut prev_page: Option<u32> = None;
     // One page transition and one set of charges per page.
-    for (page_no, first, rest, area) in pages {
+    for (page_no, first, rest, records) in pages {
         debug_assert!(prev_page.is_none_or(|p| p < page_no), "pages must be in physical order");
         let page_id = heap.page_id(page_no);
         match prev_page {
@@ -411,8 +404,8 @@ fn sweep<'r, S: Iterator<Item = u32>>(
             }
         }
         prev_page = Some(page_no);
-        match area {
-            Some(Records::Packed { area, width }) => fetcher.whole_page(page_no, area, width),
+        match records {
+            Some(Records::Page(page)) => fetcher.whole_page(page_no, page),
             Some(records @ Records::Masked { live, .. }) => fetcher.masked(page_no, live, records),
             // The transition is charged before a missing page is rejected.
             _ => fetcher.page_run(page_no, first, rest)?,
@@ -588,12 +581,12 @@ mod tests {
     /// before the dangling rid in full, the dangling rid's own page request
     /// and row (the slot is found empty after the page was read), and
     /// nothing for the rids after it — wherever in its page's run the rid
-    /// falls, in every discipline.  A tombstone is found through the slot
-    /// directory; a slot past the count of the part-filled last page, which
-    /// is still in the append layout, by arithmetic — and a slot past every
-    /// page's count is outside the heap's span, so no rid set takes it.
-    /// Before a tombstone, a set's group of the live slots of a holey page
-    /// is read from the page's area and charged in full.
+    /// falls, in every discipline.  A tombstone is found in its page's
+    /// live-slot mask, a slot past the count of the part-filled last page
+    /// by the count — and a slot past every page's count is outside the
+    /// heap's span, so no rid set takes it.  Before a tombstone, a set's
+    /// group of the live slots of a holey page is read under the group's
+    /// mask and charged in full.
     #[test]
     fn a_dangling_rid_is_not_charged_for_its_successors() {
         let (pristine, t) = demo_db(2048);
@@ -606,7 +599,7 @@ mod tests {
             let (mut db, t) = demo_db(2048);
             let victim = Rid::new(3, dangling_slot);
             db.table_mut(t).heap.delete(victim).unwrap();
-            assert!(db.table(t).heap.resolve(3).unwrap().packed().is_none(), "a tombstone");
+            assert!(db.table(t).heap.resolve(3).unwrap().mask().is_some(), "a tombstone");
             cases.push((db, t, victim, rids.clone()));
         }
         // Seven full pages and half of an eighth: the victims are slots of
@@ -618,8 +611,8 @@ mod tests {
             let (db, t) = demo_db(rows);
             let heap = &db.table(t).heap;
             assert_eq!(heap.page_count(), 8);
-            let packed = heap.resolve(7).unwrap().packed().map(|(area, _)| area.len());
-            assert_eq!(packed, Some(count as usize * 24), "the last page is in the append layout");
+            let last = heap.resolve(7).unwrap();
+            assert_eq!((last.slot_count(), last.mask()), (count as usize, None), "part full");
             let victim = Rid::new(7, dangling_slot);
             let rids: Vec<Rid> = (0..count)
                 .chain([dangling_slot])
@@ -636,7 +629,7 @@ mod tests {
             db.table_mut(t).heap.delete(Rid::new(3, 0)).unwrap();
             db.table_mut(t).heap.delete(victim).unwrap();
             let heap = &db.table(t).heap;
-            assert!(heap.holey(3).is_some());
+            assert!(heap.resolve(3).unwrap().mask().is_some());
             let rids = rids[1..].to_vec(); // all but (3, 0)
             assert!(matches!(Ordered::of(rids.clone(), heap.span()), Ordered::Set(_)));
             cases.push((db, t, victim, rids));
@@ -677,22 +670,22 @@ mod tests {
         }
     }
 
-    /// A set's page group that is every record of a page in the append
-    /// layout is read from the page's record area, and reads exactly as
-    /// the same slots listed one by one do: rows in order, clock, charge
-    /// events and counters — beside a page a delete took out of the append
-    /// layout, a part-selected page and the part-filled last page.
+    /// A set's page group that is every slot of a page without a dead one
+    /// is read as the whole page, and reads exactly as the same slots
+    /// listed one by one do: rows in order, clock, charge events and
+    /// counters — beside a page a delete left holey, a part-selected page
+    /// and the part-filled last page.
     #[test]
     fn a_whole_page_group_reads_as_its_slots_listed() {
         let (mut db, t) = demo_db(4096);
         let per_page = db.table(t).heap.rows_per_page() as u32;
         db.table_mut(t).heap.delete(Rid::new(3, 7)).unwrap();
         let heap = &db.table(t).heap;
-        assert!(heap.resolve(3).unwrap().packed().is_none());
-        let live = |rid: Rid| heap.resolve(rid.page).and_then(|page| page.record(rid.slot));
+        assert!(heap.resolve(3).unwrap().mask().is_some());
+        let live = |rid: Rid| heap.resolve(rid.page).is_some_and(|page| page.is_live(rid.slot));
         let rids: Vec<Rid> = (0..heap.page_count())
             .flat_map(|page| (0..per_page).map(move |slot| Rid::new(page, slot)))
-            .filter(|&rid| live(rid).is_some() && rid != Rid::new(5, 9))
+            .filter(|&rid| live(rid) && rid != Rid::new(5, 9))
             .collect();
         let residual = Predicate::single(ColRange::at_least(1, 100));
         let improved = ImprovedFetchConfig::default();

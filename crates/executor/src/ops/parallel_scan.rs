@@ -52,7 +52,6 @@ pub fn run(
 
     let match_compares = pred.terms().len().max(1) as u64;
     let mut emitter = BatchEmitter::new(proj.len());
-    let mut listed = Vec::new();
     let mut makespan = 0u64;
     let mut start = 0u32;
     for worker in 0..dop {
@@ -70,7 +69,7 @@ pub fn run(
         );
         for (page_no, page) in heap.resolve_range(start..end) {
             worker_session.read_page(heap.page_id(page_no), AccessKind::Sequential);
-            let got = emitter.filter_page(pred, heap, (page_no, page), &mut listed, proj, sink);
+            let got = emitter.filter_page(pred, page, proj, sink);
             let (live, matched) = (got.live, got.selected);
             worker_session
                 .charge_compares_as(matched * match_compares + (live - matched), live);

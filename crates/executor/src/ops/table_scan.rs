@@ -3,13 +3,9 @@
 //! The baseline plan in every one of the paper's figures.  Its cost is
 //! constant across the whole selectivity range — the defining property the
 //! maps make visible — because it always reads every page sequentially and
-//! evaluates the predicate on every row.  Each page's records go through
-//! the one heap-record kernel, [`BatchEmitter::filter`]: straight from the
-//! record area when the heap keeps the page as appending wrote it, from the
-//! area under the live-slot mask on a page deletes left holey
-//! ([`HeapFile::holey`]), through the slot directory on any other page.
-//!
-//! [`HeapFile::holey`]: robustmap_storage::HeapFile::holey
+//! evaluates the predicate on every row.  Each page goes through the one
+//! heap-row kernel, [`BatchEmitter::filter`]: all of its slots, or on a
+//! page deletes left holey the slots its live-slot mask marks.
 
 use robustmap_storage::{AccessKind, Session, Table};
 
@@ -34,10 +30,9 @@ pub fn run(
 ) -> u64 {
     let heap = &table.heap;
     let mut emitter = BatchEmitter::new(proj.len());
-    let mut listed = Vec::new();
     for (page_no, page) in heap.resolve_range(0..heap.page_count()) {
         session.read_page(heap.page_id(page_no), AccessKind::Sequential);
-        let got = emitter.filter_page(pred, heap, (page_no, page), &mut listed, proj, sink);
+        let got = emitter.filter_page(pred, page, proj, sink);
         if !pred.is_true() {
             session.charge_compares_as(got.compares, got.live);
         }

@@ -4,14 +4,14 @@
 //! in-memory equivalents for any grant.
 
 use proptest::prelude::*;
-use robustmap_executor::batch::BATCH_ROWS;
+use robustmap_executor::batch::{Records, BATCH_ROWS};
 use robustmap_executor::ops::sort::{sort_capacity_rows, ExternalSorter, PackedRows};
 use robustmap_executor::{
     run_collect, BatchEmitter, RowBatch, AggFn, CheckpointKind, ColRange, ExecCtx, FetchKind,
     ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, KeyRange, Observation, PlanSpec, Predicate,
     Projection, SpillMode,
 };
-use robustmap_storage::{ColumnType, Database, Row, Schema, Session, TableId};
+use robustmap_storage::{ColumnType, Database, FileId, HeapFile, Row, Schema, Session, TableId};
 
 /// Build a table with columns (a, b, c) from explicit tuples.
 fn db_from(rows: &[(i64, i64, i64)]) -> (Database, TableId) {
@@ -552,6 +552,91 @@ proptest! {
         for i in 0..bulk.len() {
             prop_assert_eq!(bulk.row(i), one_by_one.row(i));
             prop_assert_eq!(bulk.row(i), &cells[i * arity..(i + 1) * arity]);
+        }
+    }
+}
+
+// ------------------------------------------------------ the row kernel
+
+/// Column values by index: the ends of `i64` and the values around 0, then
+/// the small range −4..=3, so a term's bounds land on values rows hold.
+const EXTREMES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+
+fn extreme_value(i: usize) -> i64 {
+    EXTREMES.get(i).copied().unwrap_or(i as i64 - EXTREMES.len() as i64 - 4)
+}
+
+/// What a filter of one page read: its rows in order, and the live rows,
+/// comparisons and selected rows it counted.
+type PageReading = (Vec<Row>, u64, u64, u64);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `BatchEmitter::filter` over a column page reads what
+    /// `Predicate::eval` on each live row in slot order reads — rows and
+    /// their order, live count, comparisons — over extreme values, 1–8
+    /// columns, 0–4 terms (bounds at `i64::MIN` and `i64::MAX` among them)
+    /// and tombstones: each page whole or under its mask, and its live
+    /// slots listed backwards and twice over.
+    #[test]
+    fn filter_equals_eval_row_by_row(
+        columns in 1usize..=8,
+        values in prop::collection::vec(prop::collection::vec(0usize..12, 8), 0..700),
+        terms in prop::collection::vec((0usize..8, 0usize..12, 0usize..12), 0..=4),
+        deletes in prop::collection::vec(0usize..700, 0..120),
+        proj in prop::collection::vec(0usize..8, 0..4),
+    ) {
+        let schema: Vec<(String, ColumnType)> =
+            (0..columns).map(|c| (format!("c{c}"), ColumnType::Int)).collect();
+        let schema = Schema::new(schema.iter().map(|(n, t)| (n.as_str(), *t)).collect());
+        let mut heap = HeapFile::new(FileId(0), schema);
+        let mut rids = Vec::new();
+        for row in &values {
+            let row: Vec<i64> = row[..columns].iter().map(|&i| extreme_value(i)).collect();
+            rids.push(heap.append(&Row::from_slice(&row)).unwrap());
+        }
+        for &at in &deletes {
+            if let Some(&rid) = rids.get(at) {
+                let _ = heap.delete(rid); // a repeat finds the slot dead
+            }
+        }
+        let pred = Predicate::all_of(
+            terms
+                .iter()
+                .map(|&(c, lo, hi)| ColRange::between(c % columns, extreme_value(lo), extreme_value(hi)))
+                .collect(),
+        );
+        let proj: Vec<usize> = proj.iter().map(|&c| c % columns).collect();
+        for page_no in 0..heap.page_count() {
+            let page = heap.resolve(page_no).unwrap();
+            let live: Vec<u16> = page.live_slots().map(|s| s as u16).collect();
+            let eval = |slots: &[u16]| -> PageReading {
+                let s = Session::with_pool_pages(0);
+                let rows = slots
+                    .iter()
+                    .map(|&slot| page.row(u32::from(slot)).unwrap())
+                    .filter(|row| pred.eval(row, &s))
+                    .map(|row| row.project(&proj))
+                    .collect::<Vec<_>>();
+                let selected = rows.len() as u64;
+                (rows, slots.len() as u64, s.stats().cpu_compares, selected)
+            };
+            let filter = |records: Records<'_>| -> PageReading {
+                let (mut emitter, mut rows) = (BatchEmitter::new(proj.len()), Vec::new());
+                let mut sink = |b: &RowBatch| rows.extend((0..b.len()).map(|i| b.row(i)));
+                let got = emitter.filter(&pred, records, &proj, &mut sink);
+                emitter.flush(&mut sink);
+                (rows, got.live, got.compares, got.selected)
+            };
+            let whole = match page.mask() {
+                None => Records::Page(page),
+                Some(mask) => Records::Masked { page, mask, live: live.len() },
+            };
+            prop_assert_eq!(filter(whole), eval(&live), "page {}", page_no);
+            let listed: Vec<u16> = live.iter().rev().chain(&live).copied().collect();
+            let records = Records::Listed { page, slots: &listed };
+            prop_assert_eq!(filter(records), eval(&listed), "page {} listed", page_no);
         }
     }
 }

@@ -3,26 +3,20 @@
 //! The paper's "table scan" plan is a scan of the main storage structure
 //! (in one measured system, literally "a clustered index organized on an
 //! entirely unrelated column" — §3.3).  A heap file is a sequence of
-//! slotted pages; rows are addressed by [`Rid`] (page number, slot).
+//! column pages ([`ColumnPage`]); rows are addressed by [`Rid`] (page
+//! number, slot).
 //!
-//! Readers resolve a rid through the heap, not through a page's slot
-//! directory: the heap keeps, per page, its slot count while the page is
-//! still in the schema's append layout ([`SlottedPage::fixed_records`]),
-//! so a record on such a page is found by arithmetic
-//! ([`HeapFile::resolve`]).  A delete does not take a page out of that
-//! layout — the heap never compacts, so a tombstone's neighbours never
-//! move — it makes the page *holey*: the heap flags it and, from its first
-//! delete on, keeps a mask of its live slots.  Scans and fetches read a
-//! holey page's live records from its record area under the mask
-//! ([`HeapFile::holey`]); a single record on it is looked up through the
-//! directory.  A heap without tombstones keeps no mask, and a foreign
-//! image that neither layout fits is read through the directory only.
-//! The heap keeps the rid span too ([`RidSpan`]), the bound a
+//! A page only appends, so a rid never moves.  A delete leaves the row's
+//! values where they are and makes the page *holey*: the heap flags it and,
+//! from its first delete on, keeps a mask of its live slots.  Readers take
+//! a page through [`HeapFile::resolve`], whose [`HeapPage`] carries the
+//! mask beside the columns.  A heap without tombstones keeps no mask.  The
+//! heap keeps the rid span too ([`RidSpan`]), the bound a
 //! [`crate::RidSet`] is sized by.
 
 use crate::buffer::{FileId, PageId};
 use crate::charge::ChargeSink;
-use crate::page::{SlottedPage, PAGE_SIZE};
+use crate::page::{low_bits, ColumnPage, PAGE_SIZE};
 use crate::schema::{Row, Schema};
 use crate::session::Session;
 use crate::sim::AccessKind;
@@ -81,80 +75,65 @@ impl RidSpan {
     }
 }
 
-/// `HeapFile::packed` of a page that is not in the append layout.
-const UNPACKED: u16 = u16::MAX;
-
-/// The flag `HeapFile::packed` carries beside the slot count of a page in
-/// the append layout once a slot below the count is dead.  `UNPACKED` has
-/// it too: either way [`HeapFile::resolve`] reads through the directory.
-const HOLEY: u16 = 1 << 15;
-
-/// One heap page, resolved for reading by [`HeapFile::resolve`]: a record
-/// is found by arithmetic on a page in the append layout with every slot
-/// live, and through the slot directory on any other — a holey page among
-/// them, whose area [`HeapFile::holey`] hands out.
+/// One heap page, resolved for reading by [`HeapFile::resolve`]: its
+/// columns, and its live-slot mask if a delete made it holey.
 #[derive(Clone, Copy)]
-pub struct HeapPage<'h>(Layout<'h>);
-
-#[derive(Clone, Copy)]
-enum Layout<'h> {
-    /// `n` records of `width` bytes, slot `s` at `PAGE_SIZE − (s+1)·width`.
-    Packed { bytes: &'h [u8; PAGE_SIZE], n: usize, width: usize },
-    Directory(&'h SlottedPage),
+pub struct HeapPage<'h> {
+    page: &'h ColumnPage,
+    live: Option<&'h [u64]>,
 }
 
 impl<'h> HeapPage<'h> {
-    /// The record in `slot`, or `None` if the slot is out of range or
-    /// deleted.
+    /// Number of slots written, live or not.
     #[inline]
-    pub fn record(self, slot: u32) -> Option<&'h [u8]> {
+    pub fn slot_count(self) -> usize {
+        self.page.slot_count()
+    }
+
+    /// Column `c`'s values of slots `0 .. slot_count()`, dead slots' too.
+    #[inline]
+    pub fn column(self, c: usize) -> &'h [i64] {
+        self.page.column(c)
+    }
+
+    /// The live-slot mask of a holey page — slot `s` is live iff bit `s %
+    /// 64` of word `s / 64` is set —, or `None` when every written slot is.
+    #[inline]
+    pub fn mask(self) -> Option<&'h [u64]> {
+        self.live
+    }
+
+    /// Whether `slot` holds a row.
+    #[inline]
+    pub fn is_live(self, slot: u32) -> bool {
         let slot = slot as usize;
-        match self.0 {
-            Layout::Packed { bytes, n, width } => {
-                (slot < n).then(|| &bytes[PAGE_SIZE - (slot + 1) * width..][..width])
-            }
-            Layout::Directory(page) => page.get(slot),
-        }
+        slot < self.slot_count()
+            && self.live.is_none_or(|live| (live[slot / 64] >> (slot % 64)) & 1 == 1)
     }
 
-    /// A page in the append layout with every slot live as its record
-    /// area and record width: record `i` of `n` is the `width` bytes at
-    /// `(n − 1 − i) · width`.  `None` for any other page.
+    /// The live slots in order.
+    pub fn live_slots(self) -> impl Iterator<Item = u32> + 'h {
+        (0..self.slot_count() as u32).filter(move |&slot| self.is_live(slot))
+    }
+
+    /// The row in `slot`, or `None` if the slot is out of range or deleted.
     #[inline]
-    pub fn packed(self) -> Option<(&'h [u8], usize)> {
-        match self.0 {
-            Layout::Packed { bytes, n, width } => Some((&bytes[PAGE_SIZE - n * width..], width)),
-            Layout::Directory(_) => None,
-        }
-    }
-
-    /// The live records in slot order.
-    pub fn records(self) -> impl Iterator<Item = &'h [u8]> {
-        let slots = match self.0 {
-            Layout::Packed { n, .. } => n,
-            Layout::Directory(page) => page.slot_count(),
-        };
-        (0..slots as u32).filter_map(move |slot| self.record(slot))
+    pub fn row(self, slot: u32) -> Option<Row> {
+        self.is_live(slot).then(|| self.page.row(slot as usize))
     }
 }
 
 /// The live-slot masks of a heap's holey pages, `per_page` words a page,
 /// page `p`'s at `p · per_page`: bit `s` of word `s / 64` is set exactly
-/// while slot `s` holds a record.  Empty until a page turns holey, and
-/// grown to cover a page when it does; the words of a page that is not
-/// holey are zero and never read.
+/// while slot `s` holds a row.  Empty until a page turns holey, and grown
+/// to cover a page when it does; the words of a page that is not holey are
+/// zero and never read.
 struct LiveMasks {
     words: Vec<u64>,
     per_page: usize,
 }
 
 impl LiveMasks {
-    /// Masks of `width`-byte records: a bit for the most a page holds, a
-    /// slot entry each.
-    fn new(width: usize) -> Self {
-        LiveMasks { words: Vec::new(), per_page: ((PAGE_SIZE - 4) / (width + 4)).div_ceil(64) }
-    }
-
     #[inline]
     fn of(&self, page_no: usize) -> &[u64] {
         &self.words[page_no * self.per_page..][..self.per_page]
@@ -170,56 +149,35 @@ impl LiveMasks {
     }
 }
 
-/// A heap file: append-oriented row storage over slotted pages.
+/// A heap file: append-oriented row storage over column pages.
 pub struct HeapFile {
     file: FileId,
     schema: Schema,
-    pages: Vec<SlottedPage>,
-    /// Per page: its slot count while it is in the append layout of
-    /// `schema.row_bytes()`-byte records, with `HOLEY` set once a slot
-    /// below the count is dead; `UNPACKED` for a page in no such layout.
-    /// `append` and `delete` keep it; `from_pages` folds each page once.
-    packed: Vec<u16>,
+    pages: Vec<ColumnPage>,
+    /// Per page: whether a written slot of it is dead, its mask then kept
+    /// in `live`.  `append`, `delete` and `push_image` keep it.
+    holey: Vec<bool>,
     /// The live-slot masks of the holey pages.
     live: LiveMasks,
     /// The largest slot count of any page ([`RidSpan::slots`]).
     max_slots: u32,
     row_count: u64,
-    encode_buf: Vec<u8>,
 }
 
 impl HeapFile {
     /// Create an empty heap file identified by `file` in the buffer pool's
     /// page-id space.
     pub fn new(file: FileId, schema: Schema) -> Self {
+        let per_page = ColumnPage::mask_words(ColumnPage::capacity(schema.arity()));
         HeapFile {
             file,
-            live: LiveMasks::new(schema.row_bytes()),
             schema,
             pages: Vec::new(),
-            packed: Vec::new(),
+            holey: Vec::new(),
+            live: LiveMasks { words: Vec::new(), per_page },
             max_slots: 0,
             row_count: 0,
-            encode_buf: Vec::new(),
         }
-    }
-
-    /// What `packed` holds for `page_no`, and its mask if it is holey: one
-    /// fold of its directory, and a second where the first refuses.
-    fn fold(&mut self, page_no: usize) -> u16 {
-        let (page, width) = (&self.pages[page_no], self.schema.row_bytes());
-        if let Some(area) = page.fixed_records(width) {
-            return (area.len() / width) as u16;
-        }
-        // The masks grow only for a page that is holey.
-        let mut live = [0; PAGE_SIZE / 64];
-        let live = &mut live[..self.live.per_page];
-        let Some(area) = page.holey_records(width, live) else {
-            return UNPACKED;
-        };
-        let n = area.len() / width;
-        self.live.of_mut(page_no).copy_from_slice(live);
-        HOLEY | n as u16
     }
 
     /// The schema rows must match.
@@ -244,8 +202,7 @@ impl HeapFile {
 
     /// Rows that fit a page for this schema (used for cost reasoning).
     pub fn rows_per_page(&self) -> usize {
-        // slot entry = 4 bytes, header = 4 bytes
-        (PAGE_SIZE - 4) / (self.schema.row_bytes() + 4)
+        ColumnPage::capacity(self.schema.arity())
     }
 
     /// Append a row (load path; not charged to any session, as the paper's
@@ -258,26 +215,17 @@ impl HeapFile {
                 self.schema.arity()
             )));
         }
-        let mut buf = std::mem::take(&mut self.encode_buf);
-        self.schema.encode_row(row, &mut buf);
-        if self.pages.last().is_none_or(|p| !p.fits(buf.len())) {
-            // An empty page is in the append layout of any width.
-            self.packed.push(0);
-            self.pages.push(SlottedPage::new());
+        if self.pages.last().is_none_or(ColumnPage::is_full) {
+            self.pages.push(ColumnPage::new(self.schema.arity()));
+            self.holey.push(false);
         }
         let page_no = self.pages.len() - 1;
-        let slot = self.pages[page_no].insert(&buf)?;
-        // The record lands at the next offset down: an append-layout page
-        // stays one, and a holey page's new slot is live.
-        let state = &mut self.packed[page_no];
-        if *state & HOLEY == 0 {
-            *state += 1;
-        } else if *state != UNPACKED {
-            *state += 1;
+        let slot = self.pages[page_no].push(row.values()).expect("a page with room");
+        // A holey page's new slot is live.
+        if self.holey[page_no] {
             self.live.of_mut(page_no)[slot / 64] |= 1 << (slot % 64);
         }
         self.max_slots = self.max_slots.max(slot as u32 + 1);
-        self.encode_buf = buf;
         self.row_count += 1;
         Ok(Rid::new(page_no as u32, slot as u32))
     }
@@ -287,30 +235,34 @@ impl HeapFile {
         PageId::new(self.file, page_no)
     }
 
-    /// Borrow heap page `page_no` (serialization path: the workload cache
-    /// persists raw page images).
-    pub fn page(&self, page_no: u32) -> Option<&SlottedPage> {
-        self.pages.get(page_no as usize)
+    /// Append heap page `page_no`'s image ([`ColumnPage::write_image`],
+    /// with its live mask) to `out`: what the workload cache persists.
+    ///
+    /// # Panics
+    /// Panics if there is no such page.
+    pub fn write_image(&self, page_no: u32, out: &mut Vec<u8>) {
+        let page = self.resolve(page_no).expect("a page of the heap");
+        page.page.write_image(page.live, out);
     }
 
-    /// Reassemble a heap file from raw pages (inverse of persisting
-    /// [`HeapFile::page`] images), or `None` if a page's slot directory
-    /// points outside the page — images come from disk, and every accessor
-    /// indexes by the directory.  The row count is recomputed from the
-    /// pages' live records, so a reloaded heap reports exactly what the
-    /// original did.
-    pub fn from_pages(file: FileId, schema: Schema, pages: Vec<SlottedPage>) -> Option<Self> {
-        if !pages.iter().all(SlottedPage::is_well_formed) {
-            return None;
+    /// Append the page an image holds (the inverse of
+    /// [`HeapFile::write_image`]) and return its number, or `None`, the
+    /// heap unchanged, unless the image is one a page of this schema
+    /// writes.  The row count and the rid span grow by the page's.
+    pub fn push_image(&mut self, image: &[u8; PAGE_SIZE]) -> Option<u32> {
+        let mut live = [0; ColumnPage::mask_words(ColumnPage::capacity(0))];
+        let live = &mut live[..self.live.per_page];
+        let page = ColumnPage::from_image(image, self.schema.arity(), live)?;
+        let (page_no, n) = (self.pages.len(), page.slot_count());
+        let holey = live.iter().enumerate().any(|(i, &w)| w != low_bits(n, i));
+        if holey {
+            self.live.of_mut(page_no).copy_from_slice(live);
         }
-        let row_count = pages.iter().map(|p| p.live_records() as u64).sum();
-        let max_slots = pages.iter().map(|p| p.slot_count() as u32).max().unwrap_or(0);
-        let mut heap = HeapFile::new(file, schema);
-        heap.pages = pages;
-        heap.packed = (0..heap.pages.len()).map(|page_no| heap.fold(page_no)).collect();
-        heap.max_slots = max_slots;
-        heap.row_count = row_count;
-        Some(heap)
+        self.row_count += live.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        self.max_slots = self.max_slots.max(n as u32);
+        self.pages.push(page);
+        self.holey.push(holey);
+        Some(page_no as u32)
     }
 
     /// The rids this heap holds or has held: its page count and the
@@ -320,38 +272,12 @@ impl HeapFile {
     }
 
     /// Heap page `page_no` resolved for reading, or `None` past the last
-    /// page.  Reads no byte of the page: whether it is in the append layout
-    /// is kept by the heap, not re-checked.
+    /// page.
     #[inline]
     pub fn resolve(&self, page_no: u32) -> Option<HeapPage<'_>> {
-        let page = self.pages.get(page_no as usize)?;
-        Some(HeapPage(match self.packed[page_no as usize] {
-            n if n & HOLEY != 0 => Layout::Directory(page),
-            n => Layout::Packed {
-                bytes: page.as_bytes(),
-                n: usize::from(n),
-                width: self.schema.row_bytes(),
-            },
-        }))
-    }
-
-    /// Heap page `page_no` if it is holey — in the append layout with a
-    /// slot below its count dead — as its record area, its record width
-    /// and its live-slot mask: slot `s` is live iff bit `s` of word `s / 64`
-    /// is set, and its record is the `width` bytes at `(n − 1 − s) · width`
-    /// of the `n · width`-byte area.  `None` for any other page, and past
-    /// the last.  [`HeapFile::resolve`] reads a holey page through its
-    /// directory; this is the way to read it by arithmetic.
-    #[inline]
-    pub fn holey(&self, page_no: u32) -> Option<(&[u8], usize, &[u64])> {
-        let page_no = page_no as usize;
-        let state = *self.packed.get(page_no)?;
-        if state & HOLEY == 0 || state == UNPACKED {
-            return None;
-        }
-        let (width, n) = (self.schema.row_bytes(), usize::from(state & !HOLEY));
-        let area = &self.pages[page_no].as_bytes()[PAGE_SIZE - n * width..];
-        Some((area, width, self.live.of(page_no)))
+        let p = page_no as usize;
+        let page = self.pages.get(p)?;
+        Some(HeapPage { page, live: self.holey[p].then(|| self.live.of(p)) })
     }
 
     /// The pages of `page_range` that exist, resolved, with their numbers.
@@ -369,42 +295,19 @@ impl HeapFile {
         let page = self.resolve(rid.page).ok_or(StorageError::InvalidRid(rid))?;
         session.read_page(self.page_id(rid.page), kind);
         session.charge_rows(1);
-        let bytes = page.record(rid.slot).ok_or(StorageError::InvalidRid(rid))?;
-        self.schema.decode_row(bytes)
+        page.row(rid.slot).ok_or(StorageError::InvalidRid(rid))
     }
 
     /// Full scan: calls `f(rid, row)` for every live row in physical order,
     /// charging sequential page reads and per-row CPU.  Returns the number
     /// of rows visited.
-    pub fn scan<F: FnMut(Rid, &Row)>(&self, session: &Session, mut f: F) -> u64 {
-        let mut visited = 0u64;
-        for (page_no, page) in self.pages.iter().enumerate() {
-            session.read_page(self.page_id(page_no as u32), AccessKind::Sequential);
-            for (slot, bytes) in page.iter() {
-                let row = self.schema.decode_row(bytes).expect("stored rows are valid");
-                f(Rid::new(page_no as u32, slot as u32), &row);
-                visited += 1;
-            }
-            session.charge_rows(page.live_records() as u64);
-        }
-        visited
+    pub fn scan<F: FnMut(Rid, &Row)>(&self, session: &Session, f: F) -> u64 {
+        self.scan_pages(0..self.page_count(), session, AccessKind::Sequential, f)
     }
 
-    /// Visit every live row in physical order outside any session: nothing
-    /// is charged, and a record that does not decode under the schema is
-    /// an error, not a panic.  The workload cache reads a stored heap back
-    /// through this, which makes it the validation of every cached record.
-    pub fn try_for_each_row<F: FnMut(Rid, &Row)>(&self, mut f: F) -> Result<()> {
-        for (page_no, page) in self.pages.iter().enumerate() {
-            for (slot, bytes) in page.iter() {
-                f(Rid::new(page_no as u32, slot as u32), &self.schema.decode_row(bytes)?);
-            }
-        }
-        Ok(())
-    }
-
-    /// Scan only pages in `page_range` (used by the improved fetch when it
-    /// switches to scan mode over a dense cluster of qualifying pages).
+    /// Scan only pages in `page_range`, each read as `kind` (used by the
+    /// improved fetch when it switches to scan mode over a dense cluster of
+    /// qualifying pages).
     pub fn scan_pages<F: FnMut(Rid, &Row)>(
         &self,
         page_range: std::ops::Range<u32>,
@@ -413,44 +316,35 @@ impl HeapFile {
         mut f: F,
     ) -> u64 {
         let mut visited = 0u64;
-        let end = page_range.end.min(self.page_count());
-        for page_no in page_range.start.min(end)..end {
-            let page = &self.pages[page_no as usize];
+        for (page_no, page) in self.resolve_range(page_range) {
             session.read_page(self.page_id(page_no), kind);
-            for (slot, bytes) in page.iter() {
-                let row = self.schema.decode_row(bytes).expect("stored rows are valid");
-                f(Rid::new(page_no, slot as u32), &row);
-                visited += 1;
+            let mut live = 0;
+            for slot in page.live_slots() {
+                f(Rid::new(page_no, slot), &page.page.row(slot as usize));
+                live += 1;
             }
-            session.charge_rows(page.live_records() as u64);
+            session.charge_rows(live);
+            visited += live;
         }
         visited
     }
 
-    /// Delete a row (used by tests exercising slot stability).
+    /// Delete a row.  Its values stay where they are; the page's first
+    /// delete starts its mask with every written slot live.
     pub fn delete(&mut self, rid: Rid) -> Result<()> {
-        let page = self
-            .pages
-            .get_mut(rid.page as usize)
-            .ok_or(StorageError::InvalidRid(rid))?;
-        let slot = rid.slot as usize;
-        page.delete(slot).map_err(|_| StorageError::InvalidRid(rid))?;
-        // A tombstone keeps the append layout: the page's first one starts
-        // its mask with every slot below the count live.
-        let page_no = rid.page as usize;
-        let state = self.packed[page_no];
-        if state != UNPACKED {
-            let mask = self.live.of_mut(page_no);
-            if state & HOLEY == 0 {
-                let n = usize::from(state);
-                for (i, word) in mask.iter_mut().enumerate() {
-                    let bits = n.saturating_sub(i * 64).min(64) as u32;
-                    *word = u64::MAX.checked_shr(64 - bits).unwrap_or(0);
-                }
-                self.packed[page_no] = state | HOLEY;
-            }
-            mask[slot / 64] &= !(1 << (slot % 64));
+        if !self.resolve(rid.page).is_some_and(|page| page.is_live(rid.slot)) {
+            return Err(StorageError::InvalidRid(rid));
         }
+        let (page_no, slot) = (rid.page as usize, rid.slot as usize);
+        let n = self.pages[page_no].slot_count();
+        let mask = self.live.of_mut(page_no);
+        if !self.holey[page_no] {
+            for (i, word) in mask.iter_mut().enumerate() {
+                *word = low_bits(n, i);
+            }
+            self.holey[page_no] = true;
+        }
+        mask[slot / 64] &= !(1 << (slot % 64));
         self.row_count -= 1;
         Ok(())
     }
@@ -488,6 +382,7 @@ impl std::fmt::Debug for HeapFile {
             .finish()
     }
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -558,26 +453,44 @@ mod tests {
         assert!(h.fetch(Rid::new(0, 9999), &s, AccessKind::Random).is_err());
     }
 
+    /// Images of a heap with tombstones rebuild it — rows, rids, counts,
+    /// span and masks — and an image no page of the schema writes adds no
+    /// page.
     #[test]
-    fn try_for_each_row_visits_what_scan_visits_and_rejects_foreign_records() {
-        let mut h = build(500);
-        h.delete(Rid::new(0, 3)).unwrap();
-        let s = Session::with_pool_pages(0);
-        let mut scanned = Vec::new();
-        h.scan(&s, |rid, row| scanned.push((rid, *row)));
-        let mut read = Vec::new();
-        h.try_for_each_row(|rid, row| read.push((rid, *row))).unwrap();
-        assert_eq!(read, scanned);
-        // A page of records of another width decodes under no two-column schema.
-        let mut page = SlottedPage::new();
-        page.insert(&[0u8; 15]).unwrap();
-        let foreign = HeapFile::from_pages(FileId(0), schema2(), vec![page]).unwrap();
-        assert!(foreign.try_for_each_row(|_, _| {}).is_err());
-        // A page whose directory leaves the page makes no heap at all.
-        let mut image = *SlottedPage::new().as_bytes();
-        image[0] = 0xff;
-        let torn = vec![SlottedPage::from_bytes(&image)];
-        assert!(HeapFile::from_pages(FileId(0), schema2(), torn).is_none());
+    fn images_rebuild_the_heap_and_foreign_images_are_refused() {
+        let mut h = build(1000);
+        for rid in [Rid::new(0, 3), Rid::new(1, 0), Rid::new(1, 127)] {
+            h.delete(rid).unwrap();
+        }
+        h.append(&Row::from_slice(&[-1, -1])).unwrap();
+        let image = |h: &HeapFile, p| {
+            let mut image = Vec::new();
+            h.write_image(p, &mut image);
+            <[u8; PAGE_SIZE]>::try_from(image).unwrap()
+        };
+        let mut rebuilt = HeapFile::new(FileId(0), schema2());
+        for p in 0..h.page_count() {
+            assert_eq!(rebuilt.push_image(&image(&h, p)), Some(p));
+        }
+        let rows = |h: &HeapFile| {
+            let mut rows = Vec::new();
+            h.scan(&Session::with_pool_pages(0), |rid, row| rows.push((rid, *row)));
+            rows
+        };
+        assert_eq!(rows(&rebuilt), rows(&h));
+        assert_eq!((rebuilt.row_count(), rebuilt.span()), (h.row_count(), h.span()));
+        for p in 0..h.page_count() {
+            assert_eq!(rebuilt.resolve(p).unwrap().mask(), h.resolve(p).unwrap().mask());
+        }
+        assert!(rebuilt.resolve(1).unwrap().mask().is_some());
+        assert!(rebuilt.resolve(h.page_count() - 1).unwrap().mask().is_none());
+        // A full page of one column holds more slots than a page of two.
+        let mut narrow = HeapFile::new(FileId(0), Schema::new(vec![("a", ColumnType::Int)]));
+        for i in 0..=h.rows_per_page() as i64 {
+            narrow.append(&Row::from_slice(&[i])).unwrap();
+        }
+        assert_eq!(rebuilt.push_image(&image(&narrow, 0)), None);
+        assert_eq!(rebuilt.page_count(), h.page_count(), "a refused image adds no page");
     }
 
     #[test]
@@ -606,6 +519,24 @@ mod tests {
         });
         assert_eq!(seen, 99);
         assert_eq!(h.row_count(), 99);
+        assert_eq!(h.delete(victim), Err(StorageError::InvalidRid(victim)), "deleted twice");
+        assert!(h.delete(Rid::new(0, 100)).is_err(), "a slot never written");
+    }
+
+    /// A delete keeps every rid: the page's other slots read what they did,
+    /// and an append after it lands on the next slot, live.
+    #[test]
+    fn a_holey_page_keeps_its_rids_and_takes_appends() {
+        let mut h = build(10);
+        h.delete(Rid::new(0, 9)).unwrap();
+        h.delete(Rid::new(0, 0)).unwrap();
+        assert_eq!(h.append(&Row::from_slice(&[-5, -50])).unwrap(), Rid::new(0, 10));
+        let page = h.resolve(0).unwrap();
+        let live: Vec<u32> = page.live_slots().collect();
+        assert_eq!(live, (1..9).chain([10]).collect::<Vec<_>>());
+        assert_eq!(page.row(10).unwrap().values(), &[-5, -50]);
+        assert_eq!(page.row(9), None);
+        assert_eq!(page.column(0)[9], 9, "a deleted row's values stay in place");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! on three commercial database systems.  This crate provides the storage
 //! engine those measurements need, built from scratch:
 //!
-//! * [`page`] — real slotted pages over 8 KiB byte buffers,
+//! * [`page`] — 8 KiB pages that hold their rows column by column,
 //! * [`heap`] — heap files (a table's main storage structure),
 //! * [`btree`] — B+-trees with single- and multi-column keys, range cursors,
 //!   inserts with splits and deletes with rebalancing, plus bulk loading,
@@ -28,7 +28,7 @@
 //! ## Why simulated time?
 //!
 //! Every operator in the executor crate *really executes*: it walks real
-//! B+-tree nodes, reads real slotted pages and produces real rows.  Only the
+//! B+-tree nodes, reads real heap pages and produces real rows.  Only the
 //! *clock* is simulated: each page access is classified as sequential,
 //! single-page or random and charged HDD-era costs, and CPU work is charged
 //! per row / comparison / hash.  This preserves the *shapes* the paper is
@@ -56,7 +56,7 @@ pub use buffer::{BufferPool, EvictionPolicy, FileId, PageId};
 pub use charge::{ChargeLog, ChargeSink};
 pub use fx::{FxBuildHasher, FxHashMap, FxHasher};
 pub use heap::{HeapFile, HeapPage, Rid, RidSpan};
-pub use page::{SlottedPage, PAGE_SIZE};
+pub use page::{ColumnPage, PAGE_SIZE};
 pub use schema::{ColumnType, Row, Schema, MAX_COLUMNS};
 pub use session::{CpuCharge, Session, YieldHook};
 pub use shared::{QueryId, QueryShare, SharedBufferPool};
@@ -66,8 +66,6 @@ pub use table::{Database, IndexDef, IndexId, Table, TableId};
 /// Errors reported by the storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// A record did not fit in a page (record length, page capacity).
-    RecordTooLarge { len: usize, cap: usize },
     /// A row id referenced a page or slot that does not exist.
     InvalidRid(Rid),
     /// A table or index name was not found in the catalog.
@@ -79,9 +77,6 @@ pub enum StorageError {
 impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StorageError::RecordTooLarge { len, cap } => {
-                write!(f, "record of {len} bytes exceeds page capacity {cap}")
-            }
             StorageError::InvalidRid(rid) => write!(f, "invalid rid {rid}"),
             StorageError::UnknownObject(name) => write!(f, "unknown table or index: {name}"),
             StorageError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),

@@ -3,11 +3,9 @@
 //! The paper's experiments run selections over a TPC-H lineitem-like table
 //! whose predicate columns are ordered numerics (quantities, prices, dates).
 //! We therefore encode every column as an `i64` datum — dates and money
-//! become integers — which keeps row decoding branch-free and fast without
-//! losing anything the robustness maps care about.  The [`ColumnType`]
+//! become integers — which lets a heap page keep each column as an array
+//! of `i64`s without losing anything the robustness maps care about.  The [`ColumnType`]
 //! records the logical type for documentation and rendering.
-
-use crate::StorageError;
 
 /// Maximum number of columns in a row.
 ///
@@ -72,39 +70,9 @@ impl Schema {
         &self.columns
     }
 
-    /// Bytes a row of this schema occupies when encoded.
+    /// Bytes a row of this schema occupies: eight a column.
     pub fn row_bytes(&self) -> usize {
         self.arity() * 8
-    }
-
-    /// Encode `row` into `out` (little-endian `i64`s).
-    pub fn encode_row(&self, row: &Row, out: &mut Vec<u8>) {
-        debug_assert_eq!(row.arity(), self.arity());
-        out.clear();
-        for i in 0..row.arity() {
-            out.extend_from_slice(&row.get(i).to_le_bytes());
-        }
-    }
-
-    /// Decode a row previously produced by [`Schema::encode_row`].
-    ///
-    /// This is the single hottest function in the measurement pipeline —
-    /// every scanned or fetched row passes through it — so it fills the
-    /// row's backing array directly instead of going through per-value
-    /// [`Row::push`] bounds checks.
-    pub fn decode_row(&self, bytes: &[u8]) -> Result<Row, StorageError> {
-        if bytes.len() != self.row_bytes() {
-            return Err(StorageError::SchemaMismatch(format!(
-                "expected {} bytes, got {}",
-                self.row_bytes(),
-                bytes.len()
-            )));
-        }
-        let mut vals = [0i64; MAX_COLUMNS];
-        for (v, chunk) in vals.iter_mut().zip(bytes.chunks_exact(8)) {
-            *v = i64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
-        }
-        Ok(Row { vals, len: self.arity() as u8 })
     }
 }
 
@@ -212,24 +180,6 @@ mod tests {
     #[should_panic(expected = "duplicate column name")]
     fn duplicate_columns_panic() {
         Schema::new(vec![("a", ColumnType::Int), ("a", ColumnType::Int)]);
-    }
-
-    #[test]
-    fn row_roundtrip_through_encoding() {
-        let s = lineitem_like();
-        let row = Row::from_slice(&[1, -2, i64::MAX, i64::MIN]);
-        let mut buf = Vec::new();
-        s.encode_row(&row, &mut buf);
-        assert_eq!(buf.len(), 32);
-        let back = s.decode_row(&buf).unwrap();
-        assert_eq!(back, row);
-    }
-
-    #[test]
-    fn decode_wrong_length_errors() {
-        let s = lineitem_like();
-        assert!(s.decode_row(&[0u8; 31]).is_err());
-        assert!(s.decode_row(&[0u8; 33]).is_err());
     }
 
     #[test]

@@ -334,19 +334,18 @@ mod tests {
 
     #[test]
     fn attach_reconstructs_create_path_exactly() {
-        use crate::page::SlottedPage;
-
         let (mut original, t) = demo_db(500);
         original.create_index("idx_a", t, &[0]).unwrap();
 
-        // Round-trip the heap through raw page images and the index through
-        // its sorted entries — what the workload cache persists.
+        // Round-trip the heap through its page images and the index through
+        // its sorted entries.
         let heap = &original.table(t).heap;
-        let pages: Vec<SlottedPage> = (0..heap.page_count())
-            .map(|p| SlottedPage::from_bytes(heap.page(p).unwrap().as_bytes()))
-            .collect();
-        let rebuilt_heap =
-            crate::HeapFile::from_pages(heap.file_id(), heap.schema().clone(), pages).unwrap();
+        let mut rebuilt_heap = crate::HeapFile::new(heap.file_id(), heap.schema().clone());
+        for p in 0..heap.page_count() {
+            let mut image = Vec::new();
+            heap.write_image(p, &mut image);
+            rebuilt_heap.push_image(&image.try_into().unwrap()).unwrap();
+        }
         assert_eq!(rebuilt_heap.row_count(), heap.row_count());
 
         let mut reloaded = Database::new();

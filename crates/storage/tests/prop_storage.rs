@@ -9,9 +9,9 @@ use proptest::prelude::*;
 use robustmap_storage::btree::{BTree, Entry, Key};
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{
-    AccessKind, BufferPool, ColumnType, CostModel, CpuCharge, EvictionPolicy, FileId, HeapFile,
-    IoStats, PageId, QueryShare, RidSet, RidSpan, Row, Schema, Session, SharedBufferPool,
-    SlottedPage,
+    AccessKind, BufferPool, ColumnPage, ColumnType, CostModel, CpuCharge, EvictionPolicy, FileId,
+    HeapFile, IoStats, PageId, QueryShare, RidSet, RidSpan, Row, Schema, Session, SharedBufferPool,
+    MAX_COLUMNS, PAGE_SIZE,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -623,36 +623,39 @@ fn rid_set_refuses_without_allocating() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Insert/delete/compact on a slotted page preserves surviving records
-    /// and their slot ids.
+    /// A column page holds what was pushed, column `c` of slot `s` the
+    /// row's value `c`, takes rows until its capacity and no more, and its
+    /// image reads back as itself.
     #[test]
-    fn slotted_page_model(
-        records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 1..40),
-        delete_mask in prop::collection::vec(any::<bool>(), 40),
+    fn column_page_model(
+        columns in 0usize..=MAX_COLUMNS,
+        rows in prop::collection::vec(prop::collection::vec(any::<i64>(), MAX_COLUMNS), 0..500),
     ) {
-        let mut page = SlottedPage::new();
-        let mut model: BTreeMap<usize, Option<Vec<u8>>> = BTreeMap::new();
-        for rec in &records {
-            if !page.fits(rec.len()) {
-                break;
-            }
-            let slot = page.insert(rec).unwrap();
-            model.insert(slot, Some(rec.clone()));
+        let mut page = ColumnPage::new(columns);
+        let capacity = ColumnPage::capacity(columns);
+        for (i, row) in rows.iter().enumerate() {
+            let pushed = page.push(&row[..columns]);
+            prop_assert_eq!(pushed, (i < capacity).then_some(i));
         }
-        for (i, (&slot, _)) in model.clone().iter().enumerate() {
-            if delete_mask[i % delete_mask.len()] {
-                page.delete(slot).unwrap();
-                model.insert(slot, None);
-            }
+        let n = rows.len().min(capacity);
+        prop_assert_eq!((page.slot_count(), page.is_full()), (n, n == capacity));
+        for c in 0..columns {
+            let want: Vec<i64> = rows[..n].iter().map(|row| row[c]).collect();
+            prop_assert_eq!(page.column(c), &want[..]);
         }
-        page.compact();
-        for (&slot, expect) in &model {
-            prop_assert_eq!(page.get(slot), expect.as_deref());
+        for (slot, row) in rows[..n].iter().enumerate() {
+            prop_assert_eq!(page.row(slot), Row::from_slice(&row[..columns]));
         }
-        prop_assert_eq!(
-            page.live_records(),
-            model.values().filter(|v| v.is_some()).count()
-        );
+        let mut image = Vec::new();
+        page.write_image(None, &mut image);
+        let mut live = vec![0; ColumnPage::mask_words(capacity)];
+        let image: [u8; PAGE_SIZE] = image.try_into().unwrap();
+        let back = ColumnPage::from_image(&image, columns, &mut live).unwrap();
+        prop_assert_eq!(back.slot_count(), n);
+        prop_assert_eq!(live.iter().map(|w| w.count_ones() as usize).sum::<usize>(), n);
+        for c in 0..columns {
+            prop_assert_eq!(back.column(c), page.column(c));
+        }
     }
 }
 
@@ -705,44 +708,29 @@ fn heap_op() -> impl Strategy<Value = HeapOp> {
     ]
 }
 
-/// What the heap keeps against what its pages say: each page's packed
-/// area is the page's own `fixed_records`, every slot resolves to what the
-/// directory holds, and the span is the page count and the largest slot
-/// count.  A page appends and deletes made is in the append layout, whole
-/// or holey: a pristine page reports no mask, and a holey page's mask bit
-/// `s` is whether slot `s` holds a record, which is the `width` bytes at
-/// the slot's arithmetic position in the page's area.
-fn heap_agrees_with_its_pages(heap: &HeapFile) -> Result<(), TestCaseError> {
-    let width = heap.schema().row_bytes();
-    let mut slots = 0;
-    for p in 0..heap.page_count() {
-        let (page, resolved) = (heap.page(p).unwrap(), heap.resolve(p).unwrap());
-        let packed = resolved.packed().map(|(area, _)| area);
-        prop_assert_eq!(packed, page.fixed_records(width), "page {}", p);
-        for slot in 0..page.slot_count() + 2 {
-            let record = resolved.record(slot as u32);
-            prop_assert_eq!(record, page.get(slot), "page {} slot {}", p, slot);
+/// What the heap keeps against a model of its live rows (`x` by rid, the
+/// row `[x, !x]`) and of its pages' slot counts: every written slot and
+/// the two past each page's count resolve to the model's row or to none, a
+/// page reports a live-slot mask exactly when a written slot of it is
+/// dead, and the span is the page count and the largest slot count.
+fn heap_agrees_with_its_model(
+    heap: &HeapFile,
+    model: &BTreeMap<Rid, i64>,
+    counts: &[usize],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(heap.page_count() as usize, counts.len());
+    prop_assert_eq!(heap.row_count(), model.len() as u64);
+    for (p, &n) in (0..heap.page_count()).zip(counts) {
+        let page = heap.resolve(p).unwrap();
+        prop_assert_eq!(page.slot_count(), n, "page {}", p);
+        for slot in 0..n as u32 + 2 {
+            let want = model.get(&Rid::new(p, slot)).map(|&x| Row::from_slice(&[x, !x]));
+            prop_assert_eq!(page.row(slot), want, "page {} slot {}", p, slot);
         }
-        match heap.holey(p) {
-            Some((area, holey_width, live)) => {
-                prop_assert!(packed.is_none(), "page {} is whole and holey", p);
-                prop_assert_eq!(holey_width, width);
-                let n = page.slot_count();
-                prop_assert_eq!(area.len(), n * width, "page {}", p);
-                for slot in 0..live.len() * 64 {
-                    let marked = (live[slot / 64] >> (slot % 64)) & 1 == 1;
-                    prop_assert_eq!(marked, page.get(slot).is_some(), "page {} slot {}", p, slot);
-                    if marked {
-                        let at = &area[(n - 1 - slot) * width..][..width];
-                        prop_assert_eq!(Some(at), page.get(slot), "page {} slot {}", p, slot);
-                    }
-                }
-            }
-            None => prop_assert!(packed.is_some(), "page {} is in no append layout", p),
-        }
-        slots = slots.max(page.slot_count() as u32);
+        let live = model.range(Rid::new(p, 0)..Rid::new(p + 1, 0)).count();
+        prop_assert_eq!(page.mask().is_some(), live < n, "page {}", p);
     }
-    prop_assert!(heap.holey(heap.page_count()).is_none());
+    let slots = counts.iter().copied().max().unwrap_or(0) as u32;
     prop_assert_eq!(heap.span(), RidSpan { pages: heap.page_count(), slots });
     prop_assert!(heap.resolve(heap.page_count()).is_none());
     Ok(())
@@ -752,20 +740,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Appends and deletes, charged or not, and reloads from page images
-    /// keep the heap's per-page layout, its live-slot masks and its span
-    /// what the pages say, after every step; a reload folds a churned
-    /// image back into the masks it was written with.
+    /// keep the heap's rows, its live-slot masks and its span what a model
+    /// says, after every step; a reload reads a churned image back into
+    /// the masks it was written with.
     #[test]
-    fn the_heap_keeps_its_layout_and_span(ops in prop::collection::vec(heap_op(), 1..700)) {
+    fn the_heap_keeps_its_rows_masks_and_span(ops in prop::collection::vec(heap_op(), 1..700)) {
         let schema = Schema::new(vec![("x", ColumnType::Int), ("y", ColumnType::Int)]);
         let mut heap = HeapFile::new(FileId(0), schema);
+        let (mut model, mut counts) = (BTreeMap::new(), Vec::new());
         let mut live: Vec<Rid> = Vec::new();
         let s = session();
         for op in &ops {
             match *op {
-                HeapOp::Append(x) => live.push(heap.append(&Row::from_slice(&[x, !x])).unwrap()),
-                HeapOp::AppendCharged(x) => {
-                    live.push(heap.append_charged(&Row::from_slice(&[x, !x]), &s).unwrap());
+                HeapOp::Append(x) | HeapOp::AppendCharged(x) => {
+                    let row = Row::from_slice(&[x, !x]);
+                    let rid = if matches!(op, HeapOp::Append(_)) {
+                        heap.append(&row).unwrap()
+                    } else {
+                        heap.append_charged(&row, &s).unwrap()
+                    };
+                    if rid.page as usize == counts.len() {
+                        counts.push(0);
+                    }
+                    let page = counts.len() as u32 - 1;
+                    let last = counts.last_mut().unwrap();
+                    prop_assert_eq!(rid, Rid::new(page, *last as u32), "the next slot");
+                    *last += 1;
+                    model.insert(rid, x);
+                    live.push(rid);
                 }
                 HeapOp::Delete(at) | HeapOp::DeleteCharged(at) if !live.is_empty() => {
                     let rid = live.swap_remove(at as usize % live.len());
@@ -774,19 +776,21 @@ proptest! {
                     } else {
                         heap.delete_charged(rid, &s).unwrap();
                     }
+                    model.remove(&rid);
                     prop_assert!(heap.delete(rid).is_err(), "{} deleted twice", rid);
                 }
                 HeapOp::Delete(_) | HeapOp::DeleteCharged(_) => {}
                 HeapOp::RoundTrip => {
-                    let pages = (0..heap.page_count())
-                        .map(|p| SlottedPage::from_bytes(heap.page(p).unwrap().as_bytes()))
-                        .collect();
-                    let schema = heap.schema().clone();
-                    heap = HeapFile::from_pages(heap.file_id(), schema, pages).unwrap();
+                    let mut reloaded = HeapFile::new(heap.file_id(), heap.schema().clone());
+                    for p in 0..heap.page_count() {
+                        let mut image = Vec::new();
+                        heap.write_image(p, &mut image);
+                        prop_assert_eq!(reloaded.push_image(&image.try_into().unwrap()), Some(p));
+                    }
+                    heap = reloaded;
                 }
             }
-            prop_assert_eq!(heap.row_count(), live.len() as u64);
-            heap_agrees_with_its_pages(&heap)?;
+            heap_agrees_with_its_model(&heap, &model, &counts)?;
         }
     }
 }

@@ -20,22 +20,25 @@
 //! is compared on load, so even a hash collision cannot serve the wrong
 //! workload.
 //!
-//! ## Format (version 3, little-endian 64-bit words)
+//! ## Format (version 4, little-endian 64-bit words)
 //!
 //! ```text
 //! magic "RMWLC\x01\0\0" · version · rows · seed · dist tag · dist param ·
-//! mutation epoch · heap file id · page count · raw 8 KiB page images ·
+//! mutation epoch · heap file id · page count · 8 KiB page images ·
 //! FNV-1a checksum of every word above
 //! ```
+//!
+//! A page image is a column page with its live-slot mask
+//! (`robustmap_storage::page` has the layout).
 //!
 //! ## A file that fails validation is a miss
 //!
 //! [`store`] writes a temp file and renames it into place, so concurrent
 //! processes never observe a half-written file.  [`load`] trusts nothing it
 //! reads: the checksum, the header against the requested config, the page
-//! count against the pages that follow it, every slot directory against its
-//! page, every record against [`lineitem_schema`] and the row count against
-//! the config — any failure is `None`, and [`crate::TableBuilder::build_cached`]
+//! count against the pages that follow it, every page image against what a
+//! page of [`lineitem_schema`] writes, and the row count against the
+//! config — any failure is `None`, and [`crate::TableBuilder::build_cached`]
 //! rebuilds and overwrites.  Files of older versions are misses, not
 //! migrated.
 //!
@@ -52,7 +55,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use robustmap_storage::page::PAGE_SIZE;
-use robustmap_storage::{Database, HeapFile, SlottedPage};
+use robustmap_storage::{Database, HeapFile, Rid};
 
 use crate::gen::{finish, lineitem_schema, PredicateDistribution, Workload, WorkloadConfig};
 
@@ -64,9 +67,10 @@ const MAGIC: &[u8; 8] = b"RMWLC\x01\0\0";
 /// cannot go stale.)  The version is part of the content hash and the
 /// header, so a bump makes every old file miss and rebuild.
 ///
-/// Version 3: heap pages only; versions 1 and 2 also stored index entries
-/// and calibrator values.
-const VERSION: u64 = 3;
+/// Version 4: column pages.  Version 3 stored slotted pages of row-major
+/// records; versions 1 and 2 also stored index entries and calibrator
+/// values.
+const VERSION: u64 = 4;
 /// Bytes before the first page image: the magic and eight header words.
 const HEADER_BYTES: usize = MAGIC.len() + 8 * 8;
 
@@ -142,7 +146,7 @@ fn store_in(dir: &Path, w: &Workload) {
         out.extend_from_slice(&word.to_le_bytes());
     }
     for p in 0..pages {
-        out.extend_from_slice(heap.page(p).expect("page in range").as_bytes());
+        heap.write_image(p, &mut out);
     }
     let checksum = fnv1a(FNV_SEED, words(&out));
     out.extend_from_slice(&checksum.to_le_bytes());
@@ -172,18 +176,28 @@ pub fn load(config: &WorkloadConfig) -> Option<Workload> {
 
 fn load_from(dir: &Path, config: &WorkloadConfig) -> Option<Workload> {
     let heap = read_heap(&path_in(dir, config), config)?;
-    // Columns a, b, c and the rids, read back out of the pages — which is
-    // also where every stored record is checked against the schema.
+    // Columns a, b, c and the rids, copied out of the pages.
     let rows = heap.row_count() as usize;
     let mut cols: [Vec<i64>; 3] = std::array::from_fn(|_| Vec::with_capacity(rows));
     let mut rids = Vec::with_capacity(rows);
-    heap.try_for_each_row(|rid, row| {
-        for (col, vals) in cols.iter_mut().enumerate() {
-            vals.push(row.get(col));
+    for (page_no, page) in heap.resolve_range(0..heap.page_count()) {
+        match page.mask() {
+            None => {
+                for (col, vals) in cols.iter_mut().enumerate() {
+                    vals.extend_from_slice(page.column(col));
+                }
+                rids.extend((0..page.slot_count() as u32).map(|slot| Rid::new(page_no, slot)));
+            }
+            Some(_) => {
+                for slot in page.live_slots() {
+                    for (col, vals) in cols.iter_mut().enumerate() {
+                        vals.push(page.column(col)[slot as usize]);
+                    }
+                    rids.push(Rid::new(page_no, slot));
+                }
+            }
         }
-        rids.push(rid);
-    })
-    .ok()?;
+    }
     let mut db = Database::new();
     let table = db.attach_table("lineitem", heap);
     Some(finish(config.clone(), db, table, &cols, &rids))
@@ -191,9 +205,8 @@ fn load_from(dir: &Path, config: &WorkloadConfig) -> Option<Workload> {
 
 /// The heap the file at `path` holds, if the file is one [`store`] wrote
 /// for `config`.  Pages are read straight into place, one at a time, so the
-/// file is never held whole beside the table; nothing read from it sizes
-/// an allocation, and no page is looked into before the checksum over all
-/// of them has matched.
+/// file is never held whole beside the table, and nothing read from it
+/// sizes an allocation.
 fn read_heap(path: &Path, config: &WorkloadConfig) -> Option<HeapFile> {
     let mut file = std::fs::File::open(path).ok()?;
     let mut header = [0u8; HEADER_BYTES];
@@ -211,20 +224,19 @@ fn read_heap(path: &Path, config: &WorkloadConfig) -> Option<HeapFile> {
     }
     // The count bounds the loop only: a count past the file ends at the
     // first short read, and one short of it at the checksum.
-    let mut pages = Vec::new();
+    let mut heap = HeapFile::new(file_id, lineitem_schema());
     let mut image = [0u8; PAGE_SIZE];
     for _ in 0..fields.next()? {
         file.read_exact(&mut image).ok()?;
         checksum = fnv1a(checksum, words(&image));
-        pages.push(SlottedPage::from_bytes(&image));
+        heap.push_image(&image)?;
     }
     let mut tail = Vec::new();
     file.take(9).read_to_end(&mut tail).ok()?;
     if tail != checksum.to_le_bytes() {
         return None; // truncated, extended or corrupt
     }
-    // Slot directories are checked here, records by the caller's read-back.
-    HeapFile::from_pages(file_id, lineitem_schema(), pages).filter(|h| h.row_count() == config.rows)
+    (heap.row_count() == config.rows).then_some(heap)
 }
 
 #[cfg(test)]
@@ -257,7 +269,7 @@ mod tests {
         let names: Vec<_> =
             std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
         assert_eq!(names, [path_in(&dir, &config).file_name().unwrap()], "no temp file is left");
-        // 40-byte records and 4-byte slots: the heap and nothing else.
+        // 8 KiB pages of 186 rows: the heap and nothing else.
         let bytes = std::fs::metadata(path_in(&dir, &config)).unwrap().len();
         assert!(bytes <= 48 * config.rows, "{bytes} bytes for {} rows", config.rows);
         let _ = std::fs::remove_dir_all(&dir);

@@ -586,7 +586,8 @@ mod tests {
         fn of(w: &Workload, driver: &ChurnDriver, s: &Session) -> Self {
             let ix = &w.indexes;
             let mut heap = Vec::new();
-            w.db.table(w.table).heap.try_for_each_row(|rid, row| heap.push((rid, *row))).unwrap();
+            let quiet = Session::with_pool_pages(0);
+            w.db.table(w.table).heap.scan(&quiet, |rid, row| heap.push((rid, *row)));
             Churned {
                 ticks: s.elapsed_ticks(),
                 stats: s.stats(),

@@ -270,9 +270,12 @@ impl TableBuilder {
 /// [`INDEX_DEFS`] order.  At 2^18 rows on 2 vCPUs the five loads take
 /// 18–23 ms in a warm process (25–31 ms in a fresh one), where building a
 /// `Key` per entry into a buffer and copying each leaf took 27–37 ms
-/// (30–48).  (Loading them on the workers instead made the sweeps that
-/// read them 1–5 % slower in CPU time, likely because the nodes then live
-/// in the workers' allocator arenas.)
+/// (30–48).  Loading the trees on the sort workers instead took `setup_s`
+/// down 11.5 % but put `cpu_s` and `wall_s` up 3.8 % and 3.9 % (8
+/// order-balanced pairs, 2 vCPUs), and still 2.7 % `cpu_s` with
+/// `MALLOC_ARENA_MAX=1` on both sides, so allocator arenas alone do not
+/// explain the slower sweeps; leaves the caller allocates and the
+/// workers fill put `setup_s` up 10.3 %.
 pub(crate) fn finish(
     config: WorkloadConfig,
     mut db: Database,

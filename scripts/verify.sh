@@ -7,8 +7,9 @@
 # binary over every figure at the smoke scale, whose own exit status is the
 # figure gate.  Byte-identity of every artifact against
 # crates/bench/baselines/MANIFEST is a test (crates/bench/tests/gate.rs)
-# and ran above.  Any warning or failure exits non-zero; each phase prints
-# its wall time.
+# and ran above.  Last, the mutation registry is checked (each line well
+# formed, each text once in its file), which builds nothing.  Any warning
+# or failure exits non-zero; each phase prints its wall time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,5 +42,9 @@ run cargo doc --no-deps --workspace
 # Exit 0 only when every artifact of every figure is non-empty and every
 # named check PASSes; the last line is the total.
 run cargo run --release -p robustmap-bench --bin figures -- --rows 16384 --grid 8 --out target/figures-verify all
+
+# A refactor that rewrites a registered text fails here, not at the next
+# replay of the registry.
+run scripts/mutants.sh --check
 
 echo "verify: all green"

@@ -7,7 +7,7 @@
 //!
 //! This facade crate re-exports the workspace layers:
 //!
-//! * [`storage`] — slotted pages, heap files, B+-trees, the dense rid set,
+//! * [`storage`] — column pages, heap files, B+-trees, the dense rid set,
 //!   buffer pool, and the deterministic cost model that stands in for hardware;
 //! * [`executor`] — physical plans and operators: scans, the three fetch
 //!   disciplines of Figure 1, MDAM, index intersection, external sort and

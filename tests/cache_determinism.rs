@@ -43,9 +43,14 @@ fn maps_of(w: &Workload, threads: usize) -> (robustmap::core::Map1D, robustmap::
     (map1, map2)
 }
 
-fn heap_images(w: &Workload) -> Vec<&[u8]> {
+fn heap_images(w: &Workload) -> Vec<Vec<u8>> {
     let heap = &w.db.table(w.table).heap;
-    (0..heap.page_count()).map(|p| heap.page(p).unwrap().as_bytes().as_slice()).collect()
+    let image = |p| {
+        let mut image = Vec::new();
+        heap.write_image(p, &mut image);
+        image
+    };
+    (0..heap.page_count()).map(image).collect()
 }
 
 #[test]
@@ -278,7 +283,7 @@ fn a_churned_table_is_never_served_as_its_pristine_config() {
     let mut w = TableBuilder::build(pristine.clone());
     cache::store(&w);
     let stored = std::fs::read(&pristine_path).unwrap();
-    let images: Vec<Vec<u8>> = heap_images(&w).into_iter().map(<[u8]>::to_vec).collect();
+    let images = heap_images(&w);
 
     let mut driver = ChurnDriver::new(&w, ChurnConfig::for_workload(&w).with_drift_down(85));
     driver.apply_until_fraction(&mut w, &Session::with_pool_pages(64), 0.3);
@@ -339,15 +344,16 @@ fn two_threads_missing_on_one_config_agree_and_leave_one_valid_file() {
 
 // ------------------------------------------------- files that must not load
 
-/// Byte offsets of the version-3 layout: an 8-byte magic, eight header
+/// Byte offsets of the version-4 layout: an 8-byte magic, eight header
 /// words (version, rows, seed, distribution tag and parameter, mutation
 /// epoch, heap file id, page count), then 8 KiB page images; a page opens
-/// with its slot count and record-heap offset, then `(offset, len)` slots.
+/// with its slot count, then three words of live-slot mask for its 186
+/// slots, then its five columns of 186 values each.
 const VERSION_AT: usize = 8;
 const PAGE_COUNT_AT: usize = 64;
 const PAGES_AT: usize = 72;
-const SLOT0_OFFSET_AT: usize = PAGES_AT + 4;
-const SLOT0_LEN_AT: usize = PAGES_AT + 6;
+const MASK_AT: usize = PAGES_AT + 8;
+const COLUMNS_END_AT: usize = MASK_AT + 3 * 8 + 5 * 186 * 8;
 
 /// Recompute the trailing checksum — FNV-1a over little-endian 64-bit
 /// words, written here a second time on purpose — so a crafted file gets
@@ -368,8 +374,8 @@ fn crafted(valid: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     file
 }
 
-fn put_u16(file: &mut [u8], at: usize, v: u16) {
-    file[at..at + 2].copy_from_slice(&v.to_le_bytes());
+fn put_u64(file: &mut [u8], at: usize, v: u64) {
+    file[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
 /// `bad` at the configuration's path is a miss, and the next `build_cached`
@@ -407,14 +413,14 @@ fn files_that_fail_validation_are_misses_and_are_rebuilt() {
             let page = f[PAGES_AT..PAGES_AT + 8192].to_vec();
             f.splice(PAGES_AT..PAGES_AT, page);
         })),
-        // A slot directory must not index outside its page.
-        ("slot pointing past the page", crafted(&valid, |f| put_u16(f, SLOT0_OFFSET_AT, 8190))),
-        ("slot count past the page", crafted(&valid, |f| put_u16(f, PAGES_AT, u16::MAX - 1))),
-        // A record must decode under the lineitem schema.
-        ("record of the wrong width", crafted(&valid, |f| put_u16(f, SLOT0_LEN_AT, 39))),
+        // A page image must be one a lineitem page writes.
+        ("slot count past the page's capacity", crafted(&valid, |f| put_u64(f, PAGES_AT, 187))),
+        ("a live bit past the slot count", crafted(&valid, |f| put_u64(f, MASK_AT + 16, 1 << 58))),
+        ("a word past the columns", crafted(&valid, |f| put_u64(f, COLUMNS_END_AT, 1))),
         // The rows present must be the rows configured.
-        ("a tombstoned row", crafted(&valid, |f| put_u16(f, SLOT0_LEN_AT, u16::MAX))),
+        ("a tombstoned row", crafted(&valid, |f| put_u64(f, MASK_AT, !1))),
         ("an unknown format version", crafted(&valid, |f| f[VERSION_AT] += 1)),
+        ("version 3, of slotted pages", crafted(&valid, |f| put_u64(f, VERSION_AT, 3))),
         ("truncated", valid[..valid.len() / 2].to_vec()),
         ("empty", Vec::new()),
         ("one flipped byte", {

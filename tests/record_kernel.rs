@@ -1,15 +1,15 @@
-//! The heap-record kernel against the row-at-a-time heap.
+//! The heap-row kernel against the row-at-a-time heap.
 //!
 //! The table scan, the parallel scan and the fetch's residual all filter
-//! heap records through one kernel, `BatchEmitter::filter`, which reads a
-//! page straight from its record area when the slot directory is exactly
-//! what appending wrote and through the directory otherwise.  This suite
+//! heap rows through one kernel, `BatchEmitter::filter`, which evaluates a
+//! conjunction a term at a time over a page's columns: over all of a page,
+//! under a holey page's live-slot mask, or at a fetch run's slots.  This suite
 //! holds every caller to what `HeapFile::scan` / `HeapFile::fetch` with
 //! `Predicate::eval` on each row produce and charge — rows in order,
 //! `IoStats`, clock ticks and charge events — over predicates of zero to
 //! three terms (empty and full ranges among them), four projections, and
-//! three heaps: as appended, tombstoned, and reassembled from page images
-//! with two directory entries swapped.  Selectivities 0, about ½ and 1 run
+//! three heaps: as appended, tombstoned, and the tombstoned one rebuilt
+//! from its page images.  Selectivities 0, about ½ and 1 run
 //! over more than three batch boundaries.
 //!
 //! The improved and the bitmap fetch sweep a rid set page group by page
@@ -22,7 +22,7 @@ use robustmap::executor::ops::{fetch, parallel_scan, table_scan};
 use robustmap::executor::{ColRange, ExecError, ImprovedFetchConfig, Predicate, RowBatch};
 use robustmap::storage::{
     AccessKind, BufferPool, ColumnType, FileId, HeapFile, IoStats, Rid, Row, Schema, Session,
-    SlottedPage, StorageError, Table,
+    StorageError, Table,
 };
 
 const ROWS: i64 = 4500;
@@ -49,9 +49,8 @@ const LATE_ROWS: i64 = 500;
 /// The three heaps: as appended (`a`, `b` permutations of `0..ROWS`,
 /// `c` the row number); with every seventh row and all of page 2
 /// tombstoned before the last `LATE_ROWS` rows were appended, so the page
-/// that was last then takes appends after its first delete; and rebuilt
-/// from images of the first whose pages 0, 3, 6, … have their first two
-/// directory entries swapped.
+/// that was last then takes appends after its first delete; and the second
+/// rebuilt from its page images, masks and all.
 fn heaps() -> Vec<(&'static str, HeapFile)> {
     let int = ColumnType::Int;
     let schema = Schema::new(vec![("a", int), ("b", int), ("c", int)]);
@@ -75,32 +74,24 @@ fn heaps() -> Vec<(&'static str, HeapFile)> {
     for rid in victims {
         tombstoned.delete(rid).unwrap();
     }
-    let last = tombstoned.page(early_pages - 1).unwrap().slot_count();
+    let slots = |heap: &HeapFile| heap.resolve(early_pages - 1).unwrap().slot_count();
+    let last = slots(&tombstoned);
     append(&mut tombstoned, ROWS - LATE_ROWS..ROWS);
-    let grown = tombstoned.page(early_pages - 1).unwrap().slot_count();
-    assert!(grown > last, "appends after a delete");
+    assert!(slots(&tombstoned) > last, "appends after a delete");
     assert!(tombstoned.page_count() > early_pages);
-    let pages = (0..pristine.page_count())
-        .map(|p| {
-            let mut image = *pristine.page(p).unwrap().as_bytes();
-            if p % 3 == 0 {
-                // The slot directory starts after the 4-byte page header.
-                let (first, second) = image[4..12].split_at_mut(4);
-                first.swap_with_slice(second);
-            }
-            SlottedPage::from_bytes(&image)
-        })
-        .collect();
-    let schema = pristine.schema().clone();
-    let swapped = HeapFile::from_pages(pristine.file_id(), schema, pages).expect("well formed");
-    assert!(swapped.page(0).unwrap().fixed_records(24).is_none());
-    assert!(swapped.page(1).unwrap().fixed_records(24).is_some());
-    vec![("pristine", pristine), ("tombstoned", tombstoned), ("swapped", swapped)]
+    let mut reloaded = empty();
+    for p in 0..tombstoned.page_count() {
+        let mut image = Vec::new();
+        tombstoned.write_image(p, &mut image);
+        reloaded.push_image(&image.try_into().unwrap()).expect("an image the heap wrote");
+    }
+    assert!(reloaded.resolve(early_pages - 1).unwrap().mask().is_some());
+    vec![("pristine", pristine), ("tombstoned", tombstoned), ("reloaded", reloaded)]
 }
 
 fn live_rids(heap: &HeapFile) -> Vec<Rid> {
     let mut rids = Vec::new();
-    heap.try_for_each_row(|rid, _| rids.push(rid)).unwrap();
+    heap.scan(&Session::with_pool_pages(0), |rid, _| rids.push(rid));
     rids
 }
 
@@ -209,7 +200,7 @@ fn heap_fetch(heap: &HeapFile, rids: &[Rid], residual: &Predicate, proj: &[usize
 fn fetch_order(heap: &HeapFile) -> Vec<Rid> {
     let live = live_rids(heap);
     let mut by_b: Vec<(i64, Rid)> = Vec::new();
-    heap.try_for_each_row(|rid, row| by_b.push((row.get(1), rid))).unwrap();
+    heap.scan(&Session::with_pool_pages(0), |rid, row| by_b.push((row.get(1), rid)));
     by_b.sort_unstable();
     let page1: Vec<Rid> = live.iter().copied().filter(|rid| rid.page == 1).collect();
     let mut rids: Vec<Rid> = by_b.into_iter().map(|(_, rid)| rid).collect();
@@ -320,15 +311,16 @@ fn heap_sweep(
     (dangling, Reading::of(rows, &s))
 }
 
-/// The slots below a page's slot count whose record was deleted, and the
+/// The slots below a page's slot count whose row was deleted, and the
 /// slot past the last page's count.
 fn dead_rids(heap: &HeapFile) -> Vec<Rid> {
+    let slots = |p| heap.resolve(p).unwrap().slot_count() as u32;
     let mut dead: Vec<Rid> = (0..heap.page_count())
-        .flat_map(|p| (0..heap.page(p).unwrap().slot_count() as u32).map(move |s| Rid::new(p, s)))
-        .filter(|&rid| heap.resolve(rid.page).unwrap().record(rid.slot).is_none())
+        .flat_map(|p| (0..slots(p)).map(move |s| Rid::new(p, s)))
+        .filter(|&rid| !heap.resolve(rid.page).unwrap().is_live(rid.slot))
         .collect();
     let last = heap.page_count() - 1;
-    dead.push(Rid::new(last, heap.page(last).unwrap().slot_count() as u32));
+    dead.push(Rid::new(last, slots(last)));
     dead
 }
 
@@ -339,7 +331,7 @@ fn dead_rids(heap: &HeapFile) -> Vec<Rid> {
 /// last page, and — on a heap with tombstones — on a fully deleted page.
 fn sweep_lists(heap: &HeapFile) -> Vec<(String, Vec<Rid>)> {
     let mut by_b: Vec<(i64, Rid)> = Vec::new();
-    heap.try_for_each_row(|rid, row| by_b.push((row.get(1), rid))).unwrap();
+    heap.scan(&Session::with_pool_pages(0), |rid, row| by_b.push((row.get(1), rid)));
     by_b.sort_unstable();
     let live: Vec<Rid> = by_b.into_iter().map(|(_, rid)| rid).collect();
     let two_of_three: Vec<Rid> = live.iter().copied().filter(|rid| rid.slot % 3 != 1).collect();

@@ -238,8 +238,8 @@ const RULES: &[Rule] = &[
         scope: &["crates/executor/src/ops/fetch.rs"],
         hit: |l| defined_fns(l).any(|name| name.starts_with("sweep")),
         want: 1,
-        why: "ops/fetch.rs defines exactly one sweep* function — a page group read whole \
-              from its record area is a branch inside the one sweep, not a copy of it",
+        why: "ops/fetch.rs defines exactly one sweep* function — a page group read as its \
+              whole page is a branch inside the one sweep, not a copy of it",
         ..RULE
     },
     Rule {
@@ -275,18 +275,18 @@ const RULES: &[Rule] = &[
         scope: &["crates/*/src"],
         skip: &["crates/storage/src/page.rs", "crates/storage/src/heap.rs"],
         lines: Lines::Before("#[cfg(test)]"),
-        hit: |l| l.contains("fixed_records("),
-        why: "a reader folds a page's slot directory with fixed_records — the heap keeps each \
-              page's layout, maintained by append and delete, and HeapFile::resolve reads it",
+        hit: |l| l.contains("from_image("),
+        why: "a reader reads a page image with ColumnPage::from_image — the heap keeps each \
+              page's slot count and live-slot mask, maintained by append, delete and \
+              push_image, and HeapFile::resolve reads them",
         ..RULE
     },
     Rule {
         gate: "the-heap-resolves-records",
         scope: &["crates/executor/src"],
-        hit: |l| l.contains(".page(") || idents(l).any(|t| t == "SlottedPage"),
-        why: "the executor holds a SlottedPage (HeapFile::page or the type itself), whose get \
-              and iter read the slot directory — records come from HeapFile::resolve, by \
-              arithmetic on a page in the append layout",
+        hit: |l| idents(l).any(|t| t == "ColumnPage"),
+        why: "the executor holds a ColumnPage, whose columns hold deleted rows' values too — \
+              rows come from HeapFile::resolve, whose HeapPage carries the live-slot mask",
         ..RULE
     },
     Rule {
@@ -496,11 +496,11 @@ fn may_panic(line: &str) -> bool {
 const PANIC_SITES: &[(&str, usize)] = &[
     ("crates/bench/src", 24),
     ("crates/core/src", 14),
-    ("crates/executor/src", 4),
+    ("crates/executor/src", 2),
     ("crates/obs/src", 5),
-    ("crates/storage/src", 9),
+    ("crates/storage/src", 7),
     ("crates/systems/src", 2),
-    ("crates/workload/src", 10),
+    ("crates/workload/src", 9),
 ];
 
 /// One rule per crate of [`PANIC_SITES`].

@@ -15,7 +15,7 @@
 //! brute-force rows in the brute-force order.
 //!
 //! The rid set reads the same heap from the other side: a churned page's
-//! slot directory has dead slots in it and the tail pages have few slots
+//! live-slot mask has dead slots in it and the tail pages have few slots
 //! at all, so rid lists over it have gaps, uneven page groups and spans
 //! that end mid-heap.  One test runs every physical-order fetch and both
 //! intersections against the traditional fetch, which touches no set.
@@ -24,10 +24,10 @@
 //! thresholds on a churned, drifted table, each plan's counted rows are
 //! the brute-force count.
 //!
-//! A page image from elsewhere can hold tombstones the heap did not make:
-//! one whose last slots were deleted and then compacted away keeps its live
-//! records where appending put them but not its free space, and the scan
-//! of it after an append is held to the row-at-a-time heap.
+//! A page whose last slots were deleted takes its next append on the slot
+//! after them, never on a freed one, also when the heap was rebuilt from its
+//! page images between the deletes and the append; the scan of it is held
+//! to the row-at-a-time heap.
 
 use robustmap::core::{measure_batch, serve_concurrent, MeasureConfig, Measurement, ServeConfig};
 use robustmap::executor::{
@@ -35,7 +35,7 @@ use robustmap::executor::{
     Predicate, Projection, RowBatch,
 };
 use robustmap::executor::ops::table_scan;
-use robustmap::storage::{ColumnType, FileId, HeapFile, Row, Schema, Session, SlottedPage, Table};
+use robustmap::storage::{ColumnType, FileId, HeapFile, Rid, Row, Schema, Session, Table};
 use robustmap::systems::{two_predicate_plans, SystemId, TwoPredPlan};
 use robustmap::workload::{ChurnConfig, ChurnDriver, TableBuilder, Workload, WorkloadConfig};
 
@@ -268,25 +268,26 @@ fn mdam_agrees_with_the_scans_on_tombstoned_table_under_every_condition() {
 }
 
 #[test]
-fn a_compacted_tail_scans_as_the_heap_after_an_append() {
+fn a_tombstoned_tail_scans_as_the_heap_after_an_append() {
     let schema = Schema::new(vec![("a", ColumnType::Int), ("b", ColumnType::Int)]);
-    let mut heap = HeapFile::new(FileId(0), schema);
+    let mut heap = HeapFile::new(FileId(0), schema.clone());
     for i in 0..1000 {
         heap.append(&Row::from_slice(&[i, -i])).unwrap();
     }
     let last = heap.page_count() - 1;
-    let image = |p| SlottedPage::from_bytes(heap.page(p).unwrap().as_bytes());
-    let mut pages: Vec<SlottedPage> = (0..=last).map(image).collect();
-    let tail = &mut pages[last as usize];
-    let n = tail.slot_count();
+    let n = heap.resolve(last).unwrap().slot_count() as u32;
     for slot in n - 3..n {
-        tail.delete(slot).unwrap();
+        heap.delete(Rid::new(last, slot)).unwrap();
     }
-    tail.compact();
-    let schema = heap.schema().clone();
-    let mut heap = HeapFile::from_pages(heap.file_id(), schema, pages).expect("well formed");
-    assert!(heap.holey(last).is_none(), "the next insert lands off the layout");
-    assert_eq!(heap.append(&Row::from_slice(&[-1, 1])).unwrap().page, last);
+    let mut reloaded = HeapFile::new(heap.file_id(), schema);
+    for p in 0..heap.page_count() {
+        let mut image = Vec::new();
+        heap.write_image(p, &mut image);
+        reloaded.push_image(&image.try_into().unwrap()).expect("an image the heap wrote");
+    }
+    let mut heap = reloaded;
+    assert!(heap.resolve(last).unwrap().mask().is_some(), "the tail is holey");
+    assert_eq!(heap.append(&Row::from_slice(&[-1, 1])).unwrap(), Rid::new(last, n));
 
     let pred = Predicate::single(ColRange::at_most(0, 499));
     let row_s = Session::with_pool_pages(4);
@@ -296,7 +297,7 @@ fn a_compacted_tail_scans_as_the_heap_after_an_append() {
             want.push(*row);
         }
     });
-    let table = Table { name: "compacted".to_string(), heap };
+    let table = Table { name: "tombstoned tail".to_string(), heap };
     let s = Session::with_pool_pages(4);
     let mut got = Vec::new();
     let mut sink = |b: &RowBatch| got.extend((0..b.len()).map(|i| b.row(i)));
