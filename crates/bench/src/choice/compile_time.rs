@@ -8,8 +8,8 @@ use robustmap_core::{
     build_map2d, Map1D, Map2D, Measurement, RegressionSuite, RelativeMap2D, Series,
 };
 use robustmap_storage::Session;
-use robustmap_systems::choice::{Exact, Histogram, Joint, WithError};
-use robustmap_systems::{Choice, Chooser, RobustConfig, SelEstimates};
+use robustmap_systems::choice::{Estimator, Exact, Histogram, Joint, WithError};
+use robustmap_systems::{estimate_cost, Choice, Chooser, RobustConfig, SelEstimates};
 use robustmap_workload::gen::PredicateDistribution::{CorrelatedHundredths, ZipfHundredths};
 use robustmap_workload::{
     EquiDepthHistogram, JointHistogram, JointHistogramConfig, Workload, COL_A, COL_B,
@@ -33,7 +33,10 @@ use crate::lab::{
 /// [`Chooser`] API:
 ///
 /// 1. injected multiplicative estimation error on the uniform workload
-///    (the original sweep, now driven by [`WithError`] estimators);
+///    (the original sweep, now driven by [`WithError`] estimators), with
+///    the fidelity table beside it: each plan's estimate under exact
+///    selectivities against the seconds it was charged
+///    (`ext_optimizer_fidelity.csv`);
 /// 2. the independence ([`Exact`]) vs joint ([`Joint`]) estimator
 ///    comparison on the same (uncorrelated) map — joint statistics must
 ///    not *hurt* where independence actually holds;
@@ -62,6 +65,7 @@ pub fn ext_optimizer(h: &Harness) -> FigureOutput {
     ));
     let mut csv = String::from("error,mean_regret,max_regret,frac_over_2x,changed\n");
     let mut baseline_choice: Vec<usize> = Vec::new();
+    let mut means = Vec::new();
     for (label, err) in [
         ("exact", 1.0),
         ("16x under", 1.0 / 16.0),
@@ -91,6 +95,7 @@ pub fn ext_optimizer(h: &Harness) -> FigureOutput {
             baseline_choice = choices;
         }
         let n = (na * nb) as f64;
+        means.push((label, sum / n, max));
         report.push_str(&format!(
             "{:>18} {:>11.2}x {:>11.0}x {:>13.1}% {:>15.1}%\n",
             label,
@@ -107,12 +112,59 @@ pub fn ext_optimizer(h: &Harness) -> FigureOutput {
             changed as f64 / n
         ));
     }
+    // With exact selectivities every regret is the cost model's own: it
+    // prices each plan as its kernels charge, so the exact row must be
+    // near 1x and no error row may beat it.
+    let (exact_mean, exact_max) = (means[0].1, means[0].2);
+    suite.check_named(
+        "exact estimates (15 plans): mean regret <= 1.2x and worst regret <= 2x",
+        exact_mean <= 1.2 && exact_max <= 2.0,
+        format!("mean {exact_mean:.3}x, worst {exact_max:.2}x"),
+    );
+    let beaten = means[1..].iter().filter(|m| m.1 < exact_mean).map(|m| m.0).collect::<Vec<_>>();
+    suite.check_named(
+        "exact estimates (15 plans): mean regret no higher than any error row's",
+        beaten.is_empty(),
+        if beaten.is_empty() { String::new() } else { format!("beaten by {}", beaten.join(", ")) },
+    );
+
+    // --- Fidelity: each plan's estimate under exact selectivities against
+    // the seconds its run was charged, over the whole map.
+    let exact = Exact::of(w);
+    let model = &h.config.measure.model;
+    let mut fidelity = String::from("plan,min,p10,p50,p90,max\n");
+    let mut off_band = Vec::new();
     report.push_str(
-        "reading: moderate estimation errors change half the choices and raise worst-case \
-         regret; interestingly, *massive* under-estimates can lower mean regret — they push \
-         the chooser onto the robust covering/bitmap plans everywhere, which is exactly the \
-         paper's point that \"robustness might well trump performance\" (§3.3): a robust \
-         plan chosen blindly beats cost-based choice fed bad cardinalities\n",
+        "\nestimate / charge under exact selectivities, per plan (min p10 p50 p90 max):\n",
+    );
+    for (p, plan) in lab.plans.iter().enumerate() {
+        let mut ratios: Vec<f64> = cells
+            .iter()
+            .map(|cell| {
+                let (ta, tb) = cell.thr;
+                let est =
+                    estimate_cost(&plan.build(ta, tb), &lab.stats, &exact.estimate(ta, tb), model);
+                est / cell.measured[p].seconds
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let q = |f: f64| ratios[((ratios.len() - 1) as f64 * f).round() as usize];
+        let [lo, p10, p50, p90, hi] = [0.0, 0.1, 0.5, 0.9, 1.0].map(q);
+        report.push_str(&format!(
+            "  {:<26} {lo:>7.3} {p10:>7.3} {p50:>7.3} {p90:>7.3} {hi:>7.3}\n",
+            plan.name
+        ));
+        fidelity
+            .push_str(&format!("{},{lo:e},{p10:e},{p50:e},{p90:e},{hi:e}\n", sanitize(&plan.name)));
+        if !(0.5..=2.0).contains(&p10) || !(0.5..=2.0).contains(&p90) {
+            off_band.push(format!("{} p10 {p10:.3} p90 {p90:.3}", plan.name));
+        }
+    }
+    suite.check_named(
+        "fidelity: every plan's estimate / charge has p10 and p90 within [0.5, 2] under exact \
+         selectivities",
+        off_band.is_empty(),
+        off_band.join("; "),
     );
 
     // --- Panel 2: independence vs joint estimators where independence
@@ -121,11 +173,11 @@ pub fn ext_optimizer(h: &Harness) -> FigureOutput {
     // pins that sampling noise does not degrade the 15-plan choice.
     let jcfg = JointHistogramConfig::default();
     let joint_u = JointHistogram::from_workload(w, &jcfg);
-    let (exact_u, joint_est_u) = (Exact::of(w), Joint::new(&joint_u));
+    let joint_est_u = Joint::new(&joint_u);
     let mut board_u = RegretBoard::new(["indep", "joint"]);
     for cell in &cells {
         let (ta, tb) = cell.thr;
-        let indep = chooser.choose(&exact_u, ta, tb).plan;
+        let indep = chooser.choose(&exact, ta, tb).plan;
         let joint = chooser.choose(&joint_est_u, ta, tb).plan;
         board_u.add(&cell.secs(), [indep, joint]);
     }
@@ -227,6 +279,7 @@ pub fn ext_optimizer(h: &Harness) -> FigureOutput {
     };
     let files = vec![
         h.write_artifact("ext_optimizer.csv", &csv),
+        h.write_artifact("ext_optimizer_fidelity.csv", &fidelity),
         h.write_artifact("ext_optimizer_rho1.csv", &rho1_csv),
         svg(
             "ext_optimizer_indep_regret.svg",

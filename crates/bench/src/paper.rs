@@ -245,12 +245,15 @@ pub fn fig9_claims(map: &Map2D, setup: &ClaimSetup) -> RegressionSuite {
     s
 }
 
-/// Figure 10's claim over the all-systems map.
+/// Figure 10's claim over the all-systems map, at the tightest tolerance
+/// the figure reports: within 1.2x two plans share every point of the map
+/// (the catalog's plans come in near-equal pairs), so at 1.2x the claim
+/// could not fail.
 pub fn fig10_claims(map: &Map2D) -> RegressionSuite {
     let mut s = RegressionSuite::new();
-    s.check_unless(None, "fig10 §3.4: 2+ plans within 1.2x of best at > half the points", || {
+    s.check_unless(None, "fig10 §3.4: 2+ plans within 1.01x of best at > half the points", || {
         let counts =
-            RelativeMap2D::from_map(map).optimal_plan_counts(OptimalityTolerance::Factor(1.2));
+            RelativeMap2D::from_map(map).optimal_plan_counts(OptimalityTolerance::Factor(1.01));
         let multi = counts.iter().filter(|&&c| c >= 2).count();
         Ok((multi * 2 > counts.len(), format!("{multi} of {} points", counts.len())))
     });

@@ -92,7 +92,7 @@ const CHECK_COUNTS: &[(&str, usize)] = &[
     ("fig8", 0),
     ("fig9", 0),
     ("fig10", 1),
-    ("ext_optimizer", 5),
+    ("ext_optimizer", 8),
     ("ext_correlated", 17),
     ("ext_robust_choice", 8),
     ("ext_adaptive", 7),
@@ -209,7 +209,7 @@ fn every_figure_passes_the_gate_and_matches_the_manifest() {
     }
     let g = gate(&outputs);
     assert!(g.failures.is_empty(), "{}\n{}", g.summary, g.failures.join("\n"));
-    let want = "checks: 93 in 16 reports, 0 failed, 0 diverging;";
+    let want = "checks: 96 in 16 reports, 0 failed, 0 diverging;";
     assert!(g.summary.starts_with(want), "{}", g.summary);
 
     // Simulated costs must not move, however the executor or the scheduler

@@ -60,7 +60,7 @@ pub use page::{ColumnPage, PAGE_SIZE};
 pub use schema::{ColumnType, Row, Schema, MAX_COLUMNS};
 pub use session::{CpuCharge, Session, YieldHook};
 pub use shared::{QueryId, QueryShare, SharedBufferPool};
-pub use sim::{ticks_to_seconds, AccessKind, CostModel, CostTicks, IoStats, SimClock};
+pub use sim::{ticks_to_seconds, AccessKind, CostModel, CostTicks, IoExpect, IoStats, SimClock};
 pub use table::{Database, IndexDef, IndexId, Table, TableId};
 
 /// Errors reported by the storage layer.

@@ -179,24 +179,43 @@ pub struct CostTicks {
     pub parallel_startup: u64,
 }
 
+/// The clock's price list: each of the eight counters of `$io` beside
+/// what `$prices` charges for one of it.  The clock's closed form
+/// ([`CostTicks::of`]) and the estimators' ([`CostModel::seconds`]) both
+/// read this one list.
+macro_rules! price_list {
+    ($io:expr, $prices:expr) => {
+        [
+            ($io.seq_reads, $prices.seq_page_read),
+            ($io.single_reads, $prices.single_page_read),
+            ($io.random_reads, $prices.random_page_read),
+            ($io.page_writes, $prices.page_write),
+            ($io.buffer_hits, $prices.cpu_buffer_hit),
+            ($io.cpu_rows, $prices.cpu_row),
+            ($io.cpu_compares, $prices.cpu_compare),
+            ($io.cpu_hashes, $prices.cpu_hash),
+        ]
+    };
+}
+
 impl CostTicks {
     /// The closed form of the clock: the ticks a serial execution with
     /// these counters was charged, `Σ counter × cost`.  (A parallel scan
     /// sums its workers' counters but charges only the slowest worker and
     /// the start-ups, so it alone does not read this.)
     pub fn of(&self, io: &IoStats) -> u64 {
-        [
-            (io.seq_reads, self.seq_page_read),
-            (io.single_reads, self.single_page_read),
-            (io.random_reads, self.random_page_read),
-            (io.page_writes, self.page_write),
-            (io.buffer_hits, self.cpu_buffer_hit),
-            (io.cpu_rows, self.cpu_row),
-            (io.cpu_compares, self.cpu_compare),
-            (io.cpu_hashes, self.cpu_hash),
-        ]
-        .into_iter()
-        .fold(0, |sum, (n, cost)| mul_add(n, cost, sum))
+        price_list!(io, self).into_iter().fold(0, |sum, (n, cost)| mul_add(n, cost, sum))
+    }
+}
+
+impl CostModel {
+    /// The seconds a run expected to charge the counters `io` would take:
+    /// the clock's closed form over the same price list, in seconds.
+    #[inline]
+    pub fn seconds(&self, io: &IoExpect) -> f64 {
+        // Summed as a tree: the estimators call this in their inner loop.
+        let p = price_list!(io, self).map(|(n, cost)| n * cost);
+        ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
     }
 }
 
@@ -253,6 +272,29 @@ impl IoStats {
             cpu_hashes: self.cpu_hashes.saturating_sub(earlier.cpu_hashes),
         }
     }
+}
+
+/// The counters of [`IoStats`] as expectations: what an estimator
+/// predicts a plan will charge before it runs, priced by
+/// [`CostModel::seconds`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct IoExpect {
+    /// Pages read as part of sequential read-ahead runs.
+    pub seq_reads: f64,
+    /// Pages read in order but one page at a time.
+    pub single_reads: f64,
+    /// Random page reads.
+    pub random_reads: f64,
+    /// Pages written.
+    pub page_writes: f64,
+    /// Page requests satisfied by the buffer pool.
+    pub buffer_hits: f64,
+    /// Rows processed.
+    pub cpu_rows: f64,
+    /// Key comparisons performed.
+    pub cpu_compares: f64,
+    /// Hash-table operations performed.
+    pub cpu_hashes: f64,
 }
 
 /// The simulated clock: accumulates charged ticks (picoseconds) and work
@@ -518,6 +560,37 @@ mod tests {
         let c = SimClock::new();
         c.charge_reads(&m, AccessKind::Random, 1);
         c.charge_rows(&m, u64::MAX / m.cpu_row);
+    }
+
+    /// The estimators' price of expected counters is the clock's price of
+    /// the same counters, read in seconds.
+    #[test]
+    fn seconds_price_counters_as_the_clock_charges_them() {
+        let io = IoStats {
+            seq_reads: 7,
+            single_reads: 5,
+            random_reads: 3,
+            page_writes: 2,
+            buffer_hits: 11,
+            cpu_rows: 1_000,
+            cpu_compares: 4_000,
+            cpu_hashes: 300,
+        };
+        let expect = IoExpect {
+            seq_reads: 7.0,
+            single_reads: 5.0,
+            random_reads: 3.0,
+            page_writes: 2.0,
+            buffer_hits: 11.0,
+            cpu_rows: 1_000.0,
+            cpu_compares: 4_000.0,
+            cpu_hashes: 300.0,
+        };
+        for model in [CostModel::hdd_2009(), CostModel::in_memory()] {
+            let clock = ticks_to_seconds(model.ticks().of(&io));
+            assert!((model.seconds(&expect) - clock).abs() <= clock * 1e-12, "{model:?}");
+        }
+        assert_eq!(CostModel::hdd_2009().seconds(&IoExpect::default()), 0.0);
     }
 
     #[test]

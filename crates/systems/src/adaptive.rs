@@ -27,7 +27,7 @@
 //! switching entirely — zero penalty means the caller does not price
 //! worst-case outcomes, so hedging mid-flight cannot pay either.
 
-use robustmap_executor::{CheckpointKind, FetchKind, Observation, PlanSpec, SwitchController};
+use robustmap_executor::{CheckpointKind, Observation, PlanSpec, SwitchController};
 use robustmap_storage::CostModel;
 use robustmap_workload::{COL_A, COL_B};
 
@@ -169,13 +169,14 @@ impl SwitchController for BailController<'_> {
 ///   `min(sel_a, sel_b)` (the robust end of what stays consistent with
 ///   the exact marginals) rather than at a point the observation just
 ///   discredited;
-/// * plans without a checkpoint (table scans, covering scans and rid
-///   joins) return `None`.
+/// * plans without a checkpoint (table scans, covering scans, rid joins)
+///   and a fetch over a column the query does not filter return `None`.
 ///
-/// The re-costing substitutes the observed cardinality into the same
-/// [`estimate_cost`]/[`estimate_fetch`] formulas the compile-time choice
-/// used (Fréchet-clamped to stay coherent), so the mid-flight decision is
-/// the compile-time decision with one estimate replaced by ground truth.
+/// The re-costing predicts the same counters the compile-time choice
+/// priced ([`estimate_cost`], [`estimate_fetch`]) with the observed
+/// cardinality substituted (Fréchet-clamped to stay coherent), so the
+/// mid-flight decision is the compile-time decision with one estimate
+/// replaced by ground truth.
 ///
 /// `band_factor` sets the credible band.  [`DEFAULT_BAND_FACTOR`] treats a
 /// factor-2 cardinality surprise as the edge of credibility; an experiment
@@ -197,88 +198,59 @@ pub fn two_pred_bail_controller<'a>(
     /// What the armed checkpoint's row count measures.
     #[derive(Clone, Copy)]
     enum Reveals {
-        LeadingA,
-        LeadingB,
-        Conjunction,
-        /// A mid-scan floor on the conjunction (MDAM milestones).
-        ConjunctionFloor,
-    }
-    /// What the remaining pipeline is, for re-costing.
-    enum Tail {
-        /// Fetch the pending rids with this discipline.
-        Fetch(FetchKind),
-        /// Finish (in practice: re-run) this scan — approximated by its
-        /// full corrected cost, since milestones trip shortly past the
-        /// credible band, early in the corrected total.
-        Rescan(PlanSpec),
+        /// The marginal of the leading column: `a`'s if `a`, else `b`'s.
+        Leading { a: bool },
+        /// The conjunction, or (MDAM milestones) a floor on it.
+        Conjunction { floor: bool },
     }
     let at = chosen.checkpoint()?;
     let rows = stats.rows;
-    let (expected, tail, reveals) = match chosen {
-        PlanSpec::IndexFetch { scan, key_filter, fetch, .. } => {
-            if key_filter.terms().is_empty() {
-                let (sel, rev) = match stats.leading_column(scan.index) {
-                    Some(c) if c == COL_A => (est.sel_a, Reveals::LeadingA),
-                    Some(c) if c == COL_B => (est.sel_b, Reveals::LeadingB),
-                    _ => (1.0, Reveals::LeadingA),
-                };
-                (sel * rows, Tail::Fetch(*fetch), rev)
-            } else {
-                // The key filter runs before the fetch, so the rid feed
-                // counts the conjunction's survivors.
-                (est.sel_ab * rows, Tail::Fetch(*fetch), Reveals::Conjunction)
-            }
+    // What the checkpoint counts, and the fetch still to come after it:
+    // `None` for a scan, whose rest is priced as a rerun at the corrected
+    // estimate, since milestones trip shortly past the credible band,
+    // early in the corrected total.
+    let (reveals, tail, sel) = match chosen {
+        // The key filter runs before the fetch, so the rid feed counts
+        // the conjunction's survivors.
+        PlanSpec::IndexFetch { key_filter, fetch, .. } if !key_filter.terms().is_empty() => {
+            (Reveals::Conjunction { floor: false }, Some(*fetch), est.sel_ab)
+        }
+        PlanSpec::IndexFetch { scan, fetch, .. } => {
+            let lead = stats.leading_column(scan.index).filter(|&c| c == COL_A || c == COL_B)?;
+            let a = lead == COL_A;
+            (Reveals::Leading { a }, Some(*fetch), if a { est.sel_a } else { est.sel_b })
         }
         PlanSpec::IndexIntersect { fetch, .. } => {
-            (est.sel_ab * rows, Tail::Fetch(*fetch), Reveals::Conjunction)
+            (Reveals::Conjunction { floor: false }, Some(*fetch), est.sel_ab)
         }
-        PlanSpec::Mdam { .. } => {
-            (est.sel_ab * rows, Tail::Rescan(chosen.clone()), Reveals::ConjunctionFloor)
-        }
+        PlanSpec::Mdam { .. } => (Reveals::Conjunction { floor: true }, None, est.sel_ab),
         _ => return None,
     };
-    let policy = SwitchPolicy::from_choice(choice, expected, band_factor, cfg);
-    let fb = fallback.clone();
+    let policy = SwitchPolicy::from_choice(choice, sel * rows, band_factor, cfg);
+    let (fb, rest) = (fallback.clone(), chosen.clone());
     let recost = move |observed: u64| {
-        let obs = observed as f64;
-        let corrected = match reveals {
-            // A leading marginal: rescale the conjunction proportionally,
-            // Fréchet-clamped.
-            Reveals::LeadingA | Reveals::LeadingB => {
-                let sel_lead = clamp_sel(obs / rows);
-                let (sel_a, sel_b, prior) = if matches!(reveals, Reveals::LeadingA) {
-                    (sel_lead, est.sel_b, est.sel_a)
-                } else {
-                    (est.sel_a, sel_lead, est.sel_b)
-                };
-                let sel_ab = frechet_clamp(sel_a, sel_b, est.sel_ab * (sel_lead / prior));
-                SelEstimates { sel_a, sel_b, sel_ab }
+        let seen = clamp_sel(observed as f64 / rows);
+        let SelEstimates { mut sel_a, mut sel_b, .. } = est;
+        let sel_ab = match reveals {
+            // A leading marginal: rescale the conjunction proportionally.
+            Reveals::Leading { a } => {
+                *(if a { &mut sel_a } else { &mut sel_b }) = seen;
+                est.sel_ab * (seen / sel)
             }
             // The true conjunction cardinality, observed directly.
-            Reveals::Conjunction => SelEstimates {
-                sel_a: est.sel_a,
-                sel_b: est.sel_b,
-                sel_ab: frechet_clamp(est.sel_a, est.sel_b, clamp_sel(obs / rows)),
-            },
+            Reveals::Conjunction { floor: false } => seen,
             // Only a floor — but one the credible band ruled out, so the
             // point estimate is falsified and the correction hedges to the
             // Fréchet upper bound (never below the floor itself).
-            Reveals::ConjunctionFloor => SelEstimates {
-                sel_a: est.sel_a,
-                sel_b: est.sel_b,
-                sel_ab: frechet_clamp(
-                    est.sel_a,
-                    est.sel_b,
-                    est.sel_a.min(est.sel_b).max(clamp_sel(obs / rows)),
-                ),
-            },
+            Reveals::Conjunction { floor: true } => est.sel_a.min(est.sel_b).max(seen),
         };
-        // What continuing costs: fetching the pending rids (plus their
-        // row CPU) — the prefix that produced them is sunk either way —
-        // or, for a tripped scan, finishing it at the corrected estimate.
+        let corrected = SelEstimates { sel_a, sel_b, sel_ab: frechet_clamp(sel_a, sel_b, sel_ab) };
+        // What continuing costs: fetching the pending rids — the prefix
+        // that produced them is sunk either way — or, for a tripped scan,
+        // finishing it at the corrected estimate.
         let remaining = match &tail {
-            Tail::Fetch(fetch) => estimate_fetch(obs, stats, fetch, model) + obs * model.cpu_row,
-            Tail::Rescan(spec) => estimate_cost(spec, stats, &corrected, model),
+            Some(fetch) => estimate_fetch(observed as f64, stats, fetch, model),
+            None => estimate_cost(&rest, stats, &corrected, model),
         };
         (remaining, estimate_cost(&fb, stats, &corrected, model))
     };

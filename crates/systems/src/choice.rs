@@ -30,7 +30,7 @@ use robustmap_workload::{
 };
 
 use crate::optimizer::{clamp_sel, frechet_clamp, CatalogStats, SelEstimates};
-use crate::robust::{credible_region, region_cost, RobustConfig, SelHypothesis};
+use crate::robust::{credible_region, region_cost, RobustConfig, SelHypothesis, BOX_HYPOTHESES};
 use crate::two_pred::TwoPredPlan;
 
 /// Credible-band width in standard errors of a sampled estimate: a ~95%
@@ -320,17 +320,28 @@ impl Chooser<'_> {
     pub fn choose<E: Estimator + ?Sized>(&self, estimator: &E, ta: i64, tb: i64) -> Choice {
         match self.policy {
             ChoicePolicy::Point => {
-                let est = estimator.estimate(ta, tb);
+                let at = self.stats.at(&estimator.estimate(ta, tb));
                 self.select(|plan| {
-                    let c = plan.shape().cost(self.stats, &est, self.model);
+                    let c = plan.cost(&at, self.model);
                     (c, c, c)
                 })
             }
             ChoicePolicy::Robust(cfg) => {
+                // Each hypothesis priced once for all plans; a box on the stack.
                 let region = estimator.region(ta, tb);
+                let first = (self.stats.at(&region[0].est), region[0].weight);
+                let (mut on_stack, mut on_heap) = ([first; BOX_HYPOTHESES], Vec::new());
+                let priced = if region.len() <= BOX_HYPOTHESES {
+                    &mut on_stack[..region.len()]
+                } else {
+                    on_heap.resize(region.len(), first);
+                    &mut on_heap[..]
+                };
+                for (slot, h) in priced.iter_mut().zip(&region).skip(1) {
+                    *slot = (self.stats.at(&h.est), h.weight);
+                }
                 self.select(|plan| {
-                    let (expected, tail) =
-                        region_cost(plan, self.stats, &region, self.model, &cfg);
+                    let (expected, tail) = region_cost(plan, priced, self.model, &cfg);
                     (expected + cfg.penalty_weight * tail, expected, tail)
                 })
             }
@@ -752,10 +763,15 @@ mod tests {
         let mut tb: Vec<i64> = sels.iter().map(|&s| w.cal_b.threshold(s)).collect();
         ta.push(i64::MIN);
         tb.push(i64::MIN);
-        // Each catalog plan's stored shape is the shape of what it builds.
+        // Each catalog plan's stored shape is the shape of what it builds,
+        // and prices what it builds.
+        let at = stats.at(&SelEstimates::independent(0.3, 0.01));
         for plan in &plans {
             for (a, b) in [(ta[0], tb[6]), (ta[3], tb[3]), (i64::MIN, i64::MAX)] {
-                assert_eq!(plan.shape(), PlanShape::of(&plan.build(a, b)), "{}", plan.name);
+                let built = PlanShape::of(&plan.build(a, b));
+                assert_eq!(plan.shape, built, "{}", plan.name);
+                let io = built.and_then(|s| s.counters(&at)).expect("a catalog shape");
+                assert_eq!(plan.cost(&at, &model), model.seconds(&io), "{}", plan.name);
             }
         }
         // Twelve hypotheses, some tied in cost: not the 3 x 3 box.

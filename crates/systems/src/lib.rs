@@ -63,5 +63,5 @@ pub use choice::{Choice, ChoicePolicy, Chooser, Estimator, Maintained};
 pub use optimizer::{estimate_cost, estimate_fetch, CatalogStats, SelEstimates};
 pub use robust::{credible_region, RobustConfig, SelHypothesis};
 pub use single_pred::{single_predicate_plans, SinglePredPlan, SinglePredPlanSet};
-pub use system::{SystemId, SystemInfo};
+pub use system::SystemId;
 pub use two_pred::{two_predicate_plans, TwoPredPlan};

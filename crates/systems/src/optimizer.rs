@@ -1,22 +1,25 @@
-//! A deliberately conventional compile-time cost estimator and plan
-//! chooser.
+//! A compile-time cost estimator and plan chooser.
 //!
 //! The paper's framing: "Much existing research into robustness focuses on
 //! poor plan choices during query optimization. ... In contrast and as a
 //! complement to those efforts, we focus on the role of query execution
 //! techniques." (§1)  To *measure* how much run-time robustness buys when
-//! compile-time estimates go wrong, we need the thing that goes wrong: a
-//! textbook optimizer that picks the cheapest plan under *estimated*
-//! selectivities.
+//! compile-time estimates go wrong, we need the thing that goes wrong: an
+//! optimizer that picks the cheapest plan under *estimated* selectivities.
 //!
-//! The formulas below are intentionally the simple kind optimizers use
-//! (linear page/row terms, independence assumptions, `min(rows, pages)`
-//! caps) — their divergence from the measured maps under estimation error
-//! is the subject of the `ext_optimizer` experiment, not a defect.
+//! Its cost model is the executor's.  Each `PlanShape` arm predicts the
+//! counters its kernels charge — pages by access kind, buffer hits, rows,
+//! comparisons, hashes — as expectations ([`IoExpect`]), and
+//! [`CostModel::seconds`] prices them with the clock's one price list.  Fed
+//! exact selectivities the estimate tracks the charge (pinned by
+//! `estimates_track_what_every_catalog_plan_is_charged`), so what
+//! `ext_optimizer` maps under error is cardinality error alone.
 
-use robustmap_executor::{FetchKind, PlanSpec};
-use robustmap_storage::{CostModel, IndexId};
-use robustmap_workload::Workload;
+use robustmap_executor::{FetchKind, ImprovedFetchConfig, IntersectAlgo, PlanSpec};
+use robustmap_storage::{CostModel, IndexId, IoExpect, PAGE_SIZE};
+use robustmap_workload::{Workload, COL_A, COL_B};
+
+use crate::admission::DEFAULT_GRANT;
 
 /// Compile-time selectivity estimates for the two predicate columns.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,70 +115,247 @@ impl SelEstimates {
 }
 
 /// Table/index statistics the estimator consults (what a catalog would
-/// keep).
+/// keep), gathered once by [`CatalogStats::of`].
 #[derive(Debug, Clone)]
 pub struct CatalogStats {
     /// Table rows.
     pub rows: f64,
     /// Heap pages.
     pub heap_pages: f64,
-    /// Index entries per leaf page (from the B+-tree's defaults).
-    pub entries_per_leaf: f64,
-    /// Index height (root-to-leaf page count).
-    pub index_height: f64,
-    /// Leading key column per index, indexed by `IndexId.0` — published by
-    /// the workload's catalog ([`Workload::leading_column`]), never
-    /// hard-coded from allocation order.
-    leading: Vec<usize>,
+    /// What a scan of each index reads, indexed by `IndexId.0`; `None` for
+    /// an id the table has no index under.
+    indexes: Vec<Option<IndexStats>>,
+    /// The whole table's rows, which an unfiltered range reads.
+    table: Rows,
+}
+
+/// What a scan of one index reads.
+#[derive(Debug, Clone, Copy)]
+struct IndexStats {
+    /// Leading key column, as the workload's catalog publishes it
+    /// ([`Workload::leading_column`]), never read off allocation order.
+    leading: usize,
+    /// Key columns.
+    arity: f64,
+    /// Leaf pages per entry.
+    leaf: f64,
+    /// Root-to-leaf page count: the pages one seek reads.
+    height: f64,
+    /// Comparisons one seek charges: a binary search of a node a level.
+    seek_compares: f64,
+    /// Entries sharing an entry's leading value
+    /// ([`robustmap_workload::Calibrator::rows_per_value`]).
+    group: f64,
 }
 
 impl CatalogStats {
     /// Gather statistics from a built workload.
     pub fn of(w: &Workload) -> Self {
-        let tree = &w.db.index(w.indexes.a).tree;
-        let mut leading = Vec::new();
+        let rows = w.rows() as f64;
+        let groups = [(COL_A, w.cal_a.rows_per_value()), (COL_B, w.cal_b.rows_per_value())];
+        let mut indexes = Vec::new();
         for (id, def) in w.db.indexes_on(w.table) {
             let slot = id.0 as usize;
-            if leading.len() <= slot {
-                leading.resize(slot + 1, usize::MAX);
+            if indexes.len() <= slot {
+                indexes.resize(slot + 1, None);
             }
-            leading[slot] = def.key_columns[0];
+            let (tree, leading) = (&def.tree, def.key_columns[0]);
+            let per_leaf = (tree.len() as f64 / tree.node_count() as f64).max(1.0);
+            let height = tree.height() as f64;
+            let group = groups.iter().find(|g| g.0 == leading).map_or(1.0, |g| g.1);
+            indexes[slot] = Some(IndexStats {
+                leading,
+                arity: tree.key_arity() as f64,
+                leaf: 1.0 / per_leaf,
+                height,
+                seek_compares: height * (per_leaf.log2().floor() + 1.0),
+                group: group.max(1.0),
+            });
         }
-        CatalogStats {
-            rows: w.rows() as f64,
-            heap_pages: w.heap_pages() as f64,
-            entries_per_leaf: (tree.len() as f64 / tree.node_count() as f64).max(1.0),
-            index_height: tree.height() as f64,
-            leading,
-        }
+        let heap_pages = w.heap_pages() as f64;
+        CatalogStats { rows, heap_pages, indexes, table: Rows::new(rows, heap_pages) }
     }
 
     /// The leading key column of `index`, or `None` for an index this
     /// catalog does not know about.
     pub fn leading_column(&self, index: IndexId) -> Option<usize> {
-        match self.leading.get(index.0 as usize) {
-            Some(&col) if col != usize::MAX => Some(col),
-            _ => None,
+        self.index(index).map(|ix| ix.leading)
+    }
+
+    fn index(&self, index: IndexId) -> Option<&IndexStats> {
+        self.indexes.get(index.0 as usize)?.as_ref()
+    }
+
+    /// Fetching `rows` (`ops::fetch`): a row and a page request each, the
+    /// sorted fetches' rid sort (compares) or bitmap (hashes), and their
+    /// sweep's pages — every request hits the page the sweep just read.
+    fn fetch(&self, rows: &Rows, kind: &FetchKind, io: &mut IoExpect) {
+        io.cpu_rows += rows.k;
+        let [seq, single, random] = match kind {
+            FetchKind::Traditional => return io.random_reads += rows.k,
+            FetchKind::Improved(_) => {
+                io.cpu_compares += rows.sorted;
+                rows.improved
+            }
+            FetchKind::BitmapSorted => {
+                io.cpu_hashes += rows.k;
+                rows.bitmap
+            }
+        };
+        io.buffer_hits += rows.k;
+        io.seq_reads += seq;
+        io.single_reads += single;
+        io.random_reads += random;
+    }
+
+    /// Pricing plans at `est`: what they share, computed once.
+    pub fn at(&self, est: &SelEstimates) -> Priced<'_> {
+        let rows =
+            [est.sel_a, est.sel_b, est.sel_ab].map(|s| Rows::new(s * self.rows, self.heap_pages));
+        Priced { stats: self, rows }
+    }
+}
+
+/// Rows a plan reads, the comparisons sorting their rids, and the pages
+/// each sorted fetch of them reads: `[sequential, single, random]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rows {
+    k: f64,
+    sorted: f64,
+    improved: [f64; 3],
+    bitmap: [f64; 3],
+}
+
+impl Rows {
+    /// `k` rows spread at random over a heap of `pages`, and the pages a
+    /// sweep in physical order reads to fetch them (`ops::fetch`): a seek to
+    /// the first touched page, then per gap to the next — geometric, as a
+    /// page holds none of the rows with chance `miss` = e^(-k/pages) —
+    /// read-ahead (improved fetch only), a short seek or a random read, by
+    /// the default [`ImprovedFetchConfig`] every catalog plan fetches with.
+    fn new(k: f64, pages: f64) -> Rows {
+        let gaps = ImprovedFetchConfig::default();
+        // Past e^-40 a chance is 0 to double precision, and not computed.
+        let miss = if k < 40.0 * pages { (-k / pages).exp() } else { 0.0 };
+        let touched = pages * (1.0 - miss);
+        let steps = (touched - 1.0).max(0.0);
+        // Pages read ahead per step, and the chance a gap is longer.
+        let (mut ahead, mut longer) = (0.0, 1.0);
+        for g in 1..=gaps.scan_gap {
+            ahead += g as f64 * (1.0 - miss) * longer;
+            longer *= miss;
+        }
+        let gap = gaps.prefetch_gap as f64;
+        let far = if k * gap < 40.0 * pages { miss.powi(gap as i32) } else { 0.0 };
+        let random = touched.min(1.0) + steps * far;
+        Rows {
+            k,
+            sorted: sort_compares(k),
+            improved: [steps * ahead, steps * (longer - far), random],
+            bitmap: [0.0, steps * (1.0 - far), random],
         }
     }
 }
 
-/// Estimate the cost (in model seconds) of one two-predicate plan under
-/// the given selectivity estimates.  Covers the plan shapes the three
-/// systems generate; other shapes fall back to a table-scan bound.  The
-/// formula reads only the plan's shape, never its predicate constants,
-/// which is what lets a catalog plan derive its shape once.
+/// Plans priced at one estimate: the catalog, and the rows every plan's
+/// scans and fetches read — `a`'s range, `b`'s, and the conjunction.
+#[derive(Debug, Clone, Copy)]
+pub struct Priced<'s> {
+    stats: &'s CatalogStats,
+    rows: [Rows; 3],
+}
+
+impl Priced<'_> {
+    /// The rows of the range on `col`: `a`'s, `b`'s, or a column the query
+    /// does not filter, the whole table (the `c` index).
+    fn range(&self, col: usize) -> &Rows {
+        match col {
+            COL_A => &self.rows[0],
+            COL_B => &self.rows[1],
+            _ => &self.stats.table,
+        }
+    }
+
+    /// A range scan of `ix` from its first key (`ops::index_scan`): a cold
+    /// seek, a page a level, then leaf after leaf through the entries in the
+    /// leading range and the one that ends it, a row each.  Returns the
+    /// entries in range.
+    fn range_scan(&self, ix: &IndexStats, io: &mut IoExpect) -> &Rows {
+        let (scanned, n) = (self.range(ix.leading), self.stats.rows);
+        io.random_reads += ix.height;
+        io.cpu_compares += ix.seek_compares;
+        io.seq_reads += scanned.k.min(n - 1.0) * ix.leaf;
+        io.cpu_rows += (scanned.k + 1.0).min(n);
+        scanned
+    }
+
+    /// MDAM (`ops::mdam`) over the leading range of a covering index whose
+    /// entries come in groups of `ix.group` sharing a leading value.  A
+    /// group's passing entries come first; the walk checks each (a compare
+    /// a key column) and the first failing one, then skips the rest of the
+    /// group: by stepping, when it ends within `SKIP_SCAN_LIMIT` (8)
+    /// entries — a probe whose steps, the next group's first entry
+    /// included, are rows too — or by a seek after 8 such steps.
+    fn mdam(&self, ix: &IndexStats, io: &mut IoExpect) {
+        let (scanned, n) = (self.range(ix.leading).k, self.stats.rows);
+        let g = ix.group;
+        let pass = (self.rows[2].k / scanned).min(1.0);
+        let fails = scanned / g * (1.0 - if g > 1.0 { pass.powf(g) } else { pass });
+        let checked = scanned * pass + fails + (n - scanned).min(1.0);
+        let rest = (g * (1.0 - pass) - 1.0).max(0.0);
+        let (probe, seeks) = if rest < 8.0 { (rest + 1.0, 0.0) } else { (8.0, fails) };
+        // Seeks past a whole leaf land on one not read yet, and skip it.
+        let landed = seeks * ((rest - 8.0) * ix.leaf).min(1.0);
+        let walked = scanned - seeks * (rest - 8.0);
+        io.random_reads += ix.height;
+        io.cpu_rows += checked + fails * probe;
+        io.cpu_compares += checked * ix.arity + (seeks + 1.0) * ix.seek_compares;
+        io.seq_reads += (walked.min(n - 1.0) * ix.leaf - landed).max(0.0);
+        io.random_reads += landed;
+        io.buffer_hits += seeks * ix.height - landed + fails * probe * ix.leaf;
+    }
+}
+
+/// Comparisons a comparison sort of `k` items is charged (the executor's
+/// `n ⌈log2 n⌉`), in `i64`, which a float converts to and from in one step.
+fn sort_compares(k: f64) -> f64 {
+    let n = (k + 0.5) as i64;
+    (n * (64 - (n - 1).leading_zeros()) as i64) as f64
+}
+
+/// Rid hash intersection (`rid_join::hash_intersect`): the build side
+/// hashed twice and the probe once — after both are partitioned, a hash a
+/// rid and a page written and read back per 8 KiB of rids, when the build
+/// side's table (16 bytes a rid) outgrows the query's grant.
+fn hash_intersect(build: f64, probe: f64, io: &mut IoExpect) {
+    io.cpu_hashes += 2.0 * build + probe;
+    let grant = DEFAULT_GRANT as f64;
+    if build * 16.0 > grant {
+        let parts = ((build * 16.0 / grant) as u64 + 1).next_power_of_two() as f64;
+        let pages = |rids: f64| parts * (rids / parts * 8.0 / PAGE_SIZE as f64).ceil();
+        io.cpu_hashes += build + probe;
+        io.page_writes += pages(build) + pages(probe);
+        io.buffer_hits += pages(build) + pages(probe);
+    }
+}
+
+/// The estimated cost (in model seconds) of a two-predicate plan under
+/// `est`: its `PlanShape::counters`, priced — `∞` for a shape outside the
+/// catalogs or over an index the catalog does not know.  It reads only the
+/// plan's shape, never its constants, so a catalog plan derives it once.
 pub fn estimate_cost(
     spec: &PlanSpec,
     stats: &CatalogStats,
     est: &SelEstimates,
     model: &CostModel,
 ) -> f64 {
-    PlanShape::of(spec).cost(stats, est, model)
+    let io = PlanShape::of(spec).and_then(|shape| shape.counters(&stats.at(est)));
+    io.map_or(f64::INFINITY, |io| model.seconds(&io))
 }
 
 /// What [`estimate_cost`] reads of a plan: its operator, the indexes it
-/// scans, whether it filters index keys, and how it fetches heap rows.
+/// scans, whether it filters index keys, and how it combines rids and
+/// fetches heap rows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum PlanShape {
     /// A full table scan.
@@ -185,17 +365,15 @@ pub(crate) enum PlanShape {
     /// A range scan of a covering index.
     CoveringIndexScan { index: IndexId },
     /// A multi-dimensional access of a covering index.
-    Mdam,
+    Mdam { index: IndexId },
     /// Two index range scans intersected on rids, then a heap fetch.
-    IndexIntersect { left: IndexId, right: IndexId, fetch: FetchKind },
-    /// A shape outside the two-predicate catalogs.
-    Other,
+    IndexIntersect { left: IndexId, right: IndexId, algo: IntersectAlgo, fetch: FetchKind },
 }
 
 impl PlanShape {
-    /// The shape of `spec`.
-    pub(crate) fn of(spec: &PlanSpec) -> Self {
-        match spec {
+    /// The shape of `spec`, if it is one of the two-predicate catalogs'.
+    pub(crate) fn of(spec: &PlanSpec) -> Option<Self> {
+        Some(match spec {
             PlanSpec::TableScan { .. } => PlanShape::TableScan,
             PlanSpec::IndexFetch { scan, key_filter, fetch, .. } => PlanShape::IndexFetch {
                 index: scan.index,
@@ -205,115 +383,72 @@ impl PlanShape {
             PlanSpec::CoveringIndexScan { scan, .. } => {
                 PlanShape::CoveringIndexScan { index: scan.index }
             }
-            PlanSpec::Mdam { .. } => PlanShape::Mdam,
-            PlanSpec::IndexIntersect { left, right, fetch, .. } => {
-                PlanShape::IndexIntersect { left: left.index, right: right.index, fetch: *fetch }
+            PlanSpec::Mdam { index, .. } => PlanShape::Mdam { index: *index },
+            PlanSpec::IndexIntersect { left, right, algo, fetch, .. } => {
+                let (left, right) = (left.index, right.index);
+                PlanShape::IndexIntersect { left, right, algo: *algo, fetch: *fetch }
             }
-            _ => PlanShape::Other,
-        }
+            _ => return None,
+        })
     }
 
-    /// The estimated cost of a plan of this shape (see [`estimate_cost`]).
-    pub(crate) fn cost(
-        &self,
-        stats: &CatalogStats,
-        est: &SelEstimates,
-        model: &CostModel,
-    ) -> f64 {
-        let rows = stats.rows;
-        let result_rows = est.sel_ab * rows;
+    /// The counters a cold run of this shape is expected to charge at
+    /// `at`, or `None` if it scans an index the catalog does not know.
+    /// Inlined where they are priced, so they never leave registers.
+    #[inline(always)]
+    pub(crate) fn counters(&self, at: &Priced) -> Option<IoExpect> {
+        let (stats, result) = (at.stats, &at.rows[2]);
+        let mut io = IoExpect::default();
         match *self {
             PlanShape::TableScan => {
-                stats.heap_pages * model.seq_page_read + rows * (model.cpu_row + model.cpu_compare)
+                // `a <= ta` on every row, `b <= tb` on its survivors.
+                io.seq_reads = stats.heap_pages;
+                io.cpu_rows = stats.rows;
+                io.cpu_compares = stats.rows + at.rows[0].k;
             }
             PlanShape::IndexFetch { index, key_filter, ref fetch } => {
-                // The leading-range selectivity is the estimate for the
-                // column the catalog says leads the scanned index.
-                let leading = leading_selectivity(index, stats, est);
-                let scanned_entries = leading * rows;
-                let qualifying = if key_filter { result_rows.max(1.0) } else { scanned_entries };
-                let leaf_cost = (scanned_entries / stats.entries_per_leaf).ceil()
-                    * model.seq_page_read
-                    + stats.index_height * model.random_page_read;
-                let fetch_cost = estimate_fetch(qualifying, stats, fetch, model);
-                leaf_cost
-                    + fetch_cost
-                    + scanned_entries * (model.cpu_row + model.cpu_compare)
-                    + qualifying * model.cpu_row
+                let scanned = at.range_scan(stats.index(index)?, &mut io);
+                // One compare an entry in range: in the key filter, which
+                // passes the conjunction, or in the residual of each row.
+                io.cpu_compares += scanned.k;
+                stats.fetch(if key_filter { result } else { scanned }, fetch, &mut io);
             }
             PlanShape::CoveringIndexScan { index } => {
-                let leading = leading_selectivity(index, stats, est);
-                let scanned = leading * rows;
-                (scanned / stats.entries_per_leaf).ceil() * model.seq_page_read
-                    + stats.index_height * model.random_page_read
-                    + scanned * (model.cpu_row + model.cpu_compare)
+                // The residual compares once an entry in range.
+                io.cpu_compares += at.range_scan(stats.index(index)?, &mut io).k;
             }
-            PlanShape::Mdam => {
-                // MDAM scans the qualifying entries plus one probe per skip;
-                // a common optimizer formula charges the covering scan of the
-                // leading range discounted by skip savings.  Stay simple:
-                // qualifying entries + log-height seeks per distinct prefix
-                // (approximated as qualifying + sqrt work).
-                let qualifying = result_rows.max(1.0);
-                let leaf_pages = (qualifying / stats.entries_per_leaf).ceil();
-                leaf_pages * model.seq_page_read
-                    + (qualifying.sqrt() + 1.0) * stats.index_height * model.cpu_buffer_hit * 4.0
-                    + stats.index_height * model.random_page_read
-                    + qualifying * (model.cpu_row + model.cpu_compare)
+            PlanShape::Mdam { index } => at.mdam(stats.index(index)?, &mut io),
+            PlanShape::IndexIntersect { left, right, algo, ref fetch } => {
+                let l = at.range_scan(stats.index(left)?, &mut io);
+                let r = at.range_scan(stats.index(right)?, &mut io);
+                match algo {
+                    IntersectAlgo::MergeJoin => {
+                        io.cpu_compares += l.sorted + r.sorted + (l.k + r.k - result.k).max(0.0)
+                    }
+                    IntersectAlgo::HashJoin { build_left } => {
+                        let (build, probe) = if build_left { (l.k, r.k) } else { (r.k, l.k) };
+                        hash_intersect(build, probe, &mut io)
+                    }
+                }
+                stats.fetch(result, fetch, &mut io);
             }
-            PlanShape::IndexIntersect { left, right, ref fetch } => {
-                let sl = leading_selectivity(left, stats, est) * rows;
-                let sr = leading_selectivity(right, stats, est) * rows;
-                let leaf = ((sl + sr) / stats.entries_per_leaf).ceil() * model.seq_page_read
-                    + 2.0 * stats.index_height * model.random_page_read;
-                let combine = (sl + sr) * (model.cpu_compare * 20.0); // sort/hash work
-                let fetch_cost = estimate_fetch(result_rows, stats, fetch, model);
-                leaf + combine + fetch_cost + result_rows * model.cpu_row
-            }
-            PlanShape::Other => stats.heap_pages * model.seq_page_read + rows * model.cpu_row,
         }
+        Some(io)
     }
 }
 
-/// Leading-column selectivity of an index range scan: the estimate for
-/// whichever predicate column the catalog says leads the index (`a` and
-/// `(a, b)` lead on `a`; `b` and `(b, a)` lead on `b`), and `1.0` for
-/// indexes leading on an unfiltered column (the `c` index).
-fn leading_selectivity(
-    index: IndexId,
-    stats: &CatalogStats,
-    est: &SelEstimates,
-) -> f64 {
-    match stats.leading_column(index) {
-        Some(robustmap_workload::COL_A) => est.sel_a,
-        Some(robustmap_workload::COL_B) => est.sel_b,
-        _ => 1.0,
-    }
-}
-
-/// Cost (in model seconds) of fetching `rows_to_fetch` heap rows under the
-/// given fetch discipline — shared by the plan formulas above and by the
-/// adaptive layer's mid-flight re-costing ([`crate::adaptive`]), which
-/// substitutes an *observed* cardinality for the estimate.
+/// The cost (in model seconds) of fetching `rows_to_fetch` heap rows with
+/// `fetch`: the plan estimates' fetch, priced alone for the adaptive
+/// layer's re-costing at an *observed* cardinality ([`crate::adaptive`]).
 pub fn estimate_fetch(
     rows_to_fetch: f64,
     stats: &CatalogStats,
     fetch: &FetchKind,
     model: &CostModel,
 ) -> f64 {
-    let touched_pages = rows_to_fetch.min(stats.heap_pages);
-    match fetch {
-        FetchKind::Traditional => rows_to_fetch * model.random_page_read,
-        FetchKind::Improved(_) => {
-            // Sorted fetch: dense ranges ride read-ahead, sparse ones seek.
-            if rows_to_fetch >= stats.heap_pages {
-                stats.heap_pages * model.seq_page_read + rows_to_fetch * model.cpu_buffer_hit
-            } else {
-                touched_pages * model.single_page_read
-            }
-        }
-        FetchKind::BitmapSorted => touched_pages * model.single_page_read,
-    }
+    let mut io = IoExpect::default();
+    stats.fetch(&Rows::new(rows_to_fetch, stats.heap_pages), fetch, &mut io);
+    model.seconds(&io)
 }
 
 #[cfg(test)]
@@ -349,8 +484,13 @@ mod tests {
         let (w, stats, _) = setup();
         assert_eq!(stats.rows, w.rows() as f64);
         assert_eq!(stats.heap_pages, w.heap_pages() as f64);
-        assert!(stats.entries_per_leaf > 50.0);
-        assert!(stats.index_height >= 1.0);
+        for (id, def) in w.db.indexes_on(w.table) {
+            let ix = stats.index(id).expect("every index of the table");
+            assert!(ix.leaf < 1.0 / 50.0 && ix.height >= 1.0, "{ix:?}");
+            assert_eq!(ix.arity, def.tree.key_arity() as f64);
+            // Permutation columns: one entry per leading value.
+            assert_eq!(ix.group, 1.0);
+        }
     }
 
     #[test]
@@ -440,20 +580,20 @@ mod tests {
             (w.indexes.ba, est.sel_b),
             (w.indexes.c, 1.0),
         ] {
-            assert_eq!(leading_selectivity(index, &stats, &est), want, "index {index:?}");
+            let ix = stats.index(index).expect("an index of the table");
+            assert_eq!(stats.at(&est).range(ix.leading).k, want * stats.rows);
             assert_eq!(
                 stats.leading_column(index),
                 Some(w.leading_column(index)),
                 "stats must republish the workload's catalog metadata"
             );
         }
-        // An index the catalog never saw costs like an unfiltered scan
-        // instead of silently borrowing another index's selectivity.
-        assert_eq!(stats.leading_column(robustmap_storage::IndexId(99)), None);
-        assert_eq!(
-            leading_selectivity(robustmap_storage::IndexId(99), &stats, &est),
-            1.0
-        );
+        // An index the catalog never saw is not priced at all instead of
+        // silently borrowing another index's statistics.
+        let unknown = robustmap_storage::IndexId(99);
+        assert_eq!(stats.leading_column(unknown), None);
+        let shape = PlanShape::CoveringIndexScan { index: unknown };
+        assert_eq!(shape.counters(&stats.at(&est)), None);
     }
 
     #[test]
@@ -593,3 +733,4 @@ mod tests {
         );
     }
 }
+

@@ -32,7 +32,7 @@
 
 use robustmap_storage::CostModel;
 
-use crate::optimizer::{clamp_sel, frechet_clamp, CatalogStats, SelEstimates};
+use crate::optimizer::{clamp_sel, frechet_clamp, Priced, SelEstimates};
 use crate::two_pred::TwoPredPlan;
 
 /// Tuning knobs of the robust chooser.
@@ -87,22 +87,21 @@ pub fn credible_region(center: SelEstimates, radius_a: f64, radius_b: f64) -> Ve
     region
 }
 
-/// Hypotheses whose costs [`region_cost`] keeps on the stack: the
-/// [`credible_region`] box.
-const BOX_HYPOTHESES: usize = 9;
+/// Hypotheses whose prices and costs a robust decision keeps on the stack:
+/// the [`credible_region`] box.
+pub(crate) const BOX_HYPOTHESES: usize = 9;
 
 /// Expected and tail-quantile estimated cost of one plan over a weighted
-/// hypothesis region.  The plan is priced by its shape, so no plan is
-/// built; a region the size of the credible box allocates nothing.
+/// hypothesis region, each hypothesis priced ([`crate::CatalogStats::at`]) with
+/// its weight.  The plan is priced by its shape, so no plan is built; a
+/// region the size of the credible box allocates nothing.
 pub fn region_cost(
     plan: &TwoPredPlan,
-    stats: &CatalogStats,
-    region: &[SelHypothesis],
+    region: &[(Priced, f64)],
     model: &CostModel,
     cfg: &RobustConfig,
 ) -> (f64, f64) {
     assert!(!region.is_empty(), "empty uncertainty region");
-    let shape = plan.shape();
     let mut on_stack = [(0.0, 0.0); BOX_HYPOTHESES];
     let mut on_heap = Vec::new();
     let costs = if region.len() <= BOX_HYPOTHESES {
@@ -111,8 +110,8 @@ pub fn region_cost(
         on_heap.resize(region.len(), (0.0, 0.0));
         &mut on_heap[..]
     };
-    for (slot, h) in costs.iter_mut().zip(region) {
-        *slot = (shape.cost(stats, &h.est, model), h.weight);
+    for (slot, (at, weight)) in costs.iter_mut().zip(region) {
+        *slot = (plan.cost(at, model), *weight);
     }
     let total_w: f64 = costs.iter().map(|&(_, w)| w).sum();
     let expected = costs.iter().map(|&(c, w)| c * w).sum::<f64>() / total_w;
@@ -136,6 +135,7 @@ mod tests {
     use super::*;
     use crate::choice::{ChoicePolicy, Chooser, Estimator};
     use crate::optimizer::estimate_cost;
+    use crate::optimizer::CatalogStats;
     use crate::two_pred::two_predicate_plans;
     use crate::SystemId;
     use robustmap_workload::gen::PredicateDistribution;
@@ -202,9 +202,9 @@ mod tests {
         // The hedged choice must never have a worse tail than the lean one
         // (that is the penalty's whole point), and on this region it is a
         // strictly different, tail-safer plan.
-        let (_, lean_tail) = region_cost(&plans[lean], &stats, &region, &model, &penalised);
-        let (_, hedged_tail) =
-            region_cost(&plans[hedged], &stats, &region, &model, &penalised);
+        let priced: Vec<_> = region.iter().map(|h| (stats.at(&h.est), h.weight)).collect();
+        let (_, lean_tail) = region_cost(&plans[lean], &priced, &model, &penalised);
+        let (_, hedged_tail) = region_cost(&plans[hedged], &priced, &model, &penalised);
         assert!(hedged_tail <= lean_tail, "{lean_tail} vs {hedged_tail}");
         assert_ne!(
             plans[lean].name, plans[hedged].name,
@@ -257,8 +257,9 @@ mod tests {
             joint.resolution_b(),
         );
         let cfg = RobustConfig::default();
+        let priced: Vec<_> = region.iter().map(|h| (stats.at(&h.est), h.weight)).collect();
         for plan in &plans {
-            let (expected, tail) = region_cost(plan, &stats, &region, &model, &cfg);
+            let (expected, tail) = region_cost(plan, &priced, &model, &cfg);
             assert!(expected.is_finite() && expected > 0.0, "{}", plan.name);
             assert!(tail.is_finite() && tail > 0.0, "{}", plan.name);
             // The 0.9-quantile can sit below the mean only when the mean is

@@ -15,6 +15,7 @@ use robustmap_executor::{
 use robustmap_workload::{Workload, COL_A, COL_C};
 
 use crate::system::SystemId;
+use crate::two_pred::up_to;
 
 /// A named plan for the single-predicate query, parameterised by the
 /// predicate constant.
@@ -59,6 +60,17 @@ pub fn single_predicate_plans(set: SinglePredPlanSet, w: &Workload) -> Vec<Singl
     let idx = w.indexes;
     let table = w.table;
     let project_ac = Projection::Columns(vec![COL_A, COL_C]);
+    // The index range on `a`, every row of it fetched with `fetch`.
+    let index_scan = |fetch: FetchKind| {
+        let project = project_ac.clone();
+        move |ta| PlanSpec::IndexFetch {
+            scan: up_to(idx.a, ta, 1),
+            key_filter: Predicate::always_true(),
+            fetch,
+            residual: Predicate::always_true(),
+            project: project.clone(),
+        }
+    };
     let mut plans = vec![
         SinglePredPlan::new("table scan", {
             let project = project_ac.clone();
@@ -68,33 +80,18 @@ pub fn single_predicate_plans(set: SinglePredPlanSet, w: &Workload) -> Vec<Singl
                 project: project.clone(),
             }
         }),
-        SinglePredPlan::new("traditional index scan", {
-            let project = project_ac.clone();
-            move |ta| PlanSpec::IndexFetch {
-                scan: IndexRangeSpec { index: idx.a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
-                key_filter: Predicate::always_true(),
-                fetch: FetchKind::Traditional,
-                residual: Predicate::always_true(),
-                project: project.clone(),
-            }
-        }),
-        SinglePredPlan::new("improved index scan", {
-            let project = project_ac.clone();
-            move |ta| PlanSpec::IndexFetch {
-                scan: IndexRangeSpec { index: idx.a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
-                key_filter: Predicate::always_true(),
-                fetch: FetchKind::Improved(ImprovedFetchConfig::default()),
-                residual: Predicate::always_true(),
-                project: project.clone(),
-            }
-        }),
+        SinglePredPlan::new("traditional index scan", index_scan(FetchKind::Traditional)),
+        SinglePredPlan::new(
+            "improved index scan",
+            index_scan(FetchKind::Improved(ImprovedFetchConfig::default())),
+        ),
     ];
     if set == SinglePredPlanSet::WithIndexJoins {
         // Joined covering rows are `a ++ c` (left keys then right keys), so
         // the projection is the identity in that combined space.
         let join = |algo: IntersectAlgo| {
             move |ta: i64| PlanSpec::CoveringRidJoin {
-                left: IndexRangeSpec { index: idx.a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
+                left: up_to(idx.a, ta, 1),
                 right: IndexRangeSpec { index: idx.c, range: KeyRange::full(1) },
                 algo,
                 project: Projection::All,

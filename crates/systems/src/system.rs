@@ -35,45 +35,6 @@ impl std::fmt::Display for SystemId {
     }
 }
 
-/// Capability summary of a system, for reports and documentation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SystemInfo {
-    /// The system.
-    pub id: SystemId,
-    /// Which index shapes it can use.
-    pub index_shapes: &'static str,
-    /// Whether index-only (covering) plans are possible.
-    pub covering_plans: bool,
-    /// Its signature fetch/scan technique.
-    pub signature_technique: &'static str,
-}
-
-impl SystemInfo {
-    /// Capability description for `id`.
-    pub fn of(id: SystemId) -> SystemInfo {
-        match id {
-            SystemId::A => SystemInfo {
-                id,
-                index_shapes: "single-column non-clustered",
-                covering_plans: false,
-                signature_technique: "improved index scan (rid sort + read-ahead switch)",
-            },
-            SystemId::B => SystemInfo {
-                id,
-                index_shapes: "single- and two-column non-clustered (non-covering)",
-                covering_plans: false,
-                signature_technique: "bitmap-sorted fetch (MVCC forces full-row fetches)",
-            },
-            SystemId::C => SystemInfo {
-                id,
-                index_shapes: "single- and two-column, covering",
-                covering_plans: true,
-                signature_technique: "MDAM multi-dimensional B-tree access",
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,12 +45,5 @@ mod tests {
         assert_eq!(all.len(), 3);
         let names: std::collections::HashSet<&str> = all.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), 3);
-    }
-
-    #[test]
-    fn only_c_covers() {
-        assert!(!SystemInfo::of(SystemId::A).covering_plans);
-        assert!(!SystemInfo::of(SystemId::B).covering_plans);
-        assert!(SystemInfo::of(SystemId::C).covering_plans);
     }
 }

@@ -9,9 +9,10 @@ use robustmap_executor::{
     ColRange, FetchKind, ImprovedFetchConfig, IndexRangeSpec, IntersectAlgo, KeyRange, PlanSpec,
     Predicate, Projection,
 };
+use robustmap_storage::{CostModel, IndexId};
 use robustmap_workload::{Workload, COL_A, COL_B};
 
-use crate::optimizer::PlanShape;
+use crate::optimizer::{PlanShape, Priced};
 use crate::system::SystemId;
 
 /// A named, system-attributed plan for the two-predicate query.
@@ -21,8 +22,8 @@ pub struct TwoPredPlan {
     /// Stable, human-readable plan name (used as map series labels).
     pub name: String,
     factory: Box<dyn Fn(i64, i64) -> PlanSpec + Send + Sync>,
-    /// The shape every build shares: the cost formulas read only this.
-    shape: PlanShape,
+    /// The shape every build shares: the estimator reads only this.
+    pub(crate) shape: Option<PlanShape>,
 }
 
 impl TwoPredPlan {
@@ -41,10 +42,11 @@ impl TwoPredPlan {
         (self.factory)(ta, tb)
     }
 
-    /// The shape of every plan [`TwoPredPlan::build`] returns, derived once:
-    /// what a decision prices.
-    pub(crate) fn shape(&self) -> PlanShape {
-        self.shape
+    /// The estimated cost at `at` of every plan [`TwoPredPlan::build`]
+    /// returns, from the shape derived once ([`crate::estimate_cost`]).
+    pub(crate) fn cost(&self, at: &Priced, model: &CostModel) -> f64 {
+        let io = self.shape.and_then(|shape| shape.counters(at));
+        io.map_or(f64::INFINITY, |io| model.seconds(&io))
     }
 }
 
@@ -54,8 +56,47 @@ impl std::fmt::Debug for TwoPredPlan {
     }
 }
 
-fn pred_both(ta: i64, tb: i64) -> Predicate {
-    Predicate::all_of(vec![ColRange::at_most(COL_A, ta), ColRange::at_most(COL_B, tb)])
+/// One order of the two predicate columns, `(a, b)` or `(b, a)`: the
+/// single-column indexes on its leading and its other column, the
+/// two-column index in that order, and the other column's position.
+#[derive(Clone, Copy)]
+struct Order {
+    lead: IndexId,
+    other: IndexId,
+    composite: IndexId,
+    other_col: usize,
+}
+
+/// The range `leading column <= t` of an index whose keys have `arity`
+/// columns.
+pub(crate) fn up_to(index: IndexId, t: i64, arity: usize) -> IndexRangeSpec {
+    IndexRangeSpec { index, range: KeyRange::on_leading(i64::MIN, t, arity) }
+}
+
+/// Whole rows of the leading column's range, fetched with `fetch`: the
+/// other predicate filters the composite index's keys (position 1) before
+/// the fetch, or the single-column index's rows after it.
+fn fetch(o: Order, t: i64, u: i64, composite: bool, fetch: FetchKind) -> PlanSpec {
+    let (none, other) = (Predicate::always_true(), |c| Predicate::single(ColRange::at_most(c, u)));
+    let (scan, key_filter, residual) = if composite {
+        (up_to(o.composite, t, 2), other(1), none)
+    } else {
+        (up_to(o.lead, t, 1), none, other(o.other_col))
+    };
+    PlanSpec::IndexFetch { scan, key_filter, fetch, residual, project: Projection::All }
+}
+
+/// The two single-column ranges, the leading one first, intersected with
+/// `algo`, then an improved fetch.
+fn intersect(o: Order, t: i64, u: i64, algo: IntersectAlgo) -> PlanSpec {
+    PlanSpec::IndexIntersect {
+        left: up_to(o.lead, t, 1),
+        right: up_to(o.other, u, 1),
+        algo,
+        fetch: FetchKind::Improved(ImprovedFetchConfig::default()),
+        residual: Predicate::always_true(),
+        project: Projection::All,
+    }
 }
 
 /// The plan repertoire of `system` for the two-predicate selection.
@@ -63,184 +104,68 @@ fn pred_both(ta: i64, tb: i64) -> Predicate {
 /// System A has exactly the paper's seven plans; B and C contribute four
 /// plans each (their two-column-index techniques, in both column orders).
 pub fn two_predicate_plans(system: SystemId, w: &Workload) -> Vec<TwoPredPlan> {
-    let idx = w.indexes;
-    let table = w.table;
-    let improved = FetchKind::Improved(ImprovedFetchConfig::default());
+    let (idx, table) = (w.indexes, w.table);
+    let ab = Order { lead: idx.a, other: idx.b, composite: idx.ab, other_col: COL_B };
+    let ba = Order { lead: idx.b, other: idx.a, composite: idx.ba, other_col: COL_A };
+    // A plan in both column orders, named `names`: `spec` gets the order
+    // and the constants of its leading and its other column.
+    let pair = |[n1, n2]: [&str; 2], spec: fn(Order, i64, i64) -> PlanSpec| {
+        [
+            TwoPredPlan::new(system, n1, move |ta, tb| spec(ab, ta, tb)),
+            TwoPredPlan::new(system, n2, move |ta, tb| spec(ba, tb, ta)),
+        ]
+    };
     match system {
-        SystemId::A => vec![
-            TwoPredPlan::new(SystemId::A, "A1 table scan", move |ta, tb| PlanSpec::TableScan {
-                table,
-                pred: pred_both(ta, tb),
-                project: Projection::All,
-            }),
-            TwoPredPlan::new(SystemId::A, "A2 idx(a) fetch", move |ta, tb| PlanSpec::IndexFetch {
-                scan: IndexRangeSpec { index: idx.a, range: KeyRange::on_leading(i64::MIN, ta, 1) },
-                key_filter: Predicate::always_true(),
-                fetch: improved,
-                residual: Predicate::single(ColRange::at_most(COL_B, tb)),
-                project: Projection::All,
-            }),
-            TwoPredPlan::new(SystemId::A, "A3 idx(b) fetch", move |ta, tb| PlanSpec::IndexFetch {
-                scan: IndexRangeSpec { index: idx.b, range: KeyRange::on_leading(i64::MIN, tb, 1) },
-                key_filter: Predicate::always_true(),
-                fetch: improved,
-                residual: Predicate::single(ColRange::at_most(COL_A, ta)),
-                project: Projection::All,
-            }),
-            TwoPredPlan::new(SystemId::A, "A4 merge(a,b) intersect", move |ta, tb| {
-                PlanSpec::IndexIntersect {
-                    left: IndexRangeSpec {
-                        index: idx.a,
-                        range: KeyRange::on_leading(i64::MIN, ta, 1),
-                    },
-                    right: IndexRangeSpec {
-                        index: idx.b,
-                        range: KeyRange::on_leading(i64::MIN, tb, 1),
-                    },
-                    algo: IntersectAlgo::MergeJoin,
-                    fetch: improved,
-                    residual: Predicate::always_true(),
-                    project: Projection::All,
-                }
-            }),
-            TwoPredPlan::new(SystemId::A, "A5 merge(b,a) intersect", move |ta, tb| {
-                PlanSpec::IndexIntersect {
-                    left: IndexRangeSpec {
-                        index: idx.b,
-                        range: KeyRange::on_leading(i64::MIN, tb, 1),
-                    },
-                    right: IndexRangeSpec {
-                        index: idx.a,
-                        range: KeyRange::on_leading(i64::MIN, ta, 1),
-                    },
-                    algo: IntersectAlgo::MergeJoin,
-                    fetch: improved,
-                    residual: Predicate::always_true(),
-                    project: Projection::All,
-                }
-            }),
-            TwoPredPlan::new(SystemId::A, "A6 hash(a,b) intersect", move |ta, tb| {
-                PlanSpec::IndexIntersect {
-                    left: IndexRangeSpec {
-                        index: idx.a,
-                        range: KeyRange::on_leading(i64::MIN, ta, 1),
-                    },
-                    right: IndexRangeSpec {
-                        index: idx.b,
-                        range: KeyRange::on_leading(i64::MIN, tb, 1),
-                    },
-                    algo: IntersectAlgo::HashJoin { build_left: true },
-                    fetch: improved,
-                    residual: Predicate::always_true(),
-                    project: Projection::All,
-                }
-            }),
-            TwoPredPlan::new(SystemId::A, "A7 hash(b,a) intersect", move |ta, tb| {
-                PlanSpec::IndexIntersect {
-                    left: IndexRangeSpec {
-                        index: idx.b,
-                        range: KeyRange::on_leading(i64::MIN, tb, 1),
-                    },
-                    right: IndexRangeSpec {
-                        index: idx.a,
-                        range: KeyRange::on_leading(i64::MIN, ta, 1),
-                    },
-                    algo: IntersectAlgo::HashJoin { build_left: true },
-                    fetch: improved,
-                    residual: Predicate::always_true(),
-                    project: Projection::All,
-                }
-            }),
-        ],
-        SystemId::B => vec![
-            // Figure 8's plan: scan the (a,b) index, filter b inside the
-            // index, bitmap-sort the survivors, fetch full rows (MVCC).
-            TwoPredPlan::new(SystemId::B, "B1 idx(a,b) bitmap fetch", move |ta, tb| {
-                PlanSpec::IndexFetch {
-                    scan: IndexRangeSpec {
-                        index: idx.ab,
-                        range: KeyRange::on_leading(i64::MIN, ta, 2),
-                    },
-                    // Key space of idx(a,b): position 0 = a, position 1 = b.
-                    key_filter: Predicate::single(ColRange::at_most(1, tb)),
-                    fetch: FetchKind::BitmapSorted,
-                    residual: Predicate::always_true(),
-                    project: Projection::All,
-                }
-            }),
-            TwoPredPlan::new(SystemId::B, "B2 idx(b,a) bitmap fetch", move |ta, tb| {
-                PlanSpec::IndexFetch {
-                    scan: IndexRangeSpec {
-                        index: idx.ba,
-                        range: KeyRange::on_leading(i64::MIN, tb, 2),
-                    },
-                    key_filter: Predicate::single(ColRange::at_most(1, ta)),
-                    fetch: FetchKind::BitmapSorted,
-                    residual: Predicate::always_true(),
-                    project: Projection::All,
-                }
-            }),
-            TwoPredPlan::new(SystemId::B, "B3 idx(a) bitmap fetch", move |ta, tb| {
-                PlanSpec::IndexFetch {
-                    scan: IndexRangeSpec {
-                        index: idx.a,
-                        range: KeyRange::on_leading(i64::MIN, ta, 1),
-                    },
-                    key_filter: Predicate::always_true(),
-                    fetch: FetchKind::BitmapSorted,
-                    residual: Predicate::single(ColRange::at_most(COL_B, tb)),
-                    project: Projection::All,
-                }
-            }),
-            TwoPredPlan::new(SystemId::B, "B4 idx(b) bitmap fetch", move |ta, tb| {
-                PlanSpec::IndexFetch {
-                    scan: IndexRangeSpec {
-                        index: idx.b,
-                        range: KeyRange::on_leading(i64::MIN, tb, 1),
-                    },
-                    key_filter: Predicate::always_true(),
-                    fetch: FetchKind::BitmapSorted,
-                    residual: Predicate::single(ColRange::at_most(COL_A, ta)),
-                    project: Projection::All,
-                }
-            }),
-        ],
-        SystemId::C => vec![
+        SystemId::A => {
+            let pred = |ta, tb| {
+                Predicate::all_of(vec![ColRange::at_most(COL_A, ta), ColRange::at_most(COL_B, tb)])
+            };
+            let scan = TwoPredPlan::new(system, "A1 table scan", move |ta, tb| {
+                PlanSpec::TableScan { table, pred: pred(ta, tb), project: Projection::All }
+            });
+            std::iter::once(scan)
+                .chain(pair(["A2 idx(a) fetch", "A3 idx(b) fetch"], |o, t, u| {
+                    fetch(o, t, u, false, FetchKind::Improved(ImprovedFetchConfig::default()))
+                }))
+                .chain(pair(["A4 merge(a,b) intersect", "A5 merge(b,a) intersect"], |o, t, u| {
+                    intersect(o, t, u, IntersectAlgo::MergeJoin)
+                }))
+                .chain(pair(["A6 hash(a,b) intersect", "A7 hash(b,a) intersect"], |o, t, u| {
+                    intersect(o, t, u, IntersectAlgo::HashJoin { build_left: true })
+                }))
+                .collect()
+        }
+        SystemId::B => pair(["B1 idx(a,b) bitmap fetch", "B2 idx(b,a) bitmap fetch"], |o, t, u| {
+            // Figure 8's plan: scan the composite index, filter the other
+            // column inside it, bitmap-sort the survivors, fetch full rows
+            // (MVCC).
+            fetch(o, t, u, true, FetchKind::BitmapSorted)
+        })
+        .into_iter()
+        .chain(pair(["B3 idx(a) bitmap fetch", "B4 idx(b) bitmap fetch"], |o, t, u| {
+            fetch(o, t, u, false, FetchKind::BitmapSorted)
+        }))
+        .collect(),
+        SystemId::C => pair(["C1 mdam(a,b) covering", "C2 mdam(b,a) covering"], |o, t, u| {
             // Figure 9's plan: covering two-column index driven by MDAM.
-            TwoPredPlan::new(SystemId::C, "C1 mdam(a,b) covering", move |ta, tb| PlanSpec::Mdam {
-                index: idx.ab,
-                col_ranges: vec![(i64::MIN, ta), (i64::MIN, tb)],
+            PlanSpec::Mdam {
+                index: o.composite,
+                col_ranges: vec![(i64::MIN, t), (i64::MIN, u)],
                 project: Projection::All,
-            }),
-            TwoPredPlan::new(SystemId::C, "C2 mdam(b,a) covering", move |ta, tb| PlanSpec::Mdam {
-                index: idx.ba,
-                col_ranges: vec![(i64::MIN, tb), (i64::MIN, ta)],
+            }
+        })
+        .into_iter()
+        // The same covering indexes without MDAM: range on the leading
+        // column, residual filter on the second (the ablation that shows
+        // why "only if fully exploited using MDAM").
+        .chain(pair(["C3 covering(a,b) scan", "C4 covering(b,a) scan"], |o, t, u| {
+            PlanSpec::CoveringIndexScan {
+                scan: up_to(o.composite, t, 2),
+                residual: Predicate::single(ColRange::at_most(1, u)),
                 project: Projection::All,
-            }),
-            // The same covering indexes without MDAM: range on the leading
-            // column, residual filter on the second (the ablation that
-            // shows why "only if fully exploited using MDAM").
-            TwoPredPlan::new(SystemId::C, "C3 covering(a,b) scan", move |ta, tb| {
-                PlanSpec::CoveringIndexScan {
-                    scan: IndexRangeSpec {
-                        index: idx.ab,
-                        range: KeyRange::on_leading(i64::MIN, ta, 2),
-                    },
-                    residual: Predicate::single(ColRange::at_most(1, tb)),
-                    project: Projection::All,
-                }
-            }),
-            TwoPredPlan::new(SystemId::C, "C4 covering(b,a) scan", move |ta, tb| {
-                PlanSpec::CoveringIndexScan {
-                    scan: IndexRangeSpec {
-                        index: idx.ba,
-                        range: KeyRange::on_leading(i64::MIN, tb, 2),
-                    },
-                    residual: Predicate::single(ColRange::at_most(1, ta)),
-                    project: Projection::All,
-                }
-            }),
-        ],
+            }
+        }))
+        .collect(),
     }
 }
 
@@ -286,6 +211,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// With exact selectivities, every catalog plan's estimate lies within
+    /// a factor of two of what its run is charged, over a 5 x 5 grid on a
+    /// table larger than one pass of its leaves — cold pool, the maps'
+    /// grant.
+    #[test]
+    fn estimates_track_what_every_catalog_plan_is_charged() {
+        use crate::admission::DEFAULT_GRANT;
+        use crate::choice::{Estimator, Exact};
+        use crate::optimizer::CatalogStats;
+        use robustmap_storage::{BufferPool, CostModel, EvictionPolicy};
+        let w = TableBuilder::build(WorkloadConfig::with_rows(1 << 14));
+        let (stats, model, exact) = (CatalogStats::of(&w), CostModel::hdd_2009(), Exact::of(&w));
+        let sels = [1.0 / 4096.0, 1.0 / 512.0, 1.0 / 64.0, 1.0 / 8.0, 1.0];
+        let mut off = Vec::new();
+        for system in SystemId::all() {
+            for plan in two_predicate_plans(system, &w) {
+                for (sa, sb) in sels.iter().flat_map(|&a| sels.iter().map(move |&b| (a, b))) {
+                    let (ta, tb) = (w.cal_a.threshold(sa), w.cal_b.threshold(sb));
+                    let s = Session::new(model.clone(), BufferPool::new(1024, EvictionPolicy::Lru));
+                    let ctx = ExecCtx::new(&w.db, &s, DEFAULT_GRANT);
+                    let charged = run_count(&plan.build(ta, tb), &ctx, None).unwrap().seconds;
+                    let at = stats.at(&exact.estimate(ta, tb));
+                    let ratio = plan.cost(&at, &model) / charged;
+                    if !(0.5..=2.0).contains(&ratio) {
+                        off.push(format!("{} at ({sa}, {sb}): {ratio:.3}", plan.name));
+                    }
+                }
+            }
+        }
+        assert!(off.is_empty(), "estimate / charge outside [0.5, 2]:\n{}", off.join("\n"));
     }
 
     #[test]

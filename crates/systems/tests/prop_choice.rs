@@ -285,9 +285,9 @@ proptest! {
         prop_assert!(c.tail >= 0.0 && c.expected >= 0.0);
         prop_assert!(c.score >= c.expected, "penalty adds a nonnegative term");
         // No other plan scores strictly below the winner.
+        let priced: Vec<_> = region.iter().map(|h| (stats.at(&h.est), h.weight)).collect();
         for (i, plan) in plans.iter().enumerate() {
-            let (e, t) =
-                robustmap_systems::robust::region_cost(plan, &stats, &region, &model, &cfg);
+            let (e, t) = robustmap_systems::robust::region_cost(plan, &priced, &model, &cfg);
             let score = e + cfg.penalty_weight * t;
             prop_assert!(
                 score >= c.score || i == c.plan,

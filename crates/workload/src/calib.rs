@@ -32,6 +32,16 @@ impl Calibrator {
         self.sorted.is_empty()
     }
 
+    /// How many rows share a row's value, averaged over rows: `Σ count² /
+    /// rows` over the distinct values — 1 for a column without repeats, and
+    /// under skew the size of the runs a row most likely sits in, not the
+    /// mean run.
+    pub fn rows_per_value(&self) -> f64 {
+        let runs = self.sorted.chunk_by(|a, b| a == b);
+        let squares: f64 = runs.map(|run| (run.len() as f64).powi(2)).sum();
+        squares / self.sorted.len().max(1) as f64
+    }
+
     /// Exact number of rows with `value <= t`.
     pub fn count_at_most(&self, t: i64) -> u64 {
         self.sorted.partition_point(|&v| v <= t) as u64
@@ -128,6 +138,15 @@ mod tests {
         assert_eq!(cal.count_at_most(5), 5);
         assert_eq!(cal.count_at_most(9), 6);
         assert!((cal.selectivity(5) - 5.0 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rows_per_value_weighs_runs_by_their_rows() {
+        assert_eq!(Calibrator::new((0..100).rev().collect()).rows_per_value(), 1.0);
+        // Runs of 3, 2 and 1: a row sits in a run of (3·3 + 2·2 + 1) / 6.
+        let cal = Calibrator::new(vec![5, 5, 5, 1, 1, 9]);
+        assert!((cal.rows_per_value() - 14.0 / 6.0).abs() < 1e-12);
+        assert_eq!(Calibrator::new(vec![]).rows_per_value(), 0.0);
     }
 
     #[test]

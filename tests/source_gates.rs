@@ -87,6 +87,26 @@ fn is_figure_id(t: &str) -> bool {
         || t.strip_prefix("ext_").is_some_and(|r| all(r, |b| b.is_ascii_lowercase() || b == b'_'))
 }
 
+/// A line that reads a `CostModel` price field: `.` and the field's name,
+/// not the start of a longer name (`.cpu_rows` is a counter).
+fn reads_a_price(line: &str) -> bool {
+    const PRICES: [&str; 8] = [
+        "seq_page_read",
+        "single_page_read",
+        "random_page_read",
+        "page_write",
+        "cpu_row",
+        "cpu_compare",
+        "cpu_hash",
+        "cpu_buffer_hit",
+    ];
+    PRICES.iter().any(|price| {
+        line.match_indices(price).any(|(at, _)| {
+            line[..at].ends_with('.') && !line[at + price.len()..].starts_with(is_word)
+        })
+    })
+}
+
 const RULES: &[Rule] = &[
     Rule {
         gate: "one-interpreter",
@@ -463,6 +483,14 @@ const RULES: &[Rule] = &[
         hit: |l| idents(l).any(|t| t == "prefix_weights"),
         why: "prefix_weights is back — maintained statistics read cumulative counts in one \
               pass, they build no per-call weight vectors",
+        ..RULE
+    },
+    Rule {
+        gate: "one-price-list",
+        scope: &["crates/systems/src"],
+        hit: reads_a_price,
+        why: "crates/systems reads a CostModel price — an estimate predicts the counters a \
+              plan's kernels charge and CostModel::seconds prices them, with the clock's list",
         ..RULE
     },
     Rule {
