@@ -27,10 +27,13 @@
 //! so the kernel evaluates a conjunction a term at a time: the first term
 //! over its column writes the slots that pass to a `u16` selection vector,
 //! and each further term reads its column at the selected slots and keeps
-//! those that pass.  A row is compared on a term only if it passed every
-//! term before, so the comparisons the kernel counts are exactly the short
-//! circuit's.  The selected rows' projected columns are then gathered a
-//! column at a time straight into the batch.  The kernel reads no column
+//! those that pass.  A page that deletes left holey, read whole, runs its
+//! first term over the whole column too, each slot's live bit ANDed into
+//! its pass; only a rid set's group of some of its live slots fills the
+//! vector from the group's mask.  A row is compared on a term only if it
+//! passed every term before, so the comparisons the kernel counts are
+//! exactly the short circuit's.  The selected rows' projected columns are
+//! then gathered a column at a time straight into the batch.  The kernel reads no column
 //! the predicate and the projection do not name.  It charges nothing; each
 //! caller charges what it reports ([`Filtered`]) in its own calls.  It is
 //! inlined, and each kind of [`Records`] has its own call of it in every
@@ -115,9 +118,13 @@ impl RowBatch {
 pub enum Records<'r> {
     /// Every written slot of a page without a dead one.
     Page(HeapPage<'r>),
+    /// Every live slot of a holey page, in slot order: `mask` is the page's
+    /// live-slot mask, `live` its set bits.  The first term runs over the
+    /// whole column, as on a [`Records::Page`], with the live bit ANDed in.
+    Holey { page: HeapPage<'r>, mask: &'r [u64], live: usize },
     /// The `live` slots set in `mask` (bit `s` of word `s / 64`), in slot
-    /// order: a holey page's live slots, or a rid set's page group of them.
-    /// Every set bit is a live slot of the page.
+    /// order: a rid set's page group of a holey page's live slots, short of
+    /// all of them.  Every set bit is a live slot of the page.
     Masked { page: HeapPage<'r>, mask: &'r [u64], live: usize },
     /// The slots listed, in list order, a slot as often as it is listed:
     /// a fetch's run of rids on the page.  Every one is a live slot.
@@ -177,8 +184,8 @@ impl BatchEmitter {
     }
 
     /// Emit columns `proj` of a heap page's live rows that pass `pred`, in
-    /// slot order: [`BatchEmitter::filter`] of the whole page, or of its
-    /// live slots if it is holey — each kind its own call of the kernel.
+    /// slot order: [`BatchEmitter::filter`] of the whole page, or of every
+    /// live slot if it is holey — each kind its own call of the kernel.
     #[inline(always)]
     pub fn filter_page(
         &mut self,
@@ -191,7 +198,7 @@ impl BatchEmitter {
             None => self.filter(pred, Records::Page(page), proj, sink),
             Some(mask) => {
                 let live = mask.iter().map(|w| w.count_ones() as usize).sum();
-                self.filter(pred, Records::Masked { page, mask, live }, proj, sink)
+                self.filter(pred, Records::Holey { page, mask, live }, proj, sink)
             }
         }
     }
@@ -212,16 +219,12 @@ impl BatchEmitter {
             self.sel.take().unwrap_or_else(|| (Box::new([0; SEL]), Box::new([0; SEL])));
         let out = match records {
             Records::Page(page) => {
-                let n = page.slot_count();
-                // The first term fills the vector from its column.
-                let (picked, compares) = match pred.terms().split_first() {
-                    None => (fill(&mut sel, 0..n as u16), 0),
-                    Some((t, _)) => (first(&mut sel, page.column(t.col), t), n as u64),
-                };
-                let rest = pred.terms().get(1..).unwrap_or_default();
-                let (picked, more) = refine(&mut sel, &mut spare, picked, page, rest);
-                self.gather(&sel[..picked], page, proj, sink);
-                Filtered { live: n as u64, compares: compares + more, selected: picked as u64 }
+                let (vectors, live) = ((&mut sel, &mut spare), page.slot_count());
+                self.whole(pred, page, None, live, vectors, proj, sink)
+            }
+            Records::Holey { page, mask, live } => {
+                let vectors = (&mut sel, &mut spare);
+                self.whole(pred, page, Some(mask), live, vectors, proj, sink)
             }
             Records::Masked { page, mask, live } => {
                 let filled = fill(&mut sel, Slots::new(mask).map(|slot| slot as u16));
@@ -245,6 +248,36 @@ impl BatchEmitter {
         };
         self.sel = Some((sel, spare));
         out
+    }
+
+    /// [`BatchEmitter::filter`] of a page read whole: every slot of a page
+    /// without a dead one, or the `live` slots `mask` marks.  The first
+    /// term runs over its column, the live bit ANDed in on a holey page;
+    /// `TRUE` fills the vector with the slots.
+    #[inline(always)]
+    fn whole(
+        &mut self,
+        pred: &Predicate,
+        page: HeapPage<'_>,
+        mask: Option<&[u64]>,
+        live: usize,
+        (sel, spare): (&mut SlotVector, &mut SlotVector),
+        proj: &[usize],
+        sink: &mut dyn FnMut(&RowBatch),
+    ) -> Filtered {
+        let n = page.slot_count();
+        let (picked, compares) = match (pred.terms().split_first(), mask) {
+            (None, None) => (fill(sel, 0..n as u16), 0),
+            (None, Some(mask)) => (fill(sel, Slots::new(mask).map(|slot| slot as u16)), 0),
+            (Some((t, _)), None) => (first(sel, page.column(t.col), t), n as u64),
+            (Some((t, _)), Some(mask)) => {
+                (first_live(sel, page.column(t.col), mask, t), live as u64)
+            }
+        };
+        let rest = pred.terms().get(1..).unwrap_or_default();
+        let (picked, more) = refine(sel, spare, picked, page, rest);
+        self.gather(&sel[..picked], page, proj, sink);
+        Filtered { live: live as u64, compares: compares + more, selected: picked as u64 }
     }
 
     /// Emit the rows of the page at slots `sel`, a column at a time,
@@ -304,6 +337,21 @@ fn first(sel: &mut [u16; SEL], col: &[i64], t: &ColRange) -> usize {
     for (slot, &v) in col.iter().enumerate() {
         sel[picked % SEL] = slot as u16;
         picked += usize::from(t.admits(v));
+    }
+    picked
+}
+
+/// [`first`] over a holey page's column: a slot is admitted if `t` admits
+/// its value and `mask` marks it live.
+#[inline(always)]
+fn first_live(sel: &mut [u16; SEL], col: &[i64], mask: &[u64], t: &ColRange) -> usize {
+    debug_assert!(col.len() <= mask.len() * 64, "a mask shorter than its page");
+    let mut picked = 0;
+    for (word, (values, &live)) in col.chunks(64).zip(mask).enumerate() {
+        for (bit, &v) in values.iter().enumerate() {
+            sel[picked % SEL] = (word * 64 + bit) as u16;
+            picked += usize::from(t.admits(v)) & (live >> bit) as usize;
+        }
     }
     picked
 }
@@ -429,8 +477,8 @@ mod tests {
         assert!(want.0.len() > 1);
     }
 
-    /// A holey page reads, under its own mask or a narrower one, as its
-    /// set slots listed; a whole page as every slot listed.
+    /// A holey page reads, whole or under its own mask or a narrower one,
+    /// as its set slots listed; a whole page as every slot listed.
     #[test]
     fn masked_and_whole_pages_read_as_their_slots_listed() {
         let heap = heap_of(900, true);
@@ -456,6 +504,9 @@ mod tests {
                 let want = read(pred, Records::Listed { page, slots: &slots });
                 let live = slots.len();
                 assert_eq!(read(pred, Records::Masked { page, mask, live }), want, "{pred}");
+                if mask == own {
+                    assert_eq!(read(pred, Records::Holey { page, mask, live }), want, "{pred}");
+                }
             }
         }
     }

@@ -33,10 +33,11 @@
 //!
 //! * a group that is every slot of a page without a dead one — slots `0..n`
 //!   of its `n` — as the whole page ([`Records::Page`]);
-//! * a group of live slots of a holey page as the page under the group's
-//!   own words ([`Records::Masked`]).  A group that holds a deleted slot, or
-//!   one past the page's count, is listed, so its `InvalidRid` and its
-//!   charges are the listed run's.
+//! * a group that is every live slot of a holey page as that page
+//!   ([`Records::Holey`]), and a group of some of them as the page under the
+//!   group's own words ([`Records::Masked`]).  A group that holds a deleted
+//!   slot, or one past the page's count, is listed, so its `InvalidRid` and
+//!   its charges are the listed run's.
 //!
 //! The kernel is inlined, so each kind of run has its own call of it: one
 //! call site that could take either kind compiles both of the kernel's
@@ -187,13 +188,21 @@ impl<'a, 'h> Fetcher<'a, 'h> {
         self.read(page_no, page.slot_count() as u64, Records::Page(page));
     }
 
-    /// Fetch the `live` slots of holey heap page `page_no` that `records`
-    /// marks: what [`Fetcher::page_run`] of those slots charges.  Out of
-    /// line: the sweep's code for its other runs stays what it is on a heap
-    /// without tombstones.
+    /// Fetch every live slot, `live` of them, of holey heap page `page_no`,
+    /// whose live-slot mask is `mask`: what [`Fetcher::page_run`] of those
+    /// slots charges.  Out of line, as [`Fetcher::masked`] is.
     #[inline(never)]
-    fn masked(&mut self, page_no: u32, live: usize, records: Records<'_>) {
-        self.read(page_no, live as u64, records);
+    fn holey(&mut self, page_no: u32, page: HeapPage<'_>, mask: &[u64], live: usize) {
+        self.read(page_no, live as u64, Records::Holey { page, mask, live });
+    }
+
+    /// Fetch the `live` slots of holey heap page `page_no` that `mask`
+    /// marks, short of all its live slots: what [`Fetcher::page_run`] of
+    /// those slots charges.  Out of line: the sweep's code for its other
+    /// runs stays what it is on a heap without tombstones.
+    #[inline(never)]
+    fn masked(&mut self, page_no: u32, page: HeapPage<'_>, mask: &[u64], live: usize) {
+        self.read(page_no, live as u64, Records::Masked { page, mask, live });
     }
 
     /// The charges and the kernel call of a run of `requested` rids on page
@@ -333,10 +342,10 @@ fn fetch_in_physical_order(
             let groups = set.pages().filter_map(|(page_no, mut slots)| {
                 let records = heap.resolve(page_no).and_then(|page| match page.mask() {
                     None => slots.are_first(page.slot_count()).then_some(Records::Page(page)),
-                    Some(live) => {
-                        let (mask, live) = within(slots.words(), live)?;
-                        Some(Records::Masked { page, mask, live })
-                    }
+                    Some(live) => Some(match within(slots.words(), live)? {
+                        (_, count, true) => Records::Holey { page, mask: live, live: count },
+                        (mask, count, false) => Records::Masked { page, mask, live: count },
+                    }),
                 });
                 Some((page_no, slots.next()?, slots, records))
             });
@@ -349,23 +358,25 @@ fn fetch_in_physical_order(
     }
 }
 
-/// `group`'s words as many as `live` has, and the number of slots set in
-/// them, if every slot set in `group` is set in `live`: the group's other
-/// words are clear.
-fn within<'g>(group: &'g [u64], live: &[u64]) -> Option<(&'g [u64], usize)> {
+/// `group`'s words as many as `live` has, the number of slots set in them,
+/// and whether they are every slot set in `live`, if every slot set in
+/// `group` is set in `live`: the group's other words are clear.
+fn within<'g>(group: &'g [u64], live: &[u64]) -> Option<(&'g [u64], usize, bool)> {
     let (group, rest) = group.split_at(live.len().min(group.len()));
-    let (mut dead, mut count) = (0, 0);
+    let (mut dead, mut missed, mut count) = (0, 0, 0);
     for (&slots, &live) in group.iter().zip(live) {
         dead |= slots & !live;
+        missed |= live & !slots;
         count += slots.count_ones() as usize;
     }
-    (dead == 0 && rest.iter().all(|&w| w == 0)).then_some((group, count))
+    let whole = missed == 0 && live[group.len()..].iter().all(|&w| w == 0);
+    (dead == 0 && rest.iter().all(|&w| w == 0)).then_some((group, count, whole))
 }
 
 /// The sweep over `pages`: page numbers ascending, each with the first slot
 /// and the rest to fetch from it — a set's page groups, or a sorted list's
 /// runs — and, for a group read as its page, the page's rows
-/// ([`Records::Page`] or [`Records::Masked`]).
+/// ([`Records::Page`], [`Records::Holey`] or [`Records::Masked`]).
 fn sweep<'r, S: Iterator<Item = u32>>(
     pages: impl Iterator<Item = (u32, u32, S, Option<Records<'r>>)>,
     cfg: Option<&ImprovedFetchConfig>,
@@ -406,7 +417,8 @@ fn sweep<'r, S: Iterator<Item = u32>>(
         prev_page = Some(page_no);
         match records {
             Some(Records::Page(page)) => fetcher.whole_page(page_no, page),
-            Some(records @ Records::Masked { live, .. }) => fetcher.masked(page_no, live, records),
+            Some(Records::Holey { page, mask, live }) => fetcher.holey(page_no, page, mask, live),
+            Some(Records::Masked { page, mask, live }) => fetcher.masked(page_no, page, mask, live),
             // The transition is charged before a missing page is rejected.
             _ => fetcher.page_run(page_no, first, rest)?,
         }

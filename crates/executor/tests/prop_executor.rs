@@ -577,14 +577,18 @@ proptest! {
     /// `Predicate::eval` on each live row in slot order reads — rows and
     /// their order, live count, comparisons — over extreme values, 1–8
     /// columns, 0–4 terms (bounds at `i64::MIN` and `i64::MAX` among them)
-    /// and tombstones: each page whole or under its mask, and its live
-    /// slots listed backwards and twice over.
+    /// and `TRUE`, and tombstones, among them slots 63 and 64 (either side
+    /// of a mask word), each page's last slot and every slot of the first
+    /// page: a page without a dead slot whole, a holey page whole and under
+    /// its own mask, a strict subset of its live slots under theirs, and a
+    /// page's live slots listed backwards and twice over.
     #[test]
     fn filter_equals_eval_row_by_row(
         columns in 1usize..=8,
         values in prop::collection::vec(prop::collection::vec(0usize..12, 8), 0..700),
         terms in prop::collection::vec((0usize..8, 0usize..12, 0usize..12), 0..=4),
         deletes in prop::collection::vec(0usize..700, 0..120),
+        edges in 0u32..16,
         proj in prop::collection::vec(0usize..8, 0..4),
     ) {
         let schema: Vec<(String, ColumnType)> =
@@ -596,7 +600,19 @@ proptest! {
             let row: Vec<i64> = row[..columns].iter().map(|&i| extreme_value(i)).collect();
             rids.push(heap.append(&Row::from_slice(&row)).unwrap());
         }
-        for &at in &deletes {
+        // Rows fill pages in order, so row `i` is slot `i % per_page`.
+        let per_page = heap.rows_per_page();
+        let mut dead = deletes.clone();
+        let edge = |bit: usize| edges >> bit & 1 == 1;
+        dead.extend([63, 64].into_iter().filter(|&at| edge(at - 63)));
+        if edge(2) {
+            dead.extend((per_page - 1..values.len()).step_by(per_page));
+            dead.extend(values.len().checked_sub(1));
+        }
+        if edge(3) {
+            dead.extend(0..per_page);
+        }
+        for &at in &dead {
             if let Some(&rid) = rids.get(at) {
                 let _ = heap.delete(rid); // a repeat finds the slot dead
             }
@@ -611,7 +627,7 @@ proptest! {
         for page_no in 0..heap.page_count() {
             let page = heap.resolve(page_no).unwrap();
             let live: Vec<u16> = page.live_slots().map(|s| s as u16).collect();
-            let eval = |slots: &[u16]| -> PageReading {
+            let eval = |pred: &Predicate, slots: &[u16]| -> PageReading {
                 let s = Session::with_pool_pages(0);
                 let rows = slots
                     .iter()
@@ -622,21 +638,40 @@ proptest! {
                 let selected = rows.len() as u64;
                 (rows, slots.len() as u64, s.stats().cpu_compares, selected)
             };
-            let filter = |records: Records<'_>| -> PageReading {
+            let filter = |pred: &Predicate, records: Records<'_>| -> PageReading {
                 let (mut emitter, mut rows) = (BatchEmitter::new(proj.len()), Vec::new());
                 let mut sink = |b: &RowBatch| rows.extend((0..b.len()).map(|i| b.row(i)));
-                let got = emitter.filter(&pred, records, &proj, &mut sink);
+                let got = emitter.filter(pred, records, &proj, &mut sink);
                 emitter.flush(&mut sink);
                 (rows, got.live, got.compares, got.selected)
             };
-            let whole = match page.mask() {
-                None => Records::Page(page),
-                Some(mask) => Records::Masked { page, mask, live: live.len() },
-            };
-            prop_assert_eq!(filter(whole), eval(&live), "page {}", page_no);
-            let listed: Vec<u16> = live.iter().rev().chain(&live).copied().collect();
-            let records = Records::Listed { page, slots: &listed };
-            prop_assert_eq!(filter(records), eval(&listed), "page {} listed", page_no);
+            // Every other live slot, and (on a holey page) a mask of them.
+            let some: Vec<u16> = live.iter().step_by(2).copied().collect();
+            let mut some_mask = vec![0u64; page.mask().map_or(0, <[u64]>::len)];
+            for &slot in some.iter().filter(|_| page.mask().is_some()) {
+                some_mask[usize::from(slot) / 64] |= 1 << (slot % 64);
+            }
+            for pred in [&pred, &Predicate::always_true()] {
+                let want = eval(pred, &live);
+                match page.mask() {
+                    None => {
+                        prop_assert_eq!(filter(pred, Records::Page(page)), want, "page {}", page_no)
+                    }
+                    Some(mask) => {
+                        let n = live.len();
+                        let holey = Records::Holey { page, mask, live: n };
+                        prop_assert_eq!(filter(pred, holey), want.clone(), "page {} holey", page_no);
+                        let masked = Records::Masked { page, mask, live: n };
+                        prop_assert_eq!(filter(pred, masked), want, "page {} masked", page_no);
+                        let mask = &some_mask[..];
+                        let subset = filter(pred, Records::Masked { page, mask, live: some.len() });
+                        prop_assert_eq!(subset, eval(pred, &some), "page {} subset", page_no);
+                    }
+                }
+                let listed: Vec<u16> = live.iter().rev().chain(&live).copied().collect();
+                let records = Records::Listed { page, slots: &listed };
+                prop_assert_eq!(filter(pred, records), eval(pred, &listed), "page {} listed", page_no);
+            }
         }
     }
 }

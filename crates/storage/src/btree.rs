@@ -246,6 +246,20 @@ struct Leaf<const A: usize> {
     next: Option<LeafId>,
 }
 
+impl<const A: usize> Leaf<A> {
+    /// Room for `more` entries.  A leaf that must grow grows once, to the
+    /// `cap + 1` entries an insert holds before it splits: a bulk-loaded
+    /// leaf is allocated at its exact size, and doubling it would hold a
+    /// second page of memory.
+    #[inline]
+    fn make_room(&mut self, more: usize, cap: usize) {
+        let (len, need) = (self.entries.len(), self.entries.len() + more);
+        if need > self.entries.capacity() {
+            self.entries.reserve_exact(need.max(cap + 1) - len);
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner<const A: usize> {
     /// `seps[i]` is the smallest entry reachable under child `i + 1`.
@@ -635,6 +649,7 @@ impl<const A: usize> Tree<A> {
         if leaf.entries.get(idx) == Some(&entry) {
             return None;
         }
+        leaf.make_room(1, self.leaf_cap);
         leaf.entries.insert(idx, entry);
         self.len += 1;
         if leaf.entries.len() <= self.leaf_cap {
@@ -761,6 +776,7 @@ impl<const A: usize> Tree<A> {
         let l = &mut self.leaves[left];
         let total = l.entries.len() + r.entries.len();
         if total <= self.leaf_cap {
+            l.make_room(r.entries.len(), self.leaf_cap);
             l.entries.append(&mut r.entries);
             l.next = r.next;
             self.free.push(right.page());
@@ -769,8 +785,10 @@ impl<const A: usize> Tree<A> {
         }
         let target_left = total / 2;
         if l.entries.len() > target_left {
+            r.make_room(l.entries.len() - target_left, self.leaf_cap);
             r.entries.splice(..0, l.entries.drain(target_left..));
         } else {
+            l.make_room(target_left - l.entries.len(), self.leaf_cap);
             l.entries.extend(r.entries.drain(..target_left - l.entries.len()));
         }
         self.inners[parent].seps[i] = r.entries[0];
@@ -955,7 +973,8 @@ impl<const A: usize> Tree<A> {
     /// shape and order, page numbers are conserved: each page handed out is
     /// reachable exactly once or on the free list exactly once — and so
     /// [`Tree::node_count`], the pages handed out less the free ones, is the
-    /// number of reachable nodes.
+    /// number of reachable nodes — and no leaf holds room for more entries
+    /// than it has or than a leaf holds before it splits.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut walk = Walk::default();
         self.check_node(self.root, 1, None, None, &mut walk)?;
@@ -996,6 +1015,9 @@ impl<const A: usize> Tree<A> {
                 }
                 if entries.len() > self.leaf_cap {
                     return Err(format!("leaf {page} over capacity"));
+                }
+                if entries.capacity() > entries.len().max(self.leaf_cap + 1) {
+                    return Err(format!("leaf {page} holds room past one page"));
                 }
                 if !is_root && entries.len() < self.leaf_cap / 2 {
                     return Err(format!("leaf {page} under occupancy"));
@@ -1644,6 +1666,36 @@ mod tests {
         }
         assert!(t.is_empty());
         assert_eq!(t.height(), 1);
+    }
+
+    /// Leaves bulk-loaded at their exact size, then churned with small
+    /// caps — inserts that split them, deletes that merge and share them
+    /// out — never hold room for more than the `leaf_cap + 1` entries a leaf
+    /// holds before it splits; a leaf that takes an insert holds that much.
+    #[test]
+    fn churned_leaves_grow_to_one_page_not_two() {
+        const CAP: usize = 8;
+        let s = quiet();
+        // Even keys loaded, odd keys inserted: each key under its own rid.
+        let entry = |k: i64| (Key::single(k), rid(k as u32));
+        let loaded = (0..400i32).map(|i| entry(2 * i64::from(i)));
+        let BTree::One(mut t) = BTree::bulk_load_with_caps(FileId(0), 1, loaded, 1.0, CAP, 8) else {
+            unreachable!("a one-column key")
+        };
+        let widest = |t: &Tree<1>| t.leaves.nodes.iter().map(|l| l.entries.capacity()).max();
+        assert_eq!(widest(&t), Some(CAP));
+        for i in 0..400 {
+            let (key, rid) = entry((2 * i * 7919 + 1) % 800);
+            assert!(t.insert(key, rid, &s));
+            t.check_invariants().unwrap();
+        }
+        assert_eq!(widest(&t), Some(CAP + 1));
+        for i in 0..700 {
+            let (key, rid) = entry(i * 7919 % 800);
+            assert!(t.delete(key, rid, &s));
+            t.check_invariants().unwrap();
+            assert!(widest(&t) <= Some(CAP + 1), "after {i} deletes");
+        }
     }
 
     #[test]

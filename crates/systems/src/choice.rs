@@ -30,7 +30,7 @@ use robustmap_workload::{
 };
 
 use crate::optimizer::{clamp_sel, frechet_clamp, CatalogStats, SelEstimates};
-use crate::robust::{credible_region, region_cost, RobustConfig, SelHypothesis, BOX_HYPOTHESES};
+use crate::robust::{credible_region, region_cost, PricedRegion, RobustConfig, SelHypothesis};
 use crate::two_pred::TwoPredPlan;
 
 /// Credible-band width in standard errors of a sampled estimate: a ~95%
@@ -327,21 +327,10 @@ impl Chooser<'_> {
                 })
             }
             ChoicePolicy::Robust(cfg) => {
-                // Each hypothesis priced once for all plans; a box on the stack.
-                let region = estimator.region(ta, tb);
-                let first = (self.stats.at(&region[0].est), region[0].weight);
-                let (mut on_stack, mut on_heap) = ([first; BOX_HYPOTHESES], Vec::new());
-                let priced = if region.len() <= BOX_HYPOTHESES {
-                    &mut on_stack[..region.len()]
-                } else {
-                    on_heap.resize(region.len(), first);
-                    &mut on_heap[..]
-                };
-                for (slot, h) in priced.iter_mut().zip(&region).skip(1) {
-                    *slot = (self.stats.at(&h.est), h.weight);
-                }
+                // Each hypothesis priced once for all plans.
+                let priced = PricedRegion::new(self.stats, &estimator.region(ta, tb));
                 self.select(|plan| {
-                    let (expected, tail) = region_cost(plan, priced, self.model, &cfg);
+                    let (expected, tail) = region_cost(plan, &priced, self.model, &cfg);
                     (expected + cfg.penalty_weight * tail, expected, tail)
                 })
             }
@@ -783,12 +772,29 @@ mod tests {
                 })
                 .collect(),
         );
-        let estimators: [(&str, &dyn Estimator); 5] = [
+        // Hypotheses that share `sel_a` but not `sel_b`, then the reverse:
+        // a plan that reads one marginal copies its cost along one only.
+        let sharing = |a: [f64; 3], b: [f64; 3]| {
+            let hypothesis = |i: usize| SelHypothesis {
+                est: SelEstimates::independent(a[i], b[i]),
+                weight: [0.2, 0.5, 0.3][i],
+            };
+            Fixed((0..3).map(hypothesis).collect())
+        };
+        let shared_a = sharing([0.01; 3], [0.001, 0.2, 0.9]);
+        let shared_b = sharing([0.001, 0.2, 0.9], [0.01; 3]);
+        // One hypothesis, not weighted 1.
+        let est = SelEstimates::independent(0.1, 0.3);
+        let one = Fixed(vec![SelHypothesis { est, weight: 0.3 }]);
+        let estimators: [(&str, &dyn Estimator); 8] = [
             ("exact", &Exact::of(&w)),
             ("joint", &Joint::new(&joint)),
             ("stale joint", &Joint::stale(&joint, maintained.staleness())),
             ("maintained", &Maintained::new(&maintained)),
             ("twelve", &twelve),
+            ("shared sel_a", &shared_a),
+            ("shared sel_b", &shared_b),
+            ("one", &one),
         ];
         for policy in [ChoicePolicy::Point, ChoicePolicy::Robust(RobustConfig::default())] {
             let chooser = Chooser { plans: &plans, stats: &stats, model: &model, policy };

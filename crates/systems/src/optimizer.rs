@@ -210,9 +210,22 @@ impl CatalogStats {
 
     /// Pricing plans at `est`: what they share, computed once.
     pub fn at(&self, est: &SelEstimates) -> Priced<'_> {
-        let rows =
-            [est.sel_a, est.sel_b, est.sel_ab].map(|s| Rows::new(s * self.rows, self.heap_pages));
-        Priced { stats: self, rows }
+        self.at_sharing(est, None, None)
+    }
+
+    /// [`CatalogStats::at`], the rows of `a`'s and `b`'s ranges copied from
+    /// `same_a` and `same_b` where given: pricings at `est`'s `sel_a` and
+    /// at its `sel_b`.
+    pub(crate) fn at_sharing(
+        &self,
+        est: &SelEstimates,
+        same_a: Option<&Priced>,
+        same_b: Option<&Priced>,
+    ) -> Priced<'_> {
+        let rows = |s: f64| Rows::new(s * self.rows, self.heap_pages);
+        let a = same_a.map_or_else(|| rows(est.sel_a), |at| at.rows[0]);
+        let b = same_b.map_or_else(|| rows(est.sel_b), |at| at.rows[1]);
+        Priced { stats: self, rows: [a, b, rows(est.sel_ab)] }
     }
 }
 
@@ -390,6 +403,27 @@ impl PlanShape {
             }
             _ => return None,
         })
+    }
+
+    /// The one predicate column whose range a plan of this shape reads, if
+    /// it reads one alone: its cost is then a function of that column's
+    /// selectivity.  A table scan counts `a`'s survivors; a fetch without a
+    /// key filter and a covering scan read their index's leading range.
+    pub(crate) fn marginal(&self, stats: &CatalogStats) -> Option<usize> {
+        let leading = match *self {
+            PlanShape::TableScan => return Some(COL_A),
+            PlanShape::IndexFetch { index, key_filter: false, .. }
+            | PlanShape::CoveringIndexScan { index } => stats.index(index)?.leading,
+            _ => return None,
+        };
+        [COL_A, COL_B].contains(&leading).then_some(leading)
+    }
+
+    /// The counters' price ([`PlanShape::counters`]), `∞` for an index the
+    /// catalog does not know.
+    #[inline(always)]
+    pub(crate) fn seconds(&self, at: &Priced, model: &CostModel) -> f64 {
+        self.counters(at).map_or(f64::INFINITY, |io| model.seconds(&io))
     }
 
     /// The counters a cold run of this shape is expected to charge at

@@ -32,7 +32,9 @@
 
 use robustmap_storage::CostModel;
 
-use crate::optimizer::{clamp_sel, frechet_clamp, Priced, SelEstimates};
+use robustmap_workload::{COL_A, COL_B};
+
+use crate::optimizer::{clamp_sel, frechet_clamp, CatalogStats, PlanShape, Priced, SelEstimates};
 use crate::two_pred::TwoPredPlan;
 
 /// Tuning knobs of the robust chooser.
@@ -89,45 +91,149 @@ pub fn credible_region(center: SelEstimates, radius_a: f64, radius_b: f64) -> Ve
 
 /// Hypotheses whose prices and costs a robust decision keeps on the stack:
 /// the [`credible_region`] box.
-pub(crate) const BOX_HYPOTHESES: usize = 9;
+const BOX_HYPOTHESES: usize = 9;
 
-/// Expected and tail-quantile estimated cost of one plan over a weighted
-/// hypothesis region, each hypothesis priced ([`crate::CatalogStats::at`]) with
-/// its weight.  The plan is priced by its shape, so no plan is built; a
-/// region the size of the credible box allocates nothing.
+/// One hypothesis of a [`PricedRegion`].
+#[derive(Debug, Clone, Copy)]
+struct PricedHypothesis<'s> {
+    at: Priced<'s>,
+    weight: f64,
+    /// `weight` over the region's total.
+    share: f64,
+    /// The first hypothesis with this one's `sel_a`, and with its `sel_b`.
+    same: [usize; 2],
+}
+
+/// A hypothesis region priced once for every plan: each hypothesis's row
+/// sets ([`CatalogStats::at`]) — a marginal's shared by every hypothesis
+/// with its selectivity, to the bit —, its weight and its share of the
+/// region's.  A region the size of the credible box is kept on the stack.
+#[derive(Debug, Clone)]
+pub struct PricedRegion<'s> {
+    stats: &'s CatalogStats,
+    on_stack: [PricedHypothesis<'s>; BOX_HYPOTHESES],
+    on_heap: Vec<PricedHypothesis<'s>>,
+    len: usize,
+    total_w: f64,
+}
+
+impl<'s> PricedRegion<'s> {
+    /// Price `region`, which must not be empty, against `stats`.
+    pub fn new(stats: &'s CatalogStats, region: &[SelHypothesis]) -> Self {
+        assert!(!region.is_empty(), "empty uncertainty region");
+        let (est, weight) = (&region[0].est, region[0].weight);
+        let first = PricedHypothesis { at: stats.at(est), weight, share: 0.0, same: [0, 0] };
+        let (on_stack, len) = ([first; BOX_HYPOTHESES], region.len());
+        let mut priced = PricedRegion { stats, on_stack, on_heap: Vec::new(), len, total_w: 0.0 };
+        if region.len() > BOX_HYPOTHESES {
+            priced.on_heap.resize(region.len(), first);
+        }
+        let hyps = priced.hyps_mut();
+        for (i, h) in region.iter().enumerate().skip(1) {
+            let bits = |e: &SelEstimates| [e.sel_a.to_bits(), e.sel_b.to_bits()];
+            let mine = bits(&h.est);
+            let same: [usize; 2] = std::array::from_fn(|m| {
+                region[..i].iter().position(|e| bits(&e.est)[m] == mine[m]).unwrap_or(i)
+            });
+            let shared = |m: usize| (same[m] < i).then(|| &hyps[same[m]].at);
+            let at = stats.at_sharing(&h.est, shared(0), shared(1));
+            hyps[i] = PricedHypothesis { at, weight: h.weight, share: 0.0, same };
+        }
+        let total_w: f64 = hyps.iter().map(|h| h.weight).sum();
+        for h in hyps.iter_mut() {
+            h.share = h.weight / total_w;
+        }
+        priced.total_w = total_w;
+        priced
+    }
+
+    fn hyps(&self) -> &[PricedHypothesis<'s>] {
+        if self.len <= BOX_HYPOTHESES { &self.on_stack[..self.len] } else { &self.on_heap }
+    }
+
+    fn hyps_mut(&mut self) -> &mut [PricedHypothesis<'s>] {
+        if self.len <= BOX_HYPOTHESES { &mut self.on_stack[..self.len] } else { &mut self.on_heap }
+    }
+}
+
+/// Expected and tail-quantile estimated cost of one plan over a priced
+/// hypothesis region.  The plan is priced by its shape, so no plan is
+/// built; a plan that reads one predicate column's range alone is priced
+/// once per distinct selectivity of that column, its cost copied to the
+/// hypotheses that share it.  A region the size of the credible box
+/// allocates nothing.
 pub fn region_cost(
     plan: &TwoPredPlan,
-    region: &[(Priced, f64)],
+    region: &PricedRegion,
     model: &CostModel,
     cfg: &RobustConfig,
 ) -> (f64, f64) {
-    assert!(!region.is_empty(), "empty uncertainty region");
+    let hyps = region.hyps();
+    if let [h] = hyps {
+        // The sums and the quantile of one cost, without the loops.
+        let c = plan.cost(&h.at, model);
+        return (c * h.weight / region.total_w, c);
+    }
     let mut on_stack = [(0.0, 0.0); BOX_HYPOTHESES];
     let mut on_heap = Vec::new();
-    let costs = if region.len() <= BOX_HYPOTHESES {
-        &mut on_stack[..region.len()]
+    let costs = if hyps.len() <= BOX_HYPOTHESES {
+        &mut on_stack[..hyps.len()]
     } else {
-        on_heap.resize(region.len(), (0.0, 0.0));
+        on_heap.resize(hyps.len(), (0.0, 0.0));
         &mut on_heap[..]
     };
-    for (slot, (at, weight)) in costs.iter_mut().zip(region) {
-        *slot = (plan.cost(at, model), *weight);
+    let marginal = plan.shape.and_then(|shape| shape.marginal(region.stats));
+    let axis = match marginal {
+        Some(COL_A) => 0,
+        Some(COL_B) => 1,
+        _ => usize::MAX,
+    };
+    // The shape's `match` taken once, not once a hypothesis: in each arm the
+    // loop is compiled for the one kind of shape.
+    let (c, h, m) = (&mut *costs, hyps, axis);
+    match plan.shape {
+        Some(s @ PlanShape::TableScan) => fill_costs(c, h, m, |at| s.seconds(at, model)),
+        Some(s @ PlanShape::IndexFetch { .. }) => fill_costs(c, h, m, |at| s.seconds(at, model)),
+        Some(s @ PlanShape::CoveringIndexScan { .. }) => {
+            fill_costs(c, h, m, |at| s.seconds(at, model))
+        }
+        Some(s @ PlanShape::Mdam { .. }) => fill_costs(c, h, m, |at| s.seconds(at, model)),
+        Some(s @ PlanShape::IndexIntersect { .. }) => {
+            fill_costs(c, h, m, |at| s.seconds(at, model))
+        }
+        None => fill_costs(c, h, m, |_| f64::INFINITY),
     }
-    let total_w: f64 = costs.iter().map(|&(_, w)| w).sum();
-    let expected = costs.iter().map(|&(c, w)| c * w).sum::<f64>() / total_w;
+    let weighted = costs.iter().zip(hyps).map(|(&(c, _), h)| c * h.weight);
+    let expected = weighted.sum::<f64>() / region.total_w;
     // Stable, so equal costs keep region order and the quantile lands on
     // the same hypothesis whatever holds the costs.
     costs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite estimated costs"));
     let mut acc = 0.0;
     let mut tail = costs.last().expect("nonempty").0;
-    for &(c, w) in costs.iter() {
-        acc += w / total_w;
+    for &(c, share) in costs.iter() {
+        acc += share;
         if acc >= cfg.tail_quantile {
             tail = c;
             break;
         }
     }
     (expected, tail)
+}
+
+/// Each hypothesis's cost and share into `costs`: priced by `price`, or
+/// copied from the first hypothesis with its selectivity on `axis`.
+#[inline(always)]
+fn fill_costs(
+    costs: &mut [(f64, f64)],
+    hyps: &[PricedHypothesis],
+    axis: usize,
+    price: impl Fn(&Priced) -> f64,
+) {
+    for (i, h) in hyps.iter().enumerate() {
+        let same = h.same.get(axis).map_or(i, |&j| j);
+        let c = if same < i { costs[same].0 } else { price(&h.at) };
+        costs[i] = (c, h.share);
+    }
 }
 
 #[cfg(test)]
@@ -202,7 +308,7 @@ mod tests {
         // The hedged choice must never have a worse tail than the lean one
         // (that is the penalty's whole point), and on this region it is a
         // strictly different, tail-safer plan.
-        let priced: Vec<_> = region.iter().map(|h| (stats.at(&h.est), h.weight)).collect();
+        let priced = PricedRegion::new(&stats, &region);
         let (_, lean_tail) = region_cost(&plans[lean], &priced, &model, &penalised);
         let (_, hedged_tail) = region_cost(&plans[hedged], &priced, &model, &penalised);
         assert!(hedged_tail <= lean_tail, "{lean_tail} vs {hedged_tail}");
@@ -257,7 +363,7 @@ mod tests {
             joint.resolution_b(),
         );
         let cfg = RobustConfig::default();
-        let priced: Vec<_> = region.iter().map(|h| (stats.at(&h.est), h.weight)).collect();
+        let priced = PricedRegion::new(&stats, &region);
         for plan in &plans {
             let (expected, tail) = region_cost(plan, &priced, &model, &cfg);
             assert!(expected.is_finite() && expected > 0.0, "{}", plan.name);

@@ -45,8 +45,7 @@ impl TwoPredPlan {
     /// The estimated cost at `at` of every plan [`TwoPredPlan::build`]
     /// returns, from the shape derived once ([`crate::estimate_cost`]).
     pub(crate) fn cost(&self, at: &Priced, model: &CostModel) -> f64 {
-        let io = self.shape.and_then(|shape| shape.counters(at));
-        io.map_or(f64::INFINITY, |io| model.seconds(&io))
+        self.shape.map_or(f64::INFINITY, |shape| shape.seconds(at, model))
     }
 }
 

@@ -285,7 +285,7 @@ proptest! {
         prop_assert!(c.tail >= 0.0 && c.expected >= 0.0);
         prop_assert!(c.score >= c.expected, "penalty adds a nonnegative term");
         // No other plan scores strictly below the winner.
-        let priced: Vec<_> = region.iter().map(|h| (stats.at(&h.est), h.weight)).collect();
+        let priced = robustmap_systems::robust::PricedRegion::new(&stats, &region);
         for (i, plan) in plans.iter().enumerate() {
             let (e, t) = robustmap_systems::robust::region_cost(plan, &priced, &model, &cfg);
             let score = e + cfg.penalty_weight * t;
