@@ -6,8 +6,9 @@
 //! — charge through a [`ChargeSink`].  A [`Session`] charges at once.  A
 //! [`ChargeLog`] records the calls and replays them into a session later,
 //! in any order of whole segments the caller chooses.  That is what lets
-//! the churn engine maintain each index on its own thread and still land
-//! every charge on one session in operation order.
+//! the churn engine maintain its five indexes on two threads — the
+//! two-column trees on a helper, the one-column trees on the caller — and
+//! still land every charge on one session in operation order.
 //!
 //! A log records *what was asked* — a page and its access kind, a row or
 //! comparison count — never what it cost: whether a read hits is decided

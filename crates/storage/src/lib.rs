@@ -72,6 +72,16 @@ pub enum StorageError {
     UnknownObject(String),
     /// A row had more columns than [`MAX_COLUMNS`] or mismatched the schema.
     SchemaMismatch(String),
+    /// An index disagreed with its heap: an insert found its entry already
+    /// there, or a delete found none.
+    IndexDrift {
+        /// The index's name.
+        index: String,
+        /// The row whose entry was duplicated or missing.
+        rid: Rid,
+        /// Whether the mutation was an insert (else a delete).
+        insert: bool,
+    },
 }
 
 impl std::fmt::Display for StorageError {
@@ -80,6 +90,12 @@ impl std::fmt::Display for StorageError {
             StorageError::InvalidRid(rid) => write!(f, "invalid rid {rid}"),
             StorageError::UnknownObject(name) => write!(f, "unknown table or index: {name}"),
             StorageError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
+            StorageError::IndexDrift { index, rid, insert: true } => {
+                write!(f, "index {index} already holds the entry of {rid}")
+            }
+            StorageError::IndexDrift { index, rid, insert: false } => {
+                write!(f, "index {index} holds no entry for {rid}")
+            }
         }
     }
 }

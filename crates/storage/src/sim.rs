@@ -145,7 +145,10 @@ pub fn ticks_to_seconds(ticks: u64) -> f64 {
 }
 
 /// A run long enough to overflow the clock has a broken cost model or a
-/// runaway loop: stop rather than wrap.
+/// runaway loop: stop rather than wrap.  No honest run comes near it — a
+/// full-scale worst case reads below 1/1024 of the clock
+/// (`a_full_scale_worst_case_stays_far_below_the_clock`) — so this stays a
+/// runaway-loop guard, not an error a query handles.
 const OVERFLOW: &str = "simulated clock overflowed u64 picoseconds";
 
 /// `a * b + c` in ticks.
@@ -560,6 +563,21 @@ mod tests {
         let c = SimClock::new();
         c.charge_reads(&m, AccessKind::Random, 1);
         c.charge_rows(&m, u64::MAX / m.cpu_row);
+    }
+
+    /// Overflow is out of an honest run's reach: 2^20 rows, each a random
+    /// read, a page write, a row and 64 comparisons at the `hdd_2009`
+    /// prices, sixteen times over, stay below 1/1024 of the clock.
+    #[test]
+    fn a_full_scale_worst_case_stays_far_below_the_clock() {
+        let m = CostModel::hdd_2009().ticks();
+        let c = SimClock::new();
+        let rows = 16 << 20;
+        c.charge_reads(&m, AccessKind::Random, rows);
+        c.charge(&c.page_writes, rows, m.page_write);
+        c.charge_rows(&m, rows);
+        c.charge_compares(&m, 64 * rows);
+        assert!(c.elapsed_ticks() < u64::MAX / 1024, "{} ticks", c.elapsed_ticks());
     }
 
     /// The estimators' price of expected counters is the clock's price of

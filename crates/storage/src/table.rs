@@ -217,8 +217,8 @@ impl Database {
     }
 
     /// Several indexes borrowed mutably at once, in the order of `ids`
-    /// (see [`Database::table_mut`]): the churn engine maintains each on
-    /// its own thread.  `None` if an id is unknown or named twice.
+    /// (see [`Database::table_mut`]): the churn engine maintains them on
+    /// two threads.  `None` if an id is unknown or named twice.
     pub fn indexes_mut<const N: usize>(&mut self, ids: [IndexId; N]) -> Option<[&mut IndexDef; N]> {
         self.indexes.get_disjoint_mut(ids.map(|id| id.0 as usize)).ok()
     }

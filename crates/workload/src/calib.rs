@@ -21,6 +21,13 @@ impl Calibrator {
     /// Build from the column's values (any order).
     pub fn new(mut values: Vec<i64>) -> Self {
         values.sort_unstable();
+        Self::from_ascending(values)
+    }
+
+    /// Build from the column's values in ascending order, as a sort that
+    /// already ran hands them over: [`Calibrator::new`] without its sort.
+    pub(crate) fn from_ascending(values: Vec<i64>) -> Self {
+        debug_assert!(values.is_sorted(), "Calibrator::from_ascending takes ascending values");
         // A row adds 2k + 1, k the rows before it in its run, so a run of c
         // adds c².  Summed in integers: below 2^53 every partial sum of
         // squares is exact in a float too, so this is the float sum of the

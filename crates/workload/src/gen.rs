@@ -362,7 +362,7 @@ fn predicate_orders(lead: &[i64], then: &[i64]) -> (Vec<u32>, Vec<u32>, Calibrat
     for run in pair_order.chunk_by_mut(|&p, &q| lead[p as usize] == lead[q as usize]) {
         run.sort_by_key(|&p| then[p as usize]);
     }
-    let calibrator = Calibrator::new(order.iter().map(|&p| lead[p as usize]).collect());
+    let calibrator = Calibrator::from_ascending(order.iter().map(|&p| lead[p as usize]).collect());
     (order, pair_order, calibrator)
 }
 
