@@ -155,7 +155,8 @@ pub struct HeapFile {
     schema: Schema,
     pages: Vec<ColumnPage>,
     /// Per page: whether a written slot of it is dead, its mask then kept
-    /// in `live`.  `append`, `delete` and `push_image` keep it.
+    /// in `live`.  `append`, `append_pages`, `delete` and `push_image`
+    /// keep it.
     holey: Vec<bool>,
     /// The live-slot masks of the holey pages.
     live: LiveMasks,
@@ -228,6 +229,36 @@ impl HeapFile {
         self.max_slots = self.max_slots.max(slot as u32 + 1);
         self.row_count += 1;
         Ok(Rid::new(page_no as u32, slot as u32))
+    }
+
+    /// Append `rows` rows as whole pages (the load path, uncharged like
+    /// [`HeapFile::append`]) and return their rids: `fill(c, first, values)`
+    /// writes column `c` of the run's rows `first .. first + values.len()`,
+    /// one call a column of each page ([`ColumnPage::filled`]).  The heap
+    /// then holds what `rows` appends of the same rows would make it hold,
+    /// page for page.
+    ///
+    /// # Panics
+    /// Panics if the heap's last page has room: a run starts a page.
+    pub fn append_pages(
+        &mut self,
+        rows: usize,
+        mut fill: impl FnMut(usize, usize, &mut [i64]),
+    ) -> Vec<Rid> {
+        assert!(self.pages.last().is_none_or(ColumnPage::is_full), "a run starts a page");
+        let (columns, capacity) = (self.schema.arity(), self.rows_per_page());
+        let mut rids = Vec::with_capacity(rows);
+        self.pages.reserve(rows.div_ceil(capacity));
+        for first in (0..rows).step_by(capacity) {
+            let slots = capacity.min(rows - first);
+            let page_no = self.pages.len() as u32;
+            self.pages.push(ColumnPage::filled(columns, slots, |c, vals| fill(c, first, vals)));
+            self.holey.push(false);
+            self.max_slots = self.max_slots.max(slots as u32);
+            rids.extend((0..slots as u32).map(|slot| Rid::new(page_no, slot)));
+        }
+        self.row_count += rows as u64;
+        rids
     }
 
     /// Page id of heap page `page_no`.

@@ -65,6 +65,28 @@ impl ColumnPage {
         ColumnPage { vals: vec![0; columns * capacity].into(), capacity: capacity as u16, slots: 0 }
     }
 
+    /// A page of a `columns`-column schema whose first `slots` slots hold
+    /// what `fill(c, values)` writes to column `c`'s `slots` values, one call
+    /// a column in column order: the page `slots` pushes of the same rows
+    /// make, written a column at a time.
+    ///
+    /// # Panics
+    /// Panics if `slots` is past the capacity.
+    pub(crate) fn filled(
+        columns: usize,
+        slots: usize,
+        mut fill: impl FnMut(usize, &mut [i64]),
+    ) -> Self {
+        let mut page = ColumnPage::new(columns);
+        let capacity = usize::from(page.capacity);
+        assert!(slots <= capacity, "{slots} slots on a page of {capacity}");
+        for (c, column) in page.vals.chunks_exact_mut(capacity).enumerate() {
+            fill(c, &mut column[..slots]);
+        }
+        page.slots = slots as u16;
+        page
+    }
+
     /// Number of slots written: one more than the largest slot id.
     #[inline]
     pub fn slot_count(&self) -> usize {
@@ -152,9 +174,11 @@ impl ColumnPage {
                 return None;
             }
         }
-        for (i, v) in page.vals.iter_mut().enumerate() {
-            *v = at.next()? as i64;
-            if i % capacity >= slots && *v != 0 {
+        for column in page.vals.chunks_exact_mut(capacity) {
+            for v in column.iter_mut() {
+                *v = at.next()? as i64;
+            }
+            if column[slots..].iter().any(|&v| v != 0) {
                 return None;
             }
         }
@@ -263,5 +287,33 @@ mod tests {
         }
         let empty = ColumnPage::from_image(&[0; PAGE_SIZE], 2, &mut vec![0; words]);
         assert_eq!(empty.map(|p| p.slot_count()), Some(0));
+    }
+
+    /// A nonzero value past the slot count is refused in every column the
+    /// check reads a column at a time — the first, a middle one and the
+    /// last —, from the first unwritten slot to the capacity's last.
+    #[test]
+    fn a_value_past_the_slot_count_is_refused_in_every_column() {
+        let (columns, slots) = (5, 100);
+        let p = ColumnPage::filled(columns, slots, |c, vals| vals.fill(c as i64 + 1));
+        let mut image = Vec::new();
+        p.write_image(None, &mut image);
+        let image: [u8; PAGE_SIZE] = image.try_into().unwrap();
+        let capacity = ColumnPage::capacity(columns);
+        let words = ColumnPage::mask_words(capacity);
+        let loads = |c: usize, slot: usize, v: u64| {
+            let mut edited = image;
+            let at = (1 + words + c * capacity + slot) * 8;
+            edited[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            ColumnPage::from_image(&edited, columns, &mut vec![0; words]).is_some()
+        };
+        for c in [0, columns / 2, columns - 1] {
+            for slot in [slots, slots + 1, capacity - 1] {
+                assert!(!loads(c, slot, 1), "column {c}, slot {slot}");
+                assert!(!loads(c, slot, 1 << 63), "column {c}, slot {slot}, the sign bit");
+            }
+            assert!(loads(c, slots - 1, 7), "column {c}'s last written slot is any value");
+        }
+        assert!(loads(0, slots, 0), "a zero past the slot count is the image written");
     }
 }

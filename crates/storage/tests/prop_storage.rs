@@ -686,6 +686,81 @@ proptest! {
     }
 }
 
+/// Value `c` of row `i` of a drawn table: distinct across rows and
+/// columns, and every bit pattern likely, so a value written to the wrong
+/// slot or column shows.
+fn drawn_value(seed: u64, c: usize, i: usize) -> i64 {
+    let mut z = seed ^ ((c as u64) << 56) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    (z ^ (z >> 29)) as i64
+}
+
+/// Every page image of a heap, in page order.
+fn heap_images(heap: &HeapFile) -> Vec<Vec<u8>> {
+    (0..heap.page_count())
+        .map(|p| {
+            let mut image = Vec::new();
+            heap.write_image(p, &mut image);
+            image
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A run of rows appended as whole pages makes the heap the same rows
+    /// appended one by one make — every page image, rid, the span and the
+    /// row count —, from none to three pages and a row, at every arity,
+    /// into an empty heap or after a full page appended either way.
+    #[test]
+    fn whole_pages_equal_rows_appended_one_by_one(
+        arity in 1usize..=MAX_COLUMNS,
+        full in 0usize..=3,
+        partial in 0usize..1 << 12,
+        lead in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let names = ["c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"];
+        let schema = Schema::new(names[..arity].iter().map(|&c| (c, ColumnType::Int)).collect());
+        let capacity = ColumnPage::capacity(arity);
+        // `full` pages and a last page of no row, one row, one short of full
+        // or any count, up to three pages and a row.
+        let partial = match partial % 8 {
+            0 => 0,
+            1 => 1,
+            2 => capacity - 1,
+            _ => partial % capacity,
+        };
+        let rows = full * capacity + if full == 3 { partial.min(1) } else { partial };
+        // No page before the run, or one full page appended by rows or as a run.
+        let lead_rows = if lead == 0 { 0 } else { capacity };
+        let row = |i: usize| {
+            Row::from_slice(&(0..arity).map(|c| drawn_value(seed, c, i)).collect::<Vec<_>>())
+        };
+        let mut by_row = HeapFile::new(FileId(3), schema.clone());
+        let mut by_page = HeapFile::new(FileId(3), schema);
+        let mut want = Vec::new();
+        for i in 0..lead_rows + rows {
+            want.push(by_row.append(&row(i)).unwrap());
+        }
+        let mut got = if lead == 2 {
+            by_page.append_pages(lead_rows, |c, first, vals| {
+                vals.iter_mut().zip(first..).for_each(|(v, i)| *v = drawn_value(seed, c, i));
+            })
+        } else {
+            (0..lead_rows).map(|i| by_page.append(&row(i)).unwrap()).collect()
+        };
+        got.extend(by_page.append_pages(rows, |c, first, vals| {
+            let first = lead_rows + first;
+            vals.iter_mut().zip(first..).for_each(|(v, i)| *v = drawn_value(seed, c, i));
+        }));
+        prop_assert_eq!(got, want);
+        prop_assert_eq!((by_page.row_count(), by_page.span()), (by_row.row_count(), by_row.span()));
+        prop_assert!(heap_images(&by_page) == heap_images(&by_row), "the page images differ");
+    }
+}
+
 #[derive(Debug, Clone)]
 enum HeapOp {
     Append(i64),

@@ -24,7 +24,7 @@
 //! entries, nor a leaf's worth of them, is ever built.
 
 use robustmap_storage::radix::radix_sort_by_u64_key;
-use robustmap_storage::{BTree, ColumnType, Database, IndexId, Rid, Row, Schema, TableId};
+use robustmap_storage::{BTree, ColumnType, Database, HeapFile, IndexId, Rid, Schema, TableId};
 
 use crate::calib::Calibrator;
 use crate::dist::{Correlated, Distribution, Permutation, Uniform, Zipf};
@@ -194,15 +194,18 @@ impl TableBuilder {
     /// Generate the table, build all five indexes, and calibrate.
     ///
     /// Columns `a` and `b` are drawn on two scoped threads while the caller
-    /// draws `c` and the payload; the heap is then appended row by row on
-    /// the caller.  Always generates from scratch; `finish` builds the
-    /// indexes and calibrators.  Callers that rebuild the same
-    /// configuration repeatedly should prefer [`TableBuilder::build_cached`].
+    /// draws `c` and the payload; the caller then writes the heap a whole
+    /// page at a time ([`HeapFile::append_pages`]), each drawn column copied
+    /// into its page and the orderkey counted straight into it, so a built
+    /// heap is laid out as a loaded one is.  Always generates from scratch;
+    /// `finish` builds the indexes and calibrators.  Callers that rebuild
+    /// the same configuration repeatedly should prefer
+    /// [`TableBuilder::build_cached`].
     pub fn build(config: WorkloadConfig) -> Workload {
         let n = config.rows;
         assert!(n >= 4, "workload too small");
         let mut db = Database::new();
-        let table = db.create_table("lineitem", lineitem_schema());
+        let mut heap = HeapFile::new(db.alloc_file(), lineitem_schema());
 
         // Each column is its own sequential stream, so drawn apart the
         // columns hold every value a row-by-row loop would.
@@ -219,19 +222,13 @@ impl TableBuilder {
             },
         );
         let cols = [a, b, c];
-        let rids: Vec<Rid> = (0..n as usize)
-            .map(|i| {
-                let row = Row::from_slice(&[
-                    cols[COL_A][i],
-                    cols[COL_B][i],
-                    cols[COL_C][i],
-                    i as i64,
-                    payload[i],
-                ]);
-                db.insert_row(table, &row).expect("generated row must fit schema")
-            })
-            .collect();
+        let rids = heap.append_pages(n as usize, |col, first, vals| match col {
+            COL_ORDERKEY => vals.iter_mut().zip(first as i64..).for_each(|(v, i)| *v = i),
+            COL_PAYLOAD => vals.copy_from_slice(&payload[first..][..vals.len()]),
+            _ => vals.copy_from_slice(&cols[col][first..][..vals.len()]),
+        });
         drop(payload); // in the heap now: freed before the sorts allocate
+        let table = db.attach_table("lineitem", heap);
         finish(config, db, table, &cols, &rids)
     }
 
@@ -268,9 +265,10 @@ impl TableBuilder {
 /// the B-tree's `bulk_load_columns`, which gathers each entry at its key's
 /// width into the leaf it belongs to, on the caller's thread, in
 /// [`INDEX_DEFS`] order.  At 2^18 rows on 2 vCPUs the five loads take
-/// 18–23 ms in a warm process (25–31 ms in a fresh one), where building a
-/// `Key` per entry into a buffer and copying each leaf took 27–37 ms
-/// (30–48).  Loading the trees on the sort workers instead took `setup_s`
+/// 15–20 ms in a warm process and the three sorts before them 11–14 ms
+/// (the fastest of 15 finishes, in each of 8 processes), where building a
+/// `Key` per entry into a buffer and copying each leaf took 27–37 ms for
+/// the loads.  Loading the trees on the sort workers instead took `setup_s`
 /// down 11.5 % but put `cpu_s` and `wall_s` up 3.8 % and 3.9 % (8
 /// order-balanced pairs, 2 vCPUs), and still 2.7 % `cpu_s` with
 /// `MALLOC_ARENA_MAX=1` on both sides, so allocator arenas alone do not

@@ -41,16 +41,20 @@ impl EquiDepthHistogram {
             return EquiDepthHistogram { upper_bounds: vec![0], rows: 0, min: 0 };
         }
         let n = values.len();
-        let per_bucket = n.div_ceil(buckets).max(1);
-        // Boundary ranks in the sorted order: every per_bucket-th value,
-        // plus the maximum — strictly ascending by construction.
-        let mut ranks: Vec<usize> =
-            (1..).map(|k| k * per_bucket - 1).take_while(|&r| r + 1 < n).collect();
-        ranks.push(n - 1);
+        let ranks = boundary_ranks(n, buckets);
         let min = *values.iter().min().expect("nonempty");
         let mut upper_bounds = vec![0i64; ranks.len()];
         multiselect(&mut values, 0, &ranks, &mut upper_bounds);
         EquiDepthHistogram { upper_bounds, rows: n as u64, min }
+    }
+
+    /// The histogram [`EquiDepthHistogram::build`] makes of `n > 0` values
+    /// whose sorted order `sorted(rank)` reads: the values at the boundary
+    /// ranks, with no selection.
+    pub(crate) fn from_sorted_by(n: usize, buckets: usize, sorted: impl Fn(usize) -> i64) -> Self {
+        assert!(n > 0 && buckets > 0, "need a value and a bucket");
+        let upper_bounds = boundary_ranks(n, buckets).into_iter().map(&sorted).collect();
+        EquiDepthHistogram { upper_bounds, rows: n as u64, min: sorted(0) }
     }
 
     /// Number of buckets.
@@ -92,6 +96,17 @@ impl EquiDepthHistogram {
     pub(crate) fn parts(&self) -> (&[i64], u64, i64) {
         (&self.upper_bounds, self.rows, self.min)
     }
+}
+
+/// The ranks of the sorted order of `n > 0` values that bound `buckets`
+/// equi-depth buckets: every `⌈n / buckets⌉`-th value, plus the maximum —
+/// strictly ascending by construction.
+fn boundary_ranks(n: usize, buckets: usize) -> Vec<usize> {
+    let per_bucket = n.div_ceil(buckets).max(1);
+    let mut ranks: Vec<usize> =
+        (1..).map(|k| k * per_bucket - 1).take_while(|&r| r + 1 < n).collect();
+    ranks.push(n - 1);
+    ranks
 }
 
 /// Write the values at the ascending absolute `ranks` of the sorted order
@@ -207,6 +222,8 @@ mod tests {
                 }
                 reference.push(sorted[n - 1]);
                 assert_eq!(h.upper_bounds, reference, "{buckets} buckets");
+                let read_off = EquiDepthHistogram::from_sorted_by(n, buckets, |r| sorted[r]);
+                assert_eq!(read_off, h, "{buckets} buckets read off the sorted column");
                 assert_eq!(h.min, sorted[0]);
                 assert_eq!(h.rows, n as u64);
                 for &t in &[sorted[0] - 1, sorted[0], sorted[n / 2], sorted[n - 1], i64::MAX] {

@@ -30,8 +30,6 @@
 //! builds are bit-identical across runs and machines, and cheap enough
 //! (milliseconds at 2^20 rows) that nothing caches them.
 
-use robustmap_storage::Session;
-
 use crate::gen::{Workload, COL_A, COL_B};
 use crate::histogram::EquiDepthHistogram;
 
@@ -148,9 +146,9 @@ impl JointHistogram {
             ));
             at = end;
         }
-        // The same chunking rule over the same sample: its boundaries are
-        // `a_bounds` (`prop_stats.rs` pins that).
-        let hist_a = EquiDepthHistogram::build(pairs.iter().map(|p| p.0).collect(), config.a_buckets);
+        // The same chunking rule over the same sample, read off the sorted
+        // pairs: its boundaries are `a_bounds` (`prop_stats.rs` pins that).
+        let hist_a = EquiDepthHistogram::from_sorted_by(m, config.a_buckets, |r| pairs[r].0);
         JointHistogram {
             config,
             rows,
@@ -165,20 +163,25 @@ impl JointHistogram {
     }
 
     /// Build from a deterministic seeded sample of the workload's heap —
-    /// the way a statistics job would gather it.
+    /// the way a statistics job would gather it.  The sample reads columns
+    /// `a` and `b` of the heap's live rows in physical order, the `i`-th
+    /// live row drawn by `draw(seed, i)`.
     pub fn from_workload(w: &Workload, config: &JointHistogramConfig) -> Self {
         let n = w.rows();
         let stride = (n / config.sample_target.max(1)).max(1);
         let seed = config.seed ^ w.config.seed.rotate_left(17);
-        let s = Session::with_pool_pages(0);
         let mut pairs = Vec::with_capacity((n / stride) as usize + 1);
         let mut i = 0u64;
-        w.db.table(w.table).heap.scan(&s, |_, row| {
-            if stride == 1 || draw(seed, i).is_multiple_of(stride) {
-                pairs.push((row.get(COL_A), row.get(COL_B)));
+        let heap = &w.db.table(w.table).heap;
+        for (_, page) in heap.resolve_range(0..heap.page_count()) {
+            let (a, b) = (page.column(COL_A), page.column(COL_B));
+            for slot in page.live_slots() {
+                if stride == 1 || draw(seed, i).is_multiple_of(stride) {
+                    pairs.push((a[slot as usize], b[slot as usize]));
+                }
+                i += 1;
             }
-            i += 1;
-        });
+        }
         Self::build(pairs, n, *config)
     }
 
@@ -393,5 +396,35 @@ mod tests {
         let t = w.cal_a.threshold(0.5);
         let joint = h1.estimate_joint_at_most(t, t);
         assert!(joint > 0.3, "rho 0.75 at sel 0.5: joint {joint:.3} (product would be 0.25)");
+    }
+
+    /// The sample read off columns `a` and `b` is the one a row-by-row scan
+    /// of the live rows draws, on whole pages and on pages churn left holey.
+    #[test]
+    fn the_column_sample_is_the_row_scan_sample() {
+        use crate::churn::{ChurnConfig, ChurnDriver};
+        use robustmap_storage::Session;
+        let mut w = TableBuilder::build(crate::gen::WorkloadConfig::with_rows(1 << 12));
+        let mut driver = ChurnDriver::new(&w, ChurnConfig::for_workload(&w));
+        for churned in [false, true] {
+            if churned {
+                driver.apply_batch(&mut w, &Session::with_pool_pages(64));
+            }
+            let jcfg = JointHistogramConfig { sample_target: 1 << 10, ..Default::default() };
+            let stride = (w.rows() / jcfg.sample_target).max(1);
+            let seed = jcfg.seed ^ w.config.seed.rotate_left(17);
+            let heap = &w.db.table(w.table).heap;
+            let holey = heap.resolve_range(0..heap.page_count()).any(|(_, p)| p.mask().is_some());
+            assert_eq!(holey, churned, "churn leaves holey pages");
+            let (mut pairs, mut i) = (Vec::new(), 0u64);
+            heap.scan(&Session::with_pool_pages(0), |_, row| {
+                if draw(seed, i).is_multiple_of(stride) {
+                    pairs.push((row.get(COL_A), row.get(COL_B)));
+                }
+                i += 1;
+            });
+            let want = JointHistogram::build(pairs, w.rows(), jcfg);
+            assert_eq!(JointHistogram::from_workload(&w, &jcfg), want, "churned: {churned}");
+        }
     }
 }
