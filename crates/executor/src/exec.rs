@@ -268,7 +268,7 @@ pub fn run_collect(
 /// a leaf of it names a column its input does not have: predicates,
 /// residuals and projections against the table's arity, key filters and
 /// covering projections against the key's.  [`Database::table`] and
-/// [`Database::index`] index unchecked, `BTree::seek` asserts its key's
+/// [`Database::index`] index unchecked, `Tree::seek` asserts its key's
 /// arity, and the scan kernels read column positions unchecked, so this
 /// runs before the first operator does: a bad reference is a typed error
 /// with nothing charged, not a panic half-way through a burst.
@@ -1192,7 +1192,7 @@ mod tests {
     }
 
     /// A range bounded by keys of another arity than its index's (which
-    /// `BTree::seek` asserts on) is rejected in every shape that scans a
+    /// `Tree::seek` asserts on) is rejected in every shape that scans a
     /// range, on either side of the two-index shapes, whichever bound is
     /// off.
     #[test]

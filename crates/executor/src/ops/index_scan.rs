@@ -5,7 +5,7 @@
 //! the index covers the query — to answer it without touching the table at
 //! all (the class of plans Systems B and C exploit in Figures 8 and 9).
 
-use robustmap_storage::btree::WideEntry;
+use robustmap_storage::btree::{widen, WideEntry};
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{with_tree, AccessKind, IndexDef, Session};
 
@@ -49,16 +49,19 @@ pub fn collect_rids_filtered(
     rids
 }
 
-/// Scan `range` of the index and collect its entries widened to
-/// [`WideEntry`]s: key columns, zeros past the index's arity, and rid.
+/// Scan `range` of the index and collect its entries, each widened once,
+/// straight from its leaf, to a [`WideEntry`]: key columns, zeros past the
+/// index's arity, and rid.
 pub fn collect_entries(
     index: &IndexDef,
     range: &KeyRange,
     session: &Session,
 ) -> Vec<WideEntry> {
     let mut entries = Vec::new();
-    index.tree.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
-        entries.extend_from_slice(leaf);
+    with_tree!(&index.tree, |t| {
+        t.scan_leaves(&range.lo, &range.hi, session, AccessKind::Sequential, |leaf| {
+            entries.extend(leaf.iter().map(|(key, rid)| (widen(key), *rid)));
+        })
     });
     entries
 }

@@ -190,7 +190,7 @@ mod tests {
     use robustmap_storage::{FileId, IoStats, TableId};
 
     /// The walk as it was before it borrowed its leaves, kept as the
-    /// oracle: [`BTree::cursor_next`] an entry at a time, every entry
+    /// oracle: [`Tree::cursor_next`] an entry at a time, every entry
     /// copied out and charged on the spot, the skip target built for every
     /// violation and every probed key compared with it whole.
     fn oracle(
@@ -199,54 +199,57 @@ mod tests {
         session: &Session,
         emit: &mut dyn FnMut(&[i64]) -> bool,
     ) -> Result<(), ExecError> {
-        let tree = &index.tree;
-        let arity = tree.key_arity();
+        let arity = index.tree.key_arity();
         if col_ranges.iter().any(|&(lo, hi)| lo > hi) {
             return Ok(());
         }
         let low_corner: Vec<i64> = col_ranges.iter().map(|&(lo, _)| lo).collect();
-        let mut cursor = tree.seek(&Key::new(&low_corner), session);
-        while let Some((key, _)) = tree.cursor_next(&mut cursor, session, AccessKind::Sequential) {
-            session.charge_compares(arity as u64);
-            let violation = col_ranges.iter().enumerate().find_map(|(j, &(lo, hi))| {
-                let v = key.get(j);
-                (v < lo || v > hi).then_some((j, v < lo))
-            });
-            match violation {
-                None => {
-                    if !emit(key.values()) {
-                        break;
-                    }
-                }
-                Some((0, false)) => break,
-                Some((j, below_lo)) => {
-                    let target = if below_lo {
-                        let mut vals: Vec<i64> = key.values()[..j].to_vec();
-                        vals.extend(col_ranges[j..].iter().map(|&(lo, _)| lo));
-                        Key::new(&vals)
-                    } else {
-                        Key::padded_hi(&key.values()[..j], arity)
-                    };
-                    let mut probe = cursor;
-                    let mut reached = None;
-                    for _ in 0..SKIP_SCAN_LIMIT {
-                        let ahead = probe;
-                        match tree.cursor_next(&mut probe, session, AccessKind::Sequential) {
-                            Some((k, _)) if k >= target => {
-                                reached = Some(ahead);
-                                break;
-                            }
-                            Some(_) => {}
-                            None => {
-                                reached = Some(probe);
-                                break;
-                            }
+        with_tree!(&index.tree, |tree| {
+            let mut cursor = tree.seek(&Key::new(&low_corner), session);
+            while let Some((key, _)) =
+                tree.cursor_next(&mut cursor, session, AccessKind::Sequential)
+            {
+                session.charge_compares(arity as u64);
+                let violation = col_ranges.iter().enumerate().find_map(|(j, &(lo, hi))| {
+                    let v = key.get(j);
+                    (v < lo || v > hi).then_some((j, v < lo))
+                });
+                match violation {
+                    None => {
+                        if !emit(key.values()) {
+                            break;
                         }
                     }
-                    cursor = reached.unwrap_or_else(|| tree.seek(&target, session));
+                    Some((0, false)) => break,
+                    Some((j, below_lo)) => {
+                        let target = if below_lo {
+                            let mut vals: Vec<i64> = key.values()[..j].to_vec();
+                            vals.extend(col_ranges[j..].iter().map(|&(lo, _)| lo));
+                            Key::new(&vals)
+                        } else {
+                            Key::padded_hi(&key.values()[..j], arity)
+                        };
+                        let mut probe = cursor;
+                        let mut reached = None;
+                        for _ in 0..SKIP_SCAN_LIMIT {
+                            let ahead = probe;
+                            match tree.cursor_next(&mut probe, session, AccessKind::Sequential) {
+                                Some((k, _)) if k >= target => {
+                                    reached = Some(ahead);
+                                    break;
+                                }
+                                Some(_) => {}
+                                None => {
+                                    reached = Some(probe);
+                                    break;
+                                }
+                            }
+                        }
+                        cursor = reached.unwrap_or_else(|| tree.seek(&target, session));
+                    }
                 }
             }
-        }
+        });
         Ok(())
     }
 

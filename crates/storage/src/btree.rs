@@ -13,12 +13,18 @@
 //!
 //! A [`Key`] carries its arity; what a leaf or a separator stores does not.
 //! A [`Tree<A>`] holds `A`-column keys as [`StoredEntry<A>`]s — the key's
-//! `A` columns and the rid, 16, 24 or 32 bytes.  [`BTree`] is a tree of any
-//! arity: one [`Tree`] behind a three-variant enum, each method dispatching
-//! once to code compiled for its arity, and [`with_tree!`](crate::with_tree)
-//! does the same for a caller's own loop over leaves.  Bounds, probes,
-//! inserts and deletes are `Key`s, checked against the tree's arity; entries
-//! handed out by value are `Key`s again.
+//! `A` columns and the rid, 16, 24 or 32 bytes.  Bounds, probes, inserts
+//! and deletes are `Key`s, checked against the tree's arity; entries handed
+//! out by value are `Key`s again.  Inside a tree a bound is compared as a
+//! `Bound<A>`, its first `A` columns and how a key equal there orders.
+//!
+//! [`BTree`] is a tree of any arity: one [`Tree`] behind a three-variant
+//! enum.  Its methods build, maintain and describe a tree and answer a
+//! point lookup and an entry-by-entry range scan, each dispatching once to
+//! the code of its arity.  A caller's own loop over leaves — the index
+//! scans, the covering scan, MDAM, the reference loops tests compare with
+//! — reaches the [`Tree`] through [`with_tree!`](crate::with_tree), which
+//! dispatches the same way.
 //!
 //! Leaves and inner nodes are separate types, each in its own arena indexed
 //! by page number, and an inner node's children are leaves or inner nodes,
@@ -29,9 +35,10 @@
 //! Reads go through one [`Cursor`], which borrows the leaf it is on:
 //! [`Tree::seek`] makes one, [`Cursor::peek`] / [`Cursor::rest`] /
 //! [`Cursor::advance`] read and step within the leaf for free, and
-//! [`Tree::next_leaf`] is the only step that touches a page.
-//! [`Tree::scan_leaves`] and the MDAM walk are written over those;
-//! [`Tree::cursor_next`] is the entry-at-a-time reference loop.
+//! [`Tree::next_leaf`] is the only step that touches a page.  There is one
+//! leaf scan, [`Tree::scan_leaves`], and the MDAM walk; both are written
+//! over those.  [`Tree::cursor_next`] is the entry-at-a-time reference
+//! loop they are tested against.
 
 use std::cmp::Ordering;
 use std::marker::PhantomData;
@@ -163,14 +170,14 @@ pub type KeyCols = [i64; MAX_KEY_COLS];
 /// rid, `8 A + 8` bytes — 16, 24 or 32, where an `Entry` takes 40.
 pub type StoredEntry<const A: usize> = ([i64; A], Rid);
 
-/// An entry widened to [`MAX_KEY_COLS`] columns, zeros past its arity: a
-/// leaf as [`BTree::scan_leaves`] hands it out whatever the tree's arity.
+/// An entry widened to [`MAX_KEY_COLS`] columns, zeros past its arity: one
+/// entry type whatever the tree's arity, for a caller that keeps entries.
 pub type WideEntry = StoredEntry<MAX_KEY_COLS>;
 
 /// `cols` with zeros past them.  Of a constant length, so the copy is a
 /// few stores, not a `memcpy` call.
 #[inline]
-fn widen<const A: usize>(cols: &[i64; A]) -> KeyCols {
+pub fn widen<const A: usize>(cols: &[i64; A]) -> KeyCols {
     let mut wide = [0; MAX_KEY_COLS];
     wide[..A].copy_from_slice(cols);
     wide
@@ -610,12 +617,6 @@ impl<const A: usize> Tree<A> {
         (key.stored(), rid)
     }
 
-    /// A stored entry handed out by value: its key gets the tree's arity.
-    #[inline]
-    fn entry((cols, rid): &StoredEntry<A>) -> Entry {
-        (Key::of_stored(cols), *rid)
-    }
-
     /// Insert `(key, rid)`.  Returns `false` if the exact entry was already
     /// present (the tree is a set of `(key, rid)` pairs).
     pub fn insert<S: ChargeSink>(&mut self, key: Key, rid: Rid, session: &S) -> bool {
@@ -823,15 +824,6 @@ impl<const A: usize> Tree<A> {
         self.inners[right] = r;
     }
 
-    /// Point lookup: rid of the first entry whose key equals `key`.
-    pub fn get_first(&self, key: &Key, session: &Session) -> Option<Rid> {
-        let mut cursor = self.seek(key, session);
-        match self.cursor_next(&mut cursor, session, AccessKind::SinglePage) {
-            Some((k, rid)) if k == *key => Some(rid),
-            _ => None,
-        }
-    }
-
     /// Position a cursor at the first entry with `(key, rid) >= (lo,
     /// Rid(0,0))`, charging the root-to-leaf descent.
     pub fn seek(&self, lo: &Key, session: &Session) -> Cursor<'_, A> {
@@ -887,29 +879,13 @@ impl<const A: usize> Tree<A> {
         leaf_access: AccessKind,
     ) -> Option<Entry> {
         loop {
-            if let Some(entry) = cursor.peek() {
+            if let Some((cols, rid)) = cursor.peek() {
                 cursor.advance(1);
                 session.charge_rows(1);
-                return Some(Self::entry(entry));
+                return Some((Key::of_stored(cols), *rid));
             }
             *cursor = self.next_leaf(*cursor, session, leaf_access)?;
         }
-    }
-
-    /// Scan all entries with keys in `[lo, hi]` (inclusive, in `(key, rid)`
-    /// order), calling `f` for each.  Returns the number of entries visited.
-    /// [`Tree::scan_leaves`], entry by entry.
-    pub fn scan_range<F: FnMut(Entry)>(
-        &self,
-        lo: &Key,
-        hi: &Key,
-        session: &Session,
-        leaf_access: AccessKind,
-        mut f: F,
-    ) -> u64 {
-        self.scan_leaves(lo, hi, session, leaf_access, |leaf| {
-            leaf.iter().for_each(|entry| f(Self::entry(entry)))
-        })
     }
 
     /// Scan all entries with keys in `[lo, hi]`, leaf by leaf: `f` receives
@@ -1126,7 +1102,7 @@ impl<'t, const A: usize> Cursor<'t, A> {
 ///
 /// ```
 /// # use robustmap_storage::{with_tree, AccessKind, BTree, FileId, Key, Session};
-/// let tree = BTree::new(FileId(0), 2);
+/// let tree = BTree::with_caps(FileId(0), 2, 4, 4);
 /// let (lo, hi) = (Key::padded_lo(&[], 2), Key::padded_hi(&[], 2));
 /// let s = Session::with_pool_pages(0);
 /// let mut sum = 0;
@@ -1159,27 +1135,7 @@ pub enum BTree {
     Three(Tree<3>),
 }
 
-/// A [`Cursor`] of a [`BTree`] of any arity, with its tree: what
-/// [`BTree::seek`] hands out for the entry-at-a-time [`BTree::cursor_next`].
-/// That loop is the `Key`-level reference the model test, the pinned tree
-/// charges and the MDAM oracle read a tree through; scans dispatch once
-/// with [`with_tree!`](crate::with_tree) instead.
-#[derive(Debug, Clone, Copy)]
-pub enum AnyCursor<'t> {
-    /// On a one-column tree.
-    One(&'t Tree<1>, Cursor<'t, 1>),
-    /// On a two-column tree.
-    Two(&'t Tree<2>, Cursor<'t, 2>),
-    /// On a three-column tree.
-    Three(&'t Tree<3>, Cursor<'t, 3>),
-}
-
 impl BTree {
-    /// An empty tree for `key_arity`-column keys.
-    pub fn new(file: FileId, key_arity: usize) -> Self {
-        Self::with_caps(file, key_arity, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP)
-    }
-
     /// An empty tree with explicit node capacities (small capacities make
     /// rebalancing easy to exercise in tests).
     pub fn with_caps(file: FileId, key_arity: usize, leaf_cap: usize, internal_cap: usize) -> Self {
@@ -1302,58 +1258,22 @@ impl BTree {
         with_tree!(self, |t| t.delete(key, rid, session))
     }
 
-    /// Point lookup ([`Tree::get_first`]).
+    /// Point lookup: rid of the first entry whose key equals `key` — a
+    /// [`Tree::seek`] and one [`Tree::cursor_next`] over single pages.
     pub fn get_first(&self, key: &Key, session: &Session) -> Option<Rid> {
-        with_tree!(self, |t| t.get_first(key, session))
+        with_tree!(self, |t| {
+            let mut cursor = t.seek(key, session);
+            match t.cursor_next(&mut cursor, session, AccessKind::SinglePage) {
+                Some((k, rid)) if k == *key => Some(rid),
+                _ => None,
+            }
+        })
     }
 
-    /// [`Tree::seek`], the cursor carrying its tree.
-    pub fn seek(&self, lo: &Key, session: &Session) -> AnyCursor<'_> {
-        match self {
-            BTree::One(t) => AnyCursor::One(t, t.seek(lo, session)),
-            BTree::Two(t) => AnyCursor::Two(t, t.seek(lo, session)),
-            BTree::Three(t) => AnyCursor::Three(t, t.seek(lo, session)),
-        }
-    }
-
-    /// A cursor at the leftmost entry (full index scan).
-    pub fn seek_first(&self, session: &Session) -> AnyCursor<'_> {
-        self.seek(&Key::padded_lo(&[], self.key_arity()), session)
-    }
-
-    /// [`Tree::cursor_next`] on the cursor's tree, one dispatch an entry:
-    /// the reference loop, not a scan's.
-    pub fn cursor_next<'t>(
-        &'t self,
-        cursor: &mut AnyCursor<'t>,
-        session: &Session,
-        leaf_access: AccessKind,
-    ) -> Option<Entry> {
-        match cursor {
-            AnyCursor::One(t, c) => t.cursor_next(c, session, leaf_access),
-            AnyCursor::Two(t, c) => t.cursor_next(c, session, leaf_access),
-            AnyCursor::Three(t, c) => t.cursor_next(c, session, leaf_access),
-        }
-    }
-
-    /// Scan all entries with keys in `[lo, hi]` ([`Tree::scan_range`]).
+    /// Scan all entries with keys in `[lo, hi]` (inclusive, in `(key, rid)`
+    /// order), calling `f` for each: [`Tree::scan_leaves`], entry by entry.
+    /// Returns the number of entries visited.
     pub fn scan_range<F: FnMut(Entry)>(
-        &self,
-        lo: &Key,
-        hi: &Key,
-        session: &Session,
-        leaf_access: AccessKind,
-        f: F,
-    ) -> u64 {
-        with_tree!(self, |t| t.scan_range(lo, hi, session, leaf_access, f))
-    }
-
-    /// [`Tree::scan_leaves`], each leaf's in-range entries copied out
-    /// widened to [`WideEntry`]s: one entry type whatever the arity, for a
-    /// caller that keeps the entries (the covering rid join).  A loop over
-    /// the entries in place is written over [`Tree::scan_leaves`] with
-    /// [`with_tree!`](crate::with_tree).
-    pub fn scan_leaves<F: FnMut(&[WideEntry])>(
         &self,
         lo: &Key,
         hi: &Key,
@@ -1361,12 +1281,9 @@ impl BTree {
         leaf_access: AccessKind,
         mut f: F,
     ) -> u64 {
-        let mut wide = Vec::new();
         with_tree!(self, |t| {
             t.scan_leaves(lo, hi, session, leaf_access, |leaf| {
-                wide.clear();
-                wide.extend(leaf.iter().map(|(cols, rid)| (widen(cols), *rid)));
-                f(&wide)
+                leaf.iter().for_each(|(cols, rid)| f((Key::of_stored(cols), *rid)))
             })
         })
     }
@@ -1582,17 +1499,21 @@ mod tests {
                 read += u64::from(t.get_first(&key(i), &s).is_some());
             }
             for i in (0..20_000).step_by(301) {
-                let mut cursor = t.seek(&key(i), &s);
-                for _ in 0..5 {
-                    let next = t.cursor_next(&mut cursor, &s, AccessKind::SinglePage);
-                    read += u64::from(next.is_some());
-                }
+                with_tree!(&t, |t| {
+                    let mut cursor = t.seek(&key(i), &s);
+                    for _ in 0..5 {
+                        let next = t.cursor_next(&mut cursor, &s, AccessKind::SinglePage);
+                        read += u64::from(next.is_some());
+                    }
+                });
             }
             for (a, b) in [(0, 40), (200, 203), (1000, 2500), (3300, 9000)] {
                 let (lo, hi) = (Key::padded_lo(&[a], arity), Key::padded_hi(&[b], arity));
                 read += t.scan_range(&lo, &hi, &s, AccessKind::Sequential, |_| {});
                 let mut leaves = 0;
-                read += t.scan_leaves(&lo, &hi, &s, AccessKind::SinglePage, |_| leaves += 1);
+                read += with_tree!(&t, |t| {
+                    t.scan_leaves(&lo, &hi, &s, AccessKind::SinglePage, |_| leaves += 1)
+                });
                 read += leaves;
             }
             let got = (s.elapsed_ticks(), s.stats(), s.charge_events(), read);
@@ -1602,7 +1523,7 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let t = BTree::new(FileId(0), 1);
+        let t = BTree::with_caps(FileId(0), 1, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP);
         assert!(t.is_empty());
         assert_eq!(t.height(), 1);
         assert!(t.check_invariants().is_ok());
@@ -1612,7 +1533,7 @@ mod tests {
     #[test]
     fn insert_and_lookup_small() {
         let s = quiet();
-        let mut t = BTree::new(FileId(0), 1);
+        let mut t = BTree::with_caps(FileId(0), 1, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP);
         for i in [5i64, 1, 9, 3, 7] {
             assert!(t.insert(Key::single(i), rid(i as u32), &s));
         }
@@ -1626,7 +1547,7 @@ mod tests {
     #[test]
     fn duplicate_entry_rejected_but_duplicate_keys_allowed() {
         let s = quiet();
-        let mut t = BTree::new(FileId(0), 1);
+        let mut t = BTree::with_caps(FileId(0), 1, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP);
         assert!(t.insert(Key::single(1), rid(1), &s));
         assert!(!t.insert(Key::single(1), rid(1), &s));
         assert!(t.insert(Key::single(1), rid(2), &s));
@@ -1701,7 +1622,7 @@ mod tests {
     #[test]
     fn delete_missing_returns_false() {
         let s = quiet();
-        let mut t = BTree::new(FileId(0), 1);
+        let mut t = BTree::with_caps(FileId(0), 1, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP);
         t.insert(Key::single(1), rid(1), &s);
         assert!(!t.delete(Key::single(2), rid(2), &s));
         assert!(!t.delete(Key::single(1), rid(99), &s));
@@ -1780,7 +1701,9 @@ mod tests {
         let t = BTree::bulk_load_with_caps(FileId(0), 1, entries.iter().copied(), 0.9, 16, 16);
         let s = Session::with_pool_pages(0);
         let before = s.stats();
-        let _ = t.seek(&Key::single(5000), &s);
+        with_tree!(&t, |t| {
+            t.seek(&Key::single(5000), &s);
+        });
         let delta = s.stats().since(&before);
         assert_eq!(delta.random_reads, t.height() as u64);
     }
@@ -1790,9 +1713,13 @@ mod tests {
         let entries: Vec<Entry> = (0..10_000i64).map(|i| (Key::single(i), rid(i as u32))).collect();
         let t = BTree::bulk_load_with_caps(FileId(0), 1, entries.iter().copied(), 0.9, 16, 16);
         let s = Session::with_pool_pages(1 << 20);
-        let _ = t.seek(&Key::single(5000), &s);
+        with_tree!(&t, |t| {
+            t.seek(&Key::single(5000), &s);
+        });
         let before = s.stats();
-        let _ = t.seek(&Key::single(5001), &s);
+        with_tree!(&t, |t| {
+            t.seek(&Key::single(5001), &s);
+        });
         let delta = s.stats().since(&before);
         // Same root-to-leaf path: all hits the second time.
         assert_eq!(delta.random_reads, 0);

@@ -234,7 +234,7 @@ impl HeapFile {
     /// Append `rows` rows as whole pages (the load path, uncharged like
     /// [`HeapFile::append`]) and return their rids: `fill(c, first, values)`
     /// writes column `c` of the run's rows `first .. first + values.len()`,
-    /// one call a column of each page ([`ColumnPage::filled`]).  The heap
+    /// one call a column of each page (`ColumnPage::filled`).  The heap
     /// then holds what `rows` appends of the same rows would make it hold,
     /// page for page.
     ///

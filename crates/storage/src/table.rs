@@ -5,7 +5,7 @@
 //! map builder can sweep parameter grids from many threads, each with its
 //! own [`crate::Session`].
 
-use crate::btree::{BTree, Key};
+use crate::btree::{BTree, Key, MAX_KEY_COLS};
 use crate::buffer::FileId;
 use crate::heap::{HeapFile, Rid};
 use crate::schema::{Row, Schema};
@@ -42,7 +42,7 @@ pub struct IndexDef {
 impl IndexDef {
     /// Extract this index's key from a table row.
     pub fn key_of(&self, row: &Row) -> Key {
-        let mut vals = [0i64; crate::btree::MAX_KEY_COLS];
+        let mut vals = [0i64; MAX_KEY_COLS];
         for (i, &col) in self.key_columns.iter().enumerate() {
             vals[i] = row.get(col);
         }
@@ -95,12 +95,32 @@ impl Database {
         id
     }
 
+    /// The heap of `table`, once `key_columns` are checked against it: 1 to
+    /// [`MAX_KEY_COLS`] columns, each in the table's schema.  The one check
+    /// of [`Database::create_index`] and [`Database::attach_index`], made
+    /// before either allocates or attaches anything.
+    fn index_heap(&self, table: TableId, key_columns: &[usize]) -> Result<&HeapFile> {
+        let heap = &self
+            .tables
+            .get(table.0 as usize)
+            .ok_or_else(|| StorageError::UnknownObject(format!("table #{}", table.0)))?
+            .heap;
+        let n = key_columns.len();
+        if !(1..=MAX_KEY_COLS).contains(&n) {
+            return Err(StorageError::SchemaMismatch(format!("bad key arity {n}")));
+        }
+        match key_columns.iter().find(|&&c| c >= heap.schema().arity()) {
+            Some(c) => Err(StorageError::SchemaMismatch(format!("key column {c} out of range"))),
+            None => Ok(heap),
+        }
+    }
+
     /// Attach a fully built B+-tree as a non-clustered index on
     /// `key_columns` of `table` (the workload cache's load path, and the
-    /// target of [`crate::BTree::bulk_load`]s performed outside the catalog
-    /// — e.g. in parallel).  Validates the key columns against the table
-    /// schema and reserves the tree's file id, exactly as
-    /// [`Database::create_index`] would.
+    /// target of [`BTree::bulk_load_columns`] loads made outside the
+    /// catalog).  Validates the key columns against the table schema and
+    /// reserves the tree's file id, exactly as [`Database::create_index`]
+    /// would.
     pub fn attach_index(
         &mut self,
         name: &str,
@@ -108,16 +128,7 @@ impl Database {
         key_columns: &[usize],
         tree: BTree,
     ) -> Result<IndexId> {
-        let heap = &self
-            .tables
-            .get(table.0 as usize)
-            .ok_or_else(|| StorageError::UnknownObject(format!("table #{}", table.0)))?
-            .heap;
-        for &c in key_columns {
-            if c >= heap.schema().arity() {
-                return Err(StorageError::SchemaMismatch(format!("key column {c} out of range")));
-            }
-        }
+        self.index_heap(table, key_columns)?;
         if tree.key_arity() != key_columns.len() {
             return Err(StorageError::SchemaMismatch(format!(
                 "tree arity {} vs {} key columns",
@@ -157,29 +168,19 @@ impl Database {
     /// the heap and bulk-loading a B+-tree (fill factor 0.9, the customary
     /// default for freshly built indexes).
     pub fn create_index(&mut self, name: &str, table: TableId, key_columns: &[usize]) -> Result<IndexId> {
-        let file = self.alloc_file();
-        let heap = &self
-            .tables
-            .get(table.0 as usize)
-            .ok_or_else(|| StorageError::UnknownObject(format!("table #{}", table.0)))?
-            .heap;
-        for &c in key_columns {
-            if c >= heap.schema().arity() {
-                return Err(StorageError::SchemaMismatch(format!("key column {c} out of range")));
-            }
-        }
+        let heap = self.index_heap(table, key_columns)?;
         // Collect (key, rid) pairs; the load path is not charged.
         let session = crate::Session::with_pool_pages(0);
         let mut entries: Vec<(Key, Rid)> = Vec::with_capacity(heap.row_count() as usize);
-        let def_cols = key_columns.to_vec();
         heap.scan(&session, |rid, row| {
-            let mut vals = [0i64; crate::btree::MAX_KEY_COLS];
-            for (i, &col) in def_cols.iter().enumerate() {
+            let mut vals = [0i64; MAX_KEY_COLS];
+            for (i, &col) in key_columns.iter().enumerate() {
                 vals[i] = row.get(col);
             }
-            entries.push((Key::new(&vals[..def_cols.len()]), rid));
+            entries.push((Key::new(&vals[..key_columns.len()]), rid));
         });
         entries.sort_unstable();
+        let file = self.alloc_file();
         let tree = BTree::bulk_load(file, key_columns.len(), entries.iter().copied(), 0.9);
         let id = IndexId(self.indexes.len() as u32);
         self.indexes.push(IndexDef {
@@ -326,10 +327,22 @@ mod tests {
         assert_eq!(db.indexes_on(t).count(), 1);
     }
 
+    /// No key column, more than [`MAX_KEY_COLS`] and a column past the
+    /// schema are errors, not panics, and a refused call allocates no file:
+    /// the next index gets the file id it gets in a catalog without them.
     #[test]
-    fn bad_key_column_rejected() {
+    fn bad_key_columns_are_refused_before_a_file_is_allocated() {
         let (mut db, t) = demo_db(10);
-        assert!(db.create_index("idx_bad", t, &[9]).is_err());
+        for bad in [&[][..], &[0, 1, 2, 0], &[9]] {
+            let refused = |r: Result<IndexId>| matches!(r, Err(StorageError::SchemaMismatch(_)));
+            assert!(refused(db.create_index("bad", t, bad)), "{bad:?}");
+            let tree = BTree::with_caps(FileId(9), 1, 4, 4);
+            assert!(refused(db.attach_index("bad", t, bad, tree)), "{bad:?}");
+        }
+        let (mut clean, _) = demo_db(10);
+        let (idx, want) = (db.create_index("a", t, &[0]), clean.create_index("a", t, &[0]));
+        let file = |db: &Database, idx: Result<IndexId>| db.index(idx.unwrap()).tree.file_id();
+        assert_eq!(file(&db, idx), file(&clean, want));
     }
 
     #[test]
@@ -375,9 +388,9 @@ mod tests {
     #[test]
     fn attach_index_validates_key_columns() {
         let (mut db, t) = demo_db(10);
-        let tree = crate::BTree::new(crate::FileId(9), 1);
+        let tree = crate::BTree::with_caps(crate::FileId(9), 1, 4, 4);
         assert!(db.attach_index("bad", t, &[99], tree).is_err());
-        let tree2 = crate::BTree::new(crate::FileId(9), 2);
+        let tree2 = crate::BTree::with_caps(crate::FileId(9), 2, 4, 4);
         assert!(db.attach_index("arity", t, &[0], tree2).is_err());
     }
 

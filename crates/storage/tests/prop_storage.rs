@@ -9,11 +9,12 @@ use proptest::prelude::*;
 use robustmap_storage::btree::{BTree, Entry, Key};
 use robustmap_storage::heap::Rid;
 use robustmap_storage::{
-    AccessKind, BufferPool, ColumnPage, ColumnType, CostModel, CpuCharge, EvictionPolicy, FileId,
-    HeapFile, IoStats, PageId, QueryShare, RidSet, RidSpan, Row, Schema, Session, SharedBufferPool,
-    MAX_COLUMNS, PAGE_SIZE,
+    with_tree, AccessKind, BufferPool, ColumnPage, ColumnType, CostModel, CpuCharge,
+    EvictionPolicy, FileId, HeapFile, IoStats, PageId, QueryShare, RidSet, RidSpan, Row, Schema,
+    Session, SharedBufferPool, MAX_COLUMNS, PAGE_SIZE,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,83 +24,123 @@ fn session() -> Session {
 
 // ---------------------------------------------------------------- B+-tree
 
-/// A key's three columns from small domains, cut to a tree's arity where
-/// it is used: repeats and shared prefixes are common at every arity.
-type TreeKey = [i64; 3];
+/// Key column values by index: the ends of `i64` and the values around 0,
+/// where real keys meet the bounds' padding and a key's unused zeros, then
+/// the small range −4..=3, so runs of equal leading values are common.
+const EXTREMES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
 
-#[derive(Debug, Clone)]
-enum TreeOp {
-    Insert(TreeKey, u32),
-    Delete(TreeKey, u32),
-    Lookup(TreeKey),
-    Range(TreeKey, TreeKey),
+fn column_value(i: usize) -> i64 {
+    EXTREMES.get(i).copied().unwrap_or(i as i64 - EXTREMES.len() as i64 - 4)
 }
 
-fn tree_key() -> impl Strategy<Value = TreeKey> {
-    (0i64..24, 0i64..3, 0i64..3).prop_map(|(a, b, c)| [a, b, c])
+/// A key's three columns as [`column_value`] indexes, cut to a tree's
+/// arity where it is used.  A tuple of ranges, so a failing key shrinks.
+type KeyIdx = (usize, usize, usize);
+
+fn key_idx() -> impl Strategy<Value = KeyIdx> {
+    (0usize..15, 0usize..15, 0usize..15)
 }
 
-fn tree_op() -> impl Strategy<Value = TreeOp> {
-    prop_oneof![
-        (tree_key(), 0u32..8).prop_map(|(k, r)| TreeOp::Insert(k, r)),
-        (tree_key(), 0u32..8).prop_map(|(k, r)| TreeOp::Delete(k, r)),
-        tree_key().prop_map(TreeOp::Lookup),
-        (tree_key(), tree_key()).prop_map(|(a, b)| TreeOp::Range(a.min(b), a.max(b))),
-    ]
+/// A tree's arity and its leaf and inner node capacities: small caps
+/// force frequent splits and merges.
+fn tree_shape() -> impl Strategy<Value = (usize, usize, usize)> {
+    (1usize..=3, 3usize..=8, 3usize..=8)
+}
+
+/// The key `idx` stands for at `arity` columns as its column slots, zeros
+/// past the arity as [`Key::new`] leaves them: slots order as keys do.
+fn key_cols((x, y, z): KeyIdx, arity: usize) -> [i64; 3] {
+    let vals = [x, y, z].map(column_value);
+    std::array::from_fn(|c| if c < arity { vals[c] } else { 0 })
+}
+
+/// An entry of a tree's model: its key's column slots and its rid's slot.
+type ModelEntry = ([i64; 3], u32);
+
+fn entry_of(&(cols, slot): &ModelEntry, arity: usize) -> Entry {
+    (Key::new(&cols[..arity]), Rid::new(0, slot))
+}
+
+/// One operation on a tree and its model, a tuple of ranges so that it
+/// shrinks: `(kind, a, b, slot, at)`.  Kind 0 inserts `(a, slot)`, 1
+/// deletes the live entry `at` picks, 2 deletes `(a, slot)` (seldom
+/// there), 3 looks `a` up, 4 the key of the live entry `at` picks, 5 scans
+/// from the lesser of `a` and `b` to the greater, and 6–7 insert too.
+/// Kinds `0..3` are a churn mix; `0..8` grows the tree.
+type TreeOp = (u32, KeyIdx, KeyIdx, u32, usize);
+
+fn tree_op(kinds: Range<u32>) -> impl Strategy<Value = TreeOp> {
+    (kinds, key_idx(), key_idx(), 0u32..8, 0usize..4096)
+}
+
+/// Apply `op` to `tree` and to `model`, the set of the tree's entries, and
+/// require both to answer alike.
+fn apply(
+    tree: &mut BTree,
+    model: &mut BTreeSet<ModelEntry>,
+    (kind, a, b, slot, at): TreeOp,
+    s: &Session,
+) -> Result<(), TestCaseError> {
+    let arity = tree.key_arity();
+    let (a, b) = (key_cols(a, arity), key_cols(b, arity));
+    let live = model.iter().nth(at % model.len().max(1)).copied();
+    match (kind, live) {
+        (0 | 6 | 7, _) => {
+            let (key, rid) = entry_of(&(a, slot), arity);
+            prop_assert_eq!(tree.insert(key, rid, s), model.insert((a, slot)));
+        }
+        (1, Some(victim)) => {
+            let (key, rid) = entry_of(&victim, arity);
+            prop_assert!(tree.delete(key, rid, s));
+            model.remove(&victim);
+        }
+        (2, _) => {
+            let (key, rid) = entry_of(&(a, slot), arity);
+            prop_assert_eq!(tree.delete(key, rid, s), model.remove(&(a, slot)));
+        }
+        (3 | 4, _) => {
+            let probe = if kind == 4 { live.map_or(a, |(cols, _)| cols) } else { a };
+            let first = model.range((probe, 0)..=(probe, u32::MAX)).next();
+            let want = first.map(|&(_, slot)| Rid::new(0, slot));
+            prop_assert_eq!(tree.get_first(&Key::new(&probe[..arity]), s), want);
+        }
+        (5, _) => {
+            let (lo, hi) = (a.min(b), a.max(b));
+            let (lo_key, hi_key) = (Key::new(&lo[..arity]), Key::new(&hi[..arity]));
+            let mut got = Vec::new();
+            tree.scan_range(&lo_key, &hi_key, s, AccessKind::Sequential, |e| got.push(e));
+            let want: Vec<Entry> =
+                model.range((lo, 0)..=(hi, u32::MAX)).map(|e| entry_of(e, arity)).collect();
+            prop_assert_eq!(got, want);
+        }
+        _ => {}
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The tree behaves exactly like an ordered set of (key, rid) pairs,
-    /// and never violates its structural invariants, at every key arity.
+    /// and never violates its structural invariants, at every key arity,
+    /// with keys at the ends of `i64` and around 0 and caps of 3 to 8.
     #[test]
     fn btree_matches_model(
-        arity in 1usize..=3,
-        ops in prop::collection::vec(tree_op(), 1..300),
+        shape in tree_shape(),
+        ops in prop::collection::vec(tree_op(0u32..8), 1..300),
     ) {
         let s = session();
-        let key = |k: &TreeKey| Key::new(&k[..arity]);
-        let cols = |k: &TreeKey| k[..arity].to_vec();
-        // Small caps force frequent splits and merges.
-        let mut tree = BTree::with_caps(FileId(0), arity, 4, 4);
-        let mut model: BTreeSet<(Vec<i64>, u32)> = BTreeSet::new();
+        let (arity, leaf_cap, inner_cap) = shape;
+        let mut tree = BTree::with_caps(FileId(0), arity, leaf_cap, inner_cap);
+        let mut model = BTreeSet::new();
         for op in ops {
-            match op {
-                TreeOp::Insert(k, r) => {
-                    let inserted = tree.insert(key(&k), Rid::new(0, r), &s);
-                    prop_assert_eq!(inserted, model.insert((cols(&k), r)));
-                }
-                TreeOp::Delete(k, r) => {
-                    let deleted = tree.delete(key(&k), Rid::new(0, r), &s);
-                    prop_assert_eq!(deleted, model.remove(&(cols(&k), r)));
-                }
-                TreeOp::Lookup(k) => {
-                    let got = tree.get_first(&key(&k), &s);
-                    let want = model
-                        .range((cols(&k), 0)..=(cols(&k), u32::MAX))
-                        .next()
-                        .map(|&(_, r)| Rid::new(0, r));
-                    prop_assert_eq!(got, want);
-                }
-                TreeOp::Range(lo, hi) => {
-                    let mut got = Vec::new();
-                    tree.scan_range(&key(&lo), &key(&hi), &s, AccessKind::Sequential, |(k, rid)| {
-                        got.push((k.values().to_vec(), rid.slot))
-                    });
-                    let want: Vec<(Vec<i64>, u32)> =
-                        model.range((cols(&lo), 0)..=(cols(&hi), u32::MAX)).cloned().collect();
-                    prop_assert_eq!(got, want);
-                }
-            }
+            apply(&mut tree, &mut model, op, &s)?;
             tree.check_invariants().map_err(TestCaseError::fail)?;
             prop_assert_eq!(tree.len() as usize, model.len());
         }
         // Final full ordering agreement.
-        let all: Vec<(Vec<i64>, u32)> =
-            tree.collect_all().iter().map(|(k, r)| (k.values().to_vec(), r.slot)).collect();
-        let want: Vec<(Vec<i64>, u32)> = model.iter().cloned().collect();
-        prop_assert_eq!(all, want);
+        let want: Vec<Entry> = model.iter().map(|e| entry_of(e, arity)).collect();
+        prop_assert_eq!(tree.collect_all(), want);
     }
 
     /// Bulk load over any sorted unique entry set equals the insert path.
@@ -308,16 +349,18 @@ fn scan_by_cursor(
     kind: AccessKind,
     f: &mut dyn FnMut(Entry),
 ) -> u64 {
-    let mut cursor = tree.seek(lo, s);
-    let mut n = 0;
-    while let Some((key, rid)) = tree.cursor_next(&mut cursor, s, kind) {
-        if key > *hi {
-            break;
+    with_tree!(tree, |t| {
+        let mut cursor = t.seek(lo, s);
+        let mut n = 0;
+        while let Some((key, rid)) = t.cursor_next(&mut cursor, s, kind) {
+            if key > *hi {
+                break;
+            }
+            f((key, rid));
+            n += 1;
         }
-        f((key, rid));
-        n += 1;
-    }
-    n
+        n
+    })
 }
 
 /// Scan `[lo, hi]` both ways and require one trace; returns it.
@@ -339,16 +382,18 @@ fn scan_both_ways(
 /// next leaf.
 fn leaves_of(tree: &BTree) -> Vec<Vec<Entry>> {
     let s = Session::with_pool_pages(0);
-    let mut cursor = tree.seek_first(&s);
     let mut leaves = vec![Vec::new()];
-    let mut seen = s.stats().seq_reads;
-    while let Some(e) = tree.cursor_next(&mut cursor, &s, AccessKind::Sequential) {
-        for _ in seen..s.stats().seq_reads {
-            leaves.push(Vec::new());
+    with_tree!(tree, |t| {
+        let mut cursor = t.seek(&Key::padded_lo(&[], t.key_arity()), &s);
+        let mut seen = s.stats().seq_reads;
+        while let Some(e) = t.cursor_next(&mut cursor, &s, AccessKind::Sequential) {
+            for _ in seen..s.stats().seq_reads {
+                leaves.push(Vec::new());
+            }
+            seen = s.stats().seq_reads;
+            leaves.last_mut().expect("one leaf at least").push(e);
         }
-        seen = s.stats().seq_reads;
-        leaves.last_mut().expect("one leaf at least").push(e);
-    }
+    });
     leaves
 }
 
@@ -357,61 +402,40 @@ proptest! {
 
     /// The leaf-at-a-time `scan_range` is the cursor loop — entries, clock,
     /// charge events, counters, pool — with its row charges grouped per
-    /// leaf: on bulk-loaded trees churned into underfull and emptied
-    /// leaves, with one- and two-column keys and so few distinct keys that
-    /// duplicates straddle every leaf boundary, over random ranges and the
-    /// ranges that end or begin exactly at a leaf's edge.
+    /// leaf: on bulk-loaded trees of arity 1–3 and caps of 3 to 8 churned
+    /// into underfull and merged leaves, with keys at the ends of `i64` and
+    /// around 0 and so few distinct leading values that duplicates straddle
+    /// every leaf boundary, over random prefix ranges and the ranges that
+    /// end or begin exactly at a leaf's edge.
     #[test]
     fn scan_range_equals_the_cursor_loop(
-        base in prop::collection::btree_set((0i64..12, 0i64..4, 0u32..64), 0..160),
-        ops in prop::collection::vec(churn_step(12), 0..200),
-        two_columns in any::<bool>(),
+        shape in tree_shape(),
+        base in prop::collection::btree_set((key_idx(), 0u32..64), 0..160),
+        ops in prop::collection::vec(tree_op(0u32..3), 0..200),
         fill in 0.5f64..1.0,
-        ranges in prop::collection::vec((-2i64..14, -2i64..14), 1..8),
+        ranges in prop::collection::vec((0usize..15, 0usize..15), 1..8),
         pool_pages in 0usize..6,
     ) {
-        let arity = if two_columns { 2 } else { 1 };
-        // (a, b, slot) orders like the entry it stands for in either shape.
-        let entry = |a: i64, b: i64, slot: u32| -> Entry {
-            if two_columns {
-                (Key::pair(a, b), Rid::new(0, slot))
-            } else {
-                (Key::single(a), Rid::new(b as u32, slot))
-            }
-        };
+        let (arity, leaf_cap, inner_cap) = shape;
         let s = session();
-        let entries: Vec<Entry> = base.iter().map(|&(a, b, slot)| entry(a, b, slot)).collect();
+        let mut live: BTreeSet<ModelEntry> =
+            base.iter().map(|&(k, slot)| (key_cols(k, arity), slot)).collect();
+        let entries = live.iter().map(|e| entry_of(e, arity));
         let mut tree =
-            BTree::bulk_load_with_caps(FileId(0), arity, entries.iter().copied(), fill, 6, 6);
-        let mut live: BTreeSet<(i64, i64, u32)> = base.clone();
+            BTree::bulk_load_with_caps(FileId(0), arity, entries, fill, leaf_cap, inner_cap);
         for op in ops {
-            match op {
-                ChurnStep::Insert(a, b, r) => {
-                    let (key, rid) = entry(a, b % 4, 1000 + r);
-                    prop_assert_eq!(tree.insert(key, rid, &s), live.insert((a, b % 4, 1000 + r)));
-                }
-                ChurnStep::DeleteAt(i) => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let victim = *live.iter().nth(i % live.len()).expect("non-empty");
-                    let (key, rid) = entry(victim.0, victim.1, victim.2);
-                    prop_assert!(tree.delete(key, rid, &s));
-                    live.remove(&victim);
-                }
-                ChurnStep::DeleteMissing(a, b) => {
-                    let (key, rid) = entry(a, b % 4, 5000);
-                    prop_assert!(!tree.delete(key, rid, &s));
-                }
-            }
+            apply(&mut tree, &mut live, op, &s)?;
         }
         tree.check_invariants().map_err(TestCaseError::fail)?;
 
-        let prefix = |a: i64| (Key::padded_lo(&[a], arity), Key::padded_hi(&[a], arity));
+        let prefix = |x: usize| {
+            let a = column_value(x);
+            (Key::padded_lo(&[a], arity), Key::padded_hi(&[a], arity))
+        };
         let mut bounds: Vec<(Key, Key)> = Vec::new();
         for &(x, y) in &ranges {
-            bounds.push((prefix(x).0, prefix(y).1)); // empty when y < x
-            bounds.push((prefix(x.max(y)).0, prefix(i64::MAX).1)); // hi past the last key
+            bounds.push((prefix(x).0, prefix(y).1)); // empty when y's value is below x's
+            bounds.push((prefix(x).0, Key::padded_hi(&[], arity))); // hi past the last key
         }
         let leaves = leaves_of(&tree);
         for pair in leaves.windows(2) {
@@ -429,7 +453,7 @@ proptest! {
                 let trace = scan_both_ways(&tree, lo, hi, kind, pool_pages)?;
                 let want: Vec<Entry> = live
                     .iter()
-                    .map(|&(a, b, slot)| entry(a, b, slot))
+                    .map(|e| entry_of(e, arity))
                     .filter(|(key, _)| lo <= key && key <= hi)
                     .collect();
                 prop_assert_eq!(trace.visited, want);
@@ -477,15 +501,6 @@ fn scan_range_at_leaf_edges_equals_the_cursor_loop() {
 }
 
 // ------------------------------------------------- bulk load from columns
-
-/// Key column values by index: the ends of `i64` and the values around 0,
-/// where real keys meet the bounds' padding and a key's unused zeros, then
-/// the small range −4..=3, so runs of equal leading values are common.
-const EXTREMES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
-
-fn column_value(i: usize) -> i64 {
-    EXTREMES.get(i).copied().unwrap_or(i as i64 - EXTREMES.len() as i64 - 4)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -321,9 +321,10 @@ const RULES: &[Rule] = &[
     Rule {
         gate: "one-walker",
         scope: &["crates"],
-        hit: |l| any(l, &["cursor_step", "cursor_next_leaf"]),
-        why: "cursor_step or cursor_next_leaf is back — the borrowed Cursor with \
-              Tree::next_leaf replaced them, they are not kept beside it",
+        hit: |l| any(l, &["cursor_step", "cursor_next_leaf", "AnyCursor"]),
+        why: "cursor_step, cursor_next_leaf or AnyCursor is back — the borrowed Cursor with \
+              Tree::next_leaf replaced them, and a loop over a tree of any arity reaches \
+              its Cursor through with_tree!; they are not kept beside it",
         ..RULE
     },
     Rule {
